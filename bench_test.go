@@ -273,7 +273,6 @@ func BenchmarkScanAppend(b *testing.B) {
 		{"baked", core.Options{Backend: core.BackendBaked}},
 		{"reference", core.Options{Backend: core.BackendReference}},
 		{"prefiltered", core.Options{Backend: core.BackendPrefiltered}},
-		{"accelerated", core.Options{Backend: core.BackendAccelerated}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			m, err := core.Build(set, tc.opts)

@@ -19,6 +19,7 @@ import (
 
 	dpi "repro"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/ruleset"
 	"repro/internal/traffic"
 )
@@ -86,7 +87,7 @@ func requireBalanced(t *testing.T, st dpi.GatewayStats, when string) {
 // oracle, across every backend × shard combination, with the ledger
 // balancing at the drained checkpoint.
 func TestChaosSoakBlockStorm(t *testing.T) {
-	for _, backend := range []string{dpi.BackendReference, dpi.BackendBaked, dpi.BackendPrefiltered, dpi.BackendAccelerated} {
+	for _, backend := range core.RegisteredBackends() {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("backend=%s/shards=%d", backend, shards), func(t *testing.T) {
 				m, set := soakMatcher(t, 250, backend)

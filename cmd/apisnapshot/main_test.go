@@ -68,7 +68,7 @@ func TestSnapshotShape(t *testing.T) {
 		}
 	}
 	for _, l := range body {
-		if strings.Contains(l, " disableBaked") || strings.HasPrefix(l, "func new") {
+		if strings.Contains(l, " coreOptions") || strings.HasPrefix(l, "func new") {
 			t.Errorf("unexported symbol leaked into the snapshot: %q", l)
 		}
 	}

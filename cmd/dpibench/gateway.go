@@ -80,9 +80,7 @@ type gatewayBenchRow struct {
 }
 
 // gatewayBenchReport is the machine-readable artifact CI uploads and gates
-// on: OK is false iff any oracle-gated row mismatched. A copy produced
-// with -shards is checked into the repo root as BENCH_5.json — the
-// sharded-gateway entry of the perf trajectory.
+// on: OK is false iff any oracle-gated row mismatched.
 type gatewayBenchReport struct {
 	Bench           int               `json:"bench"` // trajectory sequence number
 	Backend         string            `json:"backend"`

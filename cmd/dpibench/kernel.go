@@ -3,8 +3,7 @@ package main
 // The -kernel mode measures the raw per-byte scan loop — the
 // BenchmarkScanAppend-class number — across ruleset sizes and across every
 // registered scan backend: the slice-walking reference, the baked flat
-// Program, the two-stage prefiltered pipeline and the accelerated
-// skip/pair kernel. Every row is pinned to
+// Program and the two-stage prefiltered pipeline. Every row is pinned to
 // the uncompressed Aho-Corasick oracle's match count before it is timed, so
 // a kernel can never buy throughput with dropped matches — the prefilter's
 // lossiness in particular must be invisible here.
@@ -16,7 +15,7 @@ package main
 // the prefilter's skim loop must earn its keep.
 //
 // With -json the run emits a machine-readable report; CI regenerates it
-// every run, and a copy is checked into the repo root as BENCH_7.json —
+// every run, and a copy is checked into the repo root as BENCH_13.json —
 // the current entry of the perf trajectory.
 
 import (
@@ -54,7 +53,7 @@ func defaultKernelConfig(seed int64) kernelBenchConfig {
 // kernelBenchRow is one (ruleset size, profile, backend) measurement.
 type kernelBenchRow struct {
 	Strings       int     `json:"strings"`
-	Backend       string  `json:"backend"` // reference | baked | prefiltered | accelerated
+	Backend       string  `json:"backend"` // reference | baked | prefiltered
 	Profile       string  `json:"profile"` // attack | clean
 	Gbps          float64 `json:"gbps"`
 	Matches       int     `json:"matches"`                   // per payload pass
@@ -65,16 +64,13 @@ type kernelBenchRow struct {
 	KernelBytes   int     `json:"kernel_bytes,omitempty"`    // flat program footprint
 	PrefilterKB   int     `json:"prefilter_bytes,omitempty"` // lossy table footprint
 	SuspectRate   float64 `json:"suspect_rate,omitempty"`    // suspect windows per skimmed byte
-	PairStates    int     `json:"pair_states,omitempty"`     // accelerated 2-byte pair tables
-	PairBytes     int     `json:"pair_bytes,omitempty"`      // pair-table footprint
 }
 
-// kernelBenchReport is the BENCH_7.json artifact. OK gates CI: every row
+// kernelBenchReport is the BENCH_13.json artifact. OK gates CI: every row
 // must reproduce the oracle match count, the headline 634-string baked
 // attack row must beat the reference kernel by the committed floor, and the
-// prefiltered and accelerated kernels must each beat the baked kernel on
-// clean traffic by their own committed floors — at identical oracle
-// counts.
+// prefiltered kernel must beat the baked kernel on clean traffic by its own
+// committed floor — at identical oracle counts.
 type kernelBenchReport struct {
 	Bench        int              `json:"bench"` // trajectory sequence number
 	Bytes        int              `json:"payload_bytes"`
@@ -86,28 +82,19 @@ type kernelBenchReport struct {
 	// clean-profile headline rows; gated by PrefilterCleanFloor.
 	PrefilterCleanSpeedup float64 `json:"prefilter_clean_speedup"`
 	PrefilterCleanFloor   float64 `json:"prefilter_clean_floor"`
-	// AccelCleanSpeedup is the accelerated/baked throughput ratio on the
-	// clean-profile headline rows; gated by AccelCleanFloor.
-	AccelCleanSpeedup float64 `json:"accel_clean_speedup"`
-	AccelCleanFloor   float64 `json:"accel_clean_floor"`
-	Interrupted       bool    `json:"interrupted"` // run stopped by SIGINT/SIGTERM; rows are partial
-	OK                bool    `json:"ok"`
+	Interrupted           bool    `json:"interrupted"` // run stopped by SIGINT/SIGTERM; rows are partial
+	OK                    bool    `json:"ok"`
 }
 
 // speedupFloor is the committed improvement gate for the headline baked
-// row; prefilterCleanFloor and accelCleanFloor gate the prefiltered and
-// accelerated kernels against the baked kernel on clean traffic. All
-// gates apply only at the headline 634-string size.
+// row; prefilterCleanFloor gates the prefiltered kernel against the baked
+// kernel on clean traffic. Both gates apply only at the headline
+// 634-string size.
 const (
 	speedupFloor        = 1.5
 	prefilterCleanFloor = 1.5
-	accelCleanFloor     = 1.5
 	headlineStrings     = 634
 )
-
-// kernelBackends is the sweep order: reference first so each (size,
-// profile) group computes speedups against it.
-var kernelBackends = []string{core.BackendReference, core.BackendBaked, core.BackendPrefiltered, core.BackendAccelerated}
 
 // measureKernel times repeated full-payload ScanAppend passes over one
 // machine and reports (Gbps, matches per pass, allocations per pass).
@@ -174,15 +161,14 @@ func kernelPayload(set *ruleset.Set, profile string, bytes int, seed int64) ([]b
 
 func runKernel(ctx context.Context, out io.Writer, jsonPath string, cfg kernelBenchConfig) error {
 	t := &report.Table{
-		Title: fmt.Sprintf("SCAN KERNEL THROUGHPUT (payload %d B, seed %d; reference vs baked vs prefiltered vs accelerated)",
+		Title: fmt.Sprintf("SCAN KERNEL THROUGHPUT (payload %d B, seed %d; reference vs baked vs prefiltered)",
 			cfg.Bytes, cfg.Seed),
 		Headers: []string{"Strings", "Profile", "Backend", "Gbps", "Speedup", "Matches", "Oracle", "Allocs/op", "KernelKB", "Suspect/B"},
 	}
 	rep := kernelBenchReport{
-		Bench: 7, Bytes: cfg.Bytes, Seed: cfg.Seed,
+		Bench: 13, Bytes: cfg.Bytes, Seed: cfg.Seed,
 		SpeedupFloor: speedupFloor, PrefilterCleanFloor: prefilterCleanFloor,
-		AccelCleanFloor: accelCleanFloor,
-		OK:              true,
+		OK: true,
 	}
 
 	// The clean profile runs once, at the headline 634-string size when the
@@ -211,7 +197,9 @@ func runKernel(ctx context.Context, out io.Writer, jsonPath string, cfg kernelBe
 			return err
 		}
 		var refGbps, bakedGbps float64
-		for _, backend := range kernelBackends {
+		// Registry order is reference, baked, prefiltered: each row's
+		// speedup base is measured before the row that divides by it.
+		for _, backend := range core.RegisteredBackends() {
 			// A signal abandons the sweep between rows; rows already
 			// measured stand, and the report is marked interrupted below.
 			if ctx.Err() != nil {
@@ -253,19 +241,6 @@ func runKernel(ctx context.Context, out io.Writer, jsonPath string, cfg kernelBe
 				if n == headlineStrings && profile == "clean" {
 					rep.PrefilterCleanSpeedup = gbps / bakedGbps
 					if rep.PrefilterCleanSpeedup < prefilterCleanFloor {
-						rep.OK = false
-					}
-				}
-			case core.BackendAccelerated:
-				row.Speedup = gbps / refGbps
-				ast := m.Accel().Stats()
-				row.PairStates = ast.PairStates
-				row.PairBytes = ast.PairBytes
-				st := m.Program().Stats()
-				row.KernelBytes = st.TotalBytes + ast.TotalBytes
-				if n == headlineStrings && profile == "clean" {
-					rep.AccelCleanSpeedup = gbps / bakedGbps
-					if rep.AccelCleanSpeedup < accelCleanFloor {
 						rep.OK = false
 					}
 				}
@@ -316,8 +291,8 @@ func runKernel(ctx context.Context, out io.Writer, jsonPath string, cfg kernelBe
 		return nil
 	}
 	if !rep.OK {
-		return fmt.Errorf("dpibench: kernel rows failed the oracle, the %.1fx baked floor (speedup634 %.2fx), the %.1fx prefiltered clean floor (%.2fx), or the %.1fx accelerated clean floor (%.2fx)",
-			speedupFloor, rep.Speedup634, prefilterCleanFloor, rep.PrefilterCleanSpeedup, accelCleanFloor, rep.AccelCleanSpeedup)
+		return fmt.Errorf("dpibench: kernel rows failed the oracle, the %.1fx baked floor (speedup634 %.2fx), or the %.1fx prefiltered clean floor (%.2fx)",
+			speedupFloor, rep.Speedup634, prefilterCleanFloor, rep.PrefilterCleanSpeedup)
 	}
 	return nil
 }

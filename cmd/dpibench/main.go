@@ -13,9 +13,8 @@
 //	dpibench -gateway             # NIDS gateway ingestion throughput
 //	dpibench -gateway -shards 4   # plus the engine-shard sweep (2, 4 shards)
 //	dpibench -gateway -json out.json  # plus a machine-readable report
-//	dpibench -gateway -shards 4 -json BENCH_5.json  # the sharded perf-trajectory report
 //	dpibench -kernel              # raw scan-kernel throughput across all backends
-//	dpibench -kernel -json BENCH_7.json  # plus the perf-trajectory report
+//	dpibench -kernel -json BENCH_13.json  # plus the perf-trajectory report
 //	dpibench -pcap 'testdata/pcap/*.pcap'            # capture-fed gateway replay + oracle check
 //	dpibench -pcap 'testdata/pcap/*.pcap' -shards 4 -repeats 500
 //	dpibench -pcap 'testdata/pcap/*.pcap' -json pcap.json
@@ -70,7 +69,6 @@ func main() {
 		backend  = flag.String("backend", "auto",
 			fmt.Sprintf("scan backend for -parallel/-gateway: auto or one of %s (-kernel always sweeps all)",
 				strings.Join(core.RegisteredBackends(), ", ")))
-		baked   = flag.Bool("baked", true, "deprecated alias: -baked=false means -backend reference")
 		jsonOut = flag.String("json", "", "with -gateway or -kernel: also write the machine-readable report as JSON to this path")
 		workers = flag.Int("workers", 0, "max workers for -parallel/-gateway (0 = NumCPU)")
 		shards  = flag.Int("shards", 1, "max engine shards for -gateway: sweeps 2,4,...,N sharded rows on top of the worker sweep (1 = unsharded only)")
@@ -105,16 +103,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	be := *backend
-	if !*baked {
-		be = "reference"
-	}
 	err := dispatch(ctx, modes{
 		all: *all, table: *table, figure: *figure, ablation: *ablation,
 		parallel: *parallel, gateway: *gateway, kernel: *kernel,
 		pcap: *pcap, repeats: *repeats, chaos: *chaosRun,
 		reload: *reload, gens: *gens,
-		backend: be, jsonOut: *jsonOut, workers: *workers, shards: *shards,
+		backend: *backend, jsonOut: *jsonOut, workers: *workers, shards: *shards,
 		tsv: *tsv, seed: *seed, steps: *steps,
 	})
 	if *cpuProf != "" {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func TestRunParallelSmall(t *testing.T) {
@@ -132,12 +134,12 @@ func TestRunKernelSmall(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("JSON report does not parse: %v\n%s", err, data)
 	}
-	if !rep.OK || rep.Bench != 7 {
+	if !rep.OK || rep.Bench != 13 {
 		t.Fatalf("report not OK: %s", data)
 	}
-	// One attack row group + one clean row group, four backends each.
-	if len(rep.Rows) != 8 {
-		t.Fatalf("report has %d rows, want 8: %s", len(rep.Rows), data)
+	// One attack row group + one clean row group, three backends each.
+	if len(rep.Rows) != 6 {
+		t.Fatalf("report has %d rows, want 6: %s", len(rep.Rows), data)
 	}
 	byKey := map[string]kernelBenchRow{}
 	for _, r := range rep.Rows {
@@ -147,7 +149,7 @@ func TestRunKernelSmall(t *testing.T) {
 		byKey[r.Profile+"/"+r.Backend] = r
 	}
 	for _, profile := range []string{"attack", "clean"} {
-		for _, backend := range []string{"reference", "baked", "prefiltered", "accelerated"} {
+		for _, backend := range core.RegisteredBackends() {
 			if _, ok := byKey[profile+"/"+backend]; !ok {
 				t.Fatalf("missing %s/%s row: %s", profile, backend, data)
 			}
@@ -159,16 +161,13 @@ func TestRunKernelSmall(t *testing.T) {
 	if r := byKey["attack/prefiltered"]; r.PrefilterKB == 0 {
 		t.Fatalf("prefiltered row missing prefilter stats: %+v", r)
 	}
-	if r := byKey["attack/accelerated"]; r.PairStates == 0 || r.PairBytes == 0 || r.KernelBytes == 0 {
-		t.Fatalf("accelerated row missing pair-table stats: %+v", r)
-	}
 	// All backends in a group share the oracle count — the prefilter's
 	// lossiness must be invisible in match output.
 	if a, b := byKey["clean/baked"], byKey["clean/prefiltered"]; a.OracleMatches != b.OracleMatches {
 		t.Fatalf("clean rows disagree on the oracle: %+v vs %+v", a, b)
 	}
 	// No floor assertion on the tiny timing budget: the speedup gates are
-	// exercised by CI's full-size run and the committed BENCH_7.json.
+	// exercised by CI's full-size run and the committed BENCH_13.json.
 }
 
 func TestRunChaosSmall(t *testing.T) {
@@ -291,12 +290,12 @@ func TestBackendFlagValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("dispatch accepted an unknown backend")
 	}
-	for _, want := range []string{"warp", "reference", "baked", "prefiltered", "accelerated", "auto"} {
+	for _, want := range append([]string{"warp", "auto"}, core.RegisteredBackends()...) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("validation error %q does not mention %q", err, want)
 		}
 	}
-	for _, ok := range []string{"", "auto", "accelerated", "reference"} {
+	for _, ok := range []string{"", "auto", "prefiltered", "reference"} {
 		if err := validateBackend(ok); err != nil {
 			t.Errorf("validateBackend(%q) = %v, want nil", ok, err)
 		}

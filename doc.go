@@ -18,53 +18,39 @@
 //     the length distribution.
 //   - Matcher: the compressed software automaton — compile a Ruleset and
 //     scan payloads at one transition per byte. Scanning runs behind a
-//     backend seam (Config.Backend) with four peer implementations of
-//     one contract, registered in one registry (reference, baked,
-//     prefiltered, accelerated). Config.Backend names the backend;
-//     BackendAuto (the empty default) picks the fastest exact kernel the
-//     configuration compiles. Config.Validate checks a configuration
-//     without compiling (Compile runs it first); the deprecated
-//     DisableBakedKernel flag is an alias for Backend: BackendReference
-//     and only resolves an unpinned Backend — an explicitly pinned
-//     backend wins where the two can agree, and combining
-//     DisableBakedKernel with a pinned kernel backend is rejected by
-//     Validate (wrapping ErrBadConfig), never silently overridden.
-//     Every compiled Matcher carries a process-unique monotone
-//     generation (Matcher.Generation) identifying the ruleset version —
-//     the identity the gateway's hot-reload pinning is built on.
-//     The baked flat kernel is the workhorse:
-//     Compile flattens each machine into a two-tier program whose hot
-//     near-root states (the start state, every depth-1 state, and the
-//     most popular deeper states) are dense 256-entry move rows — one
-//     indexed load per byte — while the long tail keeps the paper's
-//     compressed form as packed CSR stored pointers plus the fixed
-//     default-transition lookup table, probed through a fused
-//     two-character history register. The accelerated backend — the auto
-//     default when the bake succeeds — layers two exact fast paths on
-//     top, both resting on the root-resident skip invariant: at the
-//     start state with true history the next state is a function of the
-//     input byte alone, so clean spans can be bulk-skipped (SIMD-backed
-//     probing for the few bytes that can leave the root) and the hottest
-//     states can step two bytes per iteration through precomputed
-//     row-pair tables, with no approximation at all. The prefiltered
-//     backend stacks a two-stage pipeline instead: a tiny cache-resident
-//     lossy automaton (collapsed alphabet, truncated patterns) skims
-//     clean bytes and routes only suspect windows — with enough left
-//     context to catch matches straddling the window edge — through the
-//     exact baked kernel. The prefilter may raise false positives
-//     (wasted exact work) but provably never false negatives: every
-//     compile proves the superset contract structurally
-//     (core.VerifySuperset) and drops the stage rather than ship a table
-//     that could miss. The reference backend is the slice-walking
-//     Machine.Next oracle itself. All four are byte-exact equivalent
-//     (same states, same history, same match order — fuzz- and
-//     property-verified in register-level lockstep) and inspectable
-//     through Matcher.Kernel, which reports the active backend, kernel
-//     layout, the prefilter's skim/suspect-rate counters and the
-//     accelerated layer's pair-table footprint. This invariant is
-//     load-bearing: ScanAppend (and every API above it) must behave
-//     exactly like the reference Machine.Next transition on all inputs,
-//     including mid-stream resets and reassembly gap skips.
+//     backend seam (Config.Backend) with three peer implementations of one
+//     contract, registered in one registry (reference, baked, prefiltered).
+//     Config.Backend names the backend; BackendAuto (the empty default)
+//     picks the fastest exact kernel the configuration compiles.
+//     Config.Validate checks a configuration without compiling (Compile runs
+//     it first) and wraps ErrBadConfig on failure. Every compiled Matcher
+//     carries a process-unique monotone generation (Matcher.Generation)
+//     identifying the ruleset version — the identity the gateway's
+//     hot-reload pinning is built on. The baked flat kernel is the exact
+//     stage: Compile flattens each machine into a two-tier program whose hot
+//     near-root states (the start state, every depth-1 state, and the most
+//     popular deeper states) are dense 256-entry move rows — one indexed
+//     load per byte — while the long tail keeps the paper's compressed form
+//     as packed CSR stored pointers plus the fixed default-transition lookup
+//     table, probed through a fused two-character history register. The
+//     prefiltered backend — the auto default, and the one production kernel
+//     — stacks a two-stage pipeline on top: a tiny cache-resident lossy
+//     automaton (collapsed alphabet, truncated patterns) skims clean bytes
+//     and routes only suspect windows — with enough left context to catch
+//     matches straddling the window edge — through the exact baked kernel.
+//     The prefilter may raise false positives (wasted exact work) but
+//     provably never false negatives: every compile proves the superset
+//     contract structurally (core.VerifySuperset) and drops the stage rather
+//     than ship a table that could miss, in which case auto falls back to
+//     the baked kernel alone. The reference backend is the slice-walking
+//     Machine.Next oracle itself. All three are byte-exact equivalent (same
+//     states, same history, same match order — fuzz- and property-verified
+//     in register-level lockstep) and inspectable through Matcher.Kernel,
+//     which reports the active backend, kernel layout and the prefilter's
+//     skim/suspect-rate counters. This invariant is load-bearing: ScanAppend
+//     (and every API above it) must behave exactly like the reference
+//     Machine.Next transition on all inputs, including mid-stream resets and
+//     reassembly gap skips.
 //   - Engine: concurrent software scan-out mirroring the hardware's
 //     engine/block parallelism — a worker pool with pooled scanner state
 //     over the shared immutable automaton. Engine.ScanPackets shards a

@@ -177,17 +177,13 @@ type Config struct {
 	// negative disables the tier). Tuning only — match output is identical
 	// at any setting.
 	DenseStates int
-	// DisableBakedKernel keeps scanning on the reference path.
-	//
-	// Deprecated: set Backend: BackendReference instead (precedence rules
-	// in Config.Validate).
-	DisableBakedKernel bool
 	// Backend selects the scan implementation every scanner, stream, flow
 	// and engine built from this matcher runs:
 	//
-	//   - BackendAuto (or ""): accelerated when the configuration fits the
-	//     flat row format, reference otherwise — the fastest always-exact
-	//     default.
+	//   - BackendAuto (or ""): prefiltered when the configuration fits the
+	//     kernel formats and the lossy stage proves its superset contract,
+	//     baked when only the flat kernel compiles, reference otherwise —
+	//     the fastest always-exact default.
 	//   - BackendReference: the slice-walking interpreter, closest to the
 	//     paper's hardware description.
 	//   - BackendBaked: the compiled flat kernel; Compile fails if the
@@ -197,12 +193,6 @@ type Config struct {
 	//     byte windows run through the exact baked kernel. False positives
 	//     possible, false negatives provably not (the superset contract is
 	//     verified at compile time); Compile fails if unavailable.
-	//   - BackendAccelerated: the baked kernel plus exact fast paths —
-	//     root-resident bulk skip (SIMD-backed probing for the few bytes
-	//     that can leave the start state) and fused 2-byte stepping over
-	//     precomputed row-pair tables for the hottest states. No
-	//     approximation at all; Compile fails if the configuration cannot
-	//     bake.
 	//
 	// All backends are byte-exact equivalent on every input, so selection
 	// is purely a performance choice. Unknown names are a Compile error
@@ -216,17 +206,12 @@ const (
 	BackendReference   = core.BackendReference
 	BackendBaked       = core.BackendBaked
 	BackendPrefiltered = core.BackendPrefiltered
-	BackendAccelerated = core.BackendAccelerated
 )
 
 // Validate reports whether the configuration is compilable, without
-// compiling anything. It is the single home of the config precedence and
-// conflict rules — Compile runs exactly this check first — covering the
-// knob ranges, Groups, Backend-name resolution against the registered
-// backends, and the deprecated DisableBakedKernel alias: with Backend
-// empty or BackendAuto the alias resolves to BackendReference; combined
-// with a pinned kernel backend it is a conflict. Every failure wraps
-// ErrBadConfig.
+// compiling anything. Compile runs exactly this check first: the knob
+// ranges, Groups, and Backend-name resolution against the registered
+// backends. Every failure wraps ErrBadConfig.
 func (c Config) Validate() error {
 	if c.Groups < 0 {
 		return fmt.Errorf("%w: negative Groups %d", ErrBadConfig, c.Groups)
@@ -239,12 +224,11 @@ func (c Config) Validate() error {
 
 func (c Config) coreOptions() core.Options {
 	return core.Options{
-		D2PerChar:    c.D2DefaultsPerChar,
-		D3PerChar:    c.D3DefaultsPerChar,
-		MaxDepth:     c.MaxDefaultDepth,
-		DenseStates:  c.DenseStates,
-		DisableBaked: c.DisableBakedKernel,
-		Backend:      c.Backend,
+		D2PerChar:   c.D2DefaultsPerChar,
+		D3PerChar:   c.D3DefaultsPerChar,
+		MaxDepth:    c.MaxDefaultDepth,
+		DenseStates: c.DenseStates,
+		Backend:     c.Backend,
 	}
 }
 
@@ -433,15 +417,12 @@ type KernelStats struct {
 	SuspectWindows  uint64
 	SuspectRate     float64
 
-	// Accelerated kernel layer (zero when unavailable), aggregated across
-	// group machines: states owning fused 2-byte row-pair tables and their
-	// footprint, the distinct bytes that can leave the start state, and
-	// whether every group machine's escape set is small enough for the
-	// SIMD-backed root probe.
-	AccelPairStates  int
-	AccelPairBytes   int
-	AccelEscapeBytes int
-	AccelProbe       bool
+	// AccelPairBytes is always zero.
+	//
+	// Deprecated: no kernel owns pair tables any more. The field stays
+	// only because bench/layers.go sums it into core.kernel_bytes; drop it
+	// together with that read.
+	AccelPairBytes int
 }
 
 // Kernel summarizes the compiled scan kernels backing this matcher: the
@@ -450,7 +431,6 @@ type KernelStats struct {
 func (m *Matcher) Kernel() KernelStats {
 	var ks KernelStats
 	ks.Baked = true
-	ks.AccelProbe = true
 	for _, machine := range m.grouped.Machines {
 		p := machine.Program()
 		if p == nil {
@@ -473,15 +453,6 @@ func (m *Matcher) Kernel() KernelStats {
 			ks.SkimmedBytes += pst.SkimmedBytes
 			ks.ExactBytes += pst.ExactBytes
 			ks.SuspectWindows += pst.SuspectWindows
-		}
-		if a := machine.Accel(); a != nil {
-			ast := a.Stats()
-			ks.AccelPairStates += ast.PairStates
-			ks.AccelPairBytes += ast.PairBytes
-			ks.AccelEscapeBytes += ast.EscapeBytes
-			ks.AccelProbe = ks.AccelProbe && ast.Probe
-		} else {
-			ks.AccelProbe = false
 		}
 	}
 	ks.Backend = m.Backend()

@@ -63,6 +63,9 @@ func TestCompileAndFindAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if m.Backend() != BackendPrefiltered {
+		t.Fatalf("default Config resolved backend %q, want %q", m.Backend(), BackendPrefiltered)
+	}
 	payload := []byte("GET /cgi-bin/phf?Qalias=x HTTP/1.0 cmd.exe")
 	got := m.FindAll(payload)
 	if len(got) != 2 {

@@ -12,9 +12,8 @@ import "errors"
 // the stable, programmatic part.
 var (
 	// ErrBadConfig marks a configuration rejected by Config.Validate —
-	// out-of-range knobs, an unknown Backend name, or the deprecated
-	// DisableBakedKernel alias conflicting with a pinned kernel backend.
-	// Compile and NewGateway wrap it for every configuration failure.
+	// out-of-range knobs or an unknown Backend name. Compile and
+	// NewGateway wrap it for every configuration failure.
 	ErrBadConfig = errors.New("dpi: invalid configuration")
 
 	// ErrClosed marks an operation on a Gateway that has been Closed:

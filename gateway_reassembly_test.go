@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/traffic"
 )
 
@@ -92,7 +93,7 @@ func ingestWorkload(t testing.TB, gw *Gateway, w *traffic.FlowWorkload) {
 // equally invisible: the lossy prefilter stage in particular may change how
 // bytes are scanned but never what the gateway reports.
 func TestGatewayReassemblyPermutationProperty(t *testing.T) {
-	for _, backend := range []string{BackendReference, BackendBaked, BackendPrefiltered, BackendAccelerated} {
+	for _, backend := range core.RegisteredBackends() {
 		for _, engineShards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("backend=%s/shards=%d", backend, engineShards), func(t *testing.T) {
 				testGatewayReassemblyPermutation(t, backend, engineShards)

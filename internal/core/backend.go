@@ -2,8 +2,7 @@ package core
 
 // The scan-backend seam: every way of executing the DTP machine — the
 // slice-walking reference interpreter, the baked flat Program, the
-// two-stage approximate-prefilter pipeline, the accelerated skip/pair
-// kernel — implements ScanBackend, and
+// two-stage approximate-prefilter pipeline — implements ScanBackend, and
 // the Scanner is a thin facade over whichever backend the machine (or an
 // explicit caller) selected. Backends are registered in scanBackends so
 // equivalence harnesses (VerifyScan, the lockstep property tests, the
@@ -19,14 +18,13 @@ import (
 
 // Backend names accepted by Options.Backend and Machine.NewScannerFor.
 // BackendAuto (or "") resolves to the fastest always-exact default:
-// accelerated when the machine bakes, baked if only the flat Program
-// compiled, reference otherwise.
+// prefiltered when the lossy stage compiled and passed VerifySuperset,
+// baked if only the flat Program compiled, reference otherwise.
 const (
 	BackendAuto        = "auto"
 	BackendReference   = "reference"
 	BackendBaked       = "baked"
 	BackendPrefiltered = "prefiltered"
-	BackendAccelerated = "accelerated"
 )
 
 // Registers is the architectural register file of one scan lane, mirroring
@@ -103,13 +101,6 @@ var scanBackends = []backendSpec{
 			return &prefilterBackend{m: m, pf: m.pre, prog: m.prog}
 		},
 	},
-	{
-		name:      BackendAccelerated,
-		available: func(m *Machine) bool { return m.prog != nil && m.acc != nil },
-		build: func(m *Machine) ScanBackend {
-			return &accelBackend{prog: m.prog, acc: m.acc}
-		},
-	},
 }
 
 // RegisteredBackends lists every backend name in the registry, registry
@@ -139,14 +130,15 @@ func (m *Machine) Backends() []string {
 }
 
 // DefaultBackend reports the backend NewScanner selects: the machine's
-// configured backend, or the auto resolution — accelerated when the bake
-// succeeded, baked if only the flat Program compiled, reference otherwise.
+// configured backend, or the auto resolution — prefiltered when the lossy
+// stage compiled and proved its superset contract, baked if only the flat
+// Program compiled, reference otherwise.
 func (m *Machine) DefaultBackend() string {
 	if m.backend != "" && m.backend != BackendAuto {
 		return m.backend
 	}
-	if m.acc != nil {
-		return BackendAccelerated
+	if m.prog != nil && m.pre != nil {
+		return BackendPrefiltered
 	}
 	if m.prog != nil {
 		return BackendBaked

@@ -1,0 +1,78 @@
+package core
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// TestAutoBackendResolution pins what BackendAuto resolves to for each way
+// a machine can come to exist, which backends that machine offers, and
+// that every offered backend still runs in lockstep.
+func TestAutoBackendResolution(t *testing.T) {
+	all := []string{BackendReference, BackendBaked, BackendPrefiltered}
+	if got := RegisteredBackends(); !reflect.DeepEqual(got, all) {
+		t.Fatalf("RegisteredBackends() = %v, want %v", got, all)
+	}
+
+	reload := func(t *testing.T, m *Machine) *Machine {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}
+	// rejectPrefilter does what compileBackends does when VerifySuperset
+	// refuses a table: the stage is dropped, never used.
+	rejectPrefilter := func(t *testing.T, m *Machine) *Machine {
+		for i := range m.pre.tab {
+			m.pre.tab[i] &^= pfSuspect
+		}
+		if err := m.VerifySuperset(); err == nil {
+			t.Fatal("VerifySuperset accepted a table with no suspect flags")
+		}
+		m.pre = nil
+		return m
+	}
+
+	for _, tc := range []struct {
+		name     string
+		opts     Options
+		then     func(*testing.T, *Machine) *Machine // nil: use the built machine as is
+		want     string
+		backends []string
+	}{
+		{"built", Options{}, nil, BackendPrefiltered, all},
+		{"snapshot-loaded", Options{}, reload, BackendPrefiltered, all},
+		{"prefilter-rejected", Options{}, rejectPrefilter, BackendBaked, all[:2]},
+		{"reference-pinned", Options{Backend: BackendReference}, nil, BackendReference, all[:1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			m, err := Build(randBakedSet(rng), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.then != nil {
+				m = tc.then(t, m)
+			}
+			if got := m.DefaultBackend(); got != tc.want {
+				t.Fatalf("auto resolves to %q, want %q", got, tc.want)
+			}
+			if got := m.NewScanner().Backend(); got != tc.want {
+				t.Fatalf("NewScanner runs %q, want %q", got, tc.want)
+			}
+			// Availability follows the compiled artifacts, so this also
+			// proves a reference-pinned build compiled no kernel.
+			if got := m.Backends(); !reflect.DeepEqual(got, tc.backends) {
+				t.Fatalf("Backends() = %v, want %v", got, tc.backends)
+			}
+			driveLockstep(t, m, rng)
+		})
+	}
+}

@@ -130,7 +130,7 @@ func splitHist(hist uint32) (h2, h1 int16) {
 // character (ablation configurations), more stored pointers per state or in
 // total than the descriptor packs — in which case scanning falls back to
 // the slice-walking reference path. Machines from Build and Load are baked
-// automatically unless Options.DisableBaked is set.
+// automatically unless Options.Backend pins BackendReference.
 func Compile(m *Machine) *Program {
 	t := m.Trie
 	n := t.NumStates()
@@ -259,12 +259,11 @@ func (m *Machine) pickDense() []bool {
 	return promoted
 }
 
-// denseOrder ranks every state for fast-tier promotion: the start state,
+// denseOrder ranks every state for dense-tier promotion: the start state,
 // then depth-1 states, then everything else, popularity-descending within
 // a tier with ties to the lower state number — fully deterministic, so a
 // snapshot Load reproduces the exact promotion Build made. pickDense takes
-// the dense-tier budget off the front; pickPair (accel.go) ranks its
-// 2-byte pair tables by the same order so the fast tiers nest.
+// the dense-tier budget off the front.
 func (m *Machine) denseOrder() []int32 {
 	t := m.Trie
 	n := t.NumStates()

@@ -84,8 +84,8 @@ func TestBakedEquivalenceProperty(t *testing.T) {
 				if m.pre == nil {
 					t.Fatalf("trial %d: prefilter unexpectedly unavailable", trial)
 				}
-				if m.acc == nil {
-					t.Fatalf("trial %d: accelerated kernel unexpectedly unavailable", trial)
+				if got, want := m.Backends(), RegisteredBackends(); len(got) != len(want) {
+					t.Fatalf("trial %d: machine offers backends %v, registry has %v", trial, got, want)
 				}
 				driveLockstep(t, m, rng)
 			}
@@ -94,15 +94,12 @@ func TestBakedEquivalenceProperty(t *testing.T) {
 }
 
 // driveLockstep runs one randomized op sequence over one scanner per
-// registered backend, diffing registers and match streams after every op.
-// Backends[0] is always the reference interpreter; the others are held to
-// its behavior.
+// backend the machine offers, diffing registers and match streams after
+// every op. Backends[0] is always the reference interpreter; the others
+// are held to its behavior.
 func driveLockstep(t *testing.T, m *Machine, rng *rand.Rand) {
 	t.Helper()
 	names := m.Backends()
-	if len(names) < 4 {
-		t.Fatalf("expected at least 4 backends, registry lists %v", names)
-	}
 	scs := make([]*Scanner, len(names))
 	outs := make([][]ac.Match, len(names))
 	for i, name := range names {
@@ -306,13 +303,13 @@ func TestCompileFallback(t *testing.T) {
 		// randBakedSet's 16 short patterns cannot)
 		t.Fatal("sparse machine under D2PerChar=8 did not bake")
 	}
-	// ...and DisableBaked skips compilation outright.
-	m, err := Build(randBakedSet(rng), Options{DisableBaked: true})
+	// ...and a reference-pinned build skips compilation outright.
+	m, err := Build(randBakedSet(rng), Options{Backend: BackendReference})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.prog != nil {
-		t.Fatal("DisableBaked still compiled a program")
+		t.Fatal("Backend reference still compiled a program")
 	}
 }
 
@@ -336,11 +333,8 @@ func TestSnapshotLoadBakes(t *testing.T) {
 	if loaded.prog == nil {
 		t.Fatal("loaded machine has no baked program")
 	}
-	if loaded.acc == nil {
-		t.Fatal("loaded machine has no accelerated kernel")
-	}
-	if got := loaded.DefaultBackend(); got != BackendAccelerated {
-		t.Fatalf("loaded machine defaults to backend %q, want %q", got, BackendAccelerated)
+	if loaded.pre == nil {
+		t.Fatal("loaded machine has no verified prefilter")
 	}
 	payload := randBakedPayload(rng, 4096)
 	got := loaded.FindAll(payload)

@@ -82,30 +82,16 @@ type Options struct {
 	// negative disables the tier). Runtime-only tuning; not serialized in
 	// snapshots.
 	DenseStates int
-	// PairStates budgets the accelerated kernel's fused 2-byte tier: how
-	// many dense-tier states get 16-bit-indexed row-pair tables (0 =
-	// DefaultPairStates, negative disables the tier). Runtime-only tuning;
-	// not serialized in snapshots.
-	PairStates int
-	// DisableBaked keeps the machine on the slice-walking reference scan
-	// path instead of compiling the baked Program.
-	//
-	// Deprecated: DisableBaked is an alias for Backend: BackendReference,
-	// kept for existing callers. An explicit Backend wins where the two
-	// can agree: with Backend empty or BackendAuto the machine resolves to
-	// the reference path; combining DisableBaked with a pinned kernel
-	// backend is a Build error. Runtime-only, not serialized.
-	DisableBaked bool
 	// Backend selects the scan implementation NewScanner hands out:
 	// BackendAuto (or "") picks the fastest always-exact default —
-	// accelerated when the machine bakes, baked if only the flat Program
-	// compiled, reference otherwise. BackendReference pins the
-	// slice-walking interpreter (and skips compiling the kernels);
-	// BackendBaked, BackendPrefiltered and BackendAccelerated pin those
-	// kernels and make Build fail if the configuration cannot compile
-	// them. Unknown names are a Build error listing RegisteredBackends.
-	// Runtime-only, not serialized; NewScannerFor overrides it per
-	// scanner.
+	// prefiltered when the lossy stage compiles and passes VerifySuperset,
+	// baked if only the flat Program compiled, reference otherwise.
+	// BackendReference pins the slice-walking interpreter (and skips
+	// compiling the kernels); BackendBaked and BackendPrefiltered pin
+	// those kernels and make Build fail if the configuration cannot
+	// compile them. Unknown names are a Build error listing
+	// RegisteredBackends. Runtime-only, not serialized; NewScannerFor
+	// overrides it per scanner.
 	Backend string
 }
 
@@ -119,25 +105,17 @@ func (o Options) withDefaults() Options {
 	if o.MaxDepth == 0 {
 		o.MaxDepth = 3
 	}
-	if o.Backend == "" || o.Backend == BackendAuto {
-		// The deprecated DisableBaked alias only resolves an unpinned
-		// Backend; an explicitly pinned backend wins (validate rejects the
-		// conflicting combinations).
-		if o.DisableBaked {
-			o.Backend = BackendReference
-		} else {
-			o.Backend = BackendAuto
-		}
+	if o.Backend == "" {
+		o.Backend = BackendAuto
 	}
 	return o
 }
 
 // Validate resolves defaults exactly as Build does and reports whether the
-// options are buildable: range checks, backend-name resolution against the
-// registry, and the DisableBaked/Backend precedence rules. It is the one
-// home of that logic — dpi.Config.Validate delegates here, and Build runs
-// the same pair, so a configuration that passes Validate cannot fail
-// Build's option checks later.
+// options are buildable: range checks and backend-name resolution against
+// the registry. It is the one home of that logic — dpi.Config.Validate
+// delegates here, and Build runs the same pair, so a configuration that
+// passes Validate cannot fail Build's option checks later.
 func (o Options) Validate() error { return o.withDefaults().validate() }
 
 func (o Options) validate() error {
@@ -161,10 +139,6 @@ func (o Options) validate() error {
 			return fmt.Errorf("core: unknown backend %q (want %s)",
 				o.Backend, strings.Join(append([]string{BackendAuto}, RegisteredBackends()...), "|"))
 		}
-	}
-	if o.DisableBaked && o.Backend != BackendReference {
-		return fmt.Errorf("core: DisableBaked (deprecated alias for Backend %q) conflicts with pinned Backend %q",
-			BackendReference, o.Backend)
 	}
 	return nil
 }
@@ -283,10 +257,6 @@ type Machine struct {
 	// does not fit the packed entry format. The prefiltered backend needs
 	// both.
 	pre *Prefilter
-	// acc is the accelerated runtime layered over prog — escape set for
-	// root-resident bulk skip plus the fused 2-byte pair tables; nil
-	// whenever prog is nil.
-	acc *Accel
 	// backend is the resolved Options.Backend, consulted by NewScanner;
 	// empty (auto) on hand-assembled machines.
 	backend string
@@ -328,7 +298,6 @@ func (m *Machine) compileBackends() error {
 	}
 	m.prog = Compile(m)
 	if m.prog != nil {
-		m.acc = CompileAccel(m)
 		m.pre = CompilePrefilter(m)
 		if m.pre != nil {
 			if err := m.VerifySuperset(); err != nil {
@@ -348,10 +317,6 @@ func (m *Machine) compileBackends() error {
 		if m.prog == nil || m.pre == nil {
 			return fmt.Errorf("core: Backend %q pinned but the configuration does not fit the kernel formats", m.backend)
 		}
-	case BackendAccelerated:
-		if m.prog == nil || m.acc == nil {
-			return fmt.Errorf("core: Backend %q pinned but the configuration does not fit the baked row format", m.backend)
-		}
 	}
 	return nil
 }
@@ -363,11 +328,6 @@ func (m *Machine) Program() *Program { return m.prog }
 // Prefilter returns the machine's lossy first-stage automaton, or nil when
 // the prefiltered backend is unavailable.
 func (m *Machine) Prefilter() *Prefilter { return m.pre }
-
-// Accel returns the machine's accelerated runtime, or nil when the
-// accelerated backend is unavailable (reference-pinned or unbaked
-// configurations).
-func (m *Machine) Accel() *Accel { return m.acc }
 
 // selectDefaults runs the popularity pass: it counts, over every (state,
 // character) pair of the full DFA, how often each state is the transition

@@ -115,7 +115,7 @@ func TestVerifySupersetDetectsCorruption(t *testing.T) {
 // fallback.
 func TestPrefilterUnavailableBackendErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m, err := Build(randBakedSet(rng), Options{DisableBaked: true})
+	m, err := Build(randBakedSet(rng), Options{Backend: BackendReference})
 	if err != nil {
 		t.Fatal(err)
 	}

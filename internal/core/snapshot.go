@@ -247,6 +247,7 @@ func Load(data []byte) (*Machine, error) {
 	m := &Machine{
 		Trie:       trie,
 		Opts:       Options{D2PerChar: int(d2), D3PerChar: int(d3), MaxDepth: int(maxDepth), Backend: BackendAuto},
+		backend:    BackendAuto,
 		generation: nextGeneration(),
 	}
 	if err := m.Opts.validate(); err != nil {
@@ -355,19 +356,13 @@ func Load(data []byte) (*Machine, error) {
 			}
 		}
 	}
-	// Bake the scan kernels for the restored machine. The snapshot predates
-	// the popularity tally, so Compile re-derives dense-tier promotion
-	// from the move rows; runtime-only options (DenseStates/PairStates/
-	// Backend) are not part of the format and take their defaults (auto).
-	// The lossy prefilter stage only ships if it proves the superset
-	// contract, like in Build.
-	m.prog = Compile(m)
-	if m.prog != nil {
-		m.acc = CompileAccel(m)
-		m.pre = CompilePrefilter(m)
-		if m.pre != nil && m.VerifySuperset() != nil {
-			m.pre = nil
-		}
+	// Bake the scan kernels through the same sequence Build runs. The
+	// snapshot predates the popularity tally, so Compile re-derives
+	// dense-tier promotion from the move rows; runtime-only options
+	// (DenseStates/Backend) are not part of the format and take their
+	// defaults, and under BackendAuto compileBackends cannot fail.
+	if err := m.compileBackends(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

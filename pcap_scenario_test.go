@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/capture/corpus"
+	"repro/internal/core"
 )
 
 // corpusMatcher compiles the corpus ruleset with the given backend.
@@ -139,7 +140,7 @@ func TestPcapScenarioOracleAllBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{BackendReference, BackendBaked, BackendPrefiltered, BackendAccelerated} {
+	for _, backend := range core.RegisteredBackends() {
 		m := corpusMatcher(t, backend)
 		want := oracleCounts(m, c)
 		var mu sync.Mutex

@@ -12,9 +12,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/traffic"
 )
@@ -75,8 +77,7 @@ func buildSwapWave(t *testing.T, wave, strings int, backend string, seed int64) 
 // generation list, and a flow-table sweep checking no scanner of a
 // retired generation is still checked out.
 func TestSwapGenerationOracle(t *testing.T) {
-	backends := []string{BackendReference, BackendBaked, BackendPrefiltered, BackendAccelerated}
-	for bi, backend := range backends {
+	for bi, backend := range core.RegisteredBackends() {
 		for si, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", backend, shards), func(t *testing.T) {
 				testSwapGenerationOracle(t, backend, shards, int64(31+7*bi+si))
@@ -462,12 +463,16 @@ func TestSentinelErrors(t *testing.T) {
 	if err := (Config{Groups: -1}).Validate(); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("negative Groups: %v, want ErrBadConfig", err)
 	}
-	// The deprecated alias conflicting with a pinned kernel backend is
-	// still a config error — through the same seam.
-	if err := (Config{DisableBakedKernel: true, Backend: BackendBaked}).Validate(); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("alias conflict: %v, want ErrBadConfig", err)
+	// An unregistered backend name is a config error through the same
+	// seam, and the message lists exactly the accepted vocabulary.
+	err := (Config{Backend: "warp"}).Validate()
+	if !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("unregistered backend: %v, want ErrBadConfig", err)
 	}
-	if err := (Config{Groups: 2, Backend: BackendAccelerated}).Validate(); err != nil {
+	if want := "(want auto|reference|baked|prefiltered)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("unregistered backend: %q does not list %s", err, want)
+	}
+	if err := (Config{Groups: 2, Backend: BackendPrefiltered}).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	if _, err := Compile(NewRuleset(), Config{}); !errors.Is(err, ErrBadConfig) {
@@ -510,27 +515,6 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if err := gw.SwapRules(mB); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SwapRules after Close: %v, want ErrClosed", err)
-	}
-}
-
-// TestDeprecatedDisableBakedKernelAlias keeps the compatibility contract
-// of the deprecated flag alive while every in-repo caller now uses
-// Config.Backend: the alias still resolves an unpinned backend to the
-// reference path.
-func TestDeprecatedDisableBakedKernelAlias(t *testing.T) {
-	rules, err := GenerateSnortLike(30, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Compile(rules, Config{DisableBakedKernel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Kernel().Baked {
-		t.Fatal("DisableBakedKernel no longer disables the baked kernel")
-	}
-	if m.Backend() != BackendReference {
-		t.Fatalf("alias resolved to backend %q, want %q", m.Backend(), BackendReference)
 	}
 }
 
