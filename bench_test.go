@@ -221,12 +221,16 @@ func TestScanAppendSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-func BenchmarkCompile634(b *testing.B) {
+// BenchmarkCompile* time and count the allocations of one ruleset build —
+// what every start and every hot reload pays — at the paper's four ruleset
+// sizes. OPERATIONS.md's reload runbook quotes them (-benchmem).
+func benchmarkCompile(b *testing.B, strings int) {
 	ctx := sharedBenchCtx(b)
-	set, err := ctx.SetOf(634)
+	set, err := ctx.SetOf(strings)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Build(set, core.Options{}); err != nil {
@@ -234,6 +238,11 @@ func BenchmarkCompile634(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkCompile634(b *testing.B)  { benchmarkCompile(b, 634) }
+func BenchmarkCompile1204(b *testing.B) { benchmarkCompile(b, 1204) }
+func BenchmarkCompile2588(b *testing.B) { benchmarkCompile(b, 2588) }
+func BenchmarkCompile6275(b *testing.B) { benchmarkCompile(b, 6275) }
 
 func BenchmarkScanCompressed(b *testing.B) {
 	ctx := sharedBenchCtx(b)

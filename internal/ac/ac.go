@@ -67,13 +67,23 @@ func New(set *ruleset.Set) (*Trie, error) {
 	if err := set.Validate(); err != nil {
 		return nil, fmt.Errorf("ac: %w", err)
 	}
+	// One state per pattern byte is the ceiling; building into that and
+	// copying the states that exist into a slice of exactly their number
+	// costs one allocation each, where growing by append re-copies the
+	// table a dozen times and leaves its last spare capacity live.
+	ceiling := 1
+	for _, p := range set.Patterns {
+		ceiling += len(p.Data)
+	}
 	t := &Trie{
-		Nodes:  []Node{{Parent: None, Fail: Root, OutLink: None}},
+		Nodes:  make([]Node, 1, ceiling),
 		patLen: make(map[int32]int, set.Len()),
 	}
+	t.Nodes[Root] = Node{Parent: None, Fail: Root, OutLink: None}
 	for _, p := range set.Patterns {
 		t.insert(p)
 	}
+	t.Nodes = append(make([]Node, 0, len(t.Nodes)), t.Nodes...)
 	t.buildFails()
 	return t, nil
 }
@@ -133,7 +143,14 @@ func (t *Trie) insertEdge(s int32, e Edge) {
 // exactly as in Aho & Corasick (1975).
 func (t *Trie) buildFails() {
 	queue := make([]int32, 0, len(t.Nodes))
+	// Most fail chains run out at the start state, the widest node of the
+	// trie: its gotos are looked up in a table instead of by search.
+	var rootGoto [256]int32
+	for c := range rootGoto {
+		rootGoto[c] = None
+	}
 	for _, e := range t.Nodes[Root].Edges {
+		rootGoto[e.Char] = e.To
 		t.Nodes[e.To].Fail = Root
 		queue = append(queue, e.To)
 	}
@@ -144,11 +161,15 @@ func (t *Trie) buildFails() {
 			v := e.To
 			// Follow u's fail chain to find the deepest proper suffix state
 			// with a goto on e.Char.
-			f := t.Nodes[u].Fail
-			for f != Root && t.edgeTo(f, e.Char) == None {
-				f = t.Nodes[f].Fail
+			w := None
+			for f := t.Nodes[u].Fail; w == None; f = t.Nodes[f].Fail {
+				if f == Root {
+					w = rootGoto[e.Char]
+					break
+				}
+				w = t.edgeTo(f, e.Char)
 			}
-			if w := t.edgeTo(f, e.Char); w != None && w != v {
+			if w != None && w != v {
 				t.Nodes[v].Fail = w
 			} else {
 				t.Nodes[v].Fail = Root
@@ -238,6 +259,11 @@ func (t *Trie) FindAll(data []byte) []Match {
 // (which for the 6,275-string machine would be >100 MB).
 //
 // The row slice passed to fn is reused after fn returns; copy it to retain.
+//
+// This is the O(states × 256) view of the machine and it is for checking,
+// not for building: its callers are ComputeMoveStats (Table II's "Original
+// Aho-Corasick" block) and core.Machine.VerifyTransitions. Package core
+// builds, loads and bakes machines from the edges and fail links alone.
 func (t *Trie) ForEachMoveRow(fn func(s int32, row []int32)) {
 	// Children lists of the fail tree.
 	failKids := make([][]int32, len(t.Nodes))

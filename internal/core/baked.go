@@ -48,11 +48,7 @@ package core
 //     these near-root states, so the common byte is a single indexed
 //     load from a dense row.
 
-import (
-	"sort"
-
-	"repro/internal/ac"
-)
+import "repro/internal/ac"
 
 const (
 	histLaneBits    = 9
@@ -127,11 +123,15 @@ func splitHist(hist uint32) (h2, h1 int16) {
 
 // Compile bakes m into a Program. It returns nil when the machine does not
 // fit the fixed row format — more than 4 depth-2 or 1 depth-3 defaults per
-// character (ablation configurations), more stored pointers per state or in
-// total than the descriptor packs — in which case scanning falls back to
-// the slice-walking reference path. Machines from Build and Load are baked
-// automatically unless Options.Backend pins BackendReference.
-func Compile(m *Machine) *Program {
+// character (ablation configurations), more stored pointers at a compressed
+// state or in total than the descriptor packs — in which case scanning
+// falls back to the slice-walking reference path. Machines from Build and
+// Load are baked automatically unless Options.Backend pins
+// BackendReference.
+func Compile(m *Machine) *Program { return compile(m, newFailTree(m.Trie)) }
+
+// compile is Compile over a fail-tree analysis the caller already holds.
+func compile(m *Machine, ft *failTree) *Program {
 	t := m.Trie
 	n := t.NumStates()
 	maxDepth := m.Opts.MaxDepth
@@ -147,11 +147,6 @@ func Compile(m *Machine) *Program {
 			if len(m.Defaults.D3[c]) > 1 {
 				return nil
 			}
-		}
-	}
-	for s := 0; s < n; s++ {
-		if len(m.Stored[s]) > rowCountMax {
-			return nil
 		}
 	}
 
@@ -192,17 +187,22 @@ func Compile(m *Machine) *Program {
 
 	// Dense-tier promotion: start state and depth-1 states first, then the
 	// most popular remaining states until the budget is spent.
-	promoted := m.pickDense()
+	promoted := m.pickDense(ft)
 
 	// Row descriptors: dense rows for promoted states, CSR stored-pointer
-	// rows (sorted by char, as in Machine.Stored) for the rest.
+	// rows (sorted by char, as in Machine.Stored) for the rest. Only a
+	// compressed row is read through its descriptor, so only there does the
+	// inline entry count limit what fits.
 	p.rows = make([]uint32, n)
 	denseCount := 0
 	csrEntries := 0
 	for s := 0; s < n; s++ {
-		if promoted[s] {
+		switch {
+		case promoted[s]:
 			denseCount++
-		} else {
+		case len(m.Stored[s]) > rowCountMax:
+			return nil
+		default:
 			csrEntries += len(m.Stored[s])
 		}
 	}
@@ -215,10 +215,6 @@ func Compile(m *Machine) *Program {
 	for s := 0; s < n; s++ {
 		if promoted[s] {
 			p.rows[s] = rowDense | uint32(di)
-			row := p.dense[di*256 : di*256+256]
-			for c := 0; c < 256; c++ {
-				row[c] = t.Move(int32(s), byte(c))
-			}
 			di++
 			continue
 		}
@@ -228,16 +224,51 @@ func Compile(m *Machine) *Program {
 			p.stored = append(p.stored, uint64(tr.Char)<<32|uint64(uint32(tr.To)))
 		}
 	}
+
+	// Dense rows, shallow states first: a state's move row is its fail
+	// parent's overridden by its own edges, so each row is a copy of the
+	// nearest promoted fail ancestor's — already filled — plus the edges of
+	// the unpromoted states in between, deepest last. The chain ends at the
+	// start state at the latest, whose row is its edges over the all-Root
+	// (zero) row make left behind.
+	denseRow := func(s int32) []int32 {
+		di := int(p.rows[s] &^ rowDense)
+		return p.dense[di*256 : di*256+256]
+	}
+	var chain []int32
+	for _, s := range ft.order {
+		if !promoted[s] {
+			continue
+		}
+		row := denseRow(s)
+		chain = chain[:0]
+		for a := s; ; {
+			chain = append(chain, a)
+			if a == ac.Root {
+				break
+			}
+			if a = t.Nodes[a].Fail; promoted[a] {
+				copy(row, denseRow(a))
+				break
+			}
+		}
+		for i := len(chain) - 1; i >= 0; i-- {
+			for _, e := range t.Nodes[chain[i]].Edges {
+				row[e.Char] = e.To
+			}
+		}
+	}
 	return p
 }
 
 // pickDense selects the states promoted to dense 256-entry move rows: the
-// start state, every depth-1 state, then the most popular remaining states
-// (ties to the lower state number, for determinism) until the budget —
-// Options.DenseStates, defaulting to DefaultDenseStates, negative to
+// start state, then depth-1 states, then everything else, most popular
+// first within a tier with ties to the lower state number, until the budget
+// — Options.DenseStates, defaulting to DefaultDenseStates, negative to
 // disable the tier — is exhausted. Machines small enough to fit entirely
-// become a pure flat DFA.
-func (m *Machine) pickDense() []bool {
+// become a pure flat DFA. The selection is a pure function of the trie, so
+// a snapshot Load reproduces the exact promotion Build made.
+func (m *Machine) pickDense(ft *failTree) []bool {
 	n := m.Trie.NumStates()
 	promoted := make([]bool, n)
 	budget := m.Opts.DenseStates
@@ -253,57 +284,21 @@ func (m *Machine) pickDense() []bool {
 		}
 		return promoted
 	}
-	for _, s := range m.denseOrder()[:budget] {
-		promoted[s] = true
+	promoted[ac.Root] = true
+	budget--
+	// ft.order is by depth: the start state, the depth-1 tier, the rest.
+	tier1 := 1
+	for tier1 < n && m.Trie.Nodes[ft.order[tier1]].Depth == 1 {
+		tier1++
+	}
+	for _, tier := range [][]int32{ft.order[1:tier1], ft.order[tier1:]} {
+		picked := ft.top(tier, budget)
+		for _, s := range picked {
+			promoted[s] = true
+		}
+		budget -= len(picked)
 	}
 	return promoted
-}
-
-// denseOrder ranks every state for dense-tier promotion: the start state,
-// then depth-1 states, then everything else, popularity-descending within
-// a tier with ties to the lower state number — fully deterministic, so a
-// snapshot Load reproduces the exact promotion Build made. pickDense takes
-// the dense-tier budget off the front.
-func (m *Machine) denseOrder() []int32 {
-	t := m.Trie
-	n := t.NumStates()
-	pop := m.popularity
-	if pop == nil {
-		// Load-ed machines skip the builder passes; re-tally here.
-		pop = make([]int64, n)
-		t.ForEachMoveRow(func(s int32, row []int32) {
-			for c := 0; c < 256; c++ {
-				if to := row[c]; to != ac.Root {
-					pop[to]++
-				}
-			}
-		})
-	}
-	order := make([]int32, n)
-	for s := range order {
-		order[s] = int32(s)
-	}
-	tier := func(s int32) int {
-		switch {
-		case s == ac.Root:
-			return 0
-		case t.Nodes[s].Depth == 1:
-			return 1
-		default:
-			return 2
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if ta, tb := tier(a), tier(b); ta != tb {
-			return ta < tb
-		}
-		if pop[a] != pop[b] {
-			return pop[a] > pop[b]
-		}
-		return a < b
-	})
-	return order
 }
 
 // scanAppend is the baked hot loop: one transition per input byte, matches

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ac"
@@ -313,34 +315,51 @@ func TestCompileFallback(t *testing.T) {
 	}
 }
 
-// TestSnapshotLoadBakes proves a Load-ed machine compiles its kernel (via
-// the re-tallied popularity pass) and scans identically to the original.
+// TestSnapshotLoadBakes proves a Load-ed machine compiles its kernel — the
+// snapshot carries no popularity tally, so promotion is re-derived from the
+// loaded trie — into the very Program Build made: the same dense set, every
+// array equal, and it scans identically. The second set has more states
+// than the dense tier holds, so the promotion is a real choice.
 func TestSnapshotLoadBakes(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	set := randBakedSet(rng)
-	m, err := Build(set, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.prog == nil {
-		t.Fatal("loaded machine has no baked program")
-	}
-	if loaded.pre == nil {
-		t.Fatal("loaded machine has no verified prefilter")
-	}
-	payload := randBakedPayload(rng, 4096)
-	got := loaded.FindAll(payload)
-	want := m.FindAll(payload)
-	if !ac.MatchesEqual(got, want) {
-		t.Fatalf("loaded machine found %d matches, original %d", len(got), len(want))
+	for _, set := range []*ruleset.Set{
+		randBakedSet(rng),
+		ruleset.MustGenerate(ruleset.GenConfig{N: 300, Seed: 81}),
+	} {
+		m, err := Build(set, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.prog == nil {
+			t.Fatal("loaded machine has no baked program")
+		}
+		if loaded.pre == nil {
+			t.Fatal("loaded machine has no verified prefilter")
+		}
+		if got, want := loaded.pickDense(newFailTree(loaded.Trie)), m.pickDense(newFailTree(m.Trie)); !reflect.DeepEqual(got, want) {
+			t.Fatal("loaded machine promotes a different dense set")
+		}
+		// (Not DeepEqual on the Programs: each points at its own trie, and
+		// a loaded trie spells a leaf's edges as empty where a built one
+		// says nil.)
+		got, want := loaded.prog, m.prog
+		if got.d1 != want.d1 || got.d2 != want.d2 || got.d3 != want.d3 ||
+			!slices.Equal(got.rows, want.rows) || !slices.Equal(got.stored, want.stored) ||
+			!slices.Equal(got.dense, want.dense) || !slices.Equal(got.outBits, want.outBits) {
+			t.Fatal("loaded machine's Program differs from the built one")
+		}
+		payload := randBakedPayload(rng, 4096)
+		if !ac.MatchesEqual(loaded.FindAll(payload), m.FindAll(payload)) {
+			t.Fatal("loaded machine scans differently")
+		}
 	}
 }
 
@@ -364,7 +383,7 @@ func TestProgramStats(t *testing.T) {
 		t.Fatalf("DenseStates = %d, want %d", st.DenseStates, wantDense)
 	}
 	var stored int
-	promoted := m.pickDense()
+	promoted := m.pickDense(newFailTree(m.Trie))
 	for s, list := range m.Stored {
 		if !promoted[s] {
 			stored += len(list)

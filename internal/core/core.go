@@ -53,11 +53,18 @@
 // depth-2 defaults at the start state. Machine.VerifyTransitions checks the
 // resulting structural equivalence exhaustively; the matcher tests check it
 // empirically against the oracle.
+//
+// Construction never expands the DFA it compresses. Build, Load and Compile
+// work from the trie's edges and its fail tree in O(states + edges + stored
+// pointers) — see build.go for the recurrences and why they are exact. The
+// dense |states| × 256 sweep (ac.Trie.ForEachMoveRow) is verification-only:
+// VerifyTransitions walks it, and the test suite keeps the former
+// dense-sweep builder as the oracle the sparse one must equal field for
+// field (TestSparseBuildMatchesDenseOracle, FuzzBuildEquivalence).
 package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ac"
@@ -238,15 +245,6 @@ type Machine struct {
 	Stored [][]Transition
 	Stats  BuildStats
 
-	// popularity[s] counts how often state s is a non-root transition
-	// target across the full DFA — the tally the default-selection pass
-	// ranks by. Transient: it lets Build's Compile promote the hottest
-	// states to the dense tier without re-walking every move row, and is
-	// dropped once Build finishes (8 bytes per state of dead weight on a
-	// long-lived machine otherwise). When nil — snapshot Load, or a
-	// manual Compile later — pickDense re-tallies from the move rows,
-	// deterministically reproducing the same promotion.
-	popularity []int64
 	// prog is the baked scan kernel, nil when the configured backend is
 	// reference, when the machine was hand-assembled, or when the
 	// configuration does not fit the fixed row format. Scanners fall back
@@ -277,12 +275,13 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{Trie: trie, Opts: opts, backend: opts.Backend, generation: nextGeneration()}
-	m.selectDefaults()
-	m.compress()
-	if err := m.compileBackends(); err != nil {
+	// The fail-tree analysis lives only for the duration of the build.
+	ft := newFailTree(trie)
+	m.selectDefaults(ft)
+	m.compress(ft)
+	if err := m.compileBackends(ft); err != nil {
 		return nil, err
 	}
-	m.popularity = nil
 	return m, nil
 }
 
@@ -292,11 +291,11 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 // never silently used). Under BackendAuto compilation is best-effort and
 // unbakeable configurations fall back to the reference path; an explicitly
 // pinned kernel backend turns the same condition into a Build error.
-func (m *Machine) compileBackends() error {
+func (m *Machine) compileBackends(ft *failTree) error {
 	if m.backend == BackendReference {
 		return nil
 	}
-	m.prog = Compile(m)
+	m.prog = compile(m, ft)
 	if m.prog != nil {
 		m.pre = CompilePrefilter(m)
 		if m.pre != nil {
@@ -328,157 +327,6 @@ func (m *Machine) Program() *Program { return m.prog }
 // Prefilter returns the machine's lossy first-stage automaton, or nil when
 // the prefiltered backend is unavailable.
 func (m *Machine) Prefilter() *Prefilter { return m.pre }
-
-// selectDefaults runs the popularity pass: it counts, over every (state,
-// character) pair of the full DFA, how often each state is the transition
-// target, then promotes the most popular depth-1/2/3 states per
-// lookup-table row. The full (all-depth) tally is kept on m.popularity
-// until Build finishes so Compile can rank dense-tier promotion by the
-// same numbers.
-func (m *Machine) selectDefaults() {
-	t := m.Trie
-	n := t.NumStates()
-	popularity := make([]int64, n)
-	var original int64
-	t.ForEachMoveRow(func(s int32, row []int32) {
-		for c := 0; c < 256; c++ {
-			to := row[c]
-			if to == ac.Root {
-				continue
-			}
-			original++
-			// Tally every non-root target: depths 1-3 rank the default
-			// candidates below, and the full tally ranks dense-tier
-			// promotion in Compile.
-			popularity[to]++
-		}
-	})
-	m.popularity = popularity
-	m.Stats.States = n
-	m.Stats.OriginalPointers = original
-	m.Stats.OriginalAvg = float64(original) / float64(n)
-
-	for c := range m.Defaults.D1 {
-		m.Defaults.D1[c] = ac.None
-	}
-	// Candidates per (depth, final character) row.
-	d2cand := make(map[byte][]int32)
-	d3cand := make(map[byte][]int32)
-	for i := 1; i < n; i++ {
-		nd := t.Nodes[i]
-		switch nd.Depth {
-		case 1:
-			m.Defaults.D1[nd.Char] = int32(i)
-			m.Stats.D1Count++
-		case 2:
-			d2cand[nd.Char] = append(d2cand[nd.Char], int32(i))
-		case 3:
-			d3cand[nd.Char] = append(d3cand[nd.Char], int32(i))
-		}
-	}
-	pickTop := func(cands []int32, k int) []int32 {
-		sort.Slice(cands, func(a, b int) bool {
-			pa, pb := popularity[cands[a]], popularity[cands[b]]
-			if pa != pb {
-				return pa > pb
-			}
-			return cands[a] < cands[b]
-		})
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-		return cands
-	}
-	for c, cands := range d2cand {
-		for _, s := range pickTop(cands, m.Opts.D2PerChar) {
-			prev := t.Nodes[t.Nodes[s].Parent].Char
-			m.Defaults.D2[c] = append(m.Defaults.D2[c], D2Entry{Prev: prev, State: s})
-			m.Stats.D2Count++
-		}
-	}
-	for c, cands := range d3cand {
-		for _, s := range pickTop(cands, m.Opts.D3PerChar) {
-			p1 := t.Nodes[s].Parent
-			p2 := t.Nodes[p1].Parent
-			m.Defaults.D3[c] = append(m.Defaults.D3[c], D3Entry{
-				Prev2: t.Nodes[p2].Char,
-				Prev1: t.Nodes[p1].Char,
-				State: s,
-			})
-			m.Stats.D3Count++
-		}
-	}
-}
-
-// staticHistory returns the previous-two-character history known statically
-// at state s: fully determined for depth ≥ 2, partially for depth 1, empty
-// at the start state. The unknown positions are HistNone, which the default
-// rule treats as never-matching — sound by the feasibility argument in the
-// package comment.
-func (m *Machine) staticHistory(s int32) (h2, h1 int16) {
-	nd := m.Trie.Nodes[s]
-	switch {
-	case nd.Depth >= 2:
-		return int16(m.Trie.Nodes[nd.Parent].Char), int16(nd.Char)
-	case nd.Depth == 1:
-		return HistNone, int16(nd.Char)
-	default:
-		return HistNone, HistNone
-	}
-}
-
-// compress walks every DFA row and keeps only the transitions the default
-// rule cannot reproduce, simultaneously tallying the progressive d1 /
-// d1+d2 / d1+d2+d3 pointer counts for Table II.
-func (m *Machine) compress() {
-	t := m.Trie
-	n := t.NumStates()
-	m.Stored = make([][]Transition, n)
-	maxStored := 0
-	t.ForEachMoveRow(func(s int32, row []int32) {
-		h2, h1 := m.staticHistory(s)
-		for c := 0; c < 256; c++ {
-			to := row[c]
-			if to == ac.Root {
-				continue
-			}
-			ch := byte(c)
-			if m.Defaults.Resolve(ch, h2, h1, 1) != to {
-				m.Stats.StoredAfterD1++
-			}
-			if m.Defaults.Resolve(ch, h2, h1, 2) != to {
-				m.Stats.StoredAfterD12++
-			}
-			if m.Defaults.Resolve(ch, h2, h1, 3) != to {
-				m.Stats.StoredAfterD123++
-			}
-			if m.Defaults.Resolve(ch, h2, h1, m.Opts.MaxDepth) != to {
-				m.Stored[s] = append(m.Stored[s], Transition{Char: ch, To: to})
-			}
-		}
-		if len(m.Stored[s]) > maxStored {
-			maxStored = len(m.Stored[s])
-		}
-	})
-	fn := float64(n)
-	st := &m.Stats
-	st.AvgAfterD1 = float64(st.StoredAfterD1) / fn
-	st.AvgAfterD12 = float64(st.StoredAfterD12) / fn
-	st.AvgAfterD123 = float64(st.StoredAfterD123) / fn
-	switch m.Opts.MaxDepth {
-	case 1:
-		st.StoredPointers = st.StoredAfterD1
-	case 2:
-		st.StoredPointers = st.StoredAfterD12
-	default:
-		st.StoredPointers = st.StoredAfterD123
-	}
-	st.AvgStored = float64(st.StoredPointers) / fn
-	st.MaxStoredPerState = maxStored
-	if st.OriginalPointers > 0 {
-		st.Reduction = 1 - float64(st.StoredPointers)/float64(st.OriginalPointers)
-	}
-}
 
 // StoredAt returns the stored transition target of (s, c), or ac.None.
 func (m *Machine) StoredAt(s int32, c byte) int32 {

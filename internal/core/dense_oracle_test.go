@@ -1,0 +1,512 @@
+package core
+
+// The dense builder, kept as the oracle the sparse one (build.go, compile
+// in baked.go) is proved against: popularity, defaults, stored pointers and
+// dense rows the way Build derived them before — by materializing every
+// 256-entry move row, resolving the default rule per (state, character)
+// pair, and filling dense rows with fail-chain Trie.Move walks. Nothing
+// here shares a line with the code under test beyond Defaults.Resolve and
+// staticHistory, which define the machine's semantics.
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/ac"
+	"repro/internal/ruleset"
+)
+
+// denseBuild runs the dense passes over t and returns the machine together
+// with the popularity tally they ranked by.
+func denseBuild(t *ac.Trie, opts Options) (*Machine, []int64) {
+	m := &Machine{Trie: t, Opts: opts.withDefaults()}
+	pop := m.denseSelectDefaults()
+	m.denseCompress()
+	return m, pop
+}
+
+func (m *Machine) denseSelectDefaults() []int64 {
+	t := m.Trie
+	n := t.NumStates()
+	popularity := make([]int64, n)
+	var original int64
+	t.ForEachMoveRow(func(s int32, row []int32) {
+		for c := 0; c < 256; c++ {
+			to := row[c]
+			if to == ac.Root {
+				continue
+			}
+			original++
+			popularity[to]++
+		}
+	})
+	m.Stats.States = n
+	m.Stats.OriginalPointers = original
+	m.Stats.OriginalAvg = float64(original) / float64(n)
+
+	for c := range m.Defaults.D1 {
+		m.Defaults.D1[c] = ac.None
+	}
+	d2cand := make(map[byte][]int32)
+	d3cand := make(map[byte][]int32)
+	for i := 1; i < n; i++ {
+		nd := t.Nodes[i]
+		switch nd.Depth {
+		case 1:
+			m.Defaults.D1[nd.Char] = int32(i)
+			m.Stats.D1Count++
+		case 2:
+			d2cand[nd.Char] = append(d2cand[nd.Char], int32(i))
+		case 3:
+			d3cand[nd.Char] = append(d3cand[nd.Char], int32(i))
+		}
+	}
+	pickTop := func(cands []int32, k int) []int32 {
+		sort.Slice(cands, func(a, b int) bool {
+			pa, pb := popularity[cands[a]], popularity[cands[b]]
+			if pa != pb {
+				return pa > pb
+			}
+			return cands[a] < cands[b]
+		})
+		if len(cands) > k {
+			cands = cands[:k]
+		}
+		return cands
+	}
+	for c, cands := range d2cand {
+		for _, s := range pickTop(cands, m.Opts.D2PerChar) {
+			prev := t.Nodes[t.Nodes[s].Parent].Char
+			m.Defaults.D2[c] = append(m.Defaults.D2[c], D2Entry{Prev: prev, State: s})
+			m.Stats.D2Count++
+		}
+	}
+	for c, cands := range d3cand {
+		for _, s := range pickTop(cands, m.Opts.D3PerChar) {
+			p1 := t.Nodes[s].Parent
+			p2 := t.Nodes[p1].Parent
+			m.Defaults.D3[c] = append(m.Defaults.D3[c], D3Entry{
+				Prev2: t.Nodes[p2].Char,
+				Prev1: t.Nodes[p1].Char,
+				State: s,
+			})
+			m.Stats.D3Count++
+		}
+	}
+	return popularity
+}
+
+func (m *Machine) denseCompress() {
+	t := m.Trie
+	n := t.NumStates()
+	m.Stored = make([][]Transition, n)
+	maxStored := 0
+	t.ForEachMoveRow(func(s int32, row []int32) {
+		h2, h1 := m.staticHistory(s)
+		for c := 0; c < 256; c++ {
+			to := row[c]
+			if to == ac.Root {
+				continue
+			}
+			ch := byte(c)
+			if m.Defaults.Resolve(ch, h2, h1, 1) != to {
+				m.Stats.StoredAfterD1++
+			}
+			if m.Defaults.Resolve(ch, h2, h1, 2) != to {
+				m.Stats.StoredAfterD12++
+			}
+			if m.Defaults.Resolve(ch, h2, h1, 3) != to {
+				m.Stats.StoredAfterD123++
+			}
+			if m.Defaults.Resolve(ch, h2, h1, m.Opts.MaxDepth) != to {
+				m.Stored[s] = append(m.Stored[s], Transition{Char: ch, To: to})
+			}
+		}
+		if len(m.Stored[s]) > maxStored {
+			maxStored = len(m.Stored[s])
+		}
+	})
+	fn := float64(n)
+	st := &m.Stats
+	st.AvgAfterD1 = float64(st.StoredAfterD1) / fn
+	st.AvgAfterD12 = float64(st.StoredAfterD12) / fn
+	st.AvgAfterD123 = float64(st.StoredAfterD123) / fn
+	switch m.Opts.MaxDepth {
+	case 1:
+		st.StoredPointers = st.StoredAfterD1
+	case 2:
+		st.StoredPointers = st.StoredAfterD12
+	default:
+		st.StoredPointers = st.StoredAfterD123
+	}
+	st.AvgStored = float64(st.StoredPointers) / fn
+	st.MaxStoredPerState = maxStored
+	if st.OriginalPointers > 0 {
+		st.Reduction = 1 - float64(st.StoredPointers)/float64(st.OriginalPointers)
+	}
+}
+
+// densePromoted ranks every state by a full sort and takes the budget off
+// the front.
+func densePromoted(m *Machine, pop []int64) []bool {
+	t := m.Trie
+	n := t.NumStates()
+	promoted := make([]bool, n)
+	budget := m.Opts.DenseStates
+	if budget == 0 {
+		budget = DefaultDenseStates
+	}
+	if budget < 0 {
+		return promoted
+	}
+	if budget > n {
+		budget = n
+	}
+	order := make([]int32, n)
+	for s := range order {
+		order[s] = int32(s)
+	}
+	tier := func(s int32) int {
+		switch {
+		case s == ac.Root:
+			return 0
+		case t.Nodes[s].Depth == 1:
+			return 1
+		default:
+			return 2
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if ta, tb := tier(a), tier(b); ta != tb {
+			return ta < tb
+		}
+		if pop[a] != pop[b] {
+			return pop[a] > pop[b]
+		}
+		return a < b
+	})
+	for _, s := range order[:budget] {
+		promoted[s] = true
+	}
+	return promoted
+}
+
+// denseCompile lays out the Program with every dense row filled by
+// Trie.Move, one fail-chain walk per (state, character).
+func denseCompile(m *Machine, pop []int64) *Program {
+	t := m.Trie
+	n := t.NumStates()
+	maxDepth := m.Opts.MaxDepth
+	for c := 0; c < 256; c++ {
+		if maxDepth >= 2 && len(m.Defaults.D2[c]) > 4 {
+			return nil
+		}
+		if maxDepth >= 3 && len(m.Defaults.D3[c]) > 1 {
+			return nil
+		}
+	}
+	promoted := densePromoted(m, pop)
+	p := &Program{trie: t}
+	for c := 0; c < 256; c++ {
+		p.d1[c] = ac.Root
+		if s := m.Defaults.D1[c]; s != ac.None {
+			p.d1[c] = s
+		}
+		for j := range p.d2[c] {
+			p.d2[c][j] = emptyD2Key
+		}
+		if maxDepth >= 2 {
+			for j, e := range m.Defaults.D2[c] {
+				p.d2[c][j] = uint64(e.Prev)<<32 | uint64(uint32(e.State))
+			}
+		}
+		p.d3[c] = emptyD3Key
+		if maxDepth >= 3 && len(m.Defaults.D3[c]) == 1 {
+			e := m.Defaults.D3[c][0]
+			key := uint64(e.Prev2)<<histLaneBits | uint64(e.Prev1)
+			p.d3[c] = key<<32 | uint64(uint32(e.State))
+		}
+	}
+	p.outBits = make([]uint64, (n+63)/64)
+	p.rows = make([]uint32, n)
+	p.dense = []int32{}
+	p.stored = []uint64{}
+	for s := 0; s < n; s++ {
+		if t.HasOutput(int32(s)) {
+			p.outBits[s>>6] |= 1 << (s & 63)
+		}
+		if promoted[s] {
+			p.rows[s] = rowDense | uint32(len(p.dense)/256)
+			for c := 0; c < 256; c++ {
+				p.dense = append(p.dense, t.Move(int32(s), byte(c)))
+			}
+			continue
+		}
+		list := m.Stored[s]
+		if len(list) > rowCountMax {
+			return nil
+		}
+		p.rows[s] = uint32(len(list))<<24 | uint32(len(p.stored))
+		for _, tr := range list {
+			p.stored = append(p.stored, uint64(tr.Char)<<32|uint64(uint32(tr.To)))
+		}
+	}
+	if len(p.stored) > rowOffMask {
+		return nil
+	}
+	return p
+}
+
+// checkSparseAgainstDense builds set both ways under opts and demands the
+// same machine, field for field, then proves it against the full DFA.
+func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, opts Options) {
+	t.Helper()
+	m, err := Build(set, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, pop := denseBuild(m.Trie, opts)
+
+	ft := newFailTree(m.Trie)
+	if !reflect.DeepEqual(ft.pop, pop) {
+		t.Fatalf("%+v: popularity tally differs:\nsparse %v\ndense  %v", opts, ft.pop, pop)
+	}
+	if ft.original != want.Stats.OriginalPointers {
+		t.Fatalf("%+v: %d original pointers, dense sweep counts %d", opts, ft.original, want.Stats.OriginalPointers)
+	}
+	if !reflect.DeepEqual(m.Defaults, want.Defaults) {
+		t.Fatalf("%+v: defaults differ", opts)
+	}
+	if m.Stats != want.Stats {
+		t.Fatalf("%+v: stats differ:\nsparse %+v\ndense  %+v", opts, m.Stats, want.Stats)
+	}
+	for s := range want.Stored {
+		if !reflect.DeepEqual(m.Stored[s], want.Stored[s]) {
+			t.Fatalf("%+v: state %d stores %v, dense sweep %v", opts, s, m.Stored[s], want.Stored[s])
+		}
+		if len(m.Stored[s]) != cap(m.Stored[s]) {
+			t.Fatalf("%+v: state %d's list can grow into its neighbour's (len %d, cap %d)",
+				opts, s, len(m.Stored[s]), cap(m.Stored[s]))
+		}
+	}
+	if !reflect.DeepEqual(m.pickDense(ft), densePromoted(want, pop)) {
+		t.Fatalf("%+v: dense-tier promotion differs", opts)
+	}
+	if wantProg := denseCompile(want, pop); !reflect.DeepEqual(m.prog, wantProg) {
+		t.Fatalf("%+v: Program differs from the dense layout (nil: sparse %v, dense %v)",
+			opts, m.prog == nil, wantProg == nil)
+	}
+	if err := m.VerifyTransitions(); err != nil {
+		t.Fatalf("%+v: %v", opts, err)
+	}
+}
+
+// equivalenceRulesets are the shapes the recurrences could get wrong:
+// wide and narrow alphabets, deep fail chains, patterns nested inside each
+// other at both ends, single bytes (depth-1 outputs), sparse IDs.
+var equivalenceRulesets = map[string]func(*rand.Rand) [][]byte{
+	"uniform-binary": func(rng *rand.Rand) [][]byte {
+		var out [][]byte
+		for i := 0; i < 1+rng.Intn(60); i++ {
+			p := make([]byte, 1+rng.Intn(8))
+			rng.Read(p)
+			out = append(out, p)
+		}
+		return out
+	},
+	"textual": func(rng *rand.Rand) [][]byte {
+		var out [][]byte
+		for i := 0; i < 1+rng.Intn(80); i++ {
+			p := make([]byte, 1+rng.Intn(10))
+			for j := range p {
+				p[j] = byte('a' + rng.Intn(4))
+			}
+			out = append(out, p)
+		}
+		return out
+	},
+	"shared-suffix": func(rng *rand.Rand) [][]byte {
+		suffixes := [][]byte{[]byte("abcab"), []byte("cab"), []byte("bcabc"), []byte("ab")}
+		var out [][]byte
+		for i := 0; i < 1+rng.Intn(60); i++ {
+			p := make([]byte, rng.Intn(4))
+			for j := range p {
+				p[j] = byte('a' + rng.Intn(6))
+			}
+			out = append(out, append(p, suffixes[rng.Intn(len(suffixes))]...))
+		}
+		return out
+	},
+	"single-bytes": func(rng *rand.Rand) [][]byte {
+		var out [][]byte
+		for i := 0; i < 1+rng.Intn(40); i++ {
+			out = append(out, []byte{byte('a' + rng.Intn(8))})
+		}
+		for i := 0; i < rng.Intn(20); i++ {
+			p := make([]byte, 2+rng.Intn(4))
+			for j := range p {
+				p[j] = byte('a' + rng.Intn(8))
+			}
+			out = append(out, p)
+		}
+		return out
+	},
+	"nested": func(rng *rand.Rand) [][]byte {
+		var out [][]byte
+		for i := 0; i < 1+rng.Intn(6); i++ {
+			long := make([]byte, 4+rng.Intn(8))
+			for j := range long {
+				long[j] = byte('a' + rng.Intn(3))
+			}
+			for k := 0; k < 8; k++ {
+				lo := rng.Intn(len(long))
+				hi := lo + 1 + rng.Intn(len(long)-lo)
+				switch rng.Intn(3) {
+				case 0:
+					lo = 0 // a proper prefix
+				case 1:
+					hi = len(long) // a proper suffix
+				}
+				out = append(out, long[lo:hi])
+			}
+			out = append(out, long)
+		}
+		return out
+	},
+}
+
+// setOf numbers the distinct patterns; sparse spreads the IDs over the
+// whole 13-bit range instead of counting from zero.
+func setOf(patterns [][]byte, sparse bool) *ruleset.Set {
+	set := &ruleset.Set{}
+	seen := map[string]bool{}
+	for _, p := range patterns {
+		if len(p) == 0 || seen[string(p)] {
+			continue
+		}
+		seen[string(p)] = true
+		id := len(set.Patterns)
+		if sparse {
+			id = 8190 - 13*id
+		}
+		set.Patterns = append(set.Patterns, ruleset.Pattern{ID: id, Data: bytes.Clone(p)})
+	}
+	return set
+}
+
+// TestSparseBuildMatchesDenseOracle is the standing proof that the
+// O(states + edges) builder is a replacement, not an approximation: over
+// random rulesets of every shape above and the whole option grid it must
+// produce the very machine the dense sweep produces.
+func TestSparseBuildMatchesDenseOracle(t *testing.T) {
+	names := make([]string, 0, len(equivalenceRulesets))
+	for name := range equivalenceRulesets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(14))
+			trials := 6
+			if testing.Short() {
+				trials = 2
+			}
+			for trial := 0; trial < trials; trial++ {
+				set := setOf(equivalenceRulesets[name](rng), trial%2 == 1)
+				states := 1 + set.CharCount()
+				for maxDepth := 1; maxDepth <= 3; maxDepth++ {
+					for d2 := 1; d2 <= 4; d2++ {
+						for d3 := 1; d3 <= 2; d3++ {
+							for _, dense := range []int{-1, 0, 16, states} {
+								checkSparseAgainstDense(t, set, Options{
+									MaxDepth: maxDepth, D2PerChar: d2, D3PerChar: d3, DenseStates: dense,
+								})
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzBuildEquivalence lets the fuzzer choose the pattern bytes: the input
+// is cut into patterns at a separator chosen by its first byte, the next
+// three pick the options.
+func FuzzBuildEquivalence(f *testing.F) {
+	f.Add([]byte("\x00\x03\x04\x01he\x00she\x00his\x00hers"))
+	f.Add([]byte("|\x01\x01\x02ab|abab|bab|b|a|ba"))
+	f.Add([]byte(",\x02\x02\x01aaaa,aaa,aa,a,baaa,caa"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 || len(data) > 4096 {
+			return
+		}
+		sep, knobs, body := data[0], data[1:4], data[4:]
+		set := setOf(bytes.Split(body, []byte{sep}), knobs[0]&0x80 != 0)
+		if set.Len() == 0 {
+			return
+		}
+		checkSparseAgainstDense(t, set, Options{
+			MaxDepth:    1 + int(knobs[0])%3,
+			D2PerChar:   1 + int(knobs[1])%4,
+			D3PerChar:   1 + int(knobs[2])%2,
+			DenseStates: []int{-1, 0, 16, 1 << 20}[int(knobs[1]>>2)%4],
+		})
+	})
+}
+
+// TestCompilePromotedWideState: a promoted state is read through its dense
+// row, never through a CSR descriptor, so its stored-pointer count must not
+// decide whether the machine bakes. 140 two-byte patterns share the first
+// byte 'A'; each one's depth-2 default loses its lookup-table row to four
+// rivals that longer patterns make more popular, so all 140 pointers stay
+// stored at the depth-1 state — more than a descriptor's inline count.
+func TestCompilePromotedWideState(t *testing.T) {
+	var patterns [][]byte
+	const first, rivals, boosters = 200, 4, 3
+	for x := 0; x < 140; x++ {
+		patterns = append(patterns, []byte{first, byte(x)})
+		for r := 1; r <= rivals; r++ {
+			patterns = append(patterns, []byte{first + byte(r), byte(x)})
+		}
+	}
+	for r := 1; r <= rivals; r++ {
+		for b := 0; b < boosters; b++ {
+			patterns = append(patterns, []byte{byte(240 + b), first + byte(r)})
+		}
+	}
+	m, err := Build(setOf(patterns, false), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := m.Defaults.D1[first]
+	if got := len(m.Stored[wide]); got <= rowCountMax {
+		t.Fatalf("the depth-1 state stores %d pointers; the case needs more than %d", got, rowCountMax)
+	}
+	for s, list := range m.Stored {
+		if int32(s) != wide && len(list) > rowCountMax {
+			t.Fatalf("state %d stores %d pointers too: the case no longer isolates the promoted one", s, len(list))
+		}
+	}
+	if got := m.DefaultBackend(); got != BackendPrefiltered {
+		t.Fatalf("auto resolves to %q, want %q", got, BackendPrefiltered)
+	}
+	driveLockstep(t, m, rand.New(rand.NewSource(140)))
+	if err := m.VerifyTransitions(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The limit still applies where a descriptor is read: with the dense
+	// tier off the same state is compressed and the machine must not bake.
+	ref, err := Build(setOf(patterns, false), Options{DenseStates: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Program() != nil || ref.DefaultBackend() != BackendReference {
+		t.Fatalf("a compressed %d-pointer state baked (backend %q)", len(ref.Stored[wide]), ref.DefaultBackend())
+	}
+}

@@ -1,9 +1,9 @@
 package core
 
 // Snapshot serialization: a compiled Machine can be written to a compact
-// binary blob and reloaded without re-running the popularity and
-// compression passes — the software analogue of shipping the FPGA's
-// initialized memory images. Format (little endian):
+// binary blob and reloaded without re-running default selection and
+// compression — the software analogue of shipping the FPGA's initialized
+// memory images. Format (little endian):
 //
 //	magic "DTPM" | version u16 | options (3×u8 + pad) | node table |
 //	pattern lengths | defaults | stored transitions | stats | crc32
@@ -277,6 +277,18 @@ func Load(data []byte) (*Machine, error) {
 		}
 	}
 
+	// One arena for every state's list, sized by walking the per-state
+	// counts ahead of the reader.
+	total := 0
+	for s, off := uint32(0), len(body)-rd.r.Len(); s < numNodes; s++ {
+		if off+2 > len(body) {
+			return nil, fmt.Errorf("core: snapshot ends inside the stored transitions of state %d", s)
+		}
+		n := int(binary.LittleEndian.Uint16(body[off:]))
+		total += n
+		off += 2 + 5*n // u8 Char + i32 To per entry
+	}
+	arena := make([]Transition, total)
 	m.Stored = make([][]Transition, numNodes)
 	for s := range m.Stored {
 		var n uint16
@@ -284,7 +296,7 @@ func Load(data []byte) (*Machine, error) {
 		if rd.err != nil {
 			return nil, rd.err
 		}
-		m.Stored[s] = make([]Transition, n)
+		m.Stored[s], arena = arena[:n:n], arena[n:]
 		for j := range m.Stored[s] {
 			get(rd, &m.Stored[s][j].Char)
 			get(rd, &m.Stored[s][j].To)
@@ -357,11 +369,11 @@ func Load(data []byte) (*Machine, error) {
 		}
 	}
 	// Bake the scan kernels through the same sequence Build runs. The
-	// snapshot predates the popularity tally, so Compile re-derives
-	// dense-tier promotion from the move rows; runtime-only options
+	// snapshot does not carry the popularity tally, so dense-tier promotion
+	// is re-derived from the trie; runtime-only options
 	// (DenseStates/Backend) are not part of the format and take their
 	// defaults, and under BackendAuto compileBackends cannot fail.
-	if err := m.compileBackends(); err != nil {
+	if err := m.compileBackends(newFailTree(trie)); err != nil {
 		return nil, err
 	}
 	return m, nil

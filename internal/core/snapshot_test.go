@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"hash/crc32"
 	"testing"
 
@@ -64,6 +66,19 @@ func TestSnapshotDeterministic(t *testing.T) {
 	a, b := snapshotOf(t, m), snapshotOf(t, m)
 	if !bytes.Equal(a, b) {
 		t.Fatal("snapshots of the same machine differ")
+	}
+}
+
+// TestSnapshotBytesPinned holds the builder to the bytes the dense-sweep
+// builder wrote for the benchmark's ruleset (GenerateSnortLike(634, 2010)),
+// taken at the last commit that had it: node table, defaults, stored
+// pointers and every BuildStats field, floats included, in one hash.
+func TestSnapshotBytesPinned(t *testing.T) {
+	const want = "0a4f62171c5376059c57b7300b3bd920854d010ed63be851cd40e290fee86caf"
+	set := ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})
+	got := fmt.Sprintf("%x", sha256.Sum256(snapshotOf(t, mustBuild(t, set, Options{}))))
+	if got != want {
+		t.Fatalf("snapshot of the 634-string machine hashes to %s, want %s", got, want)
 	}
 }
 
