@@ -538,3 +538,141 @@ func TestChaosSoakWatchdogStall(t *testing.T) {
 		t.Fatalf("stall lost matches\ngot  %+v\nwant %+v", got, want)
 	}
 }
+
+// TestChaosSoakWedgedLaneSparesNeighbours: backpressure and shedding are
+// per lane. A chaos stall wedges the lane of flow A and A is fed until
+// admission sheds; flow B, pinned to a different lane (or shard), must then
+// be admitted and scanned in full — FindAll-exact — while A's lane is still
+// wedged. With a shared stage between admission and the lanes, one wedged
+// lane backs that stage up and every flow sheds.
+func TestChaosSoakWedgedLaneSparesNeighbours(t *testing.T) {
+	for _, tc := range []struct{ shards, lanes uint64 }{{1, 2}, {2, 1}} {
+		t.Run(fmt.Sprintf("shards=%d/lanes=%d", tc.shards, tc.lanes), func(t *testing.T) {
+			m, set := soakMatcher(t, 250, dpi.BackendAuto)
+			w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
+				Flows: 2, SegmentsPerFlow: 200, SegmentBytes: 120, Seed: 733,
+				CrossDensity: 2, AttackDensity: 6, Profile: traffic.Textual,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.FindAll(w.Streams[0])) == 0 || len(m.FindAll(w.Streams[1])) == 0 {
+				t.Fatal("a flow carries no match; soak is vacuous")
+			}
+			// Admission pins a tuple to shard h%M, lane (h/M)%K; move B off
+			// A's queue.
+			queue := func(tup dpi.FiveTuple) [2]uint64 {
+				h := tup.Hash64()
+				return [2]uint64{h % tc.shards, (h / tc.shards) % tc.lanes}
+			}
+			tupA, tupB := w.Tuples[0], w.Tuples[1]
+			for queue(tupB) == queue(tupA) {
+				tupB.SrcPort++
+			}
+			var segs [2][][]byte
+			for _, p := range w.Packets {
+				segs[p.FlowID] = append(segs[p.FlowID], p.Payload)
+			}
+
+			release := make(chan struct{})
+			stalled := make(chan struct{})
+			var stallOnce sync.Once
+			c := newSoakCollector()
+			emit := chaos.StallOnce(c.emit, func(fm dpi.FlowMatch) bool {
+				if fm.Tuple != tupA {
+					return false
+				}
+				stallOnce.Do(func() { close(stalled) })
+				return true
+			}, release)
+			gw := m.NewEngine(2).Gateway(dpi.GatewayConfig{
+				EngineShards: int(tc.shards), StreamWorkers: int(tc.lanes), QueueDepth: 4,
+				OverloadPolicy: dpi.ShedPackets, IngestDeadline: -1,
+			}, emit)
+			// A failing assertion must not leave Close waiting on the wedge.
+			var releaseOnce sync.Once
+			unwedge := func() { releaseOnce.Do(func() { close(release) }) }
+			defer gw.Close()
+			defer unwedge()
+
+			// waitScanned polls until the scanned-bytes bucket reaches want,
+			// or reports false once stop closes; a Flush would wait on the
+			// wedged lane.
+			waitScanned := func(want uint64, stop <-chan struct{}) bool {
+				t.Helper()
+				deadline := time.Now().Add(10 * time.Second)
+				for gw.Stats().ScannedBytes < want {
+					select {
+					case <-stop:
+						return false
+					default:
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("scanned %d of %d bytes", gw.Stats().ScannedBytes, want)
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+				return true
+			}
+
+			// Feed A in lockstep with its lane until a match wedges it, then
+			// flat out until the lane's queue is full and admission sheds.
+			var deliveredA uint64
+			next := 0
+			for wedged := false; !wedged; next++ {
+				if next == len(segs[0]) {
+					t.Fatal("flow A never wedged its lane")
+				}
+				if admitted, err := gw.TryIngest(dpi.GatewayPacket{Tuple: tupA, Payload: segs[0][next]}); err != nil || !admitted {
+					t.Fatalf("segment %d of A on an idle lane: admitted=%v err=%v", next, admitted, err)
+				}
+				deliveredA += uint64(len(segs[0][next]))
+				// The wedged segment never commits its bytes, so falling
+				// short of them is exactly the stall having fired.
+				wedged = !waitScanned(deliveredA, stalled)
+			}
+			scanned := deliveredA - uint64(len(segs[0][next-1]))
+			for shed := false; !shed; next++ {
+				if next == len(segs[0]) {
+					t.Fatal("flow A never shed on its wedged lane")
+				}
+				admitted, err := gw.TryIngest(dpi.GatewayPacket{Tuple: tupA, Payload: segs[0][next]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if admitted {
+					deliveredA += uint64(len(segs[0][next]))
+				}
+				shed = !admitted
+			}
+
+			// B rides a different lane: every segment admitted and scanned
+			// while A's lane is still wedged.
+			for i, seg := range segs[1] {
+				if admitted, err := gw.TryIngest(dpi.GatewayPacket{Tuple: tupB, Payload: seg}); err != nil || !admitted {
+					t.Fatalf("segment %d of B shed behind A's wedged lane (admitted=%v err=%v)", i, admitted, err)
+				}
+				scanned += uint64(len(seg))
+				waitScanned(scanned, nil)
+			}
+			if got, want := c.matches(tupB), m.FindAll(w.Streams[1]); !sameSoakMatches(got, want) {
+				t.Fatalf("flow B behind a wedged neighbour\ngot  %+v\nwant %+v", got, want)
+			}
+			if h := gw.Health(); len(h.BusyLanes) != 1 {
+				t.Fatalf("exactly A's lane should hold work: %+v", h)
+			}
+
+			unwedge()
+			gw.Flush()
+			st := gw.Stats()
+			if st.ShedPackets != 1 {
+				t.Fatalf("ShedPackets = %d, want A's one shed segment", st.ShedPackets)
+			}
+			requireBalanced(t, st, "after release + Flush")
+			// A's delivered run is the prefix admitted before its shed.
+			if got, want := c.matches(tupA), m.FindAll(w.Streams[0][:deliveredA]); !sameSoakMatches(got, want) {
+				t.Fatalf("flow A delivered-run oracle diverged\ngot  %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}

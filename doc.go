@@ -60,14 +60,16 @@
 //     immutable), and Engine.Stats reports each replica's work.
 //   - Gateway: the NIDS front-end the paper deploys — pipelined packet
 //     ingestion (Ingest, or framed feeds via IngestReader; frame format v2
-//     carries the TCP seq/flags) behind a bounded queue whose fullness is
-//     the backpressure contract. The scan back-end is replicated like the
+//     carries the TCP seq/flags) in two stages: admission hashes the tuple
+//     on the caller's goroutine and sends the packet straight to the
+//     bounded queue of the lane it pins to, whose fullness is the
+//     backpressure contract. The scan back-end is replicated like the
 //     paper's block arrays: GatewayConfig.EngineShards spins up M
 //     independent engine shards over the one compiled automaton and pins
 //     every flow and stateless packet to a shard by tuple hash — M engines
 //     × K workers, invisible in results and accounting, observable through
-//     ShardStats. Non-TCP packets are batched into per-shard
-//     Engine.ScanPackets-sized bursts; TCP packets are demultiplexed
+//     ShardStats. Non-TCP packets are scanned in per-shard bursts of
+//     whatever is queued, up to BatchPackets; TCP packets are demultiplexed
 //     through a sharded 5-tuple flow table into per-flow scanner state
 //     pinned to hash-chosen lanes of their shard. Segments tagged FlagSeq pass through
 //     TCP reassembly first (configurable overlap policy, bounded per-flow

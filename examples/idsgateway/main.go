@@ -84,7 +84,7 @@ func main() {
 			Header: dpi.HeaderRule{Proto: dpi.ProtoTCP, DstPorts: dpi.PortRange{Lo: 80, Hi: 80}}},
 	}
 
-	// The software gateway: a bounded ingest queue, per-flow lanes over a
+	// The software gateway: bounded hash-pinned per-flow lanes over a
 	// 5-tuple flow table, TCP reassembly ahead of each flow's scanner —
 	// and two engine shards, each with its own worker pool and scanner
 	// state, splitting the connection load by tuple hash.

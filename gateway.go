@@ -4,11 +4,13 @@ package dpi
 // deploys (§I): packets arrive tagged with their 5-tuple, are demultiplexed
 // into per-connection streams, and every payload byte flows through the
 // shared compressed automaton at one transition per byte. The software
-// pipeline mirrors the hardware's structure — a bounded ingest queue plays
-// the role of the input FIFO, stateless packets are batched into bursts
-// across the engine's worker lanes, and TCP packets are pinned to a lane by
-// flow hash so each connection's scanner registers see its bytes in order,
-// exactly as a hardware engine owns a packet stream.
+// pipeline mirrors the hardware's structure in two stages — admission
+// partitions traffic by tuple hash on the caller's goroutine, and each
+// lane's bounded queue plays the role of a block's input FIFO: TCP packets
+// are pinned to a lane by flow hash so each connection's scanner registers
+// see its bytes in order, exactly as a hardware engine owns a packet
+// stream, and stateless packets are scanned in bursts across the engine's
+// worker lanes. Nothing sits between the partitioner and a lane.
 //
 // The scan back-end replicates like the hardware does: the paper's device
 // reaches its throughput by instantiating many identical string matching
@@ -205,7 +207,7 @@ type FlowMatch struct {
 }
 
 // OverloadPolicy selects what Ingest does when the pipeline is saturated
-// and the bounded queue cannot accept a packet within the ingest deadline.
+// and the packet's lane queue cannot accept it within the ingest deadline.
 // Whatever the policy, the exactness contract holds over the bytes actually
 // delivered to scanning, and every byte not delivered is explicitly
 // accounted (see GatewayStats.Ledger): never silently wrong, never wedged.
@@ -256,12 +258,12 @@ type GatewayConfig struct {
 	// exactly the pre-sharding gateway).
 	EngineShards int
 	// BatchPackets is the burst size for stateless (non-TCP) packets: the
-	// collector accumulates up to this many packets per engine shard
-	// before the burst is scanned by that shard's Engine.ScanPackets.
-	// Partial bursts flush whenever the ingest queue goes momentarily
-	// idle, so batching never adds unbounded latency. Default 64.
+	// burst scanner takes up to this many queued packets per scan by its
+	// shard's Engine.ScanPackets. It never waits for a burst to fill — it
+	// scans whatever is queued — so batching adds no latency. Default 64.
 	BatchPackets int
-	// QueueDepth bounds the ingest queue; a full queue blocks Ingest,
+	// QueueDepth bounds the queued packets per engine shard, split across
+	// its lanes; a full lane queue blocks Ingest of the flows pinned to it,
 	// which is the gateway's backpressure. Default 4*BatchPackets.
 	QueueDepth int
 	// StreamWorkers is the number of per-flow scan lanes per engine shard.
@@ -305,8 +307,8 @@ type GatewayConfig struct {
 	// disables skipping.
 	GapTimeout int
 
-	// OverloadPolicy selects the admission behavior when the ingest queue
-	// is full: Block (default, pure backpressure), ShedPackets, or
+	// OverloadPolicy selects the admission behavior when a packet's lane
+	// queue is full: Block (default, pure backpressure), ShedPackets, or
 	// ShedNewFlows. See the OverloadPolicy constants.
 	OverloadPolicy OverloadPolicy
 	// IngestDeadline bounds how long a shedding policy waits for queue
@@ -392,7 +394,7 @@ type GatewayStats struct {
 
 	// Panic containment.
 	Panics             uint64 // panics recovered across all pipeline stages
-	QuarantinedFlows   uint64 // flows evicted because their scan panicked
+	QuarantinedFlows   uint64 // flows quarantined because their scan panicked
 	QuarantinedPackets uint64 // packets discarded on/after a flow quarantine
 	QuarantinedBytes   uint64 // payload bytes those packets carried (ledger-exact)
 
@@ -469,32 +471,31 @@ func (l GatewayLedger) Balanced() bool {
 	return l.Ingested == l.Scanned+l.Shed+l.Skipped+l.Buffered
 }
 
-// Gateway is a pipelined ingestion front-end over one or more engine
-// shards: a bounded ingest queue, a collector that routes packets, and per
-// shard a set of per-flow stream lanes fed through the shared 5-tuple flow
-// table (with TCP reassembly and header-rule verdicts ahead of the
-// scanner) plus a burst scanner for stateless packets.
+// Gateway is a two-stage ingestion front-end over one or more engine
+// shards: admission, on the caller's goroutine, sends each packet straight
+// to the bounded queue its tuple hash pins it to — per shard a set of
+// per-flow stream lanes fed through the shared 5-tuple flow table (with TCP
+// reassembly and header-rule verdicts ahead of the scanner) plus a burst
+// scanner for stateless packets.
 //
-//	Ingest ──▶ queue ──▶ collector ──▶ shard[h%M] ──▶ stream lanes ─▶ verdict ─▶ reassembly ─▶ per-flow scan
-//	                          └──────▶ shard[h%M] ──▶ burst scanner ─▶ verdict ─▶ Engine.ScanPackets
+//	Ingest ─▶ admission ─▶ shard[h%M].lane[(h/M)%K] ─▶ verdict ─▶ reassembly ─▶ per-flow scan
+//	           (hash)  └──▶ shard[h%M].burst ─────────▶ verdict ─▶ Engine.ScanPackets
 //
 // With EngineShards=1 (the default) this collapses to the single-engine
 // pipeline. Ingest and IngestReader may be called from multiple
 // goroutines; emit and OnVerdict are invoked concurrently (from the stream
 // lanes and the burst scanners) and must be safe for concurrent use. Close
-// drains the pipeline, flushes any partial burst, and returns all flow
-// state to the engine pools.
+// drains the pipeline and returns all flow state to the engine pools.
 type Gateway struct {
 	cfg  GatewayConfig
 	emit func(FlowMatch)
 
-	in     chan seqPacket
 	shards []*gwEngineShard
 	table  *flowtable.Table[*gwFlow]
 	budget *reassembly.Budget
 	asmCfg reassembly.Config
 
-	mu     sync.RWMutex // guards closed vs in-flight Ingest sends; Flush and SwapRules hold it exclusively
+	mu     sync.RWMutex // guards closed vs in-flight Ingest sends; Flush, SwapRules and Close hold it exclusively
 	closed bool
 
 	// Ruleset generations — the hot-reload control plane. cur is the
@@ -515,8 +516,7 @@ type Gateway struct {
 	gensInstall  atomic.Uint64
 	gensRetired  atomic.Uint64
 
-	collectorWg sync.WaitGroup
-	workerWg    sync.WaitGroup
+	workerWg sync.WaitGroup
 
 	seq      atomic.Uint64
 	inflight atomic.Int64
@@ -552,14 +552,9 @@ type Gateway struct {
 	shedFlows      atomic.Uint64
 
 	// Panic containment: per-shard recovered-panic counts (the
-	// dpi_panics_total{shard} series) and the quarantine set — tuples whose
-	// scan panicked. A quarantined tuple's later packets are discarded at
-	// the lane, counted, without touching scanner state. quarN is the
-	// hot-path gate: lanes pay one atomic load until the first quarantine.
+	// dpi_panics_total{shard} series) and the quarantine counters. Which
+	// flows are quarantined is flow-entry state (gwFlow.quarantined).
 	panics      []atomic.Uint64
-	quarMu      sync.Mutex
-	quarantined map[FiveTuple]struct{}
-	quarN       atomic.Int64
 	quarFlows   atomic.Uint64
 	quarPackets atomic.Uint64
 	quarBytes   atomic.Uint64
@@ -568,8 +563,8 @@ type Gateway struct {
 	// the flow's next admitted packet applies SkipGap(n) before scanning,
 	// so no match spans the shed bytes and later offsets stay absolute.
 	// (Shed FlagSeq segments need none of this — they are ordinary
-	// reassembly holes, handled by GapTimeout.) pendingN gates the lookup
-	// the same way quarN does.
+	// reassembly holes, handled by GapTimeout.) pendingN gates the lookup:
+	// admission pays one atomic load until something has been shed.
 	pendingMu   sync.Mutex
 	pendingGaps map[FiveTuple]int
 	pendingN    atomic.Int64
@@ -596,17 +591,14 @@ type seqPacket struct {
 	gap int
 }
 
-// gwEngineShard is one scan replica's pipeline tail: hash-pinned per-flow
-// stream lanes and a burst scanner. The scan engines themselves live on
-// the generations (one Engine per (shard, generation), so scanner pools
-// never mix automatons); a shard's lanes look up the engine through the
-// flow's pinned generation, and its burst scanner through the current one.
-// batch is the collector's partial burst for this shard; only the
-// collector goroutine touches it.
+// gwEngineShard is one scan replica's queues: hash-pinned per-flow stream
+// lanes and the burst scanner's. The scan engines themselves live on the
+// generations (one Engine per (shard, generation), so scanner pools never
+// mix automatons); a shard's lanes look up the engine through the flow's
+// pinned generation, and its burst scanner through the current one.
 type gwEngineShard struct {
 	streamQ []chan seqPacket
-	batchQ  chan []seqPacket
-	batch   []seqPacket
+	burstQ  chan seqPacket
 	lanes   []laneState // watchdog state, parallel to streamQ
 }
 
@@ -633,8 +625,8 @@ type gwGeneration struct {
 
 // laneState is one stream lane's watchdog view: how many packets are queued
 // or in flight on the lane, and when the lane last made progress. There is
-// no watchdog goroutine — the collector stamps lastProgress when a lane
-// goes from empty to busy, the worker stamps it after every packet, and
+// no watchdog goroutine — admission stamps lastProgress when a lane goes
+// from empty to busy, the worker stamps it after every packet, and
 // Health computes staleness on demand, so stall detection is deterministic
 // and costs the hot path two atomics per packet.
 type laneState struct {
@@ -655,7 +647,6 @@ func (e *Engine) Gateway(cfg GatewayConfig, emit func(FlowMatch)) *Gateway {
 	g := &Gateway{
 		cfg:         cfg,
 		workers:     e.Workers(),
-		in:          make(chan seqPacket, cfg.QueueDepth),
 		ruleFlows:   make([]atomic.Uint64, len(cfg.Rules)),
 		ruleMatches: make([]atomic.Uint64, len(cfg.Rules)),
 	}
@@ -720,21 +711,21 @@ func (e *Engine) Gateway(cfg GatewayConfig, emit func(FlowMatch)) *Gateway {
 		shard := s
 		sh := &gwEngineShard{
 			streamQ: make([]chan seqPacket, cfg.StreamWorkers),
-			batchQ:  make(chan []seqPacket, 2),
-			lanes:   make([]laneState, cfg.StreamWorkers),
+			// One burst queues while the previous one scans.
+			burstQ: make(chan seqPacket, cfg.BatchPackets),
+			lanes:  make([]laneState, cfg.StreamWorkers),
 		}
 		g.shards[s] = sh
 		for w := range sh.streamQ {
+			// QueueDepth split across the shard's lanes, never zero.
 			q := make(chan seqPacket, cfg.QueueDepth/cfg.StreamWorkers+1)
 			sh.streamQ[w] = q
 			g.workerWg.Add(1)
 			go g.streamWorker(shard, &sh.lanes[w], q)
 		}
 		g.workerWg.Add(1)
-		go g.burstScanner(shard, sh)
+		go g.burstScanner(shard, sh.burstQ)
 	}
-	g.collectorWg.Add(1)
-	go g.collect()
 	return g
 }
 
@@ -754,7 +745,7 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 }
 
 // shardIndex returns the engine shard owning key — the same hash-derived
-// pinning the collector routes by, so a flow's scanner state always comes
+// pinning admission routes by, so a flow's scanner state always comes
 // from (and returns to) the pool of the shard whose lane scans it.
 func (g *Gateway) shardIndex(k FiveTuple) int {
 	if len(g.shards) == 1 {
@@ -827,6 +818,11 @@ type gwFlow struct {
 	// entry from the table immediately — a post-RST straggler therefore
 	// starts a fresh flow (midstream pickup), like any unseen tuple.
 	done bool
+	// quarantined marks a flow whose scan panicked. The entry lingers as a
+	// husk like done's, discarding stragglers (counted) without touching
+	// scanner state, but a SYN does not re-open it: the tuple is inspected
+	// again only after the husk is evicted or an RST removes it.
+	quarantined bool
 }
 
 // open pins the flow to the current ruleset generation and checks scanner
@@ -902,6 +898,11 @@ func (fl *gwFlow) ingest(p seqPacket, gap int, tick uint64) bool {
 		fl.teardown()
 		g.abandonedBytes.Add(uint64(len(p.payload)))
 		return true
+	}
+	if fl.quarantined {
+		g.quarPackets.Add(1)
+		g.quarBytes.Add(uint64(len(p.payload)))
+		return false
 	}
 	switch fl.verdict {
 	case VerdictDrop:
@@ -1045,9 +1046,10 @@ func (fl *gwFlow) releaseAsm(drop bool) {
 // discarded, NOT repooled — the panic may have left its registers
 // mid-update, and handing them to an unrelated flow would corrupt that
 // flow's matches. Buffered bytes are abandoned like any teardown. The
-// caller (Gateway.quarantineFlow) removes the table entry and marks the
-// tuple so stragglers are dropped at the lane.
+// entry stays in the table as a husk absorbing stragglers. The mark is set
+// first so it holds even if the release below panics in turn.
 func (fl *gwFlow) quarantine() {
+	fl.quarantined = true
 	if fl.f != nil {
 		fl.f.Discard()
 		fl.f = nil
@@ -1082,18 +1084,19 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 	}
 	seq := g.seq.Add(1) - 1
 	g.bytes.Add(uint64(len(pkt.Payload)))
-	// The tuple hash drives every pinning decision downstream (engine
-	// shard, stream lane, flow-table shard), so it is computed once here —
-	// on the caller's goroutine, off the single-threaded collector — and
-	// carried with the packet. Stateless packets on an unsharded gateway
-	// never need it, except to answer ShedNewFlows' flow-table probe.
+	// The tuple hash drives every pinning decision (engine shard, stream
+	// lane, flow-table shard), so it is computed once here, on the caller's
+	// goroutine, and carried with the packet. Stateless packets on an
+	// unsharded gateway never need it, except to answer ShedNewFlows'
+	// flow-table probe.
 	pol := g.cfg.OverloadPolicy
+	tcp := pkt.Tuple.Proto == ProtoTCP
 	var h uint64
-	if pkt.Tuple.Proto == ProtoTCP || len(g.shards) > 1 || pol == ShedNewFlows {
+	if tcp || len(g.shards) > 1 || pol == ShedNewFlows {
 		h = pkt.Tuple.Hash64()
 	}
 	p := seqPacket{tuple: pkt.Tuple, payload: pkt.Payload, seq: int(seq), hash: h, seq32: pkt.Seq, flags: pkt.Flags}
-	if pkt.Tuple.Proto == ProtoTCP && pkt.Flags&FlagSeq == 0 {
+	if tcp && pkt.Flags&FlagSeq == 0 {
 		// Claim any gap earlier sheds left for this flow, in admission
 		// order. One atomic load until something has actually been shed.
 		p.gap = g.takePendingGap(pkt.Tuple)
@@ -1104,33 +1107,53 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 		// already under inspection is never starved mid-stream. Only
 		// packets that would create state (unknown TCP tuples, stateless
 		// traffic) are sheddable, so overload cannot grow the flow table.
-		newFlow = pkt.Tuple.Proto != ProtoTCP || !g.table.Has(pkt.Tuple, h)
+		newFlow = !tcp || !g.table.Has(pkt.Tuple, h)
 	}
+	nshards := uint64(len(g.shards))
+	sh := g.shards[h%nshards]
+	q := sh.burstQ
+	var ls *laneState
+	if tcp {
+		// Dividing out the shard index decorrelates the lane choice from
+		// the shard choice when their counts share factors; with one shard
+		// it reduces to hash%lanes, the pre-sharding pinning.
+		lane := (h / nshards) % uint64(len(sh.streamQ))
+		q = sh.streamQ[lane]
+		// Watchdog: raise the lane's depth before the (possibly blocking)
+		// send, stamping progress on the empty→busy edge so a lane that
+		// never dequeues shows its true stall age.
+		ls = &sh.lanes[lane]
+		if ls.depth.Add(1) == 1 {
+			ls.lastProgress.Store(time.Now().UnixNano())
+		}
+	}
+	// inflight is raised across the send so a concurrent Flush cannot
+	// declare the pipeline drained while this packet may still slip in
+	// (TryIngest holds mu shared, Flush takes it exclusively).
+	g.inflight.Add(1)
 	if pol == Block || (pol == ShedNewFlows && !newFlow) {
-		g.inflight.Add(1)
-		g.in <- p
+		q <- p
 		return true, nil
 	}
-	// Shedding admission: try without waiting, then wait out the bounded
-	// deadline. inflight is raised across the attempt so a concurrent Flush
-	// cannot declare the pipeline drained while this packet may still slip
-	// in (TryIngest holds mu shared, Flush takes it exclusively).
-	g.inflight.Add(1)
+	// Shedding admission: try without waiting, then wait out the deadline.
 	select {
-	case g.in <- p:
+	case q <- p:
 		return true, nil
 	default:
 	}
 	if d := g.cfg.IngestDeadline; d > 0 {
 		t := time.NewTimer(d)
 		select {
-		case g.in <- p:
+		case q <- p:
 			t.Stop()
 			return true, nil
 		case <-t.C:
 		}
 	}
 	g.inflight.Add(-1)
+	if ls != nil {
+		ls.depth.Add(-1)
+	}
 	g.shed(p, newFlow)
 	return false, nil
 }
@@ -1193,8 +1216,9 @@ func (g *Gateway) Flush() {
 
 // drainLocked spins until every admitted packet has been scanned. The
 // caller holds g.mu exclusively, so no new packet can be admitted while it
-// waits; the collector keeps flushing partial bursts whenever the queue
-// goes idle, so inflight reaches zero without outside help.
+// waits; the lanes and burst scanners consume whatever is queued (a burst
+// scanner never waits for a burst to fill), so inflight reaches zero
+// without outside help.
 func (g *Gateway) drainLocked() {
 	for g.inflight.Load() != 0 {
 		time.Sleep(50 * time.Microsecond)
@@ -1265,7 +1289,7 @@ func (g *Gateway) SwapRules(m *Matcher) error {
 // folds the generation's per-shard engine counters into the gateway
 // baseline (ShardStats stays monotone across swaps), drops the generation
 // from the live list, and releases the engines and matcher to the
-// collector.
+// garbage collector.
 func (g *Gateway) maybeRetire(gen *gwGeneration) {
 	g.genMu.Lock()
 	defer g.genMu.Unlock()
@@ -1339,79 +1363,8 @@ func (g *Gateway) IngestReader(r io.Reader) (int, error) {
 	}
 }
 
-// collect is the routing stage: one goroutine drains the ingest queue,
-// sends TCP-like packets to their flow's lane on their hash-pinned engine
-// shard, and accumulates everything else into per-shard ScanPackets-sized
-// bursts. Partial bursts (every shard's) are flushed whenever the queue
-// goes idle, so batching trades no latency under light load.
-func (g *Gateway) collect() {
-	defer g.collectorWg.Done()
-	defer func() {
-		for _, sh := range g.shards {
-			close(sh.batchQ)
-			for _, q := range sh.streamQ {
-				close(q)
-			}
-		}
-	}()
-	nshards := uint64(len(g.shards))
-	flushAll := func() {
-		for _, sh := range g.shards {
-			g.flushBurst(sh)
-		}
-	}
-	route := func(p seqPacket) {
-		sh := g.shards[p.hash%nshards]
-		if p.tuple.Proto == ProtoTCP {
-			// Dividing out the shard index decorrelates the lane choice
-			// from the shard choice when their counts share factors; with
-			// one shard it reduces to hash%lanes, the pre-sharding pinning.
-			lane := (p.hash / nshards) % uint64(len(sh.streamQ))
-			// Watchdog: raise the lane's depth before the (possibly
-			// blocking) send, stamping progress on the empty→busy edge so
-			// a lane that never dequeues shows its true stall age.
-			if ls := &sh.lanes[lane]; ls.depth.Add(1) == 1 {
-				ls.lastProgress.Store(time.Now().UnixNano())
-			}
-			sh.streamQ[lane] <- p
-			return
-		}
-		sh.batch = append(sh.batch, p)
-		if len(sh.batch) >= g.cfg.BatchPackets {
-			g.flushBurst(sh)
-		}
-	}
-	for {
-		select {
-		case p, ok := <-g.in:
-			if !ok {
-				flushAll()
-				return
-			}
-			route(p)
-		default:
-			// Queue momentarily idle: don't sit on partial bursts.
-			flushAll()
-			p, ok := <-g.in
-			if !ok {
-				return
-			}
-			route(p)
-		}
-	}
-}
-
-// flushBurst hands a shard's partial burst to its burst scanner; only the
-// collector goroutine calls it.
-func (g *Gateway) flushBurst(sh *gwEngineShard) {
-	if len(sh.batch) > 0 {
-		sh.batchQ <- sh.batch
-		sh.batch = make([]seqPacket, 0, g.cfg.BatchPackets)
-	}
-}
-
 // streamWorker owns one per-flow lane: every packet of a given flow lands
-// on the same lane (hash-pinned by the collector), so writes into the
+// on the same lane (hash-pinned at admission), so writes into the
 // flow's scanner state are ordered without per-packet locking beyond the
 // flow table's entry lock. The lane's packet counter doubles as the
 // logical clock for reassembly gap timeouts. After every packet —
@@ -1433,16 +1386,10 @@ func (g *Gateway) streamWorker(shard int, ls *laneState, q <-chan seqPacket) {
 // chain so Flush cannot wedge on a packet that blew up.
 func (g *Gateway) streamPacket(shard int, p seqPacket) {
 	defer g.inflight.Add(-1)
-	if g.quarN.Load() != 0 && g.isQuarantined(p.tuple) {
-		// Straggler of a quarantined flow: never touches scanner state.
-		g.quarPackets.Add(1)
-		g.quarBytes.Add(uint64(len(p.payload)))
-		return
-	}
 	heldBefore := 0
 	defer func() {
-		if v := recover(); v != nil {
-			g.containPanic(shard, v)
+		if recover() != nil {
+			g.panics[shard].Add(1)
 			g.quarantineFlow(p, heldBefore)
 		}
 	}()
@@ -1459,20 +1406,8 @@ func (g *Gateway) streamPacket(shard int, p seqPacket) {
 	}
 }
 
-// containPanic records one recovered panic against its shard.
-func (g *Gateway) containPanic(shard int, _ any) {
-	g.panics[shard].Add(1)
-}
-
-func (g *Gateway) isQuarantined(t FiveTuple) bool {
-	g.quarMu.Lock()
-	_, ok := g.quarantined[t]
-	g.quarMu.Unlock()
-	return ok
-}
-
-// quarantineFlow evicts the flow whose packet just panicked and marks its
-// tuple so later packets are dropped at the lane. The byte ledger stays
+// quarantineFlow releases the flow whose packet just panicked and marks its
+// table entry so the flow discards later packets. The byte ledger stays
 // exact: the panicking packet's bytes were never committed (ingest commits
 // transactionally), so the quarantine bucket is charged the packet's
 // payload plus whatever buffered bytes the aborted delivery drained before
@@ -1487,13 +1422,6 @@ func (g *Gateway) isQuarantined(t FiveTuple) bool {
 // bytes in that window. The deterministic chaos soak runs without capacity
 // pressure, where the accounting is exact.
 func (g *Gateway) quarantineFlow(p seqPacket, heldBefore int) {
-	g.quarMu.Lock()
-	if g.quarantined == nil {
-		g.quarantined = make(map[FiveTuple]struct{})
-	}
-	g.quarantined[p.tuple] = struct{}{}
-	g.quarMu.Unlock()
-	g.quarN.Add(1)
 	g.quarFlows.Add(1)
 	g.quarPackets.Add(1)
 	heldNow := heldBefore
@@ -1506,7 +1434,6 @@ func (g *Gateway) quarantineFlow(p seqPacket, heldBefore int) {
 			heldNow = fl.heldBytes()
 			fl.quarantine()
 		})
-		g.table.Remove(p.tuple)
 	}()
 	if delta := len(p.payload) + heldBefore - heldNow; delta > 0 {
 		g.quarBytes.Add(uint64(delta))
@@ -1517,12 +1444,22 @@ func (g *Gateway) quarantineFlow(p seqPacket, heldBefore int) {
 // engine worker pool. The verdict stage runs per packet here (stateless
 // traffic has no flow to remember a decision on): drop/pass packets never
 // reach the engine, and matches on alert-admitted packets carry the rule
-// attribution. One results buffer is reused across bursts so steady-state
-// batch scanning does not allocate per burst.
-func (g *Gateway) burstScanner(shard int, sh *gwEngineShard) {
+// attribution.
+//
+// The scanner forms its own bursts: it blocks for the first queued packet,
+// then takes whatever else is already queued, up to BatchPackets (it is the
+// queue's only receiver, so len(q) packets are there to take) — a partial
+// burst is scanned the moment the queue goes idle. The burst buffer and the
+// scan's working set are reused, so steady-state scanning does not allocate.
+func (g *Gateway) burstScanner(shard int, q <-chan seqPacket) {
 	defer g.workerWg.Done()
 	var st burstState
-	for batch := range sh.batchQ {
+	batch := make([]seqPacket, 0, g.cfg.BatchPackets)
+	for p := range q {
+		batch = append(batch[:0], p)
+		for n := min(len(q), cap(batch)-1); n > 0; n-- {
+			batch = append(batch, <-q)
+		}
 		g.scanBurst(shard, batch, &st)
 	}
 }
@@ -1554,8 +1491,8 @@ func (g *Gateway) scanBurst(shard int, batch []seqPacket, st *burstState) {
 		total += uint64(len(p.payload))
 	}
 	defer func() {
-		if v := recover(); v != nil {
-			g.containPanic(shard, v)
+		if recover() != nil {
+			g.panics[shard].Add(1)
 			if total > committed {
 				g.quarBytes.Add(total - committed)
 				g.quarPackets.Add(1)
@@ -1607,9 +1544,9 @@ func (g *Gateway) scanBurst(shard int, batch []seqPacket, st *burstState) {
 	}
 }
 
-// Close drains the pipeline: it stops accepting packets, flushes any
-// partial burst, waits for the scan stages to finish, and returns all flow
-// state to the engine pool. Close is idempotent.
+// Close drains the pipeline: it stops accepting packets, waits for the
+// scan stages to finish what is queued, and returns all flow state to the
+// engine pool. Close is idempotent.
 func (g *Gateway) Close() error {
 	g.mu.Lock()
 	if g.closed {
@@ -1618,8 +1555,14 @@ func (g *Gateway) Close() error {
 	}
 	g.closed = true
 	g.mu.Unlock()
-	close(g.in)
-	g.collectorWg.Wait()
+	// closed was set under the exclusive lock, so no TryIngest — the only
+	// sender — is inside a channel operation and none can start one.
+	for _, sh := range g.shards {
+		close(sh.burstQ)
+		for _, q := range sh.streamQ {
+			close(q)
+		}
+	}
 	g.workerWg.Wait()
 	g.table.Close()
 	return nil
@@ -1717,8 +1660,9 @@ func (g *Gateway) panicsTotal() uint64 {
 }
 
 // LaneHealth is one stream lane's watchdog reading at the time of a Health
-// call: its queued-or-in-flight depth and how long ago it last completed a
-// packet (or, for a lane that never started, was first handed one).
+// call: its queued-or-in-flight depth (Ingest calls blocked on the full
+// lane included) and how long ago it last completed a packet (or, for a
+// lane that never started, was first handed one).
 type LaneHealth struct {
 	Shard   int           `json:"shard"`
 	Lane    int           `json:"lane"`

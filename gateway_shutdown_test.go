@@ -8,9 +8,11 @@ package dpi
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/traffic"
 )
@@ -140,5 +142,43 @@ func TestGatewayFlushIdempotent(t *testing.T) {
 	gw.Flush() // Flush after Close: still legal, still returns
 	if err := gw.Close(); err != nil {
 		t.Fatal("second Close errored:", err)
+	}
+}
+
+// TestGatewayStageCensus counts the pipeline's goroutines: one per stream
+// lane plus one burst scanner per engine shard and nothing else — no stage
+// between admission and the lanes — and all of them gone after Close, which
+// makes this the standing goroutine-leak check.
+func TestGatewayStageCensus(t *testing.T) {
+	m, _ := gatewayMatcher(t, 60, 1)
+	e := m.NewEngine(1)
+	// settled samples the goroutine count until it holds still (bounded),
+	// riding out goroutines — this gateway's after Close, an earlier test's
+	// before the baseline — that have signalled completion but not exited.
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200; i++ {
+			time.Sleep(5 * time.Millisecond)
+			next := runtime.NumGoroutine()
+			if next == n {
+				break
+			}
+			n = next
+		}
+		return n
+	}
+	base := settled()
+	gw := e.Gateway(GatewayConfig{EngineShards: 1, StreamWorkers: 3}, func(FlowMatch) {})
+	if got := runtime.NumGoroutine() - base; got != 3+1 {
+		t.Fatalf("gateway started %d goroutines, want StreamWorkers+1 = 4", got)
+	}
+	if err := gw.Ingest(GatewayPacket{Tuple: FiveTuple{Proto: ProtoTCP}, Payload: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := settled(); got != base {
+		t.Fatalf("%d goroutines after Close, %d before the gateway started", got, base)
 	}
 }

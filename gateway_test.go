@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ruleset"
@@ -573,6 +574,49 @@ func TestGatewayStreamLaneSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGatewayFullPathSteadyStateZeroAlloc measures the whole data plane,
+// goroutines included: admission, the lane hop, the flow-table touch and
+// the scanner write for a TCP segment; admission, burst forming and the
+// engine's batch scan for a UDP datagram; and the Flush barrier. Once the
+// flow exists and the working sets are warm, none of it allocates — there
+// is no per-burst buffer to make.
+func TestGatewayFullPathSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	rules := NewRuleset()
+	rules.MustAdd("sig", []byte("attack-signature"))
+	m, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := m.NewEngine(1).Gateway(GatewayConfig{}, func(FlowMatch) {})
+	defer gw.Close()
+
+	payload := bytes.Repeat([]byte("x"), 1200)
+	tcp := GatewayPacket{Payload: payload, Tuple: FiveTuple{
+		SrcIP: IPv4(10, 0, 0, 1), DstIP: IPv4(10, 0, 0, 2), SrcPort: 40000, DstPort: 443, Proto: ProtoTCP,
+	}}
+	udp := tcp
+	udp.Tuple.Proto = ProtoUDP
+	round := func() {
+		if err := gw.Ingest(tcp); err != nil {
+			t.Fatal(err)
+		}
+		if err := gw.Ingest(udp); err != nil {
+			t.Fatal(err)
+		}
+		gw.Flush()
+	}
+	round() // warm-up creates the flow and grows the burst scanner's working set
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("full path allocated %.1f times per TCP+UDP round in steady state", allocs)
+	}
+	if st := gw.Stats(); st.StreamPackets != 52 || st.BatchPackets != 52 || st.Matches != 0 {
+		t.Fatalf("rounds did not take both paths match-free: %+v", st)
+	}
+}
+
 // TestGatewayShardedStreamLaneZeroAlloc extends the steady-state
 // zero-alloc contract to the sharded gateway: with four engine shards, the
 // per-packet lane work — hash computed once, hash-pinned flow-table touch,
@@ -607,8 +651,8 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 		if !seen[s] {
 			seen[s] = true
 			tuples = append(tuples, tup)
-			// The flow's scanner state must come from the shard the
-			// collector routes its packets at.
+			// The flow's scanner state must come from the shard admission
+			// routes its packets to.
 			if got := gw.shardIndex(tup); got != int(s) {
 				t.Fatalf("shardIndex pinned tuple %v to shard %d, want %d", tup, got, s)
 			}
@@ -733,5 +777,72 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 	}
 	if busy < 2 {
 		t.Fatalf("stateless traffic landed on %d of 4 shards", busy)
+	}
+}
+
+// TestGatewayQuarantineHusk pins quarantine as flow-entry state: the
+// panicked flow's entry lingers as a husk that discards stragglers (counted,
+// ledger-exact) and that a SYN does not re-open; an RST removes it and idle
+// eviction reclaims it like any entry, after which the tuple is inspected
+// again.
+func TestGatewayQuarantineHusk(t *testing.T) {
+	rules := NewRuleset()
+	rules.MustAdd("p", []byte("needle"))
+	m, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	gw := m.NewEngine(1).Gateway(GatewayConfig{StreamWorkers: 1, IdleTimeout: 4}, func(FlowMatch) {
+		if armed.CompareAndSwap(true, false) {
+			panic("injected scan-path panic")
+		}
+	})
+	defer gw.Close()
+	victim := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: ProtoTCP}
+	step := func(flags TCPFlags, payload string) GatewayStats {
+		t.Helper()
+		if err := gw.Ingest(GatewayPacket{Tuple: victim, Flags: flags, Payload: []byte(payload)}); err != nil {
+			t.Fatal(err)
+		}
+		gw.Flush()
+		st := gw.Stats()
+		if l := st.Ledger(); !l.Balanced() {
+			t.Fatalf("ledger after %q: %+v", payload, l)
+		}
+		return st
+	}
+
+	armed.Store(true)
+	st := step(0, "a needle")
+	if st.Panics != 1 || st.QuarantinedFlows != 1 || st.QuarantinedPackets != 1 || st.QuarantinedBytes != 8 || st.FlowsLive != 1 {
+		t.Fatalf("quarantine should leave one husk: %+v", st)
+	}
+	step(0, "needle")
+	st = step(FlagSYN|FlagSeq, "needle")
+	if st.QuarantinedPackets != 3 || st.QuarantinedBytes != 20 || st.Matches != 1 {
+		t.Fatalf("husk must discard stragglers, SYN included, unscanned: %+v", st)
+	}
+	if st = step(FlagRST, ""); st.FlowsLive != 0 || st.FlowsReset != 0 {
+		t.Fatalf("RST must remove the husk (not count a reset connection): %+v", st)
+	}
+	if st = step(0, "needle"); st.Matches != 2 || st.QuarantinedPackets != 3 {
+		t.Fatalf("tuple not inspected again after its husk was removed: %+v", st)
+	}
+
+	armed.Store(true)
+	if st = step(0, "needle"); st.QuarantinedFlows != 2 {
+		t.Fatalf("second quarantine: %+v", st)
+	}
+	for i := 0; i < 8; i++ { // age the husk past IdleTimeout
+		other := FiveTuple{SrcIP: 7, DstIP: 8, SrcPort: uint16(i), DstPort: 2, Proto: ProtoTCP}
+		if err := gw.Ingest(GatewayPacket{Tuple: other, Payload: []byte("y")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gw.Flush()
+	gw.EvictIdleFlows()
+	if st = step(0, "needle"); st.Matches != 4 || st.QuarantinedPackets != 4 {
+		t.Fatalf("tuple not inspected again after its husk was evicted: %+v", st)
 	}
 }
