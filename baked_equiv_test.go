@@ -29,9 +29,21 @@ func fuzzRulesFrom(blob []byte) *Ruleset {
 	return rules
 }
 
+// forkFlow continues f's stream on a copy of its register value and returns
+// the copy; the original is then fed scrap (its matches discarded), so a
+// copy that shared anything with it would diverge from the oracle. This is
+// the "registers are plain data" property the gateway's flat flow record and
+// any walker that interleaves flows rely on.
+func forkFlow(f *Flow, scrap []byte) *Flow {
+	forked := &Flow{e: f.e, st: f.st.Clone(), emit: f.emit, open: true}
+	f.emit = func(Match) {}
+	f.Write(scrap)
+	return forked
+}
+
 // FuzzBakedEquivalence is the compiled-kernel contract under fuzz: for a
 // fuzz-chosen ruleset, payload and operation sequence (chunked writes,
-// mid-stream SkipGap, Reset), the baked Program path, the slice-walking
+// mid-stream SkipGap, Reset, fork), the baked Program path, the slice-walking
 // Machine.Next reference path and the uncompressed Aho-Corasick oracle
 // must produce identical match streams — same patterns, same absolute
 // offsets, same order. The first op byte also varies the compile shape
@@ -44,6 +56,10 @@ func FuzzBakedEquivalence(f *testing.F) {
 	f.Add([]byte{4, 0x00, 0xff, 0x00, 0xff}, []byte{0x00, 0xff, 0x00, 0xff, 0x00},
 		[]byte{0x83, 0x04})
 	f.Add([]byte{3, 'a', 'b', 'c'}, []byte("abcabcabc"), []byte{})
+	// Forks mid-pattern and right after a gap skip; then over two group
+	// machines, where the copy must take the second machine's registers too.
+	f.Add([]byte{3, 'a', 'b', 'c'}, []byte("ababcabcab"), []byte{0x12, 0x04, 0x12, 0x09, 0x04, 0x2a})
+	f.Add([]byte{3, 'a', 'b', 'c', 3, 'b', 'c', 'd'}, []byte("abcdab"), []byte{0x56, 0x04, 0x56})
 	f.Fuzz(func(t *testing.T, patBlob, payload, ops []byte) {
 		rules := fuzzRulesFrom(patBlob)
 		if rules == nil {
@@ -88,8 +104,6 @@ func FuzzBakedEquivalence(f *testing.F) {
 		var bOut, rOut []Match
 		bf := baked.NewEngine(1).Flow(func(m Match) { bOut = append(bOut, m) })
 		rf := ref.NewEngine(1).Flow(func(m Match) { rOut = append(rOut, m) })
-		defer bf.Close()
-		defer rf.Close()
 
 		var seg []byte // contiguous bytes both flows have seen since the last gap
 		segStart := 0  // flow position where the segment began
@@ -143,6 +157,8 @@ func FuzzBakedEquivalence(f *testing.F) {
 				bf.SkipGap(n)
 				rf.SkipGap(n)
 				seg, segStart, segMark = seg[:0], bf.Consumed(), len(bOut)
+			case 4: // fork: both streams continue on copies of their registers
+				bf, rf = forkFlow(bf, payload), forkFlow(rf, patBlob)
 			default: // write a chunk of the payload (cycling, possibly empty)
 				n := int(op >> 2)
 				if len(payload) == 0 {

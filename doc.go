@@ -80,11 +80,14 @@
 //     byte is scanned — pass exempts, drop discards unscanned, alert tags
 //     every match with the admitting rule — with the decision reported
 //     through OnVerdict before any match from that flow. Flow state is
-//     pooled and bounded: least-recently-active flows are evicted at the
-//     MaxFlows cap and after IdleTimeout logical ticks (time measured in
-//     packets), a FIN returns scanner state to the pool immediately (the
-//     entry lingers to absorb stragglers), an RST tears the flow down, and
-//     an evicted-then-recreated flow always starts from clean state.
+//     flat and bounded: a connection is one record holding its scanner
+//     registers, reassembly cursor and verdict by value behind its table
+//     entry; least-recently-active flows are evicted at the MaxFlows cap
+//     and after IdleTimeout logical ticks (time measured in packets), a
+//     FIN releases the flow's buffers and ruleset pin immediately (the
+//     record lingers as a husk to absorb stragglers, and a SYN re-opens it
+//     in place), an RST tears the flow down, and an evicted-then-recreated
+//     flow always starts from clean state.
 //     Rulesets hot-reload without a restart: Gateway.SwapRules installs
 //     a newly compiled Matcher atomically behind the ingest drain
 //     barrier — new flows and stateless bursts scan with the new

@@ -3,6 +3,7 @@ package dpi
 import (
 	"fmt"
 
+	"repro/internal/ac"
 	"repro/internal/engine"
 )
 
@@ -11,8 +12,9 @@ import (
 // engines per string matching block and multiple blocks per device all
 // read the same block memory (§IV.B). Here every worker and every flow
 // shares the Matcher's immutable automaton and carries only its own
-// scanner registers (current state plus 2-byte history), so concurrency
-// costs per-lane state, never per-lane automata.
+// scanner registers (current state plus 2-byte history) as plain data —
+// a few dozen bytes a flow record holds by value — so concurrency costs
+// per-lane registers, never per-lane automata, objects or buffers.
 //
 // An Engine is safe for concurrent use: ScanPackets may be called from
 // many goroutines at once and flows may be opened and written
@@ -47,8 +49,8 @@ func (e *Engine) Matcher() *Matcher { return e.m }
 func (e *Engine) Backend() string { return e.eng.Backend() }
 
 // Generation reports the compile generation of the matcher this engine
-// scans with (Matcher.Generation) — every scanner the engine checks out
-// carries the same tag.
+// scans with (Matcher.Generation) — every flow the engine opens is stamped
+// with it.
 func (e *Engine) Generation() uint64 { return e.m.Generation() }
 
 // EngineStats is a point-in-time snapshot of one engine's work, split by
@@ -59,7 +61,7 @@ type EngineStats struct {
 	Batches     uint64 // ScanPackets batches handed to the worker pool
 	BatchPkts   uint64 // payloads scanned across those batches
 	BatchBytes  uint64 // payload bytes scanned in batch mode
-	FlowsOpened uint64 // Flow checkouts from the scanner-state pool
+	FlowsOpened uint64 // flows opened, once per connection (a gateway's SYN re-open included)
 	StreamBytes uint64 // bytes written through flows
 	Panics      uint64 // panics recovered inside batch workers (gateway containment)
 }
@@ -110,14 +112,17 @@ func (e *Engine) ScanPackets(payloads [][]byte) []Match {
 }
 
 // Flow is a streaming scan bound to one concurrent stream: it has the
-// Stream API (io.Writer, Reset, Consumed) but checks its scanner state out
-// of the engine's shared pool, so opening and closing flows at connection
-// rate does not allocate in steady state. Close must be called when the
+// Stream API (io.Writer, Reset, Consumed) and counts its work in the
+// engine's Stats. A Flow is one allocation — the scanner registers live in
+// the handle itself — so opening and closing flows at connection rate costs
+// the allocator one object per connection. Close must be called when the
 // flow ends; a Flow is not safe for concurrent use.
 type Flow struct {
 	e    *Engine
-	f    *engine.Flow
+	st   engine.FlowState
+	buf  []ac.Match // per-chunk match buffer, reused across Writes
 	emit func(Match)
+	open bool
 }
 
 // Flow opens a new per-flow scan that calls emit for every match. Matches
@@ -125,7 +130,9 @@ type Flow struct {
 // offsets relative to the start of the flow; as with Stream, the emission
 // sequence across Writes equals FindAll of the concatenated stream.
 func (e *Engine) Flow(emit func(Match)) *Flow {
-	return &Flow{e: e, f: e.eng.Flow(), emit: emit}
+	f := &Flow{e: e, emit: emit, open: true}
+	e.eng.Open(&f.st)
+	return f
 }
 
 // Write consumes the next chunk of the flow's payload. It implements
@@ -140,12 +147,13 @@ func (f *Flow) Write(p []byte) (int, error) {
 // lies in p are emitted with PacketID set to packetID. A demultiplexer
 // feeding reassembled segments through per-flow state uses this to report
 // which ingested packet completed a (possibly cross-packet) match, while
-// Start/End stay flow-relative; the Gateway's stream path is built on it.
+// Start/End stay flow-relative.
 func (f *Flow) WritePacket(p []byte, packetID int) (int, error) {
-	if f.f == nil {
+	if !f.open {
 		return 0, fmt.Errorf("dpi: write to closed Flow")
 	}
-	for _, am := range f.f.Write(p) {
+	f.buf = f.e.eng.Write(&f.st, p, ac.RecycleMatches(f.buf))
+	for _, am := range f.buf {
 		f.emit(f.e.m.convert(am, packetID))
 	}
 	return len(p), nil
@@ -154,58 +162,49 @@ func (f *Flow) WritePacket(p []byte, packetID int) (int, error) {
 // Reset rewinds the flow to start-of-packet: automaton states and the
 // 2-byte histories are cleared, and offsets restart at zero.
 func (f *Flow) Reset() {
-	if f.f != nil {
-		f.f.Reset()
+	if f.open {
+		f.st.Reset()
 	}
 }
 
 // SkipGap advances the flow position by n bytes that were never seen (a
 // TCP reassembly gap skipped on loss): scanner registers are invalidated —
 // a match cannot span unseen bytes — but offsets of later matches remain
-// absolute in the flow's true byte stream. The Gateway calls this when a
-// flow's gap timeout expires.
+// absolute in the flow's true byte stream. The Gateway does the same to a
+// flow whose gap timeout expires.
 func (f *Flow) SkipGap(n int) {
-	if f.f != nil && n > 0 {
-		f.f.SkipGap(n)
+	if f.open {
+		f.st.SkipGap(n)
 	}
 }
 
 // Consumed returns the bytes scanned since the flow was opened or Reset.
 func (f *Flow) Consumed() int {
-	if f.f == nil {
+	if !f.open {
 		return 0
 	}
-	return f.f.Consumed()
+	return f.st.Consumed()
 }
 
 // Generation reports the compile generation of the scanner state backing
 // this flow (zero once closed or discarded). It always equals the
 // generation of the matcher whose engine opened the flow — the hot-reload
-// oracle audits exactly that.
+// oracle audits exactly that tag on the gateway's flow records.
 func (f *Flow) Generation() uint64 {
-	if f.f == nil {
+	if !f.open {
 		return 0
 	}
-	return f.f.Generation()
+	return f.st.Generation()
 }
 
-// Discard drops the flow's scanner state without returning it to the pool,
-// then closes the flow. The Gateway's panic containment uses it for a flow
-// whose scan panicked: the scanner registers may be mid-update, and
-// repooling them would hand corrupt state to an unrelated future flow.
-func (f *Flow) Discard() {
-	if f.f != nil {
-		f.f.Discard()
-		f.f = nil
-	}
-}
+// Discard is Close for a flow the caller no longer trusts — one whose scan
+// panicked, say. It spells the intent to quarantine; it does nothing Close
+// does not, because a flow's registers are its own and no later flow ever
+// inherits them.
+func (f *Flow) Discard() { f.open = false }
 
-// Close returns the flow's scanner state to the engine pool. Closing twice
-// is a no-op.
+// Close ends the flow. Closing twice is a no-op.
 func (f *Flow) Close() error {
-	if f.f != nil {
-		f.f.Close()
-		f.f = nil
-	}
+	f.open = false
 	return nil
 }

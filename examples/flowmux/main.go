@@ -1,8 +1,8 @@
 // Flowmux: scan many concurrent flows and a packet batch with one shared
 // engine — the software analogue of the paper's 6-engines-per-block
 // parallelism. Every goroutine shares one compiled automaton; each flow
-// carries only its own scanner registers (state + 2-byte history), checked
-// out of the engine's pool.
+// carries only its own scanner registers (state + 2-byte history), held by
+// value in its handle.
 //
 //	go run ./examples/flowmux
 package main

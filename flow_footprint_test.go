@@ -1,0 +1,285 @@
+package dpi
+
+import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"unsafe"
+
+	"repro/internal/core"
+)
+
+// flowHeapCeiling is what one live TCP flow may cost the heap, everything
+// counted: flow-table entry, map slot and the flow record (273 B measured),
+// with headroom for the map's growth phase. OPERATIONS.md's "Sizing memory"
+// runbook quotes the measured figure; this is the gate.
+const flowHeapCeiling = 320
+
+// liveHeap is the heap in use after the collector has settled: twice,
+// because a finalizer or pool emptied by the first cycle frees on the second.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// footprintTuple is the i-th of a family of distinct TCP tuples.
+func footprintTuple(i int) FiveTuple {
+	return FiveTuple{
+		SrcIP: IPv4(10, 1, 0, 0) + uint32(i), DstIP: IPv4(10, 2, 0, 1),
+		SrcPort: uint16(1024 + i%50000), DstPort: 443, Proto: ProtoTCP,
+	}
+}
+
+// heapPerFlow opens n sequenced TCP flows on a fresh two-lane gateway over
+// m, writes payload to each once, leaves them established and idle, and
+// returns the settled heap they hold per flow. The payload is shared and
+// allocated by the caller, so only the sensor's own state is measured.
+func heapPerFlow(t *testing.T, m *Matcher, n int, payload []byte) float64 {
+	t.Helper()
+	var matches atomic.Uint64
+	gw, err := NewGateway(m, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) { matches.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	before := liveHeap()
+	for i := 0; i < n; i++ {
+		tup := footprintTuple(i)
+		for _, p := range []GatewayPacket{
+			{Tuple: tup, Seq: 1000, Flags: FlagSeq | FlagSYN},
+			{Tuple: tup, Seq: 1001, Flags: FlagSeq, Payload: payload},
+		} {
+			if err := gw.Ingest(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	gw.Flush()
+	after := liveHeap()
+	st := gw.Stats()
+	if st.FlowsLive != n || st.ScannedBytes != uint64(n*len(payload)) || !st.Ledger().Balanced() {
+		t.Fatalf("flows not established as driven: %+v", st)
+	}
+	t.Logf("%d flows, %d matches: %.0f B of heap per flow", n, matches.Load(), float64(after-before)/float64(n))
+	return (float64(after) - float64(before)) / float64(n)
+}
+
+// assertPointerFree fails when a value of type ty could reference the heap.
+func assertPointerFree(t *testing.T, ty reflect.Type, path string) {
+	t.Helper()
+	switch ty.Kind() {
+	case reflect.Struct:
+		for i := 0; i < ty.NumField(); i++ {
+			assertPointerFree(t, ty.Field(i).Type, path+"."+ty.Field(i).Name)
+		}
+	case reflect.Array:
+		assertPointerFree(t, ty.Elem(), path+"[]")
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.String, reflect.UnsafePointer:
+		t.Errorf("%s is a %s: registers must be plain data", path, ty.Kind())
+	}
+}
+
+// TestFlowRecordFootprint pins the per-connection layout: the scanner
+// registers are a small pointer-free value, the gateway's flow record holds
+// them, the reassembly cursor and the verdict inline, and an established
+// flow through a real gateway costs the heap its table entry and that one
+// record — nothing chained behind it.
+func TestFlowRecordFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(core.Regs{}); size > 48 {
+		t.Errorf("core.Regs is %d B, want <= 48", size)
+	}
+	assertPointerFree(t, reflect.TypeOf(core.Regs{}), "core.Regs")
+	if size := unsafe.Sizeof(gwFlow{}); size > 192 {
+		t.Errorf("gwFlow is %d B, want <= 192", size)
+	}
+	t.Logf("core.Regs %d B, gwFlow %d B", unsafe.Sizeof(core.Regs{}), unsafe.Sizeof(gwFlow{}))
+
+	if raceEnabled {
+		t.Skip("heap growth is not the product's under -race")
+	}
+	m, _ := gatewayMatcher(t, 200, 1)
+	payload := bytes.Repeat([]byte("x"), 64)
+	if per := heapPerFlow(t, m, 4096, payload); per > flowHeapCeiling {
+		t.Fatalf("an established flow holds %.0f B of heap, want <= %d", per, flowHeapCeiling)
+	}
+}
+
+// TestGatewayMatchDenseFlowsHoldNoBuffers: a segment that matches at every
+// byte grows whatever buffer its matches are gathered in to 16 B × segment
+// length. Gathered per flow, every tuple that ever carried such a segment
+// would pin that much for the life of its connection; gathered per lane it
+// is two buffers however many flows there are, so idle flows stay under the
+// same ceiling as clean ones.
+func TestGatewayMatchDenseFlowsHoldNoBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap growth is not the product's under -race")
+	}
+	rules := NewRuleset()
+	rules.MustAdd("every-byte", []byte("a"))
+	m, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("a"), 512)
+	if per := heapPerFlow(t, m, 2048, payload); per > flowHeapCeiling {
+		t.Fatalf("a flow that once carried an all-match segment holds %.0f B of heap idle, want <= %d",
+			per, flowHeapCeiling)
+	}
+}
+
+// TestGatewayConnectionCycleAllocs: a connection re-opened by SYN on the
+// husk its predecessor left — the steady state of a busy port pair — runs
+// SYN → data → FIN without allocating: the registers and the reassembly
+// cursor are reset where they sit. A tuple never seen before pays for its
+// table entry and its record, plus the table map's growth amortised over
+// the connections that caused it (AllocsPerRun reports whole allocations
+// per run, so a fraction below one rounds away).
+func TestGatewayConnectionCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	rules := NewRuleset()
+	rules.MustAdd("sig", []byte("attack-signature"))
+	m, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var matches atomic.Uint64
+	gw, err := NewGateway(m, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) { matches.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	payload := append(bytes.Repeat([]byte("x"), 600), "attack-signature"...)
+	connection := func(tup FiveTuple) {
+		for _, p := range []GatewayPacket{
+			{Tuple: tup, Seq: 7000, Flags: FlagSeq | FlagSYN},
+			{Tuple: tup, Seq: 7001, Flags: FlagSeq, Payload: payload},
+			{Tuple: tup, Seq: 7001 + uint32(len(payload)), Flags: FlagSeq | FlagFIN},
+		} {
+			if err := gw.Ingest(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gw.Flush()
+	}
+
+	husk := footprintTuple(0)
+	connection(husk) // the first connection leaves the husk and warms the lane's scratch
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, func() { connection(husk) }); allocs != 0 {
+		t.Errorf("a connection re-opened on its husk allocated %.0f times", allocs)
+	}
+
+	next := 1
+	fresh := testing.AllocsPerRun(runs, func() {
+		connection(footprintTuple(next))
+		next++
+	})
+	if fresh > 2 {
+		t.Errorf("a never-seen tuple's whole connection allocated %.0f times, want table entry + record", fresh)
+	}
+
+	st := gw.Stats()
+	conns := uint64(2*(runs+1) + 1)
+	if st.FlowsFinished != conns || st.Matches != conns || matches.Load() != conns || !st.Ledger().Balanced() {
+		t.Fatalf("%d connections driven, gateway saw: %+v", conns, st)
+	}
+}
+
+// TestGatewaySynReopenRacesEviction: a SYN re-opens a husk by resetting the
+// live record in place, under its entry lock, while capacity and idle
+// eviction release records from every other goroutine and an audit sweep
+// reads them. Each feeder cycles whole connections over its own tuples
+// through a table far too small for them; whatever was evicted when, every
+// connection's signature is found exactly once, the ledger balances, and
+// every record caught mid-connection carries its pinned generation's tag.
+// Run with -race.
+func TestGatewaySynReopenRacesEviction(t *testing.T) {
+	rules := NewRuleset()
+	rules.MustAdd("sig", []byte("needle"))
+	m, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var matches atomic.Uint64
+	gw := m.NewEngine(2).Gateway(GatewayConfig{
+		EngineShards: 2, StreamWorkers: 2, QueueDepth: 8,
+		MaxFlows: 6, FlowShards: 2, IdleTimeout: 16,
+	}, func(FlowMatch) { matches.Add(1) })
+
+	const feeders, tuplesEach, cycles = 4, 6, 60
+	var wg sync.WaitGroup
+	for f := 0; f < feeders; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			for c := 0; c < cycles; c++ {
+				for i := 0; i < tuplesEach; i++ {
+					tup := footprintTuple(f*tuplesEach + i)
+					seq := uint32(c * 1000)
+					for _, p := range []GatewayPacket{
+						{Tuple: tup, Seq: seq, Flags: FlagSeq | FlagSYN},
+						{Tuple: tup, Seq: seq + 1, Flags: FlagSeq, Payload: []byte("..needle..")},
+						{Tuple: tup, Seq: seq + 11, Flags: FlagSeq | FlagFIN},
+					} {
+						if err := gw.Ingest(p); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}
+		}(f)
+	}
+	stop := make(chan struct{})
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			gw.EvictIdleFlows()
+			gw.table.Range(func(k FiveTuple, fl *gwFlow) {
+				if fl.gen != nil && fl.st.Generation() != fl.gen.id {
+					t.Errorf("flow %v registers tagged generation %d, pinned to %d", k, fl.st.Generation(), fl.gen.id)
+				}
+			})
+			gw.Stats()
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-swept
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := gw.Stats()
+	const conns = feeders * tuplesEach * cycles
+	if got := matches.Load(); got != conns || st.Matches != conns {
+		t.Fatalf("%d connections, %d signatures found (stats %d)", conns, got, st.Matches)
+	}
+	if !st.Ledger().Balanced() || st.Panics != 0 {
+		t.Fatalf("ledger %+v, stats %+v", st.Ledger(), st)
+	}
+	if st.FlowsEvicted == 0 {
+		t.Fatal("no flow was evicted; the table was not under pressure")
+	}
+	var opened uint64
+	for _, ss := range gw.ShardStats() {
+		opened += ss.FlowsOpened
+	}
+	if opened < conns {
+		t.Fatalf("engines opened %d flows for %d connections", opened, conns)
+	}
+}

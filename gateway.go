@@ -16,11 +16,11 @@ package dpi
 // reaches its throughput by instantiating many identical string matching
 // blocks and fanning partitioned traffic across them (§IV.B), and
 // GatewayConfig.EngineShards is the software analogue — M independent
-// Engines (each with its own worker pool, scanner-state pool, stream lanes
-// and burst scanner) over the one immutable compiled automaton, with every
-// flow and stateless packet pinned to a shard by the same tuple hash that
-// pins lanes and flow-table shards. Sharding is invisible in results and
-// accounting; ShardStats exposes the per-replica fan-out.
+// Engines (each with its own worker pool, stream lanes and burst scanner)
+// over the one immutable compiled automaton, with every flow and stateless
+// packet pinned to a shard by the same tuple hash that pins lanes and
+// flow-table shards. Sharding is invisible in results and accounting;
+// ShardStats exposes the per-replica fan-out.
 //
 // Two stages sit between a lane and the scanner, completing the NIDS model:
 //
@@ -64,6 +64,7 @@ import (
 	"time"
 
 	"repro/internal/ac"
+	"repro/internal/engine"
 	"repro/internal/flowtable"
 	"repro/internal/nids"
 	"repro/internal/reassembly"
@@ -249,13 +250,13 @@ type GatewayConfig struct {
 	// pins every flow (and every stateless packet) to a shard by tuple
 	// hash — the software analogue of the paper's replicated string
 	// matching blocks fed by partitioned traffic. Each shard owns its own
-	// worker pool, scanner-state pool, per-flow stream lanes and burst
-	// scanner, so shards share nothing hot; on a NUMA machine run one
-	// shard per node. All ordering and accounting guarantees are
-	// per-gateway, unchanged: per-flow packet order holds because a flow's
-	// shard and lane are both functions of its tuple hash, nothing is
-	// dropped, and Flush drains every shard. Default 1 (a single engine —
-	// exactly the pre-sharding gateway).
+	// worker pool, per-flow stream lanes and burst scanner, so shards
+	// share nothing hot; on a NUMA machine run one shard per node. All
+	// ordering and accounting guarantees are per-gateway, unchanged:
+	// per-flow packet order holds because a flow's shard and lane are both
+	// functions of its tuple hash, nothing is dropped, and Flush drains
+	// every shard. Default 1 (a single engine — exactly the pre-sharding
+	// gateway).
 	EngineShards int
 	// BatchPackets is the burst size for stateless (non-TCP) packets: the
 	// burst scanner takes up to this many queued packets per scan by its
@@ -273,9 +274,10 @@ type GatewayConfig struct {
 	// Engine.Workers().
 	StreamWorkers int
 	// MaxFlows softly caps live flow state: when exceeded, the
-	// least-recently-active flows are evicted and their scanner state
-	// returns to the engine pool. The live count stays within MaxFlows
-	// plus the table's shard count. Default 65536; negative disables.
+	// least-recently-active flows are evicted, records and all. The live
+	// count stays within MaxFlows plus the table's shard count; what a
+	// flow costs is in OPERATIONS.md ("Sizing memory"). Default 65536;
+	// negative disables.
 	MaxFlows int
 	// IdleTimeout evicts a flow after this many table-wide stream packets
 	// pass without it seeing one (a logical clock, deterministic and
@@ -422,7 +424,7 @@ type GatewayStats struct {
 	FlowsLive     int
 	FlowsCreated  uint64
 	FlowsEvicted  uint64 // capacity + idle evictions + RST teardowns
-	FlowsFinished uint64 // completed via FIN (scanner state released early)
+	FlowsFinished uint64 // completed via FIN (generation pin and buffers released early)
 	FlowsReset    uint64 // torn down by RST
 
 	// Ruleset generations (hot reload; see Gateway.SwapRules).
@@ -485,7 +487,7 @@ func (l GatewayLedger) Balanced() bool {
 // pipeline. Ingest and IngestReader may be called from multiple
 // goroutines; emit and OnVerdict are invoked concurrently (from the stream
 // lanes and the burst scanners) and must be safe for concurrent use. Close
-// drains the pipeline and returns all flow state to the engine pools.
+// drains the pipeline and evicts every flow.
 type Gateway struct {
 	cfg  GatewayConfig
 	emit func(FlowMatch)
@@ -493,7 +495,7 @@ type Gateway struct {
 	shards []*gwEngineShard
 	table  *flowtable.Table[*gwFlow]
 	budget *reassembly.Budget
-	asmCfg reassembly.Config
+	asmCfg reassembly.Config // shared by every flow's reassembly stream, by pointer
 
 	mu     sync.RWMutex // guards closed vs in-flight Ingest sends; Flush, SwapRules and Close hold it exclusively
 	closed bool
@@ -593,9 +595,9 @@ type seqPacket struct {
 
 // gwEngineShard is one scan replica's queues: hash-pinned per-flow stream
 // lanes and the burst scanner's. The scan engines themselves live on the
-// generations (one Engine per (shard, generation), so scanner pools never
-// mix automatons); a shard's lanes look up the engine through the flow's
-// pinned generation, and its burst scanner through the current one.
+// generations (one Engine per (shard, generation)); a shard's lanes look
+// up the engine through the flow's pinned generation, and its burst
+// scanner through the current one.
 type gwEngineShard struct {
 	streamQ []chan seqPacket
 	burstQ  chan seqPacket
@@ -603,12 +605,11 @@ type gwEngineShard struct {
 }
 
 // gwGeneration is one installed ruleset generation: the compiled matcher,
-// one engine per shard (each with its own worker pool and per-(shard,
-// generation) scanner pool over that matcher's automaton), and the live
-// refcount of flows pinned to it. A generation retires — engines and
-// matcher released, counters folded into the gateway's retired baseline —
-// when it is no longer current and its last pinned flow ends; the current
-// generation never retires.
+// one engine per shard (each with its own worker pool and work counters
+// over that matcher's automaton), and the live refcount of flows pinned to
+// it. A generation retires — engines and matcher released, counters folded
+// into the gateway's retired baseline — when it is no longer current and
+// its last pinned flow ends; the current generation never retires.
 type gwGeneration struct {
 	id      uint64 // Matcher.Generation of m
 	m       *Matcher
@@ -670,14 +671,15 @@ func (e *Engine) Gateway(cfg GatewayConfig, emit func(FlowMatch)) *Gateway {
 	}
 	g.table = flowtable.New(flowtable.Config[*gwFlow]{
 		New: func(k flowtable.Key) *gwFlow {
-			fl := &gwFlow{g: g, tuple: k, shard: g.shardIndex(k)}
-			fl.verdict, fl.ruleIdx = g.classify(k)
-			if fl.verdict == VerdictNone || fl.verdict == VerdictAlert {
-				fl.open()
+			fl := &gwFlow{}
+			v, idx := g.classify(k)
+			fl.verdict, fl.ruleIdx = v, int32(idx)
+			if v == VerdictNone || v == VerdictAlert {
+				fl.open(g, g.shardIndex(k))
 			}
 			return fl
 		},
-		Evict:     func(_ flowtable.Key, fl *gwFlow) { fl.close() },
+		Evict:     func(_ flowtable.Key, fl *gwFlow) { fl.release(g) },
 		MaxFlows:  cfg.MaxFlows,
 		IdleTicks: uint64(cfg.IdleTimeout),
 		Shards:    cfg.FlowShards,
@@ -721,7 +723,7 @@ func (e *Engine) Gateway(cfg GatewayConfig, emit func(FlowMatch)) *Gateway {
 			q := make(chan seqPacket, cfg.QueueDepth/cfg.StreamWorkers+1)
 			sh.streamQ[w] = q
 			g.workerWg.Add(1)
-			go g.streamWorker(shard, &sh.lanes[w], q)
+			go g.streamWorker(&gwLane{g: g, shard: shard, ls: &sh.lanes[w]}, q)
 		}
 		g.workerWg.Add(1)
 		go g.burstScanner(shard, sh.burstQ)
@@ -745,8 +747,8 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 }
 
 // shardIndex returns the engine shard owning key — the same hash-derived
-// pinning admission routes by, so a flow's scanner state always comes
-// from (and returns to) the pool of the shard whose lane scans it.
+// pinning admission routes by, so a flow is opened on (and counted by) the
+// engine of the shard whose lane scans it.
 func (g *Gateway) shardIndex(k FiveTuple) int {
 	if len(g.shards) == 1 {
 		return 0
@@ -789,91 +791,120 @@ func (g *Gateway) notifyVerdict(t FiveTuple, v Verdict, idx int) {
 	}
 }
 
-// gwFlow is one connection's gateway-side state: the verdict decided from
-// its first packet, the reassembly stream (created on the first FlagSeq
-// segment), and the engine flow holding its scanner registers. All methods
-// run under the flow-table entry lock, so a gwFlow is effectively
+// gwFlow is one connection's whole gateway-side state in one flat record:
+// the scanner registers, the reassembly stream and the verdict, all by
+// value. An established flow is this record plus its flow-table entry and
+// nothing else — no scanner object, no closure, no match buffer: the lane
+// that owns the flow's packets scans into its own scratch (gwLane.matches)
+// and emits with the record's fields. What identifies the flow — its tuple,
+// its shard, its gateway — is not repeated here; the lane passes it in. All
+// methods run under the flow-table entry lock, so a gwFlow is effectively
 // single-goroutine.
 type gwFlow struct {
-	g     *Gateway
-	shard int // engine shard owning this flow, from the tuple hash
 	// gen is the ruleset generation this flow is pinned to, taken at open
 	// and held until the flow boundary (FIN/RST/eviction/quarantine/
 	// close): every byte of the connection scans against one automaton,
-	// whatever reloads happen mid-flow. nil when unpinned (drop/pass
-	// verdict flows, or after release). A FIN husk holds no pin — it owns
-	// no scanner state — and a SYN re-open pins the then-current
+	// whatever reloads happen mid-flow. Non-nil exactly while the record
+	// holds a live connection's registers; nil when unpinned (drop/pass
+	// verdict flows, husks). A SYN re-open pins the then-current
 	// generation, because it is a new connection.
-	gen      *gwGeneration
-	tuple    FiveTuple
-	f        *Flow
-	asm      *reassembly.Stream
-	verdict  Verdict
-	ruleIdx  int // index into cfg.Rules; -1 when no rule matched
+	gen *gwGeneration
+	// st is the connection's scanner registers, stamped at open with the
+	// generation of the engine that reset them — the tag the hot-reload
+	// audit checks against gen. Meaningful only while gen is non-nil.
+	st engine.FlowState
+	// asm reorders FlagSeq segments; initialized at open, so a record that
+	// was never opened holds the zero Stream.
+	asm     reassembly.Stream
+	ruleIdx int32 // index into cfg.Rules; -1 when no rule matched
+	verdict Verdict
+	// notified: the connection's verdict event has been reported.
 	notified bool
 	// done marks a connection completed by FIN. The entry lingers as a
 	// husk (TIME_WAIT, in spirit) so straggling retransmissions are
 	// recognized and discarded instead of respawning the flow; a SYN
-	// re-opens it as a new connection. An RST, by contrast, removes the
-	// entry from the table immediately — a post-RST straggler therefore
-	// starts a fresh flow (midstream pickup), like any unseen tuple.
+	// re-opens it, in place, as a new connection. An RST, by contrast,
+	// removes the entry from the table immediately — a post-RST straggler
+	// therefore starts a fresh flow (midstream pickup), like any unseen
+	// tuple.
 	done bool
 	// quarantined marks a flow whose scan panicked. The entry lingers as a
 	// husk like done's, discarding stragglers (counted) without touching
-	// scanner state, but a SYN does not re-open it: the tuple is inspected
+	// its registers, but a SYN does not re-open it: the tuple is inspected
 	// again only after the husk is evicted or an RST removes it.
 	quarantined bool
 }
 
-// open pins the flow to the current ruleset generation and checks scanner
-// state out of that generation's engine pool for this flow's shard,
-// binding the match emission path with the flow's verdict attribution.
-// open only runs while the packet creating (or SYN-reopening) the flow is
-// in flight, so cur cannot move underneath it — see gwGeneration.flows.
-func (fl *gwFlow) open() {
-	v, rid, idx := VerdictNone, -1, fl.ruleIdx
-	if idx >= 0 {
-		v = VerdictAlert
-		rid = fl.g.cfg.Rules[idx].ID
-	}
-	g := fl.g
+// gwLane is one stream lane's goroutine-owned working set. Every packet of
+// a flow lands on the same lane, so the lane — not the flow — owns what a
+// scan needs only while it runs.
+type gwLane struct {
+	g     *Gateway
+	shard int
+	ls    *laneState
+	// matches is the scratch every flow on this lane scans into. It keeps
+	// the capacity of the lane's most match-dense segment, so the memory
+	// match buffers pin is bounded by lanes × worst segment, never by flows.
+	matches []ac.Match
+}
+
+// open starts a connection on the record: it pins the current ruleset
+// generation, resets the scanner registers through that generation's
+// engine for the flow's shard (which counts the connection and stamps the
+// registers with its generation), and empties the reassembly stream. On a
+// husk this re-opens in place — nothing is allocated. open only runs while
+// the packet creating (or SYN-reopening) the flow is in flight, so cur
+// cannot move underneath it — see gwGeneration.flows.
+func (fl *gwFlow) open(g *Gateway, shard int) {
 	gen := g.cur.Load()
 	gen.flows.Add(1)
 	fl.gen = gen
-	fl.f = gen.engines[fl.shard].Flow(func(m Match) {
+	gen.engines[shard].eng.Open(&fl.st)
+	fl.asm.Init(&g.asmCfg)
+}
+
+// release ends whatever the record holds at a flow boundary, and is the
+// flow-table eviction callback: the generation pin drops — when it was the
+// last pin of a non-current generation, that generation is retired here, on
+// the goroutine that ended the flow, so retirement needs no background
+// sweeper — and buffered out-of-order bytes return to the shared budget,
+// charged to the abandoned bucket: they were ingested but their flow is
+// going away, so they will never be scanned. Idempotent: a husk holds
+// neither, so finish → later eviction does not double-count.
+func (fl *gwFlow) release(g *Gateway) {
+	if gen := fl.gen; gen != nil {
+		fl.gen = nil
+		if gen.flows.Add(-1) == 0 {
+			g.maybeRetire(gen)
+		}
+	}
+	if n := fl.asm.Release(); n > 0 {
+		g.abandonedBytes.Add(uint64(n))
+	}
+}
+
+// scan writes one in-order chunk through the flow's registers into the
+// lane's scratch and emits what it completed, attributed to the packet p
+// and to the rule that admitted the flow.
+func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
+	g, gen := ln.g, fl.gen
+	ln.matches = gen.engines[ln.shard].eng.Write(&fl.st, chunk, ln.matches[:0])
+	if len(ln.matches) == 0 {
+		return
+	}
+	v, rid, idx := VerdictNone, -1, int(fl.ruleIdx)
+	if idx >= 0 {
+		v, rid = VerdictAlert, g.cfg.Rules[idx].ID
+	}
+	for _, am := range ln.matches {
 		if idx >= 0 {
 			g.ruleMatches[idx].Add(1)
 		}
-		g.emit(FlowMatch{Tuple: fl.tuple, Match: m, Verdict: v, RuleID: rid})
-	})
-}
-
-// unpin releases the flow's generation pin at a flow boundary. Idempotent;
-// when the last pin of a non-current generation drops, that generation is
-// retired here, on the goroutine that ended the flow — retirement needs no
-// background sweeper.
-func (fl *gwFlow) unpin() {
-	gen := fl.gen
-	if gen == nil {
-		return
-	}
-	fl.gen = nil
-	if gen.flows.Add(-1) == 0 {
-		fl.g.maybeRetire(gen)
+		g.emit(FlowMatch{Tuple: p.tuple, Match: gen.m.convert(am, p.seq), Verdict: v, RuleID: rid})
 	}
 }
 
-// heldBytes reports the flow's buffered out-of-order bytes. The quarantine
-// path snapshots it around a panicking packet to charge the ledger exactly.
-func (fl *gwFlow) heldBytes() int {
-	if fl.asm == nil {
-		return 0
-	}
-	return fl.asm.HeldBytes()
-}
-
-// ingest processes one segment. gap is the shed-bytes scanner gap pending
-// for this flow (0 almost always; see Gateway.pendingGaps). It reports
+// ingest processes one segment on the lane that owns the flow. It reports
 // whether the flow should be removed from the table right now (RST
 // teardown).
 //
@@ -881,21 +912,23 @@ func (fl *gwFlow) heldBytes() int {
 // the operation that consumed the bytes returned, so when a scan (or a
 // user callback) panics mid-packet, none of that packet's bytes are
 // committed and the quarantine path charges them in one place.
-func (fl *gwFlow) ingest(p seqPacket, gap int, tick uint64) bool {
-	g := fl.g
+func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) bool {
+	g := ln.g
 	if !fl.notified {
 		fl.notified = true
-		g.notifyVerdict(fl.tuple, fl.verdict, fl.ruleIdx)
+		g.notifyVerdict(p.tuple, fl.verdict, int(fl.ruleIdx))
 	}
 	// RST tears the connection down whatever its verdict or husk state —
 	// a dropped/passed or FIN-closed flow must not pin a table slot after
 	// the endpoints abort it. An RST's own payload is never scanned:
-	// abandoned, like the buffered bytes teardown releases.
+	// abandoned, like the buffered bytes the release returns; the caller
+	// removes the table entry.
 	if p.flags&FlagRST != 0 {
 		if !fl.done {
 			g.flowsReset.Add(1)
 		}
-		fl.teardown()
+		fl.release(g)
+		fl.done = true
 		g.abandonedBytes.Add(uint64(len(p.payload)))
 		return true
 	}
@@ -917,35 +950,32 @@ func (fl *gwFlow) ingest(p seqPacket, gap int, tick uint64) bool {
 			g.dupBytes.Add(uint64(len(p.payload)))
 			return false
 		}
-		// A SYN on a closed tuple is a new connection: fresh scanner
-		// state, fresh reassembly positions — and its own verdict event
-		// (the once-per-connection contract follows connections, not
-		// table entries).
+		// A SYN on a closed tuple is a new connection: the husk's registers
+		// and reassembly positions are reset where they sit — and it gets
+		// its own verdict event (the once-per-connection contract follows
+		// connections, not table entries).
 		fl.done = false
-		fl.asm = nil
-		fl.open()
-		g.notifyVerdict(fl.tuple, fl.verdict, fl.ruleIdx)
+		fl.open(g, ln.shard)
+		g.notifyVerdict(p.tuple, fl.verdict, int(fl.ruleIdx))
 	}
-	if gap > 0 {
-		// Bytes shed at admission sit between the flow's last scanned byte
-		// and this packet: invalidate scanner state across them so no match
-		// spans bytes the scanner never saw, keeping later offsets absolute
-		// in the true stream. Not a reassembly gap — GapSkips is untouched;
-		// the shed bytes are already in the Shed bucket.
-		fl.f.SkipGap(gap)
+	if p.gap > 0 {
+		// Bytes shed at admission (see Gateway.pendingGaps) sit between
+		// the flow's last scanned byte and this packet: invalidate scanner
+		// state across them so no match spans bytes the scanner never saw,
+		// keeping later offsets absolute in the true stream. Not a
+		// reassembly gap — GapSkips is untouched; the shed bytes are
+		// already in the Shed bucket.
+		fl.st.SkipGap(p.gap)
 	}
 	if p.flags&FlagSeq == 0 {
 		// Pre-reassembly semantics: the feed vouches for ordering and the
 		// bytes append at the flow's current stream position.
-		fl.f.WritePacket(p.payload, p.seq)
+		fl.scan(ln, &p, p.payload)
 		g.scannedBytes.Add(uint64(len(p.payload)))
 		if p.flags&FlagFIN != 0 {
-			fl.finish()
+			fl.finish(g)
 		}
 		return false
-	}
-	if fl.asm == nil {
-		fl.asm = reassembly.NewStream(g.asmCfg)
 	}
 	// Explicit flag translation: the gateway and reassembly bit values
 	// happen to coincide, but relying on that would let a renumbering in
@@ -960,10 +990,8 @@ func (fl *gwFlow) ingest(p seqPacket, gap int, tick uint64) bool {
 	}
 	res := fl.asm.Segment(p.seq32, p.payload, rf, tick,
 		func(chunk []byte, skipped int) {
-			if skipped > 0 {
-				fl.f.SkipGap(skipped)
-			}
-			fl.f.WritePacket(chunk, p.seq)
+			fl.st.SkipGap(skipped)
+			fl.scan(ln, &p, chunk)
 		})
 	g.reassembled.Add(uint64(res.Delivered))
 	g.scannedBytes.Add(uint64(res.Delivered))
@@ -984,78 +1012,29 @@ func (fl *gwFlow) ingest(p seqPacket, gap int, tick uint64) bool {
 		g.abandonedBytes.Add(uint64(res.Abandoned))
 	}
 	if res.Event == reassembly.EventFinished {
-		fl.finish()
+		fl.finish(g)
 	}
 	return false
 }
 
-// finish retires a FIN-completed connection: scanner state returns to the
-// pool immediately instead of waiting for table eviction; the husk entry
-// stays behind to absorb stragglers.
-func (fl *gwFlow) finish() {
-	if fl.f != nil {
-		fl.f.Close()
-		fl.f = nil
-	}
-	fl.unpin()
-	fl.releaseAsm(false)
+// finish retires a FIN-completed connection: the generation pin and any
+// buffered bytes are released immediately instead of waiting for table
+// eviction; the husk entry stays behind to absorb stragglers.
+func (fl *gwFlow) finish(g *Gateway) {
+	fl.release(g)
 	fl.done = true
-	fl.g.flowsFinished.Add(1)
+	g.flowsFinished.Add(1)
 }
 
-// teardown aborts the connection (RST): buffered bytes and scanner state
-// are released; the caller removes the table entry.
-func (fl *gwFlow) teardown() {
-	if fl.f != nil {
-		fl.f.Close()
-		fl.f = nil
-	}
-	fl.unpin()
-	fl.releaseAsm(false)
-	fl.done = true
-}
-
-// close releases everything; the flow-table eviction callback.
-func (fl *gwFlow) close() {
-	if fl.f != nil {
-		fl.f.Close()
-		fl.f = nil
-	}
-	fl.unpin()
-	fl.releaseAsm(true)
-}
-
-// releaseAsm returns the flow's buffered out-of-order bytes to the shared
-// budget, charging them to the abandoned bucket: they were ingested but
-// their flow is going away, so they will never be scanned. Release is
-// idempotent (a second call frees 0), so finish → later eviction does not
-// double-count.
-func (fl *gwFlow) releaseAsm(drop bool) {
-	if fl.asm == nil {
-		return
-	}
-	if n := fl.asm.Release(); n > 0 {
-		fl.g.abandonedBytes.Add(uint64(n))
-	}
-	if drop {
-		fl.asm = nil
-	}
-}
-
-// quarantine releases a flow whose scan panicked. The scanner state is
-// discarded, NOT repooled — the panic may have left its registers
-// mid-update, and handing them to an unrelated flow would corrupt that
-// flow's matches. Buffered bytes are abandoned like any teardown. The
-// entry stays in the table as a husk absorbing stragglers. The mark is set
-// first so it holds even if the release below panics in turn.
-func (fl *gwFlow) quarantine() {
+// quarantine retires a flow whose scan panicked. The panic may have left
+// its registers mid-update; nothing ever reads them again — a quarantined
+// husk is not re-opened, and registers are never handed from one record to
+// another. Buffered bytes are abandoned like any teardown. The entry stays
+// in the table as a husk absorbing stragglers. The mark is set first so it
+// holds even if the release below panics in turn.
+func (fl *gwFlow) quarantine(g *Gateway) {
 	fl.quarantined = true
-	if fl.f != nil {
-		fl.f.Discard()
-		fl.f = nil
-	}
-	fl.unpin()
-	fl.releaseAsm(true)
+	fl.release(g)
 	fl.done = true
 }
 
@@ -1370,12 +1349,12 @@ func (g *Gateway) IngestReader(r io.Reader) (int, error) {
 // logical clock for reassembly gap timeouts. After every packet —
 // including one whose scan panicked and was contained — the lane stamps
 // its watchdog progress.
-func (g *Gateway) streamWorker(shard int, ls *laneState, q <-chan seqPacket) {
+func (g *Gateway) streamWorker(ln *gwLane, q <-chan seqPacket) {
 	defer g.workerWg.Done()
 	for p := range q {
-		g.streamPacket(shard, p)
-		ls.depth.Add(-1)
-		ls.lastProgress.Store(time.Now().UnixNano())
+		ln.streamPacket(p)
+		ln.ls.depth.Add(-1)
+		ln.ls.lastProgress.Store(time.Now().UnixNano())
 	}
 }
 
@@ -1384,20 +1363,21 @@ func (g *Gateway) streamWorker(shard int, ls *laneState, q <-chan seqPacket) {
 // an invariant, a user emit/OnVerdict callback) quarantines that one flow
 // and the gateway keeps running. inflight is decremented in the same defer
 // chain so Flush cannot wedge on a packet that blew up.
-func (g *Gateway) streamPacket(shard int, p seqPacket) {
+func (ln *gwLane) streamPacket(p seqPacket) {
+	g := ln.g
 	defer g.inflight.Add(-1)
 	heldBefore := 0
 	defer func() {
 		if recover() != nil {
-			g.panics[shard].Add(1)
+			g.panics[ln.shard].Add(1)
 			g.quarantineFlow(p, heldBefore)
 		}
 	}()
 	tick := g.stream.Add(1)
 	var removeNow bool
 	g.table.DoHashed(p.tuple, p.hash, func(fl *gwFlow) {
-		heldBefore = fl.heldBytes()
-		removeNow = fl.ingest(p, p.gap, tick)
+		heldBefore = fl.asm.HeldBytes()
+		removeNow = fl.ingest(ln, p, tick)
 	})
 	if removeNow {
 		// RST teardown: the same lane owns every packet of this flow,
@@ -1431,8 +1411,8 @@ func (g *Gateway) quarantineFlow(p seqPacket, heldBefore int) {
 		// packet charge) intact.
 		defer func() { _ = recover() }()
 		g.table.DoHashed(p.tuple, p.hash, func(fl *gwFlow) {
-			heldNow = fl.heldBytes()
-			fl.quarantine()
+			heldNow = fl.asm.HeldBytes()
+			fl.quarantine(g)
 		})
 	}()
 	if delta := len(p.payload) + heldBefore - heldNow; delta > 0 {
@@ -1545,8 +1525,8 @@ func (g *Gateway) scanBurst(shard int, batch []seqPacket, st *burstState) {
 }
 
 // Close drains the pipeline: it stops accepting packets, waits for the
-// scan stages to finish what is queued, and returns all flow state to the
-// engine pool. Close is idempotent.
+// scan stages to finish what is queued, and evicts every flow. Close is
+// idempotent.
 func (g *Gateway) Close() error {
 	g.mu.Lock()
 	if g.closed {

@@ -563,11 +563,12 @@ func TestGatewayStreamLaneSteadyStateZeroAlloc(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 1200)
 	p := seqPacket{tuple: tuple, payload: payload}
 	var tick uint64
+	ln := &gwLane{g: gw}
 	lane := func() {
 		tick++
-		gw.table.Do(tuple, func(fl *gwFlow) { fl.ingest(p, 0, tick) })
+		gw.table.Do(tuple, func(fl *gwFlow) { fl.ingest(ln, p, tick) })
 	}
-	lane() // warm-up creates the flow and checks its scanners out of the pool
+	lane() // warm-up creates the flow's record
 	allocs := testing.AllocsPerRun(50, lane)
 	if allocs != 0 {
 		t.Fatalf("gateway stream lane allocated %.1f times per packet in steady state", allocs)
@@ -638,8 +639,8 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 	gw := m.NewEngine(1).Gateway(GatewayConfig{EngineShards: shards}, func(FlowMatch) {})
 	defer gw.Close()
 
-	// One tuple pinned to each shard, so every shard's scanner pool and
-	// lane path is exercised in the measured loop.
+	// One tuple pinned to each shard, so every shard's engine and lane path
+	// is exercised in the measured loop.
 	tuples := make([]FiveTuple, 0, shards)
 	seen := map[uint64]bool{}
 	for p := uint16(40000); len(tuples) < shards; p++ {
@@ -660,11 +661,16 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte("x"), 1200)
 	var tick uint64
+	lanes := make([]gwLane, shards)
+	for i := range lanes {
+		lanes[i] = gwLane{g: gw, shard: i}
+	}
 	lane := func() {
 		for _, tup := range tuples {
 			tick++
 			p := seqPacket{tuple: tup, payload: payload, hash: tup.Hash64()}
-			gw.table.DoHashed(tup, p.hash, func(fl *gwFlow) { fl.ingest(p, 0, tick) })
+			ln := &lanes[gw.shardIndex(tup)]
+			gw.table.DoHashed(tup, p.hash, func(fl *gwFlow) { fl.ingest(ln, p, tick) })
 		}
 	}
 	lane() // warm-up creates one flow per shard

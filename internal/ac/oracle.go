@@ -49,6 +49,21 @@ func SortMatches(ms []Match) {
 	})
 }
 
+// maxRecycledMatches bounds the capacity RecycleMatches hands back: 4 KB of
+// matches, a few hundred times what an ordinary chunk produces.
+const maxRecycledMatches = 256
+
+// RecycleMatches readies a handle's match buffer for its next scan: the
+// same storage, emptied — unless one match-dense chunk grew it past
+// maxRecycledMatches, in which case it is let go, so a handle held for the
+// life of a connection does not pin its worst chunk's high-water mark.
+func RecycleMatches(buf []Match) []Match {
+	if cap(buf) > maxRecycledMatches {
+		return nil
+	}
+	return buf[:0]
+}
+
 // MatchesEqual reports whether two match sets are identical after
 // canonical sorting. Both slices are sorted in place.
 func MatchesEqual(a, b []Match) bool {

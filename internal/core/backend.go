@@ -1,14 +1,17 @@
 package core
 
-// The scan-backend seam: every way of executing the DTP machine — the
+// The program/registers split: every way of executing the DTP machine — the
 // slice-walking reference interpreter, the baked flat Program, the
-// two-stage approximate-prefilter pipeline — implements ScanBackend, and
-// the Scanner is a thin facade over whichever backend the machine (or an
-// explicit caller) selected. Backends are registered in scanBackends so
-// equivalence harnesses (VerifyScan, the lockstep property tests, the
-// fuzzers) iterate every implementation a machine supports instead of
-// hardcoding pairs; a new backend added here is automatically pulled into
-// the oracle proofs.
+// two-stage approximate-prefilter pipeline — is a function of the shared
+// immutable Machine and one Regs value, the pointer-free register file of a
+// single stream. A flow, a batch worker or a Scanner handle owns nothing
+// but its Regs; which function runs them is the backend the machine
+// resolved when it was built (or the one a Scanner was pinned to), never a
+// per-stream object. Backends are registered in scanBackends so equivalence
+// harnesses (VerifyScan, the lockstep property tests, the fuzzers) iterate
+// every implementation a machine supports instead of hardcoding pairs; a
+// backend added to the registry and the three dispatch switches below is
+// pulled into the oracle proofs automatically.
 
 import (
 	"fmt"
@@ -41,66 +44,101 @@ type Registers struct {
 	Pos    int
 }
 
-// ScanBackend is one scan implementation bound to per-stream state over a
-// shared immutable Machine. All backends must be byte-exact equivalent:
-// same states, same histories, same positions, same canonical match
-// sequences, on every input, including mid-stream Reset and SkipAhead.
-// A ScanBackend is single-goroutine, like the Scanner wrapping it.
-type ScanBackend interface {
-	// Name reports the registry name of this backend.
-	Name() string
-	// Step consumes one input byte and reports the new state — exactly one
-	// transition per byte, the paper's 1 character/cycle property. Step
-	// does not emit matches; it is the register-machine view used by the
-	// ablation harness and the lockstep tests.
-	Step(c byte) int32
-	// ScanAppend consumes data, appending every match to out in canonical
-	// ascending-End order (ties in output-chain order, as AppendOutputs
-	// emits them).
-	ScanAppend(data []byte, out []ac.Match) []ac.Match
-	// Reset rewinds to start-of-packet: start state, empty history,
-	// position zero.
-	Reset()
-	// SkipAhead invalidates state and history like Reset (a match must
-	// never span bytes the backend did not see) but advances the position
-	// by n unseen bytes. n <= 0 is a no-op on every backend: no bytes were
-	// skipped, so the registers — including position — must not move.
-	SkipAhead(n int)
-	// Registers returns the architectural register snapshot. Exactness is
-	// defined on this view: after any operation sequence, all backends
-	// report identical Registers.
-	Registers() Registers
+// Regs is the whole per-stream state of a scan, on every backend: plain
+// data with no pointers, so a stream is forked by copying the value and a
+// million flows cost a million Regs and nothing else. The exact registers
+// are kept in the kernels' fused form (see baked.go); the prefiltered
+// pipeline adds its skim cursor and the few trailing stream bytes a
+// suspect-window rebuild reads back. A Regs is meaningful only to the
+// backend that last advanced it, except right after Reset or SkipAhead,
+// which leave it valid for all of them. The zero value is not a start
+// state: Reset first.
+type Regs struct {
+	// pos is the absolute stream position: bytes consumed plus bytes
+	// skipped since Reset.
+	pos int
+	// skimStart is the stream position where the current skim segment
+	// began (prefiltered only).
+	skimStart int
+	// state and hist are the exact machine's registers. While the
+	// prefiltered pipeline skims, state parks at ac.Root (the skim entry
+	// condition) and hist goes stale; both are rebuilt from tail when the
+	// pipeline drops back to exact.
+	state int32
+	hist  uint32
+	// pfState is the lossy machine's state while skimming.
+	pfState  uint16
+	skimming bool
+	// tail holds the last tailLen stream bytes actually seen
+	// (tail[tailLen-1] is the byte at pos-1), capped at pfTailLen: the left
+	// context for suspect-window rebuilds and for register materialization
+	// during skims. Reset and SkipAhead clear it — bytes across a gap are
+	// unseen and must read back as HistNone. Maintained by the prefiltered
+	// backend only.
+	tailLen uint8
+	tail    [pfTailLen]byte
 }
 
-// backendSpec is one registry entry: a name, an availability predicate
-// (some backends need compiled artifacts the machine may lack), and a
-// constructor for per-stream backend state.
+// Reset rewinds to start-of-packet: start state, empty history, position
+// zero. The history must be invalidated between packets — stale history
+// bytes from a previous packet could otherwise satisfy a depth-2/3 default
+// comparison that the current packet's bytes do not justify.
+func (r *Regs) Reset() {
+	r.pos = 0
+	r.invalidate()
+}
+
+// SkipAhead invalidates state and history like Reset (a match must never
+// span bytes the scan did not see) but advances the position by n unseen
+// bytes, so match end offsets emitted after a reassembly gap skip remain
+// absolute in the flow's byte stream. n <= 0 is a no-op on every backend:
+// no bytes were skipped, so no register — state, history or position —
+// moves.
+func (r *Regs) SkipAhead(n int) {
+	if n <= 0 {
+		return
+	}
+	r.pos += n
+	r.invalidate()
+}
+
+// invalidate forgets everything but the position: the exact machine at the
+// start state with no history, the skimmer armed at the current position.
+func (r *Regs) invalidate() {
+	r.state = ac.Root
+	r.hist = histUnknown
+	r.tailLen = 0
+	r.enterSkim()
+}
+
+// Pos returns the stream position: bytes consumed plus bytes skipped since
+// Reset.
+func (r *Regs) Pos() int { return r.pos }
+
+// backendKind indexes the registry; it is what a Machine resolves its
+// configured backend name to, once, at build.
+type backendKind uint8
+
+const (
+	kindReference backendKind = iota
+	kindBaked
+	kindPrefiltered
+)
+
+// backendSpec is one registry entry: a name and an availability predicate
+// (some backends need compiled artifacts the machine may lack).
 type backendSpec struct {
 	name      string
 	available func(*Machine) bool
-	build     func(*Machine) ScanBackend
 }
 
-// scanBackends is the backend registry, ordered reference-first so
-// verification sweeps always include the oracle-shaped interpreter.
-var scanBackends = []backendSpec{
-	{
-		name:      BackendReference,
-		available: func(*Machine) bool { return true },
-		build:     func(m *Machine) ScanBackend { return &referenceBackend{m: m} },
-	},
-	{
-		name:      BackendBaked,
-		available: func(m *Machine) bool { return m.prog != nil },
-		build:     func(m *Machine) ScanBackend { return &bakedBackend{prog: m.prog} },
-	},
-	{
-		name:      BackendPrefiltered,
-		available: func(m *Machine) bool { return m.prog != nil && m.pre != nil },
-		build: func(m *Machine) ScanBackend {
-			return &prefilterBackend{m: m, pf: m.pre, prog: m.prog}
-		},
-	},
+// scanBackends is the backend registry, indexed by backendKind and ordered
+// reference-first so verification sweeps always include the oracle-shaped
+// interpreter.
+var scanBackends = [...]backendSpec{
+	kindReference:   {BackendReference, func(*Machine) bool { return true }},
+	kindBaked:       {BackendBaked, func(m *Machine) bool { return m.prog != nil }},
+	kindPrefiltered: {BackendPrefiltered, func(m *Machine) bool { return m.prog != nil && m.pre != nil }},
 }
 
 // RegisteredBackends lists every backend name in the registry, registry
@@ -129,91 +167,97 @@ func (m *Machine) Backends() []string {
 	return names
 }
 
-// DefaultBackend reports the backend NewScanner selects: the machine's
-// configured backend, or the auto resolution — prefiltered when the lossy
-// stage compiled and proved its superset contract, baked if only the flat
-// Program compiled, reference otherwise.
-func (m *Machine) DefaultBackend() string {
-	if m.backend != "" && m.backend != BackendAuto {
-		return m.backend
-	}
-	if m.prog != nil && m.pre != nil {
-		return BackendPrefiltered
-	}
-	if m.prog != nil {
-		return BackendBaked
-	}
-	return BackendReference
-}
-
-// NewScannerFor returns a scanner pinned to the named backend, resolving
-// BackendAuto (and "") like DefaultBackend. It fails when the backend is
-// unknown or unavailable on this machine (e.g. prefiltered on a machine
-// whose configuration did not bake).
-func (m *Machine) NewScannerFor(name string) (*Scanner, error) {
-	if name == "" || name == BackendAuto {
-		name = m.DefaultBackend()
-	}
-	for _, spec := range scanBackends {
-		if spec.name != name {
-			continue
+// resolveKind maps the configured backend name to a registry kind: the
+// pinned backend, or the auto resolution — prefiltered when the lossy stage
+// compiled and proved its superset contract, baked if only the flat Program
+// compiled, reference otherwise. compileBackends stores the result in
+// m.kind after the kernels are (or are not) in place.
+func (m *Machine) resolveKind() backendKind {
+	for k, spec := range scanBackends {
+		if spec.name == m.backend {
+			return backendKind(k)
 		}
-		if !spec.available(m) {
-			return nil, fmt.Errorf("core: backend %q unavailable on this machine (available: %v)", name, m.Backends())
-		}
-		s := &Scanner{b: spec.build(m), gen: m.generation}
-		s.Reset()
-		return s, nil
 	}
-	return nil, fmt.Errorf("core: unknown scan backend %q", name)
-}
-
-// referenceBackend is the slice-walking interpreter over the builder's
-// Machine structures — Machine.Next per byte. It is deliberately kept
-// closest to the paper's hardware description and serves as the oracle
-// shape every other backend is verified against.
-type referenceBackend struct {
-	m      *Machine
-	state  int32
-	h2, h1 int16
-	pos    int
-}
-
-func (b *referenceBackend) Name() string { return BackendReference }
-
-func (b *referenceBackend) Reset() {
-	b.state = ac.Root
-	b.h2, b.h1 = HistNone, HistNone
-	b.pos = 0
-}
-
-func (b *referenceBackend) SkipAhead(n int) {
-	if n <= 0 {
-		return
+	switch {
+	case m.prog != nil && m.pre != nil:
+		return kindPrefiltered
+	case m.prog != nil:
+		return kindBaked
 	}
-	b.state = ac.Root
-	b.h2, b.h1 = HistNone, HistNone
-	b.pos += n
+	return kindReference
 }
 
-func (b *referenceBackend) Step(c byte) int32 {
-	b.state = b.m.Next(b.state, c, b.h2, b.h1)
-	b.h2, b.h1 = b.h1, int16(c)
-	b.pos++
-	return b.state
+// DefaultBackend reports the backend ScanAppend and NewScanner run: the
+// machine's configured backend, or what auto resolved to at build.
+func (m *Machine) DefaultBackend() string { return scanBackends[m.kind].name }
+
+// ScanAppend consumes data on the stream whose registers are r, appending
+// every match to out in canonical ascending-End order (ties in output-chain
+// order, as AppendOutputs emits them), on the backend the machine resolved
+// at build. All backends are byte-exact equivalent: same states, same
+// histories, same positions, same match sequences, on every input,
+// including mid-stream Reset and SkipAhead. The machine is shared and
+// immutable; r belongs to one goroutine at a time.
+func (m *Machine) ScanAppend(r *Regs, data []byte, out []ac.Match) []ac.Match {
+	return m.scanAs(m.kind, r, data, out)
 }
 
-func (b *referenceBackend) Registers() Registers {
-	return Registers{State: b.state, H2: b.h2, H1: b.h1, Pos: b.pos}
+// scanAs is ScanAppend on an explicit backend. The three dispatchers are
+// switches over direct calls, not a table of function values: a Regs on the
+// caller's stack (a batch worker's, a FindAll's) must not be forced to the
+// heap by an indirect call.
+func (m *Machine) scanAs(k backendKind, r *Regs, data []byte, out []ac.Match) []ac.Match {
+	switch k {
+	case kindPrefiltered:
+		return m.scanPrefiltered(r, data, out)
+	case kindBaked:
+		r.state, r.hist, r.pos, out = m.prog.scanAppend(r.state, r.hist, r.pos, data, out)
+		return out
+	}
+	return m.scanReference(r, data, out)
 }
 
-// ScanAppend inlines the reference transition step so the oracle
-// transition logic lives in exactly two places: Machine.Next and this
-// loop. Any change to the stored-pointer or default-rule step applies to
-// both and to every compiled backend.
-func (b *referenceBackend) ScanAppend(data []byte, out []ac.Match) []ac.Match {
-	m, t := b.m, b.m.Trie
-	state, h2, h1, pos := b.state, b.h2, b.h1, b.pos
+// stepAs consumes one input byte and reports the new state — exactly one
+// transition per byte, the paper's 1 character/cycle property. It does not
+// emit matches; it is the register-machine view used by the ablation
+// harness and the lockstep tests.
+func (m *Machine) stepAs(k backendKind, r *Regs, c byte) int32 {
+	switch k {
+	case kindPrefiltered:
+		return m.stepPrefiltered(r, c)
+	case kindBaked:
+		r.state, r.hist = m.prog.step(r.state, r.hist, c)
+	default:
+		h2, h1 := splitHist(r.hist)
+		r.state = m.Next(r.state, c, h2, h1)
+		r.hist = (r.hist<<histLaneBits | uint32(c)) & histMask
+	}
+	r.pos++
+	return r.state
+}
+
+// registersAs returns the architectural register snapshot. Exactness is
+// defined on this view: after any operation sequence, all backends report
+// identical Registers.
+func (m *Machine) registersAs(k backendKind, r *Regs) Registers {
+	state, hist := r.state, r.hist
+	if k == kindPrefiltered && r.skimming {
+		state, hist = m.trueRegisters(r)
+	}
+	h2, h1 := splitHist(hist)
+	return Registers{State: state, H2: h2, H1: h1, Pos: r.pos}
+}
+
+// scanReference is the slice-walking interpreter over the builder's Machine
+// structures, deliberately kept closest to the paper's hardware description:
+// the oracle shape every other backend is verified against. It inlines the
+// reference transition step so the oracle transition logic lives in exactly
+// two places: Machine.Next and this loop. Any change to the stored-pointer
+// or default-rule step applies to both and to every compiled backend.
+func (m *Machine) scanReference(r *Regs, data []byte, out []ac.Match) []ac.Match {
+	t := m.Trie
+	state, pos := r.state, r.pos
+	h2, h1 := splitHist(r.hist)
 	maxDepth := m.Opts.MaxDepth
 	for _, c := range data {
 		if to := m.StoredAt(state, c); to != ac.None {
@@ -227,50 +271,28 @@ func (b *referenceBackend) ScanAppend(data []byte, out []ac.Match) []ac.Match {
 			out = t.AppendOutputs(state, pos, out)
 		}
 	}
-	b.state, b.h2, b.h1, b.pos = state, h2, h1, pos
+	r.state, r.hist, r.pos = state, fuseHist(h2, h1), pos
 	return out
 }
 
-// bakedBackend executes the flat compiled Program — dense rows for the hot
-// near-root states, packed CSR stored pointers and the fused-history
-// lookup table elsewhere. Registers are kept in the kernel's fused form
-// and split only for snapshots.
-type bakedBackend struct {
-	prog  *Program
-	state int32
-	hist  uint32
-	pos   int
-}
-
-func (b *bakedBackend) Name() string { return BackendBaked }
-
-func (b *bakedBackend) Reset() {
-	b.state = ac.Root
-	b.hist = histUnknown
-	b.pos = 0
-}
-
-func (b *bakedBackend) SkipAhead(n int) {
-	if n <= 0 {
-		return
+// NewScannerFor returns a scanner pinned to the named backend, resolving
+// BackendAuto (and "") like DefaultBackend. It fails when the backend is
+// unknown or unavailable on this machine (e.g. prefiltered on a machine
+// whose configuration did not bake).
+func (m *Machine) NewScannerFor(name string) (*Scanner, error) {
+	if name == "" || name == BackendAuto {
+		name = m.DefaultBackend()
 	}
-	b.state = ac.Root
-	b.hist = histUnknown
-	b.pos += n
-}
-
-func (b *bakedBackend) Step(c byte) int32 {
-	b.state, b.hist = b.prog.step(b.state, b.hist, c)
-	b.pos++
-	return b.state
-}
-
-func (b *bakedBackend) Registers() Registers {
-	h2, h1 := splitHist(b.hist)
-	return Registers{State: b.state, H2: h2, H1: h1, Pos: b.pos}
-}
-
-func (b *bakedBackend) ScanAppend(data []byte, out []ac.Match) []ac.Match {
-	b.state, b.hist, b.pos, out = b.prog.scanAppend(b.state, b.hist, b.pos, data, out)
-	return out
+	for k, spec := range scanBackends {
+		if spec.name != name {
+			continue
+		}
+		if !spec.available(m) {
+			return nil, fmt.Errorf("core: backend %q unavailable on this machine (available: %v)", name, m.Backends())
+		}
+		s := &Scanner{m: m, kind: backendKind(k)}
+		s.Reset()
+		return s, nil
+	}
+	return nil, fmt.Errorf("core: unknown scan backend %q", name)
 }

@@ -37,6 +37,7 @@ func TestAutoBackendResolution(t *testing.T) {
 			t.Fatal("VerifySuperset accepted a table with no suspect flags")
 		}
 		m.pre = nil
+		m.kind = m.resolveKind()
 		return m
 	}
 

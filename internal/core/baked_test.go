@@ -55,7 +55,8 @@ func randBakedPayload(rng *rand.Rand, n int) []byte {
 // TestBakedEquivalenceProperty drives every registered backend — the
 // reference slice walker, the baked kernel, the prefiltered pipeline — in
 // lockstep over random machines, random payload chunks, interleaved
-// single-byte Steps and mid-stream SkipAhead/Reset, asserting byte-exact
+// single-byte Steps, mid-stream SkipAhead/Reset and forks (the stream
+// continues on a copy of its Regs value), asserting byte-exact
 // register equivalence (state, h1/h2 history, pos) after every operation,
 // identical match sequences, and — per contiguous visible segment — exact
 // agreement with the uncompressed-DFA oracle.
@@ -152,9 +153,24 @@ func driveLockstep(t *testing.T, m *Machine, rng *rand.Rand) {
 		}
 	}
 
+	// fork continues every stream on a copy of its register value and then
+	// scribbles on the original, each backend's with different bytes: Regs
+	// is plain data, so the copy is the whole stream and shares nothing
+	// with what it was copied from — mid-skim, mid-suspect-window or right
+	// after a gap alike.
+	fork := func() {
+		for bi, sc := range scs {
+			scs[bi] = &Scanner{m: sc.m, kind: sc.kind, r: sc.r}
+			sc.ScanAppend(randBakedPayload(rng, 1+rng.Intn(16)), nil)
+		}
+		checkRegisters("fork")
+	}
+
 	ops := 3 + rng.Intn(12)
 	for i := 0; i < ops; i++ {
 		switch rng.Intn(10) {
+		case 4:
+			fork()
 		case 0: // Reset: segment ends, stream position restarts
 			checkSegment()
 			for _, sc := range scs {
@@ -170,6 +186,9 @@ func driveLockstep(t *testing.T, m *Machine, rng *rand.Rand) {
 			}
 			seg, segStart, segMark = seg[:0], scs[0].Pos(), len(outs[0])
 			checkRegisters("SkipAhead")
+			if rng.Intn(2) == 0 {
+				fork()
+			}
 		case 3: // SkipAhead(n <= 0): documented no-op — no register moves
 			before := scs[0].Registers()
 			for _, sc := range scs {

@@ -23,13 +23,14 @@
 // DFA while storing >96% fewer pointers — and, unlike fail-pointer schemes,
 // one input character is consumed every cycle regardless of input.
 //
-// Execution is organized behind the ScanBackend seam (see backend.go):
-// every way of running the machine is a registered backend and all of them
-// are byte-exact equivalent — same states, histories, positions and match
-// sequences on every input. Three backends ship today. The "reference"
-// backend walks the Machine itself — slice-of-slices Stored rows, D2/D3
-// entry lists, Machine.Next — and is kept deliberately close to the
-// paper's hardware description. The "baked" backend runs the Program (see
+// Execution is split into the immutable program — this Machine and what it
+// compiles to — and one small register value per stream (Regs, see
+// backend.go): every way of running the machine is a registered backend, a
+// function of the two, and all of them are byte-exact equivalent — same
+// states, histories, positions and match sequences on every input. Three
+// backends ship today. The "reference" backend walks the Machine itself —
+// slice-of-slices Stored rows, D2/D3 entry lists, Machine.Next — and is
+// kept deliberately close to the paper's hardware description. The "baked" backend runs the Program (see
 // baked.go), a pure re-layout into fixed arrays and a two-tier
 // dense/compressed format that Build compiles by default. The
 // "prefiltered" backend (see prefilter.go) is a two-stage pipeline: a tiny
@@ -89,7 +90,7 @@ type Options struct {
 	// negative disables the tier). Runtime-only tuning; not serialized in
 	// snapshots.
 	DenseStates int
-	// Backend selects the scan implementation NewScanner hands out:
+	// Backend selects the scan implementation ScanAppend and NewScanner run:
 	// BackendAuto (or "") picks the fastest always-exact default —
 	// prefiltered when the lossy stage compiles and passes VerifySuperset,
 	// baked if only the flat Program compiled, reference otherwise.
@@ -247,17 +248,20 @@ type Machine struct {
 
 	// prog is the baked scan kernel, nil when the configured backend is
 	// reference, when the machine was hand-assembled, or when the
-	// configuration does not fit the fixed row format. Scanners fall back
-	// to the slice-walking reference path when nil.
+	// configuration does not fit the fixed row format. Scans fall back to
+	// the slice-walking reference path when nil.
 	prog *Program
 	// pre is the lossy prefilter stage, compiled (and superset-verified)
 	// alongside prog; nil whenever prog is nil or the collapsed machine
 	// does not fit the packed entry format. The prefiltered backend needs
 	// both.
 	pre *Prefilter
-	// backend is the resolved Options.Backend, consulted by NewScanner;
-	// empty (auto) on hand-assembled machines.
+	// backend is the configured Options.Backend; empty (auto) on
+	// hand-assembled machines. kind is what it resolved to once the kernels
+	// were compiled — the backend ScanAppend runs; the zero value is the
+	// reference interpreter, which every machine supports.
 	backend string
+	kind    backendKind
 	// generation is the process-unique compile generation stamped by Build
 	// (shared across a BuildGrouped); zero on hand-assembled machines. See
 	// generation.go.
@@ -317,6 +321,7 @@ func (m *Machine) compileBackends(ft *failTree) error {
 			return fmt.Errorf("core: Backend %q pinned but the configuration does not fit the kernel formats", m.backend)
 		}
 	}
+	m.kind = m.resolveKind()
 	return nil
 }
 

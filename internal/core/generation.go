@@ -8,8 +8,9 @@ import "sync/atomic"
 // version string: two compiles of byte-identical rules get distinct
 // generations, because what the control plane above (hot ruleset reload)
 // pins flows to is *this compiled artifact*, not "rules that look the
-// same". The tag is threaded through scanner checkout so any holder of a
-// Scanner can prove which automaton generation produced its matches.
+// same". Registers carry no reference to a machine, so whoever holds a
+// Regs records the generation of the machine it resets them for — the
+// engine's flow state does, and the hot-reload audit reads it there.
 var generationCounter atomic.Uint64
 
 // nextGeneration issues the next process-unique generation number.
@@ -21,8 +22,3 @@ func nextGeneration() uint64 { return generationCounter.Add(1) }
 // monotonically increasing across Builds. Machines built together by
 // BuildGrouped share one generation. Zero for hand-assembled machines.
 func (m *Machine) Generation() uint64 { return m.generation }
-
-// Generation reports the scanner's automaton generation — the generation
-// of the machine it was checked out from. A flow pinned to generation G
-// can assert every scanner it touches carries G.
-func (s *Scanner) Generation() uint64 { return s.gen }

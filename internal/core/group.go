@@ -55,11 +55,13 @@ func BuildGrouped(set *ruleset.Set, groups int, opts Options) (*Grouped, error) 
 
 // FindAll scans data with every group machine and merges the matches in
 // canonical (End, PatternID) order. (The engine layer has its own variant
-// over pooled, Reset scanners — internal/engine.scanPacket.)
+// over a reused match buffer — internal/engine.scanPacket.)
 func (g *Grouped) FindAll(data []byte) []ac.Match {
 	var out []ac.Match
 	for _, m := range g.Machines {
-		out = m.NewScanner().ScanAppend(data, out)
+		var r Regs
+		r.Reset()
+		out = m.ScanAppend(&r, data, out)
 	}
 	ac.SortMatches(out)
 	return out

@@ -2,72 +2,58 @@ package core
 
 import "repro/internal/ac"
 
-// Scanner carries the per-packet scan state of one matching engine. It is
-// a thin facade over a ScanBackend: the backend owns the architectural
-// registers (Figure 5: input character, previous 2 input characters,
-// current state, stream position) and the scan loops; the Scanner adds the
-// match scratch buffer that Scan replays through the caller's callback.
+// Scanner is a one-allocation handle around one stream's Regs: the shared
+// machine, the backend the handle is pinned to, the register file by value
+// (Figure 5: input character, previous 2 input characters, current state,
+// stream position) and the match scratch buffer that Scan replays through
+// the caller's callback. Callers that hold many streams keep bare Regs and
+// call Machine.ScanAppend instead.
 //
 // Which backend a Scanner runs is decided by the machine's configuration
 // (Options.Backend, resolved at Build) or pinned explicitly with
 // NewScannerFor. All backends keep identical registers and emit identical
 // match sequences, so callers may select purely on performance.
 type Scanner struct {
-	b ScanBackend
-	// gen is the compile generation of the machine this scanner was checked
-	// out from, stamped at NewScannerFor — the tag a hot-reload control
-	// plane audits to prove no scanner state leaked across generations.
-	gen uint64
-	// scratch buffers Scan's matches between ScanAppend and the caller's
-	// emit callback, reused across calls.
+	m    *Machine
+	kind backendKind
+	r    Regs
+	// scratch buffers Scan's matches between the scan and the caller's
+	// emit callback, reused across calls up to ac.RecycleMatches' bound.
 	scratch []ac.Match
 }
 
 // NewScanner returns a scanner positioned at the start of a packet,
 // running the machine's configured backend.
 func (m *Machine) NewScanner() *Scanner {
-	s, err := m.NewScannerFor(m.backend)
-	if err != nil {
-		// Build validates the configured backend against the compiled
-		// artifacts, so this is unreachable for built or loaded machines;
-		// hand-assembled machines carry no backend name and resolve to
-		// auto above.
-		panic(err)
-	}
+	s := &Scanner{m: m, kind: m.kind}
+	s.Reset()
 	return s
 }
 
 // Backend reports the name of the backend this scanner runs.
-func (s *Scanner) Backend() string { return s.b.Name() }
+func (s *Scanner) Backend() string { return scanBackends[s.kind].name }
 
-// Reset rewinds the scanner to start-of-packet: start state, empty history.
-// The history must be invalidated between packets — stale history bytes
-// from a previous packet could otherwise satisfy a depth-2/3 default
-// comparison that the current packet's bytes do not justify.
-func (s *Scanner) Reset() { s.b.Reset() }
+// Reset rewinds the scanner to start-of-packet; see Regs.Reset.
+func (s *Scanner) Reset() { s.r.Reset() }
 
-// SkipAhead invalidates the scan state as Reset does (start state, empty
-// history — a match must never span bytes the scanner did not see) but
-// advances the position by n unseen bytes, so match end offsets emitted
-// after a reassembly gap skip remain absolute in the flow's byte stream.
-// n <= 0 is a no-op: no bytes were skipped, so no register — state,
-// history or position — moves, on any backend.
-func (s *Scanner) SkipAhead(n int) { s.b.SkipAhead(n) }
+// SkipAhead invalidates the scan state across n unseen bytes; see
+// Regs.SkipAhead.
+func (s *Scanner) SkipAhead(n int) { s.r.SkipAhead(n) }
 
 // Step consumes one input byte and reports the new state. Exactly one
 // transition is taken per byte — the guaranteed 1 character/cycle property.
-func (s *Scanner) Step(c byte) int32 { return s.b.Step(c) }
+func (s *Scanner) Step(c byte) int32 { return s.m.stepAs(s.kind, &s.r, c) }
 
 // State returns the current automaton state.
-func (s *Scanner) State() int32 { return s.b.Registers().State }
+func (s *Scanner) State() int32 { return s.Registers().State }
 
 // Pos returns the number of bytes consumed since Reset.
-func (s *Scanner) Pos() int { return s.b.Registers().Pos }
+func (s *Scanner) Pos() int { return s.r.pos }
 
 // Registers returns the architectural register snapshot — identical across
 // backends after any operation sequence; the lockstep equivalence tests
 // diff this view.
-func (s *Scanner) Registers() Registers { return s.b.Registers() }
+func (s *Scanner) Registers() Registers { return s.m.registersAs(s.kind, &s.r) }
 
 // Scan consumes data, invoking emit for every match. It continues from the
 // scanner's current state; call Reset first for a fresh packet. Matches are
@@ -77,7 +63,7 @@ func (s *Scanner) Registers() Registers { return s.b.Registers() }
 // scanner's end-of-chunk registers (Pos, State), not the per-match
 // position.
 func (s *Scanner) Scan(data []byte, emit func(ac.Match)) {
-	matches := s.b.ScanAppend(data, s.scratch[:0])
+	matches := s.ScanAppend(data, s.scratch[:0])
 	// Detach the buffer while replaying: an emit callback that reenters
 	// this scanner must not rewrite the slice being iterated (it grabs a
 	// fresh one, and the headers swap below).
@@ -85,7 +71,7 @@ func (s *Scanner) Scan(data []byte, emit func(ac.Match)) {
 	for _, m := range matches {
 		emit(m)
 	}
-	s.scratch = matches[:0]
+	s.scratch = ac.RecycleMatches(matches)
 }
 
 // ScanAppend consumes data like Scan but appends matches to out and returns
@@ -96,10 +82,12 @@ func (s *Scanner) Scan(data []byte, emit func(ac.Match)) {
 // to Machine.Next; any change to the stored-pointer or default-rule step
 // applies to every backend.
 func (s *Scanner) ScanAppend(data []byte, out []ac.Match) []ac.Match {
-	return s.b.ScanAppend(data, out)
+	return s.m.scanAs(s.kind, &s.r, data, out)
 }
 
 // FindAll scans one whole packet and returns its matches.
 func (m *Machine) FindAll(data []byte) []ac.Match {
-	return m.NewScanner().ScanAppend(data, nil)
+	var r Regs
+	r.Reset()
+	return m.ScanAppend(&r, data, nil)
 }

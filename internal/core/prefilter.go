@@ -367,70 +367,26 @@ func (m *Machine) VerifySuperset() error {
 	return nil
 }
 
-// prefilterBackend is the two-stage pipeline: skim with the lossy machine
-// while the exact machine is provably at the start state, drop to the
-// exact baked kernel through suspect windows, return to skimming at the
-// next start-state boundary.
-type prefilterBackend struct {
-	m    *Machine
-	pf   *Prefilter
-	prog *Program
+// The prefiltered backend is the two-stage pipeline: skim with the lossy
+// machine while the exact machine is provably at the start state, drop to
+// the exact baked kernel through suspect windows, return to skimming at the
+// next start-state boundary. Its per-stream state is the skim cursor and
+// tail ring in Regs; everything else is the shared Machine.
 
-	// Exact registers. While skimming, state parks at ac.Root (the skim
-	// entry condition) and hist goes stale; both are rebuilt from the tail
-	// ring when the pipeline drops back to exact.
-	state int32
-	hist  uint32
-	pos   int
-
-	skimming  bool
-	skimStart int    // stream position where the current skim segment began
-	pfState   uint16 // lossy machine state while skimming
-
-	// tail holds the last tailLen stream bytes actually seen
-	// (tail[tailLen-1] is the byte at pos-1), capped at pfTailLen. It is
-	// the left context for suspect-window rebuilds and for register
-	// materialization during skims. Reset and SkipAhead clear it: bytes
-	// across a gap are unseen and must read back as HistNone.
-	tail    [pfTailLen]byte
-	tailLen int
+func (r *Regs) enterSkim() {
+	r.skimming = true
+	r.skimStart = r.pos
+	r.pfState = 0
 }
 
-func (b *prefilterBackend) Name() string { return BackendPrefiltered }
-
-func (b *prefilterBackend) enterSkim() {
-	b.skimming = true
-	b.skimStart = b.pos
-	b.pfState = 0
-}
-
-func (b *prefilterBackend) Reset() {
-	b.state = ac.Root
-	b.hist = histUnknown
-	b.pos = 0
-	b.tailLen = 0
-	b.enterSkim()
-}
-
-func (b *prefilterBackend) SkipAhead(n int) {
-	if n <= 0 {
+func (r *Regs) pushTailByte(c byte) {
+	if r.tailLen == pfTailLen {
+		copy(r.tail[:], r.tail[1:])
+		r.tail[pfTailLen-1] = c
 		return
 	}
-	b.state = ac.Root
-	b.hist = histUnknown
-	b.pos += n
-	b.tailLen = 0
-	b.enterSkim()
-}
-
-func (b *prefilterBackend) pushTailByte(c byte) {
-	if b.tailLen == pfTailLen {
-		copy(b.tail[:], b.tail[1:])
-		b.tail[pfTailLen-1] = c
-		return
-	}
-	b.tail[b.tailLen] = c
-	b.tailLen++
+	r.tail[r.tailLen] = c
+	r.tailLen++
 }
 
 // trueRegisters materializes the exact register file mid-skim. Sound
@@ -438,60 +394,49 @@ func (b *prefilterBackend) pushTailByte(c byte) {
 // state — the longest stream suffix that is a trie node — is determined by
 // the last prefK−1 seen bytes, all inside the tail ring; a pure DFA walk
 // over them from the start state computes it.
-func (b *prefilterBackend) trueRegisters() (int32, uint32) {
+func (m *Machine) trueRegisters(r *Regs) (int32, uint32) {
+	n := int(r.tailLen)
 	h2, h1 := HistNone, HistNone
-	if b.tailLen >= 2 {
-		h2 = int16(b.tail[b.tailLen-2])
+	if n >= 2 {
+		h2 = int16(r.tail[n-2])
 	}
-	if b.tailLen >= 1 {
-		h1 = int16(b.tail[b.tailLen-1])
+	if n >= 1 {
+		h1 = int16(r.tail[n-1])
 	}
-	w := prefK - 1
-	if b.tailLen < w {
-		w = b.tailLen
-	}
+	w := min(prefK-1, n)
 	st := ac.Root
-	for _, c := range b.tail[b.tailLen-w : b.tailLen] {
-		st = b.m.Trie.Move(st, c)
+	for _, c := range r.tail[n-w : n] {
+		st = m.Trie.Move(st, c)
 	}
 	return st, fuseHist(h2, h1)
 }
 
-func (b *prefilterBackend) Registers() Registers {
-	state, hist := b.state, b.hist
-	if b.skimming {
-		state, hist = b.trueRegisters()
+// stepPrefiltered is the register-machine view: it always runs exact
+// semantics, materializing the registers out of a skim first, and re-arms
+// the skimmer whenever the machine lands back on the start state.
+func (m *Machine) stepPrefiltered(r *Regs, c byte) int32 {
+	if r.skimming {
+		r.state, r.hist = m.trueRegisters(r)
+		r.skimming = false
 	}
-	h2, h1 := splitHist(hist)
-	return Registers{State: state, H2: h2, H1: h1, Pos: b.pos}
-}
-
-// Step is the register-machine view: it always runs exact semantics,
-// materializing the registers out of a skim first, and re-arms the skimmer
-// whenever the machine lands back on the start state.
-func (b *prefilterBackend) Step(c byte) int32 {
-	if b.skimming {
-		b.state, b.hist = b.trueRegisters()
-		b.skimming = false
+	r.state, r.hist = m.prog.step(r.state, r.hist, c)
+	r.pos++
+	r.pushTailByte(c)
+	if r.state == ac.Root {
+		r.enterSkim()
 	}
-	b.state, b.hist = b.prog.step(b.state, b.hist, c)
-	b.pos++
-	b.pushTailByte(c)
-	if b.state == ac.Root {
-		b.enterSkim()
-	}
-	return b.state
+	return r.state
 }
 
 // byteAt reads the stream byte at absolute position j from the current
 // chunk or the tail ring; ok is false when j precedes the seen window
 // (stream start, Reset, or a SkipAhead gap).
-func (b *prefilterBackend) byteAt(data []byte, chunkBase, j int) (byte, bool) {
+func (r *Regs) byteAt(data []byte, chunkBase, j int) (byte, bool) {
 	if j >= chunkBase {
 		return data[j-chunkBase], true
 	}
-	if d := chunkBase - j; d >= 1 && d <= b.tailLen {
-		return b.tail[b.tailLen-d], true
+	if d := chunkBase - j; d >= 1 && d <= int(r.tailLen) {
+		return r.tail[int(r.tailLen)-d], true
 	}
 	return 0, false
 }
@@ -505,123 +450,117 @@ func (b *prefilterBackend) byteAt(data []byte, chunkBase, j int) (byte, bool) {
 // than the class indirection they would skip. The only branch taken on
 // clean bytes is the rare, well-predicted suspect test; the per-byte
 // dependency chain is shift, OR, one strided load.
-func (b *prefilterBackend) skimChunk(data []byte, i int) (int, bool) {
-	pf := b.pf
+func (pf *Prefilter) skimChunk(r *Regs, data []byte, i int) (int, bool) {
 	tab, class := pf.tab, &pf.class
-	st := uint32(b.pfState)
+	st := uint32(r.pfState)
 	n := len(data)
 	for i < n {
 		e := tab[st<<pfStrideBits|uint32(class[data[i]])]
 		i++
 		st = uint32(e & pfStateMask)
 		if e&pfSuspect != 0 {
-			b.pfState = uint16(st)
+			r.pfState = uint16(st)
 			return i, true
 		}
 	}
-	b.pfState = uint16(st)
+	r.pfState = uint16(st)
 	return i, false
 }
 
 // rebuild runs the exact kernel through a suspect window: the skimmer
 // flagged the byte at data[i-1] (stream position chunkBase+i-1). Restart
-// at r = max(suspect−prefK+1, skim start) — the clamp keeps previously
+// at s = max(suspect−prefK+1, skim start) — the clamp keeps previously
 // exact-scanned bytes from being re-emitted — with the true history bytes
-// r−2, r−1, and scan through the suspect byte. Per the soundness argument
+// s−2, s−1, and scan through the suspect byte. Per the soundness argument
 // in the file comment this emits exactly the true matches ending at the
 // suspect boundary and leaves the registers equal to the true machine's.
-func (b *prefilterBackend) rebuild(data []byte, i, chunkBase int, out []ac.Match) []ac.Match {
+func (m *Machine) rebuild(r *Regs, data []byte, i, chunkBase int, out []ac.Match) []ac.Match {
 	a := chunkBase + i - 1
-	r := a + 1 - prefK
-	if r < b.skimStart {
-		r = b.skimStart
-	}
+	s := max(a+1-prefK, r.skimStart)
 	var state int32
 	var hist uint32
-	if r-2 >= chunkBase {
+	if s-2 >= chunkBase {
 		// Fast path — the whole window and both history bytes sit in the
 		// current chunk (every suspect more than prefK+1 bytes into a
 		// chunk), so the exact kernel can run straight over the chunk
 		// slice: no tail-ring reads, no window copy.
-		lo := r - chunkBase
-		state, hist, _, out = b.prog.scanAppend(
-			ac.Root, fuseHist(int16(data[lo-2]), int16(data[lo-1])), r, data[lo:i], out)
+		lo := s - chunkBase
+		state, hist, _, out = m.prog.scanAppend(
+			ac.Root, fuseHist(int16(data[lo-2]), int16(data[lo-1])), s, data[lo:i], out)
 	} else {
 		h2, h1 := HistNone, HistNone
-		if c, ok := b.byteAt(data, chunkBase, r-2); ok {
+		if c, ok := r.byteAt(data, chunkBase, s-2); ok {
 			h2 = int16(c)
 		}
-		if c, ok := b.byteAt(data, chunkBase, r-1); ok {
+		if c, ok := r.byteAt(data, chunkBase, s-1); ok {
 			h1 = int16(c)
 		}
-		// The window bytes [r, a] are always within the seen region: r is
+		// The window bytes [s, a] are always within the seen region: s is
 		// at most prefK−1 bytes behind the suspect byte and never precedes
 		// the skim segment start.
 		var win [prefK]byte
 		w := 0
-		for j := r; j <= a; j++ {
-			win[w], _ = b.byteAt(data, chunkBase, j)
+		for j := s; j <= a; j++ {
+			win[w], _ = r.byteAt(data, chunkBase, j)
 			w++
 		}
-		state, hist, _, out = b.prog.scanAppend(ac.Root, fuseHist(h2, h1), r, win[:w], out)
+		state, hist, _, out = m.prog.scanAppend(ac.Root, fuseHist(h2, h1), s, win[:w], out)
 	}
-	b.state, b.hist = state, hist
+	r.state, r.hist = state, hist
 	if state == ac.Root {
-		b.enterSkim()
+		r.enterSkim()
 	} else {
-		b.skimming = false
+		r.skimming = false
 	}
 	return out
 }
 
-func (b *prefilterBackend) ScanAppend(data []byte, out []ac.Match) []ac.Match {
-	chunkBase := b.pos
+func (m *Machine) scanPrefiltered(r *Regs, data []byte, out []ac.Match) []ac.Match {
+	pf, prog := m.pre, m.prog
+	chunkBase := r.pos
 	i, n := 0, len(data)
 	var skimmed, exact, suspects uint64
 	for i < n {
-		if b.skimming {
+		if r.skimming {
 			start := i
 			var hit bool
-			i, hit = b.skimChunk(data, i)
+			i, hit = pf.skimChunk(r, data, i)
 			skimmed += uint64(i - start)
-			b.pos = chunkBase + i
+			r.pos = chunkBase + i
 			if !hit {
 				break
 			}
 			suspects++
 			exact += uint64(prefK) // rebuild rescan, counted as exact work
-			out = b.rebuild(data, i, chunkBase, out)
+			out = m.rebuild(r, data, i, chunkBase, out)
 			continue
 		}
-		before := b.pos
-		b.state, b.hist, b.pos, out = b.prog.scanAppendStopRoot(b.state, b.hist, b.pos, data[i:], out)
-		i += b.pos - before
-		exact += uint64(b.pos - before)
-		if b.state == ac.Root {
-			b.enterSkim()
+		before := r.pos
+		r.state, r.hist, r.pos, out = prog.scanAppendStopRoot(r.state, r.hist, r.pos, data[i:], out)
+		i += r.pos - before
+		exact += uint64(r.pos - before)
+		if r.state == ac.Root {
+			r.enterSkim()
 		}
 	}
 	// Fold the chunk into the tail ring (once per call, not per byte).
 	if n >= pfTailLen {
-		copy(b.tail[:], data[n-pfTailLen:])
-		b.tailLen = pfTailLen
+		copy(r.tail[:], data[n-pfTailLen:])
+		r.tailLen = pfTailLen
 	} else if n > 0 {
-		keep := pfTailLen - n
-		if keep > b.tailLen {
-			keep = b.tailLen
-		}
-		copy(b.tail[:keep], b.tail[b.tailLen-keep:b.tailLen])
-		copy(b.tail[keep:], data)
-		b.tailLen = keep + n
+		keep := min(pfTailLen-n, int(r.tailLen))
+		copy(r.tail[:keep], r.tail[int(r.tailLen)-keep:r.tailLen])
+		copy(r.tail[keep:], data)
+		r.tailLen = uint8(keep + n)
 	}
 	if skimmed != 0 {
-		b.pf.skimmedBytes.Add(skimmed)
+		pf.skimmedBytes.Add(skimmed)
 	}
 	if exact != 0 {
-		b.pf.exactBytes.Add(exact)
+		pf.exactBytes.Add(exact)
 	}
 	if suspects != 0 {
-		b.pf.suspectWindows.Add(suspects)
+		pf.suspectWindows.Add(suspects)
 	}
 	return out
 }

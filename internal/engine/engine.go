@@ -2,22 +2,27 @@
 // automaton, mirroring the paper's hardware parallelism in software: an
 // FPGA string matching block holds 6 engines reading the same block memory,
 // and a device holds several blocks (§IV.B). Here the immutable
-// core.Grouped plays the role of the block memory, and a pooled set of
-// Scanners — one per group machine — plays the role of one hardware engine.
+// core.Grouped plays the role of the block memory, and one register file
+// per group machine (core.Regs, plain data) plays the role of one hardware
+// engine.
 //
 // Two usage shapes are exposed, matching the two ways traffic reaches a
 // DPI system:
 //
 //   - ScanPackets: batch mode. A slice of independent payloads is sharded
 //     across a worker pool; results come back merged in canonical order.
-//   - Flow: streaming mode. Each concurrent TCP/UDP flow gets its own
-//     scanner state (checked out of the pool) while sharing the compiled
-//     automaton, so millions of flows cost per-flow state only, never
-//     per-flow automata.
+//     A worker's registers live in its locals.
+//   - FlowState: streaming mode. Each concurrent TCP/UDP flow owns one
+//     FlowState value — its registers, nothing else — while sharing the
+//     compiled automaton, so millions of flows cost per-flow registers
+//     only, never per-flow automata, buffers or objects. The holder embeds
+//     the value in its own flow record and scans into a match buffer it
+//     owns; Flow is the one-allocation handle for callers without a record.
 package engine
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -39,11 +44,6 @@ import (
 type Engine struct {
 	g       *core.Grouped
 	workers int
-	// scanners pools scanner sets (one Scanner per group machine). A set is
-	// the software analogue of one hardware engine; pooling keeps steady-
-	// state scanning allocation-free however many batches and flows come
-	// and go.
-	scanners sync.Pool
 
 	batches     atomic.Uint64
 	batchPkts   atomic.Uint64
@@ -66,17 +66,9 @@ type Stats struct {
 	Batches     uint64 // ScanPackets/ScanPacketsInto calls
 	BatchPkts   uint64 // payloads scanned across those batches
 	BatchBytes  uint64 // payload bytes scanned in batch mode
-	FlowsOpened uint64 // Flow checkouts from the pool
+	FlowsOpened uint64 // flow states opened (Open, Flow), once per connection
 	StreamBytes uint64 // bytes written through flows (gap skips excluded)
 	Panics      uint64 // panics recovered inside batch workers (see SetRecover)
-}
-
-// scannerSet is one pooled scan lane: one Scanner per group machine. The
-// pool stores *scannerSet so checking a lane in and out never boxes a
-// slice header into an interface — that single allocation per batch (and
-// per flow open) is visible at gateway packet rates.
-type scannerSet struct {
-	set []*core.Scanner
 }
 
 // New builds an engine over g with the given worker-pool size for batch
@@ -85,21 +77,13 @@ func New(g *core.Grouped, workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{g: g, workers: workers}
-	e.scanners.New = func() any {
-		ss := &scannerSet{set: make([]*core.Scanner, len(g.Machines))}
-		for i, m := range g.Machines {
-			ss.set[i] = m.NewScanner()
-		}
-		return ss
-	}
-	return e
+	return &Engine{g: g, workers: workers}
 }
 
 // Workers returns the batch-scan worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Backend reports the scan backend every pooled scanner lane runs, as
+// Backend reports the scan backend every batch worker and flow runs, as
 // resolved by the group machines at build time (all group machines share
 // one Options, so one name describes the whole set).
 func (e *Engine) Backend() string {
@@ -110,11 +94,11 @@ func (e *Engine) Backend() string {
 }
 
 // Generation reports the compile generation of the automaton this engine
-// scans with (core.Grouped.Generation) — every scanner set the pool hands
-// out carries the same tag, so an engine is generation-homogeneous by
-// construction. A multi-generation front-end (hot ruleset reload) builds
-// one engine per (shard, generation) and retires whole engines, never
-// mixing scanner state across automatons.
+// scans with (core.Grouped.Generation) — the tag Open stamps on every flow
+// state it resets, so an engine is generation-homogeneous by construction.
+// A multi-generation front-end (hot ruleset reload) builds one engine per
+// (shard, generation), retires whole engines, and always writes a flow
+// through the engine that opened it.
 func (e *Engine) Generation() uint64 { return e.g.Generation }
 
 // Stats returns this engine's work counters. Counters are monotone but
@@ -134,11 +118,12 @@ func (e *Engine) Stats() Stats {
 // while scanning one payload (a scanner bug, a hostile input tripping an
 // invariant) is recovered inside the worker goroutine — where it would
 // otherwise kill the whole process — that payload's matches come back
-// empty, the possibly-corrupt scanner set is discarded instead of repooled,
-// and fn (when non-nil) observes the panic value. Call before the engine is
-// shared across goroutines; fn itself must not panic.
+// empty, and fn (when non-nil) observes the panic value. Nothing survives
+// the panic to be repaired: a worker's registers are locals, reset for
+// every packet. Call before the engine is shared across goroutines; fn
+// itself must not panic.
 //
-// The streaming path (Flow) deliberately does NOT recover: a Flow runs on
+// The streaming path (Write) deliberately does NOT recover: a flow runs on
 // its caller's goroutine, so the caller (the gateway's stream lane) recovers
 // at a point where it still knows which flow to quarantine.
 func (e *Engine) SetRecover(fn func(v any)) {
@@ -154,23 +139,16 @@ func (e *Engine) recovered(v any) {
 	}
 }
 
-func (e *Engine) acquire() *scannerSet {
-	return e.scanners.Get().(*scannerSet)
-}
-
-func (e *Engine) release(ss *scannerSet) {
-	e.scanners.Put(ss)
-}
-
-// scanPacket scans one payload with a fresh (Reset) scanner set into buf
-// (a reusable worker-local buffer) and returns an exact-size copy of the
+// scanPacket scans one payload from start-of-packet registers into buf (a
+// reusable worker-local buffer) and returns an exact-size copy of the
 // packet's matches in canonical (End, PatternID) order, plus the grown
 // buffer for the next packet.
-func scanPacket(set []*core.Scanner, payload []byte, buf []ac.Match) ([]ac.Match, []ac.Match) {
+func scanPacket(g *core.Grouped, payload []byte, buf []ac.Match) ([]ac.Match, []ac.Match) {
 	buf = buf[:0]
-	for _, sc := range set {
-		sc.Reset()
-		buf = sc.ScanAppend(payload, buf)
+	for _, m := range g.Machines {
+		var r core.Regs
+		r.Reset()
+		buf = m.ScanAppend(&r, payload, buf)
 	}
 	if len(buf) == 0 {
 		return nil, buf
@@ -222,12 +200,10 @@ func (e *Engine) ScanPacketsInto(payloads [][]byte, results [][]ac.Match) [][]ac
 		if !e.recoverOn {
 			// The dedicated inline loop (no shared counter, no recover
 			// scope) is what the zero-alloc steady-state contract pins.
-			ss := e.acquire()
 			var buf []ac.Match
 			for i, p := range payloads {
-				results[i], buf = scanPacket(ss.set, p, buf)
+				results[i], buf = scanPacket(e.g, p, buf)
 			}
-			e.release(ss)
 			return results
 		}
 		var next atomic.Int64
@@ -260,73 +236,154 @@ func (e *Engine) scanParallel(payloads [][]byte, results [][]ac.Match, workers i
 
 // scanLoop drains payload indices from the shared counter until exhausted.
 // With containment armed (SetRecover), the drain runs in recoverable
-// segments: a panic ends one segment, discards its possibly-corrupt scanner
-// set, and the loop resumes with a fresh one — so one hostile payload costs
-// exactly its own matches, never the batch or the process.
+// segments: a panic ends one segment and the loop resumes with the next
+// payload — so one hostile payload costs exactly its own matches, never the
+// batch or the process.
 func (e *Engine) scanLoop(payloads [][]byte, results [][]ac.Match, next *atomic.Int64) {
-	if !e.recoverOn {
-		ss := e.acquire()
-		defer e.release(ss)
-		var buf []ac.Match
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(payloads) {
-				return
-			}
-			results[i], buf = scanPacket(ss.set, payloads[i], buf)
-		}
-	}
 	for e.scanSome(payloads, results, next) {
 	}
 }
 
-// scanSome is one recoverable segment of scanLoop's drain: it reports true
-// when a panic was contained (the caller restarts with a fresh scanner set)
-// and false when the counter is exhausted. The panicking payload's results
-// slot keeps the nil that ScanPacketsInto pre-cleared — no matches — and its
-// scanner set is dropped on the floor instead of repooled, because a panic
-// mid-scan may have left the set's registers in a state Reset cannot be
-// trusted to repair.
+// scanSome is one segment of scanLoop's drain: it reports true when a panic
+// was contained (the caller resumes the drain) and false when the counter
+// is exhausted. The panicking payload's results slot keeps the nil that
+// ScanPacketsInto pre-cleared — no matches.
 func (e *Engine) scanSome(payloads [][]byte, results [][]ac.Match, next *atomic.Int64) (contained bool) {
-	ss := e.acquire()
-	defer func() {
-		if v := recover(); v != nil {
-			e.recovered(v)
-			contained = true
-			return
-		}
-		e.release(ss)
-	}()
+	if e.recoverOn {
+		defer func() {
+			if v := recover(); v != nil {
+				e.recovered(v)
+				contained = true
+			}
+		}()
+	}
 	var buf []ac.Match
 	for {
 		i := int(next.Add(1)) - 1
 		if i >= len(payloads) {
 			return false
 		}
-		results[i], buf = scanPacket(ss.set, payloads[i], buf)
+		results[i], buf = scanPacket(e.g, payloads[i], buf)
 	}
 }
 
-// Flow is the streaming per-flow scan state: one scanner per group machine,
-// checked out of the engine's pool. A Flow is single-goroutine (like the
-// socket it shadows); open one Flow per concurrent stream.
-type Flow struct {
-	e        *Engine
-	ss       *scannerSet
-	buf      []ac.Match
-	consumed int
+// FlowState is one flow's streaming scan state, by value: one register file
+// per group machine and the generation of the automaton they were reset
+// for. It holds no buffer and no reference to the engine or the automaton,
+// so a flow record embeds it, and a million idle flows hold a million of
+// these and nothing more. The first group's registers sit inline — the
+// whole state of the common single-group ruleset — and the others in one
+// slice allocated at Open. A FlowState is single-goroutine (like the socket
+// it shadows) and must be written through the engine that opened it.
+type FlowState struct {
+	first core.Regs
+	rest  []core.Regs
+	gen   uint64
 }
 
-// Flow checks a scanner set out of the pool and returns it as a fresh
-// stream positioned at start-of-packet. Call Close when the flow ends to
-// return the state to the pool.
-func (e *Engine) Flow() *Flow {
+// Open resets s to start-of-packet for g's machines and stamps it with g's
+// generation. Re-opening a state of the same group count allocates nothing.
+// Engine.Open is this plus the engine's accounting.
+func (s *FlowState) Open(g *core.Grouped) {
+	if n := len(g.Machines) - 1; len(s.rest) != n {
+		s.rest = nil
+		if n > 0 {
+			s.rest = make([]core.Regs, n)
+		}
+	}
+	s.gen = g.Generation
+	s.Reset()
+}
+
+// Reset rewinds the flow to start-of-packet: states and the 2-byte
+// default-rule histories are cleared and offsets restart at zero.
+func (s *FlowState) Reset() {
+	s.first.Reset()
+	for i := range s.rest {
+		s.rest[i].Reset()
+	}
+}
+
+// SkipGap records n stream bytes the flow will never see (a reassembly gap
+// skipped on timeout): states and histories are invalidated — no match may
+// span unseen bytes — while the stream position advances, so subsequent
+// matches keep absolute offsets into the flow's true stream. n <= 0 is a
+// no-op, mirroring Regs.SkipAhead: no bytes were skipped, so no register
+// may move.
+func (s *FlowState) SkipGap(n int) {
+	s.first.SkipAhead(n)
+	for i := range s.rest {
+		s.rest[i].SkipAhead(n)
+	}
+}
+
+// Consumed returns the flow's stream position: bytes scanned plus gap bytes
+// skipped since the flow was opened or Reset.
+func (s *FlowState) Consumed() int { return s.first.Pos() }
+
+// Generation reports the compile generation of the automaton the registers
+// were last opened for; zero for a state never opened. The hot-reload
+// oracle audits this tag against the flow's pinned generation to prove no
+// register file crossed a ruleset swap.
+func (s *FlowState) Generation() uint64 { return s.gen }
+
+// Clone returns an independent copy of the flow mid-stream: writing either
+// copy from here on does not affect the other. For a single-group ruleset
+// this is the struct copy it looks like.
+func (s *FlowState) Clone() FlowState {
+	c := *s
+	c.rest = slices.Clone(s.rest)
+	return c
+}
+
+// Write scans the next chunk over g's machines — the automaton s was opened
+// for — appending to out the matches whose final byte lies in this chunk,
+// the appended run sorted by (End, PatternID) with End relative to the start
+// of the flow. Scanning allocates only when out must grow. Engine.Write is
+// this plus the engine's accounting.
+func (s *FlowState) Write(g *core.Grouped, p []byte, out []ac.Match) []ac.Match {
+	base := len(out)
+	out = g.Machines[0].ScanAppend(&s.first, p, out)
+	for i := range s.rest {
+		out = g.Machines[i+1].ScanAppend(&s.rest[i], p, out)
+	}
+	if len(out)-base > 1 {
+		ac.SortMatches(out[base:])
+	}
+	return out
+}
+
+// Open starts a connection on s: registers at start-of-packet, stamped
+// with this engine's generation, counted once in Stats.FlowsOpened. A state
+// that already served a connection on an engine of the same group count is
+// re-opened in place, without allocating.
+func (e *Engine) Open(s *FlowState) {
 	e.flowsOpened.Add(1)
-	ss := e.acquire()
-	for _, sc := range ss.set {
-		sc.Reset()
-	}
-	return &Flow{e: e, ss: ss}
+	s.Open(e.g)
+}
+
+// Write consumes the next chunk of the flow s, which this engine opened,
+// and appends its matches to the caller's buffer; see FlowState.Write.
+func (e *Engine) Write(s *FlowState, p []byte, out []ac.Match) []ac.Match {
+	out = s.Write(e.g, p, out)
+	e.streamBytes.Add(uint64(len(p)))
+	return out
+}
+
+// Flow is a one-allocation handle around a FlowState for callers that have
+// no flow record of their own to embed one in: the state, the engine that
+// opened it, and a match buffer reused across Writes.
+type Flow struct {
+	e   *Engine
+	st  FlowState
+	buf []ac.Match
+}
+
+// Flow opens a fresh stream positioned at start-of-packet.
+func (e *Engine) Flow() *Flow {
+	f := &Flow{e: e}
+	e.Open(&f.st)
+	return f
 }
 
 // Write consumes the next chunk and returns the matches whose final byte
@@ -334,71 +391,16 @@ func (e *Engine) Flow() *Flow {
 // start of the flow. The returned slice is reused by the next Write; the
 // caller must consume (or copy) it before writing again.
 func (f *Flow) Write(p []byte) []ac.Match {
-	f.buf = f.buf[:0]
-	for _, sc := range f.ss.set {
-		f.buf = sc.ScanAppend(p, f.buf)
-	}
-	ac.SortMatches(f.buf)
-	f.consumed += len(p)
-	f.e.streamBytes.Add(uint64(len(p)))
+	f.buf = f.e.Write(&f.st, p, ac.RecycleMatches(f.buf))
 	return f.buf
 }
 
-// Reset rewinds the flow to start-of-packet without returning its scanners
-// to the pool: states and the 2-byte default-rule histories are cleared.
-func (f *Flow) Reset() {
-	for _, sc := range f.ss.set {
-		sc.Reset()
-	}
-	f.consumed = 0
-}
+// SkipGap records n unseen stream bytes; see FlowState.SkipGap.
+func (f *Flow) SkipGap(n int) { f.st.SkipGap(n) }
 
-// Consumed returns the bytes scanned since the flow was opened or Reset.
-func (f *Flow) Consumed() int { return f.consumed }
+// Consumed returns the flow's stream position; see FlowState.Consumed.
+func (f *Flow) Consumed() int { return f.st.Consumed() }
 
-// Generation reports the compile generation of the scanners backing this
-// flow — the same tag for every scanner in the set, since a flow's set
-// comes from one engine over one automaton. Zero after Discard or Close.
-// The hot-reload oracle audits this against the flow's pinned generation
-// to prove no scanner state leaked across a ruleset swap.
-func (f *Flow) Generation() uint64 {
-	if f.ss == nil || len(f.ss.set) == 0 {
-		return 0
-	}
-	return f.ss.set[0].Generation()
-}
-
-// SkipGap records n stream bytes the flow will never see (a reassembly
-// gap skipped on timeout): scanner states and histories are invalidated —
-// no match may span unseen bytes — while the stream position advances, so
-// subsequent matches keep absolute offsets into the flow's true stream.
-// n <= 0 is a no-op, mirroring Scanner.SkipAhead: no bytes were skipped,
-// so neither the scanners' registers nor the consumed count may move.
-func (f *Flow) SkipGap(n int) {
-	if n <= 0 {
-		return
-	}
-	for _, sc := range f.ss.set {
-		sc.SkipAhead(n)
-	}
-	f.consumed += n
-}
-
-// Discard drops the flow's scanner state WITHOUT returning it to the pool.
-// Panic containment uses it for a flow whose scan panicked: the set's
-// registers may be mid-update, and repooling it would hand corrupt state to
-// an unrelated future flow or batch. The Flow must not be used afterwards;
-// Close becomes a no-op.
-func (f *Flow) Discard() {
-	f.ss = nil
-}
-
-// Close returns the flow's scanner state to the engine pool. The Flow must
-// not be used afterwards.
-func (f *Flow) Close() {
-	if f.ss == nil {
-		return
-	}
-	f.e.release(f.ss)
-	f.ss = nil
-}
+// Close ends the flow; the handle must not be used afterwards. There is
+// nothing to hand back — the registers are the handle's own.
+func (f *Flow) Close() {}

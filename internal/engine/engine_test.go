@@ -73,8 +73,8 @@ func TestFlowPoolReuseIsClean(t *testing.T) {
 	e := New(g, 1)
 	target := g.Sets[0].Patterns[0].Data
 
-	// Leave a flow mid-pattern, close it, and ensure the recycled state
-	// does not leak into the next flow.
+	// Leave a flow mid-pattern, close it, and ensure nothing of it leaks
+	// into the next flow.
 	f := e.Flow()
 	f.Write(target[:len(target)-1])
 	f.Close()
@@ -82,7 +82,59 @@ func TestFlowPoolReuseIsClean(t *testing.T) {
 	f2 := e.Flow()
 	defer f2.Close()
 	if ms := f2.Write(target[len(target)-1:]); len(ms) != 0 {
-		t.Fatalf("stale pooled scanner state produced matches: %v", ms)
+		t.Fatalf("stale scanner state produced matches: %v", ms)
+	}
+}
+
+// TestFlowStateReopenInPlace: a state that served one connection is
+// re-opened for the next without allocating — at one group and at three —
+// starts from clean registers, is counted as a new connection, and carries
+// the opening engine's generation tag.
+func TestFlowStateReopenInPlace(t *testing.T) {
+	for _, groups := range []int{1, 3} {
+		g := buildGrouped(t, 120, groups)
+		e := New(g, 1)
+		target := g.Sets[groups-1].Patterns[0].Data
+		var st FlowState
+		if st.Generation() != 0 {
+			t.Fatalf("unopened state carries generation %d", st.Generation())
+		}
+		e.Open(&st)
+		e.Write(&st, target[:len(target)-1], nil)
+		allocs := testing.AllocsPerRun(10, func() { e.Open(&st) })
+		if !raceEnabled && allocs != 0 {
+			t.Fatalf("groups=%d: re-open allocated %.1f times", groups, allocs)
+		}
+		if st.Consumed() != 0 || st.Generation() != e.Generation() {
+			t.Fatalf("groups=%d: re-opened state at %d, generation %d (engine %d)",
+				groups, st.Consumed(), st.Generation(), e.Generation())
+		}
+		if ms := e.Write(&st, target[len(target)-1:], nil); len(ms) != 0 {
+			t.Fatalf("groups=%d: match spans a re-open: %v", groups, ms)
+		}
+		if got := e.Stats().FlowsOpened; got != 12 {
+			t.Fatalf("groups=%d: FlowsOpened = %d, want 12 (one per Open)", groups, got)
+		}
+	}
+}
+
+// TestFlowStateCloneIsIndependent: a clone taken mid-pattern completes the
+// match on its own while the original, fed something else, does not — at
+// every group count the registers are copied, not shared.
+func TestFlowStateCloneIsIndependent(t *testing.T) {
+	for _, groups := range []int{1, 3} {
+		g := buildGrouped(t, 120, groups)
+		e := New(g, 1)
+		target := g.Sets[groups-1].Patterns[0].Data
+		var st FlowState
+		e.Open(&st)
+		e.Write(&st, target[:len(target)-1], nil)
+		cl := st.Clone()
+		e.Write(&st, []byte{0}, nil)
+		want := g.FindAll(target)
+		if ms := e.Write(&cl, target[len(target)-1:], nil); !ac.MatchesEqual(ms, want) {
+			t.Fatalf("groups=%d: clone found %v, want %v", groups, ms, want)
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
-// Package flowtable maps 5-tuples to pooled per-flow scan state — the
+// Package flowtable maps 5-tuples to per-flow scan state — the
 // demultiplexing layer an edge-gateway NIDS needs in front of the string
 // matcher. The paper's deployment target scans millions of concurrent
 // connections against one shared automaton (§I, §IV.B); the automaton is
 // immutable and shared, so the only per-connection cost is the flow's
 // scanner registers, and this package owns their lifecycle: lookup-or-create
 // keyed by the 5-tuple, LRU tracking of last activity on a logical clock,
-// and eviction (capacity and idle) that returns state to the owner's pool.
+// and eviction (capacity and idle) that hands state back to its owner.
 //
 // The table is safe for fully concurrent ingest. Keys are sharded by
 // FiveTuple.Hash64 so unrelated flows never contend; within a shard a
@@ -36,7 +36,7 @@ type Key = nids.FiveTuple
 // Config parameterizes a Table over its flow type F.
 type Config[F any] struct {
 	// New creates the flow state for a key. Called under the key's shard
-	// lock, so it must be cheap (e.g. a pool checkout).
+	// lock, so it must be cheap (e.g. allocating one record).
 	New func(Key) F
 	// Evict releases a flow's resources. Called exactly once per created
 	// flow — on capacity eviction, idle eviction, or table Close — outside

@@ -123,7 +123,7 @@ func (b *Budget) release(n int) {
 type Config struct {
 	// Policy is the overlap policy for undelivered bytes.
 	Policy Policy
-	// MaxFlowBytes caps this stream's held (out-of-order) bytes; <= 0
+	// MaxFlowBytes caps one stream's held (out-of-order) bytes; <= 0
 	// selects 256 KiB.
 	MaxFlowBytes int
 	// Budget, when non-nil, additionally caps held bytes across all
@@ -135,11 +135,11 @@ type Config struct {
 	GapTimeout uint64
 }
 
-func (c Config) withDefaults() Config {
+func (c *Config) maxFlowBytes() int {
 	if c.MaxFlowBytes <= 0 {
-		c.MaxFlowBytes = 256 << 10
+		return 256 << 10
 	}
-	return c
+	return c.MaxFlowBytes
 }
 
 // Result accounts one Segment call, in payload bytes. Every payload byte of
@@ -167,25 +167,42 @@ type seg struct {
 	data []byte
 }
 
-// Stream reassembles one flow direction.
+// Stream reassembles one flow direction. It is a plain value a flow record
+// can embed: the configuration every stream of a table shares is held by
+// pointer, not copied per flow, and the only memory a stream owns beyond
+// itself is the out-of-order bytes it currently holds. The zero value holds
+// nothing (HeldBytes and Release work on it) but cannot take segments until
+// Init.
 type Stream struct {
-	cfg      Config
+	cfg      *Config
 	started  bool
 	finished bool
 	wasReset bool
+	finSeen  bool
 	next     uint32 // absolute seq of the next in-order byte
 	pos      int64  // stream offset of next (bytes delivered + skipped)
 	held     []seg
 	heldBy   int    // sum of held data lengths
 	gapSince uint64 // tick+1 when delivery first stalled on the current gap
-	finSeen  bool
-	finOff   int64 // stream offset one past the last byte (FIN position)
+	finOff   int64  // stream offset one past the last byte (FIN position)
 }
 
-// NewStream returns an empty stream; the first segment (or SYN)
-// establishes the sequence base.
+// Init makes s an empty stream over cfg, in place; the first segment (or
+// SYN) establishes the sequence base. cfg is shared, not copied: it must
+// outlive the stream and must not change while any stream uses it. Bytes a
+// previous connection left held must be Released first — Init forgets them
+// without returning them to the budget.
+func (s *Stream) Init(cfg *Config) { *s = Stream{cfg: cfg} }
+
+// NewStream returns an empty stream with its own copy of cfg, for callers
+// without a flow record to embed a Stream in.
 func NewStream(cfg Config) *Stream {
-	return &Stream{cfg: cfg.withDefaults()}
+	own := &struct {
+		s   Stream
+		cfg Config
+	}{cfg: cfg}
+	own.s.cfg = &own.cfg
+	return &own.s
 }
 
 // Pos returns the stream offset of the next in-order byte: bytes delivered
@@ -467,7 +484,7 @@ func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 	if need == 0 {
 		return
 	}
-	max := s.cfg.MaxFlowBytes
+	max := s.cfg.maxFlowBytes()
 	for s.heldBy+need > max && len(s.held) > 0 {
 		last := &s.held[len(s.held)-1]
 		if last.off <= off {

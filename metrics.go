@@ -244,7 +244,7 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 		w.Sample(float64(es.BatchBytes), shardLabel(i))
 	}
 	w.Metric("dpi_engine_flows_opened_total", "counter",
-		"Scanner-state checkouts from each shard's flow pool.")
+		"Connections opened on each engine shard: new flows and SYN re-opens.")
 	for i, es := range shardStats {
 		w.Sample(float64(es.FlowsOpened), shardLabel(i))
 	}

@@ -96,6 +96,43 @@ func TestGatewayMetricsSeries(t *testing.T) {
 	}
 }
 
+// TestGatewayMetricsFlowsOpenedPerConnection: dpi_engine_flows_opened_total
+// counts connections, not table entries. Three connections reuse one tuple
+// — each FIN leaves a husk the next SYN re-opens in place — so the table
+// creates one flow while the engine opens three.
+func TestGatewayMetricsFlowsOpenedPerConnection(t *testing.T) {
+	m := corpusMatcher(t, BackendAuto)
+	gw := m.NewEngine(1).Gateway(GatewayConfig{}, func(FlowMatch) {})
+	defer gw.Close()
+	tup := FiveTuple{SrcIP: IPv4(10, 0, 0, 1), DstIP: IPv4(10, 0, 0, 2), SrcPort: 40000, DstPort: 80, Proto: ProtoTCP}
+	for conn := uint32(0); conn < 3; conn++ {
+		isn := conn * 5000
+		for _, p := range []GatewayPacket{
+			{Tuple: tup, Seq: isn, Flags: FlagSeq | FlagSYN},
+			{Tuple: tup, Seq: isn + 1, Flags: FlagSeq, Payload: []byte("GET / HTTP/1.1")},
+			{Tuple: tup, Seq: isn + 15, Flags: FlagSeq | FlagFIN},
+		} {
+			if err := gw.Ingest(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	gw.Flush()
+	if st := gw.Stats(); st.FlowsCreated != 1 || st.FlowsFinished != 3 {
+		t.Fatalf("three connections on one tuple: %+v", st)
+	}
+	if opened := gw.ShardStats()[0].FlowsOpened; opened != 3 {
+		t.Fatalf("EngineStats.FlowsOpened = %d, want one per connection (3)", opened)
+	}
+	var buf bytes.Buffer
+	if _, err := gw.Metrics().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "dpi_engine_flows_opened_total{shard=\"0\"} 3\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("exposition missing %q", want)
+	}
+}
+
 // TestGatewayMetricsHTTP mounts the handler and checks the scrape
 // response shape: Content-Type, validity, method restriction.
 func TestGatewayMetricsHTTP(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 
 // FuzzPrefilterEquivalence is the two-stage pipeline's contract under fuzz:
 // for a fuzz-chosen ruleset, payload and operation sequence (chunked
-// writes, mid-stream SkipGap, Reset), the prefiltered backend — which skims
+// writes, mid-stream SkipGap, Reset, fork), the prefiltered backend — which skims
 // clean spans with a lossy cache-resident automaton and replays suspect
 // windows through the exact baked kernel — must produce a match stream
 // identical to the slice-walking reference path and to the uncompressed
@@ -41,6 +41,10 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 	// complete occurrence still fires.
 	f.Add([]byte{3, 'a', 'b', 'c'}, []byte("ababcabc"),
 		[]byte{0x0a, 0x00, 0x1e, 0x47})
+	// Forks: mid-skim, inside a suspect window split across chunks (the
+	// copy must carry the tail ring), and right after a gap skip.
+	f.Add([]byte{5, 'v', 'w', 'x', 'y', 'z'}, []byte("...vwxyz.."),
+		[]byte{0x16, 0x04, 0x16, 0x04, 0x16, 0x09, 0x04, 0x2a})
 	f.Fuzz(func(t *testing.T, patBlob, payload, ops []byte) {
 		rules := fuzzRulesFrom(patBlob)
 		if rules == nil {
@@ -83,8 +87,6 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 		var pOut, rOut []Match
 		pf := pre.NewEngine(1).Flow(func(m Match) { pOut = append(pOut, m) })
 		rf := ref.NewEngine(1).Flow(func(m Match) { rOut = append(rOut, m) })
-		defer pf.Close()
-		defer rf.Close()
 
 		var seg []byte // contiguous bytes both flows have seen since the last gap
 		segStart := 0  // flow position where the segment began
@@ -136,6 +138,8 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 				pf.SkipGap(n)
 				rf.SkipGap(n)
 				seg, segStart, segMark = seg[:0], pf.Consumed(), len(pOut)
+			case 4: // fork: both streams continue on copies of their registers
+				pf, rf = forkFlow(pf, payload), forkFlow(rf, patBlob)
 			default: // write a chunk of the payload (cycling, possibly empty)
 				n := int(op >> 2)
 				if len(payload) == 0 {

@@ -2,7 +2,7 @@ package dpi
 
 import (
 	"repro/internal/ac"
-	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // Stream scans a packet delivered in arbitrary chunks — the software
@@ -17,13 +17,14 @@ import (
 // return for the concatenated stream.
 //
 // A Stream is not safe for concurrent use; give each concurrent flow its
-// own Stream (or use Engine.Flow, which additionally pools scanner state).
+// own Stream (or use Engine.Flow, which additionally counts its work in the
+// engine's Stats). A Stream is one allocation: the scanner registers live
+// in the handle itself.
 type Stream struct {
-	m        *Matcher
-	scanners []*core.Scanner
-	emit     func(Match)
-	buf      []ac.Match // per-chunk merge buffer, reused across Writes
-	consumed int
+	m    *Matcher
+	st   engine.FlowState
+	emit func(Match)
+	buf  []ac.Match // per-chunk match buffer, reused across Writes
 }
 
 // NewStream returns a stream that calls emit for every match. One Stream
@@ -31,9 +32,7 @@ type Stream struct {
 // between packets.
 func (m *Matcher) NewStream(emit func(Match)) *Stream {
 	s := &Stream{m: m, emit: emit}
-	for _, machine := range m.grouped.Machines {
-		s.scanners = append(s.scanners, machine.NewScanner())
-	}
+	s.st.Open(m.grouped)
 	return s
 }
 
@@ -52,26 +51,16 @@ func (s *Stream) Write(p []byte) (int, error) {
 // demultiplexer can tie cross-packet matches back to the segment that
 // finished them.
 func (s *Stream) WritePacket(p []byte, packetID int) (int, error) {
-	s.buf = s.buf[:0]
-	for _, sc := range s.scanners {
-		s.buf = sc.ScanAppend(p, s.buf)
-	}
-	ac.SortMatches(s.buf)
+	s.buf = s.st.Write(s.m.grouped, p, ac.RecycleMatches(s.buf))
 	for _, am := range s.buf {
 		s.emit(s.m.convert(am, packetID))
 	}
-	s.consumed += len(p)
 	return len(p), nil
 }
 
 // Reset rewinds the stream to start-of-packet: automaton states and the
 // 2-byte histories are cleared, and offsets restart at zero.
-func (s *Stream) Reset() {
-	for _, sc := range s.scanners {
-		sc.Reset()
-	}
-	s.consumed = 0
-}
+func (s *Stream) Reset() { s.st.Reset() }
 
 // Consumed returns the bytes scanned since the last Reset.
-func (s *Stream) Consumed() int { return s.consumed }
+func (s *Stream) Consumed() int { return s.st.Consumed() }

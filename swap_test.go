@@ -190,8 +190,9 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 		t.Fatal("no matches across any wave; test is vacuous")
 	}
 
-	// No scanner leaks across generations: every live flow still holds a
-	// scanner stamped with exactly its pinned generation.
+	// No register file crosses a swap: every live flow's registers carry
+	// the tag of exactly its pinned generation — they were reset by that
+	// generation's engine and by no other since.
 	wantGen := map[FiveTuple]uint64{}
 	for wv, sw := range waves {
 		for _, tup := range sw.tuples {
@@ -210,8 +211,8 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 			t.Errorf("flow %v pinned to wrong generation (want %d)", k, want)
 			return
 		}
-		if fl.f == nil || fl.f.Generation() != fl.gen.id {
-			t.Errorf("flow %v scanner generation diverges from its pin %d", k, fl.gen.id)
+		if fl.st.Generation() != fl.gen.id {
+			t.Errorf("flow %v registers tagged generation %d, pinned to %d", k, fl.st.Generation(), fl.gen.id)
 		}
 	})
 	if swept == 0 {
