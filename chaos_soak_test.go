@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,6 +46,17 @@ func (c *soakCollector) matches(t dpi.FiveTuple) []dpi.Match {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.byTuple[t]
+}
+
+// soakGateway starts a gateway over m, failing the test if the constructor
+// rejects its arguments.
+func soakGateway(t testing.TB, m *dpi.Matcher, cfg dpi.GatewayConfig, emit func(dpi.FlowMatch)) *dpi.Gateway {
+	t.Helper()
+	gw, err := dpi.NewGateway(m, cfg, emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gw
 }
 
 func soakMatcher(t testing.TB, n int, backend string) (*dpi.Matcher, *ruleset.Set) {
@@ -104,7 +116,7 @@ func TestChaosSoakBlockStorm(t *testing.T) {
 					t.Fatal("storm added no duplicates; soak is vacuous")
 				}
 				c := newSoakCollector()
-				gw := m.NewEngine(4).Gateway(dpi.GatewayConfig{
+				gw := soakGateway(t, m, dpi.GatewayConfig{
 					EngineShards: shards, StreamWorkers: 3,
 				}, c.emit)
 				for _, p := range storm {
@@ -159,7 +171,7 @@ func TestChaosSoakOverflowConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			storm := chaos.New(5).Storm(w.Packets, chaos.StormConfig{DupFactor: 2, ReorderSpan: 400})
-			gw := m.NewEngine(2).Gateway(dpi.GatewayConfig{
+			gw := soakGateway(t, m, dpi.GatewayConfig{
 				EngineShards: shards, StreamWorkers: 2,
 				MaxFlowBuffer: 1024, MaxTotalBuffer: 4096, GapTimeout: 4,
 			}, func(dpi.FlowMatch) {})
@@ -205,7 +217,7 @@ func TestChaosSoakShedPacketsDeliveredOracle(t *testing.T) {
 			release := make(chan struct{})
 			c := newSoakCollector()
 			emit := chaos.StallOnce(c.emit, func(dpi.FlowMatch) bool { return true }, release)
-			gw := m.NewEngine(2).Gateway(dpi.GatewayConfig{
+			gw := soakGateway(t, m, dpi.GatewayConfig{
 				EngineShards: shards, StreamWorkers: 1, QueueDepth: 4,
 				OverloadPolicy: dpi.ShedPackets, IngestDeadline: -1,
 			}, emit)
@@ -302,7 +314,7 @@ func TestChaosSoakShedNewFlows(t *testing.T) {
 				SrcPort: 4000, DstPort: 80, Proto: dpi.ProtoTCP}
 			c := newSoakCollector()
 			emit := chaos.StallOnce(c.emit, func(fm dpi.FlowMatch) bool { return fm.Tuple == trigTuple }, release)
-			gw := m.NewEngine(2).Gateway(dpi.GatewayConfig{
+			gw := soakGateway(t, m, dpi.GatewayConfig{
 				EngineShards: shards, StreamWorkers: 1, QueueDepth: 4,
 				OverloadPolicy: dpi.ShedNewFlows, IngestDeadline: -1,
 			}, emit)
@@ -409,7 +421,7 @@ func TestChaosSoakPanicQuarantine(t *testing.T) {
 			}
 			c := newSoakCollector()
 			emit := chaos.PanicOnce(c.emit, func(fm dpi.FlowMatch) bool { return fm.Tuple == w.Tuples[victim] })
-			gw := m.NewEngine(2).Gateway(dpi.GatewayConfig{
+			gw := soakGateway(t, m, dpi.GatewayConfig{
 				EngineShards: shards, StreamWorkers: 2,
 			}, emit)
 			for _, p := range w.Packets {
@@ -463,6 +475,77 @@ func TestChaosSoakPanicQuarantine(t *testing.T) {
 	}
 }
 
+// TestChaosSoakPanicQuarantineUnderEviction runs containment under capacity
+// pressure: the flow table holds a fraction of the live connections, so
+// lanes on other shards evict flows continuously — ones holding reordered
+// bytes included — while every fifth match panics on the lane that found it.
+// A quarantine happens inside the panicking flow's entry lock, so no
+// eviction can slip between the panic and the charge: the ledger must
+// balance at every drained checkpoint, and every recovered panic must be on
+// exactly one shard's counter.
+func TestChaosSoakPanicQuarantineUnderEviction(t *testing.T) {
+	m, set := soakMatcher(t, 250, dpi.BackendAuto)
+	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
+		Flows: 48, SegmentsPerFlow: 8, SegmentBytes: 140, Seed: 719,
+		CrossDensity: 1, AttackDensity: 1, Profile: traffic.Textual,
+		Sequenced: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	storm := chaos.New(11).Storm(w.Packets, chaos.StormConfig{DupFactor: 1, ReorderSpan: 24})
+	var matches atomic.Uint64
+	gw := soakGateway(t, m, dpi.GatewayConfig{
+		EngineShards: 4, StreamWorkers: 2, QueueDepth: 8,
+		MaxFlows: 8, FlowShards: 2,
+	}, func(dpi.FlowMatch) {
+		if matches.Add(1)%5 == 0 {
+			panic("chaos: injected scan-path panic")
+		}
+	})
+	for round := 0; round < 4; round++ {
+		// Four feeders interleave the storm, so lanes on every shard touch
+		// (and evict from) the two table shards at once.
+		var wg sync.WaitGroup
+		for f := 0; f < 4; f++ {
+			wg.Add(1)
+			go func(f int) {
+				defer wg.Done()
+				for i := f; i < len(storm); i += 4 {
+					p := storm[i]
+					if err := gw.Ingest(dpi.GatewayPacket{
+						Tuple: p.Tuple, Seq: p.TCPSeq, Flags: dpi.TCPFlags(p.Flags), Payload: p.Payload,
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(f)
+		}
+		wg.Wait()
+		gw.Flush()
+		st := gw.Stats()
+		requireBalanced(t, st, fmt.Sprintf("round %d after Flush", round))
+		var byShard uint64
+		for _, n := range gw.PanicsByShard() {
+			byShard += n
+		}
+		if byShard != st.Panics {
+			t.Fatalf("round %d: per-shard panic counters sum to %d, total %d", round, byShard, st.Panics)
+		}
+		if st.Panics == 0 || st.QuarantinedFlows == 0 || st.FlowsEvicted == 0 {
+			t.Fatalf("round %d: no panic, quarantine or eviction; soak is vacuous: %+v", round, st)
+		}
+		if h := gw.Health(); !h.Healthy {
+			t.Fatalf("round %d: health after containment: %+v", round, h)
+		}
+	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireBalanced(t, gw.Stats(), "after Close")
+}
+
 // TestChaosSoakWatchdogStall: a wedged emit callback (chaos stall) must
 // flip Health to stalled once the lane's queue head exceeds the threshold,
 // turn /healthz into a 503 with a diagnosable JSON body, and clear cleanly
@@ -482,7 +565,7 @@ func TestChaosSoakWatchdogStall(t *testing.T) {
 	release := make(chan struct{})
 	c := newSoakCollector()
 	emit := chaos.StallOnce(c.emit, func(dpi.FlowMatch) bool { return true }, release)
-	gw := m.NewEngine(1).Gateway(dpi.GatewayConfig{
+	gw := soakGateway(t, m, dpi.GatewayConfig{
 		StreamWorkers: 1, StallThreshold: 30 * time.Millisecond,
 	}, emit)
 	for _, p := range w.Packets {
@@ -585,7 +668,7 @@ func TestChaosSoakWedgedLaneSparesNeighbours(t *testing.T) {
 				stallOnce.Do(func() { close(stalled) })
 				return true
 			}, release)
-			gw := m.NewEngine(2).Gateway(dpi.GatewayConfig{
+			gw := soakGateway(t, m, dpi.GatewayConfig{
 				EngineShards: int(tc.shards), StreamWorkers: int(tc.lanes), QueueDepth: 4,
 				OverloadPolicy: dpi.ShedPackets, IngestDeadline: -1,
 			}, emit)

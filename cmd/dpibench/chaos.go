@@ -161,9 +161,12 @@ func (h *chaosHarness) blockStorm(shards int) (chaosScenarioResult, error) {
 		r.fail("storm added no duplicates; scenario is vacuous")
 	}
 	c := newChaosCollector()
-	gw := h.m.NewEngine(4).Gateway(dpi.GatewayConfig{
+	gw, err := dpi.NewGateway(h.m, dpi.GatewayConfig{
 		EngineShards: shards, StreamWorkers: 3,
 	}, c.emit)
+	if err != nil {
+		return r, err
+	}
 	for _, p := range storm {
 		if err := gw.Ingest(dpi.GatewayPacket{
 			Tuple: p.Tuple, Seq: p.TCPSeq, Flags: dpi.TCPFlags(p.Flags), Payload: p.Payload,
@@ -207,10 +210,13 @@ func (h *chaosHarness) overflow(shards int) (chaosScenarioResult, error) {
 	}
 	storm := chaos.New(h.seed+5).Storm(w.Packets, chaos.StormConfig{DupFactor: 2, ReorderSpan: 400})
 	c := newChaosCollector()
-	gw := h.m.NewEngine(2).Gateway(dpi.GatewayConfig{
+	gw, err := dpi.NewGateway(h.m, dpi.GatewayConfig{
 		EngineShards: shards, StreamWorkers: 2,
 		MaxFlowBuffer: 1024, MaxTotalBuffer: 4096, GapTimeout: 4,
 	}, c.emit)
+	if err != nil {
+		return r, err
+	}
 	for _, p := range storm {
 		if err := gw.Ingest(dpi.GatewayPacket{
 			Tuple: p.Tuple, Seq: p.TCPSeq, Flags: dpi.TCPFlags(p.Flags), Payload: p.Payload,
@@ -251,10 +257,13 @@ func (h *chaosHarness) shedPackets(shards int) (chaosScenarioResult, error) {
 	release := make(chan struct{})
 	c := newChaosCollector()
 	emit := chaos.StallOnce(c.emit, func(dpi.FlowMatch) bool { return true }, release)
-	gw := h.m.NewEngine(2).Gateway(dpi.GatewayConfig{
+	gw, err := dpi.NewGateway(h.m, dpi.GatewayConfig{
 		EngineShards: shards, StreamWorkers: 1, QueueDepth: 4,
 		OverloadPolicy: dpi.ShedPackets, IngestDeadline: -1,
 	}, emit)
+	if err != nil {
+		return r, err
+	}
 
 	// Replay the in-order feed, recording admission per packet. A flow's
 	// expected matches are FindAll over each contiguous run of admitted
@@ -352,9 +361,12 @@ func (h *chaosHarness) panicQuarantine(shards int) (chaosScenarioResult, error) 
 	}
 	c := newChaosCollector()
 	emit := chaos.PanicOnce(c.emit, func(fm dpi.FlowMatch) bool { return fm.Tuple == w.Tuples[victim] })
-	gw := h.m.NewEngine(2).Gateway(dpi.GatewayConfig{
+	gw, err := dpi.NewGateway(h.m, dpi.GatewayConfig{
 		EngineShards: shards, StreamWorkers: 2,
 	}, emit)
+	if err != nil {
+		return r, err
+	}
 	for _, p := range w.Packets {
 		if err := gw.Ingest(dpi.GatewayPacket{
 			Tuple: p.Tuple, Seq: p.TCPSeq, Flags: dpi.TCPFlags(p.Flags), Payload: p.Payload,
@@ -476,9 +488,12 @@ func (h *chaosHarness) swapStorm(shards int) (chaosScenarioResult, error) {
 	}
 
 	c := newChaosCollector()
-	gw := ws[0].m.NewEngine(2).Gateway(dpi.GatewayConfig{
+	gw, err := dpi.NewGateway(ws[0].m, dpi.GatewayConfig{
 		EngineShards: shards, StreamWorkers: 2,
 	}, c.emit)
+	if err != nil {
+		return r, err
+	}
 	ingest := func(pkts []traffic.FlowPacket) error {
 		for _, p := range pkts {
 			if err := gw.Ingest(dpi.GatewayPacket{

@@ -197,10 +197,12 @@ func runGateway(ctx context.Context, out io.Writer, jsonPath string, cfg gateway
 	}
 
 	run := func(feed gatewayFeed, workers, maxFlows, shards int) (dpi.GatewayStats, error) {
-		e := m.NewEngine(workers)
-		gw := e.Gateway(dpi.GatewayConfig{
+		gw, err := dpi.NewGateway(m, dpi.GatewayConfig{
 			MaxFlows: maxFlows, StreamWorkers: workers, EngineShards: shards,
 		}, func(dpi.FlowMatch) {})
+		if err != nil {
+			return dpi.GatewayStats{}, err
+		}
 		for _, pkt := range feed.packets {
 			if err := gw.Ingest(pkt); err != nil {
 				return dpi.GatewayStats{}, err

@@ -84,8 +84,11 @@ func runPcap(ctx context.Context, out io.Writer, jsonPath string, cfg pcapConfig
 			break
 		}
 		var matches atomic.Uint64
-		gw := matcher.NewEngine(cfg.Workers).Gateway(dpi.GatewayConfig{EngineShards: cfg.Shards},
+		gw, err := dpi.NewGateway(matcher, dpi.GatewayConfig{StreamWorkers: cfg.Workers, EngineShards: cfg.Shards},
 			func(dpi.FlowMatch) { matches.Add(1) })
+		if err != nil {
+			return err
+		}
 		st, err := gw.ReplayPcap(bytes.NewReader(raws[i]))
 		if err != nil {
 			gw.Close()
@@ -116,8 +119,11 @@ func runPcap(ctx context.Context, out io.Writer, jsonPath string, cfg pcapConfig
 	// capture loop, many rotations), timed end to end including Flush. A
 	// signal stops between repeats; the gateway is still drained so the
 	// elapsed time covers every byte the throughput figure counts.
-	gw := matcher.NewEngine(cfg.Workers).Gateway(dpi.GatewayConfig{EngineShards: cfg.Shards},
+	gw, err := dpi.NewGateway(matcher, dpi.GatewayConfig{StreamWorkers: cfg.Workers, EngineShards: cfg.Shards},
 		func(dpi.FlowMatch) {})
+	if err != nil {
+		return err
+	}
 	start := time.Now()
 	done := 0
 	for r := 0; r < cfg.Repeats && ctx.Err() == nil; r++ {

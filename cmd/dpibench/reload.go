@@ -132,9 +132,12 @@ func runReload(ctx context.Context, out io.Writer, jsonPath string, cfg reloadBe
 	var matches int
 	c := newChaosCollector()
 	var gwErr error
-	gw := waves[0].m.NewEngine(0).Gateway(dpi.GatewayConfig{
+	gw, err := dpi.NewGateway(waves[0].m, dpi.GatewayConfig{
 		EngineShards: cfg.Shards, BatchPackets: 16,
 	}, c.emit)
+	if err != nil {
+		return err
+	}
 	rep.Backend = gw.Backend()
 	send := func(p dpi.GatewayPacket) bool {
 		if err := gw.Ingest(p); err != nil {

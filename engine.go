@@ -23,10 +23,11 @@ import (
 //
 // Stats is the engine's observability seam: every counter in
 // EngineStats is an atomic the workers already bump, so a snapshot is
-// wait-free and safe while scans run. A sharded Gateway re-exports one
-// snapshot per replica through ShardStats, which is what the
-// dpi_engine_*_total{shard="i"} series on Gateway.Metrics render —
-// shard skew in a dashboard traces directly back to these counters.
+// wait-free and safe while scans run. A Gateway does not run on Engines —
+// its shards scan over the Matcher directly and keep the same counters in
+// their own state blocks — but it reports each shard's scan work in this
+// shape through ShardStats, which is what the
+// dpi_engine_*_total{shard="i"} series on Gateway.Metrics render.
 type Engine struct {
 	m   *Matcher
 	eng *engine.Engine
@@ -53,28 +54,17 @@ func (e *Engine) Backend() string { return e.eng.Backend() }
 // with it.
 func (e *Engine) Generation() uint64 { return e.m.Generation() }
 
-// EngineStats is a point-in-time snapshot of one engine's work, split by
-// its two usage shapes (batch scans and streaming flows). A sharded
-// Gateway exposes one per engine replica through ShardStats, making the
-// traffic fan-out across shards observable.
+// EngineStats is a point-in-time snapshot of one scan replica's work — an
+// Engine's, or one gateway shard's — split by its two usage shapes (batch
+// scans and streaming flows). A sharded Gateway exposes one per shard
+// through ShardStats, making the traffic fan-out across shards observable.
 type EngineStats struct {
 	Batches     uint64 // ScanPackets batches handed to the worker pool
 	BatchPkts   uint64 // payloads scanned across those batches
 	BatchBytes  uint64 // payload bytes scanned in batch mode
 	FlowsOpened uint64 // flows opened, once per connection (a gateway's SYN re-open included)
 	StreamBytes uint64 // bytes written through flows
-	Panics      uint64 // panics recovered inside batch workers (gateway containment)
-}
-
-// add accumulates another snapshot into s — the gateway folds per-shard
-// engine counters across ruleset generations with it.
-func (s *EngineStats) add(o EngineStats) {
-	s.Batches += o.Batches
-	s.BatchPkts += o.BatchPkts
-	s.BatchBytes += o.BatchBytes
-	s.FlowsOpened += o.FlowsOpened
-	s.StreamBytes += o.StreamBytes
-	s.Panics += o.Panics
+	Panics      uint64 // panics recovered inside batch workers: gateway containment, zero on a bare Engine
 }
 
 // Stats returns this engine's work counters. Counters are monotone but
@@ -87,7 +77,6 @@ func (e *Engine) Stats() EngineStats {
 		BatchBytes:  s.BatchBytes,
 		FlowsOpened: s.FlowsOpened,
 		StreamBytes: s.StreamBytes,
-		Panics:      s.Panics,
 	}
 }
 

@@ -31,8 +31,11 @@ func Example_pcapReplay() {
 	}
 
 	var matches atomic.Uint64
-	gw := m.NewEngine(1).Gateway(dpi.GatewayConfig{EngineShards: 2},
+	gw, err := dpi.NewGateway(m, dpi.GatewayConfig{EngineShards: 2},
 		func(dpi.FlowMatch) { matches.Add(1) })
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer gw.Close()
 
 	f, err := os.Open("testdata/pcap/evasion-wrap.pcap")
@@ -64,8 +67,11 @@ func ExampleGateway_Metrics() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gw := m.NewEngine(1).Gateway(dpi.GatewayConfig{EngineShards: 2},
+	gw, err := dpi.NewGateway(m, dpi.GatewayConfig{EngineShards: 2},
 		func(dpi.FlowMatch) {})
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer gw.Close()
 
 	f, err := os.Open("testdata/pcap/http-mixed.pcap")

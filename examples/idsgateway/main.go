@@ -86,17 +86,20 @@ func main() {
 
 	// The software gateway: bounded hash-pinned per-flow lanes over a
 	// 5-tuple flow table, TCP reassembly ahead of each flow's scanner —
-	// and two engine shards, each with its own worker pool and scanner
-	// state, splitting the connection load by tuple hash.
+	// and two engine shards, each with its own lanes, burst scanner and
+	// counters, splitting the connection load by tuple hash.
 	var mu sync.Mutex
 	byTuple := map[dpi.FiveTuple][]dpi.FlowMatch{}
-	gw := matcher.NewEngine(0).Gateway(dpi.GatewayConfig{
+	gw, err := dpi.NewGateway(matcher, dpi.GatewayConfig{
 		MaxFlows: 512, EngineShards: 2, Rules: vrules,
 	}, func(fm dpi.FlowMatch) {
 		mu.Lock()
 		byTuple[fm.Tuple] = append(byTuple[fm.Tuple], fm)
 		mu.Unlock()
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, p := range w.Packets {
 		err := gw.Ingest(dpi.GatewayPacket{
 			Tuple: p.Tuple, Seq: p.TCPSeq, Flags: dpi.TCPFlags(p.Flags), Payload: p.Payload,

@@ -97,7 +97,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var matchCount atomic.Uint64
-	gw := matcher.NewEngine(0).Gateway(dpi.GatewayConfig{
+	gw, err := dpi.NewGateway(matcher, dpi.GatewayConfig{
 		EngineShards: *shards,
 		Rules: []dpi.VerdictRule{
 			{ID: 1, Name: "web-alert", Header: dpi.HeaderRule{Proto: dpi.ProtoTCP, DstPorts: dpi.PortRange{Lo: 80, Hi: 443}}, Verdict: dpi.VerdictAlert},
@@ -105,6 +105,9 @@ func main() {
 			{ID: 3, Name: "telemetry-pass", Header: dpi.HeaderRule{Proto: dpi.ProtoUDP, DstPorts: dpi.PortRange{Lo: 9999, Hi: 9999}}, Verdict: dpi.VerdictPass},
 		},
 	}, func(dpi.FlowMatch) { matchCount.Add(1) })
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer gw.Close()
 
 	// Live /metrics over real TCP while the replay runs.

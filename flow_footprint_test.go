@@ -210,7 +210,7 @@ func TestGatewaySynReopenRacesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	var matches atomic.Uint64
-	gw := m.NewEngine(2).Gateway(GatewayConfig{
+	gw := testGateway(t, m, GatewayConfig{
 		EngineShards: 2, StreamWorkers: 2, QueueDepth: 8,
 		MaxFlows: 6, FlowShards: 2, IdleTimeout: 16,
 	}, func(FlowMatch) { matches.Add(1) })

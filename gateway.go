@@ -9,18 +9,22 @@ package dpi
 // lane's bounded queue plays the role of a block's input FIFO: TCP packets
 // are pinned to a lane by flow hash so each connection's scanner registers
 // see its bytes in order, exactly as a hardware engine owns a packet
-// stream, and stateless packets are scanned in bursts across the engine's
-// worker lanes. Nothing sits between the partitioner and a lane.
+// stream, and stateless packets are scanned in bursts fanned out across
+// worker goroutines. Nothing sits between the partitioner and a lane.
 //
 // The scan back-end replicates like the hardware does: the paper's device
 // reaches its throughput by instantiating many identical string matching
 // blocks and fanning partitioned traffic across them (§IV.B), and
 // GatewayConfig.EngineShards is the software analogue — M independent
-// Engines (each with its own worker pool, stream lanes and burst scanner)
-// over the one immutable compiled automaton, with every flow and stateless
-// packet pinned to a shard by the same tuple hash that pins lanes and
-// flow-table shards. Sharding is invisible in results and accounting;
-// ShardStats exposes the per-replica fan-out.
+// shards (each one state block: its stream lanes, burst scanner, admission
+// gate, drain count and counters) over the one immutable compiled automaton,
+// with every flow and stateless packet pinned to a shard by the same tuple
+// hash that pins lanes and flow-table shards. A packet's bookkeeping lands
+// on its own shard's block and nowhere else — the ingest sequence number is
+// the one gateway-wide write on the packet path — and every read surface
+// (Stats, ShardStats, Health, the Flush barrier) is a summing walk over the
+// shards. Sharding is invisible in results and accounting; ShardStats
+// exposes the per-replica fan-out.
 //
 // Two stages sit between a lane and the scanner, completing the NIDS model:
 //
@@ -46,12 +50,12 @@ package dpi
 // capture files replay back-to-back with flows continuing across file
 // boundaries. Downstream, the observability edge (metrics.go,
 // internal/metrics) renders this file's accounting — GatewayStats, the
-// flow-table snapshot, per-shard EngineStats and the per-rule counters
-// kept in ruleFlows/ruleMatches — as a Prometheus text exposition via
-// Gateway.Metrics. Both seams are read-only over state the pipeline
-// already maintains: the hot path has no capture- or metrics-specific
-// branches, and the per-rule counters are position-indexed atomics
-// bumped where the verdict and match decisions already happen.
+// flow-table snapshot, per-shard EngineStats and the per-rule counters —
+// as a Prometheus text exposition via Gateway.Metrics. Both seams are
+// read-only over state the pipeline already maintains: the hot path has no
+// capture- or metrics-specific branches, and the per-rule counters are
+// position-indexed atomics bumped where the verdict and match decisions
+// already happen.
 
 import (
 	"bufio"
@@ -59,6 +63,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,22 +251,21 @@ func (p OverloadPolicy) String() string {
 // defaults throughout.
 type GatewayConfig struct {
 	// EngineShards replicates the scan back-end: the gateway spins up this
-	// many independent Engines over the one shared compiled automaton and
+	// many independent shards over the one shared compiled automaton and
 	// pins every flow (and every stateless packet) to a shard by tuple
 	// hash — the software analogue of the paper's replicated string
 	// matching blocks fed by partitioned traffic. Each shard owns its own
-	// worker pool, per-flow stream lanes and burst scanner, so shards
-	// share nothing hot; on a NUMA machine run one shard per node. All
+	// per-flow stream lanes, burst scanner and counters, so shards share
+	// nothing hot; on a NUMA machine run one shard per node. All
 	// ordering and accounting guarantees are per-gateway, unchanged:
 	// per-flow packet order holds because a flow's shard and lane are both
 	// functions of its tuple hash, nothing is dropped, and Flush drains
-	// every shard. Default 1 (a single engine — exactly the pre-sharding
-	// gateway).
+	// every shard. Default 1 (exactly the pre-sharding gateway).
 	EngineShards int
 	// BatchPackets is the burst size for stateless (non-TCP) packets: the
-	// burst scanner takes up to this many queued packets per scan by its
-	// shard's Engine.ScanPackets. It never waits for a burst to fill — it
-	// scans whatever is queued — so batching adds no latency. Default 64.
+	// burst scanner takes up to this many queued packets per scan. It never
+	// waits for a burst to fill — it scans whatever is queued — so batching
+	// adds no latency. Default 64.
 	BatchPackets int
 	// QueueDepth bounds the queued packets per engine shard, split across
 	// its lanes; a full lane queue blocks Ingest of the flows pinned to it,
@@ -270,8 +274,10 @@ type GatewayConfig struct {
 	// StreamWorkers is the number of per-flow scan lanes per engine shard.
 	// Each flow is pinned to one lane of its shard by tuple hash, so
 	// per-flow packet order (and therefore cross-packet matching) is
-	// preserved while distinct flows scan in parallel. Default
-	// Engine.Workers().
+	// preserved while distinct flows scan in parallel. It also sizes the
+	// shard's burst fan-out: one stateless burst is scanned by up to this
+	// many goroutines at once. Default GOMAXPROCS — one lane per available
+	// core.
 	StreamWorkers int
 	// MaxFlows softly caps live flow state: when exceeded, the
 	// least-recently-active flows are evicted, records and all. The live
@@ -332,7 +338,7 @@ type GatewayConfig struct {
 	OnVerdict func(FlowVerdict)
 }
 
-func (c GatewayConfig) withDefaults(e *Engine) GatewayConfig {
+func (c GatewayConfig) withDefaults() GatewayConfig {
 	if c.EngineShards <= 0 {
 		c.EngineShards = 1
 	}
@@ -343,7 +349,7 @@ func (c GatewayConfig) withDefaults(e *Engine) GatewayConfig {
 		c.QueueDepth = 4 * c.BatchPackets
 	}
 	if c.StreamWorkers <= 0 {
-		c.StreamWorkers = e.Workers()
+		c.StreamWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxFlows == 0 {
 		c.MaxFlows = 1 << 16
@@ -385,7 +391,7 @@ type GatewayStats struct {
 	Bytes         uint64 // payload bytes ingested
 	StreamPackets uint64 // routed through per-flow stream state
 	BatchPackets  uint64 // scanned statelessly in bursts
-	Batches       uint64 // bursts handed to Engine.ScanPackets
+	Batches       uint64 // bursts the burst scanners formed
 	Matches       uint64 // FlowMatches emitted
 	ScannedBytes  uint64 // payload bytes delivered to a scanner (stream + burst)
 
@@ -481,9 +487,9 @@ func (l GatewayLedger) Balanced() bool {
 // scanner for stateless packets.
 //
 //	Ingest ─▶ admission ─▶ shard[h%M].lane[(h/M)%K] ─▶ verdict ─▶ reassembly ─▶ per-flow scan
-//	           (hash)  └──▶ shard[h%M].burst ─────────▶ verdict ─▶ Engine.ScanPackets
+//	           (hash)  └──▶ shard[h%M].burst ─────────▶ verdict ─▶ batch scan
 //
-// With EngineShards=1 (the default) this collapses to the single-engine
+// With EngineShards=1 (the default) this collapses to the single-shard
 // pipeline. Ingest and IngestReader may be called from multiple
 // goroutines; emit and OnVerdict are invoked concurrently (from the stream
 // lanes and the burst scanners) and must be safe for concurrent use. Close
@@ -497,69 +503,30 @@ type Gateway struct {
 	budget *reassembly.Budget
 	asmCfg reassembly.Config // shared by every flow's reassembly stream, by pointer
 
-	mu     sync.RWMutex // guards closed vs in-flight Ingest sends; Flush, SwapRules and Close hold it exclusively
+	// closed is guarded by the shards' admission gates: Ingest reads it
+	// holding its packet's shard gate shared; Close writes it holding every
+	// gate exclusively (see lockAll).
 	closed bool
 
 	// Ruleset generations — the hot-reload control plane. cur is the
 	// generation new flows pin to and bursts scan with; it only changes
-	// inside SwapRules, at a drained point (mu held exclusively, inflight
-	// zero), so everything processing a packet sees a frozen cur. gens
-	// lists every non-retired generation in install order; retiredStats
-	// holds, per engine shard, the folded counters of engines whose
-	// generation retired, keeping ShardStats monotone across swaps. genMu
-	// guards gens, retiredStats and gwGeneration.retired. workers is the
-	// per-engine worker-pool size swapped-in generations replicate.
-	cur          atomic.Pointer[gwGeneration]
-	genMu        sync.Mutex
-	gens         []*gwGeneration
-	retiredStats []EngineStats
-	workers      int
-	swaps        atomic.Uint64
-	gensInstall  atomic.Uint64
-	gensRetired  atomic.Uint64
+	// inside SwapRules, at a drained point (every gate held exclusively,
+	// every shard's inflight zero), so everything processing a packet sees
+	// a frozen cur. gens lists every non-retired generation in install
+	// order, guarded by genMu.
+	cur         atomic.Pointer[gwGeneration]
+	genMu       sync.Mutex
+	gens        []*gwGeneration
+	swaps       atomic.Uint64
+	gensInstall atomic.Uint64
+	gensRetired atomic.Uint64
 
 	workerWg sync.WaitGroup
 
-	seq      atomic.Uint64
-	inflight atomic.Int64
-	bytes    atomic.Uint64
-	stream   atomic.Uint64
-	batched  atomic.Uint64
-	bursts   atomic.Uint64
-	matches  atomic.Uint64
-
-	reassembled   atomic.Uint64
-	oooSegs       atomic.Uint64
-	dupBytes      atomic.Uint64
-	asmDropped    atomic.Uint64
-	gapSkips      atomic.Uint64
-	gapSkipBytes  atomic.Uint64
-	flowsFinished atomic.Uint64
-	flowsReset    atomic.Uint64
-	verdictAlerts atomic.Uint64
-	verdictDrops  atomic.Uint64
-	verdictPasses atomic.Uint64
-	droppedBytes  atomic.Uint64
-	passedBytes   atomic.Uint64
-
-	// Byte-conservation buckets (see GatewayStats.Ledger). scannedBytes and
-	// its sibling buckets are committed transactionally — only after the
-	// operation that consumed the bytes returned — so a mid-scan panic
-	// leaves its packet's bytes uncommitted and the quarantine path can
-	// charge them exactly.
-	scannedBytes   atomic.Uint64
-	abandonedBytes atomic.Uint64
-	shedPackets    atomic.Uint64
-	shedBytes      atomic.Uint64
-	shedFlows      atomic.Uint64
-
-	// Panic containment: per-shard recovered-panic counts (the
-	// dpi_panics_total{shard} series) and the quarantine counters. Which
-	// flows are quarantined is flow-entry state (gwFlow.quarantined).
-	panics      []atomic.Uint64
-	quarFlows   atomic.Uint64
-	quarPackets atomic.Uint64
-	quarBytes   atomic.Uint64
+	// seq numbers ingested packets (FlowMatch.PacketID) — the one
+	// gateway-wide write on the packet path. Every other per-packet counter
+	// lives on the owning shard's block (gwEngineShard.n).
+	seq atomic.Uint64
 
 	// Pending scanner gaps from shed in-order (non-FlagSeq) TCP segments:
 	// the flow's next admitted packet applies SkipGap(n) before scanning,
@@ -570,13 +537,6 @@ type Gateway struct {
 	pendingMu   sync.Mutex
 	pendingGaps map[FiveTuple]int
 	pendingN    atomic.Int64
-
-	// Per-rule counters, indexed by the rule's position in cfg.Rules (not
-	// its ID — IDs may be sparse). Fixed-size atomic slices allocated at
-	// construction keep the hot path allocation-free: counting a verdict or
-	// an attributed match is one predictable atomic add.
-	ruleFlows   []atomic.Uint64 // classifications decided by this rule
-	ruleMatches []atomic.Uint64 // matches attributed to this rule
 }
 
 type seqPacket struct {
@@ -593,35 +553,140 @@ type seqPacket struct {
 	gap int
 }
 
-// gwEngineShard is one scan replica's queues: hash-pinned per-flow stream
-// lanes and the burst scanner's. The scan engines themselves live on the
-// generations (one Engine per (shard, generation)); a shard's lanes look
-// up the engine through the flow's pinned generation, and its burst
+// gwCounter names one slot of a shard's counter block. Every monotone
+// counter the gateway keeps is declared here, once, and mapped to the
+// public field it feeds once: GatewayStats fields in Gateway.Stats (summed
+// across shards), EngineStats fields in Gateway.ShardStats (per shard).
+type gwCounter int
+
+const (
+	cBytes         gwCounter = iota // payload bytes ingested
+	cStreamPackets                  // packets a lane ran through per-flow state
+	cBatchPackets                   // packets a burst scanner took
+	cBatches                        // bursts formed
+	cMatches                        // FlowMatches emitted
+
+	// Byte-conservation buckets (see GatewayStats.Ledger). cScannedBytes and
+	// its sibling buckets are committed transactionally — only after the
+	// operation that consumed the bytes returned — so a mid-scan panic
+	// leaves its packet's bytes uncommitted and the containment path can
+	// charge them exactly.
+	cScannedBytes
+	cAbandonedBytes
+	cShedPackets
+	cShedBytes
+	cShedNewFlows
+
+	// Panic containment. Which flows are quarantined is flow-entry state
+	// (gwFlow.quarantined).
+	cPanics // every panic recovered on this shard: lanes, burst scanner, batch workers
+	cQuarantinedFlows
+	cQuarantinedPackets
+	cQuarantinedBytes
+
+	cReassembledBytes
+	cOutOfOrderSegs
+	cDuplicateBytes
+	cReassemblyDrops
+	cGapSkips
+	cGapSkippedBytes
+
+	cVerdictAlerts
+	cVerdictDrops
+	cVerdictPasses
+	cDroppedBytes
+	cPassedBytes
+
+	cFlowsFinished
+	cFlowsReset
+
+	// The shard's scan work, by usage shape — its EngineStats.
+	cEngBatches     // batch scans handed to the worker fan-out
+	cEngBatchPkts   // payloads scanned across those batches
+	cEngBatchBytes  // payload bytes scanned in batch mode
+	cEngFlowsOpened // connections opened: new flows and SYN re-opens
+	cEngStreamBytes // bytes written through flow registers
+	cEngPanics      // panics recovered inside batch workers
+
+	numCounters
+)
+
+// gwCounts is one loaded copy of a counter block, or a sum of several.
+type gwCounts [numCounters]uint64
+
+// gwRuleCounters is one verdict rule's counters on one shard.
+type gwRuleCounters struct {
+	flows   atomic.Uint64 // classifications decided by this rule
+	matches atomic.Uint64 // matches attributed to this rule
+}
+
+// gwEngineShard is one scan replica — the software string matching block —
+// and the one owner of everything its goroutines touch: the hash-pinned
+// per-flow stream lanes and the burst scanner's queue, the lanes' watchdog
+// state, the admission gate, the drain count and the counter block. A
+// packet pinned to this shard is accounted here and nowhere else, so shards
+// share no written cache line on the packet path beyond Gateway.seq and the
+// flow table's own clock. What a shard scans *with* is not its state: lanes
+// look the matcher up through the flow's pinned generation, the burst
 // scanner through the current one.
 type gwEngineShard struct {
 	streamQ []chan seqPacket
 	burstQ  chan seqPacket
 	lanes   []laneState // watchdog state, parallel to streamQ
+	// rules holds the per-rule counters, indexed by the rule's position in
+	// cfg.Rules (not its ID — IDs may be sparse). Fixed-size and allocated
+	// at construction, so counting a verdict or an attributed match is one
+	// predictable atomic add.
+	rules []gwRuleCounters
+
+	// gate orders admission against the control plane: Ingest holds it
+	// shared across its send; Flush, SwapRules and Close hold every shard's
+	// exclusively (Gateway.lockAll).
+	gate sync.RWMutex
+
+	_ [64]byte // keeps the read-mostly header off the lines written per packet
+	// inflight counts packets admitted to this shard and not yet fully
+	// processed: raised by admission before the send, lowered by the lane or
+	// burst scanner in the defer chain that also contains panics. The drain
+	// barrier waits for every shard's to reach zero.
+	inflight atomic.Int64
+	// n is the shard's counter block; see gwCounter.
+	n [numCounters]atomic.Uint64
+	_ [64]byte // the next shard's header starts on its own line
 }
 
-// gwGeneration is one installed ruleset generation: the compiled matcher,
-// one engine per shard (each with its own worker pool and work counters
-// over that matcher's automaton), and the live refcount of flows pinned to
-// it. A generation retires — engines and matcher released, counters folded
-// into the gateway's retired baseline — when it is no longer current and
-// its last pinned flow ends; the current generation never retires.
+// counts loads the shard's counter block.
+func (sh *gwEngineShard) counts() (c gwCounts) {
+	for i := range sh.n {
+		c[i] = sh.n[i].Load()
+	}
+	return c
+}
+
+// totals sums every shard's counter block.
+func (g *Gateway) totals() (c gwCounts) {
+	for _, sh := range g.shards {
+		for i := range sh.n {
+			c[i] += sh.n[i].Load()
+		}
+	}
+	return c
+}
+
+// gwGeneration is one installed ruleset generation: the compiled matcher
+// and the live count of flows pinned to it. A generation retires — dropped
+// from Gateway.gens, its matcher left to the garbage collector — when it is
+// no longer current and its last pinned flow ends; the current generation
+// never retires.
 type gwGeneration struct {
-	id      uint64 // Matcher.Generation of m
-	m       *Matcher
-	engines []*Engine
+	id uint64 // Matcher.Generation of m
+	m  *Matcher
 	// flows counts live pinned flows. Pinning happens only while the
-	// packet that opens the flow is in flight (inflight > 0), and cur only
-	// changes at a drained point, so a pin can never land on a generation
-	// that is concurrently being swapped out — the race SwapRules'
-	// drain barrier exists to exclude.
+	// packet that opens the flow is in flight (its shard's inflight > 0),
+	// and cur only changes at a drained point, so a pin can never land on a
+	// generation that is concurrently being swapped out — the race
+	// SwapRules' drain barrier exists to exclude.
 	flows atomic.Int64
-	// retired is guarded by Gateway.genMu; set exactly once.
-	retired bool
 }
 
 // laneState is one stream lane's watchdog view: how many packets are queued
@@ -635,22 +700,20 @@ type laneState struct {
 	lastProgress atomic.Int64 // unix nanos
 }
 
-// Gateway starts a pipelined ingestion front-end over the engine. emit
+// NewGateway starts a pipelined ingestion front-end scanning with m. emit
 // receives every match and must be safe for concurrent use. The returned
-// Gateway is running; feed it with Ingest or IngestReader and Close it to
-// drain.
-//
-// With cfg.EngineShards > 1 the receiver becomes shard 0 and the gateway
-// builds the remaining shards as fresh Engines with the same worker count
-// over the same compiled Matcher.
-func (e *Engine) Gateway(cfg GatewayConfig, emit func(FlowMatch)) *Gateway {
-	cfg = cfg.withDefaults(e)
-	g := &Gateway{
-		cfg:         cfg,
-		workers:     e.Workers(),
-		ruleFlows:   make([]atomic.Uint64, len(cfg.Rules)),
-		ruleMatches: make([]atomic.Uint64, len(cfg.Rules)),
+// Gateway is running; feed it with Ingest, IngestReader or ReplayPcap and
+// Close it to drain. Nil arguments are rejected with a wrapped ErrBadConfig
+// instead of a later panic.
+func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, error) {
+	if m == nil {
+		return nil, fmt.Errorf("%w: NewGateway with nil Matcher", ErrBadConfig)
 	}
+	if emit == nil {
+		return nil, fmt.Errorf("%w: NewGateway with nil emit callback", ErrBadConfig)
+	}
+	cfg = cfg.withDefaults()
+	g := &Gateway{cfg: cfg, emit: emit}
 	// A negative MaxTotalBuffer disables the global cap but the budget is
 	// still kept, with an effectively infinite limit, so Stats can always
 	// report how many out-of-order bytes are held across flows.
@@ -665,57 +728,33 @@ func (e *Engine) Gateway(cfg GatewayConfig, emit func(FlowMatch)) *Gateway {
 		Budget:       g.budget,
 		GapTimeout:   uint64(cfg.GapTimeout),
 	}
-	g.emit = func(fm FlowMatch) {
-		g.matches.Add(1)
-		emit(fm)
-	}
 	g.table = flowtable.New(flowtable.Config[*gwFlow]{
 		New: func(k flowtable.Key) *gwFlow {
 			fl := &gwFlow{}
 			v, idx := g.classify(k)
 			fl.verdict, fl.ruleIdx = v, int32(idx)
 			if v == VerdictNone || v == VerdictAlert {
-				fl.open(g, g.shardIndex(k))
+				fl.open(g, g.shards[g.shardIndex(k)])
 			}
 			return fl
 		},
-		Evict:     func(_ flowtable.Key, fl *gwFlow) { fl.release(g) },
+		Evict:     func(k flowtable.Key, fl *gwFlow) { fl.release(g, g.shards[g.shardIndex(k)]) },
 		MaxFlows:  cfg.MaxFlows,
 		IdleTicks: uint64(cfg.IdleTimeout),
 		Shards:    cfg.FlowShards,
 	})
-	g.shards = make([]*gwEngineShard, cfg.EngineShards)
-	g.panics = make([]atomic.Uint64, cfg.EngineShards)
-	g.retiredStats = make([]EngineStats, cfg.EngineShards)
-	// Generation 0-in-install-order: the matcher the gateway was started
-	// on. Shard 0 reuses the caller's engine (exactly the pre-reload
-	// construction); the other shards replicate it. SwapRules installs
-	// later generations the same shape.
-	gen0 := &gwGeneration{id: e.m.Generation(), m: e.m, engines: make([]*Engine, cfg.EngineShards)}
-	for s := range gen0.engines {
-		se := e
-		if s > 0 {
-			se = e.m.NewEngine(e.Workers())
-		}
-		// Arm the engine's batch-path panic containment: a panic scanning
-		// one burst payload is recovered inside the engine worker (where it
-		// would otherwise kill the process) and lands on this shard's panic
-		// counter. Note this arms the engine itself — on a shared shard-0
-		// engine, batch scans fed outside this gateway are contained too.
-		shard := s
-		se.eng.SetRecover(func(any) { g.panics[shard].Add(1) })
-		gen0.engines[s] = se
-	}
+	gen0 := &gwGeneration{id: m.Generation(), m: m}
 	g.cur.Store(gen0)
 	g.gens = []*gwGeneration{gen0}
 	g.gensInstall.Store(1)
+	g.shards = make([]*gwEngineShard, cfg.EngineShards)
 	for s := range g.shards {
-		shard := s
 		sh := &gwEngineShard{
 			streamQ: make([]chan seqPacket, cfg.StreamWorkers),
 			// One burst queues while the previous one scans.
 			burstQ: make(chan seqPacket, cfg.BatchPackets),
 			lanes:  make([]laneState, cfg.StreamWorkers),
+			rules:  make([]gwRuleCounters, len(cfg.Rules)),
 		}
 		g.shards[s] = sh
 		for w := range sh.streamQ {
@@ -723,32 +762,32 @@ func (e *Engine) Gateway(cfg GatewayConfig, emit func(FlowMatch)) *Gateway {
 			q := make(chan seqPacket, cfg.QueueDepth/cfg.StreamWorkers+1)
 			sh.streamQ[w] = q
 			g.workerWg.Add(1)
-			go g.streamWorker(&gwLane{g: g, shard: shard, ls: &sh.lanes[w]}, q)
+			go g.streamWorker(&gwLane{g: g, sh: sh, ls: &sh.lanes[w]}, q)
 		}
 		g.workerWg.Add(1)
-		go g.burstScanner(shard, sh.burstQ)
+		go g.burstScanner(sh)
 	}
-	return g
+	return g, nil
 }
 
-// NewGateway is the standalone constructor: it builds a private engine
-// over m (default worker count — one per core) and starts the pipeline,
-// equivalent to m.NewEngine(0).Gateway(cfg, emit). Nil arguments are
-// rejected with a wrapped ErrBadConfig instead of a later panic, making
-// this the error-checked seam callers outside a benchmark should use.
-func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, error) {
-	if m == nil {
-		return nil, fmt.Errorf("%w: NewGateway with nil Matcher", ErrBadConfig)
+// lockAll takes every shard's admission gate exclusively, in shard order —
+// the control plane's stop-the-world: no Ingest is inside a send and none
+// can start one until unlockAll.
+func (g *Gateway) lockAll() {
+	for _, sh := range g.shards {
+		sh.gate.Lock()
 	}
-	if emit == nil {
-		return nil, fmt.Errorf("%w: NewGateway with nil emit callback", ErrBadConfig)
+}
+
+func (g *Gateway) unlockAll() {
+	for _, sh := range g.shards {
+		sh.gate.Unlock()
 	}
-	return m.NewEngine(0).Gateway(cfg, emit), nil
 }
 
 // shardIndex returns the engine shard owning key — the same hash-derived
 // pinning admission routes by, so a flow is opened on (and counted by) the
-// engine of the shard whose lane scans it.
+// shard whose lane scans it.
 func (g *Gateway) shardIndex(k FiveTuple) int {
 	if len(g.shards) == 1 {
 		return 0
@@ -771,19 +810,20 @@ func (g *Gateway) classify(t FiveTuple) (Verdict, int) {
 	return VerdictNone, -1
 }
 
-// notifyVerdict counts a rule decision and forwards it to OnVerdict.
-func (g *Gateway) notifyVerdict(t FiveTuple, v Verdict, idx int) {
+// notifyVerdict counts a rule decision on the shard that made it and
+// forwards it to OnVerdict.
+func (g *Gateway) notifyVerdict(sh *gwEngineShard, t FiveTuple, v Verdict, idx int) {
 	if idx < 0 {
 		return
 	}
-	g.ruleFlows[idx].Add(1)
+	sh.rules[idx].flows.Add(1)
 	switch v {
 	case VerdictAlert:
-		g.verdictAlerts.Add(1)
+		sh.n[cVerdictAlerts].Add(1)
 	case VerdictDrop:
-		g.verdictDrops.Add(1)
+		sh.n[cVerdictDrops].Add(1)
 	case VerdictPass:
-		g.verdictPasses.Add(1)
+		sh.n[cVerdictPasses].Add(1)
 	}
 	if g.cfg.OnVerdict != nil {
 		r := &g.cfg.Rules[idx]
@@ -810,8 +850,9 @@ type gwFlow struct {
 	// generation, because it is a new connection.
 	gen *gwGeneration
 	// st is the connection's scanner registers, stamped at open with the
-	// generation of the engine that reset them — the tag the hot-reload
-	// audit checks against gen. Meaningful only while gen is non-nil.
+	// generation of the automaton they were reset for — the tag the
+	// hot-reload audit checks against gen. Meaningful only while gen is
+	// non-nil.
 	st engine.FlowState
 	// asm reorders FlagSeq segments; initialized at open, so a record that
 	// was never opened holds the zero Stream.
@@ -839,9 +880,9 @@ type gwFlow struct {
 // a flow lands on the same lane, so the lane — not the flow — owns what a
 // scan needs only while it runs.
 type gwLane struct {
-	g     *Gateway
-	shard int
-	ls    *laneState
+	g  *Gateway
+	sh *gwEngineShard
+	ls *laneState
 	// matches is the scratch every flow on this lane scans into. It keeps
 	// the capacity of the lane's most match-dense segment, so the memory
 	// match buffers pin is bounded by lanes × worst segment, never by flows.
@@ -849,17 +890,18 @@ type gwLane struct {
 }
 
 // open starts a connection on the record: it pins the current ruleset
-// generation, resets the scanner registers through that generation's
-// engine for the flow's shard (which counts the connection and stamps the
-// registers with its generation), and empties the reassembly stream. On a
-// husk this re-opens in place — nothing is allocated. open only runs while
-// the packet creating (or SYN-reopening) the flow is in flight, so cur
-// cannot move underneath it — see gwGeneration.flows.
-func (fl *gwFlow) open(g *Gateway, shard int) {
+// generation, resets the scanner registers for that generation's automaton
+// (stamping them with its generation), counts the connection on sh — the
+// flow's shard — and empties the reassembly stream. On a husk this re-opens
+// in place — nothing is allocated. open only runs while the packet creating
+// (or SYN-reopening) the flow is in flight, so cur cannot move underneath
+// it — see gwGeneration.flows.
+func (fl *gwFlow) open(g *Gateway, sh *gwEngineShard) {
 	gen := g.cur.Load()
 	gen.flows.Add(1)
 	fl.gen = gen
-	gen.engines[shard].eng.Open(&fl.st)
+	sh.n[cEngFlowsOpened].Add(1)
+	fl.st.Open(gen.m.grouped)
 	fl.asm.Init(&g.asmCfg)
 }
 
@@ -868,10 +910,11 @@ func (fl *gwFlow) open(g *Gateway, shard int) {
 // last pin of a non-current generation, that generation is retired here, on
 // the goroutine that ended the flow, so retirement needs no background
 // sweeper — and buffered out-of-order bytes return to the shared budget,
-// charged to the abandoned bucket: they were ingested but their flow is
-// going away, so they will never be scanned. Idempotent: a husk holds
-// neither, so finish → later eviction does not double-count.
-func (fl *gwFlow) release(g *Gateway) {
+// charged to the abandoned bucket of sh, the flow's shard: they were
+// ingested but their flow is going away, so they will never be scanned.
+// Idempotent: a husk holds neither, so finish → later eviction does not
+// double-count.
+func (fl *gwFlow) release(g *Gateway, sh *gwEngineShard) {
 	if gen := fl.gen; gen != nil {
 		fl.gen = nil
 		if gen.flows.Add(-1) == 0 {
@@ -879,7 +922,7 @@ func (fl *gwFlow) release(g *Gateway) {
 		}
 	}
 	if n := fl.asm.Release(); n > 0 {
-		g.abandonedBytes.Add(uint64(n))
+		sh.n[cAbandonedBytes].Add(uint64(n))
 	}
 }
 
@@ -887,8 +930,9 @@ func (fl *gwFlow) release(g *Gateway) {
 // lane's scratch and emits what it completed, attributed to the packet p
 // and to the rule that admitted the flow.
 func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
-	g, gen := ln.g, fl.gen
-	ln.matches = gen.engines[ln.shard].eng.Write(&fl.st, chunk, ln.matches[:0])
+	g, sh, gen := ln.g, ln.sh, fl.gen
+	ln.matches = fl.st.Write(gen.m.grouped, chunk, ln.matches[:0])
+	sh.n[cEngStreamBytes].Add(uint64(len(chunk)))
 	if len(ln.matches) == 0 {
 		return
 	}
@@ -898,8 +942,9 @@ func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
 	}
 	for _, am := range ln.matches {
 		if idx >= 0 {
-			g.ruleMatches[idx].Add(1)
+			sh.rules[idx].matches.Add(1)
 		}
+		sh.n[cMatches].Add(1)
 		g.emit(FlowMatch{Tuple: p.tuple, Match: gen.m.convert(am, p.seq), Verdict: v, RuleID: rid})
 	}
 }
@@ -913,10 +958,10 @@ func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
 // user callback) panics mid-packet, none of that packet's bytes are
 // committed and the quarantine path charges them in one place.
 func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) bool {
-	g := ln.g
+	g, sh := ln.g, ln.sh
 	if !fl.notified {
 		fl.notified = true
-		g.notifyVerdict(p.tuple, fl.verdict, int(fl.ruleIdx))
+		g.notifyVerdict(sh, p.tuple, fl.verdict, int(fl.ruleIdx))
 	}
 	// RST tears the connection down whatever its verdict or husk state —
 	// a dropped/passed or FIN-closed flow must not pin a table slot after
@@ -925,29 +970,29 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) bool {
 	// removes the table entry.
 	if p.flags&FlagRST != 0 {
 		if !fl.done {
-			g.flowsReset.Add(1)
+			sh.n[cFlowsReset].Add(1)
 		}
-		fl.release(g)
+		fl.release(g, sh)
 		fl.done = true
-		g.abandonedBytes.Add(uint64(len(p.payload)))
+		sh.n[cAbandonedBytes].Add(uint64(len(p.payload)))
 		return true
 	}
 	if fl.quarantined {
-		g.quarPackets.Add(1)
-		g.quarBytes.Add(uint64(len(p.payload)))
+		sh.n[cQuarantinedPackets].Add(1)
+		sh.n[cQuarantinedBytes].Add(uint64(len(p.payload)))
 		return false
 	}
 	switch fl.verdict {
 	case VerdictDrop:
-		g.droppedBytes.Add(uint64(len(p.payload)))
+		sh.n[cDroppedBytes].Add(uint64(len(p.payload)))
 		return false
 	case VerdictPass:
-		g.passedBytes.Add(uint64(len(p.payload)))
+		sh.n[cPassedBytes].Add(uint64(len(p.payload)))
 		return false
 	}
 	if fl.done {
 		if p.flags&FlagSYN == 0 {
-			g.dupBytes.Add(uint64(len(p.payload)))
+			sh.n[cDuplicateBytes].Add(uint64(len(p.payload)))
 			return false
 		}
 		// A SYN on a closed tuple is a new connection: the husk's registers
@@ -955,8 +1000,8 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) bool {
 		// its own verdict event (the once-per-connection contract follows
 		// connections, not table entries).
 		fl.done = false
-		fl.open(g, ln.shard)
-		g.notifyVerdict(p.tuple, fl.verdict, int(fl.ruleIdx))
+		fl.open(g, sh)
+		g.notifyVerdict(sh, p.tuple, fl.verdict, int(fl.ruleIdx))
 	}
 	if p.gap > 0 {
 		// Bytes shed at admission (see Gateway.pendingGaps) sit between
@@ -971,9 +1016,9 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) bool {
 		// Pre-reassembly semantics: the feed vouches for ordering and the
 		// bytes append at the flow's current stream position.
 		fl.scan(ln, &p, p.payload)
-		g.scannedBytes.Add(uint64(len(p.payload)))
+		sh.n[cScannedBytes].Add(uint64(len(p.payload)))
 		if p.flags&FlagFIN != 0 {
-			fl.finish(g)
+			fl.finish(ln)
 		}
 		return false
 	}
@@ -993,26 +1038,26 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) bool {
 			fl.st.SkipGap(skipped)
 			fl.scan(ln, &p, chunk)
 		})
-	g.reassembled.Add(uint64(res.Delivered))
-	g.scannedBytes.Add(uint64(res.Delivered))
+	sh.n[cReassembledBytes].Add(uint64(res.Delivered))
+	sh.n[cScannedBytes].Add(uint64(res.Delivered))
 	if res.Buffered > 0 {
-		g.oooSegs.Add(1)
+		sh.n[cOutOfOrderSegs].Add(1)
 	}
 	if res.Duplicate > 0 {
-		g.dupBytes.Add(uint64(res.Duplicate))
+		sh.n[cDuplicateBytes].Add(uint64(res.Duplicate))
 	}
 	if res.Dropped > 0 {
-		g.asmDropped.Add(uint64(res.Dropped))
+		sh.n[cReassemblyDrops].Add(uint64(res.Dropped))
 	}
 	if res.Skipped > 0 {
-		g.gapSkips.Add(1)
-		g.gapSkipBytes.Add(uint64(res.Skipped))
+		sh.n[cGapSkips].Add(1)
+		sh.n[cGapSkippedBytes].Add(uint64(res.Skipped))
 	}
 	if res.Abandoned > 0 {
-		g.abandonedBytes.Add(uint64(res.Abandoned))
+		sh.n[cAbandonedBytes].Add(uint64(res.Abandoned))
 	}
 	if res.Event == reassembly.EventFinished {
-		fl.finish(g)
+		fl.finish(ln)
 	}
 	return false
 }
@@ -1020,10 +1065,10 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) bool {
 // finish retires a FIN-completed connection: the generation pin and any
 // buffered bytes are released immediately instead of waiting for table
 // eviction; the husk entry stays behind to absorb stragglers.
-func (fl *gwFlow) finish(g *Gateway) {
-	fl.release(g)
+func (fl *gwFlow) finish(ln *gwLane) {
+	fl.release(ln.g, ln.sh)
 	fl.done = true
-	g.flowsFinished.Add(1)
+	ln.sh.n[cFlowsFinished].Add(1)
 }
 
 // quarantine retires a flow whose scan panicked. The panic may have left
@@ -1032,10 +1077,42 @@ func (fl *gwFlow) finish(g *Gateway) {
 // another. Buffered bytes are abandoned like any teardown. The entry stays
 // in the table as a husk absorbing stragglers. The mark is set first so it
 // holds even if the release below panics in turn.
-func (fl *gwFlow) quarantine(g *Gateway) {
+func (fl *gwFlow) quarantine(ln *gwLane) {
 	fl.quarantined = true
-	fl.release(g)
+	fl.release(ln.g, ln.sh)
 	fl.done = true
+}
+
+// contain is ingest under panic containment, run inside the flow's entry
+// lock: a panic anywhere under the flow (a scanner bug, a hostile payload
+// tripping an invariant, a user emit/OnVerdict callback) quarantines this
+// record where it sits, before the lock is dropped, so no eviction can slip
+// between the panic and the quarantine. The byte ledger stays exact: ingest
+// commits transactionally, so none of the panicking packet's bytes are in a
+// bucket yet, and the quarantine bucket is charged the packet's payload plus
+// whatever buffered bytes the aborted delivery drained before blowing up —
+// payload + held before − held now; the bytes still held land in the
+// abandoned bucket via the quarantine's release.
+func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (remove bool) {
+	held := fl.asm.HeldBytes()
+	defer func() {
+		if recover() == nil {
+			return
+		}
+		remove = false
+		sh := ln.sh
+		sh.n[cPanics].Add(1)
+		sh.n[cQuarantinedFlows].Add(1)
+		sh.n[cQuarantinedPackets].Add(1)
+		if delta := len(p.payload) + held - fl.asm.HeldBytes(); delta > 0 {
+			sh.n[cQuarantinedBytes].Add(uint64(delta))
+		}
+		// The flow is already poisoned; if releasing it panics too, give up
+		// on its resources but keep the gateway and the charge above intact.
+		defer func() { _ = recover() }()
+		fl.quarantine(ln)
+	}()
+	return fl.ingest(ln, p, tick)
 }
 
 // Ingest queues one packet. Under OverloadPolicy Block (the default) it
@@ -1056,13 +1133,6 @@ func (g *Gateway) Ingest(pkt GatewayPacket) error {
 // TCP segment additionally arms a scanner gap so the exactness contract
 // holds over the bytes that were delivered.
 func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.closed {
-		return false, fmt.Errorf("%w: Ingest", ErrClosed)
-	}
-	seq := g.seq.Add(1) - 1
-	g.bytes.Add(uint64(len(pkt.Payload)))
 	// The tuple hash drives every pinning decision (engine shard, stream
 	// lane, flow-table shard), so it is computed once here, on the caller's
 	// goroutine, and carried with the packet. Stateless packets on an
@@ -1074,6 +1144,15 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 	if tcp || len(g.shards) > 1 || pol == ShedNewFlows {
 		h = pkt.Tuple.Hash64()
 	}
+	nshards := uint64(len(g.shards))
+	sh := g.shards[h%nshards]
+	sh.gate.RLock()
+	defer sh.gate.RUnlock()
+	if g.closed {
+		return false, fmt.Errorf("%w: Ingest", ErrClosed)
+	}
+	seq := g.seq.Add(1) - 1
+	sh.n[cBytes].Add(uint64(len(pkt.Payload)))
 	p := seqPacket{tuple: pkt.Tuple, payload: pkt.Payload, seq: int(seq), hash: h, seq32: pkt.Seq, flags: pkt.Flags}
 	if tcp && pkt.Flags&FlagSeq == 0 {
 		// Claim any gap earlier sheds left for this flow, in admission
@@ -1088,8 +1167,6 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 		// traffic) are sheddable, so overload cannot grow the flow table.
 		newFlow = !tcp || !g.table.Has(pkt.Tuple, h)
 	}
-	nshards := uint64(len(g.shards))
-	sh := g.shards[h%nshards]
 	q := sh.burstQ
 	var ls *laneState
 	if tcp {
@@ -1107,9 +1184,9 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 		}
 	}
 	// inflight is raised across the send so a concurrent Flush cannot
-	// declare the pipeline drained while this packet may still slip in
-	// (TryIngest holds mu shared, Flush takes it exclusively).
-	g.inflight.Add(1)
+	// declare the shard drained while this packet may still slip in
+	// (TryIngest holds the gate shared, Flush takes it exclusively).
+	sh.inflight.Add(1)
 	if pol == Block || (pol == ShedNewFlows && !newFlow) {
 		q <- p
 		return true, nil
@@ -1129,11 +1206,11 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 		case <-t.C:
 		}
 	}
-	g.inflight.Add(-1)
+	sh.inflight.Add(-1)
 	if ls != nil {
 		ls.depth.Add(-1)
 	}
-	g.shed(p, newFlow)
+	g.shed(sh, p, newFlow)
 	return false, nil
 }
 
@@ -1142,11 +1219,11 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 // sequence space it is indistinguishable from a segment lost upstream, and
 // the reassembler's GapTimeout already skips such holes with scanner
 // invalidation.
-func (g *Gateway) shed(p seqPacket, newFlow bool) {
-	g.shedPackets.Add(1)
-	g.shedBytes.Add(uint64(len(p.payload)))
+func (g *Gateway) shed(sh *gwEngineShard, p seqPacket, newFlow bool) {
+	sh.n[cShedPackets].Add(1)
+	sh.n[cShedBytes].Add(uint64(len(p.payload)))
 	if newFlow {
-		g.shedFlows.Add(1)
+		sh.n[cShedNewFlows].Add(1)
 	}
 	if p.tuple.Proto == ProtoTCP && p.flags&FlagSeq == 0 && p.gap+len(p.payload) > 0 {
 		// The shed packet's own bytes, plus any gap it had already claimed
@@ -1188,19 +1265,23 @@ func (g *Gateway) takePendingGap(t FiveTuple) int {
 // drain barrier cannot be raced past — Flush returns only at a true
 // everything-scanned point.
 func (g *Gateway) Flush() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.lockAll()
+	defer g.unlockAll()
 	g.drainLocked()
 }
 
 // drainLocked spins until every admitted packet has been scanned. The
-// caller holds g.mu exclusively, so no new packet can be admitted while it
-// waits; the lanes and burst scanners consume whatever is queued (a burst
-// scanner never waits for a burst to fill), so inflight reaches zero
-// without outside help.
+// caller holds every admission gate (lockAll), so no new packet can be
+// admitted while it waits; the lanes and burst scanners consume whatever is
+// queued (a burst scanner never waits for a burst to fill), so each shard's
+// inflight reaches zero without outside help — and, with admission stopped,
+// stays there, which makes waiting the shards out one after another a
+// barrier over all of them.
 func (g *Gateway) drainLocked() {
-	for g.inflight.Load() != 0 {
-		time.Sleep(50 * time.Microsecond)
+	for _, sh := range g.shards {
+		for sh.inflight.Load() != 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
 	}
 }
 
@@ -1220,9 +1301,9 @@ func (g *Gateway) drainLocked() {
 //     generation. A match can therefore always be replayed exactly:
 //     FindAll with the flow's pinned generation over its delivered bytes.
 //
-// The old generation retires (engines and matcher released, counters
-// folded into the retired baseline) when its last pinned flow ends;
-// SwapRules itself retires it immediately when no flow holds a pin.
+// The old generation retires (its matcher released) when its last pinned
+// flow ends; SwapRules itself retires it immediately when no flow holds a
+// pin.
 //
 // m must be strictly newer than the installed matcher: re-installing the
 // current matcher or delivering an older compile (two reloaders racing)
@@ -1233,8 +1314,8 @@ func (g *Gateway) SwapRules(m *Matcher) error {
 	if m == nil {
 		return fmt.Errorf("%w: SwapRules with nil Matcher", ErrBadConfig)
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.lockAll()
+	defer g.unlockAll()
 	if g.closed {
 		return fmt.Errorf("%w: SwapRules", ErrClosed)
 	}
@@ -1244,13 +1325,7 @@ func (g *Gateway) SwapRules(m *Matcher) error {
 		return fmt.Errorf("%w: matcher generation %d is not newer than installed generation %d",
 			ErrStaleGeneration, m.Generation(), old.id)
 	}
-	gen := &gwGeneration{id: m.Generation(), m: m, engines: make([]*Engine, len(g.shards))}
-	for s := range gen.engines {
-		se := m.NewEngine(g.workers)
-		shard := s
-		se.eng.SetRecover(func(any) { g.panics[shard].Add(1) })
-		gen.engines[s] = se
-	}
+	gen := &gwGeneration{id: m.Generation(), m: m}
 	g.genMu.Lock()
 	g.gens = append(g.gens, gen)
 	g.genMu.Unlock()
@@ -1264,30 +1339,22 @@ func (g *Gateway) SwapRules(m *Matcher) error {
 // maybeRetire retires gen if it can no longer receive work: not the
 // current generation, no pinned flows, not already retired. Safe to call
 // optimistically — it is invoked from the last unpin of a generation and
-// from SwapRules after a cutover, and exactly one caller wins. Retirement
-// folds the generation's per-shard engine counters into the gateway
-// baseline (ShardStats stays monotone across swaps), drops the generation
-// from the live list, and releases the engines and matcher to the
-// garbage collector.
+// from SwapRules after a cutover, and exactly one caller wins: retirement
+// is removal from the live list, under genMu. The counters a retired
+// generation's flows produced stay where they were written — on the shards.
 func (g *Gateway) maybeRetire(gen *gwGeneration) {
 	g.genMu.Lock()
 	defer g.genMu.Unlock()
-	if gen.retired || gen == g.cur.Load() || gen.flows.Load() != 0 {
+	if gen == g.cur.Load() || gen.flows.Load() != 0 {
 		return
-	}
-	gen.retired = true
-	for s, e := range gen.engines {
-		g.retiredStats[s].add(e.Stats())
 	}
 	for i, other := range g.gens {
 		if other == gen {
 			g.gens = append(g.gens[:i], g.gens[i+1:]...)
-			break
+			g.gensRetired.Add(1)
+			return
 		}
 	}
-	gen.engines = nil
-	gen.m = nil
-	g.gensRetired.Add(1)
 }
 
 // GenerationInfo is one live (non-retired) ruleset generation's view on
@@ -1345,10 +1412,8 @@ func (g *Gateway) IngestReader(r io.Reader) (int, error) {
 // streamWorker owns one per-flow lane: every packet of a given flow lands
 // on the same lane (hash-pinned at admission), so writes into the
 // flow's scanner state are ordered without per-packet locking beyond the
-// flow table's entry lock. The lane's packet counter doubles as the
-// logical clock for reassembly gap timeouts. After every packet —
-// including one whose scan panicked and was contained — the lane stamps
-// its watchdog progress.
+// flow table's entry lock. After every packet — including one whose scan
+// panicked and was contained — the lane stamps its watchdog progress.
 func (g *Gateway) streamWorker(ln *gwLane, q <-chan seqPacket) {
 	defer g.workerWg.Done()
 	for p := range q {
@@ -1358,26 +1423,34 @@ func (g *Gateway) streamWorker(ln *gwLane, q <-chan seqPacket) {
 	}
 }
 
-// streamPacket runs one packet through its flow, containing panics: a
-// panic anywhere under the flow (a scanner bug, a hostile payload tripping
-// an invariant, a user emit/OnVerdict callback) quarantines that one flow
-// and the gateway keeps running. inflight is decremented in the same defer
-// chain so Flush cannot wedge on a packet that blew up.
+// streamPacket runs one packet through its flow. Panics under the flow are
+// contained inside the entry lock (gwFlow.contain) and quarantine that one
+// flow; the recover here catches only what runs outside an entry — flow
+// construction, an eviction the lookup triggered — where there is no record
+// to quarantine and none of the packet's bytes are committed yet, so the
+// packet's payload is charged to the quarantine bucket and the gateway keeps
+// running. inflight is decremented in the same defer chain so Flush cannot
+// wedge on a packet that blew up.
 func (ln *gwLane) streamPacket(p seqPacket) {
-	g := ln.g
-	defer g.inflight.Add(-1)
-	heldBefore := 0
+	g, sh := ln.g, ln.sh
+	defer sh.inflight.Add(-1)
 	defer func() {
 		if recover() != nil {
-			g.panics[ln.shard].Add(1)
-			g.quarantineFlow(p, heldBefore)
+			sh.n[cPanics].Add(1)
+			sh.n[cQuarantinedPackets].Add(1)
+			sh.n[cQuarantinedBytes].Add(uint64(len(p.payload)))
 		}
 	}()
-	tick := g.stream.Add(1)
+	sh.n[cStreamPackets].Add(1)
+	// The reassembly gap clock is the flow table's: gateway-wide stream
+	// packets, the same logical clock IdleTimeout runs on. The lookup below
+	// ticks it, so this packet's tick is at least the value read here plus
+	// one — and strictly above the tick of the lane's previous packet, which
+	// is all a flow (pinned to this lane) needs of it.
+	tick := g.table.Clock() + 1
 	var removeNow bool
 	g.table.DoHashed(p.tuple, p.hash, func(fl *gwFlow) {
-		heldBefore = fl.asm.HeldBytes()
-		removeNow = fl.ingest(ln, p, tick)
+		removeNow = fl.contain(ln, p, tick)
 	})
 	if removeNow {
 		// RST teardown: the same lane owns every packet of this flow,
@@ -1386,81 +1459,54 @@ func (ln *gwLane) streamPacket(p seqPacket) {
 	}
 }
 
-// quarantineFlow releases the flow whose packet just panicked and marks its
-// table entry so the flow discards later packets. The byte ledger stays
-// exact: the panicking packet's bytes were never committed (ingest commits
-// transactionally), so the quarantine bucket is charged the packet's
-// payload plus whatever buffered bytes the aborted delivery drained before
-// blowing up — payload + heldBefore − heldNow; the buffered bytes still
-// held land in the abandoned bucket via the flow's release.
-//
-// Containment is best-effort under one rare race: if another lane's
-// capacity eviction closes this flow between the panic and the re-lookup
-// here, the lookup recreates (and immediately quarantines) a fresh flow,
-// and the drained-held delta is charged against the fresh flow's empty
-// buffer. The flow is still contained; only the ledger can overcount held
-// bytes in that window. The deterministic chaos soak runs without capacity
-// pressure, where the accounting is exact.
-func (g *Gateway) quarantineFlow(p seqPacket, heldBefore int) {
-	g.quarFlows.Add(1)
-	g.quarPackets.Add(1)
-	heldNow := heldBefore
-	func() {
-		// The flow is already poisoned; if releasing it panics too, give
-		// up on its resources but keep the gateway (and the ledger's
-		// packet charge) intact.
-		defer func() { _ = recover() }()
-		g.table.DoHashed(p.tuple, p.hash, func(fl *gwFlow) {
-			heldNow = fl.asm.HeldBytes()
-			fl.quarantine(g)
-		})
-	}()
-	if delta := len(p.payload) + heldBefore - heldNow; delta > 0 {
-		g.quarBytes.Add(uint64(delta))
-	}
-}
-
-// burstScanner scans one shard's stateless bursts with that shard's
-// engine worker pool. The verdict stage runs per packet here (stateless
-// traffic has no flow to remember a decision on): drop/pass packets never
-// reach the engine, and matches on alert-admitted packets carry the rule
-// attribution.
+// burstScanner scans one shard's stateless bursts. The verdict stage runs
+// per packet here (stateless traffic has no flow to remember a decision
+// on): drop/pass packets never reach the scan, and matches on
+// alert-admitted packets carry the rule attribution.
 //
 // The scanner forms its own bursts: it blocks for the first queued packet,
 // then takes whatever else is already queued, up to BatchPackets (it is the
 // queue's only receiver, so len(q) packets are there to take) — a partial
 // burst is scanned the moment the queue goes idle. The burst buffer and the
 // scan's working set are reused, so steady-state scanning does not allocate.
-func (g *Gateway) burstScanner(shard int, q <-chan seqPacket) {
+func (g *Gateway) burstScanner(sh *gwEngineShard) {
 	defer g.workerWg.Done()
-	var st burstState
+	// Batch-path panic containment: a panic scanning one burst payload is
+	// recovered inside the worker goroutine that hit it (where it would
+	// otherwise kill the process) and lands on this shard's block.
+	st := burstState{contain: func(any) {
+		sh.n[cPanics].Add(1)
+		sh.n[cEngPanics].Add(1)
+	}}
 	batch := make([]seqPacket, 0, g.cfg.BatchPackets)
+	q := sh.burstQ
 	for p := range q {
 		batch = append(batch[:0], p)
 		for n := min(len(q), cap(batch)-1); n > 0; n-- {
 			batch = append(batch, <-q)
 		}
-		g.scanBurst(shard, batch, &st)
+		g.scanBurst(sh, batch, &st)
 	}
 }
 
 // burstState is one burst scanner's reusable working set, so steady-state
 // batch scanning does not allocate per burst.
 type burstState struct {
+	contain  func(any) // the shard's batch-worker panic hook
 	buf      [][]ac.Match
 	kept     []seqPacket
 	payloads [][]byte
 	ruleIdx  []int
 }
 
-// scanBurst scans one stateless burst with the shard's engine. Panics
-// inside the engine's scan are contained by the engine itself (SetRecover,
-// armed at construction); panics in this function — a user OnVerdict or
-// emit callback — are contained here, with the batch's not-yet-committed
-// bytes charged to the quarantine bucket so the ledger stays exact, and
-// inflight decremented in the defer chain so Flush cannot wedge.
-func (g *Gateway) scanBurst(shard int, batch []seqPacket, st *burstState) {
-	defer g.inflight.Add(-int64(len(batch)))
+// scanBurst scans one stateless burst. Panics inside a payload's scan are
+// contained per payload by the batch scan itself (burstState.contain);
+// panics in this function — a user OnVerdict or emit callback — are
+// contained here, with the batch's not-yet-committed bytes charged to the
+// quarantine bucket so the ledger stays exact, and inflight decremented in
+// the defer chain so Flush cannot wedge.
+func (g *Gateway) scanBurst(sh *gwEngineShard, batch []seqPacket, st *burstState) {
+	defer sh.inflight.Add(-int64(len(batch)))
 	// One generation per burst, read once: the batch's packets hold
 	// inflight until the deferred decrement above, and SwapRules only
 	// moves cur at inflight zero, so cur is frozen for the whole burst —
@@ -1472,27 +1518,27 @@ func (g *Gateway) scanBurst(shard int, batch []seqPacket, st *burstState) {
 	}
 	defer func() {
 		if recover() != nil {
-			g.panics[shard].Add(1)
+			sh.n[cPanics].Add(1)
 			if total > committed {
-				g.quarBytes.Add(total - committed)
-				g.quarPackets.Add(1)
+				sh.n[cQuarantinedBytes].Add(total - committed)
+				sh.n[cQuarantinedPackets].Add(1)
 			}
 		}
 	}()
-	g.bursts.Add(1)
-	g.batched.Add(uint64(len(batch)))
+	sh.n[cBatches].Add(1)
+	sh.n[cBatchPackets].Add(uint64(len(batch)))
 	st.kept, st.payloads, st.ruleIdx = st.kept[:0], st.payloads[:0], st.ruleIdx[:0]
 	var keptBytes uint64
 	for _, p := range batch {
 		v, idx := g.classify(p.tuple)
-		g.notifyVerdict(p.tuple, v, idx)
+		g.notifyVerdict(sh, p.tuple, v, idx)
 		switch v {
 		case VerdictDrop:
-			g.droppedBytes.Add(uint64(len(p.payload)))
+			sh.n[cDroppedBytes].Add(uint64(len(p.payload)))
 			committed += uint64(len(p.payload))
 			continue
 		case VerdictPass:
-			g.passedBytes.Add(uint64(len(p.payload)))
+			sh.n[cPassedBytes].Add(uint64(len(p.payload)))
 			committed += uint64(len(p.payload))
 			continue
 		}
@@ -1502,11 +1548,14 @@ func (g *Gateway) scanBurst(shard int, batch []seqPacket, st *burstState) {
 		keptBytes += uint64(len(p.payload))
 	}
 	if len(st.kept) > 0 {
-		st.buf = gen.engines[shard].eng.ScanPacketsInto(st.payloads, st.buf)
-		// The engine delivered every payload to a scanner (a contained
-		// engine panic costs only that payload's matches), so the whole
-		// kept set commits as scanned.
-		g.scannedBytes.Add(keptBytes)
+		sh.n[cEngBatches].Add(1)
+		sh.n[cEngBatchPkts].Add(uint64(len(st.kept)))
+		sh.n[cEngBatchBytes].Add(keptBytes)
+		st.buf = engine.ScanBatch(gen.m.grouped, g.cfg.StreamWorkers, st.payloads, st.buf, st.contain)
+		// Every payload was delivered to a scanner (a contained batch-worker
+		// panic costs only that payload's matches), so the whole kept set
+		// commits as scanned.
+		sh.n[cScannedBytes].Add(keptBytes)
 		committed += keptBytes
 		for i, ms := range st.buf {
 			v, rid := VerdictNone, -1
@@ -1516,8 +1565,9 @@ func (g *Gateway) scanBurst(shard int, batch []seqPacket, st *burstState) {
 			}
 			for _, am := range ms {
 				if st.ruleIdx[i] >= 0 {
-					g.ruleMatches[st.ruleIdx[i]].Add(1)
+					sh.rules[st.ruleIdx[i]].matches.Add(1)
 				}
+				sh.n[cMatches].Add(1)
 				g.emit(FlowMatch{Tuple: st.kept[i].tuple, Match: gen.m.convert(am, st.kept[i].seq), Verdict: v, RuleID: rid})
 			}
 		}
@@ -1528,14 +1578,14 @@ func (g *Gateway) scanBurst(shard int, batch []seqPacket, st *burstState) {
 // scan stages to finish what is queued, and evicts every flow. Close is
 // idempotent.
 func (g *Gateway) Close() error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
+	g.lockAll()
+	wasClosed := g.closed
+	g.closed = true
+	g.unlockAll()
+	if wasClosed {
 		return nil
 	}
-	g.closed = true
-	g.mu.Unlock()
-	// closed was set under the exclusive lock, so no TryIngest — the only
+	// closed was set with every gate held, so no TryIngest — the only
 	// sender — is inside a channel operation and none can start one.
 	for _, sh := range g.shards {
 		close(sh.burstQ)
@@ -1551,33 +1601,24 @@ func (g *Gateway) Close() error {
 // Backend reports the scan backend the current generation's lanes and
 // burst scanners run (see Config.Backend). Matchers swapped in with a
 // different Backend configuration change this value at the swap.
-func (g *Gateway) Backend() string {
-	// genMu keeps maybeRetire from releasing the loaded generation's
-	// engines between the Load and the read: the current generation is
-	// never retired, and retirement of a just-swapped-out one needs this
-	// lock.
-	g.genMu.Lock()
-	defer g.genMu.Unlock()
-	return g.cur.Load().engines[0].Backend()
-}
+func (g *Gateway) Backend() string { return g.cur.Load().m.Backend() }
 
-// ShardStats returns one engine-work snapshot per engine shard, in shard
+// ShardStats returns one scan-work snapshot per engine shard, in shard
 // order — how the ingested traffic fanned out across the scan replicas.
-// Each shard's snapshot aggregates every generation that scanned on it:
-// the retired baseline plus the live generations' engines, so the
-// counters stay monotone across ruleset swaps. Shard 0 of the initial
-// generation is the engine the gateway was started on; on a shared
-// engine its counters may include work fed outside this gateway.
+// The counters belong to the shard, not to a ruleset generation, so they
+// are monotone across ruleset swaps and generation retirement.
 func (g *Gateway) ShardStats() []EngineStats {
-	g.genMu.Lock()
-	defer g.genMu.Unlock()
 	out := make([]EngineStats, len(g.shards))
-	for s := range out {
-		st := g.retiredStats[s]
-		for _, gen := range g.gens {
-			st.add(gen.engines[s].Stats())
+	for s, sh := range g.shards {
+		c := sh.counts()
+		out[s] = EngineStats{
+			Batches:     c[cEngBatches],
+			BatchPkts:   c[cEngBatchPkts],
+			BatchBytes:  c[cEngBatchBytes],
+			FlowsOpened: c[cEngFlowsOpened],
+			StreamBytes: c[cEngStreamBytes],
+			Panics:      c[cEngPanics],
 		}
-		out[s] = st
 	}
 	return out
 }
@@ -1594,8 +1635,8 @@ type RuleStats struct {
 	Matches uint64
 }
 
-// RuleStats returns per-rule counters in cfg.Rules order. Like Stats, it
-// may be called while the gateway is running.
+// RuleStats returns per-rule counters in cfg.Rules order, summed across
+// shards. Like Stats, it may be called while the gateway is running.
 func (g *Gateway) RuleStats() []RuleStats {
 	out := make([]RuleStats, len(g.cfg.Rules))
 	for i := range g.cfg.Rules {
@@ -1604,12 +1645,10 @@ func (g *Gateway) RuleStats() []RuleStats {
 		if v == VerdictNone {
 			v = VerdictAlert
 		}
-		out[i] = RuleStats{
-			ID:      r.ID,
-			Name:    r.Name,
-			Verdict: v,
-			Flows:   g.ruleFlows[i].Load(),
-			Matches: g.ruleMatches[i].Load(),
+		out[i] = RuleStats{ID: r.ID, Name: r.Name, Verdict: v}
+		for _, sh := range g.shards {
+			out[i].Flows += sh.rules[i].flows.Load()
+			out[i].Matches += sh.rules[i].matches.Load()
 		}
 	}
 	return out
@@ -1624,19 +1663,11 @@ func (g *Gateway) EvictIdleFlows() int { return g.table.EvictIdle() }
 // shard order — the dpi_panics_total{shard} series. A non-zero cell names
 // the shard whose lane or burst scanner contained a panic.
 func (g *Gateway) PanicsByShard() []uint64 {
-	out := make([]uint64, len(g.panics))
-	for i := range g.panics {
-		out[i] = g.panics[i].Load()
+	out := make([]uint64, len(g.shards))
+	for i, sh := range g.shards {
+		out[i] = sh.n[cPanics].Load()
 	}
 	return out
-}
-
-func (g *Gateway) panicsTotal() uint64 {
-	var n uint64
-	for i := range g.panics {
-		n += g.panics[i].Load()
-	}
-	return n
 }
 
 // LaneHealth is one stream lane's watchdog reading at the time of a Health
@@ -1670,12 +1701,10 @@ type GatewayHealth struct {
 // ones flip Healthy to false.
 func (g *Gateway) Health() GatewayHealth {
 	now := time.Now().UnixNano()
-	h := GatewayHealth{
-		Healthy:          true,
-		Panics:           g.panicsTotal(),
-		QuarantinedFlows: g.quarFlows.Load(),
-	}
+	h := GatewayHealth{Healthy: true}
 	for si, sh := range g.shards {
+		h.Panics += sh.n[cPanics].Load()
+		h.QuarantinedFlows += sh.n[cQuarantinedFlows].Load()
 		for li := range sh.lanes {
 			ls := &sh.lanes[li]
 			d := ls.depth.Load()
@@ -1694,63 +1723,61 @@ func (g *Gateway) Health() GatewayHealth {
 }
 
 // Stats returns a counter snapshot. It may be called while the gateway is
-// running; counters are monotone but mutually unsynchronized.
+// running; counters are monotone but mutually unsynchronized. This is where
+// each slot of the shards' counter blocks meets its public field.
 func (g *Gateway) Stats() GatewayStats {
 	ts := g.table.Stats()
+	c := g.totals()
+	g.genMu.Lock()
+	live := len(g.gens)
+	g.genMu.Unlock()
 	return GatewayStats{
 		EngineShards:  len(g.shards),
 		Packets:       g.seq.Load(),
-		Bytes:         g.bytes.Load(),
-		StreamPackets: g.stream.Load(),
-		BatchPackets:  g.batched.Load(),
-		Batches:       g.bursts.Load(),
-		Matches:       g.matches.Load(),
-		ScannedBytes:  g.scannedBytes.Load(),
+		Bytes:         c[cBytes],
+		StreamPackets: c[cStreamPackets],
+		BatchPackets:  c[cBatchPackets],
+		Batches:       c[cBatches],
+		Matches:       c[cMatches],
+		ScannedBytes:  c[cScannedBytes],
 
-		ShedPackets:  g.shedPackets.Load(),
-		ShedBytes:    g.shedBytes.Load(),
-		ShedNewFlows: g.shedFlows.Load(),
+		ShedPackets:  c[cShedPackets],
+		ShedBytes:    c[cShedBytes],
+		ShedNewFlows: c[cShedNewFlows],
 
-		Panics:             g.panicsTotal(),
-		QuarantinedFlows:   g.quarFlows.Load(),
-		QuarantinedPackets: g.quarPackets.Load(),
-		QuarantinedBytes:   g.quarBytes.Load(),
+		Panics:             c[cPanics],
+		QuarantinedFlows:   c[cQuarantinedFlows],
+		QuarantinedPackets: c[cQuarantinedPackets],
+		QuarantinedBytes:   c[cQuarantinedBytes],
 
-		ReassembledBytes: g.reassembled.Load(),
+		ReassembledBytes: c[cReassembledBytes],
 		BufferedBytes:    g.budget.Used(),
-		OutOfOrderSegs:   g.oooSegs.Load(),
-		DuplicateBytes:   g.dupBytes.Load(),
-		ReassemblyDrops:  g.asmDropped.Load(),
-		GapSkips:         g.gapSkips.Load(),
-		GapSkippedBytes:  g.gapSkipBytes.Load(),
+		OutOfOrderSegs:   c[cOutOfOrderSegs],
+		DuplicateBytes:   c[cDuplicateBytes],
+		ReassemblyDrops:  c[cReassemblyDrops],
+		GapSkips:         c[cGapSkips],
+		GapSkippedBytes:  c[cGapSkippedBytes],
 
-		VerdictAlerts: g.verdictAlerts.Load(),
-		VerdictDrops:  g.verdictDrops.Load(),
-		VerdictPasses: g.verdictPasses.Load(),
-		DroppedBytes:  g.droppedBytes.Load(),
-		PassedBytes:   g.passedBytes.Load(),
+		VerdictAlerts: c[cVerdictAlerts],
+		VerdictDrops:  c[cVerdictDrops],
+		VerdictPasses: c[cVerdictPasses],
+		DroppedBytes:  c[cDroppedBytes],
+		PassedBytes:   c[cPassedBytes],
 
-		AbandonedBytes: g.abandonedBytes.Load(),
+		AbandonedBytes: c[cAbandonedBytes],
 
 		FlowsLive:     ts.Live,
 		FlowsCreated:  ts.Created,
 		FlowsEvicted:  ts.EvictedCap + ts.EvictedIdle + ts.Removed,
-		FlowsFinished: g.flowsFinished.Load(),
-		FlowsReset:    g.flowsReset.Load(),
+		FlowsFinished: c[cFlowsFinished],
+		FlowsReset:    c[cFlowsReset],
 
 		Generation:           g.cur.Load().id,
 		RulesetSwaps:         g.swaps.Load(),
 		GenerationsInstalled: g.gensInstall.Load(),
 		GenerationsRetired:   g.gensRetired.Load(),
-		GenerationsLive:      g.liveGenerations(),
+		GenerationsLive:      live,
 	}
-}
-
-// liveGenerations counts the non-retired generations under genMu.
-func (g *Gateway) liveGenerations() int {
-	g.genMu.Lock()
-	defer g.genMu.Unlock()
-	return len(g.gens)
 }
 
 // Frame format v2 for IngestReader/WriteFrame: a 23-byte big-endian header —

@@ -142,7 +142,7 @@ func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards
 		c := newFMCollector()
 		var vmu sync.Mutex
 		verdicts := map[FiveTuple]FlowVerdict{}
-		gw := m.NewEngine(4).Gateway(GatewayConfig{
+		gw := testGateway(t, m, GatewayConfig{
 			EngineShards:  engineShards,
 			StreamWorkers: 3, OverlapPolicy: tc.pol, Rules: rules,
 			OnVerdict: func(fv FlowVerdict) {
@@ -268,7 +268,7 @@ func TestGatewayRetransmitConflictPolicies(t *testing.T) {
 	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	run := func(pol OverlapPolicy, first, second string) []Match {
 		c := newCollector()
-		gw := m.NewEngine(1).Gateway(GatewayConfig{StreamWorkers: 1, OverlapPolicy: pol}, c.emit)
+		gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, OverlapPolicy: pol}, c.emit)
 		ingest := func(seq uint32, payload string, flags TCPFlags) {
 			t.Helper()
 			if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)}); err != nil {
@@ -311,7 +311,7 @@ func TestGatewayGapSkipResumption(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCollector()
-	gw := m.NewEngine(1).Gateway(GatewayConfig{StreamWorkers: 1, GapTimeout: 2}, c.emit)
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, GapTimeout: 2}, c.emit)
 	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	ingest := func(seq uint32, payload string, flags TCPFlags) {
 		t.Helper()
@@ -364,7 +364,7 @@ func TestGatewayBufferCapPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCollector()
-	gw := m.NewEngine(1).Gateway(GatewayConfig{
+	gw := testGateway(t, m, GatewayConfig{
 		StreamWorkers: 1, MaxFlowBuffer: 64, GapTimeout: -1,
 	}, c.emit)
 	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
@@ -414,7 +414,7 @@ func TestGatewayEvictionMidGapRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := m.NewEngine(2).Gateway(GatewayConfig{
+	gw := testGateway(t, m, GatewayConfig{
 		MaxFlows: 8, FlowShards: 2, StreamWorkers: 4, GapTimeout: -1,
 	}, func(FlowMatch) {})
 	var wg sync.WaitGroup
@@ -465,7 +465,7 @@ func TestGatewayLifecycleFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCollector()
-	gw := m.NewEngine(1).Gateway(GatewayConfig{StreamWorkers: 1, FlowShards: 1}, c.emit)
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, FlowShards: 1}, c.emit)
 	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	ingest := func(seq uint32, payload string, flags TCPFlags) {
 		t.Helper()
@@ -540,7 +540,7 @@ func TestGatewayLifecycleAcrossVerdictsAndReopen(t *testing.T) {
 	}
 	var vmu sync.Mutex
 	var events []FlowVerdict
-	gw := m.NewEngine(1).Gateway(GatewayConfig{
+	gw := testGateway(t, m, GatewayConfig{
 		StreamWorkers: 1, FlowShards: 1, Rules: vrules,
 		OnVerdict: func(fv FlowVerdict) {
 			vmu.Lock()
@@ -615,8 +615,8 @@ func TestGatewayVerdictsBatchPath(t *testing.T) {
 	c := newFMCollector()
 	var vmu sync.Mutex
 	verdictCount := map[Verdict]int{}
-	gw := m.NewEngine(2).Gateway(GatewayConfig{
-		BatchPackets: 4, Rules: vrules,
+	gw := testGateway(t, m, GatewayConfig{
+		StreamWorkers: 2, BatchPackets: 4, Rules: vrules,
 		OnVerdict: func(fv FlowVerdict) {
 			vmu.Lock()
 			verdictCount[fv.Verdict]++
@@ -677,7 +677,7 @@ func TestGatewayFlushSerializesWithIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := m.NewEngine(1).Gateway(GatewayConfig{BatchPackets: 2, QueueDepth: 2, StreamWorkers: 1}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{BatchPackets: 2, QueueDepth: 2, StreamWorkers: 1}, func(FlowMatch) {})
 	var wg sync.WaitGroup
 	const ingesters = 3
 	for gi := 0; gi < ingesters; gi++ {
@@ -770,7 +770,7 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 		isn := uint32(order >> 32) // any base, wraparound included
 		tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: ProtoTCP}
 		c := newCollector()
-		gw := m.NewEngine(1).Gateway(GatewayConfig{
+		gw := testGateway(t, m, GatewayConfig{
 			StreamWorkers: 1, OverlapPolicy: pol, GapTimeout: -1,
 		}, c.emit)
 		// The SYN announces the base up front, so any data permutation is

@@ -31,7 +31,7 @@ func TestGatewayShutdownUnderConcurrentLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := m.NewEngine(2).Gateway(GatewayConfig{EngineShards: 2, StreamWorkers: 2}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{EngineShards: 2, StreamWorkers: 2}, func(FlowMatch) {})
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -124,7 +124,7 @@ func TestGatewayShutdownUnderConcurrentLoad(t *testing.T) {
 // remains legal (it observes an empty pipeline).
 func TestGatewayFlushIdempotent(t *testing.T) {
 	m, _ := gatewayMatcher(t, 60, 1)
-	gw := m.NewEngine(1).Gateway(GatewayConfig{}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	if err := gw.Ingest(GatewayPacket{Tuple: FiveTuple{Proto: ProtoUDP}, Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,6 @@ func TestGatewayFlushIdempotent(t *testing.T) {
 // makes this the standing goroutine-leak check.
 func TestGatewayStageCensus(t *testing.T) {
 	m, _ := gatewayMatcher(t, 60, 1)
-	e := m.NewEngine(1)
 	// settled samples the goroutine count until it holds still (bounded),
 	// riding out goroutines — this gateway's after Close, an earlier test's
 	// before the baseline — that have signalled completion but not exited.
@@ -168,7 +167,7 @@ func TestGatewayStageCensus(t *testing.T) {
 		return n
 	}
 	base := settled()
-	gw := e.Gateway(GatewayConfig{EngineShards: 1, StreamWorkers: 3}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{EngineShards: 1, StreamWorkers: 3}, func(FlowMatch) {})
 	if got := runtime.NumGoroutine() - base; got != 3+1 {
 		t.Fatalf("gateway started %d goroutines, want StreamWorkers+1 = 4", got)
 	}

@@ -36,6 +36,17 @@ func (c *collector) emit(fm FlowMatch) {
 
 // gatewayMatcher compiles a mid-size grouped matcher and returns its
 // internal pattern-set view for the traffic generators.
+// testGateway starts a gateway over m, failing the test if the constructor
+// rejects its arguments.
+func testGateway(t testing.TB, m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) *Gateway {
+	t.Helper()
+	gw, err := NewGateway(m, cfg, emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gw
+}
+
 func gatewayMatcher(t testing.TB, strings int, groups int) (*Matcher, *ruleset.Set) {
 	return gatewayMatcherBackend(t, strings, groups, BackendAuto)
 }
@@ -80,7 +91,7 @@ func TestGatewayDemuxMatchesPerFlowOracle(t *testing.T) {
 		t.Fatal("workload has no cross-packet plants; test is vacuous")
 	}
 	c := newCollector()
-	gw := m.NewEngine(4).Gateway(GatewayConfig{StreamWorkers: 3}, c.emit)
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 3}, c.emit)
 	for _, p := range w.Packets {
 		if err := gw.Ingest(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}); err != nil {
 			t.Fatal(err)
@@ -159,7 +170,7 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCollector()
-	gw := m.NewEngine(2).Gateway(GatewayConfig{BatchPackets: 8}, c.emit)
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, BatchPackets: 8}, c.emit)
 
 	// Interleave: a datagram between stream segments; record each
 	// datagram's ingest seq and distinct UDP tuple.
@@ -233,7 +244,7 @@ func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var matches atomic64
-	gw := m.NewEngine(2).Gateway(GatewayConfig{
+	gw := testGateway(t, m, GatewayConfig{
 		MaxFlows: maxFlows, FlowShards: shards, StreamWorkers: 4,
 	}, func(FlowMatch) { matches.add(1) })
 	peak := 0
@@ -285,7 +296,7 @@ func TestGatewayEvictedFlowRestartsClean(t *testing.T) {
 	}
 	c := newCollector()
 	// One lane and a 1-flow table make eviction order deterministic.
-	gw := m.NewEngine(1).Gateway(GatewayConfig{
+	gw := testGateway(t, m, GatewayConfig{
 		MaxFlows: 1, FlowShards: 1, StreamWorkers: 1,
 	}, c.emit)
 	a := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
@@ -333,7 +344,7 @@ func TestGatewayIngestReaderFrames(t *testing.T) {
 		}
 	}
 	c := newCollector()
-	gw := m.NewEngine(2).Gateway(GatewayConfig{}, c.emit)
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2}, c.emit)
 	n, err := gw.IngestReader(&feed)
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +407,7 @@ func TestGatewayBackpressureLosesNothing(t *testing.T) {
 	}
 	c := newCollector()
 	// A tiny queue and burst size force constant backpressure stalls.
-	gw := m.NewEngine(1).Gateway(GatewayConfig{BatchPackets: 2, QueueDepth: 2, StreamWorkers: 1}, c.emit)
+	gw := testGateway(t, m, GatewayConfig{BatchPackets: 2, QueueDepth: 2, StreamWorkers: 1}, c.emit)
 	var wg sync.WaitGroup
 	const ingesters = 4
 	for gi := 0; gi < ingesters; gi++ {
@@ -439,7 +450,7 @@ func TestGatewayBackpressureLosesNothing(t *testing.T) {
 
 func TestGatewayClosedBehaviour(t *testing.T) {
 	m, _ := gatewayMatcher(t, 60, 1)
-	gw := m.NewEngine(1).Gateway(GatewayConfig{}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +472,7 @@ func TestGatewayIdleEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := m.NewEngine(1).Gateway(GatewayConfig{IdleTimeout: 8, StreamWorkers: 1, FlowShards: 1}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{IdleTimeout: 8, StreamWorkers: 1, FlowShards: 1}, func(FlowMatch) {})
 	a := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: ProtoTCP}
 	if err := gw.Ingest(GatewayPacket{Tuple: a, Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -523,11 +534,14 @@ func ExampleGateway() {
 		panic(err)
 	}
 	var mu sync.Mutex
-	gw := m.NewEngine(2).Gateway(GatewayConfig{}, func(fm FlowMatch) {
+	gw, err := NewGateway(m, GatewayConfig{}, func(fm FlowMatch) {
 		mu.Lock()
 		fmt.Printf("%s: %s at [%d,%d)\n", fm.Tuple, "traversal", fm.Start, fm.End)
 		mu.Unlock()
 	})
+	if err != nil {
+		panic(err)
+	}
 	web := FiveTuple{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 3333, DstPort: 80, Proto: ProtoTCP}
 	// The attack spans two TCP segments; per-flow state catches it.
 	gw.Ingest(GatewayPacket{Tuple: web, Payload: []byte("GET /..")})
@@ -552,8 +566,7 @@ func TestGatewayStreamLaneSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := m.NewEngine(1)
-	gw := e.Gateway(GatewayConfig{}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	defer gw.Close()
 
 	tuple := FiveTuple{
@@ -563,7 +576,7 @@ func TestGatewayStreamLaneSteadyStateZeroAlloc(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 1200)
 	p := seqPacket{tuple: tuple, payload: payload}
 	var tick uint64
-	ln := &gwLane{g: gw}
+	ln := &gwLane{g: gw, sh: gw.shards[0]}
 	lane := func() {
 		tick++
 		gw.table.Do(tuple, func(fl *gwFlow) { fl.ingest(ln, p, tick) })
@@ -591,7 +604,7 @@ func TestGatewayFullPathSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := m.NewEngine(1).Gateway(GatewayConfig{}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	defer gw.Close()
 
 	payload := bytes.Repeat([]byte("x"), 1200)
@@ -636,7 +649,7 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shards = 4
-	gw := m.NewEngine(1).Gateway(GatewayConfig{EngineShards: shards}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, EngineShards: shards}, func(FlowMatch) {})
 	defer gw.Close()
 
 	// One tuple pinned to each shard, so every shard's engine and lane path
@@ -663,7 +676,7 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 	var tick uint64
 	lanes := make([]gwLane, shards)
 	for i := range lanes {
-		lanes[i] = gwLane{g: gw, shard: i}
+		lanes[i] = gwLane{g: gw, sh: gw.shards[i]}
 	}
 	lane := func() {
 		for _, tup := range tuples {
@@ -708,7 +721,7 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 	c := newCollector()
 	// Small queue and bursts keep every stage (and its backpressure)
 	// constantly active across all four shards.
-	gw := m.NewEngine(2).Gateway(GatewayConfig{
+	gw := testGateway(t, m, GatewayConfig{
 		EngineShards: 4, BatchPackets: 4, QueueDepth: 4, StreamWorkers: 2,
 	}, c.emit)
 	var wg sync.WaitGroup
@@ -799,7 +812,7 @@ func TestGatewayQuarantineHusk(t *testing.T) {
 		t.Fatal(err)
 	}
 	var armed atomic.Bool
-	gw := m.NewEngine(1).Gateway(GatewayConfig{StreamWorkers: 1, IdleTimeout: 4}, func(FlowMatch) {
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, IdleTimeout: 4}, func(FlowMatch) {
 		if armed.CompareAndSwap(true, false) {
 			panic("injected scan-path panic")
 		}

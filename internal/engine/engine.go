@@ -38,9 +38,8 @@ import (
 // Engines replicate freely: because the automaton is immutable, any number
 // of Engines may be built over the same core.Grouped and run side by side —
 // the software analogue of the paper's replicated string matching blocks. A
-// sharding front-end (the gateway) builds one Engine per shard and routes
-// partitioned traffic at them; Stats gives each shard's handle its own work
-// counters so the fan-out is observable per replica.
+// front-end that keeps its own accounting (the gateway) needs no Engine at
+// all: it scans with FlowState and ScanBatch over the automaton directly.
 type Engine struct {
 	g       *core.Grouped
 	workers int
@@ -50,13 +49,6 @@ type Engine struct {
 	batchBytes  atomic.Uint64
 	flowsOpened atomic.Uint64
 	streamBytes atomic.Uint64
-	panics      atomic.Uint64
-
-	// recoverOn arms per-packet panic containment on the batch path and
-	// onPanic, when non-nil, observes every recovered panic (see SetRecover).
-	// Both are written before the engine is shared.
-	recoverOn bool
-	onPanic   func(v any)
 }
 
 // Stats is a point-in-time snapshot of one engine's work, split by the two
@@ -68,7 +60,6 @@ type Stats struct {
 	BatchBytes  uint64 // payload bytes scanned in batch mode
 	FlowsOpened uint64 // flow states opened (Open, Flow), once per connection
 	StreamBytes uint64 // bytes written through flows (gap skips excluded)
-	Panics      uint64 // panics recovered inside batch workers (see SetRecover)
 }
 
 // New builds an engine over g with the given worker-pool size for batch
@@ -96,9 +87,6 @@ func (e *Engine) Backend() string {
 // Generation reports the compile generation of the automaton this engine
 // scans with (core.Grouped.Generation) — the tag Open stamps on every flow
 // state it resets, so an engine is generation-homogeneous by construction.
-// A multi-generation front-end (hot ruleset reload) builds one engine per
-// (shard, generation), retires whole engines, and always writes a flow
-// through the engine that opened it.
 func (e *Engine) Generation() uint64 { return e.g.Generation }
 
 // Stats returns this engine's work counters. Counters are monotone but
@@ -110,32 +98,6 @@ func (e *Engine) Stats() Stats {
 		BatchBytes:  e.batchBytes.Load(),
 		FlowsOpened: e.flowsOpened.Load(),
 		StreamBytes: e.streamBytes.Load(),
-		Panics:      e.panics.Load(),
-	}
-}
-
-// SetRecover arms per-packet panic containment on the batch path: a panic
-// while scanning one payload (a scanner bug, a hostile input tripping an
-// invariant) is recovered inside the worker goroutine — where it would
-// otherwise kill the whole process — that payload's matches come back
-// empty, and fn (when non-nil) observes the panic value. Nothing survives
-// the panic to be repaired: a worker's registers are locals, reset for
-// every packet. Call before the engine is shared across goroutines; fn
-// itself must not panic.
-//
-// The streaming path (Write) deliberately does NOT recover: a flow runs on
-// its caller's goroutine, so the caller (the gateway's stream lane) recovers
-// at a point where it still knows which flow to quarantine.
-func (e *Engine) SetRecover(fn func(v any)) {
-	e.recoverOn = true
-	e.onPanic = fn
-}
-
-// recovered counts one contained batch-worker panic and notifies the hook.
-func (e *Engine) recovered(v any) {
-	e.panics.Add(1)
-	if e.onPanic != nil {
-		e.onPanic(v)
 	}
 }
 
@@ -169,11 +131,40 @@ func (e *Engine) ScanPackets(payloads [][]byte) [][]ac.Match {
 }
 
 // ScanPacketsInto is ScanPackets reusing results' backing array when it is
-// large enough, for callers (like a gateway scanning an endless burst
-// sequence) that want steady-state batch scans free of per-batch slice
-// allocation. The per-packet match slices are still freshly allocated —
-// they are the scan's output and may be retained by the caller.
+// large enough; see ScanBatch, which it is plus the engine's accounting.
 func (e *Engine) ScanPacketsInto(payloads [][]byte, results [][]ac.Match) [][]ac.Match {
+	if len(payloads) > 0 {
+		e.batches.Add(1)
+		e.batchPkts.Add(uint64(len(payloads)))
+		var nbytes uint64
+		for _, p := range payloads {
+			nbytes += uint64(len(p))
+		}
+		e.batchBytes.Add(nbytes)
+	}
+	return ScanBatch(e.g, e.workers, payloads, results, nil)
+}
+
+// ScanBatch scans each payload as an independent packet over g, fanned out
+// across up to workers goroutines, and returns one match slice per payload
+// (see ScanPackets). It reuses results' backing array when it is large
+// enough, for callers (like a gateway scanning an endless burst sequence)
+// that want steady-state batch scans free of per-batch slice allocation. The
+// per-packet match slices are still freshly allocated — they are the scan's
+// output and may be retained by the caller.
+//
+// A non-nil contain arms per-payload panic containment: a panic while
+// scanning one payload (a scanner bug, a hostile input tripping an
+// invariant) is recovered inside the worker goroutine — where it would
+// otherwise kill the whole process — that payload's matches come back empty,
+// and contain observes the panic value. Nothing survives the panic to be
+// repaired: a worker's registers are locals, reset for every packet. contain
+// may run on several workers at once and must not itself panic.
+//
+// The streaming path (FlowState.Write) deliberately does NOT recover: a flow
+// runs on its caller's goroutine, so the caller (the gateway's stream lane)
+// recovers at a point where it still knows which flow to quarantine.
+func ScanBatch(g *core.Grouped, workers int, payloads [][]byte, results [][]ac.Match, contain func(v any)) [][]ac.Match {
 	if cap(results) >= len(payloads) {
 		results = results[:len(payloads)]
 		for i := range results {
@@ -185,74 +176,66 @@ func (e *Engine) ScanPacketsInto(payloads [][]byte, results [][]ac.Match) [][]ac
 	if len(payloads) == 0 {
 		return results
 	}
-	e.batches.Add(1)
-	e.batchPkts.Add(uint64(len(payloads)))
-	var nbytes uint64
-	for _, p := range payloads {
-		nbytes += uint64(len(p))
-	}
-	e.batchBytes.Add(nbytes)
-	workers := e.workers
 	if workers > len(payloads) {
 		workers = len(payloads)
 	}
-	if workers == 1 {
-		if !e.recoverOn {
+	if workers <= 1 {
+		if contain == nil {
 			// The dedicated inline loop (no shared counter, no recover
 			// scope) is what the zero-alloc steady-state contract pins.
 			var buf []ac.Match
 			for i, p := range payloads {
-				results[i], buf = scanPacket(e.g, p, buf)
+				results[i], buf = scanPacket(g, p, buf)
 			}
 			return results
 		}
 		var next atomic.Int64
-		e.scanLoop(payloads, results, &next)
+		scanLoop(g, payloads, results, &next, contain)
 		return results
 	}
-	// The goroutine fan-out lives in its own method so its closure does not
+	// The goroutine fan-out lives in its own function so its closure does not
 	// capture this function's parameters: a captured `results` would be
 	// moved to the heap on every call, including single-worker gateways in
 	// their zero-alloc steady state.
-	e.scanParallel(payloads, results, workers)
+	scanParallel(g, payloads, results, workers, contain)
 	return results
 }
 
 // scanParallel shards payloads over workers goroutines via a shared
 // counter; workers write disjoint results indices, so no synchronization
 // beyond the WaitGroup is needed.
-func (e *Engine) scanParallel(payloads [][]byte, results [][]ac.Match, workers int) {
+func scanParallel(g *core.Grouped, payloads [][]byte, results [][]ac.Match, workers int, contain func(any)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.scanLoop(payloads, results, &next)
+			scanLoop(g, payloads, results, &next, contain)
 		}()
 	}
 	wg.Wait()
 }
 
 // scanLoop drains payload indices from the shared counter until exhausted.
-// With containment armed (SetRecover), the drain runs in recoverable
-// segments: a panic ends one segment and the loop resumes with the next
-// payload — so one hostile payload costs exactly its own matches, never the
-// batch or the process.
-func (e *Engine) scanLoop(payloads [][]byte, results [][]ac.Match, next *atomic.Int64) {
-	for e.scanSome(payloads, results, next) {
+// With containment armed, the drain runs in recoverable segments: a panic
+// ends one segment and the loop resumes with the next payload — so one
+// hostile payload costs exactly its own matches, never the batch or the
+// process.
+func scanLoop(g *core.Grouped, payloads [][]byte, results [][]ac.Match, next *atomic.Int64, contain func(any)) {
+	for scanSome(g, payloads, results, next, contain) {
 	}
 }
 
 // scanSome is one segment of scanLoop's drain: it reports true when a panic
 // was contained (the caller resumes the drain) and false when the counter
 // is exhausted. The panicking payload's results slot keeps the nil that
-// ScanPacketsInto pre-cleared — no matches.
-func (e *Engine) scanSome(payloads [][]byte, results [][]ac.Match, next *atomic.Int64) (contained bool) {
-	if e.recoverOn {
+// ScanBatch pre-cleared — no matches.
+func scanSome(g *core.Grouped, payloads [][]byte, results [][]ac.Match, next *atomic.Int64, contain func(any)) (contained bool) {
+	if contain != nil {
 		defer func() {
 			if v := recover(); v != nil {
-				e.recovered(v)
+				contain(v)
 				contained = true
 			}
 		}()
@@ -263,7 +246,7 @@ func (e *Engine) scanSome(payloads [][]byte, results [][]ac.Match, next *atomic.
 		if i >= len(payloads) {
 			return false
 		}
-		results[i], buf = scanPacket(e.g, payloads[i], buf)
+		results[i], buf = scanPacket(g, payloads[i], buf)
 	}
 }
 
@@ -274,7 +257,7 @@ func (e *Engine) scanSome(payloads [][]byte, results [][]ac.Match, next *atomic.
 // these and nothing more. The first group's registers sit inline — the
 // whole state of the common single-group ruleset — and the others in one
 // slice allocated at Open. A FlowState is single-goroutine (like the socket
-// it shadows) and must be written through the engine that opened it.
+// it shadows) and must be written over the automaton it was opened for.
 type FlowState struct {
 	first core.Regs
 	rest  []core.Regs

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ac"
@@ -224,6 +225,29 @@ func TestStatsCounters(t *testing.T) {
 	e.ScanPackets(nil)
 	if st := e.Stats(); st.Batches != 2 {
 		t.Fatalf("empty batch counted: %+v", st)
+	}
+}
+
+// TestScanBatchContainsPanics pins the containment contract a gateway's
+// burst scanner relies on: with contain armed, a payload whose scan panics
+// costs its own matches only — the drain resumes with the next payload, on
+// one worker or several — and every panic is observed exactly once. A nil
+// group machine makes every payload panic.
+func TestScanBatchContainsPanics(t *testing.T) {
+	g := buildGrouped(t, 50, 1)
+	poisoned := &core.Grouped{Machines: append(g.Machines[:1:1], nil)}
+	payloads := [][]byte{[]byte("abcd"), []byte("efghij"), nil, []byte("k")}
+	for _, workers := range []int{1, 3} {
+		var contained atomic.Int64
+		results := ScanBatch(poisoned, workers, payloads, nil, func(any) { contained.Add(1) })
+		if got := contained.Load(); got != int64(len(payloads)) {
+			t.Fatalf("workers=%d: contained %d panics, want %d", workers, got, len(payloads))
+		}
+		for i, ms := range results {
+			if ms != nil {
+				t.Fatalf("workers=%d: poisoned payload %d kept matches %+v", workers, i, ms)
+			}
+		}
 	}
 }
 

@@ -342,6 +342,12 @@ func (t *Table[F]) Close() {
 // Len returns the number of live flows.
 func (t *Table[F]) Len() int { return int(t.live.Load()) }
 
+// Clock returns the logical clock: how many Do calls have ticked the table.
+// A caller that timestamps its own per-flow state on the table's clock (the
+// gateway's reassembly gap timeout) reads it here, so both timeouts count
+// the same packets.
+func (t *Table[F]) Clock() uint64 { return t.clock.Load() }
+
 // Stats returns a counter snapshot.
 func (t *Table[F]) Stats() Stats {
 	return Stats{

@@ -37,7 +37,7 @@ func TestGatewayMetricsSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := corpusMatcher(t, BackendAuto)
-	gw := m.NewEngine(2).Gateway(GatewayConfig{EngineShards: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, EngineShards: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
 	defer gw.Close()
 	if _, err := gw.ReplayPcap(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestGatewayMetricsSeries(t *testing.T) {
 // creates one flow while the engine opens three.
 func TestGatewayMetricsFlowsOpenedPerConnection(t *testing.T) {
 	m := corpusMatcher(t, BackendAuto)
-	gw := m.NewEngine(1).Gateway(GatewayConfig{}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	defer gw.Close()
 	tup := FiveTuple{SrcIP: IPv4(10, 0, 0, 1), DstIP: IPv4(10, 0, 0, 2), SrcPort: 40000, DstPort: 80, Proto: ProtoTCP}
 	for conn := uint32(0); conn < 3; conn++ {
@@ -137,7 +137,7 @@ func TestGatewayMetricsFlowsOpenedPerConnection(t *testing.T) {
 // response shape: Content-Type, validity, method restriction.
 func TestGatewayMetricsHTTP(t *testing.T) {
 	m := corpusMatcher(t, BackendAuto)
-	gw := m.NewEngine(1).Gateway(GatewayConfig{}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	defer gw.Close()
 
 	srv := httptest.NewServer(gw.Metrics())
@@ -170,7 +170,7 @@ func TestGatewayMetricsHTTP(t *testing.T) {
 // a well-formed exposition.
 func TestGatewayMetricsScrapeUnderLoad(t *testing.T) {
 	m := corpusMatcher(t, BackendAuto)
-	gw := m.NewEngine(2).Gateway(GatewayConfig{EngineShards: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, EngineShards: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
 	gm := gw.Metrics()
 
 	corpora := [][]byte{corpus.HTTPMixed().Bytes(), corpus.EvasionWrap().Bytes()}

@@ -92,7 +92,7 @@ func TestPcapScenarioOracle(t *testing.T) {
 		for _, shards := range []int{1, 2, 4} {
 			var mu sync.Mutex
 			got := map[matchKey]int{}
-			gw := m.NewEngine(2).Gateway(GatewayConfig{EngineShards: shards}, func(fm FlowMatch) {
+			gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, EngineShards: shards}, func(fm FlowMatch) {
 				mu.Lock()
 				got[matchKey{fm.Tuple, fm.PatternID, fm.Start, fm.End}]++
 				mu.Unlock()
@@ -145,7 +145,7 @@ func TestPcapScenarioOracleAllBackends(t *testing.T) {
 		want := oracleCounts(m, c)
 		var mu sync.Mutex
 		got := map[matchKey]int{}
-		gw := m.NewEngine(2).Gateway(GatewayConfig{EngineShards: 2}, func(fm FlowMatch) {
+		gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, EngineShards: 2}, func(fm FlowMatch) {
 			mu.Lock()
 			got[matchKey{fm.Tuple, fm.PatternID, fm.Start, fm.End}]++
 			mu.Unlock()
@@ -189,7 +189,7 @@ func TestPcapReplayAcrossFileBoundary(t *testing.T) {
 
 	var mu sync.Mutex
 	got := map[matchKey]int{}
-	gw := m.NewEngine(2).Gateway(GatewayConfig{EngineShards: 2}, func(fm FlowMatch) {
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, EngineShards: 2}, func(fm FlowMatch) {
 		mu.Lock()
 		got[matchKey{fm.Tuple, fm.PatternID, fm.Start, fm.End}]++
 		mu.Unlock()
@@ -221,7 +221,7 @@ func TestPcapReplayTruncatedFile(t *testing.T) {
 	c := corpus.HTTPMixed()
 	raw := c.Bytes()
 	m := corpusMatcher(t, BackendAuto)
-	gw := m.NewEngine(1).Gateway(GatewayConfig{}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	defer gw.Close()
 
 	rs, err := gw.ReplayPcap(bytes.NewReader(raw[:len(raw)-7]))

@@ -101,7 +101,7 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 	}
 
 	c := newCollector()
-	gw := waves[0].m.NewEngine(2).Gateway(
+	gw := testGateway(t, waves[0].m,
 		GatewayConfig{EngineShards: shards, StreamWorkers: 2, BatchPackets: 4}, c.emit)
 	if got := gw.Generation(); got != waves[0].m.Generation() {
 		t.Fatalf("initial generation %d, matcher has %d", got, waves[0].m.Generation())
@@ -256,8 +256,8 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 	if len(gens) != 1 || !gens[0].Current || gens[0].Flows != int64(len(waves[2].tuples)) {
 		t.Fatalf("after FIN drain Generations() = %+v", gens)
 	}
-	// Retirement folds engine counters into the baseline: per-shard stats
-	// stay monotone across the fold.
+	// Scan-work counters belong to the shard, not the generation: per-shard
+	// stats stay monotone across retirement.
 	for i, es := range gw.ShardStats() {
 		if es.FlowsOpened < preShard[i].FlowsOpened || es.StreamBytes < preShard[i].StreamBytes {
 			t.Fatalf("shard %d stats went backwards across retirement: %+v then %+v",
@@ -291,7 +291,7 @@ func TestSwapBurstCutover(t *testing.T) {
 			SrcPort: uint16(50000 + i), DstPort: 53, Proto: ProtoUDP}
 	}
 	c := newCollector()
-	gw := mA.NewEngine(2).Gateway(GatewayConfig{EngineShards: 2, BatchPackets: 4}, c.emit)
+	gw := testGateway(t, mA, GatewayConfig{StreamWorkers: 2, EngineShards: 2, BatchPackets: 4}, c.emit)
 	half := len(dgrams) / 2
 	for i, d := range dgrams[:half] {
 		if err := gw.Ingest(GatewayPacket{Tuple: tup(i), Payload: d.Payload}); err != nil {
@@ -366,7 +366,7 @@ func TestSwapUnderConcurrentLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gw := matchers[0].NewEngine(2).Gateway(
+	gw := testGateway(t, matchers[0],
 		GatewayConfig{EngineShards: 2, StreamWorkers: 2, BatchPackets: 8}, func(FlowMatch) {})
 	gm := gw.Metrics()
 	done := make(chan struct{})
@@ -547,7 +547,7 @@ func FuzzSwapEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		c := newCollector()
-		gw := mA.NewEngine(2).Gateway(
+		gw := testGateway(t, mA,
 			GatewayConfig{EngineShards: 2, StreamWorkers: 2, BatchPackets: 2}, c.emit)
 
 		const nflows = 3
