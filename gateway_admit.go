@@ -1,0 +1,218 @@
+package dpi
+
+// Admission: the first of the gateway's two stages. On the caller's
+// goroutine a packet is hashed, numbered, accounted on its shard and sent to
+// the lane or burst queue its hash pins it to — or shed, under a shedding
+// overload policy. Flush is admission's other half: the drain barrier.
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"time"
+)
+
+type seqPacket struct {
+	tuple   FiveTuple
+	payload []byte
+	seq     int    // global ingest sequence number (PacketID attribution)
+	hash    uint64 // Tuple.Hash64, the single source of shard/lane/table pinning
+	seq32   uint32
+	flags   TCPFlags
+	// gap is the flow's accumulated shed-gap, claimed at admission time.
+	// Claiming it here rather than at the lane keeps gap application in
+	// admission order: a packet admitted before a shed must not absorb that
+	// shed's gap just because the lane processed it later.
+	gap int
+}
+
+// Ingest queues one packet. Under OverloadPolicy Block (the default) it
+// blocks when the pipeline is saturated — the backpressure contract: a
+// caller reading from a NIC or file cannot outrun the scan stages by more
+// than the queue and burst buffers. Under a shedding policy it may drop the
+// packet instead (fully accounted; see TryIngest to observe which). It
+// returns an error only on a closed gateway.
+func (g *Gateway) Ingest(pkt GatewayPacket) error {
+	_, err := g.TryIngest(pkt)
+	return err
+}
+
+// TryIngest is Ingest reporting the admission decision: admitted is false
+// when the configured shedding policy dropped the packet (always true under
+// Block). A shed packet still counts in Packets/Bytes — it reached the
+// sensor — and its payload lands in the Shed ledger bucket; a shed in-order
+// TCP segment additionally arms a scanner gap so the exactness contract
+// holds over the bytes that were delivered.
+func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
+	// The tuple hash drives every pinning decision (engine shard, stream
+	// lane, flow-table shard), so it is computed once here, on the caller's
+	// goroutine, and carried with the packet. Stateless packets on an
+	// unsharded gateway never need it, except to answer ShedNewFlows'
+	// flow-table probe.
+	pol := g.cfg.OverloadPolicy
+	tcp := pkt.Tuple.Proto == ProtoTCP
+	var h uint64
+	if tcp || len(g.shards) > 1 || pol == ShedNewFlows {
+		h = pkt.Tuple.Hash64()
+	}
+	nshards := uint64(len(g.shards))
+	sh := g.shards[h%nshards]
+	sh.gate.RLock()
+	defer sh.gate.RUnlock()
+	if g.closed {
+		return false, fmt.Errorf("%w: Ingest", ErrClosed)
+	}
+	seq := g.seq.Add(1) - 1
+	sh.n[cBytes].Add(uint64(len(pkt.Payload)))
+	p := seqPacket{tuple: pkt.Tuple, payload: pkt.Payload, seq: int(seq), hash: h, seq32: pkt.Seq, flags: pkt.Flags}
+	if tcp && pkt.Flags&FlagSeq == 0 {
+		// Claim any gap earlier sheds left for this flow, in admission
+		// order. One atomic load until something has actually been shed.
+		p.gap = g.takePendingGap(pkt.Tuple)
+	}
+	newFlow := false
+	if pol == ShedNewFlows {
+		// Established TCP connections keep today's backpressure — a flow
+		// already under inspection is never starved mid-stream. Only
+		// packets that would create state (unknown TCP tuples, stateless
+		// traffic) are sheddable, so overload cannot grow the flow table.
+		newFlow = !tcp || !g.table.Has(pkt.Tuple, h)
+	}
+	q := sh.burstQ
+	var ls *laneState
+	if tcp {
+		// Dividing out the shard index decorrelates the lane choice from
+		// the shard choice when their counts share factors; with one shard
+		// it reduces to hash%lanes, the pre-sharding pinning.
+		lane := (h / nshards) % uint64(len(sh.streamQ))
+		q = sh.streamQ[lane]
+		// Watchdog: raise the lane's depth before the (possibly blocking)
+		// send, stamping progress on the empty→busy edge so a lane that
+		// never dequeues shows its true stall age.
+		ls = &sh.lanes[lane]
+		if ls.depth.Add(1) == 1 {
+			ls.lastProgress.Store(time.Now().UnixNano())
+		}
+	}
+	// inflight is raised across the send so a concurrent Flush cannot
+	// declare the shard drained while this packet may still slip in
+	// (TryIngest holds the gate shared, Flush takes it exclusively).
+	sh.inflight.Add(1)
+	if pol == Block || (pol == ShedNewFlows && !newFlow) {
+		q <- p
+		return true, nil
+	}
+	// Shedding admission: try without waiting, then wait out the deadline.
+	select {
+	case q <- p:
+		return true, nil
+	default:
+	}
+	if d := g.cfg.IngestDeadline; d > 0 {
+		t := time.NewTimer(d)
+		select {
+		case q <- p:
+			t.Stop()
+			return true, nil
+		case <-t.C:
+		}
+	}
+	sh.inflight.Add(-1)
+	if ls != nil {
+		ls.depth.Add(-1)
+	}
+	g.shed(sh, p, newFlow)
+	return false, nil
+}
+
+// shed accounts one dropped packet and, for an in-order TCP segment, arms
+// the flow's pending scanner gap. A shed FlagSeq segment needs no gap: in
+// sequence space it is indistinguishable from a segment lost upstream, and
+// the reassembler's GapTimeout already skips such holes with scanner
+// invalidation.
+func (g *Gateway) shed(sh *gwEngineShard, p seqPacket, newFlow bool) {
+	sh.n[cShedPackets].Add(1)
+	sh.n[cShedBytes].Add(uint64(len(p.payload)))
+	if newFlow {
+		sh.n[cShedNewFlows].Add(1)
+	}
+	if p.tuple.Proto == ProtoTCP && p.flags&FlagSeq == 0 && p.gap+len(p.payload) > 0 {
+		// The shed packet's own bytes, plus any gap it had already claimed
+		// at admission (which must not be lost with it).
+		g.pendingMu.Lock()
+		if g.pendingGaps == nil {
+			g.pendingGaps = make(map[FiveTuple]int)
+		}
+		if _, ok := g.pendingGaps[p.tuple]; !ok {
+			g.pendingN.Add(1)
+		}
+		g.pendingGaps[p.tuple] += p.gap + len(p.payload)
+		g.pendingMu.Unlock()
+	}
+}
+
+// takePendingGap consumes the flow's pending shed gap, if any. The atomic
+// gate keeps the per-packet cost to one load until something is shed.
+func (g *Gateway) takePendingGap(t FiveTuple) int {
+	if g.pendingN.Load() == 0 {
+		return 0
+	}
+	g.pendingMu.Lock()
+	n, ok := g.pendingGaps[t]
+	if ok {
+		delete(g.pendingGaps, t)
+	}
+	g.pendingMu.Unlock()
+	if ok {
+		g.pendingN.Add(-1)
+	}
+	return n
+}
+
+// Flush blocks until every packet ingested before the call has been
+// scanned (the queue is drained, partial bursts included), making Stats
+// and EvictIdleFlows deterministic checkpoints. Flush serializes against
+// Ingest: concurrent Ingest calls block until the flush completes, so the
+// drain barrier cannot be raced past — Flush returns only at a true
+// everything-scanned point.
+func (g *Gateway) Flush() {
+	g.lockAll()
+	defer g.unlockAll()
+	g.drainLocked()
+}
+
+// drainLocked spins until every admitted packet has been scanned. The
+// caller holds every admission gate (lockAll), so no new packet can be
+// admitted while it waits; the lanes and burst scanners consume whatever is
+// queued (a burst scanner never waits for a burst to fill), so each shard's
+// inflight reaches zero without outside help — and, with admission stopped,
+// stays there, which makes waiting the shards out one after another a
+// barrier over all of them.
+func (g *Gateway) drainLocked() {
+	for _, sh := range g.shards {
+		for sh.inflight.Load() != 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+}
+
+// IngestReader ingests framed packets from r until EOF (see WriteFrame for
+// the frame format) and returns how many packets it ingested. Backpressure
+// propagates to the reader: when the pipeline is saturated, reading pauses.
+func (g *Gateway) IngestReader(r io.Reader) (int, error) {
+	br := bufio.NewReader(r)
+	n := 0
+	for {
+		pkt, err := ReadFrame(br, g.cfg.MaxFrameBytes)
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		if err := g.Ingest(pkt); err != nil {
+			return n, err
+		}
+		n++
+	}
+}
