@@ -58,16 +58,19 @@
 //     stream its own scanner registers while sharing the compiled machine.
 //     Engines replicate freely over one Matcher (the automaton is
 //     immutable), and Engine.Stats reports each replica's work.
-//   - Gateway: the NIDS front-end the paper deploys — pipelined packet
+//   - Gateway: the NIDS front-end the paper deploys, started with
+//     NewGateway(matcher, config, emit) — pipelined packet
 //     ingestion (Ingest, or framed feeds via IngestReader; frame format v2
 //     carries the TCP seq/flags) in two stages: admission hashes the tuple
 //     on the caller's goroutine and sends the packet straight to the
 //     bounded queue of the lane it pins to, whose fullness is the
 //     backpressure contract. The scan back-end is replicated like the
 //     paper's block arrays: GatewayConfig.EngineShards spins up M
-//     independent engine shards over the one compiled automaton and pins
-//     every flow and stateless packet to a shard by tuple hash — M engines
-//     × K workers, invisible in results and accounting, observable through
+//     independent shards over the one compiled automaton and pins
+//     every flow and stateless packet to a shard by tuple hash — M shards
+//     × K lanes, each shard one state block (queues, counters, drain
+//     count) sharing nothing hot with its neighbours, invisible in
+//     results and accounting, observable through
 //     ShardStats. Non-TCP packets are scanned in per-shard bursts of
 //     whatever is queued, up to BatchPackets; TCP packets are demultiplexed
 //     through a sharded 5-tuple flow table into per-flow scanner state
@@ -115,9 +118,9 @@
 //     flow-table occupancy and evictions, reassembly buffer pressure,
 //     per-rule verdict and match counts — in the Prometheus text
 //     exposition format (internal/metrics, dependency-free). It is an
-//     http.Handler; mount it at /metrics. Scrapes snapshot atomics and
-//     never touch the packet hot path. OPERATIONS.md documents every
-//     series.
+//     http.Handler; mount it at /metrics. A scrape sums the shards'
+//     counter blocks and never touches the packet hot path.
+//     OPERATIONS.md documents every series.
 //   - Accelerator: a functional model of the paper's FPGA design — packed
 //     324-bit memory images, 6-engine string matching blocks, multi-block
 //     scan-out with throughput, resource and power reporting for the

@@ -49,13 +49,13 @@ package dpi
 // replay deliberately does not flush or close the gateway, so rotated
 // capture files replay back-to-back with flows continuing across file
 // boundaries. Downstream, the observability edge (metrics.go,
-// internal/metrics) renders this file's accounting — GatewayStats, the
-// flow-table snapshot, per-shard EngineStats and the per-rule counters —
-// as a Prometheus text exposition via Gateway.Metrics. Both seams are
-// read-only over state the pipeline already maintains: the hot path has no
-// capture- or metrics-specific branches, and the per-rule counters are
-// position-indexed atomics bumped where the verdict and match decisions
-// already happen.
+// internal/metrics) renders the gateway's accounting (gateway_stats.go) —
+// GatewayStats, the flow-table snapshot, per-shard EngineStats and the
+// per-rule counters — as a Prometheus text exposition via Gateway.Metrics.
+// Both seams are read-only over state the pipeline already maintains: the
+// hot path has no capture- or metrics-specific branches, and the per-rule
+// counters are position-indexed atomics bumped where the verdict and match
+// decisions already happen.
 
 import (
 	"fmt"
@@ -400,12 +400,11 @@ type Gateway struct {
 
 	shards []*gwEngineShard
 	table  *flowtable.Table[*gwFlow]
-	budget *reassembly.Budget
 	asmCfg reassembly.Config // shared by every flow's reassembly stream, by pointer
 
 	// closed is guarded by the shards' admission gates: Ingest reads it
 	// holding its packet's shard gate shared; Close writes it holding every
-	// gate exclusively (see lockAll).
+	// gate exclusively (see quiesce).
 	closed bool
 
 	// Ruleset generations — the hot-reload control plane. cur is the
@@ -458,12 +457,11 @@ type gwEngineShard struct {
 	// predictable atomic add.
 	rules []gwRuleCounters
 
+	_ [64]byte // keeps the read-mostly header off the lines written per packet
 	// gate orders admission against the control plane: Ingest holds it
 	// shared across its send; Flush, SwapRules and Close hold every shard's
-	// exclusively (Gateway.lockAll).
+	// exclusively (Gateway.quiesce).
 	gate sync.RWMutex
-
-	_ [64]byte // keeps the read-mostly header off the lines written per packet
 	// inflight counts packets admitted to this shard and not yet fully
 	// processed: raised by admission before the send, lowered by the lane or
 	// burst scanner in the defer chain that also contains panics. The drain
@@ -487,19 +485,18 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 		return nil, fmt.Errorf("%w: NewGateway with nil emit callback", ErrBadConfig)
 	}
 	cfg = cfg.withDefaults()
-	g := &Gateway{cfg: cfg, emit: emit}
+	g := &Gateway{cfg: cfg, emit: emit, pendingGaps: make(map[FiveTuple]int)}
 	// A negative MaxTotalBuffer disables the global cap but the budget is
 	// still kept, with an effectively infinite limit, so Stats can always
 	// report how many out-of-order bytes are held across flows.
-	if cfg.MaxTotalBuffer > 0 {
-		g.budget = reassembly.NewBudget(cfg.MaxTotalBuffer)
-	} else {
-		g.budget = reassembly.NewBudget(math.MaxInt64)
+	limit := cfg.MaxTotalBuffer
+	if limit <= 0 {
+		limit = math.MaxInt64
 	}
 	g.asmCfg = reassembly.Config{
 		Policy:       cfg.OverlapPolicy,
 		MaxFlowBytes: cfg.MaxFlowBuffer,
-		Budget:       g.budget,
+		Budget:       reassembly.NewBudget(limit),
 		GapTimeout:   uint64(cfg.GapTimeout),
 	}
 	g.table = flowtable.New(flowtable.Config[*gwFlow]{
@@ -544,21 +541,6 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 	return g, nil
 }
 
-// lockAll takes every shard's admission gate exclusively, in shard order —
-// the control plane's stop-the-world: no Ingest is inside a send and none
-// can start one until unlockAll.
-func (g *Gateway) lockAll() {
-	for _, sh := range g.shards {
-		sh.gate.Lock()
-	}
-}
-
-func (g *Gateway) unlockAll() {
-	for _, sh := range g.shards {
-		sh.gate.Unlock()
-	}
-}
-
 // shardIndex returns the engine shard owning key — the same hash-derived
 // pinning admission routes by, so a flow is opened on (and counted by) the
 // shard whose lane scans it.
@@ -573,10 +555,10 @@ func (g *Gateway) shardIndex(k FiveTuple) int {
 // scan stages to finish what is queued, and evicts every flow. Close is
 // idempotent.
 func (g *Gateway) Close() error {
-	g.lockAll()
+	g.quiesce()
 	wasClosed := g.closed
 	g.closed = true
-	g.unlockAll()
+	g.resume()
 	if wasClosed {
 		return nil
 	}

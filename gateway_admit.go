@@ -1,9 +1,6 @@
 package dpi
 
-// Admission: the first of the gateway's two stages. On the caller's
-// goroutine a packet is hashed, numbered, accounted on its shard and sent to
-// the lane or burst queue its hash pins it to — or shed, under a shedding
-// overload policy. Flush is admission's other half: the drain barrier.
+// Admission — the first stage, on the caller's goroutine — and the drain barrier.
 
 import (
 	"bufio"
@@ -140,9 +137,6 @@ func (g *Gateway) shed(sh *gwEngineShard, p seqPacket, newFlow bool) {
 		// The shed packet's own bytes, plus any gap it had already claimed
 		// at admission (which must not be lost with it).
 		g.pendingMu.Lock()
-		if g.pendingGaps == nil {
-			g.pendingGaps = make(map[FiveTuple]int)
-		}
 		if _, ok := g.pendingGaps[p.tuple]; !ok {
 			g.pendingN.Add(1)
 		}
@@ -176,23 +170,33 @@ func (g *Gateway) takePendingGap(t FiveTuple) int {
 // drain barrier cannot be raced past — Flush returns only at a true
 // everything-scanned point.
 func (g *Gateway) Flush() {
-	g.lockAll()
-	defer g.unlockAll()
-	g.drainLocked()
+	g.quiesce()
+	g.resume()
 }
 
-// drainLocked spins until every admitted packet has been scanned. The
-// caller holds every admission gate (lockAll), so no new packet can be
-// admitted while it waits; the lanes and burst scanners consume whatever is
+// quiesce is the control plane's stop-the-world: it takes every shard's
+// admission gate exclusively, in shard order — no Ingest is inside a send
+// and none can start one until resume — then spins until every admitted
+// packet has been scanned. The lanes and burst scanners consume whatever is
 // queued (a burst scanner never waits for a burst to fill), so each shard's
 // inflight reaches zero without outside help — and, with admission stopped,
 // stays there, which makes waiting the shards out one after another a
 // barrier over all of them.
-func (g *Gateway) drainLocked() {
+func (g *Gateway) quiesce() {
+	for _, sh := range g.shards {
+		sh.gate.Lock()
+	}
 	for _, sh := range g.shards {
 		for sh.inflight.Load() != 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
+	}
+}
+
+// resume reopens admission after quiesce.
+func (g *Gateway) resume() {
+	for _, sh := range g.shards {
+		sh.gate.Unlock()
 	}
 }
 

@@ -1,6 +1,6 @@
 package dpi
 
-// The gateway's wire format for IngestReader feeds.
+// The wire format of IngestReader feeds.
 
 import (
 	"encoding/binary"

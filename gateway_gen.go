@@ -1,7 +1,6 @@
 package dpi
 
-// Ruleset generations: the hot-reload control plane. A generation is a
-// compiled matcher and a count of the flows pinned to it.
+// Ruleset generations: the hot-reload control plane.
 
 import (
 	"fmt"
@@ -53,12 +52,11 @@ func (g *Gateway) SwapRules(m *Matcher) error {
 	if m == nil {
 		return fmt.Errorf("%w: SwapRules with nil Matcher", ErrBadConfig)
 	}
-	g.lockAll()
-	defer g.unlockAll()
+	g.quiesce()
+	defer g.resume()
 	if g.closed {
 		return fmt.Errorf("%w: SwapRules", ErrClosed)
 	}
-	g.drainLocked()
 	old := g.cur.Load()
 	if m.Generation() <= old.id {
 		return fmt.Errorf("%w: matcher generation %d is not newer than installed generation %d",

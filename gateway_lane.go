@@ -1,9 +1,6 @@
 package dpi
 
-// Lanes and flows: the second stage. A stream lane runs each TCP packet
-// through its flow record — verdict, reassembly, scan, lifecycle — under the
-// flow table's entry lock; a burst scanner does the stateless equivalent per
-// burst. Both contain panics and keep the byte ledger exact.
+// The second stage: flow records, stream lanes, burst scanners, panic containment.
 
 import (
 	"time"
@@ -144,27 +141,29 @@ func (fl *gwFlow) release(g *Gateway, sh *gwEngineShard) {
 	}
 }
 
-// scan writes one in-order chunk through the flow's registers into the
-// lane's scratch and emits what it completed, attributed to the packet p
-// and to the rule that admitted the flow.
-func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
-	g, sh, gen := ln.g, ln.sh, fl.gen
-	ln.matches = fl.st.Write(gen.m.grouped, chunk, ln.matches[:0])
-	sh.n[cEngStreamBytes].Add(uint64(len(chunk)))
-	if len(ln.matches) == 0 {
-		return
-	}
-	v, rid, idx := VerdictNone, -1, int(fl.ruleIdx)
+// emitMatches reports one scan's matches, attributed to the packet p that
+// completed them and to the rule (index idx, -1 for none) that admitted its
+// flow or packet, converting with the generation that scanned.
+func (g *Gateway) emitMatches(sh *gwEngineShard, gen *gwGeneration, p *seqPacket, idx int, ms []ac.Match) {
+	v, rid := VerdictNone, -1
 	if idx >= 0 {
 		v, rid = VerdictAlert, g.cfg.Rules[idx].ID
 	}
-	for _, am := range ln.matches {
+	for _, am := range ms {
 		if idx >= 0 {
 			sh.rules[idx].matches.Add(1)
 		}
 		sh.n[cMatches].Add(1)
 		g.emit(FlowMatch{Tuple: p.tuple, Match: gen.m.convert(am, p.seq), Verdict: v, RuleID: rid})
 	}
+}
+
+// scan writes one in-order chunk through the flow's registers into the
+// lane's scratch and emits what it completed.
+func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
+	ln.matches = fl.st.Write(fl.gen.m.grouped, chunk, ln.matches[:0])
+	ln.sh.n[cEngStreamBytes].Add(uint64(len(chunk)))
+	ln.g.emitMatches(ln.sh, fl.gen, p, int(fl.ruleIdx), ln.matches)
 }
 
 // ingest processes one segment on the lane that owns the flow. It reports
@@ -418,7 +417,6 @@ func (g *Gateway) burstScanner(sh *gwEngineShard) {
 type burstState struct {
 	contain  func(any) // the shard's batch-worker panic hook
 	buf      [][]ac.Match
-	kept     []seqPacket
 	payloads [][]byte
 	ruleIdx  []int
 }
@@ -451,7 +449,10 @@ func (g *Gateway) scanBurst(sh *gwEngineShard, batch []seqPacket, st *burstState
 	}()
 	sh.n[cBatches].Add(1)
 	sh.n[cBatchPackets].Add(uint64(len(batch)))
-	st.kept, st.payloads, st.ruleIdx = st.kept[:0], st.payloads[:0], st.ruleIdx[:0]
+	// The packets a verdict admits to scanning are compacted to the front
+	// of batch, parallel to their payloads and rule indices.
+	kept := batch[:0]
+	st.payloads, st.ruleIdx = st.payloads[:0], st.ruleIdx[:0]
 	var keptBytes uint64
 	for _, p := range batch {
 		v, idx := g.classify(p.tuple)
@@ -466,14 +467,14 @@ func (g *Gateway) scanBurst(sh *gwEngineShard, batch []seqPacket, st *burstState
 			committed += uint64(len(p.payload))
 			continue
 		}
-		st.kept = append(st.kept, p)
+		kept = append(kept, p)
 		st.payloads = append(st.payloads, p.payload)
 		st.ruleIdx = append(st.ruleIdx, idx)
 		keptBytes += uint64(len(p.payload))
 	}
-	if len(st.kept) > 0 {
+	if len(kept) > 0 {
 		sh.n[cEngBatches].Add(1)
-		sh.n[cEngBatchPkts].Add(uint64(len(st.kept)))
+		sh.n[cEngBatchPkts].Add(uint64(len(kept)))
 		sh.n[cEngBatchBytes].Add(keptBytes)
 		st.buf = engine.ScanBatch(gen.m.grouped, g.cfg.StreamWorkers, st.payloads, st.buf, st.contain)
 		// Every payload was delivered to a scanner (a contained batch-worker
@@ -482,18 +483,7 @@ func (g *Gateway) scanBurst(sh *gwEngineShard, batch []seqPacket, st *burstState
 		sh.n[cScannedBytes].Add(keptBytes)
 		committed += keptBytes
 		for i, ms := range st.buf {
-			v, rid := VerdictNone, -1
-			if st.ruleIdx[i] >= 0 {
-				v = VerdictAlert
-				rid = g.cfg.Rules[st.ruleIdx[i]].ID
-			}
-			for _, am := range ms {
-				if st.ruleIdx[i] >= 0 {
-					sh.rules[st.ruleIdx[i]].matches.Add(1)
-				}
-				sh.n[cMatches].Add(1)
-				g.emit(FlowMatch{Tuple: st.kept[i].tuple, Match: gen.m.convert(am, st.kept[i].seq), Verdict: v, RuleID: rid})
-			}
+			g.emitMatches(sh, gen, &kept[i], st.ruleIdx[i], ms)
 		}
 	}
 }

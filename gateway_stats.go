@@ -1,7 +1,6 @@
 package dpi
 
-// Accounting and health: the shards' counter blocks, the public snapshots
-// they are summed into, and the lane watchdog.
+// Accounting and health: the shards' counter blocks, the snapshots they sum into, the lane watchdog.
 
 import (
 	"sync/atomic"
@@ -161,25 +160,14 @@ const (
 	numCounters
 )
 
-// gwCounts is one loaded copy of a counter block, or a sum of several.
-type gwCounts [numCounters]uint64
-
 // gwRuleCounters is one verdict rule's counters on one shard.
 type gwRuleCounters struct {
 	flows   atomic.Uint64 // classifications decided by this rule
 	matches atomic.Uint64 // matches attributed to this rule
 }
 
-// counts loads the shard's counter block.
-func (sh *gwEngineShard) counts() (c gwCounts) {
-	for i := range sh.n {
-		c[i] = sh.n[i].Load()
-	}
-	return c
-}
-
 // totals sums every shard's counter block.
-func (g *Gateway) totals() (c gwCounts) {
+func (g *Gateway) totals() (c [numCounters]uint64) {
 	for _, sh := range g.shards {
 		for i := range sh.n {
 			c[i] += sh.n[i].Load()
@@ -217,7 +205,7 @@ func (g *Gateway) Stats() GatewayStats {
 		QuarantinedBytes:   c[cQuarantinedBytes],
 
 		ReassembledBytes: c[cReassembledBytes],
-		BufferedBytes:    g.budget.Used(),
+		BufferedBytes:    g.asmCfg.Budget.Used(),
 		OutOfOrderSegs:   c[cOutOfOrderSegs],
 		DuplicateBytes:   c[cDuplicateBytes],
 		ReassemblyDrops:  c[cReassemblyDrops],
@@ -253,14 +241,13 @@ func (g *Gateway) Stats() GatewayStats {
 func (g *Gateway) ShardStats() []EngineStats {
 	out := make([]EngineStats, len(g.shards))
 	for s, sh := range g.shards {
-		c := sh.counts()
 		out[s] = EngineStats{
-			Batches:     c[cEngBatches],
-			BatchPkts:   c[cEngBatchPkts],
-			BatchBytes:  c[cEngBatchBytes],
-			FlowsOpened: c[cEngFlowsOpened],
-			StreamBytes: c[cEngStreamBytes],
-			Panics:      c[cEngPanics],
+			Batches:     sh.n[cEngBatches].Load(),
+			BatchPkts:   sh.n[cEngBatchPkts].Load(),
+			BatchBytes:  sh.n[cEngBatchBytes].Load(),
+			FlowsOpened: sh.n[cEngFlowsOpened].Load(),
+			StreamBytes: sh.n[cEngStreamBytes].Load(),
+			Panics:      sh.n[cEngPanics].Load(),
 		}
 	}
 	return out

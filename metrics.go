@@ -68,49 +68,44 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 	g := gm.g
 	s := g.Stats()
 	ts := g.table.Stats()
+	// The single-sample series: one GatewayStats field each.
+	counter := func(name, help string, v uint64) {
+		w.Metric(name, "counter", help)
+		w.Sample(float64(v))
+	}
+	gauge := func(name, help string, v float64) {
+		w.Metric(name, "gauge", help)
+		w.Sample(v)
+	}
 
 	w.Metric("dpi_backend_info", "gauge",
 		"Scan backend every shard runs (see Config.Backend); value is always 1.")
 	w.Sample(1, metrics.Label{Name: "backend", Value: g.Backend()})
 
-	w.Metric("dpi_gateway_engine_shards", "gauge", "Engine replicas behind this gateway.")
-	w.Sample(float64(s.EngineShards))
+	gauge("dpi_gateway_engine_shards", "Engine replicas behind this gateway.", float64(s.EngineShards))
 
-	w.Metric("dpi_gateway_packets_total", "counter", "Packets ingested.")
-	w.Sample(float64(s.Packets))
-	w.Metric("dpi_gateway_payload_bytes_total", "counter", "Payload bytes ingested.")
-	w.Sample(float64(s.Bytes))
-	w.Metric("dpi_gateway_stream_packets_total", "counter",
-		"Packets routed through per-flow stream state (TCP).")
-	w.Sample(float64(s.StreamPackets))
-	w.Metric("dpi_gateway_batch_packets_total", "counter",
-		"Packets scanned statelessly in bursts (UDP and other IP).")
-	w.Sample(float64(s.BatchPackets))
-	w.Metric("dpi_gateway_batches_total", "counter", "Bursts handed to the batch scanners.")
-	w.Sample(float64(s.Batches))
-	w.Metric("dpi_gateway_matches_total", "counter", "FlowMatches emitted.")
-	w.Sample(float64(s.Matches))
+	counter("dpi_gateway_packets_total", "Packets ingested.", s.Packets)
+	counter("dpi_gateway_payload_bytes_total", "Payload bytes ingested.", s.Bytes)
+	counter("dpi_gateway_stream_packets_total",
+		"Packets routed through per-flow stream state (TCP).", s.StreamPackets)
+	counter("dpi_gateway_batch_packets_total",
+		"Packets scanned statelessly in bursts (UDP and other IP).", s.BatchPackets)
+	counter("dpi_gateway_batches_total", "Bursts handed to the batch scanners.", s.Batches)
+	counter("dpi_gateway_matches_total", "FlowMatches emitted.", s.Matches)
 
-	w.Metric("dpi_gateway_reassembled_bytes_total", "counter",
-		"Bytes delivered to scanners in stream order by TCP reassembly.")
-	w.Sample(float64(s.ReassembledBytes))
-	w.Metric("dpi_gateway_out_of_order_segments_total", "counter",
-		"Segments that had to be buffered out of order.")
-	w.Sample(float64(s.OutOfOrderSegs))
-	w.Metric("dpi_gateway_duplicate_bytes_total", "counter",
-		"Retransmitted or overlapping bytes discarded by the overlap policy.")
-	w.Sample(float64(s.DuplicateBytes))
-	w.Metric("dpi_gateway_reassembly_dropped_bytes_total", "counter",
-		"Out-of-order bytes dropped to the per-flow or global buffer caps.")
-	w.Sample(float64(s.ReassemblyDrops))
-	w.Metric("dpi_gateway_gap_skips_total", "counter", "Reassembly gaps skipped on timeout.")
-	w.Sample(float64(s.GapSkips))
-	w.Metric("dpi_gateway_gap_skipped_bytes_total", "counter",
-		"Unseen stream bytes skipped past on gap timeouts.")
-	w.Sample(float64(s.GapSkippedBytes))
-	w.Metric("dpi_gateway_reassembly_buffered_bytes", "gauge",
-		"Out-of-order bytes currently buffered across all flows.")
-	w.Sample(float64(s.BufferedBytes))
+	counter("dpi_gateway_reassembled_bytes_total",
+		"Bytes delivered to scanners in stream order by TCP reassembly.", s.ReassembledBytes)
+	counter("dpi_gateway_out_of_order_segments_total",
+		"Segments that had to be buffered out of order.", s.OutOfOrderSegs)
+	counter("dpi_gateway_duplicate_bytes_total",
+		"Retransmitted or overlapping bytes discarded by the overlap policy.", s.DuplicateBytes)
+	counter("dpi_gateway_reassembly_dropped_bytes_total",
+		"Out-of-order bytes dropped to the per-flow or global buffer caps.", s.ReassemblyDrops)
+	counter("dpi_gateway_gap_skips_total", "Reassembly gaps skipped on timeout.", s.GapSkips)
+	counter("dpi_gateway_gap_skipped_bytes_total",
+		"Unseen stream bytes skipped past on gap timeouts.", s.GapSkippedBytes)
+	gauge("dpi_gateway_reassembly_buffered_bytes",
+		"Out-of-order bytes currently buffered across all flows.", float64(s.BufferedBytes))
 	w.Metric("dpi_gateway_reassembly_buffer_limit_bytes", "gauge",
 		"Configured global out-of-order buffer cap (0 = unlimited).")
 	limit := g.cfg.MaxTotalBuffer
@@ -122,36 +117,28 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 	w.Metric("dpi_gateway_overload_policy_info", "gauge",
 		"Configured overload policy (see GatewayConfig.OverloadPolicy); value is always 1.")
 	w.Sample(1, metrics.Label{Name: "policy", Value: g.cfg.OverloadPolicy.String()})
-	w.Metric("dpi_gateway_scanned_bytes_total", "counter",
-		"Payload bytes delivered to a scanner (stream + burst) — the Scanned ledger bucket.")
-	w.Sample(float64(s.ScannedBytes))
-	w.Metric("dpi_gateway_shed_packets_total", "counter",
-		"Packets shed at admission under a shedding overload policy.")
-	w.Sample(float64(s.ShedPackets))
-	w.Metric("dpi_gateway_shed_bytes_total", "counter",
-		"Payload bytes of shed packets — the Shed ledger bucket.")
-	w.Sample(float64(s.ShedBytes))
-	w.Metric("dpi_gateway_shed_new_flows_total", "counter",
-		"Shed packets that would have created new flow state (ShedNewFlows).")
-	w.Sample(float64(s.ShedNewFlows))
-	w.Metric("dpi_gateway_abandoned_bytes_total", "counter",
-		"Ingested bytes released unscanned when their connection went away (RST payloads, buffered bytes freed on RST/FIN/eviction).")
-	w.Sample(float64(s.AbandonedBytes))
+	counter("dpi_gateway_scanned_bytes_total",
+		"Payload bytes delivered to a scanner (stream + burst) — the Scanned ledger bucket.", s.ScannedBytes)
+	counter("dpi_gateway_shed_packets_total",
+		"Packets shed at admission under a shedding overload policy.", s.ShedPackets)
+	counter("dpi_gateway_shed_bytes_total",
+		"Payload bytes of shed packets — the Shed ledger bucket.", s.ShedBytes)
+	counter("dpi_gateway_shed_new_flows_total",
+		"Shed packets that would have created new flow state (ShedNewFlows).", s.ShedNewFlows)
+	counter("dpi_gateway_abandoned_bytes_total",
+		"Ingested bytes released unscanned when their connection went away (RST payloads, buffered bytes freed on RST/FIN/eviction).", s.AbandonedBytes)
 
 	w.Metric("dpi_panics_total", "counter",
 		"Panics recovered by containment, per engine shard. Any non-zero value deserves a bug report; a growing one, an alert.")
 	for i, n := range g.PanicsByShard() {
 		w.Sample(float64(n), metrics.Label{Name: "shard", Value: strconv.Itoa(i)})
 	}
-	w.Metric("dpi_gateway_quarantined_flows_total", "counter",
-		"Flows evicted because scanning them panicked.")
-	w.Sample(float64(s.QuarantinedFlows))
-	w.Metric("dpi_gateway_quarantined_packets_total", "counter",
-		"Packets discarded by panic containment (the panicking packet and any stragglers of quarantined flows).")
-	w.Sample(float64(s.QuarantinedPackets))
-	w.Metric("dpi_gateway_quarantined_bytes_total", "counter",
-		"Payload bytes discarded by panic containment — the quarantine ledger bucket.")
-	w.Sample(float64(s.QuarantinedBytes))
+	counter("dpi_gateway_quarantined_flows_total",
+		"Flows evicted because scanning them panicked.", s.QuarantinedFlows)
+	counter("dpi_gateway_quarantined_packets_total",
+		"Packets discarded by panic containment (the panicking packet and any stragglers of quarantined flows).", s.QuarantinedPackets)
+	counter("dpi_gateway_quarantined_bytes_total",
+		"Payload bytes discarded by panic containment — the quarantine ledger bucket.", s.QuarantinedBytes)
 
 	health := g.Health()
 	stalled := 0
@@ -164,9 +151,8 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 			oldest = age
 		}
 	}
-	w.Metric("dpi_gateway_stalled_lanes", "gauge",
-		"Stream lanes whose queued work is older than StallThreshold right now.")
-	w.Sample(float64(stalled))
+	gauge("dpi_gateway_stalled_lanes",
+		"Stream lanes whose queued work is older than StallThreshold right now.", float64(stalled))
 	w.Metric("dpi_gateway_lane_max_age_seconds", "gauge",
 		"Age of the oldest un-progressed work across busy lanes (0 when all lanes are idle).")
 	w.Sample(oldest)
@@ -176,30 +162,23 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 	w.Sample(float64(s.VerdictAlerts), metrics.Label{Name: "verdict", Value: "alert"})
 	w.Sample(float64(s.VerdictDrops), metrics.Label{Name: "verdict", Value: "drop"})
 	w.Sample(float64(s.VerdictPasses), metrics.Label{Name: "verdict", Value: "pass"})
-	w.Metric("dpi_gateway_verdict_dropped_bytes_total", "counter",
-		"Payload bytes of verdict-dropped traffic, discarded unscanned.")
-	w.Sample(float64(s.DroppedBytes))
-	w.Metric("dpi_gateway_verdict_passed_bytes_total", "counter",
-		"Payload bytes of verdict-passed traffic, exempted unscanned.")
-	w.Sample(float64(s.PassedBytes))
+	counter("dpi_gateway_verdict_dropped_bytes_total",
+		"Payload bytes of verdict-dropped traffic, discarded unscanned.", s.DroppedBytes)
+	counter("dpi_gateway_verdict_passed_bytes_total",
+		"Payload bytes of verdict-passed traffic, exempted unscanned.", s.PassedBytes)
 
 	// Hot-reload control plane (Gateway.SwapRules). The flows-by-generation
 	// gauge only lists live (non-retired) generations: an old generation
 	// present here is draining, and one stuck with flows > 0 names the
 	// long-lived connections pinning it — the series the reload runbook
 	// alerts on.
-	w.Metric("dpi_ruleset_generation", "gauge",
-		"Installed ruleset generation new flows and bursts scan with.")
-	w.Sample(float64(s.Generation))
-	w.Metric("dpi_ruleset_swaps_total", "counter",
-		"Successful SwapRules hot reloads.")
-	w.Sample(float64(s.RulesetSwaps))
-	w.Metric("dpi_ruleset_generations_installed_total", "counter",
-		"Ruleset generations ever installed (the initial one included).")
-	w.Sample(float64(s.GenerationsInstalled))
-	w.Metric("dpi_ruleset_generations_retired_total", "counter",
-		"Old ruleset generations fully drained and retired.")
-	w.Sample(float64(s.GenerationsRetired))
+	gauge("dpi_ruleset_generation",
+		"Installed ruleset generation new flows and bursts scan with.", float64(s.Generation))
+	counter("dpi_ruleset_swaps_total", "Successful SwapRules hot reloads.", s.RulesetSwaps)
+	counter("dpi_ruleset_generations_installed_total",
+		"Ruleset generations ever installed (the initial one included).", s.GenerationsInstalled)
+	counter("dpi_ruleset_generations_retired_total",
+		"Old ruleset generations fully drained and retired.", s.GenerationsRetired)
 	w.Metric("dpi_flows_by_generation", "gauge",
 		"Live flows pinned to each non-retired ruleset generation.")
 	for _, gi := range g.Generations() {
@@ -207,52 +186,35 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 			metrics.Label{Name: "generation", Value: strconv.FormatUint(gi.Generation, 10)})
 	}
 
-	w.Metric("dpi_gateway_flows_live", "gauge", "Flow-table entries currently live.")
-	w.Sample(float64(ts.Live))
-	w.Metric("dpi_gateway_flows_created_total", "counter", "Flow-table entries created.")
-	w.Sample(float64(ts.Created))
+	gauge("dpi_gateway_flows_live", "Flow-table entries currently live.", float64(ts.Live))
+	counter("dpi_gateway_flows_created_total", "Flow-table entries created.", ts.Created)
 	w.Metric("dpi_gateway_flows_evicted_total", "counter",
 		"Flow-table entries removed, by reason: capacity (MaxFlows pressure), idle (IdleTimeout), teardown (RST).")
 	w.Sample(float64(ts.EvictedCap), metrics.Label{Name: "reason", Value: "capacity"})
 	w.Sample(float64(ts.EvictedIdle), metrics.Label{Name: "reason", Value: "idle"})
 	w.Sample(float64(ts.Removed), metrics.Label{Name: "reason", Value: "teardown"})
-	w.Metric("dpi_gateway_flows_finished_total", "counter", "Connections completed via FIN.")
-	w.Sample(float64(s.FlowsFinished))
-	w.Metric("dpi_gateway_flows_reset_total", "counter", "Connections torn down by RST.")
-	w.Sample(float64(s.FlowsReset))
-	w.Metric("dpi_gateway_flow_table_clock", "gauge",
-		"Flow-table logical clock: table-wide stream packets seen (the unit IdleTimeout is measured in).")
-	w.Sample(float64(ts.Clock))
+	counter("dpi_gateway_flows_finished_total", "Connections completed via FIN.", s.FlowsFinished)
+	counter("dpi_gateway_flows_reset_total", "Connections torn down by RST.", s.FlowsReset)
+	gauge("dpi_gateway_flow_table_clock",
+		"Flow-table logical clock: table-wide stream packets seen (the unit IdleTimeout is measured in).", float64(ts.Clock))
 
 	shardStats := g.ShardStats()
-	shardLabel := func(i int) metrics.Label {
-		return metrics.Label{Name: "shard", Value: strconv.Itoa(i)}
+	perShard := func(name, help string, field func(EngineStats) uint64) {
+		w.Metric(name, "counter", help)
+		for i, es := range shardStats {
+			w.Sample(float64(field(es)), metrics.Label{Name: "shard", Value: strconv.Itoa(i)})
+		}
 	}
-	w.Metric("dpi_engine_batches_total", "counter",
-		"Stateless scan batches per engine shard.")
-	for i, es := range shardStats {
-		w.Sample(float64(es.Batches), shardLabel(i))
-	}
-	w.Metric("dpi_engine_batch_packets_total", "counter",
-		"Stateless payloads scanned per engine shard.")
-	for i, es := range shardStats {
-		w.Sample(float64(es.BatchPkts), shardLabel(i))
-	}
-	w.Metric("dpi_engine_batch_bytes_total", "counter",
-		"Stateless payload bytes scanned per engine shard.")
-	for i, es := range shardStats {
-		w.Sample(float64(es.BatchBytes), shardLabel(i))
-	}
-	w.Metric("dpi_engine_flows_opened_total", "counter",
-		"Connections opened on each engine shard: new flows and SYN re-opens.")
-	for i, es := range shardStats {
-		w.Sample(float64(es.FlowsOpened), shardLabel(i))
-	}
-	w.Metric("dpi_engine_stream_bytes_total", "counter",
-		"Stream bytes scanned per engine shard.")
-	for i, es := range shardStats {
-		w.Sample(float64(es.StreamBytes), shardLabel(i))
-	}
+	perShard("dpi_engine_batches_total", "Stateless scan batches per engine shard.",
+		func(es EngineStats) uint64 { return es.Batches })
+	perShard("dpi_engine_batch_packets_total", "Stateless payloads scanned per engine shard.",
+		func(es EngineStats) uint64 { return es.BatchPkts })
+	perShard("dpi_engine_batch_bytes_total", "Stateless payload bytes scanned per engine shard.",
+		func(es EngineStats) uint64 { return es.BatchBytes })
+	perShard("dpi_engine_flows_opened_total", "Connections opened on each engine shard: new flows and SYN re-opens.",
+		func(es EngineStats) uint64 { return es.FlowsOpened })
+	perShard("dpi_engine_stream_bytes_total", "Stream bytes scanned per engine shard.",
+		func(es EngineStats) uint64 { return es.StreamBytes })
 
 	rules := g.RuleStats()
 	if len(rules) > 0 {
