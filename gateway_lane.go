@@ -163,7 +163,9 @@ func (g *Gateway) emitMatches(sh *gwEngineShard, gen *gwGeneration, p *seqPacket
 func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
 	ln.matches = fl.st.Write(fl.gen.m.grouped, chunk, ln.matches[:0])
 	ln.sh.n[cEngStreamBytes].Add(uint64(len(chunk)))
-	ln.g.emitMatches(ln.sh, fl.gen, p, int(fl.ruleIdx), ln.matches)
+	if len(ln.matches) > 0 {
+		ln.g.emitMatches(ln.sh, fl.gen, p, int(fl.ruleIdx), ln.matches)
+	}
 }
 
 // ingest processes one segment on the lane that owns the flow. It reports

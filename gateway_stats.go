@@ -182,9 +182,9 @@ func (g *Gateway) totals() (c [numCounters]uint64) {
 func (g *Gateway) Stats() GatewayStats {
 	ts := g.table.Stats()
 	c := g.totals()
-	g.genMu.Lock()
-	live := len(g.gens)
-	g.genMu.Unlock()
+	// Retired is read first, so a swap landing between the two loads can only
+	// make the live count read high, never negative.
+	retired, installed := g.gensRetired.Load(), g.gensInstall.Load()
 	return GatewayStats{
 		EngineShards:  len(g.shards),
 		Packets:       g.seq.Load(),
@@ -228,9 +228,9 @@ func (g *Gateway) Stats() GatewayStats {
 
 		Generation:           g.cur.Load().id,
 		RulesetSwaps:         g.swaps.Load(),
-		GenerationsInstalled: g.gensInstall.Load(),
-		GenerationsRetired:   g.gensRetired.Load(),
-		GenerationsLive:      live,
+		GenerationsInstalled: installed,
+		GenerationsRetired:   retired,
+		GenerationsLive:      int(installed - retired),
 	}
 }
 
