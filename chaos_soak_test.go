@@ -10,9 +10,11 @@ package dpi_test
 // root dpi package — an internal test package would close an import cycle.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -547,9 +549,10 @@ func TestChaosSoakPanicQuarantineUnderEviction(t *testing.T) {
 }
 
 // TestChaosSoakWatchdogStall: a wedged emit callback (chaos stall) must
-// flip Health to stalled once the lane's queue head exceeds the threshold,
-// turn /healthz into a 503 with a diagnosable JSON body, and clear cleanly
-// once the wedge releases.
+// flip Health to stalled once the queue head exceeds the threshold — on a
+// stream lane for TCP segments, on the shard's burst scanner (Lane -1) for
+// UDP datagrams — turn /healthz into a 503 with a diagnosable JSON body, and
+// clear cleanly once the wedge releases.
 func TestChaosSoakWatchdogStall(t *testing.T) {
 	m, set := soakMatcher(t, 200, dpi.BackendAuto)
 	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
@@ -559,66 +562,102 @@ func TestChaosSoakWatchdogStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.FindAll(w.Streams[0])) == 0 {
-		t.Fatal("workload carries no match; stall never triggers")
-	}
-	release := make(chan struct{})
-	c := newSoakCollector()
-	emit := chaos.StallOnce(c.emit, func(dpi.FlowMatch) bool { return true }, release)
-	gw := soakGateway(t, m, dpi.GatewayConfig{
-		StreamWorkers: 1, StallThreshold: 30 * time.Millisecond,
-	}, emit)
+	var segments, datagrams []dpi.GatewayPacket
 	for _, p := range w.Packets {
-		if err := gw.Ingest(dpi.GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}); err != nil {
-			t.Fatal(err)
-		}
+		segments = append(segments, dpi.GatewayPacket{Tuple: p.Tuple, Payload: p.Payload})
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		h := gw.Health()
-		if !h.Healthy {
-			stalled := false
-			for _, l := range h.BusyLanes {
-				stalled = stalled || l.Stalled
+	wantStream := map[dpi.FiveTuple][]dpi.Match{w.Tuples[0]: m.FindAll(w.Streams[0])}
+	wantBurst := map[dpi.FiveTuple][]dpi.Match{}
+	for i := 0; i < 4; i++ {
+		tup := dpi.FiveTuple{SrcIP: dpi.IPv4(10, 0, 0, 9), DstIP: dpi.IPv4(10, 0, 1, 1),
+			SrcPort: uint16(5000 + i), DstPort: 53, Proto: dpi.ProtoUDP}
+		payload := append([]byte("query "), set.Patterns[i].Data...)
+		datagrams = append(datagrams, dpi.GatewayPacket{Tuple: tup, Payload: payload})
+		wantBurst[tup] = m.FindAll(payload)
+	}
+	for _, tc := range []struct {
+		name string
+		feed []dpi.GatewayPacket
+		want map[dpi.FiveTuple][]dpi.Match
+		lane int // the stalled BusyLanes entry's Lane
+	}{
+		{"tcp", segments, wantStream, 0},
+		{"udp", datagrams, wantBurst, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for tup, ms := range tc.want {
+				if len(ms) == 0 {
+					t.Fatalf("%v carries no match; stall never triggers", tup)
+				}
 			}
-			if !stalled {
-				t.Fatalf("unhealthy without a stalled lane: %+v", h)
+			release := make(chan struct{})
+			c := newSoakCollector()
+			emit := chaos.StallOnce(c.emit, func(dpi.FlowMatch) bool { return true }, release)
+			gw := soakGateway(t, m, dpi.GatewayConfig{
+				StreamWorkers: 1, StallThreshold: 30 * time.Millisecond,
+			}, emit)
+			for _, p := range tc.feed {
+				if err := gw.Ingest(p); err != nil {
+					t.Fatal(err)
+				}
 			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("watchdog never detected the stall: %+v", h)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 
-	rec := httptest.NewRecorder()
-	gw.Healthz().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 503 {
-		t.Fatalf("/healthz during stall: %d, want 503", rec.Code)
-	}
-	var h dpi.GatewayHealth
-	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil || h.Healthy {
-		t.Fatalf("/healthz body during stall: %q (err %v)", rec.Body.String(), err)
-	}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				h := gw.Health()
+				if !h.Healthy {
+					stalled := false
+					for _, l := range h.BusyLanes {
+						stalled = stalled || (l.Stalled && l.Lane == tc.lane)
+					}
+					if !stalled {
+						t.Fatalf("unhealthy without a stalled lane %d: %+v", tc.lane, h)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("watchdog never detected the stall: %+v", h)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
 
-	close(release)
-	gw.Flush()
-	if h := gw.Health(); !h.Healthy {
-		t.Fatalf("still unhealthy after release + Flush: %+v", h)
-	}
-	rec = httptest.NewRecorder()
-	gw.Healthz().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/healthz after release: %d, want 200", rec.Code)
-	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := m.FindAll(w.Streams[0])
-	if got := c.matches(w.Tuples[0]); !sameSoakMatches(got, want) {
-		t.Fatalf("stall lost matches\ngot  %+v\nwant %+v", got, want)
+			rec := httptest.NewRecorder()
+			gw.Healthz().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+			if rec.Code != 503 {
+				t.Fatalf("/healthz during stall: %d, want 503", rec.Code)
+			}
+			var h dpi.GatewayHealth
+			if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil || h.Healthy {
+				t.Fatalf("/healthz body during stall: %q (err %v)", rec.Body.String(), err)
+			}
+
+			var expo bytes.Buffer
+			if _, err := gw.Metrics().WriteTo(&expo); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(expo.String(), "\ndpi_gateway_stalled_lanes 1\n") {
+				t.Fatalf("stall not counted in dpi_gateway_stalled_lanes:\n%s", expo.String())
+			}
+
+			close(release)
+			gw.Flush()
+			if h := gw.Health(); !h.Healthy {
+				t.Fatalf("still unhealthy after release + Flush: %+v", h)
+			}
+			rec = httptest.NewRecorder()
+			gw.Healthz().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+			if rec.Code != 200 {
+				t.Fatalf("/healthz after release: %d, want 200", rec.Code)
+			}
+			if err := gw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for tup, want := range tc.want {
+				if got := c.matches(tup); !sameSoakMatches(got, want) {
+					t.Fatalf("stall lost matches on %v\ngot  %+v\nwant %+v", tup, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -8,29 +8,24 @@
 //	dpibench -figure 7            # one figure (2, 6, 7 or 8)
 //	dpibench -figure 7 -tsv       # emit the series as TSV instead of a plot
 //	dpibench -ablation            # depth-2 sweep + adversarial comparison
-//	dpibench -parallel            # engine throughput vs worker count
-//	dpibench -parallel -workers 8 # cap the worker sweep
-//	dpibench -gateway             # NIDS gateway ingestion throughput
-//	dpibench -gateway -shards 4   # plus the engine-shard sweep (2, 4 shards)
-//	dpibench -gateway -json out.json  # plus a machine-readable report
 //	dpibench -kernel              # raw scan-kernel throughput across all backends
 //	dpibench -kernel -json BENCH_13.json  # plus the perf-trajectory report
-//	dpibench -pcap 'testdata/pcap/*.pcap'            # capture-fed gateway replay + oracle check
-//	dpibench -pcap 'testdata/pcap/*.pcap' -shards 4 -repeats 500
-//	dpibench -pcap 'testdata/pcap/*.pcap' -json pcap.json
-//	dpibench -parallel -backend reference   # pin -parallel/-gateway to one backend
-//	dpibench -gateway -backend prefiltered  # run the gateway on the two-stage pipeline
 //	dpibench -kernel -cpuprofile cpu.pprof -memprofile mem.pprof
 //	dpibench -chaos               # seeded fault-injection soak (oracle + conservation gates)
 //	dpibench -chaos -shards 4 -json chaos.json   # the CI chaos-soak artifact
+//	dpibench -chaos -backend reference           # pin the soak's gateways to one backend
 //	dpibench -reload              # hot-reload swap storm (pinning + retirement gates)
 //	dpibench -reload -shards 4 -gens 8 -json reload.json  # the CI reload-soak artifact
 //	dpibench -seed 2010           # workload seed (default 2010)
 //
-// On SIGINT/SIGTERM every mode drains the gateway, writes a partial JSON
-// report (marked "interrupted": true) and renders the rows measured so
-// far; JSON reports are written via temp-file + rename, so a report path
-// never holds a truncated document.
+// Sensor throughput is measured by `go run ./bench`, inside the whole
+// capture-to-verdict pipeline; dpibench has no gateway throughput mode.
+//
+// On SIGINT/SIGTERM -kernel, -chaos and -reload stop at the next row or
+// scenario, drain any gateway, write a partial JSON report (marked
+// "interrupted": true) and render the rows measured so far; JSON reports
+// are written via temp-file + rename, so a report path never holds a
+// truncated document.
 package main
 
 import (
@@ -58,20 +53,15 @@ func main() {
 		figure   = flag.Int("figure", 0, "regenerate one figure (1, 2, 6, 7 or 8; 1 emits DOT)")
 		all      = flag.Bool("all", false, "regenerate every table and figure")
 		ablation = flag.Bool("ablation", false, "run the ablation experiments")
-		parallel = flag.Bool("parallel", false, "measure engine throughput vs worker count")
-		gateway  = flag.Bool("gateway", false, "measure NIDS gateway ingestion throughput vs worker count")
 		kernel   = flag.Bool("kernel", false, "measure raw scan-kernel throughput across all registered backends")
-		pcap     = flag.String("pcap", "", "replay capture files matching this glob through the gateway (oracle check + capture-fed throughput)")
-		repeats  = flag.Int("repeats", 200, "replay count for the -pcap throughput measurement")
 		chaosRun = flag.Bool("chaos", false, "run the seeded chaos soak: storms, overload shedding and injected panics, gated on oracle exactness and byte conservation")
 		reload   = flag.Bool("reload", false, "run the hot-reload swap storm: ruleset generations installed under live traffic, gated on generation pinning and provable retirement")
 		gens     = flag.Int("gens", 0, "with -reload: ruleset generations to install (0 = default sweep)")
 		backend  = flag.String("backend", "auto",
-			fmt.Sprintf("scan backend for -parallel/-gateway: auto or one of %s (-kernel always sweeps all)",
+			fmt.Sprintf("scan backend for -chaos/-reload: auto or one of %s (-kernel always sweeps all)",
 				strings.Join(core.RegisteredBackends(), ", ")))
-		jsonOut = flag.String("json", "", "with -gateway or -kernel: also write the machine-readable report as JSON to this path")
-		workers = flag.Int("workers", 0, "max workers for -parallel/-gateway (0 = NumCPU)")
-		shards  = flag.Int("shards", 1, "max engine shards for -gateway: sweeps 2,4,...,N sharded rows on top of the worker sweep (1 = unsharded only)")
+		jsonOut = flag.String("json", "", "with -kernel, -chaos or -reload: also write the machine-readable report as JSON to this path")
+		shards  = flag.Int("shards", 1, "engine shards: -chaos runs every scenario at 1,2,4,...,N; -reload runs at exactly N")
 		tsv     = flag.Bool("tsv", false, "emit figure series as TSV instead of ASCII plots")
 		seed    = flag.Int64("seed", experiments.DefaultSeed, "workload generation seed")
 		steps   = flag.Int("steps", 10, "clock sweep steps for figures 7/8")
@@ -79,7 +69,7 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile to this path at exit")
 	)
 	flag.Parse()
-	if !*all && *table == 0 && *figure == 0 && !*ablation && !*parallel && !*gateway && !*kernel && *pcap == "" && !*chaosRun && !*reload {
+	if !*all && *table == 0 && *figure == 0 && !*ablation && !*kernel && !*chaosRun && !*reload {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -105,10 +95,8 @@ func main() {
 	}
 	err := dispatch(ctx, modes{
 		all: *all, table: *table, figure: *figure, ablation: *ablation,
-		parallel: *parallel, gateway: *gateway, kernel: *kernel,
-		pcap: *pcap, repeats: *repeats, chaos: *chaosRun,
-		reload: *reload, gens: *gens,
-		backend: *backend, jsonOut: *jsonOut, workers: *workers, shards: *shards,
+		kernel: *kernel, chaos: *chaosRun, reload: *reload, gens: *gens,
+		backend: *backend, jsonOut: *jsonOut, shards: *shards,
 		tsv: *tsv, seed: *seed, steps: *steps,
 	})
 	if *cpuProf != "" {
@@ -142,17 +130,12 @@ type modes struct {
 	table    int
 	figure   int
 	ablation bool
-	parallel bool
-	gateway  bool
 	kernel   bool
-	pcap     string
-	repeats  int
 	chaos    bool
 	reload   bool
 	gens     int
 	backend  string
 	jsonOut  string
-	workers  int
 	shards   int
 	tsv      bool
 	seed     int64
@@ -210,49 +193,20 @@ func dispatch(ctx context.Context, m modes) error {
 	}
 	if m.jsonOut != "" {
 		writers := 0
-		for _, on := range []bool{m.gateway, m.kernel, m.pcap != "", m.chaos, m.reload} {
+		for _, on := range []bool{m.kernel, m.chaos, m.reload} {
 			if on {
 				writers++
 			}
 		}
 		if writers > 1 {
-			return fmt.Errorf("-json with more than one of -gateway, -kernel, -pcap, -chaos, -reload would overwrite one report with another; run the modes separately")
+			return fmt.Errorf("-json with more than one of -kernel, -chaos, -reload would overwrite one report with another; run the modes separately")
 		}
 		if writers == 0 {
-			return fmt.Errorf("-json is only produced by -gateway, -kernel, -pcap, -chaos or -reload; no report would be written")
-		}
-	}
-	if m.parallel {
-		cfg := defaultParallelConfig(m.seed)
-		cfg.MaxWorkers = m.workers
-		cfg.Backend = m.backend
-		if err := runParallel(os.Stdout, cfg); err != nil {
-			return err
-		}
-	}
-	if m.gateway {
-		cfg := defaultGatewayConfig(m.seed)
-		cfg.MaxWorkers = m.workers
-		cfg.MaxShards = m.shards
-		cfg.Backend = m.backend
-		if err := runGateway(ctx, os.Stdout, m.jsonOut, cfg); err != nil {
-			return err
+			return fmt.Errorf("-json is only produced by -kernel, -chaos or -reload; no report would be written")
 		}
 	}
 	if m.kernel {
 		if err := runKernel(ctx, os.Stdout, m.jsonOut, defaultKernelConfig(m.seed)); err != nil {
-			return err
-		}
-	}
-	if m.pcap != "" {
-		shards := m.shards
-		if shards < 1 {
-			shards = 1
-		}
-		if err := runPcap(ctx, os.Stdout, m.jsonOut, pcapConfig{
-			Glob: m.pcap, Backend: m.backend, Workers: m.workers,
-			Shards: shards, Repeats: m.repeats,
-		}); err != nil {
 			return err
 		}
 	}

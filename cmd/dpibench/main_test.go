@@ -12,104 +12,6 @@ import (
 	"repro/internal/core"
 )
 
-func TestRunParallelSmall(t *testing.T) {
-	var sb strings.Builder
-	cfg := parallelConfig{
-		Strings: 120, Packets: 8, Bytes: 512, Seed: 2010,
-		MinTime: 5 * time.Millisecond, MaxWorkers: 2,
-	}
-	if err := runParallel(&sb, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"ENGINE PARALLEL SCAN", "Matcher.FindAll", "Engine.ScanPackets", "Gbps", "Speedup"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestWorkerSweepShape(t *testing.T) {
-	got := workerSweep(6)
-	want := []int{1, 2, 4, 6}
-	if len(got) != len(want) {
-		t.Fatalf("workerSweep(6) = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("workerSweep(6) = %v, want %v", got, want)
-		}
-	}
-	if one := workerSweep(1); len(one) != 1 || one[0] != 1 {
-		t.Fatalf("workerSweep(1) = %v", one)
-	}
-}
-
-func TestRunGatewaySmall(t *testing.T) {
-	var sb strings.Builder
-	jsonPath := filepath.Join(t.TempDir(), "gateway-bench.json")
-	cfg := gatewayBenchConfig{
-		Strings: 100, Flows: 12, SegmentsPerFlow: 3, SegmentBytes: 200,
-		Datagrams: 10, DatagramBytes: 150, ChurnMaxFlows: 3,
-		ReorderWindow: 2, RetransDensity: 0.5, Seed: 2010,
-		MinTime: 5 * time.Millisecond, MaxWorkers: 2, MaxShards: 2,
-	}
-	if err := runGateway(context.Background(), &sb, jsonPath, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"GATEWAY INGESTION", "full-table", "sharded", "reordered", "churn", "Gbps", "Evicted", "OOOSegs"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q:\n%s", want, out)
-		}
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep gatewayBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("JSON report does not parse: %v\n%s", err, data)
-	}
-	if !rep.OK || rep.Bench != 5 {
-		t.Fatalf("report not OK: %s", data)
-	}
-	// full-table sweep (2 workers -> 2 rows) + sharded@2 + reordered + churn.
-	if len(rep.Rows) != 5 {
-		t.Fatalf("report has %d rows: %s", len(rep.Rows), data)
-	}
-	var sawReordered, sawSharded bool
-	for _, r := range rep.Rows {
-		if !r.OracleOK {
-			t.Fatalf("row %+v failed its oracle but report.OK is true", r)
-		}
-		if r.Mode == "reordered" {
-			sawReordered = true
-			if r.OutOfOrder == 0 {
-				t.Errorf("reordered row buffered no segments: %+v", r)
-			}
-			if r.OracleWant == 0 || r.Matches != uint64(r.OracleWant) {
-				t.Errorf("reordered row not oracle-gated: %+v", r)
-			}
-		}
-		if r.Mode == "sharded" {
-			sawSharded = true
-			if r.Shards != 2 {
-				t.Errorf("sharded row at %d shards, want 2: %+v", r.Shards, r)
-			}
-			if r.OracleWant == 0 || r.Matches != uint64(r.OracleWant) {
-				t.Errorf("sharded row not oracle-gated: %+v", r)
-			}
-		}
-	}
-	if !sawReordered {
-		t.Fatal("no reordered row in the report")
-	}
-	if !sawSharded {
-		t.Fatal("no sharded row in the report")
-	}
-}
-
 func TestRunKernelSmall(t *testing.T) {
 	var sb strings.Builder
 	jsonPath := filepath.Join(t.TempDir(), "kernel-bench.json")
@@ -286,7 +188,7 @@ func TestRunChaosInterrupted(t *testing.T) {
 // lists every registered backend so the flag's vocabulary can never drift
 // from the registry.
 func TestBackendFlagValidation(t *testing.T) {
-	err := dispatch(context.Background(), modes{parallel: true, backend: "warp"})
+	err := dispatch(context.Background(), modes{chaos: true, backend: "warp"})
 	if err == nil {
 		t.Fatal("dispatch accepted an unknown backend")
 	}

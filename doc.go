@@ -146,7 +146,8 @@
 // ARCHITECTURE.md walks the packet lifecycle and names the test that
 // enforces each invariant; OPERATIONS.md documents the metrics surface;
 // README.md covers the backends and the tooling. cmd/dpibench
-// regenerates the paper's evaluation section (dpibench -all) and replays
-// the committed capture corpora (dpibench -pcap); examples/sensor is the
-// complete capture-to-verdict edge in one binary.
+// regenerates the paper's evaluation section (dpibench -all); the bench
+// directory measures the sensor's throughput inside the whole pipeline (go
+// run ./bench); examples/sensor is the complete capture-to-verdict edge in
+// one binary and replays the committed capture corpora.
 package dpi

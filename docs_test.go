@@ -132,3 +132,43 @@ func TestDocsNamedTestsExist(t *testing.T) {
 		t.Error(fmt.Sprintf("self-check failed: walker did not see this file (%d tests found)", len(defined)))
 	}
 }
+
+// TestDocsQuotedDpibenchFlagsExist checks every flag the runbook quotes on
+// a dpibench command line (`dpibench -x ...`, `./cmd/dpibench -x ...`)
+// against the flags cmd/dpibench/main.go declares, so a retired mode
+// cannot survive in README.md, OPERATIONS.md or the package doc.
+func TestDocsQuotedDpibenchFlagsExist(t *testing.T) {
+	src, err := os.ReadFile("cmd/dpibench/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`flag\.[A-Z][A-Za-z0-9]*\("([^"]+)"`).FindAllSubmatch(src, -1) {
+		declared[string(m[1])] = true
+	}
+	if !declared["all"] || !declared["chaos"] {
+		t.Fatalf("flag declarations not found in cmd/dpibench/main.go (regex or source drift): %v", declared)
+	}
+	// A command line: flags, each optionally followed by one value, up to
+	// the closing backtick, parenthesis or prose.
+	cmdline := regexp.MustCompile("dpibench((?:\\s+-[a-z]+(?:\\s+[^\\s`-][^\\s`]*)?)+)")
+	quotedFlag := regexp.MustCompile(`\s-([a-z]+)`)
+	quoted := 0
+	for _, name := range []string{"README.md", "OPERATIONS.md", "doc.go"} {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, line := range cmdline.FindAllSubmatch(raw, -1) {
+			for _, f := range quotedFlag.FindAllSubmatch(line[1], -1) {
+				quoted++
+				if !declared[string(f[1])] {
+					t.Errorf("%s quotes `dpibench%s`, but cmd/dpibench declares no -%s flag", name, line[1], f[1])
+				}
+			}
+		}
+	}
+	if quoted == 0 {
+		t.Error("no quoted dpibench flags found in the docs (regex or docs drift)")
+	}
+}

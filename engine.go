@@ -176,7 +176,7 @@ func (f *Flow) Consumed() int {
 }
 
 // Generation reports the compile generation of the scanner state backing
-// this flow (zero once closed or discarded). It always equals the
+// this flow (zero once closed). It always equals the
 // generation of the matcher whose engine opened the flow — the hot-reload
 // oracle audits exactly that tag on the gateway's flow records.
 func (f *Flow) Generation() uint64 {
@@ -185,12 +185,6 @@ func (f *Flow) Generation() uint64 {
 	}
 	return f.st.Generation()
 }
-
-// Discard is Close for a flow the caller no longer trusts — one whose scan
-// panicked, say. It spells the intent to quarantine; it does nothing Close
-// does not, because a flow's registers are its own and no later flow ever
-// inherits them.
-func (f *Flow) Discard() { f.open = false }
 
 // Close ends the flow. Closing twice is a no-op.
 func (f *Flow) Close() error {

@@ -17,7 +17,7 @@ package dpi
 // blocks and fanning partitioned traffic across them (§IV.B), and
 // GatewayConfig.EngineShards is the software analogue — M independent
 // shards (each one state block: its stream lanes, burst scanner, admission
-// gate, drain count and counters) over the one immutable compiled automaton,
+// gate, queue depths and counters) over the one immutable compiled automaton,
 // with every flow and stateless packet pinned to a shard by the same tuple
 // hash that pins lanes and flow-table shards. A packet's bookkeeping lands
 // on its own shard's block and nowhere else — the ingest sequence number is
@@ -319,9 +319,10 @@ type GatewayConfig struct {
 	// immediately on a full queue. Ignored under Block, which waits
 	// indefinitely.
 	IngestDeadline time.Duration
-	// StallThreshold is the lane-watchdog trigger: a stream lane with
-	// queued or in-flight work whose last progress is older than this is
-	// reported stalled by Health (and /healthz turns 503). Default 5s.
+	// StallThreshold is the lane-watchdog trigger: a stream lane or burst
+	// scanner with queued or in-flight work whose last progress is older
+	// than this is reported stalled by Health (and /healthz turns 503).
+	// Default 5s.
 	StallThreshold time.Duration
 
 	// Rules classify each flow's 5-tuple before payload scanning; see
@@ -410,7 +411,7 @@ type Gateway struct {
 	// Ruleset generations — the hot-reload control plane. cur is the
 	// generation new flows pin to and bursts scan with; it only changes
 	// inside SwapRules, at a drained point (every gate held exclusively,
-	// every shard's inflight zero), so everything processing a packet sees
+	// every queue's depth zero), so everything processing a packet sees
 	// a frozen cur. gens lists every non-retired generation in install
 	// order, guarded by genMu.
 	cur         atomic.Pointer[gwGeneration]
@@ -440,8 +441,9 @@ type Gateway struct {
 
 // gwEngineShard is one scan replica — the software string matching block —
 // and the one owner of everything its goroutines touch: the hash-pinned
-// per-flow stream lanes and the burst scanner's queue, the lanes' watchdog
-// state, the admission gate, the drain count and the counter block. A
+// per-flow stream lanes and the burst scanner's queue, one laneState per
+// queue (the watchdog's view and the drain barrier's count in one), the
+// admission gate and the counter block. A
 // packet pinned to this shard is accounted here and nowhere else, so shards
 // share no written cache line on the packet path beyond Gateway.seq and the
 // flow table's own clock. What a shard scans *with* is not its state: lanes
@@ -450,7 +452,7 @@ type Gateway struct {
 type gwEngineShard struct {
 	streamQ []chan seqPacket
 	burstQ  chan seqPacket
-	lanes   []laneState // watchdog state, parallel to streamQ
+	lanes   []laneState // queue depth and watchdog state, parallel to streamQ
 	// rules holds the per-rule counters, indexed by the rule's position in
 	// cfg.Rules (not its ID — IDs may be sparse). Fixed-size and allocated
 	// at construction, so counting a verdict or an attributed match is one
@@ -462,11 +464,9 @@ type gwEngineShard struct {
 	// shared across its send; Flush, SwapRules and Close hold every shard's
 	// exclusively (Gateway.quiesce).
 	gate sync.RWMutex
-	// inflight counts packets admitted to this shard and not yet fully
-	// processed: raised by admission before the send, lowered by the lane or
-	// burst scanner in the defer chain that also contains panics. The drain
-	// barrier waits for every shard's to reach zero.
-	inflight atomic.Int64
+	// burst is the burst queue's laneState, as lanes[i] is streamQ[i]'s; it
+	// sits here, not in the header, because it is written per packet.
+	burst laneState
 	// n is the shard's counter block; see gwCounter.
 	n [numCounters]atomic.Uint64
 	_ [64]byte // the next shard's header starts on its own line

@@ -75,26 +75,22 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 		// traffic) are sheddable, so overload cannot grow the flow table.
 		newFlow = !tcp || !g.table.Has(pkt.Tuple, h)
 	}
-	q := sh.burstQ
-	var ls *laneState
+	q, ls := sh.burstQ, &sh.burst
 	if tcp {
 		// Dividing out the shard index decorrelates the lane choice from
 		// the shard choice when their counts share factors; with one shard
 		// it reduces to hash%lanes, the pre-sharding pinning.
 		lane := (h / nshards) % uint64(len(sh.streamQ))
-		q = sh.streamQ[lane]
-		// Watchdog: raise the lane's depth before the (possibly blocking)
-		// send, stamping progress on the empty→busy edge so a lane that
-		// never dequeues shows its true stall age.
-		ls = &sh.lanes[lane]
-		if ls.depth.Add(1) == 1 {
-			ls.lastProgress.Store(time.Now().UnixNano())
-		}
+		q, ls = sh.streamQ[lane], &sh.lanes[lane]
 	}
-	// inflight is raised across the send so a concurrent Flush cannot
-	// declare the shard drained while this packet may still slip in
-	// (TryIngest holds the gate shared, Flush takes it exclusively).
-	sh.inflight.Add(1)
+	// The queue's depth is raised across the (possibly blocking) send: a
+	// concurrent Flush cannot declare the shard drained while this packet
+	// may still slip in (TryIngest holds the gate shared, Flush takes it
+	// exclusively), and the watchdog is stamped on the empty→busy edge so a
+	// queue that is never dequeued shows its true stall age.
+	if ls.depth.Add(1) == 1 {
+		ls.lastProgress.Store(time.Now().UnixNano())
+	}
 	if pol == Block || (pol == ShedNewFlows && !newFlow) {
 		q <- p
 		return true, nil
@@ -114,10 +110,7 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 		case <-t.C:
 		}
 	}
-	sh.inflight.Add(-1)
-	if ls != nil {
-		ls.depth.Add(-1)
-	}
+	ls.depth.Add(-1)
 	g.shed(sh, p, newFlow)
 	return false, nil
 }
@@ -178,17 +171,19 @@ func (g *Gateway) Flush() {
 // admission gate exclusively, in shard order — no Ingest is inside a send
 // and none can start one until resume — then spins until every admitted
 // packet has been scanned. The lanes and burst scanners consume whatever is
-// queued (a burst scanner never waits for a burst to fill), so each shard's
-// inflight reaches zero without outside help — and, with admission stopped,
-// stays there, which makes waiting the shards out one after another a
-// barrier over all of them.
+// queued (a burst scanner never waits for a burst to fill), so every queue's
+// depth — raised by admission before the send, lowered in the defer chain
+// that also contains panics — reaches zero without outside help and, with
+// admission stopped, stays there, which makes waiting the queues out one
+// after another a barrier over all of them.
 func (g *Gateway) quiesce() {
 	for _, sh := range g.shards {
 		sh.gate.Lock()
 	}
 	for _, sh := range g.shards {
-		for sh.inflight.Load() != 0 {
-			time.Sleep(50 * time.Microsecond)
+		sh.burst.drain()
+		for i := range sh.lanes {
+			sh.lanes[i].drain()
 		}
 	}
 }

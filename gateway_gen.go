@@ -16,8 +16,8 @@ type gwGeneration struct {
 	id uint64 // Matcher.Generation of m
 	m  *Matcher
 	// flows counts live pinned flows. Pinning happens only while the
-	// packet that opens the flow is in flight (its shard's inflight > 0),
-	// and cur only changes at a drained point, so a pin can never land on a
+	// packet that opens the flow is in flight (its lane's depth > 0), and
+	// cur only changes at a drained point, so a pin can never land on a
 	// generation that is concurrently being swapped out — the race
 	// SwapRules' drain barrier exists to exclude.
 	flows atomic.Int64

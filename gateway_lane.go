@@ -3,8 +3,6 @@ package dpi
 // The second stage: flow records, stream lanes, burst scanners, panic containment.
 
 import (
-	"time"
-
 	"repro/internal/ac"
 	"repro/internal/engine"
 	"repro/internal/reassembly"
@@ -337,14 +335,11 @@ func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (remove bool) {
 // streamWorker owns one per-flow lane: every packet of a given flow lands
 // on the same lane (hash-pinned at admission), so writes into the
 // flow's scanner state are ordered without per-packet locking beyond the
-// flow table's entry lock. After every packet — including one whose scan
-// panicked and was contained — the lane stamps its watchdog progress.
+// flow table's entry lock.
 func (g *Gateway) streamWorker(ln *gwLane, q <-chan seqPacket) {
 	defer g.workerWg.Done()
 	for p := range q {
 		ln.streamPacket(p)
-		ln.ls.depth.Add(-1)
-		ln.ls.lastProgress.Store(time.Now().UnixNano())
 	}
 }
 
@@ -354,11 +349,11 @@ func (g *Gateway) streamWorker(ln *gwLane, q <-chan seqPacket) {
 // construction, an eviction the lookup triggered — where there is no record
 // to quarantine and none of the packet's bytes are committed yet, so the
 // packet's payload is charged to the quarantine bucket and the gateway keeps
-// running. inflight is decremented in the same defer chain so Flush cannot
-// wedge on a packet that blew up.
+// running. The lane's depth is lowered (and its watchdog stamped) in the same
+// defer chain, so Flush cannot wedge on a packet that blew up.
 func (ln *gwLane) streamPacket(p seqPacket) {
 	g, sh := ln.g, ln.sh
-	defer sh.inflight.Add(-1)
+	defer ln.ls.done(1)
 	defer func() {
 		if recover() != nil {
 			sh.n[cPanics].Add(1)
@@ -427,13 +422,13 @@ type burstState struct {
 // contained per payload by the batch scan itself (burstState.contain);
 // panics in this function — a user OnVerdict or emit callback — are
 // contained here, with the batch's not-yet-committed bytes charged to the
-// quarantine bucket so the ledger stays exact, and inflight decremented in
-// the defer chain so Flush cannot wedge.
+// quarantine bucket so the ledger stays exact, and the burst queue's depth
+// lowered in the defer chain so Flush cannot wedge.
 func (g *Gateway) scanBurst(sh *gwEngineShard, batch []seqPacket, st *burstState) {
-	defer sh.inflight.Add(-int64(len(batch)))
-	// One generation per burst, read once: the batch's packets hold
-	// inflight until the deferred decrement above, and SwapRules only
-	// moves cur at inflight zero, so cur is frozen for the whole burst —
+	defer sh.burst.done(len(batch))
+	// One generation per burst, read once: the batch's packets hold the
+	// queue's depth until the deferred decrement above, and SwapRules only
+	// moves cur at every depth zero, so cur is frozen for the whole burst —
 	// the batch-boundary cutover guarantee.
 	gen := g.cur.Load()
 	var total, committed uint64

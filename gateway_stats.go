@@ -295,35 +295,54 @@ func (g *Gateway) PanicsByShard() []uint64 {
 	return out
 }
 
-// laneState is one stream lane's watchdog view: how many packets are queued
-// or in flight on the lane, and when the lane last made progress. There is
-// no watchdog goroutine — admission stamps lastProgress when a lane goes
-// from empty to busy, the worker stamps it after every packet, and
-// Health computes staleness on demand, so stall detection is deterministic
-// and costs the hot path two atomics per packet.
+// laneState is one queue's in-flight count and watchdog view — a stream
+// lane's or a shard's burst queue's: how many packets are queued or in
+// flight on it, and when its consumer last made progress. depth serves both
+// readers: the drain barrier waits for it to read zero (Gateway.quiesce) and
+// Health reports it. There is no watchdog goroutine — admission stamps
+// lastProgress when a queue goes from empty to busy, a lane stamps it after
+// every packet and a burst scanner after every burst, and Health computes
+// staleness on demand, so stall detection is deterministic and costs the hot
+// path two atomics per stream packet.
 type laneState struct {
 	depth        atomic.Int64
 	lastProgress atomic.Int64 // unix nanos
 }
 
-// LaneHealth is one stream lane's watchdog reading at the time of a Health
-// call: its queued-or-in-flight depth (Ingest calls blocked on the full
-// lane included) and how long ago it last completed a packet (or, for a
-// lane that never started, was first handed one).
+// done lowers the depth by the n packets the consumer just finished and
+// stamps its progress. It runs deferred, so a contained panic still gets here.
+func (ls *laneState) done(n int) {
+	ls.depth.Add(-int64(n))
+	ls.lastProgress.Store(time.Now().UnixNano())
+}
+
+// drain waits until nothing is queued or in flight on the queue.
+func (ls *laneState) drain() {
+	for ls.depth.Load() != 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// LaneHealth is one queue's watchdog reading at the time of a Health call:
+// its queued-or-in-flight depth (Ingest calls blocked on the full queue
+// included) and how long ago its consumer last completed a packet or burst
+// (or, for one that never started, was first handed a packet). Lane is the
+// stream lane's index within its shard, or -1 for the shard's burst scanner.
 type LaneHealth struct {
 	Shard   int           `json:"shard"`
-	Lane    int           `json:"lane"`
+	Lane    int           `json:"lane"` // -1: the shard's burst scanner
 	Depth   int64         `json:"depth"`
 	Age     time.Duration `json:"age_ns"`
 	Stalled bool          `json:"stalled"`
 }
 
 // GatewayHealth is a liveness snapshot: Healthy is false exactly when some
-// lane holds work older than StallThreshold — a wedged scanner, a blocked
-// emit callback, a deadlocked downstream consumer. Contained panics and
-// quarantined flows do NOT unhealth the gateway (containment working is
-// the healthy outcome); they are included so a /healthz probe can alert on
-// their rate without scraping the full metrics surface.
+// lane or burst scanner holds work older than StallThreshold — a wedged
+// scanner, a blocked emit callback, a deadlocked downstream consumer.
+// Contained panics and quarantined flows do NOT unhealth the gateway
+// (containment working is the healthy outcome); they are included so a
+// /healthz probe can alert on their rate without scraping the full metrics
+// surface.
 type GatewayHealth struct {
 	Healthy          bool         `json:"healthy"`
 	Panics           uint64       `json:"panics"`
@@ -333,27 +352,31 @@ type GatewayHealth struct {
 
 // Health computes the watchdog snapshot on demand — there is no background
 // watchdog goroutine, so detection is deterministic and costs nothing when
-// nobody asks. Every lane currently holding work is reported; the stalled
-// ones flip Healthy to false.
+// nobody asks. Every lane and burst scanner currently holding work is
+// reported, a shard's lanes before its burst scanner; the stalled ones flip
+// Healthy to false.
 func (g *Gateway) Health() GatewayHealth {
 	now := time.Now().UnixNano()
 	h := GatewayHealth{Healthy: true}
+	read := func(ls *laneState, shard, lane int) {
+		d := ls.depth.Load()
+		if d <= 0 {
+			return
+		}
+		age := time.Duration(now - ls.lastProgress.Load())
+		lh := LaneHealth{Shard: shard, Lane: lane, Depth: d, Age: age, Stalled: age > g.cfg.StallThreshold}
+		if lh.Stalled {
+			h.Healthy = false
+		}
+		h.BusyLanes = append(h.BusyLanes, lh)
+	}
 	for si, sh := range g.shards {
 		h.Panics += sh.n[cPanics].Load()
 		h.QuarantinedFlows += sh.n[cQuarantinedFlows].Load()
 		for li := range sh.lanes {
-			ls := &sh.lanes[li]
-			d := ls.depth.Load()
-			if d <= 0 {
-				continue
-			}
-			age := time.Duration(now - ls.lastProgress.Load())
-			lh := LaneHealth{Shard: si, Lane: li, Depth: d, Age: age, Stalled: age > g.cfg.StallThreshold}
-			if lh.Stalled {
-				h.Healthy = false
-			}
-			h.BusyLanes = append(h.BusyLanes, lh)
+			read(&sh.lanes[li], si, li)
 		}
+		read(&sh.burst, si, -1)
 	}
 	return h
 }

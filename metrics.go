@@ -20,9 +20,9 @@ import (
 )
 
 // Healthz returns the gateway's liveness endpoint: 200 with a JSON
-// GatewayHealth body while no lane is stalled, 503 (same body) once the
-// watchdog sees work older than StallThreshold on some lane. Mount it at
-// /healthz next to Metrics at /metrics.
+// GatewayHealth body while no lane or burst scanner is stalled, 503 (same
+// body) once the watchdog sees work older than StallThreshold on one. Mount
+// it at /healthz next to Metrics at /metrics.
 func (g *Gateway) Healthz() http.Handler {
 	return metrics.Healthz(func() (bool, []byte) {
 		h := g.Health()
@@ -152,9 +152,9 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 		}
 	}
 	gauge("dpi_gateway_stalled_lanes",
-		"Stream lanes whose queued work is older than StallThreshold right now.", float64(stalled))
+		"Stream lanes and burst scanners whose queued work is older than StallThreshold right now.", float64(stalled))
 	w.Metric("dpi_gateway_lane_max_age_seconds", "gauge",
-		"Age of the oldest un-progressed work across busy lanes (0 when all lanes are idle).")
+		"Age of the oldest un-progressed work across busy lanes and burst scanners (0 when all are idle).")
 	w.Sample(oldest)
 
 	w.Metric("dpi_gateway_verdicts_total", "counter",
