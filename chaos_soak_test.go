@@ -5,7 +5,9 @@ package dpi_test
 // internal/chaos and asserts the two robustness contracts from the same
 // run: matches stay oracle-exact over the bytes actually delivered to
 // scanning, and the byte-conservation ledger balances at every drained
-// checkpoint (Ingested == Scanned + Shed + Skipped + Buffered). This file
+// checkpoint (Ingested == Scanned + Shed + Skipped + Buffered). Every
+// ruleset, workload and injector seed is dpi.SoakSeed(constant), so
+// `-args -soak.seed=N` replays the whole suite at another seed. This file
 // lives in the external test package because internal/chaos imports the
 // root dpi package — an internal test package would close an import cycle.
 
@@ -63,7 +65,7 @@ func soakGateway(t testing.TB, m *dpi.Matcher, cfg dpi.GatewayConfig, emit func(
 
 func soakMatcher(t testing.TB, n int, backend string) (*dpi.Matcher, *ruleset.Set) {
 	t.Helper()
-	rules, err := dpi.GenerateSnortLike(n, 77)
+	rules, err := dpi.GenerateSnortLike(n, dpi.SoakSeed(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +108,14 @@ func TestChaosSoakBlockStorm(t *testing.T) {
 			t.Run(fmt.Sprintf("backend=%s/shards=%d", backend, shards), func(t *testing.T) {
 				m, set := soakMatcher(t, 250, backend)
 				w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
-					Flows: 16, SegmentsPerFlow: 6, SegmentBytes: 140, Seed: 211,
+					Flows: 16, SegmentsPerFlow: 6, SegmentBytes: 140, Seed: dpi.SoakSeed(211),
 					CrossDensity: 1.5, AttackDensity: 1, Profile: traffic.Textual,
 					Sequenced: true,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				storm := chaos.New(31).Storm(w.Packets, chaos.StormConfig{DupFactor: 1, ReorderSpan: 24})
+				storm := chaos.New(dpi.SoakSeed(31)).Storm(w.Packets, chaos.StormConfig{DupFactor: 1, ReorderSpan: 24})
 				if len(storm) <= len(w.Packets) {
 					t.Fatal("storm added no duplicates; soak is vacuous")
 				}
@@ -165,14 +167,14 @@ func TestChaosSoakOverflowConservation(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			m, set := soakMatcher(t, 200, dpi.BackendAuto)
 			w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
-				Flows: 12, SegmentsPerFlow: 16, SegmentBytes: 300, Seed: 97,
+				Flows: 12, SegmentsPerFlow: 16, SegmentBytes: 300, Seed: dpi.SoakSeed(97),
 				CrossDensity: 1, AttackDensity: 1, Profile: traffic.Textual,
 				Sequenced: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			storm := chaos.New(5).Storm(w.Packets, chaos.StormConfig{DupFactor: 2, ReorderSpan: 400})
+			storm := chaos.New(dpi.SoakSeed(5)).Storm(w.Packets, chaos.StormConfig{DupFactor: 2, ReorderSpan: 400})
 			gw := soakGateway(t, m, dpi.GatewayConfig{
 				EngineShards: shards, StreamWorkers: 2,
 				MaxFlowBuffer: 1024, MaxTotalBuffer: 4096, GapTimeout: 4,
@@ -210,7 +212,7 @@ func TestChaosSoakShedPacketsDeliveredOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			m, set := soakMatcher(t, 250, dpi.BackendAuto)
 			w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
-				Flows: 12, SegmentsPerFlow: 40, SegmentBytes: 120, Seed: 313,
+				Flows: 12, SegmentsPerFlow: 40, SegmentBytes: 120, Seed: dpi.SoakSeed(313),
 				CrossDensity: 1, AttackDensity: 1.5, Profile: traffic.Textual,
 			})
 			if err != nil {
@@ -305,7 +307,7 @@ func TestChaosSoakShedNewFlows(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			m, set := soakMatcher(t, 250, dpi.BackendAuto)
 			w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
-				Flows: 8, SegmentsPerFlow: 6, SegmentBytes: 140, Seed: 409,
+				Flows: 8, SegmentsPerFlow: 6, SegmentBytes: 140, Seed: dpi.SoakSeed(409),
 				CrossDensity: 1, AttackDensity: 1, Profile: traffic.Textual,
 			})
 			if err != nil {
@@ -398,13 +400,14 @@ func TestChaosSoakShedNewFlows(t *testing.T) {
 // (detonating on the stream lane itself) must quarantine exactly that one
 // flow — the gateway stays live, every other flow's matches are intact,
 // the panic lands on the per-shard counter, and the ledger still balances
-// because the poisoned packet's bytes move to the quarantined bucket.
+// because the poisoned packet's bytes move to the quarantined bucket. The
+// same on the stateless path costs exactly one datagram (soakBurstEmitPanic).
 func TestChaosSoakPanicQuarantine(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			m, set := soakMatcher(t, 250, dpi.BackendAuto)
 			w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
-				Flows: 20, SegmentsPerFlow: 6, SegmentBytes: 140, Seed: 503,
+				Flows: 20, SegmentsPerFlow: 6, SegmentBytes: 140, Seed: dpi.SoakSeed(503),
 				CrossDensity: 1, AttackDensity: 1, Profile: traffic.Textual,
 				Sequenced: true,
 			})
@@ -473,7 +476,74 @@ func TestChaosSoakPanicQuarantine(t *testing.T) {
 			if matched == 0 {
 				t.Fatal("no surviving matches; soak is vacuous")
 			}
+			soakBurstEmitPanic(t, m, set, shards)
 		})
+	}
+}
+
+// soakBurstEmitPanic is the stateless half of TestChaosSoakPanicQuarantine:
+// a panicking emit on one datagram of a burst must cost exactly that
+// datagram. A stalled plug datagram holds one shard's burst scanner while
+// eight matching datagrams queue behind it on the same shard, so they are
+// scanned as one burst; emit panics on the first of them, and the other
+// seven must still emit their FindAll matches, with the victim's payload —
+// and nothing else — in the quarantine bucket.
+func soakBurstEmitPanic(t *testing.T, m *dpi.Matcher, set *ruleset.Set, shards int) {
+	t.Helper()
+	var feed []dpi.GatewayPacket // feed[0] is the plug, feed[1] the victim
+	for port := uint16(5000); len(feed) < 9; port++ {
+		tup := dpi.FiveTuple{SrcIP: dpi.IPv4(10, 0, 0, 9), DstIP: dpi.IPv4(10, 0, 1, 1),
+			SrcPort: port, DstPort: 53, Proto: dpi.ProtoUDP}
+		if len(feed) > 0 && tup.Hash64()%uint64(shards) != feed[0].Tuple.Hash64()%uint64(shards) {
+			continue // not the plug's shard
+		}
+		payload := append([]byte("query "), set.Patterns[len(feed)].Data...)
+		feed = append(feed, dpi.GatewayPacket{Tuple: tup, Payload: payload})
+	}
+	plug, victim := feed[0], feed[1]
+
+	release, stalled := make(chan struct{}), make(chan struct{})
+	var stallOnce sync.Once
+	c := newSoakCollector()
+	emit := chaos.PanicOnce(c.emit, func(fm dpi.FlowMatch) bool { return fm.Tuple == victim.Tuple })
+	emit = chaos.StallOnce(emit, func(fm dpi.FlowMatch) bool {
+		if fm.Tuple != plug.Tuple {
+			return false
+		}
+		stallOnce.Do(func() { close(stalled) })
+		return true
+	}, release)
+	gw := soakGateway(t, m, dpi.GatewayConfig{EngineShards: shards}, emit)
+	for i, p := range feed {
+		if err := gw.Ingest(p); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-stalled
+		}
+	}
+	close(release)
+	gw.Flush()
+	st := gw.Stats()
+	if st.Panics != 1 || st.QuarantinedPackets != 1 || st.QuarantinedBytes != uint64(len(victim.Payload)) {
+		t.Fatalf("udp: Panics %d QuarantinedPackets %d QuarantinedBytes %d, want 1, 1, %d (the victim datagram)",
+			st.Panics, st.QuarantinedPackets, st.QuarantinedBytes, len(victim.Payload))
+	}
+	requireBalanced(t, st, "udp: after Flush")
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range feed {
+		if i == 1 {
+			continue
+		}
+		want := m.FindAll(p.Payload)
+		if len(want) == 0 {
+			t.Fatalf("udp: datagram %d carries no match; soak is vacuous", i)
+		}
+		if got := c.matches(p.Tuple); !sameSoakMatches(got, want) {
+			t.Fatalf("udp: datagram %d lost matches to its neighbour's emit panic\ngot  %+v\nwant %+v", i, got, want)
+		}
 	}
 }
 
@@ -488,14 +558,14 @@ func TestChaosSoakPanicQuarantine(t *testing.T) {
 func TestChaosSoakPanicQuarantineUnderEviction(t *testing.T) {
 	m, set := soakMatcher(t, 250, dpi.BackendAuto)
 	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
-		Flows: 48, SegmentsPerFlow: 8, SegmentBytes: 140, Seed: 719,
+		Flows: 48, SegmentsPerFlow: 8, SegmentBytes: 140, Seed: dpi.SoakSeed(719),
 		CrossDensity: 1, AttackDensity: 1, Profile: traffic.Textual,
 		Sequenced: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	storm := chaos.New(11).Storm(w.Packets, chaos.StormConfig{DupFactor: 1, ReorderSpan: 24})
+	storm := chaos.New(dpi.SoakSeed(11)).Storm(w.Packets, chaos.StormConfig{DupFactor: 1, ReorderSpan: 24})
 	var matches atomic.Uint64
 	gw := soakGateway(t, m, dpi.GatewayConfig{
 		EngineShards: 4, StreamWorkers: 2, QueueDepth: 8,
@@ -548,6 +618,136 @@ func TestChaosSoakPanicQuarantineUnderEviction(t *testing.T) {
 	requireBalanced(t, gw.Stats(), "after Close")
 }
 
+// TestChaosSoakSwapStorm lands two hot reloads (Gateway.SwapRules) in the
+// middle of a duplicate/reorder storm. Three ruleset generations each get
+// their own wave of sequenced flows; a wave's flows all open (their SYNs
+// land) before the next swap, then every wave's tail — duplicates and
+// displaced segments included — keeps streaming under later generations.
+// Each flow's matches must equal FindAll of its full stream against its
+// birth generation's matcher (pinning, with the storm still invisible to
+// reassembly across the swaps), every generation but the current one must
+// retire once its FINs drain, and the ledger must balance. (A sibling of
+// TestSwapGenerationOracle that swap_test.go, inside the root package,
+// cannot hold: see the import cycle above.)
+func TestChaosSoakSwapStorm(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			type wave struct {
+				m       *dpi.Matcher
+				tuples  []dpi.FiveTuple
+				streams [][]byte
+				storm   []traffic.FlowPacket
+				opening int // storm prefix containing every flow's first packet
+			}
+			var waves [3]wave
+			for wv := range waves {
+				// Compiled in wave order, so compile generations ascend.
+				rules, err := dpi.GenerateSnortLike(150+40*wv, dpi.SoakSeed(int64(1000*wv)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := dpi.Compile(rules, dpi.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := traffic.GenerateFlows(rules.InternalSet(), traffic.FlowConfig{
+					Flows: 10, SegmentsPerFlow: 6, SegmentBytes: 130, Seed: dpi.SoakSeed(int64(401 + 77*wv)),
+					CrossDensity: 1.5, AttackDensity: 1, Profile: traffic.Textual,
+					Sequenced: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				storm := chaos.New(dpi.SoakSeed(int64(13+7*wv))).Storm(w.Packets,
+					chaos.StormConfig{DupFactor: 1, ReorderSpan: 12})
+				// Waves are drawn from independent workload seeds: remap
+				// their tuples into per-wave address blocks so they never
+				// collide in the table.
+				tuples := make([]dpi.FiveTuple, len(w.Tuples))
+				for f, tup := range w.Tuples {
+					tup.SrcIP = 0x0a000000 | uint32(wv)<<16 | uint32(f)
+					tuples[f] = tup
+				}
+				// A flow pins its generation at first sight, so the opening
+				// slice covers every flow's first storm packet (the SYN —
+				// storms never move a packet ahead of it) and at least
+				// three fifths of the storm.
+				seen := map[int]bool{}
+				opening := 3 * len(storm) / 5
+				for i := range storm {
+					storm[i].Tuple = tuples[storm[i].FlowID]
+					if !seen[storm[i].FlowID] {
+						seen[storm[i].FlowID] = true
+						opening = max(opening, i+1)
+					}
+				}
+				waves[wv] = wave{m: m, tuples: tuples, streams: w.Streams, storm: storm, opening: opening}
+			}
+
+			c := newSoakCollector()
+			gw := soakGateway(t, waves[0].m, dpi.GatewayConfig{
+				EngineShards: shards, StreamWorkers: 2,
+			}, c.emit)
+			ingest := func(pkts []traffic.FlowPacket) {
+				t.Helper()
+				for _, p := range pkts {
+					if err := gw.Ingest(dpi.GatewayPacket{
+						Tuple: p.Tuple, Seq: p.TCPSeq, Flags: dpi.TCPFlags(p.Flags), Payload: p.Payload,
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for wv, w := range waves {
+				if wv > 0 {
+					if err := gw.SwapRules(w.m); err != nil {
+						t.Fatalf("swap to generation %d: %v", w.m.Generation(), err)
+					}
+				}
+				ingest(w.storm[:w.opening])
+			}
+			// Tails: every earlier wave keeps streaming (and FINishing)
+			// under the final generation.
+			for _, w := range waves {
+				ingest(w.storm[w.opening:])
+			}
+			gw.Flush()
+			st := gw.Stats()
+			requireBalanced(t, st, "after Flush")
+			if st.DuplicateBytes == 0 {
+				t.Fatal("storm duplicates never reached the reassembler; soak is vacuous")
+			}
+			// Every wave's flows FIN inside its own storm, so after the
+			// drain only the current generation survives — retirement is
+			// refcount-driven, no sweeper to wait for.
+			if st.RulesetSwaps != 2 || st.GenerationsInstalled != 3 ||
+				st.GenerationsRetired != st.GenerationsInstalled-1 || st.GenerationsLive != 1 {
+				t.Fatalf("after the FIN drain: %d swaps, %d installed, %d retired, %d live; want 2, 3, 2, 1",
+					st.RulesetSwaps, st.GenerationsInstalled, st.GenerationsRetired, st.GenerationsLive)
+			}
+			if err := gw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			requireBalanced(t, gw.Stats(), "after Close")
+			matched := 0
+			for wv, w := range waves {
+				for f, tuple := range w.tuples {
+					want := w.m.FindAll(w.streams[f])
+					got := c.matches(tuple)
+					if !sameSoakMatches(got, want) {
+						t.Fatalf("wave %d flow %d diverged from its birth-generation oracle\ngot  %+v\nwant %+v",
+							wv, f, got, want)
+					}
+					matched += len(got)
+				}
+			}
+			if matched == 0 {
+				t.Fatal("no matches at all; soak is vacuous")
+			}
+		})
+	}
+}
+
 // TestChaosSoakWatchdogStall: a wedged emit callback (chaos stall) must
 // flip Health to stalled once the queue head exceeds the threshold — on a
 // stream lane for TCP segments, on the shard's burst scanner (Lane -1) for
@@ -556,7 +756,7 @@ func TestChaosSoakPanicQuarantineUnderEviction(t *testing.T) {
 func TestChaosSoakWatchdogStall(t *testing.T) {
 	m, set := soakMatcher(t, 200, dpi.BackendAuto)
 	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
-		Flows: 1, SegmentsPerFlow: 4, SegmentBytes: 140, Seed: 601,
+		Flows: 1, SegmentsPerFlow: 4, SegmentBytes: 140, Seed: dpi.SoakSeed(601),
 		CrossDensity: 1, AttackDensity: 2, Profile: traffic.Textual,
 	})
 	if err != nil {
@@ -672,7 +872,7 @@ func TestChaosSoakWedgedLaneSparesNeighbours(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d/lanes=%d", tc.shards, tc.lanes), func(t *testing.T) {
 			m, set := soakMatcher(t, 250, dpi.BackendAuto)
 			w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
-				Flows: 2, SegmentsPerFlow: 200, SegmentBytes: 120, Seed: 733,
+				Flows: 2, SegmentsPerFlow: 200, SegmentBytes: 120, Seed: dpi.SoakSeed(733),
 				CrossDensity: 2, AttackDensity: 6, Profile: traffic.Textual,
 			})
 			if err != nil {

@@ -11,21 +11,16 @@
 //	dpibench -kernel              # raw scan-kernel throughput across all backends
 //	dpibench -kernel -json BENCH_13.json  # plus the perf-trajectory report
 //	dpibench -kernel -cpuprofile cpu.pprof -memprofile mem.pprof
-//	dpibench -chaos               # seeded fault-injection soak (oracle + conservation gates)
-//	dpibench -chaos -shards 4 -json chaos.json   # the CI chaos-soak artifact
-//	dpibench -chaos -backend reference           # pin the soak's gateways to one backend
-//	dpibench -reload              # hot-reload swap storm (pinning + retirement gates)
-//	dpibench -reload -shards 4 -gens 8 -json reload.json  # the CI reload-soak artifact
 //	dpibench -seed 2010           # workload seed (default 2010)
 //
 // Sensor throughput is measured by `go run ./bench`, inside the whole
-// capture-to-verdict pipeline; dpibench has no gateway throughput mode.
+// capture-to-verdict pipeline, and the fault-injection soaks are the root
+// package's TestChaosSoak*/TestSwap* tests; dpibench has no gateway mode.
 //
-// On SIGINT/SIGTERM -kernel, -chaos and -reload stop at the next row or
-// scenario, drain any gateway, write a partial JSON report (marked
-// "interrupted": true) and render the rows measured so far; JSON reports
-// are written via temp-file + rename, so a report path never holds a
-// truncated document.
+// On SIGINT/SIGTERM -kernel stops at the next row, writes a partial JSON
+// report (marked "interrupted": true) and renders the rows measured so
+// far; the report is written via temp-file + rename, so its path never
+// holds a truncated document.
 package main
 
 import (
@@ -38,7 +33,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 
 	"repro/internal/core"
@@ -54,29 +48,22 @@ func main() {
 		all      = flag.Bool("all", false, "regenerate every table and figure")
 		ablation = flag.Bool("ablation", false, "run the ablation experiments")
 		kernel   = flag.Bool("kernel", false, "measure raw scan-kernel throughput across all registered backends")
-		chaosRun = flag.Bool("chaos", false, "run the seeded chaos soak: storms, overload shedding and injected panics, gated on oracle exactness and byte conservation")
-		reload   = flag.Bool("reload", false, "run the hot-reload swap storm: ruleset generations installed under live traffic, gated on generation pinning and provable retirement")
-		gens     = flag.Int("gens", 0, "with -reload: ruleset generations to install (0 = default sweep)")
-		backend  = flag.String("backend", "auto",
-			fmt.Sprintf("scan backend for -chaos/-reload: auto or one of %s (-kernel always sweeps all)",
-				strings.Join(core.RegisteredBackends(), ", ")))
-		jsonOut = flag.String("json", "", "with -kernel, -chaos or -reload: also write the machine-readable report as JSON to this path")
-		shards  = flag.Int("shards", 1, "engine shards: -chaos runs every scenario at 1,2,4,...,N; -reload runs at exactly N")
-		tsv     = flag.Bool("tsv", false, "emit figure series as TSV instead of ASCII plots")
-		seed    = flag.Int64("seed", experiments.DefaultSeed, "workload generation seed")
-		steps   = flag.Int("steps", 10, "clock sweep steps for figures 7/8")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
-		memProf = flag.String("memprofile", "", "write a heap profile to this path at exit")
+		jsonOut  = flag.String("json", "", "with -kernel: also write the machine-readable report as JSON to this path")
+		tsv      = flag.Bool("tsv", false, "emit figure series as TSV instead of ASCII plots")
+		seed     = flag.Int64("seed", experiments.DefaultSeed, "workload generation seed")
+		steps    = flag.Int("steps", 10, "clock sweep steps for figures 7/8")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this path at exit")
 	)
 	flag.Parse()
-	if !*all && *table == 0 && *figure == 0 && !*ablation && !*kernel && !*chaosRun && !*reload {
+	if !*all && *table == 0 && *figure == 0 && !*ablation && !*kernel {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// A signal cancels the context instead of killing the process: the
-	// running mode drains its gateway, writes the partial report atomically
-	// and renders what it measured. A second signal kills outright (the
-	// default disposition is restored once stop runs).
+	// A signal cancels the context instead of killing the process: -kernel
+	// writes its partial report atomically and renders what it measured. A
+	// second signal kills outright (the default disposition is restored
+	// once stop runs).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Profiling wraps every mode so future perf PRs can attach pprof
@@ -95,8 +82,7 @@ func main() {
 	}
 	err := dispatch(ctx, modes{
 		all: *all, table: *table, figure: *figure, ablation: *ablation,
-		kernel: *kernel, chaos: *chaosRun, reload: *reload, gens: *gens,
-		backend: *backend, jsonOut: *jsonOut, shards: *shards,
+		kernel: *kernel, jsonOut: *jsonOut,
 		tsv: *tsv, seed: *seed, steps: *steps,
 	})
 	if *cpuProf != "" {
@@ -131,12 +117,7 @@ type modes struct {
 	figure   int
 	ablation bool
 	kernel   bool
-	chaos    bool
-	reload   bool
-	gens     int
-	backend  string
 	jsonOut  string
-	shards   int
 	tsv      bool
 	seed     int64
 	steps    int
@@ -169,63 +150,12 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// validateBackend fails fast on a backend name the registry does not
-// know, before any workload is generated: a typo'd -backend must not cost
-// a multi-second bench run (or silently bench the wrong thing), and the
-// error lists exactly the names the registry accepts, so a newly
-// registered backend is never missing from it.
-func validateBackend(name string) error {
-	if name == "" || name == core.BackendAuto {
-		return nil
-	}
-	for _, known := range core.RegisteredBackends() {
-		if name == known {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown -backend %q (registered: auto, %s)",
-		name, strings.Join(core.RegisteredBackends(), ", "))
-}
-
 func dispatch(ctx context.Context, m modes) error {
-	if err := validateBackend(m.backend); err != nil {
-		return err
-	}
-	if m.jsonOut != "" {
-		writers := 0
-		for _, on := range []bool{m.kernel, m.chaos, m.reload} {
-			if on {
-				writers++
-			}
-		}
-		if writers > 1 {
-			return fmt.Errorf("-json with more than one of -kernel, -chaos, -reload would overwrite one report with another; run the modes separately")
-		}
-		if writers == 0 {
-			return fmt.Errorf("-json is only produced by -kernel, -chaos or -reload; no report would be written")
-		}
+	if m.jsonOut != "" && !m.kernel {
+		return fmt.Errorf("-json is only produced by -kernel; no report would be written")
 	}
 	if m.kernel {
 		if err := runKernel(ctx, os.Stdout, m.jsonOut, defaultKernelConfig(m.seed)); err != nil {
-			return err
-		}
-	}
-	if m.chaos {
-		cfg := defaultChaosConfig(m.seed)
-		cfg.MaxShards = m.shards
-		cfg.Backend = m.backend
-		if err := runChaos(ctx, os.Stdout, m.jsonOut, cfg); err != nil {
-			return err
-		}
-	}
-	if m.reload {
-		cfg := defaultReloadConfig(m.seed)
-		if m.gens > 1 {
-			cfg.Waves = m.gens
-		}
-		cfg.Shards = m.shards
-		cfg.Backend = m.backend
-		if err := runReload(ctx, os.Stdout, m.jsonOut, cfg); err != nil {
 			return err
 		}
 	}

@@ -14,7 +14,8 @@ import (
 
 func TestRunKernelSmall(t *testing.T) {
 	var sb strings.Builder
-	jsonPath := filepath.Join(t.TempDir(), "kernel-bench.json")
+	dir := t.TempDir()
+	jsonPath := filepath.Join(dir, "kernel-bench.json")
 	cfg := kernelBenchConfig{
 		Sizes: []int{60}, Bytes: 1 << 13, Seed: 2010,
 		MinTime: 5 * time.Millisecond,
@@ -70,48 +71,7 @@ func TestRunKernelSmall(t *testing.T) {
 	}
 	// No floor assertion on the tiny timing budget: the speedup gates are
 	// exercised by CI's full-size run and the committed BENCH_13.json.
-}
 
-func TestRunChaosSmall(t *testing.T) {
-	var sb strings.Builder
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "chaos.json")
-	cfg := chaosBenchConfig{Strings: 120, Seed: 2010, MaxShards: 2}
-	if err := runChaos(context.Background(), &sb, jsonPath, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"CHAOS SOAK", "block-storm", "overflow", "shed-packets", "panic-quarantine", "swap-storm"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q:\n%s", want, out)
-		}
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep chaosReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("JSON report does not parse: %v\n%s", err, data)
-	}
-	if !rep.OK || rep.Interrupted {
-		t.Fatalf("report not OK: %s", data)
-	}
-	// 5 scenarios at each of shards 1 and 2.
-	if len(rep.Scenarios) != 10 {
-		t.Fatalf("report has %d scenarios, want 10: %s", len(rep.Scenarios), data)
-	}
-	for _, sc := range rep.Scenarios {
-		if !sc.OK || !sc.Balanced || !sc.OracleOK {
-			t.Fatalf("scenario failed but report.OK is true: %+v", sc)
-		}
-		if sc.Ledger.Ingested == 0 {
-			t.Fatalf("scenario ingested nothing: %+v", sc)
-		}
-		if sc.Ledger.Ingested != sc.Ledger.Scanned+sc.Ledger.Shed+sc.Ledger.Skipped+sc.Ledger.Buffered {
-			t.Fatalf("ledger does not balance in the report itself: %+v", sc)
-		}
-	}
 	// The atomic writer must leave no temp litter next to the report.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -122,85 +82,31 @@ func TestRunChaosSmall(t *testing.T) {
 	}
 }
 
-func TestRunReloadSmall(t *testing.T) {
-	var sb strings.Builder
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "reload.json")
-	cfg := reloadBenchConfig{Strings: 100, Waves: 3, Flows: 8, Shards: 2, Seed: 2010}
-	if err := runReload(context.Background(), &sb, jsonPath, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"HOT RELOAD SOAK", "Pinning", "Retirement"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q:\n%s", want, out)
-		}
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep reloadReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("JSON report does not parse: %v\n%s", err, data)
-	}
-	if !rep.OK || rep.Interrupted || !rep.PinningOK || !rep.RetirementOK || !rep.Balanced {
-		t.Fatalf("report not OK: %s", data)
-	}
-	if rep.Swaps != 2 || rep.GenerationsInstalled != 3 ||
-		rep.GenerationsRetired != rep.GenerationsInstalled-1 || rep.GenerationsLive != 1 {
-		t.Fatalf("generation accounting wrong: %s", data)
-	}
-	if rep.Matches == 0 || rep.Packets == 0 {
-		t.Fatalf("vacuous report: %s", data)
-	}
-}
-
-// TestRunChaosInterrupted pins the graceful-shutdown contract shared by
-// every JSON-writing mode: a canceled context ends the run without error,
-// and the report is written, parseable and marked interrupted.
-func TestRunChaosInterrupted(t *testing.T) {
+// TestRunKernelInterrupted pins the graceful-shutdown contract: a canceled
+// context ends the run without error, and the report is written, parseable
+// and marked interrupted.
+func TestRunKernelInterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var sb strings.Builder
-	jsonPath := filepath.Join(t.TempDir(), "chaos.json")
-	if err := runChaos(ctx, &sb, jsonPath, chaosBenchConfig{Strings: 120, Seed: 2010, MaxShards: 1}); err != nil {
+	jsonPath := filepath.Join(t.TempDir(), "kernel-bench.json")
+	cfg := kernelBenchConfig{Sizes: []int{60}, Bytes: 1 << 13, Seed: 2010, MinTime: 5 * time.Millisecond}
+	if err := runKernel(ctx, &sb, jsonPath, cfg); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep chaosReport
+	var rep kernelBenchReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("partial report does not parse: %v\n%s", err, data)
 	}
-	if !rep.Interrupted || len(rep.Scenarios) != 0 {
+	if !rep.Interrupted || len(rep.Rows) != 0 {
 		t.Fatalf("canceled run not marked interrupted: %s", data)
 	}
 	if !strings.Contains(sb.String(), "interrupted") {
 		t.Errorf("interruption not reported to the operator:\n%s", sb.String())
-	}
-}
-
-// TestBackendFlagValidation pins the fail-fast contract: an unknown
-// -backend is rejected before any workload is generated, and the error
-// lists every registered backend so the flag's vocabulary can never drift
-// from the registry.
-func TestBackendFlagValidation(t *testing.T) {
-	err := dispatch(context.Background(), modes{chaos: true, backend: "warp"})
-	if err == nil {
-		t.Fatal("dispatch accepted an unknown backend")
-	}
-	for _, want := range append([]string{"warp", "auto"}, core.RegisteredBackends()...) {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("validation error %q does not mention %q", err, want)
-		}
-	}
-	for _, ok := range []string{"", "auto", "prefiltered", "reference"} {
-		if err := validateBackend(ok); err != nil {
-			t.Errorf("validateBackend(%q) = %v, want nil", ok, err)
-		}
 	}
 }
 

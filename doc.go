@@ -60,8 +60,8 @@
 //     immutable), and Engine.Stats reports each replica's work.
 //   - Gateway: the NIDS front-end the paper deploys, started with
 //     NewGateway(matcher, config, emit) — pipelined packet
-//     ingestion (Ingest, or framed feeds via IngestReader; frame format v2
-//     carries the TCP seq/flags) in two stages: admission hashes the tuple
+//     ingestion (Ingest or TryIngest per packet, ReplayPcap per capture
+//     file) in two stages: admission hashes the tuple
 //     on the caller's goroutine and sends the packet straight to the
 //     bounded queue of the lane it pins to, whose fullness is the
 //     backpressure contract. The scan back-end is replicated like the

@@ -146,7 +146,7 @@ func TestDocsQuotedDpibenchFlagsExist(t *testing.T) {
 	for _, m := range regexp.MustCompile(`flag\.[A-Z][A-Za-z0-9]*\("([^"]+)"`).FindAllSubmatch(src, -1) {
 		declared[string(m[1])] = true
 	}
-	if !declared["all"] || !declared["chaos"] {
+	if !declared["all"] || !declared["kernel"] {
 		t.Fatalf("flag declarations not found in cmd/dpibench/main.go (regex or source drift): %v", declared)
 	}
 	// A command line: flags, each optionally followed by one value, up to

@@ -287,9 +287,6 @@ type GatewayConfig struct {
 	IdleTimeout int
 	// FlowShards is the flow table's lock-shard count. Default 64.
 	FlowShards int
-	// MaxFrameBytes caps the payload length IngestReader accepts per
-	// frame, bounding memory against corrupt or hostile feeds. Default 1MiB.
-	MaxFrameBytes int
 
 	// OverlapPolicy resolves overlapping TCP segments in the reassembly
 	// buffer. Default FirstWins.
@@ -353,9 +350,6 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	if c.MaxFlows < 0 {
 		c.MaxFlows = 0
 	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = 1 << 20
-	}
 	if c.MaxFlowBuffer <= 0 {
 		c.MaxFlowBuffer = 256 << 10
 	}
@@ -391,7 +385,7 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 //	           (hash)  └──▶ shard[h%M].burst ─────────▶ verdict ─▶ batch scan
 //
 // With EngineShards=1 (the default) this collapses to the single-shard
-// pipeline. Ingest and IngestReader may be called from multiple
+// pipeline. Ingest and TryIngest may be called from multiple
 // goroutines; emit and OnVerdict are invoked concurrently (from the stream
 // lanes and the burst scanners) and must be safe for concurrent use. Close
 // drains the pipeline and evicts every flow.
@@ -474,7 +468,7 @@ type gwEngineShard struct {
 
 // NewGateway starts a pipelined ingestion front-end scanning with m. emit
 // receives every match and must be safe for concurrent use. The returned
-// Gateway is running; feed it with Ingest, IngestReader or ReplayPcap and
+// Gateway is running; feed it with Ingest, TryIngest or ReplayPcap and
 // Close it to drain. Nil arguments are rejected with a wrapped ErrBadConfig
 // instead of a later panic.
 func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, error) {

@@ -3,9 +3,7 @@ package dpi
 // Admission — the first stage, on the caller's goroutine — and the drain barrier.
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -192,26 +190,5 @@ func (g *Gateway) quiesce() {
 func (g *Gateway) resume() {
 	for _, sh := range g.shards {
 		sh.gate.Unlock()
-	}
-}
-
-// IngestReader ingests framed packets from r until EOF (see WriteFrame for
-// the frame format) and returns how many packets it ingested. Backpressure
-// propagates to the reader: when the pipeline is saturated, reading pauses.
-func (g *Gateway) IngestReader(r io.Reader) (int, error) {
-	br := bufio.NewReader(r)
-	n := 0
-	for {
-		pkt, err := ReadFrame(br, g.cfg.MaxFrameBytes)
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := g.Ingest(pkt); err != nil {
-			return n, err
-		}
-		n++
 	}
 }

@@ -419,11 +419,12 @@ type burstState struct {
 }
 
 // scanBurst scans one stateless burst. Panics inside a payload's scan are
-// contained per payload by the batch scan itself (burstState.contain);
-// panics in this function — a user OnVerdict or emit callback — are
-// contained here, with the batch's not-yet-committed bytes charged to the
-// quarantine bucket so the ledger stays exact, and the burst queue's depth
-// lowered in the defer chain so Flush cannot wedge.
+// contained per payload by the batch scan itself (burstState.contain), and
+// a panicking emit callback per datagram (emitBurst); what else panics in
+// this function — a user OnVerdict callback — is contained here, with the
+// batch's not-yet-committed bytes charged to the quarantine bucket so the
+// ledger stays exact, and the burst queue's depth lowered in the defer chain
+// so Flush cannot wedge.
 func (g *Gateway) scanBurst(sh *gwEngineShard, batch []seqPacket, st *burstState) {
 	defer sh.burst.done(len(batch))
 	// One generation per burst, read once: the batch's packets hold the
@@ -475,12 +476,34 @@ func (g *Gateway) scanBurst(sh *gwEngineShard, batch []seqPacket, st *burstState
 		sh.n[cEngBatchBytes].Add(keptBytes)
 		st.buf = engine.ScanBatch(gen.m.grouped, g.cfg.StreamWorkers, st.payloads, st.buf, st.contain)
 		// Every payload was delivered to a scanner (a contained batch-worker
-		// panic costs only that payload's matches), so the whole kept set
-		// commits as scanned.
-		sh.n[cScannedBytes].Add(keptBytes)
+		// panic costs only that payload's matches), and from here each
+		// datagram accounts for itself: it commits as scanned once its
+		// matches are out, or emitBurst has charged it to the quarantine
+		// bucket.
 		committed += keptBytes
+		scanned := keptBytes
 		for i, ms := range st.buf {
-			g.emitMatches(sh, gen, &kept[i], st.ruleIdx[i], ms)
+			if len(ms) > 0 && !g.emitBurst(sh, gen, &kept[i], st.ruleIdx[i], ms) {
+				scanned -= uint64(len(kept[i].payload))
+			}
 		}
+		sh.n[cScannedBytes].Add(scanned)
 	}
+}
+
+// emitBurst is emitMatches under panic containment for one datagram of a
+// burst, and reports whether emit returned. A panicking emit costs exactly
+// that datagram — its payload goes to the quarantine bucket instead of the
+// scanned one — the way a TCP one costs exactly one flow; the rest of the
+// burst still emits.
+func (g *Gateway) emitBurst(sh *gwEngineShard, gen *gwGeneration, p *seqPacket, idx int, ms []ac.Match) (ok bool) {
+	defer func() {
+		if recover() != nil { // ok stays false: the return below never ran
+			sh.n[cPanics].Add(1)
+			sh.n[cQuarantinedPackets].Add(1)
+			sh.n[cQuarantinedBytes].Add(uint64(len(p.payload)))
+		}
+	}()
+	g.emitMatches(sh, gen, p, idx, ms)
+	return true
 }

@@ -2,13 +2,12 @@ package dpi
 
 // Gateway tests: demultiplexing correctness against the per-flow FindAll
 // oracle (cross-packet plants included), eviction bounds under 10k-flow
-// churn, framed ingestion, backpressure accounting, and frame-format
-// fuzzing. Run with -race; every interesting path here is concurrent.
+// churn and backpressure accounting. Run with -race; every interesting
+// path here is concurrent.
 
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -328,75 +327,6 @@ func TestGatewayEvictedFlowRestartsClean(t *testing.T) {
 	}
 }
 
-func TestGatewayIngestReaderFrames(t *testing.T) {
-	m, set := gatewayMatcher(t, 150, 1)
-	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
-		Flows: 8, SegmentsPerFlow: 5, SegmentBytes: 100, Seed: 13,
-		CrossDensity: 1.5, Profile: traffic.Textual,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var feed bytes.Buffer
-	for _, p := range w.Packets {
-		if err := WriteFrame(&feed, GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2}, c.emit)
-	n, err := gw.IngestReader(&feed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(w.Packets) {
-		t.Fatalf("ingested %d frames, want %d", n, len(w.Packets))
-	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for f, tuple := range w.Tuples {
-		if !sameMatchSeq(c.byTuple[tuple], m.FindAll(w.Streams[f])) {
-			t.Fatalf("flow %d diverged from oracle over framed ingestion", f)
-		}
-	}
-}
-
-func TestReadFrameErrors(t *testing.T) {
-	pkt := GatewayPacket{
-		Tuple:   FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: ProtoTCP},
-		Payload: []byte("hello"),
-	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, pkt); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-
-	// Clean EOF at a frame boundary.
-	if _, err := ReadFrame(bytes.NewReader(nil), 100); err != io.EOF {
-		t.Fatalf("empty feed: err = %v, want io.EOF", err)
-	}
-	// Truncation anywhere inside a frame is ErrUnexpectedEOF.
-	for _, cut := range []int{1, frameHeaderLen - 1, frameHeaderLen, len(full) - 1} {
-		if _, err := ReadFrame(bytes.NewReader(full[:cut]), 100); err != io.ErrUnexpectedEOF {
-			t.Fatalf("cut at %d: err = %v, want ErrUnexpectedEOF", cut, err)
-		}
-	}
-	// Oversize payload is rejected before allocation.
-	if _, err := ReadFrame(bytes.NewReader(full), len(pkt.Payload)-1); err == nil {
-		t.Fatal("oversize frame accepted")
-	}
-	// Round trip.
-	got, err := ReadFrame(bytes.NewReader(full), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tuple != pkt.Tuple || !bytes.Equal(got.Payload, pkt.Payload) {
-		t.Fatalf("round trip: %+v", got)
-	}
-}
-
 func TestGatewayBackpressureLosesNothing(t *testing.T) {
 	m, set := gatewayMatcher(t, 100, 1)
 	pkts, err := traffic.Generate(set, traffic.Config{
@@ -460,9 +390,6 @@ func TestGatewayClosedBehaviour(t *testing.T) {
 	if err := gw.Ingest(GatewayPacket{}); err == nil {
 		t.Fatal("Ingest after Close succeeded")
 	}
-	if _, err := gw.IngestReader(bytes.NewReader(make([]byte, frameHeaderLen))); err == nil {
-		t.Fatal("IngestReader after Close succeeded")
-	}
 }
 
 func TestGatewayIdleEviction(t *testing.T) {
@@ -495,35 +422,6 @@ func TestGatewayIdleEviction(t *testing.T) {
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// FuzzReadFrame: arbitrary bytes must never panic the frame parser, and
-// any successfully parsed frame must re-encode to exactly the bytes
-// consumed.
-func FuzzReadFrame(f *testing.F) {
-	var seed bytes.Buffer
-	WriteFrame(&seed, GatewayPacket{
-		Tuple:   FiveTuple{SrcIP: 0x01020304, DstIP: 0x05060708, SrcPort: 80, DstPort: 443, Proto: ProtoTCP},
-		Payload: []byte("GET /cgi-bin/phf"),
-	})
-	f.Add(seed.Bytes())
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, frameHeaderLen))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		pkt, err := ReadFrame(r, 1<<16)
-		if err != nil {
-			return
-		}
-		consumed := len(data) - r.Len()
-		var re bytes.Buffer
-		if err := WriteFrame(&re, pkt); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re.Bytes(), data[:consumed]) {
-			t.Fatalf("re-encoded frame differs from consumed bytes:\n% x\n% x", re.Bytes(), data[:consumed])
-		}
-	})
 }
 
 func ExampleGateway() {

@@ -9,6 +9,7 @@ package dpi
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -20,6 +21,17 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/traffic"
 )
+
+// soakSeed is the fault-injection harness's one knob: every soak and swap
+// test (here and in chaos_soak_test.go) writes its ruleset, workload and
+// injector seeds as SoakSeed(constant), so a plain run uses the constants
+// and `go test -run 'TestChaosSoak|TestSwap' . -args -soak.seed=N` replays
+// the whole harness at another seed.
+var soakSeed = flag.Int64("soak.seed", 0, "base added to every soak/swap test's ruleset, workload and injector seeds")
+
+// SoakSeed returns k offset by -soak.seed. Exported for the external test
+// package, which is compiled into the same test binary.
+func SoakSeed(k int64) int64 { return *soakSeed + k }
 
 // swapWave is one ruleset generation's share of an oracle run: the
 // matcher flows born in this wave must stay pinned to, and the flows
@@ -80,7 +92,7 @@ func TestSwapGenerationOracle(t *testing.T) {
 	for bi, backend := range core.RegisteredBackends() {
 		for si, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", backend, shards), func(t *testing.T) {
-				testSwapGenerationOracle(t, backend, shards, int64(31+7*bi+si))
+				testSwapGenerationOracle(t, backend, shards, SoakSeed(int64(31+7*bi+si)))
 			})
 		}
 	}
@@ -281,7 +293,7 @@ func TestSwapBurstCutover(t *testing.T) {
 	mA, setA := gatewayMatcher(t, 150, 1)
 	mB, _ := gatewayMatcher(t, 180, 2)
 	dgrams, err := traffic.Generate(setA, traffic.Config{
-		Packets: 12, Bytes: 200, Seed: 9, AttackDensity: 2, Profile: traffic.Textual,
+		Packets: 12, Bytes: 200, Seed: SoakSeed(9), AttackDensity: 2, Profile: traffic.Textual,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +357,7 @@ func TestSwapUnderConcurrentLoad(t *testing.T) {
 	matchers := make([]*Matcher, gens)
 	var rules0 *Ruleset
 	for i := range matchers {
-		rules, err := GenerateSnortLike(80+10*i, int64(400+i))
+		rules, err := GenerateSnortLike(80+10*i, SoakSeed(int64(400+i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +371,7 @@ func TestSwapUnderConcurrentLoad(t *testing.T) {
 		}
 	}
 	w, err := traffic.GenerateFlows(rules0.InternalSet(), traffic.FlowConfig{
-		Flows: 30, SegmentsPerFlow: 6, SegmentBytes: 120, Seed: 21,
+		Flows: 30, SegmentsPerFlow: 6, SegmentBytes: 120, Seed: SoakSeed(21),
 		CrossDensity: 1, AttackDensity: 1, Profile: traffic.Uniform,
 	})
 	if err != nil {
