@@ -6,8 +6,8 @@ package dpi
 // packet model — 5-tuple, raw TCP sequence number, SYN/FIN/RST flags —
 // and the gateway treats the result exactly like live v2-framed traffic:
 // TCP segments route through reassembly (sequence wraparound, overlaps
-// and mid-stream pickup included), UDP and other IP protocols take the
-// stateless burst path. Frames the translator cannot deliver (non-IPv4,
+// and mid-stream pickup included), UDP and other IP protocols are scanned
+// per packet on the same lanes. Frames the translator cannot deliver (non-IPv4,
 // fragments, header-truncated records, pure ACKs) are counted in
 // ReplayStats, never silently dropped — the same nothing-is-dropped
 // accounting contract GatewayStats keeps.

@@ -401,7 +401,8 @@ func TestChaosSoakShedNewFlows(t *testing.T) {
 // flow — the gateway stays live, every other flow's matches are intact,
 // the panic lands on the per-shard counter, and the ledger still balances
 // because the poisoned packet's bytes move to the quarantined bucket. The
-// same on the stateless path costs exactly one datagram (soakBurstEmitPanic).
+// same on a stateless packet costs exactly one datagram
+// (soakDatagramEmitPanic).
 func TestChaosSoakPanicQuarantine(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -476,53 +477,40 @@ func TestChaosSoakPanicQuarantine(t *testing.T) {
 			if matched == 0 {
 				t.Fatal("no surviving matches; soak is vacuous")
 			}
-			soakBurstEmitPanic(t, m, set, shards)
+			soakDatagramEmitPanic(t, m, set, shards)
 		})
 	}
 }
 
-// soakBurstEmitPanic is the stateless half of TestChaosSoakPanicQuarantine:
-// a panicking emit on one datagram of a burst must cost exactly that
-// datagram. A stalled plug datagram holds one shard's burst scanner while
-// eight matching datagrams queue behind it on the same shard, so they are
-// scanned as one burst; emit panics on the first of them, and the other
-// seven must still emit their FindAll matches, with the victim's payload —
-// and nothing else — in the quarantine bucket.
-func soakBurstEmitPanic(t *testing.T, m *dpi.Matcher, set *ruleset.Set, shards int) {
+// soakDatagramEmitPanic is the stateless half of
+// TestChaosSoakPanicQuarantine: a panicking emit on one datagram must cost
+// exactly that datagram. Eight matching datagrams are pinned to one lane (one
+// lane per shard, every tuple on the victim's shard); emit panics on the
+// first of them, and the seven behind it on the same lane must still emit
+// their FindAll matches, with the victim's payload — and nothing else — in
+// the quarantine bucket.
+func soakDatagramEmitPanic(t *testing.T, m *dpi.Matcher, set *ruleset.Set, shards int) {
 	t.Helper()
-	var feed []dpi.GatewayPacket // feed[0] is the plug, feed[1] the victim
-	for port := uint16(5000); len(feed) < 9; port++ {
+	var feed []dpi.GatewayPacket // feed[0] is the victim
+	for port := uint16(5000); len(feed) < 8; port++ {
 		tup := dpi.FiveTuple{SrcIP: dpi.IPv4(10, 0, 0, 9), DstIP: dpi.IPv4(10, 0, 1, 1),
 			SrcPort: port, DstPort: 53, Proto: dpi.ProtoUDP}
 		if len(feed) > 0 && tup.Hash64()%uint64(shards) != feed[0].Tuple.Hash64()%uint64(shards) {
-			continue // not the plug's shard
+			continue // not the victim's shard
 		}
 		payload := append([]byte("query "), set.Patterns[len(feed)].Data...)
 		feed = append(feed, dpi.GatewayPacket{Tuple: tup, Payload: payload})
 	}
-	plug, victim := feed[0], feed[1]
+	victim := feed[0]
 
-	release, stalled := make(chan struct{}), make(chan struct{})
-	var stallOnce sync.Once
 	c := newSoakCollector()
 	emit := chaos.PanicOnce(c.emit, func(fm dpi.FlowMatch) bool { return fm.Tuple == victim.Tuple })
-	emit = chaos.StallOnce(emit, func(fm dpi.FlowMatch) bool {
-		if fm.Tuple != plug.Tuple {
-			return false
-		}
-		stallOnce.Do(func() { close(stalled) })
-		return true
-	}, release)
-	gw := soakGateway(t, m, dpi.GatewayConfig{EngineShards: shards}, emit)
-	for i, p := range feed {
+	gw := soakGateway(t, m, dpi.GatewayConfig{EngineShards: shards, StreamWorkers: 1}, emit)
+	for _, p := range feed {
 		if err := gw.Ingest(p); err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			<-stalled
-		}
 	}
-	close(release)
 	gw.Flush()
 	st := gw.Stats()
 	if st.Panics != 1 || st.QuarantinedPackets != 1 || st.QuarantinedBytes != uint64(len(victim.Payload)) {
@@ -533,16 +521,16 @@ func soakBurstEmitPanic(t *testing.T, m *dpi.Matcher, set *ruleset.Set, shards i
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range feed {
-		if i == 1 {
-			continue
-		}
+	if len(m.FindAll(victim.Payload)) == 0 {
+		t.Fatal("udp: the victim carries no match; its emit never panics")
+	}
+	for i, p := range feed[1:] {
 		want := m.FindAll(p.Payload)
 		if len(want) == 0 {
-			t.Fatalf("udp: datagram %d carries no match; soak is vacuous", i)
+			t.Fatalf("udp: datagram %d carries no match; soak is vacuous", i+1)
 		}
 		if got := c.matches(p.Tuple); !sameSoakMatches(got, want) {
-			t.Fatalf("udp: datagram %d lost matches to its neighbour's emit panic\ngot  %+v\nwant %+v", i, got, want)
+			t.Fatalf("udp: datagram %d lost matches to its neighbour's emit panic\ngot  %+v\nwant %+v", i+1, got, want)
 		}
 	}
 }
@@ -749,10 +737,11 @@ func TestChaosSoakSwapStorm(t *testing.T) {
 }
 
 // TestChaosSoakWatchdogStall: a wedged emit callback (chaos stall) must
-// flip Health to stalled once the queue head exceeds the threshold — on a
-// stream lane for TCP segments, on the shard's burst scanner (Lane -1) for
-// UDP datagrams — turn /healthz into a 503 with a diagnosable JSON body, and
-// clear cleanly once the wedge releases.
+// flip Health to stalled once the queue head exceeds the threshold — on the
+// lane the packets are pinned to, for TCP segments and UDP datagrams alike
+// (a real lane index on the packet's shard; there is no other kind of
+// scanner to report) — turn /healthz into a 503 with a diagnosable JSON
+// body, and clear cleanly once the wedge releases.
 func TestChaosSoakWatchdogStall(t *testing.T) {
 	m, set := soakMatcher(t, 200, dpi.BackendAuto)
 	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
@@ -767,22 +756,21 @@ func TestChaosSoakWatchdogStall(t *testing.T) {
 		segments = append(segments, dpi.GatewayPacket{Tuple: p.Tuple, Payload: p.Payload})
 	}
 	wantStream := map[dpi.FiveTuple][]dpi.Match{w.Tuples[0]: m.FindAll(w.Streams[0])}
-	wantBurst := map[dpi.FiveTuple][]dpi.Match{}
+	wantDgram := map[dpi.FiveTuple][]dpi.Match{}
 	for i := 0; i < 4; i++ {
 		tup := dpi.FiveTuple{SrcIP: dpi.IPv4(10, 0, 0, 9), DstIP: dpi.IPv4(10, 0, 1, 1),
 			SrcPort: uint16(5000 + i), DstPort: 53, Proto: dpi.ProtoUDP}
 		payload := append([]byte("query "), set.Patterns[i].Data...)
 		datagrams = append(datagrams, dpi.GatewayPacket{Tuple: tup, Payload: payload})
-		wantBurst[tup] = m.FindAll(payload)
+		wantDgram[tup] = m.FindAll(payload)
 	}
 	for _, tc := range []struct {
 		name string
 		feed []dpi.GatewayPacket
 		want map[dpi.FiveTuple][]dpi.Match
-		lane int // the stalled BusyLanes entry's Lane
 	}{
-		{"tcp", segments, wantStream, 0},
-		{"udp", datagrams, wantBurst, -1},
+		{"tcp", segments, wantStream},
+		{"udp", datagrams, wantDgram},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for tup, ms := range tc.want {
@@ -806,12 +794,14 @@ func TestChaosSoakWatchdogStall(t *testing.T) {
 			for {
 				h := gw.Health()
 				if !h.Healthy {
+					// One shard, one lane: whatever the protocol, the
+					// wedge is on shard 0's lane 0.
 					stalled := false
 					for _, l := range h.BusyLanes {
-						stalled = stalled || (l.Stalled && l.Lane == tc.lane)
+						stalled = stalled || (l.Stalled && l.Shard == 0 && l.Lane == 0)
 					}
 					if !stalled {
-						t.Fatalf("unhealthy without a stalled lane %d: %+v", tc.lane, h)
+						t.Fatalf("unhealthy without a stalled lane 0 on shard 0: %+v", h)
 					}
 					break
 				}

@@ -71,10 +71,11 @@
 //     × K lanes, each shard one state block (queues, counters, drain
 //     count) sharing nothing hot with its neighbours, invisible in
 //     results and accounting, observable through
-//     ShardStats. Non-TCP packets are scanned in per-shard bursts of
-//     whatever is queued, up to BatchPackets; TCP packets are demultiplexed
-//     through a sharded 5-tuple flow table into per-flow scanner state
-//     pinned to hash-chosen lanes of their shard. Segments tagged FlagSeq pass through
+//     ShardStats. There is one kind of lane: it scans a non-TCP packet
+//     whole, in place, under a per-packet verdict, and demultiplexes a TCP
+//     packet through a sharded 5-tuple flow table into per-flow scanner
+//     state, so one tuple's packets — segments or datagrams — are always
+//     scanned in ingest order. Segments tagged FlagSeq pass through
 //     TCP reassembly first (configurable overlap policy, bounded per-flow
 //     and global buffering, gap timeout/skip, SYN/FIN/RST lifecycle), so
 //     matches spanning segment boundaries survive demultiplexing even when
@@ -93,7 +94,7 @@
 //     flow always starts from clean state.
 //     Rulesets hot-reload without a restart: Gateway.SwapRules installs
 //     a newly compiled Matcher atomically behind the ingest drain
-//     barrier — new flows and stateless bursts scan with the new
+//     barrier — new flows and stateless packets scan with the new
 //     generation immediately, flows opened earlier stay pinned to their
 //     birth generation until they end (no connection ever sees two
 //     rulesets), and a generation's automaton is retired when its last

@@ -59,12 +59,11 @@ func (e *Engine) Generation() uint64 { return e.m.Generation() }
 // scans and streaming flows). A sharded Gateway exposes one per shard
 // through ShardStats, making the traffic fan-out across shards observable.
 type EngineStats struct {
-	Batches     uint64 // ScanPackets batches handed to the worker pool
+	Batches     uint64 // ScanPackets batches handed to the worker pool (a gateway shard: one per datagram)
 	BatchPkts   uint64 // payloads scanned across those batches
 	BatchBytes  uint64 // payload bytes scanned in batch mode
 	FlowsOpened uint64 // flows opened, once per connection (a gateway's SYN re-open included)
 	StreamBytes uint64 // bytes written through flows
-	Panics      uint64 // panics recovered inside batch workers: gateway containment, zero on a bare Engine
 }
 
 // Stats returns this engine's work counters. Counters are monotone but

@@ -86,8 +86,8 @@ func main() {
 
 	// The software gateway: bounded hash-pinned per-flow lanes over a
 	// 5-tuple flow table, TCP reassembly ahead of each flow's scanner —
-	// and two engine shards, each with its own lanes, burst scanner and
-	// counters, splitting the connection load by tuple hash.
+	// and two engine shards, each with its own lanes and counters,
+	// splitting the connection load by tuple hash.
 	var mu sync.Mutex
 	byTuple := map[dpi.FiveTuple][]dpi.FlowMatch{}
 	gw, err := dpi.NewGateway(matcher, dpi.GatewayConfig{

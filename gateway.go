@@ -6,18 +6,19 @@ package dpi
 // shared compressed automaton at one transition per byte. The software
 // pipeline mirrors the hardware's structure in two stages — admission
 // partitions traffic by tuple hash on the caller's goroutine, and each
-// lane's bounded queue plays the role of a block's input FIFO: TCP packets
-// are pinned to a lane by flow hash so each connection's scanner registers
-// see its bytes in order, exactly as a hardware engine owns a packet
-// stream, and stateless packets are scanned in bursts fanned out across
-// worker goroutines. Nothing sits between the partitioner and a lane.
+// lane's bounded queue plays the role of an engine's input FIFO: every
+// packet is pinned to a lane by tuple hash, so each connection's scanner
+// registers see its bytes in order, exactly as a hardware engine owns a
+// packet stream, and a stateless packet is scanned whole, in place, by the
+// lane it lands on — one kind of engine, as in the paper's block (§IV.B).
+// Nothing sits between the partitioner and a lane.
 //
 // The scan back-end replicates like the hardware does: the paper's device
 // reaches its throughput by instantiating many identical string matching
 // blocks and fanning partitioned traffic across them (§IV.B), and
 // GatewayConfig.EngineShards is the software analogue — M independent
-// shards (each one state block: its stream lanes, burst scanner, admission
-// gate, queue depths and counters) over the one immutable compiled automaton,
+// shards (each one state block: its lanes, admission gate, queue depths and
+// counters) over the one immutable compiled automaton,
 // with every flow and stateless packet pinned to a shard by the same tuple
 // hash that pins lanes and flow-table shards. A packet's bookkeeping lands
 // on its own shard's block and nowhere else — the ingest sequence number is
@@ -190,12 +191,12 @@ type FlowVerdict struct {
 	RuleName string
 }
 
-// FlowMatch is a match attributed to a flow. For stream-routed (TCP)
-// packets, Start/End are offsets into the flow's reassembled byte stream
+// FlowMatch is a match attributed to a flow. For TCP packets, Start/End
+// are offsets into the flow's reassembled byte stream
 // and PacketID is the ingest sequence number of the packet whose bytes
 // completed the match — for a match completed by buffered out-of-order
 // bytes, that is the packet whose arrival released those bytes. For
-// batch-routed packets, Start/End are offsets into that packet's payload
+// stateless packets, Start/End are offsets into that packet's payload
 // and PacketID is its ingest sequence number.
 type FlowMatch struct {
 	Tuple FiveTuple
@@ -250,29 +251,26 @@ type GatewayConfig struct {
 	// pins every flow (and every stateless packet) to a shard by tuple
 	// hash — the software analogue of the paper's replicated string
 	// matching blocks fed by partitioned traffic. Each shard owns its own
-	// per-flow stream lanes, burst scanner and counters, so shards share
-	// nothing hot; on a NUMA machine run one shard per node. All
+	// lanes and counters, so shards share nothing hot; on a NUMA machine
+	// run one shard per node. All
 	// ordering and accounting guarantees are per-gateway, unchanged:
 	// per-flow packet order holds because a flow's shard and lane are both
 	// functions of its tuple hash, nothing is dropped, and Flush drains
 	// every shard. Default 1 (exactly the pre-sharding gateway).
 	EngineShards int
-	// BatchPackets is the burst size for stateless (non-TCP) packets: the
-	// burst scanner takes up to this many queued packets per scan. It never
-	// waits for a burst to fill — it scans whatever is queued — so batching
-	// adds no latency. Default 64.
-	BatchPackets int
-	// QueueDepth bounds the queued packets per engine shard, split across
-	// its lanes; a full lane queue blocks Ingest of the flows pinned to it,
-	// which is the gateway's backpressure. Default 4*BatchPackets.
+	// QueueDepth bounds the queued packets per engine shard, split evenly
+	// across its lanes: each lane queues ceil(QueueDepth/StreamWorkers), so
+	// a shard holds at most QueueDepth rounded up to a multiple of
+	// StreamWorkers, and nothing else queues. A full lane queue blocks
+	// Ingest of the tuples pinned to it, which is the gateway's
+	// backpressure. Default 256.
 	QueueDepth int
-	// StreamWorkers is the number of per-flow scan lanes per engine shard.
-	// Each flow is pinned to one lane of its shard by tuple hash, so
-	// per-flow packet order (and therefore cross-packet matching) is
-	// preserved while distinct flows scan in parallel. It also sizes the
-	// shard's burst fan-out: one stateless burst is scanned by up to this
-	// many goroutines at once. Default GOMAXPROCS — one lane per available
-	// core.
+	// StreamWorkers is the number of scan lanes per engine shard — the
+	// shard's goroutines, all of them. Every tuple (TCP flow or stateless
+	// sender) is pinned to one lane of its shard by hash, so per-tuple
+	// packet order (and therefore cross-packet matching) is preserved while
+	// distinct tuples scan in parallel. Default GOMAXPROCS — one lane per
+	// available core.
 	StreamWorkers int
 	// MaxFlows softly caps live flow state: when exceeded, the
 	// least-recently-active flows are evicted, records and all. The live
@@ -316,10 +314,9 @@ type GatewayConfig struct {
 	// immediately on a full queue. Ignored under Block, which waits
 	// indefinitely.
 	IngestDeadline time.Duration
-	// StallThreshold is the lane-watchdog trigger: a stream lane or burst
-	// scanner with queued or in-flight work whose last progress is older
-	// than this is reported stalled by Health (and /healthz turns 503).
-	// Default 5s.
+	// StallThreshold is the lane-watchdog trigger: a lane with queued or
+	// in-flight work whose last progress is older than this is reported
+	// stalled by Health (and /healthz turns 503). Default 5s.
 	StallThreshold time.Duration
 
 	// Rules classify each flow's 5-tuple before payload scanning; see
@@ -335,11 +332,8 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	if c.EngineShards <= 0 {
 		c.EngineShards = 1
 	}
-	if c.BatchPackets <= 0 {
-		c.BatchPackets = 64
-	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.BatchPackets
+		c.QueueDepth = 256
 	}
 	if c.StreamWorkers <= 0 {
 		c.StreamWorkers = runtime.GOMAXPROCS(0)
@@ -376,19 +370,19 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 
 // Gateway is a two-stage ingestion front-end over one or more engine
 // shards: admission, on the caller's goroutine, sends each packet straight
-// to the bounded queue its tuple hash pins it to — per shard a set of
-// per-flow stream lanes fed through the shared 5-tuple flow table (with TCP
-// reassembly and header-rule verdicts ahead of the scanner) plus a burst
-// scanner for stateless packets.
+// to the bounded lane queue its tuple hash pins it to. A lane runs a TCP
+// packet through the shared 5-tuple flow table (header-rule verdict and TCP
+// reassembly ahead of the flow's scanner registers) and scans a stateless
+// packet whole, from start-of-packet registers, under a per-packet verdict.
 //
-//	Ingest ─▶ admission ─▶ shard[h%M].lane[(h/M)%K] ─▶ verdict ─▶ reassembly ─▶ per-flow scan
-//	           (hash)  └──▶ shard[h%M].burst ─────────▶ verdict ─▶ batch scan
+//	Ingest ─▶ admission ─▶ shard[h%M].lane[(h/M)%K] ─┬─ TCP ──▶ verdict ─▶ reassembly ─▶ per-flow scan
+//	           (hash)                                └─ other ▶ verdict ─▶ per-packet scan
 //
 // With EngineShards=1 (the default) this collapses to the single-shard
 // pipeline. Ingest and TryIngest may be called from multiple
-// goroutines; emit and OnVerdict are invoked concurrently (from the stream
-// lanes and the burst scanners) and must be safe for concurrent use. Close
-// drains the pipeline and evicts every flow.
+// goroutines; emit and OnVerdict are invoked concurrently (from the lanes)
+// and must be safe for concurrent use. Close drains the pipeline and evicts
+// every flow.
 type Gateway struct {
 	cfg  GatewayConfig
 	emit func(FlowMatch)
@@ -403,11 +397,11 @@ type Gateway struct {
 	closed bool
 
 	// Ruleset generations — the hot-reload control plane. cur is the
-	// generation new flows pin to and bursts scan with; it only changes
-	// inside SwapRules, at a drained point (every gate held exclusively,
-	// every queue's depth zero), so everything processing a packet sees
-	// a frozen cur. gens lists every non-retired generation in install
-	// order, guarded by genMu.
+	// generation new flows pin to and stateless packets scan with; it only
+	// changes inside SwapRules, at a drained point (every gate held
+	// exclusively, every queue's depth zero), so everything processing a
+	// packet sees a frozen cur. gens lists every non-retired generation in
+	// install order, guarded by genMu.
 	cur         atomic.Pointer[gwGeneration]
 	genMu       sync.Mutex
 	gens        []*gwGeneration
@@ -435,17 +429,15 @@ type Gateway struct {
 
 // gwEngineShard is one scan replica — the software string matching block —
 // and the one owner of everything its goroutines touch: the hash-pinned
-// per-flow stream lanes and the burst scanner's queue, one laneState per
-// queue (the watchdog's view and the drain barrier's count in one), the
-// admission gate and the counter block. A
+// lane queues, one laneState per queue (the watchdog's view and the drain
+// barrier's count in one), the admission gate and the counter block. A
 // packet pinned to this shard is accounted here and nowhere else, so shards
 // share no written cache line on the packet path beyond Gateway.seq and the
-// flow table's own clock. What a shard scans *with* is not its state: lanes
-// look the matcher up through the flow's pinned generation, the burst
-// scanner through the current one.
+// flow table's own clock. What a shard scans *with* is not its state: a lane
+// looks the matcher up through the flow's pinned generation, or through the
+// current one for a stateless packet.
 type gwEngineShard struct {
 	streamQ []chan seqPacket
-	burstQ  chan seqPacket
 	lanes   []laneState // queue depth and watchdog state, parallel to streamQ
 	// rules holds the per-rule counters, indexed by the rule's position in
 	// cfg.Rules (not its ID — IDs may be sparse). Fixed-size and allocated
@@ -458,9 +450,6 @@ type gwEngineShard struct {
 	// shared across its send; Flush, SwapRules and Close hold every shard's
 	// exclusively (Gateway.quiesce).
 	gate sync.RWMutex
-	// burst is the burst queue's laneState, as lanes[i] is streamQ[i]'s; it
-	// sits here, not in the header, because it is written per packet.
-	burst laneState
 	// n is the shard's counter block; see gwCounter.
 	n [numCounters]atomic.Uint64
 	_ [64]byte // the next shard's header starts on its own line
@@ -516,21 +505,17 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 	for s := range g.shards {
 		sh := &gwEngineShard{
 			streamQ: make([]chan seqPacket, cfg.StreamWorkers),
-			// One burst queues while the previous one scans.
-			burstQ: make(chan seqPacket, cfg.BatchPackets),
-			lanes:  make([]laneState, cfg.StreamWorkers),
-			rules:  make([]gwRuleCounters, len(cfg.Rules)),
+			lanes:   make([]laneState, cfg.StreamWorkers),
+			rules:   make([]gwRuleCounters, len(cfg.Rules)),
 		}
 		g.shards[s] = sh
 		for w := range sh.streamQ {
-			// QueueDepth split across the shard's lanes, never zero.
-			q := make(chan seqPacket, cfg.QueueDepth/cfg.StreamWorkers+1)
+			// QueueDepth split across the shard's lanes, rounded up.
+			q := make(chan seqPacket, (cfg.QueueDepth+cfg.StreamWorkers-1)/cfg.StreamWorkers)
 			sh.streamQ[w] = q
 			g.workerWg.Add(1)
 			go g.streamWorker(&gwLane{g: g, sh: sh, ls: &sh.lanes[w]}, q)
 		}
-		g.workerWg.Add(1)
-		go g.burstScanner(sh)
 	}
 	return g, nil
 }
@@ -559,7 +544,6 @@ func (g *Gateway) Close() error {
 	// closed was set with every gate held, so no TryIngest — the only
 	// sender — is inside a channel operation and none can start one.
 	for _, sh := range g.shards {
-		close(sh.burstQ)
 		for _, q := range sh.streamQ {
 			close(q)
 		}

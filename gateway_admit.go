@@ -24,7 +24,7 @@ type seqPacket struct {
 // Ingest queues one packet. Under OverloadPolicy Block (the default) it
 // blocks when the pipeline is saturated — the backpressure contract: a
 // caller reading from a NIC or file cannot outrun the scan stages by more
-// than the queue and burst buffers. Under a shedding policy it may drop the
+// than the lane queues. Under a shedding policy it may drop the
 // packet instead (fully accounted; see TryIngest to observe which). It
 // returns an error only on a closed gateway.
 func (g *Gateway) Ingest(pkt GatewayPacket) error {
@@ -39,17 +39,12 @@ func (g *Gateway) Ingest(pkt GatewayPacket) error {
 // TCP segment additionally arms a scanner gap so the exactness contract
 // holds over the bytes that were delivered.
 func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
-	// The tuple hash drives every pinning decision (engine shard, stream
-	// lane, flow-table shard), so it is computed once here, on the caller's
-	// goroutine, and carried with the packet. Stateless packets on an
-	// unsharded gateway never need it, except to answer ShedNewFlows'
-	// flow-table probe.
+	// The tuple hash drives every pinning decision (engine shard, lane,
+	// flow-table shard), so it is computed once here, on the caller's
+	// goroutine, and carried with the packet.
 	pol := g.cfg.OverloadPolicy
 	tcp := pkt.Tuple.Proto == ProtoTCP
-	var h uint64
-	if tcp || len(g.shards) > 1 || pol == ShedNewFlows {
-		h = pkt.Tuple.Hash64()
-	}
+	h := pkt.Tuple.Hash64()
 	nshards := uint64(len(g.shards))
 	sh := g.shards[h%nshards]
 	sh.gate.RLock()
@@ -73,14 +68,11 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 		// traffic) are sheddable, so overload cannot grow the flow table.
 		newFlow = !tcp || !g.table.Has(pkt.Tuple, h)
 	}
-	q, ls := sh.burstQ, &sh.burst
-	if tcp {
-		// Dividing out the shard index decorrelates the lane choice from
-		// the shard choice when their counts share factors; with one shard
-		// it reduces to hash%lanes, the pre-sharding pinning.
-		lane := (h / nshards) % uint64(len(sh.streamQ))
-		q, ls = sh.streamQ[lane], &sh.lanes[lane]
-	}
+	// One routing rule for every protocol. Dividing out the shard index
+	// decorrelates the lane choice from the shard choice when their counts
+	// share factors; with one shard it reduces to hash%lanes.
+	lane := (h / nshards) % uint64(len(sh.streamQ))
+	q, ls := sh.streamQ[lane], &sh.lanes[lane]
 	// The queue's depth is raised across the (possibly blocking) send: a
 	// concurrent Flush cannot declare the shard drained while this packet
 	// may still slip in (TryIngest holds the gate shared, Flush takes it
@@ -155,7 +147,7 @@ func (g *Gateway) takePendingGap(t FiveTuple) int {
 }
 
 // Flush blocks until every packet ingested before the call has been
-// scanned (the queue is drained, partial bursts included), making Stats
+// scanned (every lane queue is drained), making Stats
 // and EvictIdleFlows deterministic checkpoints. Flush serializes against
 // Ingest: concurrent Ingest calls block until the flush completes, so the
 // drain barrier cannot be raced past — Flush returns only at a true
@@ -168,18 +160,16 @@ func (g *Gateway) Flush() {
 // quiesce is the control plane's stop-the-world: it takes every shard's
 // admission gate exclusively, in shard order — no Ingest is inside a send
 // and none can start one until resume — then spins until every admitted
-// packet has been scanned. The lanes and burst scanners consume whatever is
-// queued (a burst scanner never waits for a burst to fill), so every queue's
-// depth — raised by admission before the send, lowered in the defer chain
-// that also contains panics — reaches zero without outside help and, with
-// admission stopped, stays there, which makes waiting the queues out one
-// after another a barrier over all of them.
+// packet has been scanned. The lanes consume whatever is queued, so every
+// queue's depth — raised by admission before the send, lowered by the lane
+// after each vector it took, panics contained per packet — reaches zero
+// without outside help and, with admission stopped, stays there, which makes
+// waiting the queues out one after another a barrier over all of them.
 func (g *Gateway) quiesce() {
 	for _, sh := range g.shards {
 		sh.gate.Lock()
 	}
 	for _, sh := range g.shards {
-		sh.burst.drain()
 		for i := range sh.lanes {
 			sh.lanes[i].drain()
 		}

@@ -8,7 +8,9 @@ import (
 // TestGatewayCountersSurfacedExactlyOnce pins the counter block's contract:
 // every slot declared in gwCounter reaches exactly one public field — a
 // GatewayStats field (summed across shards) or an EngineStats field of the
-// owning shard — none dropped, none mapped twice. It writes a distinct
+// owning shard — none dropped, none mapped twice (EngineStats.Batches aside:
+// a shard scans each datagram on its own, so it is BatchPkts' documented
+// alias and is checked as one). It writes a distinct
 // value into each slot of one shard's block on an idle two-shard gateway
 // and looks for each value by reflection, so a slot added without a mapping
 // (or a field fed from two slots) fails here. The same values must then
@@ -46,7 +48,12 @@ func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
 			}
 		}
 		collect("GatewayStats.", reflect.ValueOf(gw.Stats()))
-		collect("ShardStats[1].", reflect.ValueOf(gw.ShardStats()[shard]))
+		es := gw.ShardStats()[shard]
+		if es.Batches != es.BatchPkts {
+			t.Errorf("ShardStats[1].Batches = %d, want BatchPkts = %d", es.Batches, es.BatchPkts)
+		}
+		es.Batches = 0
+		collect("ShardStats[1].", reflect.ValueOf(es))
 		return seen
 	}
 	seen := surfaced()

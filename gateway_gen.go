@@ -28,10 +28,10 @@ type gwGeneration struct {
 // pipeline point (serialized against Ingest, Flush and Close exactly like
 // Flush), which gives the two cutover guarantees for free:
 //
-//   - Stateless bursts cut over at a batch boundary: every burst admitted
-//     before the swap is scanned with the old generation before the swap
-//     completes; every burst after scans with the new one. No burst mixes
-//     generations.
+//   - A stateless packet scans with the generation current when its lane
+//     dequeued it: every datagram admitted before the swap is scanned with
+//     the old generation before the swap completes; every one after scans
+//     with the new one.
 //   - Flows pin the generation they opened on. Existing flows keep
 //     scanning against their pinned automaton until a flow boundary
 //     (FIN/RST, idle or capacity eviction, quarantine, Close); new flows —
@@ -122,10 +122,10 @@ func (g *Gateway) Generations() []GenerationInfo {
 }
 
 // Generation reports the installed (current) ruleset generation — the
-// Matcher.Generation new flows and stateless bursts scan with.
+// Matcher.Generation new flows and stateless packets scan with.
 func (g *Gateway) Generation() uint64 { return g.cur.Load().id }
 
-// Backend reports the scan backend the current generation's lanes and
-// burst scanners run (see Config.Backend). Matchers swapped in with a
-// different Backend configuration change this value at the swap.
+// Backend reports the scan backend the current generation's lanes run
+// (see Config.Backend). Matchers swapped in with a different Backend
+// configuration change this value at the swap.
 func (g *Gateway) Backend() string { return g.cur.Load().m.Backend() }

@@ -1,6 +1,6 @@
 package dpi
 
-// The second stage: flow records, stream lanes, burst scanners, panic containment.
+// The second stage: flow records, lanes, panic containment.
 
 import (
 	"repro/internal/ac"
@@ -100,6 +100,10 @@ type gwLane struct {
 	// the capacity of the lane's most match-dense segment, so the memory
 	// match buffers pin is bounded by lanes × worst segment, never by flows.
 	matches []ac.Match
+	// st is the start-of-packet registers a stateless packet scans from,
+	// re-opened for the current generation per packet; re-opening allocates
+	// only when a swap changed the group count.
+	st engine.FlowState
 }
 
 // open starts a connection on the record: it pins the current ruleset
@@ -332,28 +336,37 @@ func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (remove bool) {
 	return fl.ingest(ln, p, tick)
 }
 
-// streamWorker owns one per-flow lane: every packet of a given flow lands
-// on the same lane (hash-pinned at admission), so writes into the
-// flow's scanner state are ordered without per-packet locking beyond the
-// flow table's entry lock.
+// streamWorker owns one lane: every packet of a given tuple lands on the
+// same lane (hash-pinned at admission), so writes into a flow's scanner
+// state are ordered without per-packet locking beyond the flow table's entry
+// lock, and one sender's datagrams are emitted in ingest order. It is the
+// queue's only receiver, so on waking for one packet it takes the len(q)
+// more that are already there as one vector, and lowers the lane's depth —
+// one watchdog stamp, one clock read — once per vector.
 func (g *Gateway) streamWorker(ln *gwLane, q <-chan seqPacket) {
 	defer g.workerWg.Done()
 	for p := range q {
+		n := 1 + len(q)
 		ln.streamPacket(p)
+		for i := 1; i < n; i++ {
+			ln.streamPacket(<-q)
+		}
+		ln.ls.done(n)
 	}
 }
 
-// streamPacket runs one packet through its flow. Panics under the flow are
-// contained inside the entry lock (gwFlow.contain) and quarantine that one
-// flow; the recover here catches only what runs outside an entry — flow
-// construction, an eviction the lookup triggered — where there is no record
-// to quarantine and none of the packet's bytes are committed yet, so the
-// packet's payload is charged to the quarantine bucket and the gateway keeps
-// running. The lane's depth is lowered (and its watchdog stamped) in the same
-// defer chain, so Flush cannot wedge on a packet that blew up.
+// streamPacket runs one packet through its flow, or scans it in place when
+// it is stateless, and is the lane's one containment: it always returns, so
+// the worker's depth decrement cannot be skipped and Flush cannot wedge on a
+// packet that blew up. Panics under a flow are contained inside the entry
+// lock (gwFlow.contain) and quarantine that one flow; the recover here
+// catches what runs outside an entry — flow construction, an eviction the
+// lookup triggered, a datagram's verdict callback, scan or emit — where
+// there is no record to quarantine and none of the packet's bytes are
+// committed yet, so the packet's payload is charged to the quarantine bucket
+// and the lane moves on to its next packet.
 func (ln *gwLane) streamPacket(p seqPacket) {
 	g, sh := ln.g, ln.sh
-	defer ln.ls.done(1)
 	defer func() {
 		if recover() != nil {
 			sh.n[cPanics].Add(1)
@@ -361,6 +374,10 @@ func (ln *gwLane) streamPacket(p seqPacket) {
 			sh.n[cQuarantinedBytes].Add(uint64(len(p.payload)))
 		}
 	}()
+	if p.tuple.Proto != ProtoTCP {
+		ln.datagram(&p)
+		return
+	}
 	sh.n[cStreamPackets].Add(1)
 	// The reassembly gap clock is the flow table's: gateway-wide stream
 	// packets, the same logical clock IdleTimeout runs on. The lookup below
@@ -379,131 +396,36 @@ func (ln *gwLane) streamPacket(p seqPacket) {
 	}
 }
 
-// burstScanner scans one shard's stateless bursts. The verdict stage runs
-// per packet here (stateless traffic has no flow to remember a decision
-// on): drop/pass packets never reach the scan, and matches on
-// alert-admitted packets carry the rule attribution.
-//
-// The scanner forms its own bursts: it blocks for the first queued packet,
-// then takes whatever else is already queued, up to BatchPackets (it is the
-// queue's only receiver, so len(q) packets are there to take) — a partial
-// burst is scanned the moment the queue goes idle. The burst buffer and the
-// scan's working set are reused, so steady-state scanning does not allocate.
-func (g *Gateway) burstScanner(sh *gwEngineShard) {
-	defer g.workerWg.Done()
-	// Batch-path panic containment: a panic scanning one burst payload is
-	// recovered inside the worker goroutine that hit it (where it would
-	// otherwise kill the process) and lands on this shard's block.
-	st := burstState{contain: func(any) {
-		sh.n[cPanics].Add(1)
-		sh.n[cEngPanics].Add(1)
-	}}
-	batch := make([]seqPacket, 0, g.cfg.BatchPackets)
-	q := sh.burstQ
-	for p := range q {
-		batch = append(batch[:0], p)
-		for n := min(len(q), cap(batch)-1); n > 0; n-- {
-			batch = append(batch, <-q)
-		}
-		g.scanBurst(sh, batch, &st)
+// datagram scans one stateless packet where it landed: there is no flow to
+// remember a decision on, so the verdict stage runs per packet — drop/pass
+// packets never reach the scan, and matches on an alert-admitted packet carry
+// the rule attribution — and the payload is scanned whole from
+// start-of-packet registers against the generation current now (cur is
+// frozen while this packet holds the lane's depth). Each byte bucket is
+// committed only after what consumed the bytes returned — ScannedBytes after
+// emit — so a panic anywhere in here leaves the packet uncommitted for
+// streamPacket's recover to charge: it costs exactly this datagram.
+func (ln *gwLane) datagram(p *seqPacket) {
+	g, sh := ln.g, ln.sh
+	sh.n[cBatchPackets].Add(1)
+	v, idx := g.classify(p.tuple)
+	g.notifyVerdict(sh, p.tuple, v, idx)
+	n := uint64(len(p.payload))
+	switch v {
+	case VerdictDrop:
+		sh.n[cDroppedBytes].Add(n)
+		return
+	case VerdictPass:
+		sh.n[cPassedBytes].Add(n)
+		return
 	}
-}
-
-// burstState is one burst scanner's reusable working set, so steady-state
-// batch scanning does not allocate per burst.
-type burstState struct {
-	contain  func(any) // the shard's batch-worker panic hook
-	buf      [][]ac.Match
-	payloads [][]byte
-	ruleIdx  []int
-}
-
-// scanBurst scans one stateless burst. Panics inside a payload's scan are
-// contained per payload by the batch scan itself (burstState.contain), and
-// a panicking emit callback per datagram (emitBurst); what else panics in
-// this function — a user OnVerdict callback — is contained here, with the
-// batch's not-yet-committed bytes charged to the quarantine bucket so the
-// ledger stays exact, and the burst queue's depth lowered in the defer chain
-// so Flush cannot wedge.
-func (g *Gateway) scanBurst(sh *gwEngineShard, batch []seqPacket, st *burstState) {
-	defer sh.burst.done(len(batch))
-	// One generation per burst, read once: the batch's packets hold the
-	// queue's depth until the deferred decrement above, and SwapRules only
-	// moves cur at every depth zero, so cur is frozen for the whole burst —
-	// the batch-boundary cutover guarantee.
 	gen := g.cur.Load()
-	var total, committed uint64
-	for _, p := range batch {
-		total += uint64(len(p.payload))
+	ln.st.Open(gen.m.grouped)
+	ln.matches = ln.st.Write(gen.m.grouped, p.payload, ln.matches[:0])
+	sh.n[cEngBatchPkts].Add(1)
+	sh.n[cEngBatchBytes].Add(n)
+	if len(ln.matches) > 0 {
+		g.emitMatches(sh, gen, p, idx, ln.matches)
 	}
-	defer func() {
-		if recover() != nil {
-			sh.n[cPanics].Add(1)
-			if total > committed {
-				sh.n[cQuarantinedBytes].Add(total - committed)
-				sh.n[cQuarantinedPackets].Add(1)
-			}
-		}
-	}()
-	sh.n[cBatches].Add(1)
-	sh.n[cBatchPackets].Add(uint64(len(batch)))
-	// The packets a verdict admits to scanning are compacted to the front
-	// of batch, parallel to their payloads and rule indices.
-	kept := batch[:0]
-	st.payloads, st.ruleIdx = st.payloads[:0], st.ruleIdx[:0]
-	var keptBytes uint64
-	for _, p := range batch {
-		v, idx := g.classify(p.tuple)
-		g.notifyVerdict(sh, p.tuple, v, idx)
-		switch v {
-		case VerdictDrop:
-			sh.n[cDroppedBytes].Add(uint64(len(p.payload)))
-			committed += uint64(len(p.payload))
-			continue
-		case VerdictPass:
-			sh.n[cPassedBytes].Add(uint64(len(p.payload)))
-			committed += uint64(len(p.payload))
-			continue
-		}
-		kept = append(kept, p)
-		st.payloads = append(st.payloads, p.payload)
-		st.ruleIdx = append(st.ruleIdx, idx)
-		keptBytes += uint64(len(p.payload))
-	}
-	if len(kept) > 0 {
-		sh.n[cEngBatches].Add(1)
-		sh.n[cEngBatchPkts].Add(uint64(len(kept)))
-		sh.n[cEngBatchBytes].Add(keptBytes)
-		st.buf = engine.ScanBatch(gen.m.grouped, g.cfg.StreamWorkers, st.payloads, st.buf, st.contain)
-		// Every payload was delivered to a scanner (a contained batch-worker
-		// panic costs only that payload's matches), and from here each
-		// datagram accounts for itself: it commits as scanned once its
-		// matches are out, or emitBurst has charged it to the quarantine
-		// bucket.
-		committed += keptBytes
-		scanned := keptBytes
-		for i, ms := range st.buf {
-			if len(ms) > 0 && !g.emitBurst(sh, gen, &kept[i], st.ruleIdx[i], ms) {
-				scanned -= uint64(len(kept[i].payload))
-			}
-		}
-		sh.n[cScannedBytes].Add(scanned)
-	}
-}
-
-// emitBurst is emitMatches under panic containment for one datagram of a
-// burst, and reports whether emit returned. A panicking emit costs exactly
-// that datagram — its payload goes to the quarantine bucket instead of the
-// scanned one — the way a TCP one costs exactly one flow; the rest of the
-// burst still emits.
-func (g *Gateway) emitBurst(sh *gwEngineShard, gen *gwGeneration, p *seqPacket, idx int, ms []ac.Match) (ok bool) {
-	defer func() {
-		if recover() != nil { // ok stays false: the return below never ran
-			sh.n[cPanics].Add(1)
-			sh.n[cQuarantinedPackets].Add(1)
-			sh.n[cQuarantinedBytes].Add(uint64(len(p.payload)))
-		}
-	}()
-	g.emitMatches(sh, gen, p, idx, ms)
-	return true
+	sh.n[cScannedBytes].Add(n)
 }

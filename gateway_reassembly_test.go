@@ -616,7 +616,7 @@ func TestGatewayVerdictsBatchPath(t *testing.T) {
 	var vmu sync.Mutex
 	verdictCount := map[Verdict]int{}
 	gw := testGateway(t, m, GatewayConfig{
-		StreamWorkers: 2, BatchPackets: 4, Rules: vrules,
+		StreamWorkers: 2, Rules: vrules,
 		OnVerdict: func(fv FlowVerdict) {
 			vmu.Lock()
 			verdictCount[fv.Verdict]++
@@ -677,7 +677,7 @@ func TestGatewayFlushSerializesWithIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := testGateway(t, m, GatewayConfig{BatchPackets: 2, QueueDepth: 2, StreamWorkers: 1}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{QueueDepth: 2, StreamWorkers: 1}, func(FlowMatch) {})
 	var wg sync.WaitGroup
 	const ingesters = 3
 	for gi := 0; gi < ingesters; gi++ {

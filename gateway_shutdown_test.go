@@ -145,10 +145,10 @@ func TestGatewayFlushIdempotent(t *testing.T) {
 	}
 }
 
-// TestGatewayStageCensus counts the pipeline's goroutines: one per stream
-// lane plus one burst scanner per engine shard and nothing else — no stage
-// between admission and the lanes — and all of them gone after Close, which
-// makes this the standing goroutine-leak check.
+// TestGatewayStageCensus counts the pipeline's goroutines: one per lane —
+// EngineShards × StreamWorkers — and nothing else, no stage between admission
+// and the lanes and no second kind of scanner, and all of them gone after
+// Close, which makes this the standing goroutine-leak check.
 func TestGatewayStageCensus(t *testing.T) {
 	m, _ := gatewayMatcher(t, 60, 1)
 	// settled samples the goroutine count until it holds still (bounded),
@@ -167,12 +167,14 @@ func TestGatewayStageCensus(t *testing.T) {
 		return n
 	}
 	base := settled()
-	gw := testGateway(t, m, GatewayConfig{EngineShards: 1, StreamWorkers: 3}, func(FlowMatch) {})
-	if got := runtime.NumGoroutine() - base; got != 3+1 {
-		t.Fatalf("gateway started %d goroutines, want StreamWorkers+1 = 4", got)
+	gw := testGateway(t, m, GatewayConfig{EngineShards: 2, StreamWorkers: 3}, func(FlowMatch) {})
+	if got := runtime.NumGoroutine() - base; got != 2*3 {
+		t.Fatalf("gateway started %d goroutines, want EngineShards × StreamWorkers = 6", got)
 	}
-	if err := gw.Ingest(GatewayPacket{Tuple: FiveTuple{Proto: ProtoTCP}, Payload: []byte("x")}); err != nil {
-		t.Fatal(err)
+	for _, proto := range []uint8{ProtoTCP, ProtoUDP} {
+		if err := gw.Ingest(GatewayPacket{Tuple: FiveTuple{Proto: proto}, Payload: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)

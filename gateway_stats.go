@@ -13,10 +13,9 @@ type GatewayStats struct {
 	Packets       uint64 // packets ingested
 	Bytes         uint64 // payload bytes ingested
 	StreamPackets uint64 // routed through per-flow stream state
-	BatchPackets  uint64 // scanned statelessly in bursts
-	Batches       uint64 // bursts the burst scanners formed
+	BatchPackets  uint64 // stateless packets a lane took (per-packet verdict, scanned whole)
 	Matches       uint64 // FlowMatches emitted
-	ScannedBytes  uint64 // payload bytes delivered to a scanner (stream + burst)
+	ScannedBytes  uint64 // payload bytes delivered to a scanner (stream + stateless)
 
 	// Overload shedding (OverloadPolicy ShedPackets / ShedNewFlows).
 	ShedPackets  uint64 // packets shed at admission
@@ -111,8 +110,7 @@ type gwCounter int
 const (
 	cBytes         gwCounter = iota // payload bytes ingested
 	cStreamPackets                  // packets a lane ran through per-flow state
-	cBatchPackets                   // packets a burst scanner took
-	cBatches                        // bursts formed
+	cBatchPackets                   // stateless packets a lane took
 	cMatches                        // FlowMatches emitted
 
 	// Byte-conservation buckets (see GatewayStats.Ledger). cScannedBytes and
@@ -128,7 +126,7 @@ const (
 
 	// Panic containment. Which flows are quarantined is flow-entry state
 	// (gwFlow.quarantined).
-	cPanics // every panic recovered on this shard: lanes, burst scanner, batch workers
+	cPanics // every panic recovered on this shard's lanes
 	cQuarantinedFlows
 	cQuarantinedPackets
 	cQuarantinedBytes
@@ -150,12 +148,10 @@ const (
 	cFlowsReset
 
 	// The shard's scan work, by usage shape — its EngineStats.
-	cEngBatches     // batch scans handed to the worker fan-out
-	cEngBatchPkts   // payloads scanned across those batches
-	cEngBatchBytes  // payload bytes scanned in batch mode
+	cEngBatchPkts   // stateless payloads scanned (those a verdict admitted)
+	cEngBatchBytes  // their payload bytes
 	cEngFlowsOpened // connections opened: new flows and SYN re-opens
 	cEngStreamBytes // bytes written through flow registers
-	cEngPanics      // panics recovered inside batch workers
 
 	numCounters
 )
@@ -191,7 +187,6 @@ func (g *Gateway) Stats() GatewayStats {
 		Bytes:         c[cBytes],
 		StreamPackets: c[cStreamPackets],
 		BatchPackets:  c[cBatchPackets],
-		Batches:       c[cBatches],
 		Matches:       c[cMatches],
 		ScannedBytes:  c[cScannedBytes],
 
@@ -237,17 +232,18 @@ func (g *Gateway) Stats() GatewayStats {
 // ShardStats returns one scan-work snapshot per engine shard, in shard
 // order — how the ingested traffic fanned out across the scan replicas.
 // The counters belong to the shard, not to a ruleset generation, so they
-// are monotone across ruleset swaps and generation retirement.
+// are monotone across ruleset swaps and generation retirement. A shard scans
+// each datagram on its own, so Batches equals BatchPkts.
 func (g *Gateway) ShardStats() []EngineStats {
 	out := make([]EngineStats, len(g.shards))
 	for s, sh := range g.shards {
+		pkts := sh.n[cEngBatchPkts].Load()
 		out[s] = EngineStats{
-			Batches:     sh.n[cEngBatches].Load(),
-			BatchPkts:   sh.n[cEngBatchPkts].Load(),
+			Batches:     pkts,
+			BatchPkts:   pkts,
 			BatchBytes:  sh.n[cEngBatchBytes].Load(),
 			FlowsOpened: sh.n[cEngFlowsOpened].Load(),
 			StreamBytes: sh.n[cEngStreamBytes].Load(),
-			Panics:      sh.n[cEngPanics].Load(),
 		}
 	}
 	return out
@@ -286,7 +282,7 @@ func (g *Gateway) RuleStats() []RuleStats {
 
 // PanicsByShard returns the recovered-panic count per engine shard, in
 // shard order — the dpi_panics_total{shard} series. A non-zero cell names
-// the shard whose lane or burst scanner contained a panic.
+// the shard whose lane contained a panic.
 func (g *Gateway) PanicsByShard() []uint64 {
 	out := make([]uint64, len(g.shards))
 	for i, sh := range g.shards {
@@ -295,22 +291,23 @@ func (g *Gateway) PanicsByShard() []uint64 {
 	return out
 }
 
-// laneState is one queue's in-flight count and watchdog view — a stream
-// lane's or a shard's burst queue's: how many packets are queued or in
-// flight on it, and when its consumer last made progress. depth serves both
-// readers: the drain barrier waits for it to read zero (Gateway.quiesce) and
-// Health reports it. There is no watchdog goroutine — admission stamps
-// lastProgress when a queue goes from empty to busy, a lane stamps it after
-// every packet and a burst scanner after every burst, and Health computes
-// staleness on demand, so stall detection is deterministic and costs the hot
-// path two atomics per stream packet.
+// laneState is one lane queue's in-flight count and watchdog view: how many
+// packets are queued or in flight on it, and when its lane last made
+// progress. depth serves both readers: the drain barrier waits for it to
+// read zero (Gateway.quiesce) and Health reports it. There is no watchdog
+// goroutine — admission stamps lastProgress when a queue goes from empty to
+// busy, the lane stamps it after every vector it took (the packet it woke for
+// plus whatever else was queued), and Health computes staleness on demand, so
+// stall detection is deterministic and costs the hot path one atomic at
+// admission and two per vector.
 type laneState struct {
 	depth        atomic.Int64
 	lastProgress atomic.Int64 // unix nanos
 }
 
-// done lowers the depth by the n packets the consumer just finished and
-// stamps its progress. It runs deferred, so a contained panic still gets here.
+// done lowers the depth by the n packets the lane just finished and stamps
+// its progress. streamPacket contains its own panics, so the lane always
+// gets here.
 func (ls *laneState) done(n int) {
 	ls.depth.Add(-int64(n))
 	ls.lastProgress.Store(time.Now().UnixNano())
@@ -323,21 +320,22 @@ func (ls *laneState) drain() {
 	}
 }
 
-// LaneHealth is one queue's watchdog reading at the time of a Health call:
-// its queued-or-in-flight depth (Ingest calls blocked on the full queue
-// included) and how long ago its consumer last completed a packet or burst
+// LaneHealth is one lane's watchdog reading at the time of a Health call.
+// Depth counts the packets queued on it, the whole vector it is scanning
+// (lowered once the vector is done, not per packet) and any Ingest call
+// blocked on its full queue; Age is how long ago it last completed a vector
 // (or, for one that never started, was first handed a packet). Lane is the
-// stream lane's index within its shard, or -1 for the shard's burst scanner.
+// lane's index within its shard.
 type LaneHealth struct {
 	Shard   int           `json:"shard"`
-	Lane    int           `json:"lane"` // -1: the shard's burst scanner
+	Lane    int           `json:"lane"`
 	Depth   int64         `json:"depth"`
 	Age     time.Duration `json:"age_ns"`
 	Stalled bool          `json:"stalled"`
 }
 
 // GatewayHealth is a liveness snapshot: Healthy is false exactly when some
-// lane or burst scanner holds work older than StallThreshold — a wedged
+// lane holds work older than StallThreshold — a wedged
 // scanner, a blocked emit callback, a deadlocked downstream consumer.
 // Contained panics and quarantined flows do NOT unhealth the gateway
 // (containment working is the healthy outcome); they are included so a
@@ -352,31 +350,27 @@ type GatewayHealth struct {
 
 // Health computes the watchdog snapshot on demand — there is no background
 // watchdog goroutine, so detection is deterministic and costs nothing when
-// nobody asks. Every lane and burst scanner currently holding work is
-// reported, a shard's lanes before its burst scanner; the stalled ones flip
-// Healthy to false.
+// nobody asks. Every lane currently holding work is reported, in shard and
+// lane order; the stalled ones flip Healthy to false.
 func (g *Gateway) Health() GatewayHealth {
 	now := time.Now().UnixNano()
 	h := GatewayHealth{Healthy: true}
-	read := func(ls *laneState, shard, lane int) {
-		d := ls.depth.Load()
-		if d <= 0 {
-			return
-		}
-		age := time.Duration(now - ls.lastProgress.Load())
-		lh := LaneHealth{Shard: shard, Lane: lane, Depth: d, Age: age, Stalled: age > g.cfg.StallThreshold}
-		if lh.Stalled {
-			h.Healthy = false
-		}
-		h.BusyLanes = append(h.BusyLanes, lh)
-	}
 	for si, sh := range g.shards {
 		h.Panics += sh.n[cPanics].Load()
 		h.QuarantinedFlows += sh.n[cQuarantinedFlows].Load()
 		for li := range sh.lanes {
-			read(&sh.lanes[li], si, li)
+			ls := &sh.lanes[li]
+			d := ls.depth.Load()
+			if d <= 0 {
+				continue
+			}
+			age := time.Duration(now - ls.lastProgress.Load())
+			lh := LaneHealth{Shard: si, Lane: li, Depth: d, Age: age, Stalled: age > g.cfg.StallThreshold}
+			if lh.Stalled {
+				h.Healthy = false
+			}
+			h.BusyLanes = append(h.BusyLanes, lh)
 		}
-		read(&sh.burst, si, -1)
 	}
 	return h
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ruleset"
 	"repro/internal/traffic"
 )
@@ -169,7 +170,7 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, BatchPackets: 8}, c.emit)
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2}, c.emit)
 
 	// Interleave: a datagram between stream segments; record each
 	// datagram's ingest seq and distinct UDP tuple.
@@ -178,17 +179,27 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 		seq   int
 		data  []byte
 	}
-	var sent []dgram
+	// Every datagram goes in twice: under its own tuple, and again under
+	// one tuple shared by all of them (train) — one sender's datagrams are
+	// pinned to one lane, so they must come out in ingest order.
+	one := FiveTuple{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 39999, DstPort: 53, Proto: ProtoUDP}
+	var sent, train []dgram
 	seq := 0
+	send := func(tup FiveTuple, data []byte, to *[]dgram) {
+		t.Helper()
+		if err := gw.Ingest(GatewayPacket{Tuple: tup, Payload: data}); err != nil {
+			t.Fatal(err)
+		}
+		*to = append(*to, dgram{tuple: tup, seq: seq, data: data})
+		seq++
+	}
 	di := 0
 	for _, p := range w.Packets {
 		if di < len(dgrams) {
-			tup := FiveTuple{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: uint16(40000 + di), DstPort: 53, Proto: ProtoUDP}
-			if err := gw.Ingest(GatewayPacket{Tuple: tup, Payload: dgrams[di].Payload}); err != nil {
-				t.Fatal(err)
-			}
-			sent = append(sent, dgram{tuple: tup, seq: seq, data: dgrams[di].Payload})
-			seq++
+			own := one
+			own.SrcPort = uint16(40000 + di)
+			send(own, dgrams[di].Payload, &sent)
+			send(one, dgrams[di].Payload, &train)
 			di++
 		}
 		if err := gw.Ingest(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}); err != nil {
@@ -220,12 +231,27 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 			}
 		}
 	}
-	st := gw.Stats()
-	if st.BatchPackets != uint64(len(sent)) || st.StreamPackets != uint64(len(w.Packets)) {
-		t.Fatalf("routing stats = %+v", st)
+	// One tuple's datagrams: each still an independent packet, and the
+	// sequence of all their matches is in ingest order.
+	got := c.byTuple[one]
+	for _, d := range train {
+		want := m.FindAll(d.data)
+		if len(got) < len(want) || !sameMatchSeq(got[:len(want)], want) {
+			t.Fatalf("one-tuple datagram seq %d: matches out of ingest order or wrong", d.seq)
+		}
+		for _, mt := range got[:len(want)] {
+			if mt.PacketID != d.seq {
+				t.Fatalf("one-tuple match %+v: PacketID %d, want %d", mt, mt.PacketID, d.seq)
+			}
+		}
+		got = got[len(want):]
 	}
-	if st.Batches == 0 {
-		t.Fatal("no bursts flushed")
+	if len(got) != 0 {
+		t.Fatalf("one-tuple datagrams emitted %d matches past the oracle", len(got))
+	}
+	st := gw.Stats()
+	if st.BatchPackets != uint64(len(sent)+len(train)) || st.StreamPackets != uint64(len(w.Packets)) {
+		t.Fatalf("routing stats = %+v", st)
 	}
 }
 
@@ -336,8 +362,8 @@ func TestGatewayBackpressureLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCollector()
-	// A tiny queue and burst size force constant backpressure stalls.
-	gw := testGateway(t, m, GatewayConfig{BatchPackets: 2, QueueDepth: 2, StreamWorkers: 1}, c.emit)
+	// A tiny queue forces constant backpressure stalls.
+	gw := testGateway(t, m, GatewayConfig{QueueDepth: 2, StreamWorkers: 1}, c.emit)
 	var wg sync.WaitGroup
 	const ingesters = 4
 	for gi := 0; gi < ingesters; gi++ {
@@ -488,10 +514,9 @@ func TestGatewayStreamLaneSteadyStateZeroAlloc(t *testing.T) {
 
 // TestGatewayFullPathSteadyStateZeroAlloc measures the whole data plane,
 // goroutines included: admission, the lane hop, the flow-table touch and
-// the scanner write for a TCP segment; admission, burst forming and the
-// engine's batch scan for a UDP datagram; and the Flush barrier. Once the
-// flow exists and the working sets are warm, none of it allocates — there
-// is no per-burst buffer to make.
+// the scanner write for a TCP segment; the same hop and the lane's in-place
+// scan for a UDP datagram; and the Flush barrier. Once the flow exists and
+// the lane's working set is warm, none of it allocates.
 func TestGatewayFullPathSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
@@ -520,7 +545,7 @@ func TestGatewayFullPathSteadyStateZeroAlloc(t *testing.T) {
 		}
 		gw.Flush()
 	}
-	round() // warm-up creates the flow and grows the burst scanner's working set
+	round() // warm-up creates the flow and grows the lane's working set
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
 		t.Fatalf("full path allocated %.1f times per TCP+UDP round in steady state", allocs)
 	}
@@ -617,10 +642,10 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCollector()
-	// Small queue and bursts keep every stage (and its backpressure)
-	// constantly active across all four shards.
+	// A small queue keeps every lane (and its backpressure) constantly
+	// active across all four shards.
 	gw := testGateway(t, m, GatewayConfig{
-		EngineShards: 4, BatchPackets: 4, QueueDepth: 4, StreamWorkers: 2,
+		EngineShards: 4, QueueDepth: 4, StreamWorkers: 2,
 	}, c.emit)
 	var wg sync.WaitGroup
 	const ingesters = 4
@@ -679,7 +704,7 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 	if int(st.Matches) != want {
 		t.Fatalf("matches = %d, oracle %d", st.Matches, want)
 	}
-	// The stateless bursts must actually have fanned out: with per-packet
+	// The stateless packets must actually have fanned out: with per-packet
 	// unique tuples and 400 UDP packets, all four shards see batch work.
 	busy := 0
 	var batchPkts uint64
@@ -761,5 +786,65 @@ func TestGatewayQuarantineHusk(t *testing.T) {
 	gw.EvictIdleFlows()
 	if st = step(0, "needle"); st.Matches != 4 || st.QuarantinedPackets != 4 {
 		t.Fatalf("tuple not inspected again after its husk was evicted: %+v", st)
+	}
+}
+
+// TestGatewayDatagramScanPanicContained: a stateless packet whose scan
+// panics (a nil group machine stands in for the scanner bug) is contained by
+// the lane that took it — there is no batch worker to contain it anywhere
+// else. The datagram's payload goes to the quarantine bucket, uncommitted to
+// any other; no flow is quarantined, because there is none; the lane's depth
+// comes back down, so the swap's drain barrier passes; and the same lane
+// scans the sender's next datagram with the swapped-in, healthy generation.
+func TestGatewayDatagramScanPanicContained(t *testing.T) {
+	rules := NewRuleset()
+	rules.MustAdd("p", []byte("needle"))
+	good, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := *good
+	poisoned.grouped = &core.Grouped{
+		Machines:   append(good.grouped.Machines[:1:1], nil),
+		Generation: good.Generation(),
+	}
+	healthy, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCollector()
+	gw := testGateway(t, &poisoned, GatewayConfig{StreamWorkers: 1}, c.emit)
+	defer gw.Close()
+	sender := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 53, Proto: ProtoUDP}
+	step := func(payload string) GatewayStats {
+		t.Helper()
+		if err := gw.Ingest(GatewayPacket{Tuple: sender, Payload: []byte(payload)}); err != nil {
+			t.Fatal(err)
+		}
+		gw.Flush()
+		st := gw.Stats()
+		if l := st.Ledger(); !l.Balanced() {
+			t.Fatalf("ledger after %q: %+v", payload, l)
+		}
+		return st
+	}
+
+	st := step("a needle")
+	if st.Panics != 1 || st.QuarantinedPackets != 1 || st.QuarantinedBytes != 8 ||
+		st.QuarantinedFlows != 0 || st.ScannedBytes != 0 || st.Matches != 0 || st.BatchPackets != 1 {
+		t.Fatalf("a panicking scan must cost exactly its datagram: %+v", st)
+	}
+	if h := gw.Health(); !h.Healthy || len(h.BusyLanes) != 0 {
+		t.Fatalf("containment left the lane busy or unhealthy: %+v", h)
+	}
+	if err := gw.SwapRules(healthy); err != nil {
+		t.Fatal(err)
+	}
+	st = step("needle!")
+	if st.Panics != 1 || st.QuarantinedBytes != 8 || st.ScannedBytes != 7 || st.Matches != 1 || st.BatchPackets != 2 {
+		t.Fatalf("the lane did not scan the next datagram: %+v", st)
+	}
+	if got, want := c.byTuple[sender], healthy.FindAll([]byte("needle!")); !sameMatchSeq(got, want) {
+		t.Fatalf("post-containment datagram: got %+v, want %+v", got, want)
 	}
 }

@@ -19,7 +19,7 @@
 //     invariants that keep the oracle computable (every original segment
 //     still delivered exactly once; a flow's SYN still first).
 //   - Scan path: PanicOnce / StallOnce wrap the gateway's emit callback —
-//     code that runs on the stream lanes and burst scanners themselves —
+//     code that runs on the gateway's lanes themselves —
 //     to detonate a panic or a stall at an exactly chosen match, the same
 //     place a scanner bug or a blocked consumer would.
 package chaos
@@ -172,10 +172,9 @@ func (in *Injector) Mangle(pcap []byte, n int) [][]byte {
 // PanicOnce wraps a gateway emit callback so that the first match
 // satisfying trigger panics — exactly once, however many lanes race past
 // it — and every other match forwards untouched. The panic fires on the
-// pipeline goroutine that produced the match (a stream lane for flow
-// matches, a burst scanner for stateless ones): the same stack a scanner
-// bug would blow up on, which is what the gateway's containment must
-// survive.
+// lane that produced the match, for a flow's matches and a stateless
+// packet's alike: the same stack a scanner bug would blow up on, which is
+// what the gateway's containment must survive.
 func PanicOnce(emit func(dpi.FlowMatch), trigger func(dpi.FlowMatch) bool) func(dpi.FlowMatch) {
 	var fired atomic.Bool
 	return func(m dpi.FlowMatch) {

@@ -39,7 +39,7 @@ import (
 // of Engines may be built over the same core.Grouped and run side by side —
 // the software analogue of the paper's replicated string matching blocks. A
 // front-end that keeps its own accounting (the gateway) needs no Engine at
-// all: it scans with FlowState and ScanBatch over the automaton directly.
+// all: it scans with FlowState over the automaton directly.
 type Engine struct {
 	g       *core.Grouped
 	workers int
@@ -131,123 +131,65 @@ func (e *Engine) ScanPackets(payloads [][]byte) [][]ac.Match {
 }
 
 // ScanPacketsInto is ScanPackets reusing results' backing array when it is
-// large enough; see ScanBatch, which it is plus the engine's accounting.
+// large enough, for callers that want steady-state batch scans free of
+// per-batch slice allocation. The per-packet match slices are still freshly
+// allocated — they are the scan's output and may be retained by the caller.
+// Nothing here recovers a panic: a batch runs for a caller that has no
+// packet to quarantine, and the gateway, which does, scans each packet on the
+// lane's own goroutine with FlowState.Write.
 func (e *Engine) ScanPacketsInto(payloads [][]byte, results [][]ac.Match) [][]ac.Match {
-	if len(payloads) > 0 {
-		e.batches.Add(1)
-		e.batchPkts.Add(uint64(len(payloads)))
-		var nbytes uint64
-		for _, p := range payloads {
-			nbytes += uint64(len(p))
-		}
-		e.batchBytes.Add(nbytes)
-	}
-	return ScanBatch(e.g, e.workers, payloads, results, nil)
-}
-
-// ScanBatch scans each payload as an independent packet over g, fanned out
-// across up to workers goroutines, and returns one match slice per payload
-// (see ScanPackets). It reuses results' backing array when it is large
-// enough, for callers (like a gateway scanning an endless burst sequence)
-// that want steady-state batch scans free of per-batch slice allocation. The
-// per-packet match slices are still freshly allocated — they are the scan's
-// output and may be retained by the caller.
-//
-// A non-nil contain arms per-payload panic containment: a panic while
-// scanning one payload (a scanner bug, a hostile input tripping an
-// invariant) is recovered inside the worker goroutine — where it would
-// otherwise kill the whole process — that payload's matches come back empty,
-// and contain observes the panic value. Nothing survives the panic to be
-// repaired: a worker's registers are locals, reset for every packet. contain
-// may run on several workers at once and must not itself panic.
-//
-// The streaming path (FlowState.Write) deliberately does NOT recover: a flow
-// runs on its caller's goroutine, so the caller (the gateway's stream lane)
-// recovers at a point where it still knows which flow to quarantine.
-func ScanBatch(g *core.Grouped, workers int, payloads [][]byte, results [][]ac.Match, contain func(v any)) [][]ac.Match {
 	if cap(results) >= len(payloads) {
 		results = results[:len(payloads)]
-		for i := range results {
-			results[i] = nil
-		}
+		clear(results)
 	} else {
 		results = make([][]ac.Match, len(payloads))
 	}
 	if len(payloads) == 0 {
 		return results
 	}
-	if workers > len(payloads) {
-		workers = len(payloads)
+	e.batches.Add(1)
+	e.batchPkts.Add(uint64(len(payloads)))
+	var nbytes uint64
+	for _, p := range payloads {
+		nbytes += uint64(len(p))
 	}
-	if workers <= 1 {
-		if contain == nil {
-			// The dedicated inline loop (no shared counter, no recover
-			// scope) is what the zero-alloc steady-state contract pins.
-			var buf []ac.Match
-			for i, p := range payloads {
-				results[i], buf = scanPacket(g, p, buf)
-			}
-			return results
-		}
-		var next atomic.Int64
-		scanLoop(g, payloads, results, &next, contain)
+	e.batchBytes.Add(nbytes)
+	if workers := min(e.workers, len(payloads)); workers > 1 {
+		// The goroutine fan-out lives in its own function so its closure does
+		// not capture this function's parameters: a captured `results` would
+		// be moved to the heap on every call, including the single-worker
+		// ones whose zero-alloc steady state is pinned.
+		scanParallel(e.g, payloads, results, workers)
 		return results
 	}
-	// The goroutine fan-out lives in its own function so its closure does not
-	// capture this function's parameters: a captured `results` would be
-	// moved to the heap on every call, including single-worker gateways in
-	// their zero-alloc steady state.
-	scanParallel(g, payloads, results, workers, contain)
+	var buf []ac.Match
+	for i, p := range payloads {
+		results[i], buf = scanPacket(e.g, p, buf)
+	}
 	return results
 }
 
 // scanParallel shards payloads over workers goroutines via a shared
 // counter; workers write disjoint results indices, so no synchronization
 // beyond the WaitGroup is needed.
-func scanParallel(g *core.Grouped, payloads [][]byte, results [][]ac.Match, workers int, contain func(any)) {
+func scanParallel(g *core.Grouped, payloads [][]byte, results [][]ac.Match, workers int) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scanLoop(g, payloads, results, &next, contain)
-		}()
-	}
-	wg.Wait()
-}
-
-// scanLoop drains payload indices from the shared counter until exhausted.
-// With containment armed, the drain runs in recoverable segments: a panic
-// ends one segment and the loop resumes with the next payload — so one
-// hostile payload costs exactly its own matches, never the batch or the
-// process.
-func scanLoop(g *core.Grouped, payloads [][]byte, results [][]ac.Match, next *atomic.Int64, contain func(any)) {
-	for scanSome(g, payloads, results, next, contain) {
-	}
-}
-
-// scanSome is one segment of scanLoop's drain: it reports true when a panic
-// was contained (the caller resumes the drain) and false when the counter
-// is exhausted. The panicking payload's results slot keeps the nil that
-// ScanBatch pre-cleared — no matches.
-func scanSome(g *core.Grouped, payloads [][]byte, results [][]ac.Match, next *atomic.Int64, contain func(any)) (contained bool) {
-	if contain != nil {
-		defer func() {
-			if v := recover(); v != nil {
-				contain(v)
-				contained = true
+			var buf []ac.Match
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(payloads) {
+					return
+				}
+				results[i], buf = scanPacket(g, payloads[i], buf)
 			}
 		}()
 	}
-	var buf []ac.Match
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= len(payloads) {
-			return false
-		}
-		results[i], buf = scanPacket(g, payloads[i], buf)
-	}
+	wg.Wait()
 }
 
 // FlowState is one flow's streaming scan state, by value: one register file

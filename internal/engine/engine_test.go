@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/ac"
@@ -228,30 +227,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestScanBatchContainsPanics pins the containment contract a gateway's
-// burst scanner relies on: with contain armed, a payload whose scan panics
-// costs its own matches only — the drain resumes with the next payload, on
-// one worker or several — and every panic is observed exactly once. A nil
-// group machine makes every payload panic.
-func TestScanBatchContainsPanics(t *testing.T) {
-	g := buildGrouped(t, 50, 1)
-	poisoned := &core.Grouped{Machines: append(g.Machines[:1:1], nil)}
-	payloads := [][]byte{[]byte("abcd"), []byte("efghij"), nil, []byte("k")}
-	for _, workers := range []int{1, 3} {
-		var contained atomic.Int64
-		results := ScanBatch(poisoned, workers, payloads, nil, func(any) { contained.Add(1) })
-		if got := contained.Load(); got != int64(len(payloads)) {
-			t.Fatalf("workers=%d: contained %d panics, want %d", workers, got, len(payloads))
-		}
-		for i, ms := range results {
-			if ms != nil {
-				t.Fatalf("workers=%d: poisoned payload %d kept matches %+v", workers, i, ms)
-			}
-		}
-	}
-}
-
-// TestScanPacketsIntoSteadyStateZeroAlloc locks in the batch lane's
+// TestScanPacketsIntoSteadyStateZeroAlloc locks in the batch scan's
 // contract: with a single worker (no goroutine fan-out) and a reused
 // results buffer, a match-free burst costs zero allocations per batch.
 // (Packets with matches still allocate their exact-size output slices —

@@ -20,7 +20,7 @@ import (
 )
 
 // Healthz returns the gateway's liveness endpoint: 200 with a JSON
-// GatewayHealth body while no lane or burst scanner is stalled, 503 (same
+// GatewayHealth body while no lane is stalled, 503 (same
 // body) once the watchdog sees work older than StallThreshold on one. Mount
 // it at /healthz next to Metrics at /metrics.
 func (g *Gateway) Healthz() http.Handler {
@@ -89,8 +89,7 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 	counter("dpi_gateway_stream_packets_total",
 		"Packets routed through per-flow stream state (TCP).", s.StreamPackets)
 	counter("dpi_gateway_batch_packets_total",
-		"Packets scanned statelessly in bursts (UDP and other IP).", s.BatchPackets)
-	counter("dpi_gateway_batches_total", "Bursts handed to the batch scanners.", s.Batches)
+		"Stateless packets a lane took: per-packet verdict, scanned whole (UDP and other IP).", s.BatchPackets)
 	counter("dpi_gateway_matches_total", "FlowMatches emitted.", s.Matches)
 
 	counter("dpi_gateway_reassembled_bytes_total",
@@ -118,7 +117,7 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 		"Configured overload policy (see GatewayConfig.OverloadPolicy); value is always 1.")
 	w.Sample(1, metrics.Label{Name: "policy", Value: g.cfg.OverloadPolicy.String()})
 	counter("dpi_gateway_scanned_bytes_total",
-		"Payload bytes delivered to a scanner (stream + burst) — the Scanned ledger bucket.", s.ScannedBytes)
+		"Payload bytes delivered to a scanner (stream + stateless) — the Scanned ledger bucket.", s.ScannedBytes)
 	counter("dpi_gateway_shed_packets_total",
 		"Packets shed at admission under a shedding overload policy.", s.ShedPackets)
 	counter("dpi_gateway_shed_bytes_total",
@@ -152,9 +151,9 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 		}
 	}
 	gauge("dpi_gateway_stalled_lanes",
-		"Stream lanes and burst scanners whose queued work is older than StallThreshold right now.", float64(stalled))
+		"Lanes whose queued work is older than StallThreshold right now.", float64(stalled))
 	w.Metric("dpi_gateway_lane_max_age_seconds", "gauge",
-		"Age of the oldest un-progressed work across busy lanes and burst scanners (0 when all are idle).")
+		"Age of the oldest un-progressed work across busy lanes (0 when all are idle).")
 	w.Sample(oldest)
 
 	w.Metric("dpi_gateway_verdicts_total", "counter",
@@ -173,7 +172,7 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 	// long-lived connections pinning it — the series the reload runbook
 	// alerts on.
 	gauge("dpi_ruleset_generation",
-		"Installed ruleset generation new flows and bursts scan with.", float64(s.Generation))
+		"Installed ruleset generation new flows and stateless packets scan with.", float64(s.Generation))
 	counter("dpi_ruleset_swaps_total", "Successful SwapRules hot reloads.", s.RulesetSwaps)
 	counter("dpi_ruleset_generations_installed_total",
 		"Ruleset generations ever installed (the initial one included).", s.GenerationsInstalled)
@@ -205,8 +204,6 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 			w.Sample(float64(field(es)), metrics.Label{Name: "shard", Value: strconv.Itoa(i)})
 		}
 	}
-	perShard("dpi_engine_batches_total", "Stateless scan batches per engine shard.",
-		func(es EngineStats) uint64 { return es.Batches })
 	perShard("dpi_engine_batch_packets_total", "Stateless payloads scanned per engine shard.",
 		func(es EngineStats) uint64 { return es.BatchPkts })
 	perShard("dpi_engine_batch_bytes_total", "Stateless payload bytes scanned per engine shard.",

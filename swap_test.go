@@ -114,7 +114,7 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 
 	c := newCollector()
 	gw := testGateway(t, waves[0].m,
-		GatewayConfig{EngineShards: shards, StreamWorkers: 2, BatchPackets: 4}, c.emit)
+		GatewayConfig{EngineShards: shards, StreamWorkers: 2}, c.emit)
 	if got := gw.Generation(); got != waves[0].m.Generation() {
 		t.Fatalf("initial generation %d, matcher has %d", got, waves[0].m.Generation())
 	}
@@ -285,10 +285,11 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 	}
 }
 
-// TestSwapBurstCutover checks the stateless path: datagrams ingested
-// after a swap are scanned by the new generation — matches equal the new
-// matcher's FindAll, including for a UDP tuple already seen before the
-// swap (bursts carry no pin; they cut over at batch boundaries).
+// TestSwapBurstCutover checks stateless packets across a swap: datagrams
+// ingested after it are scanned by the new generation — matches equal the
+// new matcher's FindAll, including for a UDP tuple already seen before the
+// swap (a datagram carries no pin; it scans with the generation current
+// when its lane dequeued it, and the swap waits every lane out).
 func TestSwapBurstCutover(t *testing.T) {
 	mA, setA := gatewayMatcher(t, 150, 1)
 	mB, _ := gatewayMatcher(t, 180, 2)
@@ -303,7 +304,7 @@ func TestSwapBurstCutover(t *testing.T) {
 			SrcPort: uint16(50000 + i), DstPort: 53, Proto: ProtoUDP}
 	}
 	c := newCollector()
-	gw := testGateway(t, mA, GatewayConfig{StreamWorkers: 2, EngineShards: 2, BatchPackets: 4}, c.emit)
+	gw := testGateway(t, mA, GatewayConfig{StreamWorkers: 2, EngineShards: 2}, c.emit)
 	half := len(dgrams) / 2
 	for i, d := range dgrams[:half] {
 		if err := gw.Ingest(GatewayPacket{Tuple: tup(i), Payload: d.Payload}); err != nil {
@@ -379,7 +380,7 @@ func TestSwapUnderConcurrentLoad(t *testing.T) {
 	}
 
 	gw := testGateway(t, matchers[0],
-		GatewayConfig{EngineShards: 2, StreamWorkers: 2, BatchPackets: 8}, func(FlowMatch) {})
+		GatewayConfig{EngineShards: 2, StreamWorkers: 2}, func(FlowMatch) {})
 	gm := gw.Metrics()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -560,7 +561,7 @@ func FuzzSwapEquivalence(f *testing.F) {
 		}
 		c := newCollector()
 		gw := testGateway(t, mA,
-			GatewayConfig{EngineShards: 2, StreamWorkers: 2, BatchPackets: 2}, c.emit)
+			GatewayConfig{EngineShards: 2, StreamWorkers: 2}, c.emit)
 
 		const nflows = 3
 		tup := func(i int) FiveTuple {
