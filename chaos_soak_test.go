@@ -536,10 +536,10 @@ func soakDatagramEmitPanic(t *testing.T, m *dpi.Matcher, set *ruleset.Set, shard
 }
 
 // TestChaosSoakPanicQuarantineUnderEviction runs containment under capacity
-// pressure: the flow table holds a fraction of the live connections, so
-// lanes on other shards evict flows continuously — ones holding reordered
+// pressure: the lanes' flow tables hold a fraction of the live connections,
+// so every lane evicts flows continuously — ones holding reordered
 // bytes included — while every fifth match panics on the lane that found it.
-// A quarantine happens inside the panicking flow's entry lock, so no
+// A quarantine happens before the lane touches its table again, so no
 // eviction can slip between the panic and the charge: the ledger must
 // balance at every drained checkpoint, and every recovered panic must be on
 // exactly one shard's counter.
@@ -557,15 +557,15 @@ func TestChaosSoakPanicQuarantineUnderEviction(t *testing.T) {
 	var matches atomic.Uint64
 	gw := soakGateway(t, m, dpi.GatewayConfig{
 		EngineShards: 4, StreamWorkers: 2, QueueDepth: 8,
-		MaxFlows: 8, FlowShards: 2,
+		MaxFlows: 8,
 	}, func(dpi.FlowMatch) {
 		if matches.Add(1)%5 == 0 {
 			panic("chaos: injected scan-path panic")
 		}
 	})
 	for round := 0; round < 4; round++ {
-		// Four feeders interleave the storm, so lanes on every shard touch
-		// (and evict from) the two table shards at once.
+		// Four feeders interleave the storm, so every lane is creating in
+		// (and evicting from) its one-flow table at once.
 		var wg sync.WaitGroup
 		for f := 0; f < 4; f++ {
 			wg.Add(1)

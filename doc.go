@@ -73,7 +73,7 @@
 //     results and accounting, observable through
 //     ShardStats. There is one kind of lane: it scans a non-TCP packet
 //     whole, in place, under a per-packet verdict, and demultiplexes a TCP
-//     packet through a sharded 5-tuple flow table into per-flow scanner
+//     packet through its own 5-tuple flow table into per-flow scanner
 //     state, so one tuple's packets — segments or datagrams — are always
 //     scanned in ingest order. Segments tagged FlagSeq pass through
 //     TCP reassembly first (configurable overlap policy, bounded per-flow

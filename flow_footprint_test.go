@@ -13,10 +13,10 @@ import (
 )
 
 // flowHeapCeiling is what one live TCP flow may cost the heap, everything
-// counted: flow-table entry, map slot and the flow record (273 B measured),
+// counted: flow-table entry, map slot and the flow record (261 B measured),
 // with headroom for the map's growth phase. OPERATIONS.md's "Sizing memory"
 // runbook quotes the measured figure; this is the gate.
-const flowHeapCeiling = 320
+const flowHeapCeiling = 304
 
 // liveHeap is the heap in use after the collector has settled: twice,
 // because a finalizer or pool emptied by the first cycle frees on the second.
@@ -195,9 +195,10 @@ func TestGatewayConnectionCycleAllocs(t *testing.T) {
 }
 
 // TestGatewaySynReopenRacesEviction: a SYN re-opens a husk by resetting the
-// live record in place, under its entry lock, while capacity and idle
-// eviction release records from every other goroutine and an audit sweep
-// reads them. Each feeder cycles whole connections over its own tuples
+// live record in place, on its lane, while capacity eviction releases
+// records on every lane and a control-plane goroutine keeps stopping the
+// world to evict idle ones and audit the rest (a quiesced walk of the lane
+// tables). Each feeder cycles whole connections over its own tuples
 // through a table far too small for them; whatever was evicted when, every
 // connection's signature is found exactly once, the ledger balances, and
 // every record caught mid-connection carries its pinned generation's tag.
@@ -212,7 +213,7 @@ func TestGatewaySynReopenRacesEviction(t *testing.T) {
 	var matches atomic.Uint64
 	gw := testGateway(t, m, GatewayConfig{
 		EngineShards: 2, StreamWorkers: 2, QueueDepth: 8,
-		MaxFlows: 6, FlowShards: 2, IdleTimeout: 16,
+		MaxFlows: 6, IdleTimeout: 16,
 	}, func(FlowMatch) { matches.Add(1) })
 
 	const feeders, tuplesEach, cycles = 4, 6, 60
@@ -250,7 +251,7 @@ func TestGatewaySynReopenRacesEviction(t *testing.T) {
 			default:
 			}
 			gw.EvictIdleFlows()
-			gw.table.Range(func(k FiveTuple, fl *gwFlow) {
+			gw.rangeFlows(func(k FiveTuple, fl *gwFlow) {
 				if fl.gen != nil && fl.st.Generation() != fl.gen.id {
 					t.Errorf("flow %v registers tagged generation %d, pinned to %d", k, fl.st.Generation(), fl.gen.id)
 				}

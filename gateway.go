@@ -19,8 +19,10 @@ package dpi
 // GatewayConfig.EngineShards is the software analogue — M independent
 // shards (each one state block: its lanes, admission gate, queue depths and
 // counters) over the one immutable compiled automaton,
-// with every flow and stateless packet pinned to a shard by the same tuple
-// hash that pins lanes and flow-table shards. A packet's bookkeeping lands
+// with every flow and stateless packet pinned to a shard, and to one of its
+// lanes, by the tuple hash. A lane owns the flows pinned to it — its own
+// single-writer flow table, as each of the paper's engines owns the registers
+// of the packet it holds — so a packet's bookkeeping lands
 // on its own shard's block and nowhere else — the ingest sequence number is
 // the one gateway-wide write on the packet path — and every read surface
 // (Stats, ShardStats, Health, the Flush barrier) is a summing walk over the
@@ -272,19 +274,25 @@ type GatewayConfig struct {
 	// distinct tuples scan in parallel. Default GOMAXPROCS — one lane per
 	// available core.
 	StreamWorkers int
-	// MaxFlows softly caps live flow state: when exceeded, the
+	// MaxFlows caps live flow state. Every lane owns the flows pinned to it
+	// and holds at most ceil(MaxFlows/lanes) of them, lanes being
+	// EngineShards × StreamWorkers: past that, the lane's
 	// least-recently-active flows are evicted, records and all. The live
-	// count stays within MaxFlows plus the table's shard count; what a
-	// flow costs is in OPERATIONS.md ("Sizing memory"). Default 65536;
-	// negative disables.
+	// count therefore stays under MaxFlows + lanes, and a lane that draws
+	// more than its share of the tuples starts evicting before the gateway
+	// as a whole holds MaxFlows. What a flow costs is in OPERATIONS.md
+	// ("Sizing memory"). Default 65536; negative disables.
 	MaxFlows int
-	// IdleTimeout evicts a flow after this many table-wide stream packets
-	// pass without it seeing one (a logical clock, deterministic and
+	// IdleTimeout evicts a flow after this many stream packets pass through
+	// the gateway without it seeing one (a logical clock, deterministic and
 	// load-proportional — a line-rate gateway experiences time in packets).
+	// Each lane keeps the clock for its own flows, advancing it by the lane
+	// count per stream packet it handles: with one lane, or traffic spread
+	// evenly over several, that is exactly gateway-wide packets; a lane
+	// drawing less than its share ages its flows proportionally more slowly,
+	// and an idle lane not at all (EvictIdleFlows judges by the same clocks).
 	// 0 disables idle eviction.
 	IdleTimeout int
-	// FlowShards is the flow table's lock-shard count. Default 64.
-	FlowShards int
 
 	// OverlapPolicy resolves overlapping TCP segments in the reassembly
 	// buffer. Default FirstWins.
@@ -297,8 +305,9 @@ type GatewayConfig struct {
 	// Default 16 MiB; negative disables the cap (held bytes are still
 	// tracked for Stats.BufferedBytes).
 	MaxTotalBuffer int
-	// GapTimeout is how many stream packets (gateway-wide, the same
-	// logical clock as IdleTimeout) a flow may stall on a missing segment
+	// GapTimeout is how many stream packets (through the gateway, on the
+	// flow's lane's clock — the same unit and skew as IdleTimeout) a flow
+	// may stall on a missing segment
 	// before the gap is skipped: scanner state is invalidated across the
 	// unseen bytes and scanning resumes at the first buffered byte, so a
 	// single lost segment cannot wedge a flow. Default 4096; negative
@@ -371,7 +380,7 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 // Gateway is a two-stage ingestion front-end over one or more engine
 // shards: admission, on the caller's goroutine, sends each packet straight
 // to the bounded lane queue its tuple hash pins it to. A lane runs a TCP
-// packet through the shared 5-tuple flow table (header-rule verdict and TCP
+// packet through its own 5-tuple flow table (header-rule verdict and TCP
 // reassembly ahead of the flow's scanner registers) and scans a stateless
 // packet whole, from start-of-packet registers, under a per-packet verdict.
 //
@@ -388,7 +397,6 @@ type Gateway struct {
 	emit func(FlowMatch)
 
 	shards []*gwEngineShard
-	table  *flowtable.Table[*gwFlow]
 	asmCfg reassembly.Config // shared by every flow's reassembly stream, by pointer
 
 	// closed is guarded by the shards' admission gates: Ingest reads it
@@ -429,16 +437,15 @@ type Gateway struct {
 
 // gwEngineShard is one scan replica — the software string matching block —
 // and the one owner of everything its goroutines touch: the hash-pinned
-// lane queues, one laneState per queue (the watchdog's view and the drain
-// barrier's count in one), the admission gate and the counter block. A
+// lanes (each its queue, its depth and watchdog state, and the table of the
+// flows pinned to it), the admission gate and the counter block. A
 // packet pinned to this shard is accounted here and nowhere else, so shards
-// share no written cache line on the packet path beyond Gateway.seq and the
-// flow table's own clock. What a shard scans *with* is not its state: a lane
+// share no written cache line on the packet path beyond Gateway.seq. What a
+// shard scans *with* is not its state: a lane
 // looks the matcher up through the flow's pinned generation, or through the
 // current one for a stateless packet.
 type gwEngineShard struct {
-	streamQ []chan seqPacket
-	lanes   []laneState // queue depth and watchdog state, parallel to streamQ
+	lanes []*gwLane
 	// rules holds the per-rule counters, indexed by the rule's position in
 	// cfg.Rules (not its ID — IDs may be sparse). Fixed-size and allocated
 	// at construction, so counting a verdict or an attributed match is one
@@ -482,52 +489,58 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 		Budget:       reassembly.NewBudget(limit),
 		GapTimeout:   uint64(cfg.GapTimeout),
 	}
-	g.table = flowtable.New(flowtable.Config[*gwFlow]{
-		New: func(k flowtable.Key) *gwFlow {
-			fl := &gwFlow{}
-			v, idx := g.classify(k)
-			fl.verdict, fl.ruleIdx = v, int32(idx)
-			if v == VerdictNone || v == VerdictAlert {
-				fl.open(g, g.shards[g.shardIndex(k)])
-			}
-			return fl
-		},
-		Evict:     func(k flowtable.Key, fl *gwFlow) { fl.release(g, g.shards[g.shardIndex(k)]) },
-		MaxFlows:  cfg.MaxFlows,
-		IdleTicks: uint64(cfg.IdleTimeout),
-		Shards:    cfg.FlowShards,
-	})
 	gen0 := &gwGeneration{id: m.Generation(), m: m}
 	g.cur.Store(gen0)
 	g.gens = []*gwGeneration{gen0}
 	g.gensInstall.Store(1)
+	lanes := cfg.EngineShards * cfg.StreamWorkers
 	g.shards = make([]*gwEngineShard, cfg.EngineShards)
 	for s := range g.shards {
 		sh := &gwEngineShard{
-			streamQ: make([]chan seqPacket, cfg.StreamWorkers),
-			lanes:   make([]laneState, cfg.StreamWorkers),
-			rules:   make([]gwRuleCounters, len(cfg.Rules)),
+			lanes: make([]*gwLane, cfg.StreamWorkers),
+			rules: make([]gwRuleCounters, len(cfg.Rules)),
 		}
 		g.shards[s] = sh
-		for w := range sh.streamQ {
-			// QueueDepth split across the shard's lanes, rounded up.
-			q := make(chan seqPacket, (cfg.QueueDepth+cfg.StreamWorkers-1)/cfg.StreamWorkers)
-			sh.streamQ[w] = q
+		for w := range sh.lanes {
+			ln := &gwLane{
+				g: g, sh: sh,
+				// QueueDepth split across the shard's lanes, rounded up.
+				q: make(chan seqPacket, (cfg.QueueDepth+cfg.StreamWorkers-1)/cfg.StreamWorkers),
+			}
+			ln.table = flowtable.New(flowtable.Config[*gwFlow]{
+				New: func(k flowtable.Key) *gwFlow {
+					fl := &gwFlow{}
+					v, idx := g.classify(k)
+					fl.verdict, fl.ruleIdx = v, int32(idx)
+					if v == VerdictNone || v == VerdictAlert {
+						fl.open(g, sh)
+					}
+					return fl
+				},
+				Evict:     func(_ flowtable.Key, fl *gwFlow) { fl.release(g, sh) },
+				MaxFlows:  (cfg.MaxFlows + lanes - 1) / lanes,
+				IdleTicks: uint64(cfg.IdleTimeout),
+				Tick:      uint64(lanes),
+			})
+			sh.lanes[w] = ln
 			g.workerWg.Add(1)
-			go g.streamWorker(&gwLane{g: g, sh: sh, ls: &sh.lanes[w]}, q)
+			go ln.run()
 		}
 	}
 	return g, nil
 }
 
-// shardIndex returns the engine shard owning key — the same hash-derived
-// pinning admission routes by, so a flow is opened on (and counted by) the
-// shard whose lane scans it.
-func (g *Gateway) shardIndex(k FiveTuple) int {
-	if len(g.shards) == 1 {
-		return 0
+// eachLane runs fn on every lane with the pipeline quiesced — the one way the
+// control plane touches the lanes' flow tables: every lane is idle behind the
+// drain barrier, so the caller is each table's only writer until resume.
+func (g *Gateway) eachLane(fn func(*gwLane)) {
+	g.quiesce()
+	defer g.resume()
+	for _, sh := range g.shards {
+		for _, ln := range sh.lanes {
+			fn(ln)
+		}
 	}
-	return int(k.Hash64() % uint64(len(g.shards)))
 }
 
 // Close drains the pipeline: it stops accepting packets, waits for the
@@ -535,25 +548,37 @@ func (g *Gateway) shardIndex(k FiveTuple) int {
 // idempotent.
 func (g *Gateway) Close() error {
 	g.quiesce()
-	wasClosed := g.closed
-	g.closed = true
-	g.resume()
-	if wasClosed {
+	defer g.resume()
+	if g.closed {
 		return nil
 	}
-	// closed was set with every gate held, so no TryIngest — the only
-	// sender — is inside a channel operation and none can start one.
+	g.closed = true
+	// Every gate is held and every queue is drained, so no TryIngest — the
+	// only sender — is inside a channel operation and none can start one.
 	for _, sh := range g.shards {
-		for _, q := range sh.streamQ {
-			close(q)
+		for _, ln := range sh.lanes {
+			close(ln.q)
 		}
 	}
 	g.workerWg.Wait()
-	g.table.Close()
+	for _, sh := range g.shards {
+		for _, ln := range sh.lanes {
+			ln.table.Close()
+			ln.publishFlows()
+		}
+	}
 	return nil
 }
 
 // EvictIdleFlows exhaustively evicts flows beyond the configured
 // IdleTimeout (the pipeline also evicts opportunistically as packets
-// arrive) and returns how many were evicted.
-func (g *Gateway) EvictIdleFlows() int { return g.table.EvictIdle() }
+// arrive) and returns how many were evicted. Like Flush it drains the
+// pipeline first and holds Ingest off meanwhile.
+func (g *Gateway) EvictIdleFlows() int {
+	n := 0
+	g.eachLane(func(ln *gwLane) {
+		n += ln.table.EvictIdle()
+		ln.publishFlows()
+	})
+	return n
+}

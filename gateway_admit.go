@@ -10,8 +10,7 @@ import (
 type seqPacket struct {
 	tuple   FiveTuple
 	payload []byte
-	seq     int    // global ingest sequence number (PacketID attribution)
-	hash    uint64 // Tuple.Hash64, the single source of shard/lane/table pinning
+	seq     int // global ingest sequence number (PacketID attribution)
 	seq32   uint32
 	flags   TCPFlags
 	// gap is the flow's accumulated shed-gap, claimed at admission time.
@@ -39,9 +38,8 @@ func (g *Gateway) Ingest(pkt GatewayPacket) error {
 // TCP segment additionally arms a scanner gap so the exactness contract
 // holds over the bytes that were delivered.
 func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
-	// The tuple hash drives every pinning decision (engine shard, lane,
-	// flow-table shard), so it is computed once here, on the caller's
-	// goroutine, and carried with the packet.
+	// The tuple hash drives both pinning decisions (engine shard, lane), so
+	// it is computed once here, on the caller's goroutine.
 	pol := g.cfg.OverloadPolicy
 	tcp := pkt.Tuple.Proto == ProtoTCP
 	h := pkt.Tuple.Hash64()
@@ -54,11 +52,33 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 	}
 	seq := g.seq.Add(1) - 1
 	sh.n[cBytes].Add(uint64(len(pkt.Payload)))
-	p := seqPacket{tuple: pkt.Tuple, payload: pkt.Payload, seq: int(seq), hash: h, seq32: pkt.Seq, flags: pkt.Flags}
+	p := seqPacket{tuple: pkt.Tuple, payload: pkt.Payload, seq: int(seq), seq32: pkt.Seq, flags: pkt.Flags}
 	if tcp && pkt.Flags&FlagSeq == 0 {
 		// Claim any gap earlier sheds left for this flow, in admission
 		// order. One atomic load until something has actually been shed.
 		p.gap = g.takePendingGap(pkt.Tuple)
+	}
+	// One routing rule for every protocol. Dividing out the shard index
+	// decorrelates the lane choice from the shard choice when their counts
+	// share factors; with one shard it reduces to hash%lanes.
+	ln := sh.lanes[(h/nshards)%uint64(len(sh.lanes))]
+	// The lane's depth is raised across the (possibly blocking) send: a
+	// concurrent Flush cannot declare the shard drained while this packet
+	// may still slip in (TryIngest holds the gate shared, Flush takes it
+	// exclusively), and the watchdog is stamped on the empty→busy edge so a
+	// queue that is never dequeued shows its true stall age.
+	if ln.depth.Add(1) == 1 {
+		ln.lastProgress.Store(time.Now().UnixNano())
+	}
+	if pol == Block {
+		ln.q <- p
+		return true, nil
+	}
+	// Shedding admission: try without waiting.
+	select {
+	case ln.q <- p:
+		return true, nil
+	default:
 	}
 	newFlow := false
 	if pol == ShedNewFlows {
@@ -66,41 +86,27 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 		// already under inspection is never starved mid-stream. Only
 		// packets that would create state (unknown TCP tuples, stateless
 		// traffic) are sheddable, so overload cannot grow the flow table.
-		newFlow = !tcp || !g.table.Has(pkt.Tuple, h)
+		// Asked only now that the queue is full, and of the lane's table
+		// through the one method it answers from a foreign goroutine; the
+		// answer must be exact, because a fresh tuple taken for established
+		// would block here behind a stalled lane.
+		newFlow = !tcp || !ln.table.Has(pkt.Tuple)
+		if !newFlow {
+			ln.q <- p
+			return true, nil
+		}
 	}
-	// One routing rule for every protocol. Dividing out the shard index
-	// decorrelates the lane choice from the shard choice when their counts
-	// share factors; with one shard it reduces to hash%lanes.
-	lane := (h / nshards) % uint64(len(sh.streamQ))
-	q, ls := sh.streamQ[lane], &sh.lanes[lane]
-	// The queue's depth is raised across the (possibly blocking) send: a
-	// concurrent Flush cannot declare the shard drained while this packet
-	// may still slip in (TryIngest holds the gate shared, Flush takes it
-	// exclusively), and the watchdog is stamped on the empty→busy edge so a
-	// queue that is never dequeued shows its true stall age.
-	if ls.depth.Add(1) == 1 {
-		ls.lastProgress.Store(time.Now().UnixNano())
-	}
-	if pol == Block || (pol == ShedNewFlows && !newFlow) {
-		q <- p
-		return true, nil
-	}
-	// Shedding admission: try without waiting, then wait out the deadline.
-	select {
-	case q <- p:
-		return true, nil
-	default:
-	}
+	// Then wait out the deadline.
 	if d := g.cfg.IngestDeadline; d > 0 {
 		t := time.NewTimer(d)
 		select {
-		case q <- p:
+		case ln.q <- p:
 			t.Stop()
 			return true, nil
 		case <-t.C:
 		}
 	}
-	ls.depth.Add(-1)
+	ln.depth.Add(-1)
 	g.shed(sh, p, newFlow)
 	return false, nil
 }
@@ -170,8 +176,8 @@ func (g *Gateway) quiesce() {
 		sh.gate.Lock()
 	}
 	for _, sh := range g.shards {
-		for i := range sh.lanes {
-			sh.lanes[i].drain()
+		for _, ln := range sh.lanes {
+			ln.drain()
 		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 // GatewayStats field (summed across shards) or an EngineStats field of the
 // owning shard — none dropped, none mapped twice (EngineStats.Batches aside:
 // a shard scans each datagram on its own, so it is BatchPkts' documented
-// alias and is checked as one). It writes a distinct
+// alias and is checked as one; and GatewayStats.FlowsEvicted is the sum of
+// the three eviction-reason slots, which Metrics labels apart). It writes a distinct
 // value into each slot of one shard's block on an idle two-shard gateway
 // and looks for each value by reflection, so a slot added without a mapping
 // (or a field fed from two slots) fails here. The same values must then
@@ -57,7 +58,14 @@ func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
 		return seen
 	}
 	seen := surfaced()
+	evicted := sh.n[cFlowsEvictedCap].Load() + sh.n[cFlowsEvictedIdle].Load() + sh.n[cFlowsRemoved].Load()
+	if fields := seen[evicted]; len(fields) != 1 || fields[0] != "GatewayStats.FlowsEvicted" {
+		t.Errorf("eviction-reason slots sum to %d, surfaced in %v, want exactly FlowsEvicted", evicted, fields)
+	}
 	for v, c := range slot {
+		if c == cFlowsEvictedCap || c == cFlowsEvictedIdle || c == cFlowsRemoved {
+			continue
+		}
 		if fields := seen[v]; len(fields) != 1 {
 			t.Errorf("counter slot %d surfaced in %d public fields %v, want exactly 1", c, len(fields), fields)
 		}

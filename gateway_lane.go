@@ -5,6 +5,7 @@ package dpi
 import (
 	"repro/internal/ac"
 	"repro/internal/engine"
+	"repro/internal/flowtable"
 	"repro/internal/reassembly"
 )
 
@@ -50,9 +51,10 @@ func (g *Gateway) notifyVerdict(sh *gwEngineShard, t FiveTuple, v Verdict, idx i
 // nothing else — no scanner object, no closure, no match buffer: the lane
 // that owns the flow's packets scans into its own scratch (gwLane.matches)
 // and emits with the record's fields. What identifies the flow — its tuple,
-// its shard, its gateway — is not repeated here; the lane passes it in. All
-// methods run under the flow-table entry lock, so a gwFlow is effectively
-// single-goroutine.
+// its shard, its gateway — is not repeated here; the lane passes it in. The
+// record sits in its lane's flow table and every method runs on whichever
+// goroutine owns that table at the time — the lane, or the control plane
+// while the lanes are quiesced — so a gwFlow is single-goroutine.
 type gwFlow struct {
 	// gen is the ruleset generation this flow is pinned to, taken at open
 	// and held until the flow boundary (FIN/RST/eviction/quarantine/
@@ -89,13 +91,29 @@ type gwFlow struct {
 	quarantined bool
 }
 
-// gwLane is one stream lane's goroutine-owned working set. Every packet of
-// a flow lands on the same lane, so the lane — not the flow — owns what a
-// scan needs only while it runs.
+// gwLane is one scan lane: its queue, what admission and the control plane
+// see of it (laneState), and its goroutine-owned working set. Every packet of
+// a tuple lands on the same lane, so the lane owns the tuple's flow — table
+// entry, record, registers — and what a scan needs only while it runs. The
+// pads keep the three kinds of field — read-mostly, written by admission per
+// packet, written by the lane per packet — off each other's cache lines.
 type gwLane struct {
 	g  *Gateway
 	sh *gwEngineShard
-	ls *laneState
+	q  chan seqPacket
+	// table holds the flows pinned to this lane. The lane's goroutine is its
+	// only writer while packets flow; the control plane takes over behind the
+	// drain barrier (Gateway.eachLane, Close), and admission asks it nothing
+	// but Has.
+	table *flowtable.Table[*gwFlow]
+
+	_ [64]byte
+	laneState
+	_ [64]byte
+
+	// pub is what of table's counters the shard block already has; see
+	// publishFlows.
+	pub flowtable.Stats
 	// matches is the scratch every flow on this lane scans into. It keeps
 	// the capacity of the lane's most match-dense segment, so the memory
 	// match buffers pin is bounded by lanes × worst segment, never by flows.
@@ -304,11 +322,11 @@ func (fl *gwFlow) quarantine(ln *gwLane) {
 	fl.done = true
 }
 
-// contain is ingest under panic containment, run inside the flow's entry
-// lock: a panic anywhere under the flow (a scanner bug, a hostile payload
+// contain is ingest under panic containment, run inside the table's Do: a
+// panic anywhere under the flow (a scanner bug, a hostile payload
 // tripping an invariant, a user emit/OnVerdict callback) quarantines this
-// record where it sits, before the lock is dropped, so no eviction can slip
-// between the panic and the quarantine. The byte ledger stays exact: ingest
+// record where it sits, before the lane touches its table again, so no
+// eviction can slip between the panic and the quarantine. The byte ledger stays exact: ingest
 // commits transactionally, so none of the panicking packet's bytes are in a
 // bucket yet, and the quarantine bucket is charged the packet's payload plus
 // whatever buffered bytes the aborted delivery drained before blowing up —
@@ -336,37 +354,57 @@ func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (remove bool) {
 	return fl.ingest(ln, p, tick)
 }
 
-// streamWorker owns one lane: every packet of a given tuple lands on the
+// run is the lane's goroutine: every packet of a given tuple lands on the
 // same lane (hash-pinned at admission), so writes into a flow's scanner
-// state are ordered without per-packet locking beyond the flow table's entry
-// lock, and one sender's datagrams are emitted in ingest order. It is the
+// state are ordered with no locking at all, and one sender's datagrams are
+// emitted in ingest order. It is the
 // queue's only receiver, so on waking for one packet it takes the len(q)
-// more that are already there as one vector, and lowers the lane's depth —
-// one watchdog stamp, one clock read — once per vector.
-func (g *Gateway) streamWorker(ln *gwLane, q <-chan seqPacket) {
-	defer g.workerWg.Done()
-	for p := range q {
-		n := 1 + len(q)
+// more that are already there as one vector, and publishes its flow counters
+// and lowers its depth — one watchdog stamp, one clock read — once per vector.
+func (ln *gwLane) run() {
+	defer ln.g.workerWg.Done()
+	for p := range ln.q {
+		n := 1 + len(ln.q)
 		ln.streamPacket(p)
 		for i := 1; i < n; i++ {
-			ln.streamPacket(<-q)
+			ln.streamPacket(<-ln.q)
 		}
-		ln.ls.done(n)
+		ln.publishFlows()
+		ln.done(n)
 	}
+}
+
+// publishFlows adds what the lane's table has counted since the last call to
+// the shard's counter block, where Stats and Metrics can read it whatever
+// the lane is doing. Called by the table's owner of the moment, before it
+// lets go: the lane ahead of lowering its depth, the control plane ahead of
+// resume — so a drained snapshot is exact.
+func (ln *gwLane) publishFlows() {
+	ts := ln.table.Stats()
+	if ts == ln.pub {
+		return
+	}
+	n := &ln.sh.n
+	n[cFlowsLive].Add(uint64(ts.Live - ln.pub.Live)) // two's complement: a fall wraps to a subtraction
+	n[cFlowsCreated].Add(ts.Created - ln.pub.Created)
+	n[cFlowsEvictedCap].Add(ts.EvictedCap - ln.pub.EvictedCap)
+	n[cFlowsEvictedIdle].Add(ts.EvictedIdle - ln.pub.EvictedIdle)
+	n[cFlowsRemoved].Add(ts.Removed - ln.pub.Removed)
+	ln.pub = ts
 }
 
 // streamPacket runs one packet through its flow, or scans it in place when
 // it is stateless, and is the lane's one containment: it always returns, so
-// the worker's depth decrement cannot be skipped and Flush cannot wedge on a
-// packet that blew up. Panics under a flow are contained inside the entry
-// lock (gwFlow.contain) and quarantine that one flow; the recover here
-// catches what runs outside an entry — flow construction, an eviction the
+// the lane's depth decrement cannot be skipped and Flush cannot wedge on a
+// packet that blew up. Panics under a flow are contained inside the table's
+// Do (gwFlow.contain) and quarantine that one flow; the recover here
+// catches what runs outside a flow — flow construction, an eviction the
 // lookup triggered, a datagram's verdict callback, scan or emit — where
 // there is no record to quarantine and none of the packet's bytes are
 // committed yet, so the packet's payload is charged to the quarantine bucket
 // and the lane moves on to its next packet.
 func (ln *gwLane) streamPacket(p seqPacket) {
-	g, sh := ln.g, ln.sh
+	sh := ln.sh
 	defer func() {
 		if recover() != nil {
 			sh.n[cPanics].Add(1)
@@ -379,20 +417,16 @@ func (ln *gwLane) streamPacket(p seqPacket) {
 		return
 	}
 	sh.n[cStreamPackets].Add(1)
-	// The reassembly gap clock is the flow table's: gateway-wide stream
-	// packets, the same logical clock IdleTimeout runs on. The lookup below
-	// ticks it, so this packet's tick is at least the value read here plus
-	// one — and strictly above the tick of the lane's previous packet, which
-	// is all a flow (pinned to this lane) needs of it.
-	tick := g.table.Clock() + 1
 	var removeNow bool
-	g.table.DoHashed(p.tuple, p.hash, func(fl *gwFlow) {
-		removeNow = fl.contain(ln, p, tick)
+	ln.table.Do(p.tuple, func(fl *gwFlow) {
+		// The reassembly gap clock is the lane table's, which Do has just
+		// advanced for this packet: stream packets through the gateway, the
+		// same logical clock IdleTimeout runs on.
+		removeNow = fl.contain(ln, p, ln.table.Clock())
 	})
 	if removeNow {
-		// RST teardown: the same lane owns every packet of this flow,
-		// so no concurrent Do on the tuple can interleave here.
-		g.table.Remove(p.tuple)
+		// RST teardown.
+		ln.table.Remove(p.tuple)
 	}
 }
 

@@ -415,7 +415,7 @@ func TestGatewayEvictionMidGapRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw := testGateway(t, m, GatewayConfig{
-		MaxFlows: 8, FlowShards: 2, StreamWorkers: 4, GapTimeout: -1,
+		MaxFlows: 8, StreamWorkers: 4, GapTimeout: -1,
 	}, func(FlowMatch) {})
 	var wg sync.WaitGroup
 	const ingesters = 2
@@ -465,7 +465,7 @@ func TestGatewayLifecycleFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, FlowShards: 1}, c.emit)
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, c.emit)
 	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	ingest := func(seq uint32, payload string, flags TCPFlags) {
 		t.Helper()
@@ -541,7 +541,7 @@ func TestGatewayLifecycleAcrossVerdictsAndReopen(t *testing.T) {
 	var vmu sync.Mutex
 	var events []FlowVerdict
 	gw := testGateway(t, m, GatewayConfig{
-		StreamWorkers: 1, FlowShards: 1, Rules: vrules,
+		StreamWorkers: 1, Rules: vrules,
 		OnVerdict: func(fv FlowVerdict) {
 			vmu.Lock()
 			events = append(events, fv)

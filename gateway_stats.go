@@ -147,6 +147,15 @@ const (
 	cFlowsFinished
 	cFlowsReset
 
+	// The lanes' flow-table counters, published per vector
+	// (gwLane.publishFlows). cFlowsLive is a level, not a count: lanes add
+	// signed deltas, so only the sum across shards means anything.
+	cFlowsLive
+	cFlowsCreated
+	cFlowsEvictedCap
+	cFlowsEvictedIdle
+	cFlowsRemoved
+
 	// The shard's scan work, by usage shape — its EngineStats.
 	cEngBatchPkts   // stateless payloads scanned (those a verdict admitted)
 	cEngBatchBytes  // their payload bytes
@@ -173,11 +182,12 @@ func (g *Gateway) totals() (c [numCounters]uint64) {
 }
 
 // Stats returns a counter snapshot. It may be called while the gateway is
-// running; counters are monotone but mutually unsynchronized. This is where
-// each slot of the shards' counter blocks meets its public field.
-func (g *Gateway) Stats() GatewayStats {
-	ts := g.table.Stats()
-	c := g.totals()
+// running; counters are monotone but mutually unsynchronized.
+func (g *Gateway) Stats() GatewayStats { return g.statsOf(g.totals()) }
+
+// statsOf is where each slot of the shards' summed counter blocks meets its
+// public field.
+func (g *Gateway) statsOf(c [numCounters]uint64) GatewayStats {
 	// Retired is read first, so a swap landing between the two loads can only
 	// make the live count read high, never negative.
 	retired, installed := g.gensRetired.Load(), g.gensInstall.Load()
@@ -215,9 +225,9 @@ func (g *Gateway) Stats() GatewayStats {
 
 		AbandonedBytes: c[cAbandonedBytes],
 
-		FlowsLive:     ts.Live,
-		FlowsCreated:  ts.Created,
-		FlowsEvicted:  ts.EvictedCap + ts.EvictedIdle + ts.Removed,
+		FlowsLive:     int(int64(c[cFlowsLive])),
+		FlowsCreated:  c[cFlowsCreated],
+		FlowsEvicted:  c[cFlowsEvictedCap] + c[cFlowsEvictedIdle] + c[cFlowsRemoved],
 		FlowsFinished: c[cFlowsFinished],
 		FlowsReset:    c[cFlowsReset],
 
@@ -358,8 +368,7 @@ func (g *Gateway) Health() GatewayHealth {
 	for si, sh := range g.shards {
 		h.Panics += sh.n[cPanics].Load()
 		h.QuarantinedFlows += sh.n[cQuarantinedFlows].Load()
-		for li := range sh.lanes {
-			ls := &sh.lanes[li]
+		for li, ls := range sh.lanes {
 			d := ls.depth.Load()
 			if d <= 0 {
 				continue

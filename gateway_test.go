@@ -47,6 +47,12 @@ func testGateway(t testing.TB, m *Matcher, cfg GatewayConfig, emit func(FlowMatc
 	return gw
 }
 
+// rangeFlows runs fn on every live flow record, lane table by lane table,
+// with the pipeline quiesced — the tests' audit of what the lanes hold.
+func (g *Gateway) rangeFlows(fn func(FiveTuple, *gwFlow)) {
+	g.eachLane(func(ln *gwLane) { ln.table.Range(fn) })
+}
+
 func gatewayMatcher(t testing.TB, strings int, groups int) (*Matcher, *ruleset.Set) {
 	return gatewayMatcherBackend(t, strings, groups, BackendAuto)
 }
@@ -260,7 +266,7 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 // way through.
 func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
 	m, set := gatewayMatcher(t, 120, 1)
-	const maxFlows, shards = 256, 16
+	const maxFlows, lanes = 256, 4
 	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
 		Flows: 10000, SegmentsPerFlow: 2, SegmentBytes: 48, Seed: 21,
 		CrossDensity: 0.1, Profile: traffic.Zeroish,
@@ -270,7 +276,7 @@ func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
 	}
 	var matches atomic64
 	gw := testGateway(t, m, GatewayConfig{
-		MaxFlows: maxFlows, FlowShards: shards, StreamWorkers: 4,
+		MaxFlows: maxFlows, StreamWorkers: lanes,
 	}, func(FlowMatch) { matches.add(1) })
 	peak := 0
 	for i, p := range w.Packets {
@@ -290,14 +296,87 @@ func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
 	if live := st.FlowsLive; live != 0 {
 		t.Fatalf("%d flows live after Close", live)
 	}
-	if peak > maxFlows+shards {
-		t.Fatalf("live flows peaked at %d, soft cap is %d", peak, maxFlows+shards)
+	if peak > maxFlows+lanes {
+		t.Fatalf("live flows peaked at %d, soft cap is %d", peak, maxFlows+lanes)
 	}
 	if st.FlowsEvicted == 0 || st.FlowsCreated < 10000 {
 		t.Fatalf("churn stats = %+v", st)
 	}
 	if st.Packets != 20000 {
 		t.Fatalf("ingested %d packets", st.Packets)
+	}
+}
+
+// TestGatewayChurnAtCapacity drives bench's churn-mixed shape — waves of
+// short SYN…FIN connections, one wave live at a time, every pass reusing the
+// tuples of the last — through a MaxFlows well above what is live at once and
+// well below what a pass opens, so capacity eviction runs the whole way. Each
+// lane evicts its own least-recently-active flow, and with a wave's worth of
+// husks behind every live connection that is never a live one: every
+// connection's matches must equal the oracle in every window, at every lane
+// count (the cap is split and the clock scaled per lane).
+func TestGatewayChurnAtCapacity(t *testing.T) {
+	m, set := gatewayMatcher(t, 120, 1)
+	const waves, perWave, windows = 8, 64, 30
+	const maxFlows = 3 * perWave
+	var pkts []GatewayPacket
+	tuples := make([]FiveTuple, waves*perWave)
+	want := make([][]Match, waves*perWave)
+	total := 0
+	for wv := 0; wv < waves; wv++ {
+		w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
+			Flows: perWave, SegmentsPerFlow: 3, SegmentBytes: 64, Seed: int64(400 + wv),
+			CrossDensity: 0.5, AttackDensity: 0.5, Profile: traffic.Zeroish, Sequenced: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f, stream := range w.Streams {
+			c := wv*perWave + f
+			tuples[c], want[c] = footprintTuple(c), m.FindAll(stream)
+			total += len(want[c])
+		}
+		for _, p := range w.Packets {
+			pkts = append(pkts, GatewayPacket{
+				Tuple: tuples[wv*perWave+p.FlowID], Seq: p.TCPSeq, Flags: TCPFlags(p.Flags), Payload: p.Payload,
+			})
+		}
+	}
+	if total == 0 {
+		t.Fatal("no matches in the workload; test is vacuous")
+	}
+	for _, shape := range []struct{ shards, workers int }{{1, 2}, {2, 2}} {
+		lanes := shape.shards * shape.workers
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			c := newCollector()
+			gw := testGateway(t, m, GatewayConfig{
+				EngineShards: shape.shards, StreamWorkers: shape.workers, MaxFlows: maxFlows,
+			}, c.emit)
+			defer gw.Close()
+			for win := 0; win < windows; win++ {
+				for _, p := range pkts {
+					if err := gw.Ingest(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				gw.Flush()
+				for i, tup := range tuples {
+					if got := c.byTuple[tup]; !sameMatchSeq(got, want[i]) {
+						t.Fatalf("window %d connection %d: %d matches, oracle %d (or order/offsets differ)",
+							win, i, len(got), len(want[i]))
+					}
+				}
+				clear(c.byTuple)
+				st := gw.Stats()
+				if !st.Ledger().Balanced() || st.FlowsLive > maxFlows+lanes {
+					t.Fatalf("window %d: ledger %+v, stats %+v", win, st.Ledger(), st)
+				}
+			}
+			st := gw.Stats()
+			if st.FlowsEvicted == 0 || st.FlowsFinished != uint64(windows*len(tuples)) {
+				t.Fatalf("churn stats = %+v", st)
+			}
+		})
 	}
 }
 
@@ -322,7 +401,7 @@ func TestGatewayEvictedFlowRestartsClean(t *testing.T) {
 	c := newCollector()
 	// One lane and a 1-flow table make eviction order deterministic.
 	gw := testGateway(t, m, GatewayConfig{
-		MaxFlows: 1, FlowShards: 1, StreamWorkers: 1,
+		MaxFlows: 1, StreamWorkers: 1,
 	}, c.emit)
 	a := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	b := FiveTuple{SrcIP: 3, DstIP: 4, SrcPort: 11, DstPort: 80, Proto: ProtoTCP}
@@ -425,7 +504,7 @@ func TestGatewayIdleEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := testGateway(t, m, GatewayConfig{IdleTimeout: 8, StreamWorkers: 1, FlowShards: 1}, func(FlowMatch) {})
+	gw := testGateway(t, m, GatewayConfig{IdleTimeout: 8, StreamWorkers: 1}, func(FlowMatch) {})
 	a := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: ProtoTCP}
 	if err := gw.Ingest(GatewayPacket{Tuple: a, Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -477,9 +556,9 @@ func ExampleGateway() {
 // TestGatewayStreamLaneSteadyStateZeroAlloc locks in the per-flow lane's
 // contract: once a TCP flow exists, pushing an in-order match-free segment
 // through the lane's per-packet path (flow-table touch + verdict check +
-// scanner write) allocates nothing. This is exactly the work streamWorker
-// performs per packet, driven synchronously so the allocation count is
-// attributable.
+// scanner write) allocates nothing. This is exactly the work the lane
+// performs per packet, driven synchronously on the (idle) lane's own state so
+// the allocation count is attributable.
 func TestGatewayStreamLaneSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
@@ -499,12 +578,8 @@ func TestGatewayStreamLaneSteadyStateZeroAlloc(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte("x"), 1200)
 	p := seqPacket{tuple: tuple, payload: payload}
-	var tick uint64
-	ln := &gwLane{g: gw, sh: gw.shards[0]}
-	lane := func() {
-		tick++
-		gw.table.Do(tuple, func(fl *gwFlow) { fl.ingest(ln, p, tick) })
-	}
+	ln := gw.shards[0].lanes[0] // idle: nothing is ever ingested
+	lane := func() { ln.streamPacket(p) }
 	lane() // warm-up creates the flow's record
 	allocs := testing.AllocsPerRun(50, lane)
 	if allocs != 0 {
@@ -588,25 +663,15 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 		if !seen[s] {
 			seen[s] = true
 			tuples = append(tuples, tup)
-			// The flow's scanner state must come from the shard admission
-			// routes its packets to.
-			if got := gw.shardIndex(tup); got != int(s) {
-				t.Fatalf("shardIndex pinned tuple %v to shard %d, want %d", tup, got, s)
-			}
 		}
 	}
 	payload := bytes.Repeat([]byte("x"), 1200)
-	var tick uint64
-	lanes := make([]gwLane, shards)
-	for i := range lanes {
-		lanes[i] = gwLane{g: gw, sh: gw.shards[i]}
-	}
 	lane := func() {
 		for _, tup := range tuples {
-			tick++
-			p := seqPacket{tuple: tup, payload: payload, hash: tup.Hash64()}
-			ln := &lanes[gw.shardIndex(tup)]
-			gw.table.DoHashed(tup, p.hash, func(fl *gwFlow) { fl.ingest(ln, p, tick) })
+			// The lane admission routes the tuple's packets to: its table,
+			// its shard's counters.
+			ln := gw.shards[tup.Hash64()%shards].lanes[0]
+			ln.streamPacket(seqPacket{tuple: tup, payload: payload})
 		}
 	}
 	lane() // warm-up creates one flow per shard

@@ -1,15 +1,16 @@
 package flowtable
 
-// Race-oriented tests for the flow table: the interesting properties are
-// all concurrent — ingest across many 5-tuples, eviction racing in-flight
-// writes, and the clean-state guarantee for evicted-then-recreated flows.
-// Run with -race (CI does).
+// Tests for the single-writer flow table: LRU and idle eviction over the
+// whole table, the clean-state guarantee for evicted-then-recreated flows,
+// callbacks that panic, and the one cross-goroutine method, Has, against a
+// churning owner. Run with -race (CI does).
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/nids"
 )
@@ -31,7 +32,7 @@ type harness struct {
 	evicted []*fakeFlow
 }
 
-func newHarness(t *testing.T, maxFlows int, idleTicks uint64, shards int) *harness {
+func newHarness(t *testing.T, maxFlows int, idleTicks uint64) *harness {
 	h := &harness{t: t}
 	h.table = New(Config[*fakeFlow]{
 		New: func(k Key) *fakeFlow { return &fakeFlow{key: k} },
@@ -48,7 +49,6 @@ func newHarness(t *testing.T, maxFlows int, idleTicks uint64, shards int) *harne
 		},
 		MaxFlows:  maxFlows,
 		IdleTicks: idleTicks,
-		Shards:    shards,
 	})
 	return h
 }
@@ -79,7 +79,7 @@ func tuple(i int) Key {
 }
 
 func TestDoCreatesThenReuses(t *testing.T) {
-	h := newHarness(t, 0, 0, 1)
+	h := newHarness(t, 0, 0)
 	if created := h.write(tuple(1), []byte("ab")); !created {
 		t.Fatal("first Do did not create")
 	}
@@ -97,8 +97,7 @@ func TestDoCreatesThenReuses(t *testing.T) {
 }
 
 func TestCapacityEvictionIsLRU(t *testing.T) {
-	// One shard so LRU order is global and deterministic.
-	h := newHarness(t, 3, 0, 1)
+	h := newHarness(t, 3, 0)
 	for i := 0; i < 3; i++ {
 		h.write(tuple(i), []byte("x"))
 	}
@@ -124,7 +123,7 @@ func TestCapacityEvictionIsLRU(t *testing.T) {
 }
 
 func TestIdleEviction(t *testing.T) {
-	h := newHarness(t, 0, 4, 1)
+	h := newHarness(t, 0, 4)
 	h.write(tuple(0), nil) // tick 1
 	for i := 0; i < 6; i++ {
 		h.write(tuple(1), nil) // ticks 2..7; tuple 0 idle for >4 by tick 6
@@ -140,7 +139,7 @@ func TestIdleEviction(t *testing.T) {
 		h.write(tuple(2), nil)
 	}
 	live := h.table.Len()
-	h.table.clock.Add(100)
+	h.table.clock += 100
 	if n := h.table.EvictIdle(); n != live {
 		t.Fatalf("EvictIdle = %d, want %d", n, live)
 	}
@@ -149,36 +148,8 @@ func TestIdleEviction(t *testing.T) {
 	}
 }
 
-// TestIdleEvictionTickSkewDoesNotEvictFreshFlows is the regression test
-// for the unsigned-underflow bug: Do draws its tick before taking the
-// shard lock, so a concurrent touch can stamp an entry with a tick ahead
-// of the one running the idle check. The subtraction must not underflow
-// and evict a flow that was active moments ago.
-func TestIdleEvictionTickSkewDoesNotEvictFreshFlows(t *testing.T) {
-	h := newHarness(t, 0, 5, 1)
-	h.write(tuple(0), nil)
-	// Simulate the racing touch: stamp the entry with a tick the next Do
-	// has not reached yet.
-	s := &h.table.shards[0]
-	s.mu.Lock()
-	for _, e := range s.flows {
-		e.last = h.table.clock.Load() + 3
-	}
-	s.mu.Unlock()
-	h.write(tuple(1), nil) // opportunistic idle check sees tick < tail.last
-	if st := h.table.Stats(); st.EvictedIdle != 0 {
-		t.Fatalf("fresh flow evicted by tick skew: %+v", st)
-	}
-	if n := h.table.EvictIdle(); n != 0 {
-		t.Fatalf("EvictIdle evicted %d fresh flows under tick skew", n)
-	}
-	if h.table.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", h.table.Len())
-	}
-}
-
 func TestEvictedThenRecreatedStartsClean(t *testing.T) {
-	h := newHarness(t, 2, 0, 1)
+	h := newHarness(t, 2, 0)
 	h.write(tuple(0), []byte("xy")) // partial state in flow 0
 	h.write(tuple(1), nil)
 	h.write(tuple(2), nil) // evicts 0 (LRU)
@@ -194,7 +165,7 @@ func TestEvictedThenRecreatedStartsClean(t *testing.T) {
 }
 
 func TestCloseEvictsEverything(t *testing.T) {
-	h := newHarness(t, 0, 0, 4)
+	h := newHarness(t, 0, 0)
 	for i := 0; i < 100; i++ {
 		h.write(tuple(i), []byte("p"))
 	}
@@ -214,94 +185,16 @@ func TestCloseEvictsEverything(t *testing.T) {
 	}
 }
 
-func TestConcurrentIngestManyTuples(t *testing.T) {
-	h := newHarness(t, 0, 0, 16)
-	const goroutines = 8
-	const flowsPer = 64
-	const writes = 40
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for w := 0; w < writes; w++ {
-				for i := 0; i < flowsPer; i++ {
-					// Goroutines own disjoint tuples, so each flow sees
-					// single-writer traffic like a real demultiplexer lane.
-					h.write(tuple(g*flowsPer+i), []byte{byte(w)})
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if h.table.Len() != goroutines*flowsPer {
-		t.Fatalf("Len = %d, want %d", h.table.Len(), goroutines*flowsPer)
-	}
-	for g := 0; g < goroutines; g++ {
-		for i := 0; i < flowsPer; i++ {
-			h.table.Do(tuple(g*flowsPer+i), func(f *fakeFlow) {
-				if len(f.data) != writes {
-					t.Errorf("flow (%d,%d) saw %d writes, want %d", g, i, len(f.data), writes)
-				}
-			})
-		}
-	}
-}
-
-func TestEvictionRacingWrites(t *testing.T) {
-	// Heavy churn through a tiny table: every write risks racing a
-	// capacity eviction of the very flow it is writing. The fakeFlow
-	// tripwires plus -race verify the entry-lock protocol.
-	h := newHarness(t, 8, 16, 4)
-	const goroutines = 8
-	const writes = 2000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for w := 0; w < writes; w++ {
-				// 32 hot tuples shared by all goroutines, hashed over 4
-				// shards with room for only 8 flows: constant evict/recreate.
-				h.write(tuple(w%32), []byte{byte(g)})
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := h.table.Stats()
-	if st.EvictedCap == 0 {
-		t.Fatal("churn produced no capacity evictions; test is vacuous")
-	}
-	if st.Live > 8+4 { // soft cap: MaxFlows + Shards
-		t.Fatalf("live flows %d exceed soft cap", st.Live)
-	}
-	if got := uint64(st.Live) + st.EvictedCap + st.EvictedIdle; got != st.Created {
-		t.Fatalf("accounting: live+evicted = %d, created = %d", got, st.Created)
-	}
-	h.table.Close()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if uint64(len(h.evicted)) != st.Created {
-		t.Fatalf("evict callbacks %d != created %d after Close", len(h.evicted), st.Created)
-	}
-}
-
-func TestShardRoundingAndDefaults(t *testing.T) {
-	tb := New(Config[*fakeFlow]{
-		New:    func(k Key) *fakeFlow { return &fakeFlow{key: k} },
-		Evict:  func(Key, *fakeFlow) {},
-		Shards: 5,
-	})
-	if len(tb.shards) != 8 {
-		t.Fatalf("shards = %d, want 8", len(tb.shards))
-	}
-	if d := New(Config[*fakeFlow]{New: func(k Key) *fakeFlow { return nil }, Evict: func(Key, *fakeFlow) {}}); len(d.shards) != 64 {
-		t.Fatalf("default shards = %d, want 64", len(d.shards))
+// TestEntryFootprint pins what a flow costs the table beyond its map slot:
+// key, flow pointer, last-activity tick and the two LRU links, and no lock.
+func TestEntryFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(entry[*fakeFlow]{}); size != 48 {
+		t.Fatalf("entry is %d B, want 48", size)
 	}
 }
 
 func TestHash64Spreads(t *testing.T) {
-	// Sanity: tuples differing in one field land on many shards.
+	// Sanity: tuples differing in one field land on many gateway lanes.
 	seen := map[uint64]bool{}
 	for i := 0; i < 256; i++ {
 		k := tuple(0)
@@ -309,7 +202,7 @@ func TestHash64Spreads(t *testing.T) {
 		seen[k.Hash64()&63] = true
 	}
 	if len(seen) < 32 {
-		t.Fatalf("256 port-varied tuples hit only %d of 64 shards", len(seen))
+		t.Fatalf("256 port-varied tuples hit only %d of 64 buckets", len(seen))
 	}
 }
 
@@ -343,7 +236,6 @@ func ExampleTable() {
 		New:      func(k Key) *fakeFlow { return &fakeFlow{key: k} },
 		Evict:    func(Key, *fakeFlow) {},
 		MaxFlows: 2,
-		Shards:   1,
 	})
 	for i := 0; i < 3; i++ {
 		tb.Do(tuple(i), func(*fakeFlow) {})
@@ -353,7 +245,7 @@ func ExampleTable() {
 }
 
 func TestRemoveEvictsImmediately(t *testing.T) {
-	h := newHarness(t, 0, 0, 4)
+	h := newHarness(t, 0, 0)
 	h.write(tuple(1), []byte("a"))
 	h.write(tuple(2), []byte("b"))
 	if !h.table.Remove(tuple(1)) {
@@ -384,26 +276,185 @@ func TestRemoveEvictsImmediately(t *testing.T) {
 	})
 }
 
-func TestRemoveRacingWrites(t *testing.T) {
-	h := newHarness(t, 0, 0, 2)
-	const writers, rounds = 4, 400
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				k := tuple(i % 8)
-				if w == 0 && i%5 == 0 {
-					h.table.Remove(k)
-				} else {
-					h.write(k, []byte{byte(i)})
-				}
-			}
-		}(w)
+// TestCapacityEvictionIsWholeTableLRU: whatever the keys hash to, the victim
+// of an insert over the cap is the least recently active flow of the whole
+// table — a live flow is never taken while a staler one exists anywhere.
+func TestCapacityEvictionIsWholeTableLRU(t *testing.T) {
+	const max, total = 64, 1024
+	h := newHarness(t, max, 0)
+	for i := 0; i < total; i++ {
+		h.write(tuple(i), nil)
+		// Keep the oldest surviving flow hot: it must outlive every insert.
+		h.write(tuple(0), nil)
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.evicted) != total-max {
+		t.Fatalf("%d evictions, want %d", len(h.evicted), total-max)
+	}
+	for i, f := range h.evicted {
+		if f.key != tuple(i+1) {
+			t.Fatalf("eviction %d took %v, want tuple %d: not least-recently-active order", i, f.key, i+1)
+		}
+	}
+	if st := h.table.Stats(); st.Live != max || st.EvictedCap != total-max {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestIdleCollectionIsBoundedPerTouch: a Do collects at most two idle flows,
+// however many have expired; EvictIdle takes the rest.
+func TestIdleCollectionIsBoundedPerTouch(t *testing.T) {
+	h := newHarness(t, 0, 50)
+	for i := 0; i < 10; i++ {
+		h.write(tuple(i), nil)
+	}
+	h.table.clock += 100 // all ten are long idle
+	for touch, want := 1, 8; want >= 0; touch, want = touch+1, want-2 {
+		h.write(tuple(10), nil)
+		if got := h.table.Len() - 1; got != want {
+			t.Fatalf("after touch %d: %d of the idle flows left, want %d", touch, got, want)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		h.write(tuple(20+i), nil)
+	}
+	h.table.clock += 100
+	if n := h.table.EvictIdle(); n != 11 {
+		t.Fatalf("EvictIdle = %d, want 11", n)
+	}
+	if st := h.table.Stats(); st.EvictedIdle != 21 || st.Live != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestTickScalesTheClock: a table that is one of N sharing a stream advances
+// N per Do, so IdleTicks keeps meaning packets of the whole stream.
+func TestTickScalesTheClock(t *testing.T) {
+	tb := New(Config[*fakeFlow]{
+		New:       func(k Key) *fakeFlow { return &fakeFlow{key: k} },
+		Evict:     func(Key, *fakeFlow) {},
+		IdleTicks: 8,
+		Tick:      4,
+	})
+	nop := func(*fakeFlow) {}
+	tb.Do(tuple(0), nop)
+	tb.Do(tuple(1), nop)
+	tb.Do(tuple(1), nop) // tuple 0 idle for 8: not yet more than IdleTicks
+	if tb.Len() != 2 || tb.Clock() != 12 {
+		t.Fatalf("Len = %d, Clock = %d", tb.Len(), tb.Clock())
+	}
+	tb.Do(tuple(1), nop) // idle for 12
+	if st := tb.Stats(); st.Live != 1 || st.EvictedIdle != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestHasFromAnotherGoroutine: Has is the one method a foreign goroutine may
+// call, at any time. Against an owner churning flows through a small table it
+// must be race-clean and exact for a key the owner never evicts or creates.
+func TestHasFromAnotherGoroutine(t *testing.T) {
+	h := newHarness(t, 16, 0)
+	pinned, absent := tuple(1<<20), tuple(1<<21)
+	h.write(pinned, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !h.table.Has(pinned) {
+					t.Error("Has missed a live flow")
+					return
+				}
+				if h.table.Has(absent) {
+					t.Error("Has found a flow that was never created")
+					return
+				}
+				h.table.Has(tuple(7)) // churning: either answer is right
+			}
+		}()
+	}
+	for i := 0; i < 20000; i++ {
+		h.write(tuple(i%64), nil)
+		h.write(pinned, nil) // stays off the LRU tail
+		if i%7 == 0 {
+			h.table.Remove(tuple(i % 64))
+		}
+	}
+	close(stop)
 	wg.Wait()
-	h.table.Close()
-	// The fakeFlow tripwires (double close, write-after-close) are the
-	// assertions; run under -race.
+	if st := h.table.Stats(); st.EvictedCap == 0 || st.Removed == 0 {
+		t.Fatalf("owner did not churn; test is vacuous: %+v", st)
+	}
+}
+
+// TestPanickingCallbacksLeaveTableUsable: New runs before the entry exists
+// and Evict after it is gone and counted, so a panic in either unwinds
+// through a consistent table.
+func TestPanickingCallbacksLeaveTableUsable(t *testing.T) {
+	var failNew, failEvict bool
+	evicted := 0
+	tb := New(Config[*fakeFlow]{
+		New: func(k Key) *fakeFlow {
+			if failNew {
+				panic("New")
+			}
+			return &fakeFlow{key: k}
+		},
+		Evict: func(Key, *fakeFlow) {
+			evicted++
+			if failEvict {
+				panic("Evict")
+			}
+		},
+		MaxFlows: 2,
+	})
+	nop := func(*fakeFlow) {}
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	tb.Do(tuple(0), nop)
+	tb.Do(tuple(1), nop)
+
+	failNew = true
+	if !panics(func() { tb.Do(tuple(2), nop) }) {
+		t.Fatal("New's panic did not propagate")
+	}
+	failNew = false
+	if tb.Has(tuple(2)) || tb.Len() != 2 {
+		t.Fatalf("a flow whose New panicked is in the table (Len %d)", tb.Len())
+	}
+
+	failEvict = true
+	if !panics(func() { tb.Do(tuple(2), nop) }) { // over the cap: evicts tuple 0
+		t.Fatal("Evict's panic did not propagate")
+	}
+	failEvict = false
+	if tb.Has(tuple(0)) || !tb.Has(tuple(1)) || !tb.Has(tuple(2)) {
+		t.Fatal("table contents wrong after Evict panicked")
+	}
+	if st := tb.Stats(); st.Live != 2 || st.Created != 3 || st.EvictedCap != 1 || evicted != 1 {
+		t.Fatalf("stats = %+v, %d Evict calls", st, evicted)
+	}
+	// Usable: LRU order, eviction and lookup all still work.
+	if tb.Do(tuple(1), nop) {
+		t.Fatal("live flow recreated")
+	}
+	tb.Do(tuple(3), nop) // evicts tuple 2, the LRU tail
+	if tb.Has(tuple(2)) || !tb.Has(tuple(1)) || !tb.Has(tuple(3)) || evicted != 2 {
+		t.Fatalf("eviction after the panics took the wrong flow (%d Evict calls)", evicted)
+	}
+	tb.Close()
+	if tb.Len() != 0 || evicted != 4 {
+		t.Fatalf("Close left %d flows, %d Evict calls", tb.Len(), evicted)
+	}
 }

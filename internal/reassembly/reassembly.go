@@ -30,8 +30,8 @@
 //     scanner state across the unseen region (a match cannot span bytes
 //     the sensor never saw).
 //
-// A Stream is not safe for concurrent use; the gateway serializes all
-// calls per flow through its flow-table entry lock.
+// A Stream is not safe for concurrent use; the gateway makes all of a
+// flow's calls from the one lane that owns the flow.
 package reassembly
 
 import "sync/atomic"

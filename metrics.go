@@ -66,8 +66,8 @@ func (gm *GatewayMetrics) WriteTo(w io.Writer) (int64, error) {
 
 func (gm *GatewayMetrics) render(w *metrics.Writer) {
 	g := gm.g
-	s := g.Stats()
-	ts := g.table.Stats()
+	c := g.totals() // one walk: the eviction reasons below have no GatewayStats field
+	s := g.statsOf(c)
 	// The single-sample series: one GatewayStats field each.
 	counter := func(name, help string, v uint64) {
 		w.Metric(name, "counter", help)
@@ -185,17 +185,17 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 			metrics.Label{Name: "generation", Value: strconv.FormatUint(gi.Generation, 10)})
 	}
 
-	gauge("dpi_gateway_flows_live", "Flow-table entries currently live.", float64(ts.Live))
-	counter("dpi_gateway_flows_created_total", "Flow-table entries created.", ts.Created)
+	gauge("dpi_gateway_flows_live", "Flow-table entries currently live.", float64(s.FlowsLive))
+	counter("dpi_gateway_flows_created_total", "Flow-table entries created.", s.FlowsCreated)
 	w.Metric("dpi_gateway_flows_evicted_total", "counter",
 		"Flow-table entries removed, by reason: capacity (MaxFlows pressure), idle (IdleTimeout), teardown (RST).")
-	w.Sample(float64(ts.EvictedCap), metrics.Label{Name: "reason", Value: "capacity"})
-	w.Sample(float64(ts.EvictedIdle), metrics.Label{Name: "reason", Value: "idle"})
-	w.Sample(float64(ts.Removed), metrics.Label{Name: "reason", Value: "teardown"})
+	w.Sample(float64(c[cFlowsEvictedCap]), metrics.Label{Name: "reason", Value: "capacity"})
+	w.Sample(float64(c[cFlowsEvictedIdle]), metrics.Label{Name: "reason", Value: "idle"})
+	w.Sample(float64(c[cFlowsRemoved]), metrics.Label{Name: "reason", Value: "teardown"})
 	counter("dpi_gateway_flows_finished_total", "Connections completed via FIN.", s.FlowsFinished)
 	counter("dpi_gateway_flows_reset_total", "Connections torn down by RST.", s.FlowsReset)
 	gauge("dpi_gateway_flow_table_clock",
-		"Flow-table logical clock: table-wide stream packets seen (the unit IdleTimeout is measured in).", float64(ts.Clock))
+		"Stream packets the lanes have run through their flow tables (the unit IdleTimeout and GapTimeout are measured in).", float64(s.StreamPackets))
 
 	shardStats := g.ShardStats()
 	perShard := func(name, help string, field func(EngineStats) uint64) {

@@ -212,7 +212,7 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 		}
 	}
 	swept := 0
-	gw.table.Range(func(k FiveTuple, fl *gwFlow) {
+	gw.rangeFlows(func(k FiveTuple, fl *gwFlow) {
 		swept++
 		want, ok := wantGen[k]
 		if !ok {
