@@ -89,6 +89,11 @@ func FuzzBakedEquivalence(f *testing.F) {
 		if !baked.Kernel().Baked {
 			t.Fatal("default compile produced no baked kernel")
 		}
+		for _, machine := range baked.grouped.Machines {
+			if err := machine.VerifyOutputs(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		ref, err := Compile(rules, refCfg)
 		if err != nil {
 			t.Fatal(err)

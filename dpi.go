@@ -388,10 +388,12 @@ func (m *Matcher) Stats() CompressionStats {
 
 // KernelStats reports the memory layout of the compiled flat scan kernel,
 // aggregated across group machines — the software analogue of the
-// accelerator's block-memory fill report.
+// accelerator's block-memory fill report: every table the kernel reads
+// while scanning. The automaton's trie, which only the reference backend,
+// snapshots and verification read, is not part of it.
 type KernelStats struct {
-	// Baked is false when the matcher runs on the slice-walking reference
-	// path (Backend: reference, or a configuration outside the fixed row
+	// Baked is false when the matcher runs on the reference interpreter
+	// (Backend: reference, or a configuration outside the fixed row
 	// format); the layout fields are then zero.
 	Baked bool
 	// Backend is the resolved active backend (Matcher.Backend).
@@ -399,12 +401,16 @@ type KernelStats struct {
 	Groups        int
 	States        int // automaton states across groups
 	DenseStates   int // states promoted to full 256-entry rows
-	StoredEntries int // packed CSR stored-pointer entries
+	StoredEntries int // CSR stored-pointer entries of the compressed states
 	DenseBytes    int
-	StoredBytes   int // CSR arena plus per-state row descriptors
-	LookupBytes   int // fixed d1/d2/d3 lookup rows
-	OutputBytes   int // output bitsets
-	TotalBytes    int
+	// StoredBytes is the CSR stored-pointer arena plus the kernel's
+	// per-state row descriptors. The arena is the automaton's one state
+	// memory, which the kernel reads in place rather than owning a copy;
+	// it holds every state's row, the dense states' included.
+	StoredBytes int
+	LookupBytes int // fixed d1/d2/d3 lookup rows
+	OutputBytes int // output bitsets, rank tables and flattened pattern-ID lists
+	TotalBytes  int
 
 	// Lossy prefilter stage (zero when unavailable). The layout fields
 	// aggregate across group machines; the counters accumulate over every

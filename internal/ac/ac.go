@@ -10,10 +10,18 @@
 // The paper's contribution (package core) compresses the move-function DFA;
 // this package supplies the uncompressed machine, bulk iteration over its
 // transition rows, and a naive oracle used to cross-check every matcher.
+//
+// A Trie stays resident for the life of the machine built on it (the
+// reference interpreter, snapshots and the verifiers read it), so it is
+// laid out to be small: a table of 32-byte nodes and three flat arenas —
+// goto edges, own outputs, pattern lengths — with no allocation per state.
+// Edges and outputs are reached through Trie.Edges and Trie.Out.
 package ac
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/ruleset"
 )
@@ -31,25 +39,44 @@ type Edge struct {
 	To   int32
 }
 
-// Node is one state of the automaton. Edges hold only the trie (goto)
-// transitions, sorted by character; the full move function is derived via
-// the fail chain.
+// Node is one state of the automaton: 32 pointer-free bytes. Its goto
+// transitions and its own outputs live in two trie-wide arenas, both laid
+// out in state order, and are read through Trie.Edges and Trie.Out; the
+// node carries only their counts and where they start. The full move
+// function is derived via the fail chain.
 type Node struct {
 	Parent  int32
 	Fail    int32
 	OutLink int32 // nearest fail-ancestor with its own outputs, or None
 	Depth   int32
-	Char    byte    // label of the edge from Parent (undefined for Root)
-	Edges   []Edge  // sorted by Char
-	Out     []int32 // pattern IDs ending exactly at this state
+	// edgeOff and outOff locate the state's slices of Trie.edges and
+	// Trie.outs. They are layout, derived from the counts by a prefix sum
+	// (layOut), never data: a snapshot stores counts only.
+	edgeOff  uint32
+	outOff   uint32
+	NumEdges uint16 // goto transitions out of this state
+	NumOut   uint16 // patterns ending exactly at this state
+	Char     byte   // label of the edge from Parent (undefined for Root)
 }
 
-// Trie is the Aho-Corasick automaton for a pattern set.
+// PatLen is the byte length of one pattern.
+type PatLen struct {
+	ID  int32
+	Len int32
+}
+
+// Trie is the Aho-Corasick automaton for a pattern set: the node table and
+// three flat arenas, however many states there are.
 type Trie struct {
 	Nodes []Node
-	// patLen maps pattern ID to its length in bytes, for match start
+	// edges holds every state's goto transitions, state 0's first, each
+	// state's sorted by character. outs holds every state's own pattern
+	// IDs the same way, in insertion order within a state.
+	edges []Edge
+	outs  []int32
+	// patLens lists every pattern's length sorted by ID, for match start
 	// computation. IDs are the (possibly sparse) ruleset IDs.
-	patLen map[int32]int
+	patLens []PatLen
 }
 
 // Match reports one pattern occurrence. End is the byte offset one past the
@@ -57,6 +84,45 @@ type Trie struct {
 type Match struct {
 	PatternID int32
 	End       int
+}
+
+// Edges returns the goto transitions out of state s, sorted by character.
+// The slice aliases the trie's arena: read-only.
+func (t *Trie) Edges(s int32) []Edge {
+	nd := &t.Nodes[s]
+	return t.edges[nd.edgeOff : nd.edgeOff+uint32(nd.NumEdges)]
+}
+
+// Out returns the IDs of the patterns ending exactly at state s (not those
+// inherited along the fail chain; see AppendOutputs). The slice aliases the
+// trie's arena: read-only.
+func (t *Trie) Out(s int32) []int32 {
+	nd := &t.Nodes[s]
+	return t.outs[nd.outOff : nd.outOff+uint32(nd.NumOut)]
+}
+
+// layOut derives every node's arena offsets from its counts and reports the
+// arena lengths they add up to.
+func layOut(nodes []Node) (edges, outs uint32) {
+	for i := range nodes {
+		nd := &nodes[i]
+		nd.edgeOff, nd.outOff = edges, outs
+		edges += uint32(nd.NumEdges)
+		outs += uint32(nd.NumOut)
+	}
+	return edges, outs
+}
+
+// protoNode is a state while patterns are still being inserted: children
+// hang off their parent as a list linked through sibling, kept sorted by
+// character, so a state costs no allocation of its own and freezing reads
+// every edge list off already in order.
+type protoNode struct {
+	parent  int32
+	child   int32 // first child, or None
+	sibling int32 // next child of parent, or None
+	out     int32 // the pattern ending here, or None
+	char    byte
 }
 
 // New builds the trie, failure function and output links for set.
@@ -67,51 +133,91 @@ func New(set *ruleset.Set) (*Trie, error) {
 	if err := set.Validate(); err != nil {
 		return nil, fmt.Errorf("ac: %w", err)
 	}
-	// One state per pattern byte is the ceiling; building into that and
-	// copying the states that exist into a slice of exactly their number
-	// costs one allocation each, where growing by append re-copies the
-	// table a dozen times and leaves its last spare capacity live.
+	// One state per pattern byte is the ceiling. The proto table is sized to
+	// it once and dropped when the states that exist have been frozen into
+	// tables of exactly their number.
 	ceiling := 1
 	for _, p := range set.Patterns {
 		ceiling += len(p.Data)
 	}
-	t := &Trie{
-		Nodes:  make([]Node, 1, ceiling),
-		patLen: make(map[int32]int, set.Len()),
-	}
-	t.Nodes[Root] = Node{Parent: None, Fail: Root, OutLink: None}
-	for _, p := range set.Patterns {
-		t.insert(p)
-	}
-	t.Nodes = append(make([]Node, 0, len(t.Nodes)), t.Nodes...)
-	t.buildFails()
-	return t, nil
-}
-
-func (t *Trie) insert(p ruleset.Pattern) {
-	cur := Root
-	for _, c := range p.Data {
-		next := t.edgeTo(cur, c)
-		if next == None {
-			t.Nodes = append(t.Nodes, Node{
-				Parent:  cur,
-				Fail:    Root,
-				OutLink: None,
-				Depth:   t.Nodes[cur].Depth + 1,
-				Char:    c,
-			})
-			next = int32(len(t.Nodes) - 1)
-			t.insertEdge(cur, Edge{Char: c, To: next})
+	proto := make([]protoNode, 1, ceiling)
+	proto[Root] = protoNode{parent: None, child: None, sibling: None, out: None}
+	// childOf finds c among s's children, or links a new state in where it
+	// belongs.
+	childOf := func(s int32, c byte) int32 {
+		prev, at := None, proto[s].child
+		for at != None && proto[at].char < c {
+			prev, at = at, proto[at].sibling
 		}
-		cur = next
+		if at != None && proto[at].char == c {
+			return at
+		}
+		next := int32(len(proto))
+		proto = append(proto, protoNode{parent: s, child: None, sibling: at, out: None, char: c})
+		if prev == None {
+			proto[s].child = next
+		} else {
+			proto[prev].sibling = next
+		}
+		return next
 	}
-	t.Nodes[cur].Out = append(t.Nodes[cur].Out, int32(p.ID))
-	t.patLen[int32(p.ID)] = len(p.Data)
+	// The start state is the widest node of the trie and every insertion
+	// begins there: its children are found in a table, not along the list.
+	var rootGoto [256]int32
+	for c := range rootGoto {
+		rootGoto[c] = None
+	}
+	for _, p := range set.Patterns {
+		cur := rootGoto[p.Data[0]]
+		if cur == None {
+			cur = childOf(Root, p.Data[0])
+			rootGoto[p.Data[0]] = cur
+		}
+		for _, c := range p.Data[1:] {
+			cur = childOf(cur, c)
+		}
+		// Validate ruled out two patterns with the same bytes: a state ends
+		// at most one.
+		proto[cur].out = int32(p.ID)
+	}
+
+	t := &Trie{
+		Nodes:   make([]Node, len(proto)),
+		edges:   make([]Edge, 0, len(proto)-1),
+		outs:    make([]int32, 0, set.Len()),
+		patLens: make([]PatLen, set.Len()),
+	}
+	for i, p := range set.Patterns {
+		t.patLens[i] = PatLen{ID: int32(p.ID), Len: int32(len(p.Data))}
+	}
+	slices.SortFunc(t.patLens, func(a, b PatLen) int { return cmp.Compare(a.ID, b.ID) })
+
+	// Freeze in state order, which is arena order. A parent is numbered
+	// before its children, so its depth is known when theirs is taken.
+	for s := range proto {
+		pn := &proto[s]
+		nd := &t.Nodes[s]
+		*nd = Node{Parent: pn.parent, Fail: Root, OutLink: None, Char: pn.char}
+		if pn.parent != None {
+			nd.Depth = t.Nodes[pn.parent].Depth + 1
+		}
+		for to := pn.child; to != None; to = proto[to].sibling {
+			t.edges = append(t.edges, Edge{Char: proto[to].char, To: to})
+			nd.NumEdges++
+		}
+		if pn.out != None {
+			t.outs = append(t.outs, pn.out)
+			nd.NumOut = 1
+		}
+	}
+	layOut(t.Nodes)
+	t.buildFails(&rootGoto)
+	return t, nil
 }
 
 // edgeTo returns the goto target of (s, c), or None.
 func (t *Trie) edgeTo(s int32, c byte) int32 {
-	edges := t.Nodes[s].Edges
+	edges := t.Edges(s)
 	lo, hi := 0, len(edges)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -127,37 +233,18 @@ func (t *Trie) edgeTo(s int32, c byte) int32 {
 	return None
 }
 
-func (t *Trie) insertEdge(s int32, e Edge) {
-	edges := t.Nodes[s].Edges
-	lo := 0
-	for lo < len(edges) && edges[lo].Char < e.Char {
-		lo++
-	}
-	edges = append(edges, Edge{})
-	copy(edges[lo+1:], edges[lo:])
-	edges[lo] = e
-	t.Nodes[s].Edges = edges
-}
-
 // buildFails computes the failure function and output links breadth-first,
-// exactly as in Aho & Corasick (1975).
-func (t *Trie) buildFails() {
+// exactly as in Aho & Corasick (1975). Most fail chains run out at the
+// start state, whose gotos are looked up in rootGoto instead of by search.
+func (t *Trie) buildFails(rootGoto *[256]int32) {
 	queue := make([]int32, 0, len(t.Nodes))
-	// Most fail chains run out at the start state, the widest node of the
-	// trie: its gotos are looked up in a table instead of by search.
-	var rootGoto [256]int32
-	for c := range rootGoto {
-		rootGoto[c] = None
-	}
-	for _, e := range t.Nodes[Root].Edges {
-		rootGoto[e.Char] = e.To
-		t.Nodes[e.To].Fail = Root
+	for _, e := range t.Edges(Root) {
 		queue = append(queue, e.To)
 	}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, e := range t.Nodes[u].Edges {
+		for _, e := range t.Edges(u) {
 			v := e.To
 			// Follow u's fail chain to find the deepest proper suffix state
 			// with a goto on e.Char.
@@ -175,7 +262,7 @@ func (t *Trie) buildFails() {
 				t.Nodes[v].Fail = Root
 			}
 			fail := t.Nodes[v].Fail
-			if len(t.Nodes[fail].Out) > 0 {
+			if t.Nodes[fail].NumOut > 0 {
 				t.Nodes[v].OutLink = fail
 			} else {
 				t.Nodes[v].OutLink = t.Nodes[fail].OutLink
@@ -190,7 +277,17 @@ func (t *Trie) buildFails() {
 func (t *Trie) NumStates() int { return len(t.Nodes) }
 
 // PatternLen returns the length of pattern id, or 0 if unknown.
-func (t *Trie) PatternLen(id int32) int { return t.patLen[id] }
+func (t *Trie) PatternLen(id int32) int {
+	i, ok := slices.BinarySearchFunc(t.patLens, id, func(p PatLen, id int32) int { return cmp.Compare(p.ID, id) })
+	if !ok {
+		return 0
+	}
+	return int(t.patLens[i].Len)
+}
+
+// PatLens lists every pattern's length, sorted by ID. The slice aliases the
+// trie's own: read-only.
+func (t *Trie) PatLens() []PatLen { return t.patLens }
 
 // Move is the full-DFA move function: the state reached from s on input c,
 // following the fail chain as needed. It never returns None; missing
@@ -212,7 +309,7 @@ func (t *Trie) Move(s int32, c byte) int32 {
 // offset one past the current byte.
 func (t *Trie) EmitOutputs(s int32, end int, fn func(Match)) {
 	for cur := s; cur != None; {
-		for _, id := range t.Nodes[cur].Out {
+		for _, id := range t.Out(cur) {
 			fn(Match{PatternID: id, End: end})
 		}
 		cur = t.Nodes[cur].OutLink
@@ -225,7 +322,7 @@ func (t *Trie) EmitOutputs(s int32, end int, fn func(Match)) {
 // buffer and amortizes its growth across packets.
 func (t *Trie) AppendOutputs(s int32, end int, out []Match) []Match {
 	for cur := s; cur != None; cur = t.Nodes[cur].OutLink {
-		for _, id := range t.Nodes[cur].Out {
+		for _, id := range t.Out(cur) {
 			out = append(out, Match{PatternID: id, End: end})
 		}
 	}
@@ -234,7 +331,7 @@ func (t *Trie) AppendOutputs(s int32, end int, out []Match) []Match {
 
 // HasOutput reports whether any pattern ends at state s.
 func (t *Trie) HasOutput(s int32) bool {
-	return len(t.Nodes[s].Out) > 0 || t.Nodes[s].OutLink != None
+	return t.Nodes[s].NumOut > 0 || t.Nodes[s].OutLink != None
 }
 
 // FindAll scans data with move-function semantics and returns every match
@@ -275,7 +372,7 @@ func (t *Trie) ForEachMoveRow(fn func(s int32, row []int32)) {
 	for c := 0; c < 256; c++ {
 		rootRow[c] = Root
 	}
-	for _, e := range t.Nodes[Root].Edges {
+	for _, e := range t.Edges(Root) {
 		rootRow[e.Char] = e.To
 	}
 	fn(Root, rootRow)
@@ -299,7 +396,7 @@ func (t *Trie) ForEachMoveRow(fn func(s int32, row []int32)) {
 	derive := func(parentRow []int32, s int32) []int32 {
 		row := getRow()
 		copy(row, parentRow)
-		for _, e := range t.Nodes[s].Edges {
+		for _, e := range t.Edges(s) {
 			row[e.Char] = e.To
 		}
 		return row

@@ -1,8 +1,11 @@
 package ac
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rng"
 	"repro/internal/ruleset"
@@ -112,7 +115,7 @@ func TestOutLinkIsNearestOutputAncestor(t *testing.T) {
 	for s := int32(1); s < int32(tr.NumStates()); s++ {
 		want := None
 		for cur := tr.Nodes[s].Fail; ; cur = tr.Nodes[cur].Fail {
-			if len(tr.Nodes[cur].Out) > 0 {
+			if len(tr.Out(cur)) > 0 {
 				want = cur
 				break
 			}
@@ -179,19 +182,33 @@ func TestEmitOutputsExactlySuffixPatterns(t *testing.T) {
 	}
 }
 
-// Property: rebuilding a trie from its own nodes reproduces an equivalent
+// trieParts is a trie taken apart into what Rebuild takes, every slice a
+// copy the caller may corrupt.
+type trieParts struct {
+	nodes   []Node
+	edges   []Edge
+	outs    []int32
+	patLens []PatLen
+}
+
+func partsOf(tr *Trie) trieParts {
+	return trieParts{
+		nodes:   slices.Clone(tr.Nodes),
+		edges:   slices.Clone(tr.edges),
+		outs:    slices.Clone(tr.outs),
+		patLens: slices.Clone(tr.patLens),
+	}
+}
+
+func (p trieParts) rebuild() (*Trie, error) { return Rebuild(p.nodes, p.edges, p.outs, p.patLens) }
+
+// Property: rebuilding a trie from its own parts reproduces the same
 // automaton (exercises ac.Rebuild validation on good input).
 func TestQuickRebuildRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		tr := smallTrie(t, seed, 10, 3, 5)
-		patLen := map[int32]int{}
-		for s := range tr.Nodes {
-			for _, id := range tr.Nodes[s].Out {
-				patLen[id] = tr.PatternLen(id)
-			}
-		}
-		rb, err := Rebuild(tr.Nodes, patLen)
-		if err != nil {
+		rb, err := partsOf(tr).rebuild()
+		if err != nil || !reflect.DeepEqual(rb, tr) {
 			return false
 		}
 		data := []byte("xyxyyxzabacabxy")
@@ -204,38 +221,73 @@ func TestQuickRebuildRoundTrip(t *testing.T) {
 
 func TestRebuildRejectsCorruptNodes(t *testing.T) {
 	tr := smallTrie(t, 40, 8, 3, 4)
-	patLen := map[int32]int{}
-	for s := range tr.Nodes {
-		for _, id := range tr.Nodes[s].Out {
-			patLen[id] = tr.PatternLen(id)
-		}
-	}
-	corrupt := func(mutate func(nodes []Node)) []Node {
-		nodes := make([]Node, len(tr.Nodes))
-		copy(nodes, tr.Nodes)
-		for i := range nodes {
-			nodes[i].Edges = append([]Edge(nil), nodes[i].Edges...)
-			nodes[i].Out = append([]int32(nil), nodes[i].Out...)
-		}
-		mutate(nodes)
-		return nodes
-	}
-	cases := []func(nodes []Node){
-		func(n []Node) { n[1].Parent = 9999 },
-		func(n []Node) { n[1].Fail = int32(len(n)) },
-		func(n []Node) { n[1].Depth = 5 },
-		func(n []Node) { n[0].Parent = 0 },
-		func(n []Node) {
-			if len(n[0].Edges) >= 2 {
-				n[0].Edges[0], n[0].Edges[1] = n[0].Edges[1], n[0].Edges[0]
+	cases := []func(p *trieParts){
+		func(p *trieParts) { p.nodes[1].Parent = 9999 },
+		func(p *trieParts) { p.nodes[1].Fail = int32(len(p.nodes)) },
+		func(p *trieParts) { p.nodes[1].Depth = 5 },
+		func(p *trieParts) { p.nodes[0].Parent = 0 },
+		func(p *trieParts) {
+			if p.nodes[0].NumEdges < 2 {
+				t.Fatal("the start state needs two edges to swap")
 			}
+			p.edges[0], p.edges[1] = p.edges[1], p.edges[0]
 		},
-		func(n []Node) { n[2].Out = append(n[2].Out, 9999) },
+		func(p *trieParts) { // state 2 gains an output no pattern length covers
+			at := int(p.nodes[2].outOff) + int(p.nodes[2].NumOut)
+			p.outs = slices.Insert(p.outs, at, 9999)
+			p.nodes[2].NumOut++
+		},
+		func(p *trieParts) { p.nodes[3].NumEdges++ },
+		func(p *trieParts) { p.nodes[3].NumOut++ },
+		func(p *trieParts) { p.edges = p.edges[:len(p.edges)-1] },
+		func(p *trieParts) { p.patLens[0], p.patLens[1] = p.patLens[1], p.patLens[0] },
 	}
 	for i, mutate := range cases {
-		nodes := corrupt(mutate)
-		if _, err := Rebuild(nodes, patLen); err == nil {
-			t.Errorf("case %d: corrupted nodes accepted", i)
+		p := partsOf(tr)
+		mutate(&p)
+		if _, err := p.rebuild(); err == nil {
+			t.Errorf("case %d: corrupted trie accepted", i)
+		}
+	}
+}
+
+// TestArenaLayout: every state's edges are strictly sorted by character and
+// lead to its own children, the two arenas are exactly the states' slices
+// back to back in state order with nothing between or after them, and a
+// node is no larger than the 32 bytes the resident image is sized by.
+func TestArenaLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got > 32 {
+		t.Fatalf("Node is %d bytes, want at most 32", got)
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		tr := smallTrie(t, seed, 40, 3, 7)
+		var edges, outs uint32
+		for s := int32(0); s < int32(tr.NumStates()); s++ {
+			nd := &tr.Nodes[s]
+			if nd.edgeOff != edges || nd.outOff != outs {
+				t.Fatalf("seed %d: state %d's slices start at (%d, %d), the states before it end at (%d, %d)",
+					seed, s, nd.edgeOff, nd.outOff, edges, outs)
+			}
+			es := tr.Edges(s)
+			for j, e := range es {
+				if j > 0 && es[j-1].Char >= e.Char {
+					t.Fatalf("seed %d: state %d edges not strictly sorted: %v", seed, s, es)
+				}
+				if to := &tr.Nodes[e.To]; to.Parent != s || to.Char != e.Char {
+					t.Fatalf("seed %d: state %d edge %q leads to %d, a child of %d on %q",
+						seed, s, e.Char, e.To, to.Parent, to.Char)
+				}
+			}
+			edges += uint32(len(es))
+			outs += uint32(len(tr.Out(s)))
+		}
+		if int(edges) != len(tr.edges) || int(outs) != len(tr.outs) ||
+			len(tr.edges) != cap(tr.edges) || len(tr.outs) != cap(tr.outs) {
+			t.Fatalf("seed %d: arenas hold %d/%d edges and %d/%d outputs, the states account for %d and %d",
+				seed, len(tr.edges), cap(tr.edges), len(tr.outs), cap(tr.outs), edges, outs)
+		}
+		if edges != uint32(tr.NumStates()-1) {
+			t.Fatalf("seed %d: %d edges for %d states", seed, edges, tr.NumStates())
 		}
 	}
 }

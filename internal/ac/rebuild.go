@@ -2,11 +2,15 @@ package ac
 
 import "fmt"
 
-// Rebuild reconstructs a Trie from raw node data and pattern lengths, for
-// deserialization. It validates the structural invariants a BFS-built trie
+// Rebuild reconstructs a Trie from its node table, its two arenas and its
+// pattern lengths, for deserialization: nodes carry their edge and output
+// counts, edges and outs hold every state's entries back to back in state
+// order, and Rebuild lays the nodes out over them. All four slices become
+// the trie's own. It validates the structural invariants a BFS-built trie
 // guarantees: indices in range, root at 0, parent depth monotonicity,
-// sorted edges, and fail targets strictly shallower than their states.
-func Rebuild(nodes []Node, patLen map[int32]int) (*Trie, error) {
+// sorted edges, fail targets strictly shallower than their states, and
+// pattern lengths sorted by ID.
+func Rebuild(nodes []Node, edges []Edge, outs []int32, patLens []PatLen) (*Trie, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("ac: no nodes")
 	}
@@ -14,6 +18,15 @@ func Rebuild(nodes []Node, patLen map[int32]int) (*Trie, error) {
 	if root.Parent != None || root.Depth != 0 {
 		return nil, fmt.Errorf("ac: state 0 is not a root (parent %d, depth %d)", root.Parent, root.Depth)
 	}
+	if ne, no := layOut(nodes); int(ne) != len(edges) || int(no) != len(outs) {
+		return nil, fmt.Errorf("ac: nodes count %d edges and %d outputs, tables hold %d and %d", ne, no, len(edges), len(outs))
+	}
+	for i := 1; i < len(patLens); i++ {
+		if patLens[i-1].ID >= patLens[i].ID {
+			return nil, fmt.Errorf("ac: pattern lengths not strictly sorted by ID at %d", patLens[i].ID)
+		}
+	}
+	t := &Trie{Nodes: nodes, edges: edges, outs: outs, patLens: patLens}
 	n := int32(len(nodes))
 	for i := int32(1); i < n; i++ {
 		nd := nodes[i]
@@ -34,13 +47,13 @@ func Rebuild(nodes []Node, patLen map[int32]int) (*Trie, error) {
 			if nd.OutLink < 0 || nd.OutLink >= n {
 				return nil, fmt.Errorf("ac: state %d outlink %d out of range", i, nd.OutLink)
 			}
-			if len(nodes[nd.OutLink].Out) == 0 {
+			if nodes[nd.OutLink].NumOut == 0 {
 				return nil, fmt.Errorf("ac: state %d outlink %d has no outputs", i, nd.OutLink)
 			}
 		}
 	}
 	for i := int32(0); i < n; i++ {
-		edges := nodes[i].Edges
+		edges := t.Edges(i)
 		for j, e := range edges {
 			if j > 0 && edges[j-1].Char >= e.Char {
 				return nil, fmt.Errorf("ac: state %d edges not strictly sorted", i)
@@ -52,11 +65,11 @@ func Rebuild(nodes []Node, patLen map[int32]int) (*Trie, error) {
 				return nil, fmt.Errorf("ac: state %d edge %q does not match child %d", i, e.Char, e.To)
 			}
 		}
-		for _, id := range nodes[i].Out {
-			if _, ok := patLen[id]; !ok {
+		for _, id := range t.Out(i) {
+			if t.PatternLen(id) == 0 {
 				return nil, fmt.Errorf("ac: state %d outputs unknown pattern %d", i, id)
 			}
 		}
 	}
-	return &Trie{Nodes: nodes, patLen: patLen}, nil
+	return t, nil
 }

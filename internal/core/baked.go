@@ -2,11 +2,12 @@ package core
 
 // The baked scan kernel: Compile flattens a DTP Machine into a Program, a
 // cache-line-friendly runtime representation that the Scanner hot loop
-// executes instead of walking the builder's slice-of-slices structures.
-// The Machine remains the reference semantics (Machine.Next is the oracle
-// the Program is verified against); the Program is a pure re-layout and
-// must stay byte-exact equivalent — same state, same history, same match
-// order — on every input.
+// executes instead of the Machine's entry lists and the trie's nodes. The
+// Machine remains the reference semantics (Machine.Next is the oracle the
+// Program is verified against); the Program is a pure re-layout and must
+// stay byte-exact equivalent — same state, same history, same match order
+// — on every input. Once compiled it reads no builder structure: not the
+// trie, not the Defaults lists.
 //
 // Layout, mirroring the hardware's fixed-width single-access RAMs:
 //
@@ -27,16 +28,23 @@ package core
 //     bytes. This removes the per-byte int16 widening and the two-field
 //     compare of the builder path.
 //
-//   - Stored transitions live in one CSR arena: rows[s] is a packed row
-//     descriptor and stored[] holds char/state entries as single uint64
-//     words. Because MaxStoredPerState is small on Snort-like sets (the
-//     whole point of the paper's compression), a row descriptor carries
-//     the entry count inline — the common ≤4-entry row costs one
-//     descriptor load plus a short linear scan over adjacent words,
-//     replacing the binary search over a []Transition slice header.
+//   - Stored transitions stay where compress put them: stored is the
+//     Machine's own CSR arena, shared, not copied — one state memory read
+//     by two interpreters. rows[s] is the kernel's packed descriptor of
+//     state s's row in it. Because MaxStoredPerState is small on
+//     Snort-like sets (the whole point of the paper's compression), the
+//     descriptor carries the entry count inline — the common ≤4-entry row
+//     costs one descriptor load plus a short linear scan over adjacent
+//     8-byte entries, where Machine.Next takes two offset loads and a
+//     binary search.
 //
-//   - The output test becomes a bitset probe (outBits), replacing the
-//     HasOutput node loads on the no-match fast path.
+//   - The output test is a bitset probe (outBits): the no-match fast path
+//     loads one word. On a hit the state's rank among output states — a
+//     per-word prefix count plus a popcount of the lower bits — indexes
+//     outOff, and the pattern IDs are read off outIDs contiguously: the
+//     state's own outputs, then each fail-ancestor's along the OutLink
+//     chain, flattened at compile time in exactly the order
+//     Trie.AppendOutputs walks them.
 //
 //   - Two-tier fast path: the start state, every depth-1 state, and the
 //     most popular remaining states (by the same popularity tally that
@@ -48,7 +56,11 @@ package core
 //     these near-root states, so the common byte is a single indexed
 //     load from a dense row.
 
-import "repro/internal/ac"
+import (
+	"math/bits"
+
+	"repro/internal/ac"
+)
 
 const (
 	histLaneBits    = 9
@@ -83,16 +95,18 @@ const (
 // Program is the compiled, flat form of a Machine. It is immutable after
 // Compile and safe for concurrent use by any number of Scanners.
 type Program struct {
-	trie *ac.Trie
-
 	d1 [256]int32     // depth-1 default, start state pre-resolved in
 	d2 [256][4]uint64 // prevKey<<32 | state, empty slots never match
 	d3 [256]uint64    // (p2<<9|p1)<<32 | state, empty key never matches
 
-	rows    []uint32 // per-state descriptor: dense index or CSR count+offset
-	stored  []uint64 // CSR arena: char<<32 | state, rows sorted by char
-	dense   []int32  // denseStates × 256 full move rows
+	rows   []uint32     // per-state descriptor: dense index or CSR count+offset
+	stored []Transition // the Machine's arena, rows sorted by char
+	dense  []int32      // denseStates × 256 full move rows
+
 	outBits []uint64 // bit s set iff any pattern ends at state s
+	outRank []uint32 // per outBits word: output states in the words before it
+	outOff  []uint32 // per output state, by rank, plus one: its slice of outIDs
+	outIDs  []int32  // every output state's full pattern-ID list, back to back
 }
 
 // fuseHist packs the scanner's (h2, h1) register pair into the kernel's
@@ -124,8 +138,8 @@ func splitHist(hist uint32) (h2, h1 int16) {
 // Compile bakes m into a Program. It returns nil when the machine does not
 // fit the fixed row format — more than 4 depth-2 or 1 depth-3 defaults per
 // character (ablation configurations), more stored pointers at a compressed
-// state or in total than the descriptor packs — in which case scanning
-// falls back to the slice-walking reference path. Machines from Build and
+// state or in the whole arena than the descriptor packs — in which case
+// scanning falls back to the reference interpreter. Machines from Build and
 // Load are baked automatically unless Options.Backend pins
 // BackendReference.
 func Compile(m *Machine) *Program { return compile(m, newFailTree(m.Trie)) }
@@ -150,7 +164,7 @@ func compile(m *Machine, ft *failTree) *Program {
 		}
 	}
 
-	p := &Program{trie: t}
+	p := &Program{stored: m.stored}
 
 	// Lookup table rows. Depths beyond Opts.MaxDepth stay empty so the
 	// kernel needs no runtime depth limit: a disabled tier simply never
@@ -177,53 +191,63 @@ func compile(m *Machine, ft *failTree) *Program {
 		}
 	}
 
-	// Output bitset.
+	// Output table: the bitset, and behind it every output state's IDs with
+	// the OutLink chain already walked.
 	p.outBits = make([]uint64, (n+63)/64)
+	p.outRank = make([]uint32, len(p.outBits))
+	outStates, outIDs := 0, 0
 	for s := int32(0); s < int32(n); s++ {
-		if t.HasOutput(s) {
-			p.outBits[uint32(s)>>6] |= 1 << (uint32(s) & 63)
+		if s&63 == 0 {
+			p.outRank[s>>6] = uint32(outStates)
+		}
+		if !t.HasOutput(s) {
+			continue
+		}
+		p.outBits[uint32(s)>>6] |= 1 << (uint32(s) & 63)
+		outStates++
+		for cur := s; cur != ac.None; cur = t.Nodes[cur].OutLink {
+			outIDs += len(t.Out(cur))
 		}
 	}
+	p.outOff = make([]uint32, 0, outStates+1)
+	p.outIDs = make([]int32, 0, outIDs)
+	for s := int32(0); s < int32(n); s++ {
+		if !t.HasOutput(s) {
+			continue
+		}
+		p.outOff = append(p.outOff, uint32(len(p.outIDs)))
+		for cur := s; cur != ac.None; cur = t.Nodes[cur].OutLink {
+			p.outIDs = append(p.outIDs, t.Out(cur)...)
+		}
+	}
+	p.outOff = append(p.outOff, uint32(len(p.outIDs)))
 
 	// Dense-tier promotion: start state and depth-1 states first, then the
 	// most popular remaining states until the budget is spent.
 	promoted := m.pickDense(ft)
 
-	// Row descriptors: dense rows for promoted states, CSR stored-pointer
-	// rows (sorted by char, as in Machine.Stored) for the rest. Only a
+	// Row descriptors: a dense row index for promoted states, count and
+	// offset of the state's row in the shared arena for the rest. Only a
 	// compressed row is read through its descriptor, so only there does the
 	// inline entry count limit what fits.
-	p.rows = make([]uint32, n)
-	denseCount := 0
-	csrEntries := 0
-	for s := 0; s < n; s++ {
-		switch {
-		case promoted[s]:
-			denseCount++
-		case len(m.Stored[s]) > rowCountMax:
-			return nil
-		default:
-			csrEntries += len(m.Stored[s])
-		}
-	}
-	if csrEntries > rowOffMask {
+	if len(m.stored) > rowOffMask {
 		return nil
 	}
-	p.dense = make([]int32, denseCount*256)
-	p.stored = make([]uint64, 0, csrEntries)
-	di := 0
+	p.rows = make([]uint32, n)
+	denseCount := 0
 	for s := 0; s < n; s++ {
-		if promoted[s] {
-			p.rows[s] = rowDense | uint32(di)
-			di++
-			continue
-		}
-		list := m.Stored[s]
-		p.rows[s] = uint32(len(list))<<24 | uint32(len(p.stored))
-		for _, tr := range list {
-			p.stored = append(p.stored, uint64(tr.Char)<<32|uint64(uint32(tr.To)))
+		lo, hi := m.storedOff[s], m.storedOff[s+1]
+		switch {
+		case promoted[s]:
+			p.rows[s] = rowDense | uint32(denseCount)
+			denseCount++
+		case hi-lo > rowCountMax:
+			return nil
+		default:
+			p.rows[s] = (hi-lo)<<24 | lo
 		}
 	}
+	p.dense = make([]int32, denseCount*256)
 
 	// Dense rows, shallow states first: a state's move row is its fail
 	// parent's overridden by its own edges, so each row is a copy of the
@@ -253,7 +277,7 @@ func compile(m *Machine, ft *failTree) *Program {
 			}
 		}
 		for i := len(chain) - 1; i >= 0; i-- {
-			for _, e := range t.Nodes[chain[i]].Edges {
+			for _, e := range t.Edges(chain[i]) {
 				row[e.Char] = e.To
 			}
 		}
@@ -307,7 +331,6 @@ func (m *Machine) pickDense(ft *failTree) []bool {
 // FuzzBakedEquivalence enforce this against both the reference path and
 // the uncompressed-DFA oracle.
 func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out []ac.Match) (int32, uint32, int, []ac.Match) {
-	t := p.trie
 	// Locals let the compiler keep the arena headers in registers across
 	// the loop instead of reloading them through p on every byte.
 	rows, dense, outBits := p.rows, p.dense, p.outBits
@@ -318,10 +341,9 @@ func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out
 		} else {
 			if cnt := ref >> 24; cnt != 0 {
 				base := ref & rowOffMask
-				key := uint32(c)
 				for i := uint32(0); i < cnt; i++ {
-					if e := p.stored[base+i]; uint32(e>>32) == key {
-						state = int32(uint32(e))
+					if e := &p.stored[base+i]; e.Char == c {
+						state = e.To
 						goto stepped
 					}
 				}
@@ -349,10 +371,24 @@ func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out
 		hist = (hist<<histLaneBits | uint32(c)) & histMask
 		pos++
 		if outBits[uint32(state)>>6]&(1<<(uint32(state)&63)) != 0 {
-			out = t.AppendOutputs(state, pos, out)
+			out = p.appendOutputs(state, pos, out)
 		}
 	}
 	return state, hist, pos, out
+}
+
+// appendOutputs appends a Match ending at pos for every pattern of output
+// state state: its rank among output states — the prefix count of its
+// outBits word plus the set bits below its own — is its slot in outOff. It
+// is reached only on a set bit; a state with no output has no rank and no
+// slot.
+func (p *Program) appendOutputs(state int32, pos int, out []ac.Match) []ac.Match {
+	w, bit := uint32(state)>>6, uint64(1)<<(uint32(state)&63)
+	r := p.outRank[w] + uint32(bits.OnesCount64(p.outBits[w]&(bit-1)))
+	for _, id := range p.outIDs[p.outOff[r]:p.outOff[r+1]] {
+		out = append(out, ac.Match{PatternID: id, End: pos})
+	}
+	return out
 }
 
 // step executes one baked transition — the single-byte form of the
@@ -369,10 +405,9 @@ func (p *Program) step(state int32, hist uint32, c byte) (int32, uint32) {
 	} else {
 		if cnt := ref >> 24; cnt != 0 {
 			base := ref & rowOffMask
-			key := uint32(c)
 			for i := uint32(0); i < cnt; i++ {
-				if e := p.stored[base+i]; uint32(e>>32) == key {
-					state = int32(uint32(e))
+				if e := &p.stored[base+i]; e.Char == c {
+					state = e.To
 					goto stepped
 				}
 			}
@@ -410,7 +445,6 @@ stepped:
 // identical to scanAppend's; the equivalence property tests and fuzzers
 // drive both against the oracle.
 func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []byte, out []ac.Match) (int32, uint32, int, []ac.Match) {
-	t := p.trie
 	rows, dense, outBits := p.rows, p.dense, p.outBits
 	for _, c := range data {
 		ref := rows[state]
@@ -419,10 +453,9 @@ func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []b
 		} else {
 			if cnt := ref >> 24; cnt != 0 {
 				base := ref & rowOffMask
-				key := uint32(c)
 				for i := uint32(0); i < cnt; i++ {
-					if e := p.stored[base+i]; uint32(e>>32) == key {
-						state = int32(uint32(e))
+					if e := &p.stored[base+i]; e.Char == c {
+						state = e.To
 						goto stepped
 					}
 				}
@@ -450,7 +483,7 @@ func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []b
 		hist = (hist<<histLaneBits | uint32(c)) & histMask
 		pos++
 		if outBits[uint32(state)>>6]&(1<<(uint32(state)&63)) != 0 {
-			out = t.AppendOutputs(state, pos, out)
+			out = p.appendOutputs(state, pos, out)
 		}
 		if state == ac.Root {
 			break
@@ -460,28 +493,37 @@ func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []b
 }
 
 // ProgramStats reports the memory layout of one compiled program, the
-// software analogue of the hwsim block-memory fill statistics.
+// software analogue of the hwsim block-memory fill statistics: every byte
+// the kernel can touch while scanning.
 type ProgramStats struct {
 	States        int // automaton states
 	DenseStates   int // states promoted to full 256-entry rows
-	StoredEntries int // CSR stored-pointer entries across compressed states
+	StoredEntries int // stored-pointer entries of the compressed states
 	DenseBytes    int // dense tier: DenseStates × 256 × 4
-	StoredBytes   int // CSR arena + row descriptors
-	LookupBytes   int // d1/d2/d3 fixed lookup rows
-	OutputBytes   int // output bitset
-	TotalBytes    int
+	// StoredBytes is the stored-pointer arena plus the kernel's row
+	// descriptors. The arena is the Machine's, shared, not a second copy,
+	// and holds every state's row: those of promoted states, which the
+	// kernel never reads, included.
+	StoredBytes int
+	LookupBytes int // d1/d2/d3 fixed lookup rows
+	OutputBytes int // output bitset, rank table and flattened pattern-ID lists
+	TotalBytes  int
 }
 
 // Stats summarizes the program's memory layout.
 func (p *Program) Stats() ProgramStats {
 	st := ProgramStats{
-		States:        len(p.rows),
-		DenseStates:   len(p.dense) / 256,
-		StoredEntries: len(p.stored),
-		DenseBytes:    len(p.dense) * 4,
-		StoredBytes:   len(p.stored)*8 + len(p.rows)*4,
-		LookupBytes:   256 * (4 + 4*8 + 8),
-		OutputBytes:   len(p.outBits) * 8,
+		States:      len(p.rows),
+		DenseStates: len(p.dense) / 256,
+		DenseBytes:  len(p.dense) * 4,
+		StoredBytes: len(p.stored)*8 + len(p.rows)*4,
+		LookupBytes: 256 * (4 + 4*8 + 8),
+		OutputBytes: len(p.outBits)*8 + len(p.outRank)*4 + len(p.outOff)*4 + len(p.outIDs)*4,
+	}
+	for _, ref := range p.rows {
+		if ref < rowDense {
+			st.StoredEntries += int(ref >> 24)
+		}
 	}
 	st.TotalBytes = st.DenseBytes + st.StoredBytes + st.LookupBytes + st.OutputBytes
 	return st

@@ -403,9 +403,9 @@ func TestProgramStats(t *testing.T) {
 	}
 	var stored int
 	promoted := m.pickDense(newFailTree(m.Trie))
-	for s, list := range m.Stored {
+	for s := range promoted {
 		if !promoted[s] {
-			stored += len(list)
+			stored += len(m.StoredRow(int32(s)))
 		}
 	}
 	if st.StoredEntries != stored {

@@ -81,7 +81,7 @@ func newFailTree(t *ac.Trie) *failTree {
 
 	for q := range nodes {
 		w := int64(ft.sub[q])
-		for _, e := range nodes[q].Edges {
+		for _, e := range t.Edges(int32(q)) {
 			ft.pop[e.To] += w
 			ft.original += w
 			if f := nodes[e.To].Fail; f != ac.Root {
@@ -224,8 +224,8 @@ func (m *Machine) staticHistory(s int32) (h2, h1 int16) {
 
 // compress keeps, at every state, only the transitions the default rule
 // cannot reproduce, and tallies the progressive d1 / d1+d2 / d1+d2+d3
-// pointer counts for Table II. All per-state lists are carved out of one
-// arena sized by the tally.
+// pointer counts for Table II. The rows go into one arena in state order,
+// sized by the tally.
 func (m *Machine) compress(ft *failTree) {
 	t := m.Trie
 	n := t.NumStates()
@@ -233,41 +233,60 @@ func (m *Machine) compress(ft *failTree) {
 	// Per edge s —c→ v: under each depth limit, is the edge stored at s, and
 	// was the pointer it overrides — Move(Fail(s), c), which is Fail(v) —
 	// stored at Fail(s)? The difference reaches every state below s.
-	// keep[v] records the first answer under the configured depth.
+	// keep[v] records the first answer under the configured depth, and the
+	// same two answers give the length of s's row from its fail parent's,
+	// which — shallow states first — is already known. (The start state is
+	// its own fail parent; its length is still zero when it is read.)
 	keep := make([]bool, n)
+	off := make([]uint32, n+1) // off[s+1] is row s's length until summed
 	var total [4]int64
-	for s := range t.Nodes {
+	maxStored := 0
+	for _, s := range ft.order {
 		nd := &t.Nodes[s]
-		h2, h1 := m.staticHistory(int32(s))
+		h2, h1 := m.staticHistory(s)
 		fh2, fh1 := m.staticHistory(nd.Fail)
 		w := int64(ft.sub[s])
-		for _, e := range nd.Edges {
+		length := int(off[nd.Fail+1])
+		for _, e := range t.Edges(s) {
 			over := t.Nodes[e.To].Fail
 			for d := 1; d <= 3; d++ {
-				if m.Defaults.Resolve(e.Char, h2, h1, d) != e.To {
+				stored := m.Defaults.Resolve(e.Char, h2, h1, d) != e.To
+				overStored := over != ac.Root && m.Defaults.Resolve(e.Char, fh2, fh1, d) != over
+				if stored {
 					total[d] += w
-					if d == m.Opts.MaxDepth {
-						keep[e.To] = true
-					}
 				}
-				if over != ac.Root && m.Defaults.Resolve(e.Char, fh2, fh1, d) != over {
+				if overStored {
 					total[d] -= w
+				}
+				if d == m.Opts.MaxDepth {
+					keep[e.To] = stored
+					if stored {
+						length++
+					}
+					if overStored {
+						length--
+					}
 				}
 			}
 		}
+		off[s+1] = uint32(length)
+		maxStored = max(maxStored, length)
+	}
+	for s := 0; s < n; s++ {
+		off[s+1] += off[s]
 	}
 
-	// Shallow states first, merge the fail parent's list with the state's
-	// own edges; both are sorted by character. (The start state inherits
-	// from itself, which is still empty when it is reached.)
+	// Shallow states first, merge the fail parent's row with the state's
+	// own edges; both are sorted by character. The start state has no fail
+	// parent to inherit from.
 	arena := make([]Transition, total[m.Opts.MaxDepth])
-	m.Stored = make([][]Transition, n)
-	used, maxStored := 0, 0
 	for _, s := range ft.order {
-		nd := &t.Nodes[s]
-		inherited := m.Stored[nd.Fail]
-		start := used
-		for _, e := range nd.Edges {
+		var inherited []Transition
+		if f := t.Nodes[s].Fail; s != ac.Root {
+			inherited = arena[off[f]:off[f+1]]
+		}
+		used := off[s]
+		for _, e := range t.Edges(s) {
 			for len(inherited) > 0 && inherited[0].Char < e.Char {
 				arena[used] = inherited[0]
 				used++
@@ -281,12 +300,9 @@ func (m *Machine) compress(ft *failTree) {
 				used++
 			}
 		}
-		used += copy(arena[used:], inherited)
-		if used > start {
-			m.Stored[s] = arena[start:used:used]
-		}
-		maxStored = max(maxStored, used-start)
+		copy(arena[used:off[s+1]], inherited)
 	}
+	m.stored, m.storedOff = arena, off
 
 	fn := float64(n)
 	st := &m.Stats

@@ -29,10 +29,12 @@
 // function of the two, and all of them are byte-exact equivalent — same
 // states, histories, positions and match sequences on every input. Three
 // backends ship today. The "reference" backend walks the Machine itself —
-// slice-of-slices Stored rows, D2/D3 entry lists, Machine.Next — and is
-// kept deliberately close to the paper's hardware description. The "baked" backend runs the Program (see
-// baked.go), a pure re-layout into fixed arrays and a two-tier
-// dense/compressed format that Build compiles by default. The
+// a binary search over the state's stored row, D2/D3 entry lists,
+// Machine.Next — and is kept deliberately close to the paper's hardware
+// description. The "baked" backend runs the Program (see baked.go), a pure
+// re-layout into fixed arrays and a two-tier dense/compressed format that
+// Build compiles by default; its compressed tier reads the Machine's own
+// stored-pointer arena — one state memory, two interpreters. The
 // "prefiltered" backend (see prefilter.go) is a two-stage pipeline: a tiny
 // lossy automaton skims clean traffic and only suspect byte windows run
 // through the exact baked kernel. The lossy stage admits false positives
@@ -242,9 +244,14 @@ type Machine struct {
 	Trie     *ac.Trie
 	Opts     Options
 	Defaults Defaults
-	// Stored[s] holds the transitions kept at state s, sorted by Char.
-	Stored [][]Transition
-	Stats  BuildStats
+	// stored is the state memory: every state's kept transitions back to
+	// back in state order, each state's sorted by Char, and storedOff[s] is
+	// where state s's begin (one more entry closes the last). Read a row
+	// through StoredRow. The baked Program's compressed tier reads this
+	// same arena.
+	stored    []Transition
+	storedOff []uint32
+	Stats     BuildStats
 
 	// prog is the baked scan kernel, nil when the configured backend is
 	// reference, when the machine was hand-assembled, or when the
@@ -333,9 +340,18 @@ func (m *Machine) Program() *Program { return m.prog }
 // the prefiltered backend is unavailable.
 func (m *Machine) Prefilter() *Prefilter { return m.pre }
 
-// StoredAt returns the stored transition target of (s, c), or ac.None.
+// StoredRow returns the transitions kept at state s, sorted by Char. The
+// slice aliases the machine's state memory: read-only.
+func (m *Machine) StoredRow(s int32) []Transition {
+	lo, hi := m.storedOff[s], m.storedOff[s+1]
+	return m.stored[lo:hi:hi]
+}
+
+// StoredAt returns the stored transition target of (s, c), or ac.None. (It
+// slices the arena itself: through StoredRow it would no longer fit the
+// inlining budget, and the reference interpreter calls it once per byte.)
 func (m *Machine) StoredAt(s int32, c byte) int32 {
-	list := m.Stored[s]
+	list := m.stored[m.storedOff[s]:m.storedOff[s+1]]
 	lo, hi := 0, len(list)
 	for lo < hi {
 		mid := (lo + hi) / 2

@@ -61,11 +61,12 @@ func TestToySurvivingPointer(t *testing.T) {
 	total := 0
 	var survivor Transition
 	var atState int32
-	for s, list := range m.Stored {
+	for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+		list := m.StoredRow(s)
 		total += len(list)
 		if len(list) > 0 {
 			survivor = list[0]
-			atState = int32(s)
+			atState = s
 		}
 	}
 	if total != 1 {
@@ -386,9 +387,9 @@ func TestMaxStoredPerStateTracked(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 1000, Seed: 35})
 	m := mustBuild(t, set, Options{})
 	max := 0
-	for _, list := range m.Stored {
-		if len(list) > max {
-			max = len(list)
+	for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+		if n := len(m.StoredRow(s)); n > max {
+			max = n
 		}
 	}
 	if m.Stats.MaxStoredPerState != max {
@@ -457,9 +458,9 @@ func TestQuickStoredPointersAreDFAMoves(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for s, list := range m.Stored {
-			for _, tr := range list {
-				if m.Trie.Move(int32(s), tr.Char) != tr.To {
+		for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+			for _, tr := range m.StoredRow(s) {
+				if m.Trie.Move(s, tr.Char) != tr.To {
 					return false
 				}
 			}

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -24,8 +25,19 @@ import (
 func denseBuild(t *ac.Trie, opts Options) (*Machine, []int64) {
 	m := &Machine{Trie: t, Opts: opts.withDefaults()}
 	pop := m.denseSelectDefaults()
-	m.denseCompress()
+	m.setStoredRows(m.denseCompress())
 	return m, pop
+}
+
+// setStoredRows makes rows — one list per state — the machine's state
+// memory: the lists back to back in state order, and where each begins.
+func (m *Machine) setStoredRows(rows [][]Transition) {
+	m.stored = []Transition{}
+	m.storedOff = make([]uint32, len(rows)+1)
+	for s, row := range rows {
+		m.stored = append(m.stored, row...)
+		m.storedOff[s+1] = uint32(len(m.stored))
+	}
 }
 
 func (m *Machine) denseSelectDefaults() []int64 {
@@ -99,10 +111,11 @@ func (m *Machine) denseSelectDefaults() []int64 {
 	return popularity
 }
 
-func (m *Machine) denseCompress() {
+// denseCompress returns every state's stored row and fills in the stats.
+func (m *Machine) denseCompress() [][]Transition {
 	t := m.Trie
 	n := t.NumStates()
-	m.Stored = make([][]Transition, n)
+	rows := make([][]Transition, n)
 	maxStored := 0
 	t.ForEachMoveRow(func(s int32, row []int32) {
 		h2, h1 := m.staticHistory(s)
@@ -122,11 +135,11 @@ func (m *Machine) denseCompress() {
 				m.Stats.StoredAfterD123++
 			}
 			if m.Defaults.Resolve(ch, h2, h1, m.Opts.MaxDepth) != to {
-				m.Stored[s] = append(m.Stored[s], Transition{Char: ch, To: to})
+				rows[s] = append(rows[s], Transition{Char: ch, To: to})
 			}
 		}
-		if len(m.Stored[s]) > maxStored {
-			maxStored = len(m.Stored[s])
+		if len(rows[s]) > maxStored {
+			maxStored = len(rows[s])
 		}
 	})
 	fn := float64(n)
@@ -147,6 +160,7 @@ func (m *Machine) denseCompress() {
 	if st.OriginalPointers > 0 {
 		st.Reduction = 1 - float64(st.StoredPointers)/float64(st.OriginalPointers)
 	}
+	return rows
 }
 
 // densePromoted ranks every state by a full sort and takes the budget off
@@ -196,7 +210,8 @@ func densePromoted(m *Machine, pop []int64) []bool {
 }
 
 // denseCompile lays out the Program with every dense row filled by
-// Trie.Move, one fail-chain walk per (state, character).
+// Trie.Move, one fail-chain walk per (state, character), and every output
+// list by Trie.AppendOutputs, one OutLink walk per state.
 func denseCompile(m *Machine, pop []int64) *Program {
 	t := m.Trie
 	n := t.NumStates()
@@ -210,7 +225,7 @@ func denseCompile(m *Machine, pop []int64) *Program {
 		}
 	}
 	promoted := densePromoted(m, pop)
-	p := &Program{trie: t}
+	p := &Program{stored: m.stored}
 	for c := 0; c < 256; c++ {
 		p.d1[c] = ac.Root
 		if s := m.Defaults.D1[c]; s != ac.None {
@@ -232,12 +247,21 @@ func denseCompile(m *Machine, pop []int64) *Program {
 		}
 	}
 	p.outBits = make([]uint64, (n+63)/64)
+	p.outRank = make([]uint32, len(p.outBits))
+	p.outOff = []uint32{}
+	p.outIDs = []int32{}
 	p.rows = make([]uint32, n)
 	p.dense = []int32{}
-	p.stored = []uint64{}
 	for s := 0; s < n; s++ {
+		if s%64 == 0 {
+			p.outRank[s/64] = uint32(len(p.outOff))
+		}
 		if t.HasOutput(int32(s)) {
 			p.outBits[s>>6] |= 1 << (s & 63)
+			p.outOff = append(p.outOff, uint32(len(p.outIDs)))
+			for _, mt := range t.AppendOutputs(int32(s), 0, nil) {
+				p.outIDs = append(p.outIDs, mt.PatternID)
+			}
 		}
 		if promoted[s] {
 			p.rows[s] = rowDense | uint32(len(p.dense)/256)
@@ -246,15 +270,13 @@ func denseCompile(m *Machine, pop []int64) *Program {
 			}
 			continue
 		}
-		list := m.Stored[s]
+		list := m.StoredRow(int32(s))
 		if len(list) > rowCountMax {
 			return nil
 		}
-		p.rows[s] = uint32(len(list))<<24 | uint32(len(p.stored))
-		for _, tr := range list {
-			p.stored = append(p.stored, uint64(tr.Char)<<32|uint64(uint32(tr.To)))
-		}
+		p.rows[s] = uint32(len(list))<<24 | m.storedOff[s]
 	}
+	p.outOff = append(p.outOff, uint32(len(p.outIDs)))
 	if len(p.stored) > rowOffMask {
 		return nil
 	}
@@ -284,14 +306,17 @@ func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, opts Options) {
 	if m.Stats != want.Stats {
 		t.Fatalf("%+v: stats differ:\nsparse %+v\ndense  %+v", opts, m.Stats, want.Stats)
 	}
-	for s := range want.Stored {
-		if !reflect.DeepEqual(m.Stored[s], want.Stored[s]) {
-			t.Fatalf("%+v: state %d stores %v, dense sweep %v", opts, s, m.Stored[s], want.Stored[s])
+	for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+		if got, want := m.StoredRow(s), want.StoredRow(s); !slices.Equal(got, want) {
+			t.Fatalf("%+v: state %d stores %v, dense sweep %v", opts, s, got, want)
 		}
-		if len(m.Stored[s]) != cap(m.Stored[s]) {
+		if row := m.StoredRow(s); len(row) != cap(row) {
 			t.Fatalf("%+v: state %d's list can grow into its neighbour's (len %d, cap %d)",
-				opts, s, len(m.Stored[s]), cap(m.Stored[s]))
+				opts, s, len(row), cap(row))
 		}
+	}
+	if !reflect.DeepEqual(m.stored, want.stored) || !reflect.DeepEqual(m.storedOff, want.storedOff) {
+		t.Fatalf("%+v: the state memory is not the dense sweep's rows back to back in state order", opts)
 	}
 	if !reflect.DeepEqual(m.pickDense(ft), densePromoted(want, pop)) {
 		t.Fatalf("%+v: dense-tier promotion differs", opts)
@@ -302,6 +327,11 @@ func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, opts Options) {
 	}
 	if err := m.VerifyTransitions(); err != nil {
 		t.Fatalf("%+v: %v", opts, err)
+	}
+	if m.prog != nil {
+		if err := m.VerifyOutputs(); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
 	}
 }
 
@@ -484,12 +514,12 @@ func TestCompilePromotedWideState(t *testing.T) {
 		t.Fatal(err)
 	}
 	wide := m.Defaults.D1[first]
-	if got := len(m.Stored[wide]); got <= rowCountMax {
+	if got := len(m.StoredRow(wide)); got <= rowCountMax {
 		t.Fatalf("the depth-1 state stores %d pointers; the case needs more than %d", got, rowCountMax)
 	}
-	for s, list := range m.Stored {
-		if int32(s) != wide && len(list) > rowCountMax {
-			t.Fatalf("state %d stores %d pointers too: the case no longer isolates the promoted one", s, len(list))
+	for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+		if n := len(m.StoredRow(s)); s != wide && n > rowCountMax {
+			t.Fatalf("state %d stores %d pointers too: the case no longer isolates the promoted one", s, n)
 		}
 	}
 	if got := m.DefaultBackend(); got != BackendPrefiltered {
@@ -507,6 +537,6 @@ func TestCompilePromotedWideState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ref.Program() != nil || ref.DefaultBackend() != BackendReference {
-		t.Fatalf("a compressed %d-pointer state baked (backend %q)", len(ref.Stored[wide]), ref.DefaultBackend())
+		t.Fatalf("a compressed %d-pointer state baked (backend %q)", len(ref.StoredRow(wide)), ref.DefaultBackend())
 	}
 }

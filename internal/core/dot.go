@@ -51,7 +51,7 @@ func (m *Machine) WriteDot(w io.Writer, opts DotOptions) error {
 	}
 	// Trie skeleton (dotted when the goto edge was compressed away).
 	for s := int32(0); s < int32(n); s++ {
-		for _, e := range m.Trie.Nodes[s].Edges {
+		for _, e := range m.Trie.Edges(s) {
 			if m.StoredAt(s, e.Char) == e.To {
 				continue // drawn below as a stored pointer
 			}
@@ -61,7 +61,7 @@ func (m *Machine) WriteDot(w io.Writer, opts DotOptions) error {
 	}
 	// Stored pointers.
 	for s := int32(0); s < int32(n); s++ {
-		for _, tr := range m.Stored[s] {
+		for _, tr := range m.StoredRow(s) {
 			fmt.Fprintf(&sb, "  s%d -> s%d [label=\"%s\"];\n",
 				s, tr.To, printableChar(tr.Char))
 		}

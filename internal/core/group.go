@@ -15,8 +15,12 @@ import (
 // results merge trivially.
 type Grouped struct {
 	Machines []*Machine
-	Sets     []*ruleset.Set
-	Opts     Options
+	// Sets[i] is the share of the ruleset Machines[i] matches. With one
+	// group it is the caller's own set, not a copy: Build neither mutates a
+	// set nor retains its pattern bytes (ac.New copies them into node
+	// labels), so nothing is kept alive on the machine's behalf.
+	Sets []*ruleset.Set
+	Opts Options
 	// Generation is the process-unique compile generation shared by every
 	// machine in the group — the identity a hot-reload control plane pins
 	// flows to. See generation.go.
@@ -32,7 +36,10 @@ func BuildGrouped(set *ruleset.Set, groups int, opts Options) (*Grouped, error) 
 	if groups > set.Len() {
 		return nil, fmt.Errorf("core: %d groups for %d patterns", groups, set.Len())
 	}
-	parts := set.SplitChars(groups)
+	parts := []*ruleset.Set{set}
+	if groups > 1 {
+		parts = set.SplitChars(groups)
+	}
 	g := &Grouped{Sets: parts, Opts: opts}
 	for i, part := range parts {
 		if part.Len() == 0 {

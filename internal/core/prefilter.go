@@ -209,7 +209,7 @@ func CompilePrefilter(m *Machine) *Prefilter {
 	for s := 1; s < n; s++ {
 		nd := &t.Nodes[s]
 		d := int(nd.Depth)
-		if d > prefK || (d < prefK && len(nd.Out) == 0) {
+		if d > prefK || (d < prefK && nd.NumOut == 0) {
 			continue
 		}
 		for j, cur := d-1, int32(s); j >= 0; j-- {
@@ -346,7 +346,7 @@ func (m *Machine) VerifySuperset() error {
 	for s := 1; s < t.NumStates(); s++ {
 		nd := &t.Nodes[s]
 		d := int(nd.Depth)
-		if d > prefK || (d < prefK && len(nd.Out) == 0) {
+		if d > prefK || (d < prefK && nd.NumOut == 0) {
 			continue
 		}
 		for j, cur := d-1, int32(s); j >= 0; j-- {

@@ -61,36 +61,31 @@ func (m *Machine) Save(w io.Writer) error {
 	put(cw, uint8(m.Opts.MaxDepth))
 	put(cw, uint8(0)) // pad
 
-	nodes := m.Trie.Nodes
-	put(cw, uint32(len(nodes)))
-	for i := range nodes {
-		nd := &nodes[i]
+	t := m.Trie
+	put(cw, uint32(t.NumStates()))
+	for i := range t.Nodes {
+		nd := &t.Nodes[i]
 		put(cw, nd.Parent)
 		put(cw, nd.Fail)
 		put(cw, nd.OutLink)
 		put(cw, nd.Depth)
 		put(cw, nd.Char)
-		put(cw, uint16(len(nd.Edges)))
-		put(cw, uint16(len(nd.Out)))
-		for _, e := range nd.Edges {
+		put(cw, nd.NumEdges)
+		put(cw, nd.NumOut)
+		for _, e := range t.Edges(int32(i)) {
 			put(cw, e.Char)
 			put(cw, e.To)
 		}
-		for _, id := range nd.Out {
+		for _, id := range t.Out(int32(i)) {
 			put(cw, id)
 		}
 	}
 
 	// Pattern lengths, sorted by ID for determinism.
-	ids := make([]int32, 0)
-	for i := range nodes {
-		ids = append(ids, nodes[i].Out...)
-	}
-	sortInt32(ids)
-	put(cw, uint32(len(ids)))
-	for _, id := range ids {
-		put(cw, id)
-		put(cw, int32(m.Trie.PatternLen(id)))
+	put(cw, uint32(len(t.PatLens())))
+	for _, pl := range t.PatLens() {
+		put(cw, pl.ID)
+		put(cw, pl.Len)
 	}
 
 	// Defaults.
@@ -114,9 +109,10 @@ func (m *Machine) Save(w io.Writer) error {
 	}
 
 	// Stored transitions.
-	for s := range m.Stored {
-		put(cw, uint16(len(m.Stored[s])))
-		for _, tr := range m.Stored[s] {
+	for s := int32(0); s < int32(t.NumStates()); s++ {
+		row := m.StoredRow(s)
+		put(cw, uint16(len(row)))
+		for _, tr := range row {
 			put(cw, tr.Char)
 			put(cw, tr.To)
 		}
@@ -196,7 +192,24 @@ func Load(data []byte) (*Machine, error) {
 	if numNodes == 0 || numNodes > 1<<24 {
 		return nil, fmt.Errorf("core: implausible node count %d", numNodes)
 	}
+	// Size the trie's two arenas by walking the node records' counts ahead
+	// of the reader: 4×i32 + u8 Char + 2×u16 counts, then u8 Char + i32 To
+	// per edge and an i32 per output.
+	const nodeRecord = 4*4 + 1 + 2*2
+	numEdges, numOuts := 0, 0
+	for i, off := uint32(0), len(body)-rd.r.Len(); i < numNodes; i++ {
+		if off+nodeRecord > len(body) {
+			return nil, fmt.Errorf("core: snapshot ends inside the node table at state %d", i)
+		}
+		ne := int(binary.LittleEndian.Uint16(body[off+nodeRecord-4:]))
+		no := int(binary.LittleEndian.Uint16(body[off+nodeRecord-2:]))
+		numEdges += ne
+		numOuts += no
+		off += nodeRecord + 5*ne + 4*no
+	}
 	nodes := make([]ac.Node, numNodes)
+	edges := make([]ac.Edge, 0, numEdges)
+	outs := make([]int32, 0, numOuts)
 	for i := range nodes {
 		nd := &nodes[i]
 		get(rd, &nd.Parent)
@@ -204,20 +217,21 @@ func Load(data []byte) (*Machine, error) {
 		get(rd, &nd.OutLink)
 		get(rd, &nd.Depth)
 		get(rd, &nd.Char)
-		var numEdges, numOut uint16
-		get(rd, &numEdges)
-		get(rd, &numOut)
+		get(rd, &nd.NumEdges)
+		get(rd, &nd.NumOut)
 		if rd.err != nil {
 			return nil, rd.err
 		}
-		nd.Edges = make([]ac.Edge, numEdges)
-		for j := range nd.Edges {
-			get(rd, &nd.Edges[j].Char)
-			get(rd, &nd.Edges[j].To)
+		for j := 0; j < int(nd.NumEdges); j++ {
+			var e ac.Edge
+			get(rd, &e.Char)
+			get(rd, &e.To)
+			edges = append(edges, e)
 		}
-		nd.Out = make([]int32, numOut)
-		for j := range nd.Out {
-			get(rd, &nd.Out[j])
+		for j := 0; j < int(nd.NumOut); j++ {
+			var id int32
+			get(rd, &id)
+			outs = append(outs, id)
 		}
 	}
 
@@ -226,18 +240,20 @@ func Load(data []byte) (*Machine, error) {
 	if rd.err != nil {
 		return nil, rd.err
 	}
-	patLen := make(map[int32]int, numPat)
-	for i := uint32(0); i < numPat; i++ {
-		var id, l int32
-		get(rd, &id)
-		get(rd, &l)
-		if l <= 0 {
-			return nil, fmt.Errorf("core: pattern %d has length %d", id, l)
+	if int64(numPat)*8 > int64(rd.r.Len()) {
+		return nil, fmt.Errorf("core: snapshot ends inside its %d pattern lengths", numPat)
+	}
+	patLens := make([]ac.PatLen, numPat)
+	for i := range patLens {
+		pl := &patLens[i]
+		get(rd, &pl.ID)
+		get(rd, &pl.Len)
+		if pl.Len <= 0 {
+			return nil, fmt.Errorf("core: pattern %d has length %d", pl.ID, pl.Len)
 		}
-		patLen[id] = int(l)
 	}
 
-	trie, err := ac.Rebuild(nodes, patLen)
+	trie, err := ac.Rebuild(nodes, edges, outs, patLens)
 	if err != nil {
 		if rd.err != nil {
 			return nil, rd.err
@@ -277,7 +293,7 @@ func Load(data []byte) (*Machine, error) {
 		}
 	}
 
-	// One arena for every state's list, sized by walking the per-state
+	// One arena for every state's row, sized by walking the per-state
 	// counts ahead of the reader.
 	total := 0
 	for s, off := uint32(0), len(body)-rd.r.Len(); s < numNodes; s++ {
@@ -288,19 +304,21 @@ func Load(data []byte) (*Machine, error) {
 		total += n
 		off += 2 + 5*n // u8 Char + i32 To per entry
 	}
-	arena := make([]Transition, total)
-	m.Stored = make([][]Transition, numNodes)
-	for s := range m.Stored {
+	m.stored = make([]Transition, 0, total)
+	m.storedOff = make([]uint32, numNodes+1)
+	for s := uint32(0); s < numNodes; s++ {
 		var n uint16
 		get(rd, &n)
 		if rd.err != nil {
 			return nil, rd.err
 		}
-		m.Stored[s], arena = arena[:n:n], arena[n:]
-		for j := range m.Stored[s] {
-			get(rd, &m.Stored[s][j].Char)
-			get(rd, &m.Stored[s][j].To)
+		for j := 0; j < int(n); j++ {
+			var tr Transition
+			get(rd, &tr.Char)
+			get(rd, &tr.To)
+			m.stored = append(m.stored, tr)
 		}
+		m.storedOff[s+1] = uint32(len(m.stored))
 	}
 
 	var i64 int64
@@ -361,11 +379,9 @@ func Load(data []byte) (*Machine, error) {
 			}
 		}
 	}
-	for _, list := range m.Stored {
-		for _, tr := range list {
-			if err := check(tr.To); err != nil {
-				return nil, err
-			}
+	for _, tr := range m.stored {
+		if err := check(tr.To); err != nil {
+			return nil, err
 		}
 	}
 	// Bake the scan kernels through the same sequence Build runs. The
@@ -377,12 +393,4 @@ func Load(data []byte) (*Machine, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash/crc32"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ac"
@@ -79,6 +81,40 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	got := fmt.Sprintf("%x", sha256.Sum256(snapshotOf(t, mustBuild(t, set, Options{}))))
 	if got != want {
 		t.Fatalf("snapshot of the 634-string machine hashes to %s, want %s", got, want)
+	}
+}
+
+// TestSnapshotRoundTripByteIdentical: Save → Load → Save reproduces the
+// blob byte for byte at the paper's ruleset sizes, and the loaded machine is
+// the built one — same trie, same state memory, same kernel tables — so
+// there is one live image whichever way a machine came to be.
+func TestSnapshotRoundTripByteIdentical(t *testing.T) {
+	for _, n := range []int{634, 1204, 2588, 6275} {
+		built := mustBuild(t, ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010}), Options{})
+		first := snapshotOf(t, built)
+		loaded, err := Load(first)
+		if err != nil {
+			t.Fatalf("%d strings: %v", n, err)
+		}
+		if second := snapshotOf(t, loaded); !bytes.Equal(first, second) {
+			t.Fatalf("%d strings: the snapshot of the loaded machine differs from the one it was loaded from (%d vs %d bytes)",
+				n, len(second), len(first))
+		}
+		if !reflect.DeepEqual(loaded.Trie, built.Trie) {
+			t.Fatalf("%d strings: loaded trie differs from the built one", n)
+		}
+		if !slices.Equal(loaded.stored, built.stored) || !slices.Equal(loaded.storedOff, built.storedOff) {
+			t.Fatalf("%d strings: loaded state memory differs from the built one", n)
+		}
+		if cap(loaded.stored) != len(loaded.stored) {
+			t.Fatalf("%d strings: loaded arena has %d spare entries", n, cap(loaded.stored)-len(loaded.stored))
+		}
+		if !reflect.DeepEqual(loaded.prog, built.prog) {
+			t.Fatalf("%d strings: loaded kernel differs from the built one", n)
+		}
+		if &loaded.prog.stored[0] != &loaded.stored[0] {
+			t.Fatalf("%d strings: the loaded kernel reads a copy of the state memory", n)
+		}
 	}
 }
 

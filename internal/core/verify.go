@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ac"
 )
@@ -34,6 +35,52 @@ func (m *Machine) VerifyTransitions() error {
 		}
 	})
 	return firstErr
+}
+
+// VerifyOutputs proves the baked kernel's output table against the trie it
+// was flattened from: for every state, the bitset says whether anything
+// ends there exactly as Trie.HasOutput does, and where it does the kernel's
+// contiguous list equals Trie.AppendOutputs element for element — own
+// outputs, then each fail-ancestor's. It also checks that the table has a
+// slot for each output state and no other, so a state with a clear bit has
+// no rank to look up: the kernel never reaches the table for it.
+func (m *Machine) VerifyOutputs() error {
+	p := m.prog
+	if p == nil {
+		return fmt.Errorf("core: no baked kernel compiled for this machine")
+	}
+	t := m.Trie
+	var got, want []ac.Match
+	rank := 0
+	for s := int32(0); s < int32(t.NumStates()); s++ {
+		w, bit := uint32(s)>>6, uint64(1)<<(uint32(s)&63)
+		if s&63 == 0 && int(p.outRank[w]) != rank {
+			return fmt.Errorf("core: output word %d has prefix count %d, %d output states precede it", w, p.outRank[w], rank)
+		}
+		want = t.AppendOutputs(s, int(s), want[:0])
+		if p.outBits[w]&bit == 0 {
+			if len(want) != 0 {
+				return fmt.Errorf("core: state %d ends %d patterns but its output bit is clear", s, len(want))
+			}
+			continue
+		}
+		if len(want) == 0 {
+			return fmt.Errorf("core: state %d ends no pattern but its output bit is set", s)
+		}
+		if rank+1 >= len(p.outOff) {
+			return fmt.Errorf("core: output state %d has rank %d, the table holds %d", s, rank, len(p.outOff)-1)
+		}
+		got = p.appendOutputs(s, int(s), got[:0])
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("core: state %d: kernel emits %v, the trie's output chain %v", s, got, want)
+		}
+		rank++
+	}
+	if len(p.outOff) != rank+1 || int(p.outOff[rank]) != len(p.outIDs) {
+		return fmt.Errorf("core: output table has %d slots over %d IDs, the bitset marks %d output states",
+			len(p.outOff)-1, len(p.outIDs), rank)
+	}
+	return nil
 }
 
 // VerifyScan cross-checks matcher output against the uncompressed DFA on

@@ -9,50 +9,26 @@ import (
 	"repro/internal/ruleset"
 )
 
-// padMachine returns a structurally valid machine whose Stored lists have
-// been padded with extra (fake but well-formed) transitions so that every
-// state-type class appears. Pack only requires structural consistency, so
-// this exercises the 108/180/252/324-bit layouts that organically built
-// machines rarely need.
-func padMachine(t *testing.T, wantCounts []int) *core.Machine {
+// wideMachine returns a machine with a state at each of wantCounts stored
+// pointers, so that every state-type class appears at both ends of its
+// range. Machines built with the full default scheme rarely need the
+// 108/180/252/324-bit layouts; the same ruleset under depth-1 defaults only
+// (Table II's "d1" row) keeps up to 13 pointers at a state and still packs.
+func wideMachine(t *testing.T, wantCounts []int) *core.Machine {
 	t.Helper()
-	set := ruleset.MustGenerate(ruleset.GenConfig{N: 60, Seed: 95})
-	m, err := core.Build(set, core.Options{})
+	set := ruleset.MustGenerate(ruleset.GenConfig{N: 100, Seed: 7})
+	m, err := core.Build(set, core.Options{MaxDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := int32(m.Trie.NumStates())
-	state := int32(1)
+	have := map[int]bool{}
+	for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+		have[len(m.StoredRow(s))] = true
+	}
 	for _, want := range wantCounts {
-		// Find a state (skipping the root) and pad its stored list to the
-		// requested count with ascending characters.
-		for ; state < n; state++ {
-			if len(m.Stored[state]) <= want {
-				break
-			}
+		if !have[want] {
+			t.Fatalf("no state stores %d pointers", want)
 		}
-		if state >= n {
-			t.Fatalf("no state available to pad to %d", want)
-		}
-		list := m.Stored[state]
-		used := map[byte]bool{}
-		for _, tr := range list {
-			used[tr.Char] = true
-		}
-		for c := 0; len(list) < want && c < 256; c++ {
-			if used[byte(c)] {
-				continue
-			}
-			list = append(list, core.Transition{Char: byte(c), To: (state + int32(c)) % n})
-		}
-		// Keep sorted by char as core guarantees.
-		for i := 1; i < len(list); i++ {
-			for j := i; j > 0 && list[j-1].Char > list[j].Char; j-- {
-				list[j-1], list[j] = list[j], list[j-1]
-			}
-		}
-		m.Stored[state] = list
-		state++
 	}
 	return m
 }
@@ -60,7 +36,7 @@ func padMachine(t *testing.T, wantCounts []int) *core.Machine {
 func TestPackAllStateTypes(t *testing.T) {
 	// Force stored counts hitting every class boundary: 2 (type 10-12),
 	// 5 and 7 (type 13), 8 and 10 (type 14), 11 and 13 (type 15).
-	m := padMachine(t, []int{2, 4, 5, 7, 8, 10, 11, 13})
+	m := wideMachine(t, []int{2, 4, 5, 7, 8, 10, 11, 13})
 	img, err := Pack(m)
 	if err != nil {
 		t.Fatal(err)
@@ -78,9 +54,9 @@ func TestPackAllStateTypes(t *testing.T) {
 	if !any3 {
 		t.Error("no 108-bit state type used")
 	}
-	// Bit-exact readback of every padded pointer.
+	// Bit-exact readback of every pointer.
 	for s := int32(0); s < int32(len(img.Loc)); s++ {
-		for i, tr := range m.Stored[s] {
+		for i, tr := range m.StoredRow(s) {
 			char, to, ok := img.readPtr(img.Loc[s], i)
 			if !ok || char != tr.Char || to != img.Loc[tr.To] {
 				t.Fatalf("state %d ptr %d decode mismatch", s, i)

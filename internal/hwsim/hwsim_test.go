@@ -198,7 +198,7 @@ func TestPackLocTypesMatchStoredCounts(t *testing.T) {
 	img := mustPack(t, set, core.Options{})
 	for s, loc := range img.Loc {
 		info := loc.Type.Info()
-		n := len(img.Machine.Stored[s])
+		n := len(img.Machine.StoredRow(int32(s)))
 		if n > info.MaxPtrs {
 			t.Fatalf("state %d: %d pointers in type %d (max %d)", s, n, loc.Type, info.MaxPtrs)
 		}
@@ -216,7 +216,7 @@ func TestPackPointerRoundTrip(t *testing.T) {
 	img := mustPack(t, set, core.Options{})
 	m := img.Machine
 	for s := int32(0); s < int32(len(img.Loc)); s++ {
-		for i, tr := range m.Stored[s] {
+		for i, tr := range m.StoredRow(s) {
 			char, to, ok := img.readPtr(img.Loc[s], i)
 			if !ok {
 				t.Fatalf("state %d pointer %d: slot empty", s, i)
@@ -228,7 +228,7 @@ func TestPackPointerRoundTrip(t *testing.T) {
 		}
 		// The slot after the last pointer must be empty (or out of range).
 		info := img.Loc[s].Type.Info()
-		if n := len(m.Stored[s]); n < info.MaxPtrs {
+		if n := len(m.StoredRow(s)); n < info.MaxPtrs {
 			if _, _, ok := img.readPtr(img.Loc[s], n); ok {
 				t.Fatalf("state %d: phantom pointer in slot %d", s, n)
 			}

@@ -168,7 +168,7 @@ func (img *Image) placeStates() error {
 
 	var ones, threes, fives, sevens, nines []int32
 	for s := int32(1); s < int32(n); s++ {
-		units, err := unitsForPtrs(len(m.Stored[s]))
+		units, err := unitsForPtrs(len(m.StoredRow(s)))
 		if err != nil {
 			return fmt.Errorf("state %d (depth %d): %w", s, m.Trie.Nodes[s].Depth, err)
 		}
@@ -185,10 +185,10 @@ func (img *Image) placeStates() error {
 			nines = append(nines, s)
 		}
 	}
-	if len(m.Stored[ac.Root]) != 0 {
+	if len(m.StoredRow(ac.Root)) != 0 {
 		// Cannot happen: every root transition targets a depth-1 state,
 		// which is by construction a depth-1 default.
-		return fmt.Errorf("hwsim: start state has %d stored pointers", len(m.Stored[ac.Root]))
+		return fmt.Errorf("hwsim: start state has %d stored pointers", len(m.StoredRow(ac.Root)))
 	}
 
 	type slot struct {
@@ -354,9 +354,9 @@ func (img *Image) writeStateWords() error {
 		word := img.Words[loc.Word]
 		base := loc.bitOffset()
 		info := loc.Type.Info()
-		if len(m.Stored[s]) > info.MaxPtrs {
+		if len(m.StoredRow(s)) > info.MaxPtrs {
 			return fmt.Errorf("hwsim: state %d has %d pointers, type %d holds %d",
-				s, len(m.Stored[s]), loc.Type, info.MaxPtrs)
+				s, len(m.StoredRow(s)), loc.Type, info.MaxPtrs)
 		}
 		// Match field.
 		if addr := img.matchAddr[s]; addr >= 0 {
@@ -364,7 +364,7 @@ func (img *Image) writeStateWords() error {
 			word.SetField(base+1, matchAddrBits, uint64(addr))
 		}
 		// Pointers, sorted by character (core keeps them sorted).
-		for i, tr := range m.Stored[s] {
+		for i, tr := range m.StoredRow(s) {
 			off := base + MatchFieldBits + i*PtrBits
 			to := img.Loc[tr.To]
 			word.SetField(off+ptrCharOff, 8, uint64(tr.Char))

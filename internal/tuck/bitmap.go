@@ -87,7 +87,7 @@ func BuildBitmap(set *ruleset.Set) (*BitmapAC, error) {
 	newID := make([]int32, n)    // old -> new
 	order = append(order, ac.Root)
 	for i := 0; i < len(order); i++ {
-		for _, e := range trie.Nodes[order[i]].Edges {
+		for _, e := range trie.Edges(order[i]) {
 			order = append(order, e.To)
 		}
 	}
@@ -105,8 +105,8 @@ func BuildBitmap(set *ruleset.Set) (*BitmapAC, error) {
 		src := trie.Nodes[old]
 		node := &b.Nodes[idx]
 		node.FirstChild = next
-		next += int32(len(src.Edges))
-		for _, e := range src.Edges {
+		next += int32(src.NumEdges)
+		for _, e := range trie.Edges(old) {
 			node.Bitmap[e.Char>>6] |= 1 << (uint(e.Char) & 63)
 		}
 		node.Fail = newID[src.Fail]
@@ -115,7 +115,7 @@ func BuildBitmap(set *ruleset.Set) (*BitmapAC, error) {
 		} else {
 			node.OutLink = newID[src.OutLink]
 		}
-		node.Out = append([]int32(nil), src.Out...)
+		node.Out = append([]int32(nil), trie.Out(old)...)
 	}
 	return b, nil
 }

@@ -86,7 +86,7 @@ func BuildPath(set *ruleset.Set) (*PathAC, error) {
 	// A state joins a run when it has exactly one child and is not the
 	// root; runs are maximal downward chains.
 	isPathState := func(s int32) bool {
-		return s != ac.Root && len(trie.Nodes[s].Edges) == 1
+		return s != ac.Root && trie.Nodes[s].NumEdges == 1
 	}
 	// Allocate refs: walk from the root; chains started by a branch node's
 	// child are collapsed greedily.
@@ -101,10 +101,10 @@ func BuildPath(set *ruleset.Set) (*PathAC, error) {
 			for {
 				refOf[cur] = Ref{Node: idx, Off: int32(len(pn.Run)), Path: true}
 				pn.Run = append(pn.Run, PathPos{Char: trie.Nodes[cur].Char})
-				child := trie.Nodes[cur].Edges[0].To
+				child := trie.Edges(cur)[0].To
 				if !isPathState(child) {
 					// Child is a branch (or leaf with 0/≥2 edges): close run.
-					if len(trie.Nodes[child].Edges) == 0 && child != ac.Root {
+					if trie.Nodes[child].NumEdges == 0 && child != ac.Root {
 						// The chain ends in a leaf state: absorb it too.
 						refOf[child] = Ref{Node: idx, Off: int32(len(pn.Run)), Path: true}
 						pn.Run = append(pn.Run, PathPos{Char: trie.Nodes[child].Char})
@@ -122,7 +122,7 @@ func BuildPath(set *ruleset.Set) (*PathAC, error) {
 		// Branch node (root, leaf, or fan-out state).
 		refOf[s] = Ref{Node: int32(len(p.Branches))}
 		p.Branches = append(p.Branches, BranchNode{})
-		for _, e := range trie.Nodes[s].Edges {
+		for _, e := range trie.Edges(s) {
 			walk(e.To)
 		}
 	}
@@ -130,7 +130,7 @@ func BuildPath(set *ruleset.Set) (*PathAC, error) {
 	// root first and descend.
 	refOf[ac.Root] = Ref{Node: 0}
 	p.Branches = append(p.Branches, BranchNode{})
-	for _, e := range trie.Nodes[ac.Root].Edges {
+	for _, e := range trie.Edges(ac.Root) {
 		walk(e.To)
 	}
 
@@ -146,24 +146,24 @@ func BuildPath(set *ruleset.Set) (*PathAC, error) {
 		if ref.Path {
 			pos := &p.Paths[ref.Node].Run[ref.Off]
 			pos.Fail = fail
-			pos.Out = append([]int32(nil), nd.Out...)
+			pos.Out = append([]int32(nil), trie.Out(s)...)
 			pos.OutLink = outLink
 			pos.HasOutL = hasOutL
 			// Close the run's Next when this is the last position and the
 			// chain continues into a branch node.
 			pn := &p.Paths[ref.Node]
 			if int(ref.Off) == len(pn.Run)-1 && !pn.Leaf {
-				next := nd.Edges[0].To
+				next := trie.Edges(s)[0].To
 				pn.Next = refOf[next]
 				pn.NextChar = trie.Nodes[next].Char
 			}
 		} else {
 			bn := &p.Branches[ref.Node]
 			bn.Fail = fail
-			bn.Out = append([]int32(nil), nd.Out...)
+			bn.Out = append([]int32(nil), trie.Out(s)...)
 			bn.OutLink = outLink
 			bn.HasOutL = hasOutL
-			for _, e := range nd.Edges {
+			for _, e := range trie.Edges(s) {
 				bn.Bitmap[e.Char>>6] |= 1 << (uint(e.Char) & 63)
 				bn.Children = append(bn.Children, refOf[e.To])
 			}
