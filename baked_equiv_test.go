@@ -90,6 +90,9 @@ func FuzzBakedEquivalence(f *testing.F) {
 			t.Fatal("default compile produced no baked kernel")
 		}
 		for _, machine := range baked.grouped.Machines {
+			if err := machine.VerifyProgram(); err != nil {
+				t.Fatal(err)
+			}
 			if err := machine.VerifyOutputs(); err != nil {
 				t.Fatal(err)
 			}

@@ -52,18 +52,18 @@ func defaultKernelConfig(seed int64) kernelBenchConfig {
 
 // kernelBenchRow is one (ruleset size, profile, backend) measurement.
 type kernelBenchRow struct {
-	Strings       int     `json:"strings"`
-	Backend       string  `json:"backend"` // reference | baked | prefiltered
-	Profile       string  `json:"profile"` // attack | clean
-	Gbps          float64 `json:"gbps"`
-	Matches       int     `json:"matches"`                   // per payload pass
-	OracleMatches int     `json:"oracle_matches"`            // uncompressed-DFA count
-	AllocsPerOp   float64 `json:"allocs_per_op"`             // steady-state allocations per pass
-	Speedup       float64 `json:"speedup"`                   // vs the reference kernel, same size+profile
-	DenseStates   int     `json:"dense_states,omitempty"`    // baked rows promoted to dense tier
-	KernelBytes   int     `json:"kernel_bytes,omitempty"`    // flat program footprint
-	PrefilterKB   int     `json:"prefilter_bytes,omitempty"` // lossy table footprint
-	SuspectRate   float64 `json:"suspect_rate,omitempty"`    // suspect windows per skimmed byte
+	Strings        int     `json:"strings"`
+	Backend        string  `json:"backend"` // reference | baked | prefiltered
+	Profile        string  `json:"profile"` // attack | clean
+	Gbps           float64 `json:"gbps"`
+	Matches        int     `json:"matches"`                   // per payload pass
+	OracleMatches  int     `json:"oracle_matches"`            // uncompressed-DFA count
+	AllocsPerOp    float64 `json:"allocs_per_op"`             // steady-state allocations per pass
+	Speedup        float64 `json:"speedup"`                   // vs the reference kernel, same size+profile
+	DenseStates    int     `json:"dense_states,omitempty"`    // baked rows promoted to the fast tier
+	KernelBytes    int     `json:"kernel_bytes,omitempty"`    // flat program footprint
+	PrefilterBytes int     `json:"prefilter_bytes,omitempty"` // lossy table footprint
+	SuspectRate    float64 `json:"suspect_rate,omitempty"`    // suspect windows per skimmed byte
 }
 
 // kernelBenchReport is the BENCH_13.json artifact. OK gates CI: every row
@@ -236,7 +236,7 @@ func runKernel(ctx context.Context, out io.Writer, jsonPath string, cfg kernelBe
 			case core.BackendPrefiltered:
 				row.Speedup = gbps / refGbps
 				pst := m.Prefilter().Stats()
-				row.PrefilterKB = pst.TableBytes
+				row.PrefilterBytes = pst.TableBytes
 				row.SuspectRate = pst.SuspectRate
 				if n == headlineStrings && profile == "clean" {
 					rep.PrefilterCleanSpeedup = gbps / bakedGbps
@@ -248,7 +248,7 @@ func runKernel(ctx context.Context, out io.Writer, jsonPath string, cfg kernelBe
 			rep.Rows = append(rep.Rows, row)
 			kb := row.KernelBytes
 			if backend == core.BackendPrefiltered {
-				kb = row.PrefilterKB
+				kb = row.PrefilterBytes
 			}
 			t.AddRow(n, profile, backend, fmt.Sprintf("%.3f", gbps), fmt.Sprintf("%.2fx", row.Speedup),
 				matches, oracle, fmt.Sprintf("%.1f", allocs),

@@ -61,7 +61,7 @@ func TestRunKernelSmall(t *testing.T) {
 	if r := byKey["attack/baked"]; r.DenseStates == 0 || r.KernelBytes == 0 {
 		t.Fatalf("baked row missing kernel stats: %+v", r)
 	}
-	if r := byKey["attack/prefiltered"]; r.PrefilterKB == 0 {
+	if r := byKey["attack/prefiltered"]; r.PrefilterBytes == 0 {
 		t.Fatalf("prefiltered row missing prefilter stats: %+v", r)
 	}
 	// All backends in a group share the oracle count — the prefilter's

@@ -29,8 +29,9 @@
 //     hot-reload pinning is built on. The baked flat kernel is the exact
 //     stage: Compile flattens each machine into a two-tier program whose hot
 //     near-root states (the start state, every depth-1 state, and the most
-//     popular deeper states) are dense 256-entry move rows — one indexed
-//     load per byte — while the long tail keeps the paper's compressed form
+//     popular deeper states) are fast rows — the whole move row as a
+//     256-bit bitmap over the depth-1 default row plus the few targets that
+//     differ from it — while the long tail keeps the paper's compressed form
 //     as packed CSR stored pointers plus the fixed default-transition lookup
 //     table, probed through a fused two-character history register. The
 //     prefiltered backend — the auto default, and the one production kernel

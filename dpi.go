@@ -172,10 +172,11 @@ type Config struct {
 	// per string matching block (0 = 1). Needed when a machine outgrows a
 	// block's memory.
 	Groups int
-	// DenseStates budgets the baked kernel's dense tier per group machine:
-	// states promoted to full 256-entry move rows (0 = the default budget,
-	// negative disables the tier). Tuning only — match output is identical
-	// at any setting.
+	// DenseStates budgets the baked kernel's fast tier per group machine:
+	// states whose whole move row is precomputed, as a bitmap over the
+	// depth-1 default row plus the targets that differ from it (0 = the
+	// default budget, negative disables the tier). Tuning only — match
+	// output is identical at any setting.
 	DenseStates int
 	// Backend selects the scan implementation every scanner, stream, flow
 	// and engine built from this matcher runs:
@@ -400,13 +401,13 @@ type KernelStats struct {
 	Backend       string
 	Groups        int
 	States        int // automaton states across groups
-	DenseStates   int // states promoted to full 256-entry rows
+	DenseStates   int // states promoted to fast rows (precomputed whole move rows)
 	StoredEntries int // CSR stored-pointer entries of the compressed states
-	DenseBytes    int
+	DenseBytes    int // the fast tier: 48 B per promoted state plus 4 B per override of the depth-1 default row
 	// StoredBytes is the CSR stored-pointer arena plus the kernel's
 	// per-state row descriptors. The arena is the automaton's one state
 	// memory, which the kernel reads in place rather than owning a copy;
-	// it holds every state's row, the dense states' included.
+	// it holds every state's row, the promoted states' included.
 	StoredBytes int
 	LookupBytes int // fixed d1/d2/d3 lookup rows
 	OutputBytes int // output bitsets, rank tables and flattened pattern-ID lists
@@ -469,14 +470,22 @@ func (m *Matcher) Kernel() KernelStats {
 }
 
 // Verify proves the compressed matcher equivalent to the uncompressed
-// Aho-Corasick DFA: an exhaustive per-transition structural check plus a
-// scan-level cross-check on the provided payloads (may be nil). On a baked
-// matcher the scan check covers both the flat kernel and the reference
-// path.
+// Aho-Corasick DFA: an exhaustive per-transition structural check of the
+// reference interpreter and, on a baked matcher, of the flat kernel's own
+// transition and output tables, plus a scan-level cross-check of every
+// backend on the provided payloads (may be nil).
 func (m *Matcher) Verify(payloads [][]byte) error {
 	for gi, machine := range m.grouped.Machines {
 		if err := machine.VerifyTransitions(); err != nil {
 			return fmt.Errorf("group %d: %w", gi, err)
+		}
+		if machine.Program() != nil {
+			if err := machine.VerifyProgram(); err != nil {
+				return fmt.Errorf("group %d: %w", gi, err)
+			}
+			if err := machine.VerifyOutputs(); err != nil {
+				return fmt.Errorf("group %d: %w", gi, err)
+			}
 		}
 		if err := machine.VerifyScan(payloads); err != nil {
 			return fmt.Errorf("group %d: %w", gi, err)

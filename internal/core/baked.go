@@ -48,16 +48,23 @@ package core
 //
 //   - Two-tier fast path: the start state, every depth-1 state, and the
 //     most popular remaining states (by the same popularity tally that
-//     selects default transition pointers) are promoted to full dense
-//     256-entry move rows. This is sound because a DTP machine's move row
-//     is statically determined for every state — exactly the property
-//     VerifyTransitions proves — so a dense row is the precomputed result
-//     of stored-pointer-then-default resolution. Most traffic sits in
-//     these near-root states, so the common byte is a single indexed
-//     load from a dense row.
+//     selects default transition pointers) are promoted to fast rows. This
+//     is sound because a DTP machine's move row is statically determined
+//     for every state — exactly the property VerifyTransitions proves — so
+//     a fast row is the precomputed result of stored-pointer-then-default
+//     resolution. A promoted state's full move row differs from the
+//     depth-1 default row d1 on a handful of bytes (3.3 on average at 634
+//     strings, 13 at most), so the row is not 256 targets but a 256-bit
+//     bitmap of where it differs plus its slice of one shared override
+//     array, the bitmap index the Tuck baseline (internal/tuck) uses: a
+//     clear bit steps to d1[c], a set bit to the override at the word's
+//     rank plus a popcount. Most traffic sits in these near-root states,
+//     so the common byte is two dependent loads — descriptor, bitmap word —
+//     and d1, into a tier small enough (48 B a row) to stay cache-resident.
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/ac"
 )
@@ -78,17 +85,16 @@ const (
 	emptyD2Key = uint64(histLaneMask) << 32
 	emptyD3Key = uint64(histMask) << 32
 
-	// Row descriptor packing: bit 31 selects the dense tier (low 31 bits =
-	// dense row index); otherwise bits 24-30 hold the stored-entry count
+	// Row descriptor packing: bit 31 selects the fast tier (low 31 bits =
+	// fast row index); otherwise bits 24-30 hold the stored-entry count
 	// and bits 0-23 the offset into the CSR arena.
 	rowDense    = uint32(1) << 31
 	rowOffMask  = 1<<24 - 1
 	rowCountMax = 127
 
-	// DefaultDenseStates is the dense-tier budget when Options.DenseStates
-	// is 0: enough rows for the start state, all depth-1 states and ~128
-	// popular deeper states (≈400 KB of rows) without crowding the cache
-	// that the CSR arena and the payload itself also want.
+	// DefaultDenseStates is the fast-tier budget when Options.DenseStates
+	// is 0: at 634 strings the start state, all 73 depth-1 states and the
+	// 310 most popular deeper ones, ≈23 KB of bitmap rows and overrides.
 	DefaultDenseStates = 384
 )
 
@@ -99,14 +105,34 @@ type Program struct {
 	d2 [256][4]uint64 // prevKey<<32 | state, empty slots never match
 	d3 [256]uint64    // (p2<<9|p1)<<32 | state, empty key never matches
 
-	rows   []uint32     // per-state descriptor: dense index or CSR count+offset
+	rows   []uint32     // per-state descriptor: fast row index or CSR count+offset
 	stored []Transition // the Machine's arena, rows sorted by char
-	dense  []int32      // denseStates × 256 full move rows
+	fast   []fastRow    // one per promoted state
+	over   []int32      // every fast row's overrides of d1, back to back
 
 	outBits []uint64 // bit s set iff any pattern ends at state s
 	outRank []uint32 // per outBits word: output states in the words before it
 	outOff  []uint32 // per output state, by rank, plus one: its slice of outIDs
 	outIDs  []int32  // every output state's full pattern-ID list, back to back
+}
+
+// fastRow is a promoted state's whole move row, as its difference from the
+// depth-1 default row: bit c of bits is set iff the state's move on byte c
+// is not d1[c], and rank[w] is the index in Program.over of the override
+// for the lowest set bit of word w — the row's overrides sit there in byte
+// order, so a set bit's override is rank plus the set bits below it.
+type fastRow struct {
+	bits [4]uint64
+	rank [4]uint32
+}
+
+// move is the row's transition on c.
+func (r *fastRow) move(c byte, d1 *[256]int32, over []int32) int32 {
+	w, bit := r.bits[c>>6], uint64(1)<<(c&63)
+	if w&bit == 0 {
+		return d1[c]
+	}
+	return over[r.rank[c>>6]+uint32(bits.OnesCount64(w&(bit-1)))]
 }
 
 // fuseHist packs the scanner's (h2, h1) register pair into the kernel's
@@ -222,49 +248,50 @@ func compile(m *Machine, ft *failTree) *Program {
 	}
 	p.outOff = append(p.outOff, uint32(len(p.outIDs)))
 
-	// Dense-tier promotion: start state and depth-1 states first, then the
+	// Fast-tier promotion: start state and depth-1 states first, then the
 	// most popular remaining states until the budget is spent.
 	promoted := m.pickDense(ft)
 
-	// Row descriptors: a dense row index for promoted states, count and
-	// offset of the state's row in the shared arena for the rest. Only a
-	// compressed row is read through its descriptor, so only there does the
-	// inline entry count limit what fits.
+	// Row descriptors of the compressed states: count and offset of the
+	// state's row in the shared arena. Only a compressed row is read through
+	// its descriptor, so only there does the inline entry count limit what
+	// fits. A promoted state's descriptor is written with its fast row.
 	if len(m.stored) > rowOffMask {
 		return nil
 	}
 	p.rows = make([]uint32, n)
-	denseCount := 0
+	fastCount := 0
 	for s := 0; s < n; s++ {
 		lo, hi := m.storedOff[s], m.storedOff[s+1]
 		switch {
 		case promoted[s]:
-			p.rows[s] = rowDense | uint32(denseCount)
-			denseCount++
+			fastCount++
 		case hi-lo > rowCountMax:
 			return nil
 		default:
 			p.rows[s] = (hi-lo)<<24 | lo
 		}
 	}
-	p.dense = make([]int32, denseCount*256)
 
-	// Dense rows, shallow states first: a state's move row is its fail
-	// parent's overridden by its own edges, so each row is a copy of the
-	// nearest promoted fail ancestor's — already filled — plus the edges of
-	// the unpromoted states in between, deepest last. The chain ends at the
-	// start state at the latest, whose row is its edges over the all-Root
-	// (zero) row make left behind.
-	denseRow := func(s int32) []int32 {
-		di := int(p.rows[s] &^ rowDense)
-		return p.dense[di*256 : di*256+256]
-	}
+	// Fast rows, shallow states first and numbered in that order: a state's
+	// move row is its fail parent's overridden by its own edges, so each row
+	// is its nearest promoted fail ancestor's — already built — plus the
+	// edges of the unpromoted states in between, deepest last. The chain
+	// ends at the start state at the latest, whose row is d1 itself: its
+	// edges are the depth-1 states. Every other edge leads to depth ≥ 2,
+	// which d1 never holds, so going down a chain only ever adds overrides
+	// or replaces them.
+	p.fast = make([]fastRow, 0, fastCount)
+	over := make([]int32, 0, 4*fastCount)
 	var chain []int32
+	var scratch [256]int32 // read only where the row's bit is set
 	for _, s := range ft.order {
 		if !promoted[s] {
 			continue
 		}
-		row := denseRow(s)
+		// chain: s and its fail ancestors, up to the start state or the
+		// last one below a promoted ancestor, whose row this one starts as.
+		var row fastRow
 		chain = chain[:0]
 		for a := s; ; {
 			chain = append(chain, a)
@@ -272,22 +299,43 @@ func compile(m *Machine, ft *failTree) *Program {
 				break
 			}
 			if a = t.Nodes[a].Fail; promoted[a] {
-				copy(row, denseRow(a))
+				base := &p.fast[p.rows[a]&^rowDense]
+				row.bits = base.bits
+				at := base.rank[0]
+				for w, word := range base.bits {
+					for ; word != 0; word &= word - 1 {
+						scratch[w<<6|bits.TrailingZeros64(word)] = over[at]
+						at++
+					}
+				}
 				break
 			}
 		}
 		for i := len(chain) - 1; i >= 0; i-- {
 			for _, e := range t.Edges(chain[i]) {
-				row[e.Char] = e.To
+				if e.To != p.d1[e.Char] {
+					row.bits[e.Char>>6] |= 1 << (e.Char & 63)
+					scratch[e.Char] = e.To
+				}
 			}
 		}
+		for w, word := range row.bits {
+			row.rank[w] = uint32(len(over))
+			for ; word != 0; word &= word - 1 {
+				over = append(over, scratch[w<<6|bits.TrailingZeros64(word)])
+			}
+		}
+		p.rows[s] = rowDense | uint32(len(p.fast))
+		p.fast = append(p.fast, row)
 	}
+	p.over = make([]int32, len(over)) // exactly sized: Build and Load hold the same bytes
+	copy(p.over, over)
 	return p
 }
 
-// pickDense selects the states promoted to dense 256-entry move rows: the
-// start state, then depth-1 states, then everything else, most popular
-// first within a tier with ties to the lower state number, until the budget
+// pickDense selects the states promoted to the fast tier: the start state,
+// then depth-1 states, then everything else, most popular first within a
+// tier with ties to the lower state number, until the budget
 // — Options.DenseStates, defaulting to DefaultDenseStates, negative to
 // disable the tier — is exhausted. Machines small enough to fit entirely
 // become a pure flat DFA. The selection is a pure function of the trie, so
@@ -333,11 +381,11 @@ func (m *Machine) pickDense(ft *failTree) []bool {
 func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out []ac.Match) (int32, uint32, int, []ac.Match) {
 	// Locals let the compiler keep the arena headers in registers across
 	// the loop instead of reloading them through p on every byte.
-	rows, dense, outBits := p.rows, p.dense, p.outBits
+	rows, fast, over, outBits := p.rows, p.fast, p.over, p.outBits
 	for _, c := range data {
 		ref := rows[state]
 		if ref >= rowDense {
-			state = dense[int(ref-rowDense)<<8|int(c)]
+			state = fast[ref-rowDense].move(c, &p.d1, over)
 		} else {
 			if cnt := ref >> 24; cnt != 0 {
 				base := ref & rowOffMask
@@ -401,7 +449,7 @@ func (p *Program) appendOutputs(state int32, pos int, out []ac.Match) []ac.Match
 func (p *Program) step(state int32, hist uint32, c byte) (int32, uint32) {
 	ref := p.rows[state]
 	if ref >= rowDense {
-		state = p.dense[int(ref-rowDense)<<8|int(c)]
+		state = p.fast[ref-rowDense].move(c, &p.d1, p.over)
 	} else {
 		if cnt := ref >> 24; cnt != 0 {
 			base := ref & rowOffMask
@@ -445,11 +493,11 @@ stepped:
 // identical to scanAppend's; the equivalence property tests and fuzzers
 // drive both against the oracle.
 func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []byte, out []ac.Match) (int32, uint32, int, []ac.Match) {
-	rows, dense, outBits := p.rows, p.dense, p.outBits
+	rows, fast, over, outBits := p.rows, p.fast, p.over, p.outBits
 	for _, c := range data {
 		ref := rows[state]
 		if ref >= rowDense {
-			state = dense[int(ref-rowDense)<<8|int(c)]
+			state = fast[ref-rowDense].move(c, &p.d1, over)
 		} else {
 			if cnt := ref >> 24; cnt != 0 {
 				base := ref & rowOffMask
@@ -497,9 +545,9 @@ func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []b
 // the kernel can touch while scanning.
 type ProgramStats struct {
 	States        int // automaton states
-	DenseStates   int // states promoted to full 256-entry rows
+	DenseStates   int // states promoted to fast rows
 	StoredEntries int // stored-pointer entries of the compressed states
-	DenseBytes    int // dense tier: DenseStates × 256 × 4
+	DenseBytes    int // fast tier: DenseStates × 48 B of bitmap rows plus 4 B per override
 	// StoredBytes is the stored-pointer arena plus the kernel's row
 	// descriptors. The arena is the Machine's, shared, not a second copy,
 	// and holds every state's row: those of promoted states, which the
@@ -514,8 +562,8 @@ type ProgramStats struct {
 func (p *Program) Stats() ProgramStats {
 	st := ProgramStats{
 		States:      len(p.rows),
-		DenseStates: len(p.dense) / 256,
-		DenseBytes:  len(p.dense) * 4,
+		DenseStates: len(p.fast),
+		DenseBytes:  len(p.fast)*int(unsafe.Sizeof(fastRow{})) + len(p.over)*4,
 		StoredBytes: len(p.stored)*8 + len(p.rows)*4,
 		LookupBytes: 256 * (4 + 4*8 + 8),
 		OutputBytes: len(p.outBits)*8 + len(p.outRank)*4 + len(p.outOff)*4 + len(p.outIDs)*4,

@@ -372,7 +372,7 @@ func TestSnapshotLoadBakes(t *testing.T) {
 		got, want := loaded.prog, m.prog
 		if got.d1 != want.d1 || got.d2 != want.d2 || got.d3 != want.d3 ||
 			!slices.Equal(got.rows, want.rows) || !slices.Equal(got.stored, want.stored) ||
-			!slices.Equal(got.dense, want.dense) || !slices.Equal(got.outBits, want.outBits) {
+			!slices.Equal(got.fast, want.fast) || !slices.Equal(got.over, want.over) || !slices.Equal(got.outBits, want.outBits) {
 			t.Fatal("loaded machine's Program differs from the built one")
 		}
 		payload := randBakedPayload(rng, 4096)

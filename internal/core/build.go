@@ -24,8 +24,8 @@ package core
 //     s's edges the default rule misses, and the per-depth totals are the
 //     per-edge differences weighted by subtree size.
 //
-//   - Dense rows. row(s) is row(Fail(s)) overridden by s's edges; see
-//     Compile.
+//   - Fast rows. row(s) is row(Fail(s)) overridden by s's edges, kept as
+//     its difference from the depth-1 default row; see compile.
 
 import (
 	"cmp"
@@ -44,7 +44,7 @@ type failTree struct {
 	sub []int32
 	// pop[s] counts the (state, character) pairs of the full DFA whose move
 	// target is s — the tally that ranks default-pointer candidates and
-	// dense-tier promotion. original is its sum: the non-root pointers of
+	// fast-tier promotion. original is its sum: the non-root pointers of
 	// the uncompressed machine.
 	pop      []int64
 	original int64

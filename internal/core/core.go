@@ -32,7 +32,7 @@
 // a binary search over the state's stored row, D2/D3 entry lists,
 // Machine.Next — and is kept deliberately close to the paper's hardware
 // description. The "baked" backend runs the Program (see baked.go), a pure
-// re-layout into fixed arrays and a two-tier dense/compressed format that
+// re-layout into fixed arrays and a two-tier fast/compressed format that
 // Build compiles by default; its compressed tier reads the Machine's own
 // stored-pointer arena — one state memory, two interpreters. The
 // "prefiltered" backend (see prefilter.go) is a two-stage pipeline: a tiny
@@ -87,10 +87,11 @@ type Options struct {
 	// 2 = d1+d2, 3 = d1+d2+d3. 0 means 3. Used by the Table II progressive
 	// rows and the ablation benches.
 	MaxDepth int
-	// DenseStates budgets the baked kernel's dense tier: how many states
-	// are promoted to full 256-entry move rows (0 = DefaultDenseStates,
-	// negative disables the tier). Runtime-only tuning; not serialized in
-	// snapshots.
+	// DenseStates budgets the baked kernel's fast tier: how many states
+	// have their whole move row precomputed, as a bitmap over the depth-1
+	// default row plus the targets that differ from it (0 =
+	// DefaultDenseStates, negative disables the tier). Runtime-only tuning;
+	// not serialized in snapshots.
 	DenseStates int
 	// Backend selects the scan implementation ScanAppend and NewScanner run:
 	// BackendAuto (or "") picks the fastest always-exact default —

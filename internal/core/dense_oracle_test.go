@@ -2,14 +2,17 @@ package core
 
 // The dense builder, kept as the oracle the sparse one (build.go, compile
 // in baked.go) is proved against: popularity, defaults, stored pointers and
-// dense rows the way Build derived them before — by materializing every
+// fast rows the way Build derived them before — by materializing every
 // 256-entry move row, resolving the default rule per (state, character)
-// pair, and filling dense rows with fail-chain Trie.Move walks. Nothing
-// here shares a line with the code under test beyond Defaults.Resolve and
+// pair, filling a promoted state's row with fail-chain Trie.Move walks and
+// reading its bitmap and overrides off that row byte by byte. Nothing here
+// shares a line with the code under test beyond Defaults.Resolve and
 // staticHistory, which define the machine's semantics.
 
 import (
 	"bytes"
+	"cmp"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -209,9 +212,11 @@ func densePromoted(m *Machine, pop []int64) []bool {
 	return promoted
 }
 
-// denseCompile lays out the Program with every dense row filled by
-// Trie.Move, one fail-chain walk per (state, character), and every output
-// list by Trie.AppendOutputs, one OutLink walk per state.
+// denseCompile lays out the Program with every promoted state's 256-entry
+// move row filled by Trie.Move, one fail-chain walk per (state, character)
+// — the fast row is then wherever that row differs from d1, overrides in
+// byte order — and every output list by Trie.AppendOutputs, one OutLink
+// walk per state.
 func denseCompile(m *Machine, pop []int64) *Program {
 	t := m.Trie
 	n := t.NumStates()
@@ -251,7 +256,9 @@ func denseCompile(m *Machine, pop []int64) *Program {
 	p.outOff = []uint32{}
 	p.outIDs = []int32{}
 	p.rows = make([]uint32, n)
-	p.dense = []int32{}
+	p.fast = []fastRow{}
+	p.over = []int32{}
+	var fastStates []int32
 	for s := 0; s < n; s++ {
 		if s%64 == 0 {
 			p.outRank[s/64] = uint32(len(p.outOff))
@@ -264,10 +271,7 @@ func denseCompile(m *Machine, pop []int64) *Program {
 			}
 		}
 		if promoted[s] {
-			p.rows[s] = rowDense | uint32(len(p.dense)/256)
-			for c := 0; c < 256; c++ {
-				p.dense = append(p.dense, t.Move(int32(s), byte(c)))
-			}
+			fastStates = append(fastStates, int32(s))
 			continue
 		}
 		list := m.StoredRow(int32(s))
@@ -279,6 +283,28 @@ func denseCompile(m *Machine, pop []int64) *Program {
 	p.outOff = append(p.outOff, uint32(len(p.outIDs)))
 	if len(p.stored) > rowOffMask {
 		return nil
+	}
+	// Fast rows are numbered by depth, then by state.
+	slices.SortStableFunc(fastStates, func(a, b int32) int {
+		return cmp.Compare(t.Nodes[a].Depth, t.Nodes[b].Depth)
+	})
+	for _, s := range fastStates {
+		p.rows[s] = rowDense | uint32(len(p.fast))
+		var dense [256]int32
+		for c := range dense {
+			dense[c] = t.Move(s, byte(c))
+		}
+		var row fastRow
+		for c, to := range dense {
+			if c%64 == 0 {
+				row.rank[c/64] = uint32(len(p.over))
+			}
+			if to != p.d1[c] {
+				row.bits[c/64] |= 1 << (c % 64)
+				p.over = append(p.over, to)
+			}
+		}
+		p.fast = append(p.fast, row)
 	}
 	return p
 }
@@ -329,6 +355,9 @@ func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, opts Options) {
 		t.Fatalf("%+v: %v", opts, err)
 	}
 	if m.prog != nil {
+		if err := m.VerifyProgram(); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
 		if err := m.VerifyOutputs(); err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -489,7 +518,7 @@ func FuzzBuildEquivalence(f *testing.F) {
 	})
 }
 
-// TestCompilePromotedWideState: a promoted state is read through its dense
+// TestCompilePromotedWideState: a promoted state is read through its fast
 // row, never through a CSR descriptor, so its stored-pointer count must not
 // decide whether the machine bakes. 140 two-byte patterns share the first
 // byte 'A'; each one's depth-2 default loses its lookup-table row to four
@@ -528,6 +557,25 @@ func TestCompilePromotedWideState(t *testing.T) {
 	driveLockstep(t, m, rand.New(rand.NewSource(140)))
 	if err := m.VerifyTransitions(); err != nil {
 		t.Fatal(err)
+	}
+	if err := m.VerifyProgram(); err != nil {
+		t.Fatal(err)
+	}
+	desc := m.prog.rows[wide]
+	if desc < rowDense {
+		t.Fatalf("the depth-1 state is read through descriptor %#x, not a fast row", desc)
+	}
+	row := &m.prog.fast[desc-rowDense]
+	if got := row.rank[3] + uint32(bits.OnesCount64(row.bits[3])) - row.rank[0]; got != 140 {
+		t.Fatalf("the depth-1 state's fast row holds %d overrides, want 140", got)
+	}
+	for x := 0; x < 140; x++ {
+		if row.bits[x>>6]&(1<<(x&63)) == 0 {
+			t.Fatalf("byte %#02x is not marked as an override", x)
+		}
+		if got, want := row.move(byte(x), &m.prog.d1, m.prog.over), m.Trie.Move(wide, byte(x)); got != want {
+			t.Fatalf("byte %#02x steps to %d, the DFA to %d", x, got, want)
+		}
 	}
 
 	// The limit still applies where a descriptor is read: with the dense

@@ -385,7 +385,7 @@ func Load(data []byte) (*Machine, error) {
 		}
 	}
 	// Bake the scan kernels through the same sequence Build runs. The
-	// snapshot does not carry the popularity tally, so dense-tier promotion
+	// snapshot does not carry the popularity tally, so fast-tier promotion
 	// is re-derived from the trie; runtime-only options
 	// (DenseStates/Backend) are not part of the format and take their
 	// defaults, and under BackendAuto compileBackends cannot fail.

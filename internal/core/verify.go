@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/ac"
@@ -29,6 +30,83 @@ func (m *Machine) VerifyTransitions() error {
 			if got != row[c] {
 				firstErr = fmt.Errorf(
 					"core: state %d (depth %d) char %#02x: compressed machine gives %d, DFA gives %d",
+					s, m.Trie.Nodes[s].Depth, c, got, row[c])
+				return
+			}
+		}
+	})
+	return firstErr
+}
+
+// VerifyProgram proves the baked kernel's transition tables — fast rows,
+// compressed-row descriptors and the d1/d2/d3 lookup, read in the kernel's
+// own encoding by the kernel's own step — against the full move-function
+// DFA: from every state, under its static history, every byte must step to
+// the DFA's target. VerifyTransitions proves the same of the reference
+// interpreter; this is the proof of what production scans with. It first
+// checks the structure the step relies on without testing: every promoted
+// state has its own fast row and every compressed descriptor spans exactly
+// the state's row in the arena; a row's ranks run on from the row before
+// through its own popcounts to end at len(over); and no override repeats
+// the default it overrides.
+func (m *Machine) VerifyProgram() error {
+	p := m.prog
+	if p == nil {
+		return fmt.Errorf("core: no baked kernel compiled for this machine")
+	}
+	n := m.Trie.NumStates()
+	if len(p.rows) != n {
+		return fmt.Errorf("core: kernel has %d row descriptors for %d states", len(p.rows), n)
+	}
+	fastRows := 0
+	owned := make([]bool, len(p.fast))
+	for s, ref := range p.rows {
+		if ref >= rowDense {
+			i := int(ref - rowDense)
+			if i >= len(owned) || owned[i] {
+				return fmt.Errorf("core: state %d reads fast row %d of %d, which is not its own", s, i, len(owned))
+			}
+			owned[i] = true
+			fastRows++
+		} else if lo, hi := m.storedOff[s], m.storedOff[s+1]; ref != (hi-lo)<<24|lo {
+			return fmt.Errorf("core: state %d's descriptor reads %d entries at %d, its row is %d at %d",
+				s, ref>>24, ref&rowOffMask, hi-lo, lo)
+		}
+	}
+	if fastRows != len(p.fast) {
+		return fmt.Errorf("core: %d fast rows for %d promoted states", len(p.fast), fastRows)
+	}
+	overrides := 0
+	for i := range p.fast {
+		row := &p.fast[i]
+		for w, word := range row.bits {
+			if int(row.rank[w]) != overrides {
+				return fmt.Errorf("core: fast row %d word %d has rank %d, %d overrides precede it", i, w, row.rank[w], overrides)
+			}
+			if overrides += bits.OnesCount64(word); overrides > len(p.over) {
+				return fmt.Errorf("core: fast row %d word %d runs past the %d overrides stored", i, w, len(p.over))
+			}
+			for at := int(row.rank[w]); word != 0; word, at = word&(word-1), at+1 {
+				if c := w<<6 | bits.TrailingZeros64(word); p.over[at] == p.d1[c] {
+					return fmt.Errorf("core: fast row %d overrides char %#02x with the default %d", i, c, p.d1[c])
+				}
+			}
+		}
+	}
+	if overrides != len(p.over) {
+		return fmt.Errorf("core: fast rows mark %d overrides, %d are stored", overrides, len(p.over))
+	}
+
+	var firstErr error
+	m.Trie.ForEachMoveRow(func(s int32, row []int32) {
+		if firstErr != nil {
+			return
+		}
+		hist := fuseHist(m.staticHistory(s))
+		for c := 0; c < 256; c++ {
+			if got, _ := p.step(s, hist, byte(c)); got != row[c] {
+				firstErr = fmt.Errorf(
+					"core: state %d (depth %d) char %#02x: baked kernel gives %d, DFA gives %d",
 					s, m.Trie.Nodes[s].Depth, c, got, row[c])
 				return
 			}
