@@ -29,15 +29,15 @@ func fuzzRulesFrom(blob []byte) *Ruleset {
 	return rules
 }
 
-// forkFlow continues f's stream on a copy of its register value and returns
-// the copy; the original is then fed scrap (its matches discarded), so a
-// copy that shared anything with it would diverge from the oracle. This is
-// the "registers are plain data" property the gateway's flat flow record and
-// any walker that interleaves flows rely on.
-func forkFlow(f *Flow, scrap []byte) *Flow {
-	forked := &Flow{e: f.e, st: f.st.Clone(), emit: f.emit, open: true}
-	f.emit = func(Match) {}
-	f.Write(scrap)
+// forkStream continues s's stream on a copy of its register value and
+// returns the copy; the original is then fed scrap (its matches discarded),
+// so a copy that shared anything with it would diverge from the oracle. This
+// is the "registers are plain data" property the gateway's flat flow record
+// and any walker that interleaves flows rely on.
+func forkStream(s *Stream, scrap []byte) *Stream {
+	forked := &Stream{m: s.m, st: s.st.Clone(), emit: s.emit}
+	s.emit = func(Match) {}
+	s.Write(scrap)
 	return forked
 }
 
@@ -110,16 +110,16 @@ func FuzzBakedEquivalence(f *testing.F) {
 		}
 
 		var bOut, rOut []Match
-		bf := baked.NewEngine(1).Flow(func(m Match) { bOut = append(bOut, m) })
-		rf := ref.NewEngine(1).Flow(func(m Match) { rOut = append(rOut, m) })
+		bf := baked.NewStream(func(m Match) { bOut = append(bOut, m) })
+		rf := ref.NewStream(func(m Match) { rOut = append(rOut, m) })
 
 		var seg []byte // contiguous bytes both flows have seen since the last gap
 		segStart := 0  // flow position where the segment began
 		segMark := 0   // len(bOut) when the segment began
 		checkSegment := func() {
 			t.Helper()
-			// The trie emits same-End matches in output-chain order; the
-			// flow APIs guarantee canonical (End, PatternID) order.
+			// The trie emits same-End matches in output-chain order; Stream
+			// guarantees canonical (End, PatternID) order.
 			want := trie.FindAll(seg)
 			ac.SortMatches(want)
 			got := bOut[segMark:]
@@ -166,7 +166,7 @@ func FuzzBakedEquivalence(f *testing.F) {
 				rf.SkipGap(n)
 				seg, segStart, segMark = seg[:0], bf.Consumed(), len(bOut)
 			case 4: // fork: both streams continue on copies of their registers
-				bf, rf = forkFlow(bf, payload), forkFlow(rf, patBlob)
+				bf, rf = forkStream(bf, payload), forkStream(rf, patBlob)
 			default: // write a chunk of the payload (cycling, possibly empty)
 				n := int(op >> 2)
 				if len(payload) == 0 {

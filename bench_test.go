@@ -339,60 +339,6 @@ func BenchmarkScanBitmap13(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineParallel measures aggregate batch throughput of the
-// concurrent engine versus worker count, with the single-scanner FindAll
-// loop as the baseline. Match counts are pinned to the baseline so the
-// speedup cannot come from dropped work.
-func BenchmarkEngineParallel(b *testing.B) {
-	ctx := sharedBenchCtx(b)
-	set, err := ctx.SetOf(634)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := Compile(newRuleset(set), Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkts, err := traffic.Generate(set, traffic.Config{
-		Packets: 64, Bytes: 4096, Seed: 42, AttackDensity: 1, Profile: traffic.Textual,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	payloads := make([][]byte, len(pkts))
-	var total int64
-	for i, p := range pkts {
-		payloads[i] = p.Payload
-		total += int64(len(p.Payload))
-	}
-	wantMatches := 0
-	for _, p := range payloads {
-		wantMatches += len(m.FindAll(p))
-	}
-
-	b.Run("baseline-FindAll", func(b *testing.B) {
-		b.SetBytes(total)
-		for i := 0; i < b.N; i++ {
-			for _, p := range payloads {
-				m.FindAll(p)
-			}
-		}
-	})
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			e := m.NewEngine(w)
-			if got := len(e.ScanPackets(payloads)); got != wantMatches {
-				b.Fatalf("engine found %d matches, want %d", got, wantMatches)
-			}
-			b.SetBytes(total)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.ScanPackets(payloads)
-			}
-		})
-	}
-}
-
 func BenchmarkHardwareEngineStep(b *testing.B) {
 	ctx := sharedBenchCtx(b)
 	set, err := ctx.SetOf(634)

@@ -1,16 +1,18 @@
-// Command apisnapshot dumps the exported API surface of the root dpi
-// package as a sorted, deterministic text listing — one line per exported
-// const, var, func, type, method and struct field. The golden copy lives
-// at api/dpi.txt; CI regenerates the listing and fails on any drift, so
-// an API change (adding a method counts, renaming a field counts) is
-// always a reviewed, committed diff to the golden file rather than a
-// silent compatibility break.
+// Command apisnapshot dumps the exported API surface of a package — the
+// root dpi package, or with -dir the fpga package — as a sorted,
+// deterministic text listing, one line per exported const, var, func,
+// type, method and struct field. The golden copies live at api/dpi.txt and
+// api/fpga.txt; CI regenerates the listings and fails on any drift, so an
+// API change (adding a method counts, renaming a field counts) is always a
+// reviewed, committed diff to the golden file rather than a silent
+// compatibility break.
 //
 // Usage:
 //
 //	apisnapshot                    # print the current surface to stdout
 //	apisnapshot -write api/dpi.txt # refresh the golden file
 //	apisnapshot -check api/dpi.txt # exit 1 (with a diff) on drift
+//	apisnapshot -dir fpga -check api/fpga.txt
 //
 // Only the standard library is used; the tool parses source, it does not
 // type-check, so it runs before the package even compiles.
@@ -90,7 +92,11 @@ func snapshot(dir string) (string, error) {
 	}
 	sort.Strings(lines)
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Exported API of package %s. Regenerate: go run ./cmd/apisnapshot -write api/%s.txt\n", pkgName, pkgName)
+	dirArg := ""
+	if pkgName != "dpi" { // the root package is dpi in "."; every other lives in a directory of its name
+		dirArg = "-dir " + pkgName + " "
+	}
+	fmt.Fprintf(&b, "# Exported API of package %s. Regenerate: go run ./cmd/apisnapshot %s-write api/%s.txt\n", pkgName, dirArg, pkgName)
 	for _, l := range lines {
 		b.WriteString(l)
 		b.WriteByte('\n')

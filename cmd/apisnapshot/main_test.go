@@ -7,20 +7,22 @@ import (
 )
 
 // TestGoldenSnapshotCurrent is the in-tree half of the API gate CI runs:
-// the committed golden file must equal the surface regenerated from
+// each committed golden file must equal the surface regenerated from
 // source, so an exported-API change always lands together with its
-// reviewed api/dpi.txt diff.
+// reviewed api/*.txt diff.
 func TestGoldenSnapshotCurrent(t *testing.T) {
-	snap, err := snapshot("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := os.ReadFile("../../api/dpi.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diff(string(golden), snap); d != "" {
-		t.Fatalf("exported API drifted from api/dpi.txt (regenerate with `go run ./cmd/apisnapshot -write api/dpi.txt`):\n%s", d)
+	for dir, golden := range map[string]string{".": "api/dpi.txt", "fpga": "api/fpga.txt"} {
+		snap, err := snapshot("../../" + dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile("../../" + golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diff(string(want), snap); d != "" {
+			t.Fatalf("exported API drifted from %s (regenerate with `go run ./cmd/apisnapshot -dir %s -write %s`):\n%s", golden, dir, golden, d)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"os"
 
 	dpi "repro"
+	"repro/fpga"
 )
 
 func main() {
@@ -61,16 +62,16 @@ func run(w io.Writer, rulesPath string, files []string, statsOnly bool, devName 
 		rules.Len(), rules.CharCount(), st.States, st.AvgStored, 100*st.Reduction)
 
 	if devName != "" {
-		var dev dpi.Device
+		var dev fpga.Device
 		switch devName {
 		case "cyclone3":
-			dev = dpi.Cyclone3
+			dev = fpga.Cyclone3
 		case "stratix3":
-			dev = dpi.Stratix3
+			dev = fpga.Stratix3
 		default:
 			return fmt.Errorf("unknown device %q (want cyclone3 or stratix3)", devName)
 		}
-		a, err := dpi.NewAccelerator(m, dev)
+		a, err := fpga.New(m, dev)
 		if err != nil {
 			return err
 		}

@@ -11,7 +11,7 @@
 // all states, leaving each state with only the few pointers the table
 // cannot reproduce.
 //
-// Seven layers are exposed:
+// Six layers are exposed:
 //
 //   - Ruleset: fixed-string pattern sets — parse Snort-style content
 //     strings, generate synthetic Snort-like sets, reduce while preserving
@@ -52,13 +52,11 @@
 //     (and every API above it) must behave exactly like the reference
 //     Machine.Next transition on all inputs, including mid-stream resets and
 //     reassembly gap skips.
-//   - Engine: concurrent software scan-out mirroring the hardware's
-//     engine/block parallelism — a worker pool with pooled scanner state
-//     over the shared immutable automaton. Engine.ScanPackets shards a
-//     batch of payloads across workers; Engine.Flow gives each concurrent
-//     stream its own scanner registers while sharing the compiled machine.
-//     Engines replicate freely over one Matcher (the automaton is
-//     immutable), and Engine.Stats reports each replica's work.
+//   - Stream: the one streaming handle, mirroring the hardware's
+//     engines-over-one-memory parallelism — Matcher.NewStream gives each
+//     concurrent flow its own scanner registers (Write, WritePacket, Reset,
+//     SkipGap) while every stream, and every goroutine calling FindAll,
+//     shares the compiled immutable automaton without a lock.
 //   - Gateway: the NIDS front-end the paper deploys, started with
 //     NewGateway(matcher, config, emit) — pipelined packet
 //     ingestion (Ingest or TryIngest per packet, ReplayPcap per capture
@@ -123,16 +121,18 @@
 //     http.Handler; mount it at /metrics. A scrape sums the shards'
 //     counter blocks and never touches the packet hot path.
 //     OPERATIONS.md documents every series.
-//   - Accelerator: a functional model of the paper's FPGA design — packed
-//     324-bit memory images, 6-engine string matching blocks, multi-block
-//     scan-out with throughput, resource and power reporting for the
-//     Cyclone III and Stratix III targets.
+//
+// This package is the software sensor only. The functional model of the
+// paper's FPGA design — packed 324-bit memory images, 6-engine string
+// matching blocks, multi-block scan-out with throughput, resource and power
+// reporting for the Cyclone III and Stratix III targets — is package
+// repro/fpga, built from a Matcher with fpga.New.
 //
 // Match ordering is canonical everywhere: FindAll and Scan order by
-// (End, PatternID); Stream and Flow emit that same sequence incrementally
+// (End, PatternID); Stream emits that same sequence incrementally
 // (per-chunk sorted, which is globally sorted because a match surfaces in
-// the chunk holding its final byte); Engine.ScanPackets and
-// Accelerator.ScanPackets order by (PacketID, End, PatternID).
+// the chunk holding its final byte); fpga's Accelerator.ScanPackets orders
+// by (PacketID, End, PatternID).
 //
 // Quickstart:
 //

@@ -178,8 +178,8 @@ type Config struct {
 	// default budget, negative disables the tier). Tuning only — match
 	// output is identical at any setting.
 	DenseStates int
-	// Backend selects the scan implementation every scanner, stream, flow
-	// and engine built from this matcher runs:
+	// Backend selects the scan implementation every stream and gateway lane
+	// built from this matcher runs:
 	//
 	//   - BackendAuto (or ""): prefiltered when the configuration fits the
 	//     kernel formats and the lossy stage proves its superset contract,
@@ -234,8 +234,10 @@ func (c Config) coreOptions() core.Options {
 }
 
 // Match is one pattern occurrence: pattern PatternID spans [Start, End) of
-// the scanned payload. PacketID is set by Accelerator.ScanPackets and -1
-// for single-payload scans.
+// the scanned payload or stream. PacketID is the caller's attribution of
+// the packet that completed the match — the ingest sequence number in a
+// Gateway, the packetID handed to Stream.WritePacket — and -1 where there
+// is none (FindAll, Scan, Stream.Write).
 type Match struct {
 	PatternID int
 	Start     int
@@ -245,7 +247,7 @@ type Match struct {
 
 // Matcher is a compiled, compressed pattern matcher. A Matcher is immutable
 // after Compile and safe for concurrent use; the per-scan state lives in
-// Streams, Flows and engine workers.
+// Streams and in a Gateway's flow records.
 type Matcher struct {
 	rules   *Ruleset
 	grouped *core.Grouped
@@ -292,6 +294,12 @@ func Compile(r *Ruleset, cfg Config) (*Matcher, error) {
 // Rules returns the matcher's ruleset.
 func (m *Matcher) Rules() *Ruleset { return m.rules }
 
+// InternalGrouped exposes the compiled automaton for in-module packages
+// (fpga packs it into block memory images), under the same contract as
+// Ruleset.InternalSet: the type is internal, so importers outside this
+// module cannot use it; treat the returned value as read-only.
+func (m *Matcher) InternalGrouped() *core.Grouped { return m.grouped }
+
 // Generation reports the matcher's compile generation: process-unique and
 // monotonically increasing across Compiles. It is an identity for this
 // compiled artifact, not a content hash — compiling identical rules twice
@@ -305,12 +313,6 @@ func (m *Matcher) Generation() uint64 { return m.grouped.Generation }
 // compiled (baked, or reference on configurations outside the row format).
 func (m *Matcher) Backend() string {
 	return m.grouped.Machines[0].DefaultBackend()
-}
-
-// acMatch builds the internal match representation; it exists so sibling
-// files can construct matches without importing internal/ac themselves.
-func acMatch(id int32, end int) ac.Match {
-	return ac.Match{PatternID: id, End: end}
 }
 
 func (m *Matcher) convert(am ac.Match, packetID int) Match {
@@ -337,10 +339,9 @@ func (m *Matcher) FindAll(payload []byte) []Match {
 	return out
 }
 
-// Scan streams matches to fn, one automaton transition per input byte per
-// group machine. Emission order is canonical and identical to FindAll —
-// ascending End, ties by ascending PatternID — regardless of how the
-// ruleset is split across group machines.
+// Scan is FindAll with a callback: it scans the whole payload, then calls
+// fn for each match in FindAll's canonical order. Nothing is emitted before
+// the scan finishes; to consume matches as bytes arrive, use a Stream.
 func (m *Matcher) Scan(payload []byte, fn func(Match)) {
 	for _, am := range m.grouped.FindAll(payload) {
 		fn(m.convert(am, -1))

@@ -2,7 +2,6 @@ package dpi
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -240,112 +239,5 @@ func TestAddAfterReduceDoesNotReuseIDs(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("added pattern not matched: %v", got)
-	}
-}
-
-func TestAcceleratorEndToEnd(t *testing.T) {
-	rs, err := GenerateSnortLike(600, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Compile(rs, Config{Groups: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAccelerator(m, Stratix3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three packets, the second carrying a known pattern.
-	target := rs.Content(17)
-	payloads := [][]byte{
-		bytes.Repeat([]byte("clean traffic "), 40),
-		append(append(bytes.Repeat([]byte{0xAB}, 100), target...), bytes.Repeat([]byte{0xCD}, 100)...),
-		bytes.Repeat([]byte("more clean bytes"), 30),
-	}
-	matches, err := a.ScanPackets(payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, mt := range matches {
-		if mt.PacketID == 1 && mt.PatternID == 17 {
-			if mt.Start != 100 || mt.End != 100+len(target) {
-				t.Fatalf("match offsets %+v", mt)
-			}
-			found = true
-		}
-		if mt.PacketID < 0 || mt.PacketID > 2 {
-			t.Fatalf("bad packet ID %+v", mt)
-		}
-	}
-	if !found {
-		t.Fatal("pattern 17 not found in packet 1")
-	}
-
-	rep := a.Report()
-	if rep.Device != "Stratix III" || rep.Blocks != 6 || rep.Groups != 2 || rep.ConcurrentSets != 3 {
-		t.Fatalf("report shape: %+v", rep)
-	}
-	if rep.ThroughputGbps < 22 || rep.ThroughputGbps > 22.2 {
-		t.Fatalf("throughput %.2f, want 22.1 (Table II)", rep.ThroughputGbps)
-	}
-	if rep.MaxPowerW != 13.28 {
-		t.Fatalf("max power %.2f, want 13.28", rep.MaxPowerW)
-	}
-}
-
-func TestAcceleratorPowerSweep(t *testing.T) {
-	rs, err := GenerateSnortLike(200, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Compile(rs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAccelerator(m, Cyclone3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := a.PowerSweep(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := pts[len(pts)-1]
-	if last[0] < 14.8 || last[0] > 15.0 {
-		t.Fatalf("top throughput %.2f Gbps, want 14.9", last[0])
-	}
-	if last[1] != 2.78 {
-		t.Fatalf("top power %.2f W, want 2.78", last[1])
-	}
-}
-
-func TestDeviceString(t *testing.T) {
-	for d, want := range map[Device]string{
-		Cyclone3:        "Cyclone III",
-		Stratix3:        "Stratix III",
-		Stratix3Doubled: "Stratix III (+M144K)",
-	} {
-		if got := d.String(); got != want {
-			t.Errorf("Device(%d).String() = %q, want %q", d, got, want)
-		}
-	}
-	if !strings.Contains(Device(99).String(), "unknown") {
-		t.Error("unknown device not reported")
-	}
-}
-
-func TestAcceleratorRejectsOversizedGroups(t *testing.T) {
-	rs, err := GenerateSnortLike(800, 51)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Compile(rs, Config{Groups: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewAccelerator(m, Cyclone3); err == nil {
-		t.Fatal("6 groups accepted on a 4-block device")
 	}
 }

@@ -1,8 +1,8 @@
-// Flowmux: scan many concurrent flows and a packet batch with one shared
-// engine — the software analogue of the paper's 6-engines-per-block
+// Flowmux: scan a packet batch and many concurrent flows over one shared
+// matcher — the software analogue of the paper's 6-engines-per-block
 // parallelism. Every goroutine shares one compiled automaton; each flow
 // carries only its own scanner registers (state + 2-byte history), held by
-// value in its handle.
+// value in its Stream.
 //
 //	go run ./examples/flowmux
 package main
@@ -26,18 +26,34 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := matcher.NewEngine(0) // one worker per core
 
-	// Batch mode: a burst of independent packets, sharded across workers.
-	// Matches come back in canonical (PacketID, End, PatternID) order.
+	// Batch mode: a burst of independent packets, one goroutine each. The
+	// Matcher is immutable, so FindAll needs no lock; each goroutine stamps
+	// its packet's index and writes only its own result slot, so walking
+	// the slots gives canonical (PacketID, End, PatternID) order.
 	packets := [][]byte{
 		[]byte("GET /cgi-bin/phf?Qalias=x HTTP/1.0"),
 		[]byte("GET /index.html HTTP/1.0"),
 		[]byte("GET /../../etc/shadow HTTP/1.0 cmd.exe"),
 	}
-	for _, m := range engine.ScanPackets(packets) {
-		fmt.Printf("packet %d: %-9s at [%2d,%2d)\n",
-			m.PacketID, rules.Name(m.PatternID), m.Start, m.End)
+	perPacket := make([][]dpi.Match, len(packets))
+	var wg sync.WaitGroup
+	for id, payload := range packets {
+		wg.Add(1)
+		go func(id int, payload []byte) {
+			defer wg.Done()
+			perPacket[id] = matcher.FindAll(payload)
+			for i := range perPacket[id] {
+				perPacket[id][i].PacketID = id
+			}
+		}(id, payload)
+	}
+	wg.Wait()
+	for _, matches := range perPacket {
+		for _, m := range matches {
+			fmt.Printf("packet %d: %-9s at [%2d,%2d)\n",
+				m.PacketID, rules.Name(m.PatternID), m.Start, m.End)
+		}
 	}
 
 	// Streaming mode: concurrent flows, each receiving its payload in
@@ -47,18 +63,16 @@ func main() {
 		[]byte("POST /upload \x90\x90\x90\x90 HTTP/1.1"),
 		[]byte("GET /a/../.\x00./../b cmd" + ".exe HTTP/1.1"),
 	}
-	var wg sync.WaitGroup
 	var mu sync.Mutex
 	for id, payload := range flows {
 		wg.Add(1)
 		go func(id int, payload []byte) {
 			defer wg.Done()
-			f := engine.Flow(func(m dpi.Match) {
+			f := matcher.NewStream(func(m dpi.Match) {
 				mu.Lock()
 				fmt.Printf("flow %d: %-9s at [%2d,%2d)\n", id, rules.Name(m.PatternID), m.Start, m.End)
 				mu.Unlock()
 			})
-			defer f.Close()
 			for i := 0; i < len(payload); i += 5 { // 5-byte "segments"
 				end := i + 5
 				if end > len(payload) {

@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	dpi "repro"
+	"repro/fpga"
 	"repro/internal/traffic"
 )
 
@@ -43,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	accel, err := dpi.NewAccelerator(matcher, dpi.Stratix3)
+	accel, err := fpga.New(matcher, fpga.Stratix3)
 	if err != nil {
 		log.Fatal(err)
 	}

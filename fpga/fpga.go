@@ -1,8 +1,15 @@
-package dpi
+// Package fpga is the functional model of the paper's FPGA design: a
+// compiled dpi.Matcher packed into bit-packed block memory images and
+// scanned by 6 engines per string matching block, with the modeled
+// resource, throughput and power figures of Tables I-II and Figures 7-8.
+// It is the hardware half of the reproduction; the software sensor (package
+// dpi: Matcher, Stream, Gateway) does not depend on it.
+package fpga
 
 import (
 	"fmt"
 
+	dpi "repro"
 	"repro/internal/device"
 	"repro/internal/hwsim"
 	"repro/internal/power"
@@ -33,7 +40,7 @@ func (d Device) model() (device.Device, error) {
 	case Stratix3Doubled:
 		return device.Stratix3.WithDoubledBlockMemory(), nil
 	}
-	return device.Device{}, fmt.Errorf("dpi: unknown device %d", d)
+	return device.Device{}, fmt.Errorf("fpga: unknown device %d", d)
 }
 
 // String returns the device name.
@@ -49,33 +56,39 @@ func (d Device) String() string {
 // a compiled matcher: bit-packed block memory images, 6 engines per block,
 // group replication or splitting across blocks.
 type Accelerator struct {
-	matcher *Matcher
-	dev     device.Device
-	hw      *hwsim.Accelerator
+	dev    device.Device
+	hw     *hwsim.Accelerator
+	patLen map[int32]int // pattern ID to byte length, for Match.Start
 }
 
-// NewAccelerator packs the matcher's group machines into block memory
-// images for the device. It fails when a group machine does not fit a
-// block (compile with more Groups) or when the device has fewer blocks
-// than the matcher has groups.
-func NewAccelerator(m *Matcher, d Device) (*Accelerator, error) {
+// New packs the matcher's group machines into block memory images for the
+// device. It fails when a group machine does not fit a block (compile with
+// more Groups) or when the device has fewer blocks than the matcher has
+// groups.
+func New(m *dpi.Matcher, d Device) (*Accelerator, error) {
 	dev, err := d.model()
 	if err != nil {
 		return nil, err
 	}
-	hw, err := hwsim.NewAccelerator(dev, m.grouped)
+	hw, err := hwsim.NewAccelerator(dev, m.InternalGrouped())
 	if err != nil {
 		return nil, err
 	}
-	return &Accelerator{matcher: m, dev: dev, hw: hw}, nil
+	patterns := m.Rules().InternalSet().Patterns
+	patLen := make(map[int32]int, len(patterns))
+	for _, p := range patterns {
+		patLen[int32(p.ID)] = len(p.Data)
+	}
+	return &Accelerator{dev: dev, hw: hw, patLen: patLen}, nil
 }
 
 // ScanPackets scans each payload as an independent packet across the
 // accelerator's block sets and returns all matches with PacketID set to the
-// payload index, in canonical (PacketID, End, PatternID) order — the same
-// guarantee as Engine.ScanPackets, so the hardware model and the software
-// engine are byte-for-byte comparable.
-func (a *Accelerator) ScanPackets(payloads [][]byte) ([]Match, error) {
+// payload index, in canonical (PacketID, End, PatternID) order: the matches
+// for packet i are exactly Matcher.FindAll(payloads[i]) with PacketID set to
+// i, so the hardware model and the software matcher are byte-for-byte
+// comparable.
+func (a *Accelerator) ScanPackets(payloads [][]byte) ([]dpi.Match, error) {
 	packets := make([]hwsim.Packet, len(payloads))
 	for i, p := range payloads {
 		packets[i] = hwsim.Packet{ID: i, Payload: p}
@@ -84,10 +97,14 @@ func (a *Accelerator) ScanPackets(payloads [][]byte) ([]Match, error) {
 	if err != nil {
 		return nil, err
 	}
-	matches := make([]Match, len(outs))
+	matches := make([]dpi.Match, len(outs))
 	for i, o := range outs {
-		m := a.matcher.convert(acMatch(o.PatternID, o.End), o.PacketID)
-		matches[i] = m
+		matches[i] = dpi.Match{
+			PatternID: int(o.PatternID),
+			Start:     o.End - a.patLen[o.PatternID],
+			End:       o.End,
+			PacketID:  o.PacketID,
+		}
 	}
 	return matches, nil
 }

@@ -239,18 +239,26 @@ func (g *Gateway) statsOf(c [numCounters]uint64) GatewayStats {
 	}
 }
 
+// EngineStats is a point-in-time snapshot of one gateway shard's scan work,
+// split by how the traffic reached it: stateless datagrams and per-flow
+// streams. Gateway.ShardStats returns one per shard, which is what the
+// dpi_engine_*_total{shard="i"} series on Gateway.Metrics render.
+type EngineStats struct {
+	BatchPkts   uint64 // stateless payloads scanned
+	BatchBytes  uint64 // their payload bytes
+	FlowsOpened uint64 // flows opened, once per connection (a SYN re-open included)
+	StreamBytes uint64 // bytes written through flow registers
+}
+
 // ShardStats returns one scan-work snapshot per engine shard, in shard
 // order — how the ingested traffic fanned out across the scan replicas.
 // The counters belong to the shard, not to a ruleset generation, so they
-// are monotone across ruleset swaps and generation retirement. A shard scans
-// each datagram on its own, so Batches equals BatchPkts.
+// are monotone across ruleset swaps and generation retirement.
 func (g *Gateway) ShardStats() []EngineStats {
 	out := make([]EngineStats, len(g.shards))
 	for s, sh := range g.shards {
-		pkts := sh.n[cEngBatchPkts].Load()
 		out[s] = EngineStats{
-			Batches:     pkts,
-			BatchPkts:   pkts,
+			BatchPkts:   sh.n[cEngBatchPkts].Load(),
 			BatchBytes:  sh.n[cEngBatchBytes].Load(),
 			FlowsOpened: sh.n[cEngFlowsOpened].Load(),
 			StreamBytes: sh.n[cEngStreamBytes].Load(),

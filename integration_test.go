@@ -1,9 +1,10 @@
 package dpi
 
-// Cross-layer integration tests: the full pipeline from synthetic ruleset
-// generation through grouped compilation, hardware packing and accelerator
-// scan-out, cross-checked against the software matcher and the reference
-// baselines at every step.
+// Cross-layer integration tests: the software pipeline from synthetic
+// ruleset generation through grouped compilation to scan-out, cross-checked
+// against the reference baselines at every step. The hardware model's leg —
+// block packing and accelerator scan-out against this matcher — is package
+// fpga's TestAcceleratorAgreesWithFindAll.
 
 import (
 	"bytes"
@@ -33,18 +34,13 @@ func internalSet(t *testing.T, r *Ruleset) *ruleset.Set {
 }
 
 func TestPipelineEndToEnd(t *testing.T) {
-	// Generate → reduce → compile (grouped) → accelerate → scan, and agree
-	// with (a) the software matcher, (b) the goto/fail reference, (c) the
-	// bitmap baseline on identical traffic.
+	// Generate → compile (grouped) → scan, and agree with (a) the goto/fail
+	// reference, (b) the bitmap baseline on identical traffic.
 	rules, err := GenerateSnortLike(1204, 2010)
 	if err != nil {
 		t.Fatal(err)
 	}
 	matcher, err := Compile(rules, Config{Groups: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	accel, err := NewAccelerator(matcher, Cyclone3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,16 +55,6 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads := make([][]byte, len(pkts))
-	for i, p := range pkts {
-		payloads[i] = p.Payload
-	}
-
-	hwMatches, err := accel.ScanPackets(payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	trie, err := ac.New(set)
 	if err != nil {
 		t.Fatal(err)
@@ -79,13 +65,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for pid, payload := range payloads {
-		var hw []ac.Match
-		for _, m := range hwMatches {
-			if m.PacketID == pid {
-				hw = append(hw, ac.Match{PatternID: int32(m.PatternID), End: m.End})
-			}
-		}
+	for pid, p := range pkts {
+		payload := p.Payload
 		var sw []ac.Match
 		for _, m := range matcher.FindAll(payload) {
 			sw = append(sw, ac.Match{PatternID: int32(m.PatternID), End: m.End})
@@ -93,9 +74,6 @@ func TestPipelineEndToEnd(t *testing.T) {
 		gf := failRef.FindAll(payload)
 		bm := bitmapRef.FindAll(payload)
 
-		if !ac.MatchesEqual(hw, sw) {
-			t.Fatalf("packet %d: hardware %d matches, software %d", pid, len(hw), len(sw))
-		}
 		if !ac.MatchesEqual(sw, gf) {
 			t.Fatalf("packet %d: software %d matches, goto/fail %d", pid, len(sw), len(gf))
 		}
@@ -134,36 +112,6 @@ func TestPipelineMatchOffsetsExact(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no matches produced; workload broken")
-	}
-}
-
-func TestPipelineAdversarialParity(t *testing.T) {
-	// On a worst-case stream the accelerator and software matcher agree and
-	// the hardware consumes exactly one cycle per byte in every engine.
-	rules, err := GenerateSnortLike(300, 55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matcher, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	accel, err := NewAccelerator(matcher, Stratix3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := internalSet(t, rules)
-	payload, err := traffic.Adversarial(set, 6000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw, err := accel.ScanPackets([][]byte{payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := matcher.FindAll(payload)
-	if len(hw) != len(sw) {
-		t.Fatalf("hardware %d matches, software %d", len(hw), len(sw))
 	}
 }
 

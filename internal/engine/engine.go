@@ -1,23 +1,22 @@
-// Package engine runs many scans concurrently over one shared compressed
-// automaton, mirroring the paper's hardware parallelism in software: an
-// FPGA string matching block holds 6 engines reading the same block memory,
-// and a device holds several blocks (§IV.B). Here the immutable
-// core.Grouped plays the role of the block memory, and one register file
-// per group machine (core.Regs, plain data) plays the role of one hardware
-// engine.
+// Package engine holds the streaming scan state every software scan path
+// runs on, mirroring the paper's hardware parallelism: an FPGA string
+// matching block holds 6 engines reading the same block memory, and a
+// device holds several blocks (§IV.B). Here the immutable core.Grouped
+// plays the role of the block memory, and one register file per group
+// machine (core.Regs, plain data) plays the role of one hardware engine.
 //
-// Two usage shapes are exposed, matching the two ways traffic reaches a
-// DPI system:
+// FlowState is the product: each concurrent TCP/UDP flow owns one FlowState
+// value — its registers, nothing else — while sharing the compiled
+// automaton, so millions of flows cost per-flow registers only, never
+// per-flow automata, buffers or objects. dpi.Stream embeds one in its
+// handle, the gateway one in each flow record, and both scan into a match
+// buffer they own.
 //
-//   - ScanPackets: batch mode. A slice of independent payloads is sharded
-//     across a worker pool; results come back merged in canonical order.
-//     A worker's registers live in its locals.
-//   - FlowState: streaming mode. Each concurrent TCP/UDP flow owns one
-//     FlowState value — its registers, nothing else — while sharing the
-//     compiled automaton, so millions of flows cost per-flow registers
-//     only, never per-flow automata, buffers or objects. The holder embeds
-//     the value in its own flow record and scans into a match buffer it
-//     owns; Flow is the one-allocation handle for callers without a record.
+// Engine, its batch worker pool (ScanPacketsInto) and the Flow handle exist
+// only as the benchmark's layer harness: bench/pipeline.go times them as
+// the "engine" layer, and nothing else in the tree runs on them. They go
+// when ROADMAP item 5 retires that file, and FlowState then folds into
+// internal/core.
 package engine
 
 import (
@@ -31,8 +30,8 @@ import (
 )
 
 // Engine is a fixed-size worker pool over a shared immutable automaton.
-// The Engine itself is safe for concurrent use: ScanPackets may be called
-// from many goroutines at once, and Flows may be opened and written
+// The Engine itself is safe for concurrent use: ScanPacketsInto may be
+// called from many goroutines at once, and Flows may be opened and written
 // concurrently (each individual Flow is single-goroutine, like a socket).
 //
 // Engines replicate freely: because the automaton is immutable, any number
@@ -55,7 +54,7 @@ type Engine struct {
 // usage shapes. A multi-engine front-end reads one Stats per shard to see
 // how traffic fanned out across its replicas.
 type Stats struct {
-	Batches     uint64 // ScanPackets/ScanPacketsInto calls
+	Batches     uint64 // ScanPacketsInto calls
 	BatchPkts   uint64 // payloads scanned across those batches
 	BatchBytes  uint64 // payload bytes scanned in batch mode
 	FlowsOpened uint64 // flow states opened (Open, Flow), once per connection
@@ -70,24 +69,6 @@ func New(g *core.Grouped, workers int) *Engine {
 	}
 	return &Engine{g: g, workers: workers}
 }
-
-// Workers returns the batch-scan worker-pool size.
-func (e *Engine) Workers() int { return e.workers }
-
-// Backend reports the scan backend every batch worker and flow runs, as
-// resolved by the group machines at build time (all group machines share
-// one Options, so one name describes the whole set).
-func (e *Engine) Backend() string {
-	if len(e.g.Machines) == 0 {
-		return ""
-	}
-	return e.g.Machines[0].DefaultBackend()
-}
-
-// Generation reports the compile generation of the automaton this engine
-// scans with (core.Grouped.Generation) — the tag Open stamps on every flow
-// state it resets, so an engine is generation-homogeneous by construction.
-func (e *Engine) Generation() uint64 { return e.g.Generation }
 
 // Stats returns this engine's work counters. Counters are monotone but
 // mutually unsynchronized, like every stats surface in the pipeline.
@@ -121,19 +102,15 @@ func scanPacket(g *core.Grouped, payload []byte, buf []ac.Match) ([]ac.Match, []
 	return out, buf
 }
 
-// ScanPackets scans each payload as an independent packet across the
+// ScanPacketsInto scans each payload as an independent packet across the
 // worker pool and returns one match slice per payload, each in canonical
 // (End, PatternID) order — element i is exactly what Grouped.FindAll
 // would return for payloads[i]. Packets are handed to workers via a shared
 // counter, so a batch of wildly mixed payload sizes still load-balances.
-func (e *Engine) ScanPackets(payloads [][]byte) [][]ac.Match {
-	return e.ScanPacketsInto(payloads, nil)
-}
-
-// ScanPacketsInto is ScanPackets reusing results' backing array when it is
-// large enough, for callers that want steady-state batch scans free of
-// per-batch slice allocation. The per-packet match slices are still freshly
-// allocated — they are the scan's output and may be retained by the caller.
+// results' backing array is reused when it is large enough, so steady-state
+// batch scans are free of per-batch slice allocation. The per-packet match
+// slices are still freshly allocated — they are the scan's output and may
+// be retained by the caller.
 // Nothing here recovers a panic: a batch runs for a caller that has no
 // packet to quarantine, and the gateway, which does, scans each packet on the
 // lane's own goroutine with FlowState.Write.

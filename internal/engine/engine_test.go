@@ -39,7 +39,7 @@ func TestScanPacketsPerPacketEqualsFindAll(t *testing.T) {
 		payloads = append(payloads, payloadWith(g.Sets[id%2], id))
 	}
 	e := New(g, 4)
-	got := e.ScanPackets(payloads)
+	got := e.ScanPacketsInto(payloads, nil)
 	if len(got) != len(payloads) {
 		t.Fatalf("got %d results for %d payloads", len(got), len(payloads))
 	}
@@ -57,9 +57,9 @@ func TestWorkerCountsAgree(t *testing.T) {
 	for id := 0; id < 17; id++ {
 		payloads = append(payloads, payloadWith(g.Sets[0], id))
 	}
-	want := New(g, 1).ScanPackets(payloads)
+	want := New(g, 1).ScanPacketsInto(payloads, nil)
 	for _, workers := range []int{2, 3, 8, 64} {
-		got := New(g, workers).ScanPackets(payloads)
+		got := New(g, workers).ScanPacketsInto(payloads, nil)
 		for i := range want {
 			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
 				t.Fatalf("workers=%d packet %d: %v, want %v", workers, i, got[i], want[i])
@@ -105,9 +105,9 @@ func TestFlowStateReopenInPlace(t *testing.T) {
 		if !raceEnabled && allocs != 0 {
 			t.Fatalf("groups=%d: re-open allocated %.1f times", groups, allocs)
 		}
-		if st.Consumed() != 0 || st.Generation() != e.Generation() {
+		if st.Consumed() != 0 || st.Generation() != g.Generation {
 			t.Fatalf("groups=%d: re-opened state at %d, generation %d (engine %d)",
-				groups, st.Consumed(), st.Generation(), e.Generation())
+				groups, st.Consumed(), st.Generation(), g.Generation)
 		}
 		if ms := e.Write(&st, target[len(target)-1:], nil); len(ms) != 0 {
 			t.Fatalf("groups=%d: match spans a re-open: %v", groups, ms)
@@ -195,7 +195,7 @@ func TestFlowSkipGap(t *testing.T) {
 
 // TestStatsCounters pins the per-engine work accounting a sharded
 // front-end reads per replica: batch calls/packets/bytes from
-// ScanPackets, flow checkouts and streamed bytes from the Flow API, and
+// ScanPacketsInto, flow checkouts and streamed bytes from the Flow API, and
 // independence between two engines over the same automaton.
 func TestStatsCounters(t *testing.T) {
 	g := buildGrouped(t, 100, 1)
@@ -203,8 +203,8 @@ func TestStatsCounters(t *testing.T) {
 	other := New(g, 2) // a sibling shard: its counters must stay untouched
 
 	payloads := [][]byte{[]byte("abcd"), []byte("efghij"), nil}
-	e.ScanPackets(payloads)
-	e.ScanPackets(payloads[:1])
+	e.ScanPacketsInto(payloads, nil)
+	e.ScanPacketsInto(payloads[:1], nil)
 
 	f := e.Flow()
 	f.Write([]byte("hello"))
@@ -221,7 +221,7 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("sibling engine counters moved: %+v", o)
 	}
 	// An empty batch is a no-op, not a counted batch.
-	e.ScanPackets(nil)
+	e.ScanPacketsInto(nil, nil)
 	if st := e.Stats(); st.Batches != 2 {
 		t.Fatalf("empty batch counted: %+v", st)
 	}

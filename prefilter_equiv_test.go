@@ -85,8 +85,8 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 		}
 
 		var pOut, rOut []Match
-		pf := pre.NewEngine(1).Flow(func(m Match) { pOut = append(pOut, m) })
-		rf := ref.NewEngine(1).Flow(func(m Match) { rOut = append(rOut, m) })
+		pf := pre.NewStream(func(m Match) { pOut = append(pOut, m) })
+		rf := ref.NewStream(func(m Match) { rOut = append(rOut, m) })
 
 		var seg []byte // contiguous bytes both flows have seen since the last gap
 		segStart := 0  // flow position where the segment began
@@ -139,7 +139,7 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 				rf.SkipGap(n)
 				seg, segStart, segMark = seg[:0], pf.Consumed(), len(pOut)
 			case 4: // fork: both streams continue on copies of their registers
-				pf, rf = forkFlow(pf, payload), forkFlow(rf, patBlob)
+				pf, rf = forkStream(pf, payload), forkStream(rf, patBlob)
 			default: // write a chunk of the payload (cycling, possibly empty)
 				n := int(op >> 2)
 				if len(payload) == 0 {

@@ -17,9 +17,9 @@ import (
 // return for the concatenated stream.
 //
 // A Stream is not safe for concurrent use; give each concurrent flow its
-// own Stream (or use Engine.Flow, which additionally counts its work in the
-// engine's Stats). A Stream is one allocation: the scanner registers live
-// in the handle itself.
+// own Stream — they all read the Matcher's one immutable automaton and
+// carry only their own scanner registers. A Stream is one allocation: the
+// registers live in the handle itself.
 type Stream struct {
 	m    *Matcher
 	st   engine.FlowState
@@ -40,21 +40,26 @@ func (m *Matcher) NewStream(emit func(Match)) *Stream {
 // part of the io.Writer contract. Match offsets emitted by the scanners
 // are already stream-relative because each scanner's position persists
 // across Write calls. Matches for this chunk are emitted in canonical
-// (End, PatternID) order — see the Stream ordering guarantee.
+// (End, PatternID) order with PacketID -1 — see the Stream ordering
+// guarantee.
 func (s *Stream) Write(p []byte) (int, error) {
 	return s.WritePacket(p, -1)
 }
 
 // WritePacket is Write with match attribution: matches completed by this
-// chunk are emitted with PacketID set to packetID (Write uses -1). Start
-// and End remain stream-relative. This mirrors Flow.WritePacket so a
-// demultiplexer can tie cross-packet matches back to the segment that
-// finished them.
+// chunk are emitted with PacketID set to packetID. Start and End remain
+// stream-relative, so a demultiplexer feeding reassembled segments through
+// a per-flow Stream can tie a cross-packet match back to the segment that
+// finished it.
 func (s *Stream) WritePacket(p []byte, packetID int) (int, error) {
-	s.buf = s.st.Write(s.m.grouped, p, ac.RecycleMatches(s.buf))
-	for _, am := range s.buf {
+	buf := s.st.Write(s.m.grouped, p, ac.RecycleMatches(s.buf))
+	// Detach the buffer while replaying so an emit that writes to this same
+	// stream cannot recycle the slice being iterated.
+	s.buf = nil
+	for _, am := range buf {
 		s.emit(s.m.convert(am, packetID))
 	}
+	s.buf = buf
 	return len(p), nil
 }
 
@@ -62,5 +67,13 @@ func (s *Stream) WritePacket(p []byte, packetID int) (int, error) {
 // 2-byte histories are cleared, and offsets restart at zero.
 func (s *Stream) Reset() { s.st.Reset() }
 
-// Consumed returns the bytes scanned since the last Reset.
+// SkipGap advances the stream position by n bytes that were never seen (a
+// TCP reassembly gap skipped on loss): scanner registers are invalidated —
+// a match cannot span unseen bytes — but offsets of later matches remain
+// absolute in the true byte stream. The Gateway does the same to a flow
+// whose gap timeout expires. n <= 0 is a no-op.
+func (s *Stream) SkipGap(n int) { s.st.SkipGap(n) }
+
+// Consumed returns the stream position: bytes scanned plus gap bytes
+// skipped since the last Reset.
 func (s *Stream) Consumed() int { return s.st.Consumed() }

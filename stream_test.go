@@ -2,6 +2,7 @@ package dpi
 
 import (
 	"io"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -75,6 +76,77 @@ func TestStreamResetSplitsPackets(t *testing.T) {
 	s.Write([]byte("xyz"))
 	if len(got) != 1 || got[0].Start != 0 {
 		t.Fatalf("fresh packet matches = %v", got)
+	}
+}
+
+// TestStreamSkipGapAndReset: a gap invalidates the registers but keeps
+// offsets absolute in the true byte stream, and a Reset after it restarts
+// them at zero.
+func TestStreamSkipGapAndReset(t *testing.T) {
+	rules := NewRuleset()
+	rules.MustAdd("p", []byte("xyz"))
+	m, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Match
+	s := m.NewStream(func(mt Match) { got = append(got, mt) })
+	s.Write([]byte("xy"))
+	s.SkipGap(10) // unseen bytes: the partial "xy" must not combine with "z"
+	s.Write([]byte("z"))
+	if len(got) != 0 {
+		t.Fatalf("match spans a gap: %v", got)
+	}
+	s.SkipGap(0) // no bytes skipped: no register may move
+	s.Write([]byte("xyz"))
+	if len(got) != 1 || got[0].Start != 13 || got[0].End != 16 || s.Consumed() != 16 {
+		t.Fatalf("after a 10-byte gap: matches %v, consumed %d; want one at [13,16)", got, s.Consumed())
+	}
+	s.Reset()
+	s.Write([]byte("xyz"))
+	if len(got) != 2 || got[1].Start != 0 || s.Consumed() != 3 {
+		t.Fatalf("after Reset: matches %v, consumed %d; want a second at [0,3)", got, s.Consumed())
+	}
+}
+
+// TestStreamReentrantEmit: an emit callback may write to its own stream.
+// The inner Write's matches are delivered where it was called, and the
+// outer Write then finishes replaying its own — the match buffer the outer
+// replay iterates must not be the one the inner Write recycles.
+func TestStreamReentrantEmit(t *testing.T) {
+	rules := NewRuleset()
+	ab := rules.MustAdd("ab", []byte("ab"))
+	cd := rules.MustAdd("cd", []byte("cd"))
+	ef := rules.MustAdd("ef", []byte("ef"))
+	m, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Match
+	var s *Stream
+	reenter := true
+	s = m.NewStream(func(mt Match) {
+		got = append(got, mt)
+		if reenter {
+			reenter = false
+			s.Write([]byte("efab"))
+		}
+	})
+	s.Write([]byte("abcd"))
+	want := []Match{
+		{PatternID: ab, Start: 0, End: 2, PacketID: -1},
+		{PatternID: ef, Start: 4, End: 6, PacketID: -1},
+		{PatternID: ab, Start: 6, End: 8, PacketID: -1},
+		{PatternID: cd, Start: 2, End: 4, PacketID: -1},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("reentrant emit delivered %+v, want %+v", got, want)
+	}
+	// The buffers swapped hands; the stream must still scan correctly.
+	got = got[:0]
+	s.Write([]byte("cdef"))
+	if len(got) != 2 || got[0].PatternID != cd || got[1].PatternID != ef {
+		t.Fatalf("after reentrant emit: %+v", got)
 	}
 }
 
