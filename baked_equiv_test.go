@@ -89,13 +89,9 @@ func FuzzBakedEquivalence(f *testing.F) {
 		if !baked.Kernel().Baked {
 			t.Fatal("default compile produced no baked kernel")
 		}
-		for _, machine := range baked.grouped.Machines {
-			if err := machine.VerifyProgram(); err != nil {
-				t.Fatal(err)
-			}
-			if err := machine.VerifyOutputs(); err != nil {
-				t.Fatal(err)
-			}
+		// Every structural proof, each group against a trie of its share.
+		if err := baked.Verify(nil); err != nil {
+			t.Fatal(err)
 		}
 		ref, err := Compile(rules, refCfg)
 		if err != nil {
@@ -103,6 +99,9 @@ func FuzzBakedEquivalence(f *testing.F) {
 		}
 		if ref.Kernel().Baked {
 			t.Fatal("BackendReference still reports a baked kernel")
+		}
+		if err := ref.Verify(nil); err != nil {
+			t.Fatal(err)
 		}
 		trie, err := ac.New(rules.InternalSet())
 		if err != nil {
@@ -129,7 +128,7 @@ func FuzzBakedEquivalence(f *testing.F) {
 			}
 			for i, w := range want {
 				end := w.End + segStart
-				start := end - trie.PatternLen(w.PatternID)
+				start := end - len(rules.Content(int(w.PatternID)))
 				if got[i].PatternID != int(w.PatternID) || got[i].End != end || got[i].Start != start {
 					t.Fatalf("segment at %d: match %d = %+v, oracle id=%d [%d,%d)",
 						segStart, i, got[i], w.PatternID, start, end)

@@ -429,8 +429,12 @@ func BenchmarkSnapshotSaveLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	trie, err := ac.New(set)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.Save(&buf, trie); err != nil {
 		b.Fatal(err)
 	}
 	blob := buf.Bytes()

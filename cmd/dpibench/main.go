@@ -35,6 +35,7 @@ import (
 	"runtime/pprof"
 	"syscall"
 
+	"repro/internal/ac"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/report"
@@ -301,7 +302,11 @@ func renderFigure1(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return m.WriteDot(out, core.DotOptions{ShowDefaults: true})
+	trie, err := ac.New(toy)
+	if err != nil {
+		return err
+	}
+	return m.WriteDot(out, trie, core.DotOptions{ShowDefaults: true})
 }
 
 func renderFigure2(out io.Writer) error {

@@ -391,8 +391,8 @@ func (m *Matcher) Stats() CompressionStats {
 // KernelStats reports the memory layout of the compiled flat scan kernel,
 // aggregated across group machines — the software analogue of the
 // accelerator's block-memory fill report: every table the kernel reads
-// while scanning. The automaton's trie, which only the reference backend,
-// snapshots and verification read, is not part of it.
+// while scanning. No trie is listed because none is held: the matcher
+// keeps the compressed image only.
 type KernelStats struct {
 	// Baked is false when the matcher runs on the reference interpreter
 	// (Backend: reference, or a configuration outside the fixed row
@@ -471,24 +471,29 @@ func (m *Matcher) Kernel() KernelStats {
 }
 
 // Verify proves the compressed matcher equivalent to the uncompressed
-// Aho-Corasick DFA: an exhaustive per-transition structural check of the
-// reference interpreter and, on a baked matcher, of the flat kernel's own
-// transition and output tables, plus a scan-level cross-check of every
-// backend on the provided payloads (may be nil).
+// Aho-Corasick DFA, rebuilt here from the ruleset because the matcher keeps
+// none: an exhaustive per-transition structural check of the reference
+// interpreter and, on a baked matcher, of the flat kernel's own transition
+// tables, of the output table every backend emits from, plus a scan-level
+// cross-check of every backend on the provided payloads (may be nil).
 func (m *Matcher) Verify(payloads [][]byte) error {
 	for gi, machine := range m.grouped.Machines {
-		if err := machine.VerifyTransitions(); err != nil {
+		oracle, err := ac.New(m.grouped.Sets[gi])
+		if err != nil {
+			return fmt.Errorf("group %d: %w", gi, err)
+		}
+		if err := machine.VerifyTransitions(oracle); err != nil {
 			return fmt.Errorf("group %d: %w", gi, err)
 		}
 		if machine.Program() != nil {
-			if err := machine.VerifyProgram(); err != nil {
-				return fmt.Errorf("group %d: %w", gi, err)
-			}
-			if err := machine.VerifyOutputs(); err != nil {
+			if err := machine.VerifyProgram(oracle); err != nil {
 				return fmt.Errorf("group %d: %w", gi, err)
 			}
 		}
-		if err := machine.VerifyScan(payloads); err != nil {
+		if err := machine.VerifyOutputs(oracle); err != nil {
+			return fmt.Errorf("group %d: %w", gi, err)
+		}
+		if err := machine.VerifyScan(oracle, payloads); err != nil {
 			return fmt.Errorf("group %d: %w", gi, err)
 		}
 	}

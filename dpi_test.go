@@ -141,6 +141,12 @@ func TestVerify(t *testing.T) {
 	if err := m.Verify(payloads); err != nil {
 		t.Fatal(err)
 	}
+	// The oracle is rebuilt from the ruleset, so a ruleset grown since
+	// Compile is refused as not what was compiled rather than walked.
+	m.Rules().MustAdd("late", []byte("added after Compile"))
+	if err := m.Verify(nil); err == nil {
+		t.Fatal("Verify proved a matcher against rules it was not compiled from")
+	}
 }
 
 func TestGroupedCompileMatchesSingle(t *testing.T) {

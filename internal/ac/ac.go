@@ -11,17 +11,16 @@
 // this package supplies the uncompressed machine, bulk iteration over its
 // transition rows, and a naive oracle used to cross-check every matcher.
 //
-// A Trie stays resident for the life of the machine built on it (the
-// reference interpreter, snapshots and the verifiers read it), so it is
-// laid out to be small: a table of 32-byte nodes and three flat arenas —
-// goto edges, own outputs, pattern lengths — with no allocation per state.
-// Edges and outputs are reached through Trie.Edges and Trie.Out.
+// A Trie is scaffolding: package core compresses one into a Machine and lets
+// it go, and a verifier, snapshot or drawing that needs the uncompressed
+// automaton later is handed another built from the ruleset. It is laid out
+// flat all the same — a table of 32-byte nodes and two arenas, goto edges
+// and own outputs, no allocation per state, reached through Trie.Edges and
+// Trie.Out. A pattern's length is the depth of the state that outputs it.
 package ac
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/ruleset"
 )
@@ -59,24 +58,16 @@ type Node struct {
 	Char     byte   // label of the edge from Parent (undefined for Root)
 }
 
-// PatLen is the byte length of one pattern.
-type PatLen struct {
-	ID  int32
-	Len int32
-}
-
 // Trie is the Aho-Corasick automaton for a pattern set: the node table and
-// three flat arenas, however many states there are.
+// two flat arenas, however many states there are.
 type Trie struct {
 	Nodes []Node
 	// edges holds every state's goto transitions, state 0's first, each
 	// state's sorted by character. outs holds every state's own pattern
-	// IDs the same way, in insertion order within a state.
+	// IDs the same way, in insertion order within a state. IDs are the
+	// (possibly sparse) ruleset IDs.
 	edges []Edge
 	outs  []int32
-	// patLens lists every pattern's length sorted by ID, for match start
-	// computation. IDs are the (possibly sparse) ruleset IDs.
-	patLens []PatLen
 }
 
 // Match reports one pattern occurrence. End is the byte offset one past the
@@ -182,15 +173,10 @@ func New(set *ruleset.Set) (*Trie, error) {
 	}
 
 	t := &Trie{
-		Nodes:   make([]Node, len(proto)),
-		edges:   make([]Edge, 0, len(proto)-1),
-		outs:    make([]int32, 0, set.Len()),
-		patLens: make([]PatLen, set.Len()),
+		Nodes: make([]Node, len(proto)),
+		edges: make([]Edge, 0, len(proto)-1),
+		outs:  make([]int32, 0, set.Len()),
 	}
-	for i, p := range set.Patterns {
-		t.patLens[i] = PatLen{ID: int32(p.ID), Len: int32(len(p.Data))}
-	}
-	slices.SortFunc(t.patLens, func(a, b PatLen) int { return cmp.Compare(a.ID, b.ID) })
 
 	// Freeze in state order, which is arena order. A parent is numbered
 	// before its children, so its depth is known when theirs is taken.
@@ -275,19 +261,6 @@ func (t *Trie) buildFails(rootGoto *[256]int32) {
 // NumStates returns the number of states including the start state. This is
 // the "States" column of Table II.
 func (t *Trie) NumStates() int { return len(t.Nodes) }
-
-// PatternLen returns the length of pattern id, or 0 if unknown.
-func (t *Trie) PatternLen(id int32) int {
-	i, ok := slices.BinarySearchFunc(t.patLens, id, func(p PatLen, id int32) int { return cmp.Compare(p.ID, id) })
-	if !ok {
-		return 0
-	}
-	return int(t.patLens[i].Len)
-}
-
-// PatLens lists every pattern's length, sorted by ID. The slice aliases the
-// trie's own: read-only.
-func (t *Trie) PatLens() []PatLen { return t.patLens }
 
 // Move is the full-DFA move function: the state reached from s on input c,
 // following the fail chain as needed. It never returns None; missing

@@ -185,22 +185,20 @@ func TestEmitOutputsExactlySuffixPatterns(t *testing.T) {
 // trieParts is a trie taken apart into what Rebuild takes, every slice a
 // copy the caller may corrupt.
 type trieParts struct {
-	nodes   []Node
-	edges   []Edge
-	outs    []int32
-	patLens []PatLen
+	nodes []Node
+	edges []Edge
+	outs  []int32
 }
 
 func partsOf(tr *Trie) trieParts {
 	return trieParts{
-		nodes:   slices.Clone(tr.Nodes),
-		edges:   slices.Clone(tr.edges),
-		outs:    slices.Clone(tr.outs),
-		patLens: slices.Clone(tr.patLens),
+		nodes: slices.Clone(tr.Nodes),
+		edges: slices.Clone(tr.edges),
+		outs:  slices.Clone(tr.outs),
 	}
 }
 
-func (p trieParts) rebuild() (*Trie, error) { return Rebuild(p.nodes, p.edges, p.outs, p.patLens) }
+func (p trieParts) rebuild() (*Trie, error) { return Rebuild(p.nodes, p.edges, p.outs) }
 
 // Property: rebuilding a trie from its own parts reproduces the same
 // automaton (exercises ac.Rebuild validation on good input).
@@ -232,15 +230,13 @@ func TestRebuildRejectsCorruptNodes(t *testing.T) {
 			}
 			p.edges[0], p.edges[1] = p.edges[1], p.edges[0]
 		},
-		func(p *trieParts) { // state 2 gains an output no pattern length covers
-			at := int(p.nodes[2].outOff) + int(p.nodes[2].NumOut)
-			p.outs = slices.Insert(p.outs, at, 9999)
-			p.nodes[2].NumOut++
+		func(p *trieParts) { // an output link to a state that ends no pattern
+			silent := slices.IndexFunc(p.nodes[1:], func(nd Node) bool { return nd.NumOut == 0 }) + 1
+			p.nodes[len(p.nodes)-1].OutLink = int32(silent)
 		},
 		func(p *trieParts) { p.nodes[3].NumEdges++ },
 		func(p *trieParts) { p.nodes[3].NumOut++ },
 		func(p *trieParts) { p.edges = p.edges[:len(p.edges)-1] },
-		func(p *trieParts) { p.patLens[0], p.patLens[1] = p.patLens[1], p.patLens[0] },
 	}
 	for i, mutate := range cases {
 		p := partsOf(tr)
@@ -254,7 +250,7 @@ func TestRebuildRejectsCorruptNodes(t *testing.T) {
 // TestArenaLayout: every state's edges are strictly sorted by character and
 // lead to its own children, the two arenas are exactly the states' slices
 // back to back in state order with nothing between or after them, and a
-// node is no larger than the 32 bytes the resident image is sized by.
+// node is no larger than the 32 bytes a build's peak heap is sized by.
 func TestArenaLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Node{}); got > 32 {
 		t.Fatalf("Node is %d bytes, want at most 32", got)

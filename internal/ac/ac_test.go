@@ -302,13 +302,24 @@ func TestNewRejectsInvalidSet(t *testing.T) {
 	}
 }
 
+// TestPatternLen: the trie keeps no table of pattern lengths because it is
+// one — a pattern is output by exactly one state, at the depth of its length.
 func TestPatternLen(t *testing.T) {
-	tr := mustTrie(t, toySet())
-	if got := tr.PatternLen(3); got != 4 {
-		t.Fatalf("PatternLen(3) = %d, want 4 (hers)", got)
+	set := toySet()
+	tr := mustTrie(t, set)
+	depthOf := map[int32]int32{}
+	for s := range tr.Nodes {
+		for _, id := range tr.Out(int32(s)) {
+			if _, twice := depthOf[id]; twice {
+				t.Fatalf("pattern %d is output by two states", id)
+			}
+			depthOf[id] = tr.Nodes[s].Depth
+		}
 	}
-	if got := tr.PatternLen(99); got != 0 {
-		t.Fatalf("PatternLen(99) = %d, want 0", got)
+	for _, p := range set.Patterns {
+		if got := depthOf[int32(p.ID)]; int(got) != len(p.Data) {
+			t.Fatalf("pattern %d (%q) is output at depth %d, want %d", p.ID, p.Data, got, len(p.Data))
+		}
 	}
 }
 

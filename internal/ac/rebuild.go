@@ -2,15 +2,14 @@ package ac
 
 import "fmt"
 
-// Rebuild reconstructs a Trie from its node table, its two arenas and its
-// pattern lengths, for deserialization: nodes carry their edge and output
-// counts, edges and outs hold every state's entries back to back in state
-// order, and Rebuild lays the nodes out over them. All four slices become
-// the trie's own. It validates the structural invariants a BFS-built trie
-// guarantees: indices in range, root at 0, parent depth monotonicity,
-// sorted edges, fail targets strictly shallower than their states, and
-// pattern lengths sorted by ID.
-func Rebuild(nodes []Node, edges []Edge, outs []int32, patLens []PatLen) (*Trie, error) {
+// Rebuild reconstructs a Trie from its node table and its two arenas, for
+// deserialization: nodes carry their edge and output counts, edges and outs
+// hold every state's entries back to back in state order, and Rebuild lays
+// the nodes out over them. All three slices become the trie's own. It
+// validates the structural invariants a BFS-built trie guarantees: indices
+// in range, root at 0, parent depth monotonicity, sorted edges, and fail
+// targets strictly shallower than their states.
+func Rebuild(nodes []Node, edges []Edge, outs []int32) (*Trie, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("ac: no nodes")
 	}
@@ -21,12 +20,7 @@ func Rebuild(nodes []Node, edges []Edge, outs []int32, patLens []PatLen) (*Trie,
 	if ne, no := layOut(nodes); int(ne) != len(edges) || int(no) != len(outs) {
 		return nil, fmt.Errorf("ac: nodes count %d edges and %d outputs, tables hold %d and %d", ne, no, len(edges), len(outs))
 	}
-	for i := 1; i < len(patLens); i++ {
-		if patLens[i-1].ID >= patLens[i].ID {
-			return nil, fmt.Errorf("ac: pattern lengths not strictly sorted by ID at %d", patLens[i].ID)
-		}
-	}
-	t := &Trie{Nodes: nodes, edges: edges, outs: outs, patLens: patLens}
+	t := &Trie{Nodes: nodes, edges: edges, outs: outs}
 	n := int32(len(nodes))
 	for i := int32(1); i < n; i++ {
 		nd := nodes[i]
@@ -63,11 +57,6 @@ func Rebuild(nodes []Node, edges []Edge, outs []int32, patLens []PatLen) (*Trie,
 			}
 			if nodes[e.To].Parent != i || nodes[e.To].Char != e.Char {
 				return nil, fmt.Errorf("ac: state %d edge %q does not match child %d", i, e.Char, e.To)
-			}
-		}
-		for _, id := range t.Out(i) {
-			if t.PatternLen(id) == 0 {
-				return nil, fmt.Errorf("ac: state %d outputs unknown pattern %d", i, id)
 			}
 		}
 	}

@@ -255,7 +255,6 @@ func (m *Machine) registersAs(k backendKind, r *Regs) Registers {
 // two places: Machine.Next and this loop. Any change to the stored-pointer
 // or default-rule step applies to both and to every compiled backend.
 func (m *Machine) scanReference(r *Regs, data []byte, out []ac.Match) []ac.Match {
-	t := m.Trie
 	state, pos := r.state, r.pos
 	h2, h1 := splitHist(r.hist)
 	maxDepth := m.Opts.MaxDepth
@@ -267,8 +266,8 @@ func (m *Machine) scanReference(r *Regs, data []byte, out []ac.Match) []ac.Match
 		}
 		h2, h1 = h1, int16(c)
 		pos++
-		if t.HasOutput(state) {
-			out = t.AppendOutputs(state, pos, out)
+		if m.out.has(state) {
+			out = m.out.appendTo(state, pos, out)
 		}
 	}
 	r.state, r.hist, r.pos = state, fuseHist(h2, h1), pos

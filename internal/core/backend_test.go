@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/ac"
 )
 
 // TestAutoBackendResolution pins what BackendAuto resolves to for each way
@@ -16,9 +18,9 @@ func TestAutoBackendResolution(t *testing.T) {
 		t.Fatalf("RegisteredBackends() = %v, want %v", got, all)
 	}
 
-	reload := func(t *testing.T, m *Machine) *Machine {
+	reload := func(t *testing.T, m *Machine, trie *ac.Trie) *Machine {
 		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
+		if err := m.Save(&buf, trie); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := Load(buf.Bytes())
@@ -29,11 +31,11 @@ func TestAutoBackendResolution(t *testing.T) {
 	}
 	// rejectPrefilter does what compileBackends does when VerifySuperset
 	// refuses a table: the stage is dropped, never used.
-	rejectPrefilter := func(t *testing.T, m *Machine) *Machine {
+	rejectPrefilter := func(t *testing.T, m *Machine, trie *ac.Trie) *Machine {
 		for i := range m.pre.tab {
 			m.pre.tab[i] &^= pfSuspect
 		}
-		if err := m.VerifySuperset(); err == nil {
+		if err := m.VerifySuperset(trie); err == nil {
 			t.Fatal("VerifySuperset accepted a table with no suspect flags")
 		}
 		m.pre = nil
@@ -44,7 +46,7 @@ func TestAutoBackendResolution(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		opts     Options
-		then     func(*testing.T, *Machine) *Machine // nil: use the built machine as is
+		then     func(*testing.T, *Machine, *ac.Trie) *Machine // nil: use the built machine as is
 		want     string
 		backends []string
 	}{
@@ -55,12 +57,10 @@ func TestAutoBackendResolution(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
-			m, err := Build(randBakedSet(rng), tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			set := randBakedSet(rng)
+			m, trie := mustBuild(t, set, tc.opts), mustTrie(t, set)
 			if tc.then != nil {
-				m = tc.then(t, m)
+				m = tc.then(t, m, trie)
 			}
 			if got := m.DefaultBackend(); got != tc.want {
 				t.Fatalf("auto resolves to %q, want %q", got, tc.want)
@@ -73,7 +73,7 @@ func TestAutoBackendResolution(t *testing.T) {
 			if got := m.Backends(); !reflect.DeepEqual(got, tc.backends) {
 				t.Fatalf("Backends() = %v, want %v", got, tc.backends)
 			}
-			driveLockstep(t, m, rng)
+			driveLockstep(t, m, trie, rng)
 		})
 	}
 }

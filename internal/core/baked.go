@@ -1,13 +1,13 @@
 package core
 
-// The baked scan kernel: Compile flattens a DTP Machine into a Program, a
+// The baked scan kernel: Build flattens a DTP Machine into a Program, a
 // cache-line-friendly runtime representation that the Scanner hot loop
-// executes instead of the Machine's entry lists and the trie's nodes. The
-// Machine remains the reference semantics (Machine.Next is the oracle the
-// Program is verified against); the Program is a pure re-layout and must
-// stay byte-exact equivalent — same state, same history, same match order
-// — on every input. Once compiled it reads no builder structure: not the
-// trie, not the Defaults lists.
+// executes instead of the Machine's entry lists. The Machine remains the
+// reference semantics (Machine.Next is the oracle the Program is verified
+// against); the Program is a pure re-layout and must stay byte-exact
+// equivalent — same state, same history, same match order — on every
+// input. Once compiled it reads no builder structure: the trie is gone,
+// and the Defaults lists are not consulted.
 //
 // Layout, mirroring the hardware's fixed-width single-access RAMs:
 //
@@ -38,13 +38,8 @@ package core
 //     8-byte entries, where Machine.Next takes two offset loads and a
 //     binary search.
 //
-//   - The output test is a bitset probe (outBits): the no-match fast path
-//     loads one word. On a hit the state's rank among output states — a
-//     per-word prefix count plus a popcount of the lower bits — indexes
-//     outOff, and the pattern IDs are read off outIDs contiguously: the
-//     state's own outputs, then each fail-ancestor's along the OutLink
-//     chain, flattened at compile time in exactly the order
-//     Trie.AppendOutputs walks them.
+//   - The match memory is the Machine's too (outputTable), shared the same
+//     way: a bitset probe, and on a hit the state's complete ID list.
 //
 //   - Two-tier fast path: the start state, every depth-1 state, and the
 //     most popular remaining states (by the same popularity tally that
@@ -99,7 +94,7 @@ const (
 )
 
 // Program is the compiled, flat form of a Machine. It is immutable after
-// Compile and safe for concurrent use by any number of Scanners.
+// Build and safe for concurrent use by any number of Scanners.
 type Program struct {
 	d1 [256]int32     // depth-1 default, start state pre-resolved in
 	d2 [256][4]uint64 // prevKey<<32 | state, empty slots never match
@@ -109,11 +104,7 @@ type Program struct {
 	stored []Transition // the Machine's arena, rows sorted by char
 	fast   []fastRow    // one per promoted state
 	over   []int32      // every fast row's overrides of d1, back to back
-
-	outBits []uint64 // bit s set iff any pattern ends at state s
-	outRank []uint32 // per outBits word: output states in the words before it
-	outOff  []uint32 // per output state, by rank, plus one: its slice of outIDs
-	outIDs  []int32  // every output state's full pattern-ID list, back to back
+	out    *outputTable // the Machine's match memory
 }
 
 // fastRow is a promoted state's whole move row, as its difference from the
@@ -161,18 +152,14 @@ func splitHist(hist uint32) (h2, h1 int16) {
 	return h2, h1
 }
 
-// Compile bakes m into a Program. It returns nil when the machine does not
-// fit the fixed row format — more than 4 depth-2 or 1 depth-3 defaults per
-// character (ablation configurations), more stored pointers at a compressed
-// state or in the whole arena than the descriptor packs — in which case
-// scanning falls back to the reference interpreter. Machines from Build and
-// Load are baked automatically unless Options.Backend pins
-// BackendReference.
-func Compile(m *Machine) *Program { return compile(m, newFailTree(m.Trie)) }
-
-// compile is Compile over a fail-tree analysis the caller already holds.
-func compile(m *Machine, ft *failTree) *Program {
-	t := m.Trie
+// compile bakes m — compressed from t, whose fail-tree analysis is ft —
+// into a Program. It returns nil when the machine does not fit the fixed
+// row format — more than 4 depth-2 or 1 depth-3 defaults per character
+// (ablation configurations), more stored pointers at a compressed state or
+// in the whole arena than the descriptor packs — in which case scanning
+// falls back to the reference interpreter. Machines from Build and Load are
+// baked automatically unless Options.Backend pins BackendReference.
+func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
 	n := t.NumStates()
 	maxDepth := m.Opts.MaxDepth
 	if maxDepth >= 2 {
@@ -190,7 +177,7 @@ func compile(m *Machine, ft *failTree) *Program {
 		}
 	}
 
-	p := &Program{stored: m.stored}
+	p := &Program{stored: m.stored, out: &m.out}
 
 	// Lookup table rows. Depths beyond Opts.MaxDepth stay empty so the
 	// kernel needs no runtime depth limit: a disabled tier simply never
@@ -217,40 +204,9 @@ func compile(m *Machine, ft *failTree) *Program {
 		}
 	}
 
-	// Output table: the bitset, and behind it every output state's IDs with
-	// the OutLink chain already walked.
-	p.outBits = make([]uint64, (n+63)/64)
-	p.outRank = make([]uint32, len(p.outBits))
-	outStates, outIDs := 0, 0
-	for s := int32(0); s < int32(n); s++ {
-		if s&63 == 0 {
-			p.outRank[s>>6] = uint32(outStates)
-		}
-		if !t.HasOutput(s) {
-			continue
-		}
-		p.outBits[uint32(s)>>6] |= 1 << (uint32(s) & 63)
-		outStates++
-		for cur := s; cur != ac.None; cur = t.Nodes[cur].OutLink {
-			outIDs += len(t.Out(cur))
-		}
-	}
-	p.outOff = make([]uint32, 0, outStates+1)
-	p.outIDs = make([]int32, 0, outIDs)
-	for s := int32(0); s < int32(n); s++ {
-		if !t.HasOutput(s) {
-			continue
-		}
-		p.outOff = append(p.outOff, uint32(len(p.outIDs)))
-		for cur := s; cur != ac.None; cur = t.Nodes[cur].OutLink {
-			p.outIDs = append(p.outIDs, t.Out(cur)...)
-		}
-	}
-	p.outOff = append(p.outOff, uint32(len(p.outIDs)))
-
 	// Fast-tier promotion: start state and depth-1 states first, then the
 	// most popular remaining states until the budget is spent.
-	promoted := m.pickDense(ft)
+	promoted := m.pickDense(t, ft)
 
 	// Row descriptors of the compressed states: count and offset of the
 	// state's row in the shared arena. Only a compressed row is read through
@@ -340,8 +296,8 @@ func compile(m *Machine, ft *failTree) *Program {
 // disable the tier — is exhausted. Machines small enough to fit entirely
 // become a pure flat DFA. The selection is a pure function of the trie, so
 // a snapshot Load reproduces the exact promotion Build made.
-func (m *Machine) pickDense(ft *failTree) []bool {
-	n := m.Trie.NumStates()
+func (m *Machine) pickDense(t *ac.Trie, ft *failTree) []bool {
+	n := t.NumStates()
 	promoted := make([]bool, n)
 	budget := m.Opts.DenseStates
 	if budget == 0 {
@@ -360,7 +316,7 @@ func (m *Machine) pickDense(ft *failTree) []bool {
 	budget--
 	// ft.order is by depth: the start state, the depth-1 tier, the rest.
 	tier1 := 1
-	for tier1 < n && m.Trie.Nodes[ft.order[tier1]].Depth == 1 {
+	for tier1 < n && t.Nodes[ft.order[tier1]].Depth == 1 {
 		tier1++
 	}
 	for _, tier := range [][]int32{ft.order[1:tier1], ft.order[tier1:]} {
@@ -381,7 +337,7 @@ func (m *Machine) pickDense(ft *failTree) []bool {
 func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out []ac.Match) (int32, uint32, int, []ac.Match) {
 	// Locals let the compiler keep the arena headers in registers across
 	// the loop instead of reloading them through p on every byte.
-	rows, fast, over, outBits := p.rows, p.fast, p.over, p.outBits
+	rows, fast, over, outBits := p.rows, p.fast, p.over, p.out.bits
 	for _, c := range data {
 		ref := rows[state]
 		if ref >= rowDense {
@@ -419,24 +375,10 @@ func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out
 		hist = (hist<<histLaneBits | uint32(c)) & histMask
 		pos++
 		if outBits[uint32(state)>>6]&(1<<(uint32(state)&63)) != 0 {
-			out = p.appendOutputs(state, pos, out)
+			out = p.out.appendTo(state, pos, out)
 		}
 	}
 	return state, hist, pos, out
-}
-
-// appendOutputs appends a Match ending at pos for every pattern of output
-// state state: its rank among output states — the prefix count of its
-// outBits word plus the set bits below its own — is its slot in outOff. It
-// is reached only on a set bit; a state with no output has no rank and no
-// slot.
-func (p *Program) appendOutputs(state int32, pos int, out []ac.Match) []ac.Match {
-	w, bit := uint32(state)>>6, uint64(1)<<(uint32(state)&63)
-	r := p.outRank[w] + uint32(bits.OnesCount64(p.outBits[w]&(bit-1)))
-	for _, id := range p.outIDs[p.outOff[r]:p.outOff[r+1]] {
-		out = append(out, ac.Match{PatternID: id, End: pos})
-	}
-	return out
 }
 
 // step executes one baked transition — the single-byte form of the
@@ -493,7 +435,7 @@ stepped:
 // identical to scanAppend's; the equivalence property tests and fuzzers
 // drive both against the oracle.
 func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []byte, out []ac.Match) (int32, uint32, int, []ac.Match) {
-	rows, fast, over, outBits := p.rows, p.fast, p.over, p.outBits
+	rows, fast, over, outBits := p.rows, p.fast, p.over, p.out.bits
 	for _, c := range data {
 		ref := rows[state]
 		if ref >= rowDense {
@@ -531,7 +473,7 @@ func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []b
 		hist = (hist<<histLaneBits | uint32(c)) & histMask
 		pos++
 		if outBits[uint32(state)>>6]&(1<<(uint32(state)&63)) != 0 {
-			out = p.appendOutputs(state, pos, out)
+			out = p.out.appendTo(state, pos, out)
 		}
 		if state == ac.Root {
 			break
@@ -566,7 +508,7 @@ func (p *Program) Stats() ProgramStats {
 		DenseBytes:  len(p.fast)*int(unsafe.Sizeof(fastRow{})) + len(p.over)*4,
 		StoredBytes: len(p.stored)*8 + len(p.rows)*4,
 		LookupBytes: 256 * (4 + 4*8 + 8),
-		OutputBytes: len(p.outBits)*8 + len(p.outRank)*4 + len(p.outOff)*4 + len(p.outIDs)*4,
+		OutputBytes: len(p.out.bits)*8 + len(p.out.rank)*4 + len(p.out.off)*4 + len(p.out.ids)*4,
 	}
 	for _, ref := range p.rows {
 		if ref < rowDense {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/ac"
@@ -90,7 +89,7 @@ func TestBakedEquivalenceProperty(t *testing.T) {
 				if got, want := m.Backends(), RegisteredBackends(); len(got) != len(want) {
 					t.Fatalf("trial %d: machine offers backends %v, registry has %v", trial, got, want)
 				}
-				driveLockstep(t, m, rng)
+				driveLockstep(t, m, mustTrie(t, set), rng)
 			}
 		})
 	}
@@ -99,8 +98,9 @@ func TestBakedEquivalenceProperty(t *testing.T) {
 // driveLockstep runs one randomized op sequence over one scanner per
 // backend the machine offers, diffing registers and match streams after
 // every op. Backends[0] is always the reference interpreter; the others
-// are held to its behavior.
-func driveLockstep(t *testing.T, m *Machine, rng *rand.Rand) {
+// are held to its behavior, and its matches to oracle's, the uncompressed
+// automaton of the machine's ruleset.
+func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 	t.Helper()
 	names := m.Backends()
 	scs := make([]*Scanner, len(names))
@@ -124,7 +124,7 @@ func driveLockstep(t *testing.T, m *Machine, rng *rand.Rand) {
 	// the uncompressed DFA scanning the same bytes.
 	checkSegment := func() {
 		t.Helper()
-		want := m.Trie.FindAll(seg)
+		want := oracle.FindAll(seg)
 		got := outs[0][segMark:]
 		if len(got) != len(want) {
 			t.Fatalf("segment at %d: %d matches, oracle %d", segStart, len(got), len(want))
@@ -310,7 +310,7 @@ func TestCompileFallback(t *testing.T) {
 		if m.prog != nil {
 			t.Fatalf("options %+v: expected Compile fallback, got a program", tc.opts)
 		}
-		if err := m.VerifyScan([][]byte{randBakedPayload(rng, 512)}); err != nil {
+		if err := m.VerifyScan(mustTrie(t, tc.set), [][]byte{randBakedPayload(rng, 512)}); err != nil {
 			t.Fatalf("options %+v: fallback path broken: %v", tc.opts, err)
 		}
 	}
@@ -336,8 +336,9 @@ func TestCompileFallback(t *testing.T) {
 
 // TestSnapshotLoadBakes proves a Load-ed machine compiles its kernel — the
 // snapshot carries no popularity tally, so promotion is re-derived from the
-// loaded trie — into the very Program Build made: the same dense set, every
-// array equal, and it scans identically. The second set has more states
+// loaded trie — into the very Program Build made: the same dense set (the
+// row descriptors say which states are promoted), every array equal, the
+// same match memory, and it scans identically. The second set has more states
 // than the dense tier holds, so the promotion is a real choice.
 func TestSnapshotLoadBakes(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -350,7 +351,7 @@ func TestSnapshotLoadBakes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
+		if err := m.Save(&buf, mustTrie(t, set)); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := Load(buf.Bytes())
@@ -363,16 +364,7 @@ func TestSnapshotLoadBakes(t *testing.T) {
 		if loaded.pre == nil {
 			t.Fatal("loaded machine has no verified prefilter")
 		}
-		if got, want := loaded.pickDense(newFailTree(loaded.Trie)), m.pickDense(newFailTree(m.Trie)); !reflect.DeepEqual(got, want) {
-			t.Fatal("loaded machine promotes a different dense set")
-		}
-		// (Not DeepEqual on the Programs: each points at its own trie, and
-		// a loaded trie spells a leaf's edges as empty where a built one
-		// says nil.)
-		got, want := loaded.prog, m.prog
-		if got.d1 != want.d1 || got.d2 != want.d2 || got.d3 != want.d3 ||
-			!slices.Equal(got.rows, want.rows) || !slices.Equal(got.stored, want.stored) ||
-			!slices.Equal(got.fast, want.fast) || !slices.Equal(got.over, want.over) || !slices.Equal(got.outBits, want.outBits) {
+		if !reflect.DeepEqual(loaded.prog, m.prog) {
 			t.Fatal("loaded machine's Program differs from the built one")
 		}
 		payload := randBakedPayload(rng, 4096)
@@ -391,18 +383,19 @@ func TestProgramStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.prog.Stats()
-	if st.States != m.Trie.NumStates() {
-		t.Fatalf("States = %d, machine has %d", st.States, m.Trie.NumStates())
+	if st.States != m.NumStates() {
+		t.Fatalf("States = %d, machine has %d", st.States, m.NumStates())
 	}
 	wantDense := 8
-	if n := m.Trie.NumStates(); n < wantDense {
+	if n := m.NumStates(); n < wantDense {
 		wantDense = n
 	}
 	if st.DenseStates != wantDense {
 		t.Fatalf("DenseStates = %d, want %d", st.DenseStates, wantDense)
 	}
 	var stored int
-	promoted := m.pickDense(newFailTree(m.Trie))
+	trie := mustTrie(t, set)
+	promoted := m.pickDense(trie, newFailTree(trie))
 	for s := range promoted {
 		if !promoted[s] {
 			stored += len(m.StoredRow(int32(s)))

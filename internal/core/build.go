@@ -1,6 +1,6 @@
 package core
 
-// The sparse builder. Build, Load and Compile derive everything the dense
+// The sparse builder. Build and Load derive everything the dense
 // |states| × 256 move table would tell them from the trie's edges and its
 // fail tree, without ever materializing a move row (ARCHITECTURE.md, "Build
 // pipeline"). Three recurrences carry it, each exact:
@@ -142,8 +142,7 @@ func (ft *failTree) top(cands []int32, k int) []int32 {
 // selectDefaults fills the lookup table: every depth-1 state, and per final
 // character the D2PerChar most popular depth-2 and D3PerChar most popular
 // depth-3 states, most popular first.
-func (m *Machine) selectDefaults(ft *failTree) {
-	t := m.Trie
+func (m *Machine) selectDefaults(t *ac.Trie, ft *failTree) {
 	m.Stats.States = t.NumStates()
 	m.Stats.OriginalPointers = ft.original
 	m.Stats.OriginalAvg = float64(ft.original) / float64(m.Stats.States)
@@ -210,11 +209,11 @@ func (ft *failTree) rowWinners(t *ac.Trie, cands []int32, k int) []int32 {
 // at the start state. The unknown positions are HistNone, which the default
 // rule treats as never-matching — sound by the feasibility argument in the
 // package comment.
-func (m *Machine) staticHistory(s int32) (h2, h1 int16) {
-	nd := &m.Trie.Nodes[s]
+func staticHistory(t *ac.Trie, s int32) (h2, h1 int16) {
+	nd := &t.Nodes[s]
 	switch {
 	case nd.Depth >= 2:
-		return int16(m.Trie.Nodes[nd.Parent].Char), int16(nd.Char)
+		return int16(t.Nodes[nd.Parent].Char), int16(nd.Char)
 	case nd.Depth == 1:
 		return HistNone, int16(nd.Char)
 	default:
@@ -226,8 +225,7 @@ func (m *Machine) staticHistory(s int32) (h2, h1 int16) {
 // cannot reproduce, and tallies the progressive d1 / d1+d2 / d1+d2+d3
 // pointer counts for Table II. The rows go into one arena in state order,
 // sized by the tally.
-func (m *Machine) compress(ft *failTree) {
-	t := m.Trie
+func (m *Machine) compress(t *ac.Trie, ft *failTree) {
 	n := t.NumStates()
 
 	// Per edge s —c→ v: under each depth limit, is the edge stored at s, and
@@ -243,8 +241,8 @@ func (m *Machine) compress(ft *failTree) {
 	maxStored := 0
 	for _, s := range ft.order {
 		nd := &t.Nodes[s]
-		h2, h1 := m.staticHistory(s)
-		fh2, fh1 := m.staticHistory(nd.Fail)
+		h2, h1 := staticHistory(t, s)
+		fh2, fh1 := staticHistory(t, nd.Fail)
 		w := int64(ft.sub[s])
 		length := int(off[nd.Fail+1])
 		for _, e := range t.Edges(s) {

@@ -34,7 +34,8 @@
 // description. The "baked" backend runs the Program (see baked.go), a pure
 // re-layout into fixed arrays and a two-tier fast/compressed format that
 // Build compiles by default; its compressed tier reads the Machine's own
-// stored-pointer arena — one state memory, two interpreters. The
+// stored-pointer arena — one state memory, two interpreters — and both
+// emit from the Machine's one flattened output table (outputTable). The
 // "prefiltered" backend (see prefilter.go) is a two-stage pipeline: a tiny
 // lossy automaton skims clean traffic and only suspect byte windows run
 // through the exact baked kernel. The lossy stage admits false positives
@@ -57,17 +58,25 @@
 // resulting structural equivalence exhaustively; the matcher tests check it
 // empirically against the oracle.
 //
-// Construction never expands the DFA it compresses. Build, Load and Compile
-// work from the trie's edges and its fail tree in O(states + edges + stored
+// Construction never expands the DFA it compresses. Build and Load work
+// from the trie's edges and its fail tree in O(states + edges + stored
 // pointers) — see build.go for the recurrences and why they are exact. The
 // dense |states| × 256 sweep (ac.Trie.ForEachMoveRow) is verification-only:
 // VerifyTransitions walks it, and the test suite keeps the former
 // dense-sweep builder as the oracle the sparse one must equal field for
 // field (TestSparseBuildMatchesDenseOracle, FuzzBuildEquivalence).
+//
+// Nor does the result keep the trie: what stays in memory is the paper's
+// lookup table, state memory and match memory (outputTable), and the
+// kernels' tables. Build derives them from the trie, proves VerifySuperset
+// on it and lets it go, as Load does the blob's. What needs the uncompressed
+// automaton later — the other Verify* proofs, Save, WriteDot — is handed a
+// trie of the same ruleset: a proof is of the image against the rules.
 package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/ac"
@@ -240,9 +249,8 @@ type BuildStats struct {
 	Reduction float64
 }
 
-// Machine is a DTP-compressed Aho-Corasick automaton.
+// Machine is a DTP-compressed Aho-Corasick automaton. It holds no trie.
 type Machine struct {
-	Trie     *ac.Trie
 	Opts     Options
 	Defaults Defaults
 	// stored is the state memory: every state's kept transitions back to
@@ -252,7 +260,9 @@ type Machine struct {
 	// same arena.
 	stored    []Transition
 	storedOff []uint32
-	Stats     BuildStats
+	// out is the match memory, shared with the baked Program like stored.
+	out   outputTable
+	Stats BuildStats
 
 	// prog is the baked scan kernel, nil when the configured backend is
 	// reference, when the machine was hand-assembled, or when the
@@ -286,32 +296,38 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{Trie: trie, Opts: opts, backend: opts.Backend, generation: nextGeneration()}
-	// The fail-tree analysis lives only for the duration of the build.
+	return compressTrie(trie, opts)
+}
+
+// compressTrie is Build from the trie on, under resolved, validated options.
+func compressTrie(trie *ac.Trie, opts Options) (*Machine, error) {
+	m := &Machine{Opts: opts, backend: opts.Backend, generation: nextGeneration()}
 	ft := newFailTree(trie)
-	m.selectDefaults(ft)
-	m.compress(ft)
-	if err := m.compileBackends(ft); err != nil {
+	m.selectDefaults(trie, ft)
+	m.compress(trie, ft)
+	if err := m.compileBackends(trie, ft); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// compileBackends bakes the kernels the configured backend needs: the flat
-// Program and, on top of it, the lossy prefilter stage (which must pass
-// VerifySuperset to be kept — a prefilter that could miss is discarded,
-// never silently used). Under BackendAuto compilation is best-effort and
-// unbakeable configurations fall back to the reference path; an explicitly
-// pinned kernel backend turns the same condition into a Build error.
-func (m *Machine) compileBackends(ft *failTree) error {
+// compileBackends flattens the match memory every backend emits from and
+// bakes the kernels the configured backend needs: the flat Program and, on
+// top of it, the lossy prefilter stage (which must pass VerifySuperset to be
+// kept — a prefilter that could miss is discarded, never silently used).
+// Under BackendAuto compilation is best-effort and unbakeable
+// configurations fall back to the reference path; an explicitly pinned
+// kernel backend turns the same condition into a Build error.
+func (m *Machine) compileBackends(trie *ac.Trie, ft *failTree) error {
+	m.out = newOutputTable(trie)
 	if m.backend == BackendReference {
 		return nil
 	}
-	m.prog = compile(m, ft)
+	m.prog = compile(m, trie, ft)
 	if m.prog != nil {
-		m.pre = CompilePrefilter(m)
+		m.pre = CompilePrefilter(trie)
 		if m.pre != nil {
-			if err := m.VerifySuperset(); err != nil {
+			if err := m.VerifySuperset(trie); err != nil {
 				m.pre = nil
 				if m.backend == BackendPrefiltered {
 					return err
@@ -376,4 +392,82 @@ func (m *Machine) Next(s int32, c byte, h2, h1 int16) int32 {
 		return to
 	}
 	return m.Defaults.Resolve(c, h2, h1, m.Opts.MaxDepth)
+}
+
+// outputTable is the match memory: per state, whether any pattern ends
+// there, and if so the complete list of those that do — own outputs, then
+// each fail-ancestor's along the OutLink chain, flattened at build time in
+// Trie.AppendOutputs' order, as the paper's match memory holds whole
+// string-number lists. One per machine, read by every interpreter: the
+// reference loop, the baked kernel, hwsim's packer. The no-match fast path
+// loads one word of bits; on a hit the state's rank among output states —
+// a per-word prefix count plus a popcount of the lower bits — indexes off.
+type outputTable struct {
+	bits []uint64 // bit s set iff any pattern ends at state s
+	rank []uint32 // per bits word: output states in the words before it
+	off  []uint32 // per output state, by rank, plus one: its slice of ids
+	ids  []int32  // every output state's full pattern-ID list, back to back
+}
+
+// newOutputTable flattens t's output chains.
+func newOutputTable(t *ac.Trie) outputTable {
+	n := int32(t.NumStates())
+	o := outputTable{bits: make([]uint64, (n+63)/64)}
+	o.rank = make([]uint32, len(o.bits))
+	outStates, outIDs := 0, 0
+	for s := int32(0); s < n; s++ {
+		if s&63 == 0 {
+			o.rank[s>>6] = uint32(outStates)
+		}
+		if !t.HasOutput(s) {
+			continue
+		}
+		o.bits[uint32(s)>>6] |= 1 << (uint32(s) & 63)
+		outStates++
+		for cur := s; cur != ac.None; cur = t.Nodes[cur].OutLink {
+			outIDs += len(t.Out(cur))
+		}
+	}
+	o.off = make([]uint32, 0, outStates+1)
+	o.ids = make([]int32, 0, outIDs)
+	for s := int32(0); s < n; s++ {
+		if !t.HasOutput(s) {
+			continue
+		}
+		o.off = append(o.off, uint32(len(o.ids)))
+		for cur := s; cur != ac.None; cur = t.Nodes[cur].OutLink {
+			o.ids = append(o.ids, t.Out(cur)...)
+		}
+	}
+	o.off = append(o.off, uint32(len(o.ids)))
+	return o
+}
+
+// has reports whether any pattern ends at state s.
+func (o *outputTable) has(s int32) bool {
+	return o.bits[uint32(s)>>6]&(1<<(uint32(s)&63)) != 0
+}
+
+// appendTo appends a Match ending at pos for every pattern of output state
+// s. It is reached only on a set bit; a state with no output has no rank
+// and no slot.
+func (o *outputTable) appendTo(s int32, pos int, out []ac.Match) []ac.Match {
+	w, bit := uint32(s)>>6, uint64(1)<<(uint32(s)&63)
+	r := o.rank[w] + uint32(bits.OnesCount64(o.bits[w]&(bit-1)))
+	for _, id := range o.ids[o.off[r]:o.off[r+1]] {
+		out = append(out, ac.Match{PatternID: id, End: pos})
+	}
+	return out
+}
+
+// NumStates returns the number of automaton states, start state included.
+func (m *Machine) NumStates() int { return len(m.storedOff) - 1 }
+
+// AppendOutputs appends a Match ending at end for every pattern that ends
+// at state s, in the order ac.Trie.AppendOutputs gives them.
+func (m *Machine) AppendOutputs(s int32, end int, out []ac.Match) []ac.Match {
+	if m.out.has(s) {
+		out = m.out.appendTo(s, end, out)
+	}
+	return out
 }

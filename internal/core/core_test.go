@@ -27,6 +27,17 @@ func mustBuild(t *testing.T, set *ruleset.Set, opts Options) *Machine {
 	return m
 }
 
+// mustTrie builds the uncompressed automaton of set: the oracle a machine
+// is proved against, made from the ruleset and not from the machine.
+func mustTrie(t testing.TB, set *ruleset.Set) *ac.Trie {
+	t.Helper()
+	trie, err := ac.New(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trie
+}
+
 // TestPaperToyExample reproduces Figure 2 exactly: for the state machine of
 // Figure 1 (he, she, his, hers — 10 states), inserting depth-1 defaults
 // leaves an average of 1.1 stored pointers per state (Figure 2A), adding
@@ -57,11 +68,11 @@ func TestPaperToyExample(t *testing.T) {
 // fails at "her"), there is no depth-2 state ending in 's', and the
 // depth-1 default for 's' is the state "s", not "hers".
 func TestToySurvivingPointer(t *testing.T) {
-	m := mustBuild(t, toySet(), Options{})
+	m, trie := mustBuild(t, toySet(), Options{}), mustTrie(t, toySet())
 	total := 0
 	var survivor Transition
 	var atState int32
-	for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+	for s := int32(0); s < int32(m.NumStates()); s++ {
 		list := m.StoredRow(s)
 		total += len(list)
 		if len(list) > 0 {
@@ -75,11 +86,11 @@ func TestToySurvivingPointer(t *testing.T) {
 	if survivor.Char != 's' {
 		t.Fatalf("surviving pointer on %q, want 's'", survivor.Char)
 	}
-	nd := m.Trie.Nodes[atState]
+	nd := trie.Nodes[atState]
 	if nd.Depth != 3 { // "her"
 		t.Fatalf("surviving pointer at depth %d, want 3", nd.Depth)
 	}
-	if to := m.Trie.Nodes[survivor.To]; to.Depth != 4 { // "hers"
+	if to := trie.Nodes[survivor.To]; to.Depth != 4 { // "hers"
 		t.Fatalf("surviving pointer targets depth %d, want 4", to.Depth)
 	}
 }
@@ -115,7 +126,7 @@ func TestToyDefaultsContents(t *testing.T) {
 func TestVerifyTransitionsToy(t *testing.T) {
 	for depth := 1; depth <= 3; depth++ {
 		m := mustBuild(t, toySet(), Options{MaxDepth: depth})
-		if err := m.VerifyTransitions(); err != nil {
+		if err := m.VerifyTransitions(mustTrie(t, toySet())); err != nil {
 			t.Fatalf("MaxDepth=%d: %v", depth, err)
 		}
 	}
@@ -123,9 +134,10 @@ func TestVerifyTransitionsToy(t *testing.T) {
 
 func TestVerifyTransitionsSynthetic(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 400, Seed: 11})
+	trie := mustTrie(t, set)
 	for depth := 1; depth <= 3; depth++ {
 		m := mustBuild(t, set, Options{MaxDepth: depth})
-		if err := m.VerifyTransitions(); err != nil {
+		if err := m.VerifyTransitions(trie); err != nil {
 			t.Fatalf("MaxDepth=%d: %v", depth, err)
 		}
 	}
@@ -150,7 +162,7 @@ func TestScanMatchesDFA(t *testing.T) {
 		}
 		payloads[i] = p
 	}
-	if err := m.VerifyScan(payloads); err != nil {
+	if err := m.VerifyScan(mustTrie(t, set), payloads); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -243,7 +255,7 @@ func TestD2PerCharCap(t *testing.T) {
 				t.Fatalf("D2PerChar=%d: row %#x has %d entries", k, c, len(m.Defaults.D2[c]))
 			}
 		}
-		if err := m.VerifyTransitions(); err != nil {
+		if err := m.VerifyTransitions(mustTrie(t, set)); err != nil {
 			t.Fatalf("D2PerChar=%d: %v", k, err)
 		}
 	}
@@ -387,7 +399,7 @@ func TestMaxStoredPerStateTracked(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 1000, Seed: 35})
 	m := mustBuild(t, set, Options{})
 	max := 0
-	for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+	for s := int32(0); s < int32(m.NumStates()); s++ {
 		if n := len(m.StoredRow(s)); n > max {
 			max = n
 		}
@@ -419,7 +431,7 @@ func TestQuickEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if m.VerifyTransitions() != nil {
+		if m.VerifyTransitions(mustTrie(t, set)) != nil {
 			return false
 		}
 		data := make([]byte, 1+int(nData)%400)
@@ -458,9 +470,10 @@ func TestQuickStoredPointersAreDFAMoves(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+		trie := mustTrie(t, set)
+		for s := int32(0); s < int32(m.NumStates()); s++ {
 			for _, tr := range m.StoredRow(s) {
-				if m.Trie.Move(s, tr.Char) != tr.To {
+				if trie.Move(s, tr.Char) != tr.To {
 					return false
 				}
 			}

@@ -7,7 +7,8 @@ package core
 // pair, filling a promoted state's row with fail-chain Trie.Move walks and
 // reading its bitmap and overrides off that row byte by byte. Nothing here
 // shares a line with the code under test beyond Defaults.Resolve and
-// staticHistory, which define the machine's semantics.
+// staticHistory, which define the machine's semantics. The dense machine
+// is a hand-assembled Machine plus the trie it is being built from.
 
 import (
 	"bytes"
@@ -26,10 +27,33 @@ import (
 // denseBuild runs the dense passes over t and returns the machine together
 // with the popularity tally they ranked by.
 func denseBuild(t *ac.Trie, opts Options) (*Machine, []int64) {
-	m := &Machine{Trie: t, Opts: opts.withDefaults()}
-	pop := m.denseSelectDefaults()
-	m.setStoredRows(m.denseCompress())
+	m := &Machine{Opts: opts.withDefaults()}
+	pop := m.denseSelectDefaults(t)
+	m.setStoredRows(m.denseCompress(t))
+	m.out = denseOutputs(t)
 	return m, pop
+}
+
+// denseOutputs fills the output table by Trie.AppendOutputs, one OutLink
+// walk per state.
+func denseOutputs(t *ac.Trie) outputTable {
+	n := t.NumStates()
+	o := outputTable{bits: make([]uint64, (n+63)/64), off: []uint32{}, ids: []int32{}}
+	o.rank = make([]uint32, len(o.bits))
+	for s := 0; s < n; s++ {
+		if s%64 == 0 {
+			o.rank[s/64] = uint32(len(o.off))
+		}
+		if t.HasOutput(int32(s)) {
+			o.bits[s>>6] |= 1 << (s & 63)
+			o.off = append(o.off, uint32(len(o.ids)))
+			for _, mt := range t.AppendOutputs(int32(s), 0, nil) {
+				o.ids = append(o.ids, mt.PatternID)
+			}
+		}
+	}
+	o.off = append(o.off, uint32(len(o.ids)))
+	return o
 }
 
 // setStoredRows makes rows — one list per state — the machine's state
@@ -43,8 +67,7 @@ func (m *Machine) setStoredRows(rows [][]Transition) {
 	}
 }
 
-func (m *Machine) denseSelectDefaults() []int64 {
-	t := m.Trie
+func (m *Machine) denseSelectDefaults(t *ac.Trie) []int64 {
 	n := t.NumStates()
 	popularity := make([]int64, n)
 	var original int64
@@ -115,13 +138,12 @@ func (m *Machine) denseSelectDefaults() []int64 {
 }
 
 // denseCompress returns every state's stored row and fills in the stats.
-func (m *Machine) denseCompress() [][]Transition {
-	t := m.Trie
+func (m *Machine) denseCompress(t *ac.Trie) [][]Transition {
 	n := t.NumStates()
 	rows := make([][]Transition, n)
 	maxStored := 0
 	t.ForEachMoveRow(func(s int32, row []int32) {
-		h2, h1 := m.staticHistory(s)
+		h2, h1 := staticHistory(t, s)
 		for c := 0; c < 256; c++ {
 			to := row[c]
 			if to == ac.Root {
@@ -168,8 +190,7 @@ func (m *Machine) denseCompress() [][]Transition {
 
 // densePromoted ranks every state by a full sort and takes the budget off
 // the front.
-func densePromoted(m *Machine, pop []int64) []bool {
-	t := m.Trie
+func densePromoted(m *Machine, t *ac.Trie, pop []int64) []bool {
 	n := t.NumStates()
 	promoted := make([]bool, n)
 	budget := m.Opts.DenseStates
@@ -215,10 +236,8 @@ func densePromoted(m *Machine, pop []int64) []bool {
 // denseCompile lays out the Program with every promoted state's 256-entry
 // move row filled by Trie.Move, one fail-chain walk per (state, character)
 // — the fast row is then wherever that row differs from d1, overrides in
-// byte order — and every output list by Trie.AppendOutputs, one OutLink
-// walk per state.
-func denseCompile(m *Machine, pop []int64) *Program {
-	t := m.Trie
+// byte order. The match memory is the dense machine's own.
+func denseCompile(m *Machine, t *ac.Trie, pop []int64) *Program {
 	n := t.NumStates()
 	maxDepth := m.Opts.MaxDepth
 	for c := 0; c < 256; c++ {
@@ -229,8 +248,8 @@ func denseCompile(m *Machine, pop []int64) *Program {
 			return nil
 		}
 	}
-	promoted := densePromoted(m, pop)
-	p := &Program{stored: m.stored}
+	promoted := densePromoted(m, t, pop)
+	p := &Program{stored: m.stored, out: &m.out}
 	for c := 0; c < 256; c++ {
 		p.d1[c] = ac.Root
 		if s := m.Defaults.D1[c]; s != ac.None {
@@ -251,25 +270,11 @@ func denseCompile(m *Machine, pop []int64) *Program {
 			p.d3[c] = key<<32 | uint64(uint32(e.State))
 		}
 	}
-	p.outBits = make([]uint64, (n+63)/64)
-	p.outRank = make([]uint32, len(p.outBits))
-	p.outOff = []uint32{}
-	p.outIDs = []int32{}
 	p.rows = make([]uint32, n)
 	p.fast = []fastRow{}
 	p.over = []int32{}
 	var fastStates []int32
 	for s := 0; s < n; s++ {
-		if s%64 == 0 {
-			p.outRank[s/64] = uint32(len(p.outOff))
-		}
-		if t.HasOutput(int32(s)) {
-			p.outBits[s>>6] |= 1 << (s & 63)
-			p.outOff = append(p.outOff, uint32(len(p.outIDs)))
-			for _, mt := range t.AppendOutputs(int32(s), 0, nil) {
-				p.outIDs = append(p.outIDs, mt.PatternID)
-			}
-		}
 		if promoted[s] {
 			fastStates = append(fastStates, int32(s))
 			continue
@@ -280,7 +285,6 @@ func denseCompile(m *Machine, pop []int64) *Program {
 		}
 		p.rows[s] = uint32(len(list))<<24 | m.storedOff[s]
 	}
-	p.outOff = append(p.outOff, uint32(len(p.outIDs)))
 	if len(p.stored) > rowOffMask {
 		return nil
 	}
@@ -309,17 +313,19 @@ func denseCompile(m *Machine, pop []int64) *Program {
 	return p
 }
 
-// checkSparseAgainstDense builds set both ways under opts and demands the
-// same machine, field for field, then proves it against the full DFA.
+// checkSparseAgainstDense builds set both ways under opts — the dense way
+// from a trie of its own — and demands the same machine, field for field,
+// then proves it against the full DFA.
 func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, opts Options) {
 	t.Helper()
 	m, err := Build(set, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, pop := denseBuild(m.Trie, opts)
+	trie := mustTrie(t, set)
+	want, pop := denseBuild(trie, opts)
 
-	ft := newFailTree(m.Trie)
+	ft := newFailTree(trie)
 	if !reflect.DeepEqual(ft.pop, pop) {
 		t.Fatalf("%+v: popularity tally differs:\nsparse %v\ndense  %v", opts, ft.pop, pop)
 	}
@@ -332,7 +338,10 @@ func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, opts Options) {
 	if m.Stats != want.Stats {
 		t.Fatalf("%+v: stats differ:\nsparse %+v\ndense  %+v", opts, m.Stats, want.Stats)
 	}
-	for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+	if m.NumStates() != trie.NumStates() {
+		t.Fatalf("%+v: the machine has %d states, the trie %d", opts, m.NumStates(), trie.NumStates())
+	}
+	for s := int32(0); s < int32(trie.NumStates()); s++ {
 		if got, want := m.StoredRow(s), want.StoredRow(s); !slices.Equal(got, want) {
 			t.Fatalf("%+v: state %d stores %v, dense sweep %v", opts, s, got, want)
 		}
@@ -344,23 +353,26 @@ func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, opts Options) {
 	if !reflect.DeepEqual(m.stored, want.stored) || !reflect.DeepEqual(m.storedOff, want.storedOff) {
 		t.Fatalf("%+v: the state memory is not the dense sweep's rows back to back in state order", opts)
 	}
-	if !reflect.DeepEqual(m.pickDense(ft), densePromoted(want, pop)) {
+	if !reflect.DeepEqual(m.out, want.out) {
+		t.Fatalf("%+v: the match memory is not the output chains walked state by state", opts)
+	}
+	if !reflect.DeepEqual(m.pickDense(trie, ft), densePromoted(want, trie, pop)) {
 		t.Fatalf("%+v: dense-tier promotion differs", opts)
 	}
-	if wantProg := denseCompile(want, pop); !reflect.DeepEqual(m.prog, wantProg) {
+	if wantProg := denseCompile(want, trie, pop); !reflect.DeepEqual(m.prog, wantProg) {
 		t.Fatalf("%+v: Program differs from the dense layout (nil: sparse %v, dense %v)",
 			opts, m.prog == nil, wantProg == nil)
 	}
-	if err := m.VerifyTransitions(); err != nil {
+	if err := m.VerifyTransitions(trie); err != nil {
 		t.Fatalf("%+v: %v", opts, err)
 	}
 	if m.prog != nil {
-		if err := m.VerifyProgram(); err != nil {
+		if err := m.VerifyProgram(trie); err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		if err := m.VerifyOutputs(); err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
+	}
+	if err := m.VerifyOutputs(trie); err != nil {
+		t.Fatalf("%+v: %v", opts, err)
 	}
 }
 
@@ -542,11 +554,12 @@ func TestCompilePromotedWideState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	trie := mustTrie(t, setOf(patterns, false))
 	wide := m.Defaults.D1[first]
 	if got := len(m.StoredRow(wide)); got <= rowCountMax {
 		t.Fatalf("the depth-1 state stores %d pointers; the case needs more than %d", got, rowCountMax)
 	}
-	for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+	for s := int32(0); s < int32(m.NumStates()); s++ {
 		if n := len(m.StoredRow(s)); s != wide && n > rowCountMax {
 			t.Fatalf("state %d stores %d pointers too: the case no longer isolates the promoted one", s, n)
 		}
@@ -554,11 +567,11 @@ func TestCompilePromotedWideState(t *testing.T) {
 	if got := m.DefaultBackend(); got != BackendPrefiltered {
 		t.Fatalf("auto resolves to %q, want %q", got, BackendPrefiltered)
 	}
-	driveLockstep(t, m, rand.New(rand.NewSource(140)))
-	if err := m.VerifyTransitions(); err != nil {
+	driveLockstep(t, m, trie, rand.New(rand.NewSource(140)))
+	if err := m.VerifyTransitions(trie); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.VerifyProgram(); err != nil {
+	if err := m.VerifyProgram(trie); err != nil {
 		t.Fatal(err)
 	}
 	desc := m.prog.rows[wide]
@@ -573,7 +586,7 @@ func TestCompilePromotedWideState(t *testing.T) {
 		if row.bits[x>>6]&(1<<(x&63)) == 0 {
 			t.Fatalf("byte %#02x is not marked as an override", x)
 		}
-		if got, want := row.move(byte(x), &m.prog.d1, m.prog.over), m.Trie.Move(wide, byte(x)); got != want {
+		if got, want := row.move(byte(x), &m.prog.d1, m.prog.over), trie.Move(wide, byte(x)); got != want {
 			t.Fatalf("byte %#02x steps to %d, the DFA to %d", x, got, want)
 		}
 	}

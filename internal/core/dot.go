@@ -24,13 +24,13 @@ type DotOptions struct {
 // reaching it (double circle for match states), solid edges for stored
 // transition pointers, dotted edges for the trie skeleton where no stored
 // pointer survived, and optionally dashed edges for the lookup-table
-// defaults.
-func (m *Machine) WriteDot(w io.Writer, opts DotOptions) error {
+// defaults. Labels and skeleton come from t, the machine's ruleset's trie.
+func (m *Machine) WriteDot(w io.Writer, t *ac.Trie, opts DotOptions) error {
 	max := opts.MaxStates
 	if max == 0 {
 		max = 200
 	}
-	n := m.Trie.NumStates()
+	n := t.NumStates()
 	if n > max {
 		return fmt.Errorf("core: machine has %d states; raise DotOptions.MaxStates (%d) to render anyway", n, max)
 	}
@@ -38,20 +38,20 @@ func (m *Machine) WriteDot(w io.Writer, opts DotOptions) error {
 	sb.WriteString("digraph machine {\n")
 	sb.WriteString("  rankdir=LR;\n  node [shape=circle, fontname=\"Helvetica\"];\n")
 	for s := int32(0); s < int32(n); s++ {
-		nd := m.Trie.Nodes[s]
+		nd := t.Nodes[s]
 		label := "start"
 		if s != ac.Root {
 			label = printableChar(nd.Char)
 		}
 		shape := ""
-		if m.Trie.HasOutput(s) {
+		if t.HasOutput(s) {
 			shape = ", shape=doublecircle"
 		}
 		fmt.Fprintf(&sb, "  s%d [label=\"%s\\n#%d\"%s];\n", s, label, s, shape)
 	}
 	// Trie skeleton (dotted when the goto edge was compressed away).
 	for s := int32(0); s < int32(n); s++ {
-		for _, e := range m.Trie.Edges(s) {
+		for _, e := range t.Edges(s) {
 			if m.StoredAt(s, e.Char) == e.To {
 				continue // drawn below as a stored pointer
 			}

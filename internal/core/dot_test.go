@@ -11,7 +11,7 @@ import (
 func TestWriteDotToyExample(t *testing.T) {
 	m := mustBuild(t, toySet(), Options{})
 	var buf bytes.Buffer
-	if err := m.WriteDot(&buf, DotOptions{}); err != nil {
+	if err := m.WriteDot(&buf, mustTrie(t, toySet()), DotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -47,7 +47,7 @@ func TestWriteDotToyExample(t *testing.T) {
 func TestWriteDotWithDefaults(t *testing.T) {
 	m := mustBuild(t, toySet(), Options{})
 	var buf bytes.Buffer
-	if err := m.WriteDot(&buf, DotOptions{ShowDefaults: true}); err != nil {
+	if err := m.WriteDot(&buf, mustTrie(t, toySet()), DotOptions{ShowDefaults: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -69,10 +69,10 @@ func TestWriteDotWithDefaults(t *testing.T) {
 func TestWriteDotSizeGuard(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 300, Seed: 86})
 	m := mustBuild(t, set, Options{})
-	if err := m.WriteDot(&bytes.Buffer{}, DotOptions{}); err == nil {
+	if err := m.WriteDot(&bytes.Buffer{}, mustTrie(t, set), DotOptions{}); err == nil {
 		t.Fatal("oversized machine rendered without MaxStates override")
 	}
-	if err := m.WriteDot(&bytes.Buffer{}, DotOptions{MaxStates: 1 << 20}); err != nil {
+	if err := m.WriteDot(&bytes.Buffer{}, mustTrie(t, set), DotOptions{MaxStates: 1 << 20}); err != nil {
 		t.Fatalf("override failed: %v", err)
 	}
 }

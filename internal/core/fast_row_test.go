@@ -17,10 +17,11 @@ import (
 func TestVerifyProgramProperty(t *testing.T) {
 	for _, n := range []int{634, 1204, 6275} {
 		set := ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010})
+		trie := mustTrie(t, set)
 		for _, dense := range []int{-1, 0, 16, 1 << 30} {
 			t.Run(fmt.Sprintf("%d/dense=%d", n, dense), func(t *testing.T) {
 				m := mustBuild(t, set, Options{DenseStates: dense})
-				if err := m.VerifyProgram(); err != nil {
+				if err := m.VerifyProgram(trie); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -30,9 +31,11 @@ func TestVerifyProgramProperty(t *testing.T) {
 
 // TestVerifyProgramDetectsCorruption: the proof must be able to fail. The
 // ruleset has more states than the fast tier holds, so both kinds of row
-// are there to corrupt.
+// are there to corrupt. The oracle is a trie of the ruleset the machine
+// never saw, and one of another ruleset is refused.
 func TestVerifyProgramDetectsCorruption(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 300, Seed: 81})
+	trie := mustTrie(t, set)
 	// wideRow finds a fast row holding two different overrides in one
 	// bitmap word, and that word.
 	wideRow := func(p *Program) (*fastRow, int) {
@@ -89,13 +92,16 @@ func TestVerifyProgramDetectsCorruption(t *testing.T) {
 	}
 	for name, corrupt := range cases {
 		m := mustBuild(t, set, Options{})
-		if err := m.VerifyProgram(); err != nil {
+		if err := m.VerifyProgram(trie); err != nil {
 			t.Fatal(err)
 		}
 		corrupt(m.prog)
-		if err := m.VerifyProgram(); err == nil {
+		if err := m.VerifyProgram(trie); err == nil {
 			t.Errorf("%s: corrupted kernel tables accepted", name)
 		}
+	}
+	if err := mustBuild(t, set, Options{}).VerifyProgram(mustTrie(t, toySet())); err == nil {
+		t.Error("a kernel was proved against another ruleset's trie")
 	}
 }
 
@@ -128,23 +134,23 @@ func TestFastRowWordEdges(t *testing.T) {
 
 	states := 1 + set.CharCount()
 	for _, dense := range []int{-1, 16, states} {
-		m := mustBuild(t, set, Options{DenseStates: dense})
-		if err := m.VerifyProgram(); err != nil {
+		m, trie := mustBuild(t, set, Options{DenseStates: dense}), mustTrie(t, set)
+		if err := m.VerifyProgram(trie); err != nil {
 			t.Fatalf("dense=%d: %v", dense, err)
 		}
-		if err := m.VerifyScan([][]byte{payload}); err != nil {
+		if err := m.VerifyScan(trie, [][]byte{payload}); err != nil {
 			t.Fatalf("dense=%d: %v", dense, err)
 		}
 		rng := rand.New(rand.NewSource(int64(dense)))
 		for trial := 0; trial < 20; trial++ {
-			driveLockstep(t, m, rng)
+			driveLockstep(t, m, trie, rng)
 		}
 		if dense < 0 {
 			continue
 		}
 		p := m.prog
 		a := m.Defaults.D1['a']
-		ba := m.Trie.Move(m.Defaults.D1['b'], 'a')
+		ba := trie.Move(m.Defaults.D1['b'], 'a')
 		for _, tc := range []struct {
 			state int32
 			bits  [4]uint64

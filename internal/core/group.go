@@ -15,10 +15,10 @@ import (
 // results merge trivially.
 type Grouped struct {
 	Machines []*Machine
-	// Sets[i] is the share of the ruleset Machines[i] matches. With one
-	// group it is the caller's own set, not a copy: Build neither mutates a
-	// set nor retains its pattern bytes (ac.New copies them into node
-	// labels), so nothing is kept alive on the machine's behalf.
+	// Sets[i] is the share of the ruleset Machines[i] matches, and what a
+	// verifier rebuilds its oracle trie from. With one group it is the
+	// caller's own set, not a copy: Build neither mutates a set nor retains
+	// its pattern bytes, so nothing is kept alive on the machine's behalf.
 	Sets []*ruleset.Set
 	Opts Options
 	// Generation is the process-unique compile generation shared by every

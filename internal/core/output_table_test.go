@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -9,20 +10,53 @@ import (
 	"repro/internal/ruleset"
 )
 
-// TestOutputTableProperty: at the paper's ruleset sizes the kernel's
-// flattened output table equals the trie's output chains state for state,
-// and the states the bitset leaves clear have no slot in it — VerifyOutputs
-// walks every state and counts the slots. The random machines of FuzzBuildEquivalence,
+// TestOutputTableProperty: at the paper's ruleset sizes the machine's
+// flattened output table equals the output chains of a trie built from the
+// ruleset a second time, state for state, and the states the bitset leaves
+// clear have no slot in it — VerifyOutputs walks every state and counts the
+// slots. The random machines of FuzzBuildEquivalence,
 // TestSparseBuildMatchesDenseOracle and FuzzBakedEquivalence are held to the
 // same proof where they are built.
 func TestOutputTableProperty(t *testing.T) {
 	for _, n := range []int{634, 1204, 6275} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			m := mustBuild(t, ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010}), Options{})
-			if err := m.VerifyOutputs(); err != nil {
+			set := ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010})
+			m := mustBuild(t, set, Options{})
+			if err := m.VerifyOutputs(mustTrie(t, set)); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestReferenceBackendEmitsFromOutputTable: a reference-pinned machine has
+// no Program and, since the trie left the Machine, no output chains to walk
+// either — it emits from the same flattened table the kernels read. That
+// table is proved against an independently built trie, and the interpreter
+// reading it is held to that trie's matches segment by segment.
+func TestReferenceBackendEmitsFromOutputTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	sets := []*ruleset.Set{toySet(), ruleset.MustGenerate(ruleset.GenConfig{N: 300, Seed: 81})}
+	for trial := 0; trial < 10; trial++ {
+		sets = append(sets, randBakedSet(rng))
+	}
+	for _, set := range sets {
+		m, trie := mustBuild(t, set, Options{Backend: BackendReference}), mustTrie(t, set)
+		if m.prog != nil || len(m.Backends()) != 1 {
+			t.Fatalf("a reference-pinned build offers %v", m.Backends())
+		}
+		if err := m.VerifyOutputs(trie); err != nil {
+			t.Fatal(err)
+		}
+		for s := int32(0); s < int32(m.NumStates()); s++ {
+			if got, want := m.AppendOutputs(s, 7, nil), trie.AppendOutputs(s, 7, nil); !slices.Equal(got, want) {
+				t.Fatalf("state %d outputs %v, the trie's chain %v", s, got, want)
+			}
+		}
+		driveLockstep(t, m, trie, rng)
+		if err := m.VerifyScan(trie, [][]byte{randBakedPayload(rng, 2048)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -39,10 +73,9 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 	}
 	const twin = 9 // second ID of "cd", which is pattern 2
 	var (
-		nodes   = slices.Clone(built.Nodes)
-		edges   []ac.Edge
-		outs    []int32
-		patLens = append(slices.Clone(built.PatLens()), ac.PatLen{ID: twin, Len: 2})
+		nodes = slices.Clone(built.Nodes)
+		edges []ac.Edge
+		outs  []int32
 	)
 	for s := range nodes {
 		edges = append(edges, built.Edges(int32(s))...)
@@ -52,24 +85,20 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 			nodes[s].NumOut++
 		}
 	}
-	trie, err := ac.Rebuild(nodes, edges, outs, patLens)
+	trie, err := ac.Rebuild(nodes, edges, outs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, opts := range []Options{{}, {DenseStates: -1}, {DenseStates: 2}} {
-		opts = opts.withDefaults()
-		m := &Machine{Trie: trie, Opts: opts, backend: opts.Backend}
-		ft := newFailTree(trie)
-		m.selectDefaults(ft)
-		m.compress(ft)
-		if err := m.compileBackends(ft); err != nil {
+	for _, opts := range []Options{{}, {DenseStates: -1}, {DenseStates: 2}, {Backend: BackendReference}} {
+		m, err := compressTrie(trie, opts.withDefaults())
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.VerifyOutputs(); err != nil {
+		if err := m.VerifyOutputs(trie); err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		if err := m.VerifyTransitions(); err != nil {
+		if err := m.VerifyTransitions(trie); err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
 		// Own output first, then each fail-ancestor's, a state's IDs in
@@ -94,25 +123,38 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 	}
 }
 
-// TestVerifyOutputsDetectsCorruption: the proof must be able to fail.
+// TestVerifyOutputsDetectsCorruption: the proof must be able to fail — on
+// the one table, whichever backend the machine was built for, and on a
+// kernel that reads some other table.
 func TestVerifyOutputsDetectsCorruption(t *testing.T) {
-	build := func() *Machine { return mustBuild(t, toySet(), Options{}) }
-	cases := map[string]func(p *Program){
-		"swapped IDs":   func(p *Program) { p.outIDs[0], p.outIDs[1] = p.outIDs[1], p.outIDs[0] },
-		"clear bit":     func(p *Program) { p.outBits[0] &= p.outBits[0] - 1 },
-		"stray bit":     func(p *Program) { p.outBits[0] |= 1 },
-		"prefix count":  func(p *Program) { p.outRank[0]++ },
-		"shifted slot":  func(p *Program) { p.outOff[1]++ },
-		"trailing slot": func(p *Program) { p.outOff = append(p.outOff, p.outOff[len(p.outOff)-1]) },
+	trie := mustTrie(t, toySet())
+	cases := map[string]func(m *Machine){
+		"swapped IDs":   func(m *Machine) { m.out.ids[0], m.out.ids[1] = m.out.ids[1], m.out.ids[0] },
+		"clear bit":     func(m *Machine) { m.out.bits[0] &= m.out.bits[0] - 1 },
+		"stray bit":     func(m *Machine) { m.out.bits[0] |= 1 },
+		"prefix count":  func(m *Machine) { m.out.rank[0]++ },
+		"shifted slot":  func(m *Machine) { m.out.off[1]++ },
+		"trailing slot": func(m *Machine) { m.out.off = append(m.out.off, m.out.off[len(m.out.off)-1]) },
 	}
-	for name, corrupt := range cases {
-		m := build()
-		if err := m.VerifyOutputs(); err != nil {
-			t.Fatal(err)
+	for _, backend := range []string{BackendAuto, BackendReference} {
+		for name, corrupt := range cases {
+			m := mustBuild(t, toySet(), Options{Backend: backend})
+			if err := m.VerifyOutputs(trie); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(m)
+			if err := m.VerifyOutputs(trie); err == nil {
+				t.Errorf("%s, %s: corrupted output table accepted", backend, name)
+			}
 		}
-		corrupt(m.prog)
-		if err := m.VerifyOutputs(); err == nil {
-			t.Errorf("%s: corrupted output table accepted", name)
-		}
+	}
+	m := mustBuild(t, toySet(), Options{})
+	if err := m.VerifyOutputs(mustTrie(t, setOf([][]byte{[]byte("he")}, false))); err == nil {
+		t.Error("an output table was proved against another ruleset's trie")
+	}
+	own := m.out
+	m.prog.out = &own
+	if err := m.VerifyOutputs(trie); err == nil {
+		t.Error("a kernel emitting from its own copy of the table was accepted")
 	}
 }

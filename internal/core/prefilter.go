@@ -106,13 +106,12 @@ type Prefilter struct {
 	suspectWindows atomic.Uint64
 }
 
-// CompilePrefilter builds the lossy first stage for m. It returns nil when
-// the collapsed machine does not fit the packed entry format (state ids
-// share a uint16 with the suspect flag), in which case the prefiltered
+// CompilePrefilter builds the lossy first stage from the trie t. It returns
+// nil when the collapsed machine does not fit the packed entry format (state
+// ids share a uint16 with the suspect flag), in which case the prefiltered
 // backend is simply unavailable. Build compiles it automatically alongside
 // the baked Program and proves VerifySuperset before keeping it.
-func CompilePrefilter(m *Machine) *Prefilter {
-	t := m.Trie
+func CompilePrefilter(t *ac.Trie) *Prefilter {
 	n := t.NumStates()
 
 	pf := &Prefilter{}
@@ -312,8 +311,8 @@ func (pf *Prefilter) Stats() PrefilterStats {
 }
 
 // VerifySuperset proves the prefilter admits no false negatives, in the
-// spirit of VerifyTransitions: for every exact trie state that terminates
-// an accept window — depth exactly prefK, or a shallower state where a
+// spirit of VerifyTransitions: for every state of t, the machine's trie, that
+// terminates an accept window — depth exactly prefK, or a shallower state where a
 // whole pattern ends — walking the collapsed form of its path from the
 // prefilter's start state must land on a suspect-flagged entry. Combined
 // with the longest-suffix property of the collapsed DFA and the suspect
@@ -321,12 +320,11 @@ func (pf *Prefilter) Stats() PrefilterStats {
 // file comment); the scan-level property tests and fuzzer check that
 // empirically. It also checks the packed table's structural invariant that
 // the suspect flag is a pure function of the target state.
-func (m *Machine) VerifySuperset() error {
+func (m *Machine) VerifySuperset(t *ac.Trie) error {
 	pf := m.pre
 	if pf == nil {
 		return fmt.Errorf("core: no prefilter compiled for this machine")
 	}
-	t := m.Trie
 
 	sus := make([]int8, pf.states) // -1 suspect, +1 clean, 0 unseen
 	for i, e := range pf.tab {
@@ -392,23 +390,15 @@ func (r *Regs) pushTailByte(c byte) {
 // trueRegisters materializes the exact register file mid-skim. Sound
 // because the skim invariant bounds the true depth by prefK−1, so the true
 // state — the longest stream suffix that is a trie node — is determined by
-// the last prefK−1 seen bytes, all inside the tail ring; a pure DFA walk
-// over them from the start state computes it.
+// the last prefK−1 seen bytes, all inside the tail ring: it is where the
+// DFA stands, history included, after the ring's bytes as a packet of their
+// own, and from the start state the kernel's step is the DFA (VerifyProgram).
 func (m *Machine) trueRegisters(r *Regs) (int32, uint32) {
-	n := int(r.tailLen)
-	h2, h1 := HistNone, HistNone
-	if n >= 2 {
-		h2 = int16(r.tail[n-2])
+	st, hist := ac.Root, uint32(histUnknown)
+	for _, c := range r.tail[:r.tailLen] {
+		st, hist = m.prog.step(st, hist, c)
 	}
-	if n >= 1 {
-		h1 = int16(r.tail[n-1])
-	}
-	w := min(prefK-1, n)
-	st := ac.Root
-	for _, c := range r.tail[n-w : n] {
-		st = m.Trie.Move(st, c)
-	}
-	return st, fuseHist(h2, h1)
+	return st, hist
 }
 
 // stepPrefiltered is the register-machine view: it always runs exact

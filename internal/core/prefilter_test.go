@@ -26,11 +26,12 @@ func TestPrefilterSupersetProperty(t *testing.T) {
 		if pf == nil {
 			t.Fatalf("trial %d: prefilter unavailable", trial)
 		}
-		if err := m.VerifySuperset(); err != nil {
+		trie := mustTrie(t, set)
+		if err := m.VerifySuperset(trie); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		payload := randBakedPayload(rng, 256+rng.Intn(1024))
-		want := m.Trie.FindAll(payload)
+		want := trie.FindAll(payload)
 
 		// Drive the lossy DFA alone over the whole payload.
 		suspectAt := make([]bool, len(payload)+1) // position = bytes consumed
@@ -92,7 +93,8 @@ func TestVerifySupersetDetectsCorruption(t *testing.T) {
 	if m.pre == nil {
 		t.Fatal("prefilter unavailable")
 	}
-	if err := m.VerifySuperset(); err != nil {
+	trie := mustTrie(t, set)
+	if err := m.VerifySuperset(trie); err != nil {
 		t.Fatalf("pristine table rejected: %v", err)
 	}
 	saved := make([]uint16, len(m.pre.tab))
@@ -100,11 +102,11 @@ func TestVerifySupersetDetectsCorruption(t *testing.T) {
 	for i := range m.pre.tab {
 		m.pre.tab[i] &^= pfSuspect
 	}
-	if err := m.VerifySuperset(); err == nil {
+	if err := m.VerifySuperset(trie); err == nil {
 		t.Fatal("VerifySuperset accepted a table with no suspect flags")
 	}
 	copy(m.pre.tab, saved)
-	if err := m.VerifySuperset(); err != nil {
+	if err := m.VerifySuperset(trie); err != nil {
 		t.Fatalf("restored table rejected: %v", err)
 	}
 }

@@ -3,7 +3,8 @@ package core
 // Snapshot serialization: a compiled Machine can be written to a compact
 // binary blob and reloaded without re-running default selection and
 // compression — the software analogue of shipping the FPGA's initialized
-// memory images. Format (little endian):
+// memory images. The blob carries the trie, which the Machine does not:
+// Save is handed one, Load bakes from the blob's. Format (little endian):
 //
 //	magic "DTPM" | version u16 | options (3×u8 + pad) | node table |
 //	pattern lengths | defaults | stored transitions | stats | crc32
@@ -13,11 +14,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/ac"
 )
@@ -51,8 +54,24 @@ func put[T any](cw *countingWriter, v T) {
 	}
 }
 
-// Save writes the machine snapshot to w.
-func (m *Machine) Save(w io.Writer) error {
+// patLen is one pattern's byte length as the snapshot records it, and
+// patternLengths every pattern's of t, sorted by ID: a pattern is as long as
+// the state that outputs it is deep.
+type patLen struct{ ID, Len int32 }
+
+func patternLengths(t *ac.Trie) []patLen {
+	var lens []patLen
+	for s := range t.Nodes {
+		for _, id := range t.Out(int32(s)) {
+			lens = append(lens, patLen{ID: id, Len: t.Nodes[s].Depth})
+		}
+	}
+	slices.SortFunc(lens, func(a, b patLen) int { return cmp.Compare(a.ID, b.ID) })
+	return lens
+}
+
+// Save writes the snapshot of the machine and t, its ruleset's trie, to w.
+func (m *Machine) Save(w io.Writer, t *ac.Trie) error {
 	cw := &countingWriter{w: w}
 	cw.Write(snapshotMagic[:])
 	put(cw, SnapshotVersion)
@@ -61,7 +80,6 @@ func (m *Machine) Save(w io.Writer) error {
 	put(cw, uint8(m.Opts.MaxDepth))
 	put(cw, uint8(0)) // pad
 
-	t := m.Trie
 	put(cw, uint32(t.NumStates()))
 	for i := range t.Nodes {
 		nd := &t.Nodes[i]
@@ -82,11 +100,9 @@ func (m *Machine) Save(w io.Writer) error {
 	}
 
 	// Pattern lengths, sorted by ID for determinism.
-	put(cw, uint32(len(t.PatLens())))
-	for _, pl := range t.PatLens() {
-		put(cw, pl.ID)
-		put(cw, pl.Len)
-	}
+	lens := patternLengths(t)
+	put(cw, uint32(len(lens)))
+	put(cw, lens)
 
 	// Defaults.
 	for c := 0; c < 256; c++ {
@@ -235,33 +251,23 @@ func Load(data []byte) (*Machine, error) {
 		}
 	}
 
-	var numPat uint32
-	get(rd, &numPat)
-	if rd.err != nil {
-		return nil, rd.err
-	}
-	if int64(numPat)*8 > int64(rd.r.Len()) {
-		return nil, fmt.Errorf("core: snapshot ends inside its %d pattern lengths", numPat)
-	}
-	patLens := make([]ac.PatLen, numPat)
-	for i := range patLens {
-		pl := &patLens[i]
-		get(rd, &pl.ID)
-		get(rd, &pl.Len)
-		if pl.Len <= 0 {
-			return nil, fmt.Errorf("core: pattern %d has length %d", pl.ID, pl.Len)
-		}
-	}
-
-	trie, err := ac.Rebuild(nodes, edges, outs, patLens)
+	trie, err := ac.Rebuild(nodes, edges, outs)
 	if err != nil {
 		if rd.err != nil {
 			return nil, rd.err
 		}
 		return nil, err
 	}
+	// The pattern lengths recorded must be the ones the node table implies.
+	want := patternLengths(trie)
+	var numPat uint32
+	get(rd, &numPat)
+	lens := make([]patLen, len(want))
+	get(rd, &lens)
+	if rd.err == nil && (int(numPat) != len(want) || !slices.Equal(lens, want)) {
+		return nil, fmt.Errorf("core: the snapshot's %d pattern lengths are not its %d outputs' depths", numPat, len(want))
+	}
 	m := &Machine{
-		Trie:       trie,
 		Opts:       Options{D2PerChar: int(d2), D3PerChar: int(d3), MaxDepth: int(maxDepth), Backend: BackendAuto},
 		backend:    BackendAuto,
 		generation: nextGeneration(),
@@ -389,7 +395,7 @@ func Load(data []byte) (*Machine, error) {
 	// is re-derived from the trie; runtime-only options
 	// (DenseStates/Backend) are not part of the format and take their
 	// defaults, and under BackendAuto compileBackends cannot fail.
-	if err := m.compileBackends(newFailTree(trie)); err != nil {
+	if err := m.compileBackends(trie, newFailTree(trie)); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -14,10 +14,12 @@ import (
 	"repro/internal/ruleset"
 )
 
-func snapshotOf(t *testing.T, m *Machine) []byte {
+// snapshotOf saves m, a machine for set, with a trie built from set for the
+// occasion: the machine has none to give.
+func snapshotOf(t *testing.T, m *Machine, set *ruleset.Set) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.Save(&buf, mustTrie(t, set)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -26,7 +28,7 @@ func snapshotOf(t *testing.T, m *Machine) []byte {
 func TestSnapshotRoundTrip(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 300, Seed: 81})
 	orig := mustBuild(t, set, Options{})
-	data := snapshotOf(t, orig)
+	data := snapshotOf(t, orig, set)
 	loaded, err := Load(data)
 	if err != nil {
 		t.Fatal(err)
@@ -38,11 +40,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if loaded.Opts != orig.Opts.withDefaults() {
 		t.Fatalf("opts changed: %+v vs %+v", loaded.Opts, orig.Opts)
 	}
-	if loaded.Trie.NumStates() != orig.Trie.NumStates() {
+	if loaded.NumStates() != orig.NumStates() {
 		t.Fatalf("state count changed")
 	}
-	// The loaded machine must still be structurally equivalent to the DFA.
-	if err := loaded.VerifyTransitions(); err != nil {
+	// The loaded machine must still be structurally equivalent to the DFA,
+	// and emit what its output chains say.
+	if err := loaded.VerifyTransitions(mustTrie(t, set)); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.VerifyOutputs(mustTrie(t, set)); err != nil {
 		t.Fatal(err)
 	}
 	// And produce identical matches.
@@ -65,7 +71,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotDeterministic(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 100, Seed: 82})
 	m := mustBuild(t, set, Options{})
-	a, b := snapshotOf(t, m), snapshotOf(t, m)
+	a, b := snapshotOf(t, m, set), snapshotOf(t, m, set)
 	if !bytes.Equal(a, b) {
 		t.Fatal("snapshots of the same machine differ")
 	}
@@ -78,7 +84,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 func TestSnapshotBytesPinned(t *testing.T) {
 	const want = "0a4f62171c5376059c57b7300b3bd920854d010ed63be851cd40e290fee86caf"
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})
-	got := fmt.Sprintf("%x", sha256.Sum256(snapshotOf(t, mustBuild(t, set, Options{}))))
+	got := fmt.Sprintf("%x", sha256.Sum256(snapshotOf(t, mustBuild(t, set, Options{}), set)))
 	if got != want {
 		t.Fatalf("snapshot of the 634-string machine hashes to %s, want %s", got, want)
 	}
@@ -86,22 +92,24 @@ func TestSnapshotBytesPinned(t *testing.T) {
 
 // TestSnapshotRoundTripByteIdentical: Save → Load → Save reproduces the
 // blob byte for byte at the paper's ruleset sizes, and the loaded machine is
-// the built one — same trie, same state memory, same kernel tables — so
-// there is one live image whichever way a machine came to be.
+// the built one — same state memory, same match memory, same kernel tables,
+// the last two derived from the trie Load rebuilt — so there is one live
+// image whichever way a machine came to be.
 func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 	for _, n := range []int{634, 1204, 2588, 6275} {
-		built := mustBuild(t, ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010}), Options{})
-		first := snapshotOf(t, built)
+		set := ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010})
+		built := mustBuild(t, set, Options{})
+		first := snapshotOf(t, built, set)
 		loaded, err := Load(first)
 		if err != nil {
 			t.Fatalf("%d strings: %v", n, err)
 		}
-		if second := snapshotOf(t, loaded); !bytes.Equal(first, second) {
+		if second := snapshotOf(t, loaded, set); !bytes.Equal(first, second) {
 			t.Fatalf("%d strings: the snapshot of the loaded machine differs from the one it was loaded from (%d vs %d bytes)",
 				n, len(second), len(first))
 		}
-		if !reflect.DeepEqual(loaded.Trie, built.Trie) {
-			t.Fatalf("%d strings: loaded trie differs from the built one", n)
+		if !reflect.DeepEqual(loaded.out, built.out) {
+			t.Fatalf("%d strings: loaded match memory differs from the built one", n)
 		}
 		if !slices.Equal(loaded.stored, built.stored) || !slices.Equal(loaded.storedOff, built.storedOff) {
 			t.Fatalf("%d strings: loaded state memory differs from the built one", n)
@@ -121,14 +129,14 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 func TestSnapshotPreservesAblationOptions(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 80, Seed: 83})
 	m := mustBuild(t, set, Options{D2PerChar: 2, MaxDepth: 2})
-	loaded, err := Load(snapshotOf(t, m))
+	loaded, err := Load(snapshotOf(t, m, set))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Opts.D2PerChar != 2 || loaded.Opts.MaxDepth != 2 {
 		t.Fatalf("opts = %+v", loaded.Opts)
 	}
-	if err := loaded.VerifyTransitions(); err != nil {
+	if err := loaded.VerifyTransitions(mustTrie(t, set)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,7 +144,7 @@ func TestSnapshotPreservesAblationOptions(t *testing.T) {
 func TestLoadRejectsCorruption(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 60, Seed: 84})
 	m := mustBuild(t, set, Options{})
-	data := snapshotOf(t, m)
+	data := snapshotOf(t, m, set)
 
 	// Truncation.
 	for _, cut := range []int{0, 1, 4, len(data) / 2, len(data) - 1} {
@@ -158,7 +166,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 func TestLoadRejectsBadMagicAndVersion(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 20, Seed: 85})
 	m := mustBuild(t, set, Options{})
-	data := snapshotOf(t, m)
+	data := snapshotOf(t, m, set)
 
 	bad := append([]byte(nil), data...)
 	copy(bad, "XXXX")
@@ -172,6 +180,44 @@ func TestLoadRejectsBadMagicAndVersion(t *testing.T) {
 	fixCRC(bad)
 	if _, err := Load(bad); err == nil {
 		t.Error("future version accepted")
+	}
+}
+
+// TestLoadRejectsPatternLengthsThatAreNotDepths: the trie keeps no length
+// table — a pattern is as long as its output state is deep — so the
+// snapshot's table is checked against the node table it sits beside: an
+// entry out of ID order, a length that is not the depth, an output whose ID
+// the table does not list are all refused, with the checksum made good so
+// that it is the structure that refuses them.
+func TestLoadRejectsPatternLengthsThatAreNotDepths(t *testing.T) {
+	m, trie := mustBuild(t, toySet(), Options{}), mustTrie(t, toySet())
+	data := snapshotOf(t, m, toySet())
+	lens := 10 + 4 // header, state count
+	firstOut := 0
+	for s := range trie.Nodes {
+		nd := &trie.Nodes[s]
+		if firstOut == 0 && nd.NumOut > 0 {
+			firstOut = lens + 21 + 5*int(nd.NumEdges)
+		}
+		lens += 21 + 5*int(nd.NumEdges) + 4*int(nd.NumOut)
+	}
+	lens += 4 // pattern count; then (ID, Len) pairs of int32
+	for name, corrupt := range map[string]func(b []byte){
+		"swapped entries": func(b []byte) {
+			var first [8]byte
+			copy(first[:], b[lens:])
+			copy(b[lens:], b[lens+8:lens+16])
+			copy(b[lens+8:], first[:])
+		},
+		"longer than deep": func(b []byte) { b[lens+4]++ },
+		"unlisted output":  func(b []byte) { b[firstOut] = 77 },
+	} {
+		bad := bytes.Clone(data)
+		corrupt(bad)
+		fixCRC(bad)
+		if _, err := Load(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // VerifyTransitions proves structural equivalence between the compressed
-// machine and the full move-function DFA: for every state s and every
+// machine and the full move-function DFA of t: for every state s and every
 // character c, the hardware transition (stored pointer if present,
 // otherwise the default rule under s's statically known history) must equal
 // the DFA's move target. Combined with the depth ≤ 1 feasibility argument
@@ -18,19 +18,22 @@ import (
 //
 // The walk covers |states| × 256 transitions; for the full 6,275-string
 // machine that is ≈28M checks, a few seconds of CPU.
-func (m *Machine) VerifyTransitions() error {
+func (m *Machine) VerifyTransitions(t *ac.Trie) error {
+	if t.NumStates() != m.NumStates() {
+		return fmt.Errorf("core: the oracle trie has %d states, the machine %d: not the same ruleset", t.NumStates(), m.NumStates())
+	}
 	var firstErr error
-	m.Trie.ForEachMoveRow(func(s int32, row []int32) {
+	t.ForEachMoveRow(func(s int32, row []int32) {
 		if firstErr != nil {
 			return
 		}
-		h2, h1 := m.staticHistory(s)
+		h2, h1 := staticHistory(t, s)
 		for c := 0; c < 256; c++ {
 			got := m.Next(s, byte(c), h2, h1)
 			if got != row[c] {
 				firstErr = fmt.Errorf(
 					"core: state %d (depth %d) char %#02x: compressed machine gives %d, DFA gives %d",
-					s, m.Trie.Nodes[s].Depth, c, got, row[c])
+					s, t.Nodes[s].Depth, c, got, row[c])
 				return
 			}
 		}
@@ -40,7 +43,7 @@ func (m *Machine) VerifyTransitions() error {
 
 // VerifyProgram proves the baked kernel's transition tables — fast rows,
 // compressed-row descriptors and the d1/d2/d3 lookup, read in the kernel's
-// own encoding by the kernel's own step — against the full move-function
+// own encoding by the kernel's own step — against t's full move-function
 // DFA: from every state, under its static history, every byte must step to
 // the DFA's target. VerifyTransitions proves the same of the reference
 // interpreter; this is the proof of what production scans with. It first
@@ -49,12 +52,12 @@ func (m *Machine) VerifyTransitions() error {
 // the state's row in the arena; a row's ranks run on from the row before
 // through its own popcounts to end at len(over); and no override repeats
 // the default it overrides.
-func (m *Machine) VerifyProgram() error {
+func (m *Machine) VerifyProgram(t *ac.Trie) error {
 	p := m.prog
 	if p == nil {
 		return fmt.Errorf("core: no baked kernel compiled for this machine")
 	}
-	n := m.Trie.NumStates()
+	n := t.NumStates()
 	if len(p.rows) != n {
 		return fmt.Errorf("core: kernel has %d row descriptors for %d states", len(p.rows), n)
 	}
@@ -98,16 +101,16 @@ func (m *Machine) VerifyProgram() error {
 	}
 
 	var firstErr error
-	m.Trie.ForEachMoveRow(func(s int32, row []int32) {
+	t.ForEachMoveRow(func(s int32, row []int32) {
 		if firstErr != nil {
 			return
 		}
-		hist := fuseHist(m.staticHistory(s))
+		hist := fuseHist(staticHistory(t, s))
 		for c := 0; c < 256; c++ {
 			if got, _ := p.step(s, hist, byte(c)); got != row[c] {
 				firstErr = fmt.Errorf(
 					"core: state %d (depth %d) char %#02x: baked kernel gives %d, DFA gives %d",
-					s, m.Trie.Nodes[s].Depth, c, got, row[c])
+					s, t.Nodes[s].Depth, c, got, row[c])
 				return
 			}
 		}
@@ -115,28 +118,27 @@ func (m *Machine) VerifyProgram() error {
 	return firstErr
 }
 
-// VerifyOutputs proves the baked kernel's output table against the trie it
-// was flattened from: for every state, the bitset says whether anything
-// ends there exactly as Trie.HasOutput does, and where it does the kernel's
-// contiguous list equals Trie.AppendOutputs element for element — own
-// outputs, then each fail-ancestor's. It also checks that the table has a
-// slot for each output state and no other, so a state with a clear bit has
-// no rank to look up: the kernel never reaches the table for it.
-func (m *Machine) VerifyOutputs() error {
-	p := m.prog
-	if p == nil {
-		return fmt.Errorf("core: no baked kernel compiled for this machine")
+// VerifyOutputs proves the match memory — the one table every backend emits
+// from, reference included — against t's output chains: for every state, the
+// bitset says whether anything ends there exactly as Trie.HasOutput does,
+// and where it does the table's contiguous list equals Trie.AppendOutputs
+// element for element — own outputs, then each fail-ancestor's. It also
+// checks that the table has a slot for each output state and no other, so a
+// state with a clear bit has no rank to look up.
+func (m *Machine) VerifyOutputs(t *ac.Trie) error {
+	p := &m.out
+	if m.prog != nil && m.prog.out != p {
+		return fmt.Errorf("core: the baked kernel emits from a table that is not the machine's match memory")
 	}
-	t := m.Trie
 	var got, want []ac.Match
 	rank := 0
 	for s := int32(0); s < int32(t.NumStates()); s++ {
 		w, bit := uint32(s)>>6, uint64(1)<<(uint32(s)&63)
-		if s&63 == 0 && int(p.outRank[w]) != rank {
-			return fmt.Errorf("core: output word %d has prefix count %d, %d output states precede it", w, p.outRank[w], rank)
+		if s&63 == 0 && int(p.rank[w]) != rank {
+			return fmt.Errorf("core: output word %d has prefix count %d, %d output states precede it", w, p.rank[w], rank)
 		}
 		want = t.AppendOutputs(s, int(s), want[:0])
-		if p.outBits[w]&bit == 0 {
+		if p.bits[w]&bit == 0 {
 			if len(want) != 0 {
 				return fmt.Errorf("core: state %d ends %d patterns but its output bit is clear", s, len(want))
 			}
@@ -145,32 +147,32 @@ func (m *Machine) VerifyOutputs() error {
 		if len(want) == 0 {
 			return fmt.Errorf("core: state %d ends no pattern but its output bit is set", s)
 		}
-		if rank+1 >= len(p.outOff) {
-			return fmt.Errorf("core: output state %d has rank %d, the table holds %d", s, rank, len(p.outOff)-1)
+		if rank+1 >= len(p.off) {
+			return fmt.Errorf("core: output state %d has rank %d, the table holds %d", s, rank, len(p.off)-1)
 		}
-		got = p.appendOutputs(s, int(s), got[:0])
+		got = p.appendTo(s, int(s), got[:0])
 		if !slices.Equal(got, want) {
-			return fmt.Errorf("core: state %d: kernel emits %v, the trie's output chain %v", s, got, want)
+			return fmt.Errorf("core: state %d: the table emits %v, the trie's output chain %v", s, got, want)
 		}
 		rank++
 	}
-	if len(p.outOff) != rank+1 || int(p.outOff[rank]) != len(p.outIDs) {
+	if len(p.off) != rank+1 || int(p.off[rank]) != len(p.ids) {
 		return fmt.Errorf("core: output table has %d slots over %d IDs, the bitset marks %d output states",
-			len(p.outOff)-1, len(p.outIDs), rank)
+			len(p.off)-1, len(p.ids), rank)
 	}
 	return nil
 }
 
-// VerifyScan cross-checks matcher output against the uncompressed DFA on
+// VerifyScan cross-checks matcher output against the uncompressed DFA t on
 // the given payloads (each treated as one packet). Every backend the
 // machine supports (Backends: reference, baked, prefiltered, …) is run
 // against the oracle, so a layout bug in one kernel cannot hide behind
 // another implementation's semantics. A backend added to the registry is
 // pulled into this proof automatically.
-func (m *Machine) VerifyScan(payloads [][]byte) error {
+func (m *Machine) VerifyScan(t *ac.Trie, payloads [][]byte) error {
 	backends := m.Backends()
 	for i, p := range payloads {
-		want := m.Trie.FindAll(p)
+		want := t.FindAll(p)
 		for _, name := range backends {
 			sc, err := m.NewScannerFor(name)
 			if err != nil {

@@ -22,7 +22,7 @@ func wideMachine(t *testing.T, wantCounts []int) *core.Machine {
 		t.Fatal(err)
 	}
 	have := map[int]bool{}
-	for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
+	for s := int32(0); s < int32(m.NumStates()); s++ {
 		have[len(m.StoredRow(s))] = true
 	}
 	for _, want := range wantCounts {

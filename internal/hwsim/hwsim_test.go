@@ -136,12 +136,15 @@ func TestPackMatchMemoryContents(t *testing.T) {
 	img := mustPack(t, toySet(), core.Options{})
 	// "she" ends at a state matching both she (1) and he (0): one word with
 	// two IDs and the last flag.
-	m := img.Machine
+	trie, err := ac.New(toySet())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sheState int32 = -1
-	for s := int32(0); s < int32(m.Trie.NumStates()); s++ {
-		if m.Trie.Nodes[s].Depth == 3 && m.Trie.Nodes[s].Char == 'e' {
+	for s := range trie.Nodes {
+		if trie.Nodes[s].Depth == 3 && trie.Nodes[s].Char == 'e' {
 			// depth-3 ending in 'e' is "she"
-			sheState = s
+			sheState = int32(s)
 		}
 	}
 	if sheState < 0 {
@@ -313,7 +316,7 @@ func TestEngineMatchesSoftwareMachine(t *testing.T) {
 			t.Fatalf("byte %d: engine at %+v, software at state %d (%+v)",
 				i, res.Loc, state, img.Loc[state])
 		}
-		wantMatch := m.Trie.HasOutput(state)
+		wantMatch := len(m.AppendOutputs(state, 0, nil)) > 0
 		if res.Match != wantMatch {
 			t.Fatalf("byte %d: engine match=%v, software=%v", i, res.Match, wantMatch)
 		}

@@ -107,24 +107,21 @@ func Pack(m *core.Machine) (*Image, error) {
 // 11-bit match addresses is free and roughly halves occupancy.
 func (img *Image) packMatchMemory() error {
 	m := img.Machine
-	n := m.Trie.NumStates()
+	n := m.NumStates()
 	img.Stats.States = n
 	matchAddr := make([]int32, n)
 	listAddr := make(map[string]int32)
 	var key []byte
+	var outs []ac.Match
 	for s := int32(0); s < int32(n); s++ {
 		matchAddr[s] = -1
-		if !m.Trie.HasOutput(s) {
-			continue
-		}
-		var ids []int32
-		m.Trie.EmitOutputs(s, 0, func(mt ac.Match) { ids = append(ids, mt.PatternID) })
-		if len(ids) == 0 {
+		outs = m.AppendOutputs(s, 0, outs[:0])
+		if len(outs) == 0 {
 			continue
 		}
 		key = key[:0]
-		for _, id := range ids {
-			key = append(key, byte(id), byte(id>>8))
+		for _, mt := range outs {
+			key = append(key, byte(mt.PatternID), byte(mt.PatternID>>8))
 		}
 		if addr, ok := listAddr[string(key)]; ok {
 			matchAddr[s] = addr
@@ -132,14 +129,14 @@ func (img *Image) packMatchMemory() error {
 			continue
 		}
 		base := len(img.Match)
-		for i := 0; i < len(ids); i += 2 {
-			id1 := uint32(ids[i])
+		for i := 0; i < len(outs); i += 2 {
+			id1 := uint32(outs[i].PatternID)
 			id2 := uint32(MatchPadID)
-			if i+1 < len(ids) {
-				id2 = uint32(ids[i+1])
+			if i+1 < len(outs) {
+				id2 = uint32(outs[i+1].PatternID)
 			}
 			word := id1 | id2<<matchIDBits
-			if i+2 >= len(ids) {
+			if i+2 >= len(outs) {
 				word |= 1 << (2 * matchIDBits) // last flag
 			}
 			img.Match = append(img.Match, word)
@@ -163,14 +160,14 @@ func (img *Image) packMatchMemory() error {
 // unit 0 so engines and the lookup table can address it canonically.
 func (img *Image) placeStates() error {
 	m := img.Machine
-	n := m.Trie.NumStates()
+	n := m.NumStates()
 	img.Loc = make([]StateLoc, n)
 
 	var ones, threes, fives, sevens, nines []int32
 	for s := int32(1); s < int32(n); s++ {
 		units, err := unitsForPtrs(len(m.StoredRow(s)))
 		if err != nil {
-			return fmt.Errorf("state %d (depth %d): %w", s, m.Trie.Nodes[s].Depth, err)
+			return fmt.Errorf("state %d: %w", s, err)
 		}
 		switch units {
 		case 1:

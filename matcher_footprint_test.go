@@ -1,63 +1,124 @@
 package dpi
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/ac"
+	"repro/internal/core"
 )
 
-// What one compiled generation of the 634-string benchmark ruleset may hold
-// live — the largest term of every workload's heap_live_mb, paid once per
-// generation in flight during a hot reload. Measured 575 680 B in 146
-// objects: the trie's node table (237 KB) and edge arena (59 KB), the
-// stored-pointer arena the Machine and the kernel share (69 KB) with their
-// two descriptor tables (30 KB each), the prefilter table (61 KB), the fast
-// tier (23 KB: 384 bitmap rows and their 1 251 overrides), and the lookup,
-// output and pattern-length tables; nine in ten of the objects are the
-// lookup table's per-character default lists. OPERATIONS.md's "Sizing
-// memory" quotes the measured figures; these are the gates, at +5 %.
-const (
-	matcherHeapCeiling    = 604_500
-	matcherObjectsCeiling = 152
-)
+// What one compiled generation may hold live — the largest term of every
+// workload's heap_live_mb, paid once per generation in flight during a hot
+// reload — at three of the paper's ruleset sizes. At 634 strings, the
+// benchmark's, it is 264 400 B in 141 objects: the stored-pointer arena the
+// Machine and the kernel share (69 KB) with their two descriptor tables
+// (30 KB each), the prefilter table (61 KB), the fast tier (23 KB: 384
+// bitmap rows and their 1 251 overrides), and the lookup and output tables;
+// nine in ten of the objects are the lookup table's per-character default
+// lists. No trie: Build lets its scaffolding go (it was another 311 KB).
+// The gate is per automaton state, because that is how a regression would
+// arrive — a structure with an entry per state, 4 B of it a tenth of the
+// budget — and because at 6 275 strings it is megabytes. OPERATIONS.md's
+// "Sizing memory" quotes the measured figures; these are the gates, at +5 %.
+var matcherFootprints = []struct {
+	strings       int
+	bytesPerState float64 // measured 35.75, 30.54, 32.34
+	objects       int64   // measured 141, 167, 251
+}{
+	{634, 37.53, 148},
+	{1204, 32.07, 175},
+	{6275, 33.96, 263},
+}
 
 // kernelTablesCeiling is a 256 KiB L2 slice: everything the production
-// kernel reads while scanning — Kernel().TotalBytes plus the prefilter's
-// table, 196 248 B measured — has to fit in it together.
+// kernel reads while scanning the benchmark's 634 strings —
+// Kernel().TotalBytes plus the prefilter's table, 196 248 B measured — has
+// to fit in it together.
 const kernelTablesCeiling = 256 << 10
 
-// TestMatcherFootprint compiles the benchmark ruleset and charges the
-// Matcher with everything the heap gained: bytes, and objects — a compiled
-// automaton is a handful of flat arenas, and a count that grows with the
-// state count means a per-state allocation has come back.
+// TestMatcherFootprint compiles each ruleset and charges the Matcher with
+// everything the heap gained: bytes, and objects — a compiled automaton is
+// a handful of flat arenas, and a count that grows with the state count
+// means a per-state allocation has come back.
 func TestMatcherFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap measurements are not meaningful under the race detector")
 	}
-	rules, err := GenerateSnortLike(634, 2010)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range matcherFootprints {
+		rules, err := GenerateSnortLike(tc.strings, 2010)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		liveHeap()
+		runtime.ReadMemStats(&before)
+		m, err := Compile(rules, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		liveHeap()
+		runtime.ReadMemStats(&after)
+		bytes := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		objects := int64(after.HeapObjects) - int64(before.HeapObjects)
+		states := m.Stats().States
+		tables := m.Kernel().TotalBytes + m.Kernel().PrefilterBytes
+		t.Logf("Compile at %d strings holds %d B in %d objects: %.2f B for each of %d states (kernel tables %d B)",
+			tc.strings, bytes, objects, float64(bytes)/float64(states), states, tables)
+		if tc.strings == 634 && tables > kernelTablesCeiling {
+			t.Errorf("the kernel's tables take %d B at 634 strings, more than an L2 slice (%d)", tables, kernelTablesCeiling)
+		}
+		if per := float64(bytes) / float64(states); per > tc.bytesPerState {
+			t.Errorf("a compiled %d-string matcher holds %.2f B live per state (%d B), ceiling %.2f",
+				tc.strings, per, bytes, tc.bytesPerState)
+		}
+		if objects > tc.objects {
+			t.Errorf("a compiled %d-string matcher holds %d heap objects, ceiling %d", tc.strings, objects, tc.objects)
+		}
+		runtime.KeepAlive(m)
 	}
-	var before, after runtime.MemStats
-	liveHeap()
-	runtime.ReadMemStats(&before)
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestMatcherAndGatewayHoldNoTrie is the claim above as a fact about types:
+// nothing a *Matcher or a *Gateway can reach through its fields — pointers,
+// slices, arrays, maps, channels, nested structs, exported or not — is a
+// trie or a piece of one, so no generation, current or draining, can keep
+// its build scaffolding alive. (Funcs and interfaces hide what they hold
+// from a type walk; the measured gates cover those.)
+func TestMatcherAndGatewayHoldNoTrie(t *testing.T) {
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf(ac.Trie{}): true,
+		reflect.TypeOf(ac.Node{}): true,
+		reflect.TypeOf(ac.Edge{}): true,
 	}
-	liveHeap()
-	runtime.ReadMemStats(&after)
-	bytes := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	objects := int64(after.HeapObjects) - int64(before.HeapObjects)
-	tables := m.Kernel().TotalBytes + m.Kernel().PrefilterBytes
-	t.Logf("Compile at 634 strings holds %d B in %d objects (kernel tables %d B)", bytes, objects, tables)
-	if tables > kernelTablesCeiling {
-		t.Errorf("the kernel's tables take %d B at 634 strings, more than an L2 slice (%d)", tables, kernelTablesCeiling)
+	seen := map[reflect.Type]bool{}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		if banned[ty] {
+			t.Errorf("%s is an %s", path, ty)
+		}
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Map:
+			walk(ty.Key(), path+"[key]")
+			walk(ty.Elem(), path+"[]")
+		}
 	}
-	if bytes > matcherHeapCeiling {
-		t.Errorf("a compiled 634-string matcher holds %d B live, ceiling %d", bytes, matcherHeapCeiling)
+	walk(reflect.TypeOf(Matcher{}), "Matcher")
+	walk(reflect.TypeOf(Gateway{}), "Gateway")
+	for _, reached := range []any{core.Machine{}, core.Program{}, gwGeneration{}, gwFlow{}, gwLane{}} {
+		if !seen[reflect.TypeOf(reached)] {
+			t.Errorf("the walk did not reach %T", reached)
+		}
 	}
-	if objects > matcherObjectsCeiling {
-		t.Errorf("a compiled 634-string matcher holds %d heap objects, ceiling %d", objects, matcherObjectsCeiling)
-	}
-	runtime.KeepAlive(m)
 }

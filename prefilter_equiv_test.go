@@ -102,7 +102,7 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 			}
 			for i, w := range want {
 				end := w.End + segStart
-				start := end - trie.PatternLen(w.PatternID)
+				start := end - len(rules.Content(int(w.PatternID)))
 				if got[i].PatternID != int(w.PatternID) || got[i].End != end || got[i].Start != start {
 					t.Fatalf("segment at %d: match %d = %+v, oracle id=%d [%d,%d)",
 						segStart, i, got[i], w.PatternID, start, end)

@@ -13,9 +13,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -464,6 +467,86 @@ func TestSwapUnderConcurrentLoad(t *testing.T) {
 	if l := st.Ledger(); !l.Balanced() {
 		t.Fatalf("ledger unbalanced after swap storm: %+v", l)
 	}
+}
+
+// TestSwapRetiredGenerationIsCollected: retirement is an accounting event —
+// a generation leaves Gateway.gens — and the memory only comes back if
+// nothing else still points at its image. A gateway opens flows on
+// generation A, swaps to B, and the flows finish: A must be counted retired,
+// A's Matcher must actually be collected (a finalizer says so), and the
+// settled heap must be back to what one image and the flow table held before
+// the swap — not two images.
+func TestSwapRetiredGenerationIsCollected(t *testing.T) {
+	const flows = 256
+	rules, err := GenerateSnortLike(634, SoakSeed(2010))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var collected atomic.Bool
+	// The first generation is compiled where the test's own frame cannot
+	// keep it reachable.
+	open := func() *Gateway {
+		a, err := Compile(rules, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(a, func(*Matcher) { collected.Store(true) })
+		return testGateway(t, a, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) {})
+	}
+	gw := open()
+
+	payload := []byte("no pattern of the ruleset ends inside this segment, probably")
+	send := func(flags TCPFlags, seq uint32, payload []byte) {
+		t.Helper()
+		for i := 0; i < flows; i++ {
+			if err := gw.Ingest(GatewayPacket{Tuple: footprintTuple(i), Seq: seq, Flags: FlagSeq | flags, Payload: payload}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gw.Flush()
+	}
+	send(FlagSYN, 1000, nil)
+	send(0, 1001, payload)
+	oneImage := liveHeap() // and the flow table, which keeps its entries as husks after FIN
+
+	b, err := Compile(rules, Config{}) // same rules, so the same size: a new generation all the same
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.SwapRules(b); err != nil {
+		t.Fatal(err)
+	}
+	if st := gw.Stats(); st.GenerationsRetired != 0 || st.GenerationsLive != 2 {
+		t.Fatalf("with %d flows pinned to it the old generation must drain, not retire: %+v", flows, gw.Generations())
+	}
+	twoImages := liveHeap()
+	if collected.Load() {
+		t.Fatal("the old generation was collected while flows were pinned to it")
+	}
+
+	send(FlagFIN, 1001+uint32(len(payload)), nil)
+	if st := gw.Stats(); st.GenerationsRetired != 1 || st.GenerationsLive != 1 || !st.Ledger().Balanced() {
+		t.Fatalf("the last pinned flow finished and the old generation is not retired: %+v, %+v", gw.Generations(), st)
+	}
+	for cycle := 0; cycle < 10 && !collected.Load(); cycle++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
+	}
+	if !collected.Load() {
+		t.Fatal("the retired generation's Matcher survived ten collections: something still points at it")
+	}
+	if raceEnabled {
+		return // heap sizes are not the product's under -race
+	}
+	settled := liveHeap()
+	t.Logf("one image %d B, two in flight %d B, settled after retirement %d B", oneImage, twoImages, settled)
+	// Both images are the same rules compiled twice, so the same size; the
+	// slack is a tenth of one, for whatever the runtime moved meanwhile.
+	image := int64(twoImages) - int64(oneImage)
+	if grown := int64(settled) - int64(oneImage); grown > image/10 {
+		t.Fatalf("after retirement the heap holds %d B more than it did with one %d B image and the same flows", grown, image)
+	}
+	runtime.KeepAlive(b)
 }
 
 type writerTo struct{ b []byte }
