@@ -1,6 +1,7 @@
 package dpi
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -12,9 +13,12 @@ import (
 // TestRootDoesNotImportHardwareModel keeps the sensor/hardware-model
 // boundary open: the root package is the software sensor, and the paper's
 // FPGA model (block memory images, device tables, power curves) is linked
-// only by binaries that import repro/fpga. It parses the package's non-test
-// files, so it names the offending file; CI's lint job asserts the same of
-// the transitive closure with `go list -deps .`.
+// only by binaries that import repro/fpga. The same goes for the group split
+// that fits a ruleset to block memories: software scans one core.Machine, so
+// no file here may mention core.Grouped or core.BuildGrouped. It parses the
+// package's non-test files, so it names the offending file; CI's lint job
+// asserts the imports of the transitive closure with `go list -deps .` and
+// the group split with grep.
 func TestRootDoesNotImportHardwareModel(t *testing.T) {
 	hardware := map[string]bool{
 		"repro/fpga":             true,
@@ -25,7 +29,7 @@ func TestRootDoesNotImportHardwareModel(t *testing.T) {
 	}
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ImportsOnly)
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +42,16 @@ func TestRootDoesNotImportHardwareModel(t *testing.T) {
 					t.Errorf("%s imports %s: the hardware model belongs behind package fpga", name, path)
 				}
 			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "core" && (sel.Sel.Name == "Grouped" || sel.Sel.Name == "BuildGrouped") {
+					t.Errorf("%s mentions core.%s: the group split is the hardware model's, behind fpga.New", name, sel.Sel.Name)
+				}
+				return true
+			})
 		}
 	}
 	if files == 0 {

@@ -69,7 +69,7 @@ func soakMatcher(t testing.TB, n int, backend string) (*dpi.Matcher, *ruleset.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := dpi.Compile(rules, dpi.Config{Groups: 2, Backend: backend})
+	m, err := dpi.Compile(rules, dpi.Config{Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 		rulesPath = flag.String("rules", "", "ruleset file (required)")
 		statsOnly = flag.Bool("stats", false, "print compression statistics and exit")
 		devName   = flag.String("device", "", "also report the hardware model: cyclone3 or stratix3")
-		groups    = flag.Int("groups", 0, "split the ruleset across this many blocks (0 = auto)")
+		groups    = flag.Int("groups", 0, "with -device: split the ruleset across this many blocks (0 = the fewest that fit)")
 	)
 	flag.Parse()
 	if *rulesPath == "" {
@@ -53,7 +53,7 @@ func run(w io.Writer, rulesPath string, files []string, statsOnly bool, devName 
 	if err != nil {
 		return err
 	}
-	m, err := dpi.Compile(rules, dpi.Config{Groups: groups})
+	m, err := dpi.Compile(rules, dpi.Config{})
 	if err != nil {
 		return err
 	}
@@ -71,7 +71,7 @@ func run(w io.Writer, rulesPath string, files []string, statsOnly bool, devName 
 		default:
 			return fmt.Errorf("unknown device %q (want cyclone3 or stratix3)", devName)
 		}
-		a, err := fpga.New(m, dev)
+		a, err := fpga.New(m, dev, groups)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	dpi "repro"
 )
 
 func writeFile(t *testing.T, dir, name, content string) string {
@@ -53,6 +55,31 @@ func TestRunStatsOnlyWithDevice(t *testing.T) {
 	}
 	if !strings.Contains(out, "Stratix III") || !strings.Contains(out, "44.2 Gbps") {
 		t.Errorf("device report missing:\n%s", out)
+	}
+}
+
+// TestRunDeviceAutoGroups: -groups 0 means what its help says — the fewest
+// groups that fit the device. 1 603 strings outgrow one Cyclone III block, so
+// the report splits them over two; -groups 1 still forces one, and fails.
+func TestRunDeviceAutoGroups(t *testing.T) {
+	rs, err := dpi.GenerateSnortLike(1603, 2010)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file strings.Builder
+	if err := rs.Write(&file); err != nil {
+		t.Fatal(err)
+	}
+	rules := writeFile(t, t.TempDir(), "rules.txt", file.String())
+	var sb strings.Builder
+	if err := run(&sb, rules, nil, true, "cyclone3", 0); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); !strings.Contains(out, "Cyclone III: 4 blocks, 2 groups, 2 concurrent packet sets") {
+		t.Errorf("auto split missing:\n%s", out)
+	}
+	if err := run(&sb, rules, nil, true, "cyclone3", 1); err == nil {
+		t.Error("-groups 1 fit 1 603 strings into one Cyclone III block")
 	}
 }
 

@@ -62,51 +62,15 @@ func run(rulesPath, devName, outDir string, groups int) error {
 		return err
 	}
 
-	// Find the smallest grouping whose images fit the device blocks.
-	tryGroups := []int{groups}
-	if groups == 0 {
-		tryGroups = nil
-		for g := 1; g <= dev.Blocks; g++ {
-			tryGroups = append(tryGroups, g)
-		}
-	}
-	var images []*hwsim.Image
-	var chosen int
-	for _, g := range tryGroups {
-		grouped, err := core.BuildGrouped(set, g, core.Options{})
-		if err != nil {
-			return err
-		}
-		images = images[:0]
-		fits := true
-		for _, m := range grouped.Machines {
-			img, err := hwsim.Pack(m)
-			if err != nil {
-				fits = false
-				break
-			}
-			if img.Stats.StateWords > dev.StateWordsPerBlock {
-				fits = false
-				break
-			}
-			images = append(images, img)
-		}
-		if fits {
-			chosen = g
-			break
-		}
-		if groups != 0 {
-			return fmt.Errorf("ruleset does not fit %s blocks with %d groups", dev.Name, g)
-		}
-	}
-	if chosen == 0 {
-		return fmt.Errorf("ruleset does not fit %s even with %d groups", dev.Name, dev.Blocks)
+	accel, err := hwsim.BuildAccelerator(dev, set, groups, core.Options{})
+	if err != nil {
+		return err
 	}
 
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	for gi, img := range images {
+	for gi, img := range accel.Images {
 		mifs, err := img.ExportMIFs(dev.StateWordsPerBlock)
 		if err != nil {
 			return fmt.Errorf("group %d: %w", gi, err)
@@ -129,11 +93,11 @@ func run(rulesPath, devName, outDir string, groups int) error {
 			gi, img.Stats.States, img.Stats.StateWords, dev.StateWordsPerBlock,
 			100*img.Stats.FillRatio, img.Stats.MatchWordsUsed)
 	}
-	tput, err := dev.AggregateThroughputBps(chosen)
+	tput, err := dev.AggregateThroughputBps(accel.Groups)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s: %d group(s), %d concurrent packet set(s), %.1f Gbps\n",
-		dev.Name, chosen, dev.Blocks/chosen, tput/1e9)
+		dev.Name, accel.Groups, accel.Sets, tput/1e9)
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/hwsim"
+	"repro/internal/ruleset"
 )
 
 func writeRules(t *testing.T, lines string) string {
@@ -49,6 +50,29 @@ func TestRunExplicitGroups(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(out, name)); err != nil {
 			t.Fatalf("%s missing: %v", name, err)
 		}
+	}
+}
+
+// TestRunAutoSplits: -groups 0 takes the fewest groups whose images fit the
+// device — two Cyclone III blocks for 1 603 strings — and forcing one fails.
+func TestRunAutoSplits(t *testing.T) {
+	var file strings.Builder
+	if err := ruleset.WriteFile(&file, ruleset.MustGenerate(ruleset.GenConfig{N: 1603, Seed: 2010})); err != nil {
+		t.Fatal(err)
+	}
+	rules := writeRules(t, file.String())
+	out := t.TempDir()
+	if err := run(rules, "cyclone3", out, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(out, "group1.match.mif")); err != nil {
+		t.Fatalf("no second group: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(out, "group2.match.mif")); !os.IsNotExist(err) {
+		t.Fatal("split further than the fit needs")
+	}
+	if err := run(rules, "cyclone3", t.TempDir(), 1); err == nil {
+		t.Fatal("one Cyclone III block held 1 603 strings")
 	}
 }
 

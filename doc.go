@@ -126,11 +126,14 @@
 // paper's FPGA design — packed 324-bit memory images, 6-engine string
 // matching blocks, multi-block scan-out with throughput, resource and power
 // reporting for the Cyclone III and Stratix III targets — is package
-// repro/fpga, built from a Matcher with fpga.New.
+// repro/fpga, built from a Matcher with fpga.New. The paper's split of a
+// large ruleset into groups, one per block, so each machine fits a block's
+// state memory, is that model's too (fpga.New's groups argument): a Matcher
+// is one automaton at any ruleset size.
 //
 // Match ordering is canonical everywhere: FindAll and Scan order by
-// (End, PatternID); Stream emits that same sequence incrementally
-// (per-chunk sorted, which is globally sorted because a match surfaces in
+// (End, PatternID) — the automaton's own emission order, nothing sorts —
+// and Stream emits that same sequence incrementally (a match surfaces in
 // the chunk holding its final byte); fpga's Accelerator.ScanPackets orders
 // by (PacketID, End, PatternID).
 //

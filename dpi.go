@@ -168,15 +168,11 @@ type Config struct {
 	// MaxDefaultDepth limits default depths for ablation: 1, 2 or 3
 	// (0 = 3, the full scheme).
 	MaxDefaultDepth int
-	// Groups splits the ruleset across that many independent machines, one
-	// per string matching block (0 = 1). Needed when a machine outgrows a
-	// block's memory.
-	Groups int
-	// DenseStates budgets the baked kernel's fast tier per group machine:
-	// states whose whole move row is precomputed, as a bitmap over the
-	// depth-1 default row plus the targets that differ from it (0 = the
-	// default budget, negative disables the tier). Tuning only — match
-	// output is identical at any setting.
+	// DenseStates budgets the baked kernel's fast tier: states whose whole
+	// move row is precomputed, as a bitmap over the depth-1 default row plus
+	// the targets that differ from it (0 = the default budget, negative
+	// disables the tier). Tuning only — match output is identical at any
+	// setting.
 	DenseStates int
 	// Backend selects the scan implementation every stream and gateway lane
 	// built from this matcher runs:
@@ -211,12 +207,9 @@ const (
 
 // Validate reports whether the configuration is compilable, without
 // compiling anything. Compile runs exactly this check first: the knob
-// ranges, Groups, and Backend-name resolution against the registered
-// backends. Every failure wraps ErrBadConfig.
+// ranges and Backend-name resolution against the registered backends. Every
+// failure wraps ErrBadConfig.
 func (c Config) Validate() error {
-	if c.Groups < 0 {
-		return fmt.Errorf("%w: negative Groups %d", ErrBadConfig, c.Groups)
-	}
 	if err := c.coreOptions().Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
@@ -250,19 +243,20 @@ type Match struct {
 // Streams and in a Gateway's flow records.
 type Matcher struct {
 	rules   *Ruleset
-	grouped *core.Grouped
+	machine *core.Machine
 	cfg     Config
 	// patLen[id] is the byte length of pattern id, 0 for unused IDs. IDs are
 	// bounded by the 13-bit hardware string-number range, so a dense slice
-	// beats the per-match linear search over group machines.
+	// beats a per-match map lookup.
 	patLen []int32
 }
 
-// Compile builds the compressed automaton (or automata, if cfg.Groups > 1)
-// for the ruleset. Configuration failures — including an empty ruleset or
-// a group split the set cannot satisfy — wrap ErrBadConfig (see
-// Config.Validate). Every successful Compile stamps the matcher with a
-// fresh generation (Matcher.Generation).
+// Compile builds the compressed automaton for the ruleset: one machine,
+// whatever the ruleset's size — splitting it into groups is how the hardware
+// fits a block's memory, and is fpga.New's. Configuration failures —
+// including an empty ruleset — wrap ErrBadConfig (see Config.Validate).
+// Every successful Compile stamps the matcher with a fresh generation
+// (Matcher.Generation).
 func Compile(r *Ruleset, cfg Config) (*Matcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -270,11 +264,7 @@ func Compile(r *Ruleset, cfg Config) (*Matcher, error) {
 	if r.Len() == 0 {
 		return nil, fmt.Errorf("%w: cannot compile an empty ruleset", ErrBadConfig)
 	}
-	groups := cfg.Groups
-	if groups == 0 {
-		groups = 1
-	}
-	g, err := core.BuildGrouped(r.set, groups, cfg.coreOptions())
+	machine, err := core.Build(r.set, cfg.coreOptions())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
@@ -288,17 +278,17 @@ func Compile(r *Ruleset, cfg Config) (*Matcher, error) {
 	for _, p := range r.set.Patterns {
 		patLen[p.ID] = int32(len(p.Data))
 	}
-	return &Matcher{rules: r, grouped: g, cfg: cfg, patLen: patLen}, nil
+	return &Matcher{rules: r, machine: machine, cfg: cfg, patLen: patLen}, nil
 }
 
 // Rules returns the matcher's ruleset.
 func (m *Matcher) Rules() *Ruleset { return m.rules }
 
-// InternalGrouped exposes the compiled automaton for in-module packages
-// (fpga packs it into block memory images), under the same contract as
+// InternalMachine exposes the compiled automaton for in-module packages
+// (fpga reads the options it was built with), under the same contract as
 // Ruleset.InternalSet: the type is internal, so importers outside this
 // module cannot use it; treat the returned value as read-only.
-func (m *Matcher) InternalGrouped() *core.Grouped { return m.grouped }
+func (m *Matcher) InternalMachine() *core.Machine { return m.machine }
 
 // Generation reports the matcher's compile generation: process-unique and
 // monotonically increasing across Compiles. It is an identity for this
@@ -306,14 +296,12 @@ func (m *Matcher) InternalGrouped() *core.Grouped { return m.grouped }
 // yields two distinct generations. Gateway.SwapRules uses it to order
 // reloads (an older or already-installed matcher is ErrStaleGeneration)
 // and to label the per-generation flow accounting on Stats and Metrics.
-func (m *Matcher) Generation() uint64 { return m.grouped.Generation }
+func (m *Matcher) Generation() uint64 { return m.machine.Generation() }
 
 // Backend reports the resolved scan backend every scanner built from this
 // matcher runs: Config.Backend, with auto resolved to what actually
 // compiled (baked, or reference on configurations outside the row format).
-func (m *Matcher) Backend() string {
-	return m.grouped.Machines[0].DefaultBackend()
-}
+func (m *Matcher) Backend() string { return m.machine.DefaultBackend() }
 
 func (m *Matcher) convert(am ac.Match, packetID int) Match {
 	length := 0
@@ -331,7 +319,7 @@ func (m *Matcher) convert(am ac.Match, packetID int) Match {
 // FindAll scans one payload and returns every match in canonical order:
 // ascending End, ties broken by ascending PatternID.
 func (m *Matcher) FindAll(payload []byte) []Match {
-	raw := m.grouped.FindAll(payload)
+	raw := m.machine.FindAll(payload)
 	out := make([]Match, len(raw))
 	for i, am := range raw {
 		out[i] = m.convert(am, -1)
@@ -343,7 +331,7 @@ func (m *Matcher) FindAll(payload []byte) []Match {
 // fn for each match in FindAll's canonical order. Nothing is emitted before
 // the scan finishes; to consume matches as bytes arrive, use a Stream.
 func (m *Matcher) Scan(payload []byte, fn func(Match)) {
-	for _, am := range m.grouped.FindAll(payload) {
+	for _, am := range m.machine.FindAll(payload) {
 		fn(m.convert(am, -1))
 	}
 }
@@ -364,12 +352,11 @@ type CompressionStats struct {
 	AvgStored         float64
 	Reduction         float64 // fraction of pointers eliminated
 	MaxStoredPerState int
-	Groups            int
 }
 
-// Stats returns compression statistics aggregated over groups.
+// Stats returns the machine's compression statistics.
 func (m *Matcher) Stats() CompressionStats {
-	cs := m.grouped.CombinedStats()
+	cs := m.machine.Stats
 	return CompressionStats{
 		States:            cs.States,
 		OriginalPointers:  cs.OriginalPointers,
@@ -384,15 +371,13 @@ func (m *Matcher) Stats() CompressionStats {
 		AvgStored:         cs.AvgStored,
 		Reduction:         cs.Reduction,
 		MaxStoredPerState: cs.MaxStoredPerState,
-		Groups:            len(m.grouped.Machines),
 	}
 }
 
-// KernelStats reports the memory layout of the compiled flat scan kernel,
-// aggregated across group machines — the software analogue of the
-// accelerator's block-memory fill report: every table the kernel reads
-// while scanning. No trie is listed because none is held: the matcher
-// keeps the compressed image only.
+// KernelStats reports the memory layout of the compiled flat scan kernel —
+// the software analogue of the accelerator's block-memory fill report:
+// every table the kernel reads while scanning. No trie is listed because
+// none is held: the matcher keeps the compressed image only.
 type KernelStats struct {
 	// Baked is false when the matcher runs on the reference interpreter
 	// (Backend: reference, or a configuration outside the fixed row
@@ -400,8 +385,7 @@ type KernelStats struct {
 	Baked bool
 	// Backend is the resolved active backend (Matcher.Backend).
 	Backend       string
-	Groups        int
-	States        int // automaton states across groups
+	States        int // automaton states
 	DenseStates   int // states promoted to fast rows (precomputed whole move rows)
 	StoredEntries int // CSR stored-pointer entries of the compressed states
 	DenseBytes    int // the fast tier: 48 B per promoted state plus 4 B per override of the depth-1 default row
@@ -414,10 +398,9 @@ type KernelStats struct {
 	OutputBytes int // output bitsets, rank tables and flattened pattern-ID lists
 	TotalBytes  int
 
-	// Lossy prefilter stage (zero when unavailable). The layout fields
-	// aggregate across group machines; the counters accumulate over every
-	// scanner sharing this matcher, and SuspectRate is suspect windows per
-	// skimmed byte on the traffic actually seen.
+	// Lossy prefilter stage (zero when unavailable). The counters
+	// accumulate over every scanner sharing this matcher, and SuspectRate is
+	// suspect windows per skimmed byte on the traffic actually seen.
 	PrefilterStates int
 	PrefilterBytes  int
 	SkimmedBytes    uint64
@@ -437,33 +420,29 @@ type KernelStats struct {
 // baked flat layout and, when compiled, the lossy prefilter stage with its
 // runtime skim accounting.
 func (m *Matcher) Kernel() KernelStats {
-	var ks KernelStats
-	ks.Baked = true
-	for _, machine := range m.grouped.Machines {
-		p := machine.Program()
-		if p == nil {
-			return KernelStats{Backend: m.Backend()}
-		}
-		st := p.Stats()
-		ks.Groups++
-		ks.States += st.States
-		ks.DenseStates += st.DenseStates
-		ks.StoredEntries += st.StoredEntries
-		ks.DenseBytes += st.DenseBytes
-		ks.StoredBytes += st.StoredBytes
-		ks.LookupBytes += st.LookupBytes
-		ks.OutputBytes += st.OutputBytes
-		ks.TotalBytes += st.TotalBytes
-		if pf := machine.Prefilter(); pf != nil {
-			pst := pf.Stats()
-			ks.PrefilterStates += pst.States
-			ks.PrefilterBytes += pst.TableBytes
-			ks.SkimmedBytes += pst.SkimmedBytes
-			ks.ExactBytes += pst.ExactBytes
-			ks.SuspectWindows += pst.SuspectWindows
-		}
+	ks := KernelStats{Backend: m.Backend()}
+	p := m.machine.Program()
+	if p == nil {
+		return ks
 	}
-	ks.Backend = m.Backend()
+	st := p.Stats()
+	ks.Baked = true
+	ks.States = st.States
+	ks.DenseStates = st.DenseStates
+	ks.StoredEntries = st.StoredEntries
+	ks.DenseBytes = st.DenseBytes
+	ks.StoredBytes = st.StoredBytes
+	ks.LookupBytes = st.LookupBytes
+	ks.OutputBytes = st.OutputBytes
+	ks.TotalBytes = st.TotalBytes
+	if pf := m.machine.Prefilter(); pf != nil {
+		pst := pf.Stats()
+		ks.PrefilterStates = pst.States
+		ks.PrefilterBytes = pst.TableBytes
+		ks.SkimmedBytes = pst.SkimmedBytes
+		ks.ExactBytes = pst.ExactBytes
+		ks.SuspectWindows = pst.SuspectWindows
+	}
 	if ks.SkimmedBytes > 0 {
 		ks.SuspectRate = float64(ks.SuspectWindows) / float64(ks.SkimmedBytes)
 	}
@@ -477,25 +456,20 @@ func (m *Matcher) Kernel() KernelStats {
 // tables, of the output table every backend emits from, plus a scan-level
 // cross-check of every backend on the provided payloads (may be nil).
 func (m *Matcher) Verify(payloads [][]byte) error {
-	for gi, machine := range m.grouped.Machines {
-		oracle, err := ac.New(m.grouped.Sets[gi])
-		if err != nil {
-			return fmt.Errorf("group %d: %w", gi, err)
-		}
-		if err := machine.VerifyTransitions(oracle); err != nil {
-			return fmt.Errorf("group %d: %w", gi, err)
-		}
-		if machine.Program() != nil {
-			if err := machine.VerifyProgram(oracle); err != nil {
-				return fmt.Errorf("group %d: %w", gi, err)
-			}
-		}
-		if err := machine.VerifyOutputs(oracle); err != nil {
-			return fmt.Errorf("group %d: %w", gi, err)
-		}
-		if err := machine.VerifyScan(oracle, payloads); err != nil {
-			return fmt.Errorf("group %d: %w", gi, err)
+	oracle, err := ac.New(m.rules.set)
+	if err != nil {
+		return err
+	}
+	if err := m.machine.VerifyTransitions(oracle); err != nil {
+		return err
+	}
+	if m.machine.Program() != nil {
+		if err := m.machine.VerifyProgram(oracle); err != nil {
+			return err
 		}
 	}
-	return nil
+	if err := m.machine.VerifyOutputs(oracle); err != nil {
+		return err
+	}
+	return m.machine.VerifyScan(oracle, payloads)
 }

@@ -149,32 +149,6 @@ func TestVerify(t *testing.T) {
 	}
 }
 
-func TestGroupedCompileMatchesSingle(t *testing.T) {
-	rs, err := GenerateSnortLike(600, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := Compile(rs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grouped, err := Compile(rs, Config{Groups: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := append([]byte("prefix "), rs.Content(5)...)
-	payload = append(payload, []byte(" suffix")...)
-	a, b := single.FindAll(payload), grouped.FindAll(payload)
-	if len(a) != len(b) {
-		t.Fatalf("single found %d, grouped %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("match %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestRulesetWriteParseRoundTrip(t *testing.T) {
 	r := webRules(t)
 	var buf bytes.Buffer

@@ -34,17 +34,18 @@ import (
 )
 
 func main() {
-	// A ruleset too large for one block: split across 2 groups, giving 3
-	// concurrent packet sets on the Stratix III (Table II).
 	rules, err := dpi.GenerateSnortLike(1603, 2010)
 	if err != nil {
 		log.Fatal(err)
 	}
-	matcher, err := dpi.Compile(rules, dpi.Config{Groups: 2})
+	matcher, err := dpi.Compile(rules, dpi.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	accel, err := fpga.New(matcher, fpga.Stratix3)
+	// For the hardware the ruleset is too large for one block: split across
+	// 2 groups, giving 3 concurrent packet sets on the Stratix III (Table II).
+	// The software matcher above is one automaton regardless.
+	accel, err := fpga.New(matcher, fpga.Stratix3, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Package fpga is the functional model of the paper's FPGA design: a
-// compiled dpi.Matcher packed into bit-packed block memory images and
-// scanned by 6 engines per string matching block, with the modeled
+// dpi.Matcher's ruleset, split into as many groups as the device's block
+// memory needs, packed into bit-packed block memory images and scanned by 6
+// engines per string matching block, with the modeled
 // resource, throughput and power figures of Tables I-II and Figures 7-8.
 // It is the hardware half of the reproduction; the software sensor (package
 // dpi: Matcher, Stream, Gateway) does not depend on it.
@@ -61,16 +62,20 @@ type Accelerator struct {
 	patLen map[int32]int // pattern ID to byte length, for Match.Start
 }
 
-// New packs the matcher's group machines into block memory images for the
-// device. It fails when a group machine does not fit a block (compile with
-// more Groups) or when the device has fewer blocks than the matcher has
-// groups.
-func New(m *dpi.Matcher, d Device) (*Accelerator, error) {
+// New compiles the matcher's ruleset, with the options the matcher was
+// compiled with, for the device: split across groups string matching blocks
+// (the paper's answer to a machine that outgrows a block's state memory,
+// §IV.B) and packed into block memory images. groups == 0 chooses the
+// smallest split whose every image fits a block. It fails when an image does
+// not fit (ask for more groups), when the device has fewer blocks than
+// groups, or when the ruleset cannot be split that many ways. The software
+// matcher itself is always one machine; the split is this model's alone.
+func New(m *dpi.Matcher, d Device, groups int) (*Accelerator, error) {
 	dev, err := d.model()
 	if err != nil {
 		return nil, err
 	}
-	hw, err := hwsim.NewAccelerator(dev, m.InternalGrouped())
+	hw, err := hwsim.BuildAccelerator(dev, m.Rules().InternalSet(), groups, m.InternalMachine().Opts)
 	if err != nil {
 		return nil, err
 	}

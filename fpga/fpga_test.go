@@ -16,11 +16,11 @@ func TestAcceleratorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := dpi.Compile(rs, dpi.Config{Groups: 2})
+	m, err := dpi.Compile(rs, dpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := fpga.New(m, fpga.Stratix3)
+	a, err := fpga.New(m, fpga.Stratix3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAcceleratorPowerSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := fpga.New(m, fpga.Cyclone3)
+	a, err := fpga.New(m, fpga.Cyclone3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,43 @@ func TestAcceleratorRejectsOversizedGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := dpi.Compile(rs, dpi.Config{Groups: 6})
+	m, err := dpi.Compile(rs, dpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fpga.New(m, fpga.Cyclone3); err == nil {
+	if _, err := fpga.New(m, fpga.Cyclone3, 6); err == nil {
 		t.Fatal("6 groups accepted on a 4-block device")
+	}
+	if _, err := fpga.New(m, fpga.Cyclone3, -1); err == nil {
+		t.Fatal("a negative group count accepted")
+	}
+}
+
+// TestAcceleratorChoosesSmallestFit: groups == 0 splits the ruleset into the
+// fewest groups whose images fit the device's blocks — two on the Cyclone
+// III for the 1 603-string set, which one of its blocks cannot hold and one
+// Stratix III block can.
+func TestAcceleratorChoosesSmallestFit(t *testing.T) {
+	rs, err := dpi.GenerateSnortLike(1603, 2010)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := dpi.Compile(rs, dpi.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fpga.New(m, fpga.Cyclone3, 1); err == nil {
+		t.Fatal("1 603 strings fit one Cyclone III block; the fit case tests nothing")
+	}
+	a, err := fpga.New(m, fpga.Cyclone3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := a.Report(); rep.Groups != 2 || rep.ConcurrentSets != 2 || rep.StateWordsMax > rep.StateWordsCap {
+		t.Fatalf("auto fit: %+v, want 2 groups in 2 sets within the block", rep)
+	}
+	if a, err = fpga.New(m, fpga.Stratix3, 0); err != nil || a.Report().Groups != 1 {
+		t.Fatalf("the same set fits one Stratix III block: %v", err)
 	}
 }
 
@@ -132,13 +163,15 @@ func attackPayloads(t *testing.T, rules *dpi.Ruleset, cfg traffic.Config) [][]by
 	return payloads
 }
 
-// checkAgainstFindAll packs m for dev and requires the hardware model's
-// scan-out of payloads to be the software oracle's exactly: FindAll per
-// payload stamped with the packet index, same matches in the same canonical
-// (PacketID, End, PatternID) order.
-func checkAgainstFindAll(t *testing.T, m *dpi.Matcher, dev fpga.Device, payloads [][]byte) {
+// checkAgainstFindAll packs m's ruleset for dev, split across groups blocks,
+// and requires the hardware model's scan-out of payloads to be the software
+// oracle's exactly: FindAll — one machine, whatever the split — per payload
+// stamped with the packet index, same matches in the same canonical
+// (PacketID, End, PatternID) order. At groups > 1 this is the
+// grouped-equals-ungrouped proof.
+func checkAgainstFindAll(t *testing.T, m *dpi.Matcher, dev fpga.Device, groups int, payloads [][]byte) {
 	t.Helper()
-	a, err := fpga.New(m, dev)
+	a, err := fpga.New(m, dev, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,18 +217,18 @@ func TestAcceleratorAgreesWithFindAll(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := dpi.Compile(rules, dpi.Config{Groups: 2})
+			m, err := dpi.Compile(rules, dpi.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstFindAll(t, m, tc.dev, attackPayloads(t, rules, tc.traffic))
+			checkAgainstFindAll(t, m, tc.dev, 2, attackPayloads(t, rules, tc.traffic))
 		})
 	}
 }
 
 // TestAcceleratorEquivalenceProperty is the hardware leg of the root
 // package's TestScanAPIEquivalenceProperty, over the same randomized
-// rulesets, group splits and traffic profiles.
+// rulesets and traffic profiles, split across 1, 2 and 3 blocks.
 func TestAcceleratorEquivalenceProperty(t *testing.T) {
 	profiles := []traffic.Profile{traffic.Uniform, traffic.Textual, traffic.Zeroish}
 	for trial := 0; trial < 6; trial++ {
@@ -205,11 +238,11 @@ func TestAcceleratorEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := dpi.Compile(rules, dpi.Config{Groups: 1 + trial%3})
+			m, err := dpi.Compile(rules, dpi.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstFindAll(t, m, fpga.Stratix3, attackPayloads(t, rules, traffic.Config{
+			checkAgainstFindAll(t, m, fpga.Stratix3, 1+trial%3, attackPayloads(t, rules, traffic.Config{
 				Packets: 10, Bytes: 300 + 50*trial, Seed: seed,
 				AttackDensity: 1.5, Profile: profiles[trial%len(profiles)],
 			}))
@@ -232,5 +265,5 @@ func TestPipelineAdversarialParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstFindAll(t, m, fpga.Stratix3, [][]byte{payload})
+	checkAgainstFindAll(t, m, fpga.Stratix3, 1, [][]byte{payload})
 }

@@ -18,7 +18,7 @@ import (
 // the counters belong to the shard, there is no retired baseline to fold
 // them into.
 func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
-	m, _ := gatewayMatcher(t, 60, 1)
+	m, _ := gatewayMatcher(t, 60)
 	gw := testGateway(t, m, GatewayConfig{EngineShards: 2, StreamWorkers: 1}, func(FlowMatch) {})
 	defer gw.Close()
 
@@ -76,7 +76,7 @@ func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
 	}
 
 	before := gw.ShardStats()
-	m2, _ := gatewayMatcher(t, 60, 1)
+	m2, _ := gatewayMatcher(t, 60)
 	if err := gw.SwapRules(m2); err != nil {
 		t.Fatal(err)
 	}

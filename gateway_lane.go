@@ -118,10 +118,6 @@ type gwLane struct {
 	// the capacity of the lane's most match-dense segment, so the memory
 	// match buffers pin is bounded by lanes × worst segment, never by flows.
 	matches []ac.Match
-	// st is the start-of-packet registers a stateless packet scans from,
-	// re-opened for the current generation per packet; re-opening allocates
-	// only when a swap changed the group count.
-	st engine.FlowState
 }
 
 // open starts a connection on the record: it pins the current ruleset
@@ -136,7 +132,7 @@ func (fl *gwFlow) open(g *Gateway, sh *gwEngineShard) {
 	gen.flows.Add(1)
 	fl.gen = gen
 	sh.n[cEngFlowsOpened].Add(1)
-	fl.st.Open(gen.m.grouped)
+	fl.st.Open(gen.m.machine)
 	fl.asm.Init(&g.asmCfg)
 }
 
@@ -181,7 +177,7 @@ func (g *Gateway) emitMatches(sh *gwEngineShard, gen *gwGeneration, p *seqPacket
 // scan writes one in-order chunk through the flow's registers into the
 // lane's scratch and emits what it completed.
 func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
-	ln.matches = fl.st.Write(fl.gen.m.grouped, chunk, ln.matches[:0])
+	ln.matches = fl.st.Write(fl.gen.m.machine, chunk, ln.matches[:0])
 	ln.sh.n[cEngStreamBytes].Add(uint64(len(chunk)))
 	if len(ln.matches) > 0 {
 		ln.g.emitMatches(ln.sh, fl.gen, p, int(fl.ruleIdx), ln.matches)
@@ -454,8 +450,9 @@ func (ln *gwLane) datagram(p *seqPacket) {
 		return
 	}
 	gen := g.cur.Load()
-	ln.st.Open(gen.m.grouped)
-	ln.matches = ln.st.Write(gen.m.grouped, p.payload, ln.matches[:0])
+	var st engine.FlowState
+	st.Open(gen.m.machine)
+	ln.matches = st.Write(gen.m.machine, p.payload, ln.matches[:0])
 	sh.n[cEngBatchPkts].Add(1)
 	sh.n[cEngBatchBytes].Add(n)
 	if len(ln.matches) > 0 {

@@ -103,7 +103,7 @@ func TestGatewayReassemblyPermutationProperty(t *testing.T) {
 }
 
 func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards int) {
-	m, set := gatewayMatcherBackend(t, 250, 2, backend)
+	m, set := gatewayMatcherBackend(t, 250, backend)
 	if got := m.Backend(); got != backend {
 		t.Fatalf("matcher resolved backend %q, want pinned %q", got, backend)
 	}
@@ -405,7 +405,7 @@ func TestGatewayBufferCapPressure(t *testing.T) {
 // through a tiny flow table from several goroutines; eviction mid-gap must
 // release every buffered byte back to the shared budget (run with -race).
 func TestGatewayEvictionMidGapRace(t *testing.T) {
-	m, set := gatewayMatcher(t, 120, 1)
+	m, set := gatewayMatcher(t, 120)
 	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
 		Flows: 300, SegmentsPerFlow: 4, SegmentBytes: 64, Seed: 33,
 		CrossDensity: 0.5, Profile: traffic.Zeroish,
@@ -672,7 +672,7 @@ func TestGatewayVerdictsBatchPath(t *testing.T) {
 // ingest concurrently — no deadlock, no packets counted but unscanned at
 // the moment Flush returns once ingestion stops.
 func TestGatewayFlushSerializesWithIngest(t *testing.T) {
-	m, set := gatewayMatcher(t, 80, 1)
+	m, set := gatewayMatcher(t, 80)
 	pkts, err := traffic.Generate(set, traffic.Config{Packets: 300, Bytes: 100, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ import (
 // observes either admission or the closed error, never a third state; and
 // the final drained snapshot still balances the byte ledger.
 func TestGatewayShutdownUnderConcurrentLoad(t *testing.T) {
-	m, set := gatewayMatcher(t, 120, 2)
+	m, set := gatewayMatcher(t, 120)
 	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
 		Flows: 12, SegmentsPerFlow: 8, SegmentBytes: 120, Seed: 77,
 		CrossDensity: 1, AttackDensity: 1, Profile: traffic.Textual,
@@ -123,7 +123,7 @@ func TestGatewayShutdownUnderConcurrentLoad(t *testing.T) {
 // don't interleave with each other destructively, and Flush after Close
 // remains legal (it observes an empty pipeline).
 func TestGatewayFlushIdempotent(t *testing.T) {
-	m, _ := gatewayMatcher(t, 60, 1)
+	m, _ := gatewayMatcher(t, 60)
 	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	if err := gw.Ingest(GatewayPacket{Tuple: FiveTuple{Proto: ProtoUDP}, Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestGatewayFlushIdempotent(t *testing.T) {
 // and the lanes and no second kind of scanner, and all of them gone after
 // Close, which makes this the standing goroutine-leak check.
 func TestGatewayStageCensus(t *testing.T) {
-	m, _ := gatewayMatcher(t, 60, 1)
+	m, _ := gatewayMatcher(t, 60)
 	// settled samples the goroutine count until it holds still (bounded),
 	// riding out goroutines — this gateway's after Close, an earlier test's
 	// before the baseline — that have signalled completion but not exited.

@@ -34,8 +34,6 @@ func (c *collector) emit(fm FlowMatch) {
 	c.mu.Unlock()
 }
 
-// gatewayMatcher compiles a mid-size grouped matcher and returns its
-// internal pattern-set view for the traffic generators.
 // testGateway starts a gateway over m, failing the test if the constructor
 // rejects its arguments.
 func testGateway(t testing.TB, m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) *Gateway {
@@ -53,17 +51,19 @@ func (g *Gateway) rangeFlows(fn func(FiveTuple, *gwFlow)) {
 	g.eachLane(func(ln *gwLane) { ln.table.Range(fn) })
 }
 
-func gatewayMatcher(t testing.TB, strings int, groups int) (*Matcher, *ruleset.Set) {
-	return gatewayMatcherBackend(t, strings, groups, BackendAuto)
+// gatewayMatcher compiles a mid-size matcher and returns its internal
+// pattern-set view for the traffic generators.
+func gatewayMatcher(t testing.TB, strings int) (*Matcher, *ruleset.Set) {
+	return gatewayMatcherBackend(t, strings, BackendAuto)
 }
 
-func gatewayMatcherBackend(t testing.TB, strings, groups int, backend string) (*Matcher, *ruleset.Set) {
+func gatewayMatcherBackend(t testing.TB, strings int, backend string) (*Matcher, *ruleset.Set) {
 	t.Helper()
 	rules, err := GenerateSnortLike(strings, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Compile(rules, Config{Groups: groups, Backend: backend})
+	m, err := Compile(rules, Config{Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func sameMatchSeq(got, want []Match) bool {
 }
 
 func TestGatewayDemuxMatchesPerFlowOracle(t *testing.T) {
-	m, set := gatewayMatcher(t, 300, 2)
+	m, set := gatewayMatcher(t, 300)
 	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
 		Flows: 40, SegmentsPerFlow: 6, SegmentBytes: 150, Seed: 11,
 		CrossDensity: 2, AttackDensity: 1, Profile: traffic.Textual,
@@ -161,7 +161,7 @@ func TestGatewayDemuxMatchesPerFlowOracle(t *testing.T) {
 }
 
 func TestGatewayMixedProtocolRouting(t *testing.T) {
-	m, set := gatewayMatcher(t, 200, 1)
+	m, set := gatewayMatcher(t, 200)
 	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
 		Flows: 10, SegmentsPerFlow: 4, SegmentBytes: 120, Seed: 3,
 		CrossDensity: 1, Profile: traffic.Uniform,
@@ -265,7 +265,7 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 // flows through a 256-flow table must stay bounded by eviction the whole
 // way through.
 func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
-	m, set := gatewayMatcher(t, 120, 1)
+	m, set := gatewayMatcher(t, 120)
 	const maxFlows, lanes = 256, 4
 	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
 		Flows: 10000, SegmentsPerFlow: 2, SegmentBytes: 48, Seed: 21,
@@ -316,7 +316,7 @@ func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
 // connection's matches must equal the oracle in every window, at every lane
 // count (the cap is split and the clock scaled per lane).
 func TestGatewayChurnAtCapacity(t *testing.T) {
-	m, set := gatewayMatcher(t, 120, 1)
+	m, set := gatewayMatcher(t, 120)
 	const waves, perWave, windows = 8, 64, 30
 	const maxFlows = 3 * perWave
 	var pkts []GatewayPacket
@@ -433,7 +433,7 @@ func TestGatewayEvictedFlowRestartsClean(t *testing.T) {
 }
 
 func TestGatewayBackpressureLosesNothing(t *testing.T) {
-	m, set := gatewayMatcher(t, 100, 1)
+	m, set := gatewayMatcher(t, 100)
 	pkts, err := traffic.Generate(set, traffic.Config{
 		Packets: 400, Bytes: 200, Seed: 5, AttackDensity: 1,
 	})
@@ -484,7 +484,7 @@ func TestGatewayBackpressureLosesNothing(t *testing.T) {
 }
 
 func TestGatewayClosedBehaviour(t *testing.T) {
-	m, _ := gatewayMatcher(t, 60, 1)
+	m, _ := gatewayMatcher(t, 60)
 	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)
@@ -699,7 +699,7 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 // shard fan-out, and the total match count must equal the per-payload
 // oracle.
 func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
-	m, set := gatewayMatcher(t, 120, 1)
+	m, set := gatewayMatcher(t, 120)
 	pkts, err := traffic.Generate(set, traffic.Config{
 		Packets: 600, Bytes: 160, Seed: 9, AttackDensity: 1,
 	})
@@ -855,7 +855,7 @@ func TestGatewayQuarantineHusk(t *testing.T) {
 }
 
 // TestGatewayDatagramScanPanicContained: a stateless packet whose scan
-// panics (a nil group machine stands in for the scanner bug) is contained by
+// panics (an empty machine image stands in for the scanner bug) is contained by
 // the lane that took it — there is no batch worker to contain it anywhere
 // else. The datagram's payload goes to the quarantine bucket, uncommitted to
 // any other; no flow is quarantined, because there is none; the lane's depth
@@ -869,10 +869,7 @@ func TestGatewayDatagramScanPanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	poisoned := *good
-	poisoned.grouped = &core.Grouped{
-		Machines:   append(good.grouped.Machines[:1:1], nil),
-		Generation: good.Generation(),
-	}
+	poisoned.machine = &core.Machine{} // no state memory: the first stored-row lookup is out of range
 	healthy, err := Compile(rules, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 package dpi
 
 // Cross-layer integration tests: the software pipeline from synthetic
-// ruleset generation through grouped compilation to scan-out, cross-checked
+// ruleset generation through compilation to scan-out, cross-checked
 // against the reference baselines at every step. The hardware model's leg —
 // block packing and accelerator scan-out against this matcher — is package
 // fpga's TestAcceleratorAgreesWithFindAll.
@@ -34,13 +34,13 @@ func internalSet(t *testing.T, r *Ruleset) *ruleset.Set {
 }
 
 func TestPipelineEndToEnd(t *testing.T) {
-	// Generate → compile (grouped) → scan, and agree with (a) the goto/fail
+	// Generate → compile → scan, and agree with (a) the goto/fail
 	// reference, (b) the bitmap baseline on identical traffic.
 	rules, err := GenerateSnortLike(1204, 2010)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matcher, err := Compile(rules, Config{Groups: 2})
+	matcher, err := Compile(rules, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPipelineDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Compile(rules, Config{Groups: 2})
+		m, err := Compile(rules, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

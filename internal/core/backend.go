@@ -192,12 +192,12 @@ func (m *Machine) resolveKind() backendKind {
 func (m *Machine) DefaultBackend() string { return scanBackends[m.kind].name }
 
 // ScanAppend consumes data on the stream whose registers are r, appending
-// every match to out in canonical ascending-End order (ties in output-chain
-// order, as AppendOutputs emits them), on the backend the machine resolved
-// at build. All backends are byte-exact equivalent: same states, same
-// histories, same positions, same match sequences, on every input,
-// including mid-stream Reset and SkipAhead. The machine is shared and
-// immutable; r belongs to one goroutine at a time.
+// every match to out in canonical (End, PatternID) order — ends ascend with
+// the scan and each state's output list is stored sorted — on the backend
+// the machine resolved at build. All backends are byte-exact equivalent:
+// same states, same histories, same positions, same match sequences, on
+// every input, including mid-stream Reset and SkipAhead. The machine is
+// shared and immutable; r belongs to one goroutine at a time.
 func (m *Machine) ScanAppend(r *Regs, data []byte, out []ac.Match) []ac.Match {
 	return m.scanAs(m.kind, r, data, out)
 }

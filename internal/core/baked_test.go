@@ -120,11 +120,13 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 	segStart := 0  // stream position where the segment began
 	segMark := 0   // len(outs[0]) when the segment began
 
-	// checkSegment verifies the matches emitted during the segment against
-	// the uncompressed DFA scanning the same bytes.
+	// checkSegment verifies the matches emitted during the segment, as
+	// emitted, against the uncompressed DFA scanning the same bytes, put in
+	// canonical (End, PatternID) order.
 	checkSegment := func() {
 		t.Helper()
 		want := oracle.FindAll(seg)
+		ac.SortMatches(want)
 		got := outs[0][segMark:]
 		if len(got) != len(want) {
 			t.Fatalf("segment at %d: %d matches, oracle %d", segStart, len(got), len(want))

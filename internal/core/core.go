@@ -77,6 +77,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/ac"
@@ -395,10 +396,12 @@ func (m *Machine) Next(s int32, c byte, h2, h1 int16) int32 {
 }
 
 // outputTable is the match memory: per state, whether any pattern ends
-// there, and if so the complete list of those that do — own outputs, then
+// there, and if so the complete list of those that do — own outputs and
 // each fail-ancestor's along the OutLink chain, flattened at build time in
-// Trie.AppendOutputs' order, as the paper's match memory holds whole
-// string-number lists. One per machine, read by every interpreter: the
+// ascending pattern ID, as the paper's match memory holds whole
+// string-number lists. A scan visits ends in ascending order, so with each
+// list sorted one machine emits in canonical (End, PatternID) order by
+// construction. One per machine, read by every interpreter: the
 // reference loop, the baked kernel, hwsim's packer. The no-match fast path
 // loads one word of bits; on a hit the state's rank among output states —
 // a per-word prefix count plus a popcount of the lower bits — indexes off.
@@ -409,7 +412,7 @@ type outputTable struct {
 	ids  []int32  // every output state's full pattern-ID list, back to back
 }
 
-// newOutputTable flattens t's output chains.
+// newOutputTable flattens t's output chains, each state's list sorted.
 func newOutputTable(t *ac.Trie) outputTable {
 	n := int32(t.NumStates())
 	o := outputTable{bits: make([]uint64, (n+63)/64)}
@@ -434,10 +437,12 @@ func newOutputTable(t *ac.Trie) outputTable {
 		if !t.HasOutput(s) {
 			continue
 		}
-		o.off = append(o.off, uint32(len(o.ids)))
+		start := len(o.ids)
+		o.off = append(o.off, uint32(start))
 		for cur := s; cur != ac.None; cur = t.Nodes[cur].OutLink {
 			o.ids = append(o.ids, t.Out(cur)...)
 		}
+		slices.Sort(o.ids[start:])
 	}
 	o.off = append(o.off, uint32(len(o.ids)))
 	return o
@@ -464,7 +469,7 @@ func (o *outputTable) appendTo(s int32, pos int, out []ac.Match) []ac.Match {
 func (m *Machine) NumStates() int { return len(m.storedOff) - 1 }
 
 // AppendOutputs appends a Match ending at end for every pattern that ends
-// at state s, in the order ac.Trie.AppendOutputs gives them.
+// at state s, in ascending pattern ID.
 func (m *Machine) AppendOutputs(s int32, end int, out []ac.Match) []ac.Match {
 	if m.out.has(s) {
 		out = m.out.appendTo(s, end, out)

@@ -35,7 +35,7 @@ func denseBuild(t *ac.Trie, opts Options) (*Machine, []int64) {
 }
 
 // denseOutputs fills the output table by Trie.AppendOutputs, one OutLink
-// walk per state.
+// walk per state, each list then sorted by pattern ID.
 func denseOutputs(t *ac.Trie) outputTable {
 	n := t.NumStates()
 	o := outputTable{bits: make([]uint64, (n+63)/64), off: []uint32{}, ids: []int32{}}
@@ -47,7 +47,9 @@ func denseOutputs(t *ac.Trie) outputTable {
 		if t.HasOutput(int32(s)) {
 			o.bits[s>>6] |= 1 << (s & 63)
 			o.off = append(o.off, uint32(len(o.ids)))
-			for _, mt := range t.AppendOutputs(int32(s), 0, nil) {
+			outs := t.AppendOutputs(int32(s), 0, nil)
+			ac.SortMatches(outs)
+			for _, mt := range outs {
 				o.ids = append(o.ids, mt.PatternID)
 			}
 		}

@@ -2,15 +2,17 @@ package core
 
 import "sync/atomic"
 
-// Ruleset generations. Every compiled automaton — each Build, and each
-// BuildGrouped as a whole — is stamped with a process-unique, monotonically
-// increasing generation number. The generation is an identity, not a
-// version string: two compiles of byte-identical rules get distinct
-// generations, because what the control plane above (hot ruleset reload)
-// pins flows to is *this compiled artifact*, not "rules that look the
-// same". Registers carry no reference to a machine, so whoever holds a
-// Regs records the generation of the machine it resets them for — the
-// engine's flow state does, and the hot-reload audit reads it there.
+// Ruleset generations. Every compiled automaton — each Build; a
+// BuildGrouped restamps its machines with one shared number — is stamped
+// with a process-unique, monotonically increasing generation number, so a
+// dpi.Compile, which is one Build, consumes exactly one. The generation is
+// an identity, not a version string: two compiles of byte-identical rules
+// get distinct generations, because what the control plane above (hot
+// ruleset reload) pins flows to is *this compiled artifact*, not "rules
+// that look the same". Registers carry no reference to a machine, so
+// whoever holds a Regs records the generation of the machine it resets them
+// for — the engine's flow state does, and the hot-reload audit reads it
+// there.
 var generationCounter atomic.Uint64
 
 // nextGeneration issues the next process-unique generation number.

@@ -12,7 +12,9 @@ import (
 // thousands of strings the search structures can be split across the memory
 // of multiple engines with the engines working together to scan a packet."
 // Every group scans the same packet; matches carry global string numbers so
-// results merge trivially.
+// results merge trivially. The split exists so each machine fits a block's
+// state memory: it is the hardware model's type (package fpga, hwsim, the
+// paper's tables in internal/experiments). Software scans one Machine.
 type Grouped struct {
 	Machines []*Machine
 	// Sets[i] is the share of the ruleset Machines[i] matches, and what a
@@ -22,8 +24,7 @@ type Grouped struct {
 	Sets []*ruleset.Set
 	Opts Options
 	// Generation is the process-unique compile generation shared by every
-	// machine in the group — the identity a hot-reload control plane pins
-	// flows to. See generation.go.
+	// machine in the group. See generation.go.
 	Generation uint64
 }
 
@@ -61,8 +62,9 @@ func BuildGrouped(set *ruleset.Set, groups int, opts Options) (*Grouped, error) 
 }
 
 // FindAll scans data with every group machine and merges the matches in
-// canonical (End, PatternID) order. (The engine layer has its own variant
-// over a reused match buffer — internal/engine.scanPacket.)
+// canonical (End, PatternID) order — each machine emits in that order, but
+// several machines' runs interleave, so this merge is the one place outside
+// the oracles that sorts.
 func (g *Grouped) FindAll(data []byte) []ac.Match {
 	var out []ac.Match
 	for _, m := range g.Machines {

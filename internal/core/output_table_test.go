@@ -49,8 +49,10 @@ func TestReferenceBackendEmitsFromOutputTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s := int32(0); s < int32(m.NumStates()); s++ {
-			if got, want := m.AppendOutputs(s, 7, nil), trie.AppendOutputs(s, 7, nil); !slices.Equal(got, want) {
-				t.Fatalf("state %d outputs %v, the trie's chain %v", s, got, want)
+			want := trie.AppendOutputs(s, 7, nil)
+			ac.SortMatches(want)
+			if got := m.AppendOutputs(s, 7, nil); !slices.Equal(got, want) {
+				t.Fatalf("state %d outputs %v, the trie's chain sorted %v", s, got, want)
 			}
 		}
 		driveLockstep(t, m, trie, rng)
@@ -101,16 +103,20 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 		if err := m.VerifyTransitions(trie); err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		// Own output first, then each fail-ancestor's, a state's IDs in
-		// insertion order — on every backend, at every end offset.
+		// The trie walks own output first, then each fail-ancestor's, so the
+		// twin (9) comes before the shorter "d" (3); the machine's lists are
+		// sorted, so it emits in (End, PatternID) order — on every backend, at
+		// every end offset.
 		payload := []byte("xabcdcd")
-		want := []ac.Match{
+		chain := []ac.Match{
 			{PatternID: 0, End: 5}, {PatternID: 1, End: 5}, {PatternID: 2, End: 5}, {PatternID: twin, End: 5}, {PatternID: 3, End: 5},
 			{PatternID: 2, End: 7}, {PatternID: twin, End: 7}, {PatternID: 3, End: 7},
 		}
-		if got := trie.FindAll(payload); !slices.Equal(got, want) {
-			t.Fatalf("the trie itself finds %v, want %v", got, want)
+		if got := trie.FindAll(payload); !slices.Equal(got, chain) {
+			t.Fatalf("the trie itself finds %v, want %v", got, chain)
 		}
+		want := slices.Clone(chain)
+		ac.SortMatches(want)
 		for _, name := range m.Backends() {
 			sc, err := m.NewScannerFor(name)
 			if err != nil {
@@ -129,7 +135,7 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 func TestVerifyOutputsDetectsCorruption(t *testing.T) {
 	trie := mustTrie(t, toySet())
 	cases := map[string]func(m *Machine){
-		"swapped IDs":   func(m *Machine) { m.out.ids[0], m.out.ids[1] = m.out.ids[1], m.out.ids[0] },
+		"swapped IDs":   func(m *Machine) { m.out.ids[1], m.out.ids[2] = m.out.ids[2], m.out.ids[1] }, // "she" ends 0 and 1
 		"clear bit":     func(m *Machine) { m.out.bits[0] &= m.out.bits[0] - 1 },
 		"stray bit":     func(m *Machine) { m.out.bits[0] |= 1 },
 		"prefix count":  func(m *Machine) { m.out.rank[0]++ },

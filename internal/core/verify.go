@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -121,10 +122,10 @@ func (m *Machine) VerifyProgram(t *ac.Trie) error {
 // VerifyOutputs proves the match memory — the one table every backend emits
 // from, reference included — against t's output chains: for every state, the
 // bitset says whether anything ends there exactly as Trie.HasOutput does,
-// and where it does the table's contiguous list equals Trie.AppendOutputs
-// element for element — own outputs, then each fail-ancestor's. It also
-// checks that the table has a slot for each output state and no other, so a
-// state with a clear bit has no rank to look up.
+// and where it does the table's contiguous list equals Trie.AppendOutputs —
+// own outputs and each fail-ancestor's — sorted by pattern ID, element for
+// element. It also checks that the table has a slot for each output state
+// and no other, so a state with a clear bit has no rank to look up.
 func (m *Machine) VerifyOutputs(t *ac.Trie) error {
 	p := &m.out
 	if m.prog != nil && m.prog.out != p {
@@ -138,6 +139,7 @@ func (m *Machine) VerifyOutputs(t *ac.Trie) error {
 			return fmt.Errorf("core: output word %d has prefix count %d, %d output states precede it", w, p.rank[w], rank)
 		}
 		want = t.AppendOutputs(s, int(s), want[:0])
+		slices.SortFunc(want, func(a, b ac.Match) int { return cmp.Compare(a.PatternID, b.PatternID) })
 		if p.bits[w]&bit == 0 {
 			if len(want) != 0 {
 				return fmt.Errorf("core: state %d ends %d patterns but its output bit is clear", s, len(want))

@@ -1,27 +1,28 @@
 // Package engine holds the streaming scan state every software scan path
 // runs on, mirroring the paper's hardware parallelism: an FPGA string
 // matching block holds 6 engines reading the same block memory, and a
-// device holds several blocks (§IV.B). Here the immutable core.Grouped
-// plays the role of the block memory, and one register file per group
-// machine (core.Regs, plain data) plays the role of one hardware engine.
+// device holds several blocks (§IV.B). Here the immutable core.Machine
+// plays the role of the block memory, and one register file (core.Regs,
+// plain data) plays the role of one hardware engine. Software runs one
+// machine whatever the ruleset's size: splitting a ruleset into groups is
+// how the hardware fits a block's memory, and lives in package fpga.
 //
 // FlowState is the product: each concurrent TCP/UDP flow owns one FlowState
-// value — its registers, nothing else — while sharing the compiled
-// automaton, so millions of flows cost per-flow registers only, never
-// per-flow automata, buffers or objects. dpi.Stream embeds one in its
-// handle, the gateway one in each flow record, and both scan into a match
-// buffer they own.
+// value — its registers, nothing else, 48 pointer-free bytes — while
+// sharing the compiled automaton, so millions of flows cost per-flow
+// registers only, never per-flow automata, buffers or objects. dpi.Stream
+// embeds one in its handle, the gateway one in each flow record, and both
+// scan into a match buffer they own.
 //
 // Engine, its batch worker pool (ScanPacketsInto) and the Flow handle exist
 // only as the benchmark's layer harness: bench/pipeline.go times them as
 // the "engine" layer, and nothing else in the tree runs on them. They go
-// when ROADMAP item 5 retires that file, and FlowState then folds into
-// internal/core.
+// when ROADMAP items 3 and 4 retire that file, and FlowState then folds
+// into internal/core.
 package engine
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,12 +36,12 @@ import (
 // concurrently (each individual Flow is single-goroutine, like a socket).
 //
 // Engines replicate freely: because the automaton is immutable, any number
-// of Engines may be built over the same core.Grouped and run side by side —
+// of Engines may be built over the same core.Machine and run side by side —
 // the software analogue of the paper's replicated string matching blocks. A
 // front-end that keeps its own accounting (the gateway) needs no Engine at
 // all: it scans with FlowState over the automaton directly.
 type Engine struct {
-	g       *core.Grouped
+	m       *core.Machine
 	workers int
 
 	batches     atomic.Uint64
@@ -61,13 +62,19 @@ type Stats struct {
 	StreamBytes uint64 // bytes written through flows (gap skips excluded)
 }
 
-// New builds an engine over g with the given worker-pool size for batch
-// scans. workers <= 0 selects GOMAXPROCS — one lane per available core.
+// New builds an engine over g's one machine with the given worker-pool size
+// for batch scans. workers <= 0 selects GOMAXPROCS — one lane per available
+// core. The parameter is a core.Grouped because bench/pipeline.go builds one
+// (with a single group); a multi-group value is the hardware model's and
+// panics here.
 func New(g *core.Grouped, workers int) *Engine {
+	if len(g.Machines) != 1 {
+		panic("engine: software scans one machine; a grouped ruleset belongs to package fpga")
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{g: g, workers: workers}
+	return &Engine{m: g.Machines[0], workers: workers}
 }
 
 // Stats returns this engine's work counters. Counters are monotone but
@@ -84,19 +91,15 @@ func (e *Engine) Stats() Stats {
 
 // scanPacket scans one payload from start-of-packet registers into buf (a
 // reusable worker-local buffer) and returns an exact-size copy of the
-// packet's matches in canonical (End, PatternID) order, plus the grown
-// buffer for the next packet.
-func scanPacket(g *core.Grouped, payload []byte, buf []ac.Match) ([]ac.Match, []ac.Match) {
-	buf = buf[:0]
-	for _, m := range g.Machines {
-		var r core.Regs
-		r.Reset()
-		buf = m.ScanAppend(&r, payload, buf)
-	}
+// packet's matches in canonical (End, PatternID) order — the machine's own
+// — plus the grown buffer for the next packet.
+func scanPacket(m *core.Machine, payload []byte, buf []ac.Match) ([]ac.Match, []ac.Match) {
+	var r core.Regs
+	r.Reset()
+	buf = m.ScanAppend(&r, payload, buf[:0])
 	if len(buf) == 0 {
 		return nil, buf
 	}
-	ac.SortMatches(buf)
 	out := make([]ac.Match, len(buf))
 	copy(out, buf)
 	return out, buf
@@ -104,7 +107,7 @@ func scanPacket(g *core.Grouped, payload []byte, buf []ac.Match) ([]ac.Match, []
 
 // ScanPacketsInto scans each payload as an independent packet across the
 // worker pool and returns one match slice per payload, each in canonical
-// (End, PatternID) order — element i is exactly what Grouped.FindAll
+// (End, PatternID) order — element i is exactly what Machine.FindAll
 // would return for payloads[i]. Packets are handed to workers via a shared
 // counter, so a batch of wildly mixed payload sizes still load-balances.
 // results' backing array is reused when it is large enough, so steady-state
@@ -136,12 +139,12 @@ func (e *Engine) ScanPacketsInto(payloads [][]byte, results [][]ac.Match) [][]ac
 		// not capture this function's parameters: a captured `results` would
 		// be moved to the heap on every call, including the single-worker
 		// ones whose zero-alloc steady state is pinned.
-		scanParallel(e.g, payloads, results, workers)
+		scanParallel(e.m, payloads, results, workers)
 		return results
 	}
 	var buf []ac.Match
 	for i, p := range payloads {
-		results[i], buf = scanPacket(e.g, p, buf)
+		results[i], buf = scanPacket(e.m, p, buf)
 	}
 	return results
 }
@@ -149,7 +152,7 @@ func (e *Engine) ScanPacketsInto(payloads [][]byte, results [][]ac.Match) [][]ac
 // scanParallel shards payloads over workers goroutines via a shared
 // counter; workers write disjoint results indices, so no synchronization
 // beyond the WaitGroup is needed.
-func scanParallel(g *core.Grouped, payloads [][]byte, results [][]ac.Match, workers int) {
+func scanParallel(m *core.Machine, payloads [][]byte, results [][]ac.Match, workers int) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -162,66 +165,47 @@ func scanParallel(g *core.Grouped, payloads [][]byte, results [][]ac.Match, work
 				if i >= len(payloads) {
 					return
 				}
-				results[i], buf = scanPacket(g, payloads[i], buf)
+				results[i], buf = scanPacket(m, payloads[i], buf)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// FlowState is one flow's streaming scan state, by value: one register file
-// per group machine and the generation of the automaton they were reset
-// for. It holds no buffer and no reference to the engine or the automaton,
-// so a flow record embeds it, and a million idle flows hold a million of
-// these and nothing more. The first group's registers sit inline — the
-// whole state of the common single-group ruleset — and the others in one
-// slice allocated at Open. A FlowState is single-goroutine (like the socket
-// it shadows) and must be written over the automaton it was opened for.
+// FlowState is one flow's streaming scan state, by value: the register file
+// and the generation of the automaton it was reset for. It holds no buffer
+// and no pointer — not to the engine, not to the automaton — so a flow
+// record embeds it, copying it forks the stream, and a million idle flows
+// hold a million of these and nothing more. A FlowState is single-goroutine
+// (like the socket it shadows) and must be written over the automaton it was
+// opened for.
 type FlowState struct {
-	first core.Regs
-	rest  []core.Regs
-	gen   uint64
+	regs core.Regs
+	gen  uint64
 }
 
-// Open resets s to start-of-packet for g's machines and stamps it with g's
-// generation. Re-opening a state of the same group count allocates nothing.
+// Open resets s to start-of-packet for m and stamps it with m's generation.
 // Engine.Open is this plus the engine's accounting.
-func (s *FlowState) Open(g *core.Grouped) {
-	if n := len(g.Machines) - 1; len(s.rest) != n {
-		s.rest = nil
-		if n > 0 {
-			s.rest = make([]core.Regs, n)
-		}
-	}
-	s.gen = g.Generation
-	s.Reset()
+func (s *FlowState) Open(m *core.Machine) {
+	s.gen = m.Generation()
+	s.regs.Reset()
 }
 
-// Reset rewinds the flow to start-of-packet: states and the 2-byte
-// default-rule histories are cleared and offsets restart at zero.
-func (s *FlowState) Reset() {
-	s.first.Reset()
-	for i := range s.rest {
-		s.rest[i].Reset()
-	}
-}
+// Reset rewinds the flow to start-of-packet: state and the 2-byte
+// default-rule history are cleared and offsets restart at zero.
+func (s *FlowState) Reset() { s.regs.Reset() }
 
 // SkipGap records n stream bytes the flow will never see (a reassembly gap
-// skipped on timeout): states and histories are invalidated — no match may
+// skipped on timeout): state and history are invalidated — no match may
 // span unseen bytes — while the stream position advances, so subsequent
 // matches keep absolute offsets into the flow's true stream. n <= 0 is a
 // no-op, mirroring Regs.SkipAhead: no bytes were skipped, so no register
 // may move.
-func (s *FlowState) SkipGap(n int) {
-	s.first.SkipAhead(n)
-	for i := range s.rest {
-		s.rest[i].SkipAhead(n)
-	}
-}
+func (s *FlowState) SkipGap(n int) { s.regs.SkipAhead(n) }
 
 // Consumed returns the flow's stream position: bytes scanned plus gap bytes
 // skipped since the flow was opened or Reset.
-func (s *FlowState) Consumed() int { return s.first.Pos() }
+func (s *FlowState) Consumed() int { return s.regs.Pos() }
 
 // Generation reports the compile generation of the automaton the registers
 // were last opened for; zero for a state never opened. The hot-reload
@@ -229,45 +213,26 @@ func (s *FlowState) Consumed() int { return s.first.Pos() }
 // register file crossed a ruleset swap.
 func (s *FlowState) Generation() uint64 { return s.gen }
 
-// Clone returns an independent copy of the flow mid-stream: writing either
-// copy from here on does not affect the other. For a single-group ruleset
-// this is the struct copy it looks like.
-func (s *FlowState) Clone() FlowState {
-	c := *s
-	c.rest = slices.Clone(s.rest)
-	return c
-}
-
-// Write scans the next chunk over g's machines — the automaton s was opened
-// for — appending to out the matches whose final byte lies in this chunk,
-// the appended run sorted by (End, PatternID) with End relative to the start
+// Write scans the next chunk over m — the automaton s was opened for —
+// appending to out the matches whose final byte lies in this chunk, in the
+// machine's canonical (End, PatternID) order with End relative to the start
 // of the flow. Scanning allocates only when out must grow. Engine.Write is
 // this plus the engine's accounting.
-func (s *FlowState) Write(g *core.Grouped, p []byte, out []ac.Match) []ac.Match {
-	base := len(out)
-	out = g.Machines[0].ScanAppend(&s.first, p, out)
-	for i := range s.rest {
-		out = g.Machines[i+1].ScanAppend(&s.rest[i], p, out)
-	}
-	if len(out)-base > 1 {
-		ac.SortMatches(out[base:])
-	}
-	return out
+func (s *FlowState) Write(m *core.Machine, p []byte, out []ac.Match) []ac.Match {
+	return m.ScanAppend(&s.regs, p, out)
 }
 
 // Open starts a connection on s: registers at start-of-packet, stamped
-// with this engine's generation, counted once in Stats.FlowsOpened. A state
-// that already served a connection on an engine of the same group count is
-// re-opened in place, without allocating.
+// with this engine's generation, counted once in Stats.FlowsOpened.
 func (e *Engine) Open(s *FlowState) {
 	e.flowsOpened.Add(1)
-	s.Open(e.g)
+	s.Open(e.m)
 }
 
 // Write consumes the next chunk of the flow s, which this engine opened,
 // and appends its matches to the caller's buffer; see FlowState.Write.
 func (e *Engine) Write(s *FlowState, p []byte, out []ac.Match) []ac.Match {
-	out = s.Write(e.g, p, out)
+	out = s.Write(e.m, p, out)
 	e.streamBytes.Add(uint64(len(p)))
 	return out
 }

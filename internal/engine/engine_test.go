@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,13 +11,15 @@ import (
 	"repro/internal/ruleset"
 )
 
-func buildGrouped(t testing.TB, n, groups int) *core.Grouped {
+// buildGrouped compiles n strings the way bench/pipeline.go does: one group,
+// the only kind an Engine takes.
+func buildGrouped(t testing.TB, n int) *core.Grouped {
 	t.Helper()
 	set, err := ruleset.Generate(ruleset.GenConfig{N: n, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.BuildGrouped(set, groups, core.Options{})
+	g, err := core.BuildGrouped(set, 1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +35,32 @@ func payloadWith(set *ruleset.Set, id int) []byte {
 	return nil
 }
 
+// TestNewRefusesGroupedRuleset: software scans one machine; the group split
+// is the hardware model's.
+func TestNewRefusesGroupedRuleset(t *testing.T) {
+	set, err := ruleset.Generate(ruleset.GenConfig{N: 120, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := core.BuildGrouped(set, 2, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a two-group ruleset")
+		}
+	}()
+	New(g, 1)
+}
+
+// TestScanPacketsPerPacketEqualsFindAll: each result is FindAll's canonical
+// order as scanned — the batch path sorts nothing.
 func TestScanPacketsPerPacketEqualsFindAll(t *testing.T) {
-	g := buildGrouped(t, 300, 2)
+	g := buildGrouped(t, 300)
 	var payloads [][]byte
 	for id := 0; id < 40; id++ {
-		payloads = append(payloads, payloadWith(g.Sets[id%2], id))
+		payloads = append(payloads, payloadWith(g.Sets[0], id))
 	}
 	e := New(g, 4)
 	got := e.ScanPacketsInto(payloads, nil)
@@ -44,15 +68,14 @@ func TestScanPacketsPerPacketEqualsFindAll(t *testing.T) {
 		t.Fatalf("got %d results for %d payloads", len(got), len(payloads))
 	}
 	for i, p := range payloads {
-		want := g.FindAll(p)
-		if !ac.MatchesEqual(append([]ac.Match(nil), got[i]...), want) {
+		if want := g.FindAll(p); !slices.Equal(got[i], want) {
 			t.Fatalf("packet %d: engine %v, FindAll %v", i, got[i], want)
 		}
 	}
 }
 
 func TestWorkerCountsAgree(t *testing.T) {
-	g := buildGrouped(t, 200, 1)
+	g := buildGrouped(t, 200)
 	var payloads [][]byte
 	for id := 0; id < 17; id++ {
 		payloads = append(payloads, payloadWith(g.Sets[0], id))
@@ -69,7 +92,7 @@ func TestWorkerCountsAgree(t *testing.T) {
 }
 
 func TestFlowPoolReuseIsClean(t *testing.T) {
-	g := buildGrouped(t, 100, 1)
+	g := buildGrouped(t, 100)
 	e := New(g, 1)
 	target := g.Sets[0].Patterns[0].Data
 
@@ -87,59 +110,54 @@ func TestFlowPoolReuseIsClean(t *testing.T) {
 }
 
 // TestFlowStateReopenInPlace: a state that served one connection is
-// re-opened for the next without allocating — at one group and at three —
+// re-opened for the next without allocating (it has nothing to allocate),
 // starts from clean registers, is counted as a new connection, and carries
 // the opening engine's generation tag.
 func TestFlowStateReopenInPlace(t *testing.T) {
-	for _, groups := range []int{1, 3} {
-		g := buildGrouped(t, 120, groups)
-		e := New(g, 1)
-		target := g.Sets[groups-1].Patterns[0].Data
-		var st FlowState
-		if st.Generation() != 0 {
-			t.Fatalf("unopened state carries generation %d", st.Generation())
-		}
-		e.Open(&st)
-		e.Write(&st, target[:len(target)-1], nil)
-		allocs := testing.AllocsPerRun(10, func() { e.Open(&st) })
-		if !raceEnabled && allocs != 0 {
-			t.Fatalf("groups=%d: re-open allocated %.1f times", groups, allocs)
-		}
-		if st.Consumed() != 0 || st.Generation() != g.Generation {
-			t.Fatalf("groups=%d: re-opened state at %d, generation %d (engine %d)",
-				groups, st.Consumed(), st.Generation(), g.Generation)
-		}
-		if ms := e.Write(&st, target[len(target)-1:], nil); len(ms) != 0 {
-			t.Fatalf("groups=%d: match spans a re-open: %v", groups, ms)
-		}
-		if got := e.Stats().FlowsOpened; got != 12 {
-			t.Fatalf("groups=%d: FlowsOpened = %d, want 12 (one per Open)", groups, got)
-		}
+	g := buildGrouped(t, 120)
+	e := New(g, 1)
+	target := g.Sets[0].Patterns[0].Data
+	var st FlowState
+	if st.Generation() != 0 {
+		t.Fatalf("unopened state carries generation %d", st.Generation())
+	}
+	e.Open(&st)
+	e.Write(&st, target[:len(target)-1], nil)
+	allocs := testing.AllocsPerRun(10, func() { e.Open(&st) })
+	if !raceEnabled && allocs != 0 {
+		t.Fatalf("re-open allocated %.1f times", allocs)
+	}
+	if st.Consumed() != 0 || st.Generation() != g.Generation {
+		t.Fatalf("re-opened state at %d, generation %d (engine %d)", st.Consumed(), st.Generation(), g.Generation)
+	}
+	if ms := e.Write(&st, target[len(target)-1:], nil); len(ms) != 0 {
+		t.Fatalf("match spans a re-open: %v", ms)
+	}
+	if got := e.Stats().FlowsOpened; got != 12 {
+		t.Fatalf("FlowsOpened = %d, want 12 (one per Open)", got)
 	}
 }
 
-// TestFlowStateCloneIsIndependent: a clone taken mid-pattern completes the
-// match on its own while the original, fed something else, does not — at
-// every group count the registers are copied, not shared.
+// TestFlowStateCloneIsIndependent: the state is plain data, so the struct
+// copy is the clone — taken mid-pattern it completes the match on its own
+// whatever the original is fed meanwhile.
 func TestFlowStateCloneIsIndependent(t *testing.T) {
-	for _, groups := range []int{1, 3} {
-		g := buildGrouped(t, 120, groups)
-		e := New(g, 1)
-		target := g.Sets[groups-1].Patterns[0].Data
-		var st FlowState
-		e.Open(&st)
-		e.Write(&st, target[:len(target)-1], nil)
-		cl := st.Clone()
-		e.Write(&st, []byte{0}, nil)
-		want := g.FindAll(target)
-		if ms := e.Write(&cl, target[len(target)-1:], nil); !ac.MatchesEqual(ms, want) {
-			t.Fatalf("groups=%d: clone found %v, want %v", groups, ms, want)
-		}
+	g := buildGrouped(t, 120)
+	e := New(g, 1)
+	target := g.Sets[0].Patterns[0].Data
+	var st FlowState
+	e.Open(&st)
+	e.Write(&st, target[:len(target)-1], nil)
+	cl := st
+	e.Write(&st, []byte{0}, nil)
+	want := g.FindAll(target)
+	if ms := e.Write(&cl, target[len(target)-1:], nil); !slices.Equal(ms, want) {
+		t.Fatalf("copy found %v, want %v", ms, want)
 	}
 }
 
 func TestConcurrentFlowsShareOneAutomaton(t *testing.T) {
-	g := buildGrouped(t, 300, 3)
+	g := buildGrouped(t, 300)
 	e := New(g, 0)
 	var wg sync.WaitGroup
 	errs := make(chan string, 32)
@@ -148,7 +166,7 @@ func TestConcurrentFlowsShareOneAutomaton(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := i % 60
-			payload := payloadWith(g.Sets[id%3], id)
+			payload := payloadWith(g.Sets[0], id)
 			want := g.FindAll(payload)
 			f := e.Flow()
 			defer f.Close()
@@ -156,7 +174,7 @@ func TestConcurrentFlowsShareOneAutomaton(t *testing.T) {
 			for off := 0; off < len(payload); off++ {
 				got = append(got, f.Write(payload[off:off+1])...)
 			}
-			if !ac.MatchesEqual(got, want) {
+			if !slices.Equal(got, want) {
 				errs <- fmt.Sprintf("flow %d: got %v, want %v", i, got, want)
 			}
 		}(i)
@@ -198,7 +216,7 @@ func TestFlowSkipGap(t *testing.T) {
 // ScanPacketsInto, flow checkouts and streamed bytes from the Flow API, and
 // independence between two engines over the same automaton.
 func TestStatsCounters(t *testing.T) {
-	g := buildGrouped(t, 100, 1)
+	g := buildGrouped(t, 100)
 	e := New(g, 2)
 	other := New(g, 2) // a sibling shard: its counters must stay untouched
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/ruleset"
 )
 
 // Accelerator simulates the full FPGA design: device.Blocks string matching
@@ -54,6 +55,29 @@ func NewAccelerator(dev device.Device, grouped *core.Grouped) (*Accelerator, err
 		}
 	}
 	return a, nil
+}
+
+// BuildAccelerator compiles set for dev, split across groups blocks — the
+// split exists so each machine fits a block's state memory (§IV.B).
+// groups == 0 picks the smallest count whose every image fits a dev block.
+func BuildAccelerator(dev device.Device, set *ruleset.Set, groups int, opts core.Options) (*Accelerator, error) {
+	lo, hi := groups, groups
+	if groups == 0 {
+		lo, hi = 1, dev.Blocks
+	}
+	var misfit error
+	for n := lo; n <= hi; n++ {
+		grouped, err := core.BuildGrouped(set, n, opts)
+		if err != nil {
+			return nil, err
+		}
+		a, err := NewAccelerator(dev, grouped)
+		if err == nil {
+			return a, nil
+		}
+		misfit = err
+	}
+	return nil, fmt.Errorf("hwsim: ruleset does not fit %s in %d groups: %w", dev.Name, hi, misfit)
 }
 
 // ScanPackets distributes packets round-robin over the sets, broadcasts

@@ -1,6 +1,7 @@
 package hwsim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -164,6 +165,68 @@ func TestPackMatchMemoryContents(t *testing.T) {
 	ids := map[uint32]bool{id1: true, id2: true}
 	if !ids[1] || !ids[0] {
 		t.Fatalf("match word holds %d,%d; want {0,1}", id1, id2)
+	}
+}
+
+// TestPackMatchListsAscendingSameLayout: the match memory holds each
+// matching state's string numbers in ascending order — the machine's output
+// lists are stored sorted — and sorting moved nothing else: every state has
+// the match address, and the memory the word count, that laying the lists
+// out in the trie's output-chain order gives.
+func TestPackMatchListsAscendingSameLayout(t *testing.T) {
+	set := ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})
+	img := mustPack(t, set, core.Options{})
+	trie, err := ac.New(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chainAddr := map[string]int32{} // chain-order list → address, first come first placed
+	words, multi := int32(0), 0
+	for s := int32(0); s < int32(trie.NumStates()); s++ {
+		chain := trie.AppendOutputs(s, 0, nil)
+		if len(chain) == 0 {
+			if img.matchAddr[s] != -1 {
+				t.Fatalf("state %d ends nothing but has match address %d", s, img.matchAddr[s])
+			}
+			continue
+		}
+		key := fmt.Sprint(chain)
+		if _, placed := chainAddr[key]; !placed {
+			chainAddr[key] = words
+			words += int32(len(chain)+1) / 2
+		}
+		if img.matchAddr[s] != chainAddr[key] {
+			t.Fatalf("state %d: match address %d, chain-order layout %d", s, img.matchAddr[s], chainAddr[key])
+		}
+		var got []int32
+		for a := img.matchAddr[s]; ; a++ {
+			w := img.Match[a]
+			got = append(got, int32(w&0x1FFF))
+			if id2 := int32(w >> 13 & 0x1FFF); id2 != MatchPadID {
+				got = append(got, id2)
+			}
+			if w>>26&1 == 1 {
+				break
+			}
+		}
+		ac.SortMatches(chain)
+		if len(got) != len(chain) {
+			t.Fatalf("state %d: %d string numbers stored, %d end there", s, len(got), len(chain))
+		}
+		for i, id := range got {
+			if id != chain[i].PatternID {
+				t.Fatalf("state %d: stored list %v is not the chain's numbers ascending", s, got)
+			}
+		}
+		if len(got) > 1 {
+			multi++
+		}
+	}
+	if int(words) != img.Stats.MatchWordsUsed {
+		t.Fatalf("%d match words used, chain-order layout %d", img.Stats.MatchWordsUsed, words)
+	}
+	if multi == 0 {
+		t.Fatal("no state ends two strings: the order is untested")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // What one compiled generation may hold live — the largest term of every
 // workload's heap_live_mb, paid once per generation in flight during a hot
 // reload — at three of the paper's ruleset sizes. At 634 strings, the
-// benchmark's, it is 264 400 B in 141 objects: the stored-pointer arena the
+// benchmark's, it is 264 304 B in 139 objects: the stored-pointer arena the
 // Machine and the kernel share (69 KB) with their two descriptor tables
 // (30 KB each), the prefilter table (61 KB), the fast tier (23 KB: 384
 // bitmap rows and their 1 251 overrides), and the lookup and output tables;
@@ -25,7 +25,7 @@ import (
 var matcherFootprints = []struct {
 	strings       int
 	bytesPerState float64 // measured 35.75, 30.54, 32.34
-	objects       int64   // measured 141, 167, 251
+	objects       int64   // measured 139, 164, 249
 }{
 	{634, 37.53, 148},
 	{1204, 32.07, 175},

@@ -61,9 +61,6 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 		case 2:
 			cfg.DenseStates = 6 // tiny dense tier, most states on CSR
 		}
-		if shape&0x40 != 0 && rules.Len() >= 2 {
-			cfg.Groups = 2
-		}
 		pre, err := Compile(rules, cfg)
 		if err != nil {
 			// A fuzz-shaped ruleset outside the baked row format cannot pin

@@ -13,15 +13,15 @@ import (
 	"repro/internal/traffic"
 )
 
-// workloadMatcher compiles a 500-string ruleset over groups machines and
-// builds a deterministic attack-laden workload against it.
-func workloadMatcher(t testing.TB, groups int) (*Matcher, [][]byte) {
+// workloadMatcher compiles a 500-string ruleset and builds a deterministic
+// attack-laden workload against it.
+func workloadMatcher(t testing.TB) (*Matcher, [][]byte) {
 	t.Helper()
 	rules, err := GenerateSnortLike(500, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Compile(rules, Config{Groups: groups})
+	m, err := Compile(rules, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func workloadMatcher(t testing.TB, groups int) (*Matcher, [][]byte) {
 
 // TestEngineConcurrentFlows is the shared-immutable-automaton proof, in the
 // paper's sense of "engine" — a register set reading the one state memory:
-// one Stream per goroutine, all over one two-group Matcher, each fed in
+// one Stream per goroutine, all over one Matcher, each fed in
 // uneven chunks and each equal to FindAll of its own payload. Under -race
 // any write to the automaton from the scan path fails here.
 func TestEngineConcurrentFlows(t *testing.T) {
-	m, payloads := workloadMatcher(t, 2)
+	m, payloads := workloadMatcher(t)
 	var wg sync.WaitGroup
 	errs := make(chan string, len(payloads))
 	for pid, payload := range payloads {
@@ -89,13 +89,18 @@ func TestEngineConcurrentFlows(t *testing.T) {
 	}
 }
 
-// TestScanStreamOrderEquivalence is the regression test for the ordering
-// bugfix: Scan and Stream must emit the exact FindAll sequence even when
-// the ruleset is split across group machines.
+// TestScanStreamOrderEquivalence: FindAll's sequence is canonical — ascending
+// End, ties by ascending PatternID, which nothing sorts into place: it is
+// the machine's own emission order — and Scan and Stream emit exactly it.
 func TestScanStreamOrderEquivalence(t *testing.T) {
-	m, payloads := workloadMatcher(t, 3)
+	m, payloads := workloadMatcher(t)
 	for pid, payload := range payloads {
 		want := m.FindAll(payload)
+		for i := 1; i < len(want); i++ {
+			if a, b := want[i-1], want[i]; a.End > b.End || a.End == b.End && a.PatternID >= b.PatternID {
+				t.Fatalf("packet %d: FindAll emits %+v before %+v", pid, a, b)
+			}
+		}
 
 		var scanned []Match
 		m.Scan(payload, func(mt Match) { scanned = append(scanned, mt) })
@@ -145,8 +150,7 @@ func TestScanAPIEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			groups := 1 + trial%3
-			m, err := Compile(rules, Config{Groups: groups})
+			m, err := Compile(rules, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,8 +10,8 @@ import (
 // Matches spanning chunk boundaries are found; offsets are relative to the
 // start of the stream (since the last Reset). Stream implements io.Writer.
 //
-// Ordering guarantee: matches found within one Write call are emitted
-// sorted by (End, PatternID). A match is always discovered in the chunk
+// Ordering guarantee: matches found within one Write call are emitted in
+// (End, PatternID) order, the automaton's own. A match is always discovered in the chunk
 // containing its final byte and chunks arrive in stream order, so the full
 // emission sequence across Writes is exactly the sequence FindAll would
 // return for the concatenated stream.
@@ -32,14 +32,14 @@ type Stream struct {
 // between packets.
 func (m *Matcher) NewStream(emit func(Match)) *Stream {
 	s := &Stream{m: m, emit: emit}
-	s.st.Open(m.grouped)
+	s.st.Open(m.machine)
 	return s
 }
 
 // Write consumes the next chunk of payload. It never fails; the error is
-// part of the io.Writer contract. Match offsets emitted by the scanners
-// are already stream-relative because each scanner's position persists
-// across Write calls. Matches for this chunk are emitted in canonical
+// part of the io.Writer contract. Match offsets are already
+// stream-relative because the registers' position persists across Write
+// calls. Matches for this chunk are emitted in canonical
 // (End, PatternID) order with PacketID -1 — see the Stream ordering
 // guarantee.
 func (s *Stream) Write(p []byte) (int, error) {
@@ -52,7 +52,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 // a per-flow Stream can tie a cross-packet match back to the segment that
 // finished it.
 func (s *Stream) WritePacket(p []byte, packetID int) (int, error) {
-	buf := s.st.Write(s.m.grouped, p, ac.RecycleMatches(s.buf))
+	buf := s.st.Write(s.m.machine, p, ac.RecycleMatches(s.buf))
 	// Detach the buffer while replaying so an emit that writes to this same
 	// stream cannot recycle the slice being iterated.
 	s.buf = nil

@@ -150,21 +150,20 @@ func TestStreamReentrantEmit(t *testing.T) {
 	}
 }
 
-// fuzzMatchers compiles the shared fuzz corpus matchers once: a ruleset
+// chunkFuzzMatcher compiles FuzzStreamChunkEquivalence's matcher once: a ruleset
 // mixing pathological hand-picked patterns (overlapping suffixes, shared
-// prefixes, binary bytes, length-1) with a generated Snort-like tail, as a
-// 1-group and a 3-group machine.
-var fuzzMatchers struct {
-	once       sync.Once
-	one, multi *Matcher
-	err        error
+// prefixes, binary bytes, length-1) with a generated Snort-like tail.
+var chunkFuzzMatcher struct {
+	once sync.Once
+	m    *Matcher
+	err  error
 }
 
-func getFuzzMatchers(t testing.TB) (one, multi *Matcher) {
-	fuzzMatchers.once.Do(func() {
+func getChunkFuzzMatcher(t testing.TB) *Matcher {
+	chunkFuzzMatcher.once.Do(func() {
 		rules, err := GenerateSnortLike(120, 2010)
 		if err != nil {
-			fuzzMatchers.err = err
+			chunkFuzzMatcher.err = err
 			return
 		}
 		for _, p := range [][]byte{
@@ -176,24 +175,18 @@ func getFuzzMatchers(t testing.TB) (one, multi *Matcher) {
 			// duplicates are simply skipped.
 			rules.Add("hand", p)
 		}
-		if fuzzMatchers.one, err = Compile(rules, Config{}); err != nil {
-			fuzzMatchers.err = err
-			return
-		}
-		fuzzMatchers.multi, err = Compile(rules, Config{Groups: 3})
-		fuzzMatchers.err = err
+		chunkFuzzMatcher.m, chunkFuzzMatcher.err = Compile(rules, Config{})
 	})
-	if fuzzMatchers.err != nil {
-		t.Fatal(fuzzMatchers.err)
+	if chunkFuzzMatcher.err != nil {
+		t.Fatal(chunkFuzzMatcher.err)
 	}
-	return fuzzMatchers.one, fuzzMatchers.multi
+	return chunkFuzzMatcher.m
 }
 
 // FuzzStreamChunkEquivalence is the FindAll-equivalence contract under
 // fuzz: any payload delivered through a Stream in arbitrary chunks (empty
 // chunks and byte-at-a-time included) must emit exactly the FindAll match
-// sequence of the concatenation — same matches, same canonical order, for
-// single-group and multi-group matchers alike.
+// sequence of the concatenation — same matches, same canonical order.
 func FuzzStreamChunkEquivalence(f *testing.F) {
 	f.Add([]byte("she sells hers and his seashells"), []byte{3, 1, 7})
 	f.Add([]byte("abcabcabc"), []byte{1, 1, 1, 1, 1, 1, 1, 1})
@@ -201,71 +194,35 @@ func FuzzStreamChunkEquivalence(f *testing.F) {
 	f.Add([]byte("no matches at all here"), []byte{200})
 	f.Add([]byte{}, []byte{5})
 	f.Fuzz(func(t *testing.T, payload []byte, cuts []byte) {
-		one, multi := getFuzzMatchers(t)
-		for name, m := range map[string]*Matcher{"1-group": one, "3-group": multi} {
-			want := m.FindAll(payload)
-			var got []Match
-			s := m.NewStream(func(mt Match) { got = append(got, mt) })
-			// cuts drives the chunking: cut value n means "write n bytes
-			// next" (0 = an empty write); leftover bytes go in one final
-			// write. This lets the fuzzer place boundaries anywhere,
-			// including straddling every match.
-			off := 0
-			for _, c := range cuts {
-				n := int(c)
-				if n > len(payload)-off {
-					n = len(payload) - off
-				}
-				s.Write(payload[off : off+n])
-				off += n
+		m := getChunkFuzzMatcher(t)
+		want := m.FindAll(payload)
+		var got []Match
+		s := m.NewStream(func(mt Match) { got = append(got, mt) })
+		// cuts drives the chunking: cut value n means "write n bytes
+		// next" (0 = an empty write); leftover bytes go in one final
+		// write. This lets the fuzzer place boundaries anywhere,
+		// including straddling every match.
+		off := 0
+		for _, c := range cuts {
+			n := int(c)
+			if n > len(payload)-off {
+				n = len(payload) - off
 			}
-			s.Write(payload[off:])
-			if s.Consumed() != len(payload) {
-				t.Fatalf("%s: consumed %d of %d", name, s.Consumed(), len(payload))
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: stream emitted %d matches, FindAll %d\ncuts %v\ngot  %+v\nwant %+v",
-					name, len(got), len(want), cuts, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: match %d = %+v, FindAll %+v (cuts %v)", name, i, got[i], want[i], cuts)
-				}
+			s.Write(payload[off : off+n])
+			off += n
+		}
+		s.Write(payload[off:])
+		if s.Consumed() != len(payload) {
+			t.Fatalf("consumed %d of %d", s.Consumed(), len(payload))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("stream emitted %d matches, FindAll %d\ncuts %v\ngot  %+v\nwant %+v",
+				len(got), len(want), cuts, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("match %d = %+v, FindAll %+v (cuts %v)", i, got[i], want[i], cuts)
 			}
 		}
 	})
-}
-
-func TestStreamGroupedMatchesBatch(t *testing.T) {
-	rules, err := GenerateSnortLike(400, 61)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Compile(rules, Config{Groups: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := append(append([]byte("AA "), rules.Content(7)...), []byte(" ZZ")...)
-	payload = append(payload, rules.Content(211)...)
-
-	var got []Match
-	s := m.NewStream(func(mt Match) { got = append(got, mt) })
-	half := len(payload) / 2
-	s.Write(payload[:half])
-	s.Write(payload[half:])
-
-	want := m.FindAll(payload)
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d matches, batch %d", len(got), len(want))
-	}
-	seen := map[Match]int{}
-	for _, mt := range got {
-		seen[mt]++
-	}
-	for _, mt := range want {
-		if seen[mt] == 0 {
-			t.Fatalf("batch match %+v missing from stream", mt)
-		}
-		seen[mt]--
-	}
 }

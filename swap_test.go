@@ -108,9 +108,11 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 		buildSwapWave(t, 1, 150, backend, seed),
 		buildSwapWave(t, 2, 100, backend, seed),
 	}
+	// One Compile is one machine is one generation: consecutive compiles
+	// are consecutive numbers, none burnt on the way.
 	for i := 1; i < len(waves); i++ {
-		if waves[i].m.Generation() <= waves[i-1].m.Generation() {
-			t.Fatalf("compile generations not ascending: %d then %d",
+		if waves[i].m.Generation() != waves[i-1].m.Generation()+1 {
+			t.Fatalf("consecutive compiles took generations %d then %d, want a step of exactly 1",
 				waves[i-1].m.Generation(), waves[i].m.Generation())
 		}
 	}
@@ -294,8 +296,8 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 // swap (a datagram carries no pin; it scans with the generation current
 // when its lane dequeued it, and the swap waits every lane out).
 func TestSwapBurstCutover(t *testing.T) {
-	mA, setA := gatewayMatcher(t, 150, 1)
-	mB, _ := gatewayMatcher(t, 180, 2)
+	mA, setA := gatewayMatcher(t, 150)
+	mB, _ := gatewayMatcher(t, 180)
 	dgrams, err := traffic.Generate(setA, traffic.Config{
 		Packets: 12, Bytes: 200, Seed: SoakSeed(9), AttackDensity: 2, Profile: traffic.Textual,
 	})
@@ -557,8 +559,8 @@ func (w *writerTo) Write(p []byte) (int, error) { w.b = append(w.b, p...); retur
 // control-plane rejection is classifiable with errors.Is against the
 // exported sentinels, including through Compile and Config.Validate.
 func TestSentinelErrors(t *testing.T) {
-	if err := (Config{Groups: -1}).Validate(); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("negative Groups: %v, want ErrBadConfig", err)
+	if err := (Config{MaxDefaultDepth: 4}).Validate(); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("MaxDefaultDepth out of range: %v, want ErrBadConfig", err)
 	}
 	// An unregistered backend name is a config error through the same
 	// seam, and the message lists exactly the accepted vocabulary.
@@ -569,18 +571,18 @@ func TestSentinelErrors(t *testing.T) {
 	if want := "(want auto|reference|baked|prefiltered)"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("unregistered backend: %q does not list %s", err, want)
 	}
-	if err := (Config{Groups: 2, Backend: BackendPrefiltered}).Validate(); err != nil {
+	if err := (Config{MaxDefaultDepth: 2, Backend: BackendPrefiltered}).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	if _, err := Compile(NewRuleset(), Config{}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("empty ruleset: %v, want ErrBadConfig", err)
 	}
-	if _, err := Compile(nil, Config{Groups: -1}); !errors.Is(err, ErrBadConfig) {
+	if _, err := Compile(nil, Config{MaxDefaultDepth: 4}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("Compile with bad config: %v, want ErrBadConfig", err)
 	}
 
-	mA, _ := gatewayMatcher(t, 40, 1)
-	mB, _ := gatewayMatcher(t, 40, 1)
+	mA, _ := gatewayMatcher(t, 40)
+	mB, _ := gatewayMatcher(t, 40)
 	if _, err := NewGateway(nil, GatewayConfig{}, func(FlowMatch) {}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil matcher: %v, want ErrBadConfig", err)
 	}
