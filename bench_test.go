@@ -11,7 +11,6 @@ package dpi
 // as human-readable tables.
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -417,34 +416,6 @@ func BenchmarkPack634(b *testing.B) {
 		words = img.Stats.StateWords
 	}
 	b.ReportMetric(float64(words), "state-words")
-}
-
-func BenchmarkSnapshotSaveLoad(b *testing.B) {
-	ctx := sharedBenchCtx(b)
-	set, err := ctx.SetOf(634)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := core.Build(set, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	trie, err := ac.New(set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf, trie); err != nil {
-		b.Fatal(err)
-	}
-	blob := buf.Bytes()
-	b.ReportMetric(float64(len(blob)), "snapshot-bytes")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Load(blob); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkMIFExport(b *testing.B) {

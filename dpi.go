@@ -244,7 +244,6 @@ type Match struct {
 type Matcher struct {
 	rules   *Ruleset
 	machine *core.Machine
-	cfg     Config
 	// patLen[id] is the byte length of pattern id, 0 for unused IDs. IDs are
 	// bounded by the 13-bit hardware string-number range, so a dense slice
 	// beats a per-match map lookup.
@@ -278,7 +277,7 @@ func Compile(r *Ruleset, cfg Config) (*Matcher, error) {
 	for _, p := range r.set.Patterns {
 		patLen[p.ID] = int32(len(p.Data))
 	}
-	return &Matcher{rules: r, machine: machine, cfg: cfg, patLen: patLen}, nil
+	return &Matcher{rules: r, machine: machine, patLen: patLen}, nil
 }
 
 // Rules returns the matcher's ruleset.
@@ -300,7 +299,9 @@ func (m *Matcher) Generation() uint64 { return m.machine.Generation() }
 
 // Backend reports the resolved scan backend every scanner built from this
 // matcher runs: Config.Backend, with auto resolved to what actually
-// compiled (baked, or reference on configurations outside the row format).
+// compiled — prefiltered when the lossy stage compiled and passed its
+// superset proof (every benchmarked ruleset size), baked if only the flat
+// kernel did, reference on configurations outside the row format.
 func (m *Matcher) Backend() string { return m.machine.DefaultBackend() }
 
 func (m *Matcher) convert(am ac.Match, packetID int) Match {

@@ -12,8 +12,8 @@
 // transition rows, and a naive oracle used to cross-check every matcher.
 //
 // A Trie is scaffolding: package core compresses one into a Machine and lets
-// it go, and a verifier, snapshot or drawing that needs the uncompressed
-// automaton later is handed another built from the ruleset. It is laid out
+// it go, and a verifier or drawing that needs the uncompressed automaton
+// later is handed another built from the ruleset. It is laid out
 // flat all the same — a table of 32-byte nodes and two arenas, goto edges
 // and own outputs, no allocation per state, reached through Trie.Edges and
 // Trie.Out. A pattern's length is the depth of the state that outputs it.
@@ -49,8 +49,8 @@ type Node struct {
 	OutLink int32 // nearest fail-ancestor with its own outputs, or None
 	Depth   int32
 	// edgeOff and outOff locate the state's slices of Trie.edges and
-	// Trie.outs. They are layout, derived from the counts by a prefix sum
-	// (layOut), never data: a snapshot stores counts only.
+	// Trie.outs. They are layout — the prefix sums of the counts — never
+	// data.
 	edgeOff  uint32
 	outOff   uint32
 	NumEdges uint16 // goto transitions out of this state
@@ -90,18 +90,6 @@ func (t *Trie) Edges(s int32) []Edge {
 func (t *Trie) Out(s int32) []int32 {
 	nd := &t.Nodes[s]
 	return t.outs[nd.outOff : nd.outOff+uint32(nd.NumOut)]
-}
-
-// layOut derives every node's arena offsets from its counts and reports the
-// arena lengths they add up to.
-func layOut(nodes []Node) (edges, outs uint32) {
-	for i := range nodes {
-		nd := &nodes[i]
-		nd.edgeOff, nd.outOff = edges, outs
-		edges += uint32(nd.NumEdges)
-		outs += uint32(nd.NumOut)
-	}
-	return edges, outs
 }
 
 // protoNode is a state while patterns are still being inserted: children
@@ -183,7 +171,8 @@ func New(set *ruleset.Set) (*Trie, error) {
 	for s := range proto {
 		pn := &proto[s]
 		nd := &t.Nodes[s]
-		*nd = Node{Parent: pn.parent, Fail: Root, OutLink: None, Char: pn.char}
+		*nd = Node{Parent: pn.parent, Fail: Root, OutLink: None, Char: pn.char,
+			edgeOff: uint32(len(t.edges)), outOff: uint32(len(t.outs))}
 		if pn.parent != None {
 			nd.Depth = t.Nodes[pn.parent].Depth + 1
 		}
@@ -196,7 +185,6 @@ func New(set *ruleset.Set) (*Trie, error) {
 			nd.NumOut = 1
 		}
 	}
-	layOut(t.Nodes)
 	t.buildFails(&rootGoto)
 	return t, nil
 }

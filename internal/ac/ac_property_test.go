@@ -1,10 +1,7 @@
 package ac
 
 import (
-	"reflect"
-	"slices"
 	"testing"
-	"testing/quick"
 	"unsafe"
 
 	"repro/internal/rng"
@@ -178,71 +175,6 @@ func TestEmitOutputsExactlySuffixPatterns(t *testing.T) {
 				t.Fatalf("state %d (%q): pattern %d (%q) emitted=%v want %v",
 					s, path, p.ID, p.Data, got[int32(p.ID)], want)
 			}
-		}
-	}
-}
-
-// trieParts is a trie taken apart into what Rebuild takes, every slice a
-// copy the caller may corrupt.
-type trieParts struct {
-	nodes []Node
-	edges []Edge
-	outs  []int32
-}
-
-func partsOf(tr *Trie) trieParts {
-	return trieParts{
-		nodes: slices.Clone(tr.Nodes),
-		edges: slices.Clone(tr.edges),
-		outs:  slices.Clone(tr.outs),
-	}
-}
-
-func (p trieParts) rebuild() (*Trie, error) { return Rebuild(p.nodes, p.edges, p.outs) }
-
-// Property: rebuilding a trie from its own parts reproduces the same
-// automaton (exercises ac.Rebuild validation on good input).
-func TestQuickRebuildRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		tr := smallTrie(t, seed, 10, 3, 5)
-		rb, err := partsOf(tr).rebuild()
-		if err != nil || !reflect.DeepEqual(rb, tr) {
-			return false
-		}
-		data := []byte("xyxyyxzabacabxy")
-		return MatchesEqual(rb.FindAll(data), tr.FindAll(data))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRebuildRejectsCorruptNodes(t *testing.T) {
-	tr := smallTrie(t, 40, 8, 3, 4)
-	cases := []func(p *trieParts){
-		func(p *trieParts) { p.nodes[1].Parent = 9999 },
-		func(p *trieParts) { p.nodes[1].Fail = int32(len(p.nodes)) },
-		func(p *trieParts) { p.nodes[1].Depth = 5 },
-		func(p *trieParts) { p.nodes[0].Parent = 0 },
-		func(p *trieParts) {
-			if p.nodes[0].NumEdges < 2 {
-				t.Fatal("the start state needs two edges to swap")
-			}
-			p.edges[0], p.edges[1] = p.edges[1], p.edges[0]
-		},
-		func(p *trieParts) { // an output link to a state that ends no pattern
-			silent := slices.IndexFunc(p.nodes[1:], func(nd Node) bool { return nd.NumOut == 0 }) + 1
-			p.nodes[len(p.nodes)-1].OutLink = int32(silent)
-		},
-		func(p *trieParts) { p.nodes[3].NumEdges++ },
-		func(p *trieParts) { p.nodes[3].NumOut++ },
-		func(p *trieParts) { p.edges = p.edges[:len(p.edges)-1] },
-	}
-	for i, mutate := range cases {
-		p := partsOf(tr)
-		mutate(&p)
-		if _, err := p.rebuild(); err == nil {
-			t.Errorf("case %d: corrupted trie accepted", i)
 		}
 	}
 }

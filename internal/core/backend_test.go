@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,26 +8,15 @@ import (
 	"repro/internal/ac"
 )
 
-// TestAutoBackendResolution pins what BackendAuto resolves to for each way
-// a machine can come to exist, which backends that machine offers, and
-// that every offered backend still runs in lockstep.
+// TestAutoBackendResolution pins what BackendAuto resolves to for each set
+// of kernels a build can end up with, which backends that machine offers,
+// and that every offered backend still runs in lockstep.
 func TestAutoBackendResolution(t *testing.T) {
 	all := []string{BackendReference, BackendBaked, BackendPrefiltered}
 	if got := RegisteredBackends(); !reflect.DeepEqual(got, all) {
 		t.Fatalf("RegisteredBackends() = %v, want %v", got, all)
 	}
 
-	reload := func(t *testing.T, m *Machine, trie *ac.Trie) *Machine {
-		var buf bytes.Buffer
-		if err := m.Save(&buf, trie); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return loaded
-	}
 	// rejectPrefilter does what compileBackends does when VerifySuperset
 	// refuses a table: the stage is dropped, never used.
 	rejectPrefilter := func(t *testing.T, m *Machine, trie *ac.Trie) *Machine {
@@ -51,7 +39,6 @@ func TestAutoBackendResolution(t *testing.T) {
 		backends []string
 	}{
 		{"built", Options{}, nil, BackendPrefiltered, all},
-		{"snapshot-loaded", Options{}, reload, BackendPrefiltered, all},
 		{"prefilter-rejected", Options{}, rejectPrefilter, BackendBaked, all[:2]},
 		{"reference-pinned", Options{Backend: BackendReference}, nil, BackendReference, all[:1]},
 	} {

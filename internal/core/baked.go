@@ -157,8 +157,8 @@ func splitHist(hist uint32) (h2, h1 int16) {
 // row format — more than 4 depth-2 or 1 depth-3 defaults per character
 // (ablation configurations), more stored pointers at a compressed state or
 // in the whole arena than the descriptor packs — in which case scanning
-// falls back to the reference interpreter. Machines from Build and Load are
-// baked automatically unless Options.Backend pins BackendReference.
+// falls back to the reference interpreter. Build bakes every machine
+// automatically unless Options.Backend pins BackendReference.
 func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
 	n := t.NumStates()
 	maxDepth := m.Opts.MaxDepth
@@ -284,7 +284,7 @@ func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
 		p.rows[s] = rowDense | uint32(len(p.fast))
 		p.fast = append(p.fast, row)
 	}
-	p.over = make([]int32, len(over)) // exactly sized: Build and Load hold the same bytes
+	p.over = make([]int32, len(over)) // exactly sized: the resident image carries no growth slack
 	copy(p.over, over)
 	return p
 }
@@ -294,8 +294,7 @@ func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
 // tier with ties to the lower state number, until the budget
 // — Options.DenseStates, defaulting to DefaultDenseStates, negative to
 // disable the tier — is exhausted. Machines small enough to fit entirely
-// become a pure flat DFA. The selection is a pure function of the trie, so
-// a snapshot Load reproduces the exact promotion Build made.
+// become a pure flat DFA. The selection is a pure function of the trie.
 func (m *Machine) pickDense(t *ac.Trie, ft *failTree) []bool {
 	n := t.NumStates()
 	promoted := make([]bool, n)

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/ac"
@@ -333,46 +331,6 @@ func TestCompileFallback(t *testing.T) {
 	}
 	if m.prog != nil {
 		t.Fatal("Backend reference still compiled a program")
-	}
-}
-
-// TestSnapshotLoadBakes proves a Load-ed machine compiles its kernel — the
-// snapshot carries no popularity tally, so promotion is re-derived from the
-// loaded trie — into the very Program Build made: the same dense set (the
-// row descriptors say which states are promoted), every array equal, the
-// same match memory, and it scans identically. The second set has more states
-// than the dense tier holds, so the promotion is a real choice.
-func TestSnapshotLoadBakes(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, set := range []*ruleset.Set{
-		randBakedSet(rng),
-		ruleset.MustGenerate(ruleset.GenConfig{N: 300, Seed: 81}),
-	} {
-		m, err := Build(set, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := m.Save(&buf, mustTrie(t, set)); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loaded.prog == nil {
-			t.Fatal("loaded machine has no baked program")
-		}
-		if loaded.pre == nil {
-			t.Fatal("loaded machine has no verified prefilter")
-		}
-		if !reflect.DeepEqual(loaded.prog, m.prog) {
-			t.Fatal("loaded machine's Program differs from the built one")
-		}
-		payload := randBakedPayload(rng, 4096)
-		if !ac.MatchesEqual(loaded.FindAll(payload), m.FindAll(payload)) {
-			t.Fatal("loaded machine scans differently")
-		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
-// The sparse builder. Build and Load derive everything the dense
-// |states| × 256 move table would tell them from the trie's edges and its
-// fail tree, without ever materializing a move row (ARCHITECTURE.md, "Build
-// pipeline"). Three recurrences carry it, each exact:
+// The sparse builder. Build derives everything the dense |states| × 256
+// move table would tell it from the trie's edges and its fail tree, without
+// ever materializing a move row (ARCHITECTURE.md, "Build pipeline"). Three
+// recurrences carry it, each exact:
 //
 //   - Popularity. Move(s, c) is the goto target of the first state on s's
 //     fail chain that has an edge on c. So an edge q —c→ v is taken by every
@@ -56,9 +56,10 @@ func newFailTree(t *ac.Trie) *failTree {
 	n := len(nodes)
 	ft := &failTree{order: make([]int32, n), sub: make([]int32, n), pop: make([]int64, n)}
 
-	// Counting sort by depth. (Not a walk over the edges: a snapshot's node
-	// table is validated for depth and fail monotonicity, not for
-	// reachability.)
+	// Counting sort by depth. Not the identity: ac.New numbers states in
+	// insertion order — a parent before its children, one pattern's path
+	// before the next's — so a fail parent is shallower but may carry the
+	// higher number.
 	start := make([]int32, n+1)
 	for i := range nodes {
 		start[nodes[i].Depth+1]++

@@ -58,9 +58,9 @@
 // resulting structural equivalence exhaustively; the matcher tests check it
 // empirically against the oracle.
 //
-// Construction never expands the DFA it compresses. Build and Load work
-// from the trie's edges and its fail tree in O(states + edges + stored
-// pointers) — see build.go for the recurrences and why they are exact. The
+// Construction never expands the DFA it compresses. Build works from the
+// trie's edges and its fail tree in O(states + edges + stored pointers) —
+// see build.go for the recurrences and why they are exact. The
 // dense |states| × 256 sweep (ac.Trie.ForEachMoveRow) is verification-only:
 // VerifyTransitions walks it, and the test suite keeps the former
 // dense-sweep builder as the oracle the sparse one must equal field for
@@ -68,10 +68,11 @@
 //
 // Nor does the result keep the trie: what stays in memory is the paper's
 // lookup table, state memory and match memory (outputTable), and the
-// kernels' tables. Build derives them from the trie, proves VerifySuperset
-// on it and lets it go, as Load does the blob's. What needs the uncompressed
-// automaton later — the other Verify* proofs, Save, WriteDot — is handed a
-// trie of the same ruleset: a proof is of the image against the rules.
+// kernels' tables. Build — the one way a Machine comes to exist — derives
+// them from the trie, proves VerifySuperset on it and lets it go. What needs
+// the uncompressed automaton later — the other Verify* proofs, WriteDot — is
+// handed a trie of the same ruleset: a proof is of the image against the
+// rules.
 package core
 
 import (
@@ -100,8 +101,8 @@ type Options struct {
 	// DenseStates budgets the baked kernel's fast tier: how many states
 	// have their whole move row precomputed, as a bitmap over the depth-1
 	// default row plus the targets that differ from it (0 =
-	// DefaultDenseStates, negative disables the tier). Runtime-only tuning;
-	// not serialized in snapshots.
+	// DefaultDenseStates, negative disables the tier). Tuning only: every
+	// setting scans identically.
 	DenseStates int
 	// Backend selects the scan implementation ScanAppend and NewScanner run:
 	// BackendAuto (or "") picks the fastest always-exact default —
@@ -111,8 +112,7 @@ type Options struct {
 	// compiling the kernels); BackendBaked and BackendPrefiltered pin
 	// those kernels and make Build fail if the configuration cannot
 	// compile them. Unknown names are a Build error listing
-	// RegisteredBackends. Runtime-only, not serialized; NewScannerFor
-	// overrides it per scanner.
+	// RegisteredBackends. NewScannerFor overrides it per scanner.
 	Backend string
 }
 
@@ -297,11 +297,6 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compressTrie(trie, opts)
-}
-
-// compressTrie is Build from the trie on, under resolved, validated options.
-func compressTrie(trie *ac.Trie, opts Options) (*Machine, error) {
 	m := &Machine{Opts: opts, backend: opts.Backend, generation: nextGeneration()}
 	ft := newFailTree(trie)
 	m.selectDefaults(trie, ft)

@@ -1,0 +1,37 @@
+package core
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"repro/internal/ruleset"
+)
+
+// buildFingerprint hashes every decision the builder makes for the
+// benchmark's ruleset (GenerateSnortLike(634, 2010)) under opts: the lookup
+// table, the state memory and every BuildStats field, floats included (%v
+// prints a float64 in its shortest round-trip form, so no bit is lost).
+func buildFingerprint(t *testing.T, opts Options) string {
+	t.Helper()
+	m := mustBuild(t, ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010}), opts)
+	h := sha256.New()
+	fmt.Fprintf(h, "%v|%v|%v|%+v", m.Defaults, m.stored, m.storedOff, m.Stats)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestBuildFingerprintPinned holds the builder to what it decided at the
+// last commit that changed it: the constant was taken by running this body
+// against the parent of the commit that added it, so a change that moves a
+// default, a stored pointer or a Table II figure fails here first.
+func TestBuildFingerprintPinned(t *testing.T) {
+	const want = "9ab99ba8ac17a8b7bdc787e97b01b57ce0642282e24b81c8d5093ce863082b1c"
+	if got := buildFingerprint(t, Options{}); got != want {
+		t.Fatalf("the 634-string build hashes to %s, want %s", got, want)
+	}
+	// The ablation options reach the builder: each depth limit is its own image.
+	d1, d2 := buildFingerprint(t, Options{MaxDepth: 1}), buildFingerprint(t, Options{MaxDepth: 2})
+	if d1 == d2 || d1 == want || d2 == want {
+		t.Fatalf("MaxDepth 1, 2 and 3 build %s, %s and %s: two are the same image", d1, d2, want)
+	}
+}

@@ -64,39 +64,15 @@ func TestReferenceBackendEmitsFromOutputTable(t *testing.T) {
 
 // TestOutputTableNestedSuffixes is the hand-made case: every pattern a
 // suffix of the one before, so the deepest state's chain visits four states,
-// and one string numbered twice, so a state on that chain ends two patterns.
-// ruleset.Validate refuses the same bytes under two IDs, so the second ID
-// goes into the trie's parts and through ac.Rebuild, as a snapshot's would.
+// numbered downwards (setOf's sparse IDs), so the order the chain is walked
+// in is the reverse of the order the machine must emit in.
 func TestOutputTableNestedSuffixes(t *testing.T) {
-	set := setOf([][]byte{[]byte("abcd"), []byte("bcd"), []byte("cd"), []byte("d")}, false)
-	built, err := ac.New(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const twin = 9 // second ID of "cd", which is pattern 2
-	var (
-		nodes = slices.Clone(built.Nodes)
-		edges []ac.Edge
-		outs  []int32
-	)
-	for s := range nodes {
-		edges = append(edges, built.Edges(int32(s))...)
-		outs = append(outs, built.Out(int32(s))...)
-		if slices.Contains(built.Out(int32(s)), 2) {
-			outs = append(outs, twin)
-			nodes[s].NumOut++
-		}
-	}
-	trie, err := ac.Rebuild(nodes, edges, outs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := setOf([][]byte{[]byte("abcd"), []byte("bcd"), []byte("cd"), []byte("d")}, true)
+	abcd, bcd, cd, d := int32(set.Patterns[0].ID), int32(set.Patterns[1].ID), int32(set.Patterns[2].ID), int32(set.Patterns[3].ID)
+	trie := mustTrie(t, set)
 
 	for _, opts := range []Options{{}, {DenseStates: -1}, {DenseStates: 2}, {Backend: BackendReference}} {
-		m, err := compressTrie(trie, opts.withDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := mustBuild(t, set, opts)
 		if err := m.VerifyOutputs(trie); err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -104,19 +80,22 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 			t.Fatalf("%+v: %v", opts, err)
 		}
 		// The trie walks own output first, then each fail-ancestor's, so the
-		// twin (9) comes before the shorter "d" (3); the machine's lists are
-		// sorted, so it emits in (End, PatternID) order — on every backend, at
-		// every end offset.
+		// longest pattern — the highest ID — comes first; the machine's lists
+		// are sorted, so it emits in (End, PatternID) order — on every
+		// backend, at every end offset.
 		payload := []byte("xabcdcd")
 		chain := []ac.Match{
-			{PatternID: 0, End: 5}, {PatternID: 1, End: 5}, {PatternID: 2, End: 5}, {PatternID: twin, End: 5}, {PatternID: 3, End: 5},
-			{PatternID: 2, End: 7}, {PatternID: twin, End: 7}, {PatternID: 3, End: 7},
+			{PatternID: abcd, End: 5}, {PatternID: bcd, End: 5}, {PatternID: cd, End: 5}, {PatternID: d, End: 5},
+			{PatternID: cd, End: 7}, {PatternID: d, End: 7},
 		}
 		if got := trie.FindAll(payload); !slices.Equal(got, chain) {
 			t.Fatalf("the trie itself finds %v, want %v", got, chain)
 		}
 		want := slices.Clone(chain)
 		ac.SortMatches(want)
+		if slices.Equal(want, chain) {
+			t.Fatal("the chain is already in canonical order: the case proves nothing")
+		}
 		for _, name := range m.Backends() {
 			sc, err := m.NewScannerFor(name)
 			if err != nil {

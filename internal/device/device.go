@@ -215,11 +215,6 @@ func (d Device) GroupsNeeded(totalStateWords int) int {
 	return g
 }
 
-// StateMemoryBits returns the bit capacity of one block's state memory.
-func (d Device) StateMemoryBits() int {
-	return d.StateWordsPerBlock * 324
-}
-
 // WithDoubledBlockMemory returns a copy of d with twice the state words per
 // block, modelling §V.D's observation that the unused M144K blocks could
 // double the memory available to the string matching blocks.

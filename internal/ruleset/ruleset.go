@@ -96,13 +96,6 @@ func (s *Set) Dedup() *Set {
 	return out
 }
 
-// Renumber assigns IDs 0..n-1 in current order, in place.
-func (s *Set) Renumber() {
-	for i := range s.Patterns {
-		s.Patterns[i].ID = i
-	}
-}
-
 // Validate checks set invariants: non-empty patterns, unique IDs, unique
 // content, and IDs small enough for the 13-bit hardware string-number field.
 func (s *Set) Validate() error {
