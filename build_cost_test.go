@@ -15,14 +15,15 @@ import (
 	"repro/internal/ruleset"
 )
 
-// buildAllocCeiling bounds core.Build's allocations at 634 strings: 1 448
-// measured, plus 15 %. None of them is per trie state — the trie is a node
-// table and three arenas. What is left is per pattern or per table row:
-// ruleset.Validate's duplicate-content keys (637, one string per pattern),
-// the prefilter's collapsed nodes (493, one class row each), and some 300
-// between the lookup table's per-character default lists and the builder's
-// transient tallies.
-const buildAllocCeiling = 1665
+// buildAllocCeiling bounds core.Build's allocations at 634 strings: 324
+// measured, plus 15 %. None of them is per trie state or per pattern — the
+// trie is a node table and three arenas, ac.New checks patterns as it
+// inserts them (an ID bitset, not maps of IDs and contents), and the
+// prefilter's collapsed trie is one class-row arena. What is left is per
+// lookup-table row: some 190 between the per-character default lists and
+// the ranking that fills them, and the builder's and kernels' flat tables,
+// a handful each.
+const buildAllocCeiling = 373
 
 func benchmarkRuleset() *ruleset.Set {
 	return ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})

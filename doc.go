@@ -32,7 +32,7 @@
 //     popular deeper states) are fast rows — the whole move row as a
 //     256-bit bitmap over the depth-1 default row plus the few targets that
 //     differ from it — while the long tail keeps the paper's compressed form
-//     as packed CSR stored pointers plus the fixed default-transition lookup
+//     as 4-byte stored pointers plus the fixed default-transition lookup
 //     table, probed through a fused two-character history register. The
 //     prefiltered backend — the auto default, and the one production kernel
 //     — stacks a two-stage pipeline on top: a tiny cache-resident lossy

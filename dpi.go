@@ -388,12 +388,13 @@ type KernelStats struct {
 	Backend       string
 	States        int // automaton states
 	DenseStates   int // states promoted to fast rows (precomputed whole move rows)
-	StoredEntries int // CSR stored-pointer entries of the compressed states
+	StoredEntries int // stored-pointer entries of the compressed states
 	DenseBytes    int // the fast tier: 48 B per promoted state plus 4 B per override of the depth-1 default row
-	// StoredBytes is the CSR stored-pointer arena plus the kernel's
-	// per-state row descriptors. The arena is the automaton's one state
-	// memory, which the kernel reads in place rather than owning a copy;
-	// it holds every state's row, the promoted states' included.
+	// StoredBytes is the stored-pointer arena, 4 B a pointer, plus the row
+	// index, 4 B a state. Both are the automaton's own — its one state
+	// memory and the one index both interpreters read it through — which
+	// the kernel reads in place rather than owning copies; the arena holds
+	// every state's row, the promoted states' included.
 	StoredBytes int
 	LookupBytes int // fixed d1/d2/d3 lookup rows
 	OutputBytes int // output bitsets, rank tables and flattened pattern-ID lists

@@ -104,13 +104,14 @@ type protoNode struct {
 	char    byte
 }
 
-// New builds the trie, failure function and output links for set.
+// New builds the trie, failure function and output links for set. It
+// refuses what Set.Validate refuses — an empty pattern, an ID outside the
+// 13-bit range, a repeated ID or repeated content — checking as the
+// patterns go in: IDs against a bitset, content by two patterns ending on
+// one state.
 func New(set *ruleset.Set) (*Trie, error) {
 	if set.Len() == 0 {
 		return nil, fmt.Errorf("ac: empty pattern set")
-	}
-	if err := set.Validate(); err != nil {
-		return nil, fmt.Errorf("ac: %w", err)
 	}
 	// One state per pattern byte is the ceiling. The proto table is sized to
 	// it once and dropped when the states that exist have been frozen into
@@ -146,7 +147,19 @@ func New(set *ruleset.Set) (*Trie, error) {
 	for c := range rootGoto {
 		rootGoto[c] = None
 	}
-	for _, p := range set.Patterns {
+	var seenID [(ruleset.IDSpace + 63) / 64]uint64
+	for i, p := range set.Patterns {
+		if len(p.Data) == 0 {
+			return nil, fmt.Errorf("ac: pattern %d is empty", i)
+		}
+		if p.ID < 0 || p.ID >= ruleset.IDSpace {
+			return nil, fmt.Errorf("ac: pattern ID %d outside the usable 13-bit range [0,%d]", p.ID, ruleset.IDSpace-1)
+		}
+		w, bit := p.ID>>6, uint64(1)<<(p.ID&63)
+		if seenID[w]&bit != 0 {
+			return nil, fmt.Errorf("ac: duplicate pattern ID %d", p.ID)
+		}
+		seenID[w] |= bit
 		cur := rootGoto[p.Data[0]]
 		if cur == None {
 			cur = childOf(Root, p.Data[0])
@@ -155,8 +168,11 @@ func New(set *ruleset.Set) (*Trie, error) {
 		for _, c := range p.Data[1:] {
 			cur = childOf(cur, c)
 		}
-		// Validate ruled out two patterns with the same bytes: a state ends
-		// at most one.
+		// A state ends at most one pattern: a second one ending here has the
+		// same bytes.
+		if proto[cur].out != None {
+			return nil, fmt.Errorf("ac: patterns %d and %d have the same content %q", proto[cur].out, p.ID, p.Data)
+		}
 		proto[cur].out = int32(p.ID)
 	}
 

@@ -2,6 +2,7 @@ package ac
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -295,10 +296,33 @@ func TestNewRejectsEmptySet(t *testing.T) {
 	}
 }
 
+// TestNewRejectsInvalidSet: New checks a set as it inserts it, not through
+// Set.Validate, and each of the four things Validate refuses still fails it
+// for its own reason — the sets are valid but for the one fault.
 func TestNewRejectsInvalidSet(t *testing.T) {
-	bad := &ruleset.Set{Patterns: []ruleset.Pattern{{ID: 0, Data: nil}}}
-	if _, err := New(bad); err == nil {
-		t.Fatal("New accepted invalid set")
+	p := func(id int, data string) ruleset.Pattern { return ruleset.Pattern{ID: id, Data: []byte(data)} }
+	for _, tc := range []struct {
+		fault    string
+		patterns []ruleset.Pattern
+	}{
+		{"is empty", []ruleset.Pattern{p(0, "he"), p(1, "")}},
+		{"outside the usable 13-bit range", []ruleset.Pattern{p(0, "he"), p(ruleset.IDSpace, "she")}},
+		{"outside the usable 13-bit range", []ruleset.Pattern{p(-1, "he")}},
+		{"duplicate pattern ID 8190", []ruleset.Pattern{p(8190, "he"), p(3, "his"), p(8190, "she")}},
+		{"same content", []ruleset.Pattern{p(0, "hers"), p(1, "he"), p(2, "hers")}},
+	} {
+		set := &ruleset.Set{Patterns: tc.patterns}
+		if set.Validate() == nil {
+			t.Fatalf("%v: Set.Validate accepts the case", tc.patterns)
+		}
+		_, err := New(set)
+		if err == nil || !strings.Contains(err.Error(), tc.fault) {
+			t.Errorf("%v: New says %v, want an error saying %q", tc.patterns, err, tc.fault)
+		}
+	}
+	// The edges of the ID range are valid.
+	if _, err := New(&ruleset.Set{Patterns: []ruleset.Pattern{p(0, "he"), p(ruleset.IDSpace-1, "she")}}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -28,15 +28,17 @@ package core
 //     bytes. This removes the per-byte int16 widening and the two-field
 //     compare of the builder path.
 //
-//   - Stored transitions stay where compress put them: stored is the
-//     Machine's own CSR arena, shared, not copied — one state memory read
-//     by two interpreters. rows[s] is the kernel's packed descriptor of
-//     state s's row in it. Because MaxStoredPerState is small on
-//     Snort-like sets (the whole point of the paper's compression), the
-//     descriptor carries the entry count inline — the common ≤4-entry row
-//     costs one descriptor load plus a short linear scan over adjacent
-//     8-byte entries, where Machine.Next takes two offset loads and a
-//     binary search.
+//   - Stored pointers stay where compress put them, in the paper's word:
+//     stored is the Machine's own arena of 4-byte Pointers (character and
+//     24-bit target), and rows is the Machine's own row index — one state
+//     memory and one index, shared, not copied, read by two interpreters.
+//     rows[s] packs the entry count inline with the offset, so the common
+//     ≤4-entry row costs one descriptor load plus a short linear scan over
+//     adjacent 4-byte entries, where Machine.Next binary-searches the row.
+//     Promotion to the fast tier (below) rewrites a state's descriptor to
+//     its fast-row number and moves the stored-row descriptor to the
+//     Machine's displaced table, indexed by that number, which the
+//     reference interpreter reads and the kernel never does.
 //
 //   - The match memory is the Machine's too (outputTable), shared the same
 //     way: a bitset probe, and on a hit the state's complete ID list.
@@ -81,11 +83,12 @@ const (
 	emptyD3Key = uint64(histMask) << 32
 
 	// Row descriptor packing: bit 31 selects the fast tier (low 31 bits =
-	// fast row index); otherwise bits 24-30 hold the stored-entry count
-	// and bits 0-23 the offset into the CSR arena.
-	rowDense    = uint32(1) << 31
-	rowOffMask  = 1<<24 - 1
-	rowCountMax = 127
+	// fast row index); otherwise bits 22-30 hold the stored-entry count —
+	// nine bits, as a row holds at most one pointer per byte value, 256 —
+	// and bits 0-21 the offset into the arena.
+	rowDense      = uint32(1) << 31
+	rowCountShift = 22
+	rowOffMask    = 1<<rowCountShift - 1
 
 	// DefaultDenseStates is the fast-tier budget when Options.DenseStates
 	// is 0: at 634 strings the start state, all 73 depth-1 states and the
@@ -100,8 +103,8 @@ type Program struct {
 	d2 [256][4]uint64 // prevKey<<32 | state, empty slots never match
 	d3 [256]uint64    // (p2<<9|p1)<<32 | state, empty key never matches
 
-	rows   []uint32     // per-state descriptor: fast row index or CSR count+offset
-	stored []Transition // the Machine's arena, rows sorted by char
+	rows   []uint32     // the Machine's row index: fast row index or count+offset
+	stored []Pointer    // the Machine's arena, rows sorted by char
 	fast   []fastRow    // one per promoted state
 	over   []int32      // every fast row's overrides of d1, back to back
 	out    *outputTable // the Machine's match memory
@@ -153,14 +156,14 @@ func splitHist(hist uint32) (h2, h1 int16) {
 }
 
 // compile bakes m — compressed from t, whose fail-tree analysis is ft —
-// into a Program. It returns nil when the machine does not fit the fixed
-// row format — more than 4 depth-2 or 1 depth-3 defaults per character
-// (ablation configurations), more stored pointers at a compressed state or
-// in the whole arena than the descriptor packs — in which case scanning
-// falls back to the reference interpreter. Build bakes every machine
+// into a Program, promoting states to the fast tier in m's own row index.
+// It returns nil, m untouched, when the machine does not fit the fixed
+// lookup-row format — more than 4 depth-2 or 1 depth-3 defaults per
+// character (ablation configurations) — in which case scanning falls back
+// to the reference interpreter. (Every stored row fits its descriptor:
+// compress refuses an arena that would not.) Build bakes every machine
 // automatically unless Options.Backend pins BackendReference.
 func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
-	n := t.NumStates()
 	maxDepth := m.Opts.MaxDepth
 	if maxDepth >= 2 {
 		for c := 0; c < 256; c++ {
@@ -177,7 +180,7 @@ func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
 		}
 	}
 
-	p := &Program{stored: m.stored, out: &m.out}
+	p := &Program{rows: m.rows, stored: m.stored, out: &m.out}
 
 	// Lookup table rows. Depths beyond Opts.MaxDepth stay empty so the
 	// kernel needs no runtime depth limit: a disabled tier simply never
@@ -207,25 +210,10 @@ func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
 	// Fast-tier promotion: start state and depth-1 states first, then the
 	// most popular remaining states until the budget is spent.
 	promoted := m.pickDense(t, ft)
-
-	// Row descriptors of the compressed states: count and offset of the
-	// state's row in the shared arena. Only a compressed row is read through
-	// its descriptor, so only there does the inline entry count limit what
-	// fits. A promoted state's descriptor is written with its fast row.
-	if len(m.stored) > rowOffMask {
-		return nil
-	}
-	p.rows = make([]uint32, n)
 	fastCount := 0
-	for s := 0; s < n; s++ {
-		lo, hi := m.storedOff[s], m.storedOff[s+1]
-		switch {
-		case promoted[s]:
+	for _, ok := range promoted {
+		if ok {
 			fastCount++
-		case hi-lo > rowCountMax:
-			return nil
-		default:
-			p.rows[s] = (hi-lo)<<24 | lo
 		}
 	}
 
@@ -236,8 +224,10 @@ func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
 	// ends at the start state at the latest, whose row is d1 itself: its
 	// edges are the depth-1 states. Every other edge leads to depth ≥ 2,
 	// which d1 never holds, so going down a chain only ever adds overrides
-	// or replaces them.
+	// or replaces them. A promoted state's descriptor becomes its fast-row
+	// number; the stored-row descriptor it held moves to displaced.
 	p.fast = make([]fastRow, 0, fastCount)
+	m.displaced = make([]uint32, 0, fastCount)
 	over := make([]int32, 0, 4*fastCount)
 	var chain []int32
 	var scratch [256]int32 // read only where the row's bit is set
@@ -281,6 +271,7 @@ func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
 				over = append(over, scratch[w<<6|bits.TrailingZeros64(word)])
 			}
 		}
+		m.displaced = append(m.displaced, p.rows[s])
 		p.rows[s] = rowDense | uint32(len(p.fast))
 		p.fast = append(p.fast, row)
 	}
@@ -342,11 +333,11 @@ func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out
 		if ref >= rowDense {
 			state = fast[ref-rowDense].move(c, &p.d1, over)
 		} else {
-			if cnt := ref >> 24; cnt != 0 {
+			if cnt := ref >> rowCountShift; cnt != 0 {
 				base := ref & rowOffMask
 				for i := uint32(0); i < cnt; i++ {
-					if e := &p.stored[base+i]; e.Char == c {
-						state = e.To
+					if e := p.stored[base+i]; e.Char() == c {
+						state = e.To()
 						goto stepped
 					}
 				}
@@ -392,11 +383,11 @@ func (p *Program) step(state int32, hist uint32, c byte) (int32, uint32) {
 	if ref >= rowDense {
 		state = p.fast[ref-rowDense].move(c, &p.d1, p.over)
 	} else {
-		if cnt := ref >> 24; cnt != 0 {
+		if cnt := ref >> rowCountShift; cnt != 0 {
 			base := ref & rowOffMask
 			for i := uint32(0); i < cnt; i++ {
-				if e := &p.stored[base+i]; e.Char == c {
-					state = e.To
+				if e := p.stored[base+i]; e.Char() == c {
+					state = e.To()
 					goto stepped
 				}
 			}
@@ -440,11 +431,11 @@ func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []b
 		if ref >= rowDense {
 			state = fast[ref-rowDense].move(c, &p.d1, over)
 		} else {
-			if cnt := ref >> 24; cnt != 0 {
+			if cnt := ref >> rowCountShift; cnt != 0 {
 				base := ref & rowOffMask
 				for i := uint32(0); i < cnt; i++ {
-					if e := &p.stored[base+i]; e.Char == c {
-						state = e.To
+					if e := p.stored[base+i]; e.Char() == c {
+						state = e.To()
 						goto stepped
 					}
 				}
@@ -489,10 +480,11 @@ type ProgramStats struct {
 	DenseStates   int // states promoted to fast rows
 	StoredEntries int // stored-pointer entries of the compressed states
 	DenseBytes    int // fast tier: DenseStates × 48 B of bitmap rows plus 4 B per override
-	// StoredBytes is the stored-pointer arena plus the kernel's row
-	// descriptors. The arena is the Machine's, shared, not a second copy,
-	// and holds every state's row: those of promoted states, which the
-	// kernel never reads, included.
+	// StoredBytes is the stored-pointer arena, 4 B a pointer, plus the row
+	// index, 4 B a state. Both are the Machine's, shared, not second copies,
+	// and the arena holds every state's row: those of promoted states, which
+	// the kernel never reads, included. (The displaced descriptors of those
+	// rows, which the kernel never reads either, are not counted.)
 	StoredBytes int
 	LookupBytes int // d1/d2/d3 fixed lookup rows
 	OutputBytes int // output bitset, rank table and flattened pattern-ID lists
@@ -505,13 +497,13 @@ func (p *Program) Stats() ProgramStats {
 		States:      len(p.rows),
 		DenseStates: len(p.fast),
 		DenseBytes:  len(p.fast)*int(unsafe.Sizeof(fastRow{})) + len(p.over)*4,
-		StoredBytes: len(p.stored)*8 + len(p.rows)*4,
+		StoredBytes: len(p.stored)*int(unsafe.Sizeof(Pointer(0))) + len(p.rows)*4,
 		LookupBytes: 256 * (4 + 4*8 + 8),
 		OutputBytes: len(p.out.bits)*8 + len(p.out.rank)*4 + len(p.out.off)*4 + len(p.out.ids)*4,
 	}
 	for _, ref := range p.rows {
 		if ref < rowDense {
-			st.StoredEntries += int(ref >> 24)
+			st.StoredEntries += int(ref >> rowCountShift)
 		}
 	}
 	st.TotalBytes = st.DenseBytes + st.StoredBytes + st.LookupBytes + st.OutputBytes

@@ -29,6 +29,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/ac"
@@ -222,11 +223,55 @@ func staticHistory(t *ac.Trie, s int32) (h2, h1 int16) {
 	}
 }
 
+// resolveDepths evaluates the default rule for c under history (h2, h1)
+// under every depth limit at once: r[d] is Resolve(c, h2, h1, d) for d = 1,
+// 2 and 3, each limit's answer the one below it unless a deeper default
+// matches.
+func (d *Defaults) resolveDepths(c byte, h2, h1 int16) (r [4]int32) {
+	r[1] = ac.Root
+	if s := d.D1[c]; s != ac.None {
+		r[1] = s
+	}
+	r[2] = r[1]
+	if h1 != HistNone {
+		for _, e := range d.D2[c] {
+			if int16(e.Prev) == h1 {
+				r[2] = e.State
+				break
+			}
+		}
+	}
+	r[3] = r[2]
+	if h2 != HistNone && h1 != HistNone {
+		for _, e := range d.D3[c] {
+			if int16(e.Prev2) == h2 && int16(e.Prev1) == h1 {
+				r[3] = e.State
+				break
+			}
+		}
+	}
+	return r
+}
+
+// fitsWord reports whether a machine of states states storing entries
+// pointers fits the packed state memory: a Pointer names its target in 24
+// bits, and a row descriptor its row's offset in 22.
+func fitsWord(states int, entries int64) error {
+	if states > maxStates {
+		return fmt.Errorf("core: the automaton has %d states, a stored pointer addresses %d", states, maxStates)
+	}
+	if entries > rowOffMask {
+		return fmt.Errorf("core: the automaton stores %d pointers, a row descriptor addresses %d", entries, rowOffMask)
+	}
+	return nil
+}
+
 // compress keeps, at every state, only the transitions the default rule
 // cannot reproduce, and tallies the progressive d1 / d1+d2 / d1+d2+d3
 // pointer counts for Table II. The rows go into one arena in state order,
-// sized by the tally.
-func (m *Machine) compress(t *ac.Trie, ft *failTree) {
+// sized by the tally, and the row index gets one descriptor per state. It
+// fails when the machine is beyond what fitsWord allows.
+func (m *Machine) compress(t *ac.Trie, ft *failTree) error {
 	n := t.NumStates()
 
 	// Per edge s —c→ v: under each depth limit, is the edge stored at s, and
@@ -237,7 +282,7 @@ func (m *Machine) compress(t *ac.Trie, ft *failTree) {
 	// which — shallow states first — is already known. (The start state is
 	// its own fail parent; its length is still zero when it is read.)
 	keep := make([]bool, n)
-	off := make([]uint32, n+1) // off[s+1] is row s's length until summed
+	rows := make([]uint32, n) // row s's length until the offsets are laid
 	var total [4]int64
 	maxStored := 0
 	for _, s := range ft.order {
@@ -245,12 +290,17 @@ func (m *Machine) compress(t *ac.Trie, ft *failTree) {
 		h2, h1 := staticHistory(t, s)
 		fh2, fh1 := staticHistory(t, nd.Fail)
 		w := int64(ft.sub[s])
-		length := int(off[nd.Fail+1])
+		length := int(rows[nd.Fail])
 		for _, e := range t.Edges(s) {
 			over := t.Nodes[e.To].Fail
+			own := m.Defaults.resolveDepths(e.Char, h2, h1)
+			var inherited [4]int32
+			if over != ac.Root {
+				inherited = m.Defaults.resolveDepths(e.Char, fh2, fh1)
+			}
 			for d := 1; d <= 3; d++ {
-				stored := m.Defaults.Resolve(e.Char, h2, h1, d) != e.To
-				overStored := over != ac.Root && m.Defaults.Resolve(e.Char, fh2, fh1, d) != over
+				stored := own[d] != e.To
+				overStored := over != ac.Root && inherited[d] != over
 				if stored {
 					total[d] += w
 				}
@@ -268,40 +318,44 @@ func (m *Machine) compress(t *ac.Trie, ft *failTree) {
 				}
 			}
 		}
-		off[s+1] = uint32(length)
+		rows[s] = uint32(length)
 		maxStored = max(maxStored, length)
 	}
-	for s := 0; s < n; s++ {
-		off[s+1] += off[s]
+	if err := fitsWord(n, total[m.Opts.MaxDepth]); err != nil {
+		return err
+	}
+	at := uint32(0)
+	for s, length := range rows {
+		rows[s] = length<<rowCountShift | at
+		at += length
 	}
 
 	// Shallow states first, merge the fail parent's row with the state's
 	// own edges; both are sorted by character. The start state has no fail
 	// parent to inherit from.
-	arena := make([]Transition, total[m.Opts.MaxDepth])
+	m.stored, m.rows = make([]Pointer, total[m.Opts.MaxDepth]), rows
 	for _, s := range ft.order {
-		var inherited []Transition
-		if f := t.Nodes[s].Fail; s != ac.Root {
-			inherited = arena[off[f]:off[f+1]]
+		var inherited []Pointer
+		if s != ac.Root {
+			inherited = m.StoredRow(t.Nodes[s].Fail)
 		}
-		used := off[s]
+		row, used := m.StoredRow(s), 0
 		for _, e := range t.Edges(s) {
-			for len(inherited) > 0 && inherited[0].Char < e.Char {
-				arena[used] = inherited[0]
+			for len(inherited) > 0 && inherited[0].Char() < e.Char {
+				row[used] = inherited[0]
 				used++
 				inherited = inherited[1:]
 			}
-			if len(inherited) > 0 && inherited[0].Char == e.Char {
+			if len(inherited) > 0 && inherited[0].Char() == e.Char {
 				inherited = inherited[1:]
 			}
 			if keep[e.To] {
-				arena[used] = Transition{Char: e.Char, To: e.To}
+				row[used] = newPointer(e.Char, e.To)
 				used++
 			}
 		}
-		copy(arena[used:off[s+1]], inherited)
+		copy(row[used:], inherited)
 	}
-	m.stored, m.storedOff = arena, off
 
 	fn := float64(n)
 	st := &m.Stats
@@ -315,4 +369,5 @@ func (m *Machine) compress(t *ac.Trie, ft *failTree) {
 	if st.OriginalPointers > 0 {
 		st.Reduction = 1 - float64(st.StoredPointers)/float64(st.OriginalPointers)
 	}
+	return nil
 }

@@ -34,7 +34,8 @@
 // description. The "baked" backend runs the Program (see baked.go), a pure
 // re-layout into fixed arrays and a two-tier fast/compressed format that
 // Build compiles by default; its compressed tier reads the Machine's own
-// stored-pointer arena — one state memory, two interpreters — and both
+// stored-pointer arena through the Machine's own row index — one state
+// memory, two interpreters — and both
 // emit from the Machine's one flattened output table (outputTable). The
 // "prefiltered" backend (see prefilter.go) is a two-stage pipeline: a tiny
 // lossy automaton skims clean traffic and only suspect byte windows run
@@ -219,11 +220,27 @@ func (d *Defaults) Resolve(c byte, h2, h1 int16, maxDepth int) int32 {
 	return ac.Root
 }
 
-// Transition is a pointer still stored at a state after compression.
-type Transition struct {
-	Char byte
-	To   int32
-}
+// Pointer is a transition pointer still stored at a state after
+// compression, in one word as the paper's state memory holds one: the
+// character it is taken on in the top 8 bits, the target state in the low
+// 24. Pointers compare by character first, so a row sorted by character is
+// sorted by value.
+type Pointer uint32
+
+const (
+	pointerToBits = 24
+	// maxStates is the most states a machine can have: a stored pointer
+	// names its target in pointerToBits.
+	maxStates = 1 << pointerToBits
+)
+
+func newPointer(c byte, to int32) Pointer { return Pointer(c)<<pointerToBits | Pointer(to) }
+
+// Char is the input character the pointer is taken on.
+func (p Pointer) Char() byte { return byte(p >> pointerToBits) }
+
+// To is the state the pointer leads to.
+func (p Pointer) To() int32 { return int32(p & (maxStates - 1)) }
 
 // BuildStats reports the Table II quantities for one machine.
 type BuildStats struct {
@@ -254,13 +271,17 @@ type BuildStats struct {
 type Machine struct {
 	Opts     Options
 	Defaults Defaults
-	// stored is the state memory: every state's kept transitions back to
-	// back in state order, each state's sorted by Char, and storedOff[s] is
-	// where state s's begin (one more entry closes the last). Read a row
-	// through StoredRow. The baked Program's compressed tier reads this
-	// same arena.
-	stored    []Transition
-	storedOff []uint32
+	// stored is the state memory: every state's kept pointers back to back
+	// in state order, each state's sorted by character. rows is its one row
+	// index, one descriptor per state (see rowDense): the count and offset
+	// of the state's row, or — once the baked Program has promoted the state
+	// to its fast tier — its fast-row number, with the stored-row descriptor
+	// it displaced kept at that number in displaced. The Program reads
+	// stored and rows themselves, not copies; the reference interpreter reads
+	// a row through StoredRow or StoredAt, fast tier or not.
+	stored    []Pointer
+	rows      []uint32
+	displaced []uint32
 	// out is the match memory, shared with the baked Program like stored.
 	out   outputTable
 	Stats BuildStats
@@ -300,7 +321,9 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	m := &Machine{Opts: opts, backend: opts.Backend, generation: nextGeneration()}
 	ft := newFailTree(trie)
 	m.selectDefaults(trie, ft)
-	m.compress(trie, ft)
+	if err := m.compress(trie, ft); err != nil {
+		return nil, err
+	}
 	if err := m.compileBackends(trie, ft); err != nil {
 		return nil, err
 	}
@@ -353,29 +376,41 @@ func (m *Machine) Program() *Program { return m.prog }
 // the prefiltered backend is unavailable.
 func (m *Machine) Prefilter() *Prefilter { return m.pre }
 
-// StoredRow returns the transitions kept at state s, sorted by Char. The
+// storedRef returns state s's stored-row descriptor, looking through a
+// fast-row number to the descriptor the promotion displaced.
+func (m *Machine) storedRef(s int32) uint32 {
+	ref := m.rows[s]
+	if ref >= rowDense {
+		ref = m.displaced[ref-rowDense]
+	}
+	return ref
+}
+
+// StoredRow returns the pointers kept at state s, sorted by character. The
 // slice aliases the machine's state memory: read-only.
-func (m *Machine) StoredRow(s int32) []Transition {
-	lo, hi := m.storedOff[s], m.storedOff[s+1]
+func (m *Machine) StoredRow(s int32) []Pointer {
+	ref := m.storedRef(s)
+	lo := ref & rowOffMask
+	hi := lo + ref>>rowCountShift
 	return m.stored[lo:hi:hi]
 }
 
-// StoredAt returns the stored transition target of (s, c), or ac.None. (It
-// slices the arena itself: through StoredRow it would no longer fit the
-// inlining budget, and the reference interpreter calls it once per byte.)
+// StoredAt returns the stored transition target of (s, c), or ac.None: a
+// binary search of the state's row, as the reference interpreter takes one
+// per byte.
 func (m *Machine) StoredAt(s int32, c byte) int32 {
-	list := m.stored[m.storedOff[s]:m.storedOff[s+1]]
-	lo, hi := 0, len(list)
+	row := m.StoredRow(s)
+	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if list[mid].Char < c {
+		if row[mid].Char() < c {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(list) && list[lo].Char == c {
-		return list[lo].To
+	if lo < len(row) && row[lo].Char() == c {
+		return row[lo].To()
 	}
 	return ac.None
 }
@@ -461,7 +496,7 @@ func (o *outputTable) appendTo(s int32, pos int, out []ac.Match) []ac.Match {
 }
 
 // NumStates returns the number of automaton states, start state included.
-func (m *Machine) NumStates() int { return len(m.storedOff) - 1 }
+func (m *Machine) NumStates() int { return len(m.rows) }
 
 // AppendOutputs appends a Match ending at end for every pattern that ends
 // at state s, in ascending pattern ID.

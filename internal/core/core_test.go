@@ -70,7 +70,7 @@ func TestPaperToyExample(t *testing.T) {
 func TestToySurvivingPointer(t *testing.T) {
 	m, trie := mustBuild(t, toySet(), Options{}), mustTrie(t, toySet())
 	total := 0
-	var survivor Transition
+	var survivor Pointer
 	var atState int32
 	for s := int32(0); s < int32(m.NumStates()); s++ {
 		list := m.StoredRow(s)
@@ -83,14 +83,14 @@ func TestToySurvivingPointer(t *testing.T) {
 	if total != 1 {
 		t.Fatalf("stored pointers = %d, want 1", total)
 	}
-	if survivor.Char != 's' {
-		t.Fatalf("surviving pointer on %q, want 's'", survivor.Char)
+	if survivor.Char() != 's' {
+		t.Fatalf("surviving pointer on %q, want 's'", survivor.Char())
 	}
 	nd := trie.Nodes[atState]
 	if nd.Depth != 3 { // "her"
 		t.Fatalf("surviving pointer at depth %d, want 3", nd.Depth)
 	}
-	if to := trie.Nodes[survivor.To]; to.Depth != 4 { // "hers"
+	if to := trie.Nodes[survivor.To()]; to.Depth != 4 { // "hers"
 		t.Fatalf("surviving pointer targets depth %d, want 4", to.Depth)
 	}
 }
@@ -473,7 +473,7 @@ func TestQuickStoredPointersAreDFAMoves(t *testing.T) {
 		trie := mustTrie(t, set)
 		for s := int32(0); s < int32(m.NumStates()); s++ {
 			for _, tr := range m.StoredRow(s) {
-				if trie.Move(s, tr.Char) != tr.To {
+				if trie.Move(s, tr.Char()) != tr.To() {
 					return false
 				}
 			}

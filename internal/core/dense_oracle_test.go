@@ -59,13 +59,16 @@ func denseOutputs(t *ac.Trie) outputTable {
 }
 
 // setStoredRows makes rows — one list per state — the machine's state
-// memory: the lists back to back in state order, and where each begins.
-func (m *Machine) setStoredRows(rows [][]Transition) {
-	m.stored = []Transition{}
-	m.storedOff = make([]uint32, len(rows)+1)
+// memory: the lists packed and back to back in state order, and the row
+// index saying where each begins and how long it is.
+func (m *Machine) setStoredRows(rows [][]transition) {
+	m.stored = []Pointer{}
+	m.rows = make([]uint32, len(rows))
 	for s, row := range rows {
-		m.stored = append(m.stored, row...)
-		m.storedOff[s+1] = uint32(len(m.stored))
+		m.rows[s] = uint32(len(row))<<rowCountShift | uint32(len(m.stored))
+		for _, tr := range row {
+			m.stored = append(m.stored, Pointer(tr.Char)<<24|Pointer(tr.To))
+		}
 	}
 }
 
@@ -140,9 +143,9 @@ func (m *Machine) denseSelectDefaults(t *ac.Trie) []int64 {
 }
 
 // denseCompress returns every state's stored row and fills in the stats.
-func (m *Machine) denseCompress(t *ac.Trie) [][]Transition {
+func (m *Machine) denseCompress(t *ac.Trie) [][]transition {
 	n := t.NumStates()
-	rows := make([][]Transition, n)
+	rows := make([][]transition, n)
 	maxStored := 0
 	t.ForEachMoveRow(func(s int32, row []int32) {
 		h2, h1 := staticHistory(t, s)
@@ -162,7 +165,7 @@ func (m *Machine) denseCompress(t *ac.Trie) [][]Transition {
 				m.Stats.StoredAfterD123++
 			}
 			if m.Defaults.Resolve(ch, h2, h1, m.Opts.MaxDepth) != to {
-				rows[s] = append(rows[s], Transition{Char: ch, To: to})
+				rows[s] = append(rows[s], transition{Char: ch, To: to})
 			}
 		}
 		if len(rows[s]) > maxStored {
@@ -238,7 +241,8 @@ func densePromoted(m *Machine, t *ac.Trie, pop []int64) []bool {
 // denseCompile lays out the Program with every promoted state's 256-entry
 // move row filled by Trie.Move, one fail-chain walk per (state, character)
 // — the fast row is then wherever that row differs from d1, overrides in
-// byte order. The match memory is the dense machine's own.
+// byte order. The match memory, arena and row index are the dense machine's
+// own, and promotion moves a state's stored-row descriptor to displaced.
 func denseCompile(m *Machine, t *ac.Trie, pop []int64) *Program {
 	n := t.NumStates()
 	maxDepth := m.Opts.MaxDepth
@@ -251,7 +255,7 @@ func denseCompile(m *Machine, t *ac.Trie, pop []int64) *Program {
 		}
 	}
 	promoted := densePromoted(m, t, pop)
-	p := &Program{stored: m.stored, out: &m.out}
+	p := &Program{rows: m.rows, stored: m.stored, out: &m.out}
 	for c := 0; c < 256; c++ {
 		p.d1[c] = ac.Root
 		if s := m.Defaults.D1[c]; s != ac.None {
@@ -272,29 +276,20 @@ func denseCompile(m *Machine, t *ac.Trie, pop []int64) *Program {
 			p.d3[c] = key<<32 | uint64(uint32(e.State))
 		}
 	}
-	p.rows = make([]uint32, n)
 	p.fast = []fastRow{}
 	p.over = []int32{}
 	var fastStates []int32
 	for s := 0; s < n; s++ {
 		if promoted[s] {
 			fastStates = append(fastStates, int32(s))
-			continue
 		}
-		list := m.StoredRow(int32(s))
-		if len(list) > rowCountMax {
-			return nil
-		}
-		p.rows[s] = uint32(len(list))<<24 | m.storedOff[s]
-	}
-	if len(p.stored) > rowOffMask {
-		return nil
 	}
 	// Fast rows are numbered by depth, then by state.
 	slices.SortStableFunc(fastStates, func(a, b int32) int {
 		return cmp.Compare(t.Nodes[a].Depth, t.Nodes[b].Depth)
 	})
 	for _, s := range fastStates {
+		m.displaced = append(m.displaced, p.rows[s])
 		p.rows[s] = rowDense | uint32(len(p.fast))
 		var dense [256]int32
 		for c := range dense {
@@ -344,15 +339,18 @@ func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, opts Options) {
 		t.Fatalf("%+v: the machine has %d states, the trie %d", opts, m.NumStates(), trie.NumStates())
 	}
 	for s := int32(0); s < int32(trie.NumStates()); s++ {
-		if got, want := m.StoredRow(s), want.StoredRow(s); !slices.Equal(got, want) {
+		if got, want := decodeRow(m.StoredRow(s)), decodeRow(want.StoredRow(s)); !slices.Equal(got, want) {
 			t.Fatalf("%+v: state %d stores %v, dense sweep %v", opts, s, got, want)
 		}
 		if row := m.StoredRow(s); len(row) != cap(row) {
 			t.Fatalf("%+v: state %d's list can grow into its neighbour's (len %d, cap %d)",
 				opts, s, len(row), cap(row))
 		}
+		if got, want := m.storedRef(s), want.storedRef(s); got != want {
+			t.Fatalf("%+v: state %d's stored row is described by %#x, the dense sweep's by %#x", opts, s, got, want)
+		}
 	}
-	if !reflect.DeepEqual(m.stored, want.stored) || !reflect.DeepEqual(m.storedOff, want.storedOff) {
+	if !slices.Equal(m.stored, want.stored) {
 		t.Fatalf("%+v: the state memory is not the dense sweep's rows back to back in state order", opts)
 	}
 	if !reflect.DeepEqual(m.out, want.out) {
@@ -364,6 +362,9 @@ func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, opts Options) {
 	if wantProg := denseCompile(want, trie, pop); !reflect.DeepEqual(m.prog, wantProg) {
 		t.Fatalf("%+v: Program differs from the dense layout (nil: sparse %v, dense %v)",
 			opts, m.prog == nil, wantProg == nil)
+	}
+	if !slices.Equal(m.rows, want.rows) || !slices.Equal(m.displaced, want.displaced) {
+		t.Fatalf("%+v: the row index or the displaced descriptors differ from the dense layout's", opts)
 	}
 	if err := m.VerifyTransitions(trie); err != nil {
 		t.Fatalf("%+v: %v", opts, err)
@@ -532,16 +533,17 @@ func FuzzBuildEquivalence(f *testing.F) {
 	})
 }
 
-// TestCompilePromotedWideState: a promoted state is read through its fast
-// row, never through a CSR descriptor, so its stored-pointer count must not
-// decide whether the machine bakes. 140 two-byte patterns share the first
-// byte 'A'; each one's depth-2 default loses its lookup-table row to four
-// rivals that longer patterns make more popular, so all 140 pointers stay
-// stored at the depth-1 state — more than a descriptor's inline count.
+// TestCompilePromotedWideState: a full row — one stored pointer per byte
+// value, the most a state can hold — bakes on either tier: read through its
+// fast row when promoted, through its descriptor's nine-bit count when not,
+// and by the reference interpreter through the displaced descriptor. 256
+// two-byte patterns share the first byte 'A'; each one's depth-2 default
+// loses its lookup-table row to four rivals that longer patterns make more
+// popular, so all 256 pointers stay stored at the depth-1 state.
 func TestCompilePromotedWideState(t *testing.T) {
 	var patterns [][]byte
 	const first, rivals, boosters = 200, 4, 3
-	for x := 0; x < 140; x++ {
+	for x := 0; x < 256; x++ {
 		patterns = append(patterns, []byte{first, byte(x)})
 		for r := 1; r <= rivals; r++ {
 			patterns = append(patterns, []byte{first + byte(r), byte(x)})
@@ -558,13 +560,8 @@ func TestCompilePromotedWideState(t *testing.T) {
 	}
 	trie := mustTrie(t, setOf(patterns, false))
 	wide := m.Defaults.D1[first]
-	if got := len(m.StoredRow(wide)); got <= rowCountMax {
-		t.Fatalf("the depth-1 state stores %d pointers; the case needs more than %d", got, rowCountMax)
-	}
-	for s := int32(0); s < int32(m.NumStates()); s++ {
-		if n := len(m.StoredRow(s)); s != wide && n > rowCountMax {
-			t.Fatalf("state %d stores %d pointers too: the case no longer isolates the promoted one", s, n)
-		}
+	if got := len(m.StoredRow(wide)); got != 256 {
+		t.Fatalf("the depth-1 state stores %d pointers; the case needs all 256", got)
 	}
 	if got := m.DefaultBackend(); got != BackendPrefiltered {
 		t.Fatalf("auto resolves to %q, want %q", got, BackendPrefiltered)
@@ -581,25 +578,26 @@ func TestCompilePromotedWideState(t *testing.T) {
 		t.Fatalf("the depth-1 state is read through descriptor %#x, not a fast row", desc)
 	}
 	row := &m.prog.fast[desc-rowDense]
-	if got := row.rank[3] + uint32(bits.OnesCount64(row.bits[3])) - row.rank[0]; got != 140 {
-		t.Fatalf("the depth-1 state's fast row holds %d overrides, want 140", got)
+	if got := row.rank[3] + uint32(bits.OnesCount64(row.bits[3])) - row.rank[0]; got != 256 {
+		t.Fatalf("the depth-1 state's fast row holds %d overrides, want 256", got)
 	}
-	for x := 0; x < 140; x++ {
-		if row.bits[x>>6]&(1<<(x&63)) == 0 {
-			t.Fatalf("byte %#02x is not marked as an override", x)
-		}
+	for x := 0; x < 256; x++ {
 		if got, want := row.move(byte(x), &m.prog.d1, m.prog.over), trie.Move(wide, byte(x)); got != want {
 			t.Fatalf("byte %#02x steps to %d, the DFA to %d", x, got, want)
 		}
 	}
 
-	// The limit still applies where a descriptor is read: with the dense
-	// tier off the same state is compressed and the machine must not bake.
-	ref, err := Build(setOf(patterns, false), Options{DenseStates: -1})
+	// With the dense tier off the same state is compressed, and its
+	// descriptor counts the whole row.
+	csr, err := Build(setOf(patterns, false), Options{DenseStates: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Program() != nil || ref.DefaultBackend() != BackendReference {
-		t.Fatalf("a compressed %d-pointer state baked (backend %q)", len(ref.StoredRow(wide)), ref.DefaultBackend())
+	if csr.Program() == nil || csr.rows[wide] != 256<<rowCountShift|csr.rows[wide]&rowOffMask {
+		t.Fatalf("the compressed 256-pointer state is described by %#x (backend %q)", csr.rows[wide], csr.DefaultBackend())
 	}
+	if err := csr.VerifyProgram(trie); err != nil {
+		t.Fatal(err)
+	}
+	driveLockstep(t, csr, trie, rand.New(rand.NewSource(141)))
 }

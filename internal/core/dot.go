@@ -61,9 +61,9 @@ func (m *Machine) WriteDot(w io.Writer, t *ac.Trie, opts DotOptions) error {
 	}
 	// Stored pointers.
 	for s := int32(0); s < int32(n); s++ {
-		for _, tr := range m.StoredRow(s) {
+		for _, p := range m.StoredRow(s) {
 			fmt.Fprintf(&sb, "  s%d -> s%d [label=\"%s\"];\n",
-				s, tr.To, printableChar(tr.Char))
+				s, p.To(), printableChar(p.Char()))
 		}
 	}
 	if opts.ShowDefaults {

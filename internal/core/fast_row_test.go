@@ -82,8 +82,8 @@ func TestVerifyProgramDetectsCorruption(t *testing.T) {
 		},
 		"descriptor count": func(p *Program) {
 			for s, ref := range p.rows {
-				if ref < rowDense && ref>>24 != 0 {
-					p.rows[s] -= 1 << 24
+				if ref < rowDense && ref>>rowCountShift != 0 {
+					p.rows[s] -= 1 << rowCountShift
 					return
 				}
 			}

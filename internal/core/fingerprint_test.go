@@ -8,15 +8,39 @@ import (
 	"repro/internal/ruleset"
 )
 
+// transition is a stored pointer decoded back to its two fields: the form
+// the state memory held before it was packed into a word, and the one the
+// oracles compare.
+type transition struct {
+	Char byte
+	To   int32
+}
+
+func decodeRow(row []Pointer) []transition {
+	out := make([]transition, len(row))
+	for i, p := range row {
+		out[i] = transition{Char: p.Char(), To: p.To()}
+	}
+	return out
+}
+
 // buildFingerprint hashes every decision the builder makes for the
 // benchmark's ruleset (GenerateSnortLike(634, 2010)) under opts: the lookup
 // table, the state memory and every BuildStats field, floats included (%v
-// prints a float64 in its shortest round-trip form, so no bit is lost).
+// prints a float64 in its shortest round-trip form, so no bit is lost). The
+// state memory is hashed decoded — every state's (Char, To) pairs back to
+// back, and where each state's begin, one more entry closing the last — so
+// the hash is of what the builder decided, not of how a row is packed.
 func buildFingerprint(t *testing.T, opts Options) string {
 	t.Helper()
 	m := mustBuild(t, ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010}), opts)
+	stored, off := []transition{}, []uint32{0}
+	for s := int32(0); s < int32(m.NumStates()); s++ {
+		stored = append(stored, decodeRow(m.StoredRow(s))...)
+		off = append(off, uint32(len(stored)))
+	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%v|%v|%v|%+v", m.Defaults, m.stored, m.storedOff, m.Stats)
+	fmt.Fprintf(h, "%v|%v|%v|%+v", m.Defaults, stored, off, m.Stats)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 

@@ -125,8 +125,10 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	// distinct bytes exceed the class budget each partition folds onto its
 	// own share, split proportionally.
 	var first, deep [256]bool
+	prefixStates := 0 // trie states of depth 1..K
 	for s := 1; s < n; s++ {
 		if nd := &t.Nodes[s]; nd.Depth <= prefK {
+			prefixStates++
 			if nd.Depth == 1 {
 				first[nd.Char] = true
 			} else {
@@ -173,31 +175,31 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	pf.nClasses = 1 + fc + dc
 	nc := pf.nClasses
 
-	// Collapsed goto trie over the truncated accept strings.
+	// Collapsed goto trie over the truncated accept strings, its class rows
+	// in one flat arena: node v's row is next[v*nc:][:nc]. Every node but the
+	// start is the collapsed form of a distinct trie path of depth 1..K, so
+	// there are at most prefixStates+1 of them, and the arena is sized to
+	// that once.
 	type pnode struct {
-		next    []int32
 		fail    int32
 		accept  bool
 		suspect bool
 	}
-	newNode := func() pnode {
-		next := make([]int32, nc)
-		for i := range next {
-			next[i] = ac.None
-		}
-		return pnode{next: next}
+	next := make([]int32, (prefixStates+1)*nc)
+	for i := range next {
+		next[i] = ac.None
 	}
-	nodes := []pnode{newNode()}
+	nodes := make([]pnode, 1, prefixStates+1)
 	insert := func(classes []uint8) {
-		cur := int32(0)
+		cur := 0
 		for _, c := range classes {
-			nxt := nodes[cur].next[c]
+			nxt := next[cur*nc+int(c)]
 			if nxt == ac.None {
-				nodes = append(nodes, newNode())
-				nxt = int32(len(nodes) - 1)
-				nodes[cur].next[c] = nxt
+				nxt = int32(len(nodes))
+				nodes = append(nodes, pnode{})
+				next[cur*nc+int(c)] = nxt
 			}
-			cur = nxt
+			cur = int(nxt)
 		}
 		if !nodes[cur].accept {
 			nodes[cur].accept = true
@@ -227,10 +229,9 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	// missing transitions — a node's fail is shallower, so its row is
 	// already resolved when the node is reached.
 	queue := make([]int32, 0, len(nodes))
-	for c := 0; c < nc; c++ {
-		v := nodes[0].next[c]
+	for c, v := range next[:nc] {
 		if v == ac.None {
-			nodes[0].next[c] = 0
+			next[c] = 0
 			continue
 		}
 		nodes[v].fail = 0
@@ -241,13 +242,13 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 		u := queue[qi]
 		nu := &nodes[u]
 		nu.suspect = nu.accept || nodes[nu.fail].suspect
-		for c := 0; c < nc; c++ {
-			v := nu.next[c]
+		row, failRow := next[int(u)*nc:][:nc], next[int(nu.fail)*nc:][:nc]
+		for c, v := range row {
 			if v == ac.None {
-				nu.next[c] = nodes[nu.fail].next[c]
+				row[c] = failRow[c]
 				continue
 			}
-			nodes[v].fail = nodes[nu.fail].next[c]
+			nodes[v].fail = failRow[c]
 			queue = append(queue, v)
 		}
 	}
@@ -258,8 +259,7 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	// the start state is never suspect (no pattern is empty).
 	pf.tab = make([]uint16, len(nodes)<<pfStrideBits)
 	for s := range nodes {
-		for c := 0; c < nc; c++ {
-			v := nodes[s].next[c]
+		for c, v := range next[s*nc:][:nc] {
 			e := uint16(v)
 			if nodes[v].suspect {
 				e |= pfSuspect

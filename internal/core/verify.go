@@ -48,11 +48,13 @@ func (m *Machine) VerifyTransitions(t *ac.Trie) error {
 // DFA: from every state, under its static history, every byte must step to
 // the DFA's target. VerifyTransitions proves the same of the reference
 // interpreter; this is the proof of what production scans with. It first
-// checks the structure the step relies on without testing: every promoted
-// state has its own fast row and every compressed descriptor spans exactly
-// the state's row in the arena; a row's ranks run on from the row before
-// through its own popcounts to end at len(over); and no override repeats
-// the default it overrides.
+// checks the structure the step relies on without testing: the kernel reads
+// the machine's own row index and arena; every promoted state has its own
+// fast row, and one displaced descriptor per fast row; the stored-row
+// descriptors, promoted states' included, tile the arena in state order,
+// each row sorted by character; a fast row's ranks run on from the row
+// before through its own popcounts to end at len(over); and no override
+// repeats the default it overrides.
 func (m *Machine) VerifyProgram(t *ac.Trie) error {
 	p := m.prog
 	if p == nil {
@@ -62,8 +64,15 @@ func (m *Machine) VerifyProgram(t *ac.Trie) error {
 	if len(p.rows) != n {
 		return fmt.Errorf("core: kernel has %d row descriptors for %d states", len(p.rows), n)
 	}
+	if &p.rows[0] != &m.rows[0] || len(p.stored) != len(m.stored) || (len(p.stored) > 0 && &p.stored[0] != &m.stored[0]) {
+		return fmt.Errorf("core: the kernel reads a row index or arena that is not the machine's")
+	}
+	if len(m.displaced) != len(p.fast) {
+		return fmt.Errorf("core: %d displaced descriptors for %d fast rows", len(m.displaced), len(p.fast))
+	}
 	fastRows := 0
 	owned := make([]bool, len(p.fast))
+	at := uint32(0) // where the next state's stored row must begin
 	for s, ref := range p.rows {
 		if ref >= rowDense {
 			i := int(ref - rowDense)
@@ -72,10 +81,22 @@ func (m *Machine) VerifyProgram(t *ac.Trie) error {
 			}
 			owned[i] = true
 			fastRows++
-		} else if lo, hi := m.storedOff[s], m.storedOff[s+1]; ref != (hi-lo)<<24|lo {
-			return fmt.Errorf("core: state %d's descriptor reads %d entries at %d, its row is %d at %d",
-				s, ref>>24, ref&rowOffMask, hi-lo, lo)
 		}
+		ref = m.storedRef(int32(s))
+		if off, cnt := ref&rowOffMask, ref>>rowCountShift; off != at || int(off+cnt) > len(m.stored) {
+			return fmt.Errorf("core: state %d's descriptor reads %d entries at %d, its row begins at %d of %d",
+				s, cnt, off, at, len(m.stored))
+		}
+		row := m.StoredRow(int32(s))
+		for i := 1; i < len(row); i++ {
+			if row[i-1].Char() >= row[i].Char() {
+				return fmt.Errorf("core: state %d's stored row is not sorted by character at entry %d", s, i)
+			}
+		}
+		at += uint32(len(row))
+	}
+	if int(at) != len(m.stored) {
+		return fmt.Errorf("core: the rows cover %d of the arena's %d entries", at, len(m.stored))
 	}
 	if fastRows != len(p.fast) {
 		return fmt.Errorf("core: %d fast rows for %d promoted states", len(p.fast), fastRows)

@@ -58,7 +58,7 @@ func TestPackAllStateTypes(t *testing.T) {
 	for s := int32(0); s < int32(len(img.Loc)); s++ {
 		for i, tr := range m.StoredRow(s) {
 			char, to, ok := img.readPtr(img.Loc[s], i)
-			if !ok || char != tr.Char || to != img.Loc[tr.To] {
+			if !ok || char != tr.Char() || to != img.Loc[tr.To()] {
 				t.Fatalf("state %d ptr %d decode mismatch", s, i)
 			}
 		}

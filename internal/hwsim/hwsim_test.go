@@ -287,9 +287,9 @@ func TestPackPointerRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatalf("state %d pointer %d: slot empty", s, i)
 			}
-			if char != tr.Char || to != img.Loc[tr.To] {
+			if char != tr.Char() || to != img.Loc[tr.To()] {
 				t.Fatalf("state %d pointer %d: decoded (%#x,%+v), want (%#x,%+v)",
-					s, i, char, to, tr.Char, img.Loc[tr.To])
+					s, i, char, to, tr.Char(), img.Loc[tr.To()])
 			}
 		}
 		// The slot after the last pointer must be empty (or out of range).

@@ -361,10 +361,10 @@ func (img *Image) writeStateWords() error {
 			word.SetField(base+1, matchAddrBits, uint64(addr))
 		}
 		// Pointers, sorted by character (core keeps them sorted).
-		for i, tr := range m.StoredRow(s) {
+		for i, ptr := range m.StoredRow(s) {
 			off := base + MatchFieldBits + i*PtrBits
-			to := img.Loc[tr.To]
-			word.SetField(off+ptrCharOff, 8, uint64(tr.Char))
+			to := img.Loc[ptr.To()]
+			word.SetField(off+ptrCharOff, 8, uint64(ptr.Char()))
 			word.SetField(off+ptrAddrOff, ptrAddrBits, uint64(to.Word))
 			word.SetField(off+ptrTypeOff, ptrTypeBits, uint64(to.Type))
 		}

@@ -20,6 +20,12 @@ import (
 	"sort"
 )
 
+// IDSpace bounds pattern IDs to [0, IDSpace). The hardware stores string
+// numbers in 13-bit fields, two per 27-bit match-memory word; the all-ones
+// value 8191 pads the unused half of an odd final word, so it cannot name a
+// pattern.
+const IDSpace = 1<<13 - 1
+
 // Pattern is one fixed string to be matched. ID is the string number
 // reported on a match; the hardware stores it as a 13-bit value.
 type Pattern struct {
@@ -109,11 +115,8 @@ func (s *Set) Validate() error {
 			return fmt.Errorf("ruleset: duplicate pattern ID %d", p.ID)
 		}
 		ids[p.ID] = true
-		// The hardware stores string numbers in 13-bit fields, two per
-		// 27-bit match-memory word; the all-ones value 8191 pads the unused
-		// half of an odd final word, so it cannot name a pattern.
-		if p.ID < 0 || p.ID >= 1<<13-1 {
-			return fmt.Errorf("ruleset: pattern ID %d outside the usable 13-bit range [0,8190]", p.ID)
+		if p.ID < 0 || p.ID >= IDSpace {
+			return fmt.Errorf("ruleset: pattern ID %d outside the usable 13-bit range [0,%d]", p.ID, IDSpace-1)
 		}
 		k := string(p.Data)
 		if content[k] {

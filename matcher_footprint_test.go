@@ -12,29 +12,31 @@ import (
 // What one compiled generation may hold live — the largest term of every
 // workload's heap_live_mb, paid once per generation in flight during a hot
 // reload — at three of the paper's ruleset sizes. At 634 strings, the
-// benchmark's, it is 264 304 B in 139 objects: the stored-pointer arena the
-// Machine and the kernel share (69 KB) with their two descriptor tables
-// (30 KB each), the prefilter table (61 KB), the fast tier (23 KB: 384
-// bitmap rows and their 1 251 overrides), and the lookup and output tables;
-// nine in ten of the objects are the lookup table's per-character default
-// lists. No trie: Build lets its scaffolding go (it was another 311 KB).
-// The gate is per automaton state, because that is how a regression would
-// arrive — a structure with an entry per state, 4 B of it a tenth of the
-// budget — and because at 6 275 strings it is megabytes. OPERATIONS.md's
-// "Sizing memory" quotes the measured figures; these are the gates, at +5 %.
+// benchmark's, it is 200 240 B in 139 objects: the state memory the Machine
+// and the kernel share — 7 449 stored pointers of 4 B (30 KB) and its one
+// row index, a 4-byte descriptor per state (30 KB) — the prefilter table
+// (61 KB), the fast tier (23 KB: 384 bitmap rows and their 1 251
+// overrides, plus the 1.5 KB of stored-row descriptors promotion
+// displaced), and the lookup and output tables; nine in ten of the objects
+// are the lookup table's per-character default lists. No trie: Build lets
+// its scaffolding go (it was another 311 KB). The gate is per automaton
+// state, because that is how a regression would arrive — a structure with
+// an entry per state, 4 B of it a seventh of the budget — and because at
+// 6 275 strings it is megabytes. OPERATIONS.md's "Sizing memory" quotes the
+// measured figures; these are the gates, at +5 %.
 var matcherFootprints = []struct {
 	strings       int
-	bytesPerState float64 // measured 35.75, 30.54, 32.34
-	objects       int64   // measured 139, 164, 249
+	bytesPerState float64 // measured 27.07, 21.82, 19.88
+	objects       int64   // measured 139, 164, 248
 }{
-	{634, 37.53, 148},
-	{1204, 32.07, 175},
-	{6275, 33.96, 263},
+	{634, 28.42, 146},
+	{1204, 22.91, 173},
+	{6275, 20.87, 261},
 }
 
 // kernelTablesCeiling is a 256 KiB L2 slice: everything the production
 // kernel reads while scanning the benchmark's 634 strings —
-// Kernel().TotalBytes plus the prefilter's table, 196 248 B measured — has
+// Kernel().TotalBytes plus the prefilter's table, 166 452 B measured — has
 // to fit in it together.
 const kernelTablesCeiling = 256 << 10
 
