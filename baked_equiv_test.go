@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ac"
+	"repro/internal/core"
 )
 
 // fuzzRulesFrom derives a small ruleset from a fuzz blob: each pattern is
@@ -69,7 +70,7 @@ func FuzzBakedEquivalence(f *testing.F) {
 		if len(ops) > 0 {
 			shape = ops[0]
 		}
-		cfg := Config{}
+		cfg := core.Options{}
 		switch shape % 3 {
 		case 1:
 			cfg.DenseStates = -1 // compressed tier only
@@ -79,7 +80,7 @@ func FuzzBakedEquivalence(f *testing.F) {
 		refCfg := cfg
 		refCfg.Backend = BackendReference
 
-		baked, err := Compile(rules, cfg)
+		baked, err := compile(rules, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func FuzzBakedEquivalence(f *testing.F) {
 		if err := baked.Verify(nil); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Compile(rules, refCfg)
+		ref, err := compile(rules, refCfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/hwsim"
 	"repro/internal/ruleset"
@@ -62,7 +61,7 @@ func run(rulesPath, devName, outDir string, groups int) error {
 		return err
 	}
 
-	accel, err := hwsim.BuildAccelerator(dev, set, groups, core.Options{})
+	accel, err := hwsim.BuildAccelerator(dev, set, groups)
 	if err != nil {
 		return err
 	}

@@ -156,35 +156,19 @@ func (r *Ruleset) Write(w io.Writer) error {
 	return ruleset.WriteFile(w, r.set)
 }
 
-// Config controls compilation.
+// Config controls compilation. The compression scheme is the paper's and
+// has no knobs: 4 depth-2 and 1 depth-3 default transition pointers per
+// lookup-table row, the row the hardware holds.
 type Config struct {
-	// D2DefaultsPerChar is the number of depth-2 default transition
-	// pointers per character value (0 = the paper's optimum of 4; the
-	// hardware row format holds at most 4).
-	D2DefaultsPerChar int
-	// D3DefaultsPerChar is the number of depth-3 defaults per character
-	// (0 = the paper's 1; the hardware row format holds at most 1).
-	D3DefaultsPerChar int
-	// MaxDefaultDepth limits default depths for ablation: 1, 2 or 3
-	// (0 = 3, the full scheme).
-	MaxDefaultDepth int
-	// DenseStates budgets the baked kernel's fast tier: states whose whole
-	// move row is precomputed, as a bitmap over the depth-1 default row plus
-	// the targets that differ from it (0 = the default budget, negative
-	// disables the tier). Tuning only — match output is identical at any
-	// setting.
-	DenseStates int
 	// Backend selects the scan implementation every stream and gateway lane
 	// built from this matcher runs:
 	//
-	//   - BackendAuto (or ""): prefiltered when the configuration fits the
-	//     kernel formats and the lossy stage proves its superset contract,
-	//     baked when only the flat kernel compiles, reference otherwise —
-	//     the fastest always-exact default.
+	//   - BackendAuto (or ""): prefiltered when the lossy stage proves its
+	//     superset contract, baked otherwise — the fastest always-exact
+	//     default.
 	//   - BackendReference: the slice-walking interpreter, closest to the
 	//     paper's hardware description.
-	//   - BackendBaked: the compiled flat kernel; Compile fails if the
-	//     configuration cannot bake.
+	//   - BackendBaked: the compiled flat kernel.
 	//   - BackendPrefiltered: the two-stage pipeline — a lossy
 	//     cache-resident automaton skims clean traffic and only suspect
 	//     byte windows run through the exact baked kernel. False positives
@@ -206,24 +190,18 @@ const (
 )
 
 // Validate reports whether the configuration is compilable, without
-// compiling anything. Compile runs exactly this check first: the knob
-// ranges and Backend-name resolution against the registered backends. Every
-// failure wraps ErrBadConfig.
+// compiling anything. Compile runs exactly this check first: Backend-name
+// resolution against the registered backends. Every failure wraps
+// ErrBadConfig.
 func (c Config) Validate() error {
-	if err := c.coreOptions().Validate(); err != nil {
+	return validate(core.Options{Backend: c.Backend})
+}
+
+func validate(opts core.Options) error {
+	if err := opts.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	return nil
-}
-
-func (c Config) coreOptions() core.Options {
-	return core.Options{
-		D2PerChar:   c.D2DefaultsPerChar,
-		D3PerChar:   c.D3DefaultsPerChar,
-		MaxDepth:    c.MaxDefaultDepth,
-		DenseStates: c.DenseStates,
-		Backend:     c.Backend,
-	}
 }
 
 // Match is one pattern occurrence: pattern PatternID spans [Start, End) of
@@ -253,17 +231,23 @@ type Matcher struct {
 // Compile builds the compressed automaton for the ruleset: one machine,
 // whatever the ruleset's size — splitting it into groups is how the hardware
 // fits a block's memory, and is fpga.New's. Configuration failures —
-// including an empty ruleset — wrap ErrBadConfig (see Config.Validate).
-// Every successful Compile stamps the matcher with a fresh generation
-// (Matcher.Generation).
+// including a nil or empty ruleset — wrap ErrBadConfig (see
+// Config.Validate). Every successful Compile stamps the matcher with a
+// fresh generation (Matcher.Generation).
 func Compile(r *Ruleset, cfg Config) (*Matcher, error) {
-	if err := cfg.Validate(); err != nil {
+	return compile(r, core.Options{Backend: cfg.Backend})
+}
+
+// compile is Compile on the builder's options, which also budget the
+// kernel's fast tier: the property tests drive every tier shape through it.
+func compile(r *Ruleset, opts core.Options) (*Matcher, error) {
+	if err := validate(opts); err != nil {
 		return nil, err
 	}
-	if r.Len() == 0 {
+	if r == nil || r.Len() == 0 {
 		return nil, fmt.Errorf("%w: cannot compile an empty ruleset", ErrBadConfig)
 	}
-	machine, err := core.Build(r.set, cfg.coreOptions())
+	machine, err := core.Build(r.set, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
@@ -283,12 +267,6 @@ func Compile(r *Ruleset, cfg Config) (*Matcher, error) {
 // Rules returns the matcher's ruleset.
 func (m *Matcher) Rules() *Ruleset { return m.rules }
 
-// InternalMachine exposes the compiled automaton for in-module packages
-// (fpga reads the options it was built with), under the same contract as
-// Ruleset.InternalSet: the type is internal, so importers outside this
-// module cannot use it; treat the returned value as read-only.
-func (m *Matcher) InternalMachine() *core.Machine { return m.machine }
-
 // Generation reports the matcher's compile generation: process-unique and
 // monotonically increasing across Compiles. It is an identity for this
 // compiled artifact, not a content hash — compiling identical rules twice
@@ -300,8 +278,7 @@ func (m *Matcher) Generation() uint64 { return m.machine.Generation() }
 // Backend reports the resolved scan backend every scanner built from this
 // matcher runs: Config.Backend, with auto resolved to what actually
 // compiled — prefiltered when the lossy stage compiled and passed its
-// superset proof (every benchmarked ruleset size), baked if only the flat
-// kernel did, reference on configurations outside the row format.
+// superset proof (every benchmarked ruleset size), baked otherwise.
 func (m *Matcher) Backend() string { return m.machine.DefaultBackend() }
 
 func (m *Matcher) convert(am ac.Match, packetID int) Match {
@@ -380,9 +357,9 @@ func (m *Matcher) Stats() CompressionStats {
 // every table the kernel reads while scanning. No trie is listed because
 // none is held: the matcher keeps the compressed image only.
 type KernelStats struct {
-	// Baked is false when the matcher runs on the reference interpreter
-	// (Backend: reference, or a configuration outside the fixed row
-	// format); the layout fields are then zero.
+	// Baked is false only when the matcher was compiled for the reference
+	// interpreter (Backend: reference), which compiles no kernel; the layout
+	// fields are then zero.
 	Baked bool
 	// Backend is the resolved active backend (Matcher.Backend).
 	Backend       string
@@ -396,7 +373,7 @@ type KernelStats struct {
 	// the kernel reads in place rather than owning copies; the arena holds
 	// every state's row, the promoted states' included.
 	StoredBytes int
-	LookupBytes int // fixed d1/d2/d3 lookup rows
+	LookupBytes int // the automaton's one lookup table: fixed d1/d2/d3 rows
 	OutputBytes int // output bitsets, rank tables and flattened pattern-ID lists
 	TotalBytes  int
 

@@ -101,8 +101,8 @@ func TestCompileEmptyFails(t *testing.T) {
 }
 
 func TestCompileBadConfigFails(t *testing.T) {
-	if _, err := Compile(webRules(t), Config{MaxDefaultDepth: 5}); err == nil {
-		t.Fatal("MaxDefaultDepth=5 accepted")
+	if _, err := Compile(webRules(t), Config{Backend: "warp"}); err == nil {
+		t.Fatal("an unknown backend compiled")
 	}
 }
 

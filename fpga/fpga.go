@@ -62,20 +62,20 @@ type Accelerator struct {
 	patLen map[int32]int // pattern ID to byte length, for Match.Start
 }
 
-// New compiles the matcher's ruleset, with the options the matcher was
-// compiled with, for the device: split across groups string matching blocks
-// (the paper's answer to a machine that outgrows a block's state memory,
-// §IV.B) and packed into block memory images. groups == 0 chooses the
-// smallest split whose every image fits a block. It fails when an image does
-// not fit (ask for more groups), when the device has fewer blocks than
-// groups, or when the ruleset cannot be split that many ways. The software
-// matcher itself is always one machine; the split is this model's alone.
+// New compiles the matcher's ruleset for the device: split across groups
+// string matching blocks (the paper's answer to a machine that outgrows a
+// block's state memory, §IV.B) and packed into block memory images under
+// the paper's fixed lookup-table row. groups == 0 chooses the smallest
+// split whose every image fits a block. It fails when an image does not fit
+// (ask for more groups), when the device has fewer blocks than groups, or
+// when the ruleset cannot be split that many ways. The software matcher
+// itself is always one machine; the split is this model's alone.
 func New(m *dpi.Matcher, d Device, groups int) (*Accelerator, error) {
 	dev, err := d.model()
 	if err != nil {
 		return nil, err
 	}
-	hw, err := hwsim.BuildAccelerator(dev, m.Rules().InternalSet(), groups, m.InternalMachine().Opts)
+	hw, err := hwsim.BuildAccelerator(dev, m.Rules().InternalSet(), groups)
 	if err != nil {
 		return nil, err
 	}

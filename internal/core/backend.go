@@ -22,7 +22,7 @@ import (
 // Backend names accepted by Options.Backend and Machine.NewScannerFor.
 // BackendAuto (or "") resolves to the fastest always-exact default:
 // prefiltered when the lossy stage compiled and passed VerifySuperset,
-// baked if only the flat Program compiled, reference otherwise.
+// baked otherwise.
 const (
 	BackendAuto        = "auto"
 	BackendReference   = "reference"
@@ -169,22 +169,19 @@ func (m *Machine) Backends() []string {
 
 // resolveKind maps the configured backend name to a registry kind: the
 // pinned backend, or the auto resolution — prefiltered when the lossy stage
-// compiled and proved its superset contract, baked if only the flat Program
-// compiled, reference otherwise. compileBackends stores the result in
-// m.kind after the kernels are (or are not) in place.
+// compiled and proved its superset contract, baked otherwise.
+// compileBackends stores the result in m.kind once the kernels are in
+// place.
 func (m *Machine) resolveKind() backendKind {
 	for k, spec := range scanBackends {
 		if spec.name == m.backend {
 			return backendKind(k)
 		}
 	}
-	switch {
-	case m.prog != nil && m.pre != nil:
+	if m.pre != nil {
 		return kindPrefiltered
-	case m.prog != nil:
-		return kindBaked
 	}
-	return kindReference
+	return kindBaked
 }
 
 // DefaultBackend reports the backend ScanAppend and NewScanner run: the
@@ -228,8 +225,7 @@ func (m *Machine) stepAs(k backendKind, r *Regs, c byte) int32 {
 	case kindBaked:
 		r.state, r.hist = m.prog.step(r.state, r.hist, c)
 	default:
-		h2, h1 := splitHist(r.hist)
-		r.state = m.Next(r.state, c, h2, h1)
+		r.state = m.next(r.state, c, r.hist)
 		r.hist = (r.hist<<histLaneBits | uint32(c)) & histMask
 	}
 	r.pos++
@@ -248,29 +244,27 @@ func (m *Machine) registersAs(k backendKind, r *Regs) Registers {
 	return Registers{State: state, H2: h2, H1: h1, Pos: r.pos}
 }
 
-// scanReference is the slice-walking interpreter over the builder's Machine
-// structures, deliberately kept closest to the paper's hardware description:
-// the oracle shape every other backend is verified against. It inlines the
-// reference transition step so the oracle transition logic lives in exactly
-// two places: Machine.Next and this loop. Any change to the stored-pointer
-// or default-rule step applies to both and to every compiled backend.
+// scanReference is the slice-walking interpreter over the Machine, kept
+// closest to the paper's hardware description: the oracle shape every
+// other backend is verified against. It inlines the reference transition
+// step, so the oracle transition logic lives in exactly two places:
+// Machine.next and this loop. Any change to the stored-pointer or
+// default-rule step applies to both and to every compiled backend.
 func (m *Machine) scanReference(r *Regs, data []byte, out []ac.Match) []ac.Match {
-	state, pos := r.state, r.pos
-	h2, h1 := splitHist(r.hist)
-	maxDepth := m.Opts.MaxDepth
+	state, hist, pos := r.state, r.hist, r.pos
 	for _, c := range data {
 		if to := m.StoredAt(state, c); to != ac.None {
 			state = to
 		} else {
-			state = m.Defaults.Resolve(c, h2, h1, maxDepth)
+			state = m.lut.resolve(c, hist)
 		}
-		h2, h1 = h1, int16(c)
+		hist = (hist<<histLaneBits | uint32(c)) & histMask
 		pos++
 		if m.out.has(state) {
 			out = m.out.appendTo(state, pos, out)
 		}
 	}
-	r.state, r.hist, r.pos = state, fuseHist(h2, h1), pos
+	r.state, r.hist, r.pos = state, hist, pos
 	return out
 }
 

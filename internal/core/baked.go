@@ -2,19 +2,19 @@ package core
 
 // The baked scan kernel: Build flattens a DTP Machine into a Program, a
 // cache-line-friendly runtime representation that the Scanner hot loop
-// executes instead of the Machine's entry lists. The Machine remains the
-// reference semantics (Machine.Next is the oracle the Program is verified
-// against); the Program is a pure re-layout and must stay byte-exact
-// equivalent — same state, same history, same match order — on every
-// input. Once compiled it reads no builder structure: the trie is gone,
-// and the Defaults lists are not consulted.
+// executes. The Machine remains the reference semantics (Machine.Next is
+// the oracle the Program is verified against); the Program must stay
+// byte-exact equivalent — same state, same history, same match order — on
+// every input. Once compiled it reads no builder structure: the trie and
+// the per-character default lists are gone.
 //
 // Layout, mirroring the hardware's fixed-width single-access RAMs:
 //
-//   - The 256-row lookup table becomes three fixed arrays. d1 is a plain
-//     [256]int32 with the start-state fallback pre-resolved into the row,
-//     so the depth-1 default is one indexed load with no comparison at
-//     all. d2 packs each row's ≤4 depth-2 defaults as uint64 words,
+//   - The 256-row lookup table is the Machine's lookupTable, three fixed
+//     arrays read in place by both interpreters. d1 is a plain [256]int32
+//     with the start-state fallback pre-resolved into the row, so the
+//     depth-1 default is one indexed load with no comparison at all. d2
+//     packs each row's 4 depth-2 defaults as uint64 words,
 //     preceding-character key in the high half and target state in the low
 //     half, so the hardware's comparator block is one load plus one
 //     32-bit compare per slot. d3 is one packed word per character keyed
@@ -25,8 +25,7 @@ package core
 //     real byte and histUnknownLane (0x100) when that position precedes
 //     the start of the visible stream, so "unknown never matches" costs
 //     nothing — the sentinel simply never equals a key built from real
-//     bytes. This removes the per-byte int16 widening and the two-field
-//     compare of the builder path.
+//     bytes. Both interpreters keep the history in this form.
 //
 //   - Stored pointers stay where compress put them, in the paper's word:
 //     stored is the Machine's own arena of 4-byte Pointers (character and
@@ -99,10 +98,7 @@ const (
 // Program is the compiled, flat form of a Machine. It is immutable after
 // Build and safe for concurrent use by any number of Scanners.
 type Program struct {
-	d1 [256]int32     // depth-1 default, start state pre-resolved in
-	d2 [256][4]uint64 // prevKey<<32 | state, empty slots never match
-	d3 [256]uint64    // (p2<<9|p1)<<32 | state, empty key never matches
-
+	lut    *lookupTable // the Machine's lookup table
 	rows   []uint32     // the Machine's row index: fast row index or count+offset
 	stored []Pointer    // the Machine's arena, rows sorted by char
 	fast   []fastRow    // one per promoted state
@@ -156,60 +152,16 @@ func splitHist(hist uint32) (h2, h1 int16) {
 }
 
 // compile bakes m — compressed from t, whose fail-tree analysis is ft —
-// into a Program, promoting states to the fast tier in m's own row index.
-// It returns nil, m untouched, when the machine does not fit the fixed
-// lookup-row format — more than 4 depth-2 or 1 depth-3 defaults per
-// character (ablation configurations) — in which case scanning falls back
-// to the reference interpreter. (Every stored row fits its descriptor:
-// compress refuses an arena that would not.) Build bakes every machine
-// automatically unless Options.Backend pins BackendReference.
-func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
-	maxDepth := m.Opts.MaxDepth
-	if maxDepth >= 2 {
-		for c := 0; c < 256; c++ {
-			if len(m.Defaults.D2[c]) > 4 {
-				return nil
-			}
-		}
-	}
-	if maxDepth >= 3 {
-		for c := 0; c < 256; c++ {
-			if len(m.Defaults.D3[c]) > 1 {
-				return nil
-			}
-		}
-	}
-
-	p := &Program{rows: m.rows, stored: m.stored, out: &m.out}
-
-	// Lookup table rows. Depths beyond Opts.MaxDepth stay empty so the
-	// kernel needs no runtime depth limit: a disabled tier simply never
-	// matches, exactly like Defaults.Resolve skipping it.
-	for c := 0; c < 256; c++ {
-		if s := m.Defaults.D1[c]; s != ac.None {
-			p.d1[c] = s
-		} else {
-			p.d1[c] = ac.Root
-		}
-		for j := range p.d2[c] {
-			p.d2[c][j] = emptyD2Key
-		}
-		if maxDepth >= 2 {
-			for j, e := range m.Defaults.D2[c] {
-				p.d2[c][j] = uint64(e.Prev)<<32 | uint64(uint32(e.State))
-			}
-		}
-		p.d3[c] = emptyD3Key
-		if maxDepth >= 3 && len(m.Defaults.D3[c]) == 1 {
-			e := m.Defaults.D3[c][0]
-			key := uint64(e.Prev2)<<histLaneBits | uint64(e.Prev1)
-			p.d3[c] = key<<32 | uint64(uint32(e.State))
-		}
-	}
+// into a Program over m's own lookup table, arena, row index and match
+// memory, promoting up to denseStates states (see pickDense) to the fast
+// tier in m's own row index. Build bakes every machine unless
+// Options.Backend pins BackendReference.
+func compile(m *Machine, t *ac.Trie, ft *failTree, denseStates int) *Program {
+	p := &Program{lut: &m.lut, rows: m.rows, stored: m.stored, out: &m.out}
 
 	// Fast-tier promotion: start state and depth-1 states first, then the
 	// most popular remaining states until the budget is spent.
-	promoted := m.pickDense(t, ft)
+	promoted := pickDense(t, ft, denseStates)
 	fastCount := 0
 	for _, ok := range promoted {
 		if ok {
@@ -259,7 +211,7 @@ func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
 		}
 		for i := len(chain) - 1; i >= 0; i-- {
 			for _, e := range t.Edges(chain[i]) {
-				if e.To != p.d1[e.Char] {
+				if e.To != m.lut.d1[e.Char] {
 					row.bits[e.Char>>6] |= 1 << (e.Char & 63)
 					scratch[e.Char] = e.To
 				}
@@ -286,10 +238,9 @@ func compile(m *Machine, t *ac.Trie, ft *failTree) *Program {
 // — Options.DenseStates, defaulting to DefaultDenseStates, negative to
 // disable the tier — is exhausted. Machines small enough to fit entirely
 // become a pure flat DFA. The selection is a pure function of the trie.
-func (m *Machine) pickDense(t *ac.Trie, ft *failTree) []bool {
+func pickDense(t *ac.Trie, ft *failTree, budget int) []bool {
 	n := t.NumStates()
 	promoted := make([]bool, n)
-	budget := m.Opts.DenseStates
 	if budget == 0 {
 		budget = DefaultDenseStates
 	}
@@ -323,15 +274,18 @@ func (m *Machine) pickDense(t *ac.Trie, ft *failTree) []bool {
 // appended to out. It must stay byte-exact equivalent to Machine.Next plus
 // the history/position bookkeeping of Scanner.Step; the property tests and
 // FuzzBakedEquivalence enforce this against both the reference path and
-// the uncompressed-DFA oracle.
+// the uncompressed-DFA oracle. The default rule is lookupTable.resolve
+// with its four depth-2 compares unrolled, here and in the two loops
+// below: the compiler inlines resolve only as a loop, which costs the
+// kernel measurably.
 func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out []ac.Match) (int32, uint32, int, []ac.Match) {
 	// Locals let the compiler keep the arena headers in registers across
 	// the loop instead of reloading them through p on every byte.
-	rows, fast, over, outBits := p.rows, p.fast, p.over, p.out.bits
+	lut, rows, fast, over, outBits := p.lut, p.rows, p.fast, p.over, p.out.bits
 	for _, c := range data {
 		ref := rows[state]
 		if ref >= rowDense {
-			state = fast[ref-rowDense].move(c, &p.d1, over)
+			state = fast[ref-rowDense].move(c, &lut.d1, over)
 		} else {
 			if cnt := ref >> rowCountShift; cnt != 0 {
 				base := ref & rowOffMask
@@ -342,11 +296,11 @@ func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out
 					}
 				}
 			}
-			if e := p.d3[c]; uint32(e>>32) == hist {
+			if e := lut.d3[c]; uint32(e>>32) == hist {
 				state = int32(uint32(e))
 			} else {
 				h1 := hist & histLaneMask
-				d2 := &p.d2[c]
+				d2 := &lut.d2[c]
 				switch {
 				case uint32(d2[0]>>32) == h1:
 					state = int32(uint32(d2[0]))
@@ -357,7 +311,7 @@ func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out
 				case uint32(d2[3]>>32) == h1:
 					state = int32(uint32(d2[3]))
 				default:
-					state = p.d1[c]
+					state = lut.d1[c]
 				}
 			}
 		}
@@ -381,7 +335,7 @@ func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out
 func (p *Program) step(state int32, hist uint32, c byte) (int32, uint32) {
 	ref := p.rows[state]
 	if ref >= rowDense {
-		state = p.fast[ref-rowDense].move(c, &p.d1, p.over)
+		state = p.fast[ref-rowDense].move(c, &p.lut.d1, p.over)
 	} else {
 		if cnt := ref >> rowCountShift; cnt != 0 {
 			base := ref & rowOffMask
@@ -392,11 +346,11 @@ func (p *Program) step(state int32, hist uint32, c byte) (int32, uint32) {
 				}
 			}
 		}
-		if e := p.d3[c]; uint32(e>>32) == hist {
+		if e := p.lut.d3[c]; uint32(e>>32) == hist {
 			state = int32(uint32(e))
 		} else {
 			h1 := hist & histLaneMask
-			d2 := &p.d2[c]
+			d2 := &p.lut.d2[c]
 			switch {
 			case uint32(d2[0]>>32) == h1:
 				state = int32(uint32(d2[0]))
@@ -407,7 +361,7 @@ func (p *Program) step(state int32, hist uint32, c byte) (int32, uint32) {
 			case uint32(d2[3]>>32) == h1:
 				state = int32(uint32(d2[3]))
 			default:
-				state = p.d1[c]
+				state = p.lut.d1[c]
 			}
 		}
 	}
@@ -425,11 +379,11 @@ stepped:
 // identical to scanAppend's; the equivalence property tests and fuzzers
 // drive both against the oracle.
 func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []byte, out []ac.Match) (int32, uint32, int, []ac.Match) {
-	rows, fast, over, outBits := p.rows, p.fast, p.over, p.out.bits
+	lut, rows, fast, over, outBits := p.lut, p.rows, p.fast, p.over, p.out.bits
 	for _, c := range data {
 		ref := rows[state]
 		if ref >= rowDense {
-			state = fast[ref-rowDense].move(c, &p.d1, over)
+			state = fast[ref-rowDense].move(c, &lut.d1, over)
 		} else {
 			if cnt := ref >> rowCountShift; cnt != 0 {
 				base := ref & rowOffMask
@@ -440,11 +394,11 @@ func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []b
 					}
 				}
 			}
-			if e := p.d3[c]; uint32(e>>32) == hist {
+			if e := lut.d3[c]; uint32(e>>32) == hist {
 				state = int32(uint32(e))
 			} else {
 				h1 := hist & histLaneMask
-				d2 := &p.d2[c]
+				d2 := &lut.d2[c]
 				switch {
 				case uint32(d2[0]>>32) == h1:
 					state = int32(uint32(d2[0]))
@@ -455,7 +409,7 @@ func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []b
 				case uint32(d2[3]>>32) == h1:
 					state = int32(uint32(d2[3]))
 				default:
-					state = p.d1[c]
+					state = lut.d1[c]
 				}
 			}
 		}
@@ -486,7 +440,7 @@ type ProgramStats struct {
 	// the kernel never reads, included. (The displaced descriptors of those
 	// rows, which the kernel never reads either, are not counted.)
 	StoredBytes int
-	LookupBytes int // d1/d2/d3 fixed lookup rows
+	LookupBytes int // the Machine's lookup table: d1/d2/d3 fixed rows
 	OutputBytes int // output bitset, rank table and flattened pattern-ID lists
 	TotalBytes  int
 }
@@ -498,7 +452,7 @@ func (p *Program) Stats() ProgramStats {
 		DenseStates: len(p.fast),
 		DenseBytes:  len(p.fast)*int(unsafe.Sizeof(fastRow{})) + len(p.over)*4,
 		StoredBytes: len(p.stored)*int(unsafe.Sizeof(Pointer(0))) + len(p.rows)*4,
-		LookupBytes: 256 * (4 + 4*8 + 8),
+		LookupBytes: int(unsafe.Sizeof(*p.lut)),
 		OutputBytes: len(p.out.bits)*8 + len(p.out.rank)*4 + len(p.out.off)*4 + len(p.out.ids)*4,
 	}
 	for _, ref := range p.rows {

@@ -60,10 +60,10 @@ func randBakedPayload(rng *rand.Rand, n int) []byte {
 func TestBakedEquivalenceProperty(t *testing.T) {
 	configs := []Options{
 		{},
-		{MaxDepth: 1},
-		{MaxDepth: 2},
-		{D2PerChar: 2},
-		{D2PerChar: 1, D3PerChar: 1},
+		{DenseStates: 1},       // the start state alone on the fast tier
+		{DenseStates: 2},       // the start state and one depth-1 state
+		{DenseStates: 8},       // the depth-1 tier cut short
+		{DenseStates: 32},      // depth-1 states and the most popular deeper ones
 		{DenseStates: -1},      // compressed tier only
 		{DenseStates: 3},       // nearly everything on the CSR path
 		{DenseStates: 1 << 20}, // pure flat DFA
@@ -280,60 +280,6 @@ func TestScanEmitReentrancy(t *testing.T) {
 	}
 }
 
-// TestCompileFallback proves that machines whose default rows overflow the
-// fixed row format refuse to bake and stay on the (still correct)
-// reference path. The sets are crafted so the ablation-sized row widths
-// are actually populated: six depth-2 states and two depth-3 states all
-// ending in 'x'. Compile bails on actual row widths, not the configured
-// limits — an oversized D2PerChar on a sparse set still bakes.
-func TestCompileFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	wideD2 := &ruleset.Set{}
-	for i, p := range []string{"ax", "bx", "cx", "dx", "ex", "fx"} {
-		wideD2.Patterns = append(wideD2.Patterns, ruleset.Pattern{ID: i, Data: []byte(p)})
-	}
-	wideD3 := &ruleset.Set{Patterns: []ruleset.Pattern{
-		{ID: 0, Data: []byte("aax")},
-		{ID: 1, Data: []byte("abx")},
-	}}
-	for _, tc := range []struct {
-		set  *ruleset.Set
-		opts Options
-	}{
-		{wideD2, Options{D2PerChar: 8}}, // 6 depth-2 defaults for 'x' > 4 slots
-		{wideD3, Options{D3PerChar: 2}}, // 2 depth-3 defaults for 'x' > 1 word
-	} {
-		m, err := Build(tc.set, tc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.prog != nil {
-			t.Fatalf("options %+v: expected Compile fallback, got a program", tc.opts)
-		}
-		if err := m.VerifyScan(mustTrie(t, tc.set), [][]byte{randBakedPayload(rng, 512)}); err != nil {
-			t.Fatalf("options %+v: fallback path broken: %v", tc.opts, err)
-		}
-	}
-	// A sparse set bakes even under ablation-wide limits...
-	sparse, err := Build(randBakedSet(rng), Options{D2PerChar: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sparse.prog == nil && sparse.Stats.D2Count <= 4*256 {
-		// (only fails if the random set really overflowed a row, which
-		// randBakedSet's 16 short patterns cannot)
-		t.Fatal("sparse machine under D2PerChar=8 did not bake")
-	}
-	// ...and a reference-pinned build skips compilation outright.
-	m, err := Build(randBakedSet(rng), Options{Backend: BackendReference})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.prog != nil {
-		t.Fatal("Backend reference still compiled a program")
-	}
-}
-
 // TestProgramStats sanity-checks the layout report against the machine.
 func TestProgramStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -355,7 +301,7 @@ func TestProgramStats(t *testing.T) {
 	}
 	var stored int
 	trie := mustTrie(t, set)
-	promoted := m.pickDense(trie, newFailTree(trie))
+	promoted := pickDense(trie, newFailTree(trie), 8)
 	for s := range promoted {
 		if !promoted[s] {
 			stored += len(m.StoredRow(int32(s)))

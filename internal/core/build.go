@@ -33,6 +33,7 @@ import (
 	"slices"
 
 	"repro/internal/ac"
+	"repro/internal/ruleset"
 )
 
 // failTree is the builder's transient view of a trie: what the recurrences
@@ -141,16 +142,19 @@ func (ft *failTree) top(cands []int32, k int) []int32 {
 	return h
 }
 
-// selectDefaults fills the lookup table: every depth-1 state, and per final
-// character the D2PerChar most popular depth-2 and D3PerChar most popular
-// depth-3 states, most popular first.
-func (m *Machine) selectDefaults(t *ac.Trie, ft *failTree) {
-	m.Stats.States = t.NumStates()
-	m.Stats.OriginalPointers = ft.original
-	m.Stats.OriginalAvg = float64(ft.original) / float64(m.Stats.States)
+// selectDefaults chooses the lookup table, row by row: every depth-1 state,
+// and per final character the d2 most popular depth-2 states and the most
+// popular depth-3 state, most popular first. It fills st's state, original
+// pointer and default counts. The rows are build scaffolding: Build encodes
+// them into the machine's lookupTable and lets them go.
+func selectDefaults(t *ac.Trie, ft *failTree, d2 int, st *BuildStats) *[256]LookupRow {
+	st.States = t.NumStates()
+	st.OriginalPointers = ft.original
+	st.OriginalAvg = float64(ft.original) / float64(st.States)
 
-	for c := range m.Defaults.D1 {
-		m.Defaults.D1[c] = ac.None
+	rows := new([256]LookupRow)
+	for c := range rows {
+		rows[c].D1 = ac.None
 	}
 	var byDepth [4][]int32
 	for _, s := range ft.order[1:] {
@@ -161,25 +165,42 @@ func (m *Machine) selectDefaults(t *ac.Trie, ft *failTree) {
 		byDepth[d] = append(byDepth[d], s)
 	}
 	for _, s := range byDepth[1] {
-		m.Defaults.D1[t.Nodes[s].Char] = s
+		rows[t.Nodes[s].Char].D1 = s
 	}
-	m.Stats.D1Count = len(byDepth[1])
+	st.D1Count = len(byDepth[1])
 
-	for _, s := range ft.rowWinners(t, byDepth[2], m.Opts.D2PerChar) {
+	for _, s := range ft.rowWinners(t, byDepth[2], d2) {
 		nd := &t.Nodes[s]
-		m.Defaults.D2[nd.Char] = append(m.Defaults.D2[nd.Char], D2Entry{Prev: t.Nodes[nd.Parent].Char, State: s})
-		m.Stats.D2Count++
+		row := &rows[nd.Char]
+		row.D2 = append(row.D2, D2Entry{Prev: t.Nodes[nd.Parent].Char, State: s})
+		st.D2Count++
 	}
-	for _, s := range ft.rowWinners(t, byDepth[3], m.Opts.D3PerChar) {
+	for _, s := range ft.rowWinners(t, byDepth[3], 1) {
 		nd := &t.Nodes[s]
 		p1 := &t.Nodes[nd.Parent]
-		m.Defaults.D3[nd.Char] = append(m.Defaults.D3[nd.Char], D3Entry{
-			Prev2: t.Nodes[p1.Parent].Char,
-			Prev1: p1.Char,
-			State: s,
-		})
-		m.Stats.D3Count++
+		rows[nd.Char].D3 = []D3Entry{{Prev2: t.Nodes[p1.Parent].Char, Prev1: p1.Char, State: s}}
+		st.D3Count++
 	}
+	return rows
+}
+
+// CompressionStats reports the Table II quantities set compresses to when a
+// lookup-table row holds d2 depth-2 defaults instead of the paper's 4: the
+// paper's depth-2 ablation (§III.B). It runs Build's selection and
+// compression and builds no machine — a row of more than 4 depth-2
+// defaults is one no hardware row holds. At d2 = 4 it equals Build's Stats.
+func CompressionStats(set *ruleset.Set, d2 int) (BuildStats, error) {
+	var st BuildStats
+	if d2 < 0 {
+		return st, fmt.Errorf("core: %d depth-2 defaults per row", d2)
+	}
+	trie, err := ac.New(set)
+	if err != nil {
+		return st, err
+	}
+	ft := newFailTree(trie)
+	_, _, err = compress(trie, ft, selectDefaults(trie, ft, d2, &st), &st)
+	return st, err
 }
 
 // rowWinners sorts cands — states of one depth — by lookup-table row, which
@@ -223,18 +244,18 @@ func staticHistory(t *ac.Trie, s int32) (h2, h1 int16) {
 	}
 }
 
-// resolveDepths evaluates the default rule for c under history (h2, h1)
-// under every depth limit at once: r[d] is Resolve(c, h2, h1, d) for d = 1,
-// 2 and 3, each limit's answer the one below it unless a deeper default
-// matches.
-func (d *Defaults) resolveDepths(c byte, h2, h1 int16) (r [4]int32) {
+// resolveDepths evaluates the row's default rule under history (h2, h1),
+// HistNone where unknown, under every depth limit at once: r[d] is the
+// target using depths 1…d only, each limit's answer the one below it
+// unless a deeper default matches, the start state if none does.
+func (row *LookupRow) resolveDepths(h2, h1 int16) (r [4]int32) {
 	r[1] = ac.Root
-	if s := d.D1[c]; s != ac.None {
-		r[1] = s
+	if row.D1 != ac.None {
+		r[1] = row.D1
 	}
 	r[2] = r[1]
 	if h1 != HistNone {
-		for _, e := range d.D2[c] {
+		for _, e := range row.D2 {
 			if int16(e.Prev) == h1 {
 				r[2] = e.State
 				break
@@ -243,7 +264,7 @@ func (d *Defaults) resolveDepths(c byte, h2, h1 int16) (r [4]int32) {
 	}
 	r[3] = r[2]
 	if h2 != HistNone && h1 != HistNone {
-		for _, e := range d.D3[c] {
+		for _, e := range row.D3 {
 			if int16(e.Prev2) == h2 && int16(e.Prev1) == h1 {
 				r[3] = e.State
 				break
@@ -266,21 +287,23 @@ func fitsWord(states int, entries int64) error {
 	return nil
 }
 
-// compress keeps, at every state, only the transitions the default rule
-// cannot reproduce, and tallies the progressive d1 / d1+d2 / d1+d2+d3
-// pointer counts for Table II. The rows go into one arena in state order,
-// sized by the tally, and the row index gets one descriptor per state. It
-// fails when the machine is beyond what fitsWord allows.
-func (m *Machine) compress(t *ac.Trie, ft *failTree) error {
+// compress keeps, at every state, only the transitions the default rule of
+// defaults cannot reproduce, and tallies the progressive d1 / d1+d2 /
+// d1+d2+d3 pointer counts for Table II into st. It returns the state
+// memory — the rows in one arena in state order, sized by the tally — and
+// its row index, one descriptor per state. It fails when the machine is
+// beyond what fitsWord allows.
+func compress(t *ac.Trie, ft *failTree, defaults *[256]LookupRow, st *BuildStats) ([]Pointer, []uint32, error) {
 	n := t.NumStates()
 
 	// Per edge s —c→ v: under each depth limit, is the edge stored at s, and
 	// was the pointer it overrides — Move(Fail(s), c), which is Fail(v) —
 	// stored at Fail(s)? The difference reaches every state below s.
-	// keep[v] records the first answer under the configured depth, and the
-	// same two answers give the length of s's row from its fail parent's,
-	// which — shallow states first — is already known. (The start state is
-	// its own fail parent; its length is still zero when it is read.)
+	// keep[v] records the first answer under all three depths, which is
+	// what the machine stores, and the same two answers give the length of
+	// s's row from its fail parent's, which — shallow states first — is
+	// already known. (The start state is its own fail parent; its length is
+	// still zero when it is read.)
 	keep := make([]bool, n)
 	rows := make([]uint32, n) // row s's length until the offsets are laid
 	var total [4]int64
@@ -293,36 +316,31 @@ func (m *Machine) compress(t *ac.Trie, ft *failTree) error {
 		length := int(rows[nd.Fail])
 		for _, e := range t.Edges(s) {
 			over := t.Nodes[e.To].Fail
-			own := m.Defaults.resolveDepths(e.Char, h2, h1)
+			own := defaults[e.Char].resolveDepths(h2, h1)
 			var inherited [4]int32
 			if over != ac.Root {
-				inherited = m.Defaults.resolveDepths(e.Char, fh2, fh1)
+				inherited = defaults[e.Char].resolveDepths(fh2, fh1)
 			}
 			for d := 1; d <= 3; d++ {
-				stored := own[d] != e.To
-				overStored := over != ac.Root && inherited[d] != over
-				if stored {
+				if own[d] != e.To {
 					total[d] += w
 				}
-				if overStored {
+				if over != ac.Root && inherited[d] != over {
 					total[d] -= w
 				}
-				if d == m.Opts.MaxDepth {
-					keep[e.To] = stored
-					if stored {
-						length++
-					}
-					if overStored {
-						length--
-					}
-				}
+			}
+			if keep[e.To] = own[3] != e.To; keep[e.To] {
+				length++
+			}
+			if over != ac.Root && inherited[3] != over {
+				length--
 			}
 		}
 		rows[s] = uint32(length)
 		maxStored = max(maxStored, length)
 	}
-	if err := fitsWord(n, total[m.Opts.MaxDepth]); err != nil {
-		return err
+	if err := fitsWord(n, total[3]); err != nil {
+		return nil, nil, err
 	}
 	at := uint32(0)
 	for s, length := range rows {
@@ -333,13 +351,13 @@ func (m *Machine) compress(t *ac.Trie, ft *failTree) error {
 	// Shallow states first, merge the fail parent's row with the state's
 	// own edges; both are sorted by character. The start state has no fail
 	// parent to inherit from.
-	m.stored, m.rows = make([]Pointer, total[m.Opts.MaxDepth]), rows
+	stored := make([]Pointer, total[3])
 	for _, s := range ft.order {
 		var inherited []Pointer
 		if s != ac.Root {
-			inherited = m.StoredRow(t.Nodes[s].Fail)
+			inherited = rowOf(stored, rows[t.Nodes[s].Fail])
 		}
-		row, used := m.StoredRow(s), 0
+		row, used := rowOf(stored, rows[s]), 0
 		for _, e := range t.Edges(s) {
 			for len(inherited) > 0 && inherited[0].Char() < e.Char {
 				row[used] = inherited[0]
@@ -358,16 +376,15 @@ func (m *Machine) compress(t *ac.Trie, ft *failTree) error {
 	}
 
 	fn := float64(n)
-	st := &m.Stats
 	st.StoredAfterD1, st.StoredAfterD12, st.StoredAfterD123 = total[1], total[2], total[3]
 	st.AvgAfterD1 = float64(st.StoredAfterD1) / fn
 	st.AvgAfterD12 = float64(st.StoredAfterD12) / fn
 	st.AvgAfterD123 = float64(st.StoredAfterD123) / fn
-	st.StoredPointers = total[m.Opts.MaxDepth]
+	st.StoredPointers = total[3]
 	st.AvgStored = float64(st.StoredPointers) / fn
 	st.MaxStoredPerState = maxStored
 	if st.OriginalPointers > 0 {
 		st.Reduction = 1 - float64(st.StoredPointers)/float64(st.OriginalPointers)
 	}
-	return nil
+	return stored, rows, nil
 }

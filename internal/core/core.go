@@ -29,13 +29,13 @@
 // function of the two, and all of them are byte-exact equivalent — same
 // states, histories, positions and match sequences on every input. Three
 // backends ship today. The "reference" backend walks the Machine itself —
-// a binary search over the state's stored row, D2/D3 entry lists,
+// a binary search over the state's stored row, then the lookup table,
 // Machine.Next — and is kept deliberately close to the paper's hardware
-// description. The "baked" backend runs the Program (see baked.go), a pure
-// re-layout into fixed arrays and a two-tier fast/compressed format that
-// Build compiles by default; its compressed tier reads the Machine's own
-// stored-pointer arena through the Machine's own row index — one state
-// memory, two interpreters — and both
+// description. The "baked" backend runs the Program (see baked.go), a
+// two-tier fast/compressed format that Build compiles by default; its
+// compressed tier reads the Machine's own stored-pointer arena through the
+// Machine's own row index, and both tiers the Machine's own lookup table —
+// one lookup table and one state memory, two interpreters — and both
 // emit from the Machine's one flattened output table (outputTable). The
 // "prefiltered" backend (see prefilter.go) is a two-stage pipeline: a tiny
 // lossy automaton skims clean traffic and only suspect byte windows run
@@ -70,7 +70,8 @@
 // Nor does the result keep the trie: what stays in memory is the paper's
 // lookup table, state memory and match memory (outputTable), and the
 // kernels' tables. Build — the one way a Machine comes to exist — derives
-// them from the trie, proves VerifySuperset on it and lets it go. What needs
+// them from the trie, proves VerifySuperset on it and lets it go, with the
+// per-character default lists it selected the lookup table from. What needs
 // the uncompressed automaton later — the other Verify* proofs, WriteDot — is
 // handed a trie of the same ruleset: a proof is of the image against the
 // rules.
@@ -86,19 +87,10 @@ import (
 	"repro/internal/ruleset"
 )
 
-// Options configures compression.
+// Options configures a build. The compression scheme itself is the
+// paper's and has no knobs: 4 depth-2 and 1 depth-3 defaults per
+// lookup-table row (CompressionStats runs the depth-2 ablation).
 type Options struct {
-	// D2PerChar is the number of depth-2 defaults per character value.
-	// The paper found 4 optimal for Snort-derived sets; 0 means 4.
-	D2PerChar int
-	// D3PerChar is the number of depth-3 defaults per character value.
-	// The paper uses 1; 0 means 1. (Values >1 are supported for ablation
-	// studies; the hardware lookup-table row format fits exactly 1.)
-	D3PerChar int
-	// MaxDepth limits which default depths are used: 1 = d1 only,
-	// 2 = d1+d2, 3 = d1+d2+d3. 0 means 3. Used by the Table II progressive
-	// rows and the ablation benches.
-	MaxDepth int
 	// DenseStates budgets the baked kernel's fast tier: how many states
 	// have their whole move row precomputed, as a bitmap over the depth-1
 	// default row plus the targets that differ from it (0 =
@@ -108,62 +100,36 @@ type Options struct {
 	// Backend selects the scan implementation ScanAppend and NewScanner run:
 	// BackendAuto (or "") picks the fastest always-exact default —
 	// prefiltered when the lossy stage compiles and passes VerifySuperset,
-	// baked if only the flat Program compiled, reference otherwise.
-	// BackendReference pins the slice-walking interpreter (and skips
-	// compiling the kernels); BackendBaked and BackendPrefiltered pin
-	// those kernels and make Build fail if the configuration cannot
-	// compile them. Unknown names are a Build error listing
-	// RegisteredBackends. NewScannerFor overrides it per scanner.
+	// baked otherwise. BackendReference pins the slice-walking interpreter
+	// (and skips compiling the kernels); BackendBaked and
+	// BackendPrefiltered pin those kernels, and a pinned prefiltered build
+	// fails if the lossy stage cannot be kept. Unknown names are a Build
+	// error listing RegisteredBackends. NewScannerFor overrides it per
+	// scanner.
 	Backend string
 }
 
-func (o Options) withDefaults() Options {
-	if o.D2PerChar == 0 {
-		o.D2PerChar = 4
-	}
-	if o.D3PerChar == 0 {
-		o.D3PerChar = 1
-	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 3
-	}
-	if o.Backend == "" {
-		o.Backend = BackendAuto
-	}
-	return o
-}
-
-// Validate resolves defaults exactly as Build does and reports whether the
-// options are buildable: range checks and backend-name resolution against
-// the registry. It is the one home of that logic — dpi.Config.Validate
-// delegates here, and Build runs the same pair, so a configuration that
-// passes Validate cannot fail Build's option checks later.
-func (o Options) Validate() error { return o.withDefaults().validate() }
-
-func (o Options) validate() error {
-	if o.D2PerChar < 0 || o.D3PerChar < 0 {
-		return fmt.Errorf("core: negative default counts %+v", o)
-	}
-	if o.MaxDepth < 1 || o.MaxDepth > 3 {
-		return fmt.Errorf("core: MaxDepth %d out of range [1,3]", o.MaxDepth)
-	}
+// Validate reports whether the options are buildable: the backend name
+// resolves against the registry. It is the one home of that check —
+// dpi.Config.Validate delegates here, and Build runs it first, so options
+// that pass Validate cannot fail Build's option check later.
+func (o Options) Validate() error {
 	switch o.Backend {
 	case "", BackendAuto:
-	default:
-		known := false
-		for _, name := range RegisteredBackends() {
-			if o.Backend == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("core: unknown backend %q (want %s)",
-				o.Backend, strings.Join(append([]string{BackendAuto}, RegisteredBackends()...), "|"))
+		return nil
+	}
+	for _, name := range RegisteredBackends() {
+		if o.Backend == name {
+			return nil
 		}
 	}
-	return nil
+	return fmt.Errorf("core: unknown backend %q (want %s)",
+		o.Backend, strings.Join(append([]string{BackendAuto}, RegisteredBackends()...), "|"))
 }
+
+// d2PerChar is the number of depth-2 defaults a lookup-table row holds:
+// the paper's measured optimum, and the width of its 49-bit row.
+const d2PerChar = 4
 
 // D2Entry is a depth-2 default: taken when the previous input character
 // equals Prev and no stored transition matched.
@@ -179,45 +145,96 @@ type D3Entry struct {
 	State        int32
 }
 
-// Defaults is the content of the 256-row lookup table.
-type Defaults struct {
-	// D1[c] is the depth-1 state labeled c, or ac.None. In hardware this is
-	// a single bit per row because the target address is fixed.
-	D1 [256]int32
-	// D2[c] holds up to D2PerChar depth-2 defaults whose final character is
-	// c, most popular first.
-	D2 [256][]D2Entry
-	// D3[c] holds up to D3PerChar depth-3 defaults whose final character is
-	// c, most popular first.
-	D3 [256][]D3Entry
+// LookupRow is one row of the lookup table as lists: what the default rule
+// consults on one input character c. Build selects the table in this form
+// and encodes it into the machine's lookupTable; Machine.LookupRow decodes
+// a row back.
+type LookupRow struct {
+	// D1 is the depth-1 state labeled c, or ac.None. In hardware this is a
+	// single bit per row because the target address is fixed.
+	D1 int32
+	// D2 holds the depth-2 defaults whose final character is c, most
+	// popular first.
+	D2 []D2Entry
+	// D3 holds the depth-3 default whose final character is c, if any.
+	D3 []D3Entry
 }
 
 // HistNone marks an invalid history byte (start of packet).
 const HistNone int16 = -1
 
-// Resolve evaluates the default rule for input character c given the
-// previous two characters (HistNone when unknown): the deepest matching
-// default wins, falling back to the start state. maxDepth limits the
-// depths consulted (3 for the full scheme).
-func (d *Defaults) Resolve(c byte, h2, h1 int16, maxDepth int) int32 {
-	if maxDepth >= 3 && h2 != HistNone && h1 != HistNone {
-		for _, e := range d.D3[c] {
-			if int16(e.Prev2) == h2 && int16(e.Prev1) == h1 {
-				return e.State
-			}
+// lookupTable is the paper's 256-row lookup table, the one copy both
+// interpreters read (see baked.go for the encoding). d1 is the depth-1
+// default with the start-state fallback pre-resolved into the row; d2
+// packs a row's depth-2 defaults as preceding-character key in the high
+// half and target state in the low half, most popular first; d3 is one
+// word keyed on both history characters at once. Empty slots carry keys
+// no history can produce.
+type lookupTable struct {
+	d1 [256]int32
+	d2 [256][d2PerChar]uint64
+	d3 [256]uint64
+}
+
+// newLookupTable encodes the rows Build selected.
+func newLookupTable(rows *[256]LookupRow) lookupTable {
+	var l lookupTable
+	for c := range rows {
+		row := &rows[c]
+		l.d1[c] = ac.Root
+		if row.D1 != ac.None {
+			l.d1[c] = row.D1
+		}
+		for j := range l.d2[c] {
+			l.d2[c][j] = emptyD2Key
+		}
+		for j, e := range row.D2 {
+			l.d2[c][j] = uint64(e.Prev)<<32 | uint64(uint32(e.State))
+		}
+		l.d3[c] = emptyD3Key
+		for _, e := range row.D3 {
+			key := uint64(e.Prev2)<<histLaneBits | uint64(e.Prev1)
+			l.d3[c] = key<<32 | uint64(uint32(e.State))
 		}
 	}
-	if maxDepth >= 2 && h1 != HistNone {
-		for _, e := range d.D2[c] {
-			if int16(e.Prev) == h1 {
-				return e.State
-			}
+	return l
+}
+
+// resolve is the default rule on input character c under the fused history
+// hist: the depth-3 default when both history characters match its key,
+// else the depth-2 default whose key is the previous character, else the
+// depth-1 default. Unknown history lanes match no key.
+func (l *lookupTable) resolve(c byte, hist uint32) int32 {
+	if e := l.d3[c]; uint32(e>>32) == hist {
+		return int32(uint32(e))
+	}
+	h1 := hist & histLaneMask
+	for _, e := range &l.d2[c] {
+		if uint32(e>>32) == h1 {
+			return int32(uint32(e))
 		}
 	}
-	if s := d.D1[c]; s != ac.None {
-		return s
+	return l.d1[c]
+}
+
+// LookupRow decodes row c of the machine's lookup table: the form hwsim's
+// packer, WriteDot and the verifiers read it in.
+func (m *Machine) LookupRow(c byte) LookupRow {
+	l := &m.lut
+	row := LookupRow{D1: ac.None}
+	if s := l.d1[c]; s != ac.Root {
+		row.D1 = s
 	}
-	return ac.Root
+	for _, e := range l.d2[c] {
+		if key := uint32(e >> 32); key <= 0xFF {
+			row.D2 = append(row.D2, D2Entry{Prev: byte(key), State: int32(uint32(e))})
+		}
+	}
+	if e := l.d3[c]; e != emptyD3Key {
+		key := uint32(e >> 32)
+		row.D3 = []D3Entry{{Prev2: byte(key >> histLaneBits), Prev1: byte(key), State: int32(uint32(e))}}
+	}
+	return row
 }
 
 // Pointer is a transition pointer still stored at a state after
@@ -259,18 +276,18 @@ type BuildStats struct {
 	AvgAfterD12     float64 // after "d1+d2"
 	AvgAfterD123    float64 // after "d1+d2+d3"
 
-	StoredPointers    int64 // pointers stored under the configured MaxDepth
+	StoredPointers    int64 // pointers the machine stores: StoredAfterD123
 	AvgStored         float64
 	MaxStoredPerState int
-	// Reduction is the fractional cut vs the original DFA under the
-	// configured MaxDepth (Table II "Reduction" row).
+	// Reduction is the fractional cut vs the original DFA (Table II
+	// "Reduction" row).
 	Reduction float64
 }
 
 // Machine is a DTP-compressed Aho-Corasick automaton. It holds no trie.
 type Machine struct {
-	Opts     Options
-	Defaults Defaults
+	// lut is the lookup table, read in place by both interpreters.
+	lut lookupTable
 	// stored is the state memory: every state's kept pointers back to back
 	// in state order, each state's sorted by character. rows is its one row
 	// index, one descriptor per state (see rowDense): the count and offset
@@ -286,15 +303,13 @@ type Machine struct {
 	out   outputTable
 	Stats BuildStats
 
-	// prog is the baked scan kernel, nil when the configured backend is
-	// reference, when the machine was hand-assembled, or when the
-	// configuration does not fit the fixed row format. Scans fall back to
-	// the slice-walking reference path when nil.
+	// prog is the baked scan kernel, nil only when the configured backend
+	// is reference or the machine was hand-assembled.
 	prog *Program
 	// pre is the lossy prefilter stage, compiled (and superset-verified)
-	// alongside prog; nil whenever prog is nil or the collapsed machine
-	// does not fit the packed entry format. The prefiltered backend needs
-	// both.
+	// alongside prog; nil whenever prog is nil, the collapsed machine
+	// does not fit the packed entry format or VerifySuperset refused it.
+	// The prefiltered backend needs both.
 	pre *Prefilter
 	// backend is the configured Options.Backend; empty (auto) on
 	// hand-assembled machines. kind is what it resolved to once the kernels
@@ -310,59 +325,47 @@ type Machine struct {
 
 // Build compresses the move-function DFA for set under opts.
 func Build(set *ruleset.Set, opts Options) (*Machine, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	trie, err := ac.New(set)
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{Opts: opts, backend: opts.Backend, generation: nextGeneration()}
+	m := &Machine{backend: opts.Backend, generation: nextGeneration()}
 	ft := newFailTree(trie)
-	m.selectDefaults(trie, ft)
-	if err := m.compress(trie, ft); err != nil {
+	defaults := selectDefaults(trie, ft, d2PerChar, &m.Stats)
+	if m.stored, m.rows, err = compress(trie, ft, defaults, &m.Stats); err != nil {
 		return nil, err
 	}
-	if err := m.compileBackends(trie, ft); err != nil {
+	m.lut = newLookupTable(defaults)
+	m.out = newOutputTable(trie)
+	if err := m.compileBackends(trie, ft, opts.DenseStates); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// compileBackends flattens the match memory every backend emits from and
-// bakes the kernels the configured backend needs: the flat Program and, on
-// top of it, the lossy prefilter stage (which must pass VerifySuperset to be
-// kept — a prefilter that could miss is discarded, never silently used).
-// Under BackendAuto compilation is best-effort and unbakeable
-// configurations fall back to the reference path; an explicitly pinned
-// kernel backend turns the same condition into a Build error.
-func (m *Machine) compileBackends(trie *ac.Trie, ft *failTree) error {
-	m.out = newOutputTable(trie)
+// compileBackends bakes the kernels the configured backend needs: the flat
+// Program and, on top of it, the lossy prefilter stage (which must pass
+// VerifySuperset to be kept — a prefilter that could miss is discarded,
+// never silently used). A pinned prefiltered backend turns a discarded or
+// uncompilable stage into a Build error.
+func (m *Machine) compileBackends(trie *ac.Trie, ft *failTree, denseStates int) error {
 	if m.backend == BackendReference {
 		return nil
 	}
-	m.prog = compile(m, trie, ft)
-	if m.prog != nil {
-		m.pre = CompilePrefilter(trie)
-		if m.pre != nil {
-			if err := m.VerifySuperset(trie); err != nil {
-				m.pre = nil
-				if m.backend == BackendPrefiltered {
-					return err
-				}
+	m.prog = compile(m, trie, ft, denseStates)
+	if m.pre = CompilePrefilter(trie); m.pre != nil {
+		if err := m.VerifySuperset(trie); err != nil {
+			m.pre = nil
+			if m.backend == BackendPrefiltered {
+				return err
 			}
 		}
 	}
-	switch m.backend {
-	case BackendBaked:
-		if m.prog == nil {
-			return fmt.Errorf("core: Backend %q pinned but the configuration does not fit the baked row format", m.backend)
-		}
-	case BackendPrefiltered:
-		if m.prog == nil || m.pre == nil {
-			return fmt.Errorf("core: Backend %q pinned but the configuration does not fit the kernel formats", m.backend)
-		}
+	if m.backend == BackendPrefiltered && m.pre == nil {
+		return fmt.Errorf("core: Backend %q pinned but the prefilter does not fit its packed entry format", m.backend)
 	}
 	m.kind = m.resolveKind()
 	return nil
@@ -388,11 +391,13 @@ func (m *Machine) storedRef(s int32) uint32 {
 
 // StoredRow returns the pointers kept at state s, sorted by character. The
 // slice aliases the machine's state memory: read-only.
-func (m *Machine) StoredRow(s int32) []Pointer {
-	ref := m.storedRef(s)
+func (m *Machine) StoredRow(s int32) []Pointer { return rowOf(m.stored, m.storedRef(s)) }
+
+// rowOf is the row of arena stored that descriptor ref describes.
+func rowOf(stored []Pointer, ref uint32) []Pointer {
 	lo := ref & rowOffMask
 	hi := lo + ref>>rowCountShift
-	return m.stored[lo:hi:hi]
+	return stored[lo:hi:hi]
 }
 
 // StoredAt returns the stored transition target of (s, c), or ac.None: a
@@ -419,10 +424,15 @@ func (m *Machine) StoredAt(s int32, c byte) int32 {
 // with runtime history (h2, h1): stored pointers first, then the default
 // rule.
 func (m *Machine) Next(s int32, c byte, h2, h1 int16) int32 {
+	return m.next(s, c, fuseHist(h2, h1))
+}
+
+// next is Next on the fused history register.
+func (m *Machine) next(s int32, c byte, hist uint32) int32 {
 	if to := m.StoredAt(s, c); to != ac.None {
 		return to
 	}
-	return m.Defaults.Resolve(c, h2, h1, m.Opts.MaxDepth)
+	return m.lut.resolve(c, hist)
 }
 
 // outputTable is the match memory: per state, whether any pattern ends

@@ -97,49 +97,49 @@ func TestToySurvivingPointer(t *testing.T) {
 
 func TestToyDefaultsContents(t *testing.T) {
 	m := mustBuild(t, toySet(), Options{})
-	d := &m.Defaults
 	if m.Stats.D1Count != 2 {
 		t.Fatalf("d1 count = %d, want 2 (h, s)", m.Stats.D1Count)
 	}
-	if d.D1['h'] == ac.None || d.D1['s'] == ac.None {
+	if m.LookupRow('h').D1 == ac.None || m.LookupRow('s').D1 == ac.None {
 		t.Fatal("missing depth-1 defaults for h/s")
 	}
-	if d.D1['x'] != ac.None {
+	if m.LookupRow('x').D1 != ac.None {
 		t.Fatal("phantom depth-1 default for x")
 	}
 	// Depth-2 states: he, sh, hi → one default in each of rows e, h, i.
 	if m.Stats.D2Count != 3 {
 		t.Fatalf("d2 count = %d, want 3", m.Stats.D2Count)
 	}
-	if len(d.D2['e']) != 1 || d.D2['e'][0].Prev != 'h' {
-		t.Fatalf("d2[e] = %+v, want prev h", d.D2['e'])
+	if d2 := m.LookupRow('e').D2; len(d2) != 1 || d2[0].Prev != 'h' {
+		t.Fatalf("d2[e] = %+v, want prev h", d2)
 	}
 	// Depth-3 states: she, his, her → rows e, s, r.
 	if m.Stats.D3Count != 3 {
 		t.Fatalf("d3 count = %d, want 3", m.Stats.D3Count)
 	}
-	if len(d.D3['s']) != 1 || d.D3['s'][0].Prev2 != 'h' || d.D3['s'][0].Prev1 != 'i' {
-		t.Fatalf("d3[s] = %+v, want prev hi", d.D3['s'])
+	if d3 := m.LookupRow('s').D3; len(d3) != 1 || d3[0].Prev2 != 'h' || d3[0].Prev1 != 'i' {
+		t.Fatalf("d3[s] = %+v, want prev hi", d3)
 	}
 }
 
 func TestVerifyTransitionsToy(t *testing.T) {
-	for depth := 1; depth <= 3; depth++ {
-		m := mustBuild(t, toySet(), Options{MaxDepth: depth})
-		if err := m.VerifyTransitions(mustTrie(t, toySet())); err != nil {
-			t.Fatalf("MaxDepth=%d: %v", depth, err)
-		}
+	m := mustBuild(t, toySet(), Options{})
+	if err := m.VerifyTransitions(mustTrie(t, toySet())); err != nil {
+		t.Fatal(err)
+	}
+	// A default keyed on a history its state does not spell is refused,
+	// even where no static history reaches it: row s's depth-3 default
+	// "his" re-keyed to "xy".
+	m.lut.d3['s'] = (uint64('x')<<histLaneBits|uint64('y'))<<32 | m.lut.d3['s']&0xFFFFFFFF
+	if err := m.VerifyTransitions(mustTrie(t, toySet())); err == nil {
+		t.Fatal("VerifyTransitions accepted a depth-3 default keyed off its path")
 	}
 }
 
 func TestVerifyTransitionsSynthetic(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 400, Seed: 11})
-	trie := mustTrie(t, set)
-	for depth := 1; depth <= 3; depth++ {
-		m := mustBuild(t, set, Options{MaxDepth: depth})
-		if err := m.VerifyTransitions(trie); err != nil {
-			t.Fatalf("MaxDepth=%d: %v", depth, err)
-		}
+	if err := mustBuild(t, set, Options{}).VerifyTransitions(mustTrie(t, set)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -246,18 +246,31 @@ func TestD1CountEqualsFirstChars(t *testing.T) {
 	}
 }
 
+// TestD2PerCharCap: the lookup table holds at most 4 depth-2 defaults a
+// row, and the depth-2 ablation selects at most k a row — no more than
+// k × the rows that have a depth-2 state at all.
 func TestD2PerCharCap(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 800, Seed: 22})
+	m := mustBuild(t, set, Options{})
+	rows := 0
+	for c := 0; c < 256; c++ {
+		if n := len(m.LookupRow(byte(c)).D2); n > 4 {
+			t.Fatalf("row %#x has %d depth-2 defaults", c, n)
+		} else if n > 0 {
+			rows++
+		}
+	}
 	for _, k := range []int{1, 2, 4, 8} {
-		m := mustBuild(t, set, Options{D2PerChar: k})
-		for c := 0; c < 256; c++ {
-			if len(m.Defaults.D2[c]) > k {
-				t.Fatalf("D2PerChar=%d: row %#x has %d entries", k, c, len(m.Defaults.D2[c]))
-			}
+		st, err := CompressionStats(set, k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := m.VerifyTransitions(mustTrie(t, set)); err != nil {
-			t.Fatalf("D2PerChar=%d: %v", k, err)
+		if st.D2Count > k*rows {
+			t.Fatalf("k=%d: %d depth-2 defaults over %d rows", k, st.D2Count, rows)
 		}
+	}
+	if _, err := CompressionStats(set, -1); err == nil {
+		t.Fatal("CompressionStats accepted -1 depth-2 defaults per row")
 	}
 }
 
@@ -265,58 +278,56 @@ func TestMoreD2DefaultsNeverIncreaseStored(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 600, Seed: 23})
 	prev := int64(1 << 62)
 	for _, k := range []int{1, 2, 3, 4, 6, 8} {
-		m := mustBuild(t, set, Options{D2PerChar: k})
-		if m.Stats.StoredPointers > prev {
-			t.Fatalf("stored pointers increased from %d to %d at D2PerChar=%d",
-				prev, m.Stats.StoredPointers, k)
+		st, err := CompressionStats(set, k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		prev = m.Stats.StoredPointers
+		if st.StoredPointers > prev {
+			t.Fatalf("stored pointers increased from %d to %d at %d depth-2 defaults per row",
+				prev, st.StoredPointers, k)
+		}
+		prev = st.StoredPointers
 	}
 }
 
+// TestDefaultsResolveOrder pins the default rule on the table's words: the
+// deepest default whose key matches the fused history wins, an unknown
+// history lane matches nothing, and a row with no default resolves to the
+// start state.
 func TestDefaultsResolveOrder(t *testing.T) {
-	var d Defaults
-	for c := range d.D1 {
-		d.D1[c] = ac.None
+	rows := new([256]LookupRow)
+	for c := range rows {
+		rows[c].D1 = ac.None
 	}
-	d.D1['x'] = 1
-	d.D2['x'] = []D2Entry{{Prev: 'a', State: 2}}
-	d.D3['x'] = []D3Entry{{Prev2: 'p', Prev1: 'a', State: 3}}
-
-	cases := []struct {
-		h2, h1   int16
-		maxDepth int
-		want     int32
+	rows['x'] = LookupRow{
+		D1: 1,
+		D2: []D2Entry{{Prev: 'b', State: 4}, {Prev: 'a', State: 2}},
+		D3: []D3Entry{{Prev2: 'p', Prev1: 'a', State: 3}},
+	}
+	l := newLookupTable(rows)
+	for i, tc := range []struct {
+		h2, h1 int16
+		want   int32
 	}{
-		{int16('p'), int16('a'), 3, 3}, // d3 wins
-		{int16('q'), int16('a'), 3, 2}, // d3 history miss → d2
-		{int16('p'), int16('b'), 3, 1}, // both miss → d1
-		{HistNone, int16('a'), 3, 2},   // no h2: d3 cannot fire
-		{HistNone, HistNone, 3, 1},     // no history at all
-		{int16('p'), int16('a'), 2, 2}, // depth limited to 2
-		{int16('p'), int16('a'), 1, 1}, // depth limited to 1
-	}
-	for i, tc := range cases {
-		if got := d.Resolve('x', tc.h2, tc.h1, tc.maxDepth); got != tc.want {
-			t.Errorf("case %d: Resolve = %d, want %d", i, got, tc.want)
+		{int16('p'), int16('a'), 3}, // d3 wins
+		{int16('q'), int16('a'), 2}, // d3 history miss → d2
+		{int16('q'), int16('b'), 4}, // any d2 slot
+		{int16('p'), int16('c'), 1}, // both miss → d1
+		{HistNone, int16('a'), 2},   // no h2: d3 cannot fire
+		{HistNone, HistNone, 1},     // no history at all
+	} {
+		if got := l.resolve('x', fuseHist(tc.h2, tc.h1)); got != tc.want {
+			t.Errorf("case %d: resolve = %d, want %d", i, got, tc.want)
 		}
 	}
-	if got := d.Resolve('y', int16('p'), int16('a'), 3); got != ac.Root {
-		t.Errorf("unknown char resolves to %d, want root", got)
+	if got := l.resolve('y', fuseHist('p', 'a')); got != ac.Root {
+		t.Errorf("a row with no default resolves to %d, want the start state", got)
 	}
 }
 
 func TestBuildRejectsBadOptions(t *testing.T) {
-	set := toySet()
-	for _, opts := range []Options{
-		{MaxDepth: 4},
-		{MaxDepth: -1},
-		{D2PerChar: -2},
-		{D3PerChar: -1},
-	} {
-		if _, err := Build(set, opts); err == nil {
-			t.Errorf("Build accepted %+v", opts)
-		}
+	if _, err := Build(toySet(), Options{Backend: "warp"}); err == nil {
+		t.Error("Build accepted an unknown backend")
 	}
 }
 
@@ -448,9 +459,9 @@ func TestQuickEquivalence(t *testing.T) {
 }
 
 // Property: every stored pointer is a true DFA transition (no invented
-// transitions), under all depth configurations.
+// transitions).
 func TestQuickStoredPointersAreDFAMoves(t *testing.T) {
-	f := func(seed int64, depthSel uint8) bool {
+	f := func(seed int64) bool {
 		src := rng.New(seed)
 		set := &ruleset.Set{}
 		seen := map[string]bool{}
@@ -466,7 +477,7 @@ func TestQuickStoredPointersAreDFAMoves(t *testing.T) {
 			seen[string(d)] = true
 			set.Patterns = append(set.Patterns, ruleset.Pattern{ID: len(set.Patterns), Data: d})
 		}
-		m, err := Build(set, Options{MaxDepth: 1 + int(depthSel)%3})
+		m, err := Build(set, Options{})
 		if err != nil {
 			return false
 		}

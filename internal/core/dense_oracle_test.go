@@ -4,11 +4,11 @@ package core
 // in baked.go) is proved against: popularity, defaults, stored pointers and
 // fast rows the way Build derived them before — by materializing every
 // 256-entry move row, resolving the default rule per (state, character)
-// pair, filling a promoted state's row with fail-chain Trie.Move walks and
-// reading its bitmap and overrides off that row byte by byte. Nothing here
-// shares a line with the code under test beyond Defaults.Resolve and
-// staticHistory, which define the machine's semantics. The dense machine
-// is a hand-assembled Machine plus the trie it is being built from.
+// pair under each depth limit, filling a promoted state's row with
+// fail-chain Trie.Move walks and reading its bitmap and overrides off that
+// row byte by byte. Nothing here shares a line with the code under test
+// beyond staticHistory, which defines the machine's semantics. The dense
+// machine is a hand-assembled Machine plus the trie it is being built from.
 
 import (
 	"bytes"
@@ -24,14 +24,68 @@ import (
 	"repro/internal/ruleset"
 )
 
-// denseBuild runs the dense passes over t and returns the machine together
-// with the popularity tally they ranked by.
-func denseBuild(t *ac.Trie, opts Options) (*Machine, []int64) {
-	m := &Machine{Opts: opts.withDefaults()}
-	pop := m.denseSelectDefaults(t)
-	m.setStoredRows(m.denseCompress(t))
+// denseBuild runs the dense passes over t with d2 depth-2 defaults per
+// lookup-table row and returns the machine, its selected rows and the
+// popularity tally they were ranked by. The machine's lookup table is
+// encoded only when the rows fit the table's slots.
+func denseBuild(t *ac.Trie, d2 int) (*Machine, *[256]LookupRow, []int64) {
+	m := &Machine{}
+	rows, pop := m.denseSelectDefaults(t, d2)
+	m.setStoredRows(denseCompress(t, rows, &m.Stats))
+	if d2 <= d2PerChar {
+		m.lut = denseLookupTable(rows)
+	}
 	m.out = denseOutputs(t)
-	return m, pop
+	return m, rows, pop
+}
+
+// denseLookupTable writes the rows into the kernel's words, slot by slot,
+// empty slots keyed so no history matches them.
+func denseLookupTable(rows *[256]LookupRow) (l lookupTable) {
+	for c := range rows {
+		l.d1[c] = ac.Root
+		if s := rows[c].D1; s != ac.None {
+			l.d1[c] = s
+		}
+		for j := range l.d2[c] {
+			l.d2[c][j] = emptyD2Key
+			if j < len(rows[c].D2) {
+				e := rows[c].D2[j]
+				l.d2[c][j] = uint64(e.Prev)<<32 | uint64(uint32(e.State))
+			}
+		}
+		l.d3[c] = emptyD3Key
+		if len(rows[c].D3) == 1 {
+			e := rows[c].D3[0]
+			key := uint64(e.Prev2)<<histLaneBits | uint64(e.Prev1)
+			l.d3[c] = key<<32 | uint64(uint32(e.State))
+		}
+	}
+	return l
+}
+
+// denseResolve is the default rule read off the per-character lists,
+// consulting depths up to maxDepth only: the deepest default whose key
+// matches the history wins, the start state when none does.
+func denseResolve(row *LookupRow, h2, h1 int16, maxDepth int) int32 {
+	if maxDepth >= 3 && h2 != HistNone && h1 != HistNone {
+		for _, e := range row.D3 {
+			if int16(e.Prev2) == h2 && int16(e.Prev1) == h1 {
+				return e.State
+			}
+		}
+	}
+	if maxDepth >= 2 && h1 != HistNone {
+		for _, e := range row.D2 {
+			if int16(e.Prev) == h1 {
+				return e.State
+			}
+		}
+	}
+	if row.D1 != ac.None {
+		return row.D1
+	}
+	return ac.Root
 }
 
 // denseOutputs fills the output table by Trie.AppendOutputs, one OutLink
@@ -72,7 +126,7 @@ func (m *Machine) setStoredRows(rows [][]transition) {
 	}
 }
 
-func (m *Machine) denseSelectDefaults(t *ac.Trie) []int64 {
+func (m *Machine) denseSelectDefaults(t *ac.Trie, d2 int) (*[256]LookupRow, []int64) {
 	n := t.NumStates()
 	popularity := make([]int64, n)
 	var original int64
@@ -90,8 +144,9 @@ func (m *Machine) denseSelectDefaults(t *ac.Trie) []int64 {
 	m.Stats.OriginalPointers = original
 	m.Stats.OriginalAvg = float64(original) / float64(n)
 
-	for c := range m.Defaults.D1 {
-		m.Defaults.D1[c] = ac.None
+	rows := new([256]LookupRow)
+	for c := range rows {
+		rows[c].D1 = ac.None
 	}
 	d2cand := make(map[byte][]int32)
 	d3cand := make(map[byte][]int32)
@@ -99,7 +154,7 @@ func (m *Machine) denseSelectDefaults(t *ac.Trie) []int64 {
 		nd := t.Nodes[i]
 		switch nd.Depth {
 		case 1:
-			m.Defaults.D1[nd.Char] = int32(i)
+			rows[nd.Char].D1 = int32(i)
 			m.Stats.D1Count++
 		case 2:
 			d2cand[nd.Char] = append(d2cand[nd.Char], int32(i))
@@ -121,17 +176,17 @@ func (m *Machine) denseSelectDefaults(t *ac.Trie) []int64 {
 		return cands
 	}
 	for c, cands := range d2cand {
-		for _, s := range pickTop(cands, m.Opts.D2PerChar) {
+		for _, s := range pickTop(cands, d2) {
 			prev := t.Nodes[t.Nodes[s].Parent].Char
-			m.Defaults.D2[c] = append(m.Defaults.D2[c], D2Entry{Prev: prev, State: s})
+			rows[c].D2 = append(rows[c].D2, D2Entry{Prev: prev, State: s})
 			m.Stats.D2Count++
 		}
 	}
 	for c, cands := range d3cand {
-		for _, s := range pickTop(cands, m.Opts.D3PerChar) {
+		for _, s := range pickTop(cands, 1) {
 			p1 := t.Nodes[s].Parent
 			p2 := t.Nodes[p1].Parent
-			m.Defaults.D3[c] = append(m.Defaults.D3[c], D3Entry{
+			rows[c].D3 = append(rows[c].D3, D3Entry{
 				Prev2: t.Nodes[p2].Char,
 				Prev1: t.Nodes[p1].Char,
 				State: s,
@@ -139,11 +194,11 @@ func (m *Machine) denseSelectDefaults(t *ac.Trie) []int64 {
 			m.Stats.D3Count++
 		}
 	}
-	return popularity
+	return rows, popularity
 }
 
 // denseCompress returns every state's stored row and fills in the stats.
-func (m *Machine) denseCompress(t *ac.Trie) [][]transition {
+func denseCompress(t *ac.Trie, defaults *[256]LookupRow, st *BuildStats) [][]transition {
 	n := t.NumStates()
 	rows := make([][]transition, n)
 	maxStored := 0
@@ -154,18 +209,16 @@ func (m *Machine) denseCompress(t *ac.Trie) [][]transition {
 			if to == ac.Root {
 				continue
 			}
-			ch := byte(c)
-			if m.Defaults.Resolve(ch, h2, h1, 1) != to {
-				m.Stats.StoredAfterD1++
+			d := &defaults[c]
+			if denseResolve(d, h2, h1, 1) != to {
+				st.StoredAfterD1++
 			}
-			if m.Defaults.Resolve(ch, h2, h1, 2) != to {
-				m.Stats.StoredAfterD12++
+			if denseResolve(d, h2, h1, 2) != to {
+				st.StoredAfterD12++
 			}
-			if m.Defaults.Resolve(ch, h2, h1, 3) != to {
-				m.Stats.StoredAfterD123++
-			}
-			if m.Defaults.Resolve(ch, h2, h1, m.Opts.MaxDepth) != to {
-				rows[s] = append(rows[s], transition{Char: ch, To: to})
+			if denseResolve(d, h2, h1, 3) != to {
+				st.StoredAfterD123++
+				rows[s] = append(rows[s], transition{Char: byte(c), To: to})
 			}
 		}
 		if len(rows[s]) > maxStored {
@@ -173,18 +226,10 @@ func (m *Machine) denseCompress(t *ac.Trie) [][]transition {
 		}
 	})
 	fn := float64(n)
-	st := &m.Stats
 	st.AvgAfterD1 = float64(st.StoredAfterD1) / fn
 	st.AvgAfterD12 = float64(st.StoredAfterD12) / fn
 	st.AvgAfterD123 = float64(st.StoredAfterD123) / fn
-	switch m.Opts.MaxDepth {
-	case 1:
-		st.StoredPointers = st.StoredAfterD1
-	case 2:
-		st.StoredPointers = st.StoredAfterD12
-	default:
-		st.StoredPointers = st.StoredAfterD123
-	}
+	st.StoredPointers = st.StoredAfterD123
 	st.AvgStored = float64(st.StoredPointers) / fn
 	st.MaxStoredPerState = maxStored
 	if st.OriginalPointers > 0 {
@@ -195,10 +240,9 @@ func (m *Machine) denseCompress(t *ac.Trie) [][]transition {
 
 // densePromoted ranks every state by a full sort and takes the budget off
 // the front.
-func densePromoted(m *Machine, t *ac.Trie, pop []int64) []bool {
+func densePromoted(t *ac.Trie, pop []int64, budget int) []bool {
 	n := t.NumStates()
 	promoted := make([]bool, n)
-	budget := m.Opts.DenseStates
 	if budget == 0 {
 		budget = DefaultDenseStates
 	}
@@ -241,41 +285,13 @@ func densePromoted(m *Machine, t *ac.Trie, pop []int64) []bool {
 // denseCompile lays out the Program with every promoted state's 256-entry
 // move row filled by Trie.Move, one fail-chain walk per (state, character)
 // — the fast row is then wherever that row differs from d1, overrides in
-// byte order. The match memory, arena and row index are the dense machine's
-// own, and promotion moves a state's stored-row descriptor to displaced.
-func denseCompile(m *Machine, t *ac.Trie, pop []int64) *Program {
+// byte order. The lookup table, match memory, arena and row index are the
+// dense machine's own, and promotion moves a state's stored-row descriptor
+// to displaced.
+func denseCompile(m *Machine, t *ac.Trie, pop []int64, budget int) *Program {
 	n := t.NumStates()
-	maxDepth := m.Opts.MaxDepth
-	for c := 0; c < 256; c++ {
-		if maxDepth >= 2 && len(m.Defaults.D2[c]) > 4 {
-			return nil
-		}
-		if maxDepth >= 3 && len(m.Defaults.D3[c]) > 1 {
-			return nil
-		}
-	}
-	promoted := densePromoted(m, t, pop)
-	p := &Program{rows: m.rows, stored: m.stored, out: &m.out}
-	for c := 0; c < 256; c++ {
-		p.d1[c] = ac.Root
-		if s := m.Defaults.D1[c]; s != ac.None {
-			p.d1[c] = s
-		}
-		for j := range p.d2[c] {
-			p.d2[c][j] = emptyD2Key
-		}
-		if maxDepth >= 2 {
-			for j, e := range m.Defaults.D2[c] {
-				p.d2[c][j] = uint64(e.Prev)<<32 | uint64(uint32(e.State))
-			}
-		}
-		p.d3[c] = emptyD3Key
-		if maxDepth >= 3 && len(m.Defaults.D3[c]) == 1 {
-			e := m.Defaults.D3[c][0]
-			key := uint64(e.Prev2)<<histLaneBits | uint64(e.Prev1)
-			p.d3[c] = key<<32 | uint64(uint32(e.State))
-		}
-	}
+	promoted := densePromoted(t, pop, budget)
+	p := &Program{lut: &m.lut, rows: m.rows, stored: m.stored, out: &m.out}
 	p.fast = []fastRow{}
 	p.over = []int32{}
 	var fastStates []int32
@@ -300,7 +316,7 @@ func denseCompile(m *Machine, t *ac.Trie, pop []int64) *Program {
 			if c%64 == 0 {
 				row.rank[c/64] = uint32(len(p.over))
 			}
-			if to != p.d1[c] {
+			if to != m.lut.d1[c] {
 				row.bits[c/64] |= 1 << (c % 64)
 				p.over = append(p.over, to)
 			}
@@ -310,72 +326,88 @@ func denseCompile(m *Machine, t *ac.Trie, pop []int64) *Program {
 	return p
 }
 
-// checkSparseAgainstDense builds set both ways under opts — the dense way
-// from a trie of its own — and demands the same machine, field for field,
-// then proves it against the full DFA.
-func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, opts Options) {
+// checkSparseAgainstDense builds set both ways with the fast tier budgeted
+// at dense — the dense way from a trie of its own — and demands the same
+// machine, field for field, then proves it against the full DFA.
+func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, dense int) {
 	t.Helper()
-	m, err := Build(set, opts)
+	m, err := Build(set, Options{DenseStates: dense})
 	if err != nil {
 		t.Fatal(err)
 	}
 	trie := mustTrie(t, set)
-	want, pop := denseBuild(trie, opts)
+	want, rows, pop := denseBuild(trie, d2PerChar)
 
 	ft := newFailTree(trie)
 	if !reflect.DeepEqual(ft.pop, pop) {
-		t.Fatalf("%+v: popularity tally differs:\nsparse %v\ndense  %v", opts, ft.pop, pop)
+		t.Fatalf("dense %d: popularity tally differs:\nsparse %v\ndense  %v", dense, ft.pop, pop)
 	}
 	if ft.original != want.Stats.OriginalPointers {
-		t.Fatalf("%+v: %d original pointers, dense sweep counts %d", opts, ft.original, want.Stats.OriginalPointers)
+		t.Fatalf("dense %d: %d original pointers, dense sweep counts %d", dense, ft.original, want.Stats.OriginalPointers)
 	}
-	if !reflect.DeepEqual(m.Defaults, want.Defaults) {
-		t.Fatalf("%+v: defaults differ", opts)
+	if m.lut != want.lut {
+		t.Fatalf("dense %d: the lookup table differs from the dense sweep's", dense)
+	}
+	for c := range rows {
+		if got := m.LookupRow(byte(c)); !reflect.DeepEqual(got, rows[c]) {
+			t.Fatalf("dense %d: lookup row %#02x decodes as %+v, the dense sweep selected %+v", dense, c, got, rows[c])
+		}
 	}
 	if m.Stats != want.Stats {
-		t.Fatalf("%+v: stats differ:\nsparse %+v\ndense  %+v", opts, m.Stats, want.Stats)
+		t.Fatalf("dense %d: stats differ:\nsparse %+v\ndense  %+v", dense, m.Stats, want.Stats)
 	}
 	if m.NumStates() != trie.NumStates() {
-		t.Fatalf("%+v: the machine has %d states, the trie %d", opts, m.NumStates(), trie.NumStates())
+		t.Fatalf("dense %d: the machine has %d states, the trie %d", dense, m.NumStates(), trie.NumStates())
 	}
 	for s := int32(0); s < int32(trie.NumStates()); s++ {
 		if got, want := decodeRow(m.StoredRow(s)), decodeRow(want.StoredRow(s)); !slices.Equal(got, want) {
-			t.Fatalf("%+v: state %d stores %v, dense sweep %v", opts, s, got, want)
+			t.Fatalf("dense %d: state %d stores %v, dense sweep %v", dense, s, got, want)
 		}
 		if row := m.StoredRow(s); len(row) != cap(row) {
-			t.Fatalf("%+v: state %d's list can grow into its neighbour's (len %d, cap %d)",
-				opts, s, len(row), cap(row))
+			t.Fatalf("dense %d: state %d's list can grow into its neighbour's (len %d, cap %d)",
+				dense, s, len(row), cap(row))
 		}
 		if got, want := m.storedRef(s), want.storedRef(s); got != want {
-			t.Fatalf("%+v: state %d's stored row is described by %#x, the dense sweep's by %#x", opts, s, got, want)
+			t.Fatalf("dense %d: state %d's stored row is described by %#x, the dense sweep's by %#x", dense, s, got, want)
 		}
 	}
 	if !slices.Equal(m.stored, want.stored) {
-		t.Fatalf("%+v: the state memory is not the dense sweep's rows back to back in state order", opts)
+		t.Fatalf("dense %d: the state memory is not the dense sweep's rows back to back in state order", dense)
 	}
 	if !reflect.DeepEqual(m.out, want.out) {
-		t.Fatalf("%+v: the match memory is not the output chains walked state by state", opts)
+		t.Fatalf("dense %d: the match memory is not the output chains walked state by state", dense)
 	}
-	if !reflect.DeepEqual(m.pickDense(trie, ft), densePromoted(want, trie, pop)) {
-		t.Fatalf("%+v: dense-tier promotion differs", opts)
+	if !reflect.DeepEqual(pickDense(trie, ft, dense), densePromoted(trie, pop, dense)) {
+		t.Fatalf("dense %d: dense-tier promotion differs", dense)
 	}
-	if wantProg := denseCompile(want, trie, pop); !reflect.DeepEqual(m.prog, wantProg) {
-		t.Fatalf("%+v: Program differs from the dense layout (nil: sparse %v, dense %v)",
-			opts, m.prog == nil, wantProg == nil)
+	if wantProg := denseCompile(want, trie, pop, dense); !reflect.DeepEqual(m.prog, wantProg) {
+		t.Fatalf("dense %d: Program differs from the dense layout", dense)
 	}
 	if !slices.Equal(m.rows, want.rows) || !slices.Equal(m.displaced, want.displaced) {
-		t.Fatalf("%+v: the row index or the displaced descriptors differ from the dense layout's", opts)
+		t.Fatalf("dense %d: the row index or the displaced descriptors differ from the dense layout's", dense)
 	}
 	if err := m.VerifyTransitions(trie); err != nil {
-		t.Fatalf("%+v: %v", opts, err)
+		t.Fatalf("dense %d: %v", dense, err)
 	}
-	if m.prog != nil {
-		if err := m.VerifyProgram(trie); err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
+	if err := m.VerifyProgram(trie); err != nil {
+		t.Fatalf("dense %d: %v", dense, err)
 	}
 	if err := m.VerifyOutputs(trie); err != nil {
-		t.Fatalf("%+v: %v", opts, err)
+		t.Fatalf("dense %d: %v", dense, err)
+	}
+}
+
+// checkStatsAgainstDense holds CompressionStats — the depth-2 ablation's
+// entry — to the dense sweep's figures with d2 depth-2 defaults per row,
+// inside the table's four slots and past them.
+func checkStatsAgainstDense(t testing.TB, set *ruleset.Set, d2 int) {
+	t.Helper()
+	got, err := CompressionStats(set, d2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _, _ := denseBuild(mustTrie(t, set), d2); got != want.Stats {
+		t.Fatalf("%d depth-2 defaults per row: stats differ:\nsparse %+v\ndense  %+v", d2, got, want.Stats)
 	}
 }
 
@@ -474,8 +506,9 @@ func setOf(patterns [][]byte, sparse bool) *ruleset.Set {
 
 // TestSparseBuildMatchesDenseOracle is the standing proof that the
 // O(states + edges) builder is a replacement, not an approximation: over
-// random rulesets of every shape above and the whole option grid it must
-// produce the very machine the dense sweep produces.
+// random rulesets of every shape above and every fast-tier shape it must
+// produce the very machine the dense sweep produces, and the depth-2
+// ablation the very figures, at 1 to 8 depth-2 defaults per row.
 func TestSparseBuildMatchesDenseOracle(t *testing.T) {
 	names := make([]string, 0, len(equivalenceRulesets))
 	for name := range equivalenceRulesets {
@@ -491,17 +524,11 @@ func TestSparseBuildMatchesDenseOracle(t *testing.T) {
 			}
 			for trial := 0; trial < trials; trial++ {
 				set := setOf(equivalenceRulesets[name](rng), trial%2 == 1)
-				states := 1 + set.CharCount()
-				for maxDepth := 1; maxDepth <= 3; maxDepth++ {
-					for d2 := 1; d2 <= 4; d2++ {
-						for d3 := 1; d3 <= 2; d3++ {
-							for _, dense := range []int{-1, 0, 16, states} {
-								checkSparseAgainstDense(t, set, Options{
-									MaxDepth: maxDepth, D2PerChar: d2, D3PerChar: d3, DenseStates: dense,
-								})
-							}
-						}
-					}
+				for _, dense := range []int{-1, 0, 16, 1 + set.CharCount()} {
+					checkSparseAgainstDense(t, set, dense)
+				}
+				for d2 := 1; d2 <= 8; d2++ {
+					checkStatsAgainstDense(t, set, d2)
 				}
 			}
 		})
@@ -510,7 +537,10 @@ func TestSparseBuildMatchesDenseOracle(t *testing.T) {
 
 // FuzzBuildEquivalence lets the fuzzer choose the pattern bytes: the input
 // is cut into patterns at a separator chosen by its first byte, the next
-// three pick the options.
+// three are knobs — the top bit of the first spreads the IDs, bits 2–3 of
+// the second budget the fast tier, and the rest, which once chose
+// compression options the scheme no longer has, are ignored so every
+// committed corpus entry still replays.
 func FuzzBuildEquivalence(f *testing.F) {
 	f.Add([]byte("\x00\x03\x04\x01he\x00she\x00his\x00hers"))
 	f.Add([]byte("|\x01\x01\x02ab|abab|bab|b|a|ba"))
@@ -524,12 +554,7 @@ func FuzzBuildEquivalence(f *testing.F) {
 		if set.Len() == 0 {
 			return
 		}
-		checkSparseAgainstDense(t, set, Options{
-			MaxDepth:    1 + int(knobs[0])%3,
-			D2PerChar:   1 + int(knobs[1])%4,
-			D3PerChar:   1 + int(knobs[2])%2,
-			DenseStates: []int{-1, 0, 16, 1 << 20}[int(knobs[1]>>2)%4],
-		})
+		checkSparseAgainstDense(t, set, []int{-1, 0, 16, 1 << 20}[int(knobs[1]>>2)%4])
 	})
 }
 
@@ -559,7 +584,7 @@ func TestCompilePromotedWideState(t *testing.T) {
 		t.Fatal(err)
 	}
 	trie := mustTrie(t, setOf(patterns, false))
-	wide := m.Defaults.D1[first]
+	wide := m.LookupRow(first).D1
 	if got := len(m.StoredRow(wide)); got != 256 {
 		t.Fatalf("the depth-1 state stores %d pointers; the case needs all 256", got)
 	}
@@ -582,7 +607,7 @@ func TestCompilePromotedWideState(t *testing.T) {
 		t.Fatalf("the depth-1 state's fast row holds %d overrides, want 256", got)
 	}
 	for x := 0; x < 256; x++ {
-		if got, want := row.move(byte(x), &m.prog.d1, m.prog.over), trie.Move(wide, byte(x)); got != want {
+		if got, want := row.move(byte(x), &m.prog.lut.d1, m.prog.over), trie.Move(wide, byte(x)); got != want {
 			t.Fatalf("byte %#02x steps to %d, the DFA to %d", x, got, want)
 		}
 	}

@@ -70,14 +70,15 @@ func (m *Machine) WriteDot(w io.Writer, t *ac.Trie, opts DotOptions) error {
 		fmt.Fprintf(&sb, "  lut [shape=box, label=\"lookup\\ntable\"];\n")
 		for c := 0; c < 256; c++ {
 			ch := byte(c)
-			if d1 := m.Defaults.D1[c]; d1 != ac.None {
-				fmt.Fprintf(&sb, "  lut -> s%d [style=dashed, label=\"d1 %s\"];\n", d1, printableChar(ch))
+			row := m.LookupRow(ch)
+			if row.D1 != ac.None {
+				fmt.Fprintf(&sb, "  lut -> s%d [style=dashed, label=\"d1 %s\"];\n", row.D1, printableChar(ch))
 			}
-			for _, e := range m.Defaults.D2[c] {
+			for _, e := range row.D2 {
 				fmt.Fprintf(&sb, "  lut -> s%d [style=dashed, label=\"d2 %s%s\"];\n",
 					e.State, printableChar(e.Prev), printableChar(ch))
 			}
-			for _, e := range m.Defaults.D3[c] {
+			for _, e := range row.D3 {
 				fmt.Fprintf(&sb, "  lut -> s%d [style=dashed, label=\"d3 %s%s%s\"];\n",
 					e.State, printableChar(e.Prev2), printableChar(e.Prev1), printableChar(ch))
 			}

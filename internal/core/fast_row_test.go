@@ -70,7 +70,7 @@ func TestVerifyProgramDetectsCorruption(t *testing.T) {
 		},
 		"default as override": func(p *Program) {
 			r, w := wideRow(p)
-			p.over[r.rank[w]] = p.d1[w<<6|bits.TrailingZeros64(r.bits[w])]
+			p.over[r.rank[w]] = p.lut.d1[w<<6|bits.TrailingZeros64(r.bits[w])]
 		},
 		"shared fast row": func(p *Program) {
 			for s, ref := range p.rows {
@@ -149,8 +149,8 @@ func TestFastRowWordEdges(t *testing.T) {
 			continue
 		}
 		p := m.prog
-		a := m.Defaults.D1['a']
-		ba := trie.Move(m.Defaults.D1['b'], 'a')
+		a := m.LookupRow('a').D1
+		ba := trie.Move(m.LookupRow('b').D1, 'a')
 		for _, tc := range []struct {
 			state int32
 			bits  [4]uint64

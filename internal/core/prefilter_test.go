@@ -134,21 +134,6 @@ func TestPrefilterUnavailableBackendErrors(t *testing.T) {
 	if m.DefaultBackend() != BackendReference {
 		t.Fatalf("DefaultBackend = %q, want reference", m.DefaultBackend())
 	}
-	// Pinning at Build time errors too: this d2-overflowing set cannot
-	// bake, so an explicit kernel backend must refuse to build.
-	wide := &ruleset.Set{}
-	for i, p := range []string{"ax", "bx", "cx", "dx", "ex", "fx"} {
-		wide.Patterns = append(wide.Patterns, ruleset.Pattern{ID: i, Data: []byte(p)})
-	}
-	if _, err := Build(wide, Options{D2PerChar: 8, Backend: BackendPrefiltered}); err == nil {
-		t.Fatal("Build pinned prefiltered on an unbakeable machine without error")
-	}
-	if _, err := Build(wide, Options{D2PerChar: 8, Backend: BackendBaked}); err == nil {
-		t.Fatal("Build pinned baked on an unbakeable machine without error")
-	}
-	if _, err := Build(wide, Options{D2PerChar: 8}); err != nil {
-		t.Fatalf("auto backend must fall back to reference, got error: %v", err)
-	}
 }
 
 // TestPrefilterStatsAccounting sanity-checks the layout report and the

@@ -13,22 +13,32 @@ import (
 // generation cannot keep its scaffolding alive whatever Build does. (The
 // measured half is the root package's TestMatcherFootprint.)
 func TestMachineHoldsNoTrie(t *testing.T) {
-	banned := map[reflect.Type]bool{
-		reflect.TypeOf(ac.Trie{}): true,
-		reflect.TypeOf(ac.Node{}): true,
-		reflect.TypeOf(ac.Edge{}): true,
+	reached := typesReachable(t, reflect.TypeOf(Machine{}), "Machine")
+	for _, banned := range []any{ac.Trie{}, ac.Node{}, ac.Edge{}} {
+		if path, ok := reached[reflect.TypeOf(banned)]; ok {
+			t.Errorf("%s is an %T: the machine must not hold the trie it was built from", path, banned)
+		}
 	}
-	seen := map[reflect.Type]bool{}
+	for _, table := range []any{outputTable{}, Program{}, Prefilter{}} {
+		if _, ok := reached[reflect.TypeOf(table)]; !ok {
+			t.Fatalf("the walk did not reach the machine's %T", table)
+		}
+	}
+}
+
+// typesReachable maps every type reachable from root's fields — through
+// pointers, slices, arrays, maps and nested structs, exported or not — to
+// the first path that reaches it. A field whose type hides what it holds
+// (an interface, func, channel or unsafe pointer) is an error.
+func typesReachable(t *testing.T, root reflect.Type, name string) map[reflect.Type]string {
+	t.Helper()
+	seen := map[reflect.Type]string{}
 	var walk func(ty reflect.Type, path string)
 	walk = func(ty reflect.Type, path string) {
-		if banned[ty] {
-			t.Errorf("%s is an %s: the machine must not hold the trie it was built from", path, ty)
+		if _, ok := seen[ty]; ok {
 			return
 		}
-		if seen[ty] {
-			return
-		}
-		seen[ty] = true
+		seen[ty] = path
 		switch ty.Kind() {
 		case reflect.Struct:
 			for i := 0; i < ty.NumField(); i++ {
@@ -43,8 +53,6 @@ func TestMachineHoldsNoTrie(t *testing.T) {
 			t.Errorf("%s is a %s: what it holds cannot be told from its type", path, ty.Kind())
 		}
 	}
-	walk(reflect.TypeOf(Machine{}), "Machine")
-	if !seen[reflect.TypeOf(outputTable{})] || !seen[reflect.TypeOf(Program{})] || !seen[reflect.TypeOf(Prefilter{})] {
-		t.Fatal("the walk did not reach the machine's tables")
-	}
+	walk(root, name)
+	return seen
 }

@@ -9,12 +9,14 @@ import (
 	"repro/internal/ruleset"
 )
 
-// TestStateMemoryLayout pins the state memory to the paper's word: a stored
-// pointer is one 4-byte word, the Machine keeps one row index and the baked
-// kernel reads that index and the arena themselves, and promoting a state
-// to the fast tier moves its stored-row descriptor aside without touching
-// the row compress laid out — a reference-pinned build of the same ruleset,
-// which never bakes, is that layout.
+// TestStateMemoryLayout pins the state memory to the paper's word and the
+// lookup table to one copy: a stored pointer is one 4-byte word, the Machine
+// keeps one row index and one lookup table — no per-character default lists
+// outlive Build — and the baked kernel reads that table, that index and the
+// arena themselves, and promoting a state to the fast tier moves its
+// stored-row descriptor aside without touching the row compress laid out or
+// the table — a reference-pinned build of the same ruleset, which never
+// bakes, is that layout.
 func TestStateMemoryLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Pointer(0)); got != 4 {
 		t.Fatalf("a stored pointer takes %d B, want 4", got)
@@ -29,6 +31,12 @@ func TestStateMemoryLayout(t *testing.T) {
 	if _, ok := reflect.TypeOf(Machine{}).FieldByName("storedOff"); ok {
 		t.Fatal("the Machine has a second row index, storedOff")
 	}
+	reached := typesReachable(t, reflect.TypeOf(Machine{}), "Machine")
+	for _, lists := range []any{LookupRow{}, D2Entry{}, D3Entry{}} {
+		if path, ok := reached[reflect.TypeOf(lists)]; ok {
+			t.Fatalf("%s is a %T: the Machine keeps its lookup table twice", path, lists)
+		}
+	}
 
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})
 	m := mustBuild(t, set, Options{})
@@ -36,9 +44,18 @@ func TestStateMemoryLayout(t *testing.T) {
 	if laid.prog != nil || laid.displaced != nil {
 		t.Fatal("a reference-pinned build baked")
 	}
-	if m.prog == nil || &m.prog.rows[0] != &m.rows[0] || &m.prog.stored[0] != &m.stored[0] {
-		t.Fatal("the kernel does not read the machine's own row index and arena")
+	if m.prog == nil || m.prog.lut != &m.lut || &m.prog.rows[0] != &m.rows[0] || &m.prog.stored[0] != &m.stored[0] {
+		t.Fatal("the kernel does not read the machine's own lookup table, row index and arena")
 	}
+	if m.lut != laid.lut {
+		t.Fatal("baking changed the lookup table")
+	}
+	own, copied := m.prog.lut, m.lut
+	m.prog.lut = &copied
+	if err := m.VerifyProgram(mustTrie(t, set)); err == nil {
+		t.Fatal("VerifyProgram accepted a kernel reading a copy of the lookup table")
+	}
+	m.prog.lut = own
 	if !slices.Equal(m.stored, laid.stored) {
 		t.Fatal("baking moved the arena")
 	}

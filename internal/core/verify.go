@@ -15,13 +15,41 @@ import (
 // otherwise the default rule under s's statically known history) must equal
 // the DFA's move target. Combined with the depth ≤ 1 feasibility argument
 // (see the package comment) this implies the two machines accept identical
-// transition sequences on all inputs.
+// transition sequences on all inputs. That argument needs every default to
+// be the state its row and key spell — row c's depth-1 default the state
+// labeled c, a depth-2 default the path Prev·c, a depth-3 default
+// Prev2·Prev1·c — which the walk first checks row by row, reading the
+// table through LookupRow.
 //
 // The walk covers |states| × 256 transitions; for the full 6,275-string
 // machine that is ≈28M checks, a few seconds of CPU.
 func (m *Machine) VerifyTransitions(t *ac.Trie) error {
 	if t.NumStates() != m.NumStates() {
 		return fmt.Errorf("core: the oracle trie has %d states, the machine %d: not the same ruleset", t.NumStates(), m.NumStates())
+	}
+	spells := func(s int32, path ...byte) bool {
+		at := ac.Root
+		for _, c := range path {
+			at = t.Move(at, c)
+		}
+		return at == s && int(t.Nodes[s].Depth) == len(path)
+	}
+	for c := 0; c < 256; c++ {
+		ch := byte(c)
+		row := m.LookupRow(ch)
+		if want := t.Move(ac.Root, ch); row.D1 != want && (row.D1 != ac.None || want != ac.Root) {
+			return fmt.Errorf("core: lookup row %#02x has depth-1 default %d, the trie's depth-1 state is %d", c, row.D1, want)
+		}
+		for _, e := range row.D2 {
+			if !spells(e.State, e.Prev, ch) {
+				return fmt.Errorf("core: lookup row %#02x has depth-2 default %d keyed %#02x, not that path", c, e.State, e.Prev)
+			}
+		}
+		for _, e := range row.D3 {
+			if !spells(e.State, e.Prev2, e.Prev1, ch) {
+				return fmt.Errorf("core: lookup row %#02x has depth-3 default %d keyed %#02x%02x, not that path", c, e.State, e.Prev2, e.Prev1)
+			}
+		}
 	}
 	var firstErr error
 	t.ForEachMoveRow(func(s int32, row []int32) {
@@ -49,7 +77,7 @@ func (m *Machine) VerifyTransitions(t *ac.Trie) error {
 // the DFA's target. VerifyTransitions proves the same of the reference
 // interpreter; this is the proof of what production scans with. It first
 // checks the structure the step relies on without testing: the kernel reads
-// the machine's own row index and arena; every promoted state has its own
+// the machine's own lookup table, row index and arena; every promoted state has its own
 // fast row, and one displaced descriptor per fast row; the stored-row
 // descriptors, promoted states' included, tile the arena in state order,
 // each row sorted by character; a fast row's ranks run on from the row
@@ -64,8 +92,8 @@ func (m *Machine) VerifyProgram(t *ac.Trie) error {
 	if len(p.rows) != n {
 		return fmt.Errorf("core: kernel has %d row descriptors for %d states", len(p.rows), n)
 	}
-	if &p.rows[0] != &m.rows[0] || len(p.stored) != len(m.stored) || (len(p.stored) > 0 && &p.stored[0] != &m.stored[0]) {
-		return fmt.Errorf("core: the kernel reads a row index or arena that is not the machine's")
+	if p.lut != &m.lut || &p.rows[0] != &m.rows[0] || len(p.stored) != len(m.stored) || (len(p.stored) > 0 && &p.stored[0] != &m.stored[0]) {
+		return fmt.Errorf("core: the kernel reads a lookup table, row index or arena that is not the machine's")
 	}
 	if len(m.displaced) != len(p.fast) {
 		return fmt.Errorf("core: %d displaced descriptors for %d fast rows", len(m.displaced), len(p.fast))
@@ -112,8 +140,8 @@ func (m *Machine) VerifyProgram(t *ac.Trie) error {
 				return fmt.Errorf("core: fast row %d word %d runs past the %d overrides stored", i, w, len(p.over))
 			}
 			for at := int(row.rank[w]); word != 0; word, at = word&(word-1), at+1 {
-				if c := w<<6 | bits.TrailingZeros64(word); p.over[at] == p.d1[c] {
-					return fmt.Errorf("core: fast row %d overrides char %#02x with the default %d", i, c, p.d1[c])
+				if c := w<<6 | bits.TrailingZeros64(word); p.over[at] == p.lut.d1[c] {
+					return fmt.Errorf("core: fast row %d overrides char %#02x with the default %d", i, c, p.lut.d1[c])
 				}
 			}
 		}

@@ -36,16 +36,16 @@ func (c *Context) D2Sweep(n int, ks []int) ([]D2SweepRow, error) {
 	}
 	var rows []D2SweepRow
 	for _, k := range ks {
-		m, err := core.Build(set, core.Options{D2PerChar: k})
+		st, err := core.CompressionStats(set, k)
 		if err != nil {
 			return nil, err
 		}
-		stateBits := 12*m.Stats.States + 24*int(m.Stats.StoredPointers)
+		stateBits := 12*st.States + 24*int(st.StoredPointers)
 		lutBits := 256 * (1 + 8*k + 16)
 		rows = append(rows, D2SweepRow{
 			D2PerChar:      k,
-			StoredPointers: m.Stats.StoredPointers,
-			AvgStored:      m.Stats.AvgStored,
+			StoredPointers: st.StoredPointers,
+			AvgStored:      st.AvgStored,
 			StateBytes:     (stateBits + 7) / 8,
 			LUTBytes:       (lutBits + 7) / 8,
 			TotalBytes:     (stateBits+lutBits+7)/8 + 1,

@@ -4,7 +4,7 @@
 // callers can render, benchmark or assert on them.
 //
 // Workloads follow §V.A: a 6,275-string Snort-like ruleset (synthetic — see
-// DESIGN.md §2) plus reductions to 500, 634, 1204, 1603 and 2588 strings
+// internal/ruleset's generator) plus reductions to 500, 634, 1204, 1603 and 2588 strings
 // preserving the length distribution. Grouping follows Table II: on
 // Stratix III, 634→1, 1603→2, 2588→3, 6275→6 blocks; on Cyclone III,
 // 500→1, 1204→2, 2588→4.
@@ -22,7 +22,8 @@ import (
 	"repro/internal/tuck"
 )
 
-// DefaultSeed regenerates the exact workloads in EXPERIMENTS.md.
+// DefaultSeed is the workload seed of the reproduction's published figures:
+// what go run ./cmd/dpibench -all prints, and what the golden tests pin.
 const DefaultSeed = 2010
 
 // FullSetSize is the Snort ruleset size the paper evaluates.

@@ -3,13 +3,15 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
-// Golden regression values for the default seed (2010). These are the
-// exact numbers recorded in EXPERIMENTS.md; the test freezes them so that
+// Golden regression values for the default seed (2010): the exact numbers
+// go run ./cmd/dpibench -table 2 prints. The test freezes them so that
 // accidental changes to the generator, reducer, grouping or compression
 // pipeline are caught immediately. If you change any of those components
-// deliberately, regenerate EXPERIMENTS.md and update this table.
+// deliberately, update this table from that command's output.
 func TestGoldenTable2Seed2010(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table II build")
@@ -54,6 +56,42 @@ func TestGoldenTable2Seed2010(t *testing.T) {
 		if r.MemoryBytes != g.memBytes {
 			t.Errorf("col %d (%d strings): memory %d, golden %d", i, g.n, r.MemoryBytes, g.memBytes)
 		}
+	}
+}
+
+// TestGoldenD2SweepSeed2010 freezes the depth-2 ablation the same way — the
+// stored pointers go run ./cmd/dpibench -ablation prints for 1 to 8 depth-2
+// defaults per lookup-table row at 634 strings — and holds its k = 4 row to
+// the machine Build makes, whose rows hold the paper's 4.
+func TestGoldenD2SweepSeed2010(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep build")
+	}
+	golden := []int64{13410, 9968, 8400, 7784, 7513, 7455, 7451, 7451}
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	rows, err := ctx(t).D2Sweep(634, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		if r.D2PerChar != ks[i] || r.StoredPointers != golden[i] {
+			t.Errorf("k=%d: %d stored pointers, golden %d at k=%d", r.D2PerChar, r.StoredPointers, golden[i], ks[i])
+		}
+	}
+	set, err := ctx(t).SetOf(634)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Build(set, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.CompressionStats(set, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != m.Stats || rows[3].StoredPointers != m.Stats.StoredPointers || rows[3].AvgStored != m.Stats.AvgStored {
+		t.Fatalf("the k=4 sweep row (%d stored, %+v) is not Build's %+v", rows[3].StoredPointers, st, m.Stats)
 	}
 }
 

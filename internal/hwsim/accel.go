@@ -60,14 +60,14 @@ func NewAccelerator(dev device.Device, grouped *core.Grouped) (*Accelerator, err
 // BuildAccelerator compiles set for dev, split across groups blocks — the
 // split exists so each machine fits a block's state memory (§IV.B).
 // groups == 0 picks the smallest count whose every image fits a dev block.
-func BuildAccelerator(dev device.Device, set *ruleset.Set, groups int, opts core.Options) (*Accelerator, error) {
+func BuildAccelerator(dev device.Device, set *ruleset.Set, groups int) (*Accelerator, error) {
 	lo, hi := groups, groups
 	if groups == 0 {
 		lo, hi = 1, dev.Blocks
 	}
 	var misfit error
 	for n := lo; n <= hi; n++ {
-		grouped, err := core.BuildGrouped(set, n, opts)
+		grouped, err := core.BuildGrouped(set, n, core.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package hwsim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ac"
@@ -11,13 +12,32 @@ import (
 
 // wideMachine returns a machine with a state at each of wantCounts stored
 // pointers, so that every state-type class appears at both ends of its
-// range. Machines built with the full default scheme rarely need the
-// 108/180/252/324-bit layouts; the same ruleset under depth-1 defaults only
-// (Table II's "d1" row) keeps up to 13 pointers at a state and still packs.
+// range. Machines built from Snort-like rulesets rarely need the
+// 108/180/252/324-bit layouts, so the ruleset is crafted: for each count k
+// a depth-1 state with edges on the bytes 0…k-1, each depth-2 target of
+// which loses its lookup-table row to four rivals that boosters make more
+// popular, so all k pointers stay stored.
 func wideMachine(t *testing.T, wantCounts []int) *core.Machine {
 	t.Helper()
-	set := ruleset.MustGenerate(ruleset.GenConfig{N: 100, Seed: 7})
-	m, err := core.Build(set, core.Options{MaxDepth: 1})
+	const rivals, boosters = 4, 3
+	set := &ruleset.Set{}
+	add := func(p ...byte) {
+		set.Patterns = append(set.Patterns, ruleset.Pattern{ID: len(set.Patterns), Data: p})
+	}
+	for i, k := range wantCounts {
+		for x := 0; x < k; x++ {
+			add(byte(100+i), byte(x))
+		}
+	}
+	for r := byte(1); r <= rivals; r++ {
+		for x := 0; x < slices.Max(wantCounts); x++ {
+			add(200+r, byte(x))
+		}
+		for b := byte(0); b < boosters; b++ {
+			add(240+b, 200+r)
+		}
+	}
+	m, err := core.Build(set, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,42 +233,6 @@ func TestEngineHistoryAcrossManyPackets(t *testing.T) {
 			if a != b {
 				t.Fatalf("byte %d of %q: shared %+v, fresh %+v", i, p, a, b)
 			}
-		}
-	}
-}
-
-func TestEngineCorrectForAblationMachines(t *testing.T) {
-	// A machine compressed with MaxDepth=1 still carries depth-2/3 defaults
-	// in its lookup table, and the engine evaluates the full default rule.
-	// That is safe: a deeper default can only fire when its target is a
-	// suffix of the input, in which case the DFA transition could not have
-	// been removed under the depth-1 rule — so the default is never
-	// consulted. Verify empirically against the oracle.
-	set := ruleset.MustGenerate(ruleset.GenConfig{N: 150, Seed: 99})
-	for depth := 1; depth <= 3; depth++ {
-		m, err := core.Build(set, core.Options{MaxDepth: depth})
-		if err != nil {
-			t.Fatal(err)
-		}
-		img, err := Pack(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		block := NewBlock(img)
-		payload := append([]byte("noise "), set.Patterns[11].Data...)
-		payload = append(payload, []byte(" more ")...)
-		payload = append(payload, set.Patterns[42].Data...)
-		outputs, err := block.ScanPackets([]Packet{{ID: 0, Payload: payload}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []ac.Match
-		for _, o := range outputs {
-			got = append(got, ac.Match{PatternID: o.PatternID, End: o.End})
-		}
-		want := ac.NewOracle(set).FindAll(payload)
-		if !ac.MatchesEqual(got, want) {
-			t.Fatalf("MaxDepth=%d: hardware %d matches, oracle %d", depth, len(got), len(want))
 		}
 	}
 }

@@ -302,24 +302,6 @@ func TestPackPointerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPackRejectsOversizedLUTOptions(t *testing.T) {
-	set := toySet()
-	m, err := core.Build(set, core.Options{D2PerChar: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Pack(m); err == nil {
-		t.Fatal("D2PerChar=6 packed; row format holds 4")
-	}
-	m, err = core.Build(set, core.Options{D3PerChar: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Pack(m); err == nil {
-		t.Fatal("D3PerChar=2 packed; row format holds 1")
-	}
-}
-
 func TestPackedLUTRowBits(t *testing.T) {
 	img := mustPack(t, toySet(), core.Options{})
 	// Row for 'e': d1 absent (no pattern starts with e), one d2 entry

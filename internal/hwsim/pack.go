@@ -72,17 +72,10 @@ type Image struct {
 
 // Pack lowers a compressed machine into hardware memory images. It fails
 // when a state exceeds 13 stored pointers, when the state machine exceeds
-// 12-bit word addressing, when the match lists overflow the 2,048-word
-// match memory, or when the machine's default configuration does not fit
-// the lookup-table row format (at most 4 depth-2 and 1 depth-3 defaults
-// per character).
+// 12-bit word addressing, or when the match lists overflow the 2,048-word
+// match memory. Every machine's lookup table fits the 49-bit row format:
+// it holds the paper's 4 depth-2 and 1 depth-3 defaults a row.
 func Pack(m *core.Machine) (*Image, error) {
-	if m.Opts.D2PerChar > 4 {
-		return nil, fmt.Errorf("hwsim: D2PerChar=%d does not fit the 49-bit row format (max 4)", m.Opts.D2PerChar)
-	}
-	if m.Opts.D3PerChar > 1 {
-		return nil, fmt.Errorf("hwsim: D3PerChar=%d does not fit the 49-bit row format (max 1)", m.Opts.D3PerChar)
-	}
 	img := &Image{Machine: m}
 	if err := img.packMatchMemory(); err != nil {
 		return nil, err
@@ -308,29 +301,25 @@ func (img *Image) placeStates() error {
 	return nil
 }
 
-// packLUT builds the 256 lookup-table rows from the machine's defaults.
+// packLUT builds the 256 lookup-table rows from the machine's lookup table.
 func (img *Image) packLUT() {
-	m := img.Machine
 	for c := 0; c < LUTRows; c++ {
 		row := &img.LUT[c]
 		row.Packed = bitpack.New(LUTRowBitsModel)
-		if d1 := m.Defaults.D1[c]; d1 != ac.None {
+		def := img.Machine.LookupRow(byte(c))
+		if def.D1 != ac.None {
 			row.D1Valid = true
-			row.D1 = img.Loc[d1]
+			row.D1 = img.Loc[def.D1]
 			row.Packed.SetBit(0, 1)
 		} else {
 			row.D1 = img.Root
 		}
-		for i, e := range m.Defaults.D2[c] {
-			if i >= 4 {
-				break // guarded by Pack's option check; defensive only
-			}
+		for i, e := range def.D2 {
 			row.D2[i] = LUTD2{Valid: true, Prev: e.Prev, Loc: img.Loc[e.State]}
 			row.Packed.SetField(1+8*i, 8, uint64(e.Prev))
 			row.Packed.SetBit(49+i, 1)
 		}
-		if len(m.Defaults.D3[c]) > 0 {
-			e := m.Defaults.D3[c][0]
+		for _, e := range def.D3 {
 			row.D3 = LUTD3{Valid: true, Prev2: e.Prev2, Prev1: e.Prev1, Loc: img.Loc[e.State]}
 			row.Packed.SetField(33, 8, uint64(e.Prev2))
 			row.Packed.SetField(41, 8, uint64(e.Prev1))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ac"
+	"repro/internal/core"
 )
 
 // FuzzPrefilterEquivalence is the two-stage pipeline's contract under fuzz:
@@ -54,14 +55,14 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 		if len(ops) > 0 {
 			shape = ops[0]
 		}
-		cfg := Config{Backend: BackendPrefiltered}
+		cfg := core.Options{Backend: BackendPrefiltered}
 		switch shape % 3 {
 		case 1:
 			cfg.DenseStates = -1 // compressed tier only
 		case 2:
 			cfg.DenseStates = 6 // tiny dense tier, most states on CSR
 		}
-		pre, err := Compile(rules, cfg)
+		pre, err := compile(rules, cfg)
 		if err != nil {
 			// A fuzz-shaped ruleset outside the baked row format cannot pin
 			// the prefiltered backend; nothing to compare.
@@ -72,7 +73,7 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 		}
 		refCfg := cfg
 		refCfg.Backend = BackendReference
-		ref, err := Compile(rules, refCfg)
+		ref, err := compile(rules, refCfg)
 		if err != nil {
 			t.Fatal(err)
 		}

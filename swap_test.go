@@ -559,11 +559,8 @@ func (w *writerTo) Write(p []byte) (int, error) { w.b = append(w.b, p...); retur
 // control-plane rejection is classifiable with errors.Is against the
 // exported sentinels, including through Compile and Config.Validate.
 func TestSentinelErrors(t *testing.T) {
-	if err := (Config{MaxDefaultDepth: 4}).Validate(); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("MaxDefaultDepth out of range: %v, want ErrBadConfig", err)
-	}
-	// An unregistered backend name is a config error through the same
-	// seam, and the message lists exactly the accepted vocabulary.
+	// An unregistered backend name is a config error, and the message
+	// lists exactly the accepted vocabulary.
 	err := (Config{Backend: "warp"}).Validate()
 	if !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("unregistered backend: %v, want ErrBadConfig", err)
@@ -571,14 +568,14 @@ func TestSentinelErrors(t *testing.T) {
 	if want := "(want auto|reference|baked|prefiltered)"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("unregistered backend: %q does not list %s", err, want)
 	}
-	if err := (Config{MaxDefaultDepth: 2, Backend: BackendPrefiltered}).Validate(); err != nil {
+	if err := (Config{Backend: BackendPrefiltered}).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	if _, err := Compile(NewRuleset(), Config{}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("empty ruleset: %v, want ErrBadConfig", err)
 	}
-	if _, err := Compile(nil, Config{MaxDefaultDepth: 4}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("Compile with bad config: %v, want ErrBadConfig", err)
+	if _, err := Compile(nil, Config{}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("nil ruleset: %v, want ErrBadConfig", err)
 	}
 
 	mA, _ := gatewayMatcher(t, 40)
