@@ -11,14 +11,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/reassembly"
 )
 
 // flowHeapCeiling is what one live TCP flow may cost the heap, everything
-// counted: flow-table entry, map slot and the flow record (245 B measured:
-// the 136 B record sits in the 144 B size class), with headroom for the
-// map's growth phase. OPERATIONS.md's "Sizing memory" runbook quotes the
-// measured figure; this is the gate.
-const flowHeapCeiling = 288
+// counted: its flow-table entry — a 40 B header and the 104 B record, one
+// 144 B object — and its share of the table's index (160 B measured), with
+// 15 % headroom for where the index sits between doublings. OPERATIONS.md's
+// "Sizing memory" runbook quotes the measured figure; this is the gate.
+const flowHeapCeiling = 184
 
 // liveHeap is the heap in use after the collector has settled: twice,
 // because a finalizer or pool emptied by the first cycle frees on the second.
@@ -90,9 +91,10 @@ func assertPointerFree(t *testing.T, ty reflect.Type, path string) {
 
 // TestFlowRecordFootprint pins the per-connection layout: the scanner
 // registers are a small pointer-free value, the gateway's flow record holds
-// them, the reassembly cursor and the verdict inline, and an established
-// flow through a real gateway costs the heap its table entry and that one
-// record — nothing chained behind it.
+// them, the reassembly cursor and the verdict inline, the cursor keeps its
+// out-of-order state behind one pointer, and an established flow through a
+// real gateway costs the heap one object — the table entry holding that
+// record — and its index slot, nothing chained behind it.
 func TestFlowRecordFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(core.Regs{}); size > 48 {
 		t.Errorf("core.Regs is %d B, want <= 48", size)
@@ -104,11 +106,15 @@ func TestFlowRecordFootprint(t *testing.T) {
 		t.Errorf("engine.FlowState is %d B, want <= 48", size)
 	}
 	assertPointerFree(t, reflect.TypeOf(engine.FlowState{}), "engine.FlowState")
-	if size := unsafe.Sizeof(gwFlow{}); size > 144 {
-		t.Errorf("gwFlow is %d B, want <= 144 (its malloc size class)", size)
+	if size := unsafe.Sizeof(reassembly.Stream{}); size > 40 {
+		t.Errorf("reassembly.Stream is %d B, want <= 40", size)
 	}
-	t.Logf("core.Regs %d B, engine.FlowState %d B, gwFlow %d B",
-		unsafe.Sizeof(core.Regs{}), unsafe.Sizeof(engine.FlowState{}), unsafe.Sizeof(gwFlow{}))
+	// With the table entry's 40 B header, 144 B: one malloc size class.
+	if size := unsafe.Sizeof(gwFlow{}); size > 104 {
+		t.Errorf("gwFlow is %d B, want <= 104", size)
+	}
+	t.Logf("core.Regs %d B, engine.FlowState %d B, reassembly.Stream %d B, gwFlow %d B",
+		unsafe.Sizeof(core.Regs{}), unsafe.Sizeof(engine.FlowState{}), unsafe.Sizeof(reassembly.Stream{}), unsafe.Sizeof(gwFlow{}))
 
 	if raceEnabled {
 		t.Skip("heap growth is not the product's under -race")
@@ -146,10 +152,10 @@ func TestGatewayMatchDenseFlowsHoldNoBuffers(t *testing.T) {
 // TestGatewayConnectionCycleAllocs: a connection re-opened by SYN on the
 // husk its predecessor left — the steady state of a busy port pair — runs
 // SYN → data → FIN without allocating: the registers and the reassembly
-// cursor are reset where they sit. A tuple never seen before pays for its
-// table entry and its record, plus the table map's growth amortised over
-// the connections that caused it (AllocsPerRun reports whole allocations
-// per run, so a fraction below one rounds away).
+// cursor are reset where they sit. A tuple never seen before pays for one
+// object, its table entry with the record inside, plus the table index's
+// growth amortised over the connections that caused it (AllocsPerRun
+// reports whole allocations per run, so a fraction below one rounds away).
 func TestGatewayConnectionCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
@@ -192,8 +198,8 @@ func TestGatewayConnectionCycleAllocs(t *testing.T) {
 		connection(footprintTuple(next))
 		next++
 	})
-	if fresh > 2 {
-		t.Errorf("a never-seen tuple's whole connection allocated %.0f times, want table entry + record", fresh)
+	if fresh > 1 {
+		t.Errorf("a never-seen tuple's whole connection allocated %.0f times, want its table entry only", fresh)
 	}
 
 	st := gw.Stats()

@@ -507,9 +507,9 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 				// QueueDepth split across the shard's lanes, rounded up.
 				q: make(chan seqPacket, (cfg.QueueDepth+cfg.StreamWorkers-1)/cfg.StreamWorkers),
 			}
-			ln.table = flowtable.New(flowtable.Config[*gwFlow]{
-				New: func(k flowtable.Key) *gwFlow {
-					fl := &gwFlow{}
+			ln.table = flowtable.New(flowtable.Config[gwFlow]{
+				New: func(k flowtable.Key) gwFlow {
+					var fl gwFlow
 					v, idx := g.classify(k)
 					fl.verdict, fl.ruleIdx = v, int32(idx)
 					if v == VerdictNone || v == VerdictAlert {
@@ -517,7 +517,9 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 					}
 					return fl
 				},
-				Evict:     func(_ flowtable.Key, fl *gwFlow) { fl.release(g, sh) },
+				// The departing record is a copy of the entry's: releasing it
+				// drops the pins and buffered bytes the flow held.
+				Evict:     func(_ flowtable.Key, fl gwFlow) { fl.release(g, sh) },
 				MaxFlows:  (cfg.MaxFlows + lanes - 1) / lanes,
 				IdleTicks: uint64(cfg.IdleTimeout),
 				Tick:      uint64(lanes),

@@ -47,14 +47,16 @@ func (g *Gateway) notifyVerdict(sh *gwEngineShard, t FiveTuple, v Verdict, idx i
 
 // gwFlow is one connection's whole gateway-side state in one flat record:
 // the scanner registers, the reassembly stream and the verdict, all by
-// value. An established flow is this record plus its flow-table entry and
-// nothing else — no scanner object, no closure, no match buffer: the lane
-// that owns the flow's packets scans into its own scratch (gwLane.matches)
-// and emits with the record's fields. What identifies the flow — its tuple,
-// its shard, its gateway — is not repeated here; the lane passes it in. The
-// record sits in its lane's flow table and every method runs on whichever
-// goroutine owns that table at the time — the lane, or the control plane
-// while the lanes are quiesced — so a gwFlow is single-goroutine.
+// value. An established flow is its flow-table entry, which holds this
+// record by value, and nothing else — no scanner object, no closure, no
+// match buffer, and no out-of-order state unless its segments arrive out of
+// order: the lane that owns the flow's packets scans into its own scratch
+// (gwLane.matches) and emits with the record's fields. What identifies the
+// flow — its tuple, its shard, its gateway — is not repeated here; the lane
+// passes it in. The record sits in its lane's flow table and every method
+// runs on whichever goroutine owns that table at the time — the lane, or the
+// control plane while the lanes are quiesced — so a gwFlow is
+// single-goroutine.
 type gwFlow struct {
 	// gen is the ruleset generation this flow is pinned to, taken at open
 	// and held until the flow boundary (FIN/RST/eviction/quarantine/
@@ -105,7 +107,7 @@ type gwLane struct {
 	// only writer while packets flow; the control plane takes over behind the
 	// drain barrier (Gateway.eachLane, Close), and admission asks it nothing
 	// but Has.
-	table *flowtable.Table[*gwFlow]
+	table *flowtable.Table[gwFlow]
 
 	_ [64]byte
 	laneState

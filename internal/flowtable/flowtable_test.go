@@ -2,8 +2,9 @@ package flowtable
 
 // Tests for the single-writer flow table: LRU and idle eviction over the
 // whole table, the clean-state guarantee for evicted-then-recreated flows,
-// callbacks that panic, and the one cross-goroutine method, Has, against a
-// churning owner. Run with -race (CI does).
+// callbacks that panic, the one cross-goroutine method, Has, against a
+// churning owner, and the open-addressed index against a plain Go map and a
+// Hash64 collision flood. Run with -race (CI does).
 
 import (
 	"fmt"
@@ -56,7 +57,8 @@ func newHarness(t *testing.T, maxFlows int, idleTicks uint64) *harness {
 // write appends p to the keyed flow through the table, with the
 // use-after-evict tripwires armed.
 func (h *harness) write(k Key, p []byte) bool {
-	return h.table.Do(k, func(f *fakeFlow) {
+	return h.table.Do(k, func(pf **fakeFlow) {
+		f := *pf
 		if f.closed.Load() {
 			h.t.Error("write reached a closed flow")
 		}
@@ -86,7 +88,8 @@ func TestDoCreatesThenReuses(t *testing.T) {
 	if created := h.write(tuple(1), []byte("cd")); created {
 		t.Fatal("second Do recreated the flow")
 	}
-	h.table.Do(tuple(1), func(f *fakeFlow) {
+	h.table.Do(tuple(1), func(pf **fakeFlow) {
+		f := *pf
 		if string(f.data) != "abcd" {
 			t.Fatalf("flow data = %q", f.data)
 		}
@@ -157,7 +160,8 @@ func TestEvictedThenRecreatedStartsClean(t *testing.T) {
 	if !created {
 		t.Fatal("evicted flow was not recreated")
 	}
-	h.table.Do(tuple(0), func(f *fakeFlow) {
+	h.table.Do(tuple(0), func(pf **fakeFlow) {
+		f := *pf
 		if string(f.data) != "z" {
 			t.Fatalf("recreated flow carried stale state: %q", f.data)
 		}
@@ -185,11 +189,17 @@ func TestCloseEvictsEverything(t *testing.T) {
 	}
 }
 
-// TestEntryFootprint pins what a flow costs the table beyond its map slot:
-// key, flow pointer, last-activity tick and the two LRU links, and no lock.
+// TestEntryFootprint pins what a flow costs the table: one entry holding a
+// 40 B header — key, last-activity tick and the two LRU links, no lock —
+// and the record by value, plus its index slot. With the gateway's record
+// (104 B, gated by TestFlowRecordFootprint) an entry is 144 B, one malloc
+// size class.
 func TestEntryFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(entry[*fakeFlow]{}); size != 48 {
-		t.Fatalf("entry is %d B, want 48", size)
+	if off := unsafe.Offsetof(entry[*fakeFlow]{}.flow); off != 40 {
+		t.Fatalf("entry header is %d B, want 40", off)
+	}
+	if size := unsafe.Sizeof(entry[[13]uint64]{}); size > 144 {
+		t.Fatalf("entry of a 104 B record is %d B, want <= 144", size)
 	}
 }
 
@@ -212,10 +222,10 @@ func BenchmarkDoHit(b *testing.B) {
 		Evict: func(Key, *fakeFlow) {},
 	})
 	k := tuple(1)
-	tb.Do(k, func(*fakeFlow) {})
+	tb.Do(k, func(**fakeFlow) {})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tb.Do(k, func(*fakeFlow) {})
+		tb.Do(k, func(**fakeFlow) {})
 	}
 }
 
@@ -227,7 +237,7 @@ func BenchmarkDoChurn(b *testing.B) {
 	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tb.Do(tuple(i%8192), func(*fakeFlow) {})
+		tb.Do(tuple(i%8192), func(**fakeFlow) {})
 	}
 }
 
@@ -238,7 +248,7 @@ func ExampleTable() {
 		MaxFlows: 2,
 	})
 	for i := 0; i < 3; i++ {
-		tb.Do(tuple(i), func(*fakeFlow) {})
+		tb.Do(tuple(i), func(**fakeFlow) {})
 	}
 	fmt.Println(tb.Len(), tb.Stats().EvictedCap)
 	// Output: 2 1
@@ -269,7 +279,8 @@ func TestRemoveEvictsImmediately(t *testing.T) {
 	}
 	// A recreated flow after Remove starts clean.
 	h.write(tuple(1), []byte("x"))
-	h.table.Do(tuple(1), func(f *fakeFlow) {
+	h.table.Do(tuple(1), func(pf **fakeFlow) {
+		f := *pf
 		if string(f.data) != "x" {
 			t.Fatalf("recreated flow data = %q", f.data)
 		}
@@ -337,7 +348,7 @@ func TestTickScalesTheClock(t *testing.T) {
 		IdleTicks: 8,
 		Tick:      4,
 	})
-	nop := func(*fakeFlow) {}
+	nop := func(**fakeFlow) {}
 	tb.Do(tuple(0), nop)
 	tb.Do(tuple(1), nop)
 	tb.Do(tuple(1), nop) // tuple 0 idle for 8: not yet more than IdleTicks
@@ -416,7 +427,7 @@ func TestPanickingCallbacksLeaveTableUsable(t *testing.T) {
 		},
 		MaxFlows: 2,
 	})
-	nop := func(*fakeFlow) {}
+	nop := func(**fakeFlow) {}
 	panics := func(f func()) (p bool) {
 		defer func() { p = recover() != nil }()
 		f()
@@ -456,5 +467,237 @@ func TestPanickingCallbacksLeaveTableUsable(t *testing.T) {
 	tb.Close()
 	if tb.Len() != 0 || evicted != 4 {
 		t.Fatalf("Close left %d flows, %d Evict calls", tb.Len(), evicted)
+	}
+}
+
+// valueFlow is a record held by value in its entry, as the gateway holds its
+// own: the table owns it, Do reaches it in place, Evict gets a copy.
+type valueFlow struct {
+	key Key
+	n   int // Do calls on this incarnation of the flow
+}
+
+// probeLen returns the longest probe run in the index: how many slots a
+// lookup of the worst-placed key reads. wrapped reports whether some run
+// crosses the end of the array.
+func probeLen[F any](tb *Table[F]) (longest int, wrapped bool) {
+	mask := len(tb.slots) - 1
+	for i, e := range tb.slots {
+		if e == nil {
+			continue
+		}
+		h := tb.home(e.key)
+		longest = max(longest, (i-h)&mask+1)
+		wrapped = wrapped || h > i
+	}
+	return longest, wrapped
+}
+
+// checkIndex fails unless the index holds exactly the live entries, each
+// where a lookup of its key finds it, with every probe run sorted by home
+// slot: an entry sits at most one slot further from its home than the entry
+// before it.
+func checkIndex[F any](t *testing.T, tb *Table[F]) {
+	t.Helper()
+	if len(tb.slots)&(len(tb.slots)-1) != 0 || 4*tb.Len() > 3*len(tb.slots) {
+		t.Fatalf("index of %d slots holding %d flows", len(tb.slots), tb.Len())
+	}
+	mask := len(tb.slots) - 1
+	n := 0
+	for i, e := range tb.slots {
+		if e == nil {
+			continue
+		}
+		n++
+		if j := tb.slot(e.key); j != i {
+			t.Fatalf("%v sits in slot %d, a lookup stops at %d", e.key, i, j)
+		}
+		if next := tb.slots[(i+1)&mask]; next != nil {
+			if d, dn := (i-tb.home(e.key))&mask, (i+1-tb.home(next.key))&mask; dn > d+1 {
+				t.Fatalf("slot %d is %d from its home after slot %d at %d: run not sorted by home", i+1, dn, i, d)
+			}
+		}
+	}
+	if n != tb.Len() {
+		t.Fatalf("index holds %d entries, table counts %d", n, tb.Len())
+	}
+}
+
+// TestIndexMatchesModel drives random Do, Remove, EvictIdle and capacity
+// eviction through tables of several shapes — one that grows from 8 slots to
+// hundreds, one held at its cap, one under idle eviction, and a tiny one
+// under heavy removal whose keys half share the last slot as their home, so
+// probe runs wrap around the end of the array and backward-shift deletion
+// does too — against a plain Go map. After every step Has over the whole key
+// universe, Len and Range agree with the model,
+// the index holds exactly the live entries, and every record Do or Evict sees
+// is the one the model says that flow has.
+func TestIndexMatchesModel(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		keys     int
+		maxFlows int
+		idle     uint64
+		remove   int // in 100: share of steps that Remove
+		steps    int
+		wrap     bool // every other key's home is the index's last slot
+	}{
+		{"growth", 300, 0, 0, 10, 1500, false},
+		{"capacity", 160, 60, 0, 5, 1500, false},
+		{"idle", 160, 0, 120, 5, 1500, false},
+		{"tiny-heavy-removal", 12, 5, 0, 45, 3000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rnd := uint64(len(tc.name))
+			next := func(n int) int {
+				rnd = rnd*6364136223846793005 + 1442695040888963407
+				return int(rnd>>33) % n
+			}
+			type modelFlow struct {
+				n    int
+				last int // step of the flow's last Do
+			}
+			model := map[Key]*modelFlow{}
+			step, removing := 0, false
+			var wrapped bool
+			tb := New(Config[valueFlow]{
+				New: func(k Key) valueFlow { return valueFlow{key: k} },
+				Evict: func(k Key, f valueFlow) {
+					m := model[k]
+					if m == nil || f.key != k || f.n != m.n {
+						t.Fatalf("step %d: evicted %v with %d Do calls, model has %+v", step, k, f.n, m)
+					}
+					if !removing {
+						for o, om := range model {
+							if om.last < m.last {
+								t.Fatalf("step %d: evicted %v (last %d) while %v (last %d) was staler", step, k, m.last, o, om.last)
+							}
+						}
+					}
+					delete(model, k)
+				},
+				MaxFlows:  tc.maxFlows,
+				IdleTicks: tc.idle,
+			})
+			universe := make([]Key, 0, tc.keys)
+			for i := 0; len(universe) < tc.keys; i++ {
+				if k := tuple(i); !tc.wrap || (tb.home(k) == len(tb.slots)-1) == (len(universe)%2 == 0) {
+					universe = append(universe, k)
+				}
+			}
+			for step = 1; step <= tc.steps; step++ {
+				k := universe[next(len(universe))]
+				switch op := next(100); {
+				case op < tc.remove:
+					removing = true
+					_, live := model[k]
+					if got := tb.Remove(k); got != live {
+						t.Fatalf("step %d: Remove(%v) = %v, model live %v", step, k, got, live)
+					}
+					if _, still := model[k]; still {
+						t.Fatalf("step %d: Remove did not evict %v", step, k)
+					}
+					removing = false
+				case op < tc.remove+2:
+					tb.EvictIdle()
+				default:
+					m := model[k]
+					created := tb.Do(k, func(f *valueFlow) {
+						if f.key != k {
+							t.Fatalf("step %d: Do(%v) reached %v's record", step, k, f.key)
+						}
+						f.n++
+					})
+					if created != (m == nil) {
+						t.Fatalf("step %d: Do(%v) created = %v, model live %v", step, k, created, m != nil)
+					}
+					if m == nil {
+						m = &modelFlow{}
+						model[k] = m
+					}
+					m.n++
+					m.last = step
+				}
+				checkIndex(t, tb)
+				_, w := probeLen(tb)
+				wrapped = wrapped || w
+				if tb.Len() != len(model) {
+					t.Fatalf("step %d: Len = %d, model has %d", step, tb.Len(), len(model))
+				}
+				for _, k := range universe {
+					if _, live := model[k]; tb.Has(k) != live {
+						t.Fatalf("step %d: Has(%v) = %v, model live %v", step, k, !live, live)
+					}
+				}
+				seen := 0
+				tb.Range(func(k Key, f *valueFlow) {
+					seen++
+					if m := model[k]; m == nil || f.n != m.n {
+						t.Fatalf("step %d: Range found %v with %d Do calls, model has %+v", step, k, f.n, m)
+					}
+				})
+				if seen != len(model) {
+					t.Fatalf("step %d: Range saw %d flows, model has %d", step, seen, len(model))
+				}
+			}
+			st := tb.Stats()
+			t.Logf("%d slots, %+v, probe runs wrapped: %v", len(tb.slots), st, wrapped)
+			if tc.maxFlows == 0 && tc.idle == 0 && len(tb.slots) < 256 {
+				t.Fatalf("index only grew to %d slots", len(tb.slots))
+			}
+			if tc.wrap && (len(tb.slots) != 8 || !wrapped || st.Removed < 300) {
+				t.Fatalf("tiny table never wrapped under removal: %d slots, wrapped %v, %+v", len(tb.slots), wrapped, st)
+			}
+			if tc.maxFlows > 0 && st.EvictedCap == 0 || tc.idle > 0 && st.EvictedIdle == 0 {
+				t.Fatalf("the eviction under test never ran: %+v", st)
+			}
+		})
+	}
+}
+
+// TestIndexResistsHash64Collisions: the gateway pins tuples to lanes by
+// Hash64, so a lane's table sees tuples that agree in Hash64's low bits, and
+// an attacker can choose tuples that agree in all of the bits an unseeded
+// index would use. The index hashes under its own seed, so 4 096 tuples that
+// Hash64 puts in one bucket of a 4 096-bucket table still spread out.
+func TestIndexResistsHash64Collisions(t *testing.T) {
+	const flows, bucketBits = 4096, 12
+	tb := New(Config[valueFlow]{
+		New:   func(k Key) valueFlow { return valueFlow{key: k} },
+		Evict: func(Key, valueFlow) {},
+	})
+	for i := 0; tb.Len() < flows; i++ {
+		k := tuple(i)
+		k.SrcPort = uint16(i >> 20)
+		if k.Hash64()&(1<<bucketBits-1) == 0 {
+			tb.Do(k, func(*valueFlow) {})
+		}
+	}
+	checkIndex(t, tb)
+	longest, _ := probeLen(tb)
+	t.Logf("%d colliding flows in %d slots: longest probe run %d", flows, len(tb.slots), longest)
+	if longest > 32 {
+		t.Fatalf("longest probe run is %d slots, want <= 32", longest)
+	}
+}
+
+// TestDoHashedReachesDoRecord: DoHashed, the by-value form, reads the record
+// Do writes in place, and a flow either creates is the other's.
+func TestDoHashedReachesDoRecord(t *testing.T) {
+	tb := New(Config[valueFlow]{
+		New:   func(k Key) valueFlow { return valueFlow{key: k} },
+		Evict: func(Key, valueFlow) {},
+	})
+	var got valueFlow
+	read := func(f valueFlow) { got = f }
+	bump := func(f *valueFlow) { f.n++ }
+	if !tb.Do(tuple(1), bump) || tb.DoHashed(tuple(1), tuple(1).Hash64(), read) || got != (valueFlow{tuple(1), 1}) {
+		t.Fatalf("DoHashed after Do read %+v", got)
+	}
+	if !tb.DoHashed(tuple(2), 0, read) || tb.Do(tuple(2), bump) {
+		t.Fatal("Do recreated a flow DoHashed created")
+	}
+	if tb.DoHashed(tuple(2), 0, read); got != (valueFlow{tuple(2), 1}) || tb.Len() != 2 {
+		t.Fatalf("DoHashed read %+v of %d flows", got, tb.Len())
 	}
 }

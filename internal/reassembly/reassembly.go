@@ -167,12 +167,14 @@ type seg struct {
 	data []byte
 }
 
-// Stream reassembles one flow direction. It is a plain value a flow record
-// can embed: the configuration every stream of a table shares is held by
-// pointer, not copied per flow, and the only memory a stream owns beyond
-// itself is the out-of-order bytes it currently holds. The zero value holds
-// nothing (HeldBytes and Release work on it) but cannot take segments until
-// Init.
+// Stream reassembles one flow direction. It is a plain 40 B value a flow
+// record can embed: the configuration every stream of a table shares is held
+// by pointer, not copied per flow, and everything only out-of-order delivery
+// needs — the held segments, their byte count and the gap timer — sits
+// behind one pointer that the first byte the stream has to hold allocates
+// and Release drops. A stream whose segments arrive in order therefore owns
+// no memory beyond itself. The zero value holds nothing (HeldBytes and
+// Release work on it) but cannot take segments until Init.
 type Stream struct {
 	cfg      *Config
 	started  bool
@@ -181,10 +183,24 @@ type Stream struct {
 	finSeen  bool
 	next     uint32 // absolute seq of the next in-order byte
 	pos      int64  // stream offset of next (bytes delivered + skipped)
+	finOff   int64  // stream offset one past the last byte (FIN position)
+	ooo      *outOfOrder
+}
+
+// outOfOrder is a stream's state while it holds bytes out of order.
+type outOfOrder struct {
 	held     []seg
 	heldBy   int    // sum of held data lengths
 	gapSince uint64 // tick+1 when delivery first stalled on the current gap
-	finOff   int64  // stream offset one past the last byte (FIN position)
+}
+
+// consume drops the first n held segments, whose bytes have already left the
+// books: the rest move to the front and every vacated slot is zeroed, so the
+// backing array pins no copy the budget has released.
+func (o *outOfOrder) consume(n int) {
+	m := copy(o.held, o.held[n:])
+	clear(o.held[m:])
+	o.held = o.held[:m]
 }
 
 // Init makes s an empty stream over cfg, in place; the first segment (or
@@ -210,7 +226,12 @@ func NewStream(cfg Config) *Stream {
 func (s *Stream) Pos() int64 { return s.pos }
 
 // HeldBytes returns the bytes currently buffered out of order.
-func (s *Stream) HeldBytes() int { return s.heldBy }
+func (s *Stream) HeldBytes() int {
+	if s.ooo == nil {
+		return 0
+	}
+	return s.ooo.heldBy
+}
 
 // Finished reports whether the stream completed via FIN.
 func (s *Stream) Finished() bool { return s.finished }
@@ -218,14 +239,18 @@ func (s *Stream) Finished() bool { return s.finished }
 // Release discards all held bytes, returning them to the shared budget, and
 // reports how many bytes it discarded so the caller can account them (a
 // byte-conservation ledger must not lose eviction-released bytes). Call it
-// when the flow is evicted mid-gap; it is idempotent.
+// when the flow is evicted mid-gap; it is idempotent. The stream keeps no
+// out-of-order state afterwards.
 func (s *Stream) Release() int {
-	n := s.heldBy
-	if n > 0 {
-		s.cfg.Budget.release(n)
+	o := s.ooo
+	if o == nil {
+		return 0
 	}
-	s.held, s.heldBy = nil, 0
-	return n
+	s.ooo = nil
+	if o.heldBy > 0 {
+		s.cfg.Budget.release(o.heldBy)
+	}
+	return o.heldBy
 }
 
 // Segment ingests one TCP segment: seq is the sequence number of
@@ -292,8 +317,10 @@ func (s *Stream) Segment(seq uint32, payload []byte, flags Flags, tick uint64, d
 		var pieces []seg
 		if s.cfg.Policy == FirstWins {
 			pieces = []seg{{off: off, data: data}}
-			for _, h := range s.held {
-				pieces = subtract(pieces, h.off, h.off+int64(len(h.data)), &r)
+			if o := s.ooo; o != nil {
+				for _, h := range o.held {
+					pieces = subtract(pieces, h.off, h.off+int64(len(h.data)), &r)
+				}
 			}
 		} else {
 			s.trimHeld(off, off+int64(len(data)), &r)
@@ -329,14 +356,7 @@ func (s *Stream) Segment(seq uint32, payload []byte, flags Flags, tick uint64, d
 // the caller is responsible for fresh scanner state.
 func (s *Stream) restart() {
 	s.Release()
-	s.started = false
-	s.finished = false
-	s.wasReset = false
-	s.finSeen = false
-	s.finOff = 0
-	s.gapSince = 0
-	s.pos = 0
-	s.next = 0
+	s.Init(s.cfg)
 }
 
 // advance moves the delivery point n committed bytes forward.
@@ -347,12 +367,21 @@ func (s *Stream) advance(n int) {
 
 // drain delivers every held segment that is now contiguous with the
 // delivery point. skippedBefore is attached to the first delivered chunk
-// (non-zero only when a gap skip led here).
+// (non-zero only when a gap skip led here). Each segment leaves heldBy and
+// the budget before its bytes go to deliver, and the taken segments leave
+// held on the way out even if deliver panics, so a caller that recovers sees
+// a consistent stream.
 func (s *Stream) drain(deliver func([]byte, int), r *Result, skippedBefore int) {
-	for len(s.held) > 0 && s.held[0].off <= s.pos {
-		h := s.held[0]
-		s.held = s.held[1:]
-		s.heldBy -= len(h.data)
+	o := s.ooo
+	if o == nil || len(o.held) == 0 || o.held[0].off > s.pos {
+		return
+	}
+	n := 0
+	defer func() { o.consume(n) }()
+	for n < len(o.held) && o.held[n].off <= s.pos {
+		h := o.held[n]
+		n++
+		o.heldBy -= len(h.data)
 		s.cfg.Budget.release(len(h.data))
 		data := h.data
 		if h.off < s.pos { // partially covered by a just-delivered overlap
@@ -386,26 +415,30 @@ func (s *Stream) checkFinished(r *Result) {
 // the flow. The timer is armed when delivery first stalls with bytes
 // waiting and re-armed after every skip for the next gap.
 func (s *Stream) checkGap(tick uint64, deliver func([]byte, int), r *Result) {
-	if s.finished || len(s.held) == 0 {
-		s.gapSince = 0
+	o := s.ooo
+	if o == nil {
 		return
 	}
-	if s.gapSince == 0 {
-		s.gapSince = tick + 1 // +1 so tick 0 still arms the timer
+	if s.finished || len(o.held) == 0 {
+		o.gapSince = 0
 		return
 	}
-	if s.cfg.GapTimeout == 0 || tick+1-s.gapSince < s.cfg.GapTimeout {
+	if o.gapSince == 0 {
+		o.gapSince = tick + 1 // +1 so tick 0 still arms the timer
 		return
 	}
-	skipped := int(s.held[0].off - s.pos)
-	s.pos = s.held[0].off
+	if s.cfg.GapTimeout == 0 || tick+1-o.gapSince < s.cfg.GapTimeout {
+		return
+	}
+	skipped := int(o.held[0].off - s.pos)
+	s.pos = o.held[0].off
 	s.next += uint32(skipped)
-	s.gapSince = 0
+	o.gapSince = 0
 	r.Skipped += skipped
 	s.drain(deliver, r, skipped)
 	s.checkFinished(r)
-	if len(s.held) > 0 { // a further gap: arm its timer now
-		s.gapSince = tick + 1
+	if s.ooo != nil && len(s.ooo.held) > 0 { // a further gap: arm its timer now
+		s.ooo.gapSince = tick + 1
 	}
 }
 
@@ -413,8 +446,12 @@ func (s *Stream) checkGap(tick uint64, deliver func([]byte, int), r *Result) {
 // bytes will overwrite), splitting segments that straddle the range. The
 // discarded bytes count as Duplicate.
 func (s *Stream) trimHeld(off, end int64, r *Result) {
-	kept := make([]seg, 0, len(s.held))
-	for _, h := range s.held {
+	o := s.ooo
+	if o == nil {
+		return
+	}
+	kept := make([]seg, 0, len(o.held))
+	for _, h := range o.held {
 		hEnd := h.off + int64(len(h.data))
 		if hEnd <= off || h.off >= end { // disjoint
 			kept = append(kept, h)
@@ -436,10 +473,10 @@ func (s *Stream) trimHeld(off, end int64, r *Result) {
 			kept = append(kept, right)
 		}
 		r.Duplicate += freed
-		s.heldBy -= freed
+		o.heldBy -= freed
 		s.cfg.Budget.release(freed)
 	}
-	s.held = kept
+	o.held = kept
 }
 
 // subtract removes [lo, hi) from every piece, counting removed bytes as
@@ -485,29 +522,30 @@ func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 		return
 	}
 	max := s.cfg.maxFlowBytes()
-	for s.heldBy+need > max && len(s.held) > 0 {
-		last := &s.held[len(s.held)-1]
+	for o := s.ooo; o != nil && o.heldBy+need > max && len(o.held) > 0; {
+		last := &o.held[len(o.held)-1]
 		if last.off <= off {
 			break // the new piece is the furthest; drop it instead
 		}
-		trim := s.heldBy + need - max
+		trim := o.heldBy + need - max
 		if trim >= len(last.data) {
 			freed := len(last.data)
-			s.heldBy -= freed
+			o.heldBy -= freed
 			s.cfg.Budget.release(freed)
 			r.Dropped += freed
-			s.held = s.held[:len(s.held)-1]
+			*last = seg{} // the backing array must not pin the evicted copy
+			o.held = o.held[:len(o.held)-1]
 		} else {
 			// Copy the kept prefix so the evicted tail's memory is really
 			// returned, not just uncharged (see the remnant note above).
 			last.data = append([]byte(nil), last.data[:len(last.data)-trim]...)
-			s.heldBy -= trim
+			o.heldBy -= trim
 			s.cfg.Budget.release(trim)
 			r.Dropped += trim
 		}
 	}
-	if s.heldBy+need > max {
-		fit := max - s.heldBy
+	if held := s.HeldBytes(); held+need > max {
+		fit := max - held
 		if fit <= 0 {
 			r.Dropped += need
 			return
@@ -520,7 +558,11 @@ func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 		r.Dropped += need
 		return
 	}
-	s.heldBy += need
+	if s.ooo == nil {
+		s.ooo = &outOfOrder{}
+	}
+	o := s.ooo
+	o.heldBy += need
 	// Own the buffered bytes: a retained subslice would pin the caller's
 	// whole payload array while the caps charge only the slice length,
 	// letting a hostile feed (e.g. 1-byte keepable pieces carved from
@@ -529,12 +571,12 @@ func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 	// trims/splits of held data stay within the already-charged bound.
 	data = append([]byte(nil), data...)
 	// Sorted insert; held segments are few in practice (one per open gap).
-	i := len(s.held)
-	for i > 0 && s.held[i-1].off > off {
+	i := len(o.held)
+	for i > 0 && o.held[i-1].off > off {
 		i--
 	}
-	s.held = append(s.held, seg{})
-	copy(s.held[i+1:], s.held[i:])
-	s.held[i] = seg{off: off, data: data}
+	o.held = append(o.held, seg{})
+	copy(o.held[i+1:], o.held[i:])
+	o.held[i] = seg{off: off, data: data}
 	r.Buffered += need
 }

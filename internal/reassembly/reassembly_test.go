@@ -257,6 +257,80 @@ func TestLifecycleFinRstSyn(t *testing.T) {
 	}
 }
 
+// TestInOrderStreamHoldsNothing: a stream whose segments arrive in order
+// never allocates its out-of-order state, so Segment allocates nothing; the
+// first byte it has to hold creates that state and Release drops it again.
+func TestInOrderStreamHoldsNothing(t *testing.T) {
+	for _, pol := range []Policy{FirstWins, LastWins} {
+		s := NewStream(Config{Policy: pol})
+		deliver := func([]byte, int) {}
+		payload := []byte("0123456789")
+		s.Segment(0, nil, SYN, 0, deliver)
+		seq := uint32(1)
+		allocs := testing.AllocsPerRun(100, func() {
+			s.Segment(seq, payload, 0, 0, deliver)
+			seq += uint32(len(payload))
+		})
+		if !raceEnabled && allocs != 0 {
+			t.Errorf("%v: an in-order Segment allocated %.0f times", pol, allocs)
+		}
+		if s.ooo != nil {
+			t.Fatalf("%v: an in-order stream holds out-of-order state", pol)
+		}
+		s.Segment(seq+5, payload, 0, 1, deliver)
+		if s.ooo == nil || s.HeldBytes() != len(payload) {
+			t.Fatalf("%v: a held segment left no out-of-order state (held %d)", pol, s.HeldBytes())
+		}
+		if n := s.Release(); n != len(payload) || s.ooo != nil || s.HeldBytes() != 0 {
+			t.Fatalf("%v: Release returned %d and left out-of-order state %v", pol, n, s.ooo)
+		}
+	}
+}
+
+// TestVacatedHeldSlotsAreZeroed: a segment that leaves the held list — drained
+// into a filled hole, or evicted to the flow cap — must not stay reachable
+// through the list's backing array once the budget has released its bytes.
+// The list is compacted in place, so its capacity is kept for the next gap.
+func TestVacatedHeldSlotsAreZeroed(t *testing.T) {
+	s := NewStream(Config{MaxFlowBytes: 8})
+	feed(t, s, 0, "", SYN, 0)
+	for _, p := range []struct {
+		seq  uint32
+		data string
+	}{{3, "AA"}, {11, "CC"}, {15, "DD"}, {19, "EE"}} { // [2,4) [10,12) [14,16) [18,20)
+		feed(t, s, p.seq, p.data, 0, 1)
+	}
+	vacated := func(when string, wantLen int) {
+		t.Helper()
+		held := s.ooo.held
+		if len(held) != wantLen {
+			t.Fatalf("%s: %d segments held, want %d", when, len(held), wantLen)
+		}
+		for i, h := range held[len(held):cap(held)] {
+			if h.data != nil || h.off != 0 {
+				t.Errorf("%s: vacated slot %d still holds %q at %d", when, len(held)+i, h.data, h.off)
+			}
+		}
+	}
+	full := cap(s.ooo.held)
+	// [5,9) needs 4 bytes of the 8-byte cap: the two furthest runs go.
+	if _, _, r := feed(t, s, 6, "BBBB", 0, 2); r.Dropped != 4 || r.Buffered != 4 {
+		t.Fatalf("cap eviction: %+v", r)
+	}
+	vacated("after a cap eviction", 3)
+	// [0,2) fills the first hole: [2,4) drains, [5,9) and [10,12) stay held.
+	if out, _, _ := feed(t, s, 1, "xx", 0, 3); out != "xxAA" {
+		t.Fatalf("hole fill delivered %q", out)
+	}
+	vacated("after a hole fills", 2)
+	if cap(s.ooo.held) != full {
+		t.Fatalf("held capacity %d after a drain, want %d: not compacted in place", cap(s.ooo.held), full)
+	}
+	if s.HeldBytes() != 6 {
+		t.Fatalf("held %d bytes, want 6", s.HeldBytes())
+	}
+}
+
 // TestPermutationEquivalence is the package-level property: any segment
 // permutation with exact-copy retransmits reassembles to the original
 // stream under either policy.
