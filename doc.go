@@ -41,9 +41,9 @@
 //     matches straddling the window edge — through the exact baked kernel.
 //     The prefilter may raise false positives (wasted exact work) but
 //     provably never false negatives: every compile proves the superset
-//     contract structurally (core.VerifySuperset) and drops the stage rather
-//     than ship a table that could miss, in which case auto falls back to
-//     the baked kernel alone. The reference backend is the slice-walking
+//     contract structurally (part of core.Machine.Verify) and drops the
+//     stage rather than ship a table that could miss, in which case auto
+//     falls back to the baked kernel alone. The reference backend is the slice-walking
 //     Machine.Next oracle itself. All three are byte-exact equivalent (same
 //     states, same history, same match order — fuzz- and property-verified
 //     in register-level lockstep) and inspectable through Matcher.Kernel,

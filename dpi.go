@@ -432,23 +432,13 @@ func (m *Matcher) Kernel() KernelStats {
 // Aho-Corasick DFA, rebuilt here from the ruleset because the matcher keeps
 // none: an exhaustive per-transition structural check of the reference
 // interpreter and, on a baked matcher, of the flat kernel's own transition
-// tables, of the output table every backend emits from, plus a scan-level
-// cross-check of every backend on the provided payloads (may be nil).
+// tables, of the output table every backend emits from and of the
+// prefilter's no-false-negative contract, plus a scan-level cross-check of
+// every backend on the provided payloads (may be nil).
 func (m *Matcher) Verify(payloads [][]byte) error {
 	oracle, err := ac.New(m.rules.set)
 	if err != nil {
 		return err
 	}
-	if err := m.machine.VerifyTransitions(oracle); err != nil {
-		return err
-	}
-	if m.machine.Program() != nil {
-		if err := m.machine.VerifyProgram(oracle); err != nil {
-			return err
-		}
-	}
-	if err := m.machine.VerifyOutputs(oracle); err != nil {
-		return err
-	}
-	return m.machine.VerifyScan(oracle, payloads)
+	return m.machine.Verify(oracle, payloads)
 }

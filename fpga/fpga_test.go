@@ -3,6 +3,7 @@ package fpga_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,7 +202,8 @@ func checkAgainstFindAll(t *testing.T, m *dpi.Matcher, dev fpga.Device, groups i
 
 // TestAcceleratorAgreesWithFindAll pins the cross-layer guarantee: the
 // hardware-model accelerator and the software matcher return the same
-// matches in the same canonical order, on both devices.
+// matches in the same canonical order, on both devices — an empty payload
+// among the packets included, which matches nothing on either side.
 func TestAcceleratorAgreesWithFindAll(t *testing.T) {
 	for _, tc := range []struct {
 		strings int
@@ -221,7 +223,9 @@ func TestAcceleratorAgreesWithFindAll(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstFindAll(t, m, tc.dev, 2, attackPayloads(t, rules, tc.traffic))
+			payloads := attackPayloads(t, rules, tc.traffic)
+			payloads = slices.Insert(payloads, 1, []byte{})
+			checkAgainstFindAll(t, m, tc.dev, 2, payloads)
 		})
 	}
 }

@@ -336,8 +336,9 @@ func (t *Trie) FindAll(data []byte) []Match {
 //
 // This is the O(states × 256) view of the machine and it is for checking,
 // not for building: its callers are ComputeMoveStats (Table II's "Original
-// Aho-Corasick" block) and core.Machine.VerifyTransitions. Package core
-// builds, loads and bakes machines from the edges and fail links alone.
+// Aho-Corasick" block), core.Machine.Verify and hwsim's image proof.
+// Package core builds and bakes machines from the edges and fail links
+// alone.
 func (t *Trie) ForEachMoveRow(fn func(s int32, row []int32)) {
 	// Children lists of the fail tree.
 	failKids := make([][]int32, len(t.Nodes))

@@ -8,7 +8,7 @@ package core
 // but its Regs; which function runs them is the backend the machine
 // resolved when it was built (or the one a Scanner was pinned to), never a
 // per-stream object. Backends are registered in scanBackends so equivalence
-// harnesses (VerifyScan, the lockstep property tests, the fuzzers) iterate
+// harnesses (Machine.Verify, the lockstep property tests, the fuzzers) iterate
 // every implementation a machine supports instead of hardcoding pairs; a
 // backend added to the registry and the three dispatch switches below is
 // pulled into the oracle proofs automatically.
@@ -21,7 +21,7 @@ import (
 
 // Backend names accepted by Options.Backend and Machine.NewScannerFor.
 // BackendAuto (or "") resolves to the fastest always-exact default:
-// prefiltered when the lossy stage compiled and passed VerifySuperset,
+// prefiltered when the lossy stage compiled and passed its superset proof,
 // baked otherwise.
 const (
 	BackendAuto        = "auto"
@@ -156,7 +156,7 @@ func RegisteredBackends() []string {
 
 // Backends lists the backend names available on this machine, registry
 // order (reference first). Every listed backend is byte-exact equivalent;
-// VerifyScan and the lockstep tests iterate exactly this list.
+// Machine.Verify and the lockstep tests iterate exactly this list.
 func (m *Machine) Backends() []string {
 	var names []string
 	for _, spec := range scanBackends {

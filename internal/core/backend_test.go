@@ -17,14 +17,14 @@ func TestAutoBackendResolution(t *testing.T) {
 		t.Fatalf("RegisteredBackends() = %v, want %v", got, all)
 	}
 
-	// rejectPrefilter does what compileBackends does when VerifySuperset
+	// rejectPrefilter does what compileBackends does when verifySuperset
 	// refuses a table: the stage is dropped, never used.
 	rejectPrefilter := func(t *testing.T, m *Machine, trie *ac.Trie) *Machine {
 		for i := range m.pre.tab {
 			m.pre.tab[i] &^= pfSuspect
 		}
-		if err := m.VerifySuperset(trie); err == nil {
-			t.Fatal("VerifySuperset accepted a table with no suspect flags")
+		if err := m.verifySuperset(trie); err == nil {
+			t.Fatal("verifySuperset accepted a table with no suspect flags")
 		}
 		m.pre = nil
 		m.kind = m.resolveKind()

@@ -46,7 +46,7 @@ package core
 //     most popular remaining states (by the same popularity tally that
 //     selects default transition pointers) are promoted to fast rows. This
 //     is sound because a DTP machine's move row is statically determined
-//     for every state — exactly the property VerifyTransitions proves — so
+//     for every state — exactly the property verifyTransitions proves — so
 //     a fast row is the precomputed result of stored-pointer-then-default
 //     resolution. A promoted state's full move row differs from the
 //     depth-1 default row d1 on a handful of bytes (3.3 on average at 634

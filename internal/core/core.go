@@ -40,9 +40,9 @@
 // "prefiltered" backend (see prefilter.go) is a two-stage pipeline: a tiny
 // lossy automaton skims clean traffic and only suspect byte windows run
 // through the exact baked kernel. The lossy stage admits false positives
-// but provably never false negatives — VerifySuperset proves the contract
-// structurally at bake time, in the spirit of VerifyTransitions — so even
-// the approximate pipeline stays exactly equivalent. VerifyScan iterates
+// but provably never false negatives — verifySuperset proves the contract
+// structurally at bake time, in the spirit of verifyTransitions — so even
+// the approximate pipeline stays exactly equivalent. Machine.Verify runs
 // every registered backend against the uncompressed-DFA oracle; the
 // lockstep property tests and fuzzers enforce register-level equivalence
 // continuously.
@@ -55,7 +55,7 @@
 // if [h2 h1] existed the automaton could not currently be at a state of
 // depth ≤ 1 (the current state is always the *longest* suffix of the input
 // that is a trie node). The same argument applies one level down for
-// depth-2 defaults at the start state. Machine.VerifyTransitions checks the
+// depth-2 defaults at the start state. Machine.Verify checks the
 // resulting structural equivalence exhaustively; the matcher tests check it
 // empirically against the oracle.
 //
@@ -63,18 +63,18 @@
 // trie's edges and its fail tree in O(states + edges + stored pointers) —
 // see build.go for the recurrences and why they are exact. The
 // dense |states| × 256 sweep (ac.Trie.ForEachMoveRow) is verification-only:
-// VerifyTransitions walks it, and the test suite keeps the former
+// Machine.Verify walks it, and the test suite keeps the former
 // dense-sweep builder as the oracle the sparse one must equal field for
 // field (TestSparseBuildMatchesDenseOracle, FuzzBuildEquivalence).
 //
 // Nor does the result keep the trie: what stays in memory is the paper's
 // lookup table, state memory and match memory (outputTable), and the
 // kernels' tables. Build — the one way a Machine comes to exist — derives
-// them from the trie, proves VerifySuperset on it and lets it go, with the
-// per-character default lists it selected the lookup table from. What needs
-// the uncompressed automaton later — the other Verify* proofs, WriteDot — is
-// handed a trie of the same ruleset: a proof is of the image against the
-// rules.
+// them from the trie, proves the prefilter's superset contract on it and
+// lets it go, with the per-character default lists it selected the lookup
+// table from. What needs the uncompressed automaton later — Machine.Verify,
+// the one proof of the whole image, and WriteDot — is handed a trie of the
+// same ruleset: a proof is of the image against the rules.
 package core
 
 import (
@@ -99,7 +99,7 @@ type Options struct {
 	DenseStates int
 	// Backend selects the scan implementation ScanAppend and NewScanner run:
 	// BackendAuto (or "") picks the fastest always-exact default —
-	// prefiltered when the lossy stage compiles and passes VerifySuperset,
+	// prefiltered when the lossy stage compiles and passes its superset proof,
 	// baked otherwise. BackendReference pins the slice-walking interpreter
 	// (and skips compiling the kernels); BackendBaked and
 	// BackendPrefiltered pin those kernels, and a pinned prefiltered build
@@ -308,7 +308,7 @@ type Machine struct {
 	prog *Program
 	// pre is the lossy prefilter stage, compiled (and superset-verified)
 	// alongside prog; nil whenever prog is nil, the collapsed machine
-	// does not fit the packed entry format or VerifySuperset refused it.
+	// does not fit the packed entry format or verifySuperset refused it.
 	// The prefiltered backend needs both.
 	pre *Prefilter
 	// backend is the configured Options.Backend; empty (auto) on
@@ -348,7 +348,7 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 
 // compileBackends bakes the kernels the configured backend needs: the flat
 // Program and, on top of it, the lossy prefilter stage (which must pass
-// VerifySuperset to be kept — a prefilter that could miss is discarded,
+// verifySuperset to be kept — a prefilter that could miss is discarded,
 // never silently used). A pinned prefiltered backend turns a discarded or
 // uncompilable stage into a Build error.
 func (m *Machine) compileBackends(trie *ac.Trie, ft *failTree, denseStates int) error {
@@ -357,7 +357,7 @@ func (m *Machine) compileBackends(trie *ac.Trie, ft *failTree, denseStates int) 
 	}
 	m.prog = compile(m, trie, ft, denseStates)
 	if m.pre = CompilePrefilter(trie); m.pre != nil {
-		if err := m.VerifySuperset(trie); err != nil {
+		if err := m.verifySuperset(trie); err != nil {
 			m.pre = nil
 			if m.backend == BackendPrefiltered {
 				return err
@@ -435,24 +435,34 @@ func (m *Machine) next(s int32, c byte, hist uint32) int32 {
 	return m.lut.resolve(c, hist)
 }
 
+// LastMatch flags the last pattern ID of each list in the match memory, in
+// a bit no pattern ID uses: the paper's last flag, one per ID word here.
+const LastMatch = uint32(1) << 31
+
 // outputTable is the match memory: per state, whether any pattern ends
-// there, and if so the complete list of those that do — own outputs and
-// each fail-ancestor's along the OutLink chain, flattened at build time in
+// there, and if so where its complete list starts — own outputs and each
+// fail-ancestor's along the OutLink chain, flattened at build time in
 // ascending pattern ID, as the paper's match memory holds whole
 // string-number lists. A scan visits ends in ascending order, so with each
 // list sorted one machine emits in canonical (End, PatternID) order by
-// construction. One per machine, read by every interpreter: the
-// reference loop, the baked kernel, hwsim's packer. The no-match fast path
-// loads one word of bits; on a hit the state's rank among output states —
-// a per-word prefix count plus a popcount of the lower bits — indexes off.
+// construction. Each distinct list is stored once: a state that ends no
+// pattern of its own shares its OutLink's list, and two output states have
+// equal lists exactly when the first pattern-owning state on their chains
+// is the same (every pattern ends at one state). The lists sit in ids in
+// order of first use by state number, each ending at an ID flagged
+// LastMatch. One per machine, read by every interpreter and laid out by
+// hwsim's packer word for word. The no-match fast path loads one word of
+// bits; on a hit the state's rank among output states — a per-word prefix
+// count plus a popcount of the lower bits — indexes off.
 type outputTable struct {
 	bits []uint64 // bit s set iff any pattern ends at state s
 	rank []uint32 // per bits word: output states in the words before it
-	off  []uint32 // per output state, by rank, plus one: its slice of ids
-	ids  []int32  // every output state's full pattern-ID list, back to back
+	off  []uint32 // per output state, by rank: where its list starts in ids
+	ids  []uint32 // every distinct pattern-ID list, back to back, last flagged
 }
 
-// newOutputTable flattens t's output chains, each state's list sorted.
+// newOutputTable lays out t's output chains, each list sorted and stored
+// once.
 func newOutputTable(t *ac.Trie) outputTable {
 	n := int32(t.NumStates())
 	o := outputTable{bits: make([]uint64, (n+63)/64)}
@@ -467,24 +477,41 @@ func newOutputTable(t *ac.Trie) outputTable {
 		}
 		o.bits[uint32(s)>>6] |= 1 << (uint32(s) & 63)
 		outStates++
-		for cur := s; cur != ac.None; cur = t.Nodes[cur].OutLink {
-			outIDs += len(t.Out(cur))
+		if t.Nodes[s].NumOut != 0 {
+			for cur := s; cur != ac.None; cur = t.Nodes[cur].OutLink {
+				outIDs += len(t.Out(cur))
+			}
 		}
 	}
-	o.off = make([]uint32, 0, outStates+1)
-	o.ids = make([]int32, 0, outIDs)
+	// A list's owner is an output state itself, so its slot in off records
+	// where the list went once laid out: noList until then.
+	const noList = ^uint32(0)
+	o.off = make([]uint32, outStates)
+	for i := range o.off {
+		o.off[i] = noList
+	}
+	o.ids = make([]uint32, 0, outIDs)
 	for s := int32(0); s < n; s++ {
-		if !t.HasOutput(s) {
+		if !o.has(s) {
 			continue
 		}
-		start := len(o.ids)
-		o.off = append(o.off, uint32(start))
-		for cur := s; cur != ac.None; cur = t.Nodes[cur].OutLink {
-			o.ids = append(o.ids, t.Out(cur)...)
+		owner := s
+		if t.Nodes[s].NumOut == 0 {
+			owner = t.Nodes[s].OutLink
 		}
-		slices.Sort(o.ids[start:])
+		at := &o.off[o.rankOf(owner)]
+		if *at == noList {
+			*at = uint32(len(o.ids))
+			for cur := owner; cur != ac.None; cur = t.Nodes[cur].OutLink {
+				for _, id := range t.Out(cur) {
+					o.ids = append(o.ids, uint32(id))
+				}
+			}
+			slices.Sort(o.ids[*at:])
+			o.ids[len(o.ids)-1] |= LastMatch
+		}
+		o.off[o.rankOf(s)] = *at
 	}
-	o.off = append(o.off, uint32(len(o.ids)))
 	return o
 }
 
@@ -493,26 +520,39 @@ func (o *outputTable) has(s int32) bool {
 	return o.bits[uint32(s)>>6]&(1<<(uint32(s)&63)) != 0
 }
 
-// appendTo appends a Match ending at pos for every pattern of output state
-// s. It is reached only on a set bit; a state with no output has no rank
-// and no slot.
-func (o *outputTable) appendTo(s int32, pos int, out []ac.Match) []ac.Match {
+// rankOf is output state s's rank among output states: its slot in off.
+func (o *outputTable) rankOf(s int32) uint32 {
 	w, bit := uint32(s)>>6, uint64(1)<<(uint32(s)&63)
-	r := o.rank[w] + uint32(bits.OnesCount64(o.bits[w]&(bit-1)))
-	for _, id := range o.ids[o.off[r]:o.off[r+1]] {
-		out = append(out, ac.Match{PatternID: id, End: pos})
+	return o.rank[w] + uint32(bits.OnesCount64(o.bits[w]&(bit-1)))
+}
+
+// appendTo appends a Match ending at pos for every pattern of output state
+// s, reading its list up to the last flag. It is reached only on a set bit;
+// a state with no output has no rank and no slot.
+func (o *outputTable) appendTo(s int32, pos int, out []ac.Match) []ac.Match {
+	for _, id := range o.ids[o.off[o.rankOf(s)]:] {
+		out = append(out, ac.Match{PatternID: int32(id &^ LastMatch), End: pos})
+		if id&LastMatch != 0 {
+			break
+		}
 	}
 	return out
+}
+
+// MatchMemory returns the machine's match memory: every distinct pattern-ID
+// list once, back to back in order of first use by state number, each
+// ascending with its last ID flagged LastMatch. The slice is the machine's
+// own: read-only.
+func (m *Machine) MatchMemory() []uint32 { return m.out.ids }
+
+// MatchList returns where the list of the patterns ending at state s starts
+// in MatchMemory, or -1 when none does.
+func (m *Machine) MatchList(s int32) int {
+	if !m.out.has(s) {
+		return -1
+	}
+	return int(m.out.off[m.out.rankOf(s)])
 }
 
 // NumStates returns the number of automaton states, start state included.
 func (m *Machine) NumStates() int { return len(m.rows) }
-
-// AppendOutputs appends a Match ending at end for every pattern that ends
-// at state s, in ascending pattern ID.
-func (m *Machine) AppendOutputs(s int32, end int, out []ac.Match) []ac.Match {
-	if m.out.has(s) {
-		out = m.out.appendTo(s, end, out)
-	}
-	return out
-}

@@ -124,21 +124,21 @@ func TestToyDefaultsContents(t *testing.T) {
 
 func TestVerifyTransitionsToy(t *testing.T) {
 	m := mustBuild(t, toySet(), Options{})
-	if err := m.VerifyTransitions(mustTrie(t, toySet())); err != nil {
+	if err := m.verifyTransitions(mustTrie(t, toySet())); err != nil {
 		t.Fatal(err)
 	}
 	// A default keyed on a history its state does not spell is refused,
 	// even where no static history reaches it: row s's depth-3 default
 	// "his" re-keyed to "xy".
 	m.lut.d3['s'] = (uint64('x')<<histLaneBits|uint64('y'))<<32 | m.lut.d3['s']&0xFFFFFFFF
-	if err := m.VerifyTransitions(mustTrie(t, toySet())); err == nil {
-		t.Fatal("VerifyTransitions accepted a depth-3 default keyed off its path")
+	if err := m.verifyTransitions(mustTrie(t, toySet())); err == nil {
+		t.Fatal("verifyTransitions accepted a depth-3 default keyed off its path")
 	}
 }
 
 func TestVerifyTransitionsSynthetic(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 400, Seed: 11})
-	if err := mustBuild(t, set, Options{}).VerifyTransitions(mustTrie(t, set)); err != nil {
+	if err := mustBuild(t, set, Options{}).verifyTransitions(mustTrie(t, set)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -162,7 +162,7 @@ func TestScanMatchesDFA(t *testing.T) {
 		}
 		payloads[i] = p
 	}
-	if err := m.VerifyScan(mustTrie(t, set), payloads); err != nil {
+	if err := m.verifyScan(mustTrie(t, set), payloads); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -442,7 +442,7 @@ func TestQuickEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if m.VerifyTransitions(mustTrie(t, set)) != nil {
+		if m.verifyTransitions(mustTrie(t, set)) != nil {
 			return false
 		}
 		data := make([]byte, 1+int(nData)%400)

@@ -13,6 +13,7 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -89,26 +90,35 @@ func denseResolve(row *LookupRow, h2, h1 int16, maxDepth int) int32 {
 }
 
 // denseOutputs fills the output table by Trie.AppendOutputs, one OutLink
-// walk per state, each list then sorted by pattern ID.
+// walk per state, each list then sorted by pattern ID and merged with any
+// equal list laid out before it, by content.
 func denseOutputs(t *ac.Trie) outputTable {
 	n := t.NumStates()
-	o := outputTable{bits: make([]uint64, (n+63)/64), off: []uint32{}, ids: []int32{}}
+	o := outputTable{bits: make([]uint64, (n+63)/64), off: []uint32{}, ids: []uint32{}}
 	o.rank = make([]uint32, len(o.bits))
+	placed := map[string]uint32{}
 	for s := 0; s < n; s++ {
 		if s%64 == 0 {
 			o.rank[s/64] = uint32(len(o.off))
 		}
-		if t.HasOutput(int32(s)) {
-			o.bits[s>>6] |= 1 << (s & 63)
-			o.off = append(o.off, uint32(len(o.ids)))
-			outs := t.AppendOutputs(int32(s), 0, nil)
-			ac.SortMatches(outs)
-			for _, mt := range outs {
-				o.ids = append(o.ids, mt.PatternID)
-			}
+		if !t.HasOutput(int32(s)) {
+			continue
 		}
+		o.bits[s>>6] |= 1 << (s & 63)
+		outs := t.AppendOutputs(int32(s), 0, nil)
+		ac.SortMatches(outs)
+		key := fmt.Sprint(outs)
+		at, ok := placed[key]
+		if !ok {
+			at = uint32(len(o.ids))
+			placed[key] = at
+			for _, mt := range outs {
+				o.ids = append(o.ids, uint32(mt.PatternID))
+			}
+			o.ids[len(o.ids)-1] |= LastMatch
+		}
+		o.off = append(o.off, at)
 	}
-	o.off = append(o.off, uint32(len(o.ids)))
 	return o
 }
 
@@ -386,13 +396,7 @@ func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, dense int) {
 	if !slices.Equal(m.rows, want.rows) || !slices.Equal(m.displaced, want.displaced) {
 		t.Fatalf("dense %d: the row index or the displaced descriptors differ from the dense layout's", dense)
 	}
-	if err := m.VerifyTransitions(trie); err != nil {
-		t.Fatalf("dense %d: %v", dense, err)
-	}
-	if err := m.VerifyProgram(trie); err != nil {
-		t.Fatalf("dense %d: %v", dense, err)
-	}
-	if err := m.VerifyOutputs(trie); err != nil {
+	if err := m.Verify(trie, nil); err != nil {
 		t.Fatalf("dense %d: %v", dense, err)
 	}
 }
@@ -592,10 +596,7 @@ func TestCompilePromotedWideState(t *testing.T) {
 		t.Fatalf("auto resolves to %q, want %q", got, BackendPrefiltered)
 	}
 	driveLockstep(t, m, trie, rand.New(rand.NewSource(140)))
-	if err := m.VerifyTransitions(trie); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.VerifyProgram(trie); err != nil {
+	if err := m.Verify(trie, nil); err != nil {
 		t.Fatal(err)
 	}
 	desc := m.prog.rows[wide]
@@ -621,7 +622,7 @@ func TestCompilePromotedWideState(t *testing.T) {
 	if csr.Program() == nil || csr.rows[wide] != 256<<rowCountShift|csr.rows[wide]&rowOffMask {
 		t.Fatalf("the compressed 256-pointer state is described by %#x (backend %q)", csr.rows[wide], csr.DefaultBackend())
 	}
-	if err := csr.VerifyProgram(trie); err != nil {
+	if err := csr.verifyProgram(trie); err != nil {
 		t.Fatal(err)
 	}
 	driveLockstep(t, csr, trie, rand.New(rand.NewSource(141)))

@@ -21,7 +21,7 @@ func TestVerifyProgramProperty(t *testing.T) {
 		for _, dense := range []int{-1, 0, 16, 1 << 30} {
 			t.Run(fmt.Sprintf("%d/dense=%d", n, dense), func(t *testing.T) {
 				m := mustBuild(t, set, Options{DenseStates: dense})
-				if err := m.VerifyProgram(trie); err != nil {
+				if err := m.verifyProgram(trie); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -92,15 +92,15 @@ func TestVerifyProgramDetectsCorruption(t *testing.T) {
 	}
 	for name, corrupt := range cases {
 		m := mustBuild(t, set, Options{})
-		if err := m.VerifyProgram(trie); err != nil {
+		if err := m.verifyProgram(trie); err != nil {
 			t.Fatal(err)
 		}
 		corrupt(m.prog)
-		if err := m.VerifyProgram(trie); err == nil {
+		if err := m.verifyProgram(trie); err == nil {
 			t.Errorf("%s: corrupted kernel tables accepted", name)
 		}
 	}
-	if err := mustBuild(t, set, Options{}).VerifyProgram(mustTrie(t, toySet())); err == nil {
+	if err := mustBuild(t, set, Options{}).verifyProgram(mustTrie(t, toySet())); err == nil {
 		t.Error("a kernel was proved against another ruleset's trie")
 	}
 }
@@ -135,10 +135,10 @@ func TestFastRowWordEdges(t *testing.T) {
 	states := 1 + set.CharCount()
 	for _, dense := range []int{-1, 16, states} {
 		m, trie := mustBuild(t, set, Options{DenseStates: dense}), mustTrie(t, set)
-		if err := m.VerifyProgram(trie); err != nil {
+		if err := m.verifyProgram(trie); err != nil {
 			t.Fatalf("dense=%d: %v", dense, err)
 		}
-		if err := m.VerifyScan(trie, [][]byte{payload}); err != nil {
+		if err := m.verifyScan(trie, [][]byte{payload}); err != nil {
 			t.Fatalf("dense=%d: %v", dense, err)
 		}
 		rng := rand.New(rand.NewSource(int64(dense)))

@@ -22,7 +22,6 @@ type Grouped struct {
 	// caller's own set, not a copy: Build neither mutates a set nor retains
 	// its pattern bytes, so nothing is kept alive on the machine's behalf.
 	Sets []*ruleset.Set
-	Opts Options
 	// Generation is the process-unique compile generation shared by every
 	// machine in the group. See generation.go.
 	Generation uint64
@@ -41,7 +40,7 @@ func BuildGrouped(set *ruleset.Set, groups int, opts Options) (*Grouped, error) 
 	if groups > 1 {
 		parts = set.SplitChars(groups)
 	}
-	g := &Grouped{Sets: parts, Opts: opts}
+	g := &Grouped{Sets: parts}
 	for i, part := range parts {
 		if part.Len() == 0 {
 			return nil, fmt.Errorf("core: group %d is empty; too many groups for this set", i)

@@ -13,17 +13,28 @@ import (
 // TestOutputTableProperty: at the paper's ruleset sizes the machine's
 // flattened output table equals the output chains of a trie built from the
 // ruleset a second time, state for state, and the states the bitset leaves
-// clear have no slot in it — VerifyOutputs walks every state and counts the
-// slots. The random machines of FuzzBuildEquivalence,
-// TestSparseBuildMatchesDenseOracle and FuzzBakedEquivalence are held to the
-// same proof where they are built.
+// clear have no slot in it — verifyOutputs walks every state and counts the
+// slots. Each distinct list is stored once, so there is one list per
+// pattern: the one its own state heads. The random machines of
+// FuzzBuildEquivalence, TestSparseBuildMatchesDenseOracle and
+// FuzzBakedEquivalence are held to the same proof where they are built, and
+// the dense oracle lays out equal lists by content, not by chain.
 func TestOutputTableProperty(t *testing.T) {
 	for _, n := range []int{634, 1204, 6275} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			set := ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010})
 			m := mustBuild(t, set, Options{})
-			if err := m.VerifyOutputs(mustTrie(t, set)); err != nil {
+			if err := m.verifyOutputs(mustTrie(t, set)); err != nil {
 				t.Fatal(err)
+			}
+			lists := 0
+			for _, id := range m.out.ids {
+				if id&LastMatch != 0 {
+					lists++
+				}
+			}
+			if lists != set.Len() {
+				t.Fatalf("%d lists for %d patterns", lists, set.Len())
 			}
 		})
 	}
@@ -45,18 +56,22 @@ func TestReferenceBackendEmitsFromOutputTable(t *testing.T) {
 		if m.prog != nil || len(m.Backends()) != 1 {
 			t.Fatalf("a reference-pinned build offers %v", m.Backends())
 		}
-		if err := m.VerifyOutputs(trie); err != nil {
+		if err := m.verifyOutputs(trie); err != nil {
 			t.Fatal(err)
 		}
 		for s := int32(0); s < int32(m.NumStates()); s++ {
 			want := trie.AppendOutputs(s, 7, nil)
 			ac.SortMatches(want)
-			if got := m.AppendOutputs(s, 7, nil); !slices.Equal(got, want) {
+			var got []ac.Match
+			if m.out.has(s) {
+				got = m.out.appendTo(s, 7, nil)
+			}
+			if !slices.Equal(got, want) {
 				t.Fatalf("state %d outputs %v, the trie's chain sorted %v", s, got, want)
 			}
 		}
 		driveLockstep(t, m, trie, rng)
-		if err := m.VerifyScan(trie, [][]byte{randBakedPayload(rng, 2048)}); err != nil {
+		if err := m.verifyScan(trie, [][]byte{randBakedPayload(rng, 2048)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,10 +88,10 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 
 	for _, opts := range []Options{{}, {DenseStates: -1}, {DenseStates: 2}, {Backend: BackendReference}} {
 		m := mustBuild(t, set, opts)
-		if err := m.VerifyOutputs(trie); err != nil {
+		if err := m.verifyOutputs(trie); err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		if err := m.VerifyTransitions(trie); err != nil {
+		if err := m.verifyTransitions(trie); err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
 		// The trie walks own output first, then each fail-ancestor's, so the
@@ -110,36 +125,40 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 
 // TestVerifyOutputsDetectsCorruption: the proof must be able to fail — on
 // the one table, whichever backend the machine was built for, and on a
-// kernel that reads some other table.
+// kernel that reads some other table. The toy's lists are he {0}, she
+// {0, 1}, his {2}, hers {3}, laid out in that order.
 func TestVerifyOutputsDetectsCorruption(t *testing.T) {
 	trie := mustTrie(t, toySet())
 	cases := map[string]func(m *Machine){
-		"swapped IDs":   func(m *Machine) { m.out.ids[1], m.out.ids[2] = m.out.ids[2], m.out.ids[1] }, // "she" ends 0 and 1
-		"clear bit":     func(m *Machine) { m.out.bits[0] &= m.out.bits[0] - 1 },
-		"stray bit":     func(m *Machine) { m.out.bits[0] |= 1 },
-		"prefix count":  func(m *Machine) { m.out.rank[0]++ },
-		"shifted slot":  func(m *Machine) { m.out.off[1]++ },
-		"trailing slot": func(m *Machine) { m.out.off = append(m.out.off, m.out.off[len(m.out.off)-1]) },
+		"swapped IDs":       func(m *Machine) { m.out.ids[1], m.out.ids[2] = m.out.ids[2], m.out.ids[1] }, // "she" ends 0 and 1
+		"clear bit":         func(m *Machine) { m.out.bits[0] &= m.out.bits[0] - 1 },
+		"stray bit":         func(m *Machine) { m.out.bits[0] |= 1 },
+		"prefix count":      func(m *Machine) { m.out.rank[0]++ },
+		"shifted slot":      func(m *Machine) { m.out.off[1]++ },
+		"trailing slot":     func(m *Machine) { m.out.off = append(m.out.off, m.out.off[len(m.out.off)-1]) },
+		"missing last flag": func(m *Machine) { m.out.ids[0] &^= LastMatch },
+		"extra last flag":   func(m *Machine) { m.out.ids[1] |= LastMatch },
+		"another's list":    func(m *Machine) { m.out.off[1] = m.out.off[0] },
 	}
 	for _, backend := range []string{BackendAuto, BackendReference} {
 		for name, corrupt := range cases {
 			m := mustBuild(t, toySet(), Options{Backend: backend})
-			if err := m.VerifyOutputs(trie); err != nil {
+			if err := m.verifyOutputs(trie); err != nil {
 				t.Fatal(err)
 			}
 			corrupt(m)
-			if err := m.VerifyOutputs(trie); err == nil {
+			if err := m.verifyOutputs(trie); err == nil {
 				t.Errorf("%s, %s: corrupted output table accepted", backend, name)
 			}
 		}
 	}
 	m := mustBuild(t, toySet(), Options{})
-	if err := m.VerifyOutputs(mustTrie(t, setOf([][]byte{[]byte("he")}, false))); err == nil {
+	if err := m.verifyOutputs(mustTrie(t, setOf([][]byte{[]byte("he")}, false))); err == nil {
 		t.Error("an output table was proved against another ruleset's trie")
 	}
 	own := m.out
 	m.prog.out = &own
-	if err := m.VerifyOutputs(trie); err == nil {
+	if err := m.verifyOutputs(trie); err == nil {
 		t.Error("a kernel emitting from its own copy of the table was accepted")
 	}
 }

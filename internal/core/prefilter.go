@@ -31,8 +31,8 @@ package core
 // suffix) then carries that accept in its fail closure, firing suspect;
 // (2) no match ends — a pattern ending while depth < K has length < K, is
 // inserted as an accept string itself, and fires suspect the same way.
-// VerifySuperset checks the accept-string walk structurally at bake time
-// (in the spirit of VerifyTransitions); the property test and the
+// verifySuperset checks the accept-string walk structurally at bake time
+// (in the spirit of verifyTransitions); the property test and the
 // FuzzPrefilterEquivalence fuzzer check the runtime pipeline end to end.
 //
 // Suspect-window rebuild. When suspect fires at stream index a, the exact
@@ -110,7 +110,7 @@ type Prefilter struct {
 // nil when the collapsed machine does not fit the packed entry format (state
 // ids share a uint16 with the suspect flag), in which case the prefiltered
 // backend is simply unavailable. Build compiles it automatically alongside
-// the baked Program and proves VerifySuperset before keeping it.
+// the baked Program and proves verifySuperset before keeping it.
 func CompilePrefilter(t *ac.Trie) *Prefilter {
 	n := t.NumStates()
 
@@ -310,8 +310,8 @@ func (pf *Prefilter) Stats() PrefilterStats {
 	return st
 }
 
-// VerifySuperset proves the prefilter admits no false negatives, in the
-// spirit of VerifyTransitions: for every state of t, the machine's trie, that
+// verifySuperset proves the prefilter admits no false negatives, in the
+// spirit of verifyTransitions: for every state of t, the machine's trie, that
 // terminates an accept window — depth exactly prefK, or a shallower state where a
 // whole pattern ends — walking the collapsed form of its path from the
 // prefilter's start state must land on a suspect-flagged entry. Combined
@@ -320,7 +320,7 @@ func (pf *Prefilter) Stats() PrefilterStats {
 // file comment); the scan-level property tests and fuzzer check that
 // empirically. It also checks the packed table's structural invariant that
 // the suspect flag is a pure function of the target state.
-func (m *Machine) VerifySuperset(t *ac.Trie) error {
+func (m *Machine) verifySuperset(t *ac.Trie) error {
 	pf := m.pre
 	if pf == nil {
 		return fmt.Errorf("core: no prefilter compiled for this machine")
@@ -392,7 +392,7 @@ func (r *Regs) pushTailByte(c byte) {
 // state — the longest stream suffix that is a trie node — is determined by
 // the last prefK−1 seen bytes, all inside the tail ring: it is where the
 // DFA stands, history included, after the ring's bytes as a packet of their
-// own, and from the start state the kernel's step is the DFA (VerifyProgram).
+// own, and from the start state the kernel's step is the DFA (verifyProgram).
 func (m *Machine) trueRegisters(r *Regs) (int32, uint32) {
 	st, hist := ac.Root, uint32(histUnknown)
 	for _, c := range r.tail[:r.tailLen] {

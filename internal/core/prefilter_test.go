@@ -13,7 +13,7 @@ import (
 // lossy machine alone from the start of the payload and record where
 // suspect entries fire; every exact match must be preceded (or met) by a
 // suspect position — a match the skimmer would sail past is a false
-// negative. The structural VerifySuperset proof is checked alongside.
+// negative. The structural verifySuperset proof is checked alongside.
 func TestPrefilterSupersetProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100308))
 	for trial := 0; trial < 40; trial++ {
@@ -27,7 +27,7 @@ func TestPrefilterSupersetProperty(t *testing.T) {
 			t.Fatalf("trial %d: prefilter unavailable", trial)
 		}
 		trie := mustTrie(t, set)
-		if err := m.VerifySuperset(trie); err != nil {
+		if err := m.verifySuperset(trie); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		payload := randBakedPayload(rng, 256+rng.Intn(1024))
@@ -80,7 +80,7 @@ func TestPrefilterSupersetProperty(t *testing.T) {
 
 // TestVerifySupersetDetectsCorruption proves the bake-time check actually
 // rejects a prefilter that could miss: erase the suspect flags from a
-// compiled table and VerifySuperset must fail.
+// compiled table and verifySuperset must fail.
 func TestVerifySupersetDetectsCorruption(t *testing.T) {
 	set := &ruleset.Set{Patterns: []ruleset.Pattern{
 		{ID: 0, Data: []byte("abc")},
@@ -94,7 +94,7 @@ func TestVerifySupersetDetectsCorruption(t *testing.T) {
 		t.Fatal("prefilter unavailable")
 	}
 	trie := mustTrie(t, set)
-	if err := m.VerifySuperset(trie); err != nil {
+	if err := m.verifySuperset(trie); err != nil {
 		t.Fatalf("pristine table rejected: %v", err)
 	}
 	saved := make([]uint16, len(m.pre.tab))
@@ -102,11 +102,11 @@ func TestVerifySupersetDetectsCorruption(t *testing.T) {
 	for i := range m.pre.tab {
 		m.pre.tab[i] &^= pfSuspect
 	}
-	if err := m.VerifySuperset(trie); err == nil {
-		t.Fatal("VerifySuperset accepted a table with no suspect flags")
+	if err := m.verifySuperset(trie); err == nil {
+		t.Fatal("verifySuperset accepted a table with no suspect flags")
 	}
 	copy(m.pre.tab, saved)
-	if err := m.VerifySuperset(trie); err != nil {
+	if err := m.verifySuperset(trie); err != nil {
 		t.Fatalf("restored table rejected: %v", err)
 	}
 }

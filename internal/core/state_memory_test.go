@@ -52,8 +52,8 @@ func TestStateMemoryLayout(t *testing.T) {
 	}
 	own, copied := m.prog.lut, m.lut
 	m.prog.lut = &copied
-	if err := m.VerifyProgram(mustTrie(t, set)); err == nil {
-		t.Fatal("VerifyProgram accepted a kernel reading a copy of the lookup table")
+	if err := m.verifyProgram(mustTrie(t, set)); err == nil {
+		t.Fatal("verifyProgram accepted a kernel reading a copy of the lookup table")
 	}
 	m.prog.lut = own
 	if !slices.Equal(m.stored, laid.stored) {

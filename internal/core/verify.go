@@ -9,7 +9,32 @@ import (
 	"repro/internal/ac"
 )
 
-// VerifyTransitions proves structural equivalence between the compressed
+// Verify proves the machine against t, a trie built from the same ruleset
+// independently of the machine, and runs it on payloads (each one packet;
+// may be nil). It runs every part that applies to the machine: the
+// reference interpreter's every (state, byte) against the DFA
+// (verifyTransitions), the baked kernel's own step the same way
+// (verifyProgram), the match memory against the output chains
+// (verifyOutputs), the prefilter's no-false-negative contract
+// (verifySuperset), and every backend's scan of the payloads against the
+// DFA's (verifyScan).
+func (m *Machine) Verify(t *ac.Trie, payloads [][]byte) error {
+	parts := []func(*ac.Trie) error{m.verifyTransitions, m.verifyOutputs}
+	if m.prog != nil {
+		parts = append(parts, m.verifyProgram)
+	}
+	if m.pre != nil {
+		parts = append(parts, m.verifySuperset)
+	}
+	for _, verify := range parts {
+		if err := verify(t); err != nil {
+			return err
+		}
+	}
+	return m.verifyScan(t, payloads)
+}
+
+// verifyTransitions proves structural equivalence between the compressed
 // machine and the full move-function DFA of t: for every state s and every
 // character c, the hardware transition (stored pointer if present,
 // otherwise the default rule under s's statically known history) must equal
@@ -23,7 +48,7 @@ import (
 //
 // The walk covers |states| × 256 transitions; for the full 6,275-string
 // machine that is ≈28M checks, a few seconds of CPU.
-func (m *Machine) VerifyTransitions(t *ac.Trie) error {
+func (m *Machine) verifyTransitions(t *ac.Trie) error {
 	if t.NumStates() != m.NumStates() {
 		return fmt.Errorf("core: the oracle trie has %d states, the machine %d: not the same ruleset", t.NumStates(), m.NumStates())
 	}
@@ -70,11 +95,11 @@ func (m *Machine) VerifyTransitions(t *ac.Trie) error {
 	return firstErr
 }
 
-// VerifyProgram proves the baked kernel's transition tables — fast rows,
+// verifyProgram proves the baked kernel's transition tables — fast rows,
 // compressed-row descriptors and the d1/d2/d3 lookup, read in the kernel's
 // own encoding by the kernel's own step — against t's full move-function
 // DFA: from every state, under its static history, every byte must step to
-// the DFA's target. VerifyTransitions proves the same of the reference
+// the DFA's target. verifyTransitions proves the same of the reference
 // interpreter; this is the proof of what production scans with. It first
 // checks the structure the step relies on without testing: the kernel reads
 // the machine's own lookup table, row index and arena; every promoted state has its own
@@ -83,7 +108,7 @@ func (m *Machine) VerifyTransitions(t *ac.Trie) error {
 // each row sorted by character; a fast row's ranks run on from the row
 // before through its own popcounts to end at len(over); and no override
 // repeats the default it overrides.
-func (m *Machine) VerifyProgram(t *ac.Trie) error {
+func (m *Machine) verifyProgram(t *ac.Trie) error {
 	p := m.prog
 	if p == nil {
 		return fmt.Errorf("core: no baked kernel compiled for this machine")
@@ -168,14 +193,15 @@ func (m *Machine) VerifyProgram(t *ac.Trie) error {
 	return firstErr
 }
 
-// VerifyOutputs proves the match memory — the one table every backend emits
+// verifyOutputs proves the match memory — the one table every backend emits
 // from, reference included — against t's output chains: for every state, the
 // bitset says whether anything ends there exactly as Trie.HasOutput does,
-// and where it does the table's contiguous list equals Trie.AppendOutputs —
-// own outputs and each fail-ancestor's — sorted by pattern ID, element for
-// element. It also checks that the table has a slot for each output state
-// and no other, so a state with a clear bit has no rank to look up.
-func (m *Machine) VerifyOutputs(t *ac.Trie) error {
+// and where it does the list its slot addresses, read up to the last flag,
+// equals Trie.AppendOutputs — own outputs and each fail-ancestor's — sorted
+// by pattern ID, element for element. It also checks that the table has a
+// slot for each output state and no other, so a state with a clear bit has
+// no rank to look up.
+func (m *Machine) verifyOutputs(t *ac.Trie) error {
 	p := &m.out
 	if m.prog != nil && m.prog.out != p {
 		return fmt.Errorf("core: the baked kernel emits from a table that is not the machine's match memory")
@@ -198,29 +224,37 @@ func (m *Machine) VerifyOutputs(t *ac.Trie) error {
 		if len(want) == 0 {
 			return fmt.Errorf("core: state %d ends no pattern but its output bit is set", s)
 		}
-		if rank+1 >= len(p.off) {
-			return fmt.Errorf("core: output state %d has rank %d, the table holds %d", s, rank, len(p.off)-1)
+		if rank >= len(p.off) {
+			return fmt.Errorf("core: output state %d has rank %d, the table holds %d", s, rank, len(p.off))
 		}
-		got = p.appendTo(s, int(s), got[:0])
+		got = got[:0]
+		for at := p.off[rank]; ; at++ {
+			if int(at) >= len(p.ids) {
+				return fmt.Errorf("core: state %d's list runs off the table with no last flag", s)
+			}
+			got = append(got, ac.Match{PatternID: int32(p.ids[at] &^ LastMatch), End: int(s)})
+			if p.ids[at]&LastMatch != 0 {
+				break
+			}
+		}
 		if !slices.Equal(got, want) {
 			return fmt.Errorf("core: state %d: the table emits %v, the trie's output chain %v", s, got, want)
 		}
 		rank++
 	}
-	if len(p.off) != rank+1 || int(p.off[rank]) != len(p.ids) {
-		return fmt.Errorf("core: output table has %d slots over %d IDs, the bitset marks %d output states",
-			len(p.off)-1, len(p.ids), rank)
+	if len(p.off) != rank {
+		return fmt.Errorf("core: output table has %d slots, the bitset marks %d output states", len(p.off), rank)
 	}
 	return nil
 }
 
-// VerifyScan cross-checks matcher output against the uncompressed DFA t on
+// verifyScan cross-checks matcher output against the uncompressed DFA t on
 // the given payloads (each treated as one packet). Every backend the
 // machine supports (Backends: reference, baked, prefiltered, …) is run
 // against the oracle, so a layout bug in one kernel cannot hide behind
 // another implementation's semantics. A backend added to the registry is
 // pulled into this proof automatically.
-func (m *Machine) VerifyScan(t *ac.Trie, payloads [][]byte) error {
+func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
 	backends := m.Backends()
 	for i, p := range payloads {
 		want := t.FindAll(p)

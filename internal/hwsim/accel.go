@@ -2,7 +2,6 @@ package hwsim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -81,12 +80,17 @@ func BuildAccelerator(dev device.Device, set *ruleset.Set, groups int) (*Acceler
 }
 
 // ScanPackets distributes packets round-robin over the sets, broadcasts
-// each set's share to all blocks of the set, and merges the outputs.
+// each set's share to all blocks of the set, and merges the outputs. An
+// empty packet matches nothing, so it takes no engine and no cycle.
 func (a *Accelerator) ScanPackets(packets []Packet) ([]Output, error) {
 	shares := make([][]Packet, a.Sets)
-	for i, p := range packets {
-		s := i % a.Sets
-		shares[s] = append(shares[s], p)
+	next := 0
+	for _, p := range packets {
+		if len(p.Payload) == 0 {
+			continue
+		}
+		shares[next%a.Sets] = append(shares[next%a.Sets], p)
+		next++
 	}
 	var outputs []Output
 	for set := 0; set < a.Sets; set++ {
@@ -99,16 +103,7 @@ func (a *Accelerator) ScanPackets(packets []Packet) ([]Output, error) {
 			outputs = append(outputs, out...)
 		}
 	}
-	sort.Slice(outputs, func(i, j int) bool {
-		x, y := outputs[i], outputs[j]
-		if x.PacketID != y.PacketID {
-			return x.PacketID < y.PacketID
-		}
-		if x.End != y.End {
-			return x.End < y.End
-		}
-		return x.PatternID < y.PatternID
-	})
+	sortOutputs(outputs)
 	return outputs, nil
 }
 

@@ -1,8 +1,9 @@
 package hwsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // EnginesPerBlock is fixed by the architecture: 3 engines share each port
@@ -32,11 +33,10 @@ type matchEvent struct {
 
 // BlockStats instruments one block's run.
 type BlockStats struct {
-	MemCycles      int64 // memory-clock ticks simulated
-	BytesScanned   int64
-	Matches        int64
-	MatchWordsRead int64
-	MaxSchedQueue  int // high-water mark of the match scheduler buffer
+	MemCycles     int64 // memory-clock ticks simulated
+	BytesScanned  int64
+	Matches       int64
+	MaxSchedQueue int // high-water mark of the match scheduler buffer
 }
 
 // Block simulates one string matching block: 6 engines fed round-robin
@@ -139,17 +139,15 @@ func (b *Block) ScanPackets(packets []Packet) ([]Output, error) {
 		b.schedulerTick(&outputs)
 		b.Stats.MemCycles++
 	}
-	sort.Slice(outputs, func(i, j int) bool {
-		a, c := outputs[i], outputs[j]
-		if a.PacketID != c.PacketID {
-			return a.PacketID < c.PacketID
-		}
-		if a.End != c.End {
-			return a.End < c.End
-		}
-		return a.PatternID < c.PatternID
-	})
+	sortOutputs(outputs)
 	return outputs, nil
+}
+
+// sortOutputs puts outputs in canonical (PacketID, End, PatternID) order.
+func sortOutputs(outputs []Output) {
+	slices.SortFunc(outputs, func(a, c Output) int {
+		return cmp.Or(cmp.Compare(a.PacketID, c.PacketID), cmp.Compare(a.End, c.End), cmp.Compare(a.PatternID, c.PatternID))
+	})
 }
 
 // schedulerTick processes the front of the match buffer: it reads one
@@ -165,7 +163,6 @@ func (b *Block) schedulerTick(outputs *[]Output) {
 	}
 	ev := b.sched[0]
 	word := b.Img.Match[b.schedAddr]
-	b.Stats.MatchWordsRead++
 	id1 := int32(word & (1<<matchIDBits - 1))
 	id2 := int32(word >> matchIDBits & (1<<matchIDBits - 1))
 	last := word>>(2*matchIDBits)&1 == 1

@@ -16,10 +16,9 @@ package hwsim
 type Engine struct {
 	img *Image
 
-	cur     StateLoc
-	h1, h2  int16 // previous input characters; -1 = invalid (packet start)
-	Cycles  int64
-	scanned int
+	cur    StateLoc
+	h1, h2 int16 // previous input characters; -1 = invalid (packet start)
+	Cycles int64
 }
 
 // NewEngine returns an engine bound to a packed memory image, positioned at
@@ -34,14 +33,7 @@ func NewEngine(img *Image) *Engine {
 func (e *Engine) Reset() {
 	e.cur = e.img.Root
 	e.h1, e.h2 = -1, -1
-	e.scanned = 0
 }
-
-// Loc returns the current state location.
-func (e *Engine) Loc() StateLoc { return e.cur }
-
-// Scanned returns bytes consumed since Reset.
-func (e *Engine) Scanned() int { return e.scanned }
 
 // StepResult reports one transition's outcome.
 type StepResult struct {
@@ -63,7 +55,6 @@ func (e *Engine) Step(c byte) StepResult {
 	e.h1 = int16(c)
 	e.cur = next
 	e.Cycles++
-	e.scanned++
 	valid, addr := e.img.readMatchField(next)
 	return StepResult{Loc: next, Match: valid, MatchAddr: addr}
 }
@@ -84,23 +75,27 @@ func (e *Engine) matchStored(c byte) (StateLoc, bool) {
 	return StateLoc{}, false
 }
 
-// resolveDefault runs the default-transition comparator: the deepest
-// lookup-table entry whose preceding-character comparison succeeds wins.
+// resolveDefault runs the default-transition comparator on the packed row
+// for c: the deepest valid slot whose preceding characters equal the
+// history registers wins, and leads to that slot's fixed address.
 func (e *Engine) resolveDefault(c byte) StateLoc {
 	row := &e.img.LUT[c]
-	if row.D3.Valid && e.h2 >= 0 && e.h1 >= 0 &&
-		int16(row.D3.Prev2) == e.h2 && int16(row.D3.Prev1) == e.h1 {
-		return row.D3.Loc
+	bits := row.Packed.Field(0, LUTRowBitsModel)
+	field := func(off int) int16 { return int16(bits >> off & 0xFF) }
+	valid := func(bit int) bool { return bits>>bit&1 == 1 }
+	if valid(lutD3Valid) && e.h2 >= 0 && e.h1 >= 0 &&
+		field(lutD3Prev2) == e.h2 && field(lutD3Prev1) == e.h1 {
+		return row.Target[lutD3Slot]
 	}
 	if e.h1 >= 0 {
-		for i := range row.D2 {
-			if row.D2[i].Valid && int16(row.D2[i].Prev) == e.h1 {
-				return row.D2[i].Loc
+		for i := 0; i < lutD2Slots; i++ {
+			if valid(lutD2Valid+i) && field(lutD2Prev+8*i) == e.h1 {
+				return row.Target[lutD2Slot+i]
 			}
 		}
 	}
-	if row.D1Valid {
-		return row.D1
+	if valid(lutD1Valid) {
+		return row.Target[lutD1Slot]
 	}
 	return e.img.Root
 }

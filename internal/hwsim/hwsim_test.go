@@ -184,9 +184,10 @@ func TestPackMatchListsAscendingSameLayout(t *testing.T) {
 	words, multi := int32(0), 0
 	for s := int32(0); s < int32(trie.NumStates()); s++ {
 		chain := trie.AppendOutputs(s, 0, nil)
+		valid, addr := img.readMatchField(img.Loc[s])
 		if len(chain) == 0 {
-			if img.matchAddr[s] != -1 {
-				t.Fatalf("state %d ends nothing but has match address %d", s, img.matchAddr[s])
+			if valid {
+				t.Fatalf("state %d ends nothing but has match address %d", s, addr)
 			}
 			continue
 		}
@@ -195,11 +196,11 @@ func TestPackMatchListsAscendingSameLayout(t *testing.T) {
 			chainAddr[key] = words
 			words += int32(len(chain)+1) / 2
 		}
-		if img.matchAddr[s] != chainAddr[key] {
-			t.Fatalf("state %d: match address %d, chain-order layout %d", s, img.matchAddr[s], chainAddr[key])
+		if !valid || int32(addr) != chainAddr[key] {
+			t.Fatalf("state %d: match address %d (valid %v), chain-order layout %d", s, addr, valid, chainAddr[key])
 		}
 		var got []int32
-		for a := img.matchAddr[s]; ; a++ {
+		for a := addr; ; a++ {
 			w := img.Match[a]
 			got = append(got, int32(w&0x1FFF))
 			if id2 := int32(w >> 13 & 0x1FFF); id2 != MatchPadID {
@@ -304,32 +305,39 @@ func TestPackPointerRoundTrip(t *testing.T) {
 
 func TestPackedLUTRowBits(t *testing.T) {
 	img := mustPack(t, toySet(), core.Options{})
+	trie, err := ac.New(toySet())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Row for 'e': d1 absent (no pattern starts with e), one d2 entry
-	// (prev 'h' → "he"), one d3 entry (prev "sh" → "she").
+	// (prev 'h' → "he"), one d3 entry (prev "sh" → "she"), each slot's
+	// target the location of the state its characters spell.
 	row := img.LUT['e']
-	if row.D1Valid {
-		t.Error("d1['e'] valid; no pattern starts with e")
+	he := trie.Move(trie.Move(ac.Root, 'h'), 'e')
+	she := trie.Move(trie.Move(trie.Move(ac.Root, 's'), 'h'), 'e')
+	if row.Packed.Bit(lutD1Valid) != 0 {
+		t.Error("packed d1 bit set; no pattern starts with e")
 	}
-	if row.Packed.Bit(0) != 0 {
-		t.Error("packed d1 bit set")
-	}
-	if !row.D2[0].Valid || row.D2[0].Prev != 'h' {
-		t.Errorf("d2['e'][0] = %+v, want prev 'h'", row.D2[0])
-	}
-	if got := row.Packed.Field(1, 8); got != 'h' {
+	if got := row.Packed.Field(lutD2Prev, 8); got != 'h' {
 		t.Errorf("packed d2 prev = %#x, want 'h'", got)
 	}
-	if row.Packed.Bit(49) != 1 {
-		t.Error("packed d2 valid bit clear")
+	if row.Packed.Bit(lutD2Valid) != 1 || row.Packed.Bit(lutD2Valid+1) != 0 {
+		t.Error("packed d2 valid bits are not exactly slot 0's")
 	}
-	if !row.D3.Valid || row.D3.Prev2 != 's' || row.D3.Prev1 != 'h' {
-		t.Errorf("d3['e'] = %+v, want prev2 's' prev1 'h'", row.D3)
+	if row.Target[lutD2Slot] != img.Loc[he] {
+		t.Errorf("d2 slot 0 leads to %+v, \"he\" is at %+v", row.Target[lutD2Slot], img.Loc[he])
 	}
-	if got := row.Packed.Field(33, 8); got != 's' {
+	if got := row.Packed.Field(lutD3Prev2, 8); got != 's' {
 		t.Errorf("packed d3 prev2 = %#x", got)
 	}
-	if row.Packed.Bit(53) != 1 {
+	if got := row.Packed.Field(lutD3Prev1, 8); got != 'h' {
+		t.Errorf("packed d3 prev1 = %#x", got)
+	}
+	if row.Packed.Bit(lutD3Valid) != 1 {
 		t.Error("packed d3 valid bit clear")
+	}
+	if row.Target[lutD3Slot] != img.Loc[she] {
+		t.Errorf("d3 slot leads to %+v, \"she\" is at %+v", row.Target[lutD3Slot], img.Loc[she])
 	}
 	if row.Packed.Len() != LUTRowBitsModel {
 		t.Errorf("row width %d, want %d", row.Packed.Len(), LUTRowBitsModel)
@@ -361,7 +369,7 @@ func TestEngineMatchesSoftwareMachine(t *testing.T) {
 			t.Fatalf("byte %d: engine at %+v, software at state %d (%+v)",
 				i, res.Loc, state, img.Loc[state])
 		}
-		wantMatch := len(m.AppendOutputs(state, 0, nil)) > 0
+		wantMatch := m.MatchList(state) >= 0
 		if res.Match != wantMatch {
 			t.Fatalf("byte %d: engine match=%v, software=%v", i, res.Match, wantMatch)
 		}

@@ -4,6 +4,13 @@
 // rows), the string matching engine register machine (Figure 5), the string
 // matching block with 6 phase-interleaved engines sharing a true-dual-port
 // memory and a match scheduler (Figure 4), and the multi-block accelerator.
+//
+// The images are the software core.Machine's own memories in the block's
+// word formats, not a second derivation: Pack places the states (§IV.A) and
+// packs the machine's stored pointers, lookup-table rows and match lists,
+// which software already holds in the paper's shape. The engine reads the
+// packed words, and a test proves every packed image against the DFA on
+// every (state, byte), as core proves the software kernel.
 package hwsim
 
 import "fmt"
@@ -47,11 +54,22 @@ const (
 	// LUT geometry: 256 rows. The paper's row is 49 bits (1 depth-1 bit +
 	// 4×8 depth-2 preceding characters + 16 depth-3 preceding characters);
 	// the model appends 5 validity bits (4 depth-2 + 1 depth-3) because a
-	// row with fewer than 4 depth-2 defaults must not misfire — see
-	// DESIGN.md §2.
+	// row with fewer than 4 depth-2 defaults must not misfire.
 	LUTRows         = 256
 	LUTRowBitsPaper = 49
 	LUTRowBitsModel = 54
+	// Bit offsets within a row, and the row's default slots.
+	lutD1Valid = 0
+	lutD2Prev  = 1 // slot i's preceding character at lutD2Prev + 8i
+	lutD3Prev2 = 33
+	lutD3Prev1 = 41
+	lutD2Valid = 49 // slot i's validity bit at lutD2Valid + i
+	lutD3Valid = 53
+	lutD1Slot  = 0
+	lutD2Slot  = 1 // first of lutD2Slots
+	lutD2Slots = 4
+	lutD3Slot  = lutD2Slot + lutD2Slots
+	lutSlots   = lutD3Slot + 1
 )
 
 // StateType is the 4-bit type tag of a stored state. Type 0 is reserved to

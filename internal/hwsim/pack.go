@@ -8,33 +8,16 @@ import (
 	"repro/internal/core"
 )
 
-// LUTD2 is one decoded depth-2 lookup-table entry.
-type LUTD2 struct {
-	Valid bool
-	Prev  byte
-	Loc   StateLoc
-}
-
-// LUTD3 is the decoded depth-3 lookup-table entry.
-type LUTD3 struct {
-	Valid        bool
-	Prev2, Prev1 byte
-	Loc          StateLoc
-}
-
-// LUTRow is one lookup-table row: the packed bit image plus the decoded
-// form the simulator executes. The packed image carries the comparison
-// characters and validity only; target addresses are implied by the fixed
-// placement of default states ("A default pointer does not need to store
-// the address of the state it points to ... each default pointer points to
-// a fixed address", §IV.B) — the decoded Loc fields model that fixed
-// address derivation.
+// LUTRow is one lookup-table row: the packed bits the comparator block
+// reads — the preceding characters and validity bits, nothing else — and
+// one target address per slot. The hardware stores no address in the row:
+// "A default pointer does not need to store the address of the state it
+// points to ... each default pointer points to a fixed address" (§IV.B).
+// Target is that fixed wiring, indexed like the row's slots: depth 1, the
+// four depth-2 slots, depth 3.
 type LUTRow struct {
-	Packed  *bitpack.Vector
-	D1Valid bool
-	D1      StateLoc
-	D2      [4]LUTD2
-	D3      LUTD3
+	Packed *bitpack.Vector
+	Target [lutSlots]StateLoc
 }
 
 // PackStats summarizes a packed machine for Table II's memory column.
@@ -49,9 +32,6 @@ type PackStats struct {
 	// TotalBytesPaper counts memory as the paper does: used state words ×
 	// 324 bits + used match words × 27 bits + 256 LUT rows × 49 bits.
 	TotalBytesPaper int
-	// TotalBytesModel replaces the LUT rows with the model's 54-bit rows
-	// (49 + 5 validity bits).
-	TotalBytesModel int
 }
 
 // Image is the complete memory content of one string matching block for
@@ -65,16 +45,20 @@ type Image struct {
 	Root    StateLoc
 	Stats   PackStats
 
-	// packing bookkeeping
-	matchAddr     []int32
-	wordPlanCount int
+	// packing bookkeeping: the match-memory word each of the machine's
+	// lists starts at, by where it starts in core's MatchMemory
+	listAddr []int32
 }
 
-// Pack lowers a compressed machine into hardware memory images. It fails
-// when a state exceeds 13 stored pointers, when the state machine exceeds
-// 12-bit word addressing, or when the match lists overflow the 2,048-word
-// match memory. Every machine's lookup table fits the 49-bit row format:
-// it holds the paper's 4 depth-2 and 1 depth-3 defaults a row.
+// Pack lays a compressed machine's memories out as one block's images: it
+// places the states in 324-bit words and writes their stored pointers,
+// packs the machine's match lists two string numbers a 27-bit word, in the
+// machine's order, and its lookup table one row a 54-bit word with each
+// slot's fixed target address beside it. It fails when a state exceeds 13
+// stored pointers, when the state machine exceeds 12-bit word addressing,
+// or when the match lists overflow the 2,048-word match memory. Every
+// machine's lookup table fits the 49-bit row format: it holds the paper's 4
+// depth-2 and 1 depth-3 defaults a row.
 func Pack(m *core.Machine) (*Image, error) {
 	img := &Image{Machine: m}
 	if err := img.packMatchMemory(); err != nil {
@@ -91,58 +75,38 @@ func Pack(m *core.Machine) (*Image, error) {
 	return img, nil
 }
 
-// packMatchMemory lays out every matching state's full string-number list
-// (own outputs plus those inherited along the fail chain — hardware stores
-// the complete list so the match scheduler never walks links), two 13-bit
-// numbers per 27-bit word, final word flagged. States with identical output
-// sets share one list: many states inherit exactly one pattern through
-// their fail chain, and the match memory is read-only, so aliasing their
-// 11-bit match addresses is free and roughly halves occupancy.
+// packMatchMemory lays the machine's match memory out in 27-bit words:
+// its lists in their order — each distinct string-number list once, so
+// states with equal lists share one 11-bit match address — two 13-bit
+// numbers a word, the final word of each list flagged. Each list is the
+// full one (own outputs plus those inherited along the fail chain), so the
+// match scheduler never walks links.
 func (img *Image) packMatchMemory() error {
-	m := img.Machine
-	n := m.NumStates()
-	img.Stats.States = n
-	matchAddr := make([]int32, n)
-	listAddr := make(map[string]int32)
-	var key []byte
-	var outs []ac.Match
-	for s := int32(0); s < int32(n); s++ {
-		matchAddr[s] = -1
-		outs = m.AppendOutputs(s, 0, outs[:0])
-		if len(outs) == 0 {
-			continue
-		}
-		key = key[:0]
-		for _, mt := range outs {
-			key = append(key, byte(mt.PatternID), byte(mt.PatternID>>8))
-		}
-		if addr, ok := listAddr[string(key)]; ok {
-			matchAddr[s] = addr
-			img.Stats.MatchStates++
-			continue
-		}
-		base := len(img.Match)
-		for i := 0; i < len(outs); i += 2 {
-			id1 := uint32(outs[i].PatternID)
-			id2 := uint32(MatchPadID)
-			if i+1 < len(outs) {
-				id2 = uint32(outs[i+1].PatternID)
+	ids := img.Machine.MatchMemory()
+	img.listAddr = make([]int32, len(ids))
+	for i := 0; i < len(ids); {
+		img.listAddr[i] = int32(len(img.Match))
+		for last := false; !last; {
+			word := ids[i] &^ core.LastMatch
+			last = ids[i]&core.LastMatch != 0
+			i++
+			second := uint32(MatchPadID)
+			if !last {
+				second = ids[i] &^ core.LastMatch
+				last = ids[i]&core.LastMatch != 0
+				i++
 			}
-			word := id1 | id2<<matchIDBits
-			if i+2 >= len(outs) {
-				word |= 1 << (2 * matchIDBits) // last flag
+			word |= second << matchIDBits
+			if last {
+				word |= 1 << (2 * matchIDBits)
 			}
 			img.Match = append(img.Match, word)
 		}
-		matchAddr[s] = int32(base)
-		listAddr[string(key)] = int32(base)
-		img.Stats.MatchStates++
 	}
 	if len(img.Match) > MaxMatchWords {
 		return fmt.Errorf("hwsim: match lists need %d words, block memory holds %d (split the ruleset into more groups)",
 			len(img.Match), MaxMatchWords)
 	}
-	img.matchAddr = matchAddr
 	img.Stats.MatchWordsUsed = len(img.Match)
 	return nil
 }
@@ -154,27 +118,18 @@ func (img *Image) packMatchMemory() error {
 func (img *Image) placeStates() error {
 	m := img.Machine
 	n := m.NumStates()
+	img.Stats.States = n
 	img.Loc = make([]StateLoc, n)
 
-	var ones, threes, fives, sevens, nines []int32
+	var classes [UnitsPerWord + 1][]int32 // states by size in units
 	for s := int32(1); s < int32(n); s++ {
 		units, err := unitsForPtrs(len(m.StoredRow(s)))
 		if err != nil {
 			return fmt.Errorf("state %d: %w", s, err)
 		}
-		switch units {
-		case 1:
-			ones = append(ones, s)
-		case 3:
-			threes = append(threes, s)
-		case 5:
-			fives = append(fives, s)
-		case 7:
-			sevens = append(sevens, s)
-		default:
-			nines = append(nines, s)
-		}
+		classes[units] = append(classes[units], s)
 	}
+	ones, threes, fives, sevens, nines := classes[1], classes[3], classes[5], classes[7], classes[9]
 	if len(m.StoredRow(ac.Root)) != 0 {
 		// Cannot happen: every root transition targets a depth-1 state,
 		// which is by construction a depth-1 default.
@@ -187,87 +142,55 @@ func (img *Image) placeStates() error {
 		off   int
 	}
 	var words [][]slot
-	newWord := func(slots ...slot) int {
-		words = append(words, slots)
-		return len(words) - 1
-	}
-	takeOne := func() (int32, bool) {
-		if len(ones) == 0 {
-			return 0, false
+	// fillOnes places 1-unit states at units lo..hi-1 of w while any are
+	// left.
+	fillOnes := func(w []slot, lo, hi int) []slot {
+		for off := lo; off < hi && len(ones) > 0; off++ {
+			w = append(w, slot{state: ones[0], units: 1, off: off})
+			ones = ones[1:]
 		}
-		s := ones[0]
-		ones = ones[1:]
-		return s, true
+		return w
 	}
 
 	// Word 0: the start state plus up to eight 1-unit states.
-	rootWord := []slot{{state: ac.Root, units: 1, off: 0}}
-	for off := 1; off < UnitsPerWord; off++ {
-		if s, ok := takeOne(); ok {
-			rootWord = append(rootWord, slot{state: s, units: 1, off: off})
-		}
-	}
-	newWord(rootWord...)
-
+	words = append(words, fillOnes([]slot{{state: ac.Root, units: 1}}, 1, UnitsPerWord))
 	// 9-unit states own a full word (type 15).
 	for _, s := range nines {
-		newWord(slot{state: s, units: 9, off: 0})
+		words = append(words, []slot{{state: s, units: 9}})
 	}
 	// 7-unit states anchor at 0; units 7..8 take 1-unit states.
 	for _, s := range sevens {
-		w := []slot{{state: s, units: 7, off: 0}}
-		for off := 7; off < UnitsPerWord; off++ {
-			if o, ok := takeOne(); ok {
-				w = append(w, slot{state: o, units: 1, off: off})
-			}
-		}
-		newWord(w...)
+		words = append(words, fillOnes([]slot{{state: s, units: 7}}, 7, UnitsPerWord))
 	}
 	// 5-unit states anchor at 0; unit 5 takes a 1-unit state, units 6..8 a
 	// 3-unit state (type 12) or more 1-unit states.
 	for _, s := range fives {
-		w := []slot{{state: s, units: 5, off: 0}}
-		if o, ok := takeOne(); ok {
-			w = append(w, slot{state: o, units: 1, off: 5})
-		}
+		w := fillOnes([]slot{{state: s, units: 5}}, 5, 6)
 		if len(threes) > 0 {
 			w = append(w, slot{state: threes[0], units: 3, off: 6})
 			threes = threes[1:]
 		} else {
-			for off := 6; off < UnitsPerWord; off++ {
-				if o, ok := takeOne(); ok {
-					w = append(w, slot{state: o, units: 1, off: off})
-				}
-			}
+			w = fillOnes(w, 6, UnitsPerWord)
 		}
-		newWord(w...)
+		words = append(words, w)
 	}
 	// Remaining 3-unit states: three per word at units 0/3/6; a final
 	// partial word tops up with 1-unit states.
 	for len(threes) > 0 {
 		var w []slot
-		for _, off := range []int{0, 3, 6} {
+		for off := 0; off < UnitsPerWord; off += 3 {
 			if len(threes) > 0 {
 				w = append(w, slot{state: threes[0], units: 3, off: off})
 				threes = threes[1:]
 			} else {
-				for u := off; u < off+3; u++ {
-					if o, ok := takeOne(); ok {
-						w = append(w, slot{state: o, units: 1, off: u})
-					}
-				}
+				w = fillOnes(w, off, off+3)
 			}
 		}
-		newWord(w...)
+		words = append(words, w)
 	}
 	// Remaining 1-unit states: nine per word.
 	for len(ones) > 0 {
-		var w []slot
-		for off := 0; off < UnitsPerWord && len(ones) > 0; off++ {
-			s, _ := takeOne()
-			w = append(w, slot{state: s, units: 1, off: off})
-		}
-		newWord(w...)
+		words = append(words, fillOnes(nil, 0, UnitsPerWord))
 	}
 
 	if len(words) > MaxStateWords {
@@ -297,7 +220,6 @@ func (img *Image) placeStates() error {
 	img.Root = img.Loc[ac.Root]
 	img.Stats.StateWords = len(words)
 	img.Stats.UsedStateBits = used
-	img.wordPlanCount = len(words)
 	return nil
 }
 
@@ -308,22 +230,19 @@ func (img *Image) packLUT() {
 		row.Packed = bitpack.New(LUTRowBitsModel)
 		def := img.Machine.LookupRow(byte(c))
 		if def.D1 != ac.None {
-			row.D1Valid = true
-			row.D1 = img.Loc[def.D1]
-			row.Packed.SetBit(0, 1)
-		} else {
-			row.D1 = img.Root
+			row.Packed.SetBit(lutD1Valid, 1)
+			row.Target[lutD1Slot] = img.Loc[def.D1]
 		}
 		for i, e := range def.D2 {
-			row.D2[i] = LUTD2{Valid: true, Prev: e.Prev, Loc: img.Loc[e.State]}
-			row.Packed.SetField(1+8*i, 8, uint64(e.Prev))
-			row.Packed.SetBit(49+i, 1)
+			row.Packed.SetField(lutD2Prev+8*i, 8, uint64(e.Prev))
+			row.Packed.SetBit(lutD2Valid+i, 1)
+			row.Target[lutD2Slot+i] = img.Loc[e.State]
 		}
 		for _, e := range def.D3 {
-			row.D3 = LUTD3{Valid: true, Prev2: e.Prev2, Prev1: e.Prev1, Loc: img.Loc[e.State]}
-			row.Packed.SetField(33, 8, uint64(e.Prev2))
-			row.Packed.SetField(41, 8, uint64(e.Prev1))
-			row.Packed.SetBit(53, 1)
+			row.Packed.SetField(lutD3Prev2, 8, uint64(e.Prev2))
+			row.Packed.SetField(lutD3Prev1, 8, uint64(e.Prev1))
+			row.Packed.SetBit(lutD3Valid, 1)
+			row.Target[lutD3Slot] = img.Loc[e.State]
 		}
 	}
 }
@@ -331,7 +250,7 @@ func (img *Image) packLUT() {
 // writeStateWords emits the bit-exact 324-bit words.
 func (img *Image) writeStateWords() error {
 	m := img.Machine
-	img.Words = make([]*bitpack.Vector, img.wordPlanCount)
+	img.Words = make([]*bitpack.Vector, img.Stats.StateWords)
 	for i := range img.Words {
 		img.Words[i] = bitpack.New(WordBits)
 	}
@@ -345,9 +264,10 @@ func (img *Image) writeStateWords() error {
 				s, len(m.StoredRow(s)), loc.Type, info.MaxPtrs)
 		}
 		// Match field.
-		if addr := img.matchAddr[s]; addr >= 0 {
+		if at := m.MatchList(s); at >= 0 {
 			word.SetBit(base, 1)
-			word.SetField(base+1, matchAddrBits, uint64(addr))
+			word.SetField(base+1, matchAddrBits, uint64(img.listAddr[at]))
+			img.Stats.MatchStates++
 		}
 		// Pointers, sorted by character (core keeps them sorted).
 		for i, ptr := range m.StoredRow(s) {
@@ -367,7 +287,6 @@ func (img *Image) finishStats() {
 	stateBits := st.StateWords * WordBits
 	matchBits := st.MatchWordsUsed * MatchWordBits
 	st.TotalBytesPaper = (stateBits + matchBits + LUTRows*LUTRowBitsPaper + 7) / 8
-	st.TotalBytesModel = (stateBits + matchBits + LUTRows*LUTRowBitsModel + 7) / 8
 }
 
 // readPtr decodes pointer slot i of the state at loc; ok is false when the

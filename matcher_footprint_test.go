@@ -13,23 +13,23 @@ import (
 // What one compiled generation may hold live — the largest term of every
 // workload's heap_live_mb, paid once per generation in flight during a hot
 // reload — at three of the paper's ruleset sizes. At 634 strings, the
-// benchmark's, it is 183 680 B in 15 objects: the state memory the Machine
+// benchmark's, it is 181 888 B in 15 objects: the state memory the Machine
 // and the kernel share — 7 449 stored pointers of 4 B (30 KB) and its one
 // row index, a 4-byte descriptor per state (30 KB) — the prefilter table
 // (61 KB), the fast tier (23 KB: 384 bitmap rows and their 1 251
 // overrides, plus the 1.5 KB of stored-row descriptors promotion
 // displaced), the one lookup table both interpreters read (11 KB, inside
-// the Machine's own object) and the output table. No trie and no
-// per-character default lists: Build lets its scaffolding go. The gate is
-// per automaton state, because that is how a regression would arrive — a
-// structure with an entry per state, 4 B of it a sixth of the budget — and
-// because at 6 275 strings it is megabytes; and on objects, because a
-// count that moves at all means a per-row or per-state allocation has come
-// back. OPERATIONS.md's "Sizing memory" quotes the measured figures; these
-// are the gates, at +5 %.
+// the Machine's own object) and the output table, each distinct match list
+// stored once. No trie and no per-character default lists: Build lets its
+// scaffolding go. The gate is per automaton state, because that is how a
+// regression would arrive — a structure with an entry per state, 4 B of it
+// a sixth of the budget — and because at 6 275 strings it is megabytes;
+// and on objects, because a count that moves at all means a per-row or
+// per-state allocation has come back. OPERATIONS.md's "Sizing memory"
+// quotes the measured figures; these are the gates, at +5 %.
 var matcherFootprints = []struct {
 	strings       int
-	bytesPerState float64 // measured 24.84, 20.59, 19.61
+	bytesPerState float64 // measured 24.59, 20.30, 18.89
 	objects       int64   // measured 15, 15, 15
 }{
 	{634, 26.08, 16},
@@ -39,7 +39,7 @@ var matcherFootprints = []struct {
 
 // kernelTablesCeiling is a 256 KiB L2 slice: everything the production
 // kernel reads while scanning the benchmark's 634 strings —
-// Kernel().TotalBytes plus the prefilter's table, 166 452 B measured — has
+// Kernel().TotalBytes plus the prefilter's table, 164 552 B measured — has
 // to fit in it together.
 const kernelTablesCeiling = 256 << 10
 

@@ -16,7 +16,8 @@ import (
 // Aho-Corasick oracle: same patterns, same absolute offsets, same order.
 // The prefilter is allowed false positives (wasted exact work) but never
 // false negatives, and this fuzzer is the runtime half of that proof; the
-// structural half is core.VerifySuperset, run at every bake.
+// structural half is the superset part of core.Machine.Verify, run at every
+// bake.
 //
 // The first op byte varies the compile shape (dense-tier budget, group
 // split) so the rebuild path is driven over every kernel tier combination.
