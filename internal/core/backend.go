@@ -10,7 +10,7 @@ package core
 // per-stream object. Backends are registered in scanBackends so equivalence
 // harnesses (Machine.Verify, the lockstep property tests, the fuzzers) iterate
 // every implementation a machine supports instead of hardcoding pairs; a
-// backend added to the registry and the three dispatch switches below is
+// backend added to the registry and the two dispatch switches below is
 // pulled into the oracle proofs automatically.
 
 import (
@@ -35,9 +35,7 @@ const (
 // characters the default rule compares against, and the absolute stream
 // position. Every backend must expose the same register values after every
 // operation — the register-level lockstep property tests diff snapshots
-// across backends after each op. Backends that internally defer work (the
-// prefiltered pipeline parks the exact machine while skimming) materialize
-// the true registers on demand.
+// across backends after each op.
 type Registers struct {
 	State  int32
 	H2, H1 int16
@@ -46,37 +44,21 @@ type Registers struct {
 
 // Regs is the whole per-stream state of a scan, on every backend: plain
 // data with no pointers, so a stream is forked by copying the value and a
-// million flows cost a million Regs and nothing else. The exact registers
-// are kept in the kernels' fused form (see baked.go); the prefiltered
-// pipeline adds its skim cursor and the few trailing stream bytes a
-// suspect-window rebuild reads back. A Regs is meaningful only to the
-// backend that last advanced it, except right after Reset or SkipAhead,
-// which leave it valid for all of them. The zero value is not a start
-// state: Reset first.
+// million flows cost a million Regs and nothing else. It is the exact
+// machine's register file and nothing more, in the kernels' fused form (see
+// baked.go), and every backend leaves the same value after every call: the
+// prefiltered pipeline's skim lives inside one call, and a suspect-window
+// rebuild at the call's start reads its history bytes from hist. So a Regs
+// advanced by one backend may be continued by any other. The zero value is
+// not a start state: Reset first.
 type Regs struct {
 	// pos is the absolute stream position: bytes consumed plus bytes
 	// skipped since Reset.
 	pos int
-	// skimStart is the stream position where the current skim segment
-	// began (prefiltered only).
-	skimStart int
-	// state and hist are the exact machine's registers. While the
-	// prefiltered pipeline skims, state parks at ac.Root (the skim entry
-	// condition) and hist goes stale; both are rebuilt from tail when the
-	// pipeline drops back to exact.
+	// state and hist are the current state and the fused history of the
+	// last two bytes seen (unknown lanes across Reset and SkipAhead).
 	state int32
 	hist  uint32
-	// pfState is the lossy machine's state while skimming.
-	pfState  uint16
-	skimming bool
-	// tail holds the last tailLen stream bytes actually seen
-	// (tail[tailLen-1] is the byte at pos-1), capped at pfTailLen: the left
-	// context for suspect-window rebuilds and for register materialization
-	// during skims. Reset and SkipAhead clear it — bytes across a gap are
-	// unseen and must read back as HistNone. Maintained by the prefiltered
-	// backend only.
-	tailLen uint8
-	tail    [pfTailLen]byte
 }
 
 // Reset rewinds to start-of-packet: start state, empty history, position
@@ -102,13 +84,11 @@ func (r *Regs) SkipAhead(n int) {
 	r.invalidate()
 }
 
-// invalidate forgets everything but the position: the exact machine at the
-// start state with no history, the skimmer armed at the current position.
+// invalidate forgets everything but the position: the start state with no
+// history.
 func (r *Regs) invalidate() {
 	r.state = ac.Root
 	r.hist = histUnknown
-	r.tailLen = 0
-	r.enterSkim()
 }
 
 // Pos returns the stream position: bytes consumed plus bytes skipped since
@@ -199,7 +179,7 @@ func (m *Machine) ScanAppend(r *Regs, data []byte, out []ac.Match) []ac.Match {
 	return m.scanAs(m.kind, r, data, out)
 }
 
-// scanAs is ScanAppend on an explicit backend. The three dispatchers are
+// scanAs is ScanAppend on an explicit backend. The two dispatchers are
 // switches over direct calls, not a table of function values: a Regs on the
 // caller's stack (a batch worker's, a FindAll's) must not be forced to the
 // heap by an indirect call.
@@ -220,9 +200,7 @@ func (m *Machine) scanAs(k backendKind, r *Regs, data []byte, out []ac.Match) []
 // harness and the lockstep tests.
 func (m *Machine) stepAs(k backendKind, r *Regs, c byte) int32 {
 	switch k {
-	case kindPrefiltered:
-		return m.stepPrefiltered(r, c)
-	case kindBaked:
+	case kindPrefiltered, kindBaked:
 		r.state, r.hist = m.prog.step(r.state, r.hist, c)
 	default:
 		r.state = m.next(r.state, c, r.hist)
@@ -232,16 +210,12 @@ func (m *Machine) stepAs(k backendKind, r *Regs, c byte) int32 {
 	return r.state
 }
 
-// registersAs returns the architectural register snapshot. Exactness is
+// registers returns the architectural register snapshot. Exactness is
 // defined on this view: after any operation sequence, all backends report
 // identical Registers.
-func (m *Machine) registersAs(k backendKind, r *Regs) Registers {
-	state, hist := r.state, r.hist
-	if k == kindPrefiltered && r.skimming {
-		state, hist = m.trueRegisters(r)
-	}
-	h2, h1 := splitHist(hist)
-	return Registers{State: state, H2: h2, H1: h1, Pos: r.pos}
+func (r *Regs) registers() Registers {
+	h2, h1 := splitHist(r.hist)
+	return Registers{State: r.state, H2: h2, H1: h1, Pos: r.pos}
 }
 
 // scanReference is the slice-walking interpreter over the Machine, kept

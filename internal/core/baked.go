@@ -326,10 +326,9 @@ func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out
 }
 
 // step executes one baked transition — the single-byte form of the
-// scanAppend loop, used by the baked backend's Step and by the prefilter's
-// exact re-entry bookkeeping. It takes the transition and shifts the fused
-// history but does not probe outputs; like Scanner.Step it is the pure
-// register-machine view. It must stay byte-exact equivalent to
+// scanAppend loop, the Step of the baked and prefiltered backends alike. It
+// takes the transition and shifts the fused history but does not probe
+// outputs; like Scanner.Step it is the pure register-machine view. It must stay byte-exact equivalent to
 // Machine.Next; the lockstep property tests drive it against the reference
 // path after every operation.
 func (p *Program) step(state int32, hist uint32, c byte) (int32, uint32) {

@@ -54,7 +54,8 @@ func randBakedPayload(rng *rand.Rand, n int) []byte {
 // lockstep over random machines, random payload chunks, interleaved
 // single-byte Steps, mid-stream SkipAhead/Reset and forks (the stream
 // continues on a copy of its Regs value), asserting byte-exact
-// register equivalence (state, h1/h2 history, pos) after every operation,
+// register equivalence (state, h1/h2 history, pos, and the raw Regs
+// value) after every operation,
 // identical match sequences, and — per contiguous visible segment — exact
 // agreement with the uncompressed-DFA oracle.
 func TestBakedEquivalenceProperty(t *testing.T) {
@@ -142,6 +143,12 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 			if got := scs[bi].Registers(); got != ref {
 				t.Fatalf("%s: %s registers %+v != reference %+v", op, names[bi], got, ref)
 			}
+			// Not just the architectural view: the whole per-stream value is
+			// the same on every backend, so no backend keeps state the
+			// others do not.
+			if scs[bi].r != scs[0].r {
+				t.Fatalf("%s: %s Regs %+v != reference %+v", op, names[bi], scs[bi].r, scs[0].r)
+			}
 			if len(outs[bi]) != len(outs[0]) {
 				t.Fatalf("%s: %s emitted %d matches, reference %d", op, names[bi], len(outs[bi]), len(outs[0]))
 			}
@@ -156,8 +163,8 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 	// fork continues every stream on a copy of its register value and then
 	// scribbles on the original, each backend's with different bytes: Regs
 	// is plain data, so the copy is the whole stream and shares nothing
-	// with what it was copied from — mid-skim, mid-suspect-window or right
-	// after a gap alike.
+	// with what it was copied from — mid-suspect-window or right after a
+	// gap alike.
 	fork := func() {
 		for bi, sc := range scs {
 			scs[bi] = &Scanner{m: sc.m, kind: sc.kind, r: sc.r}

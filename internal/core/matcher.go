@@ -53,7 +53,7 @@ func (s *Scanner) Pos() int { return s.r.pos }
 // Registers returns the architectural register snapshot — identical across
 // backends after any operation sequence; the lockstep equivalence tests
 // diff this view.
-func (s *Scanner) Registers() Registers { return s.m.registersAs(s.kind, &s.r) }
+func (s *Scanner) Registers() Registers { return s.r.registers() }
 
 // Scan consumes data, invoking emit for every match. It continues from the
 // scanner's current state; call Reset first for a fresh packet. Matches are

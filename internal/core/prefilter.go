@@ -18,9 +18,15 @@ package core
 // the truncated accept strings: φ(path(s)) for every exact trie state s at
 // depth exactly K, plus φ(path(s)) for every shallower state where a whole
 // pattern ends. States whose path *ends with* an accept string — the
-// accept set closed over fail links — are flagged suspect, and the flag is
-// folded into bit 15 of each uint16 transition entry so the skim loop
-// tests it for free.
+// accept set closed over fail links — are flagged suspect.
+//
+// Stored rows. The runtime never steps from a suspect state: the first
+// suspect entry hands the stream to the exact kernel, and skimming resumes
+// at the start state. So only the states the skim loop can stand in — the
+// start state and the non-suspect states reachable from it through
+// non-suspect entries — get a row, numbered breadth-first from row 0. A
+// suspect entry is the bare flag in bit 15 of its uint16, which the skim
+// loop tests for free; any other entry is its target's row number.
 //
 // Superset contract (no false negatives). Start both machines at a stream
 // position where the exact machine is at the start state. While no suspect
@@ -38,9 +44,11 @@ package core
 // Suspect-window rebuild. When suspect fires at stream index a, the exact
 // kernel restarts from the start state at r = max(a−K+1, skim start) —
 // clamped so previously exact-scanned bytes are never rescanned, which
-// would double-emit — seeded with the true history bytes r−2, r−1 kept in
-// a small tail ring. The rescanned machine's state path is always a real
-// suffix of the stream (stored transitions extend it, d2/d3 defaults fire
+// would double-emit — seeded with the true history bytes r−2, r−1. A skim
+// segment never outlives the ScanAppend call that began it, so those bytes
+// are in the chunk or, across the call boundary, in the history register
+// the call was entered with. The rescanned machine's state path is always
+// a real suffix of the stream (stored transitions extend it, d2/d3 defaults fire
 // only on true history bytes), so it emits only true matches; no true
 // match ends strictly before a+1 by the superset contract; and after
 // consuming through byte a its registers provably equal the true
@@ -49,7 +57,11 @@ package core
 // that DFA restart and the true machine (defaults only ever jump *deeper*
 // along true suffixes), and two identical register files stay identical
 // forever after. The pipeline then stays exact until the machine returns
-// to the start state, where skimming is sound again.
+// to the start state, where skimming is sound again. A call that ends
+// mid-skim runs the same rebuild through its last byte — by the superset
+// contract the true depth there is below K and no match ends in the
+// window — so every call leaves exact registers, and the next one skims
+// if they stand at the start state and runs the exact kernel otherwise.
 
 import (
 	"fmt"
@@ -65,11 +77,11 @@ const (
 	// and keeps the collapsed table a few tens of KB on Snort-scale sets.
 	prefK = 3
 
-	// pfSuspect flags a transition entry whose target state ends with an
-	// accept string; the low 15 bits are the target state id.
-	pfSuspect   = uint16(1) << 15
-	pfStateMask = pfSuspect - 1
-	pfMaxStates = 1 << 15
+	// pfSuspect is a transition entry whose target state ends with an
+	// accept string; any other entry is its target's row number, below
+	// pfMaxRows.
+	pfSuspect = uint16(1) << 15
+	pfMaxRows = 1 << 15
 
 	// pfMaxClasses bounds the collapsed alphabet (class 0 = byte absent
 	// from all pattern prefixes). Rulesets with more distinct prefix bytes
@@ -82,10 +94,6 @@ const (
 	// and an OR on the load-to-load dependency chain instead of a multiply.
 	pfStrideBits = 6
 	pfStride     = 1 << pfStrideBits
-
-	// pfTailLen is the left-context ring: a rebuild needs the K−1 bytes
-	// before the suspect byte plus their 2 history bytes (one spare).
-	pfTailLen = prefK + 2
 )
 
 // Prefilter is the compiled lossy first stage, immutable after
@@ -94,10 +102,9 @@ const (
 type Prefilter struct {
 	class    [256]uint8 // byte → collapsed class, 0 = not in any prefix
 	nClasses int
-	tab      []uint16    // states × pfStride (row-strided): target | pfSuspect
-	rootTab  [256]uint16 // row 0 pre-composed with class[], byte-indexed
-	states   int
-	accepts  int // accept strings inserted
+	tab      []uint16 // rows × pfStride (row-strided): target row, or pfSuspect
+	states   int      // collapsed DFA states, stored rows or not
+	accepts  int      // accept strings inserted
 	folded   bool
 
 	// Runtime counters, accumulated once per ScanAppend chunk.
@@ -107,8 +114,8 @@ type Prefilter struct {
 }
 
 // CompilePrefilter builds the lossy first stage from the trie t. It returns
-// nil when the collapsed machine does not fit the packed entry format (state
-// ids share a uint16 with the suspect flag), in which case the prefiltered
+// nil when the stored rows do not fit the packed entry format (row numbers
+// share a uint16 with the suspect flag), in which case the prefiltered
 // backend is simply unavailable. Build compiles it automatically alongside
 // the baked Program and proves verifySuperset before keeping it.
 func CompilePrefilter(t *ac.Trie) *Prefilter {
@@ -182,6 +189,7 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	// that once.
 	type pnode struct {
 		fail    int32
+		row     int32 // stored row, -1 while unnumbered or never stepped from
 		accept  bool
 		suspect bool
 	}
@@ -196,7 +204,7 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 			nxt := next[cur*nc+int(c)]
 			if nxt == ac.None {
 				nxt = int32(len(nodes))
-				nodes = append(nodes, pnode{})
+				nodes = append(nodes, pnode{row: -1})
 				next[cur*nc+int(c)] = nxt
 			}
 			cur = int(nxt)
@@ -218,9 +226,6 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 			cur = t.Nodes[cur].Parent
 		}
 		insert(path[:d])
-	}
-	if len(nodes) > pfMaxStates {
-		return nil
 	}
 	pf.states = len(nodes)
 
@@ -253,24 +258,34 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 		}
 	}
 
-	// Bake the packed table at the fixed row stride. Slots past nClasses
-	// are never addressed (class values are always < nClasses); they stay
-	// zero, which reads as "start state, not suspect" — consistent, since
-	// the start state is never suspect (no pattern is empty).
-	pf.tab = make([]uint16, len(nodes)<<pfStrideBits)
-	for s := range nodes {
-		for c, v := range next[s*nc:][:nc] {
-			e := uint16(v)
-			if nodes[v].suspect {
-				e |= pfSuspect
+	// Number the states the skim loop stands in, breadth-first from the
+	// start state through non-suspect entries (the BFS queue is spent, so
+	// it holds the order), and bake their rows at the fixed stride. Slots
+	// past nClasses are never addressed (class values are always <
+	// nClasses); they stay zero, which reads as "row 0, not suspect" —
+	// consistent, since the start state is never suspect (no pattern is
+	// empty).
+	order := append(queue[:0], 0)
+	for qi := 0; qi < len(order); qi++ {
+		for _, v := range next[int(order[qi])*nc:][:nc] {
+			if nv := &nodes[v]; !nv.suspect && nv.row < 0 {
+				nv.row = int32(len(order))
+				order = append(order, v)
 			}
-			pf.tab[s<<pfStrideBits|c] = e
 		}
 	}
-	// Pre-compose row 0 with the class map: the skim loop's start-state
-	// fast path is one byte-indexed load, no class indirection.
-	for b := 0; b < 256; b++ {
-		pf.rootTab[b] = pf.tab[int(pf.class[b])]
+	if len(order) > pfMaxRows {
+		return nil
+	}
+	pf.tab = make([]uint16, len(order)<<pfStrideBits)
+	for r, s := range order {
+		for c, v := range next[int(s)*nc:][:nc] {
+			e := pfSuspect
+			if !nodes[v].suspect {
+				e = uint16(nodes[v].row)
+			}
+			pf.tab[r<<pfStrideBits|c] = e
+		}
 	}
 	return pf
 }
@@ -281,7 +296,7 @@ type PrefilterStats struct {
 	States      int  // collapsed DFA states
 	Classes     int  // collapsed alphabet size (class 0 = non-prefix bytes)
 	AcceptPaths int  // truncated accept strings inserted
-	TableBytes  int  // transition table + byte-indexed root row
+	TableBytes  int  // transition table
 	Folded      bool // distinct prefix bytes exceeded the class budget
 
 	SkimmedBytes   uint64 // bytes cleared by the lossy machine alone
@@ -298,7 +313,7 @@ func (pf *Prefilter) Stats() PrefilterStats {
 		States:         pf.states,
 		Classes:        pf.nClasses,
 		AcceptPaths:    pf.accepts,
-		TableBytes:     len(pf.tab)*2 + len(pf.rootTab)*2,
+		TableBytes:     len(pf.tab) * 2,
 		Folded:         pf.folded,
 		SkimmedBytes:   pf.skimmedBytes.Load(),
 		ExactBytes:     pf.exactBytes.Load(),
@@ -313,30 +328,28 @@ func (pf *Prefilter) Stats() PrefilterStats {
 // verifySuperset proves the prefilter admits no false negatives, in the
 // spirit of verifyTransitions: for every state of t, the machine's trie, that
 // terminates an accept window — depth exactly prefK, or a shallower state where a
-// whole pattern ends — walking the collapsed form of its path from the
-// prefilter's start state must land on a suspect-flagged entry. Combined
+// whole pattern ends — walking the collapsed form of its path from row 0
+// must hit a suspect entry at or before its last byte. The walk stops at
+// the first suspect entry, as the skim loop does. Combined
 // with the longest-suffix property of the collapsed DFA and the suspect
 // closure over fail links, this extends to every runtime position (see the
 // file comment); the scan-level property tests and fuzzer check that
-// empirically. It also checks the packed table's structural invariant that
-// the suspect flag is a pure function of the target state.
+// empirically. It also checks the compact table's structural invariant:
+// a suspect entry is the bare flag, and every other entry addresses a
+// stored row.
 func (m *Machine) verifySuperset(t *ac.Trie) error {
 	pf := m.pre
 	if pf == nil {
 		return fmt.Errorf("core: no prefilter compiled for this machine")
 	}
 
-	sus := make([]int8, pf.states) // -1 suspect, +1 clean, 0 unseen
+	rows := len(pf.tab) >> pfStrideBits
 	for i, e := range pf.tab {
-		v := int(e & pfStateMask)
-		want := int8(1)
-		if e&pfSuspect != 0 {
-			want = -1
+		if e&pfSuspect != 0 && e != pfSuspect {
+			return fmt.Errorf("core: prefilter entry %d is suspect but carries row %d", i, e&^pfSuspect)
 		}
-		if sus[v] == 0 {
-			sus[v] = want
-		} else if sus[v] != want {
-			return fmt.Errorf("core: prefilter entry %d disagrees on suspect flag of state %d", i, v)
+		if e&pfSuspect == 0 && int(e) >= rows {
+			return fmt.Errorf("core: prefilter entry %d addresses row %d of %d stored", i, e, rows)
 		}
 	}
 
@@ -353,8 +366,10 @@ func (m *Machine) verifySuperset(t *ac.Trie) error {
 		}
 		st, e := 0, uint16(0)
 		for _, c := range path[:d] {
-			e = pf.tab[st<<pfStrideBits|int(pf.class[c])]
-			st = int(e & pfStateMask)
+			if e = pf.tab[st<<pfStrideBits|int(pf.class[c])]; e&pfSuspect != 0 {
+				break
+			}
+			st = int(e)
 		}
 		if e&pfSuspect == 0 {
 			return fmt.Errorf(
@@ -368,181 +383,76 @@ func (m *Machine) verifySuperset(t *ac.Trie) error {
 // The prefiltered backend is the two-stage pipeline: skim with the lossy
 // machine while the exact machine is provably at the start state, drop to
 // the exact baked kernel through suspect windows, return to skimming at the
-// next start-state boundary. Its per-stream state is the skim cursor and
-// tail ring in Regs; everything else is the shared Machine.
+// next start-state boundary. A skim lives inside one call, which enters and
+// leaves with exact registers, so the pipeline keeps no per-stream state of
+// its own: Regs are the same on every backend.
 
-func (r *Regs) enterSkim() {
-	r.skimming = true
-	r.skimStart = r.pos
-	r.pfState = 0
-}
-
-func (r *Regs) pushTailByte(c byte) {
-	if r.tailLen == pfTailLen {
-		copy(r.tail[:], r.tail[1:])
-		r.tail[pfTailLen-1] = c
-		return
-	}
-	r.tail[r.tailLen] = c
-	r.tailLen++
-}
-
-// trueRegisters materializes the exact register file mid-skim. Sound
-// because the skim invariant bounds the true depth by prefK−1, so the true
-// state — the longest stream suffix that is a trie node — is determined by
-// the last prefK−1 seen bytes, all inside the tail ring: it is where the
-// DFA stands, history included, after the ring's bytes as a packet of their
-// own, and from the start state the kernel's step is the DFA (verifyProgram).
-func (m *Machine) trueRegisters(r *Regs) (int32, uint32) {
-	st, hist := ac.Root, uint32(histUnknown)
-	for _, c := range r.tail[:r.tailLen] {
-		st, hist = m.prog.step(st, hist, c)
-	}
-	return st, hist
-}
-
-// stepPrefiltered is the register-machine view: it always runs exact
-// semantics, materializing the registers out of a skim first, and re-arms
-// the skimmer whenever the machine lands back on the start state.
-func (m *Machine) stepPrefiltered(r *Regs, c byte) int32 {
-	if r.skimming {
-		r.state, r.hist = m.trueRegisters(r)
-		r.skimming = false
-	}
-	r.state, r.hist = m.prog.step(r.state, r.hist, c)
-	r.pos++
-	r.pushTailByte(c)
-	if r.state == ac.Root {
-		r.enterSkim()
-	}
-	return r.state
-}
-
-// byteAt reads the stream byte at absolute position j from the current
-// chunk or the tail ring; ok is false when j precedes the seen window
-// (stream start, Reset, or a SkipAhead gap).
-func (r *Regs) byteAt(data []byte, chunkBase, j int) (byte, bool) {
-	if j >= chunkBase {
-		return data[j-chunkBase], true
-	}
-	if d := chunkBase - j; d >= 1 && d <= int(r.tailLen) {
-		return r.tail[int(r.tailLen)-d], true
-	}
-	return 0, false
-}
-
-// skimChunk advances the lossy machine over data[i:] until a suspect entry
-// fires or the chunk ends, returning the next unconsumed index and whether
-// the last consumed byte was flagged suspect. The loop is deliberately
-// branchless on the state: traffic that hovers near the start state (short
-// excursions into depth 1-2 every few bytes) makes any "am I at the start
-// state" test an unpredictable branch, and the mispredictions cost more
-// than the class indirection they would skip. The only branch taken on
-// clean bytes is the rare, well-predicted suspect test; the per-byte
-// dependency chain is shift, OR, one strided load.
-func (pf *Prefilter) skimChunk(r *Regs, data []byte, i int) (int, bool) {
+// skimChunk advances the lossy machine from row 0 over data[i:] until a
+// suspect entry fires or the chunk ends, returning the next unconsumed
+// index and whether the last consumed byte was flagged suspect. The loop is
+// deliberately branchless on the state: traffic that hovers near the start
+// state (short excursions into depth 1-2 every few bytes) makes any "am I
+// at the start state" test an unpredictable branch, and the mispredictions
+// cost more than the class indirection they would skip. The only branch
+// taken on clean bytes is the rare, well-predicted suspect test; the
+// per-byte dependency chain is shift, OR, one strided load.
+func (pf *Prefilter) skimChunk(data []byte, i int) (int, bool) {
 	tab, class := pf.tab, &pf.class
-	st := uint32(r.pfState)
-	n := len(data)
-	for i < n {
+	st := uint32(0)
+	for n := len(data); i < n; {
 		e := tab[st<<pfStrideBits|uint32(class[data[i]])]
 		i++
-		st = uint32(e & pfStateMask)
 		if e&pfSuspect != 0 {
-			r.pfState = uint16(st)
 			return i, true
 		}
+		st = uint32(e)
 	}
-	r.pfState = uint16(st)
 	return i, false
 }
 
-// rebuild runs the exact kernel through a suspect window: the skimmer
-// flagged the byte at data[i-1] (stream position chunkBase+i-1). Restart
-// at s = max(suspect−prefK+1, skim start) — the clamp keeps previously
-// exact-scanned bytes from being re-emitted — with the true history bytes
-// s−2, s−1, and scan through the suspect byte. Per the soundness argument
-// in the file comment this emits exactly the true matches ending at the
-// suspect boundary and leaves the registers equal to the true machine's.
-func (m *Machine) rebuild(r *Regs, data []byte, i, chunkBase int, out []ac.Match) []ac.Match {
-	a := chunkBase + i - 1
-	s := max(a+1-prefK, r.skimStart)
-	var state int32
-	var hist uint32
-	if s-2 >= chunkBase {
-		// Fast path — the whole window and both history bytes sit in the
-		// current chunk (every suspect more than prefK+1 bytes into a
-		// chunk), so the exact kernel can run straight over the chunk
-		// slice: no tail-ring reads, no window copy.
-		lo := s - chunkBase
-		state, hist, _, out = m.prog.scanAppend(
-			ac.Root, fuseHist(int16(data[lo-2]), int16(data[lo-1])), s, data[lo:i], out)
-	} else {
-		h2, h1 := HistNone, HistNone
-		if c, ok := r.byteAt(data, chunkBase, s-2); ok {
-			h2 = int16(c)
-		}
-		if c, ok := r.byteAt(data, chunkBase, s-1); ok {
-			h1 = int16(c)
-		}
-		// The window bytes [s, a] are always within the seen region: s is
-		// at most prefK−1 bytes behind the suspect byte and never precedes
-		// the skim segment start.
-		var win [prefK]byte
-		w := 0
-		for j := s; j <= a; j++ {
-			win[w], _ = r.byteAt(data, chunkBase, j)
-			w++
-		}
-		state, hist, _, out = m.prog.scanAppend(ac.Root, fuseHist(h2, h1), s, win[:w], out)
+// histAt is the fused history register at the end of seen, for a stream
+// whose history before seen's first byte was entry.
+func histAt(entry uint32, seen []byte) uint32 {
+	for _, c := range seen[max(len(seen)-2, 0):] {
+		entry = (entry<<histLaneBits | uint32(c)) & histMask
 	}
-	r.state, r.hist = state, hist
-	if state == ac.Root {
-		r.enterSkim()
-	} else {
-		r.skimming = false
-	}
-	return out
+	return entry
 }
 
+// scanPrefiltered runs the pipeline over one chunk. Each skim segment ends
+// in a rebuild — at the suspect byte, or at the chunk's end: the exact
+// kernel restarts from the start state at s = max(end−prefK, segment start)
+// — the clamp keeps previously exact-scanned bytes from being re-emitted —
+// with the true history bytes s−2, s−1, from the chunk or the registers the
+// call was entered with, and scans through the segment's last byte. Per the
+// soundness argument in the file comment this emits exactly the true
+// matches ending at that byte and leaves the registers equal to the true
+// machine's.
 func (m *Machine) scanPrefiltered(r *Regs, data []byte, out []ac.Match) []ac.Match {
 	pf, prog := m.pre, m.prog
-	chunkBase := r.pos
-	i, n := 0, len(data)
+	base, entry := r.pos, r.hist
+	state, hist := r.state, r.hist
 	var skimmed, exact, suspects uint64
-	for i < n {
-		if r.skimming {
-			start := i
-			var hit bool
-			i, hit = pf.skimChunk(r, data, i)
-			skimmed += uint64(i - start)
-			r.pos = chunkBase + i
-			if !hit {
-				break
-			}
-			suspects++
-			exact += uint64(prefK) // rebuild rescan, counted as exact work
-			out = m.rebuild(r, data, i, chunkBase, out)
+	for i, n := 0, len(data); i < n; {
+		if state != ac.Root {
+			var pos int
+			state, hist, pos, out = prog.scanAppendStopRoot(state, hist, base+i, data[i:], out)
+			exact += uint64(pos - base - i)
+			i = pos - base
 			continue
 		}
-		before := r.pos
-		r.state, r.hist, r.pos, out = prog.scanAppendStopRoot(r.state, r.hist, r.pos, data[i:], out)
-		i += r.pos - before
-		exact += uint64(r.pos - before)
-		if r.state == ac.Root {
-			r.enterSkim()
+		start := i
+		var hit bool
+		i, hit = pf.skimChunk(data, i)
+		skimmed += uint64(i - start)
+		if hit {
+			suspects++
 		}
+		s := max(i-prefK, start)
+		exact += uint64(i - s)
+		state, hist, _, out = prog.scanAppend(ac.Root, histAt(entry, data[:s]), base+s, data[s:i], out)
 	}
-	// Fold the chunk into the tail ring (once per call, not per byte).
-	if n >= pfTailLen {
-		copy(r.tail[:], data[n-pfTailLen:])
-		r.tailLen = pfTailLen
-	} else if n > 0 {
-		keep := min(pfTailLen-n, int(r.tailLen))
-		copy(r.tail[:keep], r.tail[int(r.tailLen)-keep:r.tailLen])
-		copy(r.tail[keep:], data)
-		r.tailLen = uint8(keep + n)
-	}
+	r.state, r.hist, r.pos = state, hist, base+len(data)
 	if skimmed != 0 {
 		pf.skimmedBytes.Add(skimmed)
 	}

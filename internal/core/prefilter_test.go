@@ -10,10 +10,12 @@ import (
 
 // TestPrefilterSupersetProperty is the runtime form of the no-false-
 // negative contract: over random rulesets and random payloads, run the
-// lossy machine alone from the start of the payload and record where
-// suspect entries fire; every exact match must be preceded (or met) by a
-// suspect position — a match the skimmer would sail past is a false
-// negative. The structural verifySuperset proof is checked alongside.
+// lossy machine alone from the start of the payload up to the first suspect
+// entry — where the runtime hands off to the exact kernel, and past which
+// the table holds no row to step from. Until then the exact machine must
+// stay below depth prefK, and no exact match may end before it: a match the
+// skimmer would sail past is a false negative. The structural
+// verifySuperset proof is checked alongside.
 func TestPrefilterSupersetProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100308))
 	for trial := 0; trial < 40; trial++ {
@@ -31,48 +33,26 @@ func TestPrefilterSupersetProperty(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		payload := randBakedPayload(rng, 256+rng.Intn(1024))
-		want := trie.FindAll(payload)
 
-		// Drive the lossy DFA alone over the whole payload.
-		suspectAt := make([]bool, len(payload)+1) // position = bytes consumed
-		st := 0
+		// firstSuspect is the position (bytes consumed) of the first suspect
+		// entry, len(payload)+1 if none fires.
+		firstSuspect := len(payload) + 1
+		st, exact := 0, ac.Root
 		for i, c := range payload {
 			e := pf.tab[st<<pfStrideBits|int(pf.class[c])]
-			st = int(e & pfStateMask)
 			if e&pfSuspect != 0 {
-				suspectAt[i+1] = true
-			}
-		}
-		firstSuspect := len(payload) + 1
-		for p, s := range suspectAt {
-			if s {
-				firstSuspect = p
+				firstSuspect = i + 1
 				break
 			}
+			st, exact = int(e), trie.Move(exact, c)
+			if d := trie.Nodes[exact].Depth; d >= prefK {
+				t.Fatalf("trial %d: exact machine at depth %d after %d clean bytes", trial, d, i+1)
+			}
 		}
-		for _, mt := range want {
+		for _, mt := range trie.FindAll(payload) {
 			if mt.End < firstSuspect {
 				t.Fatalf("trial %d: match %+v ends before first suspect position %d: false negative",
 					trial, mt, firstSuspect)
-			}
-			// The proof gives the stronger pointwise form for matches in a
-			// clean prefix: while no suspect has fired, the exact depth is
-			// below prefK and a match end itself fires suspect. After the
-			// first suspect the pipeline is exact anyway; the lockstep
-			// property test covers that regime.
-		}
-		// Pointwise: a match ending while the stream was still clean (no
-		// earlier suspect) must be flagged exactly at its end position.
-		for _, mt := range want {
-			clean := true
-			for p := 1; p < mt.End; p++ {
-				if suspectAt[p] {
-					clean = false
-					break
-				}
-			}
-			if clean && !suspectAt[mt.End] {
-				t.Fatalf("trial %d: clean-prefix match %+v not flagged suspect at its end", trial, mt)
 			}
 		}
 	}
@@ -109,6 +89,14 @@ func TestVerifySupersetDetectsCorruption(t *testing.T) {
 	if err := m.verifySuperset(trie); err != nil {
 		t.Fatalf("restored table rejected: %v", err)
 	}
+	// A non-suspect entry one past the last stored row would send the skim
+	// loop out of the table.
+	rows := len(m.pre.tab) >> pfStrideBits
+	m.pre.tab[int(m.pre.class['a'])] = uint16(rows)
+	if err := m.verifySuperset(trie); err == nil {
+		t.Fatal("verifySuperset accepted an entry addressing a row past the table")
+	}
+	copy(m.pre.tab, saved)
 }
 
 // TestPrefilterUnavailableBackendErrors pins the registry contract: a
@@ -146,8 +134,9 @@ func TestPrefilterStatsAccounting(t *testing.T) {
 	}
 	pf := m.pre
 	st := pf.Stats()
-	if st.States <= 0 || st.States > pfMaxStates {
-		t.Fatalf("States = %d", st.States)
+	rows := len(pf.tab) >> pfStrideBits
+	if rows <= 0 || rows > pfMaxRows || rows > st.States {
+		t.Fatalf("%d rows stored for %d states", rows, st.States)
 	}
 	if st.Classes < 1 || st.Classes > pfMaxClasses {
 		t.Fatalf("Classes = %d", st.Classes)
@@ -155,7 +144,7 @@ func TestPrefilterStatsAccounting(t *testing.T) {
 	if st.AcceptPaths <= 0 {
 		t.Fatalf("AcceptPaths = %d", st.AcceptPaths)
 	}
-	if want := st.States*pfStride*2 + 512; st.TableBytes != want {
+	if want := rows * pfStride * 2; st.TableBytes != want {
 		t.Fatalf("TableBytes = %d, want %d", st.TableBytes, want)
 	}
 	sc := m.NewScanner()
@@ -184,19 +173,17 @@ func TestPrefilterStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestPrefilterTailRingBoundary pins the rebuild path's hardest geometry:
-// a suspect window that straddles a chunk boundary when the tail ring is
-// exactly at capacity (the previous chunk was exactly pfTailLen bytes, so
-// every ring slot is live and the rebuild's window and history reads hit
-// the ring's oldest entries), plus Reset and SkipAhead landing in the
-// middle of a suspect window. Each scenario drives the prefiltered
-// backend against the reference interpreter in register lockstep; the
-// fuzz seeds in FuzzPrefilterEquivalence cover the same shapes end to
-// end through the public API.
+// TestPrefilterTailRingBoundary pins the chunk geometry the pipeline once
+// kept a tail ring of past bytes for: a suspect window that straddles a
+// chunk boundary, and Reset and SkipAhead landing in the middle of one. No
+// skim outlives its call now: a chunk that ends mid-window rebuilds the
+// exact registers through its last byte, and any history byte from before a
+// chunk comes from the registers the call was entered with — with 1-byte
+// chunks, every rebuild reads its history there. Each scenario drives the
+// prefiltered backend against the reference interpreter in lockstep on the
+// raw register values; the fuzz seeds in FuzzPrefilterEquivalence cover the
+// same shapes end to end through the public API.
 func TestPrefilterTailRingBoundary(t *testing.T) {
-	if pfTailLen != 5 {
-		t.Fatalf("pfTailLen = %d; revisit the chunk geometry below", pfTailLen)
-	}
 	set := &ruleset.Set{Patterns: []ruleset.Pattern{{ID: 0, Data: []byte("vwxyz")}}}
 	m, err := Build(set, Options{Backend: BackendPrefiltered})
 	if err != nil {
@@ -208,21 +195,25 @@ func TestPrefilterTailRingBoundary(t *testing.T) {
 		chunk string
 		n     int
 	}
+	var bytewise []op
+	for _, c := range "...vwxyz..vwxyz" {
+		bytewise = append(bytewise, op{kind: "write", chunk: string(c)})
+	}
 	scenarios := []struct {
 		name    string
 		ops     []op
 		matches int
 	}{
-		// "...vw" fills the ring to capacity; the suspect fires on 'x' at
-		// index 0 of the next chunk, so the rebuild window ('v', 'w') and
-		// its history bytes ('.', '.') all come from the ring.
+		// "...vw" ends two bytes into the window: the call leaves the exact
+		// machine at depth 2, and the next call runs the exact kernel from
+		// there through the match.
 		{"straddle-at-ring-capacity", []op{
 			{kind: "write", chunk: "...vw"},
 			{kind: "write", chunk: "xyz.."},
 		}, 1},
 		// Same geometry but the straddling window is cut by Reset: the
 		// pattern's bytes were never contiguous in one stream, so nothing
-		// may match and the ring must restart empty.
+		// may match and the history must restart unknown.
 		{"reset-mid-suspect-window", []op{
 			{kind: "write", chunk: "...vw"},
 			{kind: "reset"},
@@ -237,6 +228,9 @@ func TestPrefilterTailRingBoundary(t *testing.T) {
 			{kind: "write", chunk: "xyz.."},
 			{kind: "write", chunk: "vwxyz"},
 		}, 1},
+		// One byte a call: every skim is a single byte, rebuilt at once from
+		// the history the call was entered with.
+		{"one-byte-chunks", bytewise, 2},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -261,8 +255,8 @@ func TestPrefilterTailRingBoundary(t *testing.T) {
 					pre.SkipAhead(o.n)
 					ref.SkipAhead(o.n)
 				}
-				if got, want := pre.Registers(), ref.Registers(); got != want {
-					t.Fatalf("op %d (%s): prefiltered registers %+v, reference %+v", i, o.kind, got, want)
+				if pre.r != ref.r {
+					t.Fatalf("op %d (%s): prefiltered registers %+v, reference %+v", i, o.kind, pre.r, ref.r)
 				}
 				if len(pOut) != len(rOut) {
 					t.Fatalf("op %d (%s): prefiltered %d matches, reference %d", i, o.kind, len(pOut), len(rOut))
@@ -277,5 +271,81 @@ func TestPrefilterTailRingBoundary(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPrefilterStoresOnlySteppedRows: the table holds a row for exactly the
+// states the skim loop can stand in, at three of the paper's ruleset sizes.
+// Every stored row is reachable from row 0 through non-suspect entries
+// alone; there are as many rows as collapsed states whose string contains
+// no accept string — non-suspect, and reached without passing a suspect
+// state, since each prefix of the string is a state the walk spelling it
+// passes — recounted here from the trie and the class map rather than taken
+// from the builder; and the table is those rows, nothing else. A non-suspect state behind a suspect one (at these
+// sizes, behind the class of a 1-byte pattern) gets no row.
+func TestPrefilterStoresOnlySteppedRows(t *testing.T) {
+	for _, n := range []int{634, 1204, 6275} {
+		set := ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010})
+		pf := mustBuild(t, set, Options{}).pre
+		if pf == nil {
+			t.Fatalf("%d strings: prefilter unavailable", n)
+		}
+		rows := len(pf.tab) >> pfStrideBits
+
+		reached := make([]bool, rows)
+		reached[0] = true
+		queue := []int{0}
+		for qi := 0; qi < len(queue); qi++ {
+			for _, e := range pf.tab[queue[qi]<<pfStrideBits:][:pf.nClasses] {
+				if e&pfSuspect == 0 && !reached[e] {
+					reached[e] = true
+					queue = append(queue, int(e))
+				}
+			}
+		}
+		if len(queue) != rows {
+			t.Errorf("%d strings: %d of %d stored rows are reachable from row 0", n, len(queue), rows)
+		}
+
+		// The collapsed states are the class strings of the trie's paths of
+		// depth 1..prefK, plus the start state's empty one; the accept
+		// strings are those of depth prefK and the shorter ones where a
+		// pattern ends.
+		trie := mustTrie(t, set)
+		states, accept := map[string]bool{"": true}, map[string]bool{}
+		for s := int32(1); s < int32(trie.NumStates()); s++ {
+			nd := &trie.Nodes[s]
+			if nd.Depth > prefK {
+				continue
+			}
+			var path []byte
+			for cur := s; cur != ac.Root; cur = trie.Nodes[cur].Parent {
+				path = append([]byte{pf.class[trie.Nodes[cur].Char]}, path...)
+			}
+			states[string(path)] = true
+			if nd.Depth == prefK || nd.NumOut > 0 {
+				accept[string(path)] = true
+			}
+		}
+		clean := 0
+		for st := range states {
+			found := false
+			for i := range st {
+				for j := i + 1; j <= len(st); j++ {
+					found = found || accept[st[i:j]]
+				}
+			}
+			if !found {
+				clean++
+			}
+		}
+		if len(states) != pf.states || rows != clean {
+			t.Errorf("%d strings: %d rows stored for %d of %d collapsed states free of accept strings (builder counted %d)",
+				n, rows, clean, len(states), pf.states)
+		}
+		if got, want := pf.Stats().TableBytes, rows*pfStride*2; got != want {
+			t.Errorf("%d strings: table takes %d B, want %d rows × %d B", n, got, rows, pfStride*2)
+		}
+		t.Logf("%d strings: %d rows stored of %d collapsed states, %d B", n, rows, len(states), pf.Stats().TableBytes)
 	}
 }

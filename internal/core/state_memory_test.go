@@ -16,10 +16,14 @@ import (
 // arena themselves, and promoting a state to the fast tier moves its
 // stored-row descriptor aside without touching the row compress laid out or
 // the table — a reference-pinned build of the same ruleset, which never
-// bakes, is that layout.
+// bakes, is that layout. A stream's registers are the exact machine's and
+// nothing more: position, state and fused history, 16 B on every backend.
 func TestStateMemoryLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Pointer(0)); got != 4 {
 		t.Fatalf("a stored pointer takes %d B, want 4", got)
+	}
+	if got := unsafe.Sizeof(Regs{}); got != 16 {
+		t.Fatalf("a stream's registers take %d B, want 16", got)
 	}
 	for _, c := range []byte{0, 'a', 0xFF} {
 		for _, to := range []int32{0, 1, maxStates - 1} {

@@ -8,7 +8,7 @@
 // how the hardware fits a block's memory, and lives in package fpga.
 //
 // FlowState is the product: each concurrent TCP/UDP flow owns one FlowState
-// value — its registers, nothing else, 48 pointer-free bytes — while
+// value — its registers, nothing else, 24 pointer-free bytes — while
 // sharing the compiled automaton, so millions of flows cost per-flow
 // registers only, never per-flow automata, buffers or objects. dpi.Stream
 // embeds one in its handle, the gateway one in each flow record, and both

@@ -33,9 +33,9 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 	f.Add([]byte{3, 'a', 'b', 'c'},
 		[]byte("................................abc............................"),
 		[]byte{0x47, 0x47, 0x09, 0x47})
-	// Suspect window straddling a chunk boundary with the tail ring exactly
-	// at capacity: 5-byte chunks (pfTailLen) split the planted pattern so
-	// the rebuild's window and history bytes all come from the ring.
+	// Suspect window straddling a chunk boundary: 5-byte chunks split the
+	// planted pattern, so the first chunk ends mid-window and its call
+	// leaves the exact machine two bytes deep.
 	f.Add([]byte{5, 'v', 'w', 'x', 'y', 'z'}, []byte("...vwxyz.."),
 		[]byte{0x16, 0x16, 0x16})
 	// Reset landing mid-suspect-window: the pattern's halves are written
@@ -43,10 +43,15 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 	// complete occurrence still fires.
 	f.Add([]byte{3, 'a', 'b', 'c'}, []byte("ababcabc"),
 		[]byte{0x0a, 0x00, 0x1e, 0x47})
-	// Forks: mid-skim, inside a suspect window split across chunks (the
-	// copy must carry the tail ring), and right after a gap skip.
+	// Forks: between skims, inside a suspect window split across chunks,
+	// and right after a gap skip.
 	f.Add([]byte{5, 'v', 'w', 'x', 'y', 'z'}, []byte("...vwxyz.."),
 		[]byte{0x16, 0x04, 0x16, 0x04, 0x16, 0x09, 0x04, 0x2a})
+	// 1-byte chunks: every skim is one byte, rebuilt from the history the
+	// call was entered with (testdata/fuzz holds the same shape on the
+	// compressed tier and over short overlapping patterns).
+	f.Add([]byte{5, 'v', 'w', 'x', 'y', 'z'}, []byte("...vwxyz.."),
+		[]byte{0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06})
 	f.Fuzz(func(t *testing.T, patBlob, payload, ops []byte) {
 		rules := fuzzRulesFrom(patBlob)
 		if rules == nil {
