@@ -49,8 +49,9 @@ func (g *Gateway) notifyVerdict(sh *gwEngineShard, t FiveTuple, v Verdict, idx i
 // the scanner registers, the reassembly stream and the verdict, all by
 // value. An established flow is its flow-table entry, which holds this
 // record by value, and nothing else — no scanner object, no closure, no
-// match buffer, and no out-of-order state unless its segments arrive out of
-// order: the lane that owns the flow's packets scans into its own scratch
+// match buffer, and no out-of-order state unless its segments (or its FIN)
+// arrive ahead of a gap. Each field states a fact the record holds nowhere
+// else. The lane that owns the flow's packets scans into its own scratch
 // (gwLane.matches) and emits with the record's fields. What identifies the
 // flow — its tuple, its shard, its gateway — is not repeated here; the lane
 // passes it in. The record sits in its lane's flow table and every method
@@ -66,10 +67,9 @@ type gwFlow struct {
 	// verdict flows, husks). A SYN re-open pins the then-current
 	// generation, because it is a new connection.
 	gen *gwGeneration
-	// st is the connection's scanner registers, stamped at open with the
-	// generation of the automaton they were reset for — the tag the
-	// hot-reload audit checks against gen. Meaningful only while gen is
-	// non-nil.
+	// st is the connection's scanner registers, reset at open for gen's
+	// automaton and written only over it: gen is the one record of which
+	// automaton they belong to. Meaningful only while gen is non-nil.
 	st engine.FlowState
 	// asm reorders FlagSeq segments; initialized at open, so a record that
 	// was never opened holds the zero Stream.
@@ -123,18 +123,18 @@ type gwLane struct {
 }
 
 // open starts a connection on the record: it pins the current ruleset
-// generation, resets the scanner registers for that generation's automaton
-// (stamping them with its generation), counts the connection on sh — the
-// flow's shard — and empties the reassembly stream. On a husk this re-opens
-// in place — nothing is allocated. open only runs while the packet creating
-// (or SYN-reopening) the flow is in flight, so cur cannot move underneath
-// it — see gwGeneration.flows.
+// generation and resets the scanner registers for that generation's
+// automaton — the one place either happens, always together — counts the
+// connection on sh — the flow's shard — and empties the reassembly stream. On
+// a husk this re-opens in place — nothing is allocated. open only runs while
+// the packet creating (or SYN-reopening) the flow is in flight, so cur cannot
+// move underneath it — see gwGeneration.flows.
 func (fl *gwFlow) open(g *Gateway, sh *gwEngineShard) {
 	gen := g.cur.Load()
 	gen.flows.Add(1)
 	fl.gen = gen
 	sh.n[cEngFlowsOpened].Add(1)
-	fl.st.Open(gen.m.machine)
+	fl.st.Reset()
 	fl.asm.Init(&g.asmCfg)
 }
 
@@ -453,7 +453,7 @@ func (ln *gwLane) datagram(p *seqPacket) {
 	}
 	gen := g.cur.Load()
 	var st engine.FlowState
-	st.Open(gen.m.machine)
+	st.Reset()
 	ln.matches = st.Write(gen.m.machine, p.payload, ln.matches[:0])
 	sh.n[cEngBatchPkts].Add(1)
 	sh.n[cEngBatchBytes].Add(n)

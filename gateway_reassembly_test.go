@@ -723,12 +723,19 @@ func TestGatewayFlushSerializesWithIngest(t *testing.T) {
 
 // FuzzReassemblyEquivalence: any segmentation, permutation and duplicate
 // schedule of a byte stream must scan identically to the in-order FindAll
-// oracle — the fuzz form of the acceptance property.
+// oracle — the fuzz form of the acceptance property. pureFin sends the FIN as
+// a segment of its own, with no payload, permuted like the others — so it may
+// arrive ahead of every gap.
 func FuzzReassemblyEquivalence(f *testing.F) {
-	f.Add([]byte("the needle in the haystack, and abc bcd zz"), []byte{5, 16, 3}, uint64(0x9E3779B97F4A7C15), false)
-	f.Add([]byte("needleneedleneedle"), []byte{1, 2, 3}, uint64(42), true)
-	f.Add([]byte("zzabczz"), []byte{1}, uint64(0xFFFFFFFF00000001), false)
-	f.Fuzz(func(t *testing.T, stream []byte, cuts []byte, order uint64, lastWins bool) {
+	f.Add([]byte("the needle in the haystack, and abc bcd zz"), []byte{5, 16, 3}, uint64(0x9E3779B97F4A7C15), false, false)
+	f.Add([]byte("needleneedleneedle"), []byte{1, 2, 3}, uint64(42), true, false)
+	f.Add([]byte("zzabczz"), []byte{1}, uint64(0xFFFFFFFF00000001), false, false)
+	// The pure FIN arrives first, ahead of the whole stream.
+	f.Add([]byte("the needle in the haystack"), []byte{7, 9}, uint64(0x000100000000000A), false, true)
+	// ISN 0xFFFFFFF4: the first segment sent, [10,16), straddles 2^32 and is
+	// held, and so is [16,20) past the wrap.
+	f.Add([]byte("zzneedlezzabczzhaystackzz"), []byte{5, 3}, uint64(0xFFFFFFF400000001), false, false)
+	f.Fuzz(func(t *testing.T, stream []byte, cuts []byte, order uint64, lastWins, pureFin bool) {
 		if len(stream) == 0 || len(stream) > 2048 {
 			t.Skip()
 		}
@@ -749,6 +756,9 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 			}
 			segs = append(segs, span{at, n})
 			at += n
+		}
+		if pureFin {
+			segs = append(segs, span{len(stream), 0})
 		}
 		perm := make([]int, len(segs))
 		for i := range perm {
@@ -780,7 +790,7 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 		}
 		send := func(s span) {
 			fl := FlagSeq
-			if s.at+s.n == len(stream) {
+			if s.at+s.n == len(stream) && (s.n == 0) == pureFin {
 				fl |= FlagFIN
 			}
 			err := gw.Ingest(GatewayPacket{
@@ -805,8 +815,8 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 			t.Fatalf("%d segs, policy %v: gateway %d matches, oracle %d\ngot  %+v\nwant %+v",
 				len(segs), pol, len(got), len(want), got, want)
 		}
-		if st := gw.Stats(); st.BufferedBytes != 0 {
-			t.Fatalf("%d bytes buffered after Close", st.BufferedBytes)
+		if st := gw.Stats(); st.BufferedBytes != 0 || st.FlowsFinished != 1 {
+			t.Fatalf("%d bytes buffered after Close, %d connections finished (want 1)", st.BufferedBytes, st.FlowsFinished)
 		}
 	})
 }

@@ -51,6 +51,37 @@ func (g *Gateway) rangeFlows(fn func(FiveTuple, *gwFlow)) {
 	g.eachLane(func(ln *gwLane) { ln.table.Range(fn) })
 }
 
+// auditGenerationPins checks the generation refcounts exactly, in one
+// quiesced walk of every lane table: each live generation's flows count
+// equals the records pinned to it, and no record is pinned to a generation
+// that has left the live list.
+func (g *Gateway) auditGenerationPins(t testing.TB) {
+	t.Helper()
+	g.quiesce()
+	defer g.resume()
+	pinned := map[*gwGeneration]int64{}
+	for _, sh := range g.shards {
+		for _, ln := range sh.lanes {
+			ln.table.Range(func(_ FiveTuple, fl *gwFlow) {
+				if fl.gen != nil {
+					pinned[fl.gen]++
+				}
+			})
+		}
+	}
+	g.genMu.Lock()
+	defer g.genMu.Unlock()
+	for _, gen := range g.gens {
+		if n := gen.flows.Load(); n != pinned[gen] {
+			t.Errorf("generation %d counts %d pinned flows, %d records hold it", gen.id, n, pinned[gen])
+		}
+		delete(pinned, gen)
+	}
+	for gen, n := range pinned {
+		t.Errorf("%d records pinned to generation %d, which is not live", n, gen.id)
+	}
+}
+
 // gatewayMatcher compiles a mid-size matcher and returns its internal
 // pattern-set view for the traffic generators.
 func gatewayMatcher(t testing.TB, strings int) (*Matcher, *ruleset.Set) {

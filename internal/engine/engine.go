@@ -8,7 +8,7 @@
 // how the hardware fits a block's memory, and lives in package fpga.
 //
 // FlowState is the product: each concurrent TCP/UDP flow owns one FlowState
-// value — its registers, nothing else, 24 pointer-free bytes — while
+// value — its registers, nothing else, 16 pointer-free bytes — while
 // sharing the compiled automaton, so millions of flows cost per-flow
 // registers only, never per-flow automata, buffers or objects. dpi.Stream
 // embeds one in its handle, the gateway one in each flow record, and both
@@ -173,26 +173,21 @@ func scanParallel(m *core.Machine, payloads [][]byte, results [][]ac.Match, work
 }
 
 // FlowState is one flow's streaming scan state, by value: the register file
-// and the generation of the automaton it was reset for. It holds no buffer
-// and no pointer — not to the engine, not to the automaton — so a flow
-// record embeds it, copying it forks the stream, and a million idle flows
-// hold a million of these and nothing more. A FlowState is single-goroutine
-// (like the socket it shadows) and must be written over the automaton it was
-// opened for.
+// and nothing else. It holds no buffer, no pointer — not to the engine, not
+// to the automaton — and no tag naming the automaton, so a flow record
+// embeds it, copying it forks the stream, and a million idle flows hold a
+// million of these and nothing more. A FlowState is single-goroutine (like
+// the socket it shadows) and must be written over the automaton it was
+// opened for: the holder keeps that pin (the gateway's flow record holds its
+// generation).
 type FlowState struct {
 	regs core.Regs
-	gen  uint64
-}
-
-// Open resets s to start-of-packet for m and stamps it with m's generation.
-// Engine.Open is this plus the engine's accounting.
-func (s *FlowState) Open(m *core.Machine) {
-	s.gen = m.Generation()
-	s.regs.Reset()
 }
 
 // Reset rewinds the flow to start-of-packet: state and the 2-byte
-// default-rule history are cleared and offsets restart at zero.
+// default-rule history are cleared and offsets restart at zero. It is also
+// how a connection opens (the zero value is not a start state); Engine.Open
+// is this plus the engine's accounting.
 func (s *FlowState) Reset() { s.regs.Reset() }
 
 // SkipGap records n stream bytes the flow will never see (a reassembly gap
@@ -207,12 +202,6 @@ func (s *FlowState) SkipGap(n int) { s.regs.SkipAhead(n) }
 // skipped since the flow was opened or Reset.
 func (s *FlowState) Consumed() int { return s.regs.Pos() }
 
-// Generation reports the compile generation of the automaton the registers
-// were last opened for; zero for a state never opened. The hot-reload
-// oracle audits this tag against the flow's pinned generation to prove no
-// register file crossed a ruleset swap.
-func (s *FlowState) Generation() uint64 { return s.gen }
-
 // Write scans the next chunk over m — the automaton s was opened for —
 // appending to out the matches whose final byte lies in this chunk, in the
 // machine's canonical (End, PatternID) order with End relative to the start
@@ -222,11 +211,11 @@ func (s *FlowState) Write(m *core.Machine, p []byte, out []ac.Match) []ac.Match 
 	return m.ScanAppend(&s.regs, p, out)
 }
 
-// Open starts a connection on s: registers at start-of-packet, stamped
-// with this engine's generation, counted once in Stats.FlowsOpened.
+// Open starts a connection on s: registers at start-of-packet, counted once
+// in Stats.FlowsOpened.
 func (e *Engine) Open(s *FlowState) {
 	e.flowsOpened.Add(1)
-	s.Open(e.m)
+	s.Reset()
 }
 
 // Write consumes the next chunk of the flow s, which this engine opened,

@@ -111,24 +111,20 @@ func TestFlowPoolReuseIsClean(t *testing.T) {
 
 // TestFlowStateReopenInPlace: a state that served one connection is
 // re-opened for the next without allocating (it has nothing to allocate),
-// starts from clean registers, is counted as a new connection, and carries
-// the opening engine's generation tag.
+// starts from clean registers, and is counted as a new connection.
 func TestFlowStateReopenInPlace(t *testing.T) {
 	g := buildGrouped(t, 120)
 	e := New(g, 1)
 	target := g.Sets[0].Patterns[0].Data
 	var st FlowState
-	if st.Generation() != 0 {
-		t.Fatalf("unopened state carries generation %d", st.Generation())
-	}
 	e.Open(&st)
 	e.Write(&st, target[:len(target)-1], nil)
 	allocs := testing.AllocsPerRun(10, func() { e.Open(&st) })
 	if !raceEnabled && allocs != 0 {
 		t.Fatalf("re-open allocated %.1f times", allocs)
 	}
-	if st.Consumed() != 0 || st.Generation() != g.Generation {
-		t.Fatalf("re-opened state at %d, generation %d (engine %d)", st.Consumed(), st.Generation(), g.Generation)
+	if st.Consumed() != 0 {
+		t.Fatalf("re-opened state at %d", st.Consumed())
 	}
 	if ms := e.Write(&st, target[len(target)-1:], nil); len(ms) != 0 {
 		t.Fatalf("match spans a re-open: %v", ms)

@@ -192,14 +192,14 @@ func TestCloseEvictsEverything(t *testing.T) {
 // TestEntryFootprint pins what a flow costs the table: one entry holding a
 // 40 B header — key, last-activity tick and the two LRU links, no lock —
 // and the record by value, plus its index slot. With the gateway's record
-// (80 B, gated by TestFlowRecordFootprint) an entry is 120 B, in the 128 B
-// malloc size class.
+// (56 B, gated by TestFlowRecordFootprint) an entry is 96 B, exactly the
+// 96 B malloc size class.
 func TestEntryFootprint(t *testing.T) {
 	if off := unsafe.Offsetof(entry[*fakeFlow]{}.flow); off != 40 {
 		t.Fatalf("entry header is %d B, want 40", off)
 	}
-	if size := unsafe.Sizeof(entry[[10]uint64]{}); size > 120 {
-		t.Fatalf("entry of an 80 B record is %d B, want <= 120", size)
+	if size := unsafe.Sizeof(entry[[7]uint64]{}); size > 96 {
+		t.Fatalf("entry of a 56 B record is %d B, want <= 96", size)
 	}
 }
 

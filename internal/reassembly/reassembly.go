@@ -9,9 +9,11 @@
 // One Stream holds one direction of one connection. Segments arrive tagged
 // with their absolute TCP sequence number; in-order bytes are delivered to
 // the caller immediately, out-of-order bytes are buffered (bounded per
-// flow and, via a shared Budget, globally) until the hole fills. Sequence
-// arithmetic is uint32 with wraparound, so initial sequence numbers near
-// 2^32 work unchanged.
+// flow and, via a shared Budget, globally) until the hole fills. The stream
+// keeps its place in sequence space — the next in-order byte's sequence
+// number, held segments keyed by theirs, every distance a signed 32-bit
+// difference — so initial sequence numbers near 2^32 work unchanged, and a
+// FIN is kept only while it waits ahead of a gap.
 //
 // Three policies keep a hostile or lossy feed from wedging the scanner:
 //
@@ -34,7 +36,10 @@
 // flow's calls from the one lane that owns the flow.
 package reassembly
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // Policy selects which bytes win when segments overlap in the undelivered
 // buffer.
@@ -160,38 +165,43 @@ type Result struct {
 	Event     Event
 }
 
-// seg is one held out-of-order run. off is a stream offset (bytes from the
-// start of the stream); held segs are sorted by off and non-overlapping.
+// seg is one held out-of-order run, keyed by the sequence number of its first
+// byte. Held segs lie ahead of the delivery point, sorted by seq and
+// non-overlapping.
 type seg struct {
-	off  int64
+	seq  uint32
 	data []byte
 }
 
-// Stream reassembles one flow direction. It is a plain 40 B value a flow
+// Stream reassembles one flow direction. It is a plain 24 B value a flow
 // record can embed: the configuration every stream of a table shares is held
-// by pointer, not copied per flow, and everything only out-of-order delivery
-// needs — the held segments, their byte count and the gap timer — sits
-// behind one pointer that the first byte the stream has to hold allocates
-// and Release drops. A stream whose segments arrive in order therefore owns
-// no memory beyond itself. The zero value holds nothing (HeldBytes and
-// Release work on it) but cannot take segments until Init.
+// by pointer, not copied per flow, the cursor is the sequence number of the
+// next in-order byte, and everything only out-of-order delivery needs — the
+// held segments, their byte count, the gap timer and a FIN seen ahead of a
+// gap — sits behind one pointer that the first byte (or FIN) the stream has
+// to hold allocates and Release drops. A stream whose segments arrive in
+// order therefore owns no memory beyond itself. The zero value holds nothing
+// (HeldBytes and Release work on it) but cannot take segments until Init.
+//
+// A FIN is remembered only when it is ahead of a gap. One whose payload
+// starts at or behind the delivery point completes the stream within its own
+// Segment call, since every byte before it is delivered there.
 type Stream struct {
 	cfg      *Config
 	started  bool
 	finished bool
 	wasReset bool
-	finSeen  bool
-	next     uint32 // absolute seq of the next in-order byte
-	pos      int64  // stream offset of next (bytes delivered + skipped)
-	finOff   int64  // stream offset one past the last byte (FIN position)
+	finSeen  bool   // a FIN ahead of a gap is waiting in ooo.fin
+	next     uint32 // seq of the next in-order byte
 	ooo      *outOfOrder
 }
 
-// outOfOrder is a stream's state while it holds bytes out of order.
+// outOfOrder is a stream's state while it holds bytes, or a FIN, out of order.
 type outOfOrder struct {
 	held     []seg
 	heldBy   int    // sum of held data lengths
 	gapSince uint64 // tick+1 when delivery first stalled on the current gap
+	fin      uint32 // seq one past the last byte, when finSeen
 }
 
 // consume drops the first n held segments, whose bytes have already left the
@@ -221,10 +231,6 @@ func NewStream(cfg Config) *Stream {
 	return &own.s
 }
 
-// Pos returns the stream offset of the next in-order byte: bytes delivered
-// plus bytes skipped past gaps.
-func (s *Stream) Pos() int64 { return s.pos }
-
 // HeldBytes returns the bytes currently buffered out of order.
 func (s *Stream) HeldBytes() int {
 	if s.ooo == nil {
@@ -240,13 +246,13 @@ func (s *Stream) Finished() bool { return s.finished }
 // reports how many bytes it discarded so the caller can account them (a
 // byte-conservation ledger must not lose eviction-released bytes). Call it
 // when the flow is evicted mid-gap; it is idempotent. The stream keeps no
-// out-of-order state afterwards.
+// out-of-order state afterwards, a FIN seen ahead of the gap included.
 func (s *Stream) Release() int {
 	o := s.ooo
 	if o == nil {
 		return 0
 	}
-	s.ooo = nil
+	s.ooo, s.finSeen = nil, false
 	if o.heldBy > 0 {
 		s.cfg.Budget.release(o.heldBy)
 	}
@@ -272,7 +278,10 @@ func (s *Stream) Segment(seq uint32, payload []byte, flags Flags, tick uint64, d
 			r.Duplicate = len(payload)
 			return r
 		}
-		s.restart()
+		// A SYN after FIN/RST starts a new connection on the same 5-tuple:
+		// every position and buffer clears; the caller resets its scanner.
+		s.Release()
+		s.Init(s.cfg)
 	}
 	if flags&RST != 0 {
 		r.Abandoned = s.Release()
@@ -287,123 +296,101 @@ func (s *Stream) Segment(seq uint32, payload []byte, flags Flags, tick uint64, d
 	if !s.started {
 		s.started = true
 		s.next = dataSeq
-		s.pos = 0
 	}
-	// Stream offset of payload[0]: signed 32-bit distance from the
-	// delivery point handles sequence wraparound.
-	off := s.pos + int64(int32(dataSeq-s.next))
-	if flags&FIN != 0 && !s.finSeen {
+	off := s.ahead(dataSeq)
+	// A first FIN at or behind the delivery point completes the stream in
+	// this call: every byte before it is delivered below. Only a FIN ahead
+	// of a gap has to be remembered.
+	finNow := flags&FIN != 0 && !s.finSeen && off <= 0
+	if flags&FIN != 0 && !s.finSeen && off > 0 {
 		s.finSeen = true
-		s.finOff = off + int64(len(payload))
+		s.holding().fin = dataSeq + uint32(len(payload))
 	}
 	data := payload
-	// Bytes at or before the delivery point are already committed.
-	if off < s.pos {
-		cut := s.pos - off
-		if cut >= int64(len(data)) {
+	// Bytes before the delivery point are already committed.
+	if off < 0 {
+		if -off >= int64(len(data)) {
 			r.Duplicate += len(data)
 			data = nil
 		} else {
-			r.Duplicate += int(cut)
-			data = data[cut:]
-			off = s.pos
+			r.Duplicate += int(-off)
+			data = data[-off:]
+			off = 0
 		}
 	}
 	if len(data) > 0 {
 		// Resolve overlaps with held bytes per policy first, producing
-		// pieces disjoint from the buffer; then each piece is either
-		// contiguous with the delivery point (deliver now, drain holes it
-		// fills behind it) or buffered.
-		var pieces []seg
+		// pieces disjoint from the buffer; then each piece is either at the
+		// delivery point (deliver now, and drain the held run it reaches,
+		// which ends where the next piece starts) or buffered.
+		var buf [2]seg
+		pieces := buf[:0]
 		if s.cfg.Policy == FirstWins {
-			pieces = []seg{{off: off, data: data}}
-			if o := s.ooo; o != nil {
-				for _, h := range o.held {
-					pieces = subtract(pieces, h.off, h.off+int64(len(h.data)), &r)
-				}
-			}
+			pieces = s.uncovered(off, data, pieces, &r)
 		} else {
 			s.trimHeld(off, off+int64(len(data)), &r)
-			pieces = []seg{{off: off, data: data}}
+			pieces = append(pieces, seg{seq: s.next + uint32(off), data: data})
 		}
 		for _, p := range pieces {
-			if p.off > s.pos {
-				s.addPiece(p.off, p.data, &r)
+			if pOff := s.ahead(p.seq); pOff > 0 {
+				s.addPiece(pOff, p.data, &r)
 				continue
 			}
-			chunk := p.data
-			if cut := s.pos - p.off; cut > 0 {
-				if cut >= int64(len(chunk)) {
-					r.Duplicate += len(chunk)
-					continue
-				}
-				r.Duplicate += int(cut)
-				chunk = chunk[cut:]
-			}
-			deliver(chunk, 0)
-			r.Delivered += len(chunk)
-			s.advance(len(chunk))
+			deliver(p.data, 0)
+			r.Delivered += len(p.data)
+			s.next += uint32(len(p.data))
 			s.drain(deliver, &r, 0)
 		}
 	}
-	s.checkFinished(&r)
+	s.checkFinished(&r, finNow)
 	s.checkGap(tick, deliver, &r)
 	return r
 }
 
-// restart re-arms a finished or reset stream for a new connection reusing
-// the same 5-tuple (a SYN after FIN/RST): all positions and buffers clear;
-// the caller is responsible for fresh scanner state.
-func (s *Stream) restart() {
-	s.Release()
-	s.Init(s.cfg)
-}
+// ahead is how far seq lies past the delivery point. Signed 32-bit sequence
+// arithmetic handles wraparound: every held byte, and the FIN when it is
+// remembered, lies less than 2^31 ahead.
+func (s *Stream) ahead(seq uint32) int64 { return int64(int32(seq - s.next)) }
 
-// advance moves the delivery point n committed bytes forward.
-func (s *Stream) advance(n int) {
-	s.pos += int64(n)
-	s.next += uint32(n)
+// holding returns the stream's out-of-order state, allocating it on first use.
+func (s *Stream) holding() *outOfOrder {
+	if s.ooo == nil {
+		s.ooo = &outOfOrder{}
+	}
+	return s.ooo
 }
 
 // drain delivers every held segment that is now contiguous with the
-// delivery point. skippedBefore is attached to the first delivered chunk
-// (non-zero only when a gap skip led here). Each segment leaves heldBy and
-// the budget before its bytes go to deliver, and the taken segments leave
-// held on the way out even if deliver panics, so a caller that recovers sees
-// a consistent stream.
+// delivery point — held segments lie strictly ahead of it between calls and
+// never overlap, so each one drained starts exactly there. skippedBefore is
+// attached to the first delivered chunk (non-zero only when a gap skip led
+// here). Each segment leaves heldBy and the budget before its bytes go to
+// deliver, and the taken segments leave held on the way out even if deliver
+// panics, so a caller that recovers sees a consistent stream.
 func (s *Stream) drain(deliver func([]byte, int), r *Result, skippedBefore int) {
 	o := s.ooo
-	if o == nil || len(o.held) == 0 || o.held[0].off > s.pos {
+	if o == nil || len(o.held) == 0 || s.ahead(o.held[0].seq) > 0 {
 		return
 	}
 	n := 0
 	defer func() { o.consume(n) }()
-	for n < len(o.held) && o.held[n].off <= s.pos {
+	for n < len(o.held) && s.ahead(o.held[n].seq) <= 0 {
 		h := o.held[n]
 		n++
 		o.heldBy -= len(h.data)
 		s.cfg.Budget.release(len(h.data))
-		data := h.data
-		if h.off < s.pos { // partially covered by a just-delivered overlap
-			cut := s.pos - h.off
-			if cut >= int64(len(data)) {
-				r.Duplicate += len(data)
-				continue
-			}
-			r.Duplicate += int(cut)
-			data = data[cut:]
-		}
-		deliver(data, skippedBefore)
+		deliver(h.data, skippedBefore)
 		skippedBefore = 0
-		r.Delivered += len(data)
-		s.advance(len(data))
+		r.Delivered += len(h.data)
+		s.next += uint32(len(h.data))
 	}
 }
 
-// checkFinished flips the stream to finished once every byte up to the FIN
-// has been delivered (or skipped past).
-func (s *Stream) checkFinished(r *Result) {
-	if s.finSeen && !s.finished && s.pos >= s.finOff {
+// checkFinished flips the stream to finished when this call's in-order FIN
+// (finNow) or a FIN that arrived ahead of a gap has had every byte before it
+// delivered (or skipped past).
+func (s *Stream) checkFinished(r *Result, finNow bool) {
+	if finNow || s.finSeen && s.ahead(s.ooo.fin) <= 0 {
 		s.finished = true
 		r.Abandoned += s.Release() // anything held beyond the FIN is bogus
 		r.Event = EventFinished
@@ -430,89 +417,105 @@ func (s *Stream) checkGap(tick uint64, deliver func([]byte, int), r *Result) {
 	if s.cfg.GapTimeout == 0 || tick+1-o.gapSince < s.cfg.GapTimeout {
 		return
 	}
-	skipped := int(o.held[0].off - s.pos)
-	s.pos = o.held[0].off
-	s.next += uint32(skipped)
+	skipped := int(s.ahead(o.held[0].seq))
+	s.next = o.held[0].seq
 	o.gapSince = 0
 	r.Skipped += skipped
 	s.drain(deliver, r, skipped)
-	s.checkFinished(r)
+	s.checkFinished(r, false)
 	if s.ooo != nil && len(s.ooo.held) > 0 { // a further gap: arm its timer now
 		s.ooo.gapSince = tick + 1
 	}
 }
 
-// trimHeld removes [off, end) from the held buffer (LastWins: the new
-// bytes will overwrite), splitting segments that straddle the range. The
-// discarded bytes count as Duplicate.
-func (s *Stream) trimHeld(off, end int64, r *Result) {
+// trimHeld removes [lo, hi) — offsets past the delivery point — from the
+// held buffer (LastWins: the new bytes will overwrite); the discarded bytes
+// count as Duplicate. The held segments the range touches are one run,
+// replaced in place by the parts that straddle its ends, so a range that
+// touches none allocates nothing.
+func (s *Stream) trimHeld(lo, hi int64, r *Result) {
 	o := s.ooo
 	if o == nil {
 		return
 	}
-	kept := make([]seg, 0, len(o.held))
-	for _, h := range o.held {
-		hEnd := h.off + int64(len(h.data))
-		if hEnd <= off || h.off >= end { // disjoint
-			kept = append(kept, h)
-			continue
-		}
-		// Remainders are copied, not subsliced: a tiny kept remnant would
-		// otherwise pin the overwritten segment's whole backing array
-		// while its budget charge is released — repeated overwrites could
-		// then grow real memory far past the caps.
-		freed := len(h.data)
-		if h.off < off { // left remainder survives
-			left := seg{off: h.off, data: append([]byte(nil), h.data[:off-h.off]...)}
-			freed -= len(left.data)
-			kept = append(kept, left)
-		}
-		if hEnd > end { // right remainder survives
-			right := seg{off: end, data: append([]byte(nil), h.data[end-h.off:]...)}
-			freed -= len(right.data)
-			kept = append(kept, right)
-		}
-		r.Duplicate += freed
-		o.heldBy -= freed
-		s.cfg.Budget.release(freed)
+	i := 0
+	for i < len(o.held) && s.ahead(o.held[i].seq)+int64(len(o.held[i].data)) <= lo {
+		i++
 	}
-	o.held = kept
+	j := i
+	freed := 0
+	for j < len(o.held) && s.ahead(o.held[j].seq) < hi {
+		freed += len(o.held[j].data)
+		j++
+	}
+	if i == j {
+		return
+	}
+	// Remainders are copied, not subsliced: a tiny kept remnant would
+	// otherwise pin the overwritten segment's whole backing array while its
+	// budget charge is released — repeated overwrites could then grow real
+	// memory far past the caps.
+	var kept []seg
+	if first, at := o.held[i], s.ahead(o.held[i].seq); at < lo { // left remainder survives
+		kept = append(kept, seg{seq: first.seq, data: append([]byte(nil), first.data[:lo-at]...)})
+	}
+	if last, at := o.held[j-1], s.ahead(o.held[j-1].seq); at+int64(len(last.data)) > hi { // right remainder survives
+		kept = append(kept, seg{seq: last.seq + uint32(hi-at), data: append([]byte(nil), last.data[hi-at:]...)})
+	}
+	for _, k := range kept {
+		freed -= len(k.data)
+	}
+	o.held = slices.Replace(o.held, i, j, kept...) // zeroes the slots it vacates
+	r.Duplicate += freed
+	o.heldBy -= freed
+	s.cfg.Budget.release(freed)
 }
 
-// subtract removes [lo, hi) from every piece, counting removed bytes as
-// Duplicate. Pieces stay sorted and disjoint.
-func subtract(pieces []seg, lo, hi int64, r *Result) []seg {
-	var out []seg
-	for _, p := range pieces {
-		pEnd := p.off + int64(len(p.data))
-		if pEnd <= lo || p.off >= hi { // disjoint
-			out = append(out, p)
-			continue
+// uncovered appends to pieces the parts of data — which starts off bytes past
+// the delivery point — that no held segment covers, counting the covered bytes
+// as Duplicate (FirstWins: the held bytes arrived first). Held segments are
+// sorted and disjoint, so one pass splits data only at the segments it
+// overlaps: an arrival disjoint from everything held is one piece, appended
+// to the caller's buffer without allocating.
+func (s *Stream) uncovered(off int64, data []byte, pieces []seg, r *Result) []seg {
+	at, end := off, off+int64(len(data))
+	if o := s.ooo; o != nil {
+		for _, h := range o.held {
+			hLo := s.ahead(h.seq)
+			hHi := hLo + int64(len(h.data))
+			if hHi <= at {
+				continue
+			}
+			if hLo >= end {
+				break
+			}
+			if hLo > at {
+				pieces = append(pieces, seg{seq: s.next + uint32(at), data: data[at-off : hLo-off]})
+			}
+			r.Duplicate += int(min(hHi, end) - max(hLo, at))
+			at = hHi
 		}
-		if p.off < lo {
-			out = append(out, seg{off: p.off, data: p.data[:lo-p.off]})
-		}
-		if pEnd > hi {
-			out = append(out, seg{off: hi, data: p.data[hi-p.off:]})
-		}
-		removed := min(pEnd, hi) - max(p.off, lo)
-		r.Duplicate += int(removed)
 	}
-	return out
+	if at < end {
+		pieces = append(pieces, seg{seq: s.next + uint32(at), data: data[at-off:]})
+	}
+	return pieces
 }
 
-// addPiece inserts one non-overlapping piece, enforcing the per-flow cap
-// and the shared budget. Under pressure the held bytes furthest from the
-// delivery point are evicted first — but never to admit bytes that are
-// themselves further out than everything already held.
+// addPiece inserts one non-overlapping piece, off bytes past the delivery
+// point, enforcing the per-flow cap and the shared budget. Under pressure
+// the held bytes furthest from the delivery point are evicted first — but
+// never to admit bytes that are themselves further out than everything
+// already held.
 func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 	if s.finSeen {
 		// Bytes at or past the FIN cannot be part of this connection.
-		if off >= s.finOff {
+		fin := s.ahead(s.ooo.fin)
+		if off >= fin {
 			r.Duplicate += len(data)
 			return
 		}
-		if over := off + int64(len(data)) - s.finOff; over > 0 {
+		if over := off + int64(len(data)) - fin; over > 0 {
 			r.Duplicate += int(over)
 			data = data[:int64(len(data))-over]
 		}
@@ -524,7 +527,7 @@ func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 	max := s.cfg.maxFlowBytes()
 	for o := s.ooo; o != nil && o.heldBy+need > max && len(o.held) > 0; {
 		last := &o.held[len(o.held)-1]
-		if last.off <= off {
+		if s.ahead(last.seq) <= off {
 			break // the new piece is the furthest; drop it instead
 		}
 		trim := o.heldBy + need - max
@@ -558,10 +561,7 @@ func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 		r.Dropped += need
 		return
 	}
-	if s.ooo == nil {
-		s.ooo = &outOfOrder{}
-	}
-	o := s.ooo
+	o := s.holding()
 	o.heldBy += need
 	// Own the buffered bytes: a retained subslice would pin the caller's
 	// whole payload array while the caps charge only the slice length,
@@ -572,11 +572,9 @@ func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 	data = append([]byte(nil), data...)
 	// Sorted insert; held segments are few in practice (one per open gap).
 	i := len(o.held)
-	for i > 0 && o.held[i-1].off > off {
+	for i > 0 && s.ahead(o.held[i-1].seq) > off {
 		i--
 	}
-	o.held = append(o.held, seg{})
-	copy(o.held[i+1:], o.held[i:])
-	o.held[i] = seg{off: off, data: data}
+	o.held = slices.Insert(o.held, i, seg{seq: s.next + uint32(off), data: data})
 	r.Buffered += need
 }

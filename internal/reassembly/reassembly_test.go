@@ -36,12 +36,13 @@ func TestInOrderDelivery(t *testing.T) {
 	if out != "hello " || r.Delivered != 6 {
 		t.Fatalf("first segment: %q %+v", out, r)
 	}
+	delivered := r.Delivered
 	out, _, r = feed(t, s, 1006, "world", FIN, 1)
 	if out != "world" || r.Event != EventFinished {
 		t.Fatalf("second segment: %q %+v", out, r)
 	}
-	if !s.Finished() || s.Pos() != 11 {
-		t.Fatalf("finished=%v pos=%d", s.Finished(), s.Pos())
+	if delivered += r.Delivered; !s.Finished() || delivered != 11 {
+		t.Fatalf("finished=%v delivered=%d", s.Finished(), delivered)
 	}
 }
 
@@ -72,13 +73,132 @@ func TestSequenceWraparound(t *testing.T) {
 	s := NewStream(Config{})
 	isn := uint32(0xFFFFFFF8) // 8 bytes before wrap
 	feed(t, s, isn, "", SYN, 0)
-	out, _, _ := feed(t, s, isn+1, "0123456", 0, 1) // crosses 2^32
+	out, _, r := feed(t, s, isn+1, "0123456", 0, 1) // crosses 2^32
 	if out != "0123456" {
 		t.Fatalf("pre-wrap: %q", out)
 	}
-	out, _, _ = feed(t, s, isn+8, "89", 0, 2) // seq wrapped to 0x00000000
-	if out != "89" || s.Pos() != 9 {
-		t.Fatalf("post-wrap: %q pos=%d", out, s.Pos())
+	delivered := r.Delivered
+	out, _, r = feed(t, s, isn+8, "89", 0, 2) // seq wrapped to 0x00000000
+	if delivered += r.Delivered; out != "89" || delivered != 9 {
+		t.Fatalf("post-wrap: %q delivered=%d", out, delivered)
+	}
+}
+
+// TestOutOfOrderAcrossWrap: the cursor and the held segments live in sequence
+// space, so a held segment that straddles 2^32, one past it, and a FIN ahead
+// of the gap past it all drain in stream order once the head arrives.
+func TestOutOfOrderAcrossWrap(t *testing.T) {
+	const stream = "0123456789abcdefghij"
+	isn := uint32(0xFFFFFFF8) // stream byte 7 sits at seq 0
+	at := func(off int) uint32 { return isn + 1 + uint32(off) }
+	s := NewStream(Config{})
+	feed(t, s, isn, "", SYN, 0)
+	if _, _, r := feed(t, s, at(len(stream)), "", FIN, 1); r.Event != EventNone || s.ooo == nil {
+		t.Fatalf("a FIN ahead of the gap: %+v", r)
+	}
+	for _, p := range []struct {
+		off  int
+		data string
+	}{{4, stream[4:10]}, {12, stream[12:]}} { // [4,10) straddles the wrap
+		if out, _, r := feed(t, s, at(p.off), p.data, 0, 2); out != "" || r.Buffered != len(p.data) {
+			t.Fatalf("held %q: delivered %q, %+v", p.data, out, r)
+		}
+	}
+	out, _, r := feed(t, s, at(0), stream[:4], 0, 3)
+	if out != stream[:10] || r.Event != EventNone || s.HeldBytes() != len(stream)-12 {
+		t.Fatalf("head delivered %q, %+v, held %d", out, r, s.HeldBytes())
+	}
+	out, _, r = feed(t, s, at(10), stream[10:12], 0, 4)
+	if out != stream[10:] || r.Event != EventFinished || s.ooo != nil {
+		t.Fatalf("last hole delivered %q, %+v", out, r)
+	}
+}
+
+// TestFinAheadIsOutOfOrderState: a FIN at or behind the delivery point
+// finishes the stream in its own call and is never stored; a FIN ahead of a
+// gap — even one with no payload — is the stream's out-of-order state, bounds
+// what may still be held, and finishes the stream exactly when the gap fills.
+func TestFinAheadIsOutOfOrderState(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		last func(s *Stream) Result
+	}{
+		{"with-payload", func(s *Stream) Result { _, _, r := feed(t, s, 104, "def", FIN, 1); return r }},
+		{"pure", func(s *Stream) Result { _, _, r := feed(t, s, 104, "", FIN, 1); return r }},
+		{"payload-behind", func(s *Stream) Result { _, _, r := feed(t, s, 102, "bc", FIN, 1); return r }},
+	} {
+		s := NewStream(Config{})
+		feed(t, s, 100, "", SYN, 0)
+		feed(t, s, 101, "abc", 0, 0)
+		if r := tc.last(s); r.Event != EventFinished || s.ooo != nil || !s.Finished() {
+			t.Fatalf("in-order FIN %s: %+v, out-of-order state %v", tc.name, r, s.ooo)
+		}
+	}
+
+	b := NewBudget(1 << 20)
+	s := NewStream(Config{Budget: b})
+	feed(t, s, 100, "", SYN, 0)
+	// A pure FIN after a 10-byte gap.
+	if out, _, r := feed(t, s, 111, "", FIN, 1); out != "" || r.Event != EventNone || s.ooo == nil || s.HeldBytes() != 0 {
+		t.Fatalf("pure FIN ahead: %q %+v, out-of-order state %v", out, r, s.ooo)
+	}
+	// Bytes past the FIN cannot be part of the connection.
+	if _, _, r := feed(t, s, 109, "89XY", 0, 2); r.Buffered != 2 || r.Duplicate != 2 {
+		t.Fatalf("segment straddling the FIN: %+v", r)
+	}
+	if _, _, r := feed(t, s, 113, "ZZ", 0, 3); r.Duplicate != 2 || r.Buffered != 0 {
+		t.Fatalf("segment past the FIN: %+v", r)
+	}
+	if out, _, r := feed(t, s, 101, "0123", 0, 4); out != "0123" || r.Event != EventNone {
+		t.Fatalf("part of the gap: %q %+v", out, r)
+	}
+	out, _, r := feed(t, s, 105, "4567", 0, 5)
+	if out != "456789" || r.Event != EventFinished || s.ooo != nil || b.Used() != 0 {
+		t.Fatalf("gap filled: %q %+v, out-of-order state %v, budget %d", out, r, s.ooo, b.Used())
+	}
+
+	// Release after a FIN ahead leaves nothing: no held bytes, no FIN, no
+	// budget charge.
+	s = NewStream(Config{Budget: b})
+	feed(t, s, 100, "", SYN, 0)
+	feed(t, s, 111, "", FIN, 1)
+	feed(t, s, 105, "held", 0, 2)
+	if n := s.Release(); n != 4 || s.ooo != nil || s.finSeen || s.HeldBytes() != 0 || b.Used() != 0 {
+		t.Fatalf("Release returned %d and left state %v (FIN %v), budget %d", n, s.ooo, s.finSeen, b.Used())
+	}
+}
+
+// TestOutOfOrderArrivalAllocations: overlap resolution looks only at the held
+// segments an arrival overlaps, so under either policy an arrival disjoint
+// from everything held allocates its held copy and nothing else — the held
+// list's growth amortises below one allocation — however many segments are
+// held.
+func TestOutOfOrderArrivalAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	deliver := func([]byte, int) {}
+	held, arrival := []byte("0123456789"), []byte("abcde")
+	for _, pol := range []Policy{FirstWins, LastWins} {
+		for _, k := range []int{0, 1, 4, 8} {
+			s := NewStream(Config{Policy: pol})
+			s.Segment(0, nil, SYN, 0, deliver)
+			for j := 1; j <= k; j++ { // [1000j, 1000j+10)
+				s.Segment(uint32(1+1000*j), held, 0, 0, deliver)
+			}
+			// Arrivals land at 15..19 mod 20, between and around the held runs.
+			off := 15
+			allocs := testing.AllocsPerRun(100, func() {
+				s.Segment(uint32(1+off), arrival, 0, 0, deliver)
+				off += 20
+			})
+			if want := 10*k + 5*101; s.HeldBytes() != want {
+				t.Fatalf("%v, %d held: %d bytes held, want %d", pol, k, s.HeldBytes(), want)
+			}
+			if allocs > 1 {
+				t.Errorf("%v: a disjoint arrival with %d segments held allocated %.0f times, want 1", pol, k, allocs)
+			}
+		}
 	}
 }
 
@@ -141,19 +261,24 @@ func TestGapSkip(t *testing.T) {
 	s := NewStream(Config{GapTimeout: 3})
 	feed(t, s, 0, "", SYN, 0)
 	// Segment [10,14) arrives; bytes [0,10) are lost forever.
-	if out, _, _ := feed(t, s, 11, "tail", 0, 5); out != "" {
+	passed := 0 // stream bytes delivered or skipped past
+	if out, _, r := feed(t, s, 11, "tail", 0, 5); out != "" {
 		t.Fatalf("delivered across gap: %q", out)
+	} else {
+		passed += r.Delivered + r.Skipped
 	}
 	// Ticks 6,7: timer armed at 5, not yet expired.
-	if out, _, _ := feed(t, s, 11, "tail", 0, 6); out != "" {
+	if out, _, r := feed(t, s, 11, "tail", 0, 6); out != "" {
 		t.Fatal("skipped too early")
+	} else {
+		passed += r.Delivered + r.Skipped
 	}
 	out, skip, r := feed(t, s, 11, "tail", 0, 9)
 	if out != "tail" || skip != 10 || r.Skipped != 10 {
 		t.Fatalf("skip: out=%q skip=%d %+v", out, skip, r)
 	}
-	if s.Pos() != 14 {
-		t.Fatalf("pos=%d, want 14 (10 skipped + 4 delivered)", s.Pos())
+	if passed += r.Delivered + r.Skipped; passed != 14 {
+		t.Fatalf("passed %d stream bytes, want 14 (10 skipped + 4 delivered)", passed)
 	}
 	// Stream continues normally after the skip.
 	if out, _, _ := feed(t, s, 15, "more", 0, 10); out != "more" {
@@ -240,9 +365,9 @@ func TestLifecycleFinRstSyn(t *testing.T) {
 		t.Fatalf("straggler delivered: %q %+v", out, r)
 	}
 	// A SYN restarts the stream for a new connection on the same tuple.
-	out, _, _ = feed(t, s, 9000, "fresh", SYN, 4)
-	if out != "fresh" || s.Pos() != 5 || s.Finished() {
-		t.Fatalf("restart: %q pos=%d", out, s.Pos())
+	out, _, r = feed(t, s, 9000, "fresh", SYN, 4)
+	if out != "fresh" || r.Delivered != 5 || s.Finished() {
+		t.Fatalf("restart: %q %+v", out, r)
 	}
 	// RST tears down immediately, discarding held bytes.
 	feed(t, s, 9020, "held", 0, 5)
@@ -307,8 +432,8 @@ func TestVacatedHeldSlotsAreZeroed(t *testing.T) {
 			t.Fatalf("%s: %d segments held, want %d", when, len(held), wantLen)
 		}
 		for i, h := range held[len(held):cap(held)] {
-			if h.data != nil || h.off != 0 {
-				t.Errorf("%s: vacated slot %d still holds %q at %d", when, len(held)+i, h.data, h.off)
+			if h.data != nil || h.seq != 0 {
+				t.Errorf("%s: vacated slot %d still holds %q at seq %d", when, len(held)+i, h.data, h.seq)
 			}
 		}
 	}

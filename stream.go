@@ -32,7 +32,7 @@ type Stream struct {
 // between packets.
 func (m *Matcher) NewStream(emit func(Match)) *Stream {
 	s := &Stream{m: m, emit: emit}
-	s.st.Open(m.machine)
+	s.st.Reset()
 	return s
 }
 

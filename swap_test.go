@@ -207,9 +207,8 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 		t.Fatal("no matches across any wave; test is vacuous")
 	}
 
-	// No register file crosses a swap: every live flow's registers carry
-	// the tag of exactly its pinned generation — they were reset by that
-	// generation's engine and by no other since.
+	// Every live flow is pinned to exactly its birth generation, and each
+	// generation's refcount equals the records that hold it.
 	wantGen := map[FiveTuple]uint64{}
 	for wv, sw := range waves {
 		for _, tup := range sw.tuples {
@@ -226,15 +225,12 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 		}
 		if fl.gen == nil || fl.gen.id != want {
 			t.Errorf("flow %v pinned to wrong generation (want %d)", k, want)
-			return
-		}
-		if fl.st.Generation() != fl.gen.id {
-			t.Errorf("flow %v registers tagged generation %d, pinned to %d", k, fl.st.Generation(), fl.gen.id)
 		}
 	})
 	if swept == 0 {
 		t.Fatal("flow-table sweep saw no flows")
 	}
+	gw.auditGenerationPins(t)
 
 	st := gw.Stats()
 	if st.GenerationsInstalled != 3 || st.RulesetSwaps != 2 ||
@@ -273,6 +269,7 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 	if len(gens) != 1 || !gens[0].Current || gens[0].Flows != int64(len(waves[2].tuples)) {
 		t.Fatalf("after FIN drain Generations() = %+v", gens)
 	}
+	gw.auditGenerationPins(t)
 	// Scan-work counters belong to the shard, not the generation: per-shard
 	// stats stay monotone across retirement.
 	for i, es := range gw.ShardStats() {
@@ -287,6 +284,78 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 	}
 	if l := gw.Stats().Ledger(); !l.Balanced() {
 		t.Fatalf("ledger unbalanced after close: %+v", l)
+	}
+}
+
+// TestSynReopenPinsCurrentGeneration: a flow's registers carry no record of
+// the automaton they run on — the record's pin is the only one, and open is
+// the only place that sets it, together with fresh registers. So a SYN that
+// re-opens a FIN husk after a SwapRules pins the generation current then, not
+// the one the husk's last connection ran on, and starts from a zero stream
+// position; the old generation, unpinned, has retired.
+func TestSynReopenPinsCurrentGeneration(t *testing.T) {
+	rules := NewRuleset()
+	rules.MustAdd("sig", []byte("needle"))
+	mA, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mB, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var matches atomic.Uint64
+	gw := testGateway(t, mA, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) { matches.Add(1) })
+	defer gw.Close()
+	tup := footprintTuple(0)
+	send := func(p GatewayPacket) {
+		t.Helper()
+		p.Tuple = tup
+		if err := gw.Ingest(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	record := func() gwFlow {
+		t.Helper()
+		var got []gwFlow
+		gw.rangeFlows(func(k FiveTuple, fl *gwFlow) {
+			if k == tup {
+				got = append(got, *fl)
+			}
+		})
+		if len(got) != 1 {
+			t.Fatalf("%d records for the tuple, want 1", len(got))
+		}
+		return got[0]
+	}
+
+	send(GatewayPacket{Seq: 100, Flags: FlagSeq | FlagSYN})
+	send(GatewayPacket{Seq: 101, Flags: FlagSeq, Payload: []byte("..needle..")})
+	send(GatewayPacket{Seq: 111, Flags: FlagSeq | FlagFIN})
+	gw.Flush()
+	if fl := record(); !fl.done || fl.gen != nil || fl.st.Consumed() != 10 {
+		t.Fatalf("after FIN: done %v, pinned %v, registers at %d", fl.done, fl.gen != nil, fl.st.Consumed())
+	}
+	if err := gw.SwapRules(mB); err != nil {
+		t.Fatal(err)
+	}
+	send(GatewayPacket{Seq: 5000, Flags: FlagSeq | FlagSYN})
+	gw.Flush()
+	fl := record()
+	if fl.done || fl.gen == nil || fl.gen != gw.cur.Load() || fl.gen.id != mB.Generation() {
+		t.Fatalf("the re-opened connection is not pinned to the current generation %d", mB.Generation())
+	}
+	if fl.st.Consumed() != 0 {
+		t.Fatalf("the re-opened connection's registers are at %d, want 0", fl.st.Consumed())
+	}
+	gw.auditGenerationPins(t)
+	if st := gw.Stats(); st.GenerationsLive != 1 || st.GenerationsRetired != 1 {
+		t.Fatalf("%d generations live, %d retired; want the husk's old one retired", st.GenerationsLive, st.GenerationsRetired)
+	}
+	send(GatewayPacket{Seq: 5001, Flags: FlagSeq, Payload: []byte("needle")})
+	gw.Flush()
+	if got := matches.Load(); got != 2 {
+		t.Fatalf("%d matches over two connections, want 2", got)
 	}
 }
 
