@@ -85,11 +85,12 @@
 //     through OnVerdict before any match from that flow. Flow state is
 //     flat and bounded: a connection is one record holding its scanner
 //     registers, reassembly cursor and verdict by value behind its table
-//     entry; least-recently-active flows are evicted at the MaxFlows cap
-//     and after IdleTimeout logical ticks (time measured in packets), a
-//     FIN releases the flow's buffers and ruleset pin immediately (the
-//     record lingers as a husk to absorb stragglers, and a SYN re-opens it
-//     in place), an RST tears the flow down, and an evicted-then-recreated
+//     entry; a FIN releases the flow's buffers and ruleset pin
+//     immediately and leaves only a 48 B husk of its tuple to absorb
+//     stragglers (a SYN revives the tuple as a new connection), an RST
+//     tears the flow down, least-recently-active entries are evicted at
+//     the MaxFlows cap — husks first — and after IdleTimeout logical
+//     ticks (time measured in packets), and an evicted-then-recreated
 //     flow always starts from clean state.
 //     Rulesets hot-reload without a restart: Gateway.SwapRules installs
 //     a newly compiled Matcher atomically behind the ingest drain

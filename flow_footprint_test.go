@@ -46,6 +46,23 @@ func footprintTuple(i int) FiveTuple {
 // allocated by the caller, so only the sensor's own state is measured.
 func heapPerFlow(t *testing.T, m *Matcher, n int, payload []byte) float64 {
 	t.Helper()
+	per, st := heapPerConnection(t, m, n, func(tup FiveTuple) []GatewayPacket {
+		return []GatewayPacket{
+			{Tuple: tup, Seq: 1000, Flags: FlagSeq | FlagSYN},
+			{Tuple: tup, Seq: 1001, Flags: FlagSeq, Payload: payload},
+		}
+	})
+	if st.FlowsLive != n || st.ScannedBytes != uint64(n*len(payload)) || !st.Ledger().Balanced() {
+		t.Fatalf("flows not established as driven: %+v", st)
+	}
+	return per
+}
+
+// heapPerConnection drives the packets of n connections, one tuple each, on
+// a fresh two-lane gateway over m, and returns the settled heap the gateway
+// holds afterwards per connection, with its drained stats.
+func heapPerConnection(t *testing.T, m *Matcher, n int, packets func(FiveTuple) []GatewayPacket) (float64, GatewayStats) {
+	t.Helper()
 	var matches atomic.Uint64
 	gw, err := NewGateway(m, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) { matches.Add(1) })
 	if err != nil {
@@ -54,11 +71,7 @@ func heapPerFlow(t *testing.T, m *Matcher, n int, payload []byte) float64 {
 	defer gw.Close()
 	before := liveHeap()
 	for i := 0; i < n; i++ {
-		tup := footprintTuple(i)
-		for _, p := range []GatewayPacket{
-			{Tuple: tup, Seq: 1000, Flags: FlagSeq | FlagSYN},
-			{Tuple: tup, Seq: 1001, Flags: FlagSeq, Payload: payload},
-		} {
+		for _, p := range packets(footprintTuple(i)) {
 			if err := gw.Ingest(p); err != nil {
 				t.Fatal(err)
 			}
@@ -66,12 +79,9 @@ func heapPerFlow(t *testing.T, m *Matcher, n int, payload []byte) float64 {
 	}
 	gw.Flush()
 	after := liveHeap()
-	st := gw.Stats()
-	if st.FlowsLive != n || st.ScannedBytes != uint64(n*len(payload)) || !st.Ledger().Balanced() {
-		t.Fatalf("flows not established as driven: %+v", st)
-	}
-	t.Logf("%d flows, %d matches: %.0f B of heap per flow", n, matches.Load(), float64(after-before)/float64(n))
-	return (float64(after) - float64(before)) / float64(n)
+	per := (float64(after) - float64(before)) / float64(n)
+	t.Logf("%d connections, %d matches: %.0f B of heap per connection", n, matches.Load(), per)
+	return per, gw.Stats()
 }
 
 // assertPointerFree fails when a value of type ty could reference the heap.
@@ -129,6 +139,37 @@ func TestFlowRecordFootprint(t *testing.T) {
 	}
 }
 
+// huskHeapCeiling is what a finished connection may cost the heap: its husk,
+// a 48 B table entry holding the tuple, the table header and a one-byte mark
+// — one object in the 48 B size class — and its 8-byte slot in the husk
+// index, which sits between 3/8 and 3/4 full (11–21 B), with headroom.
+const huskHeapCeiling = 75
+
+// TestHuskFootprint: a connection that ended by FIN keeps no record — no
+// registers, no reassembly cursor, no ruleset pin — only its husk, so it
+// costs the heap a 48 B entry and an index slot, not a live flow's 112 B.
+func TestHuskFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap growth is not the product's under -race")
+	}
+	m, _ := gatewayMatcher(t, 200)
+	payload := bytes.Repeat([]byte("x"), 64)
+	const n = 60000
+	per, st := heapPerConnection(t, m, n, func(tup FiveTuple) []GatewayPacket {
+		return []GatewayPacket{
+			{Tuple: tup, Seq: 1000, Flags: FlagSeq | FlagSYN},
+			{Tuple: tup, Seq: 1001, Flags: FlagSeq, Payload: payload},
+			{Tuple: tup, Seq: 1001 + uint32(len(payload)), Flags: FlagSeq | FlagFIN},
+		}
+	})
+	if st.FlowsLive != n || st.FlowHusks != n || st.FlowsFinished != n || !st.Ledger().Balanced() {
+		t.Fatalf("connections not finished as driven: %+v", st)
+	}
+	if per > huskHeapCeiling {
+		t.Fatalf("a finished connection holds %.0f B of heap, want <= %d", per, huskHeapCeiling)
+	}
+}
+
 // TestGatewayMatchDenseFlowsHoldNoBuffers: a segment that matches at every
 // byte grows whatever buffer its matches are gathered in to 16 B × segment
 // length. Gathered per flow, every tuple that ever carried such a segment
@@ -152,13 +193,14 @@ func TestGatewayMatchDenseFlowsHoldNoBuffers(t *testing.T) {
 	}
 }
 
-// TestGatewayConnectionCycleAllocs: a connection re-opened by SYN on the
+// TestGatewayConnectionCycleAllocs: a connection revived by SYN on the
 // husk its predecessor left — the steady state of a busy port pair — runs
-// SYN → data → FIN without allocating: the registers and the reassembly
-// cursor are reset where they sit. A tuple never seen before pays for one
-// object, its table entry with the record inside, plus the table index's
-// growth amortised over the connections that caused it (AllocsPerRun
-// reports whole allocations per run, so a fraction below one rounds away).
+// SYN → data → FIN without allocating: the table builds the record in the
+// entry the last FIN left spare, and the husk it settles into is the one the
+// SYN left spare. A tuple never seen before pays for one object — its husk,
+// once the connection ends — plus the table index's growth amortised over
+// the connections that caused it (AllocsPerRun reports whole allocations
+// per run, so a fraction below one rounds away).
 func TestGatewayConnectionCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
@@ -212,8 +254,8 @@ func TestGatewayConnectionCycleAllocs(t *testing.T) {
 	}
 }
 
-// TestGatewaySynReopenRacesEviction: a SYN re-opens a husk by resetting the
-// live record in place, on its lane, while capacity eviction releases
+// TestGatewaySynReopenRacesEviction: a SYN revives a husk by building a new
+// record in its place, on its lane, while capacity eviction takes husks and
 // records on every lane and a control-plane goroutine keeps stopping the
 // world to evict idle ones and audit the rest (a quiesced walk of the lane
 // tables). Each feeder cycles whole connections over its own tuples

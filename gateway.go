@@ -276,8 +276,9 @@ type GatewayConfig struct {
 	StreamWorkers int
 	// MaxFlows caps live flow state. Every lane owns the flows pinned to it
 	// and holds at most ceil(MaxFlows/lanes) of them, lanes being
-	// EngineShards × StreamWorkers: past that, the lane's
-	// least-recently-active flows are evicted, records and all. The live
+	// EngineShards × StreamWorkers: past that, the lane evicts its oldest
+	// husk (a connection ended by FIN or quarantine), and only when it holds
+	// none its least-recently-active live flow, record and all. The live
 	// count therefore stays under MaxFlows + lanes, and a lane that draws
 	// more than its share of the tuples starts evicting before the gateway
 	// as a whole holds MaxFlows. What a flow costs is in OPERATIONS.md

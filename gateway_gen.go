@@ -35,7 +35,7 @@ type gwGeneration struct {
 //   - Flows pin the generation they opened on. Existing flows keep
 //     scanning against their pinned automaton until a flow boundary
 //     (FIN/RST, idle or capacity eviction, quarantine, Close); new flows —
-//     including SYN re-opens of finished connections — open on the new
+//     including SYN revivals of finished connections — open on the new
 //     generation. A match can therefore always be replayed exactly:
 //     FindAll with the flow's pinned generation over its delivered bytes.
 //

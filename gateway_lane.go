@@ -45,18 +45,19 @@ func (g *Gateway) notifyVerdict(sh *gwEngineShard, t FiveTuple, v Verdict, idx i
 	}
 }
 
-// gwFlow is one connection's whole gateway-side state in one flat record:
-// the scanner registers, the reassembly stream and the verdict, all by
-// value. An established flow is its flow-table entry, which holds this
+// gwFlow is one live connection's whole gateway-side state in one flat
+// record: the scanner registers, the reassembly stream and the verdict, all
+// by value. An established flow is its flow-table entry, which holds this
 // record by value, and nothing else — no scanner object, no closure, no
 // match buffer, and no out-of-order state unless its segments (or its FIN)
 // arrive ahead of a gap. Each field states a fact the record holds nowhere
-// else. The lane that owns the flow's packets scans into its own scratch
-// (gwLane.matches) and emits with the record's fields. What identifies the
-// flow — its tuple, its shard, its gateway — is not repeated here; the lane
-// passes it in. The record sits in its lane's flow table and every method
-// runs on whichever goroutine owns that table at the time — the lane, or the
-// control plane while the lanes are quiesced — so a gwFlow is
+// else; a connection that has ended has no record at all, only a husk
+// (flowEnd). The lane that owns the flow's packets scans into its own
+// scratch (gwLane.matches) and emits with the record's fields. What
+// identifies the flow — its tuple, its shard, its gateway — is not repeated
+// here; the lane passes it in. The record sits in its lane's flow table and
+// every method runs on whichever goroutine owns that table at the time — the
+// lane, or the control plane while the lanes are quiesced — so a gwFlow is
 // single-goroutine.
 type gwFlow struct {
 	// gen is the ruleset generation this flow is pinned to, taken at open
@@ -64,8 +65,8 @@ type gwFlow struct {
 	// close): every byte of the connection scans against one automaton,
 	// whatever reloads happen mid-flow. Non-nil exactly while the record
 	// holds a live connection's registers; nil when unpinned (drop/pass
-	// verdict flows, husks). A SYN re-open pins the then-current
-	// generation, because it is a new connection.
+	// verdict flows, a record released at its boundary). A SYN reviving a
+	// husk pins the then-current generation: it is a new connection.
 	gen *gwGeneration
 	// st is the connection's scanner registers, reset at open for gen's
 	// automaton and written only over it: gen is the one record of which
@@ -78,20 +79,23 @@ type gwFlow struct {
 	verdict Verdict
 	// notified: the connection's verdict event has been reported.
 	notified bool
-	// done marks a connection completed by FIN. The entry lingers as a
-	// husk (TIME_WAIT, in spirit) so straggling retransmissions are
-	// recognized and discarded instead of respawning the flow; a SYN
-	// re-opens it, in place, as a new connection. An RST, by contrast,
-	// removes the entry from the table immediately — a post-RST straggler
-	// therefore starts a fresh flow (midstream pickup), like any unseen
-	// tuple.
-	done bool
-	// quarantined marks a flow whose scan panicked. The entry lingers as a
-	// husk like done's, discarding stragglers (counted) without touching
-	// its registers, but a SYN does not re-open it: the tuple is inspected
-	// again only after the husk is evicted or an RST removes it.
-	quarantined bool
 }
+
+// flowEnd is how a packet left its connection. Ended by FIN or by a
+// quarantine, the connection settles into a husk marked with its flowEnd: a
+// finished husk (TIME_WAIT, in spirit) discards stragglers as duplicates
+// instead of respawning the flow, until a SYN revives the tuple as a new
+// connection; a quarantined one discards them as quarantined traffic, a SYN
+// included, until eviction or an RST removes it. An RST removes the entry
+// at once, so a post-RST straggler starts a fresh flow (midstream pickup).
+type flowEnd uint8
+
+const (
+	flowOpen flowEnd = iota
+	flowFinished
+	flowQuarantined
+	flowReset
+)
 
 // gwLane is one scan lane: its queue, what admission and the control plane
 // see of it (laneState), and its goroutine-owned working set. Every packet of
@@ -125,10 +129,10 @@ type gwLane struct {
 // open starts a connection on the record: it pins the current ruleset
 // generation and resets the scanner registers for that generation's
 // automaton — the one place either happens, always together — counts the
-// connection on sh — the flow's shard — and empties the reassembly stream. On
-// a husk this re-opens in place — nothing is allocated. open only runs while
-// the packet creating (or SYN-reopening) the flow is in flight, so cur cannot
-// move underneath it — see gwGeneration.flows.
+// connection on sh — the flow's shard — and empties the reassembly stream. It
+// runs in the table's New, for a new tuple or a SYN reviving a husk, and
+// only while that packet is in flight, so cur cannot move underneath it —
+// see gwGeneration.flows.
 func (fl *gwFlow) open(g *Gateway, sh *gwEngineShard) {
 	gen := g.cur.Load()
 	gen.flows.Add(1)
@@ -145,8 +149,8 @@ func (fl *gwFlow) open(g *Gateway, sh *gwEngineShard) {
 // sweeper — and buffered out-of-order bytes return to the shared budget,
 // charged to the abandoned bucket of sh, the flow's shard: they were
 // ingested but their flow is going away, so they will never be scanned.
-// Idempotent: a husk holds neither, so finish → later eviction does not
-// double-count.
+// Idempotent: finish and quarantine release the record before the lane
+// settles it, and settling hands it here again, with nothing left to count.
 func (fl *gwFlow) release(g *Gateway, sh *gwEngineShard) {
 	if gen := fl.gen; gen != nil {
 		fl.gen = nil
@@ -186,59 +190,37 @@ func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
 	}
 }
 
-// ingest processes one segment on the lane that owns the flow. It reports
-// whether the flow should be removed from the table right now (RST
-// teardown).
+// ingest processes one segment of a live connection on the lane that owns
+// it, and reports how the packet left the connection: open, or ended by FIN
+// or RST — which the lane applies to the table once Do returns.
 //
 // Byte accounting here is transactional: each bucket add happens only after
 // the operation that consumed the bytes returned, so when a scan (or a
 // user callback) panics mid-packet, none of that packet's bytes are
 // committed and the quarantine path charges them in one place.
-func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) bool {
+func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	g, sh := ln.g, ln.sh
 	if !fl.notified {
 		fl.notified = true
 		g.notifyVerdict(sh, p.tuple, fl.verdict, int(fl.ruleIdx))
 	}
-	// RST tears the connection down whatever its verdict or husk state —
-	// a dropped/passed or FIN-closed flow must not pin a table slot after
-	// the endpoints abort it. An RST's own payload is never scanned:
-	// abandoned, like the buffered bytes the release returns; the caller
-	// removes the table entry.
+	// RST tears the connection down whatever its verdict — a dropped or
+	// passed flow must not pin a table slot after the endpoints abort it.
+	// An RST's own payload is never scanned: abandoned, like the buffered
+	// bytes the release returns.
 	if p.flags&FlagRST != 0 {
-		if !fl.done {
-			sh.n[cFlowsReset].Add(1)
-		}
+		sh.n[cFlowsReset].Add(1)
 		fl.release(g, sh)
-		fl.done = true
 		sh.n[cAbandonedBytes].Add(uint64(len(p.payload)))
-		return true
-	}
-	if fl.quarantined {
-		sh.n[cQuarantinedPackets].Add(1)
-		sh.n[cQuarantinedBytes].Add(uint64(len(p.payload)))
-		return false
+		return flowReset
 	}
 	switch fl.verdict {
 	case VerdictDrop:
 		sh.n[cDroppedBytes].Add(uint64(len(p.payload)))
-		return false
+		return flowOpen
 	case VerdictPass:
 		sh.n[cPassedBytes].Add(uint64(len(p.payload)))
-		return false
-	}
-	if fl.done {
-		if p.flags&FlagSYN == 0 {
-			sh.n[cDuplicateBytes].Add(uint64(len(p.payload)))
-			return false
-		}
-		// A SYN on a closed tuple is a new connection: the husk's registers
-		// and reassembly positions are reset where they sit — and it gets
-		// its own verdict event (the once-per-connection contract follows
-		// connections, not table entries).
-		fl.done = false
-		fl.open(g, sh)
-		g.notifyVerdict(sh, p.tuple, fl.verdict, int(fl.ruleIdx))
+		return flowOpen
 	}
 	if p.gap > 0 {
 		// Bytes shed at admission (see Gateway.pendingGaps) sit between
@@ -255,9 +237,9 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) bool {
 		fl.scan(ln, &p, p.payload)
 		sh.n[cScannedBytes].Add(uint64(len(p.payload)))
 		if p.flags&FlagFIN != 0 {
-			fl.finish(ln)
+			return fl.finish(ln)
 		}
-		return false
+		return flowOpen
 	}
 	// Explicit flag translation: the gateway and reassembly bit values
 	// happen to coincide, but relying on that would let a renumbering in
@@ -294,49 +276,41 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) bool {
 		sh.n[cAbandonedBytes].Add(uint64(res.Abandoned))
 	}
 	if res.Event == reassembly.EventFinished {
-		fl.finish(ln)
+		return fl.finish(ln)
 	}
-	return false
+	return flowOpen
 }
 
-// finish retires a FIN-completed connection: the generation pin and any
-// buffered bytes are released immediately instead of waiting for table
-// eviction; the husk entry stays behind to absorb stragglers.
-func (fl *gwFlow) finish(ln *gwLane) {
+// finish ends a FIN-completed connection: the generation pin and any
+// buffered bytes are released here, under the packet's containment, and the
+// lane then settles the entry into a finished husk that absorbs stragglers.
+func (fl *gwFlow) finish(ln *gwLane) flowEnd {
 	fl.release(ln.g, ln.sh)
-	fl.done = true
 	ln.sh.n[cFlowsFinished].Add(1)
-}
-
-// quarantine retires a flow whose scan panicked. The panic may have left
-// its registers mid-update; nothing ever reads them again — a quarantined
-// husk is not re-opened, and registers are never handed from one record to
-// another. Buffered bytes are abandoned like any teardown. The entry stays
-// in the table as a husk absorbing stragglers. The mark is set first so it
-// holds even if the release below panics in turn.
-func (fl *gwFlow) quarantine(ln *gwLane) {
-	fl.quarantined = true
-	fl.release(ln.g, ln.sh)
-	fl.done = true
+	return flowFinished
 }
 
 // contain is ingest under panic containment, run inside the table's Do: a
 // panic anywhere under the flow (a scanner bug, a hostile payload
-// tripping an invariant, a user emit/OnVerdict callback) quarantines this
-// record where it sits, before the lane touches its table again, so no
-// eviction can slip between the panic and the quarantine. The byte ledger stays exact: ingest
+// tripping an invariant, a user emit/OnVerdict callback) quarantines the
+// connection, whose registers nothing reads again: the record is released
+// here, before the lane touches its table again, so no eviction can slip
+// between the panic and the quarantine, and the lane then settles the entry
+// into a quarantined husk. The byte ledger stays exact: ingest
 // commits transactionally, so none of the panicking packet's bytes are in a
 // bucket yet, and the quarantine bucket is charged the packet's payload plus
 // whatever buffered bytes the aborted delivery drained before blowing up —
 // payload + held before − held now; the bytes still held land in the
-// abandoned bucket via the quarantine's release.
-func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (remove bool) {
+// abandoned bucket via the release.
+func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (end flowEnd) {
 	held := fl.asm.HeldBytes()
 	defer func() {
 		if recover() == nil {
 			return
 		}
-		remove = false
+		// The outcome is set first so it holds even if the release below
+		// panics in turn.
+		end = flowQuarantined
 		sh := ln.sh
 		sh.n[cPanics].Add(1)
 		sh.n[cQuarantinedFlows].Add(1)
@@ -347,9 +321,30 @@ func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (remove bool) {
 		// The flow is already poisoned; if releasing it panics too, give up
 		// on its resources but keep the gateway and the charge above intact.
 		defer func() { _ = recover() }()
-		fl.quarantine(ln)
+		fl.release(ln.g, sh)
 	}()
 	return fl.ingest(ln, p, tick)
+}
+
+// straggler accounts a packet that reached a husk and says what becomes of
+// it: an RST removes it, its payload abandoned; a SYN revives a finished one;
+// anything else is discarded, as a duplicate or, on a quarantined husk (a
+// SYN included), as quarantined traffic.
+func (ln *gwLane) straggler(p *seqPacket, mark uint8) flowtable.Action {
+	sh, n := ln.sh, uint64(len(p.payload))
+	switch {
+	case p.flags&FlagRST != 0:
+		sh.n[cAbandonedBytes].Add(n)
+		return flowtable.Remove
+	case flowEnd(mark) == flowQuarantined:
+		sh.n[cQuarantinedPackets].Add(1)
+		sh.n[cQuarantinedBytes].Add(n)
+		return flowtable.Keep
+	case p.flags&FlagSYN != 0:
+		return flowtable.Revive
+	}
+	sh.n[cDuplicateBytes].Add(n)
+	return flowtable.Keep
 }
 
 // run is the lane's goroutine: every packet of a given tuple lands on the
@@ -384,6 +379,7 @@ func (ln *gwLane) publishFlows() {
 	}
 	n := &ln.sh.n
 	n[cFlowsLive].Add(uint64(ts.Live - ln.pub.Live)) // two's complement: a fall wraps to a subtraction
+	n[cFlowHusks].Add(uint64(ts.Husks - ln.pub.Husks))
 	n[cFlowsCreated].Add(ts.Created - ln.pub.Created)
 	n[cFlowsEvictedCap].Add(ts.EvictedCap - ln.pub.EvictedCap)
 	n[cFlowsEvictedIdle].Add(ts.EvictedIdle - ln.pub.EvictedIdle)
@@ -415,15 +411,17 @@ func (ln *gwLane) streamPacket(p seqPacket) {
 		return
 	}
 	sh.n[cStreamPackets].Add(1)
-	var removeNow bool
+	end := flowOpen
 	ln.table.Do(p.tuple, func(fl *gwFlow) {
 		// The reassembly gap clock is the lane table's, which Do has just
 		// advanced for this packet: stream packets through the gateway, the
 		// same logical clock IdleTimeout runs on.
-		removeNow = fl.contain(ln, p, ln.table.Clock())
-	})
-	if removeNow {
-		// RST teardown.
+		end = fl.contain(ln, p, ln.table.Clock())
+	}, func(mark uint8) flowtable.Action { return ln.straggler(&p, mark) })
+	switch end {
+	case flowFinished, flowQuarantined:
+		ln.table.Settle(p.tuple, uint8(end))
+	case flowReset:
 		ln.table.Remove(p.tuple)
 	}
 }

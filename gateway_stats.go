@@ -50,6 +50,7 @@ type GatewayStats struct {
 	AbandonedBytes uint64
 
 	FlowsLive     int
+	FlowHusks     int // the part of FlowsLive held as husks: connections ended by FIN or quarantine, kept to absorb stragglers
 	FlowsCreated  uint64
 	FlowsEvicted  uint64 // capacity + idle evictions + RST teardowns
 	FlowsFinished uint64 // completed via FIN (generation pin and buffers released early)
@@ -124,8 +125,8 @@ const (
 	cShedBytes
 	cShedNewFlows
 
-	// Panic containment. Which flows are quarantined is flow-entry state
-	// (gwFlow.quarantined).
+	// Panic containment. Which flows are quarantined is flow-table state
+	// (a husk's mark, flowQuarantined).
 	cPanics // every panic recovered on this shard's lanes
 	cQuarantinedFlows
 	cQuarantinedPackets
@@ -148,9 +149,10 @@ const (
 	cFlowsReset
 
 	// The lanes' flow-table counters, published per vector
-	// (gwLane.publishFlows). cFlowsLive is a level, not a count: lanes add
-	// signed deltas, so only the sum across shards means anything.
+	// (gwLane.publishFlows). cFlowsLive and cFlowHusks are levels: lanes
+	// add signed deltas, so only the sum across shards means anything.
 	cFlowsLive
+	cFlowHusks
 	cFlowsCreated
 	cFlowsEvictedCap
 	cFlowsEvictedIdle
@@ -159,7 +161,7 @@ const (
 	// The shard's scan work, by usage shape — its EngineStats.
 	cEngBatchPkts   // stateless payloads scanned (those a verdict admitted)
 	cEngBatchBytes  // their payload bytes
-	cEngFlowsOpened // connections opened: new flows and SYN re-opens
+	cEngFlowsOpened // connections opened: new flows and SYN revivals
 	cEngStreamBytes // bytes written through flow registers
 
 	numCounters
@@ -226,6 +228,7 @@ func (g *Gateway) statsOf(c [numCounters]uint64) GatewayStats {
 		AbandonedBytes: c[cAbandonedBytes],
 
 		FlowsLive:     int(int64(c[cFlowsLive])),
+		FlowHusks:     int(int64(c[cFlowHusks])),
 		FlowsCreated:  c[cFlowsCreated],
 		FlowsEvicted:  c[cFlowsEvictedCap] + c[cFlowsEvictedIdle] + c[cFlowsRemoved],
 		FlowsFinished: c[cFlowsFinished],
@@ -246,7 +249,7 @@ func (g *Gateway) statsOf(c [numCounters]uint64) GatewayStats {
 type EngineStats struct {
 	BatchPkts   uint64 // stateless payloads scanned
 	BatchBytes  uint64 // their payload bytes
-	FlowsOpened uint64 // flows opened, once per connection (a SYN re-open included)
+	FlowsOpened uint64 // flows opened, once per connection (a SYN revival included)
 	StreamBytes uint64 // bytes written through flow registers
 }
 

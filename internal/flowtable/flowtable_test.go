@@ -8,6 +8,7 @@ package flowtable
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,7 +68,7 @@ func (h *harness) write(k Key, p []byte) bool {
 		}
 		f.data = append(f.data, p...)
 		f.inUse.Store(false)
-	})
+	}, nil)
 }
 
 func tuple(i int) Key {
@@ -93,7 +94,7 @@ func TestDoCreatesThenReuses(t *testing.T) {
 		if string(f.data) != "abcd" {
 			t.Fatalf("flow data = %q", f.data)
 		}
-	})
+	}, nil)
 	if h.table.Len() != 1 {
 		t.Fatalf("Len = %d", h.table.Len())
 	}
@@ -165,7 +166,7 @@ func TestEvictedThenRecreatedStartsClean(t *testing.T) {
 		if string(f.data) != "z" {
 			t.Fatalf("recreated flow carried stale state: %q", f.data)
 		}
-	})
+	}, nil)
 }
 
 func TestCloseEvictsEverything(t *testing.T) {
@@ -192,14 +193,18 @@ func TestCloseEvictsEverything(t *testing.T) {
 // TestEntryFootprint pins what a flow costs the table: one entry holding a
 // 40 B header — key, last-activity tick and the two LRU links, no lock —
 // and the record by value, plus its index slot. With the gateway's record
-// (56 B, gated by TestFlowRecordFootprint) an entry is 96 B, exactly the
-// 96 B malloc size class.
+// (56 B, gated by TestFlowRecordFootprint) a connection's entry is 96 B,
+// exactly the 96 B malloc size class; a husk's holds a one-byte mark and is
+// 48 B, the 48 B class.
 func TestEntryFootprint(t *testing.T) {
-	if off := unsafe.Offsetof(entry[*fakeFlow]{}.flow); off != 40 {
+	if off := unsafe.Offsetof(entry[*fakeFlow]{}.rec); off != 40 {
 		t.Fatalf("entry header is %d B, want 40", off)
 	}
 	if size := unsafe.Sizeof(entry[[7]uint64]{}); size > 96 {
 		t.Fatalf("entry of a 56 B record is %d B, want <= 96", size)
+	}
+	if size := unsafe.Sizeof(entry[uint8]{}); size > 48 {
+		t.Fatalf("husk entry is %d B, want <= 48", size)
 	}
 }
 
@@ -222,10 +227,10 @@ func BenchmarkDoHit(b *testing.B) {
 		Evict: func(Key, *fakeFlow) {},
 	})
 	k := tuple(1)
-	tb.Do(k, func(**fakeFlow) {})
+	tb.Do(k, func(**fakeFlow) {}, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tb.Do(k, func(**fakeFlow) {})
+		tb.Do(k, func(**fakeFlow) {}, nil)
 	}
 }
 
@@ -237,7 +242,7 @@ func BenchmarkDoChurn(b *testing.B) {
 	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tb.Do(tuple(i%8192), func(**fakeFlow) {})
+		tb.Do(tuple(i%8192), func(**fakeFlow) {}, nil)
 	}
 }
 
@@ -248,7 +253,7 @@ func ExampleTable() {
 		MaxFlows: 2,
 	})
 	for i := 0; i < 3; i++ {
-		tb.Do(tuple(i), func(**fakeFlow) {})
+		tb.Do(tuple(i), func(**fakeFlow) {}, nil)
 	}
 	fmt.Println(tb.Len(), tb.Stats().EvictedCap)
 	// Output: 2 1
@@ -284,7 +289,7 @@ func TestRemoveEvictsImmediately(t *testing.T) {
 		if string(f.data) != "x" {
 			t.Fatalf("recreated flow data = %q", f.data)
 		}
-	})
+	}, nil)
 }
 
 // TestCapacityEvictionIsWholeTableLRU: whatever the keys hash to, the victim
@@ -349,13 +354,13 @@ func TestTickScalesTheClock(t *testing.T) {
 		Tick:      4,
 	})
 	nop := func(**fakeFlow) {}
-	tb.Do(tuple(0), nop)
-	tb.Do(tuple(1), nop)
-	tb.Do(tuple(1), nop) // tuple 0 idle for 8: not yet more than IdleTicks
+	tb.Do(tuple(0), nop, nil)
+	tb.Do(tuple(1), nop, nil)
+	tb.Do(tuple(1), nop, nil) // tuple 0 idle for 8: not yet more than IdleTicks
 	if tb.Len() != 2 || tb.Clock() != 12 {
 		t.Fatalf("Len = %d, Clock = %d", tb.Len(), tb.Clock())
 	}
-	tb.Do(tuple(1), nop) // idle for 12
+	tb.Do(tuple(1), nop, nil) // idle for 12
 	if st := tb.Stats(); st.Live != 1 || st.EvictedIdle != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -363,11 +368,18 @@ func TestTickScalesTheClock(t *testing.T) {
 
 // TestHasFromAnotherGoroutine: Has is the one method a foreign goroutine may
 // call, at any time. Against an owner churning flows through a small table it
-// must be race-clean and exact for a key the owner never evicts or creates.
+// must be race-clean and exact for a key the owner never evicts or creates,
+// and for a key it keeps turning from husk to connection and back: Settle and
+// a revive each move a key from one index to the other under one lock, so
+// the key is never missing in between.
 func TestHasFromAnotherGoroutine(t *testing.T) {
 	h := newHarness(t, 16, 0)
-	pinned, absent := tuple(1<<20), tuple(1<<21)
+	pinned, cycled, absent := tuple(1<<20), tuple(1<<22), tuple(1<<21)
 	h.write(pinned, nil)
+	nop := func(**fakeFlow) {}
+	revive := func(uint8) Action { return Revive }
+	h.table.Do(cycled, nop, revive)
+	h.table.Settle(cycled, 1)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -384,6 +396,10 @@ func TestHasFromAnotherGoroutine(t *testing.T) {
 					t.Error("Has missed a live flow")
 					return
 				}
+				if !h.table.Has(cycled) {
+					t.Error("Has missed a flow between husk and connection")
+					return
+				}
 				if h.table.Has(absent) {
 					t.Error("Has found a flow that was never created")
 					return
@@ -393,16 +409,66 @@ func TestHasFromAnotherGoroutine(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 20000; i++ {
-		h.write(tuple(i%64), nil)
+		// Every churn connection ends at once, so capacity eviction takes
+		// the oldest husk; cycled settles after each churn key and is never
+		// the oldest.
+		h.table.Do(tuple(i%64), nop, revive)
+		h.table.Settle(tuple(i%64), 1)
 		h.write(pinned, nil) // stays off the LRU tail
+		h.table.Do(cycled, nop, revive)
+		h.table.Settle(cycled, 1)
 		if i%7 == 0 {
 			h.table.Remove(tuple(i % 64))
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if st := h.table.Stats(); st.EvictedCap == 0 || st.Removed == 0 {
+	if st := h.table.Stats(); st.EvictedCap == 0 || st.Removed == 0 || st.Husks == 0 {
 		t.Fatalf("owner did not churn; test is vacuous: %+v", st)
+	}
+}
+
+// TestCapacityEvictsHusksBeforeConnections: a table at its cap whose oldest
+// entry is a live connection, and which also holds newer husks, loses the
+// oldest husk on the next insert — a husk costs nothing to lose unless a
+// straggler comes, a connection would lose its scan state mid-stream. Only
+// once no husk is left does a connection go: the least recently active one,
+// never the one just touched.
+func TestCapacityEvictsHusksBeforeConnections(t *testing.T) {
+	h := newHarness(t, 4, 0)
+	h.write(tuple(0), nil) // the oldest entry, and a live connection
+	for i := 1; i < 4; i++ {
+		h.write(tuple(i), nil)
+		if !h.table.Settle(tuple(i), 1) {
+			t.Fatalf("Settle missed connection %d", i)
+		}
+	}
+	h.write(tuple(4), nil) // over the cap
+	if !h.table.Has(tuple(0)) {
+		t.Fatal("capacity eviction took a live connection while husks remained")
+	}
+	if h.table.Has(tuple(1)) {
+		t.Fatal("capacity eviction spared the oldest husk")
+	}
+	if st := h.table.Stats(); st.Live != 4 || st.Husks != 2 || st.EvictedCap != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	h.write(tuple(5), nil) // takes husk 2
+	h.write(tuple(6), nil) // takes husk 3, the last
+	h.write(tuple(7), nil) // no husk left: takes connection 0
+	for i, want := range []bool{false, false, false, false, true, true, true, true} {
+		if h.table.Has(tuple(i)) != want {
+			t.Fatalf("tuple %d present = %v, want %v", i, !want, want)
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	// Evict saw the three settled records, then connection 0.
+	if n := len(h.evicted); n != 4 || h.evicted[3].key != tuple(0) {
+		t.Fatalf("%d records evicted; want 4, the last tuple 0", n)
+	}
+	if st := h.table.Stats(); st.Live != 4 || st.Husks != 0 || st.EvictedCap != 4 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -433,11 +499,11 @@ func TestPanickingCallbacksLeaveTableUsable(t *testing.T) {
 		f()
 		return false
 	}
-	tb.Do(tuple(0), nop)
-	tb.Do(tuple(1), nop)
+	tb.Do(tuple(0), nop, nil)
+	tb.Do(tuple(1), nop, nil)
 
 	failNew = true
-	if !panics(func() { tb.Do(tuple(2), nop) }) {
+	if !panics(func() { tb.Do(tuple(2), nop, nil) }) {
 		t.Fatal("New's panic did not propagate")
 	}
 	failNew = false
@@ -446,7 +512,7 @@ func TestPanickingCallbacksLeaveTableUsable(t *testing.T) {
 	}
 
 	failEvict = true
-	if !panics(func() { tb.Do(tuple(2), nop) }) { // over the cap: evicts tuple 0
+	if !panics(func() { tb.Do(tuple(2), nop, nil) }) { // over the cap: evicts tuple 0
 		t.Fatal("Evict's panic did not propagate")
 	}
 	failEvict = false
@@ -457,10 +523,10 @@ func TestPanickingCallbacksLeaveTableUsable(t *testing.T) {
 		t.Fatalf("stats = %+v, %d Evict calls", st, evicted)
 	}
 	// Usable: LRU order, eviction and lookup all still work.
-	if tb.Do(tuple(1), nop) {
+	if tb.Do(tuple(1), nop, nil) {
 		t.Fatal("live flow recreated")
 	}
-	tb.Do(tuple(3), nop) // evicts tuple 2, the LRU tail
+	tb.Do(tuple(3), nop, nil) // evicts tuple 2, the LRU tail
 	if tb.Has(tuple(2)) || !tb.Has(tuple(1)) || !tb.Has(tuple(3)) || evicted != 2 {
 		t.Fatalf("eviction after the panics took the wrong flow (%d Evict calls)", evicted)
 	}
@@ -477,61 +543,66 @@ type valueFlow struct {
 	n   int // Do calls on this incarnation of the flow
 }
 
-// probeLen returns the longest probe run in the index: how many slots a
+// probeLen returns the longest probe run in a set's index: how many slots a
 // lookup of the worst-placed key reads. wrapped reports whether some run
 // crosses the end of the array.
-func probeLen[F any](tb *Table[F]) (longest int, wrapped bool) {
-	mask := len(tb.slots) - 1
-	for i, e := range tb.slots {
+func probeLen[R any](s *set[R]) (longest int, wrapped bool) {
+	mask := len(s.slots) - 1
+	for i, e := range s.slots {
 		if e == nil {
 			continue
 		}
-		h := tb.home(e.key)
+		h := s.home(e.key)
 		longest = max(longest, (i-h)&mask+1)
 		wrapped = wrapped || h > i
 	}
 	return longest, wrapped
 }
 
-// checkIndex fails unless the index holds exactly the live entries, each
+// checkIndex fails unless a set's index holds exactly its n entries, each
 // where a lookup of its key finds it, with every probe run sorted by home
 // slot: an entry sits at most one slot further from its home than the entry
 // before it.
-func checkIndex[F any](t *testing.T, tb *Table[F]) {
+func checkIndex[R any](t *testing.T, s *set[R]) {
 	t.Helper()
-	if len(tb.slots)&(len(tb.slots)-1) != 0 || 4*tb.Len() > 3*len(tb.slots) {
-		t.Fatalf("index of %d slots holding %d flows", len(tb.slots), tb.Len())
+	if len(s.slots)&(len(s.slots)-1) != 0 || 4*s.n > 3*len(s.slots) {
+		t.Fatalf("index of %d slots holding %d entries", len(s.slots), s.n)
 	}
-	mask := len(tb.slots) - 1
+	mask := len(s.slots) - 1
 	n := 0
-	for i, e := range tb.slots {
+	for i, e := range s.slots {
 		if e == nil {
 			continue
 		}
 		n++
-		if j := tb.slot(e.key); j != i {
+		if j := s.slot(e.key); j != i {
 			t.Fatalf("%v sits in slot %d, a lookup stops at %d", e.key, i, j)
 		}
-		if next := tb.slots[(i+1)&mask]; next != nil {
-			if d, dn := (i-tb.home(e.key))&mask, (i+1-tb.home(next.key))&mask; dn > d+1 {
+		if next := s.slots[(i+1)&mask]; next != nil {
+			if d, dn := (i-s.home(e.key))&mask, (i+1-s.home(next.key))&mask; dn > d+1 {
 				t.Fatalf("slot %d is %d from its home after slot %d at %d: run not sorted by home", i+1, dn, i, d)
 			}
 		}
 	}
-	if n != tb.Len() {
-		t.Fatalf("index holds %d entries, table counts %d", n, tb.Len())
+	if n != s.n {
+		t.Fatalf("index holds %d entries, set counts %d", n, s.n)
 	}
 }
 
-// TestIndexMatchesModel drives random Do, Remove, EvictIdle and capacity
-// eviction through tables of several shapes — one that grows from 8 slots to
-// hundreds, one held at its cap, one under idle eviction, and a tiny one
-// under heavy removal whose keys half share the last slot as their home, so
-// probe runs wrap around the end of the array and backward-shift deletion
-// does too — against a plain Go map. After every step Has over the whole key
-// universe, Len and Range agree with the model,
-// the index holds exactly the live entries, and every record Do or Evict sees
-// is the one the model says that flow has.
+// TestIndexMatchesModel drives random Do, Settle, Remove, EvictIdle and
+// capacity eviction — Do reaching husks among them, whose callback keeps,
+// revives or removes them — through tables of several shapes: one that grows
+// from 8 slots to hundreds, one held at its cap, one under idle eviction, and
+// a tiny one under heavy removal whose keys half share the last slot as their
+// home, so probe runs wrap around the end of the array and backward-shift
+// deletion does too. The model is one Go map and one age-ordered list of
+// keys, each entry tagged connection or husk, and it evicts as the table
+// promises: the oldest entry of either kind when idle, the oldest husk —
+// and only without one, the oldest connection but the one just touched —
+// over the cap. After every step both LRU lists equal the model's order,
+// kind and marks, Has over the whole key universe, Len, Stats, Range
+// (connections only, with their records) and every record Evict received
+// agree with it, and both indexes hold exactly their entries.
 func TestIndexMatchesModel(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -539,13 +610,14 @@ func TestIndexMatchesModel(t *testing.T) {
 		maxFlows int
 		idle     uint64
 		remove   int // in 100: share of steps that Remove
+		settle   int // in 100: share of steps whose Do ends the connection
 		steps    int
 		wrap     bool // every other key's home is the index's last slot
 	}{
-		{"growth", 300, 0, 0, 10, 1500, false},
-		{"capacity", 160, 60, 0, 5, 1500, false},
-		{"idle", 160, 0, 120, 5, 1500, false},
-		{"tiny-heavy-removal", 12, 5, 0, 45, 3000, true},
+		{"growth", 300, 0, 0, 10, 10, 1500, false},
+		{"capacity", 160, 60, 0, 5, 30, 1500, false},
+		{"idle", 160, 0, 120, 5, 30, 1500, false},
+		{"tiny-heavy-removal", 12, 5, 0, 45, 20, 3000, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rnd := uint64(len(tc.name))
@@ -553,35 +625,62 @@ func TestIndexMatchesModel(t *testing.T) {
 				rnd = rnd*6364136223846793005 + 1442695040888963407
 				return int(rnd>>33) % n
 			}
-			type modelFlow struct {
-				n    int
-				last int // step of the flow's last Do
+			type modelEntry struct {
+				n    int   // Do calls on the connection's record
+				mark uint8 // 0 for a connection
+				last uint64
 			}
-			model := map[Key]*modelFlow{}
-			step, removing := 0, false
-			var wrapped bool
+			type evicted struct {
+				key Key
+				n   int
+			}
+			model := map[Key]*modelEntry{}
+			var (
+				order            []Key // oldest first
+				clock            uint64
+				want             Stats
+				wantEv, gotEv    []evicted
+				step             int
+				wrapped, husked  bool
+				revived, removed int
+			)
 			tb := New(Config[valueFlow]{
 				New: func(k Key) valueFlow { return valueFlow{key: k} },
 				Evict: func(k Key, f valueFlow) {
-					m := model[k]
-					if m == nil || f.key != k || f.n != m.n {
-						t.Fatalf("step %d: evicted %v with %d Do calls, model has %+v", step, k, f.n, m)
+					if f.key != k {
+						t.Fatalf("step %d: evicted %v holding %v's record", step, k, f.key)
 					}
-					if !removing {
-						for o, om := range model {
-							if om.last < m.last {
-								t.Fatalf("step %d: evicted %v (last %d) while %v (last %d) was staler", step, k, m.last, o, om.last)
-							}
-						}
-					}
-					delete(model, k)
+					gotEv = append(gotEv, evicted{k, f.n})
 				},
 				MaxFlows:  tc.maxFlows,
 				IdleTicks: tc.idle,
 			})
+			touch := func(k Key) {
+				order = slices.DeleteFunc(order, func(o Key) bool { return o == k })
+				order = append(order, k)
+				model[k].last = clock
+			}
+			drop := func(k Key, reason *uint64) {
+				if m := model[k]; m.mark == 0 {
+					wantEv = append(wantEv, evicted{k, m.n})
+				} else {
+					want.Husks--
+				}
+				delete(model, k)
+				order = slices.DeleteFunc(order, func(o Key) bool { return o == k })
+				want.Live--
+				*reason++
+			}
+			dropIdle := func() bool {
+				if len(order) == 0 || clock-model[order[0]].last <= tc.idle {
+					return false
+				}
+				drop(order[0], &want.EvictedIdle)
+				return true
+			}
 			universe := make([]Key, 0, tc.keys)
 			for i := 0; len(universe) < tc.keys; i++ {
-				if k := tuple(i); !tc.wrap || (tb.home(k) == len(tb.slots)-1) == (len(universe)%2 == 0) {
+				if k := tuple(i); !tc.wrap || (tb.conns.home(k) == len(tb.conns.slots)-1) == (len(universe)%2 == 0) {
 					universe = append(universe, k)
 				}
 			}
@@ -589,67 +688,166 @@ func TestIndexMatchesModel(t *testing.T) {
 				k := universe[next(len(universe))]
 				switch op := next(100); {
 				case op < tc.remove:
-					removing = true
 					_, live := model[k]
 					if got := tb.Remove(k); got != live {
-						t.Fatalf("step %d: Remove(%v) = %v, model live %v", step, k, got, live)
+						t.Fatalf("step %d: Remove(%v) = %v, model present %v", step, k, got, live)
 					}
-					if _, still := model[k]; still {
-						t.Fatalf("step %d: Remove did not evict %v", step, k)
+					if live {
+						drop(k, &want.Removed)
 					}
-					removing = false
 				case op < tc.remove+2:
-					tb.EvictIdle()
+					n := tb.EvictIdle()
+					wantN := 0
+					for tc.idle > 0 && dropIdle() {
+						wantN++
+					}
+					if n != wantN {
+						t.Fatalf("step %d: EvictIdle = %d, model %d", step, n, wantN)
+					}
 				default:
-					m := model[k]
+					act := []Action{Keep, Keep, Revive, Remove}[next(4)]
+					var ran, asked bool
 					created := tb.Do(k, func(f *valueFlow) {
 						if f.key != k {
 							t.Fatalf("step %d: Do(%v) reached %v's record", step, k, f.key)
 						}
+						ran = true
 						f.n++
+					}, func(mark uint8) Action {
+						if m := model[k]; m == nil || m.mark != mark {
+							t.Fatalf("step %d: husk callback for %v with mark %d, model has %+v", step, k, mark, m)
+						}
+						asked = true
+						return act
 					})
-					if created != (m == nil) {
-						t.Fatalf("step %d: Do(%v) created = %v, model live %v", step, k, created, m != nil)
+					clock++
+					m := model[k]
+					husk := m != nil && m.mark != 0
+					if asked != husk || created != (m == nil) {
+						t.Fatalf("step %d: Do(%v) asked the husk callback %v, created %v; model has %+v", step, k, asked, created, m)
 					}
-					if m == nil {
-						m = &modelFlow{}
+					conn := !husk || act == Revive // Do touched a connection
+					switch {
+					case m == nil:
+						m = &modelEntry{}
 						model[k] = m
+						want.Live++
+						want.Created++
+					case husk && act == Revive:
+						m.mark = 0
+						want.Husks--
+						revived++
+					case husk && act == Remove:
+						drop(k, &want.Removed)
+						removed++
 					}
-					m.n++
-					m.last = step
+					if model[k] != nil {
+						touch(k)
+					}
+					for tc.maxFlows > 0 && want.Live > tc.maxFlows {
+						oldest := order[0]
+						for _, o := range order {
+							if model[o].mark != 0 {
+								oldest = o
+								break
+							}
+						}
+						if model[oldest].mark == 0 && conn && oldest == k {
+							break
+						}
+						drop(oldest, &want.EvictedCap)
+					}
+					for i := 0; i < 2 && tc.idle > 0 && dropIdle(); i++ {
+					}
+					if ran != conn {
+						t.Fatalf("step %d: Do(%v) ran fn %v, model touched a connection %v", step, k, ran, conn)
+					}
+					if conn {
+						m.n++
+					}
+					if op < tc.remove+2+tc.settle {
+						mark := uint8(1 + next(2))
+						settled := tb.Settle(k, mark)
+						if m := model[k]; settled != (m != nil && m.mark == 0) {
+							t.Fatalf("step %d: Settle(%v) = %v, model has %+v", step, k, settled, m)
+						}
+						if settled {
+							wantEv = append(wantEv, evicted{k, m.n})
+							*m = modelEntry{mark: mark}
+							touch(k)
+							want.Husks++
+							husked = true
+						}
+					}
 				}
-				checkIndex(t, tb)
-				_, w := probeLen(tb)
-				wrapped = wrapped || w
-				if tb.Len() != len(model) {
-					t.Fatalf("step %d: Len = %d, model has %d", step, tb.Len(), len(model))
+				if !slices.Equal(gotEv, wantEv) {
+					t.Fatalf("step %d: Evict received %v, model %v", step, gotEv, wantEv)
+				}
+				gotEv, wantEv = gotEv[:0], wantEv[:0]
+				checkIndex(t, &tb.conns)
+				checkIndex(t, &tb.husks)
+				_, wc := probeLen(&tb.conns)
+				_, wh := probeLen(&tb.husks)
+				wrapped = wrapped || wc || wh
+				if st := tb.Stats(); st != want || tb.Len() != len(model) {
+					t.Fatalf("step %d: stats %+v, Len %d; model %+v, %d entries", step, st, tb.Len(), want, len(model))
+				}
+				// Each list, walked from its tail, is the model's order of
+				// that kind.
+				var conns, husks []Key
+				for _, o := range order {
+					if model[o].mark == 0 {
+						conns = append(conns, o)
+					} else {
+						husks = append(husks, o)
+					}
+				}
+				i := 0
+				for e := tb.conns.tail; e != nil; e, i = e.prev, i+1 {
+					if i >= len(conns) || e.key != conns[i] || e.last != model[e.key].last || e.rec.n != model[e.key].n {
+						t.Fatalf("step %d: connection %d from the tail is %v (last %d, %d Do calls), model order %v", step, i, e.key, e.last, e.rec.n, conns)
+					}
+				}
+				i = 0
+				for e := tb.husks.tail; e != nil; e, i = e.prev, i+1 {
+					if i >= len(husks) || e.key != husks[i] || e.last != model[e.key].last || e.rec != model[e.key].mark {
+						t.Fatalf("step %d: husk %d from the tail is %v (last %d, mark %d), model order %v", step, i, e.key, e.last, e.rec, husks)
+					}
+				}
+				if tb.conns.n != len(conns) || tb.husks.n != len(husks) {
+					t.Fatalf("step %d: sets hold %d connections, %d husks; model %d, %d", step, tb.conns.n, tb.husks.n, len(conns), len(husks))
 				}
 				for _, k := range universe {
 					if _, live := model[k]; tb.Has(k) != live {
-						t.Fatalf("step %d: Has(%v) = %v, model live %v", step, k, !live, live)
+						t.Fatalf("step %d: Has(%v) = %v, model present %v", step, k, !live, live)
 					}
 				}
 				seen := 0
 				tb.Range(func(k Key, f *valueFlow) {
 					seen++
-					if m := model[k]; m == nil || f.n != m.n {
+					if m := model[k]; m == nil || m.mark != 0 || f.n != m.n {
 						t.Fatalf("step %d: Range found %v with %d Do calls, model has %+v", step, k, f.n, m)
 					}
 				})
-				if seen != len(model) {
-					t.Fatalf("step %d: Range saw %d flows, model has %d", step, seen, len(model))
+				if seen != len(conns) {
+					t.Fatalf("step %d: Range saw %d connections, model has %d", step, seen, len(conns))
 				}
 			}
 			st := tb.Stats()
-			t.Logf("%d slots, %+v, probe runs wrapped: %v", len(tb.slots), st, wrapped)
-			if tc.maxFlows == 0 && tc.idle == 0 && len(tb.slots) < 256 {
-				t.Fatalf("index only grew to %d slots", len(tb.slots))
+			t.Logf("%d + %d slots, %+v, %d revived, %d husks removed by Do, probe runs wrapped: %v",
+				len(tb.conns.slots), len(tb.husks.slots), st, revived, removed, wrapped)
+			if tc.maxFlows == 0 && tc.idle == 0 && len(tb.conns.slots) < 256 {
+				t.Fatalf("connection index only grew to %d slots", len(tb.conns.slots))
 			}
-			if tc.wrap && (len(tb.slots) != 8 || !wrapped || st.Removed < 300) {
-				t.Fatalf("tiny table never wrapped under removal: %d slots, wrapped %v, %+v", len(tb.slots), wrapped, st)
+			if tc.wrap && (len(tb.conns.slots) != 8 || len(tb.husks.slots) != 8 || !wrapped || st.Removed < 300) {
+				t.Fatalf("tiny table never wrapped under removal: %d + %d slots, wrapped %v, %+v",
+					len(tb.conns.slots), len(tb.husks.slots), wrapped, st)
 			}
 			if tc.maxFlows > 0 && st.EvictedCap == 0 || tc.idle > 0 && st.EvictedIdle == 0 {
 				t.Fatalf("the eviction under test never ran: %+v", st)
+			}
+			if !husked || revived == 0 || removed == 0 {
+				t.Fatalf("no settle, revive or husk removal: %d revived, %d removed", revived, removed)
 			}
 		})
 	}
@@ -670,12 +868,12 @@ func TestIndexResistsHash64Collisions(t *testing.T) {
 		k := tuple(i)
 		k.SrcPort = uint16(i >> 20)
 		if k.Hash64()&(1<<bucketBits-1) == 0 {
-			tb.Do(k, func(*valueFlow) {})
+			tb.Do(k, func(*valueFlow) {}, nil)
 		}
 	}
-	checkIndex(t, tb)
-	longest, _ := probeLen(tb)
-	t.Logf("%d colliding flows in %d slots: longest probe run %d", flows, len(tb.slots), longest)
+	checkIndex(t, &tb.conns)
+	longest, _ := probeLen(&tb.conns)
+	t.Logf("%d colliding flows in %d slots: longest probe run %d", flows, len(tb.conns.slots), longest)
 	if longest > 32 {
 		t.Fatalf("longest probe run is %d slots, want <= 32", longest)
 	}
@@ -691,10 +889,10 @@ func TestDoHashedReachesDoRecord(t *testing.T) {
 	var got valueFlow
 	read := func(f valueFlow) { got = f }
 	bump := func(f *valueFlow) { f.n++ }
-	if !tb.Do(tuple(1), bump) || tb.DoHashed(tuple(1), tuple(1).Hash64(), read) || got != (valueFlow{tuple(1), 1}) {
+	if !tb.Do(tuple(1), bump, nil) || tb.DoHashed(tuple(1), tuple(1).Hash64(), read) || got != (valueFlow{tuple(1), 1}) {
 		t.Fatalf("DoHashed after Do read %+v", got)
 	}
-	if !tb.DoHashed(tuple(2), 0, read) || tb.Do(tuple(2), bump) {
+	if !tb.DoHashed(tuple(2), 0, read) || tb.Do(tuple(2), bump, nil) {
 		t.Fatal("Do recreated a flow DoHashed created")
 	}
 	if tb.DoHashed(tuple(2), 0, read); got != (valueFlow{tuple(2), 1}) || tb.Len() != 2 {

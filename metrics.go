@@ -186,6 +186,7 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 	}
 
 	gauge("dpi_gateway_flows_live", "Flow-table entries currently live.", float64(s.FlowsLive))
+	gauge("dpi_gateway_flow_husks", "Part of dpi_gateway_flows_live held as husks: ended connections kept to absorb stragglers.", float64(s.FlowHusks))
 	counter("dpi_gateway_flows_created_total", "Flow-table entries created.", s.FlowsCreated)
 	w.Metric("dpi_gateway_flows_evicted_total", "counter",
 		"Flow-table entries removed, by reason: capacity (MaxFlows pressure), idle (IdleTimeout), teardown (RST).")

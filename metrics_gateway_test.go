@@ -98,8 +98,9 @@ func TestGatewayMetricsSeries(t *testing.T) {
 
 // TestGatewayMetricsFlowsOpenedPerConnection: dpi_engine_flows_opened_total
 // counts connections, not table entries. Three connections reuse one tuple
-// — each FIN leaves a husk the next SYN re-opens in place — so the table
-// creates one flow while the engine opens three.
+// — each FIN leaves a husk the next SYN revives — so the table creates one
+// flow while the engine opens three, and what is left is one entry, a husk,
+// which dpi_gateway_flow_husks reports in a strictly valid exposition.
 func TestGatewayMetricsFlowsOpenedPerConnection(t *testing.T) {
 	m := corpusMatcher(t, BackendAuto)
 	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
@@ -128,8 +129,17 @@ func TestGatewayMetricsFlowsOpenedPerConnection(t *testing.T) {
 	if _, err := gw.Metrics().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if want := "dpi_engine_flows_opened_total{shard=\"0\"} 3\n"; !strings.Contains(buf.String(), want) {
-		t.Errorf("exposition missing %q", want)
+	if _, err := metrics.Validate(buf.Bytes()); err != nil {
+		t.Errorf("scrape invalid: %v", err)
+	}
+	for _, want := range []string{
+		"dpi_engine_flows_opened_total{shard=\"0\"} 3\n",
+		"dpi_gateway_flows_live 1\n",
+		"dpi_gateway_flow_husks 1\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }
 

@@ -289,9 +289,10 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 
 // TestSynReopenPinsCurrentGeneration: a flow's registers carry no record of
 // the automaton they run on — the record's pin is the only one, and open is
-// the only place that sets it, together with fresh registers. So a SYN that
-// re-opens a FIN husk after a SwapRules pins the generation current then, not
-// the one the husk's last connection ran on, and starts from a zero stream
+// the only place that sets it, together with fresh registers. A FIN leaves
+// no record at all, only a husk; so a SYN that revives the husk after a
+// SwapRules builds a record pinned to the generation current then, not the
+// one the husk's last connection ran on, starting from a zero stream
 // position; the old generation, unpinned, has retired.
 func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 	rules := NewRuleset()
@@ -315,7 +316,7 @@ func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	record := func() gwFlow {
+	records := func() []gwFlow {
 		t.Helper()
 		var got []gwFlow
 		gw.rangeFlows(func(k FiveTuple, fl *gwFlow) {
@@ -323,6 +324,11 @@ func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 				got = append(got, *fl)
 			}
 		})
+		return got
+	}
+	record := func() gwFlow {
+		t.Helper()
+		got := records()
 		if len(got) != 1 {
 			t.Fatalf("%d records for the tuple, want 1", len(got))
 		}
@@ -331,10 +337,13 @@ func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 
 	send(GatewayPacket{Seq: 100, Flags: FlagSeq | FlagSYN})
 	send(GatewayPacket{Seq: 101, Flags: FlagSeq, Payload: []byte("..needle..")})
+	if fl := record(); fl.gen == nil || fl.st.Consumed() != 10 {
+		t.Fatalf("before FIN: pinned %v, registers at %d", fl.gen != nil, fl.st.Consumed())
+	}
 	send(GatewayPacket{Seq: 111, Flags: FlagSeq | FlagFIN})
 	gw.Flush()
-	if fl := record(); !fl.done || fl.gen != nil || fl.st.Consumed() != 10 {
-		t.Fatalf("after FIN: done %v, pinned %v, registers at %d", fl.done, fl.gen != nil, fl.st.Consumed())
+	if got, st := records(), gw.Stats(); len(got) != 0 || st.FlowHusks != 1 || st.FlowsLive != 1 {
+		t.Fatalf("after FIN: %d records, %d husks of %d entries; want the husk alone", len(got), st.FlowHusks, st.FlowsLive)
 	}
 	if err := gw.SwapRules(mB); err != nil {
 		t.Fatal(err)
@@ -342,7 +351,7 @@ func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 	send(GatewayPacket{Seq: 5000, Flags: FlagSeq | FlagSYN})
 	gw.Flush()
 	fl := record()
-	if fl.done || fl.gen == nil || fl.gen != gw.cur.Load() || fl.gen.id != mB.Generation() {
+	if fl.gen == nil || fl.gen != gw.cur.Load() || fl.gen.id != mB.Generation() {
 		t.Fatalf("the re-opened connection is not pinned to the current generation %d", mB.Generation())
 	}
 	if fl.st.Consumed() != 0 {
