@@ -15,15 +15,16 @@ import (
 	"repro/internal/ruleset"
 )
 
-// buildAllocCeiling bounds core.Build's allocations at 634 strings: 324
+// buildAllocCeiling bounds core.Build's allocations at 634 strings: 323
 // measured, plus 15 %. None of them is per trie state or per pattern — the
 // trie is a node table and three arenas, ac.New checks patterns as it
-// inserts them (an ID bitset, not maps of IDs and contents), and the
-// prefilter's collapsed trie is one class-row arena. What is left is per
-// lookup-table row: some 190 between the per-character default lists and
-// the ranking that fills them, and the builder's and kernels' flat tables,
-// a handful each.
-const buildAllocCeiling = 373
+// inserts them (an ID bitset, not maps of IDs and contents) and numbers
+// states breadth-first, so no later pass sorts or queues them again, and
+// the prefilter's collapsed trie is one class-row arena. What is left is
+// per lookup-table row: some 190 between the per-character default lists
+// and the ranking that fills them, and the builder's and kernels' flat
+// tables, a handful each.
+const buildAllocCeiling = 371
 
 func benchmarkRuleset() *ruleset.Set {
 	return ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})

@@ -256,6 +256,8 @@ func TestAcceleratorEquivalenceProperty(t *testing.T) {
 
 // TestPipelineAdversarialParity: on a worst-case stream (every byte a
 // failed deep match) the accelerator and the software matcher still agree.
+// The stream ends in one whole pattern, so the parity covers a match
+// whatever deep-but-failing paths Adversarial picks.
 func TestPipelineAdversarialParity(t *testing.T) {
 	rules, err := dpi.GenerateSnortLike(300, 55)
 	if err != nil {
@@ -265,9 +267,11 @@ func TestPipelineAdversarialParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := traffic.Adversarial(rules.InternalSet(), 6000, 3)
+	set := rules.InternalSet()
+	payload, err := traffic.Adversarial(set, 6000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload = append(payload, set.Patterns[0].Data...)
 	checkAgainstFindAll(t, m, fpga.Stratix3, 1, [][]byte{payload})
 }

@@ -63,9 +63,10 @@ type Node struct {
 type Trie struct {
 	Nodes []Node
 	// edges holds every state's goto transitions, state 0's first, each
-	// state's sorted by character. outs holds every state's own pattern
-	// IDs the same way, in insertion order within a state. IDs are the
-	// (possibly sparse) ruleset IDs.
+	// state's sorted by character. outs holds every state's own pattern ID
+	// the same way — a state ends at most one pattern, as two ending on one
+	// state would have the same content. IDs are the (possibly sparse)
+	// ruleset IDs.
 	edges []Edge
 	outs  []int32
 }
@@ -182,18 +183,25 @@ func New(set *ruleset.Set) (*Trie, error) {
 		outs:  make([]int32, 0, set.Len()),
 	}
 
-	// Freeze in state order, which is arena order. A parent is numbered
-	// before its children, so its depth is known when theirs is taken.
-	for s := range proto {
-		pn := &proto[s]
+	// Freeze breadth-first, numbering states as they are reached: the start
+	// state, then its children in character order, then theirs. So a
+	// state's parent and fail parent carry lower numbers than it does, each
+	// depth is one contiguous range of numbers, a state's children are
+	// consecutive, and edge k of the arena leads to state k+1. The numbering
+	// depends on the patterns' contents only, not on the order they were
+	// listed in. proto[at[s]] is what becomes state s.
+	at := make([]int32, 1, len(proto))
+	t.Nodes[Root].Parent = None
+	for s := range t.Nodes {
+		pn := &proto[at[s]]
 		nd := &t.Nodes[s]
-		*nd = Node{Parent: pn.parent, Fail: Root, OutLink: None, Char: pn.char,
-			edgeOff: uint32(len(t.edges)), outOff: uint32(len(t.outs))}
-		if pn.parent != None {
-			nd.Depth = t.Nodes[pn.parent].Depth + 1
-		}
-		for to := pn.child; to != None; to = proto[to].sibling {
-			t.edges = append(t.edges, Edge{Char: proto[to].char, To: to})
+		nd.Fail, nd.OutLink = Root, None
+		nd.edgeOff, nd.outOff = uint32(len(t.edges)), uint32(len(t.outs))
+		for c := pn.child; c != None; c = proto[c].sibling {
+			to := int32(len(at))
+			at = append(at, c)
+			t.Nodes[to] = Node{Parent: int32(s), Depth: nd.Depth + 1, Char: proto[c].char}
+			t.edges = append(t.edges, Edge{Char: proto[c].char, To: to})
 			nd.NumEdges++
 		}
 		if pn.out != None {
@@ -201,7 +209,7 @@ func New(set *ruleset.Set) (*Trie, error) {
 			nd.NumOut = 1
 		}
 	}
-	t.buildFails(&rootGoto)
+	t.buildFails()
 	return t, nil
 }
 
@@ -224,40 +232,38 @@ func (t *Trie) edgeTo(s int32, c byte) int32 {
 }
 
 // buildFails computes the failure function and output links breadth-first,
-// exactly as in Aho & Corasick (1975). Most fail chains run out at the
-// start state, whose gotos are looked up in rootGoto instead of by search.
-func (t *Trie) buildFails(rootGoto *[256]int32) {
-	queue := make([]int32, 0, len(t.Nodes))
-	for _, e := range t.Edges(Root) {
-		queue = append(queue, e.To)
+// exactly as in Aho & Corasick (1975) — which, states being numbered
+// breadth-first, is one forward sweep: a state's parent and fail parent are
+// shallower, so both are done when the sweep reaches it. Most fail chains
+// run out at the start state, whose gotos are looked up in a table instead
+// of by search.
+func (t *Trie) buildFails() {
+	var rootGoto [256]int32
+	for c := range rootGoto {
+		rootGoto[c] = None
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range t.Edges(u) {
-			v := e.To
-			// Follow u's fail chain to find the deepest proper suffix state
-			// with a goto on e.Char.
-			w := None
-			for f := t.Nodes[u].Fail; w == None; f = t.Nodes[f].Fail {
-				if f == Root {
-					w = rootGoto[e.Char]
-					break
-				}
-				w = t.edgeTo(f, e.Char)
+	for _, e := range t.Edges(Root) {
+		rootGoto[e.Char] = e.To
+	}
+	for v := int32(1); v < int32(len(t.Nodes)); v++ {
+		nd := &t.Nodes[v]
+		// Follow the parent's fail chain to find the deepest proper suffix
+		// state with a goto on the state's character.
+		w := None
+		for f := t.Nodes[nd.Parent].Fail; w == None; f = t.Nodes[f].Fail {
+			if f == Root {
+				w = rootGoto[nd.Char]
+				break
 			}
-			if w != None && w != v {
-				t.Nodes[v].Fail = w
-			} else {
-				t.Nodes[v].Fail = Root
-			}
-			fail := t.Nodes[v].Fail
-			if t.Nodes[fail].NumOut > 0 {
-				t.Nodes[v].OutLink = fail
-			} else {
-				t.Nodes[v].OutLink = t.Nodes[fail].OutLink
-			}
-			queue = append(queue, v)
+			w = t.edgeTo(f, nd.Char)
+		}
+		if w != None && w != v {
+			nd.Fail = w
+		}
+		if t.Nodes[nd.Fail].NumOut > 0 {
+			nd.OutLink = nd.Fail
+		} else {
+			nd.OutLink = t.Nodes[nd.Fail].OutLink
 		}
 	}
 }
@@ -312,7 +318,8 @@ func (t *Trie) HasOutput(s int32) bool {
 }
 
 // FindAll scans data with move-function semantics and returns every match
-// in order of match end (ties in insertion order).
+// in order of match end, ties longest first: EmitOutputs' order, the
+// state's own pattern and then its OutLink chain.
 func (t *Trie) FindAll(data []byte) []Match {
 	var out []Match
 	s := Root

@@ -169,8 +169,8 @@ func compile(m *Machine, t *ac.Trie, ft *failTree, denseStates int) *Program {
 		}
 	}
 
-	// Fast rows, shallow states first and numbered in that order: a state's
-	// move row is its fail parent's overridden by its own edges, so each row
+	// Fast rows, in state order, so fail parents first: a state's move row
+	// is its fail parent's overridden by its own edges, so each row
 	// is its nearest promoted fail ancestor's — already built — plus the
 	// edges of the unpromoted states in between, deepest last. The chain
 	// ends at the start state at the latest, whose row is d1 itself: its
@@ -183,7 +183,7 @@ func compile(m *Machine, t *ac.Trie, ft *failTree, denseStates int) *Program {
 	over := make([]int32, 0, 4*fastCount)
 	var chain []int32
 	var scratch [256]int32 // read only where the row's bit is set
-	for _, s := range ft.order {
+	for s := range int32(len(promoted)) {
 		if !promoted[s] {
 			continue
 		}
@@ -236,8 +236,10 @@ func compile(m *Machine, t *ac.Trie, ft *failTree, denseStates int) *Program {
 // then depth-1 states, then everything else, most popular first within a
 // tier with ties to the lower state number, until the budget
 // — Options.DenseStates, defaulting to DefaultDenseStates, negative to
-// disable the tier — is exhausted. Machines small enough to fit entirely
-// become a pure flat DFA. The selection is a pure function of the trie.
+// disable the tier — is exhausted. The lower number is the shallower state
+// and, at one depth, the lexicographically first path, which depends only
+// on the rule set. Machines small enough to fit entirely become a pure flat
+// DFA. The selection is a pure function of the trie.
 func pickDense(t *ac.Trie, ft *failTree, budget int) []bool {
 	n := t.NumStates()
 	promoted := make([]bool, n)
@@ -255,13 +257,11 @@ func pickDense(t *ac.Trie, ft *failTree, budget int) []bool {
 	}
 	promoted[ac.Root] = true
 	budget--
-	// ft.order is by depth: the start state, the depth-1 tier, the rest.
-	tier1 := 1
-	for tier1 < n && t.Nodes[ft.order[tier1]].Depth == 1 {
-		tier1++
-	}
-	for _, tier := range [][]int32{ft.order[1:tier1], ft.order[tier1:]} {
-		picked := ft.top(tier, budget)
+	// States are numbered by depth: the start state, the depth-1 tier, the
+	// rest.
+	tier1 := 1 + int32(t.Nodes[ac.Root].NumEdges)
+	for _, tier := range [][2]int32{{1, tier1}, {tier1, int32(n)}} {
+		picked := ft.top(tier[0], tier[1], budget)
 		for _, s := range picked {
 			promoted[s] = true
 		}

@@ -37,11 +37,11 @@ import (
 )
 
 // failTree is the builder's transient view of a trie: what the recurrences
-// above need and nothing a finished Machine keeps.
+// above need and nothing a finished Machine keeps. ac.New numbers states
+// breadth-first, so a state's fail parent — strictly shallower — has the
+// lower number: every pass below that needs fail parents first is a loop
+// over state numbers, and one that needs them last runs it backwards.
 type failTree struct {
-	// order lists every state by increasing depth, the start state first:
-	// a state's fail parent is strictly shallower, so it comes earlier.
-	order []int32
 	// sub[s] is the number of states in s's fail subtree, s included.
 	sub []int32
 	// pop[s] counts the (state, character) pairs of the full DFA whose move
@@ -52,31 +52,13 @@ type failTree struct {
 	original int64
 }
 
-// newFailTree analyses t in O(states + edges).
+// newFailTree analyses t in O(states + edges). Subtree sizes are summed
+// deepest state first, each into its fail parent's, which comes earlier.
 func newFailTree(t *ac.Trie) *failTree {
 	nodes := t.Nodes
 	n := len(nodes)
-	ft := &failTree{order: make([]int32, n), sub: make([]int32, n), pop: make([]int64, n)}
-
-	// Counting sort by depth. Not the identity: ac.New numbers states in
-	// insertion order — a parent before its children, one pattern's path
-	// before the next's — so a fail parent is shallower but may carry the
-	// higher number.
-	start := make([]int32, n+1)
-	for i := range nodes {
-		start[nodes[i].Depth+1]++
-	}
-	for d := 1; d <= n; d++ {
-		start[d] += start[d-1]
-	}
-	for i := range nodes {
-		d := nodes[i].Depth
-		ft.order[start[d]] = int32(i)
-		start[d]++
-	}
-
-	for i := n - 1; i > 0; i-- {
-		s := ft.order[i]
+	ft := &failTree{sub: make([]int32, n), pop: make([]int64, n)}
+	for s := n - 1; s > 0; s-- {
 		ft.sub[s]++
 		ft.sub[nodes[s].Fail] += ft.sub[s]
 	}
@@ -97,7 +79,9 @@ func newFailTree(t *ac.Trie) *failTree {
 }
 
 // rank orders states for promotion: more popular first, ties to the lower
-// state number, so every selection is deterministic.
+// state number, so every selection is deterministic. The lower number is
+// the shallower state and, at one depth, the lexicographically first path,
+// which depends only on the rule set, not on the order it was listed in.
 func (ft *failTree) rank(a, b int32) int {
 	if c := cmp.Compare(ft.pop[b], ft.pop[a]); c != 0 {
 		return c
@@ -105,16 +89,18 @@ func (ft *failTree) rank(a, b int32) int {
 	return cmp.Compare(a, b)
 }
 
-// top returns the k best-ranked of cands, in no particular order, without
-// sorting the rest: a k-element heap with the worst kept state on top.
-func (ft *failTree) top(cands []int32, k int) []int32 {
-	if k >= len(cands) {
-		return cands
-	}
+// top returns the k best-ranked of the states lo … hi-1, in no particular
+// order, without sorting the rest: a k-element heap with the worst kept
+// state on top.
+func (ft *failTree) top(lo, hi int32, k int) []int32 {
+	k = min(k, int(hi-lo))
 	if k <= 0 {
 		return nil
 	}
-	h := slices.Clone(cands[:k])
+	h := make([]int32, k)
+	for i := range h {
+		h[i] = lo + int32(i)
+	}
 	down := func(i int) {
 		for {
 			worst := i
@@ -133,7 +119,7 @@ func (ft *failTree) top(cands []int32, k int) []int32 {
 	for i := k/2 - 1; i >= 0; i-- {
 		down(i)
 	}
-	for _, s := range cands[k:] {
+	for s := lo + int32(k); s < hi; s++ {
 		if ft.rank(s, h[0]) < 0 {
 			h[0] = s
 			down(0)
@@ -157,11 +143,8 @@ func selectDefaults(t *ac.Trie, ft *failTree, d2 int, st *BuildStats) *[256]Look
 		rows[c].D1 = ac.None
 	}
 	var byDepth [4][]int32
-	for _, s := range ft.order[1:] {
+	for s := int32(1); s < int32(st.States) && t.Nodes[s].Depth <= 3; s++ {
 		d := t.Nodes[s].Depth
-		if d > 3 {
-			break
-		}
 		byDepth[d] = append(byDepth[d], s)
 	}
 	for _, s := range byDepth[1] {
@@ -301,14 +284,14 @@ func compress(t *ac.Trie, ft *failTree, defaults *[256]LookupRow, st *BuildStats
 	// stored at Fail(s)? The difference reaches every state below s.
 	// keep[v] records the first answer under all three depths, which is
 	// what the machine stores, and the same two answers give the length of
-	// s's row from its fail parent's, which — shallow states first — is
+	// s's row from its fail parent's, which — a lower state number — is
 	// already known. (The start state is its own fail parent; its length is
 	// still zero when it is read.)
 	keep := make([]bool, n)
 	rows := make([]uint32, n) // row s's length until the offsets are laid
 	var total [4]int64
 	maxStored := 0
-	for _, s := range ft.order {
+	for s := range int32(n) {
 		nd := &t.Nodes[s]
 		h2, h1 := staticHistory(t, s)
 		fh2, fh1 := staticHistory(t, nd.Fail)
@@ -348,11 +331,11 @@ func compress(t *ac.Trie, ft *failTree, defaults *[256]LookupRow, st *BuildStats
 		at += length
 	}
 
-	// Shallow states first, merge the fail parent's row with the state's
-	// own edges; both are sorted by character. The start state has no fail
-	// parent to inherit from.
+	// In state order, so fail parents first, merge the fail parent's row
+	// with the state's own edges; both are sorted by character. The start
+	// state has no fail parent to inherit from.
 	stored := make([]Pointer, total[3])
-	for _, s := range ft.order {
+	for s := range int32(n) {
 		var inherited []Pointer
 		if s != ac.Root {
 			inherited = rowOf(stored, rows[t.Nodes[s].Fail])

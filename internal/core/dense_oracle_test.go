@@ -544,7 +544,8 @@ func TestSparseBuildMatchesDenseOracle(t *testing.T) {
 // three are knobs — the top bit of the first spreads the IDs, bits 2–3 of
 // the second budget the fast tier, and the rest, which once chose
 // compression options the scheme no longer has, are ignored so every
-// committed corpus entry still replays.
+// committed corpus entry still replays. The same rules listed in reverse
+// must build the same machine.
 func FuzzBuildEquivalence(f *testing.F) {
 	f.Add([]byte("\x00\x03\x04\x01he\x00she\x00his\x00hers"))
 	f.Add([]byte("|\x01\x01\x02ab|abab|bab|b|a|ba"))
@@ -558,7 +559,10 @@ func FuzzBuildEquivalence(f *testing.F) {
 		if set.Len() == 0 {
 			return
 		}
-		checkSparseAgainstDense(t, set, []int{-1, 0, 16, 1 << 20}[int(knobs[1]>>2)%4])
+		dense := []int{-1, 0, 16, 1 << 20}[int(knobs[1]>>2)%4]
+		checkSparseAgainstDense(t, set, dense)
+		opts := Options{DenseStates: dense}
+		requireSameMachine(t, "reversed", mustBuild(t, set, opts), mustBuild(t, reordered(set, -1), opts))
 	})
 }
 

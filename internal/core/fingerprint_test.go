@@ -57,11 +57,12 @@ func buildFingerprint(t *testing.T) string {
 }
 
 // TestBuildFingerprintPinned holds the builder to what it decided at the
-// last commit that changed it: the constant was taken by running this body
-// against the parent of the commit that added it, so a change that moves a
-// default, a stored pointer or a Table II figure fails here first.
+// last commit that changed it, so a change that moves a default, a stored
+// pointer or a Table II figure fails here first. The constant was last
+// re-taken when states came to be numbered breadth-first, which moved
+// choices the builder breaks by state number among equally popular states.
 func TestBuildFingerprintPinned(t *testing.T) {
-	const want = "9ab99ba8ac17a8b7bdc787e97b01b57ce0642282e24b81c8d5093ce863082b1c"
+	const want = "22d486dc5cb09b396fb4900025847d67c535d21c8364461304780dc6910f5337"
 	if got := buildFingerprint(t); got != want {
 		t.Fatalf("the 634-string build hashes to %s, want %s", got, want)
 	}

@@ -125,28 +125,42 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 
 // TestVerifyOutputsDetectsCorruption: the proof must be able to fail — on
 // the one table, whichever backend the machine was built for, and on a
-// kernel that reads some other table. The toy's lists are he {0}, she
-// {0, 1}, his {2}, hers {3}, laid out in that order.
+// kernel that reads some other table. The ID-word targets are picked by
+// content, not position: multi is the first word without the last flag, so
+// it and the next word are one list of two or more IDs (the toy's she
+// {0, 1}), and last is the first word that ends a list. Every case must
+// change a word, or its rejection would prove nothing.
 func TestVerifyOutputsDetectsCorruption(t *testing.T) {
 	trie := mustTrie(t, toySet())
+	ids := mustBuild(t, toySet(), Options{}).out.ids
+	multi := slices.IndexFunc(ids, func(id uint32) bool { return id&LastMatch == 0 })
+	last := slices.IndexFunc(ids, func(id uint32) bool { return id&LastMatch != 0 })
+	if multi < 0 {
+		t.Fatalf("the toy's output table %x holds no list of two IDs", ids)
+	}
 	cases := map[string]func(m *Machine){
-		"swapped IDs":       func(m *Machine) { m.out.ids[1], m.out.ids[2] = m.out.ids[2], m.out.ids[1] }, // "she" ends 0 and 1
+		"swapped IDs":       func(m *Machine) { m.out.ids[multi], m.out.ids[multi+1] = m.out.ids[multi+1], m.out.ids[multi] },
 		"clear bit":         func(m *Machine) { m.out.bits[0] &= m.out.bits[0] - 1 },
 		"stray bit":         func(m *Machine) { m.out.bits[0] |= 1 },
 		"prefix count":      func(m *Machine) { m.out.rank[0]++ },
 		"shifted slot":      func(m *Machine) { m.out.off[1]++ },
 		"trailing slot":     func(m *Machine) { m.out.off = append(m.out.off, m.out.off[len(m.out.off)-1]) },
-		"missing last flag": func(m *Machine) { m.out.ids[0] &^= LastMatch },
-		"extra last flag":   func(m *Machine) { m.out.ids[1] |= LastMatch },
+		"missing last flag": func(m *Machine) { m.out.ids[last] &^= LastMatch },
+		"extra last flag":   func(m *Machine) { m.out.ids[multi] |= LastMatch },
 		"another's list":    func(m *Machine) { m.out.off[1] = m.out.off[0] },
 	}
+	words := func(o *outputTable) string { return fmt.Sprint(o.bits, o.rank, o.off, o.ids) }
 	for _, backend := range []string{BackendAuto, BackendReference} {
 		for name, corrupt := range cases {
 			m := mustBuild(t, toySet(), Options{Backend: backend})
 			if err := m.verifyOutputs(trie); err != nil {
 				t.Fatal(err)
 			}
+			before := words(&m.out)
 			corrupt(m)
+			if words(&m.out) == before {
+				t.Fatalf("%s, %s: the corruption changed no word", backend, name)
+			}
 			if err := m.verifyOutputs(trie); err == nil {
 				t.Errorf("%s, %s: corrupted output table accepted", backend, name)
 			}

@@ -29,7 +29,7 @@ func TestGoldenTable2Seed2010(t *testing.T) {
 		d1d2d3     int
 		memBytes   int
 	}{
-		{634, 7664, 7664, 72, 244, 364, 43925},
+		{634, 7664, 7664, 72, 244, 364, 43884},
 		{1603, 18600, 18605, 105, 399, 610, 108704},
 		{2588, 29347, 29355, 114, 451, 743, 178194},
 		{6275, 68274, 68296, 129, 663, 1147, 377269},

@@ -151,25 +151,12 @@ func Adversarial(set *ruleset.Set, size int, seed int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// failDepth[s] = number of fail transitions from s down to the root.
+	// failDepth[s] = number of fail transitions from s down to the root. A
+	// fail target is shallower, so numbered lower, so already counted.
 	n := trie.NumStates()
 	failDepth := make([]int, n)
 	for s := int32(1); s < int32(n); s++ {
-		// Nodes are created parents-first but fail targets may be later
-		// states; compute lazily with memoized chain walks.
-		if failDepth[s] == 0 {
-			var chain []int32
-			cur := s
-			for cur != ac.Root && failDepth[cur] == 0 {
-				chain = append(chain, cur)
-				cur = trie.Nodes[cur].Fail
-			}
-			d := failDepth[cur]
-			for i := len(chain) - 1; i >= 0; i-- {
-				d++
-				failDepth[chain[i]] = d
-			}
-		}
+		failDepth[s] = failDepth[trie.Nodes[s].Fail] + 1
 	}
 	// Score states by amortized steps per byte of their attack unit:
 	// (depth + 1 goto steps + failDepth fail steps) / (depth + 1 bytes).

@@ -74,48 +74,29 @@ type BitmapAC struct {
 	Chars int64
 }
 
-// BuildBitmap constructs the automaton for set. Nodes are renumbered in BFS
-// order so that each node's children occupy a contiguous block, which is
-// what makes popcount indexing possible.
+// BuildBitmap constructs the automaton for set. ac.New numbers states
+// breadth-first, so each node's children already occupy a contiguous block
+// — edge k of the trie's arena leads to state k+1 — which is what makes
+// popcount indexing possible: a node's FirstChild is a running count of
+// the edges before it, plus one.
 func BuildBitmap(set *ruleset.Set) (*BitmapAC, error) {
 	trie, err := ac.New(set)
 	if err != nil {
 		return nil, fmt.Errorf("tuck: %w", err)
 	}
-	n := trie.NumStates()
-	order := make([]int32, 0, n) // BFS order of old IDs
-	newID := make([]int32, n)    // old -> new
-	order = append(order, ac.Root)
-	for i := 0; i < len(order); i++ {
-		for _, e := range trie.Edges(order[i]) {
-			order = append(order, e.To)
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("tuck: BFS visited %d of %d states", len(order), n)
-	}
-	for idx, old := range order {
-		newID[old] = int32(idx)
-	}
-	b := &BitmapAC{Nodes: make([]BitmapNode, n)}
-	// Children of order[i] appear contiguously in BFS order; compute each
-	// node's FirstChild as a running offset.
+	b := &BitmapAC{Nodes: make([]BitmapNode, trie.NumStates())}
 	next := int32(1)
-	for idx, old := range order {
-		src := trie.Nodes[old]
-		node := &b.Nodes[idx]
+	for s := range b.Nodes {
+		src := &trie.Nodes[s]
+		node := &b.Nodes[s]
 		node.FirstChild = next
 		next += int32(src.NumEdges)
-		for _, e := range trie.Edges(old) {
+		for _, e := range trie.Edges(int32(s)) {
 			node.Bitmap[e.Char>>6] |= 1 << (uint(e.Char) & 63)
 		}
-		node.Fail = newID[src.Fail]
-		if src.OutLink == ac.None {
-			node.OutLink = -1
-		} else {
-			node.OutLink = newID[src.OutLink]
-		}
-		node.Out = append([]int32(nil), trie.Out(old)...)
+		node.Fail = src.Fail
+		node.OutLink = src.OutLink
+		node.Out = append([]int32(nil), trie.Out(int32(s))...)
 	}
 	return b, nil
 }

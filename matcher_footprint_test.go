@@ -16,7 +16,7 @@ import (
 // benchmark's, it is 136 288 B in 15 objects: the state memory the Machine
 // and the kernel share — 7 449 stored pointers of 4 B (30 KB) and its one
 // row index, a 4-byte descriptor per state (30 KB) — the fast tier (23 KB:
-// 384 bitmap rows and their 1 251 overrides, plus the 1.5 KB of stored-row
+// 384 bitmap rows and their 1 257 overrides, plus the 1.5 KB of stored-row
 // descriptors promotion displaced), the prefilter table (19 KB: a row for
 // each of the 155 states the skim loop steps from, of 480 collapsed
 // states), the one lookup table both interpreters read (11 KB, inside the
@@ -40,7 +40,7 @@ var matcherFootprints = []struct {
 
 // kernelTablesCeiling is a 256 KiB L2 slice: everything the production
 // kernel reads while scanning — Kernel().TotalBytes plus the prefilter's
-// table, 122 440 B measured at the benchmark's 634 strings and 197 700 B at
+// table, 122 464 B measured at the benchmark's 634 strings and 197 664 B at
 // 1 204 — has to fit in it together, at both sizes.
 const kernelTablesCeiling = 256 << 10
 
