@@ -36,7 +36,7 @@ func fuzzRulesFrom(blob []byte) *Ruleset {
 // is the "registers are plain data" property the gateway's flat flow record
 // and any walker that interleaves flows rely on.
 func forkStream(s *Stream, scrap []byte) *Stream {
-	forked := &Stream{m: s.m, st: s.st, emit: s.emit}
+	forked := &Stream{m: s.m, r: s.r, emit: s.emit}
 	s.emit = func(Match) {}
 	s.Write(scrap)
 	return forked

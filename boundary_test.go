@@ -15,17 +15,21 @@ import (
 // FPGA model (block memory images, device tables, power curves) is linked
 // only by binaries that import repro/fpga. The same goes for the group split
 // that fits a ruleset to block memories: software scans one core.Machine, so
-// no file here may mention core.Grouped or core.BuildGrouped. It parses the
-// package's non-test files, so it names the offending file; CI's lint job
-// asserts the imports of the transitive closure with `go list -deps .` and
-// the group split with grep.
+// no file here may mention core.Grouped or core.BuildGrouped. Nor may it
+// import internal/engine, the benchmark's layer harness: a stream or a flow
+// record holds a bare core.Regs and scans with Machine.ScanAppend. It parses
+// the package's non-test files, so it names the offending file; CI's lint
+// job asserts the imports of the transitive closure with `go list -deps .`
+// and the group split with grep.
 func TestRootDoesNotImportHardwareModel(t *testing.T) {
-	hardware := map[string]bool{
-		"repro/fpga":             true,
-		"repro/internal/hwsim":   true,
-		"repro/internal/device":  true,
-		"repro/internal/power":   true,
-		"repro/internal/bitpack": true,
+	const hw = "the hardware model belongs behind package fpga"
+	forbidden := map[string]string{
+		"repro/fpga":             hw,
+		"repro/internal/hwsim":   hw,
+		"repro/internal/device":  hw,
+		"repro/internal/power":   hw,
+		"repro/internal/bitpack": hw,
+		"repro/internal/engine":  "a flow's registers are a core.Regs; the engine package is the benchmark's harness",
 	}
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -38,8 +42,9 @@ func TestRootDoesNotImportHardwareModel(t *testing.T) {
 		for name, f := range pkg.Files {
 			files++
 			for _, imp := range f.Imports {
-				if path, _ := strconv.Unquote(imp.Path.Value); hardware[path] {
-					t.Errorf("%s imports %s: the hardware model belongs behind package fpga", name, path)
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if why, ok := forbidden[path]; ok {
+					t.Errorf("%s imports %s: %s", name, path, why)
 				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {

@@ -10,7 +10,6 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/reassembly"
 )
 
@@ -107,17 +106,13 @@ func assertPointerFree(t *testing.T, ty reflect.Type, path string) {
 // real gateway costs the heap one object — the table entry holding that
 // record — and its index slot, nothing chained behind it.
 func TestFlowRecordFootprint(t *testing.T) {
+	// A flow's whole scan state: one register file and no tag naming its
+	// automaton, whatever the ruleset's size — nothing for an open to allocate.
 	if size := unsafe.Sizeof(core.Regs{}); size > 16 {
 		t.Errorf("core.Regs is %d B, want <= 16", size)
 	}
 	assertPointerFree(t, reflect.TypeOf(core.Regs{}), "core.Regs")
-	// A flow's whole scan state: one register file and no tag naming its
-	// automaton, whatever the ruleset's size — nothing for an open to allocate.
-	if size := unsafe.Sizeof(engine.FlowState{}); size > 16 {
-		t.Errorf("engine.FlowState is %d B, want <= 16", size)
-	}
-	assertPointerFree(t, reflect.TypeOf(engine.FlowState{}), "engine.FlowState")
-	// The shared config, four flags, the cursor in sequence space and the
+	// The shared config, two flags, the cursor in sequence space and the
 	// out-of-order pointer.
 	if size := unsafe.Sizeof(reassembly.Stream{}); size > 24 {
 		t.Errorf("reassembly.Stream is %d B, want <= 24", size)
@@ -126,8 +121,8 @@ func TestFlowRecordFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(gwFlow{}); size > 56 {
 		t.Errorf("gwFlow is %d B, want <= 56", size)
 	}
-	t.Logf("core.Regs %d B, engine.FlowState %d B, reassembly.Stream %d B, gwFlow %d B",
-		unsafe.Sizeof(core.Regs{}), unsafe.Sizeof(engine.FlowState{}), unsafe.Sizeof(reassembly.Stream{}), unsafe.Sizeof(gwFlow{}))
+	t.Logf("core.Regs %d B, reassembly.Stream %d B, gwFlow %d B",
+		unsafe.Sizeof(core.Regs{}), unsafe.Sizeof(reassembly.Stream{}), unsafe.Sizeof(gwFlow{}))
 
 	if raceEnabled {
 		t.Skip("heap growth is not the product's under -race")

@@ -4,7 +4,7 @@ package dpi
 
 import (
 	"repro/internal/ac"
-	"repro/internal/engine"
+	"repro/internal/core"
 	"repro/internal/flowtable"
 	"repro/internal/reassembly"
 )
@@ -68,12 +68,14 @@ type gwFlow struct {
 	// verdict flows, a record released at its boundary). A SYN reviving a
 	// husk pins the then-current generation: it is a new connection.
 	gen *gwGeneration
-	// st is the connection's scanner registers, reset at open for gen's
+	// regs is the connection's scanner registers, reset at open for gen's
 	// automaton and written only over it: gen is the one record of which
 	// automaton they belong to. Meaningful only while gen is non-nil.
-	st engine.FlowState
-	// asm reorders FlagSeq segments; initialized at open, so a record that
-	// was never opened holds the zero Stream.
+	regs core.Regs
+	// asm reorders FlagSeq segments and nothing more: how the connection
+	// ends is the lane's to decide and the table's to remember (a husk, or
+	// no entry). Initialized at open, so a record that was never opened
+	// holds the zero Stream.
 	asm     reassembly.Stream
 	ruleIdx int32 // index into cfg.Rules; -1 when no rule matched
 	verdict Verdict
@@ -138,7 +140,7 @@ func (fl *gwFlow) open(g *Gateway, sh *gwEngineShard) {
 	gen.flows.Add(1)
 	fl.gen = gen
 	sh.n[cEngFlowsOpened].Add(1)
-	fl.st.Reset()
+	fl.regs.Reset()
 	fl.asm.Init(&g.asmCfg)
 }
 
@@ -149,8 +151,11 @@ func (fl *gwFlow) open(g *Gateway, sh *gwEngineShard) {
 // sweeper — and buffered out-of-order bytes return to the shared budget,
 // charged to the abandoned bucket of sh, the flow's shard: they were
 // ingested but their flow is going away, so they will never be scanned.
-// Idempotent: finish and quarantine release the record before the lane
-// settles it, and settling hands it here again, with nothing left to count.
+// Every boundary reaches it through the table — Settle after a FIN,
+// Remove after an RST, eviction, Close — except a quarantine, which
+// releases the poisoned record under its own recover first; it is
+// idempotent, so settling that record hands it here again with nothing
+// left to count.
 func (fl *gwFlow) release(g *Gateway, sh *gwEngineShard) {
 	if gen := fl.gen; gen != nil {
 		fl.gen = nil
@@ -183,7 +188,7 @@ func (g *Gateway) emitMatches(sh *gwEngineShard, gen *gwGeneration, p *seqPacket
 // scan writes one in-order chunk through the flow's registers into the
 // lane's scratch and emits what it completed.
 func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
-	ln.matches = fl.st.Write(fl.gen.m.machine, chunk, ln.matches[:0])
+	ln.matches = fl.gen.m.machine.ScanAppend(&fl.regs, chunk, ln.matches[:0])
 	ln.sh.n[cEngStreamBytes].Add(uint64(len(chunk)))
 	if len(ln.matches) > 0 {
 		ln.g.emitMatches(ln.sh, fl.gen, p, int(fl.ruleIdx), ln.matches)
@@ -192,7 +197,8 @@ func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
 
 // ingest processes one segment of a live connection on the lane that owns
 // it, and reports how the packet left the connection: open, or ended by FIN
-// or RST — which the lane applies to the table once Do returns.
+// or RST — which the lane applies to the table once Do returns, the table
+// handing the record to release as it settles or removes the entry.
 //
 // Byte accounting here is transactional: each bucket add happens only after
 // the operation that consumed the bytes returned, so when a scan (or a
@@ -207,10 +213,9 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	// RST tears the connection down whatever its verdict — a dropped or
 	// passed flow must not pin a table slot after the endpoints abort it.
 	// An RST's own payload is never scanned: abandoned, like the buffered
-	// bytes the release returns.
+	// bytes the table's Remove hands to release.
 	if p.flags&FlagRST != 0 {
 		sh.n[cFlowsReset].Add(1)
-		fl.release(g, sh)
 		sh.n[cAbandonedBytes].Add(uint64(len(p.payload)))
 		return flowReset
 	}
@@ -229,7 +234,7 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 		// keeping later offsets absolute in the true stream. Not a
 		// reassembly gap — GapSkips is untouched; the shed bytes are
 		// already in the Shed bucket.
-		fl.st.SkipGap(p.gap)
+		fl.regs.SkipAhead(p.gap)
 	}
 	if p.flags&FlagSeq == 0 {
 		// Pre-reassembly semantics: the feed vouches for ordering and the
@@ -237,14 +242,15 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 		fl.scan(ln, &p, p.payload)
 		sh.n[cScannedBytes].Add(uint64(len(p.payload)))
 		if p.flags&FlagFIN != 0 {
-			return fl.finish(ln)
+			sh.n[cFlowsFinished].Add(1)
+			return flowFinished
 		}
 		return flowOpen
 	}
 	// Explicit flag translation: the gateway and reassembly bit values
 	// happen to coincide, but relying on that would let a renumbering in
-	// either package silently misroute FIN/SYN. RST never reaches the
-	// reassembler — it returned above.
+	// either package silently misroute FIN/SYN. The reassembler has no RST:
+	// tearing a connection down is the table's, above.
 	var rf reassembly.Flags
 	if p.flags&FlagFIN != 0 {
 		rf |= reassembly.FIN
@@ -254,7 +260,7 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	}
 	res := fl.asm.Segment(p.seq32, p.payload, rf, tick,
 		func(chunk []byte, skipped int) {
-			fl.st.SkipGap(skipped)
+			fl.regs.SkipAhead(skipped)
 			fl.scan(ln, &p, chunk)
 		})
 	sh.n[cReassembledBytes].Add(uint64(res.Delivered))
@@ -276,18 +282,10 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 		sh.n[cAbandonedBytes].Add(uint64(res.Abandoned))
 	}
 	if res.Event == reassembly.EventFinished {
-		return fl.finish(ln)
+		sh.n[cFlowsFinished].Add(1)
+		return flowFinished
 	}
 	return flowOpen
-}
-
-// finish ends a FIN-completed connection: the generation pin and any
-// buffered bytes are released here, under the packet's containment, and the
-// lane then settles the entry into a finished husk that absorbs stragglers.
-func (fl *gwFlow) finish(ln *gwLane) flowEnd {
-	fl.release(ln.g, ln.sh)
-	ln.sh.n[cFlowsFinished].Add(1)
-	return flowFinished
 }
 
 // contain is ingest under panic containment, run inside the table's Do: a
@@ -450,9 +448,9 @@ func (ln *gwLane) datagram(p *seqPacket) {
 		return
 	}
 	gen := g.cur.Load()
-	var st engine.FlowState
-	st.Reset()
-	ln.matches = st.Write(gen.m.machine, p.payload, ln.matches[:0])
+	var r core.Regs
+	r.Reset()
+	ln.matches = gen.m.machine.ScanAppend(&r, p.payload, ln.matches[:0])
 	sh.n[cEngBatchPkts].Add(1)
 	sh.n[cEngBatchBytes].Add(n)
 	if len(ln.matches) > 0 {

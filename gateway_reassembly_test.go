@@ -473,19 +473,25 @@ func TestGatewayLifecycleFlags(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Half-feed the signature, then RST: the completion must not match.
+	// Half-feed the signature and hold bytes ahead of a gap, then RST: the
+	// completion must not match.
 	ingest(0, "", FlagSYN)
 	ingest(1, "nee", 0)
+	ingest(10, "held", 0) // waits on the gap at [4,10)
 	gw.Flush()
-	if live := gw.Stats().FlowsLive; live != 1 {
-		t.Fatalf("FlowsLive = %d before RST", live)
+	if st := gw.Stats(); st.FlowsLive != 1 || st.BufferedBytes != 4 {
+		t.Fatalf("before RST: %+v", st)
 	}
 	ingest(4, "", FlagRST)
 	gw.Flush()
+	// The reassembler never sees the RST: the table's Remove hands the
+	// record to release, which drops its pin and books its held bytes as
+	// abandoned.
 	st := gw.Stats()
-	if st.FlowsReset != 1 || st.FlowsLive != 0 {
+	if st.FlowsReset != 1 || st.FlowsLive != 0 || st.BufferedBytes != 0 || st.AbandonedBytes != 4 || !st.Ledger().Balanced() {
 		t.Fatalf("RST teardown: %+v", st)
 	}
+	gw.auditGenerationPins(t)
 	// Same tuple again: a fresh connection completes the pattern cleanly.
 	ingest(100, "", FlagSYN)
 	ingest(101, "dle", 0) // would complete the pre-RST "nee" if state leaked

@@ -68,15 +68,19 @@ func TestCorpusTruthReassembly(t *testing.T) {
 					d = &dir{asm: reassembly.NewStream(reassembly.Config{})}
 					flows[pkt.Tuple] = d
 				}
+				if pkt.Flags&capture.FlagRST != 0 {
+					// Tearing the connection down is the flow's owner's
+					// business, as in the gateway; the stream only gives
+					// back what it holds.
+					d.asm.Release()
+					continue
+				}
 				var fl reassembly.Flags
 				if pkt.Flags&capture.FlagFIN != 0 {
 					fl |= reassembly.FIN
 				}
 				if pkt.Flags&capture.FlagSYN != 0 {
 					fl |= reassembly.SYN
-				}
-				if pkt.Flags&capture.FlagRST != 0 {
-					fl |= reassembly.RST
 				}
 				d.asm.Segment(pkt.Seq, pkt.Payload, fl, 0, func(chunk []byte, skipped int) {
 					if skipped != 0 {

@@ -3,10 +3,45 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ac"
 )
+
+// TestRegsReopenInPlace: registers that served one stream are reset for the
+// next without allocating (they have nothing to allocate), start at position
+// zero, and carry no partial match across the reset.
+func TestRegsReopenInPlace(t *testing.T) {
+	m := mustBuild(t, toySet(), Options{})
+	var r Regs
+	r.Reset()
+	m.ScanAppend(&r, []byte("her"), nil)
+	if allocs := testing.AllocsPerRun(10, r.Reset); allocs != 0 {
+		t.Fatalf("Reset allocated %.1f times", allocs)
+	}
+	if r.Pos() != 0 {
+		t.Fatalf("reset registers at %d", r.Pos())
+	}
+	if ms := m.ScanAppend(&r, []byte("s"), nil); len(ms) != 0 {
+		t.Fatalf("match spans a reset: %v", ms)
+	}
+}
+
+// TestRegsCopyIsIndependent: registers are plain data, so the struct copy
+// is the clone — taken mid-pattern it completes the match on its own
+// whatever the original is fed meanwhile.
+func TestRegsCopyIsIndependent(t *testing.T) {
+	m := mustBuild(t, toySet(), Options{})
+	var r Regs
+	r.Reset()
+	got := m.ScanAppend(&r, []byte("her"), nil)
+	cl := r
+	m.ScanAppend(&r, []byte("x"), nil)
+	if got = m.ScanAppend(&cl, []byte("s"), got); !slices.Equal(got, m.FindAll([]byte("hers"))) {
+		t.Fatalf("copy found %v, want %v", got, m.FindAll([]byte("hers")))
+	}
+}
 
 // TestAutoBackendResolution pins what BackendAuto resolves to for each set
 // of kernels a build can end up with, which backends that machine offers,

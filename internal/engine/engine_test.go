@@ -109,49 +109,6 @@ func TestFlowPoolReuseIsClean(t *testing.T) {
 	}
 }
 
-// TestFlowStateReopenInPlace: a state that served one connection is
-// re-opened for the next without allocating (it has nothing to allocate),
-// starts from clean registers, and is counted as a new connection.
-func TestFlowStateReopenInPlace(t *testing.T) {
-	g := buildGrouped(t, 120)
-	e := New(g, 1)
-	target := g.Sets[0].Patterns[0].Data
-	var st FlowState
-	e.Open(&st)
-	e.Write(&st, target[:len(target)-1], nil)
-	allocs := testing.AllocsPerRun(10, func() { e.Open(&st) })
-	if !raceEnabled && allocs != 0 {
-		t.Fatalf("re-open allocated %.1f times", allocs)
-	}
-	if st.Consumed() != 0 {
-		t.Fatalf("re-opened state at %d", st.Consumed())
-	}
-	if ms := e.Write(&st, target[len(target)-1:], nil); len(ms) != 0 {
-		t.Fatalf("match spans a re-open: %v", ms)
-	}
-	if got := e.Stats().FlowsOpened; got != 12 {
-		t.Fatalf("FlowsOpened = %d, want 12 (one per Open)", got)
-	}
-}
-
-// TestFlowStateCloneIsIndependent: the state is plain data, so the struct
-// copy is the clone — taken mid-pattern it completes the match on its own
-// whatever the original is fed meanwhile.
-func TestFlowStateCloneIsIndependent(t *testing.T) {
-	g := buildGrouped(t, 120)
-	e := New(g, 1)
-	target := g.Sets[0].Patterns[0].Data
-	var st FlowState
-	e.Open(&st)
-	e.Write(&st, target[:len(target)-1], nil)
-	cl := st
-	e.Write(&st, []byte{0}, nil)
-	want := g.FindAll(target)
-	if ms := e.Write(&cl, target[len(target)-1:], nil); !slices.Equal(ms, want) {
-		t.Fatalf("copy found %v, want %v", ms, want)
-	}
-}
-
 func TestConcurrentFlowsShareOneAutomaton(t *testing.T) {
 	g := buildGrouped(t, 300)
 	e := New(g, 0)

@@ -15,6 +15,13 @@
 // difference — so initial sequence numbers near 2^32 work unchanged, and a
 // FIN is kept only while it waits ahead of a gap.
 //
+// A Stream only reorders bytes. It reports when a FIN's bytes are all
+// delivered (EventFinished) and keeps no lifecycle beyond that: what an RST
+// tears down, what becomes of stragglers after a FIN and when a SYN opens a
+// new connection on the tuple are its owner's to decide — the gateway's flow
+// table keeps a finished connection as a husk, removes a reset one, and a
+// new connection starts a fresh Stream with Init.
+//
 // Three policies keep a hostile or lossy feed from wedging the scanner:
 //
 //   - Overlap policy: when a later segment's bytes overlap data already
@@ -62,27 +69,26 @@ func (p Policy) String() string {
 	return "first-wins"
 }
 
-// Flags carries the TCP control bits the reassembler acts on.
+// Flags carries the TCP control bits that place bytes in sequence space: a
+// SYN occupies one sequence number ahead of its payload, and a FIN marks
+// where the stream ends.
 type Flags uint8
 
 const (
 	FIN Flags = 1 << 0
 	SYN Flags = 1 << 1
-	RST Flags = 1 << 2
 )
 
-// Event reports a lifecycle transition caused by a Segment call.
+// Event reports what a Segment call completed.
 type Event int
 
 const (
-	// EventNone: the stream is still live.
+	// EventNone: the stream is still open.
 	EventNone Event = iota
 	// EventFinished: a FIN was seen and every byte up to it has been
-	// delivered; the flow's scanner state can be released.
+	// delivered (or skipped past); the stream holds nothing any more, and
+	// the flow's scanner state can be released.
 	EventFinished
-	// EventReset: an RST arrived; the flow must be torn down immediately
-	// and buffered bytes have been discarded.
-	EventReset
 )
 
 // Budget is a buffered-bytes budget shared by many streams — the global
@@ -161,7 +167,7 @@ type Result struct {
 	Duplicate int // bytes discarded as retransmissions/overlaps per policy
 	Dropped   int // bytes discarded to the flow cap or shared budget
 	Skipped   int // gap bytes skipped past on timeout
-	Abandoned int // held bytes discarded on RST or beyond a completed FIN
+	Abandoned int // held bytes discarded beyond a completed FIN
 	Event     Event
 }
 
@@ -186,14 +192,16 @@ type seg struct {
 // A FIN is remembered only when it is ahead of a gap. One whose payload
 // starts at or behind the delivery point completes the stream within its own
 // Segment call, since every byte before it is delivered there.
+//
+// A completed stream holds nothing and its owner retires it; segments fed to
+// it afterwards continue it in sequence space (a retransmission behind the
+// FIN is a Duplicate), so a straggler can never re-deliver committed bytes.
 type Stream struct {
-	cfg      *Config
-	started  bool
-	finished bool
-	wasReset bool
-	finSeen  bool   // a FIN ahead of a gap is waiting in ooo.fin
-	next     uint32 // seq of the next in-order byte
-	ooo      *outOfOrder
+	cfg     *Config
+	started bool
+	finSeen bool   // a FIN ahead of a gap is waiting in ooo.fin
+	next    uint32 // seq of the next in-order byte
+	ooo     *outOfOrder
 }
 
 // outOfOrder is a stream's state while it holds bytes, or a FIN, out of order.
@@ -239,14 +247,12 @@ func (s *Stream) HeldBytes() int {
 	return s.ooo.heldBy
 }
 
-// Finished reports whether the stream completed via FIN.
-func (s *Stream) Finished() bool { return s.finished }
-
 // Release discards all held bytes, returning them to the shared budget, and
 // reports how many bytes it discarded so the caller can account them (a
 // byte-conservation ledger must not lose eviction-released bytes). Call it
-// when the flow is evicted mid-gap; it is idempotent. The stream keeps no
-// out-of-order state afterwards, a FIN seen ahead of the gap included.
+// when the flow is evicted or reset mid-gap; it is idempotent. The stream
+// keeps no out-of-order state afterwards, a FIN seen ahead of the gap
+// included.
 func (s *Stream) Release() int {
 	o := s.ooo
 	if o == nil {
@@ -272,23 +278,6 @@ func (s *Stream) Release() int {
 // order are copied, so the stream never retains payload's backing array.
 func (s *Stream) Segment(seq uint32, payload []byte, flags Flags, tick uint64, deliver func(chunk []byte, skippedBefore int)) Result {
 	var r Result
-	if s.finished || s.wasReset {
-		if flags&SYN == 0 {
-			// A straggling retransmission of a completed connection.
-			r.Duplicate = len(payload)
-			return r
-		}
-		// A SYN after FIN/RST starts a new connection on the same 5-tuple:
-		// every position and buffer clears; the caller resets its scanner.
-		s.Release()
-		s.Init(s.cfg)
-	}
-	if flags&RST != 0 {
-		r.Abandoned = s.Release()
-		s.wasReset = true
-		r.Event = EventReset
-		return r
-	}
 	dataSeq := seq
 	if flags&SYN != 0 {
 		dataSeq = seq + 1 // SYN occupies one sequence number
@@ -386,12 +375,11 @@ func (s *Stream) drain(deliver func([]byte, int), r *Result, skippedBefore int) 
 	}
 }
 
-// checkFinished flips the stream to finished when this call's in-order FIN
-// (finNow) or a FIN that arrived ahead of a gap has had every byte before it
+// checkFinished completes the stream when this call's in-order FIN (finNow)
+// or a FIN that arrived ahead of a gap has had every byte before it
 // delivered (or skipped past).
 func (s *Stream) checkFinished(r *Result, finNow bool) {
 	if finNow || s.finSeen && s.ahead(s.ooo.fin) <= 0 {
-		s.finished = true
 		r.Abandoned += s.Release() // anything held beyond the FIN is bogus
 		r.Event = EventFinished
 	}
@@ -403,10 +391,10 @@ func (s *Stream) checkFinished(r *Result, finNow bool) {
 // waiting and re-armed after every skip for the next gap.
 func (s *Stream) checkGap(tick uint64, deliver func([]byte, int), r *Result) {
 	o := s.ooo
-	if o == nil {
+	if o == nil { // nothing held, or the stream just completed
 		return
 	}
-	if s.finished || len(o.held) == 0 {
+	if len(o.held) == 0 {
 		o.gapSince = 0
 		return
 	}

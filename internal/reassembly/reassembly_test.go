@@ -2,8 +2,8 @@ package reassembly
 
 // Stream-level tests: every permutation property here is re-proven end to
 // end through the Gateway in the root package; these pin the mechanism in
-// isolation — overlap policies, cap eviction ordering, gap skip, lifecycle
-// flags, and sequence wraparound.
+// isolation — overlap policies, cap eviction ordering, gap skip, FIN
+// completion, and sequence wraparound.
 
 import (
 	"bytes"
@@ -41,8 +41,8 @@ func TestInOrderDelivery(t *testing.T) {
 	if out != "world" || r.Event != EventFinished {
 		t.Fatalf("second segment: %q %+v", out, r)
 	}
-	if delivered += r.Delivered; !s.Finished() || delivered != 11 {
-		t.Fatalf("finished=%v delivered=%d", s.Finished(), delivered)
+	if delivered += r.Delivered; delivered != 11 {
+		t.Fatalf("delivered=%d", delivered)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestFinAheadIsOutOfOrderState(t *testing.T) {
 		s := NewStream(Config{})
 		feed(t, s, 100, "", SYN, 0)
 		feed(t, s, 101, "abc", 0, 0)
-		if r := tc.last(s); r.Event != EventFinished || s.ooo != nil || !s.Finished() {
+		if r := tc.last(s); r.Event != EventFinished || s.ooo != nil {
 			t.Fatalf("in-order FIN %s: %+v, out-of-order state %v", tc.name, r, s.ooo)
 		}
 	}
@@ -349,36 +349,39 @@ func TestSharedBudget(t *testing.T) {
 	}
 }
 
-func TestLifecycleFinRstSyn(t *testing.T) {
-	s := NewStream(Config{})
+// TestFinCompletesStream: a FIN ahead of a gap completes the stream only
+// when the gap fills, and the completed stream holds nothing — a straggler
+// behind the FIN is a duplicate by sequence arithmetic alone, with no
+// lifecycle flag. What comes after is the owner's: Init starts the next
+// connection's stream at its own SYN, and Release is all an RST needs.
+func TestFinCompletesStream(t *testing.T) {
+	b := NewBudget(1 << 20)
+	cfg := Config{Budget: b}
+	s := NewStream(cfg)
 	feed(t, s, 100, "", SYN, 0)
 	// FIN arrives out of order: finish only once the hole fills.
 	if _, _, r := feed(t, s, 104, "df", FIN, 1); r.Event != EventNone {
 		t.Fatalf("finished with a hole open: %+v", r)
 	}
 	out, _, r := feed(t, s, 101, "abc", 0, 2)
-	if out != "abcdf" || r.Event != EventFinished {
-		t.Fatalf("fin completion: %q %+v", out, r)
+	if out != "abcdf" || r.Event != EventFinished || s.ooo != nil || s.finSeen {
+		t.Fatalf("fin completion: %q %+v, out-of-order state %v", out, r, s.ooo)
 	}
-	// Stragglers after FIN are discarded.
+	// A retransmission behind the FIN re-delivers nothing.
 	if out, _, r := feed(t, s, 101, "abc", 0, 3); out != "" || r.Duplicate != 3 {
 		t.Fatalf("straggler delivered: %q %+v", out, r)
 	}
-	// A SYN restarts the stream for a new connection on the same tuple.
+	// A new connection on the tuple is a fresh stream at its own ISN.
+	s.Init(&cfg)
 	out, _, r = feed(t, s, 9000, "fresh", SYN, 4)
-	if out != "fresh" || r.Delivered != 5 || s.Finished() {
-		t.Fatalf("restart: %q %+v", out, r)
+	if out != "fresh" || r.Delivered != 5 {
+		t.Fatalf("new connection: %q %+v", out, r)
 	}
-	// RST tears down immediately, discarding held bytes.
+	// Tearing it down mid-gap (an RST) is Release: the held bytes leave the
+	// stream and the budget, and are reported for the owner's ledger.
 	feed(t, s, 9020, "held", 0, 5)
-	if _, _, r := feed(t, s, 0, "", RST, 6); r.Event != EventReset {
-		t.Fatalf("rst: %+v", r)
-	}
-	if s.HeldBytes() != 0 {
-		t.Fatalf("rst left %d held bytes", s.HeldBytes())
-	}
-	if out, _, _ := feed(t, s, 9020, "held", 0, 7); out != "" {
-		t.Fatalf("post-rst delivery: %q", out)
+	if n := s.Release(); n != 4 || s.HeldBytes() != 0 || b.Used() != 0 {
+		t.Fatalf("release returned %d, left %d held, budget %d", n, s.HeldBytes(), b.Used())
 	}
 }
 

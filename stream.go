@@ -2,7 +2,7 @@ package dpi
 
 import (
 	"repro/internal/ac"
-	"repro/internal/engine"
+	"repro/internal/core"
 )
 
 // Stream scans a packet delivered in arbitrary chunks — the software
@@ -19,10 +19,10 @@ import (
 // A Stream is not safe for concurrent use; give each concurrent flow its
 // own Stream — they all read the Matcher's one immutable automaton and
 // carry only their own scanner registers. A Stream is one allocation: the
-// registers live in the handle itself.
+// registers, one core.Regs, live in the handle itself.
 type Stream struct {
 	m    *Matcher
-	st   engine.FlowState
+	r    core.Regs
 	emit func(Match)
 	buf  []ac.Match // per-chunk match buffer, reused across Writes
 }
@@ -32,7 +32,7 @@ type Stream struct {
 // between packets.
 func (m *Matcher) NewStream(emit func(Match)) *Stream {
 	s := &Stream{m: m, emit: emit}
-	s.st.Reset()
+	s.r.Reset()
 	return s
 }
 
@@ -52,7 +52,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 // a per-flow Stream can tie a cross-packet match back to the segment that
 // finished it.
 func (s *Stream) WritePacket(p []byte, packetID int) (int, error) {
-	buf := s.st.Write(s.m.machine, p, ac.RecycleMatches(s.buf))
+	buf := s.m.machine.ScanAppend(&s.r, p, ac.RecycleMatches(s.buf))
 	// Detach the buffer while replaying so an emit that writes to this same
 	// stream cannot recycle the slice being iterated.
 	s.buf = nil
@@ -65,15 +65,15 @@ func (s *Stream) WritePacket(p []byte, packetID int) (int, error) {
 
 // Reset rewinds the stream to start-of-packet: automaton states and the
 // 2-byte histories are cleared, and offsets restart at zero.
-func (s *Stream) Reset() { s.st.Reset() }
+func (s *Stream) Reset() { s.r.Reset() }
 
 // SkipGap advances the stream position by n bytes that were never seen (a
 // TCP reassembly gap skipped on loss): scanner registers are invalidated —
 // a match cannot span unseen bytes — but offsets of later matches remain
 // absolute in the true byte stream. The Gateway does the same to a flow
 // whose gap timeout expires. n <= 0 is a no-op.
-func (s *Stream) SkipGap(n int) { s.st.SkipGap(n) }
+func (s *Stream) SkipGap(n int) { s.r.SkipAhead(n) }
 
 // Consumed returns the stream position: bytes scanned plus gap bytes
 // skipped since the last Reset.
-func (s *Stream) Consumed() int { return s.st.Consumed() }
+func (s *Stream) Consumed() int { return s.r.Pos() }

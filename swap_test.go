@@ -337,8 +337,8 @@ func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 
 	send(GatewayPacket{Seq: 100, Flags: FlagSeq | FlagSYN})
 	send(GatewayPacket{Seq: 101, Flags: FlagSeq, Payload: []byte("..needle..")})
-	if fl := record(); fl.gen == nil || fl.st.Consumed() != 10 {
-		t.Fatalf("before FIN: pinned %v, registers at %d", fl.gen != nil, fl.st.Consumed())
+	if fl := record(); fl.gen == nil || fl.regs.Pos() != 10 {
+		t.Fatalf("before FIN: pinned %v, registers at %d", fl.gen != nil, fl.regs.Pos())
 	}
 	send(GatewayPacket{Seq: 111, Flags: FlagSeq | FlagFIN})
 	gw.Flush()
@@ -354,8 +354,8 @@ func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 	if fl.gen == nil || fl.gen != gw.cur.Load() || fl.gen.id != mB.Generation() {
 		t.Fatalf("the re-opened connection is not pinned to the current generation %d", mB.Generation())
 	}
-	if fl.st.Consumed() != 0 {
-		t.Fatalf("the re-opened connection's registers are at %d, want 0", fl.st.Consumed())
+	if fl.regs.Pos() != 0 {
+		t.Fatalf("the re-opened connection's registers are at %d, want 0", fl.regs.Pos())
 	}
 	gw.auditGenerationPins(t)
 	if st := gw.Stats(); st.GenerationsLive != 1 || st.GenerationsRetired != 1 {
