@@ -86,7 +86,7 @@
 //     flat and bounded: a connection is one record holding its scanner
 //     registers, reassembly cursor and verdict by value behind its table
 //     entry; a FIN releases the flow's buffers and ruleset pin
-//     immediately and leaves only a 48 B husk of its tuple to absorb
+//     immediately and leaves only a 32 B husk of its tuple to absorb
 //     stragglers (a SYN revives the tuple as a new connection), an RST
 //     tears the flow down, least-recently-active entries are evicted at
 //     the MaxFlows cap — husks first — and after IdleTimeout logical

@@ -14,12 +14,12 @@ import (
 )
 
 // flowHeapCeiling is what one live TCP flow may cost the heap, everything
-// counted: its flow-table entry — a 40 B header and the 56 B record, one
-// object in the 96 B size class — and its share of the table's index
-// (112 B measured), with 15 % headroom for where the index sits between
-// doublings. OPERATIONS.md's "Sizing memory" runbook quotes the measured
-// figure; this is the gate.
-const flowHeapCeiling = 129
+// counted: its flow-table entry — a 28 B header and the 48 B record, 80 B
+// of a slab chunk — and its share of the table's index, a 4-byte slot
+// (88 B measured), with 15 % headroom for where the index sits between
+// doublings and the last chunk is filled. OPERATIONS.md's "Sizing memory"
+// runbook quotes the measured figure; this is the gate.
+const flowHeapCeiling = 101
 
 // liveHeap is the heap in use after the collector has settled: twice,
 // because a finalizer or pool emptied by the first cycle frees on the second.
@@ -112,17 +112,17 @@ func TestFlowRecordFootprint(t *testing.T) {
 		t.Errorf("core.Regs is %d B, want <= 16", size)
 	}
 	assertPointerFree(t, reflect.TypeOf(core.Regs{}), "core.Regs")
-	// The shared config, two flags, the cursor in sequence space and the
-	// out-of-order pointer.
-	if size := unsafe.Sizeof(reassembly.Stream{}); size > 24 {
-		t.Errorf("reassembly.Stream is %d B, want <= 24", size)
+	// Two flags, the cursor in sequence space and the out-of-order pointer;
+	// the config is the gateway's, passed in by the lane.
+	if size := unsafe.Sizeof(reassembly.Cursor{}); size > 16 {
+		t.Errorf("reassembly.Cursor is %d B, want <= 16", size)
 	}
-	// With the table entry's 40 B header, 96 B: the 96 B malloc size class.
-	if size := unsafe.Sizeof(gwFlow{}); size > 56 {
-		t.Errorf("gwFlow is %d B, want <= 56", size)
+	// With the table entry's 28 B header, 80 B of a chunk.
+	if size := unsafe.Sizeof(gwFlow{}); size > 48 {
+		t.Errorf("gwFlow is %d B, want <= 48", size)
 	}
-	t.Logf("core.Regs %d B, reassembly.Stream %d B, gwFlow %d B",
-		unsafe.Sizeof(core.Regs{}), unsafe.Sizeof(reassembly.Stream{}), unsafe.Sizeof(gwFlow{}))
+	t.Logf("core.Regs %d B, reassembly.Cursor %d B, gwFlow %d B",
+		unsafe.Sizeof(core.Regs{}), unsafe.Sizeof(reassembly.Cursor{}), unsafe.Sizeof(gwFlow{}))
 
 	if raceEnabled {
 		t.Skip("heap growth is not the product's under -race")
@@ -135,14 +135,14 @@ func TestFlowRecordFootprint(t *testing.T) {
 }
 
 // huskHeapCeiling is what a finished connection may cost the heap: its husk,
-// a 48 B table entry holding the tuple, the table header and a one-byte mark
-// — one object in the 48 B size class — and its 8-byte slot in the husk
-// index, which sits between 3/8 and 3/4 full (11–21 B), with headroom.
-const huskHeapCeiling = 75
+// a 32 B slab entry holding the tuple, the table header and a one-byte mark,
+// and its 4-byte slot in the husk index, which sits between 3/8 and 3/4 full
+// (5–11 B), with headroom.
+const huskHeapCeiling = 45
 
 // TestHuskFootprint: a connection that ended by FIN keeps no record — no
 // registers, no reassembly cursor, no ruleset pin — only its husk, so it
-// costs the heap a 48 B entry and an index slot, not a live flow's 112 B.
+// costs the heap a 32 B entry and an index slot, not a live flow's 88 B.
 func TestHuskFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap growth is not the product's under -race")
@@ -191,11 +191,11 @@ func TestGatewayMatchDenseFlowsHoldNoBuffers(t *testing.T) {
 // TestGatewayConnectionCycleAllocs: a connection revived by SYN on the
 // husk its predecessor left — the steady state of a busy port pair — runs
 // SYN → data → FIN without allocating: the table builds the record in the
-// entry the last FIN left spare, and the husk it settles into is the one the
-// SYN left spare. A tuple never seen before pays for one object — its husk,
-// once the connection ends — plus the table index's growth amortised over
-// the connections that caused it (AllocsPerRun reports whole allocations
-// per run, so a fraction below one rounds away).
+// entry the last FIN freed, and the husk it settles into is the one the SYN
+// freed. A tuple never seen before allocates at most one object — a slab
+// chunk, once every 51 connections or 127 husks — plus the table index's
+// growth amortised over the connections that caused it (AllocsPerRun
+// reports whole allocations per run, so a fraction below one rounds away).
 func TestGatewayConnectionCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
@@ -239,7 +239,7 @@ func TestGatewayConnectionCycleAllocs(t *testing.T) {
 		next++
 	})
 	if fresh > 1 {
-		t.Errorf("a never-seen tuple's whole connection allocated %.0f times, want its table entry only", fresh)
+		t.Errorf("a never-seen tuple's whole connection allocated %.0f times, want at most a slab chunk", fresh)
 	}
 
 	st := gw.Stats()

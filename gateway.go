@@ -292,7 +292,8 @@ type GatewayConfig struct {
 	// evenly over several, that is exactly gateway-wide packets; a lane
 	// drawing less than its share ages its flows proportionally more slowly,
 	// and an idle lane not at all (EvictIdleFlows judges by the same clocks).
-	// 0 disables idle eviction.
+	// 0 or negative disables idle eviction; NewGateway rejects 2³¹ and
+	// above, since a table entry keeps only the low 32 bits of its clock.
 	IdleTimeout int
 
 	// OverlapPolicy resolves overlapping TCP segments in the reassembly
@@ -354,6 +355,9 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	if c.MaxFlows < 0 {
 		c.MaxFlows = 0
 	}
+	if c.IdleTimeout < 0 {
+		c.IdleTimeout = 0 // disabled
+	}
 	if c.MaxFlowBuffer <= 0 {
 		c.MaxFlowBuffer = 256 << 10
 	}
@@ -398,7 +402,7 @@ type Gateway struct {
 	emit func(FlowMatch)
 
 	shards []*gwEngineShard
-	asmCfg reassembly.Config // shared by every flow's reassembly stream, by pointer
+	asmCfg reassembly.Config // every flow's reassembly cursor runs under it
 
 	// closed is guarded by the shards' admission gates: Ingest reads it
 	// holding its packet's shard gate shared; Close writes it holding every
@@ -466,14 +470,17 @@ type gwEngineShard struct {
 // NewGateway starts a pipelined ingestion front-end scanning with m. emit
 // receives every match and must be safe for concurrent use. The returned
 // Gateway is running; feed it with Ingest, TryIngest or ReplayPcap and
-// Close it to drain. Nil arguments are rejected with a wrapped ErrBadConfig
-// instead of a later panic.
+// Close it to drain. Nil arguments and an IdleTimeout of 2³¹ or more are
+// rejected with a wrapped ErrBadConfig instead of a later panic.
 func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: NewGateway with nil Matcher", ErrBadConfig)
 	}
 	if emit == nil {
 		return nil, fmt.Errorf("%w: NewGateway with nil emit callback", ErrBadConfig)
+	}
+	if int64(cfg.IdleTimeout) >= 1<<31 {
+		return nil, fmt.Errorf("%w: IdleTimeout %d is not below 2^31", ErrBadConfig, cfg.IdleTimeout)
 	}
 	cfg = cfg.withDefaults()
 	g := &Gateway{cfg: cfg, emit: emit, pendingGaps: make(map[FiveTuple]int)}

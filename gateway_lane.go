@@ -74,9 +74,9 @@ type gwFlow struct {
 	regs core.Regs
 	// asm reorders FlagSeq segments and nothing more: how the connection
 	// ends is the lane's to decide and the table's to remember (a husk, or
-	// no entry). Initialized at open, so a record that was never opened
-	// holds the zero Stream.
-	asm     reassembly.Stream
+	// no entry). Its config is the gateway's, which every call passes in;
+	// a new record's zero cursor is empty.
+	asm     reassembly.Cursor
 	ruleIdx int32 // index into cfg.Rules; -1 when no rule matched
 	verdict Verdict
 	// notified: the connection's verdict event has been reported.
@@ -130,18 +130,17 @@ type gwLane struct {
 
 // open starts a connection on the record: it pins the current ruleset
 // generation and resets the scanner registers for that generation's
-// automaton — the one place either happens, always together — counts the
-// connection on sh — the flow's shard — and empties the reassembly stream. It
-// runs in the table's New, for a new tuple or a SYN reviving a husk, and
-// only while that packet is in flight, so cur cannot move underneath it —
-// see gwGeneration.flows.
+// automaton — the one place either happens, always together — and counts
+// the connection on sh, the flow's shard. It runs in the table's New, on a
+// fresh record, for a new tuple or a SYN reviving a husk, and only while
+// that packet is in flight, so cur cannot move underneath it — see
+// gwGeneration.flows.
 func (fl *gwFlow) open(g *Gateway, sh *gwEngineShard) {
 	gen := g.cur.Load()
 	gen.flows.Add(1)
 	fl.gen = gen
 	sh.n[cEngFlowsOpened].Add(1)
 	fl.regs.Reset()
-	fl.asm.Init(&g.asmCfg)
 }
 
 // release ends whatever the record holds at a flow boundary, and is the
@@ -163,7 +162,7 @@ func (fl *gwFlow) release(g *Gateway, sh *gwEngineShard) {
 			g.maybeRetire(gen)
 		}
 	}
-	if n := fl.asm.Release(); n > 0 {
+	if n := fl.asm.Release(&g.asmCfg); n > 0 {
 		sh.n[cAbandonedBytes].Add(uint64(n))
 	}
 }
@@ -258,7 +257,7 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	if p.flags&FlagSYN != 0 {
 		rf |= reassembly.SYN
 	}
-	res := fl.asm.Segment(p.seq32, p.payload, rf, tick,
+	res := fl.asm.Segment(&g.asmCfg, p.seq32, p.payload, rf, tick,
 		func(chunk []byte, skipped int) {
 			fl.regs.SkipAhead(skipped)
 			fl.scan(ln, &p, chunk)

@@ -7,7 +7,9 @@ package dpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -555,6 +557,25 @@ func TestGatewayIdleEviction(t *testing.T) {
 	if st.FlowsEvicted == 0 {
 		t.Fatalf("idle flow never evicted: %+v", st)
 	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGatewayRejectsWideIdleTimeout: a flow-table entry keeps only the low
+// 32 bits of its lane's clock, so idle ages are exact only below 2³¹ ticks.
+// An IdleTimeout past that is a configuration error, not a table that
+// silently evicts live flows; the largest one that fits is accepted.
+func TestGatewayRejectsWideIdleTimeout(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("IdleTimeout cannot reach 2^31 with a 32-bit int")
+	}
+	m, _ := gatewayMatcher(t, 40)
+	wide := int(int64(1) << 31)
+	if _, err := NewGateway(m, GatewayConfig{IdleTimeout: wide, StreamWorkers: 1}, func(FlowMatch) {}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("IdleTimeout 2^31: %v, want ErrBadConfig", err)
+	}
+	gw := testGateway(t, m, GatewayConfig{IdleTimeout: wide - 1, StreamWorkers: 1}, func(FlowMatch) {})
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,36 +15,44 @@
 // goroutine to another across a synchronisation point (the gateway's control
 // plane walks the lane tables while the lanes are drained). Has is the one
 // method any goroutine may call at any time; the owner pays for it with a
-// mutex around index writes only — once per flow boundary, never per packet.
+// mutex around index writes and slab growth only — once per flow boundary,
+// never per packet.
 //
-// An entry is a 40 B header (key, LRU links, last-activity tick) and a
+// An entry is a 28 B header (key, last-activity stamp, LRU links) and a
 // record: a connection's is the flow state F by value, a husk's — a
 // connection that ended (Settle), kept so its stragglers are recognised — a
-// one-byte mark. With the gateway's record a connection is one 96 B object,
-// a husk one 48 B object. Each kind has its own index and LRU list on one
-// clock, so a connection's packet probes one index and only a miss probes
-// the husks'. Entries never move, so the *F a callback receives stays valid
-// for the flow's life. An index is a power-of-two array of entry pointers
-// probed linearly — one 8-byte slot per entry at up to 3/4 load — with Robin
-// Hood insertion and deletion by backward shift, so probe runs stay short
-// and need no tombstones. It hashes the tuple with hash/maphash under a seed
-// drawn per table, never with nids.FiveTuple.Hash64: the gateway pins tuples
-// to lanes by Hash64, so every tuple in one lane's table shares Hash64's low
-// bits, and that hash is unseeded — anyone who can choose tuples could line
-// them up on one probe run and make each lookup a walk of the table, an
-// algorithmic-complexity attack on the sensor itself. An index grows and,
-// like a Go map, never shrinks.
+// one-byte mark. Each kind has its own set: a slab of entries, an index and
+// an LRU list on one clock, so a connection's packet probes one index and
+// only a miss probes the husks'. A slab is a directory of fixed-size chunks,
+// allocated as the set first needs one and never moved, so the *F a callback
+// receives stays valid for the flow's life; the LRU links and index
+// slots are 32-bit entry numbers, and the entries no key holds are zeroed on
+// one free list threaded through the link field. With the gateway's 48 B
+// record a connection's entry is 80 B, a husk's 32 B. An index is a
+// power-of-two array of entry numbers probed linearly — one 4-byte slot per
+// entry at up to 3/4 load — with Robin Hood insertion and deletion by
+// backward shift, so probe runs stay short and need no tombstones. It hashes
+// the tuple with hash/maphash under a seed drawn per table, never with
+// nids.FiveTuple.Hash64: the gateway pins tuples to lanes by Hash64, so
+// every tuple in one lane's table shares Hash64's low bits, and that hash is
+// unseeded — anyone who can choose tuples could line them up on one probe
+// run and make each lookup a walk of the table, an algorithmic-complexity
+// attack on the sensor itself. An index grows and, like a Go map, never
+// shrinks; a slab gives chunks back only when its set empties.
 //
 // Time is a logical clock: every Do advances it by Config.Tick, so "idle for
 // N ticks" means "N ticks' worth of packets crossed the table since this flow
 // last saw one". That keeps eviction deterministic and testable, and matches
 // how a line-rate gateway actually experiences time — in packets, not seconds.
+// The clock is 64 bits; an entry keeps the low 32 of its last reading, and
+// ages are taken modulo 2³², which idle eviction keeps exact.
 package flowtable
 
 import (
 	"encoding/binary"
 	"hash/maphash"
 	"sync"
+	"unsafe"
 
 	"repro/internal/nids"
 )
@@ -74,11 +82,11 @@ type Config[F any] struct {
 	// IdleTicks evicts entries untouched for more than this many logical
 	// clock ticks, oldest first whatever their kind; 0 disables idle
 	// eviction. Idle entries are collected opportunistically (at most two per
-	// Do) and exhaustively by EvictIdle.
+	// Do) and exhaustively by EvictIdle. It must be below 2³¹.
 	IdleTicks uint64
 	// Tick is how far one Do advances the clock; 0 selects 1. An owner that
 	// is one of N tables sharing a stream sets N, so IdleTicks keeps counting
-	// packets of the whole stream.
+	// packets of the whole stream. It must be below 2³¹.
 	Tick uint64
 }
 
@@ -106,8 +114,9 @@ const (
 type Table[F any] struct {
 	cfg Config[F]
 
-	// mu orders the owner's index writes against Has. The owner probes the
-	// indexes and relinks the LRU lists without it: it is the only writer.
+	// mu orders the owner's index and chunk-directory writes against Has.
+	// The owner probes the indexes and relinks the LRU lists without it: it
+	// is the only writer.
 	mu    sync.Mutex
 	conns set[F]
 	husks set[uint8] // the record is the mark Settle was given
@@ -115,41 +124,83 @@ type Table[F any] struct {
 	n     Stats // the counters; Live and Husks are the sets' sizes
 }
 
-// entry is one connection or husk: a 40 B header and the record.
+// A slab chunk is one chunkBytes allocation, a malloc size class, holding as
+// many entries as fit beside the 8 B header the allocator prefixes to a
+// pointerful object that size, up to chunkMax: 51 of the gateway's 80 B
+// connection entries (4 088 B) or 127 of its 32 B husk entries (4 064 B). A
+// set's unused space is the rest of its newest chunk, at most 4 KiB.
+const (
+	chunkBytes = 4096
+	chunkBits  = 7
+	chunkMax   = 1<<chunkBits - 1
+)
+
+// ref names an entry of a set: its chunk's number shifted up by chunkBits,
+// above its slot in the chunk plus one, so it splits with a shift and a mask
+// and is never 0 — the zero ref is no entry, and marks an empty index slot
+// and a list's end.
+type ref = uint32
+
+// entry is one connection or husk: a 28 B header and the record.
 type entry[R any] struct {
-	key        Key
-	last       uint64 // clock reading at the entry's last Do
-	prev, next *entry[R]
+	key Key
+	// last is the clock's low 32 bits at the entry's last Do. An age is
+	// uint32(clock) − last, exact below 2³² ticks: idle eviction keeps every
+	// age compared under IdleTicks + Tick, which New holds below that.
+	last uint32
+	// prev and next link the set's LRU list; a free entry's next links the
+	// free list.
+	prev, next ref
 	rec        R
 }
 
-// set is one kind of entry: an index and an intrusive LRU list.
+// set is one kind of entry: a slab, an index into it and an intrusive LRU
+// list through it.
 type set[R any] struct {
 	seed maphash.Seed
 	// slots is the index: a power-of-two array, probed linearly from a key's
-	// home slot, no more than 3/4 full; nil marks an empty slot.
-	slots      []*entry[R]
-	head, tail *entry[R] // most and least recently active
-	n          int
-	// spare is one vacated entry, zeroed, for the next insert: a settling
-	// connection parks its entry and a reviving husk its own, so a tuple
-	// cycling SYN → FIN allocates nothing.
-	spare *entry[R]
+	// home slot, no more than 3/4 full; 0 marks an empty slot.
+	slots []ref
+	// chunks is the slab, a directory of chunks of perChunk entries: entry r
+	// lives in chunk r>>chunkBits at slot r&chunkMax − 1. A chunk is
+	// allocated when the free list runs dry and never moves, so a *R stays
+	// valid while its entry is live.
+	chunks     [][]entry[R]
+	perChunk   int
+	head, tail ref // most and least recently active
+	// free lists the entries no key holds, zeroed: the ones vacated by a
+	// settle, revive or eviction, and the unused rest of the newest chunk.
+	free ref
+	n    int
 }
 
-// New builds a table. Config.New and Config.Evict are required.
+// New builds a table. Config.New and Config.Evict are required, and
+// IdleTicks and Tick must be below 2³¹. It allocates no slab: the first
+// entry of each kind does.
 func New[F any](cfg Config[F]) *Table[F] {
 	if cfg.New == nil || cfg.Evict == nil {
 		panic("flowtable: Config.New and Config.Evict are required")
 	}
+	if cfg.IdleTicks >= 1<<31 || cfg.Tick >= 1<<31 {
+		panic("flowtable: Config.IdleTicks and Config.Tick must be below 2^31")
+	}
 	if cfg.Tick == 0 {
 		cfg.Tick = 1
 	}
-	return &Table[F]{
-		cfg:   cfg,
-		conns: set[F]{seed: maphash.MakeSeed(), slots: make([]*entry[F], 8)},
-		husks: set[uint8]{seed: maphash.MakeSeed(), slots: make([]*entry[uint8], 8)},
+	return &Table[F]{cfg: cfg, conns: newSet[F](), husks: newSet[uint8]()}
+}
+
+func newSet[R any]() set[R] {
+	return set[R]{
+		seed:     maphash.MakeSeed(),
+		slots:    make([]ref, 8),
+		perChunk: max(1, min(chunkMax, (chunkBytes-8)/int(unsafe.Sizeof(entry[R]{})))),
 	}
+}
+
+// at returns entry r, which must not be 0.
+func (s *set[R]) at(r ref) *entry[R] {
+	return &s.chunks[r>>chunkBits][r&chunkMax-1]
 }
 
 // home is key's first probe slot: the seeded hash of the tuple's 13 bytes.
@@ -168,86 +219,135 @@ func (s *set[R]) home(key Key) int {
 func (s *set[R]) slot(key Key) int {
 	mask := len(s.slots) - 1
 	i := s.home(key)
-	for e := s.slots[i]; e != nil && e.key != key; e = s.slots[i] {
+	for r := s.slots[i]; r != 0 && s.at(r).key != key; r = s.slots[i] {
 		i = (i + 1) & mask
 	}
 	return i
 }
 
-// find returns key's entry, or nil.
-func (s *set[R]) find(key Key) *entry[R] { return s.slots[s.slot(key)] }
+// find returns key's entry, or 0: slot's walk, returning what it stops at.
+func (s *set[R]) find(key Key) ref {
+	mask := len(s.slots) - 1
+	for i := s.home(key); ; i = (i + 1) & mask {
+		if r := s.slots[i]; r == 0 || s.at(r).key == key {
+			return r
+		}
+	}
+}
 
-// index adds a new entry, doubling the index first when the entry would take
-// it past 3/4 full. The caller holds the table's mu.
-func (s *set[R]) index(e *entry[R]) {
+// index adds entry r, doubling the index first when r would take it past 3/4
+// full. The caller holds the table's mu.
+func (s *set[R]) index(r ref) {
 	if 4*(s.n+1) > 3*len(s.slots) {
 		old := s.slots
-		s.slots = make([]*entry[R], 2*len(old))
+		s.slots = make([]ref, 2*len(old))
 		for _, o := range old {
-			if o != nil {
+			if o != 0 {
 				s.place(o)
 			}
 		}
 	}
-	s.place(e)
+	s.place(r)
 	s.n++
 }
 
-// place inserts e Robin Hood style: walking from e's home, e takes the slot
-// of the first entry that sits nearer its own home than e would, and that
-// entry walks on in e's place. Every probe run stays sorted by home slot,
+// place inserts r Robin Hood style: walking from r's home, r takes the slot
+// of the first entry that sits nearer its own home than r would, and that
+// entry walks on in r's place. Every probe run stays sorted by home slot,
 // which keeps the longest one short — with 6 144 random keys in 8 192 slots,
 // at most 27 slots in a thousand trials, where plain linear probing reached
 // 204 — and lets deletion shift a run back one slot at a time.
-func (s *set[R]) place(e *entry[R]) {
+func (s *set[R]) place(r ref) {
 	mask := len(s.slots) - 1
-	i := s.home(e.key)
-	for d := 0; s.slots[i] != nil; i, d = (i+1)&mask, d+1 {
-		if rd := (i - s.home(s.slots[i].key)) & mask; rd < d {
-			s.slots[i], e = e, s.slots[i]
+	i := s.home(s.at(r).key)
+	for d := 0; s.slots[i] != 0; i, d = (i+1)&mask, d+1 {
+		if rd := (i - s.home(s.at(s.slots[i]).key)) & mask; rd < d {
+			s.slots[i], r = r, s.slots[i]
 			d = rd
 		}
 	}
-	s.slots[i] = e
+	s.slots[i] = r
 }
 
-// unindex empties e's slot and shifts the rest of its probe run back over
+// unindex empties r's slot and shifts the rest of its probe run back over
 // the hole, up to an empty slot or an entry already in its home, so no
 // tombstone is left behind. The caller holds the table's mu.
-func (s *set[R]) unindex(e *entry[R]) {
+func (s *set[R]) unindex(r ref) {
 	mask := len(s.slots) - 1
-	i := s.slot(e.key)
-	for j := (i + 1) & mask; s.slots[j] != nil && s.home(s.slots[j].key) != j; i, j = j, (j+1)&mask {
+	i := s.slot(s.at(r).key)
+	for j := (i + 1) & mask; s.slots[j] != 0 && s.home(s.at(s.slots[j]).key) != j; i, j = j, (j+1)&mask {
 		s.slots[i] = s.slots[j]
 	}
-	s.slots[i] = nil
+	s.slots[i] = 0
 	s.n--
 }
 
-// remove takes e out of the index, under mu, and the list, and parks it.
-func (s *set[R]) remove(mu *sync.Mutex, e *entry[R]) {
+// remove takes r out of the index, under mu, and releases it.
+func (s *set[R]) remove(mu *sync.Mutex, r ref) {
 	mu.Lock()
-	s.unindex(e)
+	s.unindex(r)
 	mu.Unlock()
+	s.release(mu, r)
+}
+
+// add takes an entry off the free list for key and rec, stamps it with clock
+// reading now and puts it at the front of the list; the caller indexes it.
+// When the free list is empty add first allocates a chunk, under mu, since
+// Has reads the chunk directory, and lists the chunk's entries in order.
+func (s *set[R]) add(mu *sync.Mutex, key Key, rec R, now uint64) ref {
+	if s.free == 0 {
+		mu.Lock()
+		s.chunks = append(s.chunks, make([]entry[R], s.perChunk))
+		mu.Unlock()
+		s.list(len(s.chunks) - 1)
+	}
+	r := s.free
+	e := s.at(r)
+	s.free = e.next
+	e.key, e.last, e.rec = key, uint32(now), rec
+	s.pushFront(r, e)
+	return r
+}
+
+// release unlinks r, which has left the index, zeroes it so it pins nothing
+// its record referenced, and puts it on the free list. When r was the set's
+// last entry the slab gives back every chunk but the first, under mu, so a
+// burst of flows that has ended does not keep its peak slab.
+func (s *set[R]) release(mu *sync.Mutex, r ref) {
+	e := s.at(r)
 	s.unlink(e)
-	s.park(e)
-}
-
-// alloc returns an empty entry: the spare, if there is one.
-func (s *set[R]) alloc() (e *entry[R]) {
-	if e, s.spare = s.spare, nil; e == nil {
-		e = new(entry[R])
-	}
-	return e
-}
-
-// park zeroes e, which has left the set, and keeps it if there is no spare.
-func (s *set[R]) park(e *entry[R]) {
-	*e = entry[R]{}
-	if s.spare == nil {
-		s.spare = e
+	*e = entry[R]{next: s.free}
+	s.free = r
+	if s.n == 0 && len(s.chunks) > 1 {
+		mu.Lock()
+		clear(s.chunks[1:])
+		s.chunks = s.chunks[:1]
+		mu.Unlock()
+		s.free = 0
+		s.list(0)
 	}
 }
+
+// list puts chunk c's entries, all free, on the free list in order.
+func (s *set[R]) list(c int) {
+	base := ref(c) << chunkBits
+	for i := s.perChunk; i > 0; i-- {
+		s.chunks[c][i-1].next, s.free = s.free, base|ref(i)
+	}
+}
+
+// touch stamps r with clock reading now and moves it to the list's front.
+func (s *set[R]) touch(r ref, now uint64) {
+	e := s.at(r)
+	e.last = uint32(now)
+	if s.head != r {
+		s.unlink(e)
+		s.pushFront(r, e)
+	}
+}
+
+// age is how many ticks entry r has been idle at clock reading now.
+func (s *set[R]) age(r ref, now uint64) uint32 { return uint32(now) - s.at(r).last }
 
 // Do runs fn on key's connection, creating it if the key is absent, and
 // reports whether this call created it; on a husk it runs husk with the mark
@@ -258,50 +358,41 @@ func (s *set[R]) park(e *entry[R]) {
 // table. The record fn receives stays put until it settles or is evicted.
 func (t *Table[F]) Do(key Key, fn func(*F), husk func(mark uint8) Action) (created bool) {
 	t.clock += t.cfg.Tick
-	e := t.conns.find(key)
-	if e != nil {
-		t.conns.unlink(e)
-	} else if k := t.husks.find(key); k == nil {
-		e = t.conns.alloc()
-		e.key, e.rec = key, t.cfg.New(key)
+	r := t.conns.find(key)
+	if r != 0 {
+		t.conns.touch(r, t.clock)
+	} else if k := t.husks.find(key); k == 0 {
+		r = t.conns.add(&t.mu, key, t.cfg.New(key), t.clock)
 		t.mu.Lock()
-		t.conns.index(e)
+		t.conns.index(r)
 		t.mu.Unlock()
 		t.n.Created++
 		created = true
 	} else {
 		act := Keep
 		if husk != nil {
-			act = husk(k.rec)
+			act = husk(t.husks.at(k).rec)
 		}
 		switch act {
 		case Revive:
-			e = t.conns.alloc()
-			e.key, e.rec = key, t.cfg.New(key)
+			r = t.conns.add(&t.mu, key, t.cfg.New(key), t.clock)
 			t.mu.Lock()
 			t.husks.unindex(k)
-			t.conns.index(e)
+			t.conns.index(r)
 			t.mu.Unlock()
-			t.husks.unlink(k)
-			t.husks.park(k)
+			t.husks.release(&t.mu, k)
 		case Remove:
 			t.dropHusk(k, &t.n.Removed)
 		default:
-			t.husks.unlink(k)
-			k.last = t.clock
-			t.husks.pushFront(k)
+			t.husks.touch(k, t.clock)
 		}
 	}
-	if e != nil {
-		e.last = t.clock
-		t.conns.pushFront(e)
-	}
 	if t.cfg.MaxFlows > 0 {
-		// Husks first; e heads its list, so it is the tail only when alone.
+		// Husks first; r heads its list, so it is the tail only when alone.
 		for t.Len() > t.cfg.MaxFlows {
-			if k := t.husks.tail; k != nil {
+			if k := t.husks.tail; k != 0 {
 				t.dropHusk(k, &t.n.EvictedCap)
-			} else if c := t.conns.tail; c != e {
+			} else if c := t.conns.tail; c != r {
 				t.drop(c, &t.n.EvictedCap)
 			} else {
 				break
@@ -314,8 +405,8 @@ func (t *Table[F]) Do(key Key, fn func(*F), husk func(mark uint8) Action) (creat
 		for i := 0; i < 2 && t.dropIdle(); i++ {
 		}
 	}
-	if e != nil {
-		fn(&e.rec)
+	if r != 0 {
+		fn(&t.conns.at(r).rec)
 	}
 	return created
 }
@@ -332,20 +423,17 @@ func (t *Table[F]) DoHashed(key Key, _ uint64, fn func(F)) (created bool) {
 // list stamped with this tick, keeping both lists in age order, and the
 // record goes to Evict. Settling is not an eviction: Live is unchanged.
 func (t *Table[F]) Settle(key Key, mark uint8) bool {
-	e := t.conns.find(key)
-	if e == nil {
+	r := t.conns.find(key)
+	if r == 0 {
 		return false
 	}
-	k := t.husks.alloc()
-	k.key, k.last, k.rec = key, t.clock, mark
-	rec := e.rec
+	k := t.husks.add(&t.mu, key, mark, t.clock)
+	rec := t.conns.at(r).rec
 	t.mu.Lock()
-	t.conns.unindex(e)
+	t.conns.unindex(r)
 	t.husks.index(k)
 	t.mu.Unlock()
-	t.conns.unlink(e)
-	t.conns.park(e)
-	t.husks.pushFront(k)
+	t.conns.release(&t.mu, r)
 	t.cfg.Evict(key, rec)
 	return true
 }
@@ -357,23 +445,24 @@ func (t *Table[F]) Settle(key Key, mark uint8) bool {
 // packets that would create new state.
 func (t *Table[F]) Has(key Key) bool {
 	t.mu.Lock()
-	ok := t.conns.find(key) != nil || t.husks.find(key) != nil
+	ok := t.conns.find(key) != 0 || t.husks.find(key) != 0
 	t.mu.Unlock()
 	return ok
 }
 
-// drop takes connection e out of the table, counts it under reason and
+// drop takes connection r out of the table, counts it under reason and
 // hands its record to Evict.
-func (t *Table[F]) drop(e *entry[F], reason *uint64) {
+func (t *Table[F]) drop(r ref, reason *uint64) {
+	e := t.conns.at(r)
 	key, rec := e.key, e.rec
-	t.conns.remove(&t.mu, e)
+	t.conns.remove(&t.mu, r)
 	*reason++
 	t.cfg.Evict(key, rec)
 }
 
 // dropHusk takes husk k out of the table and counts it under reason. Its
 // record went to Evict when it settled.
-func (t *Table[F]) dropHusk(k *entry[uint8], reason *uint64) {
+func (t *Table[F]) dropHusk(k ref, reason *uint64) {
 	t.husks.remove(&t.mu, k)
 	*reason++
 }
@@ -382,13 +471,14 @@ func (t *Table[F]) dropHusk(k *entry[uint8], reason *uint64) {
 // idled past IdleTicks, and reports whether it did.
 func (t *Table[F]) dropIdle() bool {
 	c, k := t.conns.tail, t.husks.tail
+	idle := uint32(t.cfg.IdleTicks)
 	switch {
-	case k != nil && (c == nil || k.last < c.last):
-		if t.clock-k.last > t.cfg.IdleTicks {
+	case k != 0 && (c == 0 || t.husks.age(k, t.clock) > t.conns.age(c, t.clock)):
+		if t.husks.age(k, t.clock) > idle {
 			t.dropHusk(k, &t.n.EvictedIdle)
 			return true
 		}
-	case c != nil && t.clock-c.last > t.cfg.IdleTicks:
+	case c != 0 && t.conns.age(c, t.clock) > idle:
 		t.drop(c, &t.n.EvictedIdle)
 		return true
 	}
@@ -399,11 +489,11 @@ func (t *Table[F]) dropIdle() bool {
 // was present. The gateway uses it for TCP lifecycle teardown (an RST aborts
 // the connection).
 func (t *Table[F]) Remove(key Key) bool {
-	if e := t.conns.find(key); e != nil {
-		t.drop(e, &t.n.Removed)
+	if r := t.conns.find(key); r != 0 {
+		t.drop(r, &t.n.Removed)
 		return true
 	}
-	if k := t.husks.find(key); k != nil {
+	if k := t.husks.find(key); k != 0 {
 		t.dropHusk(k, &t.n.Removed)
 		return true
 	}
@@ -427,8 +517,10 @@ func (t *Table[F]) EvictIdle() int {
 // advancing the clock or touching LRU positions — a diagnostic sweep. Husks
 // hold no record and are not visited. fn must not call back into the table.
 func (t *Table[F]) Range(fn func(Key, *F)) {
-	for e := t.conns.head; e != nil; e = e.next {
+	for r := t.conns.head; r != 0; {
+		e := t.conns.at(r)
 		fn(e.key, &e.rec)
+		r = e.next
 	}
 }
 
@@ -436,10 +528,10 @@ func (t *Table[F]) Range(fn func(Key, *F)) {
 // (a Do recreates flows), so Close doubles as a drain for gateway shutdown.
 func (t *Table[F]) Close() {
 	var uncounted uint64
-	for t.conns.tail != nil {
+	for t.conns.tail != 0 {
 		t.drop(t.conns.tail, &uncounted)
 	}
-	for t.husks.tail != nil {
+	for t.husks.tail != 0 {
 		t.dropHusk(t.husks.tail, &uncounted)
 	}
 }
@@ -460,28 +552,26 @@ func (t *Table[F]) Stats() Stats {
 	return s
 }
 
-func (s *set[R]) pushFront(e *entry[R]) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
+func (s *set[R]) pushFront(r ref, e *entry[R]) {
+	e.prev, e.next = 0, s.head
+	if s.head != 0 {
+		s.at(s.head).prev = r
+	} else {
+		s.tail = r
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
+	s.head = r
 }
 
 func (s *set[R]) unlink(e *entry[R]) {
-	if e.prev != nil {
-		e.prev.next = e.next
+	if e.prev != 0 {
+		s.at(e.prev).next = e.next
 	} else {
 		s.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != 0 {
+		s.at(e.next).prev = e.prev
 	} else {
 		s.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
+	e.prev, e.next = 0, 0
 }

@@ -8,6 +8,7 @@ package flowtable
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -190,21 +191,34 @@ func TestCloseEvictsEverything(t *testing.T) {
 	}
 }
 
-// TestEntryFootprint pins what a flow costs the table: one entry holding a
-// 40 B header — key, last-activity tick and the two LRU links, no lock —
-// and the record by value, plus its index slot. With the gateway's record
-// (56 B, gated by TestFlowRecordFootprint) a connection's entry is 96 B,
-// exactly the 96 B malloc size class; a husk's holds a one-byte mark and is
-// 48 B, the 48 B class.
+// TestEntryFootprint pins what a flow costs the table: one slab entry holding
+// a 28 B header — key, last-activity stamp and the two LRU links, all 32-bit,
+// no lock — and the record by value, plus its index slot, a 4-byte entry
+// number. With the gateway's record (48 B, gated by TestFlowRecordFootprint)
+// a connection's entry is 80 B; a husk's holds a one-byte mark and is 32 B.
+// A slab chunk of either fills the 4 096 B size class to within one entry,
+// counting the 8 B header Go puts on a pointerful object that size: 51
+// connection entries, or 127 husk entries — as many as a slot number holds.
 func TestEntryFootprint(t *testing.T) {
-	if off := unsafe.Offsetof(entry[*fakeFlow]{}.rec); off != 40 {
-		t.Fatalf("entry header is %d B, want 40", off)
+	if off := unsafe.Offsetof(entry[uint8]{}.rec); off != 28 {
+		t.Fatalf("entry header is %d B, want 28", off)
 	}
-	if size := unsafe.Sizeof(entry[[7]uint64]{}); size > 96 {
-		t.Fatalf("entry of a 56 B record is %d B, want <= 96", size)
+	type record struct { // the gateway's record: 48 B, holding pointers
+		p *byte
+		_ [5]uint64
 	}
-	if size := unsafe.Sizeof(entry[uint8]{}); size > 48 {
-		t.Fatalf("husk entry is %d B, want <= 48", size)
+	if size := unsafe.Sizeof(entry[record]{}); size != 80 {
+		t.Fatalf("entry of a 48 B record is %d B, want 80", size)
+	}
+	if size := unsafe.Sizeof(entry[uint8]{}); size != 32 {
+		t.Fatalf("husk entry is %d B, want 32", size)
+	}
+	if size := unsafe.Sizeof(ref(0)); size != 4 {
+		t.Fatalf("an index slot is %d B, want 4", size)
+	}
+	conns, husks := newSet[record](), newSet[uint8]()
+	if conns.perChunk != 51 || husks.perChunk != chunkMax {
+		t.Fatalf("chunks of %d connection and %d husk entries, want 51 and %d", conns.perChunk, husks.perChunk, chunkMax)
 	}
 }
 
@@ -548,11 +562,11 @@ type valueFlow struct {
 // crosses the end of the array.
 func probeLen[R any](s *set[R]) (longest int, wrapped bool) {
 	mask := len(s.slots) - 1
-	for i, e := range s.slots {
-		if e == nil {
+	for i, r := range s.slots {
+		if r == 0 {
 			continue
 		}
-		h := s.home(e.key)
+		h := s.home(s.at(r).key)
 		longest = max(longest, (i-h)&mask+1)
 		wrapped = wrapped || h > i
 	}
@@ -570,22 +584,46 @@ func checkIndex[R any](t *testing.T, s *set[R]) {
 	}
 	mask := len(s.slots) - 1
 	n := 0
-	for i, e := range s.slots {
-		if e == nil {
+	for i, r := range s.slots {
+		if r == 0 {
 			continue
 		}
 		n++
+		e := s.at(r)
 		if j := s.slot(e.key); j != i {
 			t.Fatalf("%v sits in slot %d, a lookup stops at %d", e.key, i, j)
 		}
-		if next := s.slots[(i+1)&mask]; next != nil {
-			if d, dn := (i-s.home(e.key))&mask, (i+1-s.home(next.key))&mask; dn > d+1 {
+		if next := s.slots[(i+1)&mask]; next != 0 {
+			if d, dn := (i-s.home(e.key))&mask, (i+1-s.home(s.at(next).key))&mask; dn > d+1 {
 				t.Fatalf("slot %d is %d from its home after slot %d at %d: run not sorted by home", i+1, dn, i, d)
 			}
 		}
 	}
 	if n != s.n {
 		t.Fatalf("index holds %d entries, set counts %d", n, s.n)
+	}
+}
+
+// checkSlab fails unless every entry of a set's slab is either one of its n
+// indexed entries or on its free list, zeroed but for the free-list link: a
+// freed slot pins nothing its record referenced.
+func checkSlab[R any](t *testing.T, s *set[R]) {
+	t.Helper()
+	free := 0
+	for r := s.free; r != 0; r = s.at(r).next {
+		free++
+		e := *s.at(r)
+		e.next = 0
+		if !reflect.ValueOf(e).IsZero() {
+			t.Fatalf("free entry %d holds %+v", r, e)
+		}
+		if free > len(s.chunks)*s.perChunk {
+			t.Fatal("free list loops")
+		}
+	}
+	if free+s.n != len(s.chunks)*s.perChunk {
+		t.Fatalf("%d chunks hold %d indexed and %d free entries: %d lost",
+			len(s.chunks), s.n, free, len(s.chunks)*s.perChunk-free-s.n)
 	}
 }
 
@@ -602,255 +640,269 @@ func checkIndex[R any](t *testing.T, s *set[R]) {
 // over the cap. After every step both LRU lists equal the model's order,
 // kind and marks, Has over the whole key universe, Len, Stats, Range
 // (connections only, with their records) and every record Evict received
-// agree with it, and both indexes hold exactly their entries.
+// agree with it, both indexes hold exactly their entries, and every slab
+// entry is either indexed or zeroed on the free list.
 func TestIndexMatchesModel(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		keys     int
-		maxFlows int
-		idle     uint64
-		remove   int // in 100: share of steps that Remove
-		settle   int // in 100: share of steps whose Do ends the connection
-		steps    int
-		wrap     bool // every other key's home is the index's last slot
-	}{
+	for _, tc := range []modelCase{
 		{"growth", 300, 0, 0, 10, 10, 1500, false},
 		{"capacity", 160, 60, 0, 5, 30, 1500, false},
 		{"idle", 160, 0, 120, 5, 30, 1500, false},
 		{"tiny-heavy-removal", 12, 5, 0, 45, 20, 3000, true},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rnd := uint64(len(tc.name))
-			next := func(n int) int {
-				rnd = rnd*6364136223846793005 + 1442695040888963407
-				return int(rnd>>33) % n
+		t.Run(tc.name, func(t *testing.T) { checkModel(t, tc, 1) })
+	}
+}
+
+// modelCase is one table shape checkModel drives.
+type modelCase struct {
+	name     string
+	keys     int
+	maxFlows int
+	idle     uint64
+	remove   int // in 100: share of steps that Remove
+	settle   int // in 100: share of steps whose Do ends the connection
+	steps    int
+	wrap     bool // every other key's home is the index's last slot
+}
+
+// checkModel is TestIndexMatchesModel's run of one table shape, its clock
+// advancing tick per Do.
+func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
+	rnd := uint64(len(tc.name))
+	next := func(n int) int {
+		rnd = rnd*6364136223846793005 + 1442695040888963407
+		return int(rnd>>33) % n
+	}
+	type modelEntry struct {
+		n    int   // Do calls on the connection's record
+		mark uint8 // 0 for a connection
+		last uint64
+	}
+	type evicted struct {
+		key Key
+		n   int
+	}
+	model := map[Key]*modelEntry{}
+	var (
+		order            []Key // oldest first
+		clock            uint64
+		want             Stats
+		wantEv, gotEv    []evicted
+		step             int
+		wrapped, husked  bool
+		revived, removed int
+	)
+	tb := New(Config[valueFlow]{
+		New: func(k Key) valueFlow { return valueFlow{key: k} },
+		Evict: func(k Key, f valueFlow) {
+			if f.key != k {
+				t.Fatalf("step %d: evicted %v holding %v's record", step, k, f.key)
 			}
-			type modelEntry struct {
-				n    int   // Do calls on the connection's record
-				mark uint8 // 0 for a connection
-				last uint64
+			gotEv = append(gotEv, evicted{k, f.n})
+		},
+		MaxFlows:  tc.maxFlows,
+		IdleTicks: tc.idle,
+		Tick:      tick,
+	})
+	touch := func(k Key) {
+		order = slices.DeleteFunc(order, func(o Key) bool { return o == k })
+		order = append(order, k)
+		model[k].last = clock
+	}
+	drop := func(k Key, reason *uint64) {
+		if m := model[k]; m.mark == 0 {
+			wantEv = append(wantEv, evicted{k, m.n})
+		} else {
+			want.Husks--
+		}
+		delete(model, k)
+		order = slices.DeleteFunc(order, func(o Key) bool { return o == k })
+		want.Live--
+		*reason++
+	}
+	dropIdle := func() bool {
+		if len(order) == 0 || clock-model[order[0]].last <= tc.idle {
+			return false
+		}
+		drop(order[0], &want.EvictedIdle)
+		return true
+	}
+	universe := make([]Key, 0, tc.keys)
+	for i := 0; len(universe) < tc.keys; i++ {
+		if k := tuple(i); !tc.wrap || (tb.conns.home(k) == len(tb.conns.slots)-1) == (len(universe)%2 == 0) {
+			universe = append(universe, k)
+		}
+	}
+	for step = 1; step <= tc.steps; step++ {
+		k := universe[next(len(universe))]
+		switch op := next(100); {
+		case op < tc.remove:
+			_, live := model[k]
+			if got := tb.Remove(k); got != live {
+				t.Fatalf("step %d: Remove(%v) = %v, model present %v", step, k, got, live)
 			}
-			type evicted struct {
-				key Key
-				n   int
+			if live {
+				drop(k, &want.Removed)
 			}
-			model := map[Key]*modelEntry{}
-			var (
-				order            []Key // oldest first
-				clock            uint64
-				want             Stats
-				wantEv, gotEv    []evicted
-				step             int
-				wrapped, husked  bool
-				revived, removed int
-			)
-			tb := New(Config[valueFlow]{
-				New: func(k Key) valueFlow { return valueFlow{key: k} },
-				Evict: func(k Key, f valueFlow) {
-					if f.key != k {
-						t.Fatalf("step %d: evicted %v holding %v's record", step, k, f.key)
-					}
-					gotEv = append(gotEv, evicted{k, f.n})
-				},
-				MaxFlows:  tc.maxFlows,
-				IdleTicks: tc.idle,
+		case op < tc.remove+2:
+			n := tb.EvictIdle()
+			wantN := 0
+			for tc.idle > 0 && dropIdle() {
+				wantN++
+			}
+			if n != wantN {
+				t.Fatalf("step %d: EvictIdle = %d, model %d", step, n, wantN)
+			}
+		default:
+			act := []Action{Keep, Keep, Revive, Remove}[next(4)]
+			var ran, asked bool
+			created := tb.Do(k, func(f *valueFlow) {
+				if f.key != k {
+					t.Fatalf("step %d: Do(%v) reached %v's record", step, k, f.key)
+				}
+				ran = true
+				f.n++
+			}, func(mark uint8) Action {
+				if m := model[k]; m == nil || m.mark != mark {
+					t.Fatalf("step %d: husk callback for %v with mark %d, model has %+v", step, k, mark, m)
+				}
+				asked = true
+				return act
 			})
-			touch := func(k Key) {
-				order = slices.DeleteFunc(order, func(o Key) bool { return o == k })
-				order = append(order, k)
-				model[k].last = clock
+			clock += tick
+			m := model[k]
+			husk := m != nil && m.mark != 0
+			if asked != husk || created != (m == nil) {
+				t.Fatalf("step %d: Do(%v) asked the husk callback %v, created %v; model has %+v", step, k, asked, created, m)
 			}
-			drop := func(k Key, reason *uint64) {
-				if m := model[k]; m.mark == 0 {
-					wantEv = append(wantEv, evicted{k, m.n})
-				} else {
-					want.Husks--
-				}
-				delete(model, k)
-				order = slices.DeleteFunc(order, func(o Key) bool { return o == k })
-				want.Live--
-				*reason++
+			conn := !husk || act == Revive // Do touched a connection
+			switch {
+			case m == nil:
+				m = &modelEntry{}
+				model[k] = m
+				want.Live++
+				want.Created++
+			case husk && act == Revive:
+				m.mark = 0
+				want.Husks--
+				revived++
+			case husk && act == Remove:
+				drop(k, &want.Removed)
+				removed++
 			}
-			dropIdle := func() bool {
-				if len(order) == 0 || clock-model[order[0]].last <= tc.idle {
-					return false
-				}
-				drop(order[0], &want.EvictedIdle)
-				return true
+			if model[k] != nil {
+				touch(k)
 			}
-			universe := make([]Key, 0, tc.keys)
-			for i := 0; len(universe) < tc.keys; i++ {
-				if k := tuple(i); !tc.wrap || (tb.conns.home(k) == len(tb.conns.slots)-1) == (len(universe)%2 == 0) {
-					universe = append(universe, k)
-				}
-			}
-			for step = 1; step <= tc.steps; step++ {
-				k := universe[next(len(universe))]
-				switch op := next(100); {
-				case op < tc.remove:
-					_, live := model[k]
-					if got := tb.Remove(k); got != live {
-						t.Fatalf("step %d: Remove(%v) = %v, model present %v", step, k, got, live)
-					}
-					if live {
-						drop(k, &want.Removed)
-					}
-				case op < tc.remove+2:
-					n := tb.EvictIdle()
-					wantN := 0
-					for tc.idle > 0 && dropIdle() {
-						wantN++
-					}
-					if n != wantN {
-						t.Fatalf("step %d: EvictIdle = %d, model %d", step, n, wantN)
-					}
-				default:
-					act := []Action{Keep, Keep, Revive, Remove}[next(4)]
-					var ran, asked bool
-					created := tb.Do(k, func(f *valueFlow) {
-						if f.key != k {
-							t.Fatalf("step %d: Do(%v) reached %v's record", step, k, f.key)
-						}
-						ran = true
-						f.n++
-					}, func(mark uint8) Action {
-						if m := model[k]; m == nil || m.mark != mark {
-							t.Fatalf("step %d: husk callback for %v with mark %d, model has %+v", step, k, mark, m)
-						}
-						asked = true
-						return act
-					})
-					clock++
-					m := model[k]
-					husk := m != nil && m.mark != 0
-					if asked != husk || created != (m == nil) {
-						t.Fatalf("step %d: Do(%v) asked the husk callback %v, created %v; model has %+v", step, k, asked, created, m)
-					}
-					conn := !husk || act == Revive // Do touched a connection
-					switch {
-					case m == nil:
-						m = &modelEntry{}
-						model[k] = m
-						want.Live++
-						want.Created++
-					case husk && act == Revive:
-						m.mark = 0
-						want.Husks--
-						revived++
-					case husk && act == Remove:
-						drop(k, &want.Removed)
-						removed++
-					}
-					if model[k] != nil {
-						touch(k)
-					}
-					for tc.maxFlows > 0 && want.Live > tc.maxFlows {
-						oldest := order[0]
-						for _, o := range order {
-							if model[o].mark != 0 {
-								oldest = o
-								break
-							}
-						}
-						if model[oldest].mark == 0 && conn && oldest == k {
-							break
-						}
-						drop(oldest, &want.EvictedCap)
-					}
-					for i := 0; i < 2 && tc.idle > 0 && dropIdle(); i++ {
-					}
-					if ran != conn {
-						t.Fatalf("step %d: Do(%v) ran fn %v, model touched a connection %v", step, k, ran, conn)
-					}
-					if conn {
-						m.n++
-					}
-					if op < tc.remove+2+tc.settle {
-						mark := uint8(1 + next(2))
-						settled := tb.Settle(k, mark)
-						if m := model[k]; settled != (m != nil && m.mark == 0) {
-							t.Fatalf("step %d: Settle(%v) = %v, model has %+v", step, k, settled, m)
-						}
-						if settled {
-							wantEv = append(wantEv, evicted{k, m.n})
-							*m = modelEntry{mark: mark}
-							touch(k)
-							want.Husks++
-							husked = true
-						}
-					}
-				}
-				if !slices.Equal(gotEv, wantEv) {
-					t.Fatalf("step %d: Evict received %v, model %v", step, gotEv, wantEv)
-				}
-				gotEv, wantEv = gotEv[:0], wantEv[:0]
-				checkIndex(t, &tb.conns)
-				checkIndex(t, &tb.husks)
-				_, wc := probeLen(&tb.conns)
-				_, wh := probeLen(&tb.husks)
-				wrapped = wrapped || wc || wh
-				if st := tb.Stats(); st != want || tb.Len() != len(model) {
-					t.Fatalf("step %d: stats %+v, Len %d; model %+v, %d entries", step, st, tb.Len(), want, len(model))
-				}
-				// Each list, walked from its tail, is the model's order of
-				// that kind.
-				var conns, husks []Key
+			for tc.maxFlows > 0 && want.Live > tc.maxFlows {
+				oldest := order[0]
 				for _, o := range order {
-					if model[o].mark == 0 {
-						conns = append(conns, o)
-					} else {
-						husks = append(husks, o)
+					if model[o].mark != 0 {
+						oldest = o
+						break
 					}
 				}
-				i := 0
-				for e := tb.conns.tail; e != nil; e, i = e.prev, i+1 {
-					if i >= len(conns) || e.key != conns[i] || e.last != model[e.key].last || e.rec.n != model[e.key].n {
-						t.Fatalf("step %d: connection %d from the tail is %v (last %d, %d Do calls), model order %v", step, i, e.key, e.last, e.rec.n, conns)
-					}
+				if model[oldest].mark == 0 && conn && oldest == k {
+					break
 				}
-				i = 0
-				for e := tb.husks.tail; e != nil; e, i = e.prev, i+1 {
-					if i >= len(husks) || e.key != husks[i] || e.last != model[e.key].last || e.rec != model[e.key].mark {
-						t.Fatalf("step %d: husk %d from the tail is %v (last %d, mark %d), model order %v", step, i, e.key, e.last, e.rec, husks)
-					}
+				drop(oldest, &want.EvictedCap)
+			}
+			for i := 0; i < 2 && tc.idle > 0 && dropIdle(); i++ {
+			}
+			if ran != conn {
+				t.Fatalf("step %d: Do(%v) ran fn %v, model touched a connection %v", step, k, ran, conn)
+			}
+			if conn {
+				m.n++
+			}
+			if op < tc.remove+2+tc.settle {
+				mark := uint8(1 + next(2))
+				settled := tb.Settle(k, mark)
+				if m := model[k]; settled != (m != nil && m.mark == 0) {
+					t.Fatalf("step %d: Settle(%v) = %v, model has %+v", step, k, settled, m)
 				}
-				if tb.conns.n != len(conns) || tb.husks.n != len(husks) {
-					t.Fatalf("step %d: sets hold %d connections, %d husks; model %d, %d", step, tb.conns.n, tb.husks.n, len(conns), len(husks))
-				}
-				for _, k := range universe {
-					if _, live := model[k]; tb.Has(k) != live {
-						t.Fatalf("step %d: Has(%v) = %v, model present %v", step, k, !live, live)
-					}
-				}
-				seen := 0
-				tb.Range(func(k Key, f *valueFlow) {
-					seen++
-					if m := model[k]; m == nil || m.mark != 0 || f.n != m.n {
-						t.Fatalf("step %d: Range found %v with %d Do calls, model has %+v", step, k, f.n, m)
-					}
-				})
-				if seen != len(conns) {
-					t.Fatalf("step %d: Range saw %d connections, model has %d", step, seen, len(conns))
+				if settled {
+					wantEv = append(wantEv, evicted{k, m.n})
+					*m = modelEntry{mark: mark}
+					touch(k)
+					want.Husks++
+					husked = true
 				}
 			}
-			st := tb.Stats()
-			t.Logf("%d + %d slots, %+v, %d revived, %d husks removed by Do, probe runs wrapped: %v",
-				len(tb.conns.slots), len(tb.husks.slots), st, revived, removed, wrapped)
-			if tc.maxFlows == 0 && tc.idle == 0 && len(tb.conns.slots) < 256 {
-				t.Fatalf("connection index only grew to %d slots", len(tb.conns.slots))
+		}
+		if !slices.Equal(gotEv, wantEv) {
+			t.Fatalf("step %d: Evict received %v, model %v", step, gotEv, wantEv)
+		}
+		gotEv, wantEv = gotEv[:0], wantEv[:0]
+		checkIndex(t, &tb.conns)
+		checkIndex(t, &tb.husks)
+		checkSlab(t, &tb.conns)
+		checkSlab(t, &tb.husks)
+		_, wc := probeLen(&tb.conns)
+		_, wh := probeLen(&tb.husks)
+		wrapped = wrapped || wc || wh
+		if st := tb.Stats(); st != want || tb.Len() != len(model) {
+			t.Fatalf("step %d: stats %+v, Len %d; model %+v, %d entries", step, st, tb.Len(), want, len(model))
+		}
+		// Each list, walked from its tail, is the model's order of
+		// that kind.
+		var conns, husks []Key
+		for _, o := range order {
+			if model[o].mark == 0 {
+				conns = append(conns, o)
+			} else {
+				husks = append(husks, o)
 			}
-			if tc.wrap && (len(tb.conns.slots) != 8 || len(tb.husks.slots) != 8 || !wrapped || st.Removed < 300) {
-				t.Fatalf("tiny table never wrapped under removal: %d + %d slots, wrapped %v, %+v",
-					len(tb.conns.slots), len(tb.husks.slots), wrapped, st)
+		}
+		i := 0
+		for r := tb.conns.tail; r != 0; r, i = tb.conns.at(r).prev, i+1 {
+			e := tb.conns.at(r)
+			if i >= len(conns) || e.key != conns[i] || e.last != uint32(model[e.key].last) || e.rec.n != model[e.key].n {
+				t.Fatalf("step %d: connection %d from the tail is %v (last %d, %d Do calls), model order %v", step, i, e.key, e.last, e.rec.n, conns)
 			}
-			if tc.maxFlows > 0 && st.EvictedCap == 0 || tc.idle > 0 && st.EvictedIdle == 0 {
-				t.Fatalf("the eviction under test never ran: %+v", st)
+		}
+		i = 0
+		for r := tb.husks.tail; r != 0; r, i = tb.husks.at(r).prev, i+1 {
+			e := tb.husks.at(r)
+			if i >= len(husks) || e.key != husks[i] || e.last != uint32(model[e.key].last) || e.rec != model[e.key].mark {
+				t.Fatalf("step %d: husk %d from the tail is %v (last %d, mark %d), model order %v", step, i, e.key, e.last, e.rec, husks)
 			}
-			if !husked || revived == 0 || removed == 0 {
-				t.Fatalf("no settle, revive or husk removal: %d revived, %d removed", revived, removed)
+		}
+		if tb.conns.n != len(conns) || tb.husks.n != len(husks) {
+			t.Fatalf("step %d: sets hold %d connections, %d husks; model %d, %d", step, tb.conns.n, tb.husks.n, len(conns), len(husks))
+		}
+		for _, k := range universe {
+			if _, live := model[k]; tb.Has(k) != live {
+				t.Fatalf("step %d: Has(%v) = %v, model present %v", step, k, !live, live)
+			}
+		}
+		seen := 0
+		tb.Range(func(k Key, f *valueFlow) {
+			seen++
+			if m := model[k]; m == nil || m.mark != 0 || f.n != m.n {
+				t.Fatalf("step %d: Range found %v with %d Do calls, model has %+v", step, k, f.n, m)
 			}
 		})
+		if seen != len(conns) {
+			t.Fatalf("step %d: Range saw %d connections, model has %d", step, seen, len(conns))
+		}
 	}
+	st := tb.Stats()
+	t.Logf("%d + %d slots, %+v, %d revived, %d husks removed by Do, probe runs wrapped: %v",
+		len(tb.conns.slots), len(tb.husks.slots), st, revived, removed, wrapped)
+	if tc.maxFlows == 0 && tc.idle == 0 && len(tb.conns.slots) < 256 {
+		t.Fatalf("connection index only grew to %d slots", len(tb.conns.slots))
+	}
+	if tc.wrap && (len(tb.conns.slots) != 8 || len(tb.husks.slots) != 8 || !wrapped || st.Removed < 300) {
+		t.Fatalf("tiny table never wrapped under removal: %d + %d slots, wrapped %v, %+v",
+			len(tb.conns.slots), len(tb.husks.slots), wrapped, st)
+	}
+	if tc.maxFlows > 0 && st.EvictedCap == 0 || tc.idle > 0 && st.EvictedIdle == 0 {
+		t.Fatalf("the eviction under test never ran: %+v", st)
+	}
+	if !husked || revived == 0 || removed == 0 {
+		t.Fatalf("no settle, revive or husk removal: %d revived, %d removed", revived, removed)
+	}
+	return tb
 }
 
 // TestIndexResistsHash64Collisions: the gateway pins tuples to lanes by
@@ -897,5 +949,146 @@ func TestDoHashedReachesDoRecord(t *testing.T) {
 	}
 	if tb.DoHashed(tuple(2), 0, read); got != (valueFlow{tuple(2), 1}) || tb.Len() != 2 {
 		t.Fatalf("DoHashed read %+v of %d flows", got, tb.Len())
+	}
+}
+
+// TestIdleEvictionAcrossClockWrap: an entry keeps only the low 32 bits of the
+// clock, so ages are taken modulo 2³². With a Tick that carries the clock
+// across 2³² every 128 Do calls and an IdleTicks just under 2³¹, the model
+// test's whole check — idle eviction oldest first, a husk against a
+// connection by age, and every entry's stamp — holds over many wraps.
+func TestIdleEvictionAcrossClockWrap(t *testing.T) {
+	const tick = 1<<25 + 3
+	tc := modelCase{"clock-wrap", 160, 0, 60 * tick, 5, 30, 3000, false}
+	tb := checkModel(t, tc, tick)
+	if wraps := tb.Clock() >> 32; wraps < 10 {
+		t.Fatalf("the clock crossed 2^32 only %d times", wraps)
+	}
+}
+
+// TestNewRejectsWideTicks: ages are 32-bit, so a table whose IdleTicks or
+// Tick could make one reach 2³² is refused at construction.
+func TestNewRejectsWideTicks(t *testing.T) {
+	for _, cfg := range []Config[valueFlow]{{IdleTicks: 1 << 31}, {Tick: 1 << 31}} {
+		cfg.New = func(k Key) valueFlow { return valueFlow{key: k} }
+		cfg.Evict = func(Key, valueFlow) {}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted IdleTicks %d, Tick %d", cfg.IdleTicks, cfg.Tick)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+	New(Config[valueFlow]{
+		New: func(k Key) valueFlow { return valueFlow{key: k} }, Evict: func(Key, valueFlow) {},
+		IdleTicks: 1<<31 - 1, Tick: 1<<31 - 1,
+	})
+}
+
+// TestSlabGrowsLazily: a new table holds no chunk, so a gateway pays nothing
+// per lane for flows it has not seen; the first entry of each kind brings
+// its set's first chunk, a chunk is allocated only when the others are full
+// — a freed slot is taken first — and a set that empties keeps only its
+// first chunk.
+func TestSlabGrowsLazily(t *testing.T) {
+	tb := New(Config[valueFlow]{
+		New:   func(k Key) valueFlow { return valueFlow{key: k} },
+		Evict: func(Key, valueFlow) {},
+	})
+	chunks := func() (int, int) { return len(tb.conns.chunks), len(tb.husks.chunks) }
+	if c, h := chunks(); c != 0 || h != 0 {
+		t.Fatalf("a new table holds %d + %d chunks", c, h)
+	}
+	nop := func(*valueFlow) {}
+	tb.Do(tuple(0), nop, nil)
+	if c, h := chunks(); c != 1 || h != 0 {
+		t.Fatalf("one connection: %d + %d chunks", c, h)
+	}
+	tb.Settle(tuple(0), 1)
+	if c, h := chunks(); c != 1 || h != 1 {
+		t.Fatalf("one husk: %d + %d chunks", c, h)
+	}
+	per := tb.conns.perChunk
+	for i := 1; i <= per; i++ {
+		tb.Do(tuple(i), nop, nil)
+	}
+	if c, _ := chunks(); c != 1 {
+		t.Fatalf("%d connections, one in the slot a settle freed, took %d chunks", per, c)
+	}
+	for i := per + 1; i <= 3*per; i++ {
+		tb.Do(tuple(i), nop, nil)
+	}
+	if c, _ := chunks(); c != 3 {
+		t.Fatalf("%d connections took %d chunks, want 3", 3*per, c)
+	}
+	for i := 1; i < 3*per; i++ {
+		tb.Remove(tuple(i))
+		checkSlab(t, &tb.conns)
+	}
+	if c, _ := chunks(); c != 3 {
+		t.Fatalf("a set with a connection left gave back chunks: %d left", c)
+	}
+	tb.Settle(tuple(3*per), 1)
+	if c, h := chunks(); c != 1 || h != 1 || tb.Len() != 2 {
+		t.Fatalf("an emptied set kept %d chunks (husks %d, %d entries), want 1", c, h, tb.Len())
+	}
+	checkSlab(t, &tb.conns)
+	tb.Do(tuple(0), nop, func(uint8) Action { return Revive })
+	checkSlab(t, &tb.husks)
+	checkSlab(t, &tb.conns)
+}
+
+// TestHasFromAnotherGoroutineAcrossGrowth: the owner grows both sets through
+// several chunks and index doublings — each replacing the chunk directory or
+// the index under the lock Has takes — while readers ask Has for keys already
+// in the table, which must be found wherever they now sit, and for a key
+// never inserted.
+func TestHasFromAnotherGoroutineAcrossGrowth(t *testing.T) {
+	tb := New(Config[valueFlow]{
+		New:   func(k Key) valueFlow { return valueFlow{key: k} },
+		Evict: func(Key, valueFlow) {},
+	})
+	const flows = 1500
+	var in atomic.Int64 // tuples 0 .. in-1 are in the table
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(rnd uint64) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n := in.Load(); n > 0 {
+					rnd = rnd*6364136223846793005 + 1442695040888963407
+					if i := int(rnd>>33) % int(n); !tb.Has(tuple(i)) {
+						t.Errorf("Has missed tuple %d of %d", i, n)
+						return
+					}
+				}
+				if tb.Has(tuple(1 << 21)) {
+					t.Error("Has found a tuple never inserted")
+					return
+				}
+			}
+		}(uint64(g))
+	}
+	for i := 0; i < flows; i++ {
+		tb.Do(tuple(i), func(*valueFlow) {}, nil)
+		if i%2 == 1 {
+			tb.Settle(tuple(i), 1)
+		}
+		in.Store(int64(i + 1))
+	}
+	close(stop)
+	wg.Wait()
+	if c, h := len(tb.conns.chunks), len(tb.husks.chunks); c < 6 || h < 6 || len(tb.conns.slots) < 1024 || len(tb.husks.slots) < 1024 {
+		t.Fatalf("the sets grew to %d + %d chunks and %d + %d slots: not across growth",
+			c, h, len(tb.conns.slots), len(tb.husks.slots))
 	}
 }

@@ -6,21 +6,22 @@
 // (an attacker splitting or overlapping segments so a signature never
 // appears contiguously to the sensor).
 //
-// One Stream holds one direction of one connection. Segments arrive tagged
+// One Cursor holds one direction of one connection. Segments arrive tagged
 // with their absolute TCP sequence number; in-order bytes are delivered to
 // the caller immediately, out-of-order bytes are buffered (bounded per
-// flow and, via a shared Budget, globally) until the hole fills. The stream
+// flow and, via a shared Budget, globally) until the hole fills. The cursor
 // keeps its place in sequence space — the next in-order byte's sequence
 // number, held segments keyed by theirs, every distance a signed 32-bit
 // difference — so initial sequence numbers near 2^32 work unchanged, and a
 // FIN is kept only while it waits ahead of a gap.
 //
-// A Stream only reorders bytes. It reports when a FIN's bytes are all
+// A Cursor only reorders bytes. It reports when a FIN's bytes are all
 // delivered (EventFinished) and keeps no lifecycle beyond that: what an RST
 // tears down, what becomes of stragglers after a FIN and when a SYN opens a
 // new connection on the tuple are its owner's to decide — the gateway's flow
 // table keeps a finished connection as a husk, removes a reset one, and a
-// new connection starts a fresh Stream with Init.
+// new connection starts from a zero Cursor. A Stream is a Cursor bundled with
+// its own Config, for a caller with no table of flows to share one.
 //
 // Three policies keep a hostile or lossy feed from wedging the scanner:
 //
@@ -39,7 +40,7 @@
 //     scanner state across the unseen region (a match cannot span bytes
 //     the sensor never saw).
 //
-// A Stream is not safe for concurrent use; the gateway makes all of a
+// A Cursor is not safe for concurrent use; the gateway makes all of a
 // flow's calls from the one lane that owns the flow.
 package reassembly
 
@@ -130,7 +131,7 @@ func (b *Budget) release(n int) {
 	}
 }
 
-// Config parameterizes one Stream.
+// Config parameterizes a Stream, or every Cursor that shares it.
 type Config struct {
 	// Policy is the overlap policy for undelivered bytes.
 	Policy Policy
@@ -179,32 +180,43 @@ type seg struct {
 	data []byte
 }
 
-// Stream reassembles one flow direction. It is a plain 24 B value a flow
-// record can embed: the configuration every stream of a table shares is held
-// by pointer, not copied per flow, the cursor is the sequence number of the
-// next in-order byte, and everything only out-of-order delivery needs — the
-// held segments, their byte count, the gap timer and a FIN seen ahead of a
-// gap — sits behind one pointer that the first byte (or FIN) the stream has
-// to hold allocates and Release drops. A stream whose segments arrive in
-// order therefore owns no memory beyond itself. The zero value holds nothing
-// (HeldBytes and Release work on it) but cannot take segments until Init.
+// Cursor reassembles one flow direction, less its configuration: a plain
+// 16 B value a flow record can embed, whose methods take the Config every
+// cursor of a table shares, so no flow stores even a pointer to it. The
+// cursor proper is the sequence number of the next in-order byte; everything
+// only out-of-order delivery needs — the held segments, their byte count, the
+// gap timer and a FIN seen ahead of a gap — sits behind one pointer that the
+// first byte (or FIN) the cursor has to hold allocates and Release drops. A
+// cursor whose segments arrive in order therefore owns no memory beyond
+// itself. The zero value is an empty cursor: the first segment (or SYN)
+// establishes its sequence base. Every call on one cursor must pass the same
+// Config, unchanged; bytes a previous connection left held must be Released
+// before the cursor is zeroed for the next, or the budget never sees them
+// again.
 //
 // A FIN is remembered only when it is ahead of a gap. One whose payload
 // starts at or behind the delivery point completes the stream within its own
 // Segment call, since every byte before it is delivered there.
 //
-// A completed stream holds nothing and its owner retires it; segments fed to
+// A completed cursor holds nothing and its owner retires it; segments fed to
 // it afterwards continue it in sequence space (a retransmission behind the
 // FIN is a Duplicate), so a straggler can never re-deliver committed bytes.
-type Stream struct {
-	cfg     *Config
+type Cursor struct {
 	started bool
 	finSeen bool   // a FIN ahead of a gap is waiting in ooo.fin
 	next    uint32 // seq of the next in-order byte
 	ooo     *outOfOrder
 }
 
-// outOfOrder is a stream's state while it holds bytes, or a FIN, out of order.
+// Stream is a Cursor that owns its Config, for callers without a flow record
+// to embed a Cursor in. Its methods are the cursor's with the config filled
+// in.
+type Stream struct {
+	Cursor
+	cfg Config
+}
+
+// outOfOrder is a cursor's state while it holds bytes, or a FIN, out of order.
 type outOfOrder struct {
 	held     []seg
 	heldBy   int    // sum of held data lengths
@@ -221,46 +233,39 @@ func (o *outOfOrder) consume(n int) {
 	o.held = o.held[:m]
 }
 
-// Init makes s an empty stream over cfg, in place; the first segment (or
-// SYN) establishes the sequence base. cfg is shared, not copied: it must
-// outlive the stream and must not change while any stream uses it. Bytes a
-// previous connection left held must be Released first — Init forgets them
-// without returning them to the budget.
-func (s *Stream) Init(cfg *Config) { *s = Stream{cfg: cfg} }
+// NewStream returns an empty stream with its own copy of cfg.
+func NewStream(cfg Config) *Stream { return &Stream{cfg: cfg} }
 
-// NewStream returns an empty stream with its own copy of cfg, for callers
-// without a flow record to embed a Stream in.
-func NewStream(cfg Config) *Stream {
-	own := &struct {
-		s   Stream
-		cfg Config
-	}{cfg: cfg}
-	own.s.cfg = &own.cfg
-	return &own.s
+// Segment is Cursor.Segment under the stream's own config.
+func (s *Stream) Segment(seq uint32, payload []byte, flags Flags, tick uint64, deliver func(chunk []byte, skippedBefore int)) Result {
+	return s.Cursor.Segment(&s.cfg, seq, payload, flags, tick, deliver)
 }
+
+// Release is Cursor.Release under the stream's own config.
+func (s *Stream) Release() int { return s.Cursor.Release(&s.cfg) }
 
 // HeldBytes returns the bytes currently buffered out of order.
-func (s *Stream) HeldBytes() int {
-	if s.ooo == nil {
+func (c *Cursor) HeldBytes() int {
+	if c.ooo == nil {
 		return 0
 	}
-	return s.ooo.heldBy
+	return c.ooo.heldBy
 }
 
-// Release discards all held bytes, returning them to the shared budget, and
+// Release discards all held bytes, returning them to cfg's budget, and
 // reports how many bytes it discarded so the caller can account them (a
 // byte-conservation ledger must not lose eviction-released bytes). Call it
-// when the flow is evicted or reset mid-gap; it is idempotent. The stream
+// when the flow is evicted or reset mid-gap; it is idempotent. The cursor
 // keeps no out-of-order state afterwards, a FIN seen ahead of the gap
 // included.
-func (s *Stream) Release() int {
-	o := s.ooo
+func (c *Cursor) Release(cfg *Config) int {
+	o := c.ooo
 	if o == nil {
 		return 0
 	}
-	s.ooo, s.finSeen = nil, false
+	c.ooo, c.finSeen = nil, false
 	if o.heldBy > 0 {
-		s.cfg.Budget.release(o.heldBy)
+		cfg.Budget.release(o.heldBy)
 	}
 	return o.heldBy
 }
@@ -276,24 +281,24 @@ func (s *Stream) Release() int {
 // Chunks delivered in the same call reference payload directly (consume or
 // copy before the next Segment call); bytes that have to be buffered out of
 // order are copied, so the stream never retains payload's backing array.
-func (s *Stream) Segment(seq uint32, payload []byte, flags Flags, tick uint64, deliver func(chunk []byte, skippedBefore int)) Result {
+func (c *Cursor) Segment(cfg *Config, seq uint32, payload []byte, flags Flags, tick uint64, deliver func(chunk []byte, skippedBefore int)) Result {
 	var r Result
 	dataSeq := seq
 	if flags&SYN != 0 {
 		dataSeq = seq + 1 // SYN occupies one sequence number
 	}
-	if !s.started {
-		s.started = true
-		s.next = dataSeq
+	if !c.started {
+		c.started = true
+		c.next = dataSeq
 	}
-	off := s.ahead(dataSeq)
+	off := c.ahead(dataSeq)
 	// A first FIN at or behind the delivery point completes the stream in
 	// this call: every byte before it is delivered below. Only a FIN ahead
 	// of a gap has to be remembered.
-	finNow := flags&FIN != 0 && !s.finSeen && off <= 0
-	if flags&FIN != 0 && !s.finSeen && off > 0 {
-		s.finSeen = true
-		s.holding().fin = dataSeq + uint32(len(payload))
+	finNow := flags&FIN != 0 && !c.finSeen && off <= 0
+	if flags&FIN != 0 && !c.finSeen && off > 0 {
+		c.finSeen = true
+		c.holding().fin = dataSeq + uint32(len(payload))
 	}
 	data := payload
 	// Bytes before the delivery point are already committed.
@@ -314,39 +319,39 @@ func (s *Stream) Segment(seq uint32, payload []byte, flags Flags, tick uint64, d
 		// which ends where the next piece starts) or buffered.
 		var buf [2]seg
 		pieces := buf[:0]
-		if s.cfg.Policy == FirstWins {
-			pieces = s.uncovered(off, data, pieces, &r)
+		if cfg.Policy == FirstWins {
+			pieces = c.uncovered(off, data, pieces, &r)
 		} else {
-			s.trimHeld(off, off+int64(len(data)), &r)
-			pieces = append(pieces, seg{seq: s.next + uint32(off), data: data})
+			c.trimHeld(cfg, off, off+int64(len(data)), &r)
+			pieces = append(pieces, seg{seq: c.next + uint32(off), data: data})
 		}
 		for _, p := range pieces {
-			if pOff := s.ahead(p.seq); pOff > 0 {
-				s.addPiece(pOff, p.data, &r)
+			if pOff := c.ahead(p.seq); pOff > 0 {
+				c.addPiece(cfg, pOff, p.data, &r)
 				continue
 			}
 			deliver(p.data, 0)
 			r.Delivered += len(p.data)
-			s.next += uint32(len(p.data))
-			s.drain(deliver, &r, 0)
+			c.next += uint32(len(p.data))
+			c.drain(cfg, deliver, &r, 0)
 		}
 	}
-	s.checkFinished(&r, finNow)
-	s.checkGap(tick, deliver, &r)
+	c.checkFinished(cfg, &r, finNow)
+	c.checkGap(cfg, tick, deliver, &r)
 	return r
 }
 
 // ahead is how far seq lies past the delivery point. Signed 32-bit sequence
 // arithmetic handles wraparound: every held byte, and the FIN when it is
 // remembered, lies less than 2^31 ahead.
-func (s *Stream) ahead(seq uint32) int64 { return int64(int32(seq - s.next)) }
+func (c *Cursor) ahead(seq uint32) int64 { return int64(int32(seq - c.next)) }
 
 // holding returns the stream's out-of-order state, allocating it on first use.
-func (s *Stream) holding() *outOfOrder {
-	if s.ooo == nil {
-		s.ooo = &outOfOrder{}
+func (c *Cursor) holding() *outOfOrder {
+	if c.ooo == nil {
+		c.ooo = &outOfOrder{}
 	}
-	return s.ooo
+	return c.ooo
 }
 
 // drain delivers every held segment that is now contiguous with the
@@ -356,31 +361,31 @@ func (s *Stream) holding() *outOfOrder {
 // here). Each segment leaves heldBy and the budget before its bytes go to
 // deliver, and the taken segments leave held on the way out even if deliver
 // panics, so a caller that recovers sees a consistent stream.
-func (s *Stream) drain(deliver func([]byte, int), r *Result, skippedBefore int) {
-	o := s.ooo
-	if o == nil || len(o.held) == 0 || s.ahead(o.held[0].seq) > 0 {
+func (c *Cursor) drain(cfg *Config, deliver func([]byte, int), r *Result, skippedBefore int) {
+	o := c.ooo
+	if o == nil || len(o.held) == 0 || c.ahead(o.held[0].seq) > 0 {
 		return
 	}
 	n := 0
 	defer func() { o.consume(n) }()
-	for n < len(o.held) && s.ahead(o.held[n].seq) <= 0 {
+	for n < len(o.held) && c.ahead(o.held[n].seq) <= 0 {
 		h := o.held[n]
 		n++
 		o.heldBy -= len(h.data)
-		s.cfg.Budget.release(len(h.data))
+		cfg.Budget.release(len(h.data))
 		deliver(h.data, skippedBefore)
 		skippedBefore = 0
 		r.Delivered += len(h.data)
-		s.next += uint32(len(h.data))
+		c.next += uint32(len(h.data))
 	}
 }
 
 // checkFinished completes the stream when this call's in-order FIN (finNow)
 // or a FIN that arrived ahead of a gap has had every byte before it
 // delivered (or skipped past).
-func (s *Stream) checkFinished(r *Result, finNow bool) {
-	if finNow || s.finSeen && s.ahead(s.ooo.fin) <= 0 {
-		r.Abandoned += s.Release() // anything held beyond the FIN is bogus
+func (c *Cursor) checkFinished(cfg *Config, r *Result, finNow bool) {
+	if finNow || c.finSeen && c.ahead(c.ooo.fin) <= 0 {
+		r.Abandoned += c.Release(cfg) // anything held beyond the FIN is bogus
 		r.Event = EventFinished
 	}
 }
@@ -389,8 +394,8 @@ func (s *Stream) checkFinished(r *Result, finNow bool) {
 // the delivery point to the first held byte so a lost segment cannot wedge
 // the flow. The timer is armed when delivery first stalls with bytes
 // waiting and re-armed after every skip for the next gap.
-func (s *Stream) checkGap(tick uint64, deliver func([]byte, int), r *Result) {
-	o := s.ooo
+func (c *Cursor) checkGap(cfg *Config, tick uint64, deliver func([]byte, int), r *Result) {
+	o := c.ooo
 	if o == nil { // nothing held, or the stream just completed
 		return
 	}
@@ -402,17 +407,17 @@ func (s *Stream) checkGap(tick uint64, deliver func([]byte, int), r *Result) {
 		o.gapSince = tick + 1 // +1 so tick 0 still arms the timer
 		return
 	}
-	if s.cfg.GapTimeout == 0 || tick+1-o.gapSince < s.cfg.GapTimeout {
+	if cfg.GapTimeout == 0 || tick+1-o.gapSince < cfg.GapTimeout {
 		return
 	}
-	skipped := int(s.ahead(o.held[0].seq))
-	s.next = o.held[0].seq
+	skipped := int(c.ahead(o.held[0].seq))
+	c.next = o.held[0].seq
 	o.gapSince = 0
 	r.Skipped += skipped
-	s.drain(deliver, r, skipped)
-	s.checkFinished(r, false)
-	if s.ooo != nil && len(s.ooo.held) > 0 { // a further gap: arm its timer now
-		s.ooo.gapSince = tick + 1
+	c.drain(cfg, deliver, r, skipped)
+	c.checkFinished(cfg, r, false)
+	if c.ooo != nil && len(c.ooo.held) > 0 { // a further gap: arm its timer now
+		c.ooo.gapSince = tick + 1
 	}
 }
 
@@ -421,18 +426,18 @@ func (s *Stream) checkGap(tick uint64, deliver func([]byte, int), r *Result) {
 // count as Duplicate. The held segments the range touches are one run,
 // replaced in place by the parts that straddle its ends, so a range that
 // touches none allocates nothing.
-func (s *Stream) trimHeld(lo, hi int64, r *Result) {
-	o := s.ooo
+func (c *Cursor) trimHeld(cfg *Config, lo, hi int64, r *Result) {
+	o := c.ooo
 	if o == nil {
 		return
 	}
 	i := 0
-	for i < len(o.held) && s.ahead(o.held[i].seq)+int64(len(o.held[i].data)) <= lo {
+	for i < len(o.held) && c.ahead(o.held[i].seq)+int64(len(o.held[i].data)) <= lo {
 		i++
 	}
 	j := i
 	freed := 0
-	for j < len(o.held) && s.ahead(o.held[j].seq) < hi {
+	for j < len(o.held) && c.ahead(o.held[j].seq) < hi {
 		freed += len(o.held[j].data)
 		j++
 	}
@@ -444,10 +449,10 @@ func (s *Stream) trimHeld(lo, hi int64, r *Result) {
 	// budget charge is released — repeated overwrites could then grow real
 	// memory far past the caps.
 	var kept []seg
-	if first, at := o.held[i], s.ahead(o.held[i].seq); at < lo { // left remainder survives
+	if first, at := o.held[i], c.ahead(o.held[i].seq); at < lo { // left remainder survives
 		kept = append(kept, seg{seq: first.seq, data: append([]byte(nil), first.data[:lo-at]...)})
 	}
-	if last, at := o.held[j-1], s.ahead(o.held[j-1].seq); at+int64(len(last.data)) > hi { // right remainder survives
+	if last, at := o.held[j-1], c.ahead(o.held[j-1].seq); at+int64(len(last.data)) > hi { // right remainder survives
 		kept = append(kept, seg{seq: last.seq + uint32(hi-at), data: append([]byte(nil), last.data[hi-at:]...)})
 	}
 	for _, k := range kept {
@@ -456,7 +461,7 @@ func (s *Stream) trimHeld(lo, hi int64, r *Result) {
 	o.held = slices.Replace(o.held, i, j, kept...) // zeroes the slots it vacates
 	r.Duplicate += freed
 	o.heldBy -= freed
-	s.cfg.Budget.release(freed)
+	cfg.Budget.release(freed)
 }
 
 // uncovered appends to pieces the parts of data — which starts off bytes past
@@ -465,11 +470,11 @@ func (s *Stream) trimHeld(lo, hi int64, r *Result) {
 // sorted and disjoint, so one pass splits data only at the segments it
 // overlaps: an arrival disjoint from everything held is one piece, appended
 // to the caller's buffer without allocating.
-func (s *Stream) uncovered(off int64, data []byte, pieces []seg, r *Result) []seg {
+func (c *Cursor) uncovered(off int64, data []byte, pieces []seg, r *Result) []seg {
 	at, end := off, off+int64(len(data))
-	if o := s.ooo; o != nil {
+	if o := c.ooo; o != nil {
 		for _, h := range o.held {
-			hLo := s.ahead(h.seq)
+			hLo := c.ahead(h.seq)
 			hHi := hLo + int64(len(h.data))
 			if hHi <= at {
 				continue
@@ -478,14 +483,14 @@ func (s *Stream) uncovered(off int64, data []byte, pieces []seg, r *Result) []se
 				break
 			}
 			if hLo > at {
-				pieces = append(pieces, seg{seq: s.next + uint32(at), data: data[at-off : hLo-off]})
+				pieces = append(pieces, seg{seq: c.next + uint32(at), data: data[at-off : hLo-off]})
 			}
 			r.Duplicate += int(min(hHi, end) - max(hLo, at))
 			at = hHi
 		}
 	}
 	if at < end {
-		pieces = append(pieces, seg{seq: s.next + uint32(at), data: data[at-off:]})
+		pieces = append(pieces, seg{seq: c.next + uint32(at), data: data[at-off:]})
 	}
 	return pieces
 }
@@ -495,10 +500,10 @@ func (s *Stream) uncovered(off int64, data []byte, pieces []seg, r *Result) []se
 // the held bytes furthest from the delivery point are evicted first — but
 // never to admit bytes that are themselves further out than everything
 // already held.
-func (s *Stream) addPiece(off int64, data []byte, r *Result) {
-	if s.finSeen {
+func (c *Cursor) addPiece(cfg *Config, off int64, data []byte, r *Result) {
+	if c.finSeen {
 		// Bytes at or past the FIN cannot be part of this connection.
-		fin := s.ahead(s.ooo.fin)
+		fin := c.ahead(c.ooo.fin)
 		if off >= fin {
 			r.Duplicate += len(data)
 			return
@@ -512,17 +517,17 @@ func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 	if need == 0 {
 		return
 	}
-	max := s.cfg.maxFlowBytes()
-	for o := s.ooo; o != nil && o.heldBy+need > max && len(o.held) > 0; {
+	max := cfg.maxFlowBytes()
+	for o := c.ooo; o != nil && o.heldBy+need > max && len(o.held) > 0; {
 		last := &o.held[len(o.held)-1]
-		if s.ahead(last.seq) <= off {
+		if c.ahead(last.seq) <= off {
 			break // the new piece is the furthest; drop it instead
 		}
 		trim := o.heldBy + need - max
 		if trim >= len(last.data) {
 			freed := len(last.data)
 			o.heldBy -= freed
-			s.cfg.Budget.release(freed)
+			cfg.Budget.release(freed)
 			r.Dropped += freed
 			*last = seg{} // the backing array must not pin the evicted copy
 			o.held = o.held[:len(o.held)-1]
@@ -531,11 +536,11 @@ func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 			// returned, not just uncharged (see the remnant note above).
 			last.data = append([]byte(nil), last.data[:len(last.data)-trim]...)
 			o.heldBy -= trim
-			s.cfg.Budget.release(trim)
+			cfg.Budget.release(trim)
 			r.Dropped += trim
 		}
 	}
-	if held := s.HeldBytes(); held+need > max {
+	if held := c.HeldBytes(); held+need > max {
 		fit := max - held
 		if fit <= 0 {
 			r.Dropped += need
@@ -545,11 +550,11 @@ func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 		data = data[:fit]
 		need = fit
 	}
-	if !s.cfg.Budget.reserve(need) {
+	if !cfg.Budget.reserve(need) {
 		r.Dropped += need
 		return
 	}
-	o := s.holding()
+	o := c.holding()
 	o.heldBy += need
 	// Own the buffered bytes: a retained subslice would pin the caller's
 	// whole payload array while the caps charge only the slice length,
@@ -560,9 +565,9 @@ func (s *Stream) addPiece(off int64, data []byte, r *Result) {
 	data = append([]byte(nil), data...)
 	// Sorted insert; held segments are few in practice (one per open gap).
 	i := len(o.held)
-	for i > 0 && s.ahead(o.held[i-1].seq) > off {
+	for i > 0 && c.ahead(o.held[i-1].seq) > off {
 		i--
 	}
-	o.held = slices.Insert(o.held, i, seg{seq: s.next + uint32(off), data: data})
+	o.held = slices.Insert(o.held, i, seg{seq: c.next + uint32(off), data: data})
 	r.Buffered += need
 }

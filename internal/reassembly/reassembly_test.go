@@ -352,8 +352,8 @@ func TestSharedBudget(t *testing.T) {
 // TestFinCompletesStream: a FIN ahead of a gap completes the stream only
 // when the gap fills, and the completed stream holds nothing — a straggler
 // behind the FIN is a duplicate by sequence arithmetic alone, with no
-// lifecycle flag. What comes after is the owner's: Init starts the next
-// connection's stream at its own SYN, and Release is all an RST needs.
+// lifecycle flag. What comes after is the owner's: a zero Cursor starts the
+// next connection's stream at its own SYN, and Release is all an RST needs.
 func TestFinCompletesStream(t *testing.T) {
 	b := NewBudget(1 << 20)
 	cfg := Config{Budget: b}
@@ -372,7 +372,7 @@ func TestFinCompletesStream(t *testing.T) {
 		t.Fatalf("straggler delivered: %q %+v", out, r)
 	}
 	// A new connection on the tuple is a fresh stream at its own ISN.
-	s.Init(&cfg)
+	s.Cursor = Cursor{}
 	out, _, r = feed(t, s, 9000, "fresh", SYN, 4)
 	if out != "fresh" || r.Delivered != 5 {
 		t.Fatalf("new connection: %q %+v", out, r)
