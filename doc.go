@@ -65,13 +65,12 @@
 //     bounded queue of the lane it pins to, whose fullness is the
 //     backpressure contract. The scan back-end is replicated like the
 //     paper's block arrays: GatewayConfig.EngineShards spins up M
-//     independent shards over the one compiled automaton and pins
-//     every flow and stateless packet to a shard by tuple hash — M shards
-//     × K lanes, each shard one state block (queues, counters, drain
-//     count) sharing nothing hot with its neighbours, invisible in
-//     results and accounting, observable through
-//     ShardStats. There is one kind of lane: it scans a non-TCP packet
-//     whole, in place, under a per-packet verdict, and demultiplexes a TCP
+//     shards of K lanes over the one compiled automaton and pins every
+//     flow and stateless packet to a lane by tuple hash — each lane one
+//     state block (gate, queue, flow table, counters) sharing nothing hot
+//     with its neighbours, sharding invisible in results and accounting,
+//     observable through ShardStats. There is one kind of lane: it scans
+//     a non-TCP packet whole, in place, under a per-packet verdict, and demultiplexes a TCP
 //     packet through its own 5-tuple flow table into per-flow scanner
 //     state, so one tuple's packets — segments or datagrams — are always
 //     scanned in ingest order. Segments tagged FlagSeq pass through
@@ -119,7 +118,7 @@
 //     flow-table occupancy and evictions, reassembly buffer pressure,
 //     per-rule verdict and match counts — in the Prometheus text
 //     exposition format (internal/metrics, dependency-free). It is an
-//     http.Handler; mount it at /metrics. A scrape sums the shards'
+//     http.Handler; mount it at /metrics. A scrape sums the lanes'
 //     counter blocks and never touches the packet hot path.
 //     OPERATIONS.md documents every series.
 //

@@ -172,3 +172,43 @@ func TestDocsQuotedDpibenchFlagsExist(t *testing.T) {
 		t.Error("no quoted dpibench flags found in the docs (regex or docs drift)")
 	}
 }
+
+// TestDocsOperationsListsEverySeries cross-checks OPERATIONS.md's series
+// reference against a live exposition: every family a 2 × 2 gateway with
+// verdict rules emits has a row in the reference tables, and every dpi_*
+// family those tables name is emitted, so a series cannot ship undocumented
+// or be documented after it is gone.
+func TestDocsOperationsListsEverySeries(t *testing.T) {
+	raw, err := os.ReadFile("OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref, ok := strings.Cut(string(raw), "\n## Series reference\n")
+	if !ok {
+		t.Fatal(`OPERATIONS.md has no "## Series reference" section`)
+	}
+	ref, _, _ = strings.Cut(ref, "\n## ")
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(dpi_[a-z0-9_]+)` \\|").FindAllStringSubmatch(ref, -1) {
+		documented[m[1]] = true
+	}
+
+	m, _ := gatewayMatcher(t, 60)
+	gw := testGateway(t, m, GatewayConfig{EngineShards: 2, StreamWorkers: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
+	defer gw.Close()
+	emitted := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(scrape(t, gw), -1) {
+		emitted[m[1]] = true
+		if !documented[m[1]] {
+			t.Errorf("%s is emitted but has no row in OPERATIONS.md's series reference", m[1])
+		}
+	}
+	if len(emitted) == 0 {
+		t.Fatal("the exposition declares no families (regex or render drift)")
+	}
+	for name := range documented {
+		if !emitted[name] {
+			t.Errorf("OPERATIONS.md documents %s, which the gateway does not emit", name)
+		}
+	}
+}

@@ -16,18 +16,18 @@ package dpi
 // The scan back-end replicates like the hardware does: the paper's device
 // reaches its throughput by instantiating many identical string matching
 // blocks and fanning partitioned traffic across them (§IV.B), and
-// GatewayConfig.EngineShards is the software analogue — M independent
-// shards (each one state block: its lanes, admission gate, queue depths and
-// counters) over the one immutable compiled automaton,
-// with every flow and stateless packet pinned to a shard, and to one of its
-// lanes, by the tuple hash. A lane owns the flows pinned to it — its own
-// single-writer flow table, as each of the paper's engines owns the registers
-// of the packet it holds — so a packet's bookkeeping lands
-// on its own shard's block and nowhere else — the ingest sequence number is
-// the one gateway-wide write on the packet path — and every read surface
-// (Stats, ShardStats, Health, the Flush barrier) is a summing walk over the
-// shards. Sharding is invisible in results and accounting; ShardStats
-// exposes the per-replica fan-out.
+// GatewayConfig.EngineShards is the software analogue — M shards of K lanes
+// each over the one immutable compiled automaton, with every flow and
+// stateless packet pinned to a lane by the tuple hash. A shard is no object,
+// only the index of K consecutive lanes. A lane owns everything its packets
+// touch — its admission gate, its queue, its own single-writer flow table
+// (as each of the paper's engines owns the registers of the packet it
+// holds) and its counter block — so a packet's bookkeeping lands on its own
+// lane and nowhere else — the ingest sequence number is the one
+// gateway-wide write on the packet path — and every read surface (Stats,
+// ShardStats, Health, the Flush barrier) is one walk over the lanes.
+// Sharding is invisible in results and accounting; ShardStats exposes the
+// per-replica fan-out.
 //
 // Two stages sit between a lane and the scanner, completing the NIDS model:
 //
@@ -389,8 +389,8 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 // reassembly ahead of the flow's scanner registers) and scans a stateless
 // packet whole, from start-of-packet registers, under a per-packet verdict.
 //
-//	Ingest ─▶ admission ─▶ shard[h%M].lane[(h/M)%K] ─┬─ TCP ──▶ verdict ─▶ reassembly ─▶ per-flow scan
-//	           (hash)                                └─ other ▶ verdict ─▶ per-packet scan
+//	Ingest ─▶ admission ─▶ lane[(h%M)·K + (h/M)%K] ─┬─ TCP ──▶ verdict ─▶ reassembly ─▶ per-flow scan
+//	           (hash)                               └─ other ▶ verdict ─▶ per-packet scan
 //
 // With EngineShards=1 (the default) this collapses to the single-shard
 // pipeline. Ingest and TryIngest may be called from multiple
@@ -401,11 +401,13 @@ type Gateway struct {
 	cfg  GatewayConfig
 	emit func(FlowMatch)
 
-	shards []*gwEngineShard
+	// lanes are EngineShards × StreamWorkers, shard by shard: lane i belongs
+	// to shard i / StreamWorkers.
+	lanes  []*gwLane
 	asmCfg reassembly.Config // every flow's reassembly cursor runs under it
 
-	// closed is guarded by the shards' admission gates: Ingest reads it
-	// holding its packet's shard gate shared; Close writes it holding every
+	// closed is guarded by the lanes' admission gates: Ingest reads it
+	// holding its packet's lane gate shared; Close writes it holding every
 	// gate exclusively (see quiesce).
 	closed bool
 
@@ -426,7 +428,7 @@ type Gateway struct {
 
 	// seq numbers ingested packets (FlowMatch.PacketID) — the one
 	// gateway-wide write on the packet path. Every other per-packet counter
-	// lives on the owning shard's block (gwEngineShard.n).
+	// lives on the owning lane's block (gwLane.n).
 	seq atomic.Uint64
 
 	// Pending scanner gaps from shed in-order (non-FlagSeq) TCP segments:
@@ -438,33 +440,6 @@ type Gateway struct {
 	pendingMu   sync.Mutex
 	pendingGaps map[FiveTuple]int
 	pendingN    atomic.Int64
-}
-
-// gwEngineShard is one scan replica — the software string matching block —
-// and the one owner of everything its goroutines touch: the hash-pinned
-// lanes (each its queue, its depth and watchdog state, and the table of the
-// flows pinned to it), the admission gate and the counter block. A
-// packet pinned to this shard is accounted here and nowhere else, so shards
-// share no written cache line on the packet path beyond Gateway.seq. What a
-// shard scans *with* is not its state: a lane
-// looks the matcher up through the flow's pinned generation, or through the
-// current one for a stateless packet.
-type gwEngineShard struct {
-	lanes []*gwLane
-	// rules holds the per-rule counters, indexed by the rule's position in
-	// cfg.Rules (not its ID — IDs may be sparse). Fixed-size and allocated
-	// at construction, so counting a verdict or an attributed match is one
-	// predictable atomic add.
-	rules []gwRuleCounters
-
-	_ [64]byte // keeps the read-mostly header off the lines written per packet
-	// gate orders admission against the control plane: Ingest holds it
-	// shared across its send; Flush, SwapRules and Close hold every shard's
-	// exclusively (Gateway.quiesce).
-	gate sync.RWMutex
-	// n is the shard's counter block; see gwCounter.
-	n [numCounters]atomic.Uint64
-	_ [64]byte // the next shard's header starts on its own line
 }
 
 // NewGateway starts a pipelined ingestion front-end scanning with m. emit
@@ -502,40 +477,34 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 	g.gens = []*gwGeneration{gen0}
 	g.gensInstall.Store(1)
 	lanes := cfg.EngineShards * cfg.StreamWorkers
-	g.shards = make([]*gwEngineShard, cfg.EngineShards)
-	for s := range g.shards {
-		sh := &gwEngineShard{
-			lanes: make([]*gwLane, cfg.StreamWorkers),
+	g.lanes = make([]*gwLane, lanes)
+	for i := range g.lanes {
+		ln := &gwLane{
+			g: g,
+			// QueueDepth split across the shard's lanes, rounded up.
+			q:     make(chan seqPacket, (cfg.QueueDepth+cfg.StreamWorkers-1)/cfg.StreamWorkers),
 			rules: make([]gwRuleCounters, len(cfg.Rules)),
 		}
-		g.shards[s] = sh
-		for w := range sh.lanes {
-			ln := &gwLane{
-				g: g, sh: sh,
-				// QueueDepth split across the shard's lanes, rounded up.
-				q: make(chan seqPacket, (cfg.QueueDepth+cfg.StreamWorkers-1)/cfg.StreamWorkers),
-			}
-			ln.table = flowtable.New(flowtable.Config[gwFlow]{
-				New: func(k flowtable.Key) gwFlow {
-					var fl gwFlow
-					v, idx := g.classify(k)
-					fl.verdict, fl.ruleIdx = v, int32(idx)
-					if v == VerdictNone || v == VerdictAlert {
-						fl.open(g, sh)
-					}
-					return fl
-				},
-				// The departing record is a copy of the entry's: releasing it
-				// drops the pins and buffered bytes the flow held.
-				Evict:     func(_ flowtable.Key, fl gwFlow) { fl.release(g, sh) },
-				MaxFlows:  (cfg.MaxFlows + lanes - 1) / lanes,
-				IdleTicks: uint64(cfg.IdleTimeout),
-				Tick:      uint64(lanes),
-			})
-			sh.lanes[w] = ln
-			g.workerWg.Add(1)
-			go ln.run()
-		}
+		ln.table = flowtable.New(flowtable.Config[gwFlow]{
+			New: func(k flowtable.Key) gwFlow {
+				var fl gwFlow
+				v, idx := g.classify(k)
+				fl.verdict, fl.ruleIdx = v, int32(idx)
+				if v == VerdictNone || v == VerdictAlert {
+					fl.open(ln)
+				}
+				return fl
+			},
+			// The departing record is a copy of the entry's: releasing it
+			// drops the pins and buffered bytes the flow held.
+			Evict:     func(_ flowtable.Key, fl gwFlow) { fl.release(ln) },
+			MaxFlows:  (cfg.MaxFlows + lanes - 1) / lanes,
+			IdleTicks: uint64(cfg.IdleTimeout),
+			Tick:      uint64(lanes),
+		})
+		g.lanes[i] = ln
+		g.workerWg.Add(1)
+		go ln.run()
 	}
 	return g, nil
 }
@@ -546,10 +515,8 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 func (g *Gateway) eachLane(fn func(*gwLane)) {
 	g.quiesce()
 	defer g.resume()
-	for _, sh := range g.shards {
-		for _, ln := range sh.lanes {
-			fn(ln)
-		}
+	for _, ln := range g.lanes {
+		fn(ln)
 	}
 }
 
@@ -565,17 +532,13 @@ func (g *Gateway) Close() error {
 	g.closed = true
 	// Every gate is held and every queue is drained, so no TryIngest — the
 	// only sender — is inside a channel operation and none can start one.
-	for _, sh := range g.shards {
-		for _, ln := range sh.lanes {
-			close(ln.q)
-		}
+	for _, ln := range g.lanes {
+		close(ln.q)
 	}
 	g.workerWg.Wait()
-	for _, sh := range g.shards {
-		for _, ln := range sh.lanes {
-			ln.table.Close()
-			ln.publishFlows()
-		}
+	for _, ln := range g.lanes {
+		ln.table.Close()
+		ln.publishFlows()
 	}
 	return nil
 }

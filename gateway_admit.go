@@ -38,32 +38,31 @@ func (g *Gateway) Ingest(pkt GatewayPacket) error {
 // TCP segment additionally arms a scanner gap so the exactness contract
 // holds over the bytes that were delivered.
 func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
-	// The tuple hash drives both pinning decisions (engine shard, lane), so
-	// it is computed once here, on the caller's goroutine.
+	// The tuple hash pins the packet to its shard, h%M, and to one of that
+	// shard's K lanes, (h/M)%K — one routing rule for every protocol.
+	// Dividing out the shard index decorrelates the lane choice from the
+	// shard choice when their counts share factors; with one shard it
+	// reduces to h%K.
 	pol := g.cfg.OverloadPolicy
 	tcp := pkt.Tuple.Proto == ProtoTCP
 	h := pkt.Tuple.Hash64()
-	nshards := uint64(len(g.shards))
-	sh := g.shards[h%nshards]
-	sh.gate.RLock()
-	defer sh.gate.RUnlock()
+	m, k := uint64(g.cfg.EngineShards), uint64(g.cfg.StreamWorkers)
+	ln := g.lanes[(h%m)*k+(h/m)%k]
+	ln.gate.RLock()
+	defer ln.gate.RUnlock()
 	if g.closed {
 		return false, fmt.Errorf("%w: Ingest", ErrClosed)
 	}
 	seq := g.seq.Add(1) - 1
-	sh.n[cBytes].Add(uint64(len(pkt.Payload)))
+	ln.n[cBytes].Add(uint64(len(pkt.Payload)))
 	p := seqPacket{tuple: pkt.Tuple, payload: pkt.Payload, seq: int(seq), seq32: pkt.Seq, flags: pkt.Flags}
 	if tcp && pkt.Flags&FlagSeq == 0 {
 		// Claim any gap earlier sheds left for this flow, in admission
 		// order. One atomic load until something has actually been shed.
 		p.gap = g.takePendingGap(pkt.Tuple)
 	}
-	// One routing rule for every protocol. Dividing out the shard index
-	// decorrelates the lane choice from the shard choice when their counts
-	// share factors; with one shard it reduces to hash%lanes.
-	ln := sh.lanes[(h/nshards)%uint64(len(sh.lanes))]
 	// The lane's depth is raised across the (possibly blocking) send: a
-	// concurrent Flush cannot declare the shard drained while this packet
+	// concurrent Flush cannot declare the lane drained while this packet
 	// may still slip in (TryIngest holds the gate shared, Flush takes it
 	// exclusively), and the watchdog is stamped on the empty→busy edge so a
 	// queue that is never dequeued shows its true stall age.
@@ -107,7 +106,7 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 		}
 	}
 	ln.depth.Add(-1)
-	g.shed(sh, p, newFlow)
+	g.shed(ln, p, newFlow)
 	return false, nil
 }
 
@@ -116,11 +115,11 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 // sequence space it is indistinguishable from a segment lost upstream, and
 // the reassembler's GapTimeout already skips such holes with scanner
 // invalidation.
-func (g *Gateway) shed(sh *gwEngineShard, p seqPacket, newFlow bool) {
-	sh.n[cShedPackets].Add(1)
-	sh.n[cShedBytes].Add(uint64(len(p.payload)))
+func (g *Gateway) shed(ln *gwLane, p seqPacket, newFlow bool) {
+	ln.n[cShedPackets].Add(1)
+	ln.n[cShedBytes].Add(uint64(len(p.payload)))
 	if newFlow {
-		sh.n[cShedNewFlows].Add(1)
+		ln.n[cShedNewFlows].Add(1)
 	}
 	if p.tuple.Proto == ProtoTCP && p.flags&FlagSeq == 0 && p.gap+len(p.payload) > 0 {
 		// The shed packet's own bytes, plus any gap it had already claimed
@@ -163,8 +162,8 @@ func (g *Gateway) Flush() {
 	g.resume()
 }
 
-// quiesce is the control plane's stop-the-world: it takes every shard's
-// admission gate exclusively, in shard order — no Ingest is inside a send
+// quiesce is the control plane's stop-the-world: it takes every lane's
+// admission gate exclusively, in lane order — no Ingest is inside a send
 // and none can start one until resume — then spins until every admitted
 // packet has been scanned. The lanes consume whatever is queued, so every
 // queue's depth — raised by admission before the send, lowered by the lane
@@ -172,19 +171,17 @@ func (g *Gateway) Flush() {
 // without outside help and, with admission stopped, stays there, which makes
 // waiting the queues out one after another a barrier over all of them.
 func (g *Gateway) quiesce() {
-	for _, sh := range g.shards {
-		sh.gate.Lock()
+	for _, ln := range g.lanes {
+		ln.gate.Lock()
 	}
-	for _, sh := range g.shards {
-		for _, ln := range sh.lanes {
-			ln.drain()
-		}
+	for _, ln := range g.lanes {
+		ln.drain()
 	}
 }
 
 // resume reopens admission after quiesce.
 func (g *Gateway) resume() {
-	for _, sh := range g.shards {
-		sh.gate.Unlock()
+	for _, ln := range g.lanes {
+		ln.gate.Unlock()
 	}
 }

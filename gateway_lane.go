@@ -3,6 +3,9 @@ package dpi
 // The second stage: flow records, lanes, panic containment.
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/ac"
 	"repro/internal/core"
 	"repro/internal/flowtable"
@@ -24,24 +27,24 @@ func (g *Gateway) classify(t FiveTuple) (Verdict, int) {
 	return VerdictNone, -1
 }
 
-// notifyVerdict counts a rule decision on the shard that made it and
+// notifyVerdict counts a rule decision on the lane that made it and
 // forwards it to OnVerdict.
-func (g *Gateway) notifyVerdict(sh *gwEngineShard, t FiveTuple, v Verdict, idx int) {
+func (ln *gwLane) notifyVerdict(t FiveTuple, v Verdict, idx int) {
 	if idx < 0 {
 		return
 	}
-	sh.rules[idx].flows.Add(1)
+	ln.rules[idx].flows.Add(1)
 	switch v {
 	case VerdictAlert:
-		sh.n[cVerdictAlerts].Add(1)
+		ln.n[cVerdictAlerts].Add(1)
 	case VerdictDrop:
-		sh.n[cVerdictDrops].Add(1)
+		ln.n[cVerdictDrops].Add(1)
 	case VerdictPass:
-		sh.n[cVerdictPasses].Add(1)
+		ln.n[cVerdictPasses].Add(1)
 	}
-	if g.cfg.OnVerdict != nil {
-		r := &g.cfg.Rules[idx]
-		g.cfg.OnVerdict(FlowVerdict{Tuple: t, Verdict: v, RuleID: r.ID, RuleName: r.Name})
+	if cfg := &ln.g.cfg; cfg.OnVerdict != nil {
+		r := &cfg.Rules[idx]
+		cfg.OnVerdict(FlowVerdict{Tuple: t, Verdict: v, RuleID: r.ID, RuleName: r.Name})
 	}
 }
 
@@ -54,7 +57,7 @@ func (g *Gateway) notifyVerdict(sh *gwEngineShard, t FiveTuple, v Verdict, idx i
 // else; a connection that has ended has no record at all, only a husk
 // (flowEnd). The lane that owns the flow's packets scans into its own
 // scratch (gwLane.matches) and emits with the record's fields. What
-// identifies the flow — its tuple, its shard, its gateway — is not repeated
+// identifies the flow — its tuple, its lane, its gateway — is not repeated
 // here; the lane passes it in. The record sits in its lane's flow table and
 // every method runs on whichever goroutine owns that table at the time — the
 // lane, or the control plane while the lanes are quiesced — so a gwFlow is
@@ -99,28 +102,36 @@ const (
 	flowReset
 )
 
-// gwLane is one scan lane: its queue, what admission and the control plane
-// see of it (laneState), and its goroutine-owned working set. Every packet of
-// a tuple lands on the same lane, so the lane owns the tuple's flow — table
-// entry, record, registers — and what a scan needs only while it runs. The
-// pads keep the three kinds of field — read-mostly, written by admission per
-// packet, written by the lane per packet — off each other's cache lines.
+// gwLane is one scan lane — the software string matching engine — and the
+// one owner of everything its packets touch: admission gate, queue,
+// laneState, counters and its goroutine's working set, the tuple's flow
+// (table entry, record, registers) included. A packet is accounted on its
+// lane's block alone, so lanes share no written cache line on the packet
+// path beyond Gateway.seq. The pad keeps the read-mostly header off the
+// lines written per packet; the order of n's slots keeps admission's writes
+// and the lane's apart (see gwCounter).
 type gwLane struct {
-	g  *Gateway
-	sh *gwEngineShard
-	q  chan seqPacket
+	g *Gateway
+	q chan seqPacket
 	// table holds the flows pinned to this lane. The lane's goroutine is its
 	// only writer while packets flow; the control plane takes over behind the
 	// drain barrier (Gateway.eachLane, Close), and admission asks it nothing
 	// but Has.
 	table *flowtable.Table[gwFlow]
+	// rules holds the per-rule counters, indexed by the rule's position in
+	// cfg.Rules (not its ID — IDs may be sparse).
+	rules []gwRuleCounters
 
 	_ [64]byte
+	// gate orders admission against the control plane: Ingest holds it
+	// shared across its send; Flush, SwapRules and Close hold every lane's
+	// exclusively (Gateway.quiesce).
+	gate sync.RWMutex
 	laneState
-	_ [64]byte
+	// n is the lane's counter block; see gwCounter.
+	n [numCounters]atomic.Uint64
 
-	// pub is what of table's counters the shard block already has; see
-	// publishFlows.
+	// pub is what of table's counters n already has; see publishFlows.
 	pub flowtable.Stats
 	// matches is the scratch every flow on this lane scans into. It keeps
 	// the capacity of the lane's most match-dense segment, so the memory
@@ -131,15 +142,15 @@ type gwLane struct {
 // open starts a connection on the record: it pins the current ruleset
 // generation and resets the scanner registers for that generation's
 // automaton — the one place either happens, always together — and counts
-// the connection on sh, the flow's shard. It runs in the table's New, on a
+// the connection on ln, the flow's lane. It runs in the table's New, on a
 // fresh record, for a new tuple or a SYN reviving a husk, and only while
 // that packet is in flight, so cur cannot move underneath it — see
 // gwGeneration.flows.
-func (fl *gwFlow) open(g *Gateway, sh *gwEngineShard) {
-	gen := g.cur.Load()
+func (fl *gwFlow) open(ln *gwLane) {
+	gen := ln.g.cur.Load()
 	gen.flows.Add(1)
 	fl.gen = gen
-	sh.n[cEngFlowsOpened].Add(1)
+	ln.n[cEngFlowsOpened].Add(1)
 	fl.regs.Reset()
 }
 
@@ -148,39 +159,39 @@ func (fl *gwFlow) open(g *Gateway, sh *gwEngineShard) {
 // last pin of a non-current generation, that generation is retired here, on
 // the goroutine that ended the flow, so retirement needs no background
 // sweeper — and buffered out-of-order bytes return to the shared budget,
-// charged to the abandoned bucket of sh, the flow's shard: they were
+// charged to the abandoned bucket of ln, the flow's lane: they were
 // ingested but their flow is going away, so they will never be scanned.
 // Every boundary reaches it through the table — Settle after a FIN,
 // Remove after an RST, eviction, Close — except a quarantine, which
 // releases the poisoned record under its own recover first; it is
 // idempotent, so settling that record hands it here again with nothing
 // left to count.
-func (fl *gwFlow) release(g *Gateway, sh *gwEngineShard) {
+func (fl *gwFlow) release(ln *gwLane) {
 	if gen := fl.gen; gen != nil {
 		fl.gen = nil
 		if gen.flows.Add(-1) == 0 {
-			g.maybeRetire(gen)
+			ln.g.maybeRetire(gen)
 		}
 	}
-	if n := fl.asm.Release(&g.asmCfg); n > 0 {
-		sh.n[cAbandonedBytes].Add(uint64(n))
+	if n := fl.asm.Release(&ln.g.asmCfg); n > 0 {
+		ln.n[cAbandonedBytes].Add(uint64(n))
 	}
 }
 
 // emitMatches reports one scan's matches, attributed to the packet p that
 // completed them and to the rule (index idx, -1 for none) that admitted its
 // flow or packet, converting with the generation that scanned.
-func (g *Gateway) emitMatches(sh *gwEngineShard, gen *gwGeneration, p *seqPacket, idx int, ms []ac.Match) {
+func (ln *gwLane) emitMatches(gen *gwGeneration, p *seqPacket, idx int, ms []ac.Match) {
 	v, rid := VerdictNone, -1
 	if idx >= 0 {
-		v, rid = VerdictAlert, g.cfg.Rules[idx].ID
+		v, rid = VerdictAlert, ln.g.cfg.Rules[idx].ID
 	}
 	for _, am := range ms {
 		if idx >= 0 {
-			sh.rules[idx].matches.Add(1)
+			ln.rules[idx].matches.Add(1)
 		}
-		sh.n[cMatches].Add(1)
-		g.emit(FlowMatch{Tuple: p.tuple, Match: gen.m.convert(am, p.seq), Verdict: v, RuleID: rid})
+		ln.n[cMatches].Add(1)
+		ln.g.emit(FlowMatch{Tuple: p.tuple, Match: gen.m.convert(am, p.seq), Verdict: v, RuleID: rid})
 	}
 }
 
@@ -188,9 +199,9 @@ func (g *Gateway) emitMatches(sh *gwEngineShard, gen *gwGeneration, p *seqPacket
 // lane's scratch and emits what it completed.
 func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
 	ln.matches = fl.gen.m.machine.ScanAppend(&fl.regs, chunk, ln.matches[:0])
-	ln.sh.n[cEngStreamBytes].Add(uint64(len(chunk)))
+	ln.n[cEngStreamBytes].Add(uint64(len(chunk)))
 	if len(ln.matches) > 0 {
-		ln.g.emitMatches(ln.sh, fl.gen, p, int(fl.ruleIdx), ln.matches)
+		ln.emitMatches(fl.gen, p, int(fl.ruleIdx), ln.matches)
 	}
 }
 
@@ -204,26 +215,25 @@ func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
 // user callback) panics mid-packet, none of that packet's bytes are
 // committed and the quarantine path charges them in one place.
 func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
-	g, sh := ln.g, ln.sh
 	if !fl.notified {
 		fl.notified = true
-		g.notifyVerdict(sh, p.tuple, fl.verdict, int(fl.ruleIdx))
+		ln.notifyVerdict(p.tuple, fl.verdict, int(fl.ruleIdx))
 	}
 	// RST tears the connection down whatever its verdict — a dropped or
 	// passed flow must not pin a table slot after the endpoints abort it.
 	// An RST's own payload is never scanned: abandoned, like the buffered
 	// bytes the table's Remove hands to release.
 	if p.flags&FlagRST != 0 {
-		sh.n[cFlowsReset].Add(1)
-		sh.n[cAbandonedBytes].Add(uint64(len(p.payload)))
+		ln.n[cFlowsReset].Add(1)
+		ln.n[cAbandonedBytes].Add(uint64(len(p.payload)))
 		return flowReset
 	}
 	switch fl.verdict {
 	case VerdictDrop:
-		sh.n[cDroppedBytes].Add(uint64(len(p.payload)))
+		ln.n[cDroppedBytes].Add(uint64(len(p.payload)))
 		return flowOpen
 	case VerdictPass:
-		sh.n[cPassedBytes].Add(uint64(len(p.payload)))
+		ln.n[cPassedBytes].Add(uint64(len(p.payload)))
 		return flowOpen
 	}
 	if p.gap > 0 {
@@ -239,9 +249,9 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 		// Pre-reassembly semantics: the feed vouches for ordering and the
 		// bytes append at the flow's current stream position.
 		fl.scan(ln, &p, p.payload)
-		sh.n[cScannedBytes].Add(uint64(len(p.payload)))
+		ln.n[cScannedBytes].Add(uint64(len(p.payload)))
 		if p.flags&FlagFIN != 0 {
-			sh.n[cFlowsFinished].Add(1)
+			ln.n[cFlowsFinished].Add(1)
 			return flowFinished
 		}
 		return flowOpen
@@ -257,31 +267,31 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	if p.flags&FlagSYN != 0 {
 		rf |= reassembly.SYN
 	}
-	res := fl.asm.Segment(&g.asmCfg, p.seq32, p.payload, rf, tick,
+	res := fl.asm.Segment(&ln.g.asmCfg, p.seq32, p.payload, rf, tick,
 		func(chunk []byte, skipped int) {
 			fl.regs.SkipAhead(skipped)
 			fl.scan(ln, &p, chunk)
 		})
-	sh.n[cReassembledBytes].Add(uint64(res.Delivered))
-	sh.n[cScannedBytes].Add(uint64(res.Delivered))
+	ln.n[cReassembledBytes].Add(uint64(res.Delivered))
+	ln.n[cScannedBytes].Add(uint64(res.Delivered))
 	if res.Buffered > 0 {
-		sh.n[cOutOfOrderSegs].Add(1)
+		ln.n[cOutOfOrderSegs].Add(1)
 	}
 	if res.Duplicate > 0 {
-		sh.n[cDuplicateBytes].Add(uint64(res.Duplicate))
+		ln.n[cDuplicateBytes].Add(uint64(res.Duplicate))
 	}
 	if res.Dropped > 0 {
-		sh.n[cReassemblyDrops].Add(uint64(res.Dropped))
+		ln.n[cReassemblyDrops].Add(uint64(res.Dropped))
 	}
 	if res.Skipped > 0 {
-		sh.n[cGapSkips].Add(1)
-		sh.n[cGapSkippedBytes].Add(uint64(res.Skipped))
+		ln.n[cGapSkips].Add(1)
+		ln.n[cGapSkippedBytes].Add(uint64(res.Skipped))
 	}
 	if res.Abandoned > 0 {
-		sh.n[cAbandonedBytes].Add(uint64(res.Abandoned))
+		ln.n[cAbandonedBytes].Add(uint64(res.Abandoned))
 	}
 	if res.Event == reassembly.EventFinished {
-		sh.n[cFlowsFinished].Add(1)
+		ln.n[cFlowsFinished].Add(1)
 		return flowFinished
 	}
 	return flowOpen
@@ -308,17 +318,16 @@ func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (end flowEnd) {
 		// The outcome is set first so it holds even if the release below
 		// panics in turn.
 		end = flowQuarantined
-		sh := ln.sh
-		sh.n[cPanics].Add(1)
-		sh.n[cQuarantinedFlows].Add(1)
-		sh.n[cQuarantinedPackets].Add(1)
+		ln.n[cPanics].Add(1)
+		ln.n[cQuarantinedFlows].Add(1)
+		ln.n[cQuarantinedPackets].Add(1)
 		if delta := len(p.payload) + held - fl.asm.HeldBytes(); delta > 0 {
-			sh.n[cQuarantinedBytes].Add(uint64(delta))
+			ln.n[cQuarantinedBytes].Add(uint64(delta))
 		}
 		// The flow is already poisoned; if releasing it panics too, give up
 		// on its resources but keep the gateway and the charge above intact.
 		defer func() { _ = recover() }()
-		fl.release(ln.g, sh)
+		fl.release(ln)
 	}()
 	return fl.ingest(ln, p, tick)
 }
@@ -328,19 +337,19 @@ func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (end flowEnd) {
 // anything else is discarded, as a duplicate or, on a quarantined husk (a
 // SYN included), as quarantined traffic.
 func (ln *gwLane) straggler(p *seqPacket, mark uint8) flowtable.Action {
-	sh, n := ln.sh, uint64(len(p.payload))
+	n := uint64(len(p.payload))
 	switch {
 	case p.flags&FlagRST != 0:
-		sh.n[cAbandonedBytes].Add(n)
+		ln.n[cAbandonedBytes].Add(n)
 		return flowtable.Remove
 	case flowEnd(mark) == flowQuarantined:
-		sh.n[cQuarantinedPackets].Add(1)
-		sh.n[cQuarantinedBytes].Add(n)
+		ln.n[cQuarantinedPackets].Add(1)
+		ln.n[cQuarantinedBytes].Add(n)
 		return flowtable.Keep
 	case p.flags&FlagSYN != 0:
 		return flowtable.Revive
 	}
-	sh.n[cDuplicateBytes].Add(n)
+	ln.n[cDuplicateBytes].Add(n)
 	return flowtable.Keep
 }
 
@@ -365,7 +374,7 @@ func (ln *gwLane) run() {
 }
 
 // publishFlows adds what the lane's table has counted since the last call to
-// the shard's counter block, where Stats and Metrics can read it whatever
+// the lane's counter block, where Stats and Metrics can read it whatever
 // the lane is doing. Called by the table's owner of the moment, before it
 // lets go: the lane ahead of lowering its depth, the control plane ahead of
 // resume — so a drained snapshot is exact.
@@ -374,7 +383,7 @@ func (ln *gwLane) publishFlows() {
 	if ts == ln.pub {
 		return
 	}
-	n := &ln.sh.n
+	n := &ln.n
 	n[cFlowsLive].Add(uint64(ts.Live - ln.pub.Live)) // two's complement: a fall wraps to a subtraction
 	n[cFlowHusks].Add(uint64(ts.Husks - ln.pub.Husks))
 	n[cFlowsCreated].Add(ts.Created - ln.pub.Created)
@@ -395,19 +404,18 @@ func (ln *gwLane) publishFlows() {
 // committed yet, so the packet's payload is charged to the quarantine bucket
 // and the lane moves on to its next packet.
 func (ln *gwLane) streamPacket(p seqPacket) {
-	sh := ln.sh
 	defer func() {
 		if recover() != nil {
-			sh.n[cPanics].Add(1)
-			sh.n[cQuarantinedPackets].Add(1)
-			sh.n[cQuarantinedBytes].Add(uint64(len(p.payload)))
+			ln.n[cPanics].Add(1)
+			ln.n[cQuarantinedPackets].Add(1)
+			ln.n[cQuarantinedBytes].Add(uint64(len(p.payload)))
 		}
 	}()
 	if p.tuple.Proto != ProtoTCP {
 		ln.datagram(&p)
 		return
 	}
-	sh.n[cStreamPackets].Add(1)
+	ln.n[cStreamPackets].Add(1)
 	end := flowOpen
 	ln.table.Do(p.tuple, func(fl *gwFlow) {
 		// The reassembly gap clock is the lane table's, which Do has just
@@ -433,27 +441,26 @@ func (ln *gwLane) streamPacket(p seqPacket) {
 // emit — so a panic anywhere in here leaves the packet uncommitted for
 // streamPacket's recover to charge: it costs exactly this datagram.
 func (ln *gwLane) datagram(p *seqPacket) {
-	g, sh := ln.g, ln.sh
-	sh.n[cBatchPackets].Add(1)
-	v, idx := g.classify(p.tuple)
-	g.notifyVerdict(sh, p.tuple, v, idx)
+	ln.n[cBatchPackets].Add(1)
+	v, idx := ln.g.classify(p.tuple)
+	ln.notifyVerdict(p.tuple, v, idx)
 	n := uint64(len(p.payload))
 	switch v {
 	case VerdictDrop:
-		sh.n[cDroppedBytes].Add(n)
+		ln.n[cDroppedBytes].Add(n)
 		return
 	case VerdictPass:
-		sh.n[cPassedBytes].Add(n)
+		ln.n[cPassedBytes].Add(n)
 		return
 	}
-	gen := g.cur.Load()
+	gen := ln.g.cur.Load()
 	var r core.Regs
 	r.Reset()
 	ln.matches = gen.m.machine.ScanAppend(&r, p.payload, ln.matches[:0])
-	sh.n[cEngBatchPkts].Add(1)
-	sh.n[cEngBatchBytes].Add(n)
+	ln.n[cEngBatchPkts].Add(1)
+	ln.n[cEngBatchBytes].Add(n)
 	if len(ln.matches) > 0 {
-		g.emitMatches(sh, gen, p, idx, ln.matches)
+		ln.emitMatches(gen, p, idx, ln.matches)
 	}
-	sh.n[cScannedBytes].Add(n)
+	ln.n[cScannedBytes].Add(n)
 }

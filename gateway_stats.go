@@ -1,8 +1,10 @@
 package dpi
 
-// Accounting and health: the shards' counter blocks, the snapshots they sum into, the lane watchdog.
+// Accounting and health: the lanes' counter blocks, the one table that maps
+// them to Stats, ShardStats and Metrics, and the lane watchdog.
 
 import (
+	"reflect"
 	"sync/atomic"
 	"time"
 )
@@ -102,55 +104,54 @@ func (l GatewayLedger) Balanced() bool {
 	return l.Ingested == l.Scanned+l.Shed+l.Skipped+l.Buffered
 }
 
-// gwCounter names one slot of a shard's counter block. Every monotone
-// counter the gateway keeps is declared here, once, and mapped to the
-// public field it feeds once: GatewayStats fields in Gateway.Stats (summed
-// across shards), EngineStats fields in Gateway.ShardStats (per shard).
+// gwCounter names one slot of a lane's counter block. Every monotone
+// counter the gateway keeps is declared here and given its one row in
+// gwCounters, which is all Stats, ShardStats and Metrics know of it.
+//
+// The slots are ordered by writer, because the block sits right after
+// laneState: admission's four first, on the line it already writes; then
+// eight the lane writes only on rare events (a panic, a gap skip, a cap
+// drop, an RST), 64 B that keep the lane's per-packet slots off that line;
+// then the rest.
 type gwCounter int
 
 const (
-	cBytes         gwCounter = iota // payload bytes ingested
-	cStreamPackets                  // packets a lane ran through per-flow state
-	cBatchPackets                   // stateless packets a lane took
-	cMatches                        // FlowMatches emitted
-
-	// Byte-conservation buckets (see GatewayStats.Ledger). cScannedBytes and
-	// its sibling buckets are committed transactionally — only after the
-	// operation that consumed the bytes returned — so a mid-scan panic
-	// leaves its packet's bytes uncommitted and the containment path can
-	// charge them exactly.
-	cScannedBytes
-	cAbandonedBytes
+	cBytes gwCounter = iota
 	cShedPackets
 	cShedBytes
 	cShedNewFlows
 
-	// Panic containment. Which flows are quarantined is flow-table state
-	// (a husk's mark, flowQuarantined).
-	cPanics // every panic recovered on this shard's lanes
+	cPanics
 	cQuarantinedFlows
 	cQuarantinedPackets
 	cQuarantinedBytes
+	cGapSkips
+	cGapSkippedBytes
+	cReassemblyDrops
+	cFlowsReset
 
+	// cScannedBytes and its sibling byte-conservation buckets (see
+	// GatewayStats.Ledger) are committed transactionally — only after the
+	// operation that consumed the bytes returned — so a mid-scan panic leaves
+	// its packet's bytes uncommitted and the containment path can charge them
+	// exactly.
+	cStreamPackets
+	cBatchPackets
+	cMatches
+	cScannedBytes
+	cAbandonedBytes
 	cReassembledBytes
 	cOutOfOrderSegs
 	cDuplicateBytes
-	cReassemblyDrops
-	cGapSkips
-	cGapSkippedBytes
-
 	cVerdictAlerts
 	cVerdictDrops
 	cVerdictPasses
 	cDroppedBytes
 	cPassedBytes
-
 	cFlowsFinished
-	cFlowsReset
 
-	// The lanes' flow-table counters, published per vector
-	// (gwLane.publishFlows). cFlowsLive and cFlowHusks are levels: lanes
-	// add signed deltas, so only the sum across shards means anything.
+	// The lane's flow-table counters, published per vector
+	// (gwLane.publishFlows). cFlowsLive and cFlowHusks are levels.
 	cFlowsLive
 	cFlowHusks
 	cFlowsCreated
@@ -158,88 +159,122 @@ const (
 	cFlowsEvictedIdle
 	cFlowsRemoved
 
-	// The shard's scan work, by usage shape — its EngineStats.
-	cEngBatchPkts   // stateless payloads scanned (those a verdict admitted)
-	cEngBatchBytes  // their payload bytes
-	cEngFlowsOpened // connections opened: new flows and SYN revivals
-	cEngStreamBytes // bytes written through flow registers
+	cEngBatchPkts
+	cEngBatchBytes
+	cEngFlowsOpened
+	cEngStreamBytes
 
 	numCounters
 )
 
-// gwRuleCounters is one verdict rule's counters on one shard.
+// gwCounterRow is one counter slot's whole public surface. field names the
+// GatewayStats field the slot adds to (summed over every lane), or the
+// EngineStats field (summed over one shard's lanes); several slots may add
+// to one field. name is the /metrics family the slot renders as, and help
+// its help text, given on a family's first row only: the rows of a labelled
+// family are consecutive. kind is "counter", "gauge", "shard" — a counter
+// sampled once per shard — or the label a row's one sample carries, such as
+// "verdict=alert".
+type gwCounterRow struct {
+	field, name, kind, help string
+}
+
+var gwCounters = [numCounters]gwCounterRow{
+	cBytes:        {"Bytes", "dpi_gateway_payload_bytes_total", "counter", "Payload bytes ingested."},
+	cShedPackets:  {"ShedPackets", "dpi_gateway_shed_packets_total", "counter", "Packets shed at admission under a shedding overload policy."},
+	cShedBytes:    {"ShedBytes", "dpi_gateway_shed_bytes_total", "counter", "Payload bytes of shed packets — the Shed ledger bucket."},
+	cShedNewFlows: {"ShedNewFlows", "dpi_gateway_shed_new_flows_total", "counter", "Shed packets that would have created new flow state (ShedNewFlows)."},
+
+	cPanics:             {"Panics", "dpi_panics_total", "shard", "Panics recovered by containment, per engine shard. Any non-zero value deserves a bug report; a growing one, an alert."},
+	cQuarantinedFlows:   {"QuarantinedFlows", "dpi_gateway_quarantined_flows_total", "counter", "Flows evicted because scanning them panicked."},
+	cQuarantinedPackets: {"QuarantinedPackets", "dpi_gateway_quarantined_packets_total", "counter", "Packets discarded by panic containment (the panicking packet and any stragglers of quarantined flows)."},
+	cQuarantinedBytes:   {"QuarantinedBytes", "dpi_gateway_quarantined_bytes_total", "counter", "Payload bytes discarded by panic containment — the quarantine ledger bucket."},
+	cGapSkips:           {"GapSkips", "dpi_gateway_gap_skips_total", "counter", "Reassembly gaps skipped on timeout."},
+	cGapSkippedBytes:    {"GapSkippedBytes", "dpi_gateway_gap_skipped_bytes_total", "counter", "Unseen stream bytes skipped past on gap timeouts."},
+	cReassemblyDrops:    {"ReassemblyDrops", "dpi_gateway_reassembly_dropped_bytes_total", "counter", "Out-of-order bytes dropped to the per-flow or global buffer caps."},
+	cFlowsReset:         {"FlowsReset", "dpi_gateway_flows_reset_total", "counter", "Connections torn down by RST."},
+
+	cStreamPackets:    {"StreamPackets", "dpi_gateway_stream_packets_total", "counter", "Packets routed through per-flow stream state (TCP)."},
+	cBatchPackets:     {"BatchPackets", "dpi_gateway_batch_packets_total", "counter", "Stateless packets a lane took: per-packet verdict, scanned whole (UDP and other IP)."},
+	cMatches:          {"Matches", "dpi_gateway_matches_total", "counter", "FlowMatches emitted."},
+	cScannedBytes:     {"ScannedBytes", "dpi_gateway_scanned_bytes_total", "counter", "Payload bytes delivered to a scanner (stream + stateless) — the Scanned ledger bucket."},
+	cAbandonedBytes:   {"AbandonedBytes", "dpi_gateway_abandoned_bytes_total", "counter", "Ingested bytes released unscanned when their connection went away (RST payloads, buffered bytes freed on RST/FIN/eviction)."},
+	cReassembledBytes: {"ReassembledBytes", "dpi_gateway_reassembled_bytes_total", "counter", "Bytes delivered to scanners in stream order by TCP reassembly."},
+	cOutOfOrderSegs:   {"OutOfOrderSegs", "dpi_gateway_out_of_order_segments_total", "counter", "Segments that had to be buffered out of order."},
+	cDuplicateBytes:   {"DuplicateBytes", "dpi_gateway_duplicate_bytes_total", "counter", "Retransmitted or overlapping bytes discarded by the overlap policy."},
+	cVerdictAlerts:    {"VerdictAlerts", "dpi_gateway_verdicts_total", "verdict=alert", "Header-rule classifications by action (per TCP connection, per stateless packet)."},
+	cVerdictDrops:     {"VerdictDrops", "dpi_gateway_verdicts_total", "verdict=drop", ""},
+	cVerdictPasses:    {"VerdictPasses", "dpi_gateway_verdicts_total", "verdict=pass", ""},
+	cDroppedBytes:     {"DroppedBytes", "dpi_gateway_verdict_dropped_bytes_total", "counter", "Payload bytes of verdict-dropped traffic, discarded unscanned."},
+	cPassedBytes:      {"PassedBytes", "dpi_gateway_verdict_passed_bytes_total", "counter", "Payload bytes of verdict-passed traffic, exempted unscanned."},
+	cFlowsFinished:    {"FlowsFinished", "dpi_gateway_flows_finished_total", "counter", "Connections completed via FIN."},
+
+	cFlowsLive:        {"FlowsLive", "dpi_gateway_flows_live", "gauge", "Flow-table entries currently live."},
+	cFlowHusks:        {"FlowHusks", "dpi_gateway_flow_husks", "gauge", "Part of dpi_gateway_flows_live held as husks: ended connections kept to absorb stragglers."},
+	cFlowsCreated:     {"FlowsCreated", "dpi_gateway_flows_created_total", "counter", "Flow-table entries created."},
+	cFlowsEvictedCap:  {"FlowsEvicted", "dpi_gateway_flows_evicted_total", "reason=capacity", "Flow-table entries removed, by reason: capacity (MaxFlows pressure), idle (IdleTimeout), teardown (RST)."},
+	cFlowsEvictedIdle: {"FlowsEvicted", "dpi_gateway_flows_evicted_total", "reason=idle", ""},
+	cFlowsRemoved:     {"FlowsEvicted", "dpi_gateway_flows_evicted_total", "reason=teardown", ""},
+
+	cEngBatchPkts:   {"BatchPkts", "dpi_engine_batch_packets_total", "shard", "Stateless payloads scanned per engine shard."},
+	cEngBatchBytes:  {"BatchBytes", "dpi_engine_batch_bytes_total", "shard", "Stateless payload bytes scanned per engine shard."},
+	cEngFlowsOpened: {"FlowsOpened", "dpi_engine_flows_opened_total", "shard", "Connections opened on each engine shard: new flows and SYN re-opens."},
+	cEngStreamBytes: {"StreamBytes", "dpi_engine_stream_bytes_total", "shard", "Stream bytes scanned per engine shard."},
+}
+
+// addCounters adds every slot of c to the field of v (a GatewayStats or an
+// EngineStats) its row names, if v has that field.
+func addCounters(v reflect.Value, c *[numCounters]uint64) {
+	for i, r := range gwCounters {
+		switch f := v.FieldByName(r.field); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + c[i])
+		case reflect.Int:
+			f.SetInt(f.Int() + int64(c[i]))
+		}
+	}
+}
+
+// gwRuleCounters is one verdict rule's counters on one lane.
 type gwRuleCounters struct {
 	flows   atomic.Uint64 // classifications decided by this rule
 	matches atomic.Uint64 // matches attributed to this rule
 }
 
-// totals sums every shard's counter block.
-func (g *Gateway) totals() (c [numCounters]uint64) {
-	for _, sh := range g.shards {
-		for i := range sh.n {
-			c[i] += sh.n[i].Load()
+// counterTotals sums the lanes' counter blocks in one walk over every lane:
+// per shard, in shard order, and over the whole gateway.
+func (g *Gateway) counterTotals() (shards [][numCounters]uint64, all [numCounters]uint64) {
+	shards = make([][numCounters]uint64, g.cfg.EngineShards)
+	for i, ln := range g.lanes {
+		sh := &shards[i/g.cfg.StreamWorkers]
+		for c := range ln.n {
+			v := ln.n[c].Load()
+			sh[c] += v
+			all[c] += v
 		}
 	}
-	return c
+	return shards, all
 }
 
 // Stats returns a counter snapshot. It may be called while the gateway is
 // running; counters are monotone but mutually unsynchronized.
-func (g *Gateway) Stats() GatewayStats { return g.statsOf(g.totals()) }
-
-// statsOf is where each slot of the shards' summed counter blocks meets its
-// public field.
-func (g *Gateway) statsOf(c [numCounters]uint64) GatewayStats {
+func (g *Gateway) Stats() GatewayStats {
+	_, c := g.counterTotals()
 	// Retired is read first, so a swap landing between the two loads can only
 	// make the live count read high, never negative.
 	retired, installed := g.gensRetired.Load(), g.gensInstall.Load()
-	return GatewayStats{
-		EngineShards:  len(g.shards),
-		Packets:       g.seq.Load(),
-		Bytes:         c[cBytes],
-		StreamPackets: c[cStreamPackets],
-		BatchPackets:  c[cBatchPackets],
-		Matches:       c[cMatches],
-		ScannedBytes:  c[cScannedBytes],
-
-		ShedPackets:  c[cShedPackets],
-		ShedBytes:    c[cShedBytes],
-		ShedNewFlows: c[cShedNewFlows],
-
-		Panics:             c[cPanics],
-		QuarantinedFlows:   c[cQuarantinedFlows],
-		QuarantinedPackets: c[cQuarantinedPackets],
-		QuarantinedBytes:   c[cQuarantinedBytes],
-
-		ReassembledBytes: c[cReassembledBytes],
-		BufferedBytes:    g.asmCfg.Budget.Used(),
-		OutOfOrderSegs:   c[cOutOfOrderSegs],
-		DuplicateBytes:   c[cDuplicateBytes],
-		ReassemblyDrops:  c[cReassemblyDrops],
-		GapSkips:         c[cGapSkips],
-		GapSkippedBytes:  c[cGapSkippedBytes],
-
-		VerdictAlerts: c[cVerdictAlerts],
-		VerdictDrops:  c[cVerdictDrops],
-		VerdictPasses: c[cVerdictPasses],
-		DroppedBytes:  c[cDroppedBytes],
-		PassedBytes:   c[cPassedBytes],
-
-		AbandonedBytes: c[cAbandonedBytes],
-
-		FlowsLive:     int(int64(c[cFlowsLive])),
-		FlowHusks:     int(int64(c[cFlowHusks])),
-		FlowsCreated:  c[cFlowsCreated],
-		FlowsEvicted:  c[cFlowsEvictedCap] + c[cFlowsEvictedIdle] + c[cFlowsRemoved],
-		FlowsFinished: c[cFlowsFinished],
-		FlowsReset:    c[cFlowsReset],
-
+	s := GatewayStats{
+		EngineShards:         g.cfg.EngineShards,
+		Packets:              g.seq.Load(),
+		BufferedBytes:        g.asmCfg.Budget.Used(),
 		Generation:           g.cur.Load().id,
 		RulesetSwaps:         g.swaps.Load(),
 		GenerationsInstalled: installed,
 		GenerationsRetired:   retired,
 		GenerationsLive:      int(installed - retired),
 	}
+	addCounters(reflect.ValueOf(&s).Elem(), &c)
+	return s
 }
 
 // EngineStats is a point-in-time snapshot of one gateway shard's scan work,
@@ -253,19 +288,16 @@ type EngineStats struct {
 	StreamBytes uint64 // bytes written through flow registers
 }
 
-// ShardStats returns one scan-work snapshot per engine shard, in shard
-// order — how the ingested traffic fanned out across the scan replicas.
-// The counters belong to the shard, not to a ruleset generation, so they
-// are monotone across ruleset swaps and generation retirement.
+// ShardStats returns one scan-work snapshot per engine shard, in shard order
+// — how the ingested traffic fanned out across the scan replicas, each the
+// sum of the shard's lanes. The counters belong to the lanes, not to a
+// ruleset generation, so they are monotone across ruleset swaps and
+// generation retirement.
 func (g *Gateway) ShardStats() []EngineStats {
-	out := make([]EngineStats, len(g.shards))
-	for s, sh := range g.shards {
-		out[s] = EngineStats{
-			BatchPkts:   sh.n[cEngBatchPkts].Load(),
-			BatchBytes:  sh.n[cEngBatchBytes].Load(),
-			FlowsOpened: sh.n[cEngFlowsOpened].Load(),
-			StreamBytes: sh.n[cEngStreamBytes].Load(),
-		}
+	shards, _ := g.counterTotals()
+	out := make([]EngineStats, len(shards))
+	for s := range shards {
+		addCounters(reflect.ValueOf(&out[s]).Elem(), &shards[s])
 	}
 	return out
 }
@@ -283,7 +315,7 @@ type RuleStats struct {
 }
 
 // RuleStats returns per-rule counters in cfg.Rules order, summed across
-// shards. Like Stats, it may be called while the gateway is running.
+// lanes. Like Stats, it may be called while the gateway is running.
 func (g *Gateway) RuleStats() []RuleStats {
 	out := make([]RuleStats, len(g.cfg.Rules))
 	for i := range g.cfg.Rules {
@@ -293,9 +325,9 @@ func (g *Gateway) RuleStats() []RuleStats {
 			v = VerdictAlert
 		}
 		out[i] = RuleStats{ID: r.ID, Name: r.Name, Verdict: v}
-		for _, sh := range g.shards {
-			out[i].Flows += sh.rules[i].flows.Load()
-			out[i].Matches += sh.rules[i].matches.Load()
+		for _, ln := range g.lanes {
+			out[i].Flows += ln.rules[i].flows.Load()
+			out[i].Matches += ln.rules[i].matches.Load()
 		}
 	}
 	return out
@@ -305,9 +337,10 @@ func (g *Gateway) RuleStats() []RuleStats {
 // shard order — the dpi_panics_total{shard} series. A non-zero cell names
 // the shard whose lane contained a panic.
 func (g *Gateway) PanicsByShard() []uint64 {
-	out := make([]uint64, len(g.shards))
-	for i, sh := range g.shards {
-		out[i] = sh.n[cPanics].Load()
+	shards, _ := g.counterTotals()
+	out := make([]uint64, len(shards))
+	for s := range shards {
+		out[s] = shards[s][cPanics]
 	}
 	return out
 }
@@ -376,21 +409,20 @@ type GatewayHealth struct {
 func (g *Gateway) Health() GatewayHealth {
 	now := time.Now().UnixNano()
 	h := GatewayHealth{Healthy: true}
-	for si, sh := range g.shards {
-		h.Panics += sh.n[cPanics].Load()
-		h.QuarantinedFlows += sh.n[cQuarantinedFlows].Load()
-		for li, ls := range sh.lanes {
-			d := ls.depth.Load()
-			if d <= 0 {
-				continue
-			}
-			age := time.Duration(now - ls.lastProgress.Load())
-			lh := LaneHealth{Shard: si, Lane: li, Depth: d, Age: age, Stalled: age > g.cfg.StallThreshold}
-			if lh.Stalled {
-				h.Healthy = false
-			}
-			h.BusyLanes = append(h.BusyLanes, lh)
+	k := g.cfg.StreamWorkers
+	for i, ln := range g.lanes {
+		h.Panics += ln.n[cPanics].Load()
+		h.QuarantinedFlows += ln.n[cQuarantinedFlows].Load()
+		d := ln.depth.Load()
+		if d <= 0 {
+			continue
 		}
+		age := time.Duration(now - ln.lastProgress.Load())
+		lh := LaneHealth{Shard: i / k, Lane: i % k, Depth: d, Age: age, Stalled: age > g.cfg.StallThreshold}
+		if lh.Stalled {
+			h.Healthy = false
+		}
+		h.BusyLanes = append(h.BusyLanes, lh)
 	}
 	return h
 }

@@ -62,14 +62,12 @@ func (g *Gateway) auditGenerationPins(t testing.TB) {
 	g.quiesce()
 	defer g.resume()
 	pinned := map[*gwGeneration]int64{}
-	for _, sh := range g.shards {
-		for _, ln := range sh.lanes {
-			ln.table.Range(func(_ FiveTuple, fl *gwFlow) {
-				if fl.gen != nil {
-					pinned[fl.gen]++
-				}
-			})
-		}
+	for _, ln := range g.lanes {
+		ln.table.Range(func(_ FiveTuple, fl *gwFlow) {
+			if fl.gen != nil {
+				pinned[fl.gen]++
+			}
+		})
 	}
 	g.genMu.Lock()
 	defer g.genMu.Unlock()
@@ -630,7 +628,7 @@ func TestGatewayStreamLaneSteadyStateZeroAlloc(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte("x"), 1200)
 	p := seqPacket{tuple: tuple, payload: payload}
-	ln := gw.shards[0].lanes[0] // idle: nothing is ever ingested
+	ln := gw.lanes[0] // idle: nothing is ever ingested
 	lane := func() { ln.streamPacket(p) }
 	lane() // warm-up creates the flow's record
 	allocs := testing.AllocsPerRun(50, lane)
@@ -720,9 +718,9 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 1200)
 	lane := func() {
 		for _, tup := range tuples {
-			// The lane admission routes the tuple's packets to: its table,
-			// its shard's counters.
-			ln := gw.shards[tup.Hash64()%shards].lanes[0]
+			// The lane admission routes the tuple's packets to: with one
+			// lane per shard, lane h%M.
+			ln := gw.lanes[tup.Hash64()%shards]
 			ln.streamPacket(seqPacket{tuple: tup, payload: payload})
 		}
 	}
