@@ -158,7 +158,7 @@ func TestChaosSoakBlockStorm(t *testing.T) {
 }
 
 // TestChaosSoakOverflowConservation: a storm far beyond the reassembly
-// buffer caps (tiny per-flow and global budgets, aggressive gap timeout)
+// buffer caps (a tiny per-flow cap and memory budget, aggressive gap timeout)
 // forces cap drops and gap skips. The full-stream oracle no longer applies
 // — what must survive is the ledger: every ingested byte lands in exactly
 // one bucket, at the Flush checkpoint and again after Close.
@@ -177,7 +177,7 @@ func TestChaosSoakOverflowConservation(t *testing.T) {
 			storm := chaos.New(dpi.SoakSeed(5)).Storm(w.Packets, chaos.StormConfig{DupFactor: 2, ReorderSpan: 400})
 			gw := soakGateway(t, m, dpi.GatewayConfig{
 				EngineShards: shards, StreamWorkers: 2,
-				MaxFlowBuffer: 1024, MaxTotalBuffer: 4096, GapTimeout: 4,
+				MaxFlowBuffer: 1024, MemoryBudget: 4096, GapTimeout: 4,
 			}, func(dpi.FlowMatch) {})
 			for _, p := range storm {
 				if err := gw.Ingest(dpi.GatewayPacket{
@@ -557,7 +557,9 @@ func TestChaosSoakPanicQuarantineUnderEviction(t *testing.T) {
 	var matches atomic.Uint64
 	gw := soakGateway(t, m, dpi.GatewayConfig{
 		EngineShards: 4, StreamWorkers: 2, QueueDepth: 8,
-		MaxFlows: 8,
+		// A lane's share holds one connection and one of its reordered
+		// 140 B segments at cost.
+		MemoryBudget: 8 * (dpi.ConnEntry + 200),
 	}, func(dpi.FlowMatch) {
 		if matches.Add(1)%5 == 0 {
 			panic("chaos: injected scan-path panic")

@@ -74,8 +74,8 @@
 //     packet through its own 5-tuple flow table into per-flow scanner
 //     state, so one tuple's packets — segments or datagrams — are always
 //     scanned in ingest order. Segments tagged FlagSeq pass through
-//     TCP reassembly first (configurable overlap policy, bounded per-flow
-//     and global buffering, gap timeout/skip, SYN/FIN/RST lifecycle), so
+//     TCP reassembly first (configurable overlap policy, bounded buffering,
+//     gap timeout/skip, SYN/FIN/RST lifecycle), so
 //     matches spanning segment boundaries survive demultiplexing even when
 //     segments arrive out of order, overlapping or retransmitted. Header
 //     rules (VerdictRule) classify each flow's 5-tuple before any payload
@@ -87,10 +87,10 @@
 //     entry; a FIN releases the flow's buffers and ruleset pin
 //     immediately and leaves only a 32 B husk of its tuple to absorb
 //     stragglers (a SYN revives the tuple as a new connection), an RST
-//     tears the flow down, least-recently-active entries are evicted at
-//     the MaxFlows cap — husks first — and after IdleTimeout logical
-//     ticks (time measured in packets), and an evicted-then-recreated
-//     flow always starts from clean state.
+//     tears the flow down, least-recently-active entries are evicted when
+//     a lane outgrows its share of MemoryBudget — husks first — and after
+//     IdleTimeout logical ticks (time measured in packets), and an
+//     evicted-then-recreated flow always starts from clean state.
 //     Rulesets hot-reload without a restart: Gateway.SwapRules installs
 //     a newly compiled Matcher atomically behind the ingest drain
 //     barrier — new flows and stateless packets scan with the new

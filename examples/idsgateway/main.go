@@ -88,12 +88,12 @@ func main() {
 
 	// The software gateway: bounded hash-pinned per-flow lanes over a
 	// 5-tuple flow table, TCP reassembly ahead of each flow's scanner —
-	// and two engine shards, each with its own lanes and counters,
-	// splitting the connection load by tuple hash.
+	// and two engine shards, each with its own lanes and counters, splitting
+	// the connection load by tuple hash, under a 4 MiB memory budget.
 	var mu sync.Mutex
 	byTuple := map[dpi.FiveTuple][]dpi.FlowMatch{}
 	gw, err := dpi.NewGateway(matcher, dpi.GatewayConfig{
-		MaxFlows: 512, EngineShards: 2, Rules: vrules,
+		MemoryBudget: 4 << 20, EngineShards: 2, Rules: vrules,
 	}, func(fm dpi.FlowMatch) {
 		mu.Lock()
 		byTuple[fm.Tuple] = append(byTuple[fm.Tuple], fm)

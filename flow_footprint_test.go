@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/flowtable"
 	"repro/internal/reassembly"
 )
 
@@ -17,8 +18,8 @@ import (
 // counted: its flow-table entry — a 28 B header and the 48 B record, 80 B
 // of a slab chunk — and its share of the table's index, a 4-byte slot
 // (88 B measured), with 15 % headroom for where the index sits between
-// doublings and the last chunk is filled. OPERATIONS.md's "Sizing memory"
-// runbook quotes the measured figure; this is the gate.
+// doublings and the last chunk is filled. OPERATIONS.md's "What the budget
+// buys" quotes the measured figure; this is the gate.
 const flowHeapCeiling = 101
 
 // liveHeap is the heap in use after the collector has settled: twice,
@@ -30,6 +31,12 @@ func liveHeap() uint64 {
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
 }
+
+// ConnEntry and HuskEntry are what one connection and one husk charge their
+// lane's share of MemoryBudget: their flow-table entries, as
+// TestFlowRecordFootprint checks on a gateway's own table. Exported for the
+// external test package.
+const ConnEntry, HuskEntry = 80, 32
 
 // footprintTuple is the i-th of a family of distinct TCP tuples.
 func footprintTuple(i int) FiveTuple {
@@ -123,6 +130,16 @@ func TestFlowRecordFootprint(t *testing.T) {
 	}
 	t.Logf("core.Regs %d B, reassembly.Cursor %d B, gwFlow %d B",
 		unsafe.Sizeof(core.Regs{}), unsafe.Sizeof(reassembly.Cursor{}), unsafe.Sizeof(gwFlow{}))
+	// What a lane charges its share for the entries of its own table.
+	tb := flowtable.New(flowtable.Config[gwFlow]{
+		New: func(flowtable.Key) gwFlow { return gwFlow{} }, Evict: func(flowtable.Key, gwFlow) {},
+	})
+	tb.Do(footprintTuple(0), func(*gwFlow) {}, nil)
+	conn := tb.Bytes()
+	tb.Settle(footprintTuple(0), uint8(flowFinished))
+	if husk := tb.Bytes(); conn != ConnEntry || husk != HuskEntry {
+		t.Errorf("a connection is charged %d B and a husk %d B, want %d and %d", conn, husk, ConnEntry, HuskEntry)
+	}
 
 	if raceEnabled {
 		t.Skip("heap growth is not the product's under -race")
@@ -268,7 +285,7 @@ func TestGatewaySynReopenRacesEviction(t *testing.T) {
 	var matches atomic.Uint64
 	gw := testGateway(t, m, GatewayConfig{
 		EngineShards: 2, StreamWorkers: 2, QueueDepth: 8,
-		MaxFlows: 6, IdleTimeout: 16,
+		MemoryBudget: 6 * ConnEntry, IdleTimeout: 16,
 	}, func(FlowMatch) { matches.Add(1) })
 
 	const feeders, tuplesEach, cycles = 4, 6, 60

@@ -11,9 +11,9 @@ import (
 	"testing"
 )
 
-// TestGatewayCapacityEvictsHusksFirst: a lane at its cap holding an old,
+// TestGatewayCapacityEvictsHusksFirst: a lane at its budget holding an old,
 // idle live flow and newer husks of finished connections must make room for
-// a new connection by dropping a husk. Evicting the live flow instead would
+// a new connection by dropping husks. Evicting the live flow instead would
 // restart it clean on its next segment, and a signature straddling the
 // eviction would go unseen — an evasion handed to whoever can open and close
 // connections.
@@ -25,7 +25,11 @@ func TestGatewayCapacityEvictsHusksFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, MaxFlows: 4}, c.emit)
+	// Room for the live flow, two husks and one more connection: each
+	// finished connection fits while it is open, and the fourth, which stays
+	// open, costs one husk.
+	const budget = 2*ConnEntry + 2*HuskEntry
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, MemoryBudget: budget}, c.emit)
 	defer gw.Close()
 	send := func(tup FiveTuple, seq uint32, flags TCPFlags, payload string) {
 		t.Helper()
@@ -44,7 +48,7 @@ func TestGatewayCapacityEvictsHusksFirst(t *testing.T) {
 	if st := gw.Stats(); st.FlowsLive != 4 || st.FlowHusks != 3 {
 		t.Fatalf("the lane should hold the live flow and three husks: %+v", st)
 	}
-	send(footprintTuple(4), 0, FlagSYN, "") // over the cap
+	send(footprintTuple(4), 0, FlagSYN, "") // over the budget
 	send(live, 106, 0, "dle..")             // the second half
 	gw.Flush()
 	st := gw.Stats()
@@ -59,16 +63,18 @@ func TestGatewayCapacityEvictsHusksFirst(t *testing.T) {
 // TestFlowLifecycleModel drives seeded random packets — SYN, in-order data,
 // retransmitted stragglers, FIN, RST, data picking a connection up
 // mid-stream, and injected emit panics — over a few tuples of a one-lane
-// gateway with a small MaxFlows and IdleTimeout, and runs a reference
+// gateway with a small MemoryBudget and IdleTimeout, and runs a reference
 // machine beside it. The machine knows each tuple as absent, open, a FIN husk
 // or a quarantined husk, ages them all on the lane's clock in one list, and
-// evicts as the gateway promises: over the cap the oldest husk, or without
-// one the oldest connection but the one just touched; the oldest entry of
-// either kind once idle. After every Flush the gateway's live and husk
-// counts, its flow counters, its Duplicate, Quarantined and Abandoned
-// buckets, each tuple's matches (FindAll of each of its connections'
-// delivered bytes, in turn) and the ledger must agree with it. Every seed
-// moves with -soak.seed.
+// evicts as the gateway promises: once the packet is through, while its
+// entries charge more than the budget (a connection 80 B, a husk 32 B; the
+// packets leave no hole, so nothing is held) the oldest husk, or without one
+// the oldest connection but the packet's own; the oldest entry of either
+// kind once idle, when the packet is looked up. After every Flush the
+// gateway's live and husk counts, its flow counters, its Duplicate,
+// Quarantined and Abandoned buckets, each tuple's matches (FindAll of each
+// of its connections' delivered bytes, in turn) and the ledger must agree
+// with it. Every seed moves with -soak.seed.
 func TestFlowLifecycleModel(t *testing.T) {
 	rules := NewRuleset()
 	rules.MustAdd("needle", []byte("needle"))
@@ -77,11 +83,13 @@ func TestFlowLifecycleModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const tuples, maxFlows, idle, steps = 6, 5, 8, 1500
+	// Four connections and a husk: a fifth connection, or a second husk
+	// beside four, is over.
+	const tuples, budget, idle, steps = 6, 4*ConnEntry + HuskEntry, 8, 1500
 	rng := rand.New(rand.NewSource(SoakSeed(8101)))
 	var armed atomic.Bool
 	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, MaxFlows: maxFlows, IdleTimeout: idle}, func(fm FlowMatch) {
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, MemoryBudget: budget, IdleTimeout: idle}, func(fm FlowMatch) {
 		if armed.CompareAndSwap(true, false) {
 			panic("injected emit panic")
 		}
@@ -134,8 +142,19 @@ func TestFlowLifecycleModel(t *testing.T) {
 		idleEv++
 		return true
 	}
-	evict := func(touched int) { // touched: the connection this packet reached, or -1
-		for len(order) > maxFlows {
+	charge := func() int {
+		n := 0
+		for _, o := range order {
+			if isHusk(o) {
+				n += HuskEntry
+			} else {
+				n += ConnEntry
+			}
+		}
+		return n
+	}
+	evict := func(keep int) { // keep: the connection this packet is on, or -1
+		for charge() > budget {
 			victim := -1
 			for _, o := range order {
 				if isHusk(o) {
@@ -144,15 +163,13 @@ func TestFlowLifecycleModel(t *testing.T) {
 				}
 			}
 			if victim < 0 {
-				if order[0] == touched {
+				if order[0] == keep {
 					break
 				}
 				victim = order[0]
 			}
 			leave(victim)
 			capEv++
-		}
-		for i := 0; i < 2 && dropIdle(); i++ {
 		}
 	}
 	payload := func(n int) []byte {
@@ -233,8 +250,9 @@ func TestFlowLifecycleModel(t *testing.T) {
 			}
 		}
 
-		// The reference machine, in the table's order: look the tuple up
-		// (the husk decision included), evict, then ingest.
+		// The reference machine, in the lane's order: look the tuple up (the
+		// husk decision included), drop idle entries, ingest, then evict to
+		// the budget.
 		clock++
 		n := uint64(len(p))
 		conn := true
@@ -271,10 +289,7 @@ func TestFlowLifecycleModel(t *testing.T) {
 		default:
 			touch(i)
 		}
-		if conn {
-			evict(i)
-		} else {
-			evict(-1)
+		for k := 0; k < 2 && dropIdle(); k++ {
 		}
 		if conn {
 			switch {
@@ -301,6 +316,11 @@ func TestFlowLifecycleModel(t *testing.T) {
 					tm.st = finHusk
 				}
 			}
+		}
+		if tm.st == open {
+			evict(i)
+		} else {
+			evict(-1)
 		}
 
 		armed.Store(arm)

@@ -22,10 +22,11 @@ package dpi
 // only the index of K consecutive lanes. A lane owns everything its packets
 // touch — its admission gate, its queue, its own single-writer flow table
 // (as each of the paper's engines owns the registers of the packet it
-// holds) and its counter block — so a packet's bookkeeping lands on its own
-// lane and nowhere else — the ingest sequence number is the one
-// gateway-wide write on the packet path — and every read surface (Stats,
-// ShardStats, Health, the Flush barrier) is one walk over the lanes.
+// holds), its share of the memory budget and its counter block. Beyond its
+// lane a packet writes only the ingest sequence number; a shed segment's
+// gap, under the pending-gap lock; and a generation's pin count when its
+// connection opens or ends. Every read surface (Stats, ShardStats, Health,
+// the Flush barrier) is one walk over the lanes.
 // Sharding is invisible in results and accounting; ShardStats exposes the
 // per-replica fan-out.
 //
@@ -274,16 +275,16 @@ type GatewayConfig struct {
 	// distinct tuples scan in parallel. Default GOMAXPROCS — one lane per
 	// available core.
 	StreamWorkers int
-	// MaxFlows caps live flow state. Every lane owns the flows pinned to it
-	// and holds at most ceil(MaxFlows/lanes) of them, lanes being
-	// EngineShards × StreamWorkers: past that, the lane evicts its oldest
-	// husk (a connection ended by FIN or quarantine), and only when it holds
-	// none its least-recently-active live flow, record and all. The live
-	// count therefore stays under MaxFlows + lanes, and a lane that draws
-	// more than its share of the tuples starts evicting before the gateway
-	// as a whole holds MaxFlows. What a flow costs is in OPERATIONS.md
-	// ("Sizing memory"). Default 65536; negative disables.
-	MaxFlows int
+	// MemoryBudget caps, in bytes, the memory flows hold. Every lane owns the
+	// flows pinned to it and a share of ceil(MemoryBudget/lanes), lanes being
+	// EngineShards × StreamWorkers, charged 80 B a connection, 32 B a husk (a
+	// connection ended by FIN or quarantine) and its held out-of-order bytes
+	// plus 32 B a segment. A segment that does not fit what is left drops
+	// its bytes furthest ahead; after each packet a lane over its share
+	// evicts its oldest husk, or with none its least-recently-active
+	// connection but the packet's own. What it buys is in OPERATIONS.md.
+	// Default 32 MiB; negative means unlimited.
+	MemoryBudget int
 	// IdleTimeout evicts a flow after this many stream packets pass through
 	// the gateway without it seeing one (a logical clock, deterministic and
 	// load-proportional — a line-rate gateway experiences time in packets).
@@ -299,14 +300,10 @@ type GatewayConfig struct {
 	// OverlapPolicy resolves overlapping TCP segments in the reassembly
 	// buffer. Default FirstWins.
 	OverlapPolicy OverlapPolicy
-	// MaxFlowBuffer caps one flow's buffered out-of-order bytes; under
-	// pressure the bytes furthest from the delivery point are dropped
-	// first. Default 256 KiB.
+	// MaxFlowBuffer caps one flow's buffered out-of-order bytes, charged as
+	// MemoryBudget charges them; under pressure the bytes furthest from the
+	// delivery point are dropped first. Default 256 KiB.
 	MaxFlowBuffer int
-	// MaxTotalBuffer caps buffered out-of-order bytes across all flows.
-	// Default 16 MiB; negative disables the cap (held bytes are still
-	// tracked for Stats.BufferedBytes).
-	MaxTotalBuffer int
 	// GapTimeout is how many stream packets (through the gateway, on the
 	// flow's lane's clock — the same unit and skew as IdleTimeout) a flow
 	// may stall on a missing segment
@@ -349,20 +346,14 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	if c.StreamWorkers <= 0 {
 		c.StreamWorkers = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxFlows == 0 {
-		c.MaxFlows = 1 << 16
-	}
-	if c.MaxFlows < 0 {
-		c.MaxFlows = 0
+	if c.MemoryBudget == 0 {
+		c.MemoryBudget = 32 << 20
 	}
 	if c.IdleTimeout < 0 {
 		c.IdleTimeout = 0 // disabled
 	}
 	if c.MaxFlowBuffer <= 0 {
 		c.MaxFlowBuffer = 256 << 10
-	}
-	if c.MaxTotalBuffer == 0 {
-		c.MaxTotalBuffer = 16 << 20
 	}
 	if c.GapTimeout == 0 {
 		c.GapTimeout = 4096
@@ -403,8 +394,7 @@ type Gateway struct {
 
 	// lanes are EngineShards × StreamWorkers, shard by shard: lane i belongs
 	// to shard i / StreamWorkers.
-	lanes  []*gwLane
-	asmCfg reassembly.Config // every flow's reassembly cursor runs under it
+	lanes []*gwLane
 
 	// closed is guarded by the lanes' admission gates: Ingest reads it
 	// holding its packet's lane gate shared; Close writes it holding every
@@ -427,7 +417,7 @@ type Gateway struct {
 	workerWg sync.WaitGroup
 
 	// seq numbers ingested packets (FlowMatch.PacketID) — the one
-	// gateway-wide write on the packet path. Every other per-packet counter
+	// gateway-wide write every packet makes. Every other per-packet counter
 	// lives on the owning lane's block (gwLane.n).
 	seq atomic.Uint64
 
@@ -459,24 +449,16 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 	}
 	cfg = cfg.withDefaults()
 	g := &Gateway{cfg: cfg, emit: emit, pendingGaps: make(map[FiveTuple]int)}
-	// A negative MaxTotalBuffer disables the global cap but the budget is
-	// still kept, with an effectively infinite limit, so Stats can always
-	// report how many out-of-order bytes are held across flows.
-	limit := cfg.MaxTotalBuffer
-	if limit <= 0 {
-		limit = math.MaxInt64
-	}
-	g.asmCfg = reassembly.Config{
-		Policy:       cfg.OverlapPolicy,
-		MaxFlowBytes: cfg.MaxFlowBuffer,
-		Budget:       reassembly.NewBudget(limit),
-		GapTimeout:   uint64(cfg.GapTimeout),
-	}
 	gen0 := &gwGeneration{id: m.Generation(), m: m}
 	g.cur.Store(gen0)
 	g.gens = []*gwGeneration{gen0}
 	g.gensInstall.Store(1)
 	lanes := cfg.EngineShards * cfg.StreamWorkers
+	// An unlimited budget is still kept, so Stats can report what is held.
+	share := math.MaxInt
+	if cfg.MemoryBudget > 0 {
+		share = (cfg.MemoryBudget-1)/lanes + 1 // ceil, without overflow
+	}
 	g.lanes = make([]*gwLane, lanes)
 	for i := range g.lanes {
 		ln := &gwLane{
@@ -484,6 +466,13 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 			// QueueDepth split across the shard's lanes, rounded up.
 			q:     make(chan seqPacket, (cfg.QueueDepth+cfg.StreamWorkers-1)/cfg.StreamWorkers),
 			rules: make([]gwRuleCounters, len(cfg.Rules)),
+			share: share,
+			asm: reassembly.Config{
+				Policy:       cfg.OverlapPolicy,
+				MaxFlowBytes: cfg.MaxFlowBuffer,
+				Budget:       reassembly.NewBudget(share),
+				GapTimeout:   uint64(cfg.GapTimeout),
+			},
 		}
 		ln.table = flowtable.New(flowtable.Config[gwFlow]{
 			New: func(k flowtable.Key) gwFlow {
@@ -498,7 +487,6 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 			// The departing record is a copy of the entry's: releasing it
 			// drops the pins and buffered bytes the flow held.
 			Evict:     func(_ flowtable.Key, fl gwFlow) { fl.release(ln) },
-			MaxFlows:  (cfg.MaxFlows + lanes - 1) / lanes,
 			IdleTicks: uint64(cfg.IdleTimeout),
 			Tick:      uint64(lanes),
 		})

@@ -4,6 +4,7 @@ package dpi
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -87,7 +88,7 @@ func (g *Gateway) maybeRetire(gen *gwGeneration) {
 	}
 	for i, other := range g.gens {
 		if other == gen {
-			g.gens = append(g.gens[:i], g.gens[i+1:]...)
+			g.gens = slices.Delete(g.gens, i, i+1) // clears the vacated slot, which would pin gen's matcher
 			g.gensRetired.Add(1)
 			return
 		}

@@ -121,6 +121,10 @@ type gwLane struct {
 	// rules holds the per-rule counters, indexed by the rule's position in
 	// cfg.Rules (not its ID — IDs may be sparse).
 	rules []gwRuleCounters
+	// share is the lane's part of MemoryBudget, charged with its table's
+	// entries and the held bytes of asm, every flow's reassembly config.
+	share int
+	asm   reassembly.Config
 
 	_ [64]byte
 	// gate orders admission against the control plane: Ingest holds it
@@ -158,8 +162,8 @@ func (fl *gwFlow) open(ln *gwLane) {
 // flow-table eviction callback: the generation pin drops — when it was the
 // last pin of a non-current generation, that generation is retired here, on
 // the goroutine that ended the flow, so retirement needs no background
-// sweeper — and buffered out-of-order bytes return to the shared budget,
-// charged to the abandoned bucket of ln, the flow's lane: they were
+// sweeper — and buffered out-of-order bytes return to the budget of ln, the
+// flow's lane, charged to its abandoned bucket: they were
 // ingested but their flow is going away, so they will never be scanned.
 // Every boundary reaches it through the table — Settle after a FIN,
 // Remove after an RST, eviction, Close — except a quarantine, which
@@ -173,7 +177,7 @@ func (fl *gwFlow) release(ln *gwLane) {
 			ln.g.maybeRetire(gen)
 		}
 	}
-	if n := fl.asm.Release(&ln.g.asmCfg); n > 0 {
+	if n := fl.asm.Release(&ln.asm); n > 0 {
 		ln.n[cAbandonedBytes].Add(uint64(n))
 	}
 }
@@ -267,7 +271,9 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	if p.flags&FlagSYN != 0 {
 		rf |= reassembly.SYN
 	}
-	res := fl.asm.Segment(&ln.g.asmCfg, p.seq32, p.payload, rf, tick,
+	// Held bytes get what the lane's entries leave of its share.
+	ln.asm.Budget.SetMax(ln.share - ln.table.Bytes())
+	res := fl.asm.Segment(&ln.asm, p.seq32, p.payload, rf, tick,
 		func(chunk []byte, skipped int) {
 			fl.regs.SkipAhead(skipped)
 			fl.scan(ln, &p, chunk)
@@ -428,6 +434,10 @@ func (ln *gwLane) streamPacket(p seqPacket) {
 		ln.table.Settle(p.tuple, uint8(end))
 	case flowReset:
 		ln.table.Remove(p.tuple)
+	}
+	// Over its share, the lane evicts husks first and never the packet's own
+	// connection, which may leave it over by that one entry.
+	for ln.table.Bytes()+ln.asm.Budget.Cost() > ln.share && ln.table.EvictOldest(p.tuple) {
 	}
 }
 

@@ -354,8 +354,9 @@ func TestGatewayGapSkipResumption(t *testing.T) {
 
 // TestGatewayBufferCapPressure: a flow whose out-of-order buffer exceeds
 // MaxFlowBuffer sheds the furthest bytes (accounted as ReassemblyDrops)
-// instead of growing without bound, and the shared budget drains to zero
-// when the gateway closes.
+// instead of growing without bound, and the lane's budget drains to zero
+// when the gateway closes. The cap is 64 payload bytes in one held segment,
+// at cost.
 func TestGatewayBufferCapPressure(t *testing.T) {
 	rules := NewRuleset()
 	rules.MustAdd("sig", []byte("needle"))
@@ -365,7 +366,7 @@ func TestGatewayBufferCapPressure(t *testing.T) {
 	}
 	c := newCollector()
 	gw := testGateway(t, m, GatewayConfig{
-		StreamWorkers: 1, MaxFlowBuffer: 64, GapTimeout: -1,
+		StreamWorkers: 1, MaxFlowBuffer: 64 + 32, GapTimeout: -1,
 	}, c.emit)
 	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 0, Flags: FlagSYN | FlagSeq}); err != nil {
@@ -402,8 +403,9 @@ func TestGatewayBufferCapPressure(t *testing.T) {
 }
 
 // TestGatewayEvictionMidGapRace: flows with permanent holes are churned
-// through a tiny flow table from several goroutines; eviction mid-gap must
-// release every buffered byte back to the shared budget (run with -race).
+// through a tiny memory budget, 1 KiB a lane — a few connections and their
+// held segments — from several goroutines; eviction mid-gap must release
+// every buffered byte back to the lane's budget (run with -race).
 func TestGatewayEvictionMidGapRace(t *testing.T) {
 	m, set := gatewayMatcher(t, 120)
 	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
@@ -415,7 +417,7 @@ func TestGatewayEvictionMidGapRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw := testGateway(t, m, GatewayConfig{
-		MaxFlows: 8, StreamWorkers: 4, GapTimeout: -1,
+		MemoryBudget: 4 << 10, StreamWorkers: 4, GapTimeout: -1,
 	}, func(FlowMatch) {})
 	var wg sync.WaitGroup
 	const ingesters = 2

@@ -35,7 +35,7 @@ type GatewayStats struct {
 	BufferedBytes    int    // out-of-order bytes currently held, all flows
 	OutOfOrderSegs   uint64 // segments that had to be buffered
 	DuplicateBytes   uint64 // retransmitted/overlapping bytes discarded
-	ReassemblyDrops  uint64 // bytes dropped to the flow/global buffer caps
+	ReassemblyDrops  uint64 // bytes dropped to MaxFlowBuffer or the lane's share of MemoryBudget
 	GapSkips         uint64 // gaps skipped on timeout
 	GapSkippedBytes  uint64 // unseen bytes skipped past
 
@@ -191,7 +191,7 @@ var gwCounters = [numCounters]gwCounterRow{
 	cQuarantinedBytes:   {"QuarantinedBytes", "dpi_gateway_quarantined_bytes_total", "counter", "Payload bytes discarded by panic containment — the quarantine ledger bucket."},
 	cGapSkips:           {"GapSkips", "dpi_gateway_gap_skips_total", "counter", "Reassembly gaps skipped on timeout."},
 	cGapSkippedBytes:    {"GapSkippedBytes", "dpi_gateway_gap_skipped_bytes_total", "counter", "Unseen stream bytes skipped past on gap timeouts."},
-	cReassemblyDrops:    {"ReassemblyDrops", "dpi_gateway_reassembly_dropped_bytes_total", "counter", "Out-of-order bytes dropped to the per-flow or global buffer caps."},
+	cReassemblyDrops:    {"ReassemblyDrops", "dpi_gateway_reassembly_dropped_bytes_total", "counter", "Out-of-order bytes dropped to MaxFlowBuffer or to what the lane's entries leave of its MemoryBudget share."},
 	cFlowsReset:         {"FlowsReset", "dpi_gateway_flows_reset_total", "counter", "Connections torn down by RST."},
 
 	cStreamPackets:    {"StreamPackets", "dpi_gateway_stream_packets_total", "counter", "Packets routed through per-flow stream state (TCP)."},
@@ -212,7 +212,7 @@ var gwCounters = [numCounters]gwCounterRow{
 	cFlowsLive:        {"FlowsLive", "dpi_gateway_flows_live", "gauge", "Flow-table entries currently live."},
 	cFlowHusks:        {"FlowHusks", "dpi_gateway_flow_husks", "gauge", "Part of dpi_gateway_flows_live held as husks: ended connections kept to absorb stragglers."},
 	cFlowsCreated:     {"FlowsCreated", "dpi_gateway_flows_created_total", "counter", "Flow-table entries created."},
-	cFlowsEvictedCap:  {"FlowsEvicted", "dpi_gateway_flows_evicted_total", "reason=capacity", "Flow-table entries removed, by reason: capacity (MaxFlows pressure), idle (IdleTimeout), teardown (RST)."},
+	cFlowsEvictedCap:  {"FlowsEvicted", "dpi_gateway_flows_evicted_total", "reason=capacity", "Flow-table entries removed, by reason: capacity (a lane over its MemoryBudget share), idle (IdleTimeout), teardown (RST)."},
 	cFlowsEvictedIdle: {"FlowsEvicted", "dpi_gateway_flows_evicted_total", "reason=idle", ""},
 	cFlowsRemoved:     {"FlowsEvicted", "dpi_gateway_flows_evicted_total", "reason=teardown", ""},
 
@@ -266,7 +266,7 @@ func (g *Gateway) Stats() GatewayStats {
 	s := GatewayStats{
 		EngineShards:         g.cfg.EngineShards,
 		Packets:              g.seq.Load(),
-		BufferedBytes:        g.asmCfg.Budget.Used(),
+		BufferedBytes:        g.bufferedBytes(),
 		Generation:           g.cur.Load().id,
 		RulesetSwaps:         g.swaps.Load(),
 		GenerationsInstalled: installed,
@@ -275,6 +275,14 @@ func (g *Gateway) Stats() GatewayStats {
 	}
 	addCounters(reflect.ValueOf(&s).Elem(), &c)
 	return s
+}
+
+// bufferedBytes sums the payload the lanes' flows hold out of order.
+func (g *Gateway) bufferedBytes() (n int) {
+	for _, ln := range g.lanes {
+		n += ln.asm.Budget.Used()
+	}
+	return n
 }
 
 // EngineStats is a point-in-time snapshot of one gateway shard's scan work,

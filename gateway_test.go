@@ -293,8 +293,8 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 }
 
 // TestGatewayChurnKeepsLiveFlowsBounded is the acceptance churn test: 10k
-// flows through a 256-flow table must stay bounded by eviction the whole
-// way through.
+// flows through a budget of 256 connections must stay bounded by eviction
+// the whole way through. They never end, so the table holds no husks.
 func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
 	m, set := gatewayMatcher(t, 120)
 	const maxFlows, lanes = 256, 4
@@ -307,7 +307,7 @@ func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
 	}
 	var matches atomic64
 	gw := testGateway(t, m, GatewayConfig{
-		MaxFlows: maxFlows, StreamWorkers: lanes,
+		MemoryBudget: maxFlows * ConnEntry, StreamWorkers: lanes,
 	}, func(FlowMatch) { matches.add(1) })
 	peak := 0
 	for i, p := range w.Packets {
@@ -340,16 +340,18 @@ func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
 
 // TestGatewayChurnAtCapacity drives bench's churn-mixed shape — waves of
 // short SYN…FIN connections, one wave live at a time, every pass reusing the
-// tuples of the last — through a MaxFlows well above what is live at once and
-// well below what a pass opens, so capacity eviction runs the whole way. Each
-// lane evicts its own least-recently-active flow, and with a wave's worth of
-// husks behind every live connection that is never a live one: every
-// connection's matches must equal the oracle in every window, at every lane
-// count (the cap is split and the clock scaled per lane).
+// tuples of the last — through a MemoryBudget of three waves' connections,
+// well above what is live at once and below what a pass's husks take, so
+// capacity eviction runs the whole way. Each lane evicts its own oldest husk,
+// and with a wave's worth of husks behind every live connection it never
+// reaches a live one: every connection's matches must equal the oracle in
+// every window, at every lane count (the budget is split and the clock
+// scaled per lane), and the table's entries may pass the budget by no more
+// than one connection a lane.
 func TestGatewayChurnAtCapacity(t *testing.T) {
 	m, set := gatewayMatcher(t, 120)
 	const waves, perWave, windows = 8, 64, 30
-	const maxFlows = 3 * perWave
+	const budget = 3 * perWave * ConnEntry
 	var pkts []GatewayPacket
 	tuples := make([]FiveTuple, waves*perWave)
 	want := make([][]Match, waves*perWave)
@@ -381,7 +383,7 @@ func TestGatewayChurnAtCapacity(t *testing.T) {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			c := newCollector()
 			gw := testGateway(t, m, GatewayConfig{
-				EngineShards: shape.shards, StreamWorkers: shape.workers, MaxFlows: maxFlows,
+				EngineShards: shape.shards, StreamWorkers: shape.workers, MemoryBudget: budget,
 			}, c.emit)
 			defer gw.Close()
 			for win := 0; win < windows; win++ {
@@ -399,7 +401,8 @@ func TestGatewayChurnAtCapacity(t *testing.T) {
 				}
 				clear(c.byTuple)
 				st := gw.Stats()
-				if !st.Ledger().Balanced() || st.FlowsLive > maxFlows+lanes {
+				charge := (st.FlowsLive-st.FlowHusks)*ConnEntry + st.FlowHusks*HuskEntry
+				if !st.Ledger().Balanced() || charge > budget+lanes*ConnEntry {
 					t.Fatalf("window %d: ledger %+v, stats %+v", win, st.Ledger(), st)
 				}
 			}
@@ -430,9 +433,9 @@ func TestGatewayEvictedFlowRestartsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCollector()
-	// One lane and a 1-flow table make eviction order deterministic.
+	// One lane and a one-connection budget make eviction order deterministic.
 	gw := testGateway(t, m, GatewayConfig{
-		MaxFlows: 1, StreamWorkers: 1,
+		MemoryBudget: ConnEntry, StreamWorkers: 1,
 	}, c.emit)
 	a := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	b := FiveTuple{SrcIP: 3, DstIP: 4, SrcPort: 11, DstPort: 80, Proto: ProtoTCP}

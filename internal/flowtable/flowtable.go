@@ -74,10 +74,9 @@ type Config[F any] struct {
 	// F a copy of what the entry held.
 	Evict func(Key, F)
 	// MaxFlows caps entries of both kinds; 0 means unlimited. An insert past
-	// the cap evicts the least-recently-active husk, and only when none is
-	// left the least-recently-active connection, never the one just touched:
-	// a lost husk costs nothing unless a straggler comes, a lost connection
-	// its scan state mid-stream.
+	// the cap evicts as EvictOldest does, sparing the entry just touched. An
+	// owner that caps the table's bytes instead (Bytes) leaves it 0 and calls
+	// EvictOldest itself.
 	MaxFlows int
 	// IdleTicks evicts entries untouched for more than this many logical
 	// clock ticks, oldest first whatever their kind; 0 disables idle
@@ -354,8 +353,8 @@ func (s *set[R]) age(r ref, now uint64) uint32 { return uint32(now) - s.at(r).la
 // instead and does what that returns (a nil husk keeps). It advances the
 // clock, moves the entry it touched to its list's front and runs eviction
 // (capacity, then a bounded idle check) before fn. fn and husk may read
-// Clock — this call's tick — and must not otherwise call back into the
-// table. The record fn receives stays put until it settles or is evicted.
+// Clock — this call's tick — and Bytes, and must not otherwise call back into
+// the table. The record fn receives stays put until it settles or is evicted.
 func (t *Table[F]) Do(key Key, fn func(*F), husk func(mark uint8) Action) (created bool) {
 	t.clock += t.cfg.Tick
 	r := t.conns.find(key)
@@ -387,17 +386,7 @@ func (t *Table[F]) Do(key Key, fn func(*F), husk func(mark uint8) Action) (creat
 			t.husks.touch(k, t.clock)
 		}
 	}
-	if t.cfg.MaxFlows > 0 {
-		// Husks first; r heads its list, so it is the tail only when alone.
-		for t.Len() > t.cfg.MaxFlows {
-			if k := t.husks.tail; k != 0 {
-				t.dropHusk(k, &t.n.EvictedCap)
-			} else if c := t.conns.tail; c != r {
-				t.drop(c, &t.n.EvictedCap)
-			} else {
-				break
-			}
-		}
+	for t.cfg.MaxFlows > 0 && t.Len() > t.cfg.MaxFlows && t.EvictOldest(key) {
 	}
 	if t.cfg.IdleTicks > 0 {
 		// Amortized idle collection: a steadily-ticking table drains idle
@@ -465,6 +454,22 @@ func (t *Table[F]) drop(r ref, reason *uint64) {
 func (t *Table[F]) dropHusk(k ref, reason *uint64) {
 	t.husks.remove(&t.mu, k)
 	*reason++
+}
+
+// EvictOldest evicts for capacity the least-recently-active husk, or when none
+// is left the least-recently-active connection unless it is keep's, and
+// reports whether it evicted: a lost husk costs nothing unless a straggler
+// comes, a lost connection its scan state mid-stream.
+func (t *Table[F]) EvictOldest(keep Key) bool {
+	if k := t.husks.tail; k != 0 {
+		t.dropHusk(k, &t.n.EvictedCap)
+		return true
+	}
+	if c := t.conns.tail; c != 0 && t.conns.at(c).key != keep {
+		t.drop(c, &t.n.EvictedCap)
+		return true
+	}
+	return false
 }
 
 // dropIdle evicts the least recently active entry of either kind if it has
@@ -538,6 +543,12 @@ func (t *Table[F]) Close() {
 
 // Len returns the number of entries, connections and husks.
 func (t *Table[F]) Len() int { return t.conns.n + t.husks.n }
+
+// Bytes returns what the entries occupy in their slabs, each at its kind's
+// size; the index and each slab's unused rest are not counted.
+func (t *Table[F]) Bytes() int {
+	return t.conns.n*int(unsafe.Sizeof(entry[F]{})) + t.husks.n*int(unsafe.Sizeof(entry[uint8]{}))
+}
 
 // Clock returns the logical clock: Config.Tick times the Do calls so far. A
 // caller that timestamps its own per-flow state on the table's clock (the

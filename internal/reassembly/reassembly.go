@@ -9,7 +9,7 @@
 // One Cursor holds one direction of one connection. Segments arrive tagged
 // with their absolute TCP sequence number; in-order bytes are delivered to
 // the caller immediately, out-of-order bytes are buffered (bounded per
-// flow and, via a shared Budget, globally) until the hole fills. The cursor
+// flow and, via a shared Budget, per owner) until the hole fills. The cursor
 // keeps its place in sequence space — the next in-order byte's sequence
 // number, held segments keyed by theirs, every distance a signed 32-bit
 // difference — so initial sequence numbers near 2^32 work unchanged, and a
@@ -31,9 +31,10 @@
 //     Bytes already delivered to the scanner are immutable under either
 //     policy — delivery is the commit point.
 //   - Buffer caps: MaxFlowBytes bounds one flow's held bytes and Budget
-//     bounds the sum across flows. Under pressure the bytes furthest from
-//     the delivery point are dropped first (they are the least likely to
-//     become deliverable soon); a drop becomes a gap handled like loss.
+//     the sum across flows, both at cost: payload plus a segment's
+//     descriptor. Under pressure the bytes furthest from the delivery point
+//     are dropped first (they are the least likely to become deliverable
+//     soon); a drop becomes a gap handled like loss.
 //   - Gap timeout: when delivery has been stalled on a missing segment for
 //     GapTimeout ticks, the stream skips to the first buffered byte. The
 //     caller is told how many bytes were skipped so it can invalidate
@@ -47,6 +48,7 @@ package reassembly
 import (
 	"slices"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Policy selects which bytes win when segments overlap in the undelivered
@@ -92,41 +94,50 @@ const (
 	EventFinished
 )
 
-// Budget is a buffered-bytes budget shared by many streams — the global
-// cap on out-of-order memory across all flows. A nil *Budget is unlimited.
+// Budget is the held-bytes account of many streams with one owner, whose
+// goroutine alone writes it; Used, the payload held, may be read from any.
+// A Config whose Budget is nil has no account and no cap across streams.
 type Budget struct {
 	max  int64
-	used atomic.Int64
+	cost int64        // held bytes at cost
+	used atomic.Int64 // held payload bytes
 }
 
-// NewBudget returns a budget allowing max buffered bytes in total.
+// segCost is what holding a segment costs beyond its payload: its
+// descriptor in the held list.
+const segCost = int(unsafe.Sizeof(seg{}))
+
+// NewBudget returns a budget allowing max bytes held at cost.
 func NewBudget(max int) *Budget { return &Budget{max: int64(max)} }
 
-// Used returns the bytes currently reserved.
-func (b *Budget) Used() int {
-	if b == nil {
-		return 0
-	}
-	return int(b.used.Load())
-}
+// SetMax moves the cap for later reservations, for an owner that charges
+// more than held bytes to the same memory.
+func (b *Budget) SetMax(max int) { b.max = int64(max) }
 
-func (b *Budget) reserve(n int) bool {
+// Used returns the payload bytes currently held.
+func (b *Budget) Used() int { return int(b.used.Load()) }
+
+// Cost returns what the held bytes are charged: payload plus segCost each.
+func (b *Budget) Cost() int { return int(b.cost) }
+
+// reserve charges n payload bytes in segs more held segments, if they fit.
+func (b *Budget) reserve(n, segs int) bool {
 	if b == nil {
 		return true
 	}
-	for {
-		u := b.used.Load()
-		if u+int64(n) > b.max {
-			return false
-		}
-		if b.used.CompareAndSwap(u, u+int64(n)) {
-			return true
-		}
+	c := int64(n + segs*segCost)
+	if b.cost+c > b.max {
+		return false
 	}
+	b.cost += c
+	b.used.Add(int64(n))
+	return true
 }
 
-func (b *Budget) release(n int) {
+// release returns n payload bytes in segs fewer held segments (-1 for a split).
+func (b *Budget) release(n, segs int) {
 	if b != nil {
+		b.cost -= int64(n + segs*segCost)
 		b.used.Add(int64(-n))
 	}
 }
@@ -135,10 +146,10 @@ func (b *Budget) release(n int) {
 type Config struct {
 	// Policy is the overlap policy for undelivered bytes.
 	Policy Policy
-	// MaxFlowBytes caps one stream's held (out-of-order) bytes; <= 0
-	// selects 256 KiB.
+	// MaxFlowBytes caps one stream's held (out-of-order) bytes at cost —
+	// payload plus a descriptor per held segment; <= 0 selects 256 KiB.
 	MaxFlowBytes int
-	// Budget, when non-nil, additionally caps held bytes across all
+	// Budget, when non-nil, additionally caps held bytes at cost across all
 	// streams sharing it.
 	Budget *Budget
 	// GapTimeout is how many ticks delivery may stall on a missing
@@ -224,6 +235,9 @@ type outOfOrder struct {
 	fin      uint32 // seq one past the last byte, when finSeen
 }
 
+// cost is what the held segments are charged against the caps.
+func (o *outOfOrder) cost() int { return o.heldBy + segCost*len(o.held) }
+
 // consume drops the first n held segments, whose bytes have already left the
 // books: the rest move to the front and every vacated slot is zeroed, so the
 // backing array pins no copy the budget has released.
@@ -264,9 +278,7 @@ func (c *Cursor) Release(cfg *Config) int {
 		return 0
 	}
 	c.ooo, c.finSeen = nil, false
-	if o.heldBy > 0 {
-		cfg.Budget.release(o.heldBy)
-	}
+	cfg.Budget.release(o.heldBy, len(o.held))
 	return o.heldBy
 }
 
@@ -372,7 +384,7 @@ func (c *Cursor) drain(cfg *Config, deliver func([]byte, int), r *Result, skippe
 		h := o.held[n]
 		n++
 		o.heldBy -= len(h.data)
-		cfg.Budget.release(len(h.data))
+		cfg.Budget.release(len(h.data), 1)
 		deliver(h.data, skippedBefore)
 		skippedBefore = 0
 		r.Delivered += len(h.data)
@@ -461,7 +473,7 @@ func (c *Cursor) trimHeld(cfg *Config, lo, hi int64, r *Result) {
 	o.held = slices.Replace(o.held, i, j, kept...) // zeroes the slots it vacates
 	r.Duplicate += freed
 	o.heldBy -= freed
-	cfg.Budget.release(freed)
+	cfg.Budget.release(freed, j-i-len(kept))
 }
 
 // uncovered appends to pieces the parts of data — which starts off bytes past
@@ -496,10 +508,10 @@ func (c *Cursor) uncovered(off int64, data []byte, pieces []seg, r *Result) []se
 }
 
 // addPiece inserts one non-overlapping piece, off bytes past the delivery
-// point, enforcing the per-flow cap and the shared budget. Under pressure
-// the held bytes furthest from the delivery point are evicted first — but
-// never to admit bytes that are themselves further out than everything
-// already held.
+// point, as a new held segment, enforcing the per-flow cap and the shared
+// budget at cost. Under pressure the held bytes furthest from the delivery
+// point are evicted first — but never to admit bytes that are themselves
+// further out than everything already held.
 func (c *Cursor) addPiece(cfg *Config, off int64, data []byte, r *Result) {
 	if c.finSeen {
 		// Bytes at or past the FIN cannot be part of this connection.
@@ -518,16 +530,16 @@ func (c *Cursor) addPiece(cfg *Config, off int64, data []byte, r *Result) {
 		return
 	}
 	max := cfg.maxFlowBytes()
-	for o := c.ooo; o != nil && o.heldBy+need > max && len(o.held) > 0; {
+	for o := c.ooo; o != nil && o.cost()+need+segCost > max && len(o.held) > 0; {
 		last := &o.held[len(o.held)-1]
 		if c.ahead(last.seq) <= off {
 			break // the new piece is the furthest; drop it instead
 		}
-		trim := o.heldBy + need - max
+		trim := o.cost() + need + segCost - max
 		if trim >= len(last.data) {
 			freed := len(last.data)
 			o.heldBy -= freed
-			cfg.Budget.release(freed)
+			cfg.Budget.release(freed, 1)
 			r.Dropped += freed
 			*last = seg{} // the backing array must not pin the evicted copy
 			o.held = o.held[:len(o.held)-1]
@@ -536,12 +548,16 @@ func (c *Cursor) addPiece(cfg *Config, off int64, data []byte, r *Result) {
 			// returned, not just uncharged (see the remnant note above).
 			last.data = append([]byte(nil), last.data[:len(last.data)-trim]...)
 			o.heldBy -= trim
-			cfg.Budget.release(trim)
+			cfg.Budget.release(trim, 0)
 			r.Dropped += trim
 		}
 	}
-	if held := c.HeldBytes(); held+need > max {
-		fit := max - held
+	held := 0
+	if c.ooo != nil {
+		held = c.ooo.cost()
+	}
+	if held+need+segCost > max {
+		fit := max - held - segCost
 		if fit <= 0 {
 			r.Dropped += need
 			return
@@ -550,7 +566,7 @@ func (c *Cursor) addPiece(cfg *Config, off int64, data []byte, r *Result) {
 		data = data[:fit]
 		need = fit
 	}
-	if !cfg.Budget.reserve(need) {
+	if !cfg.Budget.reserve(need, 1) {
 		r.Dropped += need
 		return
 	}

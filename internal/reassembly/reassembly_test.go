@@ -7,6 +7,7 @@ package reassembly
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -297,9 +298,10 @@ func TestGapSkipDisabled(t *testing.T) {
 
 // TestFlowCapEvictionOrder: under the per-flow cap, bytes furthest from
 // the delivery point are evicted first, and a piece further out than
-// everything held is dropped rather than admitted.
+// everything held is dropped rather than admitted. The cap holds two 4-byte
+// segments at cost.
 func TestFlowCapEvictionOrder(t *testing.T) {
-	s := NewStream(Config{MaxFlowBytes: 8})
+	s := NewStream(Config{MaxFlowBytes: 8 + 2*segCost})
 	feed(t, s, 0, "", SYN, 0)
 	feed(t, s, 5, "AAAA", 0, 1)  // [4,8)
 	feed(t, s, 13, "CCCC", 0, 2) // [12,16)
@@ -324,7 +326,7 @@ func TestFlowCapEvictionOrder(t *testing.T) {
 }
 
 func TestSharedBudget(t *testing.T) {
-	b := NewBudget(6)
+	b := NewBudget(6 + 2*segCost)
 	s1 := NewStream(Config{Budget: b})
 	s2 := NewStream(Config{Budget: b})
 	feed(t, s1, 0, "", SYN, 0)
@@ -332,7 +334,7 @@ func TestSharedBudget(t *testing.T) {
 	if _, _, r := feed(t, s1, 11, "aaaa", 0, 1); r.Buffered != 4 {
 		t.Fatalf("first reserve: %+v", r)
 	}
-	// 4 of 6 used: s2 can only fail a 4-byte reservation.
+	// 4 of 6 payload bytes used: s2 can only fail a 4-byte reservation.
 	if _, _, r := feed(t, s2, 11, "bbbb", 0, 1); r.Dropped != 4 {
 		t.Fatalf("budget not enforced: %+v", r)
 	}
@@ -419,8 +421,9 @@ func TestInOrderStreamHoldsNothing(t *testing.T) {
 // into a filled hole, or evicted to the flow cap — must not stay reachable
 // through the list's backing array once the budget has released its bytes.
 // The list is compacted in place, so its capacity is kept for the next gap.
+// The cap holds the four 2-byte runs below at cost and nothing more.
 func TestVacatedHeldSlotsAreZeroed(t *testing.T) {
-	s := NewStream(Config{MaxFlowBytes: 8})
+	s := NewStream(Config{MaxFlowBytes: 8 + 4*segCost})
 	feed(t, s, 0, "", SYN, 0)
 	for _, p := range []struct {
 		seq  uint32
@@ -441,7 +444,8 @@ func TestVacatedHeldSlotsAreZeroed(t *testing.T) {
 		}
 	}
 	full := cap(s.ooo.held)
-	// [5,9) needs 4 bytes of the 8-byte cap: the two furthest runs go.
+	// [5,9) costs 4 bytes and a descriptor over the cap: the two furthest
+	// runs go.
 	if _, _, r := feed(t, s, 6, "BBBB", 0, 2); r.Dropped != 4 || r.Buffered != 4 {
 		t.Fatalf("cap eviction: %+v", r)
 	}
@@ -457,6 +461,65 @@ func TestVacatedHeldSlotsAreZeroed(t *testing.T) {
 	if s.HeldBytes() != 6 {
 		t.Fatalf("held %d bytes, want 6", s.HeldBytes())
 	}
+}
+
+// TestHeldSegmentsChargedAtCost: a flow stuffed with tiny segments, each
+// behind a hole of its own size, is charged what holding them occupies — the
+// payload and a descriptor apiece — against both MaxFlowBytes and the budget,
+// so the segments it can hold, and the heap they take, stay proportional to
+// the cap however small they are. Charged at payload alone, 1-byte segments
+// held 262 144 of them in 42.6 times the heap they were charged.
+func TestHeldSegmentsChargedAtCost(t *testing.T) {
+	const maxFlowBytes = 256 << 10
+	for _, size := range []int{1, 8, 64, 512} {
+		b := NewBudget(1 << 30)
+		before := liveHeap()
+		s := NewStream(Config{MaxFlowBytes: maxFlowBytes, Budget: b})
+		s.Segment(0, nil, SYN, 0, func([]byte, int) {})
+		payload := bytes.Repeat([]byte{'x'}, size)
+		for k := 0; ; k++ { // [(2k+1)·size, (2k+2)·size), behind a hole
+			r := s.Segment(uint32(1+(2*k+1)*size), payload, 0, 0, func([]byte, int) {})
+			if r.Buffered == 0 {
+				break
+			}
+		}
+		charge := b.Cost()
+		heap := int64(liveHeap()) - int64(before)
+		runtime.KeepAlive(s)
+		segs := len(s.ooo.held)
+		if want := s.HeldBytes() + segs*segCost; charge != want || b.Used() != s.HeldBytes() {
+			t.Fatalf("%d-byte segments: budget charged %d and used %d, held %d in %d segments (cost %d)",
+				size, charge, b.Used(), s.HeldBytes(), segs, want)
+		}
+		// The cap at cost holds this many whole segments, and the piece
+		// arriving past them is cut to the bytes that still fit.
+		whole := 0
+		for _, h := range s.ooo.held {
+			if len(h.data) == size {
+				whole++
+			}
+		}
+		if most := maxFlowBytes / (size + segCost); whole > most || segs > whole+1 || charge > maxFlowBytes {
+			t.Errorf("%d-byte segments: %d held (%d whole) at cost %d, the cap allows %d whole at %d",
+				size, segs, whole, charge, most, maxFlowBytes)
+		}
+		if !raceEnabled && heap > 3*int64(charge) {
+			t.Errorf("%d-byte segments: %d held take %d B of heap, %.1f× their %d B charge",
+				size, segs, heap, float64(heap)/float64(charge), charge)
+		}
+		if s.Release(); b.Cost() != 0 || b.Used() != 0 {
+			t.Fatalf("%d-byte segments: Release left the budget at cost %d, used %d", size, b.Cost(), b.Used())
+		}
+	}
+}
+
+// liveHeap is the heap in use after the collector has settled.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestPermutationEquivalence is the package-level property: any segment

@@ -26,8 +26,8 @@ import (
 // regression would arrive — a structure with an entry per state, 4 B of it
 // a fifth of the budget — and because at 6 275 strings it is megabytes;
 // and on objects, because a count that moves at all means a per-row or
-// per-state allocation has come back. OPERATIONS.md's "Sizing memory"
-// quotes the measured figures; these are the gates, at +5 %.
+// per-state allocation has come back. OPERATIONS.md's "What the budget
+// buys" quotes the measured figures; these are the gates, at +5 %.
 var matcherFootprints = []struct {
 	strings       int
 	bytesPerState float64 // measured 18.43, 15.16, 15.88

@@ -84,9 +84,9 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 	counter("dpi_gateway_packets_total", "Packets ingested.", g.seq.Load())
 
 	gauge("dpi_gateway_reassembly_buffered_bytes",
-		"Out-of-order bytes currently buffered across all flows.", float64(g.asmCfg.Budget.Used()))
-	gauge("dpi_gateway_reassembly_buffer_limit_bytes",
-		"Configured global out-of-order buffer cap (0 = unlimited).", float64(max(g.cfg.MaxTotalBuffer, 0)))
+		"Out-of-order bytes currently buffered across all flows.", float64(g.bufferedBytes()))
+	gauge("dpi_gateway_memory_budget_bytes",
+		"Configured MemoryBudget: flow-table entries and held out-of-order bytes, split across lanes (0 = unlimited).", float64(max(g.cfg.MemoryBudget, 0)))
 	w.Metric("dpi_gateway_overload_policy_info", "gauge",
 		"Configured overload policy (see GatewayConfig.OverloadPolicy); value is always 1.")
 	w.Sample(1, metrics.Label{Name: "policy", Value: g.cfg.OverloadPolicy.String()})
