@@ -629,6 +629,62 @@ func TestSwapRetiredGenerationIsCollected(t *testing.T) {
 	runtime.KeepAlive(b)
 }
 
+// TestSwapRetiredGenerationLeavesNoSlot: retiring a generation from the
+// middle of the live list must not leave a copy of it in the list's spare
+// capacity. Four generations, three with a flow pinned, fill the list; two
+// drain; a fifth swap retires the fourth at once — the order in which a
+// list that only shifted its tail left the fourth reachable, its matcher
+// never collected.
+func TestSwapRetiredGenerationLeavesNoSlot(t *testing.T) {
+	rules := NewRuleset()
+	rules.MustAdd("sig", []byte("needle"))
+	var collected atomic.Bool
+	compile := func(watch bool) *Matcher {
+		m, err := Compile(rules, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if watch {
+			runtime.SetFinalizer(m, func(*Matcher) { collected.Store(true) })
+		}
+		return m
+	}
+	gw := testGateway(t, compile(false), GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
+	defer gw.Close()
+	send := func(i int, flags TCPFlags) {
+		t.Helper()
+		if err := gw.Ingest(GatewayPacket{Tuple: footprintTuple(i), Seq: 1, Flags: FlagSeq | flags}); err != nil {
+			t.Fatal(err)
+		}
+		gw.Flush()
+	}
+	swap := func(watch bool) {
+		t.Helper()
+		if err := gw.SwapRules(compile(watch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1, FlagSYN) // pinned to the first generation
+	swap(false)
+	send(2, FlagSYN) // to the second
+	swap(false)
+	send(3, FlagSYN) // to the third
+	swap(true)       // the fourth, watched
+	send(1, FlagFIN) // the first retires
+	send(2, FlagFIN) // the second retires
+	swap(false)      // the fourth, no flow on it, retires now
+	if st := gw.Stats(); st.GenerationsRetired != 3 || st.GenerationsLive != 2 {
+		t.Fatalf("want the first, second and fourth generations retired: %+v", gw.Generations())
+	}
+	for cycle := 0; cycle < 10 && !collected.Load(); cycle++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
+	}
+	if !collected.Load() {
+		t.Fatal("the retired fourth generation's Matcher survived ten collections")
+	}
+}
+
 type writerTo struct{ b []byte }
 
 func (w *writerTo) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
