@@ -10,7 +10,6 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
-	"repro/internal/flowtable"
 	"repro/internal/reassembly"
 )
 
@@ -131,14 +130,8 @@ func TestFlowRecordFootprint(t *testing.T) {
 	t.Logf("core.Regs %d B, reassembly.Cursor %d B, gwFlow %d B",
 		unsafe.Sizeof(core.Regs{}), unsafe.Sizeof(reassembly.Cursor{}), unsafe.Sizeof(gwFlow{}))
 	// What a lane charges its share for the entries of its own table.
-	tb := flowtable.New(flowtable.Config[gwFlow]{
-		New: func(flowtable.Key) gwFlow { return gwFlow{} }, Evict: func(flowtable.Key, gwFlow) {},
-	})
-	tb.Do(footprintTuple(0), func(*gwFlow) {}, nil)
-	conn := tb.Bytes()
-	tb.Settle(footprintTuple(0), uint8(flowFinished))
-	if husk := tb.Bytes(); conn != ConnEntry || husk != HuskEntry {
-		t.Errorf("a connection is charged %d B and a husk %d B, want %d and %d", conn, husk, ConnEntry, HuskEntry)
+	if connEntry != ConnEntry || huskEntry != HuskEntry {
+		t.Errorf("a connection is charged %d B and a husk %d B, want %d and %d", connEntry, huskEntry, ConnEntry, HuskEntry)
 	}
 
 	if raceEnabled {

@@ -275,15 +275,17 @@ type GatewayConfig struct {
 	// distinct tuples scan in parallel. Default GOMAXPROCS — one lane per
 	// available core.
 	StreamWorkers int
-	// MemoryBudget caps, in bytes, the memory flows hold. Every lane owns the
+	// MemoryBudget caps, in bytes, what flows are charged. Every lane owns the
 	// flows pinned to it and a share of ceil(MemoryBudget/lanes), lanes being
 	// EngineShards × StreamWorkers, charged 80 B a connection, 32 B a husk (a
 	// connection ended by FIN or quarantine) and its held out-of-order bytes
-	// plus 32 B a segment. A segment that does not fit what is left drops
-	// its bytes furthest ahead; after each packet a lane over its share
-	// evicts its oldest husk, or with none its least-recently-active
-	// connection but the packet's own. What it buys is in OPERATIONS.md.
-	// Default 32 MiB; negative means unlimited.
+	// plus 32 B a segment. A segment that does not fit what the connections
+	// leave drops its bytes furthest ahead; after each packet a lane over
+	// its share evicts its oldest husk, or with none its least-recently-
+	// active connection but the packet's own. Index slots and the slab
+	// chunks a lane keeps at its peak are outside the share: a default
+	// gateway full of husks holds up to about 43 MiB (OPERATIONS.md, "What
+	// the budget buys"). Default 32 MiB; negative means unlimited.
 	MemoryBudget int
 	// IdleTimeout evicts a flow after this many stream packets pass through
 	// the gateway without it seeing one (a logical clock, deterministic and
@@ -482,11 +484,15 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 				if v == VerdictNone || v == VerdictAlert {
 					fl.open(ln)
 				}
+				ln.asm.Budget.Charge(connEntry)
 				return fl
 			},
-			// The departing record is a copy of the entry's: releasing it
-			// drops the pins and buffered bytes the flow held.
-			Evict:     func(_ flowtable.Key, fl gwFlow) { fl.release(ln) },
+			// The departing record is a copy of the entry's: the entry's
+			// charge returns, and releasing the record drops what it held.
+			Evict: func(_ flowtable.Key, fl gwFlow) {
+				ln.asm.Budget.Charge(-connEntry)
+				fl.release(ln)
+			},
 			IdleTicks: uint64(cfg.IdleTimeout),
 			Tick:      uint64(lanes),
 		})

@@ -102,6 +102,10 @@ const (
 	flowReset
 )
 
+// connEntry and huskEntry are what one connection and one husk occupy in a
+// lane's table, as the lane charges them to its share.
+var connEntry, huskEntry = flowtable.EntryBytes[gwFlow]()
+
 // gwLane is one scan lane — the software string matching engine — and the
 // one owner of everything its packets touch: admission gate, queue,
 // laneState, counters and its goroutine's working set, the tuple's flow
@@ -121,8 +125,9 @@ type gwLane struct {
 	// rules holds the per-rule counters, indexed by the rule's position in
 	// cfg.Rules (not its ID — IDs may be sparse).
 	rules []gwRuleCounters
-	// share is the lane's part of MemoryBudget, charged with its table's
-	// entries and the held bytes of asm, every flow's reassembly config.
+	// share is the lane's part of MemoryBudget. asm is every flow's
+	// reassembly config; its Budget is the lane's account of connections
+	// and held bytes, to which charge adds the husks.
 	share int
 	asm   reassembly.Config
 
@@ -271,8 +276,6 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	if p.flags&FlagSYN != 0 {
 		rf |= reassembly.SYN
 	}
-	// Held bytes get what the lane's entries leave of its share.
-	ln.asm.Budget.SetMax(ln.share - ln.table.Bytes())
 	res := fl.asm.Segment(&ln.asm, p.seq32, p.payload, rf, tick,
 		func(chunk []byte, skipped int) {
 			fl.regs.SkipAhead(skipped)
@@ -404,17 +407,22 @@ func (ln *gwLane) publishFlows() {
 // the lane's depth decrement cannot be skipped and Flush cannot wedge on a
 // packet that blew up. Panics under a flow are contained inside the table's
 // Do (gwFlow.contain) and quarantine that one flow; the recover here
-// catches what runs outside a flow — flow construction, an eviction the
-// lookup triggered, a datagram's verdict callback, scan or emit — where
-// there is no record to quarantine and none of the packet's bytes are
-// committed yet, so the packet's payload is charged to the quarantine bucket
-// and the lane moves on to its next packet.
+// catches what runs outside a flow. Before Do returns — flow construction,
+// an eviction the lookup triggered, a datagram's verdict callback, scan or
+// emit — there is no record to quarantine and none of the packet's bytes
+// are committed yet, so the packet's payload is charged to the quarantine
+// bucket. After it — settling the flow, evicting to fit the share — they
+// are, so only the panic is counted. Either way the lane moves on to its
+// next packet.
 func (ln *gwLane) streamPacket(p seqPacket) {
+	committed := false
 	defer func() {
 		if recover() != nil {
 			ln.n[cPanics].Add(1)
-			ln.n[cQuarantinedPackets].Add(1)
-			ln.n[cQuarantinedBytes].Add(uint64(len(p.payload)))
+			if !committed {
+				ln.n[cQuarantinedPackets].Add(1)
+				ln.n[cQuarantinedBytes].Add(uint64(len(p.payload)))
+			}
 		}
 	}()
 	if p.tuple.Proto != ProtoTCP {
@@ -429,17 +437,23 @@ func (ln *gwLane) streamPacket(p seqPacket) {
 		// same logical clock IdleTimeout runs on.
 		end = fl.contain(ln, p, ln.table.Clock())
 	}, func(mark uint8) flowtable.Action { return ln.straggler(&p, mark) })
+	committed = true
 	switch end {
 	case flowFinished, flowQuarantined:
 		ln.table.Settle(p.tuple, uint8(end))
 	case flowReset:
 		ln.table.Remove(p.tuple)
 	}
-	// Over its share, the lane evicts husks first and never the packet's own
-	// connection, which may leave it over by that one entry.
-	for ln.table.Bytes()+ln.asm.Budget.Cost() > ln.share && ln.table.EvictOldest(p.tuple) {
+	// Over its share the lane evicts husks first — held bytes only take what
+	// connections leave — then connections but the packet's own, which may
+	// leave it over by that one entry.
+	for ln.charge() > ln.share && ln.table.EvictOldest(p.tuple) {
 	}
 }
+
+// charge is what the lane holds against its share: its account, and its
+// husks, which the account leaves out.
+func (ln *gwLane) charge() int { return ln.asm.Budget.Cost() + ln.table.Stats().Husks*huskEntry }
 
 // datagram scans one stateless packet where it landed: there is no flow to
 // remember a decision on, so the verdict stage runs per packet — drop/pass

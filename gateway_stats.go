@@ -191,7 +191,7 @@ var gwCounters = [numCounters]gwCounterRow{
 	cQuarantinedBytes:   {"QuarantinedBytes", "dpi_gateway_quarantined_bytes_total", "counter", "Payload bytes discarded by panic containment — the quarantine ledger bucket."},
 	cGapSkips:           {"GapSkips", "dpi_gateway_gap_skips_total", "counter", "Reassembly gaps skipped on timeout."},
 	cGapSkippedBytes:    {"GapSkippedBytes", "dpi_gateway_gap_skipped_bytes_total", "counter", "Unseen stream bytes skipped past on gap timeouts."},
-	cReassemblyDrops:    {"ReassemblyDrops", "dpi_gateway_reassembly_dropped_bytes_total", "counter", "Out-of-order bytes dropped to MaxFlowBuffer or to what the lane's entries leave of its MemoryBudget share."},
+	cReassemblyDrops:    {"ReassemblyDrops", "dpi_gateway_reassembly_dropped_bytes_total", "counter", "Out-of-order bytes dropped to MaxFlowBuffer or to what the lane's connections leave of its MemoryBudget share."},
 	cFlowsReset:         {"FlowsReset", "dpi_gateway_flows_reset_total", "counter", "Connections torn down by RST."},
 
 	cStreamPackets:    {"StreamPackets", "dpi_gateway_stream_packets_total", "counter", "Packets routed through per-flow stream state (TCP)."},

@@ -75,8 +75,8 @@ type Config[F any] struct {
 	Evict func(Key, F)
 	// MaxFlows caps entries of both kinds; 0 means unlimited. An insert past
 	// the cap evicts as EvictOldest does, sparing the entry just touched. An
-	// owner that caps the table's bytes instead (Bytes) leaves it 0 and calls
-	// EvictOldest itself.
+	// owner that caps the entries' bytes instead (EntryBytes) leaves it 0 and
+	// calls EvictOldest itself.
 	MaxFlows int
 	// IdleTicks evicts entries untouched for more than this many logical
 	// clock ticks, oldest first whatever their kind; 0 disables idle
@@ -353,8 +353,8 @@ func (s *set[R]) age(r ref, now uint64) uint32 { return uint32(now) - s.at(r).la
 // instead and does what that returns (a nil husk keeps). It advances the
 // clock, moves the entry it touched to its list's front and runs eviction
 // (capacity, then a bounded idle check) before fn. fn and husk may read
-// Clock — this call's tick — and Bytes, and must not otherwise call back into
-// the table. The record fn receives stays put until it settles or is evicted.
+// Clock — this call's tick — and must not otherwise call back into the
+// table. The record fn receives stays put until it settles or is evicted.
 func (t *Table[F]) Do(key Key, fn func(*F), husk func(mark uint8) Action) (created bool) {
 	t.clock += t.cfg.Tick
 	r := t.conns.find(key)
@@ -544,10 +544,10 @@ func (t *Table[F]) Close() {
 // Len returns the number of entries, connections and husks.
 func (t *Table[F]) Len() int { return t.conns.n + t.husks.n }
 
-// Bytes returns what the entries occupy in their slabs, each at its kind's
-// size; the index and each slab's unused rest are not counted.
-func (t *Table[F]) Bytes() int {
-	return t.conns.n*int(unsafe.Sizeof(entry[F]{})) + t.husks.n*int(unsafe.Sizeof(entry[uint8]{}))
+// EntryBytes returns what one connection of a Table[F] and one husk occupy
+// in their slabs; their index slots and each slab's unused rest are apart.
+func EntryBytes[F any]() (conn, husk int) {
+	return int(unsafe.Sizeof(entry[F]{})), int(unsafe.Sizeof(entry[uint8]{}))
 }
 
 // Clock returns the logical clock: Config.Tick times the Do calls so far. A

@@ -222,11 +222,11 @@ func TestEntryFootprint(t *testing.T) {
 	}
 }
 
-// TestBytesAndEvictOldest: Bytes charges each entry at its own kind's size,
-// and EvictOldest — the one victim rule, MaxFlows's and a byte-capping
+// TestEntryBytesAndEvictOldest: EntryBytes gives each kind's entry size, and
+// EvictOldest — the one victim rule, MaxFlows's and a byte-capping
 // owner's — takes husks oldest first, then the oldest connection other than
 // the one it must keep, and reports when nothing is left to take.
-func TestBytesAndEvictOldest(t *testing.T) {
+func TestEntryBytesAndEvictOldest(t *testing.T) {
 	type record struct { // the gateway's record: 48 B, holding pointers
 		p *byte
 		_ [5]uint64
@@ -237,16 +237,16 @@ func TestBytesAndEvictOldest(t *testing.T) {
 	}
 	tb.Settle(tuple(0), 1)
 	tb.Settle(tuple(1), 1)
-	if got, want := tb.Bytes(), 2*80+2*32; got != want {
-		t.Fatalf("2 connections and 2 husks occupy %d B, want %d", got, want)
+	if conn, husk := EntryBytes[record](); conn != 80 || husk != 32 {
+		t.Fatalf("a connection occupies %d B and a husk %d B, want 80 and 32", conn, husk)
 	}
 	for i, want := range []Key{tuple(0), tuple(1), tuple(2)} { // husks, then the older connection
 		if !tb.EvictOldest(tuple(3)) || tb.Has(want) {
 			t.Fatalf("eviction %d left %v in the table", i, want)
 		}
 	}
-	if tb.EvictOldest(tuple(3)) || !tb.Has(tuple(3)) || tb.Bytes() != 80 {
-		t.Fatalf("the kept connection was evicted, or something else remains (%d B)", tb.Bytes())
+	if tb.EvictOldest(tuple(3)) || !tb.Has(tuple(3)) || tb.Len() != 1 {
+		t.Fatalf("the kept connection was evicted, or something else remains (%d entries)", tb.Len())
 	}
 	if st := tb.Stats(); st.EvictedCap != 3 {
 		t.Fatalf("%d capacity evictions counted, want 3", st.EvictedCap)

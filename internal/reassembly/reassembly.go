@@ -94,12 +94,14 @@ const (
 	EventFinished
 )
 
-// Budget is the held-bytes account of many streams with one owner, whose
-// goroutine alone writes it; Used, the payload held, may be read from any.
-// A Config whose Budget is nil has no account and no cap across streams.
+// Budget is the memory account of many streams with one owner, whose
+// goroutine alone writes it: held segments are charged at cost, beside
+// whatever else the owner charges to the same memory. Used, the payload
+// held, may be read from any goroutine. A Config whose Budget is nil has no
+// account and no cap across streams; the methods want a non-nil Budget.
 type Budget struct {
 	max  int64
-	cost int64        // held bytes at cost
+	cost int64        // everything charged: the owner's and held bytes at cost
 	used atomic.Int64 // held payload bytes
 }
 
@@ -107,17 +109,18 @@ type Budget struct {
 // descriptor in the held list.
 const segCost = int(unsafe.Sizeof(seg{}))
 
-// NewBudget returns a budget allowing max bytes held at cost.
+// NewBudget returns a budget allowing max bytes charged.
 func NewBudget(max int) *Budget { return &Budget{max: int64(max)} }
 
-// SetMax moves the cap for later reservations, for an owner that charges
-// more than held bytes to the same memory.
-func (b *Budget) SetMax(max int) { b.max = int64(max) }
+// Charge adds n bytes (negative n returns them) the owner keeps beside the
+// held segments, which leaves them that much less room.
+func (b *Budget) Charge(n int) { b.cost += int64(n) }
 
 // Used returns the payload bytes currently held.
 func (b *Budget) Used() int { return int(b.used.Load()) }
 
-// Cost returns what the held bytes are charged: payload plus segCost each.
+// Cost returns everything charged: the owner's bytes, and the held bytes at
+// payload plus segCost each.
 func (b *Budget) Cost() int { return int(b.cost) }
 
 // reserve charges n payload bytes in segs more held segments, if they fit.

@@ -349,6 +349,16 @@ func TestSharedBudget(t *testing.T) {
 	if _, _, r := feed(t, s2, 11, "bbbb", 0, 2); r.Buffered != 4 {
 		t.Fatalf("post-release reserve: %+v", r)
 	}
+	// What the owner charges beside the held bytes leaves them less room.
+	s2.Release()
+	b.Charge(3 + segCost)
+	if _, _, r := feed(t, s2, 11, "bbbb", 0, 3); r.Dropped != 4 || b.Cost() != 3+segCost {
+		t.Fatalf("owner's charge not enforced: %+v, cost %d", r, b.Cost())
+	}
+	b.Charge(-3)
+	if _, _, r := feed(t, s2, 11, "bbbb", 0, 4); r.Buffered != 4 {
+		t.Fatalf("a returned charge left no room: %+v", r)
+	}
 }
 
 // TestFinCompletesStream: a FIN ahead of a gap completes the stream only

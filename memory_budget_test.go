@@ -7,6 +7,7 @@ package dpi
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,9 +144,19 @@ func (f *budgetFlood) run(gw *Gateway, check func(phase string)) {
 	f.round(2, f.rounds[0], len(f.tuples))
 }
 
-// laneCharge is what a lane has charged its share: its table's entries and
-// its held bytes at cost.
-func (ln *gwLane) laneCharge() int { return ln.table.Bytes() + ln.asm.Budget.Cost() }
+// laneCharge is what a lane has charged its share and, of that, its held
+// bytes at cost, after checking that its account tracks its table: less its
+// connections' entries, the account is the held payload plus a 32 B
+// descriptor a held segment.
+func (ln *gwLane) laneCharge(t testing.TB) (charge, held int) {
+	t.Helper()
+	st := ln.table.Stats()
+	held, payload := ln.asm.Budget.Cost()-(st.Live-st.Husks)*ConnEntry, ln.asm.Budget.Used()
+	if held < payload || (held-payload)%32 != 0 || (held == 0) != (payload == 0) {
+		t.Fatalf("the account is %d B over %d connections, holding %d B of payload", ln.asm.Budget.Cost(), st.Live-st.Husks, payload)
+	}
+	return ln.charge(), held
+}
 
 // TestChaosSoakMemoryBudget: on one lane and on 2 × 2, a budget of 200
 // connections takes a SYN flood, hole stuffing on the flood's survivors, a
@@ -182,7 +193,7 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 				pos := map[FiveTuple]int{}
 				isHusk := map[FiveTuple]bool{}
 				gw.eachLane(func(ln *gwLane) {
-					if got := ln.laneCharge(); got > ln.share+ConnEntry {
+					if got, _ := ln.laneCharge(t); got > ln.share+ConnEntry {
 						t.Fatalf("%s: a lane charged %d B against its %d B share", phase, got, ln.share)
 					}
 					ln.table.Range(func(tup FiveTuple, fl *gwFlow) { pos[tup] = fl.regs.Pos() })
@@ -281,7 +292,7 @@ func TestHeapWithinBudget(t *testing.T) {
 		st := gw.Stats()
 		var charged, held, scratch int
 		gw.eachLane(func(ln *gwLane) {
-			charged, held = ln.laneCharge(), ln.asm.Budget.Cost()
+			charged, held = ln.laneCharge(t)
 			scratch = cap(ln.matches) * int(unsafe.Sizeof(ac.Match{}))
 		})
 		terms := []struct {
@@ -314,4 +325,46 @@ func TestHeapWithinBudget(t *testing.T) {
 	}
 	f.run(gw, check)
 	t.Logf("%d packets, %d matches: the heap peaked at %.2f of its ceiling, after the %s", f.sent, matches.Load(), worst, worstPhase)
+}
+
+// TestHeldBytesPushOutHusks: a lane whose share is full of husks still holds
+// an out-of-order segment of a live connection, and makes the room by
+// evicting husks. Held bytes may take what the lane's connections leave;
+// husks, which cost nothing to lose, give way to them.
+func TestHeldBytesPushOutHusks(t *testing.T) {
+	m := budgetRules(t)
+	c := newCollector()
+	const budget = 4096
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, GapTimeout: -1, MemoryBudget: budget}, c.emit)
+	defer gw.Close()
+	send := func(tup FiveTuple, seq uint32, flags TCPFlags, payload string) {
+		t.Helper()
+		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := footprintTuple(0)
+	send(live, 100, FlagSYN, "")
+	send(live, 101, 0, "..nee")
+	for i := 1; i <= budget/HuskEntry; i++ { // more finished connections than the share holds husks
+		send(footprintTuple(i), 0, FlagSYN, "")
+		send(footprintTuple(i), 1, FlagFIN, "")
+	}
+	gw.Flush()
+	full := gw.Stats()
+	if room := budget - ConnEntry - full.FlowHusks*HuskEntry; room >= ConnEntry || full.FlowsEvicted == 0 {
+		t.Fatalf("the husks should fill the share: %d B left, %+v", room, full)
+	}
+	held := strings.Repeat(".", 200)
+	send(live, 110, 0, held) // behind a 4-byte hole
+	gw.Flush()
+	st := gw.Stats()
+	if st.ReassemblyDrops != 0 || st.BufferedBytes != len(held) || st.FlowHusks >= full.FlowHusks {
+		t.Fatalf("the segment should be held and husks evicted for it: %+v", st)
+	}
+	send(live, 106, 0, "dle.")
+	gw.Flush()
+	if got := c.byTuple[live]; len(got) != 1 || !gw.Stats().Ledger().Balanced() {
+		t.Fatalf("the live flow's straddling signature: %d matches, want 1", len(got))
+	}
 }
