@@ -278,8 +278,11 @@ type GatewayConfig struct {
 	// MemoryBudget caps, in bytes, what flows are charged. Every lane owns the
 	// flows pinned to it and a share of ceil(MemoryBudget/lanes), lanes being
 	// EngineShards × StreamWorkers, charged 80 B a connection, 32 B a husk (a
-	// connection ended by FIN or quarantine) and its held out-of-order bytes
-	// plus 32 B a segment. A segment that does not fit what the connections
+	// connection ended by FIN or quarantine) and its held out-of-order
+	// segments at what stays resident plus 32 B each: under FirstWins a
+	// segment longer than the ruleset's longest pattern is folded to that
+	// many bytes, its end registers and 8 B per later match (OPERATIONS.md,
+	// "What the budget buys"). A segment that does not fit what the connections
 	// leave drops its bytes furthest ahead; after each packet a lane over
 	// its share evicts its oldest husk, or with none its least-recently-
 	// active connection but the packet's own. Index slots and the slab

@@ -204,11 +204,12 @@ func (ln *gwLane) emitMatches(gen *gwGeneration, p *seqPacket, idx int, ms []ac.
 	}
 }
 
-// scan writes one in-order chunk through the flow's registers into the
-// lane's scratch and emits what it completed.
-func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, chunk []byte) {
-	ln.matches = fl.gen.m.machine.ScanAppend(&fl.regs, chunk, ln.matches[:0])
-	ln.n[cEngStreamBytes].Add(uint64(len(chunk)))
+// scan runs n in-order stream bytes through the flow's registers into the
+// lane's scratch and emits what they completed: data is the bytes, or the
+// fold of them reassembly held (see ingest).
+func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, data []byte, n int) {
+	ln.matches = fl.gen.m.machine.Resume(&fl.regs, data, n, ln.matches[:0])
+	ln.n[cEngStreamBytes].Add(uint64(n))
 	if len(ln.matches) > 0 {
 		ln.emitMatches(fl.gen, p, int(fl.ruleIdx), ln.matches)
 	}
@@ -257,7 +258,7 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	if p.flags&FlagSeq == 0 {
 		// Pre-reassembly semantics: the feed vouches for ordering and the
 		// bytes append at the flow's current stream position.
-		fl.scan(ln, &p, p.payload)
+		fl.scan(ln, &p, p.payload, len(p.payload))
 		ln.n[cScannedBytes].Add(uint64(len(p.payload)))
 		if p.flags&FlagFIN != 0 {
 			ln.n[cFlowsFinished].Add(1)
@@ -276,10 +277,19 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	if p.flags&FlagSYN != 0 {
 		rf |= reassembly.SYN
 	}
-	res := fl.asm.Segment(&ln.asm, p.seq32, p.payload, rf, tick,
-		func(chunk []byte, skipped int) {
+	// A held piece is scanned as it is held, on the flow's own automaton,
+	// and keeps only what a later scan of it could still change; scan
+	// resumes it from the true registers when its hole fills.
+	m := fl.gen.m.machine
+	fold := reassembly.Fold{Keep: m.Depth(), Encode: func(piece []byte) []byte {
+		var form []byte
+		form, ln.matches = m.Fold(piece, ln.matches[:0])
+		return form
+	}}
+	res := fl.asm.Segment(&ln.asm, p.seq32, p.payload, rf, tick, &fold,
+		func(data []byte, n, skipped int) {
 			fl.regs.SkipAhead(skipped)
-			fl.scan(ln, &p, chunk)
+			fl.scan(ln, &p, data, n)
 		})
 	ln.n[cReassembledBytes].Add(uint64(res.Delivered))
 	ln.n[cScannedBytes].Add(uint64(res.Delivered))

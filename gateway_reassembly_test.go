@@ -8,6 +8,7 @@ package dpi
 // mid-gap under race, and the Flush/Ingest serialization guard.
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -86,7 +87,12 @@ func ingestWorkload(t testing.TB, gw *Gateway, w *traffic.FlowWorkload) {
 // FindAll oracle (same (End, PatternID) sequence — retransmissions are
 // exact copies, so the policies agree), verdict-gated flows are never
 // scanned, and every rule-attributed match points at a rule whose header
-// matches the tuple. Running the identical workloads at shards ∈ {1, 2, 4}
+// matches the tuple. Two FirstWins cases hold segments of 3·D bytes, D the
+// longest pattern, on sparse bytes, so reassembly folds them: one in the
+// reorder-retx shape, and one under the default GapTimeout that loses a
+// segment of a few flows for good, so the gap skip lands on a folded
+// segment — there the oracle is FindAll before the hole, and after it from
+// start-of-stream registers. Running the identical workloads at shards ∈ {1, 2, 4}
 // is the sharding equivalence proof: the fan-out across engine replicas
 // must be invisible in every per-flow result and every global counter — and
 // the cross with every registered scan backend proves backend selection is
@@ -116,21 +122,27 @@ func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards
 			Header: HeaderRule{Proto: ProtoTCP, DstPorts: PortRange{Lo: 80, Hi: 80}}},
 	}
 	const flows = 24
+	folding := 3 * m.machine.Depth()
 	cases := []struct {
-		window  int
-		retrans float64
-		pol     OverlapPolicy
+		window   int
+		retrans  float64
+		pol      OverlapPolicy
+		segBytes int
+		profile  traffic.Profile
+		lose     bool // segment 1 of two scanned flows, every copy: a gap the default GapTimeout skips
 	}{
-		{0, 0, FirstWins}, // in-order baseline through the reassembly path
-		{2, 0.5, FirstWins},
-		{4, 1.5, LastWins},
-		{6, 1, FirstWins},
-		{3, 2, LastWins},
+		{0, 0, FirstWins, 120, traffic.Textual, false}, // in-order baseline through the reassembly path
+		{2, 0.5, FirstWins, 120, traffic.Textual, false},
+		{4, 1.5, LastWins, 120, traffic.Textual, false},
+		{6, 1, FirstWins, 120, traffic.Textual, false},
+		{3, 2, LastWins, 120, traffic.Textual, false},
+		{6, 4, FirstWins, folding, traffic.Uniform, false},
+		{2, 1, FirstWins, folding, traffic.Uniform, true},
 	}
 	for trial, tc := range cases {
 		w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
-			Flows: flows, SegmentsPerFlow: 7, SegmentBytes: 120, Seed: int64(100 + trial),
-			CrossDensity: 1.5, AttackDensity: 1, Profile: traffic.Textual,
+			Flows: flows, SegmentsPerFlow: 7, SegmentBytes: tc.segBytes, Seed: int64(100 + trial),
+			CrossDensity: 1.5, AttackDensity: 1, Profile: tc.profile,
 			Sequenced: true, ReorderWindow: tc.window, RetransmitDensity: tc.retrans,
 		})
 		if err != nil {
@@ -151,7 +163,18 @@ func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards
 				vmu.Unlock()
 			},
 		}, c.emit)
-		ingestWorkload(t, gw, w)
+		lost := map[int][2]int{} // flow → the stream bytes [lo, hi) it never delivers
+		if tc.lose {
+			var scanned []int
+			for f, tuple := range w.Tuples {
+				if tuple.SrcPort < 1024 || tuple.SrcPort > 1029 {
+					scanned = append(scanned, f)
+				}
+			}
+			lost = loseAndSkip(t, gw, w, tc.segBytes, scanned[0], scanned[len(scanned)/2])
+		} else {
+			ingestWorkload(t, gw, w)
+		}
 		if err := gw.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -168,6 +191,14 @@ func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards
 				continue
 			}
 			want := m.FindAll(w.Streams[f])
+			hole, skipped := lost[f]
+			if skipped {
+				want = m.FindAll(w.Streams[f][:hole[0]])
+				for _, mt := range m.FindAll(w.Streams[f][hole[1]:]) {
+					mt.Start, mt.End = mt.Start+hole[1], mt.End+hole[1]
+					want = append(want, mt)
+				}
+			}
 			if !sameMatchSeq(c.matches(tuple), want) {
 				t.Fatalf("trial %d (window=%d retrans=%.1f %v): flow %d diverged from oracle: got %d matches, want %d\ngot  %+v\nwant %+v",
 					trial, tc.window, tc.retrans, tc.pol, f, len(got), len(want), got, want)
@@ -183,7 +214,7 @@ func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards
 				reported[[2]int{mt.PatternID, mt.End}] = true
 			}
 			for _, pl := range w.Planted[f] {
-				if !reported[[2]int{int(pl.PatternID), pl.End}] {
+				if !reported[[2]int{int(pl.PatternID), pl.End}] && !skipped {
 					t.Fatalf("trial %d flow %d: planted pattern %d ending at %d (cross=%v) unreported",
 						trial, f, pl.PatternID, pl.End, pl.CrossPacket)
 				}
@@ -208,8 +239,12 @@ func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards
 		if st.FlowsFinished != flows-6 {
 			t.Errorf("trial %d: %d flows finished via FIN, want %d", trial, st.FlowsFinished, flows-6)
 		}
-		if st.ReassemblyDrops != 0 || st.GapSkips != 0 {
-			t.Errorf("trial %d: lossless workload dropped/skipped: %+v", trial, st)
+		skippedBytes := 0
+		for _, hole := range lost {
+			skippedBytes += hole[1] - hole[0]
+		}
+		if st.ReassemblyDrops != 0 || st.GapSkips != uint64(len(lost)) || st.GapSkippedBytes != uint64(skippedBytes) {
+			t.Errorf("trial %d: %d flows lost %d bytes, and the gateway dropped/skipped: %+v", trial, len(lost), skippedBytes, st)
 		}
 		if st.EngineShards != engineShards {
 			t.Errorf("trial %d: Stats reports %d engine shards, want %d", trial, st.EngineShards, engineShards)
@@ -252,6 +287,51 @@ func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards
 		}
 		vmu.Unlock()
 	}
+}
+
+// loseAndSkip ingests w but for every copy of segment 1 of each of the
+// flows named, so those flows hold what follows it, and checks that they
+// hold it folded, in fewer bytes than the stream bytes they stand for. Then
+// it retransmits each such flow's last segment until the default GapTimeout
+// has passed on every lane: each flow skips its gap, landing on its first
+// folded segment, and drains to its FIN. It reports the bytes each flow
+// never delivered.
+func loseAndSkip(t *testing.T, gw *Gateway, w *traffic.FlowWorkload, segBytes int, flows ...int) map[int][2]int {
+	t.Helper()
+	lost, last := map[int][2]int{}, map[int]traffic.FlowPacket{}
+	for _, f := range flows {
+		lost[f] = [2]int{segBytes, 2 * segBytes}
+	}
+	for _, p := range w.Packets {
+		if _, lose := lost[p.FlowID]; lose && p.Seq == 1 {
+			if !bytes.Equal(p.Payload, w.Streams[p.FlowID][segBytes:2*segBytes]) {
+				t.Fatalf("flow %d's segment 1 is not stream bytes [%d, %d)", p.FlowID, segBytes, 2*segBytes)
+			}
+			continue
+		}
+		if p.Last {
+			last[p.FlowID] = p
+		}
+		if err := gw.Ingest(GatewayPacket{Tuple: p.Tuple, Seq: p.TCPSeq, Flags: TCPFlags(p.Flags), Payload: p.Payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gw.Flush()
+	cost, held := 0, 0
+	gw.rangeFlows(func(_ FiveTuple, fl *gwFlow) { cost, held = cost+fl.asm.HeldCost(), held+fl.asm.HeldBytes() })
+	if held == 0 || cost >= held {
+		t.Fatalf("the stalled flows hold %d stream bytes at a cost of %d: nothing folded", held, cost)
+	}
+	timeout := GatewayConfig{}.withDefaults().GapTimeout
+	for range timeout + 1 {
+		for _, f := range flows {
+			p := last[f]
+			if err := gw.Ingest(GatewayPacket{Tuple: p.Tuple, Seq: p.TCPSeq, Flags: TCPFlags(p.Flags), Payload: p.Payload}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return lost
 }
 
 // TestGatewayRetransmitConflictPolicies pins the end-to-end consequence of
@@ -352,11 +432,15 @@ func TestGatewayGapSkipResumption(t *testing.T) {
 	}
 }
 
-// TestGatewayBufferCapPressure: a flow whose out-of-order buffer exceeds
-// MaxFlowBuffer sheds the furthest bytes (accounted as ReassemblyDrops)
-// instead of growing without bound, and the lane's budget drains to zero
-// when the gateway closes. The cap is 64 payload bytes in one held segment,
-// at cost.
+// TestGatewayBufferCapPressure: a flow whose out-of-order bytes cost more
+// than MaxFlowBuffer sheds the furthest of them (accounted as
+// ReassemblyDrops) instead of growing without bound, and the lane's budget
+// drains to zero when the gateway closes. The 128 held bytes carry "needle"
+// near their start. Held whole (LastWins), a cap of 64 bytes and one
+// descriptor keeps the first 64 and the needle. Folded (FirstWins), they
+// cost 22 B — the 6-byte prefix, the registers and one match — and all fit;
+// under a cap too small for that, the fold is cut back to its prefix and the
+// rest is shed, the needle with it.
 func TestGatewayBufferCapPressure(t *testing.T) {
 	rules := NewRuleset()
 	rules.MustAdd("sig", []byte("needle"))
@@ -364,41 +448,48 @@ func TestGatewayBufferCapPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{
-		StreamWorkers: 1, MaxFlowBuffer: 64 + 32, GapTimeout: -1,
-	}, c.emit)
-	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
-	if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 0, Flags: FlagSYN | FlagSeq}); err != nil {
-		t.Fatal(err)
-	}
-	// 128 out-of-order bytes against a 64-byte cap, closest-first plants:
-	// "needle" sits in the first 64 held bytes and must survive.
-	payload := make([]byte, 128)
-	copy(payload, "..needle..")
-	if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 1 + 8, Flags: FlagSeq, Payload: payload}); err != nil {
-		t.Fatal(err)
-	}
-	gw.Flush()
-	st := gw.Stats()
-	if st.ReassemblyDrops != 64 {
-		t.Fatalf("ReassemblyDrops = %d, want the 64 bytes over the cap", st.ReassemblyDrops)
-	}
-	if st.BufferedBytes != 64 {
-		t.Fatalf("BufferedBytes = %d, want 64 held", st.BufferedBytes)
-	}
-	// Fill the hole: the surviving closest bytes (with the plant) scan.
-	if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 1, Flags: FlagSeq, Payload: []byte("12345678")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.byTuple[tup]; len(got) != 1 || got[0].End != 16 {
-		t.Fatalf("matches = %+v, want the surviving needle ending at 16", got)
-	}
-	if st := gw.Stats(); st.BufferedBytes != 0 {
-		t.Fatalf("budget leaked %d bytes after Close", st.BufferedBytes)
+	for _, tc := range []struct {
+		pol            OverlapPolicy
+		capBytes       int
+		dropped, held  int
+		wantNeedleAt16 bool
+	}{
+		{LastWins, 64 + 32, 64, 64, true},
+		{FirstWins, 64 + 32, 0, 128, true},
+		{FirstWins, 16 + 32, 122, 6, false},
+	} {
+		c := newCollector()
+		gw := testGateway(t, m, GatewayConfig{
+			StreamWorkers: 1, MaxFlowBuffer: tc.capBytes, GapTimeout: -1, OverlapPolicy: tc.pol,
+		}, c.emit)
+		tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
+		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 0, Flags: FlagSYN | FlagSeq}); err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, 128)
+		copy(payload, "..needle..")
+		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 1 + 8, Flags: FlagSeq, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		gw.Flush()
+		if st := gw.Stats(); st.ReassemblyDrops != uint64(tc.dropped) || st.BufferedBytes != tc.held {
+			t.Fatalf("%v, cap %d: ReassemblyDrops = %d and BufferedBytes = %d, want %d shed and %d held",
+				tc.pol, tc.capBytes, st.ReassemblyDrops, st.BufferedBytes, tc.dropped, tc.held)
+		}
+		// Fill the hole: what survived scans.
+		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 1, Flags: FlagSeq, Payload: []byte("12345678")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := gw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got := c.byTuple[tup]
+		if tc.wantNeedleAt16 && (len(got) != 1 || got[0].End != 16) || !tc.wantNeedleAt16 && len(got) != 0 {
+			t.Fatalf("%v, cap %d: matches = %+v, want the needle ending at 16: %v", tc.pol, tc.capBytes, got, tc.wantNeedleAt16)
+		}
+		if st := gw.Stats(); st.BufferedBytes != 0 || !st.Ledger().Balanced() {
+			t.Fatalf("%v, cap %d: after Close %+v", tc.pol, tc.capBytes, st)
+		}
 	}
 }
 
@@ -743,6 +834,19 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 	// ISN 0xFFFFFFF4: the first segment sent, [10,16), straddles 2^32 and is
 	// held, and so is [16,20) past the wrap.
 	f.Add([]byte("zzneedlezzabczzhaystackzz"), []byte{5, 3}, uint64(0xFFFFFFF400000001), false, false)
+	// 40-byte segments, five times fuzzMatcher's depth, sent last first:
+	// both later ones are held folded. A needle and a haystack straddle
+	// the first held segment's fold point, 8 bytes in; a haystack
+	// straddles the second's.
+	f.Add([]byte("0123456789012345678901234567890123456789"+
+		"xxxxxneedlexxxxxxxxxxxxxxxxxxxxhaystack."+
+		"abhaystack...................zz........."), []byte{39}, uint64(0x7FFFFFF000000001), false, false)
+	// The same, with a needle across the held segments' boundary: the
+	// second one's prefix is rescanned from registers the first one's
+	// fold left.
+	f.Add([]byte("0123456789012345678901234567890123456789"+
+		"....................................nee"+
+		"dle.haystack..........................z."), []byte{39}, uint64(0x7FFFFFF000000001), false, false)
 	f.Fuzz(func(t *testing.T, stream []byte, cuts []byte, order uint64, lastWins, pureFin bool) {
 		if len(stream) == 0 || len(stream) > 2048 {
 			t.Skip()

@@ -277,7 +277,8 @@ func (g *Gateway) Stats() GatewayStats {
 	return s
 }
 
-// bufferedBytes sums the payload the lanes' flows hold out of order.
+// bufferedBytes sums the stream bytes the lanes' flows hold out of order,
+// folded or not: the ledger's unit, not what holding them costs.
 func (g *Gateway) bufferedBytes() (n int) {
 	for _, ln := range g.lanes {
 		n += ln.asm.Budget.Used()

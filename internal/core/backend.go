@@ -14,6 +14,7 @@ package core
 // pulled into the oracle proofs automatically.
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/ac"
@@ -177,6 +178,102 @@ func (m *Machine) DefaultBackend() string { return scanBackends[m.kind].name }
 // shared and immutable; r belongs to one goroutine at a time.
 func (m *Machine) ScanAppend(r *Regs, data []byte, out []ac.Match) []ac.Match {
 	return m.scanAs(m.kind, r, data, out)
+}
+
+// Depth is D, the longest pattern's length. A scan's state after D bytes is
+// the longest suffix of those bytes that spells a trie path, whatever state
+// the scan started in: no trie path is longer. So from there on its states
+// and matches no longer depend on where it started, nor, once it has also
+// seen two bytes, its history. Fold and Resume rest on that. Zero on a
+// hand-assembled machine, which folds nothing.
+func (m *Machine) Depth() int { return m.depth }
+
+// The resident form of a folded piece, after its first Depth() bytes: the
+// state and history the piece ends in, then each later match as its end,
+// relative to the piece, and its pattern ID, every word 4 bytes little-endian.
+const (
+	foldRegs  = 8
+	foldMatch = 8
+)
+
+// deepest is t's deepest state, the end of its longest pattern: the first
+// of them in state order.
+func deepest(t *ac.Trie) int32 {
+	s := ac.Root
+	for i, nd := range t.Nodes {
+		if nd.Depth > t.Nodes[s].Depth {
+			s = int32(i)
+		}
+	}
+	return s
+}
+
+// Fold scans piece on its own, from invalidated registers, and returns the
+// piece's resident form: its first Depth() bytes, the registers the scan
+// ends in, and every match it found ending past Depth(). Resume later
+// continues a stream over the form as if over piece: only the prefix needs
+// the stream's true registers, since the rest of the scan is the same from
+// any start. Fold returns nil, allocating nothing, when piece is no longer
+// than Depth() or its form would not be shorter than piece — the caller
+// then keeps piece whole. The form is one allocation; scratch is the scan's
+// match buffer, returned for reuse.
+func (m *Machine) Fold(piece []byte, scratch []ac.Match) ([]byte, []ac.Match) {
+	return m.foldAs(m.kind, piece, scratch, len(piece))
+}
+
+// foldAs is Fold on an explicit backend, keeping forms shorter than limit.
+func (m *Machine) foldAs(k backendKind, piece []byte, scratch []ac.Match, limit int) ([]byte, []ac.Match) {
+	d := m.depth
+	if d == 0 || len(piece) <= d {
+		return nil, scratch
+	}
+	var r Regs
+	r.Reset()
+	scratch = m.scanAs(k, &r, piece, scratch[:0])
+	later := scratch
+	for len(later) > 0 && later[0].End <= d { // the prefix's matches: Resume rescans them
+		later = later[1:]
+	}
+	size := d + foldRegs + foldMatch*len(later)
+	if size >= limit {
+		return nil, scratch
+	}
+	form := make([]byte, size)
+	copy(form, piece[:d])
+	le := binary.LittleEndian
+	le.PutUint32(form[d:], uint32(r.state))
+	le.PutUint32(form[d+4:], r.hist)
+	for i, mt := range later {
+		at := d + foldRegs + foldMatch*i
+		le.PutUint32(form[at:], uint32(mt.End))
+		le.PutUint32(form[at+4:], uint32(mt.PatternID))
+	}
+	return form, scratch
+}
+
+// Resume continues the stream at r over a piece of n bytes held as resident:
+// Fold's form of it on this machine, or the piece itself when len(resident)
+// == n. It rescans the form's prefix from r, then takes the registers the
+// fold ended in, moves the position to the piece's end and appends the
+// fold's later matches at their absolute ends: the registers and matches a
+// scan of the whole piece from r gives.
+func (m *Machine) Resume(r *Regs, resident []byte, n int, out []ac.Match) []ac.Match {
+	return m.resumeAs(m.kind, r, resident, n, out)
+}
+
+// resumeAs is Resume on an explicit backend.
+func (m *Machine) resumeAs(k backendKind, r *Regs, resident []byte, n int, out []ac.Match) []ac.Match {
+	if len(resident) == n {
+		return m.scanAs(k, r, resident, out)
+	}
+	d, start := m.depth, r.pos
+	out = m.scanAs(k, r, resident[:d], out)
+	le := binary.LittleEndian
+	r.state, r.hist, r.pos = int32(le.Uint32(resident[d:])), le.Uint32(resident[d+4:]), start+n
+	for b := resident[d+foldRegs:]; len(b) >= foldMatch; b = b[foldMatch:] {
+		out = append(out, ac.Match{PatternID: int32(le.Uint32(b[4:])), End: start + int(le.Uint32(b))})
+	}
+	return out
 }
 
 // scanAs is ScanAppend on an explicit backend. The two dispatchers are

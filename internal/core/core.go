@@ -302,6 +302,9 @@ type Machine struct {
 	// out is the match memory, shared with the baked Program like stored.
 	out   outputTable
 	Stats BuildStats
+	// depth is the longest pattern's length, D: see Depth. It is kept
+	// here, not in Stats, which the build fingerprint pins.
+	depth int
 
 	// prog is the baked scan kernel, nil only when the configured backend
 	// is reference or the machine was hand-assembled.
@@ -332,7 +335,7 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{backend: opts.Backend, generation: nextGeneration()}
+	m := &Machine{backend: opts.Backend, generation: nextGeneration(), depth: int(trie.Nodes[deepest(trie)].Depth)}
 	ft := newFailTree(trie)
 	defaults := selectDefaults(trie, ft, d2PerChar, &m.Stats)
 	if m.stored, m.rows, err = compress(trie, ft, defaults, &m.Stats); err != nil {

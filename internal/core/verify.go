@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -17,7 +18,7 @@ import (
 // (verifyProgram), the match memory against the output chains
 // (verifyOutputs), the prefilter's no-false-negative contract
 // (verifySuperset), and every backend's scan of the payloads against the
-// DFA's (verifyScan).
+// DFA's (verifyScan), and its fold of them (verifyFold).
 func (m *Machine) Verify(t *ac.Trie, payloads [][]byte) error {
 	parts := []func(*ac.Trie) error{m.verifyTransitions, m.verifyOutputs}
 	if m.prog != nil {
@@ -253,7 +254,8 @@ func (m *Machine) verifyOutputs(t *ac.Trie) error {
 // machine supports (Backends: reference, baked, prefiltered, …) is run
 // against the oracle, so a layout bug in one kernel cannot hide behind
 // another implementation's semantics. A backend added to the registry is
-// pulled into this proof automatically.
+// pulled into this proof automatically. It then proves the fold on the
+// same backends (verifyFold).
 func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
 	backends := m.Backends()
 	for i, p := range payloads {
@@ -267,6 +269,52 @@ func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
 			if !ac.MatchesEqual(got, want) {
 				return fmt.Errorf("core: payload %d (%d bytes): backend %s found %d matches, DFA %d",
 					i, len(p), name, len(got), len(want))
+			}
+		}
+	}
+	return m.verifyFold(t, payloads)
+}
+
+// verifyFold proves Fold and Resume on every backend the machine supports.
+// Depth must be t's longest pattern, the premise of the fold. Then each
+// piece — every payload, t's longest pattern spelled twice over and the
+// same pattern less its last byte, so a pattern straddles the fold point
+// whatever the payloads — is folded, and resumed from the registers each
+// piece's own scan ends in: that must leave exactly the registers, and
+// append exactly the matches, that scanning the piece on from there does.
+// Forms are kept here even where Fold would keep the piece whole, so every
+// piece longer than Depth is proved.
+func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
+	s := deepest(t)
+	if d := int(t.Nodes[s].Depth); m.depth != d {
+		return fmt.Errorf("core: the machine folds after %d bytes, its longest pattern has %d", m.depth, d)
+	}
+	longest := make([]byte, m.depth)
+	for i := len(longest) - 1; i >= 0; i, s = i-1, t.Nodes[s].Parent {
+		longest[i] = t.Nodes[s].Char
+	}
+	pieces := append(slices.Clip(payloads), append(slices.Clone(longest), longest...), longest[:max(len(longest)-1, 0)])
+	for k, spec := range scanBackends {
+		if !spec.available(m) {
+			continue
+		}
+		kind := backendKind(k)
+		for i, p := range pieces {
+			form, _ := m.foldAs(kind, p, nil, math.MaxInt)
+			if form == nil || len(form) == len(p) { // one as long as its piece would read as the piece
+				continue
+			}
+			for j, q := range pieces {
+				var from Regs
+				from.Reset()
+				m.scanAs(kind, &from, q, nil)
+				want, got := from, from
+				wantM := m.scanAs(kind, &want, p, nil)
+				gotM := m.resumeAs(kind, &got, form, len(p), nil)
+				if got != want || !slices.Equal(gotM, wantM) {
+					return fmt.Errorf("core: backend %s: piece %d (%d bytes) folded and resumed after piece %d ends in %+v with %d matches, scanned whole in %+v with %d",
+						spec.name, i, len(p), j, got.registers(), len(gotM), want.registers(), len(wantM))
+				}
 			}
 		}
 	}

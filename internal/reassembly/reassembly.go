@@ -8,8 +8,8 @@
 //
 // One Cursor holds one direction of one connection. Segments arrive tagged
 // with their absolute TCP sequence number; in-order bytes are delivered to
-// the caller immediately, out-of-order bytes are buffered (bounded per
-// flow and, via a shared Budget, per owner) until the hole fills. The cursor
+// the caller immediately, out-of-order bytes are held (bounded per flow and,
+// via a shared Budget, per owner) until the hole fills. The cursor
 // keeps its place in sequence space — the next in-order byte's sequence
 // number, held segments keyed by theirs, every distance a signed 32-bit
 // difference — so initial sequence numbers near 2^32 work unchanged, and a
@@ -23,6 +23,17 @@
 // new connection starts from a zero Cursor. A Stream is a Cursor bundled with
 // its own Config, for a caller with no table of flows to share one.
 //
+// A held segment is its sequence number, its length and its resident bytes.
+// Those are the payload itself, or — when the caller passes a Fold — what
+// its scanner still needs of it: the caller scans the piece as it is held
+// and keeps its first D bytes (D the longest pattern), the registers the
+// scan ends in and the matches past D, which the cursor stores without
+// reading and hands back when the piece drains. The caller then rescans the
+// D bytes from the stream's true registers and takes the rest as stored. So
+// a reordering path costs about D bytes a held segment, not its payload.
+// Caps and budgets charge what is resident; the byte ledger (Result,
+// HeldBytes, Budget.Used) counts stream bytes, folded or not.
+//
 // Three policies keep a hostile or lossy feed from wedging the scanner:
 //
 //   - Overlap policy: when a later segment's bytes overlap data already
@@ -31,10 +42,11 @@
 //     Bytes already delivered to the scanner are immutable under either
 //     policy — delivery is the commit point.
 //   - Buffer caps: MaxFlowBytes bounds one flow's held bytes and Budget
-//     the sum across flows, both at cost: payload plus a segment's
+//     the sum across flows, both at cost: resident bytes plus a segment's
 //     descriptor. Under pressure the bytes furthest from the delivery point
 //     are dropped first (they are the least likely to become deliverable
-//     soon); a drop becomes a gap handled like loss.
+//     soon) — a folded segment is cut back to its D bytes or dropped
+//     whole; a drop becomes a gap handled like loss.
 //   - Gap timeout: when delivery has been stalled on a missing segment for
 //     GapTimeout ticks, the stream skips to the first buffered byte. The
 //     caller is told how many bytes were skipped so it can invalidate
@@ -46,6 +58,7 @@
 package reassembly
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 	"unsafe"
@@ -96,16 +109,16 @@ const (
 
 // Budget is the memory account of many streams with one owner, whose
 // goroutine alone writes it: held segments are charged at cost, beside
-// whatever else the owner charges to the same memory. Used, the payload
+// whatever else the owner charges to the same memory. Used, the stream bytes
 // held, may be read from any goroutine. A Config whose Budget is nil has no
 // account and no cap across streams; the methods want a non-nil Budget.
 type Budget struct {
 	max  int64
 	cost int64        // everything charged: the owner's and held bytes at cost
-	used atomic.Int64 // held payload bytes
+	used atomic.Int64 // held stream bytes
 }
 
-// segCost is what holding a segment costs beyond its payload: its
+// segCost is what holding a segment costs beyond its resident bytes: its
 // descriptor in the held list.
 const segCost = int(unsafe.Sizeof(seg{}))
 
@@ -116,31 +129,30 @@ func NewBudget(max int) *Budget { return &Budget{max: int64(max)} }
 // held segments, which leaves them that much less room.
 func (b *Budget) Charge(n int) { b.cost += int64(n) }
 
-// Used returns the payload bytes currently held.
+// Used returns the stream bytes currently held, folded or not.
 func (b *Budget) Used() int { return int(b.used.Load()) }
 
-// Cost returns everything charged: the owner's bytes, and the held bytes at
-// payload plus segCost each.
+// Cost returns everything charged: the owner's bytes, and the held segments
+// at their resident bytes plus segCost each.
 func (b *Budget) Cost() int { return int(b.cost) }
 
-// reserve charges n payload bytes in segs more held segments, if they fit.
-func (b *Budget) reserve(n, segs int) bool {
+// reserve charges n more held stream bytes at cost, if the cost fits.
+func (b *Budget) reserve(n, cost int) bool {
 	if b == nil {
 		return true
 	}
-	c := int64(n + segs*segCost)
-	if b.cost+c > b.max {
+	if b.cost+int64(cost) > b.max {
 		return false
 	}
-	b.cost += c
+	b.cost += int64(cost)
 	b.used.Add(int64(n))
 	return true
 }
 
-// release returns n payload bytes in segs fewer held segments (-1 for a split).
-func (b *Budget) release(n, segs int) {
+// release returns n held stream bytes at cost.
+func (b *Budget) release(n, cost int) {
 	if b != nil {
-		b.cost -= int64(n + segs*segCost)
+		b.cost -= int64(cost)
 		b.used.Add(int64(-n))
 	}
 }
@@ -150,7 +162,8 @@ type Config struct {
 	// Policy is the overlap policy for undelivered bytes.
 	Policy Policy
 	// MaxFlowBytes caps one stream's held (out-of-order) bytes at cost —
-	// payload plus a descriptor per held segment; <= 0 selects 256 KiB.
+	// resident bytes plus a descriptor per held segment; <= 0 selects
+	// 256 KiB, and a stream holds at most 2 GiB whatever it says.
 	MaxFlowBytes int
 	// Budget, when non-nil, additionally caps held bytes at cost across all
 	// streams sharing it.
@@ -165,7 +178,21 @@ func (c *Config) maxFlowBytes() int {
 	if c.MaxFlowBytes <= 0 {
 		return 256 << 10
 	}
-	return c.MaxFlowBytes
+	return min(c.MaxFlowBytes, math.MaxInt32)
+}
+
+// Fold is how a caller holds a piece in less than its bytes. A cursor given
+// one encodes each piece it holds that is longer than Keep, under
+// FirstWins — under LastWins held bytes may still be overwritten, so they
+// stay whole. Encode returns the piece's resident form, shorter than the
+// piece and beginning with its first Keep bytes, or nil to hold the piece
+// whole. The cursor never reads a form: it hands it back to deliver, with
+// the piece's length, when the piece drains, and under pressure cuts it
+// back to its first Keep bytes or drops it whole. Every call on a cursor
+// must fold the same way, or not at all.
+type Fold struct {
+	Keep   int
+	Encode func(piece []byte) []byte
 }
 
 // Result accounts one Segment call, in payload bytes. Every payload byte of
@@ -186,13 +213,21 @@ type Result struct {
 	Event     Event
 }
 
-// seg is one held out-of-order run, keyed by the sequence number of its first
-// byte. Held segs lie ahead of the delivery point, sorted by seq and
-// non-overlapping.
+// seg is one held out-of-order run of n stream bytes, keyed by the sequence
+// number of its first byte. data is what is resident: the bytes themselves,
+// or their Fold form, which is shorter. Held segs lie ahead of the delivery
+// point, sorted by seq and non-overlapping.
 type seg struct {
 	seq  uint32
+	n    uint32
 	data []byte
 }
+
+// whole is a run held as its bytes.
+func whole(seq uint32, data []byte) seg { return seg{seq: seq, n: uint32(len(data)), data: data} }
+
+// folded reports whether the run is held as a Fold form.
+func (h *seg) folded() bool { return len(h.data) < int(h.n) }
 
 // Cursor reassembles one flow direction, less its configuration: a plain
 // 16 B value a flow record can embed, whose methods take the Config every
@@ -233,13 +268,26 @@ type Stream struct {
 // outOfOrder is a cursor's state while it holds bytes, or a FIN, out of order.
 type outOfOrder struct {
 	held     []seg
-	heldBy   int    // sum of held data lengths
+	heldBy   int    // sum of held stream bytes
 	gapSince uint64 // tick+1 when delivery first stalled on the current gap
 	fin      uint32 // seq one past the last byte, when finSeen
+	resident uint32 // sum of held data lengths, at most MaxFlowBytes
 }
 
 // cost is what the held segments are charged against the caps.
-func (o *outOfOrder) cost() int { return o.heldBy + segCost*len(o.held) }
+func (o *outOfOrder) cost() int { return int(o.resident) + segCost*len(o.held) }
+
+// cut keeps the first k resident bytes of held segment h, held whole, and
+// drops the rest of its stream bytes. The kept bytes are copied so what is
+// dropped is really returned, not just uncharged (see trimHeld's remnants).
+func (o *outOfOrder) cut(cfg *Config, h *seg, k int, r *Result) {
+	n, res := int(h.n)-k, len(h.data)-k
+	*h = whole(h.seq, append([]byte(nil), h.data[:k]...))
+	o.heldBy -= n
+	o.resident -= uint32(res)
+	cfg.Budget.release(n, res)
+	r.Dropped += n
+}
 
 // consume drops the first n held segments, whose bytes have already left the
 // books: the rest move to the front and every vacated slot is zeroed, so the
@@ -253,20 +301,33 @@ func (o *outOfOrder) consume(n int) {
 // NewStream returns an empty stream with its own copy of cfg.
 func NewStream(cfg Config) *Stream { return &Stream{cfg: cfg} }
 
-// Segment is Cursor.Segment under the stream's own config.
+// Segment is Cursor.Segment under the stream's own config, holding every
+// piece whole, so each chunk delivered is stream bytes.
 func (s *Stream) Segment(seq uint32, payload []byte, flags Flags, tick uint64, deliver func(chunk []byte, skippedBefore int)) Result {
-	return s.Cursor.Segment(&s.cfg, seq, payload, flags, tick, deliver)
+	return s.Cursor.Segment(&s.cfg, seq, payload, flags, tick, nil, func(chunk []byte, _, skippedBefore int) {
+		deliver(chunk, skippedBefore)
+	})
 }
 
 // Release is Cursor.Release under the stream's own config.
 func (s *Stream) Release() int { return s.Cursor.Release(&s.cfg) }
 
-// HeldBytes returns the bytes currently buffered out of order.
+// HeldBytes returns the stream bytes currently held out of order, folded or
+// not.
 func (c *Cursor) HeldBytes() int {
 	if c.ooo == nil {
 		return 0
 	}
 	return c.ooo.heldBy
+}
+
+// HeldCost returns what the held segments are charged against the caps:
+// their resident bytes and a descriptor each.
+func (c *Cursor) HeldCost() int {
+	if c.ooo == nil {
+		return 0
+	}
+	return c.ooo.cost()
 }
 
 // Release discards all held bytes, returning them to cfg's budget, and
@@ -281,22 +342,25 @@ func (c *Cursor) Release(cfg *Config) int {
 		return 0
 	}
 	c.ooo, c.finSeen = nil, false
-	cfg.Budget.release(o.heldBy, len(o.held))
+	cfg.Budget.release(o.heldBy, o.cost())
 	return o.heldBy
 }
 
 // Segment ingests one TCP segment: seq is the sequence number of
 // payload[0] (of the SYN itself when the SYN flag is set — SYN consumes
 // one sequence number, so its payload logically starts at seq+1). deliver
-// receives contiguous in-order chunks; skippedBefore is non-zero on the
-// first chunk after a gap skip and tells the caller how many stream bytes
-// were never seen (scanner state must not carry matches across them).
-// tick is the caller's logical clock, used only for the gap timeout.
+// receives the stream in order, n bytes a call: data is those bytes when
+// len(data) == n, and fold's form of them otherwise (fold may be nil: every
+// piece is then held whole). skippedBefore is non-zero on the first chunk
+// after a gap skip and tells the caller how many stream bytes were never
+// seen (scanner state must not carry matches across them). tick is the
+// caller's logical clock, used only for the gap timeout.
 //
 // Chunks delivered in the same call reference payload directly (consume or
-// copy before the next Segment call); bytes that have to be buffered out of
-// order are copied, so the stream never retains payload's backing array.
-func (c *Cursor) Segment(cfg *Config, seq uint32, payload []byte, flags Flags, tick uint64, deliver func(chunk []byte, skippedBefore int)) Result {
+// copy before the next Segment call); bytes that have to be held out of
+// order are copied or folded, so the stream never retains payload's backing
+// array.
+func (c *Cursor) Segment(cfg *Config, seq uint32, payload []byte, flags Flags, tick uint64, fold *Fold, deliver func(data []byte, n, skippedBefore int)) Result {
 	var r Result
 	dataSeq := seq
 	if flags&SYN != 0 {
@@ -338,14 +402,14 @@ func (c *Cursor) Segment(cfg *Config, seq uint32, payload []byte, flags Flags, t
 			pieces = c.uncovered(off, data, pieces, &r)
 		} else {
 			c.trimHeld(cfg, off, off+int64(len(data)), &r)
-			pieces = append(pieces, seg{seq: c.next + uint32(off), data: data})
+			pieces = append(pieces, whole(c.next+uint32(off), data))
 		}
 		for _, p := range pieces {
 			if pOff := c.ahead(p.seq); pOff > 0 {
-				c.addPiece(cfg, pOff, p.data, &r)
+				c.addPiece(cfg, fold, pOff, p.data, &r)
 				continue
 			}
-			deliver(p.data, 0)
+			deliver(p.data, len(p.data), 0)
 			r.Delivered += len(p.data)
 			c.next += uint32(len(p.data))
 			c.drain(cfg, deliver, &r, 0)
@@ -376,7 +440,7 @@ func (c *Cursor) holding() *outOfOrder {
 // here). Each segment leaves heldBy and the budget before its bytes go to
 // deliver, and the taken segments leave held on the way out even if deliver
 // panics, so a caller that recovers sees a consistent stream.
-func (c *Cursor) drain(cfg *Config, deliver func([]byte, int), r *Result, skippedBefore int) {
+func (c *Cursor) drain(cfg *Config, deliver func([]byte, int, int), r *Result, skippedBefore int) {
 	o := c.ooo
 	if o == nil || len(o.held) == 0 || c.ahead(o.held[0].seq) > 0 {
 		return
@@ -386,12 +450,13 @@ func (c *Cursor) drain(cfg *Config, deliver func([]byte, int), r *Result, skippe
 	for n < len(o.held) && c.ahead(o.held[n].seq) <= 0 {
 		h := o.held[n]
 		n++
-		o.heldBy -= len(h.data)
-		cfg.Budget.release(len(h.data), 1)
-		deliver(h.data, skippedBefore)
+		o.heldBy -= int(h.n)
+		o.resident -= uint32(len(h.data))
+		cfg.Budget.release(int(h.n), len(h.data)+segCost)
+		deliver(h.data, int(h.n), skippedBefore)
 		skippedBefore = 0
-		r.Delivered += len(h.data)
-		c.next += uint32(len(h.data))
+		r.Delivered += int(h.n)
+		c.next += h.n
 	}
 }
 
@@ -408,31 +473,35 @@ func (c *Cursor) checkFinished(cfg *Config, r *Result, finNow bool) {
 // checkGap maintains the gap timer and, once the timeout expires, skips
 // the delivery point to the first held byte so a lost segment cannot wedge
 // the flow. The timer is armed when delivery first stalls with bytes
-// waiting and re-armed after every skip for the next gap.
-func (c *Cursor) checkGap(cfg *Config, tick uint64, deliver func([]byte, int), r *Result) {
+// waiting and re-armed after every skip for the next gap. A cursor left
+// holding nothing and no FIN drops its out-of-order state, the held list's
+// capacity with it: the state is charged to no account, so it must not
+// outlive what it held.
+func (c *Cursor) checkGap(cfg *Config, tick uint64, deliver func([]byte, int, int), r *Result) {
 	o := c.ooo
 	if o == nil { // nothing held, or the stream just completed
 		return
 	}
-	if len(o.held) == 0 {
+	if len(o.held) > 0 && o.gapSince != 0 && cfg.GapTimeout != 0 && tick+1-o.gapSince >= cfg.GapTimeout {
+		skipped := int(c.ahead(o.held[0].seq))
+		c.next = o.held[0].seq
 		o.gapSince = 0
-		return
+		r.Skipped += skipped
+		c.drain(cfg, deliver, r, skipped)
+		c.checkFinished(cfg, r, false)
+		if c.ooo == nil {
+			return
+		}
 	}
-	if o.gapSince == 0 {
-		o.gapSince = tick + 1 // +1 so tick 0 still arms the timer
-		return
-	}
-	if cfg.GapTimeout == 0 || tick+1-o.gapSince < cfg.GapTimeout {
-		return
-	}
-	skipped := int(c.ahead(o.held[0].seq))
-	c.next = o.held[0].seq
-	o.gapSince = 0
-	r.Skipped += skipped
-	c.drain(cfg, deliver, r, skipped)
-	c.checkFinished(cfg, r, false)
-	if c.ooo != nil && len(c.ooo.held) > 0 { // a further gap: arm its timer now
-		c.ooo.gapSince = tick + 1
+	switch {
+	case len(o.held) > 0:
+		if o.gapSince == 0 { // a new gap, or a further one after a skip
+			o.gapSince = tick + 1 // +1 so tick 0 still arms the timer
+		}
+	case c.finSeen:
+		o.gapSince = 0
+	default:
+		c.ooo = nil
 	}
 }
 
@@ -440,20 +509,21 @@ func (c *Cursor) checkGap(cfg *Config, tick uint64, deliver func([]byte, int), r
 // held buffer (LastWins: the new bytes will overwrite); the discarded bytes
 // count as Duplicate. The held segments the range touches are one run,
 // replaced in place by the parts that straddle its ends, so a range that
-// touches none allocates nothing.
+// touches none allocates nothing. LastWins folds nothing, so every held
+// segment here is its bytes.
 func (c *Cursor) trimHeld(cfg *Config, lo, hi int64, r *Result) {
 	o := c.ooo
 	if o == nil {
 		return
 	}
 	i := 0
-	for i < len(o.held) && c.ahead(o.held[i].seq)+int64(len(o.held[i].data)) <= lo {
+	for i < len(o.held) && c.ahead(o.held[i].seq)+int64(o.held[i].n) <= lo {
 		i++
 	}
 	j := i
 	freed := 0
 	for j < len(o.held) && c.ahead(o.held[j].seq) < hi {
-		freed += len(o.held[j].data)
+		freed += int(o.held[j].n)
 		j++
 	}
 	if i == j {
@@ -465,18 +535,19 @@ func (c *Cursor) trimHeld(cfg *Config, lo, hi int64, r *Result) {
 	// memory far past the caps.
 	var kept []seg
 	if first, at := o.held[i], c.ahead(o.held[i].seq); at < lo { // left remainder survives
-		kept = append(kept, seg{seq: first.seq, data: append([]byte(nil), first.data[:lo-at]...)})
+		kept = append(kept, whole(first.seq, append([]byte(nil), first.data[:lo-at]...)))
 	}
-	if last, at := o.held[j-1], c.ahead(o.held[j-1].seq); at+int64(len(last.data)) > hi { // right remainder survives
-		kept = append(kept, seg{seq: last.seq + uint32(hi-at), data: append([]byte(nil), last.data[hi-at:]...)})
+	if last, at := o.held[j-1], c.ahead(o.held[j-1].seq); at+int64(last.n) > hi { // right remainder survives
+		kept = append(kept, whole(last.seq+uint32(hi-at), append([]byte(nil), last.data[hi-at:]...)))
 	}
 	for _, k := range kept {
-		freed -= len(k.data)
+		freed -= int(k.n)
 	}
 	o.held = slices.Replace(o.held, i, j, kept...) // zeroes the slots it vacates
 	r.Duplicate += freed
 	o.heldBy -= freed
-	cfg.Budget.release(freed, j-i-len(kept))
+	o.resident -= uint32(freed)
+	cfg.Budget.release(freed, freed+(j-i-len(kept))*segCost)
 }
 
 // uncovered appends to pieces the parts of data — which starts off bytes past
@@ -490,7 +561,7 @@ func (c *Cursor) uncovered(off int64, data []byte, pieces []seg, r *Result) []se
 	if o := c.ooo; o != nil {
 		for _, h := range o.held {
 			hLo := c.ahead(h.seq)
-			hHi := hLo + int64(len(h.data))
+			hHi := hLo + int64(h.n)
 			if hHi <= at {
 				continue
 			}
@@ -498,24 +569,24 @@ func (c *Cursor) uncovered(off int64, data []byte, pieces []seg, r *Result) []se
 				break
 			}
 			if hLo > at {
-				pieces = append(pieces, seg{seq: c.next + uint32(at), data: data[at-off : hLo-off]})
+				pieces = append(pieces, whole(c.next+uint32(at), data[at-off:hLo-off]))
 			}
 			r.Duplicate += int(min(hHi, end) - max(hLo, at))
 			at = hHi
 		}
 	}
 	if at < end {
-		pieces = append(pieces, seg{seq: c.next + uint32(at), data: data[at-off:]})
+		pieces = append(pieces, whole(c.next+uint32(at), data[at-off:]))
 	}
 	return pieces
 }
 
 // addPiece inserts one non-overlapping piece, off bytes past the delivery
-// point, as a new held segment, enforcing the per-flow cap and the shared
-// budget at cost. Under pressure the held bytes furthest from the delivery
-// point are evicted first — but never to admit bytes that are themselves
-// further out than everything already held.
-func (c *Cursor) addPiece(cfg *Config, off int64, data []byte, r *Result) {
+// point, as a new held segment — folded, when fold takes it — enforcing the
+// per-flow cap and the shared budget at cost. Under pressure the held bytes
+// furthest from the delivery point are evicted first — but never to admit
+// bytes that are themselves further out than everything already held.
+func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Result) {
 	if c.finSeen {
 		// Bytes at or past the FIN cannot be part of this connection.
 		fin := c.ahead(c.ooo.fin)
@@ -528,65 +599,74 @@ func (c *Cursor) addPiece(cfg *Config, off int64, data []byte, r *Result) {
 			data = data[:int64(len(data))-over]
 		}
 	}
-	need := len(data)
-	if need == 0 {
+	if len(data) == 0 {
 		return
 	}
-	max := cfg.maxFlowBytes()
-	for o := c.ooo; o != nil && o.cost()+need+segCost > max && len(o.held) > 0; {
+	form := data // what holding the piece keeps: its bytes, or its fold
+	if fold != nil && cfg.Policy == FirstWins && len(data) > fold.Keep {
+		if f := fold.Encode(data); f != nil {
+			form = f
+		}
+	}
+	need := len(form)
+	limit := cfg.maxFlowBytes()
+	for o := c.ooo; o != nil && o.cost()+need+segCost > limit && len(o.held) > 0; {
 		last := &o.held[len(o.held)-1]
 		if c.ahead(last.seq) <= off {
 			break // the new piece is the furthest; drop it instead
 		}
-		trim := o.cost() + need + segCost - max
-		if trim >= len(last.data) {
-			freed := len(last.data)
-			o.heldBy -= freed
-			cfg.Budget.release(freed, 1)
-			r.Dropped += freed
+		// Cut the furthest segment to what still fits, a fold back to its
+		// prefix; what cannot be cut goes whole.
+		trim, keep := o.cost()+need+segCost-limit, 0
+		if !last.folded() {
+			keep = max(len(last.data)-trim, 0)
+		} else if fold != nil && trim <= len(last.data)-fold.Keep {
+			keep = fold.Keep
+		}
+		o.cut(cfg, last, keep, r)
+		if keep == 0 { // nothing of it is left: its descriptor goes too
+			cfg.Budget.release(0, segCost)
 			*last = seg{} // the backing array must not pin the evicted copy
 			o.held = o.held[:len(o.held)-1]
-		} else {
-			// Copy the kept prefix so the evicted tail's memory is really
-			// returned, not just uncharged (see the remnant note above).
-			last.data = append([]byte(nil), last.data[:len(last.data)-trim]...)
-			o.heldBy -= trim
-			cfg.Budget.release(trim, 0)
-			r.Dropped += trim
 		}
 	}
 	held := 0
 	if c.ooo != nil {
 		held = c.ooo.cost()
 	}
-	if held+need+segCost > max {
-		fit := max - held - segCost
+	if held+need+segCost > limit {
+		fit := limit - held - segCost
+		if len(form) < len(data) {
+			fit = min(fit, fold.Keep) // a fold is cut back to its prefix
+		}
 		if fit <= 0 {
-			r.Dropped += need
+			r.Dropped += len(data)
 			return
 		}
-		r.Dropped += need - fit
-		data = data[:fit]
-		need = fit
+		r.Dropped += len(data) - fit
+		data, form, need = data[:fit], data[:fit], fit
 	}
-	if !cfg.Budget.reserve(need, 1) {
-		r.Dropped += need
+	if !cfg.Budget.reserve(len(data), need+segCost) {
+		r.Dropped += len(data)
 		return
 	}
+	if len(form) == len(data) {
+		// Own the held bytes: a retained subslice would pin the caller's
+		// whole payload array while the caps charge only the slice length,
+		// letting a hostile feed (e.g. 1-byte keepable pieces carved from
+		// 1 MiB segments) amplify real memory far past MaxFlowBytes/Budget.
+		// After this copy every held byte was charged at admission, so later
+		// trims/splits of held data stay within the already-charged bound.
+		form = append([]byte(nil), data...)
+	}
 	o := c.holding()
-	o.heldBy += need
-	// Own the buffered bytes: a retained subslice would pin the caller's
-	// whole payload array while the caps charge only the slice length,
-	// letting a hostile feed (e.g. 1-byte keepable pieces carved from
-	// 1 MiB segments) amplify real memory far past MaxFlowBytes/Budget.
-	// After this copy every held byte was charged at admission, so later
-	// trims/splits of held data stay within the already-charged bound.
-	data = append([]byte(nil), data...)
+	o.heldBy += len(data)
+	o.resident += uint32(need)
 	// Sorted insert; held segments are few in practice (one per open gap).
 	i := len(o.held)
 	for i > 0 && c.ahead(o.held[i-1].seq) > off {
 		i--
 	}
-	o.held = slices.Insert(o.held, i, seg{seq: c.next + uint32(off), data: data})
-	r.Buffered += need
+	o.held = slices.Insert(o.held, i, seg{seq: c.next + uint32(off), n: uint32(len(data)), data: form})
+	r.Buffered += len(data)
 }

@@ -7,7 +7,9 @@ package reassembly
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -173,31 +175,41 @@ func TestFinAheadIsOutOfOrderState(t *testing.T) {
 // segments an arrival overlaps, so under either policy an arrival disjoint
 // from everything held allocates its held copy and nothing else — the held
 // list's growth amortises below one allocation — however many segments are
-// held.
+// held. A fold takes the copy's place: its form is the one allocation.
 func TestOutOfOrderArrivalAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
 	}
-	deliver := func([]byte, int) {}
+	deliver := func([]byte, int, int) {}
 	held, arrival := []byte("0123456789"), []byte("abcde")
 	for _, pol := range []Policy{FirstWins, LastWins} {
-		for _, k := range []int{0, 1, 4, 8} {
-			s := NewStream(Config{Policy: pol})
-			s.Segment(0, nil, SYN, 0, deliver)
-			for j := 1; j <= k; j++ { // [1000j, 1000j+10)
-				s.Segment(uint32(1+1000*j), held, 0, 0, deliver)
-			}
-			// Arrivals land at 15..19 mod 20, between and around the held runs.
-			off := 15
-			allocs := testing.AllocsPerRun(100, func() {
-				s.Segment(uint32(1+off), arrival, 0, 0, deliver)
-				off += 20
-			})
-			if want := 10*k + 5*101; s.HeldBytes() != want {
-				t.Fatalf("%v, %d held: %d bytes held, want %d", pol, k, s.HeldBytes(), want)
-			}
-			if allocs > 1 {
-				t.Errorf("%v: a disjoint arrival with %d segments held allocated %.0f times, want 1", pol, k, allocs)
+		for _, fold := range []*Fold{nil, toyFold(2)} {
+			for _, k := range []int{0, 1, 4, 8} {
+				s := NewStream(Config{Policy: pol})
+				c := &s.Cursor
+				c.Segment(&s.cfg, 0, nil, SYN, 0, fold, deliver)
+				for j := 1; j <= k; j++ { // [1000j, 1000j+10)
+					c.Segment(&s.cfg, uint32(1+1000*j), held, 0, 0, fold, deliver)
+				}
+				// Arrivals land at 15..19 mod 20, between and around the held runs.
+				off := 15
+				allocs := testing.AllocsPerRun(100, func() {
+					c.Segment(&s.cfg, uint32(1+off), arrival, 0, 0, fold, deliver)
+					off += 20
+				})
+				if want := 10*k + 5*101; s.HeldBytes() != want {
+					t.Fatalf("%v, fold %v, %d held: %d bytes held, want %d", pol, fold != nil, k, s.HeldBytes(), want)
+				}
+				resident := 10*k + 5*101
+				if fold != nil && pol == FirstWins { // every segment folds to 3 bytes
+					resident = 3*k + 3*101
+				}
+				if want := resident + segCost*(k+101); s.HeldCost() != want {
+					t.Fatalf("%v, fold %v, %d held: held at a cost of %d, want %d", pol, fold != nil, k, s.HeldCost(), want)
+				}
+				if allocs > 1 {
+					t.Errorf("%v, fold %v: a disjoint arrival with %d segments held allocated %.0f times, want 1", pol, fold != nil, k, allocs)
+				}
 			}
 		}
 	}
@@ -427,6 +439,118 @@ func TestInOrderStreamHoldsNothing(t *testing.T) {
 	}
 }
 
+// folded is one delivery through a Fold: resident bytes standing for n
+// stream bytes, after skip unseen ones.
+type folded struct {
+	data    string
+	n, skip int
+}
+
+// feedFold is feed through s's cursor with fold, recording each delivery.
+func feedFold(s *Stream, fold *Fold, seq uint32, payload string, flags Flags, tick uint64) ([]folded, Result) {
+	var got []folded
+	r := s.Cursor.Segment(&s.cfg, seq, []byte(payload), flags, tick, fold, func(data []byte, n, skip int) {
+		got = append(got, folded{string(data), n, skip})
+	})
+	return got, r
+}
+
+// TestFoldedSegments: under FirstWins a cursor holds a piece longer than the
+// fold's Keep as its form, charged at the form's size, and hands the form
+// back with the piece's length when it drains, a gap skip's count with it
+// when a skip lands there; a piece no longer than Keep, and every piece
+// under LastWins, is held whole. Under the cap, a folded segment is cut
+// back to its first Keep bytes, held whole, or dropped whole — never cut
+// inside the rest of its form.
+func TestFoldedSegments(t *testing.T) {
+	fold := toyFold(4)
+	b := NewBudget(1 << 20)
+	s := NewStream(Config{Budget: b, GapTimeout: 2})
+	feedFold(s, fold, 0, "", SYN, 0)
+	feedFold(s, fold, 11, "abcdefghij", 0, 1) // [10,20), folded
+	feedFold(s, fold, 21, "wxyz", 0, 1)       // [20,24), no longer than Keep
+	if s.HeldBytes() != 14 || b.Used() != 14 || b.Cost() != 5+4+2*segCost {
+		t.Fatalf("held %d stream bytes, budget used %d at cost %d", s.HeldBytes(), b.Used(), b.Cost())
+	}
+	got, r := feedFold(s, fold, 1, "0123456789", 0, 1)
+	want := []folded{{"0123456789", 10, 0}, {"abcd\x0a", 10, 0}, {"wxyz", 4, 0}}
+	if !slices.Equal(got, want) || r.Delivered != 24 || s.ooo != nil || b.Cost() != 0 {
+		t.Fatalf("the hole filled: delivered %q, %+v, budget cost %d", got, r, b.Cost())
+	}
+	// A gap skip landing on a folded segment.
+	feedFold(s, fold, 31, "0123456789", 0, 3) // [30,40) behind a 6-byte gap
+	if got, r := feedFold(s, fold, 31, "0123456789", 0, 5); !slices.Equal(got, []folded{{"0123\x0a", 10, 6}}) || r.Skipped != 6 {
+		t.Fatalf("the gap skip delivered %q, %+v", got, r)
+	}
+
+	s = NewStream(Config{Policy: LastWins})
+	feedFold(s, fold, 0, "", SYN, 0)
+	feedFold(s, fold, 11, "abcdefghij", 0, 1)
+	if got, _ := feedFold(s, fold, 1, "0123456789", 0, 1); len(got) != 2 || got[1] != (folded{"abcdefghij", 10, 0}) {
+		t.Fatalf("LastWins delivered %q: held bytes it may still overwrite folded", got)
+	}
+
+	// Cut back to its prefix: [10,20) folds to 5 B and [30,40) must fit
+	// beside it, one byte short.
+	s = NewStream(Config{MaxFlowBytes: 5 + 5 + 2*segCost - 1})
+	feedFold(s, fold, 0, "", SYN, 0)
+	feedFold(s, fold, 31, "ABCDEFGHIJ", 0, 1)
+	if _, r := feedFold(s, fold, 11, "abcdefghij", 0, 1); r.Buffered != 10 || r.Dropped != 6 || s.HeldBytes() != 14 {
+		t.Fatalf("cutting the furthest fold back: %+v, %d held", r, s.HeldBytes())
+	}
+	feedFold(s, fold, 1, "0123456789", 0, 1)
+	if got, _ := feedFold(s, fold, 21, "0123456789", 0, 1); len(got) != 2 || got[1] != (folded{"ABCD", 4, 0}) {
+		t.Fatalf("the cut fold delivered as %q", got)
+	}
+	// Dropped whole: a cap with no room for its prefix beside the nearer
+	// piece.
+	s = NewStream(Config{MaxFlowBytes: 5 + 2*segCost + 3})
+	feedFold(s, fold, 0, "", SYN, 0)
+	feedFold(s, fold, 31, "ABCDEFGHIJ", 0, 1)
+	if _, r := feedFold(s, fold, 11, "abcdefghij", 0, 1); r.Buffered != 10 || r.Dropped != 10 || s.HeldBytes() != 10 || len(s.ooo.held) != 1 {
+		t.Fatalf("dropping the furthest fold whole: %+v, %d held", r, s.HeldBytes())
+	}
+	if n := s.Release(); n != 10 {
+		t.Fatalf("Release returned %d stream bytes, want 10", n)
+	}
+}
+
+// TestDrainedStreamDropsOutOfOrderState: a stream that a drain leaves holding
+// no segment and no FIN drops its out-of-order state, and the held list at
+// its peak capacity with it — no budget is charged for either — whether a
+// hole filled or a gap skip drained it. A FIN still waiting ahead of a gap
+// keeps the state until the stream completes.
+func TestDrainedStreamDropsOutOfOrderState(t *testing.T) {
+	s := NewStream(Config{})
+	feed(t, s, 0, "", SYN, 0)
+	feed(t, s, 11, "later", 0, 1) // [10,15)
+	feed(t, s, 21, "more", 0, 1)  // [20,24)
+	if out, _, _ := feed(t, s, 1, "0123456789", 0, 2); out != "0123456789later" || s.ooo == nil {
+		t.Fatalf("a partial drain delivered %q and left out-of-order state %v", out, s.ooo)
+	}
+	if out, _, _ := feed(t, s, 16, "abcde", 0, 3); out != "abcdemore" || s.ooo != nil || s.HeldBytes() != 0 {
+		t.Fatalf("the last hole filled: delivered %q, out-of-order state %v", out, s.ooo)
+	}
+
+	s = NewStream(Config{GapTimeout: 2})
+	feed(t, s, 0, "", SYN, 0)
+	feed(t, s, 11, "tail", 0, 1)
+	if out, skip, _ := feed(t, s, 11, "tail", 0, 5); out != "tail" || skip != 10 || s.ooo != nil {
+		t.Fatalf("a gap skip delivered %q after %d bytes and left out-of-order state %v", out, skip, s.ooo)
+	}
+
+	s = NewStream(Config{})
+	feed(t, s, 100, "", SYN, 0)
+	feed(t, s, 111, "", FIN, 1)   // the stream ends at 10
+	feed(t, s, 105, "held", 0, 1) // [4,8)
+	if out, _, r := feed(t, s, 101, "0123", 0, 2); out != "0123held" || r.Event != EventNone || s.ooo == nil {
+		t.Fatalf("a drain short of the FIN delivered %q, %+v, out-of-order state %v", out, r, s.ooo)
+	}
+	if _, _, r := feed(t, s, 109, "89", 0, 3); r.Event != EventFinished || s.ooo != nil {
+		t.Fatalf("the FIN's gap filled: %+v, out-of-order state %v", r, s.ooo)
+	}
+}
+
 // TestVacatedHeldSlotsAreZeroed: a segment that leaves the held list — drained
 // into a filled hole, or evicted to the flow cap — must not stay reachable
 // through the list's backing array once the budget has released its bytes.
@@ -475,52 +599,79 @@ func TestVacatedHeldSlotsAreZeroed(t *testing.T) {
 
 // TestHeldSegmentsChargedAtCost: a flow stuffed with tiny segments, each
 // behind a hole of its own size, is charged what holding them occupies — the
-// payload and a descriptor apiece — against both MaxFlowBytes and the budget,
-// so the segments it can hold, and the heap they take, stay proportional to
-// the cap however small they are. Charged at payload alone, 1-byte segments
-// held 262 144 of them in 42.6 times the heap they were charged.
+// resident bytes and a descriptor apiece — against both MaxFlowBytes and the
+// budget, so the segments it can hold, and the heap they take, stay
+// proportional to the cap however small they are. Charged at payload alone,
+// 1-byte segments held 262 144 of them in 42.6 times the heap they were
+// charged. Folded, 512-byte segments are charged their 17-byte forms: the
+// cap holds eleven times as many, more stream bytes than the cap itself.
 func TestHeldSegmentsChargedAtCost(t *testing.T) {
 	const maxFlowBytes = 256 << 10
-	for _, size := range []int{1, 8, 64, 512} {
+	for _, tc := range []struct {
+		size int
+		fold *Fold
+	}{{1, nil}, {8, nil}, {64, nil}, {512, nil}, {512, toyFold(16)}} {
 		b := NewBudget(1 << 30)
 		before := liveHeap()
 		s := NewStream(Config{MaxFlowBytes: maxFlowBytes, Budget: b})
-		s.Segment(0, nil, SYN, 0, func([]byte, int) {})
-		payload := bytes.Repeat([]byte{'x'}, size)
+		hold := func(seq uint32, payload []byte, flags Flags) Result {
+			return s.Cursor.Segment(&s.cfg, seq, payload, flags, 0, tc.fold, func([]byte, int, int) {})
+		}
+		hold(0, nil, SYN)
+		payload := bytes.Repeat([]byte{'x'}, tc.size)
 		for k := 0; ; k++ { // [(2k+1)·size, (2k+2)·size), behind a hole
-			r := s.Segment(uint32(1+(2*k+1)*size), payload, 0, 0, func([]byte, int) {})
-			if r.Buffered == 0 {
+			if r := hold(uint32(1+(2*k+1)*tc.size), payload, 0); r.Buffered == 0 {
 				break
 			}
 		}
 		charge := b.Cost()
 		heap := int64(liveHeap()) - int64(before)
 		runtime.KeepAlive(s)
-		segs := len(s.ooo.held)
-		if want := s.HeldBytes() + segs*segCost; charge != want || b.Used() != s.HeldBytes() {
-			t.Fatalf("%d-byte segments: budget charged %d and used %d, held %d in %d segments (cost %d)",
-				size, charge, b.Used(), s.HeldBytes(), segs, want)
-		}
-		// The cap at cost holds this many whole segments, and the piece
-		// arriving past them is cut to the bytes that still fit.
-		whole := 0
+		segs, resident, whole := len(s.ooo.held), 0, 0
 		for _, h := range s.ooo.held {
-			if len(h.data) == size {
+			resident += len(h.data)
+			if int(h.n) == tc.size {
 				whole++
 			}
 		}
-		if most := maxFlowBytes / (size + segCost); whole > most || segs > whole+1 || charge > maxFlowBytes {
-			t.Errorf("%d-byte segments: %d held (%d whole) at cost %d, the cap allows %d whole at %d",
-				size, segs, whole, charge, most, maxFlowBytes)
+		name := fmt.Sprintf("%d-byte segments (folded %v)", tc.size, tc.fold != nil)
+		if want := resident + segs*segCost; charge != want || s.HeldCost() != want || b.Used() != s.HeldBytes() {
+			t.Fatalf("%s: budget charged %d and used %d, held %d in %d segments (cost %d)",
+				name, charge, b.Used(), s.HeldBytes(), segs, want)
+		}
+		// The cap at cost holds this many whole segments, and the piece
+		// arriving past them is cut to the bytes that still fit.
+		each := tc.size + segCost
+		if tc.fold != nil {
+			each = tc.fold.Keep + 1 + segCost
+			if s.HeldBytes() <= maxFlowBytes {
+				t.Errorf("%s: %d stream bytes held under a %d B cap: the folds did not shrink the charge", name, s.HeldBytes(), maxFlowBytes)
+			}
+		}
+		if most := maxFlowBytes / each; whole > most || segs > whole+1 || charge > maxFlowBytes {
+			t.Errorf("%s: %d held (%d whole) at cost %d, the cap allows %d whole at %d",
+				name, segs, whole, charge, most, maxFlowBytes)
 		}
 		if !raceEnabled && heap > 3*int64(charge) {
-			t.Errorf("%d-byte segments: %d held take %d B of heap, %.1f× their %d B charge",
-				size, segs, heap, float64(heap)/float64(charge), charge)
+			t.Errorf("%s: %d held take %d B of heap, %.1f× their %d B charge",
+				name, segs, heap, float64(heap)/float64(charge), charge)
 		}
 		if s.Release(); b.Cost() != 0 || b.Used() != 0 {
-			t.Fatalf("%d-byte segments: Release left the budget at cost %d, used %d", size, b.Cost(), b.Used())
+			t.Fatalf("%s: Release left the budget at cost %d, used %d", name, b.Cost(), b.Used())
 		}
 	}
+}
+
+// toyFold holds a piece as its first keep bytes and one byte standing for
+// the rest — its length, mod 256 — in one allocation, as a scanner's fold
+// keeps its prefix and a summary.
+func toyFold(keep int) *Fold {
+	return &Fold{Keep: keep, Encode: func(piece []byte) []byte {
+		form := make([]byte, keep+1)
+		copy(form, piece[:keep])
+		form[keep] = byte(len(piece))
+		return form
+	}}
 }
 
 // liveHeap is the heap in use after the collector has settled.

@@ -32,16 +32,19 @@ func budgetRules(t testing.TB) *Matcher {
 	return m
 }
 
-// budgetStreamLen is each connection's stream length.
-const budgetStreamLen = 96
+// budgetStreamLen is each connection's stream length: 96 bytes, then three
+// 64-byte segments the reordering phase holds.
+const budgetStreamLen = 96 + 3*64
 
 // budgetFlood drives the adversarial traffic at one gateway whose budget
 // holds conns connections: a round over 0.9 × conns fresh tuples, which
 // leaves room for held bytes, then one over 1.2 × conns, which overflows it.
-// Each round is a SYN flood of connections that never close on their own,
-// hole stuffing on the flood's survivors and a FIN wave that ends every
+// Each round is a SYN flood of connections that never close on their own;
+// a reordering of the survivors' later segments, sent last first behind a
+// hole — 64 B each, eight times the longest pattern, so they are held
+// folded; hole stuffing on the survivors; and a FIN wave that ends every
 // tuple of the round in a husk, with a ruleset swap every 150 packets across
-// all three. check runs after every Flush. Tuple i is footprintTuple(i), and
+// all four. check runs after every Flush. Tuple i is footprintTuple(i), and
 // every stream is generated up front, so a run allocates nothing the
 // gateway does not keep.
 type budgetFlood struct {
@@ -104,11 +107,13 @@ func (f *budgetFlood) flush(phase string) {
 	f.check(phase)
 }
 
-// round floods the tuples [lo, hi), stuffs holes into the survivors and
-// ends them all with a FIN wave.
+// round floods the tuples [lo, hi), reorders the survivors' later segments
+// behind a hole, stuffs more holes into them and ends them all with a FIN
+// wave.
 func (f *budgetFlood) round(r, lo, hi int) {
 	f.t.Helper()
 	flood, stuff, wave := fmt.Sprintf("round %d flood", r), fmt.Sprintf("round %d stuffing", r), fmt.Sprintf("round %d FIN wave", r)
+	reorder := fmt.Sprintf("round %d reordering", r)
 	for i := lo; i < hi; i++ {
 		f.send(flood, i, 0, nil, FlagSYN)
 		f.send(flood, i, 0, f.streams[i][:32], 0)
@@ -121,10 +126,20 @@ func (f *budgetFlood) round(r, lo, hi int) {
 			continue
 		}
 		s := f.streams[i]
+		for off := budgetStreamLen - 64; off >= 96; off -= 64 { // last first
+			f.send(reorder, i, off, s[off:off+64], 0)
+		}
+	}
+	f.flush(reorder)
+	for i := lo; i < hi; i++ {
+		if !f.survivor[i] {
+			continue
+		}
+		s := f.streams[i]
 		for off := 33; off < 64; off += 2 { // 1-byte segments, each behind a 1-byte hole
 			f.send(stuff, i, off, s[off:off+1], 0)
 		}
-		f.send(stuff, i, 66, s[66:], 0)
+		f.send(stuff, i, 66, s[66:96], 0)
 	}
 	f.flush(stuff)
 	for i := lo; i < hi; i++ {
@@ -146,14 +161,21 @@ func (f *budgetFlood) run(gw *Gateway, check func(phase string)) {
 
 // laneCharge is what a lane has charged its share and, of that, its held
 // bytes at cost, after checking that its account tracks its table: less its
-// connections' entries, the account is the held payload plus a 32 B
-// descriptor a held segment.
+// connections' entries, the account is what its flows hold resident plus a
+// 32 B descriptor a held segment, and what it counts as held is their
+// stream bytes.
 func (ln *gwLane) laneCharge(t testing.TB) (charge, held int) {
 	t.Helper()
 	st := ln.table.Stats()
 	held, payload := ln.asm.Budget.Cost()-(st.Live-st.Husks)*ConnEntry, ln.asm.Budget.Used()
-	if held < payload || (held-payload)%32 != 0 || (held == 0) != (payload == 0) {
-		t.Fatalf("the account is %d B over %d connections, holding %d B of payload", ln.asm.Budget.Cost(), st.Live-st.Husks, payload)
+	atCost, stream := 0, 0
+	ln.table.Range(func(_ FiveTuple, fl *gwFlow) {
+		atCost += fl.asm.HeldCost()
+		stream += fl.asm.HeldBytes()
+	})
+	if held != atCost || payload != stream {
+		t.Fatalf("the account is %d B over %d connections, holding %d stream bytes; the flows hold %d at a cost of %d",
+			ln.asm.Budget.Cost(), st.Live-st.Husks, payload, stream, atCost)
 	}
 	return ln.charge(), held
 }
@@ -245,11 +267,12 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 // what the lane may keep, not from a measurement of it:
 //
 //   - the compiled image, times the generations live;
-//   - the charged share: entries and held bytes at cost, over by at most
-//     the one connection a packet is on;
-//   - the held bytes once more: a held list grows to at most twice its
-//     descriptors, and a size class rounds a copy up to at most twice its
-//     payload (16 B, the tiny allocator's block, for the smallest);
+//   - the charged share: entries and held segments at cost, Σ(resident +
+//     32 B), over by at most the one connection a packet is on;
+//   - the held segments at cost once more: a held list grows to at most
+//     twice its descriptors, and a size class rounds a copy or a fold up to
+//     at most twice its resident bytes (16 B, the tiny allocator's block,
+//     for the smallest);
 //   - each index at its worst load, 3/8 full just after doubling, sized
 //     for its set's peak;
 //   - each slab's chunks at its set's peak, kept while the set is not empty;
@@ -287,12 +310,14 @@ func TestHeapWithinBudget(t *testing.T) {
 	fixed := int(unsafe.Sizeof(Gateway{})) + int(unsafe.Sizeof(gwLane{})) + int(unsafe.Sizeof(*ln.table)) +
 		cap(ln.q)*int(unsafe.Sizeof(seqPacket{})) + int(unsafe.Sizeof(gwGeneration{}))
 	worst, worstPhase := 0.0, ""
+	folded := false // a checkpoint held more stream bytes than it charged: only folds do
 	check := func(phase string) {
 		heap := int(liveHeap() - before)
 		st := gw.Stats()
 		var charged, held, scratch int
 		gw.eachLane(func(ln *gwLane) {
 			charged, held = ln.laneCharge(t)
+			folded = folded || ln.asm.Budget.Used() > held
 			scratch = cap(ln.matches) * int(unsafe.Sizeof(ac.Match{}))
 		})
 		terms := []struct {
@@ -301,7 +326,7 @@ func TestHeapWithinBudget(t *testing.T) {
 		}{
 			{"image × live generations", image * st.GenerationsLive},
 			{"charged share", ln.share + ConnEntry},
-			{"held lists and size classes", held},
+			{"held lists and size classes", held}, // Σ(resident + 32 B), as laneCharge checks
 			{"connection index", index(ConnEntry)},
 			{"husk index", index(HuskEntry)},
 			{"connection chunks", chunks(ConnEntry)},
@@ -325,6 +350,9 @@ func TestHeapWithinBudget(t *testing.T) {
 	}
 	f.run(gw, check)
 	t.Logf("%d packets, %d matches: the heap peaked at %.2f of its ceiling, after the %s", f.sent, matches.Load(), worst, worstPhase)
+	if !folded {
+		t.Fatal("no checkpoint held a folded segment; the reordering phase is vacuous")
+	}
 }
 
 // TestHeldBytesPushOutHusks: a lane whose share is full of husks still holds
@@ -335,7 +363,9 @@ func TestHeldBytesPushOutHusks(t *testing.T) {
 	m := budgetRules(t)
 	c := newCollector()
 	const budget = 4096
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, GapTimeout: -1, MemoryBudget: budget}, c.emit)
+	// LastWins holds the segment below whole, so it needs the room of its
+	// 200 bytes; folded, it would fit beside the husks.
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, GapTimeout: -1, MemoryBudget: budget, OverlapPolicy: LastWins}, c.emit)
 	defer gw.Close()
 	send := func(tup FiveTuple, seq uint32, flags TCPFlags, payload string) {
 		t.Helper()

@@ -84,7 +84,7 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 	counter("dpi_gateway_packets_total", "Packets ingested.", g.seq.Load())
 
 	gauge("dpi_gateway_reassembly_buffered_bytes",
-		"Out-of-order bytes currently buffered across all flows.", float64(g.bufferedBytes()))
+		"Out-of-order stream bytes currently held across all flows, counted whole whether held as bytes or folded.", float64(g.bufferedBytes()))
 	gauge("dpi_gateway_memory_budget_bytes",
 		"Configured MemoryBudget: flow-table entries and held out-of-order bytes, split across lanes (0 = unlimited).", float64(max(g.cfg.MemoryBudget, 0)))
 	w.Metric("dpi_gateway_overload_policy_info", "gauge",
