@@ -15,16 +15,17 @@ import (
 	"repro/internal/ruleset"
 )
 
-// buildAllocCeiling bounds core.Build's allocations at 634 strings: 323
-// measured, plus 15 %. None of them is per trie state or per pattern — the
-// trie is a node table and three arenas, ac.New checks patterns as it
-// inserts them (an ID bitset, not maps of IDs and contents) and numbers
-// states breadth-first, so no later pass sorts or queues them again, and
-// the prefilter's collapsed trie is one class-row arena. What is left is
-// per lookup-table row: some 190 between the per-character default lists
-// and the ranking that fills them, and the builder's and kernels' flat
-// tables, a handful each.
-const buildAllocCeiling = 371
+// buildAllocCeiling bounds core.Build's allocations at 634 strings: 35
+// measured, plus 15 %. None of them is per trie state, per pattern or per
+// lookup-table row — the trie is a node table and three arenas, ac.New
+// checks patterns as it inserts them (an ID bitset, not maps of IDs and
+// contents) and numbers states breadth-first, so no later pass sorts or
+// queues them again; the defaults are written straight into the machine's
+// packed lookup table, with no per-character lists; and the prefilter's
+// collapsed trie is one class-row arena. What is left is the builder's and
+// kernels' flat tables, a handful each, and the second goroutine Build
+// starts with the channel that joins it.
+const buildAllocCeiling = 40
 
 func benchmarkRuleset() *ruleset.Set {
 	return ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})

@@ -180,7 +180,9 @@ func TestEmitOutputsExactlySuffixPatterns(t *testing.T) {
 }
 
 // TestArenaLayout: every state's edges are strictly sorted by character and
-// lead to its own children, the two arenas are exactly the states' slices
+// lead to its own children, depth never decreases as the state number
+// increases (breadth-first numbering, so the last state is a deepest one and
+// each depth is one range), the two arenas are exactly the states' slices
 // back to back in state order with nothing between or after them, and a
 // node is no larger than the 32 bytes a build's peak heap is sized by.
 func TestArenaLayout(t *testing.T) {
@@ -192,6 +194,9 @@ func TestArenaLayout(t *testing.T) {
 		var edges, outs uint32
 		for s := int32(0); s < int32(tr.NumStates()); s++ {
 			nd := &tr.Nodes[s]
+			if s > 0 && nd.Depth < tr.Nodes[s-1].Depth {
+				t.Fatalf("seed %d: state %d has depth %d, state %d before it %d", seed, s, nd.Depth, s-1, tr.Nodes[s-1].Depth)
+			}
 			if nd.edgeOff != edges || nd.outOff != outs {
 				t.Fatalf("seed %d: state %d's slices start at (%d, %d), the states before it end at (%d, %d)",
 					seed, s, nd.edgeOff, nd.outOff, edges, outs)

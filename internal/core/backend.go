@@ -196,17 +196,9 @@ const (
 	foldMatch = 8
 )
 
-// deepest is t's deepest state, the end of its longest pattern: the first
-// of them in state order.
-func deepest(t *ac.Trie) int32 {
-	s := ac.Root
-	for i, nd := range t.Nodes {
-		if nd.Depth > t.Nodes[s].Depth {
-			s = int32(i)
-		}
-	}
-	return s
-}
+// deepest is t's deepest state, the end of its longest pattern: the last
+// state, since ac.New numbers states breadth-first.
+func deepest(t *ac.Trie) int32 { return int32(t.NumStates() - 1) }
 
 // Fold scans piece on its own, from invalidated registers, and returns the
 // piece's resident form: its first Depth() bytes, the registers the scan

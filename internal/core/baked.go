@@ -6,7 +6,7 @@ package core
 // the oracle the Program is verified against); the Program must stay
 // byte-exact equivalent — same state, same history, same match order — on
 // every input. Once compiled it reads no builder structure: the trie and
-// the per-character default lists are gone.
+// its fail-tree analysis are gone.
 //
 // Layout, mirroring the hardware's fixed-width single-access RAMs:
 //

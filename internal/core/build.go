@@ -19,18 +19,24 @@ package core
 //     wherever Fail(s)'s is known, and a deeper default matching the extra
 //     characters s knows would need a trie node of depth ≥ 2 that is a
 //     suffix of s·c — whose parent would be a longer proper suffix of s
-//     than Fail(s), or s itself with an edge on c. So Stored[s] is
+//     than Fail(s), or s itself with an edge on c — an argument about each
+//     default alone, so it holds under every depth limit. So Stored[s] is
 //     Stored[Fail(s)] with s's own edge characters replaced by whichever of
 //     s's edges the default rule misses, and the per-depth totals are the
-//     per-edge differences weighted by subtree size.
+//     per-edge differences weighted by subtree size: one lookup per edge,
+//     since an inherited pointer is stored wherever its edge stored it.
 //
 //   - Fast rows. row(s) is row(Fail(s)) overridden by s's edges, kept as
 //     its difference from the depth-1 default row; see compile.
+//
+// The defaults are chosen into, and resolved from, the kernel's own packed
+// lookup table (selectDefaults, misses). Build runs this chain on the
+// caller's goroutine and, beside it on a second one, what reads only the
+// trie: the match memory, the prefilter and its superset proof.
 
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/ac"
 	"repro/internal/ruleset"
@@ -52,30 +58,29 @@ type failTree struct {
 	original int64
 }
 
-// newFailTree analyses t in O(states + edges). Subtree sizes are summed
-// deepest state first, each into its fail parent's, which comes earlier.
+// newFailTree analyses t in O(states). Subtree sizes are summed deepest
+// state first, each into its fail parent's, which comes earlier. Every
+// state but the start state is the target of one edge, from its parent.
 func newFailTree(t *ac.Trie) *failTree {
 	nodes := t.Nodes
-	n := len(nodes)
-	ft := &failTree{sub: make([]int32, n), pop: make([]int64, n)}
-	for s := n - 1; s > 0; s-- {
-		ft.sub[s]++
-		ft.sub[nodes[s].Fail] += ft.sub[s]
+	sub, pop := make([]int32, len(nodes)), make([]int64, len(nodes))
+	for s := len(nodes) - 1; s > 0; s-- {
+		sub[s]++
+		sub[nodes[s].Fail] += sub[s]
 	}
-	ft.sub[ac.Root]++
+	sub[ac.Root]++
 
-	for q := range nodes {
-		w := int64(ft.sub[q])
-		for _, e := range t.Edges(int32(q)) {
-			ft.pop[e.To] += w
-			ft.original += w
-			if f := nodes[e.To].Fail; f != ac.Root {
-				ft.pop[f] -= w
-				ft.original -= w
-			}
+	var original int64
+	for v := 1; v < len(nodes); v++ {
+		w := int64(sub[nodes[v].Parent])
+		pop[v] += w
+		original += w
+		if f := nodes[v].Fail; f != ac.Root {
+			pop[f] -= w
+			original -= w
 		}
 	}
-	return ft
+	return &failTree{sub: sub, pop: pop, original: original}
 }
 
 // rank orders states for promotion: more popular first, ties to the lower
@@ -128,43 +133,72 @@ func (ft *failTree) top(lo, hi int32, k int) []int32 {
 	return h
 }
 
-// selectDefaults chooses the lookup table, row by row: every depth-1 state,
-// and per final character the d2 most popular depth-2 states and the most
-// popular depth-3 state, most popular first. It fills st's state, original
-// pointer and default counts. The rows are build scaffolding: Build encodes
-// them into the machine's lookupTable and lets them go.
-func selectDefaults(t *ac.Trie, ft *failTree, d2 int, st *BuildStats) *[256]LookupRow {
-	st.States = t.NumStates()
+// defaults is the lookup table as selectDefaults writes it and compress
+// reads it: lut's d1 and d3 words, and len(d2)/256 depth-2 slots a row in
+// d2 — in Build, lut's own d2 words, so the compression reads the table the
+// kernel ships; a wider scratch only for CompressionStats' ablation.
+type defaults struct {
+	lut *lookupTable
+	d2  []uint64
+}
+
+// row is the depth-2 slots of row c.
+func (d defaults) row(c byte) []uint64 {
+	k := len(d.d2) / len(d.lut.d1)
+	return d.d2[int(c)*k:][:k]
+}
+
+// selectDefaults chooses the lookup table into d's packed words: every
+// depth-1 state as its row's d1 (the start state where there is none), and
+// per final character the most popular depth-2 states, as many as a row has
+// slots, most popular first, and the most popular depth-3 state. Depths 1,
+// 2 and 3 are consecutive ranges of state numbers, so one walk from state 1
+// places each state into its row as it comes. It fills st's state,
+// original pointer and default counts.
+func selectDefaults(t *ac.Trie, ft *failTree, d defaults, st *BuildStats) {
+	n, l := int32(t.NumStates()), d.lut
+	st.States = int(n)
 	st.OriginalPointers = ft.original
-	st.OriginalAvg = float64(ft.original) / float64(st.States)
-
-	rows := new([256]LookupRow)
-	for c := range rows {
-		rows[c].D1 = ac.None
+	st.OriginalAvg = float64(ft.original) / float64(n)
+	for c := range l.d1 {
+		l.d1[c], l.d3[c] = ac.Root, emptyD3Key
 	}
-	var byDepth [4][]int32
-	for s := int32(1); s < int32(st.States) && t.Nodes[s].Depth <= 3; s++ {
-		d := t.Nodes[s].Depth
-		byDepth[d] = append(byDepth[d], s)
+	for i := range d.d2 {
+		d.d2[i] = emptyD2Key
 	}
-	for _, s := range byDepth[1] {
-		rows[t.Nodes[s].Char].D1 = s
+	s := int32(1)
+	for ; s < n && t.Nodes[s].Depth == 1; s++ {
+		l.d1[t.Nodes[s].Char] = s
+		st.D1Count++
 	}
-	st.D1Count = len(byDepth[1])
-
-	for _, s := range ft.rowWinners(t, byDepth[2], d2) {
+	for ; s < n && t.Nodes[s].Depth == 2; s++ {
 		nd := &t.Nodes[s]
-		row := &rows[nd.Char]
-		row.D2 = append(row.D2, D2Entry{Prev: t.Nodes[nd.Parent].Char, State: s})
-		st.D2Count++
+		if ft.place(d.row(nd.Char), uint64(t.Nodes[nd.Parent].Char)<<32|uint64(s), emptyD2Key) {
+			st.D2Count++
+		}
 	}
-	for _, s := range ft.rowWinners(t, byDepth[3], 1) {
-		nd := &t.Nodes[s]
-		p1 := &t.Nodes[nd.Parent]
-		rows[nd.Char].D3 = []D3Entry{{Prev2: t.Nodes[p1.Parent].Char, Prev1: p1.Char, State: s}}
-		st.D3Count++
+	for ; s < n && t.Nodes[s].Depth == 3; s++ {
+		nd, p1 := &t.Nodes[s], &t.Nodes[t.Nodes[s].Parent]
+		key := uint64(t.Nodes[p1.Parent].Char)<<histLaneBits | uint64(p1.Char)
+		if ft.place(l.d3[nd.Char:][:1], key<<32|uint64(s), emptyD3Key) {
+			st.D3Count++
+		}
 	}
-	return rows
+}
+
+// place puts the packed default e into row — defaults best-ranked first,
+// empty slots last — if it ranks among them, each displaced default moving
+// one slot down and the last falling off. It reports whether an empty slot
+// was taken.
+func (ft *failTree) place(row []uint64, e, empty uint64) bool {
+	for j := range row {
+		if row[j] == empty || ft.rank(int32(uint32(e)), int32(uint32(row[j]))) < 0 {
+			if row[j], e = e, row[j]; e == empty {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // CompressionStats reports the Table II quantities set compresses to when a
@@ -182,32 +216,10 @@ func CompressionStats(set *ruleset.Set, d2 int) (BuildStats, error) {
 		return st, err
 	}
 	ft := newFailTree(trie)
-	_, _, err = compress(trie, ft, selectDefaults(trie, ft, d2, &st), &st)
+	d := defaults{new(lookupTable), make([]uint64, 256*d2)}
+	selectDefaults(trie, ft, d, &st)
+	_, _, err = compress(trie, ft, d, &st)
 	return st, err
-}
-
-// rowWinners sorts cands — states of one depth — by lookup-table row, which
-// is their final character, best-ranked first within a row, and returns the
-// first k of every row in that order.
-func (ft *failTree) rowWinners(t *ac.Trie, cands []int32, k int) []int32 {
-	slices.SortFunc(cands, func(a, b int32) int {
-		if c := cmp.Compare(t.Nodes[a].Char, t.Nodes[b].Char); c != 0 {
-			return c
-		}
-		return ft.rank(a, b)
-	})
-	var winners []int32
-	row, taken := -1, 0
-	for _, s := range cands {
-		if c := int(t.Nodes[s].Char); c != row {
-			row, taken = c, 0
-		}
-		if taken < k {
-			winners = append(winners, s)
-			taken++
-		}
-	}
-	return winners
 }
 
 // staticHistory returns the previous-two-character history known statically
@@ -227,34 +239,32 @@ func staticHistory(t *ac.Trie, s int32) (h2, h1 int16) {
 	}
 }
 
-// resolveDepths evaluates the row's default rule under history (h2, h1),
-// HistNone where unknown, under every depth limit at once: r[d] is the
-// target using depths 1…d only, each limit's answer the one below it
-// unless a deeper default matches, the start state if none does.
-func (row *LookupRow) resolveDepths(h2, h1 int16) (r [4]int32) {
-	r[1] = ac.Root
-	if row.D1 != ac.None {
-		r[1] = row.D1
+// misses evaluates the default rule on c under the fused history hist,
+// unknown lanes histUnknownLane, under every depth limit at once: bit d,
+// for d = 1…3, is set when the rule consulting depths 1…d only — each
+// limit's target the one below it unless a deeper default's key matches —
+// does not reach to. The last limit is lookupTable.resolve's rule.
+func (d defaults) misses(c byte, hist uint32, to int32) (m uint8) {
+	r := d.lut.d1[c]
+	if r != to {
+		m |= 1 << 1
 	}
-	r[2] = r[1]
-	if h1 != HistNone {
-		for _, e := range row.D2 {
-			if int16(e.Prev) == h1 {
-				r[2] = e.State
-				break
-			}
+	for _, e := range d.row(c) {
+		if uint32(e>>32) == hist&histLaneMask {
+			r = int32(uint32(e))
+			break
 		}
 	}
-	r[3] = r[2]
-	if h2 != HistNone && h1 != HistNone {
-		for _, e := range row.D3 {
-			if int16(e.Prev2) == h2 && int16(e.Prev1) == h1 {
-				r[3] = e.State
-				break
-			}
-		}
+	if r != to {
+		m |= 1 << 2
 	}
-	return r
+	if e := d.lut.d3[c]; uint32(e>>32) == hist {
+		r = int32(uint32(e))
+	}
+	if r != to {
+		m |= 1 << 3
+	}
+	return m
 }
 
 // fitsWord reports whether a machine of states states storing entries
@@ -271,53 +281,43 @@ func fitsWord(states int, entries int64) error {
 }
 
 // compress keeps, at every state, only the transitions the default rule of
-// defaults cannot reproduce, and tallies the progressive d1 / d1+d2 /
-// d1+d2+d3 pointer counts for Table II into st. It returns the state
-// memory — the rows in one arena in state order, sized by the tally — and
-// its row index, one descriptor per state. It fails when the machine is
-// beyond what fitsWord allows.
-func compress(t *ac.Trie, ft *failTree, defaults *[256]LookupRow, st *BuildStats) ([]Pointer, []uint32, error) {
+// d cannot reproduce, and tallies the progressive d1 / d1+d2 / d1+d2+d3
+// pointer counts for Table II into st. It returns the state memory — the
+// rows in one arena in state order, sized by the tally — and its row
+// index, one descriptor per state. It fails when the machine is beyond
+// what fitsWord allows.
+func compress(t *ac.Trie, ft *failTree, d defaults, st *BuildStats) ([]Pointer, []uint32, error) {
 	n := t.NumStates()
 
-	// Per edge s —c→ v: under each depth limit, is the edge stored at s, and
-	// was the pointer it overrides — Move(Fail(s), c), which is Fail(v) —
-	// stored at Fail(s)? The difference reaches every state below s.
-	// keep[v] records the first answer under all three depths, which is
-	// what the machine stores, and the same two answers give the length of
-	// s's row from its fail parent's, which — a lower state number — is
-	// already known. (The start state is its own fail parent; its length is
+	// Per edge s —c→ v, under each depth limit d: is the edge stored at s
+	// (bit d of miss[v]), and was the pointer it overrides, to Fail(v),
+	// stored at Fail(s)? That is Fail(v)'s own parent edge, inherited
+	// unchanged, so miss[Fail(v)] answers, set already (the start state's
+	// zero entry: never stored). The difference reaches every state below
+	// s; the full rule's answers give s's row length from its fail parent's,
+	// known already. (The start state is its own fail parent; its length is
 	// still zero when it is read.)
-	keep := make([]bool, n)
+	const full = 1 << 3 // the miss bit of the full rule: what the machine stores
+	miss := make([]uint8, n)
 	rows := make([]uint32, n) // row s's length until the offsets are laid
 	var total [4]int64
 	maxStored := 0
 	for s := range int32(n) {
 		nd := &t.Nodes[s]
-		h2, h1 := staticHistory(t, s)
-		fh2, fh1 := staticHistory(t, nd.Fail)
+		hist := fuseHist(staticHistory(t, s))
 		w := int64(ft.sub[s])
 		length := int(rows[nd.Fail])
 		for _, e := range t.Edges(s) {
-			over := t.Nodes[e.To].Fail
-			own := defaults[e.Char].resolveDepths(h2, h1)
-			var inherited [4]int32
-			if over != ac.Root {
-				inherited = defaults[e.Char].resolveDepths(fh2, fh1)
+			own := uint8(1<<1 | 1<<2 | full) // no default is as deep as e.To
+			if nd.Depth < 3 {
+				own = d.misses(e.Char, hist, e.To)
 			}
+			inherited := miss[t.Nodes[e.To].Fail]
+			miss[e.To] = own
 			for d := 1; d <= 3; d++ {
-				if own[d] != e.To {
-					total[d] += w
-				}
-				if over != ac.Root && inherited[d] != over {
-					total[d] -= w
-				}
+				total[d] += w*int64(own>>d&1) - w*int64(inherited>>d&1)
 			}
-			if keep[e.To] = own[3] != e.To; keep[e.To] {
-				length++
-			}
-			if over != ac.Root && inherited[3] != over {
-				length--
-			}
+			length += int(own/full) - int(inherited/full)
 		}
 		rows[s] = uint32(length)
 		maxStored = max(maxStored, length)
@@ -350,7 +350,7 @@ func compress(t *ac.Trie, ft *failTree, defaults *[256]LookupRow, st *BuildStats
 			if len(inherited) > 0 && inherited[0].Char() == e.Char {
 				inherited = inherited[1:]
 			}
-			if keep[e.To] {
+			if miss[e.To]&full != 0 {
 				row[used] = newPointer(e.Char, e.To)
 				used++
 			}

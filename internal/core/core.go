@@ -71,10 +71,11 @@
 // lookup table, state memory and match memory (outputTable), and the
 // kernels' tables. Build — the one way a Machine comes to exist — derives
 // them from the trie, proves the prefilter's superset contract on it and
-// lets it go, with the per-character default lists it selected the lookup
-// table from. What needs the uncompressed automaton later — Machine.Verify,
-// the one proof of the whole image, and WriteDot — is handed a trie of the
-// same ruleset: a proof is of the image against the rules.
+// lets it go; the lookup table is selected straight into its packed words,
+// so no other form of it is made. What needs the uncompressed automaton
+// later — Machine.Verify, the one proof of the whole image, and WriteDot —
+// is handed a trie of the same ruleset: a proof is of the image against the
+// rules.
 package core
 
 import (
@@ -82,6 +83,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/ac"
 	"repro/internal/ruleset"
@@ -146,9 +148,9 @@ type D3Entry struct {
 }
 
 // LookupRow is one row of the lookup table as lists: what the default rule
-// consults on one input character c. Build selects the table in this form
-// and encodes it into the machine's lookupTable; Machine.LookupRow decodes
-// a row back.
+// consults on one input character c. Build writes the table packed, straight
+// into the machine's lookupTable; Machine.LookupRow decodes a row back into
+// this form.
 type LookupRow struct {
 	// D1 is the depth-1 state labeled c, or ac.None. In hardware this is a
 	// single bit per row because the target address is fixed.
@@ -174,30 +176,6 @@ type lookupTable struct {
 	d1 [256]int32
 	d2 [256][d2PerChar]uint64
 	d3 [256]uint64
-}
-
-// newLookupTable encodes the rows Build selected.
-func newLookupTable(rows *[256]LookupRow) lookupTable {
-	var l lookupTable
-	for c := range rows {
-		row := &rows[c]
-		l.d1[c] = ac.Root
-		if row.D1 != ac.None {
-			l.d1[c] = row.D1
-		}
-		for j := range l.d2[c] {
-			l.d2[c][j] = emptyD2Key
-		}
-		for j, e := range row.D2 {
-			l.d2[c][j] = uint64(e.Prev)<<32 | uint64(uint32(e.State))
-		}
-		l.d3[c] = emptyD3Key
-		for _, e := range row.D3 {
-			key := uint64(e.Prev2)<<histLaneBits | uint64(e.Prev1)
-			l.d3[c] = key<<32 | uint64(uint32(e.State))
-		}
-	}
-	return l
 }
 
 // resolve is the default rule on input character c under the fused history
@@ -326,7 +304,11 @@ type Machine struct {
 	generation uint64
 }
 
-// Build compresses the move-function DFA for set under opts.
+// Build compresses the move-function DFA for set under opts. What reads
+// only the trie (trieStages) runs on a second goroutine beside the
+// compression chain and hands its results over an unbuffered channel, which
+// every return after it starts receives from first: no goroutine outlives
+// Build.
 func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -335,40 +317,58 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	side := make(chan trieStages)
+	go func() { side <- newTrieStages(trie, opts.Backend) }()
 	m := &Machine{backend: opts.Backend, generation: nextGeneration(), depth: int(trie.Nodes[deepest(trie)].Depth)}
 	ft := newFailTree(trie)
-	defaults := selectDefaults(trie, ft, d2PerChar, &m.Stats)
-	if m.stored, m.rows, err = compress(trie, ft, defaults, &m.Stats); err != nil {
+	d := defaults{&m.lut, unsafe.Slice(&m.lut.d2[0][0], len(m.lut.d2)*d2PerChar)}
+	selectDefaults(trie, ft, d, &m.Stats)
+	m.stored, m.rows, err = compress(trie, ft, d, &m.Stats)
+	stages := <-side
+	if err != nil {
 		return nil, err
 	}
-	m.lut = newLookupTable(defaults)
-	m.out = newOutputTable(trie)
-	if err := m.compileBackends(trie, ft, opts.DenseStates); err != nil {
+	if err := m.compileBackends(trie, ft, opts.DenseStates, stages); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// compileBackends bakes the kernels the configured backend needs: the flat
-// Program and, on top of it, the lossy prefilter stage (which must pass
-// verifySuperset to be kept — a prefilter that could miss is discarded,
-// never silently used). A pinned prefiltered backend turns a discarded or
-// uncompilable stage into a Build error.
-func (m *Machine) compileBackends(trie *ac.Trie, ft *failTree, denseStates int) error {
-	if m.backend == BackendReference {
+// trieStages is what Build derives from the trie alone: the match memory
+// and, unless the reference interpreter is pinned, the lossy prefilter —
+// nil when it does not fit its packed entry format or verifySuperset
+// refused it, with refused saying which.
+type trieStages struct {
+	out     outputTable
+	pre     *Prefilter
+	refused error
+}
+
+func newTrieStages(t *ac.Trie, backend string) (ts trieStages) {
+	if ts.out = newOutputTable(t); backend == BackendReference {
+		return ts
+	}
+	if ts.pre = CompilePrefilter(t); ts.pre == nil {
+		ts.refused = fmt.Errorf("core: the prefilter does not fit its packed entry format")
+	} else if ts.refused = ts.pre.verifySuperset(t); ts.refused != nil {
+		ts.pre = nil
+	}
+	return ts
+}
+
+// compileBackends installs the match memory and bakes the kernels the
+// configured backend needs: the flat Program and, on top of it, the lossy
+// prefilter stage of stages, which is nil unless it passed verifySuperset —
+// a prefilter that could miss is discarded, never silently used. A pinned
+// prefiltered backend turns a discarded or uncompilable stage into a Build
+// error.
+func (m *Machine) compileBackends(trie *ac.Trie, ft *failTree, denseStates int, stages trieStages) error {
+	if m.out = stages.out; m.backend == BackendReference {
 		return nil
 	}
 	m.prog = compile(m, trie, ft, denseStates)
-	if m.pre = CompilePrefilter(trie); m.pre != nil {
-		if err := m.verifySuperset(trie); err != nil {
-			m.pre = nil
-			if m.backend == BackendPrefiltered {
-				return err
-			}
-		}
-	}
-	if m.backend == BackendPrefiltered && m.pre == nil {
-		return fmt.Errorf("core: Backend %q pinned but the prefilter does not fit its packed entry format", m.backend)
+	if m.pre = stages.pre; m.pre == nil && m.backend == BackendPrefiltered {
+		return fmt.Errorf("core: Backend %q pinned: %w", m.backend, stages.refused)
 	}
 	m.kind = m.resolveKind()
 	return nil

@@ -304,7 +304,7 @@ func TestDefaultsResolveOrder(t *testing.T) {
 		D2: []D2Entry{{Prev: 'b', State: 4}, {Prev: 'a', State: 2}},
 		D3: []D3Entry{{Prev2: 'p', Prev1: 'a', State: 3}},
 	}
-	l := newLookupTable(rows)
+	l := denseLookupTable(rows)
 	for i, tc := range []struct {
 		h2, h1 int16
 		want   int32

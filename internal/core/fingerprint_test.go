@@ -3,7 +3,10 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ruleset"
 )
@@ -36,7 +39,11 @@ func decodeRow(row []Pointer) []transition {
 // last.
 func buildFingerprint(t *testing.T) string {
 	t.Helper()
-	m := mustBuild(t, ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010}), Options{})
+	return fingerprint(mustBuild(t, ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010}), Options{}))
+}
+
+// fingerprint is buildFingerprint's hash of the machine m.
+func fingerprint(m *Machine) string {
 	var defaults struct {
 		D1 [256]int32
 		D2 [256][]D2Entry
@@ -56,14 +63,88 @@ func buildFingerprint(t *testing.T) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// pinnedFingerprint is buildFingerprint at the last commit that changed the
+// builder's decisions.
+const pinnedFingerprint = "22d486dc5cb09b396fb4900025847d67c535d21c8364461304780dc6910f5337"
+
 // TestBuildFingerprintPinned holds the builder to what it decided at the
 // last commit that changed it, so a change that moves a default, a stored
 // pointer or a Table II figure fails here first. The constant was last
 // re-taken when states came to be numbered breadth-first, which moved
 // choices the builder breaks by state number among equally popular states.
 func TestBuildFingerprintPinned(t *testing.T) {
-	const want = "22d486dc5cb09b396fb4900025847d67c535d21c8364461304780dc6910f5337"
-	if got := buildFingerprint(t); got != want {
-		t.Fatalf("the 634-string build hashes to %s, want %s", got, want)
+	if got := buildFingerprint(t); got != pinnedFingerprint {
+		t.Fatalf("the 634-string build hashes to %s, want %s", got, pinnedFingerprint)
+	}
+}
+
+// TestConcurrentCompilesMatchFingerprint: Builds running at once, each with
+// its own second goroutine, share nothing they write — every machine hashes
+// to the pinned fingerprint. Under -race it is also the race check of
+// Build's two goroutines.
+func TestConcurrentCompilesMatchFingerprint(t *testing.T) {
+	set := ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})
+	got, errs := make([]string, 8), make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := Build(set, Options{})
+			if errs[i] = err; err == nil {
+				got[i] = fingerprint(m)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("compile %d: %v", i, errs[i])
+		}
+		if got[i] != pinnedFingerprint {
+			t.Errorf("compile %d hashes to %s, want %s", i, got[i], pinnedFingerprint)
+		}
+	}
+}
+
+// TestBuildLeavesNoGoroutine: Build joins its second goroutine on every
+// return — after a successful build, and after a pinned prefiltered build
+// whose prefilter is refused once the goroutine has started. The goroutine
+// sends on an unbuffered channel, so a return that skipped the join would
+// leave it blocked for good; one that joined may still be leaving when
+// Build returns, so the count is given a moment to settle.
+func TestBuildLeavesNoGoroutine(t *testing.T) {
+	set := ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})
+	refuse := func(t *testing.T) {
+		saved := pfMaxRows
+		pfMaxRows = 0 // no prefilter fits: the stage is refused
+		t.Cleanup(func() { pfMaxRows = saved })
+	}
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		prepare func(*testing.T)
+		wantErr bool
+	}{
+		{"built", Options{}, func(*testing.T) {}, false},
+		{"prefiltered-refused", Options{Backend: BackendPrefiltered}, refuse, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.prepare(t)
+			before := runtime.NumGoroutine()
+			for range 10 {
+				if _, err := Build(set, tc.opts); (err != nil) != tc.wantErr {
+					t.Fatalf("Build error %v, want one: %v", err, tc.wantErr)
+				}
+			}
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				after = runtime.NumGoroutine()
+			}
+			if after > before {
+				t.Fatalf("%d goroutines before 10 builds, %d after", before, after)
+			}
+		})
 	}
 }

@@ -70,6 +70,10 @@ import (
 	"repro/internal/ac"
 )
 
+// pfMaxRows is how many rows the table can address beside the suspect flag.
+// A variable only so that a test can make every prefilter too large.
+var pfMaxRows = 1 << 15
+
 const (
 	// prefK is the prefilter window depth: the lossy machine proves "the
 	// exact machine is below depth K and no match ends here" for clean
@@ -81,7 +85,6 @@ const (
 	// accept string; any other entry is its target's row number, below
 	// pfMaxRows.
 	pfSuspect = uint16(1) << 15
-	pfMaxRows = 1 << 15
 
 	// pfMaxClasses bounds the collapsed alphabet (class 0 = byte absent
 	// from all pattern prefixes). Rulesets with more distinct prefix bytes
@@ -325,6 +328,9 @@ func (pf *Prefilter) Stats() PrefilterStats {
 	return st
 }
 
+// verifySuperset proves the machine's prefilter: see Prefilter.verifySuperset.
+func (m *Machine) verifySuperset(t *ac.Trie) error { return m.pre.verifySuperset(t) }
+
 // verifySuperset proves the prefilter admits no false negatives, in the
 // spirit of verifyTransitions: for every state of t, the machine's trie, that
 // terminates an accept window — depth exactly prefK, or a shallower state where a
@@ -336,9 +342,9 @@ func (pf *Prefilter) Stats() PrefilterStats {
 // file comment); the scan-level property tests and fuzzer check that
 // empirically. It also checks the compact table's structural invariant:
 // a suspect entry is the bare flag, and every other entry addresses a
-// stored row.
-func (m *Machine) verifySuperset(t *ac.Trie) error {
-	pf := m.pre
+// stored row. The proof reads the prefilter and t only, so Build runs it
+// before the machine holds the stage.
+func (pf *Prefilter) verifySuperset(t *ac.Trie) error {
 	if pf == nil {
 		return fmt.Errorf("core: no prefilter compiled for this machine")
 	}
