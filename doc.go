@@ -73,9 +73,11 @@
 //     a non-TCP packet whole, in place, under a per-packet verdict, and demultiplexes a TCP
 //     packet through its own 5-tuple flow table into per-flow scanner
 //     state, so one tuple's packets — segments or datagrams — are always
-//     scanned in ingest order. Segments tagged FlagSeq pass through
-//     TCP reassembly first (configurable overlap policy, bounded buffering,
-//     gap timeout/skip, SYN/FIN/RST lifecycle), so
+//     scanned in ingest order. Every TCP segment carries its sequence
+//     number (FlagSeq; one without it is refused with ErrBadPacket) and
+//     passes through TCP reassembly first (configurable overlap policy,
+//     bounded buffering, gap timeout/skip — a segment shed under overload
+//     is one more hole — SYN/FIN/RST lifecycle), so
 //     matches spanning segment boundaries survive demultiplexing even when
 //     segments arrive out of order, overlapping or retransmitted. Header
 //     rules (VerdictRule) classify each flow's 5-tuple before any payload

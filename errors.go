@@ -21,6 +21,11 @@ var (
 	// begun.
 	ErrClosed = errors.New("dpi: gateway closed")
 
+	// ErrBadPacket marks a packet Ingest and TryIngest refuse: a TCP
+	// packet without FlagSeq, whose bytes reassembly cannot place. A
+	// refused packet is not ingested and is counted nowhere.
+	ErrBadPacket = errors.New("dpi: malformed packet")
+
 	// ErrStaleGeneration marks a SwapRules call whose matcher is not newer
 	// than the installed one — same matcher again, or an older compile
 	// delivered late (e.g. two reloaders racing). The gateway keeps the

@@ -23,20 +23,20 @@ package dpi
 // touch — its admission gate, its queue, its own single-writer flow table
 // (as each of the paper's engines owns the registers of the packet it
 // holds), its share of the memory budget and its counter block. Beyond its
-// lane a packet writes only the ingest sequence number; a shed segment's
-// gap, under the pending-gap lock; and a generation's pin count when its
-// connection opens or ends. Every read surface (Stats, ShardStats, Health,
-// the Flush barrier) is one walk over the lanes.
+// lane a packet writes only the ingest sequence number and a generation's
+// pin count when its connection opens or ends. Every read surface (Stats,
+// ShardStats, Health, the Flush barrier) is one walk over the lanes.
 // Sharding is invisible in results and accounting; ShardStats exposes the
 // per-replica fan-out.
 //
 // Two stages sit between a lane and the scanner, completing the NIDS model:
 //
-//   - TCP reassembly (internal/reassembly): segments carrying a sequence
-//     number (FlagSeq) are reordered into the connection's contiguous byte
-//     stream before scanning, with a configurable overlap policy, bounded
-//     buffering, and a gap timeout so loss cannot wedge a flow. This closes
-//     the segmentation-evasion hole: a signature split or shuffled across
+//   - TCP reassembly (internal/reassembly): every TCP segment carries its
+//     sequence number (FlagSeq) and is reordered into the connection's
+//     contiguous byte stream before scanning, with a configurable overlap
+//     policy, bounded buffering, and a gap timeout so loss — upstream or
+//     shed at admission — cannot wedge a flow. This closes the
+//     segmentation-evasion hole: a signature split or shuffled across
 //     segments is still seen contiguously by the matcher.
 //   - Header-rule verdicts (internal/nids): rules classify the 5-tuple
 //     before any payload byte is scanned. A pass rule exempts the flow from
@@ -104,17 +104,17 @@ const (
 )
 
 // TCPFlags carries the TCP control bits the gateway acts on, plus FlagSeq,
-// which marks the Seq field as meaningful. A packet without FlagSeq takes
-// the pre-reassembly path: its bytes append at the flow's current stream
-// position, trusting the feed to deliver segments in order.
+// which marks the Seq field as meaningful and is required on every TCP
+// packet: the gateway places a segment's bytes by its sequence number
+// alone.
 type TCPFlags uint8
 
 const (
 	FlagFIN TCPFlags = 1 << 0 // connection finished after this segment
 	FlagSYN TCPFlags = 1 << 1 // connection start; Seq is the ISN
 	FlagRST TCPFlags = 1 << 2 // abort: tear the flow down immediately
-	// FlagSeq marks Seq as valid, routing the packet through TCP
-	// reassembly. Feeds that guarantee in-order delivery may omit it.
+	// FlagSeq marks Seq as valid. Required on every TCP packet; TryIngest
+	// refuses one without it (ErrBadPacket).
 	FlagSeq TCPFlags = 1 << 7
 )
 
@@ -131,14 +131,13 @@ const (
 )
 
 // GatewayPacket is one ingested packet: a payload tagged with its flow's
-// 5-tuple and, for TCP segments from a real capture, the sequence number
-// and control flags driving reassembly and connection lifecycle. The
-// Gateway takes ownership of Payload; callers that reuse buffers must copy
-// first.
+// 5-tuple and, for TCP segments, the sequence number and control flags
+// driving reassembly and connection lifecycle. The Gateway takes ownership
+// of Payload; callers that reuse buffers must copy first.
 type GatewayPacket struct {
 	Tuple FiveTuple
 	// Seq is the TCP sequence number of Payload[0] (of the SYN itself on a
-	// SYN segment). It is honoured only when Flags has FlagSeq set.
+	// SYN segment), vouched for by FlagSeq. Ignored for other protocols.
 	Seq     uint32
 	Flags   TCPFlags
 	Payload []byte
@@ -224,9 +223,10 @@ const (
 	// to an unloaded run.
 	Block OverloadPolicy = iota
 	// ShedPackets drops the packet that cannot be queued within
-	// IngestDeadline. A shed TCP segment invalidates the flow's scanner
-	// across the unseen bytes (SkipGap semantics), so no match can span a
-	// shed packet and matches over delivered bytes stay oracle-exact.
+	// IngestDeadline. A shed TCP segment is a reassembly hole: the flow
+	// holds what follows until GapTimeout skips the hole, invalidating the
+	// scanner across the unseen bytes, so no match can span a shed packet
+	// and matches over delivered bytes stay oracle-exact.
 	ShedPackets
 	// ShedNewFlows sheds only packets that would create new flow state
 	// (unknown TCP tuples and stateless packets); packets of established
@@ -314,8 +314,8 @@ type GatewayConfig struct {
 	// may stall on a missing segment
 	// before the gap is skipped: scanner state is invalidated across the
 	// unseen bytes and scanning resumes at the first buffered byte, so a
-	// single lost segment cannot wedge a flow. Default 4096; negative
-	// disables skipping.
+	// single lost segment, upstream or shed at admission, cannot wedge a
+	// flow. Default 4096; negative disables skipping.
 	GapTimeout int
 
 	// OverloadPolicy selects the admission behavior when a packet's lane
@@ -425,16 +425,6 @@ type Gateway struct {
 	// gateway-wide write every packet makes. Every other per-packet counter
 	// lives on the owning lane's block (gwLane.n).
 	seq atomic.Uint64
-
-	// Pending scanner gaps from shed in-order (non-FlagSeq) TCP segments:
-	// the flow's next admitted packet applies SkipGap(n) before scanning,
-	// so no match spans the shed bytes and later offsets stay absolute.
-	// (Shed FlagSeq segments need none of this — they are ordinary
-	// reassembly holes, handled by GapTimeout.) pendingN gates the lookup:
-	// admission pays one atomic load until something has been shed.
-	pendingMu   sync.Mutex
-	pendingGaps map[FiveTuple]int
-	pendingN    atomic.Int64
 }
 
 // NewGateway starts a pipelined ingestion front-end scanning with m. emit
@@ -453,7 +443,7 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 		return nil, fmt.Errorf("%w: IdleTimeout %d is not below 2^31", ErrBadConfig, cfg.IdleTimeout)
 	}
 	cfg = cfg.withDefaults()
-	g := &Gateway{cfg: cfg, emit: emit, pendingGaps: make(map[FiveTuple]int)}
+	g := &Gateway{cfg: cfg, emit: emit}
 	gen0 := &gwGeneration{id: m.Generation(), m: m}
 	g.cur.Store(gen0)
 	g.gens = []*gwGeneration{gen0}

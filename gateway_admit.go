@@ -13,11 +13,6 @@ type seqPacket struct {
 	seq     int // global ingest sequence number (PacketID attribution)
 	seq32   uint32
 	flags   TCPFlags
-	// gap is the flow's accumulated shed-gap, claimed at admission time.
-	// Claiming it here rather than at the lane keeps gap application in
-	// admission order: a packet admitted before a shed must not absorb that
-	// shed's gap just because the lane processed it later.
-	gap int
 }
 
 // Ingest queues one packet. Under OverloadPolicy Block (the default) it
@@ -25,7 +20,7 @@ type seqPacket struct {
 // caller reading from a NIC or file cannot outrun the scan stages by more
 // than the lane queues. Under a shedding policy it may drop the
 // packet instead (fully accounted; see TryIngest to observe which). It
-// returns an error only on a closed gateway.
+// returns an error only on a closed gateway or a packet TryIngest refuses.
 func (g *Gateway) Ingest(pkt GatewayPacket) error {
 	_, err := g.TryIngest(pkt)
 	return err
@@ -34,17 +29,23 @@ func (g *Gateway) Ingest(pkt GatewayPacket) error {
 // TryIngest is Ingest reporting the admission decision: admitted is false
 // when the configured shedding policy dropped the packet (always true under
 // Block). A shed packet still counts in Packets/Bytes — it reached the
-// sensor — and its payload lands in the Shed ledger bucket; a shed in-order
-// TCP segment additionally arms a scanner gap so the exactness contract
-// holds over the bytes that were delivered.
+// sensor — and its payload lands in the Shed ledger bucket. A shed TCP
+// segment is a hole in its flow's sequence space, as if lost upstream: the
+// flow holds what arrives behind it until GapTimeout skips the hole, so the
+// exactness contract holds over the bytes that were delivered. A TCP packet
+// without FlagSeq is refused with a wrapped ErrBadPacket before anything
+// is counted.
 func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
+	tcp := pkt.Tuple.Proto == ProtoTCP
+	if tcp && pkt.Flags&FlagSeq == 0 {
+		return false, fmt.Errorf("%w: TCP packet without FlagSeq", ErrBadPacket)
+	}
 	// The tuple hash pins the packet to its shard, h%M, and to one of that
 	// shard's K lanes, (h/M)%K — one routing rule for every protocol.
 	// Dividing out the shard index decorrelates the lane choice from the
 	// shard choice when their counts share factors; with one shard it
 	// reduces to h%K.
 	pol := g.cfg.OverloadPolicy
-	tcp := pkt.Tuple.Proto == ProtoTCP
 	h := pkt.Tuple.Hash64()
 	m, k := uint64(g.cfg.EngineShards), uint64(g.cfg.StreamWorkers)
 	ln := g.lanes[(h%m)*k+(h/m)%k]
@@ -56,11 +57,6 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 	seq := g.seq.Add(1) - 1
 	ln.n[cBytes].Add(uint64(len(pkt.Payload)))
 	p := seqPacket{tuple: pkt.Tuple, payload: pkt.Payload, seq: int(seq), seq32: pkt.Seq, flags: pkt.Flags}
-	if tcp && pkt.Flags&FlagSeq == 0 {
-		// Claim any gap earlier sheds left for this flow, in admission
-		// order. One atomic load until something has actually been shed.
-		p.gap = g.takePendingGap(pkt.Tuple)
-	}
 	// The lane's depth is raised across the (possibly blocking) send: a
 	// concurrent Flush cannot declare the lane drained while this packet
 	// may still slip in (TryIngest holds the gate shared, Flush takes it
@@ -106,49 +102,12 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 		}
 	}
 	ln.depth.Add(-1)
-	g.shed(ln, p, newFlow)
-	return false, nil
-}
-
-// shed accounts one dropped packet and, for an in-order TCP segment, arms
-// the flow's pending scanner gap. A shed FlagSeq segment needs no gap: in
-// sequence space it is indistinguishable from a segment lost upstream, and
-// the reassembler's GapTimeout already skips such holes with scanner
-// invalidation.
-func (g *Gateway) shed(ln *gwLane, p seqPacket, newFlow bool) {
 	ln.n[cShedPackets].Add(1)
 	ln.n[cShedBytes].Add(uint64(len(p.payload)))
 	if newFlow {
 		ln.n[cShedNewFlows].Add(1)
 	}
-	if p.tuple.Proto == ProtoTCP && p.flags&FlagSeq == 0 && p.gap+len(p.payload) > 0 {
-		// The shed packet's own bytes, plus any gap it had already claimed
-		// at admission (which must not be lost with it).
-		g.pendingMu.Lock()
-		if _, ok := g.pendingGaps[p.tuple]; !ok {
-			g.pendingN.Add(1)
-		}
-		g.pendingGaps[p.tuple] += p.gap + len(p.payload)
-		g.pendingMu.Unlock()
-	}
-}
-
-// takePendingGap consumes the flow's pending shed gap, if any. The atomic
-// gate keeps the per-packet cost to one load until something is shed.
-func (g *Gateway) takePendingGap(t FiveTuple) int {
-	if g.pendingN.Load() == 0 {
-		return 0
-	}
-	g.pendingMu.Lock()
-	n, ok := g.pendingGaps[t]
-	if ok {
-		delete(g.pendingGaps, t)
-	}
-	g.pendingMu.Unlock()
-	if ok {
-		g.pendingN.Add(-1)
-	}
-	return n
+	return false, nil
 }
 
 // Flush blocks until every packet ingested before the call has been

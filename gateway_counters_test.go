@@ -132,9 +132,6 @@ func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
 	if es := gw.ShardStats()[0]; es != (EngineStats{}) {
 		t.Errorf("the untouched shard reports work: %+v", es)
 	}
-	if got := gw.PanicsByShard(); !slices.Equal(got, []uint64{0, sum(cPanics)}) {
-		t.Errorf("PanicsByShard = %v, want [0 %d]", got, sum(cPanics))
-	}
 	if h := gw.Health(); h.Panics != sum(cPanics) || h.QuarantinedFlows != sum(cQuarantinedFlows) {
 		t.Errorf("Health = %+v, want the shard's panic and quarantine counts %d, %d", h, sum(cPanics), sum(cQuarantinedFlows))
 	}

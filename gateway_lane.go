@@ -75,7 +75,7 @@ type gwFlow struct {
 	// automaton and written only over it: gen is the one record of which
 	// automaton they belong to. Meaningful only while gen is non-nil.
 	regs core.Regs
-	// asm reorders FlagSeq segments and nothing more: how the connection
+	// asm reorders the connection's segments and nothing more: how it
 	// ends is the lane's to decide and the table's to remember (a husk, or
 	// no entry). Its config is the gateway's, which every call passes in;
 	// a new record's zero cursor is empty.
@@ -244,26 +244,6 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 		return flowOpen
 	case VerdictPass:
 		ln.n[cPassedBytes].Add(uint64(len(p.payload)))
-		return flowOpen
-	}
-	if p.gap > 0 {
-		// Bytes shed at admission (see Gateway.pendingGaps) sit between
-		// the flow's last scanned byte and this packet: invalidate scanner
-		// state across them so no match spans bytes the scanner never saw,
-		// keeping later offsets absolute in the true stream. Not a
-		// reassembly gap — GapSkips is untouched; the shed bytes are
-		// already in the Shed bucket.
-		fl.regs.SkipAhead(p.gap)
-	}
-	if p.flags&FlagSeq == 0 {
-		// Pre-reassembly semantics: the feed vouches for ordering and the
-		// bytes append at the flow's current stream position.
-		fl.scan(ln, &p, p.payload, len(p.payload))
-		ln.n[cScannedBytes].Add(uint64(len(p.payload)))
-		if p.flags&FlagFIN != 0 {
-			ln.n[cFlowsFinished].Add(1)
-			return flowFinished
-		}
 		return flowOpen
 	}
 	// Explicit flag translation: the gateway and reassembly bit values

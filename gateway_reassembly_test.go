@@ -778,6 +778,7 @@ func TestGatewayFlushSerializesWithIngest(t *testing.T) {
 	}
 	gw := testGateway(t, m, GatewayConfig{QueueDepth: 2, StreamWorkers: 1}, func(FlowMatch) {})
 	var wg sync.WaitGroup
+	var sq Sequencer
 	const ingesters = 3
 	for gi := 0; gi < ingesters; gi++ {
 		wg.Add(1)
@@ -788,7 +789,7 @@ func TestGatewayFlushSerializesWithIngest(t *testing.T) {
 				if i%3 == 0 {
 					tup.Proto = ProtoTCP
 				}
-				if err := gw.Ingest(GatewayPacket{Tuple: tup, Payload: pkts[i].Payload}); err != nil {
+				if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup, Payload: pkts[i].Payload})); err != nil {
 					t.Error(err)
 					return
 				}

@@ -38,6 +38,7 @@ func TestGatewayShutdownUnderConcurrentLoad(t *testing.T) {
 	closed := make(chan struct{})
 
 	// Ingesters: feed until the gateway reports closed.
+	var sq Sequencer
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(part int) {
@@ -48,7 +49,7 @@ func TestGatewayShutdownUnderConcurrentLoad(t *testing.T) {
 					if int(p.FlowID)%2 != part {
 						continue
 					}
-					if _, err := gw.TryIngest(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}); err != nil {
+					if _, err := gw.TryIngest(sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload})); err != nil {
 						if !strings.Contains(err.Error(), "closed") {
 							t.Errorf("unexpected ingest error: %v", err)
 						}
@@ -109,7 +110,7 @@ func TestGatewayShutdownUnderConcurrentLoad(t *testing.T) {
 		t.Fatalf("ledger unbalanced after teardown under load: %+v", l)
 	}
 	// Late ingestion is an error, not a hang or a panic.
-	if admitted, err := gw.TryIngest(GatewayPacket{Tuple: w.Tuples[0], Payload: []byte("late")}); err == nil || admitted {
+	if admitted, err := gw.TryIngest(sq.Seq(GatewayPacket{Tuple: w.Tuples[0], Payload: []byte("late")})); err == nil || admitted {
 		t.Fatalf("TryIngest after Close: admitted=%v err=%v, want refusal with error", admitted, err)
 	}
 	// Counters are frozen: the refused packet must not be counted.
@@ -171,8 +172,9 @@ func TestGatewayStageCensus(t *testing.T) {
 	if got := runtime.NumGoroutine() - base; got != 2*3 {
 		t.Fatalf("gateway started %d goroutines, want EngineShards × StreamWorkers = 6", got)
 	}
+	var sq Sequencer
 	for _, proto := range []uint8{ProtoTCP, ProtoUDP} {
-		if err := gw.Ingest(GatewayPacket{Tuple: FiveTuple{Proto: proto}, Payload: []byte("x")}); err != nil {
+		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: FiveTuple{Proto: proto}, Payload: []byte("x")})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ type GatewayStats struct {
 	QuarantinedPackets uint64 // packets discarded on/after a flow quarantine
 	QuarantinedBytes   uint64 // payload bytes those packets carried (ledger-exact)
 
-	// TCP reassembly (FlagSeq segments only).
+	// TCP reassembly (every TCP segment).
 	ReassembledBytes uint64 // bytes delivered to scanners in stream order
 	BufferedBytes    int    // out-of-order bytes currently held, all flows
 	OutOfOrderSegs   uint64 // segments that had to be buffered
@@ -338,18 +338,6 @@ func (g *Gateway) RuleStats() []RuleStats {
 			out[i].Flows += ln.rules[i].flows.Load()
 			out[i].Matches += ln.rules[i].matches.Load()
 		}
-	}
-	return out
-}
-
-// PanicsByShard returns the recovered-panic count per engine shard, in
-// shard order — the dpi_panics_total{shard} series. A non-zero cell names
-// the shard whose lane contained a panic.
-func (g *Gateway) PanicsByShard() []uint64 {
-	shards, _ := g.counterTotals()
-	out := make([]uint64, len(shards))
-	for s := range shards {
-		out[s] = shards[s][cPanics]
 	}
 	return out
 }

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/capture/corpus"
 	"repro/internal/core"
 	"repro/internal/ruleset"
 	"repro/internal/traffic"
@@ -129,8 +130,9 @@ func TestGatewayDemuxMatchesPerFlowOracle(t *testing.T) {
 	}
 	c := newCollector()
 	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 3}, c.emit)
+	var sq Sequencer
 	for _, p := range w.Packets {
-		if err := gw.Ingest(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}); err != nil {
+		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,6 +233,7 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 		seq++
 	}
 	di := 0
+	var sq Sequencer
 	for _, p := range w.Packets {
 		if di < len(dgrams) {
 			own := one
@@ -239,7 +242,7 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 			send(one, dgrams[di].Payload, &train)
 			di++
 		}
-		if err := gw.Ingest(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}); err != nil {
+		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload})); err != nil {
 			t.Fatal(err)
 		}
 		seq++
@@ -310,8 +313,9 @@ func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
 		MemoryBudget: maxFlows * ConnEntry, StreamWorkers: lanes,
 	}, func(FlowMatch) { matches.add(1) })
 	peak := 0
+	var sq Sequencer
 	for i, p := range w.Packets {
-		if err := gw.Ingest(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}); err != nil {
+		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload})); err != nil {
 			t.Fatal(err)
 		}
 		if i%512 == 0 {
@@ -439,9 +443,10 @@ func TestGatewayEvictedFlowRestartsClean(t *testing.T) {
 	}, c.emit)
 	a := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	b := FiveTuple{SrcIP: 3, DstIP: 4, SrcPort: 11, DstPort: 80, Proto: ProtoTCP}
+	var sq Sequencer
 	ingest := func(tup FiveTuple, s string) {
 		t.Helper()
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Payload: []byte(s)}); err != nil {
+		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup, Payload: []byte(s)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -478,6 +483,7 @@ func TestGatewayBackpressureLosesNothing(t *testing.T) {
 	// A tiny queue forces constant backpressure stalls.
 	gw := testGateway(t, m, GatewayConfig{QueueDepth: 2, StreamWorkers: 1}, c.emit)
 	var wg sync.WaitGroup
+	var sq Sequencer
 	const ingesters = 4
 	for gi := 0; gi < ingesters; gi++ {
 		wg.Add(1)
@@ -488,7 +494,7 @@ func TestGatewayBackpressureLosesNothing(t *testing.T) {
 				if i%3 == 0 {
 					tup.Proto = ProtoTCP // mix both pipeline paths
 				}
-				if err := gw.Ingest(GatewayPacket{Tuple: tup, Payload: pkts[i].Payload}); err != nil {
+				if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup, Payload: pkts[i].Payload})); err != nil {
 					t.Error(err)
 					return
 				}
@@ -531,6 +537,75 @@ func TestGatewayClosedBehaviour(t *testing.T) {
 	}
 }
 
+// TestTryIngestRejectsUnsequencedTCP: a TCP packet without FlagSeq has no
+// place in its flow's stream, so admission refuses it — a data segment, a
+// bare FIN and a bare RST alike — with ErrBadPacket, before anything is
+// counted: the ledger and the connection it names are untouched. The same
+// packets as UDP or ICMP, with no flags, are admitted and scanned, and a
+// capture replay, which numbers every TCP segment, has nothing refused.
+func TestTryIngestRejectsUnsequencedTCP(t *testing.T) {
+	rules := NewRuleset()
+	rules.MustAdd("p", []byte("needle"))
+	m, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCollector()
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, c.emit)
+	defer gw.Close()
+	tcp := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: ProtoTCP}
+	if err := gw.Ingest(GatewayPacket{Tuple: tcp, Seq: 100, Flags: FlagSeq, Payload: []byte("a needle")}); err != nil {
+		t.Fatal(err)
+	}
+	gw.Flush()
+	before := gw.Stats()
+	for _, p := range []GatewayPacket{
+		{Tuple: tcp, Seq: 108, Payload: []byte("needle")},
+		{Tuple: tcp, Seq: 108, Flags: FlagFIN},
+		{Tuple: tcp, Seq: 108, Flags: FlagRST},
+	} {
+		if admitted, err := gw.TryIngest(p); !errors.Is(err, ErrBadPacket) || admitted {
+			t.Fatalf("flags %#x: admitted=%v err=%v, want a refusal with ErrBadPacket", p.Flags, admitted, err)
+		}
+	}
+	gw.Flush()
+	st := gw.Stats()
+	if st.Packets != before.Packets || st.Bytes != before.Bytes || st.Ledger() != before.Ledger() || !st.Ledger().Balanced() {
+		t.Fatalf("refused packets moved the books: before %+v, after %+v", before, st)
+	}
+	if st.FlowsLive != 1 || st.FlowsFinished != 0 || st.FlowsReset != 0 || st.Matches != 1 {
+		t.Fatalf("refused FIN/RST touched the connection: %+v", st)
+	}
+
+	for _, proto := range []uint8{ProtoUDP, ProtoICMP} {
+		tup := tcp
+		tup.Proto = proto
+		if admitted, err := gw.TryIngest(GatewayPacket{Tuple: tup, Payload: []byte("needle")}); err != nil || !admitted {
+			t.Fatalf("proto %d without flags: admitted=%v err=%v", proto, admitted, err)
+		}
+	}
+	gw.Flush()
+	st = gw.Stats()
+	if st.BatchPackets != 2 || st.ScannedBytes != before.ScannedBytes+12 || st.Matches != 3 || !st.Ledger().Balanced() {
+		t.Fatalf("datagrams not admitted and scanned: %+v", st)
+	}
+
+	for _, cp := range corpus.All() {
+		rg := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
+		rs, err := rg.ReplayPcap(bytes.NewReader(cp.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: replay refused a packet: %v", cp.Name, err)
+		}
+		rg.Flush()
+		if got := rg.Stats().Packets; rs.Ingested != rs.TCPSegments+rs.UDPPackets+rs.OtherIPPackets || got != rs.Ingested {
+			t.Fatalf("%s: replay ingested %d, the gateway counted %d: %+v", cp.Name, rs.Ingested, got, rs)
+		}
+		if err := rg.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestGatewayIdleEviction(t *testing.T) {
 	rules := NewRuleset()
 	rules.MustAdd("p", []byte("needle"))
@@ -540,12 +615,13 @@ func TestGatewayIdleEviction(t *testing.T) {
 	}
 	gw := testGateway(t, m, GatewayConfig{IdleTimeout: 8, StreamWorkers: 1}, func(FlowMatch) {})
 	a := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: ProtoTCP}
-	if err := gw.Ingest(GatewayPacket{Tuple: a, Payload: []byte("x")}); err != nil {
+	var sq Sequencer
+	if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: a, Payload: []byte("x")})); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
 		b := FiveTuple{SrcIP: 7, DstIP: 8, SrcPort: uint16(i), DstPort: 2, Proto: ProtoTCP}
-		if err := gw.Ingest(GatewayPacket{Tuple: b, Payload: []byte("y")}); err != nil {
+		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: b, Payload: []byte("y")})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -600,8 +676,8 @@ func ExampleGateway() {
 	}
 	web := FiveTuple{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 3333, DstPort: 80, Proto: ProtoTCP}
 	// The attack spans two TCP segments; per-flow state catches it.
-	gw.Ingest(GatewayPacket{Tuple: web, Payload: []byte("GET /..")})
-	gw.Ingest(GatewayPacket{Tuple: web, Payload: []byte("/../etc/passwd")})
+	gw.Ingest(GatewayPacket{Tuple: web, Seq: 1000, Flags: FlagSeq, Payload: []byte("GET /..")})
+	gw.Ingest(GatewayPacket{Tuple: web, Seq: 1007, Flags: FlagSeq, Payload: []byte("/../etc/passwd")})
 	gw.Close()
 	// Output: tcp 10.0.0.1:3333 > 10.0.0.2:80: traversal at [5,11)
 }
@@ -630,13 +706,19 @@ func TestGatewayStreamLaneSteadyStateZeroAlloc(t *testing.T) {
 		SrcPort: 40000, DstPort: 443, Proto: ProtoTCP,
 	}
 	payload := bytes.Repeat([]byte("x"), 1200)
-	p := seqPacket{tuple: tuple, payload: payload}
+	p := seqPacket{tuple: tuple, payload: payload, flags: FlagSeq}
 	ln := gw.lanes[0] // idle: nothing is ever ingested
-	lane := func() { ln.streamPacket(p) }
+	lane := func() {
+		ln.streamPacket(p)
+		p.seq32 += uint32(len(payload)) // the next in-order segment
+	}
 	lane() // warm-up creates the flow's record
 	allocs := testing.AllocsPerRun(50, lane)
 	if allocs != 0 {
 		t.Fatalf("gateway stream lane allocated %.1f times per packet in steady state", allocs)
+	}
+	if got, want := ln.n[cScannedBytes].Load(), uint64(52*len(payload)); got != want {
+		t.Fatalf("lane scanned %d bytes, want every segment's %d", got, want)
 	}
 }
 
@@ -659,15 +741,16 @@ func TestGatewayFullPathSteadyStateZeroAlloc(t *testing.T) {
 	defer gw.Close()
 
 	payload := bytes.Repeat([]byte("x"), 1200)
-	tcp := GatewayPacket{Payload: payload, Tuple: FiveTuple{
+	tcp := GatewayPacket{Payload: payload, Flags: FlagSeq, Tuple: FiveTuple{
 		SrcIP: IPv4(10, 0, 0, 1), DstIP: IPv4(10, 0, 0, 2), SrcPort: 40000, DstPort: 443, Proto: ProtoTCP,
 	}}
-	udp := tcp
+	udp := GatewayPacket{Payload: payload, Tuple: tcp.Tuple}
 	udp.Tuple.Proto = ProtoUDP
 	round := func() {
 		if err := gw.Ingest(tcp); err != nil {
 			t.Fatal(err)
 		}
+		tcp.Seq += uint32(len(payload)) // the next in-order segment
 		if err := gw.Ingest(udp); err != nil {
 			t.Fatal(err)
 		}
@@ -677,7 +760,7 @@ func TestGatewayFullPathSteadyStateZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
 		t.Fatalf("full path allocated %.1f times per TCP+UDP round in steady state", allocs)
 	}
-	if st := gw.Stats(); st.StreamPackets != 52 || st.BatchPackets != 52 || st.Matches != 0 {
+	if st := gw.Stats(); st.StreamPackets != 52 || st.BatchPackets != 52 || st.Matches != 0 || st.ScannedBytes != 2*52*uint64(len(payload)) {
 		t.Fatalf("rounds did not take both paths match-free: %+v", st)
 	}
 }
@@ -719,13 +802,15 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 		}
 	}
 	payload := bytes.Repeat([]byte("x"), 1200)
+	var seq uint32 // every flow's next in-order segment
 	lane := func() {
 		for _, tup := range tuples {
 			// The lane admission routes the tuple's packets to: with one
 			// lane per shard, lane h%M.
 			ln := gw.lanes[tup.Hash64()%shards]
-			ln.streamPacket(seqPacket{tuple: tup, payload: payload})
+			ln.streamPacket(seqPacket{tuple: tup, payload: payload, seq32: seq, flags: FlagSeq})
 		}
+		seq += uint32(len(payload))
 	}
 	lane() // warm-up creates one flow per shard
 	allocs := testing.AllocsPerRun(50, lane)
@@ -734,8 +819,9 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 	}
 	var opened uint64
 	for _, ss := range gw.ShardStats() {
-		if ss.FlowsOpened != 1 {
-			t.Fatalf("shard opened %d flows, want exactly 1: %+v", ss.FlowsOpened, gw.ShardStats())
+		if ss.FlowsOpened != 1 || ss.StreamBytes != 52*uint64(len(payload)) {
+			t.Fatalf("shard opened %d flows and scanned %d bytes, want exactly 1 and every segment's: %+v",
+				ss.FlowsOpened, ss.StreamBytes, gw.ShardStats())
 		}
 		opened += ss.FlowsOpened
 	}
@@ -766,6 +852,7 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 		EngineShards: 4, QueueDepth: 4, StreamWorkers: 2,
 	}, c.emit)
 	var wg sync.WaitGroup
+	var sq Sequencer
 	const ingesters = 4
 	for gi := 0; gi < ingesters; gi++ {
 		wg.Add(1)
@@ -776,7 +863,7 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 				if i%3 == 0 {
 					tup.Proto = ProtoTCP
 				}
-				if err := gw.Ingest(GatewayPacket{Tuple: tup, Payload: pkts[i].Payload}); err != nil {
+				if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup, Payload: pkts[i].Payload})); err != nil {
 					t.Error(err)
 					return
 				}
@@ -860,9 +947,10 @@ func TestGatewayQuarantineHusk(t *testing.T) {
 	})
 	defer gw.Close()
 	victim := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: ProtoTCP}
+	var sq Sequencer
 	step := func(flags TCPFlags, payload string) GatewayStats {
 		t.Helper()
-		if err := gw.Ingest(GatewayPacket{Tuple: victim, Flags: flags, Payload: []byte(payload)}); err != nil {
+		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: victim, Flags: flags, Payload: []byte(payload)})); err != nil {
 			t.Fatal(err)
 		}
 		gw.Flush()
@@ -896,7 +984,7 @@ func TestGatewayQuarantineHusk(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ { // age the husk past IdleTimeout
 		other := FiveTuple{SrcIP: 7, DstIP: 8, SrcPort: uint16(i), DstPort: 2, Proto: ProtoTCP}
-		if err := gw.Ingest(GatewayPacket{Tuple: other, Payload: []byte("y")}); err != nil {
+		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: other, Payload: []byte("y")})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -132,9 +132,10 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 	for wv := range waves {
 		pending[wv] = append([][]GatewayPacket{}, waves[wv].pkts...)
 	}
+	var sq Sequencer
 	send := func(p GatewayPacket) {
 		t.Helper()
-		if err := gw.Ingest(p); err != nil {
+		if err := gw.Ingest(sq.Seq(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -472,8 +473,9 @@ func TestSwapUnderConcurrentLoad(t *testing.T) {
 	go func() { // ingester: the full stream workload plus UDP noise
 		defer wg.Done()
 		defer close(done)
+		var sq Sequencer
 		for i, p := range w.Packets {
-			if err := gw.Ingest(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}); err != nil {
+			if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload})); err != nil {
 				t.Error(err)
 				return
 			}
@@ -790,6 +792,7 @@ func FuzzSwapEquivalence(f *testing.F) {
 		cur := mA
 		swapped := false
 		off := 0
+		var sq Sequencer
 		chunk := func(n int) []byte {
 			if len(payload) == 0 {
 				return nil
@@ -816,7 +819,7 @@ func FuzzSwapEquivalence(f *testing.F) {
 				if pinned[fi] == nil {
 					pinned[fi] = cur
 				}
-				if err := gw.Ingest(GatewayPacket{Tuple: tup(fi), Payload: p}); err != nil {
+				if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup(fi), Payload: p})); err != nil {
 					t.Fatal(err)
 				}
 				streams[fi] = append(streams[fi], p...)
@@ -835,7 +838,7 @@ func FuzzSwapEquivalence(f *testing.F) {
 				if pinned[fi] == nil || finned[fi] {
 					break
 				}
-				if err := gw.Ingest(GatewayPacket{Tuple: tup(fi), Flags: FlagFIN}); err != nil {
+				if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup(fi), Flags: FlagFIN})); err != nil {
 					t.Fatal(err)
 				}
 				finned[fi] = true
