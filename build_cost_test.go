@@ -15,8 +15,8 @@ import (
 	"repro/internal/ruleset"
 )
 
-// buildAllocCeiling bounds core.Build's allocations at 634 strings: 35
-// measured, plus 15 %. None of them is per trie state, per pattern or per
+// buildAllocCeiling bounds core.Build's allocations at 634 strings: 36
+// measured, plus four. None of them is per trie state, per pattern or per
 // lookup-table row — the trie is a node table and three arenas, ac.New
 // checks patterns as it inserts them (an ID bitset, not maps of IDs and
 // contents) and numbers states breadth-first, so no later pass sorts or
@@ -24,7 +24,7 @@ import (
 // packed lookup table, with no per-character lists; and the prefilter's
 // collapsed trie is one class-row arena. What is left is the builder's and
 // kernels' flat tables, a handful each, and the second goroutine Build
-// starts with the channel that joins it.
+// starts with the channels that hand it the fail tree and join it.
 const buildAllocCeiling = 40
 
 func benchmarkRuleset() *ruleset.Set {

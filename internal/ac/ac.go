@@ -17,6 +17,8 @@
 // flat all the same — a table of 32-byte nodes and two arenas, goto edges
 // and own outputs, no allocation per state, reached through Trie.Edges and
 // Trie.Out. A pattern's length is the depth of the state that outputs it.
+// New builds one in two phases, which a caller may run itself: Layout, the
+// states and arenas, then Link, the fail and output links.
 package ac
 
 import (
@@ -105,12 +107,23 @@ type protoNode struct {
 	char    byte
 }
 
-// New builds the trie, failure function and output links for set. It
-// refuses what Set.Validate refuses — an empty pattern, an ID outside the
-// 13-bit range, a repeated ID or repeated content — checking as the
-// patterns go in: IDs against a bitset, content by two patterns ending on
-// one state.
+// New builds the trie, failure function and output links for set: Layout,
+// then Link.
 func New(set *ruleset.Set) (*Trie, error) {
+	t, err := Layout(set)
+	if err == nil {
+		t.Link()
+	}
+	return t, err
+}
+
+// Layout builds the trie of set — its states, goto edges and own outputs —
+// with every fail link at the start state and no output links, for Link to
+// fill in. It refuses what Set.Validate refuses — an empty pattern, an ID
+// outside the 13-bit range, a repeated ID or repeated content — checking
+// as the patterns go in: IDs against a bitset, content by two patterns
+// ending on one state.
+func Layout(set *ruleset.Set) (*Trie, error) {
 	if set.Len() == 0 {
 		return nil, fmt.Errorf("ac: empty pattern set")
 	}
@@ -209,7 +222,6 @@ func New(set *ruleset.Set) (*Trie, error) {
 			nd.NumOut = 1
 		}
 	}
-	t.buildFails()
 	return t, nil
 }
 
@@ -231,13 +243,14 @@ func (t *Trie) edgeTo(s int32, c byte) int32 {
 	return None
 }
 
-// buildFails computes the failure function and output links breadth-first,
+// Link computes the failure function and output links breadth-first,
 // exactly as in Aho & Corasick (1975) — which, states being numbered
 // breadth-first, is one forward sweep: a state's parent and fail parent are
-// shallower, so both are done when the sweep reaches it. Most fail chains
-// run out at the start state, whose gotos are looked up in a table instead
-// of by search.
-func (t *Trie) buildFails() {
+// shallower, so both are done when the sweep reaches it. Where a chain
+// runs out, at the start state, its goto is one table lookup; elsewhere a
+// state's few children are scanned. Link writes Node.Fail and Node.OutLink
+// and nothing else, so a reader of the rest of the trie may run beside it.
+func (t *Trie) Link() {
 	var rootGoto [256]int32
 	for c := range rootGoto {
 		rootGoto[c] = None
@@ -247,15 +260,17 @@ func (t *Trie) buildFails() {
 	}
 	for v := int32(1); v < int32(len(t.Nodes)); v++ {
 		nd := &t.Nodes[v]
-		// Follow the parent's fail chain to find the deepest proper suffix
-		// state with a goto on the state's character.
-		w := None
-		for f := t.Nodes[nd.Parent].Fail; w == None; f = t.Nodes[f].Fail {
-			if f == Root {
-				w = rootGoto[nd.Char]
-				break
+		// Follow the parent's fail chain to the deepest proper suffix state
+		// with a goto on the state's character.
+		w := rootGoto[nd.Char]
+	chain:
+		for f := t.Nodes[nd.Parent].Fail; f != Root; f = t.Nodes[f].Fail {
+			for _, e := range t.Edges(f) {
+				if e.Char == nd.Char {
+					w = e.To
+					break chain
+				}
 			}
-			w = t.edgeTo(f, nd.Char)
 		}
 		if w != None && w != v {
 			nd.Fail = w

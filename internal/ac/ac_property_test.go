@@ -1,6 +1,7 @@
 package ac
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -35,6 +36,16 @@ func stateOf(tr *Trie, s []byte) int32 {
 
 // smallTrie builds a trie over a dense random pattern set.
 func smallTrie(t testing.TB, seed int64, npat, alpha, maxLen int) *Trie {
+	tr, err := New(smallSet(seed, npat, alpha, maxLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// smallSet is a dense random set of npat patterns of 1…maxLen bytes over an
+// alphabet of alpha letters.
+func smallSet(seed int64, npat, alpha, maxLen int) *ruleset.Set {
 	src := rng.New(seed)
 	set := &ruleset.Set{}
 	seen := map[string]bool{}
@@ -50,11 +61,7 @@ func smallTrie(t testing.TB, seed int64, npat, alpha, maxLen int) *Trie {
 		seen[string(d)] = true
 		set.Patterns = append(set.Patterns, ruleset.Pattern{ID: len(set.Patterns), Data: d})
 	}
-	tr, err := New(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return set
 }
 
 // TestFailIsLongestProperSuffix checks the defining property of the
@@ -221,6 +228,43 @@ func TestArenaLayout(t *testing.T) {
 		}
 		if edges != uint32(tr.NumStates()-1) {
 			t.Fatalf("seed %d: %d edges for %d states", seed, edges, tr.NumStates())
+		}
+	}
+}
+
+// TestLinkWritesOnlyLinks: Layout leaves every fail link at the start state
+// and no output link, and Link then writes those two fields and nothing
+// else — no other node field and neither arena. Package core relies on it
+// to read the rest of a laid-out trie on a second goroutine while Link
+// runs.
+func TestLinkWritesOnlyLinks(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		tr, err := Layout(smallSet(seed, 40, 3, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		laid, edges, outs := slices.Clone(tr.Nodes), slices.Clone(tr.edges), slices.Clone(tr.outs)
+		for s, nd := range laid {
+			if nd.Fail != Root || nd.OutLink != None {
+				t.Fatalf("seed %d: laid-out state %d has fail %d and output link %d", seed, s, nd.Fail, nd.OutLink)
+			}
+		}
+		tr.Link()
+		linked := 0
+		for s, nd := range tr.Nodes {
+			if nd.Fail != Root || nd.OutLink != None {
+				linked++
+			}
+			nd.Fail, nd.OutLink = Root, None
+			if nd != laid[s] {
+				t.Fatalf("seed %d: Link changed state %d from %+v to %+v beyond its links", seed, s, laid[s], tr.Nodes[s])
+			}
+		}
+		if linked == 0 {
+			t.Fatalf("seed %d: Link linked no state", seed)
+		}
+		if !slices.Equal(tr.edges, edges) || !slices.Equal(tr.outs, outs) {
+			t.Fatalf("seed %d: Link changed an arena", seed)
 		}
 	}
 }

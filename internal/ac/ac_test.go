@@ -441,3 +441,20 @@ func TestQuickFailMatcherEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkNew* time the trie on its own — the layout and the fail sweep,
+// New's two phases — at the paper's smallest and largest ruleset sizes, the
+// first layer of every core.Build.
+func benchmarkNew(b *testing.B, n int) {
+	set := ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(set); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkNew634(b *testing.B)  { benchmarkNew(b, 634) }
+func BenchmarkNew6275(b *testing.B) { benchmarkNew(b, 6275) }

@@ -60,6 +60,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"repro/internal/ac"
@@ -151,14 +152,27 @@ func splitHist(hist uint32) (h2, h1 int16) {
 	return h2, h1
 }
 
-// compile bakes m — compressed from t, whose fail-tree analysis is ft —
-// into a Program over m's own lookup table, arena, row index and match
-// memory, promoting up to denseStates states (see pickDense) to the fast
-// tier in m's own row index. Build bakes every machine unless
-// Options.Backend pins BackendReference.
-func compile(m *Machine, t *ac.Trie, ft *failTree, denseStates int) *Program {
-	p := &Program{lut: &m.lut, rows: m.rows, stored: m.stored, out: &m.out}
+// fastTier is the fast tier as baked before compress's row index exists:
+// the promoted states in order, which compile turns into displaced, one
+// fast row each, and the rows' overrides.
+type fastTier struct {
+	states []uint32
+	rows   []fastRow
+	over   []int32
+}
 
+// bakeFastTier bakes the fast rows of up to denseStates states (see
+// pickDense) of t, whose fail-tree analysis is ft, over the depth-1
+// default row d1, reading nothing else. Rows are baked in state order, so
+// fail parents first: a state's move row is its fail parent's overridden
+// by its own edges, so each row is its nearest promoted fail ancestor's —
+// already baked, found by a binary search of the promoted states — plus
+// the edges of the unpromoted states in between, deepest last. The chain
+// ends at the start state at the latest, whose row is d1 itself: its edges
+// are the depth-1 states. Every other edge leads to depth ≥ 2, which d1
+// never holds, so going down a chain only ever adds overrides or replaces
+// them.
+func bakeFastTier(t *ac.Trie, ft *failTree, d1 *[256]int32, denseStates int) fastTier {
 	// Fast-tier promotion: start state and depth-1 states first, then the
 	// most popular remaining states until the budget is spent.
 	promoted := pickDense(t, ft, denseStates)
@@ -168,36 +182,28 @@ func compile(m *Machine, t *ac.Trie, ft *failTree, denseStates int) *Program {
 			fastCount++
 		}
 	}
-
-	// Fast rows, in state order, so fail parents first: a state's move row
-	// is its fail parent's overridden by its own edges, so each row
-	// is its nearest promoted fail ancestor's — already built — plus the
-	// edges of the unpromoted states in between, deepest last. The chain
-	// ends at the start state at the latest, whose row is d1 itself: its
-	// edges are the depth-1 states. Every other edge leads to depth ≥ 2,
-	// which d1 never holds, so going down a chain only ever adds overrides
-	// or replaces them. A promoted state's descriptor becomes its fast-row
-	// number; the stored-row descriptor it held moves to displaced.
-	p.fast = make([]fastRow, 0, fastCount)
-	m.displaced = make([]uint32, 0, fastCount)
+	tier := fastTier{states: make([]uint32, 0, fastCount), rows: make([]fastRow, 0, fastCount)}
+	for s, ok := range promoted {
+		if ok {
+			tier.states = append(tier.states, uint32(s))
+		}
+	}
 	over := make([]int32, 0, 4*fastCount)
 	var chain []int32
 	var scratch [256]int32 // read only where the row's bit is set
-	for s := range int32(len(promoted)) {
-		if !promoted[s] {
-			continue
-		}
+	for _, s := range tier.states {
 		// chain: s and its fail ancestors, up to the start state or the
 		// last one below a promoted ancestor, whose row this one starts as.
 		var row fastRow
 		chain = chain[:0]
-		for a := s; ; {
+		for a := int32(s); ; {
 			chain = append(chain, a)
 			if a == ac.Root {
 				break
 			}
 			if a = t.Nodes[a].Fail; promoted[a] {
-				base := &p.fast[p.rows[a]&^rowDense]
+				i, _ := slices.BinarySearch(tier.states, uint32(a))
+				base := &tier.rows[i]
 				row.bits = base.bits
 				at := base.rank[0]
 				for w, word := range base.bits {
@@ -211,7 +217,7 @@ func compile(m *Machine, t *ac.Trie, ft *failTree, denseStates int) *Program {
 		}
 		for i := len(chain) - 1; i >= 0; i-- {
 			for _, e := range t.Edges(chain[i]) {
-				if e.To != m.lut.d1[e.Char] {
+				if e.To != d1[e.Char] {
 					row.bits[e.Char>>6] |= 1 << (e.Char & 63)
 					scratch[e.Char] = e.To
 				}
@@ -223,13 +229,25 @@ func compile(m *Machine, t *ac.Trie, ft *failTree, denseStates int) *Program {
 				over = append(over, scratch[w<<6|bits.TrailingZeros64(word)])
 			}
 		}
-		m.displaced = append(m.displaced, p.rows[s])
-		p.rows[s] = rowDense | uint32(len(p.fast))
-		p.fast = append(p.fast, row)
+		tier.rows = append(tier.rows, row)
 	}
-	p.over = make([]int32, len(over)) // exactly sized: the resident image carries no growth slack
-	copy(p.over, over)
-	return p
+	tier.over = make([]int32, len(over)) // exactly sized: the resident image carries no growth slack
+	copy(tier.over, over)
+	return tier
+}
+
+// compile bakes m into a Program over m's own lookup table, arena, row
+// index and match memory, installing tier in the row index: a promoted
+// state's descriptor becomes its fast-row number, and the one it held
+// takes the state's place in tier.states, which becomes displaced. Build
+// bakes every machine unless Options.Backend pins BackendReference.
+func compile(m *Machine, tier fastTier) *Program {
+	for i, s := range tier.states {
+		tier.states[i] = m.rows[s]
+		m.rows[s] = rowDense | uint32(i)
+	}
+	m.displaced = tier.states
+	return &Program{lut: &m.lut, rows: m.rows, stored: m.stored, fast: tier.rows, over: tier.over, out: &m.out}
 }
 
 // pickDense selects the states promoted to the fast tier: the start state,

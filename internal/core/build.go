@@ -27,12 +27,13 @@ package core
 //     since an inherited pointer is stored wherever its edge stored it.
 //
 //   - Fast rows. row(s) is row(Fail(s)) overridden by s's edges, kept as
-//     its difference from the depth-1 default row; see compile.
+//     its difference from the depth-1 default row; see bakeFastTier.
 //
 // The defaults are chosen into, and resolved from, the kernel's own packed
-// lookup table (selectDefaults, misses). Build runs this chain on the
-// caller's goroutine and, beside it on a second one, what reads only the
-// trie: the match memory, the prefilter and its superset proof.
+// lookup table (selectDefaults, misses). Build runs ac.Trie.Link and this
+// chain on the caller's goroutine and the rest beside it on a second one:
+// the prefilter and its proof beside Link, then the match memory and the
+// fast rows beside compress, whose row index compile installs them in.
 
 import (
 	"cmp"

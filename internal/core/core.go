@@ -304,56 +304,68 @@ type Machine struct {
 	generation uint64
 }
 
-// Build compresses the move-function DFA for set under opts. What reads
-// only the trie (trieStages) runs on a second goroutine beside the
-// compression chain and hands its results over an unbuffered channel, which
-// every return after it starts receives from first: no goroutine outlives
-// Build.
+// Build compresses the move-function DFA for set under opts. A second
+// goroutine (newSideStages) works beside the compression chain and sends
+// its results on an unbuffered channel, which every return after it starts
+// receives from first: no goroutine outlives Build.
 func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	trie, err := ac.New(set)
+	trie, err := ac.Layout(set)
 	if err != nil {
 		return nil, err
 	}
-	side := make(chan trieStages)
-	go func() { side <- newTrieStages(trie, opts.Backend) }()
 	m := &Machine{backend: opts.Backend, generation: nextGeneration(), depth: int(trie.Nodes[deepest(trie)].Depth)}
+	handoff, side := make(chan *failTree, 1), make(chan sideStages)
+	go func() { side <- newSideStages(trie, opts, &m.lut.d1, handoff) }()
+	trie.Link()
 	ft := newFailTree(trie)
 	d := defaults{&m.lut, unsafe.Slice(&m.lut.d2[0][0], len(m.lut.d2)*d2PerChar)}
 	selectDefaults(trie, ft, d, &m.Stats)
+	handoff <- ft
 	m.stored, m.rows, err = compress(trie, ft, d, &m.Stats)
 	stages := <-side
 	if err != nil {
 		return nil, err
 	}
-	if err := m.compileBackends(trie, ft, opts.DenseStates, stages); err != nil {
+	if err := m.compileBackends(stages); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// trieStages is what Build derives from the trie alone: the match memory
-// and, unless the reference interpreter is pinned, the lossy prefilter —
-// nil when it does not fit its packed entry format or verifySuperset
-// refused it, with refused saying which.
-type trieStages struct {
+// sideStages is what Build's second goroutine derives: the match memory
+// and, unless the reference interpreter is pinned, the fast tier and the
+// lossy prefilter — nil when it does not fit its packed entry format or
+// verifySuperset refused it, with refused saying which.
+type sideStages struct {
 	out     outputTable
 	pre     *Prefilter
 	refused error
+	tier    fastTier
 }
 
-func newTrieStages(t *ac.Trie, backend string) (ts trieStages) {
-	if ts.out = newOutputTable(t); backend == BackendReference {
-		return ts
+// newSideStages runs beside Link the prefilter and its proof, which read
+// only what Link leaves alone, then, once handoff brings the fail tree —
+// sent after Link and selectDefaults, so the links and d1 are final —
+// beside compress the match memory and the fast tier. It writes nothing
+// the main goroutine reads.
+func newSideStages(t *ac.Trie, opts Options, d1 *[256]int32, handoff <-chan *failTree) (ss sideStages) {
+	baked := opts.Backend != BackendReference
+	if baked {
+		if ss.pre = CompilePrefilter(t); ss.pre == nil {
+			ss.refused = fmt.Errorf("core: the prefilter does not fit its packed entry format")
+		} else if ss.refused = ss.pre.verifySuperset(t); ss.refused != nil {
+			ss.pre = nil
+		}
 	}
-	if ts.pre = CompilePrefilter(t); ts.pre == nil {
-		ts.refused = fmt.Errorf("core: the prefilter does not fit its packed entry format")
-	} else if ts.refused = ts.pre.verifySuperset(t); ts.refused != nil {
-		ts.pre = nil
+	ft := <-handoff
+	ss.out = newOutputTable(t)
+	if baked {
+		ss.tier = bakeFastTier(t, ft, d1, opts.DenseStates)
 	}
-	return ts
+	return ss
 }
 
 // compileBackends installs the match memory and bakes the kernels the
@@ -362,11 +374,11 @@ func newTrieStages(t *ac.Trie, backend string) (ts trieStages) {
 // a prefilter that could miss is discarded, never silently used. A pinned
 // prefiltered backend turns a discarded or uncompilable stage into a Build
 // error.
-func (m *Machine) compileBackends(trie *ac.Trie, ft *failTree, denseStates int, stages trieStages) error {
+func (m *Machine) compileBackends(stages sideStages) error {
 	if m.out = stages.out; m.backend == BackendReference {
 		return nil
 	}
-	m.prog = compile(m, trie, ft, denseStates)
+	m.prog = compile(m, stages.tier)
 	if m.pre = stages.pre; m.pre == nil && m.backend == BackendPrefiltered {
 		return fmt.Errorf("core: Backend %q pinned: %w", m.backend, stages.refused)
 	}

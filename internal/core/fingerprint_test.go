@@ -108,11 +108,17 @@ func TestConcurrentCompilesMatchFingerprint(t *testing.T) {
 }
 
 // TestBuildLeavesNoGoroutine: Build joins its second goroutine on every
-// return — after a successful build, and after a pinned prefiltered build
-// whose prefilter is refused once the goroutine has started. The goroutine
-// sends on an unbuffered channel, so a return that skipped the join would
-// leave it blocked for good; one that joined may still be leaving when
-// Build returns, so the count is given a moment to settle.
+// return — after a successful build, after a reference-pinned one, whose
+// goroutine skips the prefilter and the fast tier and still waits for the
+// fail tree and builds the match memory, and after a pinned prefiltered
+// build whose prefilter is refused once the goroutine has started. Build
+// hands the goroutine the fail tree on a buffered channel before compress,
+// so a compress error — the fitsWord refusal, too large a machine to build
+// here — finds the goroutine past its wait and joins it like any other
+// return. The goroutine sends its results on an unbuffered channel, so a
+// return that skipped the join would leave it blocked for good; one that
+// joined may still be leaving when Build returns, so the count is given a
+// moment to settle.
 func TestBuildLeavesNoGoroutine(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})
 	refuse := func(t *testing.T) {
@@ -127,6 +133,7 @@ func TestBuildLeavesNoGoroutine(t *testing.T) {
 		wantErr bool
 	}{
 		{"built", Options{}, func(*testing.T) {}, false},
+		{"reference", Options{Backend: BackendReference}, func(*testing.T) {}, false},
 		{"prefiltered-refused", Options{Backend: BackendPrefiltered}, refuse, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -120,7 +120,8 @@ type Prefilter struct {
 // nil when the stored rows do not fit the packed entry format (row numbers
 // share a uint16 with the suspect flag), in which case the prefiltered
 // backend is simply unavailable. Build compiles it automatically alongside
-// the baked Program and proves verifySuperset before keeping it.
+// the baked Program and proves verifySuperset before keeping it — while
+// ac.Trie.Link runs: it reads t's Depth, Char, Parent and NumOut only.
 func CompilePrefilter(t *ac.Trie) *Prefilter {
 	n := t.NumStates()
 
@@ -343,7 +344,8 @@ func (m *Machine) verifySuperset(t *ac.Trie) error { return m.pre.verifySuperset
 // empirically. It also checks the compact table's structural invariant:
 // a suspect entry is the bare flag, and every other entry addresses a
 // stored row. The proof reads the prefilter and t only, so Build runs it
-// before the machine holds the stage.
+// before the machine holds the stage, and while ac.Trie.Link runs: of t it
+// reads Depth, Char, Parent and NumOut only.
 func (pf *Prefilter) verifySuperset(t *ac.Trie) error {
 	if pf == nil {
 		return fmt.Errorf("core: no prefilter compiled for this machine")

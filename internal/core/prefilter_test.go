@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ac"
@@ -53,6 +54,55 @@ func TestPrefilterSupersetProperty(t *testing.T) {
 			if mt.End < firstSuspect {
 				t.Fatalf("trial %d: match %+v ends before first suspect position %d: false negative",
 					trial, mt, firstSuspect)
+			}
+		}
+	}
+}
+
+// TestPrefilterReadsNoFailLinks pins the read set Build's concurrency rests
+// on: CompilePrefilter and verifySuperset read a trie's Depth, Char, Parent
+// and NumOut only, never the Fail and OutLink that ac.Trie.Link writes
+// while they run. Each set's prefilter is compiled and proved on a trie
+// that is laid out but not linked, again on the same trie while Link runs
+// beside it — under -race any read of a link is reported — and once more
+// after Link: the three must be equal and every proof must pass.
+func TestPrefilterReadsNoFailLinks(t *testing.T) {
+	rng := rand.New(rand.NewSource(20100311))
+	sets := []*ruleset.Set{ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})}
+	for range 8 {
+		sets = append(sets, randBakedSet(rng))
+	}
+	for i, set := range sets {
+		trie, err := ac.Layout(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compile := func(stage string) *Prefilter {
+			pf := CompilePrefilter(trie)
+			if pf == nil {
+				t.Fatalf("set %d, %s: the prefilter does not fit", i, stage)
+			}
+			if err := pf.verifySuperset(trie); err != nil {
+				t.Fatalf("set %d, %s: %v", i, stage, err)
+			}
+			return pf
+		}
+		unlinked := compile("laid out")
+		linked := make(chan struct{})
+		go func() {
+			trie.Link()
+			close(linked)
+		}()
+		beside := compile("beside Link")
+		<-linked
+		if !slices.Equal(trie.Nodes, mustTrie(t, set).Nodes) {
+			t.Fatalf("set %d: Layout then Link is not ac.New", i)
+		}
+		after := compile("linked")
+		for _, pf := range []*Prefilter{beside, after} {
+			if pf.class != unlinked.class || pf.states != unlinked.states || pf.accepts != unlinked.accepts ||
+				pf.nClasses != unlinked.nClasses || pf.folded != unlinked.folded || !slices.Equal(pf.tab, unlinked.tab) {
+				t.Fatalf("set %d: the prefilter of the linked trie differs from the laid-out trie's", i)
 			}
 		}
 	}
