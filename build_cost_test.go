@@ -15,8 +15,8 @@ import (
 	"repro/internal/ruleset"
 )
 
-// buildAllocCeiling bounds core.Build's allocations at 634 strings: 36
-// measured, plus four. None of them is per trie state, per pattern or per
+// buildAllocCeiling bounds core.Build's allocations at 634 strings: 37
+// measured (one of them the fold's window filter), plus three. None of them is per trie state, per pattern or per
 // lookup-table row — the trie is a node table and three arenas, ac.New
 // checks patterns as it inserts them (an ID bitset, not maps of IDs and
 // contents) and numbers states breadth-first, so no later pass sorts or

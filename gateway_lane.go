@@ -261,7 +261,7 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	// and keeps only what a later scan of it could still change; scan
 	// resumes it from the true registers when its hole fills.
 	m := fl.gen.m.machine
-	fold := reassembly.Fold{Keep: m.Depth(), Encode: func(piece []byte) []byte {
+	fold := reassembly.Fold{Prefix: core.FoldPrefix, Encode: func(piece []byte) []byte {
 		var form []byte
 		form, ln.matches = m.Fold(piece, ln.matches[:0])
 		return form

@@ -438,9 +438,10 @@ func TestGatewayGapSkipResumption(t *testing.T) {
 // drains to zero when the gateway closes. The 128 held bytes carry "needle"
 // near their start. Held whole (LastWins), a cap of 64 bytes and one
 // descriptor keeps the first 64 and the needle. Folded (FirstWins), they
-// cost 22 B — the 6-byte prefix, the registers and one match — and all fit;
-// under a cap too small for that, the fold is cut back to its prefix and the
-// rest is shed, the needle with it.
+// cost 15 B — the 3-byte prefix that ends at "..n", a window no pattern
+// contains, the registers and one 4 B match — and all fit; under a cap too
+// small for that, the fold is cut back to its prefix and the rest is shed,
+// the needle with it.
 func TestGatewayBufferCapPressure(t *testing.T) {
 	rules := NewRuleset()
 	rules.MustAdd("sig", []byte("needle"))
@@ -456,7 +457,7 @@ func TestGatewayBufferCapPressure(t *testing.T) {
 	}{
 		{LastWins, 64 + 32, 64, 64, true},
 		{FirstWins, 64 + 32, 0, 128, true},
-		{FirstWins, 16 + 32, 122, 6, false},
+		{FirstWins, 8 + 32, 125, 3, false},
 	} {
 		c := newCollector()
 		gw := testGateway(t, m, GatewayConfig{
@@ -835,19 +836,31 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 	// ISN 0xFFFFFFF4: the first segment sent, [10,16), straddles 2^32 and is
 	// held, and so is [16,20) past the wrap.
 	f.Add([]byte("zzneedlezzabczzhaystackzz"), []byte{5, 3}, uint64(0xFFFFFFF400000001), false, false)
-	// 40-byte segments, five times fuzzMatcher's depth, sent last first:
-	// both later ones are held folded. A needle and a haystack straddle
-	// the first held segment's fold point, 8 bytes in; a haystack
-	// straddles the second's.
+	// Three 40-byte segments: the last is sent first and held folded. Its
+	// prefix ends 3 bytes in, after "abh", a window no pattern contains,
+	// so the haystack starting at its third byte straddles the fold point:
+	// the fold's own scan finds it and stores it, and "ab" is rescanned.
 	f.Add([]byte("0123456789012345678901234567890123456789"+
 		"xxxxxneedlexxxxxxxxxxxxxxxxxxxxhaystack."+
 		"abhaystack...................zz........."), []byte{39}, uint64(0x7FFFFFF000000001), false, false)
-	// The same, with a needle across the held segments' boundary: the
-	// second one's prefix is rescanned from registers the first one's
-	// fold left.
+	// The same order, with a needle across the held segment's start: its
+	// prefix, "le.", is rescanned from the registers the in-order bytes
+	// before it left, and ends the needle.
 	f.Add([]byte("0123456789012345678901234567890123456789"+
 		"....................................nee"+
 		"dle.haystack..........................z."), []byte{39}, uint64(0x7FFFFFF000000001), false, false)
+	// Five 24-byte segments, the first sent last: the other four are held
+	// folded, and three of them open inside a pattern — "tack" of a
+	// haystack, "edle" of a needle, "ystack" of another haystack — so each
+	// prefix runs through windows that are pattern substrings but no
+	// pattern's prefix, and ends after the first window that is neither.
+	// Resumed, each prefix ends the pattern its predecessor began.
+	f.Add([]byte("0123456789012345678.hays"+"tack..................ne"+"edle..................ha"+
+		"ystack....needle.......z"+"z.........zz............"), []byte{23}, uint64(0x000001000000000E), false, false)
+	// The same, with the third segment retransmitted while it is held
+	// folded: the first copy wins.
+	f.Add([]byte("0123456789012345678.hays"+"tack..................ne"+"edle..................ha"+
+		"ystack....needle.......z"+"z.........zz............"), []byte{23}, uint64(0x0000010000000010), false, false)
 	f.Fuzz(func(t *testing.T, stream []byte, cuts []byte, order uint64, lastWins, pureFin bool) {
 		if len(stream) == 0 || len(stream) > 2048 {
 			t.Skip()

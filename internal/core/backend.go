@@ -16,8 +16,10 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ac"
+	"repro/internal/ruleset"
 )
 
 // Backend names accepted by Options.Backend and Machine.NewScannerFor.
@@ -184,16 +186,66 @@ func (m *Machine) ScanAppend(r *Regs, data []byte, out []ac.Match) []ac.Match {
 // the longest suffix of those bytes that spells a trie path, whatever state
 // the scan started in: no trie path is longer. So from there on its states
 // and matches no longer depend on where it started, nor, once it has also
-// seen two bytes, its history. Fold and Resume rest on that. Zero on a
-// hand-assembled machine, which folds nothing.
+// seen two bytes, its history. Fold ends a piece's prefix there at the
+// latest. Zero on a hand-assembled machine, which folds nothing.
 func (m *Machine) Depth() int { return m.depth }
 
-// The resident form of a folded piece, after its first Depth() bytes: the
-// state and history the piece ends in, then each later match as its end,
-// relative to the piece, and its pattern ID, every word 4 bytes little-endian.
+// windowFilter is a hashed bitset over 3-byte windows holding every
+// pattern's 3-byte substrings, and by collision some others: a bit per
+// state of depth ≥ 3, rounded up to a power of two (1 KiB at 634 strings).
+type windowFilter struct {
+	bits  []uint64
+	shift uint8 // 32 − log₂ of the bit count
+}
+
+// newWindowFilter sizes a filter from t, whose states of depth ≥ 3, the
+// last in breadth-first order, each end a 3-byte pattern substring, and
+// fills it from set's patterns.
+func newWindowFilter(set *ruleset.Set, t *ac.Trie) windowFilter {
+	deep := t.NumStates()
+	for s := 0; s < t.NumStates() && t.Nodes[s].Depth < 3; s++ {
+		deep--
+	}
+	n := max(bits.Len(uint(max(deep, 1)-1)), 6)
+	f := windowFilter{bits: make([]uint64, 1<<n/64), shift: uint8(32 - n)}
+	for _, p := range set.Patterns {
+		for i := 3; i <= len(p.Data); i++ {
+			w, bit := f.slot(p.Data[i-3], p.Data[i-2], p.Data[i-1])
+			f.bits[w] |= bit
+		}
+	}
+	return f
+}
+
+// slot is where window abc's bit sits: a word and a mask.
+func (f *windowFilter) slot(a, b, c byte) (int, uint64) {
+	h := (uint32(a)<<16 | uint32(b)<<8 | uint32(c)) * 0x9E3779B1 >> f.shift
+	return int(h >> 6), 1 << (h & 63)
+}
+
+// prove checks that every state of t of depth ≥ 3 has its last three
+// characters, read off Char and Parent, in f; the zero filter holds none.
+func (f *windowFilter) prove(t *ac.Trie) error {
+	for s := 0; f.bits != nil && s < t.NumStates(); s++ {
+		if nd := &t.Nodes[s]; nd.Depth >= 3 {
+			p := &t.Nodes[nd.Parent]
+			if w, bit := f.slot(t.Nodes[p.Parent].Char, p.Char, nd.Char); f.bits[w]&bit == 0 {
+				return fmt.Errorf("core: the window filter misses the last three characters of state %d", s)
+			}
+		}
+	}
+	return nil
+}
+
+// The resident form of a folded piece, after its prefix: each later match
+// as one word, its end within the piece in the low foldEndBits and its
+// pattern ID above them, then the state the piece ends in and its history
+// with the prefix's length above it; every word 4 bytes little-endian.
 const (
-	foldRegs  = 8
-	foldMatch = 8
+	foldRegs    = 8
+	foldMatch   = 4
+	foldEndBits = 19
+	foldLenBits = 32 - 2*histLaneBits
 )
 
 // deepest is t's deepest state, the end of its longest pattern: the last
@@ -201,45 +253,57 @@ const (
 func deepest(t *ac.Trie) int32 { return int32(t.NumStates() - 1) }
 
 // Fold scans piece on its own, from invalidated registers, and returns the
-// piece's resident form: its first Depth() bytes, the registers the scan
-// ends in, and every match it found ending past Depth(). Resume later
-// continues a stream over the form as if over piece: only the prefix needs
-// the stream's true registers, since the rest of the scan is the same from
-// any start. Fold returns nil, allocating nothing, when piece is no longer
-// than Depth() or its form would not be shorter than piece — the caller
+// piece's resident form: its prefix, every match the scan found ending past
+// it, and the registers the scan ends in. The prefix ends just past the
+// piece's first 3-byte window that no pattern contains, or after Depth()
+// bytes if sooner: past such a window a scan's state is a trie path shorter
+// than 3 bytes, so it lies inside the piece and is the same from any start.
+// Resume later continues a stream over the form as if over piece: only the
+// prefix needs the stream's true registers. FoldPrefix reads the prefix's
+// length back. Fold returns nil, allocating nothing, when the form would
+// not be shorter than piece or the piece is 2¹⁹ bytes or more — the caller
 // then keeps piece whole. The form is one allocation; scratch is the scan's
 // match buffer, returned for reuse.
 func (m *Machine) Fold(piece []byte, scratch []ac.Match) ([]byte, []ac.Match) {
 	return m.foldAs(m.kind, piece, scratch, len(piece))
 }
 
+// FoldPrefix is the length of a Fold form's prefix, which the form begins
+// with as plain bytes.
+func FoldPrefix(form []byte) int {
+	return int(binary.LittleEndian.Uint32(form[len(form)-4:]) >> (32 - foldLenBits))
+}
+
 // foldAs is Fold on an explicit backend, keeping forms shorter than limit.
 func (m *Machine) foldAs(k backendKind, piece []byte, scratch []ac.Match, limit int) ([]byte, []ac.Match) {
-	d := m.depth
-	if d == 0 || len(piece) <= d {
+	p := m.depth
+	for j := 0; m.windows.bits != nil && j+3 < p && j+3 <= len(piece); j++ {
+		if w, bit := m.windows.slot(piece[j], piece[j+1], piece[j+2]); m.windows.bits[w]&bit == 0 {
+			p = j + 3 // which ends the loop
+		}
+	}
+	if m.depth == 0 || p >= len(piece) || p >= 1<<foldLenBits || len(piece) >= 1<<foldEndBits || p+foldRegs >= limit {
 		return nil, scratch
 	}
 	var r Regs
 	r.Reset()
 	scratch = m.scanAs(k, &r, piece, scratch[:0])
 	later := scratch
-	for len(later) > 0 && later[0].End <= d { // the prefix's matches: Resume rescans them
+	for len(later) > 0 && later[0].End <= p { // the prefix's matches: Resume rescans them
 		later = later[1:]
 	}
-	size := d + foldRegs + foldMatch*len(later)
+	size := p + foldMatch*len(later) + foldRegs
 	if size >= limit {
 		return nil, scratch
 	}
 	form := make([]byte, size)
-	copy(form, piece[:d])
+	copy(form, piece[:p])
 	le := binary.LittleEndian
-	le.PutUint32(form[d:], uint32(r.state))
-	le.PutUint32(form[d+4:], r.hist)
 	for i, mt := range later {
-		at := d + foldRegs + foldMatch*i
-		le.PutUint32(form[at:], uint32(mt.End))
-		le.PutUint32(form[at+4:], uint32(mt.PatternID))
+		le.PutUint32(form[p+foldMatch*i:], uint32(mt.End)|uint32(mt.PatternID)<<foldEndBits)
 	}
+	le.PutUint32(form[size-8:], uint32(r.state))
+	le.PutUint32(form[size-4:], r.hist|uint32(p)<<(32-foldLenBits))
 	return form, scratch
 }
 
@@ -258,12 +322,13 @@ func (m *Machine) resumeAs(k backendKind, r *Regs, resident []byte, n int, out [
 	if len(resident) == n {
 		return m.scanAs(k, r, resident, out)
 	}
-	d, start := m.depth, r.pos
-	out = m.scanAs(k, r, resident[:d], out)
+	p, start, regs := FoldPrefix(resident), r.pos, resident[len(resident)-foldRegs:]
+	out = m.scanAs(k, r, resident[:p], out)
 	le := binary.LittleEndian
-	r.state, r.hist, r.pos = int32(le.Uint32(resident[d:])), le.Uint32(resident[d+4:]), start+n
-	for b := resident[d+foldRegs:]; len(b) >= foldMatch; b = b[foldMatch:] {
-		out = append(out, ac.Match{PatternID: int32(le.Uint32(b[4:])), End: start + int(le.Uint32(b))})
+	r.state, r.hist, r.pos = int32(le.Uint32(regs)), le.Uint32(regs[4:])&histMask, start+n
+	for b := resident[p : len(resident)-foldRegs]; len(b) > 0; b = b[foldMatch:] {
+		w := le.Uint32(b)
+		out = append(out, ac.Match{PatternID: int32(w >> foldEndBits), End: start + int(w&(1<<foldEndBits-1))})
 	}
 	return out
 }

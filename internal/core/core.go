@@ -283,6 +283,9 @@ type Machine struct {
 	// depth is the longest pattern's length, D: see Depth. It is kept
 	// here, not in Stats, which the build fingerprint pins.
 	depth int
+	// windows ends fold prefixes (see Fold); zero, so every prefix is D
+	// bytes, when unproved or hand-assembled.
+	windows windowFilter
 
 	// prog is the baked scan kernel, nil only when the configured backend
 	// is reference or the machine was hand-assembled.
@@ -318,7 +321,7 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	}
 	m := &Machine{backend: opts.Backend, generation: nextGeneration(), depth: int(trie.Nodes[deepest(trie)].Depth)}
 	handoff, side := make(chan *failTree, 1), make(chan sideStages)
-	go func() { side <- newSideStages(trie, opts, &m.lut.d1, handoff) }()
+	go func() { side <- newSideStages(set, trie, opts, &m.lut.d1, handoff) }()
 	trie.Link()
 	ft := newFailTree(trie)
 	d := defaults{&m.lut, unsafe.Slice(&m.lut.d2[0][0], len(m.lut.d2)*d2PerChar)}
@@ -335,23 +338,25 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	return m, nil
 }
 
-// sideStages is what Build's second goroutine derives: the match memory
-// and, unless the reference interpreter is pinned, the fast tier and the
-// lossy prefilter — nil when it does not fit its packed entry format or
-// verifySuperset refused it, with refused saying which.
+// sideStages is what Build's second goroutine derives: the match memory,
+// the proved window filter and, unless the reference interpreter is pinned,
+// the fast tier and the lossy prefilter — nil when it does not fit its
+// packed entry format or verifySuperset refused it, with refused saying
+// which.
 type sideStages struct {
 	out     outputTable
+	windows windowFilter
 	pre     *Prefilter
 	refused error
 	tier    fastTier
 }
 
-// newSideStages runs beside Link the prefilter and its proof, which read
-// only what Link leaves alone, then, once handoff brings the fail tree —
-// sent after Link and selectDefaults, so the links and d1 are final —
-// beside compress the match memory and the fast tier. It writes nothing
-// the main goroutine reads.
-func newSideStages(t *ac.Trie, opts Options, d1 *[256]int32, handoff <-chan *failTree) (ss sideStages) {
+// newSideStages runs beside Link the prefilter, the window filter and their
+// proofs, which read only what Link leaves alone, then, once handoff brings
+// the fail tree — sent after Link and selectDefaults, so the links and d1
+// are final — beside compress the match memory and the fast tier. It writes
+// nothing the main goroutine reads.
+func newSideStages(set *ruleset.Set, t *ac.Trie, opts Options, d1 *[256]int32, handoff <-chan *failTree) (ss sideStages) {
 	baked := opts.Backend != BackendReference
 	if baked {
 		if ss.pre = CompilePrefilter(t); ss.pre == nil {
@@ -359,6 +364,9 @@ func newSideStages(t *ac.Trie, opts Options, d1 *[256]int32, handoff <-chan *fai
 		} else if ss.refused = ss.pre.verifySuperset(t); ss.refused != nil {
 			ss.pre = nil
 		}
+	}
+	if ss.windows = newWindowFilter(set, t); ss.windows.prove(t) != nil {
+		ss.windows = windowFilter{} // never used unproved
 	}
 	ft := <-handoff
 	ss.out = newOutputTable(t)
@@ -375,6 +383,7 @@ func newSideStages(t *ac.Trie, opts Options, d1 *[256]int32, handoff <-chan *fai
 // prefiltered backend turns a discarded or uncompilable stage into a Build
 // error.
 func (m *Machine) compileBackends(stages sideStages) error {
+	m.windows = stages.windows
 	if m.out = stages.out; m.backend == BackendReference {
 		return nil
 	}

@@ -121,7 +121,8 @@ type Prefilter struct {
 // share a uint16 with the suspect flag), in which case the prefiltered
 // backend is simply unavailable. Build compiles it automatically alongside
 // the baked Program and proves verifySuperset before keeping it — while
-// ac.Trie.Link runs: it reads t's Depth, Char, Parent and NumOut only.
+// ac.Trie.Link runs: it reads t's Depth, Char, Parent and NumOut only, of
+// the states of depth ≤ K, which come first in breadth-first order.
 func CompilePrefilter(t *ac.Trie) *Prefilter {
 	n := t.NumStates()
 
@@ -137,14 +138,12 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	// own share, split proportionally.
 	var first, deep [256]bool
 	prefixStates := 0 // trie states of depth 1..K
-	for s := 1; s < n; s++ {
-		if nd := &t.Nodes[s]; nd.Depth <= prefK {
-			prefixStates++
-			if nd.Depth == 1 {
-				first[nd.Char] = true
-			} else {
-				deep[nd.Char] = true
-			}
+	for s := 1; s < n && t.Nodes[s].Depth <= prefK; s++ {
+		prefixStates++
+		if nd := &t.Nodes[s]; nd.Depth == 1 {
+			first[nd.Char] = true
+		} else {
+			deep[nd.Char] = true
 		}
 	}
 	nFirst, nDeep := 0, 0
@@ -219,10 +218,10 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 		}
 	}
 	var path [prefK]uint8
-	for s := 1; s < n; s++ {
+	for s := 1; s <= prefixStates; s++ {
 		nd := &t.Nodes[s]
 		d := int(nd.Depth)
-		if d > prefK || (d < prefK && nd.NumOut == 0) {
+		if d < prefK && nd.NumOut == 0 {
 			continue
 		}
 		for j, cur := d-1, int32(s); j >= 0; j-- {
@@ -345,7 +344,7 @@ func (m *Machine) verifySuperset(t *ac.Trie) error { return m.pre.verifySuperset
 // a suspect entry is the bare flag, and every other entry addresses a
 // stored row. The proof reads the prefilter and t only, so Build runs it
 // before the machine holds the stage, and while ac.Trie.Link runs: of t it
-// reads Depth, Char, Parent and NumOut only.
+// reads Depth, Char, Parent and NumOut only, of the depth ≤ K states.
 func (pf *Prefilter) verifySuperset(t *ac.Trie) error {
 	if pf == nil {
 		return fmt.Errorf("core: no prefilter compiled for this machine")
@@ -362,10 +361,10 @@ func (pf *Prefilter) verifySuperset(t *ac.Trie) error {
 	}
 
 	var path [prefK]byte
-	for s := 1; s < t.NumStates(); s++ {
+	for s := 1; s < t.NumStates() && t.Nodes[s].Depth <= prefK; s++ {
 		nd := &t.Nodes[s]
 		d := int(nd.Depth)
-		if d > prefK || (d < prefK && nd.NumOut == 0) {
+		if d < prefK && nd.NumOut == 0 {
 			continue
 		}
 		for j, cur := d-1, int32(s); j >= 0; j-- {

@@ -60,12 +60,13 @@ func TestPrefilterSupersetProperty(t *testing.T) {
 }
 
 // TestPrefilterReadsNoFailLinks pins the read set Build's concurrency rests
-// on: CompilePrefilter and verifySuperset read a trie's Depth, Char, Parent
-// and NumOut only, never the Fail and OutLink that ac.Trie.Link writes
-// while they run. Each set's prefilter is compiled and proved on a trie
-// that is laid out but not linked, again on the same trie while Link runs
-// beside it — under -race any read of a link is reported — and once more
-// after Link: the three must be equal and every proof must pass.
+// on: CompilePrefilter and verifySuperset, and the fold's window filter and
+// its proof, read a trie's Depth, Char, Parent and NumOut only, never the
+// Fail and OutLink that ac.Trie.Link writes while they run. Each set's
+// prefilter is compiled and proved on a trie that is laid out but not
+// linked, again on the same trie while Link runs beside it — under -race
+// any read of a link is reported — and once more after Link: the three must
+// be equal and every proof must pass.
 func TestPrefilterReadsNoFailLinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100311))
 	sets := []*ruleset.Set{ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})}
@@ -84,6 +85,9 @@ func TestPrefilterReadsNoFailLinks(t *testing.T) {
 			}
 			if err := pf.verifySuperset(trie); err != nil {
 				t.Fatalf("set %d, %s: %v", i, stage, err)
+			}
+			if w := newWindowFilter(set, trie); w.prove(trie) != nil {
+				t.Fatalf("set %d, %s: the window filter fails its proof", i, stage)
 			}
 			return pf
 		}

@@ -276,24 +276,29 @@ func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
 }
 
 // verifyFold proves Fold and Resume on every backend the machine supports.
-// Depth must be t's longest pattern, the premise of the fold. Then each
-// piece — every payload, t's longest pattern spelled twice over and the
-// same pattern less its last byte, so a pattern straddles the fold point
-// whatever the payloads — is folded, and resumed from the registers each
-// piece's own scan ends in: that must leave exactly the registers, and
-// append exactly the matches, that scanning the piece on from there does.
-// Forms are kept here even where Fold would keep the piece whole, so every
-// piece longer than Depth is proved.
+// Depth must be t's longest pattern and the window filter must pass Build's
+// proof: the premises of the fold. Then each piece — every payload, t's
+// longest pattern spelled twice over, from its second and middle byte on,
+// and less its last byte, so a pattern straddles the fold point or opens
+// the piece part-way through whatever the payloads — is folded, and resumed
+// from the registers each piece's own scan ends in: that must leave exactly
+// the registers, and append exactly the matches, that scanning the piece on
+// from there does. Forms are kept here even where Fold would keep the piece
+// whole, so every piece with a fold point is proved.
 func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
 	s := deepest(t)
 	if d := int(t.Nodes[s].Depth); m.depth != d {
 		return fmt.Errorf("core: the machine folds after %d bytes, its longest pattern has %d", m.depth, d)
 	}
+	if err := m.windows.prove(t); err != nil {
+		return err
+	}
 	longest := make([]byte, m.depth)
 	for i := len(longest) - 1; i >= 0; i, s = i-1, t.Nodes[s].Parent {
 		longest[i] = t.Nodes[s].Char
 	}
-	pieces := append(slices.Clip(payloads), append(slices.Clone(longest), longest...), longest[:max(len(longest)-1, 0)])
+	twice := append(slices.Clone(longest), longest...)
+	pieces := append(slices.Clip(payloads), twice, longest[:max(len(longest)-1, 0)], twice[min(1, len(longest)):], twice[len(longest)/2:])
 	for k, spec := range scanBackends {
 		if !spec.available(m) {
 			continue

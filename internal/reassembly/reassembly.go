@@ -26,11 +26,13 @@
 // A held segment is its sequence number, its length and its resident bytes.
 // Those are the payload itself, or — when the caller passes a Fold — what
 // its scanner still needs of it: the caller scans the piece as it is held
-// and keeps its first D bytes (D the longest pattern), the registers the
-// scan ends in and the matches past D, which the cursor stores without
-// reading and hands back when the piece drains. The caller then rescans the
-// D bytes from the stream's true registers and takes the rest as stored. So
-// a reordering path costs about D bytes a held segment, not its payload.
+// and keeps a prefix — up to the first 3-byte window no pattern contains,
+// at most D bytes (D the longest pattern) — the registers the scan ends in
+// and the matches past the prefix, which the cursor stores without reading
+// beyond the prefix's length and hands back when the piece drains. The
+// caller then rescans the prefix from the stream's true registers and takes
+// the rest as stored. So a reordering path costs a few bytes a held
+// segment, D at worst, not its payload.
 // Caps and budgets charge what is resident; the byte ledger (Result,
 // HeldBytes, Budget.Used) counts stream bytes, folded or not.
 //
@@ -45,7 +47,7 @@
 //     the sum across flows, both at cost: resident bytes plus a segment's
 //     descriptor. Under pressure the bytes furthest from the delivery point
 //     are dropped first (they are the least likely to become deliverable
-//     soon) — a folded segment is cut back to its D bytes or dropped
+//     soon) — a folded segment is cut back to its prefix or dropped
 //     whole; a drop becomes a gap handled like loss.
 //   - Gap timeout: when delivery has been stalled on a missing segment for
 //     GapTimeout ticks, the stream skips to the first buffered byte. The
@@ -182,16 +184,16 @@ func (c *Config) maxFlowBytes() int {
 }
 
 // Fold is how a caller holds a piece in less than its bytes. A cursor given
-// one encodes each piece it holds that is longer than Keep, under
-// FirstWins — under LastWins held bytes may still be overwritten, so they
-// stay whole. Encode returns the piece's resident form, shorter than the
-// piece and beginning with its first Keep bytes, or nil to hold the piece
-// whole. The cursor never reads a form: it hands it back to deliver, with
-// the piece's length, when the piece drains, and under pressure cuts it
-// back to its first Keep bytes or drops it whole. Every call on a cursor
-// must fold the same way, or not at all.
+// one offers every piece it holds to Encode, under FirstWins — under
+// LastWins held bytes may still be overwritten, so they stay whole. Encode
+// returns the piece's resident form, shorter than the piece and beginning
+// with a prefix of it, or nil to hold the piece whole; Prefix reports how
+// many bytes that prefix has. The cursor reads a form only through Prefix:
+// it hands the form back to deliver, with the piece's length, when the
+// piece drains, and under pressure cuts it back to its prefix or drops it
+// whole. Every call on a cursor must fold the same way, or not at all.
 type Fold struct {
-	Keep   int
+	Prefix func(form []byte) int
 	Encode func(piece []byte) []byte
 }
 
@@ -603,7 +605,7 @@ func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Re
 		return
 	}
 	form := data // what holding the piece keeps: its bytes, or its fold
-	if fold != nil && cfg.Policy == FirstWins && len(data) > fold.Keep {
+	if fold != nil && cfg.Policy == FirstWins {
 		if f := fold.Encode(data); f != nil {
 			form = f
 		}
@@ -620,8 +622,8 @@ func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Re
 		trim, keep := o.cost()+need+segCost-limit, 0
 		if !last.folded() {
 			keep = max(len(last.data)-trim, 0)
-		} else if fold != nil && trim <= len(last.data)-fold.Keep {
-			keep = fold.Keep
+		} else if p := fold.Prefix(last.data); trim <= len(last.data)-p {
+			keep = p
 		}
 		o.cut(cfg, last, keep, r)
 		if keep == 0 { // nothing of it is left: its descriptor goes too
@@ -637,7 +639,7 @@ func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Re
 	if held+need+segCost > limit {
 		fit := limit - held - segCost
 		if len(form) < len(data) {
-			fit = min(fit, fold.Keep) // a fold is cut back to its prefix
+			fit = min(fit, fold.Prefix(form)) // a fold is cut back to its prefix
 		}
 		if fit <= 0 {
 			r.Dropped += len(data)

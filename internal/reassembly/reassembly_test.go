@@ -455,20 +455,20 @@ func feedFold(s *Stream, fold *Fold, seq uint32, payload string, flags Flags, ti
 	return got, r
 }
 
-// TestFoldedSegments: under FirstWins a cursor holds a piece longer than the
-// fold's Keep as its form, charged at the form's size, and hands the form
-// back with the piece's length when it drains, a gap skip's count with it
-// when a skip lands there; a piece no longer than Keep, and every piece
+// TestFoldedSegments: under FirstWins a cursor holds a piece its fold
+// shrinks as its form, charged at the form's size, and hands the form back
+// with the piece's length when it drains, a gap skip's count with it when a
+// skip lands there; a piece the fold would not shrink, and every piece
 // under LastWins, is held whole. Under the cap, a folded segment is cut
-// back to its first Keep bytes, held whole, or dropped whole — never cut
-// inside the rest of its form.
+// back to its own prefix, as the fold's Prefix reads it off the form, held
+// whole, or dropped whole — never cut inside the rest of its form.
 func TestFoldedSegments(t *testing.T) {
 	fold := toyFold(4)
 	b := NewBudget(1 << 20)
 	s := NewStream(Config{Budget: b, GapTimeout: 2})
 	feedFold(s, fold, 0, "", SYN, 0)
 	feedFold(s, fold, 11, "abcdefghij", 0, 1) // [10,20), folded
-	feedFold(s, fold, 21, "wxyz", 0, 1)       // [20,24), no longer than Keep
+	feedFold(s, fold, 21, "wxyz", 0, 1)       // [20,24), which the fold does not shrink
 	if s.HeldBytes() != 14 || b.Used() != 14 || b.Cost() != 5+4+2*segCost {
 		t.Fatalf("held %d stream bytes, budget used %d at cost %d", s.HeldBytes(), b.Used(), b.Cost())
 	}
@@ -501,6 +501,18 @@ func TestFoldedSegments(t *testing.T) {
 	feedFold(s, fold, 1, "0123456789", 0, 1)
 	if got, _ := feedFold(s, fold, 21, "0123456789", 0, 1); len(got) != 2 || got[1] != (folded{"ABCD", 4, 0}) {
 		t.Fatalf("the cut fold delivered as %q", got)
+	}
+	// Cut back to a prefix of its own: [30,40) ends its prefix at the '|'
+	// and folds to 4 B, and one byte of it must go for [10,20) to fit.
+	s = NewStream(Config{MaxFlowBytes: 4 + 5 + 2*segCost - 1})
+	feedFold(s, fold, 0, "", SYN, 0)
+	feedFold(s, fold, 31, "AB|DEFGHIJ", 0, 1)
+	if _, r := feedFold(s, fold, 11, "abcdefghij", 0, 1); r.Buffered != 10 || r.Dropped != 7 || s.HeldBytes() != 13 {
+		t.Fatalf("cutting the furthest fold back to its own prefix: %+v, %d held", r, s.HeldBytes())
+	}
+	feedFold(s, fold, 1, "0123456789", 0, 1)
+	if got, _ := feedFold(s, fold, 21, "0123456789", 0, 1); len(got) != 2 || got[1] != (folded{"AB|", 3, 0}) {
+		t.Fatalf("the fold cut to its own prefix delivered as %q", got)
 	}
 	// Dropped whole: a cap with no room for its prefix beside the nearer
 	// piece.
@@ -643,7 +655,7 @@ func TestHeldSegmentsChargedAtCost(t *testing.T) {
 		// arriving past them is cut to the bytes that still fit.
 		each := tc.size + segCost
 		if tc.fold != nil {
-			each = tc.fold.Keep + 1 + segCost
+			each = 16 + 1 + segCost // toyFold(16)'s prefix and length byte
 			if s.HeldBytes() <= maxFlowBytes {
 				t.Errorf("%s: %d stream bytes held under a %d B cap: the folds did not shrink the charge", name, s.HeldBytes(), maxFlowBytes)
 			}
@@ -662,16 +674,24 @@ func TestHeldSegmentsChargedAtCost(t *testing.T) {
 	}
 }
 
-// toyFold holds a piece as its first keep bytes and one byte standing for
-// the rest — its length, mod 256 — in one allocation, as a scanner's fold
-// keeps its prefix and a summary.
+// toyFold holds a piece as a prefix — up to and including its first '|',
+// at most keep bytes — and one byte standing for the rest, its length mod
+// 256, in one allocation, as a scanner's fold keeps a prefix of its own
+// length and a summary. It holds whole a piece its form would not shrink.
 func toyFold(keep int) *Fold {
-	return &Fold{Keep: keep, Encode: func(piece []byte) []byte {
-		form := make([]byte, keep+1)
-		copy(form, piece[:keep])
-		form[keep] = byte(len(piece))
-		return form
-	}}
+	return &Fold{
+		Prefix: func(form []byte) int { return len(form) - 1 },
+		Encode: func(piece []byte) []byte {
+			p := min(keep, len(piece))
+			if i := bytes.IndexByte(piece[:p], '|'); i >= 0 {
+				p = i + 1
+			}
+			if p+1 >= len(piece) {
+				return nil
+			}
+			return append(piece[:p:p], byte(len(piece)))
+		},
+	}
 }
 
 // liveHeap is the heap in use after the collector has settled.

@@ -41,8 +41,8 @@ const budgetStreamLen = 96 + 3*64
 // leaves room for held bytes, then one over 1.2 × conns, which overflows it.
 // Each round is a SYN flood of connections that never close on their own;
 // a reordering of the survivors' later segments, sent last first behind a
-// hole — 64 B each, eight times the longest pattern, so they are held
-// folded; hole stuffing on the survivors; and a FIN wave that ends every
+// hole — 64 B each, held folded to a prefix of a few bytes, the registers
+// and 4 B a later match; hole stuffing on the survivors; and a FIN wave that ends every
 // tuple of the round in a husk, with a ruleset swap every 150 packets across
 // all four. check runs after every Flush. Tuple i is footprintTuple(i), and
 // every stream is generated up front, so a run allocates nothing the
@@ -271,8 +271,9 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 //     32 B), over by at most the one connection a packet is on;
 //   - the held segments at cost once more: a held list grows to at most
 //     twice its descriptors, and a size class rounds a copy or a fold up to
-//     at most twice its resident bytes (16 B, the tiny allocator's block,
-//     for the smallest);
+//     at most twice its resident bytes (a fold, at least a 3-byte prefix
+//     and 8 B of registers, to 16 B, the tiny allocator's block, at the
+//     smallest);
 //   - each index at its worst load, 3/8 full just after doubling, sized
 //     for its set's peak;
 //   - each slab's chunks at its set's peak, kept while the set is not empty;
