@@ -52,7 +52,7 @@ func (ln *gwLane) notifyVerdict(t FiveTuple, v Verdict, idx int) {
 // record: the scanner registers, the reassembly stream and the verdict, all
 // by value. An established flow is its flow-table entry, which holds this
 // record by value, and nothing else — no scanner object, no closure, no
-// match buffer, and no out-of-order state unless its segments (or its FIN)
+// match buffer, and no held log unless its segments (or its FIN)
 // arrive ahead of a gap. Each field states a fact the record holds nowhere
 // else; a connection that has ended has no record at all, only a husk
 // (flowEnd). The lane that owns the flow's packets scans into its own
@@ -146,6 +146,7 @@ type gwLane struct {
 	// the capacity of the lane's most match-dense segment, so the memory
 	// match buffers pin is bounded by lanes × worst segment, never by flows.
 	matches []ac.Match
+	form    []byte // the scratch a held piece folds into, for reassembly to copy
 }
 
 // open starts a connection on the record: it pins the current ruleset
@@ -262,9 +263,8 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	// resumes it from the true registers when its hole fills.
 	m := fl.gen.m.machine
 	fold := reassembly.Fold{Prefix: core.FoldPrefix, Encode: func(piece []byte) []byte {
-		var form []byte
-		form, ln.matches = m.Fold(piece, ln.matches[:0])
-		return form
+		ln.form, ln.matches = m.Fold(ln.form[:0], piece, ln.matches[:0])
+		return ln.form
 	}}
 	res := fl.asm.Segment(&ln.asm, p.seq32, p.payload, rf, tick, &fold,
 		func(data []byte, n, skipped int) {

@@ -10,6 +10,8 @@ package dpi
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -436,12 +438,12 @@ func TestGatewayGapSkipResumption(t *testing.T) {
 // than MaxFlowBuffer sheds the furthest of them (accounted as
 // ReassemblyDrops) instead of growing without bound, and the lane's budget
 // drains to zero when the gateway closes. The 128 held bytes carry "needle"
-// near their start. Held whole (LastWins), a cap of 64 bytes and one
-// descriptor keeps the first 64 and the needle. Folded (FirstWins), they
-// cost 15 B — the 3-byte prefix that ends at "..n", a window no pattern
-// contains, the registers and one 4 B match — and all fit; under a cap too
-// small for that, the fold is cut back to its prefix and the rest is shed,
-// the needle with it.
+// near their start. Held whole (LastWins), a cap of a 40 B log header, a
+// 5 B run header and 64 bytes keeps the first 64 and the needle. Folded
+// (FirstWins), they cost 14 B — the 2-byte prefix before the last byte of
+// "..n", a window no pattern contains, the registers and one 4 B match —
+// and all fit; under a cap too small for that, the fold is cut back to its
+// prefix and the rest is shed, the needle with it.
 func TestGatewayBufferCapPressure(t *testing.T) {
 	rules := NewRuleset()
 	rules.MustAdd("sig", []byte("needle"))
@@ -455,9 +457,9 @@ func TestGatewayBufferCapPressure(t *testing.T) {
 		dropped, held  int
 		wantNeedleAt16 bool
 	}{
-		{LastWins, 64 + 32, 64, 64, true},
-		{FirstWins, 64 + 32, 0, 128, true},
-		{FirstWins, 8 + 32, 125, 3, false},
+		{LastWins, 40 + 5 + 64, 64, 64, true},
+		{FirstWins, 40 + 5 + 64, 0, 128, true},
+		{FirstWins, 40 + 4 + 2, 126, 2, false}, // a folded run's header: the form is under 128 B
 	} {
 		c := newCollector()
 		gw := testGateway(t, m, GatewayConfig{
@@ -491,6 +493,88 @@ func TestGatewayBufferCapPressure(t *testing.T) {
 		if st := gw.Stats(); st.BufferedBytes != 0 || !st.Ledger().Balanced() {
 			t.Fatalf("%v, cap %d: after Close %+v", tc.pol, tc.capBytes, st)
 		}
+	}
+}
+
+// TestGatewayHeldLogRewritesStayExact: the two ways a held log is rewritten
+// under a live flow scan exactly as the stream. Under FirstWins, the tail
+// of three segments is held folded and, at every cap from the bare log
+// header up, the nearer segment's arrival cuts it back to its prefix, drops
+// it or drops the arrival; retransmitting both once the head has arrived
+// refills whatever went, and the flow matches FindAll over the stream. Some
+// cap cuts the tail back to exactly its prefix. Under LastWins, two held
+// runs of wrong bytes are overwritten in place by one retransmission that
+// spans them both, and the flow matches the retransmitted bytes.
+func TestGatewayHeldLogRewritesStayExact(t *testing.T) {
+	rules := NewRuleset()
+	rules.MustAdd("needle", []byte("needle"))
+	rules.MustAdd("haystack", []byte("haystack"))
+	m, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := []byte(strings.Repeat("..needle..haystack..", 10))
+	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
+	run := func(pol OverlapPolicy, capBytes int, sends ...[2]int) (*collector, GatewayStats) {
+		t.Helper()
+		c := newCollector()
+		gw := testGateway(t, m, GatewayConfig{
+			StreamWorkers: 1, MaxFlowBuffer: capBytes, GapTimeout: -1, OverlapPolicy: pol,
+		}, c.emit)
+		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 0, Flags: FlagSYN | FlagSeq}); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sends {
+			fl := FlagSeq
+			if s[1] == len(stream) {
+				fl |= FlagFIN
+			}
+			if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 1 + uint32(s[0]), Flags: fl, Payload: stream[s[0]:s[1]]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := gw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return c, gw.Stats()
+	}
+	want := m.FindAll(stream)
+	tail, _ := m.machine.Fold(nil, stream[80:], nil)
+	cutBack := len(stream) - 80 - core.FoldPrefix(tail)
+	sawCut := false
+	for capBytes := 40; capBytes <= 200; capBytes++ {
+		c, st := run(FirstWins, capBytes, [2]int{80, 200}, [2]int{40, 80}, [2]int{0, 40}, [2]int{40, 80}, [2]int{80, 200})
+		if got := c.byTuple[tup]; !sameMatchSeq(got, want) || st.FlowsFinished != 1 || st.BufferedBytes != 0 || !st.Ledger().Balanced() {
+			t.Fatalf("first-wins, cap %d: %d matches, FindAll %d; %+v", capBytes, len(got), len(want), st)
+		}
+		sawCut = sawCut || st.ReassemblyDrops == uint64(cutBack)
+	}
+	if !sawCut {
+		t.Fatalf("no cap cut the %d-byte tail back to its prefix", len(stream)-80)
+	}
+
+	stale := slices.Clone(stream)
+	copy(stale[40:80], strings.Repeat("X", 40))
+	c := newCollector()
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, GapTimeout: -1, OverlapPolicy: LastWins}, c.emit)
+	for _, p := range []GatewayPacket{
+		{Seq: 0, Flags: FlagSYN},
+		{Seq: 1 + 40, Payload: stale[40:60]},
+		{Seq: 1 + 60, Payload: stale[60:80]},
+		{Seq: 1 + 40, Payload: stream[40:80]}, // spans both held runs
+		{Seq: 1, Payload: stream[:40]},
+		{Seq: 1 + 80, Payload: stream[80:], Flags: FlagFIN},
+	} {
+		p.Tuple, p.Flags = tup, p.Flags|FlagSeq
+		if err := gw.Ingest(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.byTuple[tup]; !sameMatchSeq(got, want) {
+		t.Fatalf("last-wins across two runs: %d matches, FindAll of the retransmitted stream %d", len(got), len(want))
 	}
 }
 
@@ -861,6 +945,16 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 	// folded: the first copy wins.
 	f.Add([]byte("0123456789012345678.hays"+"tack..................ne"+"edle..................ha"+
 		"ystack....needle.......z"+"z.........zz............"), []byte{23}, uint64(0x0000010000000010), false, false)
+	// Five 12-byte segments: [12,24) and [48,58) are held, then [24,36) and
+	// [36,48) land in the middle of the flow's held log, each between two
+	// held runs, and "haystack" and "bcd" straddle the runs' edges. [12,24)
+	// is retransmitted while it is held.
+	f.Add([]byte("the needle and the haystack, zz abc bcd; a haystack needle"), []byte{11}, uint64(0x1b), false, false)
+	// The same under LastWins: the retransmission rewrites its run in place.
+	f.Add([]byte("the needle and the haystack, zz abc bcd; a haystack needle"), []byte{11}, uint64(0x1b), true, false)
+	// [24,36) and [12,24) are held, [0,12) drains the log empty and frees it,
+	// then [48,58) opens a new one, which [36,48) drains.
+	f.Add([]byte("the needle and the haystack, zz abc bcd; a haystack needle"), []byte{11}, uint64(7), false, false)
 	f.Fuzz(func(t *testing.T, stream []byte, cuts []byte, order uint64, lastWins, pureFin bool) {
 		if len(stream) == 0 || len(stream) > 2048 {
 			t.Skip()

@@ -95,18 +95,6 @@ func (t *Trie) Out(s int32) []int32 {
 	return t.outs[nd.outOff : nd.outOff+uint32(nd.NumOut)]
 }
 
-// protoNode is a state while patterns are still being inserted: children
-// hang off their parent as a list linked through sibling, kept sorted by
-// character, so a state costs no allocation of its own and freezing reads
-// every edge list off already in order.
-type protoNode struct {
-	parent  int32
-	child   int32 // first child, or None
-	sibling int32 // next child of parent, or None
-	out     int32 // the pattern ending here, or None
-	char    byte
-}
-
 // New builds the trie, failure function and output links for set: Layout,
 // then Link.
 func New(set *ruleset.Set) (*Trie, error) {
@@ -121,46 +109,21 @@ func New(set *ruleset.Set) (*Trie, error) {
 // with every fail link at the start state and no output links, for Link to
 // fill in. It refuses what Set.Validate refuses — an empty pattern, an ID
 // outside the 13-bit range, a repeated ID or repeated content — checking
-// as the patterns go in: IDs against a bitset, content by two patterns
-// ending on one state.
+// IDs against a bitset, content by two patterns ending on one state.
+//
+// States are laid out breadth-first: each owns the patterns through it, a
+// run of one index array in input order, split stably by their next byte,
+// so its children are made in character order and numbered as reached. A
+// state's parent and fail parent have lower numbers, each depth is one
+// range, a state's children are consecutive, edge k leads to state k+1, and
+// the numbering depends on the patterns' contents, not their order.
 func Layout(set *ruleset.Set) (*Trie, error) {
 	if set.Len() == 0 {
 		return nil, fmt.Errorf("ac: empty pattern set")
 	}
-	// One state per pattern byte is the ceiling. The proto table is sized to
-	// it once and dropped when the states that exist have been frozen into
-	// tables of exactly their number.
+	// One state per pattern byte is the ceiling, so the node table never
+	// moves while states are added in place.
 	ceiling := 1
-	for _, p := range set.Patterns {
-		ceiling += len(p.Data)
-	}
-	proto := make([]protoNode, 1, ceiling)
-	proto[Root] = protoNode{parent: None, child: None, sibling: None, out: None}
-	// childOf finds c among s's children, or links a new state in where it
-	// belongs.
-	childOf := func(s int32, c byte) int32 {
-		prev, at := None, proto[s].child
-		for at != None && proto[at].char < c {
-			prev, at = at, proto[at].sibling
-		}
-		if at != None && proto[at].char == c {
-			return at
-		}
-		next := int32(len(proto))
-		proto = append(proto, protoNode{parent: s, child: None, sibling: at, out: None, char: c})
-		if prev == None {
-			proto[s].child = next
-		} else {
-			proto[prev].sibling = next
-		}
-		return next
-	}
-	// The start state is the widest node of the trie and every insertion
-	// begins there: its children are found in a table, not along the list.
-	var rootGoto [256]int32
-	for c := range rootGoto {
-		rootGoto[c] = None
-	}
 	var seenID [(ruleset.IDSpace + 63) / 64]uint64
 	for i, p := range set.Patterns {
 		if len(p.Data) == 0 {
@@ -174,55 +137,87 @@ func Layout(set *ruleset.Set) (*Trie, error) {
 			return nil, fmt.Errorf("ac: duplicate pattern ID %d", p.ID)
 		}
 		seenID[w] |= bit
-		cur := rootGoto[p.Data[0]]
-		if cur == None {
-			cur = childOf(Root, p.Data[0])
-			rootGoto[p.Data[0]] = cur
-		}
-		for _, c := range p.Data[1:] {
-			cur = childOf(cur, c)
-		}
-		// A state ends at most one pattern: a second one ending here has the
-		// same bytes.
-		if proto[cur].out != None {
-			return nil, fmt.Errorf("ac: patterns %d and %d have the same content %q", proto[cur].out, p.ID, p.Data)
-		}
-		proto[cur].out = int32(p.ID)
+		ceiling += len(p.Data)
 	}
-
-	t := &Trie{
-		Nodes: make([]Node, len(proto)),
-		edges: make([]Edge, 0, len(proto)-1),
-		outs:  make([]int32, 0, set.Len()),
+	pats := set.Patterns
+	t := &Trie{Nodes: make([]Node, 1, ceiling), outs: make([]int32, 0, len(pats))}
+	runs, spare := make([]int32, len(pats)), make([]int32, len(pats))
+	for i := range runs {
+		runs[i] = int32(i)
 	}
-
-	// Freeze breadth-first, numbering states as they are reached: the start
-	// state, then its children in character order, then theirs. So a
-	// state's parent and fail parent carry lower numbers than it does, each
-	// depth is one contiguous range of numbers, a state's children are
-	// consecutive, and edge k of the arena leads to state k+1. The numbering
-	// depends on the patterns' contents only, not on the order they were
-	// listed in. proto[at[s]] is what becomes state s.
-	at := make([]int32, 1, len(proto))
-	t.Nodes[Root].Parent = None
-	for s := range t.Nodes {
-		pn := &proto[at[s]]
+	// Until a state is reached its edgeOff and outOff bound its run of
+	// pattern indices; then they become its arena offsets.
+	t.Nodes[Root] = Node{Parent: None, OutLink: None, outOff: uint32(len(pats))}
+	for s := int32(0); int(s) < len(t.Nodes); s++ {
 		nd := &t.Nodes[s]
-		nd.Fail, nd.OutLink = Root, None
-		nd.edgeOff, nd.outOff = uint32(len(t.edges)), uint32(len(t.outs))
-		for c := pn.child; c != None; c = proto[c].sibling {
-			to := int32(len(at))
-			at = append(at, c)
-			t.Nodes[to] = Node{Parent: int32(s), Depth: nd.Depth + 1, Char: proto[c].char}
-			t.edges = append(t.edges, Edge{Char: proto[c].char, To: to})
+		run, depth := runs[nd.edgeOff:nd.outOff], nd.Depth
+		lo := nd.edgeOff
+		nd.edgeOff, nd.outOff = uint32(len(t.Nodes)-1), uint32(len(t.outs))
+		// A pattern as long as the state is deep sorts first and ends here;
+		// a second one has the same bytes.
+		sortByByte(pats, run, spare[lo:lo+uint32(len(run))], depth)
+		if len(run) > 0 && len(pats[run[0]].Data) == int(depth) {
+			if len(run) > 1 && len(pats[run[1]].Data) == int(depth) {
+				a, b := pats[run[0]], pats[run[1]]
+				return nil, fmt.Errorf("ac: patterns %d and %d have the same content %q", a.ID, b.ID, a.Data)
+			}
+			t.outs = append(t.outs, int32(pats[run[0]].ID))
+			nd.NumOut = 1
+			run, lo = run[1:], lo+1
+		}
+		for k := 0; k < len(run); {
+			c, from := pats[run[k]].Data[depth], k
+			for k < len(run) && pats[run[k]].Data[depth] == c {
+				k++
+			}
+			t.Nodes = t.Nodes[:len(t.Nodes)+1]
+			ch := &t.Nodes[len(t.Nodes)-1]
+			ch.Parent, ch.OutLink, ch.Depth, ch.Char = s, None, depth+1, c
+			ch.edgeOff, ch.outOff = lo+uint32(from), lo+uint32(k)
 			nd.NumEdges++
 		}
-		if pn.out != None {
-			t.outs = append(t.outs, pn.out)
-			nd.NumOut = 1
-		}
+	}
+	t.edges = make([]Edge, len(t.Nodes)-1)
+	for k := range t.edges {
+		t.edges[k] = Edge{Char: t.Nodes[k+1].Char, To: int32(k + 1)}
 	}
 	return t, nil
+}
+
+// sortByByte orders run, indices of patterns at least depth long, stably by
+// their byte at depth, those that end there first: a counting sort through
+// spare, as long as run, or an insertion sort when run is narrow.
+func sortByByte(pats []ruleset.Pattern, run, spare []int32, depth int32) {
+	key := func(i int32) int {
+		if d := pats[i].Data; int(depth) < len(d) {
+			return int(d[depth]) + 1
+		}
+		return 0
+	}
+	if len(run) <= 32 {
+		for i := 1; i < len(run); i++ {
+			v, k := run[i], key(run[i])
+			j := i
+			for ; j > 0 && key(run[j-1]) > k; j-- {
+				run[j] = run[j-1]
+			}
+			run[j] = v
+		}
+		return
+	}
+	var at [258]int32
+	for _, i := range run {
+		at[key(i)+1]++
+	}
+	for k := 1; k < len(at); k++ {
+		at[k] += at[k-1]
+	}
+	for _, i := range run {
+		k := key(i)
+		spare[at[k]] = i
+		at[k]++
+	}
+	copy(run, spare)
 }
 
 // edgeTo returns the goto target of (s, c), or None.

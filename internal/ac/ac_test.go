@@ -2,6 +2,8 @@ package ac
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -323,6 +325,33 @@ func TestNewRejectsInvalidSet(t *testing.T) {
 	// The edges of the ID range are valid.
 	if _, err := New(&ruleset.Set{Patterns: []ruleset.Pattern{p(0, "he"), p(ruleset.IDSpace-1, "she")}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDuplicateContentReportsInputOrder: Layout sorts each state's
+// patterns stably, so two patterns with the same bytes are reported as they
+// were listed, the first one first, whatever their IDs and wherever the
+// sort moved the patterns between them.
+func TestDuplicateContentReportsInputOrder(t *testing.T) {
+	p := func(id int, data string) ruleset.Pattern { return ruleset.Pattern{ID: id, Data: []byte(data)} }
+	for _, tc := range []struct {
+		patterns []ruleset.Pattern
+		want     string
+	}{
+		{[]ruleset.Pattern{p(7, "hers"), p(1, "he"), p(3, "hers")}, "patterns 7 and 3 have the same content"},
+		{[]ruleset.Pattern{p(2, "hers"), p(9, "hers"), p(4, "a")}, "patterns 2 and 9 have the same content"},
+	} {
+		// Patterns that run on through the duplicates' state make every run
+		// on their path wide enough for the counting sort.
+		pats := slices.Clone(tc.patterns)
+		for i := range 40 {
+			pats = append(pats, p(100+i, fmt.Sprintf("hers%03d", 39-i)))
+		}
+		for _, set := range []*ruleset.Set{{Patterns: tc.patterns}, {Patterns: pats}} {
+			if _, err := Layout(set); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%d patterns: Layout says %v, want an error saying %q", len(set.Patterns), err, tc.want)
+			}
+		}
 	}
 }
 

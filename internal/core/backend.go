@@ -223,13 +223,19 @@ func (f *windowFilter) slot(a, b, c byte) (int, uint64) {
 	return int(h >> 6), 1 << (h & 63)
 }
 
+// absent reports that no pattern contains window abc (never, in the zero filter).
+func (f *windowFilter) absent(a, b, c byte) bool {
+	w, bit := f.slot(a, b, c)
+	return f.bits != nil && f.bits[w]&bit == 0
+}
+
 // prove checks that every state of t of depth ≥ 3 has its last three
 // characters, read off Char and Parent, in f; the zero filter holds none.
 func (f *windowFilter) prove(t *ac.Trie) error {
 	for s := 0; f.bits != nil && s < t.NumStates(); s++ {
 		if nd := &t.Nodes[s]; nd.Depth >= 3 {
 			p := &t.Nodes[nd.Parent]
-			if w, bit := f.slot(t.Nodes[p.Parent].Char, p.Char, nd.Char); f.bits[w]&bit == 0 {
+			if f.absent(t.Nodes[p.Parent].Char, p.Char, nd.Char) {
 				return fmt.Errorf("core: the window filter misses the last three characters of state %d", s)
 			}
 		}
@@ -252,20 +258,20 @@ const (
 // state, since ac.New numbers states breadth-first.
 func deepest(t *ac.Trie) int32 { return int32(t.NumStates() - 1) }
 
-// Fold scans piece on its own, from invalidated registers, and returns the
-// piece's resident form: its prefix, every match the scan found ending past
-// it, and the registers the scan ends in. The prefix ends just past the
-// piece's first 3-byte window that no pattern contains, or after Depth()
-// bytes if sooner: past such a window a scan's state is a trie path shorter
-// than 3 bytes, so it lies inside the piece and is the same from any start.
-// Resume later continues a stream over the form as if over piece: only the
-// prefix needs the stream's true registers. FoldPrefix reads the prefix's
-// length back. Fold returns nil, allocating nothing, when the form would
-// not be shorter than piece or the piece is 2¹⁹ bytes or more — the caller
-// then keeps piece whole. The form is one allocation; scratch is the scan's
-// match buffer, returned for reuse.
-func (m *Machine) Fold(piece []byte, scratch []ac.Match) ([]byte, []ac.Match) {
-	return m.foldAs(m.kind, piece, scratch, len(piece))
+// Fold scans piece on its own, from invalidated registers, and appends the
+// piece's resident form to dst: a prefix, every match the scan found ending
+// past it, and the registers the scan ends in. The prefix is Depth() bytes,
+// or for the piece's first 3-byte window at j that no pattern contains, its
+// first j+2: a match or a state (a pattern's prefix) at byte j+2 reaching
+// back past byte j+1 would end in the window. So from there on the scan is
+// the same from any start, and Resume continues a stream over the form as
+// if over piece, rescanning only the prefix from the stream's registers.
+// FoldPrefix reads the prefix's length back. Fold returns dst as it was when
+// the form would not be shorter than piece or the piece is 2¹⁹ bytes or more
+// — the caller then keeps piece whole — and allocates only to grow dst;
+// scratch is the scan's match buffer, returned for reuse.
+func (m *Machine) Fold(dst, piece []byte, scratch []ac.Match) ([]byte, []ac.Match) {
+	return m.foldAs(m.kind, dst, piece, scratch, len(piece))
 }
 
 // FoldPrefix is the length of a Fold form's prefix, which the form begins
@@ -275,15 +281,15 @@ func FoldPrefix(form []byte) int {
 }
 
 // foldAs is Fold on an explicit backend, keeping forms shorter than limit.
-func (m *Machine) foldAs(k backendKind, piece []byte, scratch []ac.Match, limit int) ([]byte, []ac.Match) {
+func (m *Machine) foldAs(k backendKind, dst, piece []byte, scratch []ac.Match, limit int) ([]byte, []ac.Match) {
 	p := m.depth
-	for j := 0; m.windows.bits != nil && j+3 < p && j+3 <= len(piece); j++ {
-		if w, bit := m.windows.slot(piece[j], piece[j+1], piece[j+2]); m.windows.bits[w]&bit == 0 {
-			p = j + 3 // which ends the loop
+	for j := 0; j+2 < p && j+3 <= len(piece); j++ {
+		if m.windows.absent(piece[j], piece[j+1], piece[j+2]) {
+			p = j + 2 // which ends the loop
 		}
 	}
 	if m.depth == 0 || p >= len(piece) || p >= 1<<foldLenBits || len(piece) >= 1<<foldEndBits || p+foldRegs >= limit {
-		return nil, scratch
+		return dst, scratch
 	}
 	var r Regs
 	r.Reset()
@@ -292,19 +298,16 @@ func (m *Machine) foldAs(k backendKind, piece []byte, scratch []ac.Match, limit 
 	for len(later) > 0 && later[0].End <= p { // the prefix's matches: Resume rescans them
 		later = later[1:]
 	}
-	size := p + foldMatch*len(later) + foldRegs
-	if size >= limit {
-		return nil, scratch
+	if p+foldMatch*len(later)+foldRegs >= limit {
+		return dst, scratch
 	}
-	form := make([]byte, size)
-	copy(form, piece[:p])
 	le := binary.LittleEndian
-	for i, mt := range later {
-		le.PutUint32(form[p+foldMatch*i:], uint32(mt.End)|uint32(mt.PatternID)<<foldEndBits)
+	dst = append(dst, piece[:p]...)
+	for _, mt := range later {
+		dst = le.AppendUint32(dst, uint32(mt.End)|uint32(mt.PatternID)<<foldEndBits)
 	}
-	le.PutUint32(form[size-8:], uint32(r.state))
-	le.PutUint32(form[size-4:], r.hist|uint32(p)<<(32-foldLenBits))
-	return form, scratch
+	dst = le.AppendUint32(dst, uint32(r.state))
+	return le.AppendUint32(dst, r.hist|uint32(p)<<(32-foldLenBits)), scratch
 }
 
 // Resume continues the stream at r over a piece of n bytes held as resident:

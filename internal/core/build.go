@@ -305,13 +305,12 @@ func compress(t *ac.Trie, ft *failTree, d defaults, st *BuildStats) ([]Pointer, 
 	maxStored := 0
 	for s := range int32(n) {
 		nd := &t.Nodes[s]
-		hist := fuseHist(staticHistory(t, s))
 		w := int64(ft.sub[s])
 		length := int(rows[nd.Fail])
 		for _, e := range t.Edges(s) {
 			own := uint8(1<<1 | 1<<2 | full) // no default is as deep as e.To
 			if nd.Depth < 3 {
-				own = d.misses(e.Char, hist, e.To)
+				own = d.misses(e.Char, fuseHist(staticHistory(t, s)), e.To)
 			}
 			inherited := miss[t.Nodes[e.To].Fail]
 			miss[e.To] = own

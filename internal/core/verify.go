@@ -279,12 +279,13 @@ func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
 // Depth must be t's longest pattern and the window filter must pass Build's
 // proof: the premises of the fold. Then each piece — every payload, t's
 // longest pattern spelled twice over, from its second and middle byte on,
-// and less its last byte, so a pattern straddles the fold point or opens
-// the piece part-way through whatever the payloads — is folded, and resumed
-// from the registers each piece's own scan ends in: that must leave exactly
-// the registers, and append exactly the matches, that scanning the piece on
-// from there does. Forms are kept here even where Fold would keep the piece
-// whole, so every piece with a fold point is proved.
+// less its last byte, and its last two bytes before a window no pattern
+// contains, so a pattern straddles or ends the prefix or opens the piece
+// part-way through — is folded, and resumed from the registers each piece's
+// own scan ends in: that must leave exactly the registers, and append
+// exactly the matches, that scanning the piece on from there does. Forms
+// are kept here even where Fold would keep the piece whole, so every piece
+// with a fold point is proved.
 func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
 	s := deepest(t)
 	if d := int(t.Nodes[s].Depth); m.depth != d {
@@ -299,13 +300,18 @@ func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
 	}
 	twice := append(slices.Clone(longest), longest...)
 	pieces := append(slices.Clip(payloads), twice, longest[:max(len(longest)-1, 0)], twice[min(1, len(longest)):], twice[len(longest)/2:])
+	for c := 0; len(longest) >= 3 && c < 256; c++ {
+		if d := len(longest); m.windows.absent(longest[d-2], longest[d-1], byte(c)) {
+			pieces, c = append(pieces, longest[:d-2], append(slices.Clone(longest[d-2:]), byte(c))), 256 // which ends the loop
+		}
+	}
 	for k, spec := range scanBackends {
 		if !spec.available(m) {
 			continue
 		}
 		kind := backendKind(k)
 		for i, p := range pieces {
-			form, _ := m.foldAs(kind, p, nil, math.MaxInt)
+			form, _ := m.foldAs(kind, nil, p, nil, math.MaxInt)
 			if form == nil || len(form) == len(p) { // one as long as its piece would read as the piece
 				continue
 			}

@@ -23,18 +23,15 @@
 // new connection starts from a zero Cursor. A Stream is a Cursor bundled with
 // its own Config, for a caller with no table of flows to share one.
 //
-// A held segment is its sequence number, its length and its resident bytes.
-// Those are the payload itself, or — when the caller passes a Fold — what
-// its scanner still needs of it: the caller scans the piece as it is held
-// and keeps a prefix — up to the first 3-byte window no pattern contains,
-// at most D bytes (D the longest pattern) — the registers the scan ends in
-// and the matches past the prefix, which the cursor stores without reading
-// beyond the prefix's length and hands back when the piece drains. The
-// caller then rescans the prefix from the stream's true registers and takes
-// the rest as stored. So a reordering path costs a few bytes a held
-// segment, D at worst, not its payload.
-// Caps and budgets charge what is resident; the byte ledger (Result,
-// HeldBytes, Budget.Used) counts stream bytes, folded or not.
+// What a cursor holds out of order lives in one byte log: a header, then
+// the held runs in sequence order, each a few varint bytes and what is
+// resident of it — the payload, or, given a Fold, what the caller's scanner
+// still needs of it: a prefix of at most D bytes (D the longest pattern) to
+// rescan from the stream's true registers, the registers its own scan ended
+// in and the matches past the prefix, handed back unread but for the
+// prefix's length. So a reordering path costs a few bytes a held run, not
+// its payload. Caps and budgets charge the log's capacity; the byte ledger
+// (Result, HeldBytes, Budget.Used) counts stream bytes, folded or not.
 //
 // Three policies keep a hostile or lossy feed from wedging the scanner:
 //
@@ -43,12 +40,11 @@
 //     default) and LastWins lets the retransmission overwrite them.
 //     Bytes already delivered to the scanner are immutable under either
 //     policy — delivery is the commit point.
-//   - Buffer caps: MaxFlowBytes bounds one flow's held bytes and Budget
-//     the sum across flows, both at cost: resident bytes plus a segment's
-//     descriptor. Under pressure the bytes furthest from the delivery point
-//     are dropped first (they are the least likely to become deliverable
-//     soon) — a folded segment is cut back to its prefix or dropped
-//     whole; a drop becomes a gap handled like loss.
+//   - Buffer caps: MaxFlowBytes bounds one flow's held log and Budget the
+//     sum across flows, both at capacity. Under pressure the bytes furthest
+//     from the delivery point are dropped first (they are the least likely
+//     to become deliverable soon) — a folded run is cut back to its prefix
+//     or dropped whole; a drop becomes a gap handled like loss.
 //   - Gap timeout: when delivery has been stalled on a missing segment for
 //     GapTimeout ticks, the stream skips to the first buffered byte. The
 //     caller is told how many bytes were skipped so it can invalidate
@@ -60,6 +56,7 @@
 package reassembly
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -110,48 +107,42 @@ const (
 )
 
 // Budget is the memory account of many streams with one owner, whose
-// goroutine alone writes it: held segments are charged at cost, beside
+// goroutine alone writes it: held logs are charged at their capacity, beside
 // whatever else the owner charges to the same memory. Used, the stream bytes
 // held, may be read from any goroutine. A Config whose Budget is nil has no
 // account and no cap across streams; the methods want a non-nil Budget.
 type Budget struct {
 	max  int64
-	cost int64        // everything charged: the owner's and held bytes at cost
+	cost int64        // everything charged: the owner's and the held logs
 	used atomic.Int64 // held stream bytes
 }
-
-// segCost is what holding a segment costs beyond its resident bytes: its
-// descriptor in the held list.
-const segCost = int(unsafe.Sizeof(seg{}))
 
 // NewBudget returns a budget allowing max bytes charged.
 func NewBudget(max int) *Budget { return &Budget{max: int64(max)} }
 
 // Charge adds n bytes (negative n returns them) the owner keeps beside the
-// held segments, which leaves them that much less room.
+// held logs, which leaves them that much less room.
 func (b *Budget) Charge(n int) { b.cost += int64(n) }
 
 // Used returns the stream bytes currently held, folded or not.
 func (b *Budget) Used() int { return int(b.used.Load()) }
 
-// Cost returns everything charged: the owner's bytes, and the held segments
-// at their resident bytes plus segCost each.
+// Cost returns everything charged: the owner's bytes, and the held logs at
+// their capacity.
 func (b *Budget) Cost() int { return int(b.cost) }
 
-// reserve charges n more held stream bytes at cost, if the cost fits.
+// reserve charges n more held stream bytes, and cost more capacity if that
+// fits: what fills capacity already charged always does.
 func (b *Budget) reserve(n, cost int) bool {
-	if b == nil {
-		return true
-	}
-	if b.cost+int64(cost) > b.max {
-		return false
+	if b == nil || cost > 0 && b.cost+int64(cost) > b.max {
+		return b == nil
 	}
 	b.cost += int64(cost)
 	b.used.Add(int64(n))
 	return true
 }
 
-// release returns n held stream bytes at cost.
+// release returns n held stream bytes and cost bytes of capacity.
 func (b *Budget) release(n, cost int) {
 	if b != nil {
 		b.cost -= int64(cost)
@@ -163,12 +154,12 @@ func (b *Budget) release(n, cost int) {
 type Config struct {
 	// Policy is the overlap policy for undelivered bytes.
 	Policy Policy
-	// MaxFlowBytes caps one stream's held (out-of-order) bytes at cost —
-	// resident bytes plus a descriptor per held segment; <= 0 selects
-	// 256 KiB, and a stream holds at most 2 GiB whatever it says.
+	// MaxFlowBytes caps one stream's held log at its capacity, header
+	// included; <= 0 selects 256 KiB, and a stream holds at most 2 GiB
+	// whatever it says.
 	MaxFlowBytes int
-	// Budget, when non-nil, additionally caps held bytes at cost across all
-	// streams sharing it.
+	// Budget, when non-nil, additionally caps the held logs' capacity across
+	// all streams sharing it.
 	Budget *Budget
 	// GapTimeout is how many ticks delivery may stall on a missing
 	// segment before the stream skips to the first buffered byte;
@@ -187,11 +178,12 @@ func (c *Config) maxFlowBytes() int {
 // one offers every piece it holds to Encode, under FirstWins — under
 // LastWins held bytes may still be overwritten, so they stay whole. Encode
 // returns the piece's resident form, shorter than the piece and beginning
-// with a prefix of it, or nil to hold the piece whole; Prefix reports how
-// many bytes that prefix has. The cursor reads a form only through Prefix:
-// it hands the form back to deliver, with the piece's length, when the
-// piece drains, and under pressure cuts it back to its prefix or drops it
-// whole. Every call on a cursor must fold the same way, or not at all.
+// with a prefix of it, or an empty one to hold the piece whole; the cursor
+// copies it into its log, so it may be the caller's scratch. Prefix reports
+// the prefix's length: the cursor reads a form through it alone, hands the
+// form back to deliver with the piece's length when the piece drains, and
+// under pressure cuts it back to its prefix or drops it whole. Every call
+// on a cursor must fold the same way, or not at all.
 type Fold struct {
 	Prefix func(form []byte) int
 	Encode func(piece []byte) []byte
@@ -215,29 +207,13 @@ type Result struct {
 	Event     Event
 }
 
-// seg is one held out-of-order run of n stream bytes, keyed by the sequence
-// number of its first byte. data is what is resident: the bytes themselves,
-// or their Fold form, which is shorter. Held segs lie ahead of the delivery
-// point, sorted by seq and non-overlapping.
-type seg struct {
-	seq  uint32
-	n    uint32
-	data []byte
-}
-
-// whole is a run held as its bytes.
-func whole(seq uint32, data []byte) seg { return seg{seq: seq, n: uint32(len(data)), data: data} }
-
-// folded reports whether the run is held as a Fold form.
-func (h *seg) folded() bool { return len(h.data) < int(h.n) }
-
 // Cursor reassembles one flow direction, less its configuration: a plain
 // 16 B value a flow record can embed, whose methods take the Config every
 // cursor of a table shares, so no flow stores even a pointer to it. The
 // cursor proper is the sequence number of the next in-order byte; everything
-// only out-of-order delivery needs — the held segments, their byte count, the
-// gap timer and a FIN seen ahead of a gap — sits behind one pointer that the
-// first byte (or FIN) the cursor has to hold allocates and Release drops. A
+// only out-of-order delivery needs — the held runs, their byte count, the
+// gap timer and a FIN seen ahead of a gap — sits in one log that the first
+// byte (or FIN) the cursor has to hold allocates and Release drops. A
 // cursor whose segments arrive in order therefore owns no memory beyond
 // itself. The zero value is an empty cursor: the first segment (or SYN)
 // establishes its sequence base. Every call on one cursor must pass the same
@@ -254,9 +230,9 @@ func (h *seg) folded() bool { return len(h.data) < int(h.n) }
 // FIN is a Duplicate), so a straggler can never re-deliver committed bytes.
 type Cursor struct {
 	started bool
-	finSeen bool   // a FIN ahead of a gap is waiting in ooo.fin
+	finSeen bool   // a FIN ahead of a gap is waiting in log.fin
 	next    uint32 // seq of the next in-order byte
-	ooo     *outOfOrder
+	log     *logHead
 }
 
 // Stream is a Cursor that owns its Config, for callers without a flow record
@@ -267,37 +243,73 @@ type Stream struct {
 	cfg Config
 }
 
-// outOfOrder is a cursor's state while it holds bytes, or a FIN, out of order.
-type outOfOrder struct {
-	held     []seg
-	heldBy   int    // sum of held stream bytes
-	gapSince uint64 // tick+1 when delivery first stalled on the current gap
-	fin      uint32 // seq one past the last byte, when finSeen
-	resident uint32 // sum of held data lengths, at most MaxFlowBytes
+// logHead opens a held log of size bytes: these fields, then from head to
+// end the held runs, ahead of the delivery point, sorted and disjoint. A run
+// is uvarint(gap) past the previous run's end (base, for the first),
+// uvarint(n) stream bytes and uvarint(size), then its size bytes: its Fold
+// form, if shorter than n, or its bytes. Drained runs lie before head; the
+// log moves when it needs their room, so what deliver got stays intact.
+type logHead struct {
+	gapSince        uint64 // tick+1 when delivery first stalled on the current gap
+	fin             uint32 // seq one past the last byte, when finSeen
+	held            uint32 // stream bytes the runs stand for
+	base            uint32 // seq the first run's gap counts from
+	tail            uint32 // seq one past the last run, while there is one
+	head, end, size uint32
 }
 
-// cost is what the held segments are charged against the caps.
-func (o *outOfOrder) cost() int { return int(o.resident) + segCost*len(o.held) }
+// headSize is a log's header: what an empty log, holding only a FIN, costs.
+const headSize = int(unsafe.Sizeof(logHead{}))
 
-// cut keeps the first k resident bytes of held segment h, held whole, and
-// drops the rest of its stream bytes. The kept bytes are copied so what is
-// dropped is really returned, not just uncharged (see trimHeld's remnants).
-func (o *outOfOrder) cut(cfg *Config, h *seg, k int, r *Result) {
-	n, res := int(h.n)-k, len(h.data)-k
-	*h = whole(h.seq, append([]byte(nil), h.data[:k]...))
-	o.heldBy -= n
-	o.resident -= uint32(res)
-	cfg.Budget.release(n, res)
-	r.Dropped += n
+// newLog returns a log in b, its capacity, that copies h's header and runs,
+// or an empty one when h is nil.
+func newLog(h *logHead, b []byte) *logHead {
+	b = b[:cap(b)]
+	g, runs := (*logHead)(unsafe.Pointer(&b[0])), []byte(nil)
+	if h != nil {
+		*g, runs = *h, h.bytes()[h.head:h.end]
+	}
+	g.head, g.end, g.size = uint32(headSize), uint32(headSize+copy(b[headSize:], runs)), uint32(len(b))
+	return g
 }
 
-// consume drops the first n held segments, whose bytes have already left the
-// books: the rest move to the front and every vacated slot is zeroed, so the
-// backing array pins no copy the budget has released.
-func (o *outOfOrder) consume(n int) {
-	m := copy(o.held, o.held[n:])
-	clear(o.held[m:])
-	o.held = o.held[:m]
+// bytes is the whole log, header included.
+func (h *logHead) bytes() []byte { return unsafe.Slice((*byte)(unsafe.Pointer(h)), h.size) }
+
+// run is one held run decoded: n stream bytes from seq held as body, at
+// log[at:end] with its header. A piece of an arrival is its seq and body.
+type run struct {
+	seq     uint32
+	n       int
+	body    []byte
+	at, end int
+}
+
+// next decodes into r the run that follows it, or the first when r is the
+// zero run, and reports whether there was one; a nil log holds none.
+func (h *logHead) next(r *run) bool {
+	at, from := r.end, r.seq+uint32(r.n)
+	if at == 0 && h != nil {
+		at, from = int(h.head), h.base
+	}
+	if h == nil || at == int(h.end) {
+		return false
+	}
+	b := h.bytes()[:h.end]
+	gap, i := binary.Uvarint(b[at:])
+	n, k := binary.Uvarint(b[at+i:])
+	size, j := binary.Uvarint(b[at+i+k:])
+	i, end := at+i+k+j, at+i+k+j+int(size)
+	*r = run{seq: from + uint32(gap), n: int(n), body: b[i:end:end], at: at, end: end}
+	return true
+}
+
+// putRun writes the header of a run of n stream bytes held as a body of
+// size bytes, gap past the previous run's end, to b and returns its length.
+func putRun(b []byte, gap uint32, n, size int) int {
+	k := binary.PutUvarint(b, uint64(gap))
+	k += binary.PutUvarint(b[k:], uint64(n))
+	return k + binary.PutUvarint(b[k:], uint64(size))
 }
 
 // NewStream returns an empty stream with its own copy of cfg.
@@ -317,35 +329,34 @@ func (s *Stream) Release() int { return s.Cursor.Release(&s.cfg) }
 // HeldBytes returns the stream bytes currently held out of order, folded or
 // not.
 func (c *Cursor) HeldBytes() int {
-	if c.ooo == nil {
+	if c.log == nil {
 		return 0
 	}
-	return c.ooo.heldBy
+	return int(c.log.held)
 }
 
-// HeldCost returns what the held segments are charged against the caps:
-// their resident bytes and a descriptor each.
+// HeldCost returns what the held log is charged against the caps: its
+// capacity, header included.
 func (c *Cursor) HeldCost() int {
-	if c.ooo == nil {
+	if c.log == nil {
 		return 0
 	}
-	return c.ooo.cost()
+	return int(c.log.size)
 }
 
-// Release discards all held bytes, returning them to cfg's budget, and
-// reports how many bytes it discarded so the caller can account them (a
+// Release frees the held log, returning it to cfg's budget, and reports how
+// many stream bytes it discarded so the caller can account them (a
 // byte-conservation ledger must not lose eviction-released bytes). Call it
-// when the flow is evicted or reset mid-gap; it is idempotent. The cursor
-// keeps no out-of-order state afterwards, a FIN seen ahead of the gap
-// included.
+// when the flow is evicted or reset mid-gap; it is idempotent. No FIN seen
+// ahead of the gap survives it.
 func (c *Cursor) Release(cfg *Config) int {
-	o := c.ooo
-	if o == nil {
+	h := c.log
+	if h == nil {
 		return 0
 	}
-	c.ooo, c.finSeen = nil, false
-	cfg.Budget.release(o.heldBy, o.cost())
-	return o.heldBy
+	c.log, c.finSeen = nil, false
+	cfg.Budget.release(int(h.held), int(h.size))
+	return int(h.held)
 }
 
 // Segment ingests one TCP segment: seq is the sequence number of
@@ -358,10 +369,10 @@ func (c *Cursor) Release(cfg *Config) int {
 // seen (scanner state must not carry matches across them). tick is the
 // caller's logical clock, used only for the gap timeout.
 //
-// Chunks delivered in the same call reference payload directly (consume or
-// copy before the next Segment call); bytes that have to be held out of
-// order are copied or folded, so the stream never retains payload's backing
-// array.
+// Chunks delivered reference payload (consume or copy it before the next
+// Segment call) or the held log, which never writes over a run it has
+// delivered; bytes that have to be held out of order are copied or folded
+// into the log, so the stream never retains payload's backing array.
 func (c *Cursor) Segment(cfg *Config, seq uint32, payload []byte, flags Flags, tick uint64, fold *Fold, deliver func(data []byte, n, skippedBefore int)) Result {
 	var r Result
 	dataSeq := seq
@@ -375,11 +386,16 @@ func (c *Cursor) Segment(cfg *Config, seq uint32, payload []byte, flags Flags, t
 	off := c.ahead(dataSeq)
 	// A first FIN at or behind the delivery point completes the stream in
 	// this call: every byte before it is delivered below. Only a FIN ahead
-	// of a gap has to be remembered.
+	// of a gap has to be remembered, in a log charged past the caps if need
+	// be: the stream cannot end without it.
 	finNow := flags&FIN != 0 && !c.finSeen && off <= 0
 	if flags&FIN != 0 && !c.finSeen && off > 0 {
+		if c.log == nil {
+			c.log = newLog(nil, make([]byte, headSize))
+			cfg.Budget.release(0, -headSize)
+		}
 		c.finSeen = true
-		c.holding().fin = dataSeq + uint32(len(payload))
+		c.log.fin = dataSeq + uint32(len(payload))
 	}
 	data := payload
 	// Bytes before the delivery point are already committed.
@@ -395,25 +411,18 @@ func (c *Cursor) Segment(cfg *Config, seq uint32, payload []byte, flags Flags, t
 	}
 	if len(data) > 0 {
 		// Resolve overlaps with held bytes per policy first, producing
-		// pieces disjoint from the buffer; then each piece is either at the
-		// delivery point (deliver now, and drain the held run it reaches,
-		// which ends where the next piece starts) or buffered.
-		var buf [2]seg
-		pieces := buf[:0]
-		if cfg.Policy == FirstWins {
-			pieces = c.uncovered(off, data, pieces, &r)
-		} else {
-			c.trimHeld(cfg, off, off+int64(len(data)), &r)
-			pieces = append(pieces, whole(c.next+uint32(off), data))
-		}
-		for _, p := range pieces {
+		// pieces disjoint from the held runs; then each piece is either at
+		// the delivery point (deliver now, and drain the held run it
+		// reaches, which ends where the next piece starts) or held.
+		var buf [2]run
+		for _, p := range c.uncovered(cfg.Policy == LastWins, off, data, buf[:0], &r) {
 			if pOff := c.ahead(p.seq); pOff > 0 {
-				c.addPiece(cfg, fold, pOff, p.data, &r)
+				c.addPiece(cfg, fold, pOff, p.body, &r)
 				continue
 			}
-			deliver(p.data, len(p.data), 0)
-			r.Delivered += len(p.data)
-			c.next += uint32(len(p.data))
+			deliver(p.body, len(p.body), 0)
+			r.Delivered += len(p.body)
+			c.next += uint32(len(p.body))
 			c.drain(cfg, deliver, &r, 0)
 		}
 	}
@@ -427,38 +436,22 @@ func (c *Cursor) Segment(cfg *Config, seq uint32, payload []byte, flags Flags, t
 // remembered, lies less than 2^31 ahead.
 func (c *Cursor) ahead(seq uint32) int64 { return int64(int32(seq - c.next)) }
 
-// holding returns the stream's out-of-order state, allocating it on first use.
-func (c *Cursor) holding() *outOfOrder {
-	if c.ooo == nil {
-		c.ooo = &outOfOrder{}
-	}
-	return c.ooo
-}
-
-// drain delivers every held segment that is now contiguous with the
-// delivery point — held segments lie strictly ahead of it between calls and
-// never overlap, so each one drained starts exactly there. skippedBefore is
-// attached to the first delivered chunk (non-zero only when a gap skip led
-// here). Each segment leaves heldBy and the budget before its bytes go to
-// deliver, and the taken segments leave held on the way out even if deliver
-// panics, so a caller that recovers sees a consistent stream.
+// drain delivers every held run now contiguous with the delivery point —
+// runs lie strictly ahead of it between calls and never overlap, so each
+// one drained starts exactly there — advancing the log's head past it.
+// skippedBefore goes with the first chunk (non-zero only after a gap skip).
+// Each run leaves the log and the books before deliver sees it, so a caller
+// that recovers from a panic in deliver sees a consistent stream.
 func (c *Cursor) drain(cfg *Config, deliver func([]byte, int, int), r *Result, skippedBefore int) {
-	o := c.ooo
-	if o == nil || len(o.held) == 0 || c.ahead(o.held[0].seq) > 0 {
-		return
-	}
-	n := 0
-	defer func() { o.consume(n) }()
-	for n < len(o.held) && c.ahead(o.held[n].seq) <= 0 {
-		h := o.held[n]
-		n++
-		o.heldBy -= int(h.n)
-		o.resident -= uint32(len(h.data))
-		cfg.Budget.release(int(h.n), len(h.data)+segCost)
-		deliver(h.data, int(h.n), skippedBefore)
+	h := c.log
+	for f := (run{}); h.next(&f) && c.ahead(f.seq) <= 0; {
+		h.head, h.base = uint32(f.end), f.seq+uint32(f.n)
+		h.held -= uint32(f.n)
+		cfg.Budget.release(f.n, 0)
+		deliver(f.body, f.n, skippedBefore)
 		skippedBefore = 0
-		r.Delivered += int(h.n)
-		c.next += h.n
+		r.Delivered += f.n
+		c.next += uint32(f.n)
 	}
 }
 
@@ -466,7 +459,7 @@ func (c *Cursor) drain(cfg *Config, deliver func([]byte, int, int), r *Result, s
 // or a FIN that arrived ahead of a gap has had every byte before it
 // delivered (or skipped past).
 func (c *Cursor) checkFinished(cfg *Config, r *Result, finNow bool) {
-	if finNow || c.finSeen && c.ahead(c.ooo.fin) <= 0 {
+	if finNow || c.finSeen && c.ahead(c.log.fin) <= 0 {
 		r.Abandoned += c.Release(cfg) // anything held beyond the FIN is bogus
 		r.Event = EventFinished
 	}
@@ -476,199 +469,207 @@ func (c *Cursor) checkFinished(cfg *Config, r *Result, finNow bool) {
 // the delivery point to the first held byte so a lost segment cannot wedge
 // the flow. The timer is armed when delivery first stalls with bytes
 // waiting and re-armed after every skip for the next gap. A cursor left
-// holding nothing and no FIN drops its out-of-order state, the held list's
-// capacity with it: the state is charged to no account, so it must not
-// outlive what it held.
+// holding nothing and no FIN frees its log, returning its capacity.
 func (c *Cursor) checkGap(cfg *Config, tick uint64, deliver func([]byte, int, int), r *Result) {
-	o := c.ooo
-	if o == nil { // nothing held, or the stream just completed
+	h := c.log
+	if h == nil { // nothing held, or the stream just completed
 		return
 	}
-	if len(o.held) > 0 && o.gapSince != 0 && cfg.GapTimeout != 0 && tick+1-o.gapSince >= cfg.GapTimeout {
-		skipped := int(c.ahead(o.held[0].seq))
-		c.next = o.held[0].seq
-		o.gapSince = 0
+	var f run
+	held := h.next(&f)
+	if held && h.gapSince != 0 && cfg.GapTimeout != 0 && tick+1-h.gapSince >= cfg.GapTimeout {
+		skipped := int(c.ahead(f.seq))
+		c.next = f.seq
+		h.gapSince = 0
 		r.Skipped += skipped
 		c.drain(cfg, deliver, r, skipped)
 		c.checkFinished(cfg, r, false)
-		if c.ooo == nil {
+		if c.log == nil {
 			return
 		}
+		held = h.head != h.end
 	}
 	switch {
-	case len(o.held) > 0:
-		if o.gapSince == 0 { // a new gap, or a further one after a skip
-			o.gapSince = tick + 1 // +1 so tick 0 still arms the timer
+	case held:
+		if h.gapSince == 0 { // a new gap, or a further one after a skip
+			h.gapSince = tick + 1 // +1 so tick 0 still arms the timer
 		}
 	case c.finSeen:
-		o.gapSince = 0
+		h.gapSince = 0
 	default:
-		c.ooo = nil
+		c.log = nil
+		cfg.Budget.release(0, int(h.size))
 	}
 }
 
-// trimHeld removes [lo, hi) — offsets past the delivery point — from the
-// held buffer (LastWins: the new bytes will overwrite); the discarded bytes
-// count as Duplicate. The held segments the range touches are one run,
-// replaced in place by the parts that straddle its ends, so a range that
-// touches none allocates nothing. LastWins folds nothing, so every held
-// segment here is its bytes.
-func (c *Cursor) trimHeld(cfg *Config, lo, hi int64, r *Result) {
-	o := c.ooo
-	if o == nil {
-		return
-	}
-	i := 0
-	for i < len(o.held) && c.ahead(o.held[i].seq)+int64(o.held[i].n) <= lo {
-		i++
-	}
-	j := i
-	freed := 0
-	for j < len(o.held) && c.ahead(o.held[j].seq) < hi {
-		freed += int(o.held[j].n)
-		j++
-	}
-	if i == j {
-		return
-	}
-	// Remainders are copied, not subsliced: a tiny kept remnant would
-	// otherwise pin the overwritten segment's whole backing array while its
-	// budget charge is released — repeated overwrites could then grow real
-	// memory far past the caps.
-	var kept []seg
-	if first, at := o.held[i], c.ahead(o.held[i].seq); at < lo { // left remainder survives
-		kept = append(kept, whole(first.seq, append([]byte(nil), first.data[:lo-at]...)))
-	}
-	if last, at := o.held[j-1], c.ahead(o.held[j-1].seq); at+int64(last.n) > hi { // right remainder survives
-		kept = append(kept, whole(last.seq+uint32(hi-at), append([]byte(nil), last.data[hi-at:]...)))
-	}
-	for _, k := range kept {
-		freed -= int(k.n)
-	}
-	o.held = slices.Replace(o.held, i, j, kept...) // zeroes the slots it vacates
-	r.Duplicate += freed
-	o.heldBy -= freed
-	o.resident -= uint32(freed)
-	cfg.Budget.release(freed, freed+(j-i-len(kept))*segCost)
-}
-
-// uncovered appends to pieces the parts of data — which starts off bytes past
-// the delivery point — that no held segment covers, counting the covered bytes
-// as Duplicate (FirstWins: the held bytes arrived first). Held segments are
-// sorted and disjoint, so one pass splits data only at the segments it
-// overlaps: an arrival disjoint from everything held is one piece, appended
-// to the caller's buffer without allocating.
-func (c *Cursor) uncovered(off int64, data []byte, pieces []seg, r *Result) []seg {
+// uncovered appends to pieces the parts of data, off bytes past the
+// delivery point, that no held run covers, counting the covered bytes as
+// Duplicate: under FirstWins the held bytes arrived first; with overwrite
+// (LastWins) data's bytes replace them in place, Buffered too. One pass
+// splits data only at the runs it overlaps; an arrival past everything
+// held is one piece, found without reading the log.
+func (c *Cursor) uncovered(overwrite bool, off int64, data []byte, pieces []run, r *Result) []run {
 	at, end := off, off+int64(len(data))
-	if o := c.ooo; o != nil {
-		for _, h := range o.held {
-			hLo := c.ahead(h.seq)
-			hHi := hLo + int64(h.n)
-			if hHi <= at {
-				continue
-			}
-			if hLo >= end {
-				break
-			}
-			if hLo > at {
-				pieces = append(pieces, whole(c.next+uint32(at), data[at-off:hLo-off]))
-			}
-			r.Duplicate += int(min(hHi, end) - max(hLo, at))
-			at = hHi
+	for f := (run{}); c.log != nil && c.ahead(c.log.tail) > off && c.log.next(&f); {
+		lo := c.ahead(f.seq)
+		hi := lo + int64(f.n)
+		if hi <= at {
+			continue
 		}
+		if lo >= end {
+			break
+		}
+		if lo > at {
+			pieces = append(pieces, run{seq: c.next + uint32(at), body: data[at-off : lo-off]})
+		}
+		from, to := max(lo, at), min(hi, end)
+		if overwrite {
+			copy(f.body[from-lo:], data[from-off:to-off])
+			r.Buffered += int(to - from)
+		}
+		r.Duplicate += int(to - from)
+		at = hi
 	}
 	if at < end {
-		pieces = append(pieces, whole(c.next+uint32(at), data[at-off:]))
+		pieces = append(pieces, run{seq: c.next + uint32(at), body: data[at-off:]})
 	}
 	return pieces
 }
 
+// place finds where a run off bytes past the delivery point goes: at pos,
+// its gap counted from seq from, before the run nx if more. The first run
+// counts from the delivery point; one past every run reads none of them.
+func (c *Cursor) place(off int64) (pos int, from uint32, nx run, more bool) {
+	h := c.log
+	if h == nil {
+		return headSize, c.next, run{}, false
+	}
+	if h.head != h.end && c.ahead(h.tail) <= off {
+		return int(h.end), h.tail, run{}, false
+	}
+	pos, from = int(h.head), c.next
+	for f := (run{}); h.next(&f); {
+		if c.ahead(f.seq) > off {
+			return pos, from, f, true
+		}
+		pos, from = f.end, f.seq+uint32(f.n)
+	}
+	return pos, from, run{}, false
+}
+
 // addPiece inserts one non-overlapping piece, off bytes past the delivery
-// point, as a new held segment — folded, when fold takes it — enforcing the
-// per-flow cap and the shared budget at cost. Under pressure the held bytes
-// furthest from the delivery point are evicted first — but never to admit
-// bytes that are themselves further out than everything already held.
+// point, as a held run — folded, when fold takes it — within the per-flow
+// cap and the shared budget. Under pressure the held bytes furthest from
+// the delivery point are evicted first — but never to admit bytes that are
+// themselves further out than everything already held.
 func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Result) {
-	if c.finSeen {
-		// Bytes at or past the FIN cannot be part of this connection.
-		fin := c.ahead(c.ooo.fin)
-		if off >= fin {
-			r.Duplicate += len(data)
-			return
-		}
-		if over := off + int64(len(data)) - fin; over > 0 {
-			r.Duplicate += int(over)
-			data = data[:int64(len(data))-over]
-		}
+	if c.finSeen { // bytes at or past the FIN cannot be part of this connection
+		keep := max(min(c.ahead(c.log.fin)-off, int64(len(data))), 0)
+		r.Duplicate += len(data) - int(keep)
+		data = data[:keep]
 	}
 	if len(data) == 0 {
 		return
 	}
 	form := data // what holding the piece keeps: its bytes, or its fold
 	if fold != nil && cfg.Policy == FirstWins {
-		if f := fold.Encode(data); f != nil {
+		if f := fold.Encode(data); len(f) > 0 {
 			form = f
 		}
 	}
-	need := len(form)
-	limit := cfg.maxFlowBytes()
-	for o := c.ooo; o != nil && o.cost()+need+segCost > limit && len(o.held) > 0; {
-		last := &o.held[len(o.held)-1]
-		if c.ahead(last.seq) <= off {
-			break // the new piece is the furthest; drop it instead
+	seq, limit := c.next+uint32(off), cfg.maxFlowBytes()
+	var hdr, gap [3 * binary.MaxVarintLen32]byte
+	var pos, k, was, now, used, need int
+	for {
+		// The log's bytes in use, the run's header, and the next run's gap
+		// recounted from its end.
+		p, from, nx, more := c.place(off)
+		pos, k, was, now, used = p, putRun(hdr[:], seq-from, len(data), len(form)), 0, 0, headSize
+		if c.log != nil {
+			used += int(c.log.end - c.log.head)
 		}
-		// Cut the furthest segment to what still fits, a fold back to its
-		// prefix; what cannot be cut goes whole.
-		trim, keep := o.cost()+need+segCost-limit, 0
-		if !last.folded() {
-			keep = max(len(last.data)-trim, 0)
-		} else if p := fold.Prefix(last.data); trim <= len(last.data)-p {
-			keep = p
+		if more {
+			_, was = binary.Uvarint(c.log.bytes()[nx.at:])
+			now = binary.PutUvarint(gap[:], uint64(nx.seq-seq-uint32(len(data))))
 		}
-		o.cut(cfg, last, keep, r)
-		if keep == 0 { // nothing of it is left: its descriptor goes too
-			cfg.Budget.release(0, segCost)
-			*last = seg{} // the backing array must not pin the evicted copy
-			o.held = o.held[:len(o.held)-1]
+		if need = used + k + len(form) + now - was; need <= limit {
+			break
 		}
+		if !more {
+			// The piece is the furthest: keep what fits, a fold cut back to
+			// its prefix.
+			fit := limit - used - k
+			if len(form) < len(data) {
+				fit = min(fit, fold.Prefix(form))
+			}
+			if fit <= 0 {
+				r.Dropped += len(data)
+				return
+			}
+			r.Dropped += len(data) - fit
+			data, form = data[:fit], data[:fit]
+			continue
+		}
+		c.evictLast(cfg, fold, need-limit, r)
 	}
-	held := 0
-	if c.ooo != nil {
-		held = c.ooo.cost()
-	}
-	if held+need+segCost > limit {
-		fit := limit - held - segCost
-		if len(form) < len(data) {
-			fit = min(fit, fold.Prefix(form)) // a fold is cut back to its prefix
+	// Room: past the last run, or else in a new allocation — never over
+	// drained runs, whose bytes a caller may still hold — charged its bytes
+	// first, then the rest of its size class if that fits too.
+	if h := c.log; h == nil || int(h.end)+need-used > int(h.size) {
+		if h != nil { // the runs move down to the header, and pos with them
+			pos -= int(h.head) - headSize
 		}
-		if fit <= 0 {
+		if !cfg.Budget.reserve(len(data), need-c.HeldCost()) {
 			r.Dropped += len(data)
 			return
 		}
-		r.Dropped += len(data) - fit
-		data, form, need = data[:fit], data[:fit], fit
+		// Past its first KiB a log takes a quarter more, so it moves once
+		// per quarter of its size, not once per run.
+		b := slices.Grow([]byte(nil), min(need+max(need-1<<10, 0)/4, limit))
+		if cap(b) > limit || !cfg.Budget.reserve(0, cap(b)-need) {
+			b = b[:need:need]
+		}
+		c.log = newLog(h, b)
+	} else {
+		cfg.Budget.reserve(len(data), 0)
 	}
-	if !cfg.Budget.reserve(len(data), need+segCost) {
-		r.Dropped += len(data)
-		return
+	h := c.log
+	if pos == int(h.head) {
+		h.base = c.next
 	}
-	if len(form) == len(data) {
-		// Own the held bytes: a retained subslice would pin the caller's
-		// whole payload array while the caps charge only the slice length,
-		// letting a hostile feed (e.g. 1-byte keepable pieces carved from
-		// 1 MiB segments) amplify real memory far past MaxFlowBytes/Budget.
-		// After this copy every held byte was charged at admission, so later
-		// trims/splits of held data stay within the already-charged bound.
-		form = append([]byte(nil), data...)
+	if pos == int(h.end) {
+		h.tail = seq + uint32(len(data))
 	}
-	o := c.holding()
-	o.heldBy += len(data)
-	o.resident += uint32(need)
-	// Sorted insert; held segments are few in practice (one per open gap).
-	i := len(o.held)
-	for i > 0 && c.ahead(o.held[i-1].seq) > off {
-		i--
-	}
-	o.held = slices.Insert(o.held, i, seg{seq: c.next + uint32(off), n: uint32(len(data)), data: form})
+	b, n := h.bytes(), k+len(form)+now
+	copy(b[pos+n:], b[pos+was:h.end]) // what follows moves up
+	h.end += uint32(n - was)
+	copy(b[pos+copy(b[pos:], hdr[:k]):], form)
+	copy(b[pos+k+len(form):], gap[:now])
+	h.held += uint32(len(data))
 	r.Buffered += len(data)
+}
+
+// evictLast frees at least trim bytes of the log from its last run: bytes
+// lose their tail, a fold is cut back to its prefix if that frees enough,
+// and what cannot be cut goes whole.
+func (c *Cursor) evictLast(cfg *Config, fold *Fold, trim int, r *Result) {
+	h, last := c.log, run{}
+	for h.next(&last) {
+	}
+	keep := 0
+	if len(last.body) == last.n {
+		keep = max(last.n-trim, 0)
+	} else if p := fold.Prefix(last.body); trim <= len(last.body)-p {
+		keep = p
+	}
+	b := h.bytes()
+	gap, _ := binary.Uvarint(b[last.at:])
+	h.end, h.tail = uint32(last.at), last.seq-uint32(gap)
+	if keep > 0 { // a header no longer than before, then the kept bytes
+		at := last.at + putRun(b[last.at:], uint32(gap), keep, keep)
+		h.end, h.tail = uint32(at+copy(b[at:], last.body[:keep])), last.seq+uint32(keep)
+	}
+	h.held -= uint32(last.n - keep)
+	cfg.Budget.release(last.n-keep, 0)
+	r.Dropped += last.n - keep
 }

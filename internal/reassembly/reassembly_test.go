@@ -96,7 +96,7 @@ func TestOutOfOrderAcrossWrap(t *testing.T) {
 	at := func(off int) uint32 { return isn + 1 + uint32(off) }
 	s := NewStream(Config{})
 	feed(t, s, isn, "", SYN, 0)
-	if _, _, r := feed(t, s, at(len(stream)), "", FIN, 1); r.Event != EventNone || s.ooo == nil {
+	if _, _, r := feed(t, s, at(len(stream)), "", FIN, 1); r.Event != EventNone || s.log == nil {
 		t.Fatalf("a FIN ahead of the gap: %+v", r)
 	}
 	for _, p := range []struct {
@@ -112,7 +112,7 @@ func TestOutOfOrderAcrossWrap(t *testing.T) {
 		t.Fatalf("head delivered %q, %+v, held %d", out, r, s.HeldBytes())
 	}
 	out, _, r = feed(t, s, at(10), stream[10:12], 0, 4)
-	if out != stream[10:] || r.Event != EventFinished || s.ooo != nil {
+	if out != stream[10:] || r.Event != EventFinished || s.log != nil {
 		t.Fatalf("last hole delivered %q, %+v", out, r)
 	}
 }
@@ -133,8 +133,8 @@ func TestFinAheadIsOutOfOrderState(t *testing.T) {
 		s := NewStream(Config{})
 		feed(t, s, 100, "", SYN, 0)
 		feed(t, s, 101, "abc", 0, 0)
-		if r := tc.last(s); r.Event != EventFinished || s.ooo != nil {
-			t.Fatalf("in-order FIN %s: %+v, out-of-order state %v", tc.name, r, s.ooo)
+		if r := tc.last(s); r.Event != EventFinished || s.log != nil {
+			t.Fatalf("in-order FIN %s: %+v, out-of-order state %v", tc.name, r, s.log)
 		}
 	}
 
@@ -142,8 +142,8 @@ func TestFinAheadIsOutOfOrderState(t *testing.T) {
 	s := NewStream(Config{Budget: b})
 	feed(t, s, 100, "", SYN, 0)
 	// A pure FIN after a 10-byte gap.
-	if out, _, r := feed(t, s, 111, "", FIN, 1); out != "" || r.Event != EventNone || s.ooo == nil || s.HeldBytes() != 0 {
-		t.Fatalf("pure FIN ahead: %q %+v, out-of-order state %v", out, r, s.ooo)
+	if out, _, r := feed(t, s, 111, "", FIN, 1); out != "" || r.Event != EventNone || s.log == nil || s.HeldBytes() != 0 {
+		t.Fatalf("pure FIN ahead: %q %+v, out-of-order state %v", out, r, s.log)
 	}
 	// Bytes past the FIN cannot be part of the connection.
 	if _, _, r := feed(t, s, 109, "89XY", 0, 2); r.Buffered != 2 || r.Duplicate != 2 {
@@ -156,8 +156,8 @@ func TestFinAheadIsOutOfOrderState(t *testing.T) {
 		t.Fatalf("part of the gap: %q %+v", out, r)
 	}
 	out, _, r := feed(t, s, 105, "4567", 0, 5)
-	if out != "456789" || r.Event != EventFinished || s.ooo != nil || b.Used() != 0 {
-		t.Fatalf("gap filled: %q %+v, out-of-order state %v, budget %d", out, r, s.ooo, b.Used())
+	if out != "456789" || r.Event != EventFinished || s.log != nil || b.Used() != 0 {
+		t.Fatalf("gap filled: %q %+v, out-of-order state %v, budget %d", out, r, s.log, b.Used())
 	}
 
 	// Release after a FIN ahead leaves nothing: no held bytes, no FIN, no
@@ -166,16 +166,17 @@ func TestFinAheadIsOutOfOrderState(t *testing.T) {
 	feed(t, s, 100, "", SYN, 0)
 	feed(t, s, 111, "", FIN, 1)
 	feed(t, s, 105, "held", 0, 2)
-	if n := s.Release(); n != 4 || s.ooo != nil || s.finSeen || s.HeldBytes() != 0 || b.Used() != 0 {
-		t.Fatalf("Release returned %d and left state %v (FIN %v), budget %d", n, s.ooo, s.finSeen, b.Used())
+	if n := s.Release(); n != 4 || s.log != nil || s.finSeen || s.HeldBytes() != 0 || b.Used() != 0 {
+		t.Fatalf("Release returned %d and left state %v (FIN %v), budget %d", n, s.log, s.finSeen, b.Used())
 	}
 }
 
 // TestOutOfOrderArrivalAllocations: overlap resolution looks only at the held
-// segments an arrival overlaps, so under either policy an arrival disjoint
-// from everything held allocates its held copy and nothing else — the held
-// list's growth amortises below one allocation — however many segments are
-// held. A fold takes the copy's place: its form is the one allocation.
+// runs an arrival overlaps, and a held run is copied — or folded, through the
+// caller's scratch — into the flow's one log, so under either policy an
+// arrival disjoint from everything held allocates nothing of its own, however
+// many runs are held: the log's growth, a size class at a time, amortises
+// below one allocation. Each run costs what it holds and a few header bytes.
 func TestOutOfOrderArrivalAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
@@ -200,15 +201,20 @@ func TestOutOfOrderArrivalAllocations(t *testing.T) {
 				if want := 10*k + 5*101; s.HeldBytes() != want {
 					t.Fatalf("%v, fold %v, %d held: %d bytes held, want %d", pol, fold != nil, k, s.HeldBytes(), want)
 				}
-				resident := 10*k + 5*101
+				want := 10*k + 5*101
 				if fold != nil && pol == FirstWins { // every segment folds to 3 bytes
-					resident = 3*k + 3*101
+					want = 3*k + 3*101
 				}
-				if want := resident + segCost*(k+101); s.HeldCost() != want {
-					t.Fatalf("%v, fold %v, %d held: held at a cost of %d, want %d", pol, fold != nil, k, s.HeldCost(), want)
+				resident := 0
+				for _, h := range heldRuns(c) {
+					resident += len(h.body)
 				}
-				if allocs > 1 {
-					t.Errorf("%v, fold %v: a disjoint arrival with %d segments held allocated %.0f times, want 1", pol, fold != nil, k, allocs)
+				if headers := logUsed(c) - headSize - resident; resident != want || headers > 4*(k+101) || s.HeldCost() < logUsed(c) {
+					t.Fatalf("%v, fold %v, %d held: %d resident bytes (want %d) and %d of run headers in a log of %d",
+						pol, fold != nil, k, resident, want, headers, s.HeldCost())
+				}
+				if allocs != 0 {
+					t.Errorf("%v, fold %v: a disjoint arrival with %d segments held allocated %.0f times", pol, fold != nil, k, allocs)
 				}
 			}
 		}
@@ -310,10 +316,10 @@ func TestGapSkipDisabled(t *testing.T) {
 
 // TestFlowCapEvictionOrder: under the per-flow cap, bytes furthest from
 // the delivery point are evicted first, and a piece further out than
-// everything held is dropped rather than admitted. The cap holds two 4-byte
-// segments at cost.
+// everything held is dropped rather than admitted. The cap holds a log of
+// two 4-byte runs, each behind its 3-byte header.
 func TestFlowCapEvictionOrder(t *testing.T) {
-	s := NewStream(Config{MaxFlowBytes: 8 + 2*segCost})
+	s := NewStream(Config{MaxFlowBytes: headSize + 2*(3+4)})
 	feed(t, s, 0, "", SYN, 0)
 	feed(t, s, 5, "AAAA", 0, 1)  // [4,8)
 	feed(t, s, 13, "CCCC", 0, 2) // [12,16)
@@ -338,15 +344,17 @@ func TestFlowCapEvictionOrder(t *testing.T) {
 }
 
 func TestSharedBudget(t *testing.T) {
-	b := NewBudget(6 + 2*segCost)
+	// A log of one 4-byte run takes 47 B, in a 48 B size class: two such
+	// logs do not fit.
+	each := headSize + 3 + 4
+	b := NewBudget(2*each - 1)
 	s1 := NewStream(Config{Budget: b})
 	s2 := NewStream(Config{Budget: b})
 	feed(t, s1, 0, "", SYN, 0)
 	feed(t, s2, 0, "", SYN, 0)
-	if _, _, r := feed(t, s1, 11, "aaaa", 0, 1); r.Buffered != 4 {
-		t.Fatalf("first reserve: %+v", r)
+	if _, _, r := feed(t, s1, 11, "aaaa", 0, 1); r.Buffered != 4 || b.Cost() != s1.HeldCost() {
+		t.Fatalf("first reserve: %+v, cost %d for a log of %d", r, b.Cost(), s1.HeldCost())
 	}
-	// 4 of 6 payload bytes used: s2 can only fail a 4-byte reservation.
 	if _, _, r := feed(t, s2, 11, "bbbb", 0, 1); r.Dropped != 4 {
 		t.Fatalf("budget not enforced: %+v", r)
 	}
@@ -355,16 +363,16 @@ func TestSharedBudget(t *testing.T) {
 	}
 	// Releasing s1 (eviction mid-gap) frees the budget for s2.
 	s1.Release()
-	if b.Used() != 0 {
-		t.Fatalf("release leaked: used=%d", b.Used())
+	if b.Used() != 0 || b.Cost() != 0 {
+		t.Fatalf("release leaked: used=%d cost=%d", b.Used(), b.Cost())
 	}
 	if _, _, r := feed(t, s2, 11, "bbbb", 0, 2); r.Buffered != 4 {
 		t.Fatalf("post-release reserve: %+v", r)
 	}
-	// What the owner charges beside the held bytes leaves them less room.
+	// What the owner charges beside the held logs leaves them less room.
 	s2.Release()
-	b.Charge(3 + segCost)
-	if _, _, r := feed(t, s2, 11, "bbbb", 0, 3); r.Dropped != 4 || b.Cost() != 3+segCost {
+	b.Charge(each)
+	if _, _, r := feed(t, s2, 11, "bbbb", 0, 3); r.Dropped != 4 || b.Cost() != each {
 		t.Fatalf("owner's charge not enforced: %+v, cost %d", r, b.Cost())
 	}
 	b.Charge(-3)
@@ -388,8 +396,8 @@ func TestFinCompletesStream(t *testing.T) {
 		t.Fatalf("finished with a hole open: %+v", r)
 	}
 	out, _, r := feed(t, s, 101, "abc", 0, 2)
-	if out != "abcdf" || r.Event != EventFinished || s.ooo != nil || s.finSeen {
-		t.Fatalf("fin completion: %q %+v, out-of-order state %v", out, r, s.ooo)
+	if out != "abcdf" || r.Event != EventFinished || s.log != nil || s.finSeen {
+		t.Fatalf("fin completion: %q %+v, out-of-order state %v", out, r, s.log)
 	}
 	// A retransmission behind the FIN re-delivers nothing.
 	if out, _, r := feed(t, s, 101, "abc", 0, 3); out != "" || r.Duplicate != 3 {
@@ -426,15 +434,15 @@ func TestInOrderStreamHoldsNothing(t *testing.T) {
 		if !raceEnabled && allocs != 0 {
 			t.Errorf("%v: an in-order Segment allocated %.0f times", pol, allocs)
 		}
-		if s.ooo != nil {
+		if s.log != nil {
 			t.Fatalf("%v: an in-order stream holds out-of-order state", pol)
 		}
 		s.Segment(seq+5, payload, 0, 1, deliver)
-		if s.ooo == nil || s.HeldBytes() != len(payload) {
+		if s.log == nil || s.HeldBytes() != len(payload) {
 			t.Fatalf("%v: a held segment left no out-of-order state (held %d)", pol, s.HeldBytes())
 		}
-		if n := s.Release(); n != len(payload) || s.ooo != nil || s.HeldBytes() != 0 {
-			t.Fatalf("%v: Release returned %d and left out-of-order state %v", pol, n, s.ooo)
+		if n := s.Release(); n != len(payload) || s.log != nil || s.HeldBytes() != 0 {
+			t.Fatalf("%v: Release returned %d and left out-of-order state %v", pol, n, s.log)
 		}
 	}
 }
@@ -456,7 +464,7 @@ func feedFold(s *Stream, fold *Fold, seq uint32, payload string, flags Flags, ti
 }
 
 // TestFoldedSegments: under FirstWins a cursor holds a piece its fold
-// shrinks as its form, charged at the form's size, and hands the form back
+// shrinks as its form, in its log at the form's size, and hands the form back
 // with the piece's length when it drains, a gap skip's count with it when a
 // skip lands there; a piece the fold would not shrink, and every piece
 // under LastWins, is held whole. Under the cap, a folded segment is cut
@@ -469,12 +477,14 @@ func TestFoldedSegments(t *testing.T) {
 	feedFold(s, fold, 0, "", SYN, 0)
 	feedFold(s, fold, 11, "abcdefghij", 0, 1) // [10,20), folded
 	feedFold(s, fold, 21, "wxyz", 0, 1)       // [20,24), which the fold does not shrink
-	if s.HeldBytes() != 14 || b.Used() != 14 || b.Cost() != 5+4+2*segCost {
-		t.Fatalf("held %d stream bytes, budget used %d at cost %d", s.HeldBytes(), b.Used(), b.Cost())
+	// Each run is 3 B of header: [10,20) then has its 5 B form, [20,24) its
+	// bytes.
+	if s.HeldBytes() != 14 || b.Used() != 14 || logUsed(&s.Cursor) != headSize+8+7 || b.Cost() != s.HeldCost() {
+		t.Fatalf("held %d stream bytes in %d B of log, budget used %d at cost %d", s.HeldBytes(), logUsed(&s.Cursor), b.Used(), b.Cost())
 	}
 	got, r := feedFold(s, fold, 1, "0123456789", 0, 1)
 	want := []folded{{"0123456789", 10, 0}, {"abcd\x0a", 10, 0}, {"wxyz", 4, 0}}
-	if !slices.Equal(got, want) || r.Delivered != 24 || s.ooo != nil || b.Cost() != 0 {
+	if !slices.Equal(got, want) || r.Delivered != 24 || s.log != nil || b.Cost() != 0 {
 		t.Fatalf("the hole filled: delivered %q, %+v, budget cost %d", got, r, b.Cost())
 	}
 	// A gap skip landing on a folded segment.
@@ -490,9 +500,9 @@ func TestFoldedSegments(t *testing.T) {
 		t.Fatalf("LastWins delivered %q: held bytes it may still overwrite folded", got)
 	}
 
-	// Cut back to its prefix: [10,20) folds to 5 B and [30,40) must fit
-	// beside it, one byte short.
-	s = NewStream(Config{MaxFlowBytes: 5 + 5 + 2*segCost - 1})
+	// Cut back to its prefix: [30,40) folds to an 8 B run and [10,20) must
+	// fit beside it, one byte short.
+	s = NewStream(Config{MaxFlowBytes: headSize + 8 + 8 - 1})
 	feedFold(s, fold, 0, "", SYN, 0)
 	feedFold(s, fold, 31, "ABCDEFGHIJ", 0, 1)
 	if _, r := feedFold(s, fold, 11, "abcdefghij", 0, 1); r.Buffered != 10 || r.Dropped != 6 || s.HeldBytes() != 14 {
@@ -503,8 +513,8 @@ func TestFoldedSegments(t *testing.T) {
 		t.Fatalf("the cut fold delivered as %q", got)
 	}
 	// Cut back to a prefix of its own: [30,40) ends its prefix at the '|'
-	// and folds to 4 B, and one byte of it must go for [10,20) to fit.
-	s = NewStream(Config{MaxFlowBytes: 4 + 5 + 2*segCost - 1})
+	// and folds to a 7 B run, and one byte of it must go for [10,20) to fit.
+	s = NewStream(Config{MaxFlowBytes: headSize + 7 + 8 - 1})
 	feedFold(s, fold, 0, "", SYN, 0)
 	feedFold(s, fold, 31, "AB|DEFGHIJ", 0, 1)
 	if _, r := feedFold(s, fold, 11, "abcdefghij", 0, 1); r.Buffered != 10 || r.Dropped != 7 || s.HeldBytes() != 13 {
@@ -516,10 +526,10 @@ func TestFoldedSegments(t *testing.T) {
 	}
 	// Dropped whole: a cap with no room for its prefix beside the nearer
 	// piece.
-	s = NewStream(Config{MaxFlowBytes: 5 + 2*segCost + 3})
+	s = NewStream(Config{MaxFlowBytes: headSize + 8 + 5})
 	feedFold(s, fold, 0, "", SYN, 0)
 	feedFold(s, fold, 31, "ABCDEFGHIJ", 0, 1)
-	if _, r := feedFold(s, fold, 11, "abcdefghij", 0, 1); r.Buffered != 10 || r.Dropped != 10 || s.HeldBytes() != 10 || len(s.ooo.held) != 1 {
+	if _, r := feedFold(s, fold, 11, "abcdefghij", 0, 1); r.Buffered != 10 || r.Dropped != 10 || s.HeldBytes() != 10 || len(heldRuns(&s.Cursor)) != 1 {
 		t.Fatalf("dropping the furthest fold whole: %+v, %d held", r, s.HeldBytes())
 	}
 	if n := s.Release(); n != 10 {
@@ -537,86 +547,102 @@ func TestDrainedStreamDropsOutOfOrderState(t *testing.T) {
 	feed(t, s, 0, "", SYN, 0)
 	feed(t, s, 11, "later", 0, 1) // [10,15)
 	feed(t, s, 21, "more", 0, 1)  // [20,24)
-	if out, _, _ := feed(t, s, 1, "0123456789", 0, 2); out != "0123456789later" || s.ooo == nil {
-		t.Fatalf("a partial drain delivered %q and left out-of-order state %v", out, s.ooo)
+	if out, _, _ := feed(t, s, 1, "0123456789", 0, 2); out != "0123456789later" || s.log == nil {
+		t.Fatalf("a partial drain delivered %q and left out-of-order state %v", out, s.log)
 	}
-	if out, _, _ := feed(t, s, 16, "abcde", 0, 3); out != "abcdemore" || s.ooo != nil || s.HeldBytes() != 0 {
-		t.Fatalf("the last hole filled: delivered %q, out-of-order state %v", out, s.ooo)
+	if out, _, _ := feed(t, s, 16, "abcde", 0, 3); out != "abcdemore" || s.log != nil || s.HeldBytes() != 0 {
+		t.Fatalf("the last hole filled: delivered %q, out-of-order state %v", out, s.log)
 	}
 
 	s = NewStream(Config{GapTimeout: 2})
 	feed(t, s, 0, "", SYN, 0)
 	feed(t, s, 11, "tail", 0, 1)
-	if out, skip, _ := feed(t, s, 11, "tail", 0, 5); out != "tail" || skip != 10 || s.ooo != nil {
-		t.Fatalf("a gap skip delivered %q after %d bytes and left out-of-order state %v", out, skip, s.ooo)
+	if out, skip, _ := feed(t, s, 11, "tail", 0, 5); out != "tail" || skip != 10 || s.log != nil {
+		t.Fatalf("a gap skip delivered %q after %d bytes and left out-of-order state %v", out, skip, s.log)
 	}
 
 	s = NewStream(Config{})
 	feed(t, s, 100, "", SYN, 0)
 	feed(t, s, 111, "", FIN, 1)   // the stream ends at 10
 	feed(t, s, 105, "held", 0, 1) // [4,8)
-	if out, _, r := feed(t, s, 101, "0123", 0, 2); out != "0123held" || r.Event != EventNone || s.ooo == nil {
-		t.Fatalf("a drain short of the FIN delivered %q, %+v, out-of-order state %v", out, r, s.ooo)
+	if out, _, r := feed(t, s, 101, "0123", 0, 2); out != "0123held" || r.Event != EventNone || s.log == nil {
+		t.Fatalf("a drain short of the FIN delivered %q, %+v, out-of-order state %v", out, r, s.log)
 	}
-	if _, _, r := feed(t, s, 109, "89", 0, 3); r.Event != EventFinished || s.ooo != nil {
-		t.Fatalf("the FIN's gap filled: %+v, out-of-order state %v", r, s.ooo)
+	if _, _, r := feed(t, s, 109, "89", 0, 3); r.Event != EventFinished || s.log != nil {
+		t.Fatalf("the FIN's gap filled: %+v, out-of-order state %v", r, s.log)
 	}
 }
 
-// TestVacatedHeldSlotsAreZeroed: a segment that leaves the held list — drained
-// into a filled hole, or evicted to the flow cap — must not stay reachable
-// through the list's backing array once the budget has released its bytes.
-// The list is compacted in place, so its capacity is kept for the next gap.
-// The cap holds the four 2-byte runs below at cost and nothing more.
-func TestVacatedHeldSlotsAreZeroed(t *testing.T) {
-	s := NewStream(Config{MaxFlowBytes: 8 + 4*segCost})
+// TestDrainedLogKeepsDeliveredBytes: a drain advances the log's head and
+// keeps its capacity, charged as before, and never writes over the runs it
+// delivered: a caller may keep a drained chunk across later calls. The next
+// run that needs the drained room moves the log to a new allocation sized
+// for what it holds, its old capacity returned. The cap holds a log of the
+// four 2-byte runs below, each behind its 3-byte header, and nothing more.
+func TestDrainedLogKeepsDeliveredBytes(t *testing.T) {
+	b := NewBudget(1 << 20)
+	s := NewStream(Config{MaxFlowBytes: headSize + 4*(3+2), Budget: b})
+	var kept [][]byte // every chunk delivered, as handed over
+	hold := func(seq uint32, payload string) string {
+		var out []byte
+		s.Segment(seq, []byte(payload), 0, 1, func(chunk []byte, _ int) {
+			kept = append(kept, chunk)
+			out = append(out, chunk...)
+		})
+		return string(out)
+	}
 	feed(t, s, 0, "", SYN, 0)
 	for _, p := range []struct {
 		seq  uint32
 		data string
 	}{{3, "AA"}, {11, "CC"}, {15, "DD"}, {19, "EE"}} { // [2,4) [10,12) [14,16) [18,20)
-		feed(t, s, p.seq, p.data, 0, 1)
+		hold(p.seq, p.data)
 	}
-	vacated := func(when string, wantLen int) {
+	full := s.HeldCost()
+	check := func(when string, runs, cost int) {
 		t.Helper()
-		held := s.ooo.held
-		if len(held) != wantLen {
-			t.Fatalf("%s: %d segments held, want %d", when, len(held), wantLen)
-		}
-		for i, h := range held[len(held):cap(held)] {
-			if h.data != nil || h.seq != 0 {
-				t.Errorf("%s: vacated slot %d still holds %q at seq %d", when, len(held)+i, h.data, h.seq)
-			}
+		if got := len(heldRuns(&s.Cursor)); got != runs || s.HeldCost() != cost || b.Cost() != cost {
+			t.Fatalf("%s: %d runs held (want %d) in a log of %d B charged %d, want %d", when, got, runs, s.HeldCost(), b.Cost(), cost)
 		}
 	}
-	full := cap(s.ooo.held)
-	// [5,9) costs 4 bytes and a descriptor over the cap: the two furthest
-	// runs go.
+	check("the cap full", 4, full)
+	// [5,9) needs 7 B: the two furthest runs go.
 	if _, _, r := feed(t, s, 6, "BBBB", 0, 2); r.Dropped != 4 || r.Buffered != 4 {
 		t.Fatalf("cap eviction: %+v", r)
 	}
-	vacated("after a cap eviction", 3)
+	check("after a cap eviction", 3, full)
 	// [0,2) fills the first hole: [2,4) drains, [5,9) and [10,12) stay held.
-	if out, _, _ := feed(t, s, 1, "xx", 0, 3); out != "xxAA" {
-		t.Fatalf("hole fill delivered %q", out)
+	if out := hold(1, "xx"); out != "xxAA" || s.log.head == uint32(headSize) {
+		t.Fatalf("hole fill delivered %q, the head at %d", out, s.log.head)
 	}
-	vacated("after a hole fills", 2)
-	if cap(s.ooo.held) != full {
-		t.Fatalf("held capacity %d after a drain, want %d: not compacted in place", cap(s.ooo.held), full)
+	check("after a hole fills", 2, full)
+	// [20,22) fits only in the drained run's room: the log moves.
+	hold(21, "GG")
+	if s.log.head != uint32(headSize) || s.HeldCost() >= full {
+		t.Fatalf("a log of %d B, its head at %d: it did not move to a smaller one", s.HeldCost(), s.log.head)
 	}
-	if s.HeldBytes() != 6 {
-		t.Fatalf("held %d bytes, want 6", s.HeldBytes())
+	check("after the log moved", 3, s.HeldCost())
+	if s.HeldBytes() != 8 {
+		t.Fatalf("held %d bytes, want 8", s.HeldBytes())
+	}
+	hold(5, "y")
+	hold(10, "z")
+	if out := hold(13, "12345678"); out != "12345678GG" || s.log != nil || b.Cost() != 0 {
+		t.Fatalf("the last hole filled: delivered %q, log %v, budget cost %d", out, s.log, b.Cost())
+	}
+	if got := string(bytes.Join(kept, nil)); got != "xxAAyBBBBzCC12345678GG" {
+		t.Fatalf("the chunks delivered read %q once the stream is done", got)
 	}
 }
 
 // TestHeldSegmentsChargedAtCost: a flow stuffed with tiny segments, each
-// behind a hole of its own size, is charged what holding them occupies — the
-// resident bytes and a descriptor apiece — against both MaxFlowBytes and the
+// behind a hole of its own size, is charged what holding them occupies — its
+// log's capacity, header included — against both MaxFlowBytes and the
 // budget, so the segments it can hold, and the heap they take, stay
-// proportional to the cap however small they are. Charged at payload alone,
-// 1-byte segments held 262 144 of them in 42.6 times the heap they were
-// charged. Folded, 512-byte segments are charged their 17-byte forms: the
-// cap holds eleven times as many, more stream bytes than the cap itself.
+// proportional to the cap however small they are. A run costs its resident
+// bytes and a header of a few bytes. Folded, 512-byte segments are held as
+// their 17-byte forms: the cap holds 23 times as many, more stream bytes
+// than the cap itself.
 func TestHeldSegmentsChargedAtCost(t *testing.T) {
 	const maxFlowBytes = 256 << 10
 	for _, tc := range []struct {
@@ -639,34 +665,35 @@ func TestHeldSegmentsChargedAtCost(t *testing.T) {
 		charge := b.Cost()
 		heap := int64(liveHeap()) - int64(before)
 		runtime.KeepAlive(s)
-		segs, resident, whole := len(s.ooo.held), 0, 0
-		for _, h := range s.ooo.held {
-			resident += len(h.data)
-			if int(h.n) == tc.size {
+		runs, whole := heldRuns(&s.Cursor), 0
+		for _, h := range runs {
+			if h.n == tc.size {
 				whole++
 			}
 		}
 		name := fmt.Sprintf("%d-byte segments (folded %v)", tc.size, tc.fold != nil)
-		if want := resident + segs*segCost; charge != want || s.HeldCost() != want || b.Used() != s.HeldBytes() {
-			t.Fatalf("%s: budget charged %d and used %d, held %d in %d segments (cost %d)",
-				name, charge, b.Used(), s.HeldBytes(), segs, want)
+		if charge != s.HeldCost() || charge != int(s.log.size) || b.Used() != s.HeldBytes() {
+			t.Fatalf("%s: budget charged %d and used %d, held %d in %d runs in a log of %d",
+				name, charge, b.Used(), s.HeldBytes(), len(runs), s.log.size)
 		}
-		// The cap at cost holds this many whole segments, and the piece
-		// arriving past them is cut to the bytes that still fit.
-		each := tc.size + segCost
+		// The cap holds this many whole runs, header and all, and the
+		// piece arriving past them is cut to the bytes that still fit.
+		var hdr [16]byte
+		each := putRun(hdr[:], uint32(tc.size), tc.size, tc.size) + tc.size
 		if tc.fold != nil {
-			each = 16 + 1 + segCost // toyFold(16)'s prefix and length byte
+			each = putRun(hdr[:], uint32(tc.size), tc.size, 17) + 16 + 1 // toyFold(16)'s prefix and length byte
 			if s.HeldBytes() <= maxFlowBytes {
 				t.Errorf("%s: %d stream bytes held under a %d B cap: the folds did not shrink the charge", name, s.HeldBytes(), maxFlowBytes)
 			}
 		}
-		if most := maxFlowBytes / each; whole > most || segs > whole+1 || charge > maxFlowBytes {
+		if most := (maxFlowBytes - headSize) / each; whole > most || len(runs) > whole+1 || charge > maxFlowBytes {
 			t.Errorf("%s: %d held (%d whole) at cost %d, the cap allows %d whole at %d",
-				name, segs, whole, charge, most, maxFlowBytes)
+				name, len(runs), whole, charge, most, maxFlowBytes)
 		}
-		if !raceEnabled && heap > 3*int64(charge) {
-			t.Errorf("%s: %d held take %d B of heap, %.1f× their %d B charge",
-				name, segs, heap, float64(heap)/float64(charge), charge)
+		t.Logf("%s: %d held (%d stream bytes) in a log of %d B, %d B of heap", name, len(runs), s.HeldBytes(), charge, heap)
+		if !raceEnabled && heap > 3*int64(charge)/2 {
+			t.Errorf("%s: %d held take %d B of heap, %.2f× their %d B charge",
+				name, len(runs), heap, float64(heap)/float64(charge), charge)
 		}
 		if s.Release(); b.Cost() != 0 || b.Used() != 0 {
 			t.Fatalf("%s: Release left the budget at cost %d, used %d", name, b.Cost(), b.Used())
@@ -674,11 +701,59 @@ func TestHeldSegmentsChargedAtCost(t *testing.T) {
 	}
 }
 
+// TestHeldLogFootprint: a flow holding nine 200-byte runs folded to 36 B
+// forms, each behind a 100-byte hole, costs 40 B a run — a byte of gap, two
+// of length, one of form length — and the log's header, in one allocation
+// of that size class, whatever order the runs arrived in: no descriptor,
+// no allocation per form, no doubling slack.
+func TestHeldLogFootprint(t *testing.T) {
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8}, {8, 7, 6, 5, 4, 3, 2, 1, 0}, {4, 0, 8, 2, 6, 1, 7, 3, 5}} {
+		b := NewBudget(1 << 20)
+		s := NewStream(Config{Budget: b})
+		fold := toyFold(35)
+		s.Cursor.Segment(&s.cfg, 0, nil, SYN, 0, fold, func([]byte, int, int) {})
+		for _, k := range order { // [300k+100, 300k+300)
+			s.Cursor.Segment(&s.cfg, uint32(1+300*k+100), bytes.Repeat([]byte{'x'}, 200), 0, 0, fold, func([]byte, int, int) {})
+		}
+		runs := heldRuns(&s.Cursor)
+		exact := 9*40 + headSize
+		class := cap(slices.Grow([]byte(nil), exact))
+		if len(runs) != 9 || logUsed(&s.Cursor) != exact || s.HeldCost() > class || b.Cost() != s.HeldCost() {
+			t.Errorf("order %v: %d runs in %d B of log, %d B charged (%d on the budget), want 9 in %d within a %d B size class",
+				order, len(runs), logUsed(&s.Cursor), s.HeldCost(), b.Cost(), exact, class)
+		}
+		for _, h := range runs {
+			if len(h.body) != 36 || h.end-h.at != 40 {
+				t.Fatalf("order %v: a run of %d B holds a %d B form", order, h.end-h.at, len(h.body))
+			}
+		}
+	}
+}
+
+// logUsed is the bytes of c's log its header and held runs take.
+func logUsed(c *Cursor) int {
+	if c.log == nil {
+		return 0
+	}
+	return headSize + int(c.log.end-c.log.head)
+}
+
+// heldRuns decodes every run c's log holds, in sequence order.
+func heldRuns(c *Cursor) []run {
+	var runs []run
+	for f := (run{}); c.log.next(&f); {
+		runs = append(runs, f)
+	}
+	return runs
+}
+
 // toyFold holds a piece as a prefix — up to and including its first '|',
 // at most keep bytes — and one byte standing for the rest, its length mod
-// 256, in one allocation, as a scanner's fold keeps a prefix of its own
-// length and a summary. It holds whole a piece its form would not shrink.
+// 256, written to a scratch buffer it reuses, as a scanner's fold keeps a
+// prefix of its own length and a summary. It holds whole a piece its form
+// would not shrink.
 func toyFold(keep int) *Fold {
+	var scratch []byte
 	return &Fold{
 		Prefix: func(form []byte) int { return len(form) - 1 },
 		Encode: func(piece []byte) []byte {
@@ -689,7 +764,8 @@ func toyFold(keep int) *Fold {
 			if p+1 >= len(piece) {
 				return nil
 			}
-			return append(piece[:p:p], byte(len(piece)))
+			scratch = append(append(scratch[:0], piece[:p]...), byte(len(piece)))
+			return scratch
 		},
 	}
 }

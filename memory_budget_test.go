@@ -160,10 +160,9 @@ func (f *budgetFlood) run(gw *Gateway, check func(phase string)) {
 }
 
 // laneCharge is what a lane has charged its share and, of that, its held
-// bytes at cost, after checking that its account tracks its table: less its
-// connections' entries, the account is what its flows hold resident plus a
-// 32 B descriptor a held segment, and what it counts as held is their
-// stream bytes.
+// logs, after checking that its account tracks its table: less its
+// connections' entries, the account is the capacity of its flows' held
+// logs, headers included, and what it counts as held is their stream bytes.
 func (ln *gwLane) laneCharge(t testing.TB) (charge, held int) {
 	t.Helper()
 	st := ln.table.Stats()
@@ -267,17 +266,14 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 // what the lane may keep, not from a measurement of it:
 //
 //   - the compiled image, times the generations live;
-//   - the charged share: entries and held segments at cost, Σ(resident +
-//     32 B), over by at most the one connection a packet is on;
-//   - the held segments at cost once more: a held list grows to at most
-//     twice its descriptors, and a size class rounds a copy or a fold up to
-//     at most twice its resident bytes (a fold, at least a 3-byte prefix
-//     and 8 B of registers, to 16 B, the tiny allocator's block, at the
-//     smallest);
+//   - the charged share: entries and held logs at their capacity, headers
+//     included, over by at most the one connection a packet is on;
+//   - the held logs once more: a log's capacity is its allocation's size
+//     class, unless a cap clipped it, and a size class rounds up by less
+//     than the capacity (48 B for a 33 B log at the worst);
 //   - each index at its worst load, 3/8 full just after doubling, sized
 //     for its set's peak;
 //   - each slab's chunks at its set's peak, kept while the set is not empty;
-//   - 48 B of out-of-order state per connection that can hold a segment;
 //   - the lane's scratch and queue, and the gateway's own structs.
 func TestHeapWithinBudget(t *testing.T) {
 	if raceEnabled {
@@ -319,7 +315,7 @@ func TestHeapWithinBudget(t *testing.T) {
 		gw.eachLane(func(ln *gwLane) {
 			charged, held = ln.laneCharge(t)
 			folded = folded || ln.asm.Budget.Used() > held
-			scratch = cap(ln.matches) * int(unsafe.Sizeof(ac.Match{}))
+			scratch = cap(ln.matches)*int(unsafe.Sizeof(ac.Match{})) + cap(ln.form)
 		})
 		terms := []struct {
 			name  string
@@ -327,12 +323,11 @@ func TestHeapWithinBudget(t *testing.T) {
 		}{
 			{"image × live generations", image * st.GenerationsLive},
 			{"charged share", ln.share + ConnEntry},
-			{"held lists and size classes", held}, // Σ(resident + 32 B), as laneCharge checks
+			{"held logs' size classes", held}, // Σ capacity, as laneCharge checks
 			{"connection index", index(ConnEntry)},
 			{"husk index", index(HuskEntry)},
 			{"connection chunks", chunks(ConnEntry)},
 			{"husk chunks", chunks(HuskEntry)},
-			{"out-of-order state", 48 * peak(ConnEntry)},
 			{"scratch, queue, gateway", scratch + fixed},
 		}
 		ceiling := 0
