@@ -27,7 +27,8 @@ import (
 // with the pattern's last two, so the prefix ends on the pattern's last
 // byte and only its rescan finds the match. Depth is the
 // longest pattern's length, Fold keeps a form only when it is shorter than
-// its piece, in one allocation, and holds a piece of 2¹⁹ bytes whole.
+// its piece, appending it to a reused buffer without allocating, and holds
+// a piece of 2¹⁹ bytes whole.
 func TestFoldResumeEqualsScan(t *testing.T) {
 	for _, n := range []int{634, 6275} {
 		set := ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010})
