@@ -14,12 +14,12 @@ import (
 )
 
 // flowHeapCeiling is what one live TCP flow may cost the heap, everything
-// counted: its flow-table entry — a 28 B header and the 48 B record, 80 B
+// counted: its flow-table entry — a 28 B header and the 32 B record, 64 B
 // of a slab chunk — and its share of the table's index, a 4-byte slot
-// (88 B measured), with 15 % headroom for where the index sits between
+// (73–74 B measured), with 15 % headroom for where the index sits between
 // doublings and the last chunk is filled. OPERATIONS.md's "What the budget
 // buys" quotes the measured figure; this is the gate.
-const flowHeapCeiling = 101
+const flowHeapCeiling = 85
 
 // liveHeap is the heap in use after the collector has settled: twice,
 // because a finalizer or pool emptied by the first cycle frees on the second.
@@ -35,7 +35,7 @@ func liveHeap() uint64 {
 // lane's share of MemoryBudget: their flow-table entries, as
 // TestFlowRecordFootprint checks on a gateway's own table. Exported for the
 // external test package.
-const ConnEntry, HuskEntry = 80, 32
+const ConnEntry, HuskEntry = 64, 32
 
 // footprintTuple is the i-th of a family of distinct TCP tuples.
 func footprintTuple(i int) FiveTuple {
@@ -107,10 +107,11 @@ func assertPointerFree(t *testing.T, ty reflect.Type, path string) {
 
 // TestFlowRecordFootprint pins the per-connection layout: the scanner
 // registers are a small pointer-free value, the gateway's flow record holds
-// them, the reassembly cursor and the verdict inline, the cursor keeps its
-// out-of-order state behind one pointer, and an established flow through a
-// real gateway costs the heap one object — the table entry holding that
-// record — and its index slot, nothing chained behind it.
+// them, the reassembly cursor and the lane's class number inline and no
+// pointer, the cursor names its out-of-order state by a 32-bit handle, and
+// an established flow through a real gateway costs the heap one object —
+// the table entry holding that record, one cache line — and its index
+// slot, nothing chained behind it.
 func TestFlowRecordFootprint(t *testing.T) {
 	// A flow's whole scan state: one register file and no tag naming its
 	// automaton, whatever the ruleset's size — nothing for an open to allocate.
@@ -118,15 +119,17 @@ func TestFlowRecordFootprint(t *testing.T) {
 		t.Errorf("core.Regs is %d B, want <= 16", size)
 	}
 	assertPointerFree(t, reflect.TypeOf(core.Regs{}), "core.Regs")
-	// Two flags, the cursor in sequence space and the out-of-order pointer;
-	// the config is the gateway's, passed in by the lane.
-	if size := unsafe.Sizeof(reassembly.Cursor{}); size > 16 {
-		t.Errorf("reassembly.Cursor is %d B, want <= 16", size)
+	// Two flags, the cursor in sequence space and the out-of-order handle;
+	// the config, which keeps the held logs, is the lane's, passed in.
+	if size := unsafe.Sizeof(reassembly.Cursor{}); size > 12 {
+		t.Errorf("reassembly.Cursor is %d B, want <= 12", size)
 	}
-	// With the table entry's 28 B header, 80 B of a chunk.
-	if size := unsafe.Sizeof(gwFlow{}); size > 48 {
-		t.Errorf("gwFlow is %d B, want <= 48", size)
+	// With the table entry's 28 B header, 64 B of a chunk the collector
+	// never scans.
+	if size := unsafe.Sizeof(gwFlow{}); size > 32 {
+		t.Errorf("gwFlow is %d B, want <= 32", size)
 	}
+	assertPointerFree(t, reflect.TypeOf(gwFlow{}), "gwFlow")
 	t.Logf("core.Regs %d B, reassembly.Cursor %d B, gwFlow %d B",
 		unsafe.Sizeof(core.Regs{}), unsafe.Sizeof(reassembly.Cursor{}), unsafe.Sizeof(gwFlow{}))
 	// What a lane charges its share for the entries of its own table.
@@ -152,7 +155,7 @@ const huskHeapCeiling = 45
 
 // TestHuskFootprint: a connection that ended by FIN keeps no record — no
 // registers, no reassembly cursor, no ruleset pin — only its husk, so it
-// costs the heap a 32 B entry and an index slot, not a live flow's 88 B.
+// costs the heap a 32 B entry and an index slot, not a live flow's 73 B.
 func TestHuskFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap growth is not the product's under -race")
@@ -203,7 +206,7 @@ func TestGatewayMatchDenseFlowsHoldNoBuffers(t *testing.T) {
 // SYN → data → FIN without allocating: the table builds the record in the
 // entry the last FIN freed, and the husk it settles into is the one the SYN
 // freed. A tuple never seen before allocates at most one object — a slab
-// chunk, once every 51 connections or 127 husks — plus the table index's
+// chunk, once every 64 connections or 128 husks — plus the table index's
 // growth amortised over the connections that caused it (AllocsPerRun
 // reports whole allocations per run, so a fraction below one rounds away).
 func TestGatewayConnectionCycleAllocs(t *testing.T) {

@@ -67,7 +67,7 @@ func TestGatewayCapacityEvictsHusksFirst(t *testing.T) {
 // machine beside it. The machine knows each tuple as absent, open, a FIN husk
 // or a quarantined husk, ages them all on the lane's clock in one list, and
 // evicts as the gateway promises: once the packet is through, while its
-// entries charge more than the budget (a connection 80 B, a husk 32 B; the
+// entries charge more than the budget (a connection 64 B, a husk 32 B; the
 // packets leave no hole, so nothing is held) the oldest husk, or without one
 // the oldest connection but the packet's own; the oldest entry of either
 // kind once idle, when the packet is looked up. After every Flush the

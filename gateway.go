@@ -277,7 +277,7 @@ type GatewayConfig struct {
 	StreamWorkers int
 	// MemoryBudget caps, in bytes, what flows are charged. Every lane owns the
 	// flows pinned to it and a share of ceil(MemoryBudget/lanes), lanes being
-	// EngineShards × StreamWorkers, charged 80 B a connection, 32 B a husk (a
+	// EngineShards × StreamWorkers, charged 64 B a connection, 32 B a husk (a
 	// connection ended by FIN or quarantine) and its held out-of-order
 	// segments at what stays resident plus 32 B each: under FirstWins a
 	// segment longer than the ruleset's longest pattern is folded to that
@@ -472,11 +472,7 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 		ln.table = flowtable.New(flowtable.Config[gwFlow]{
 			New: func(k flowtable.Key) gwFlow {
 				var fl gwFlow
-				v, idx := g.classify(k)
-				fl.verdict, fl.ruleIdx = v, int32(idx)
-				if v == VerdictNone || v == VerdictAlert {
-					fl.open(ln)
-				}
+				fl.open(ln, g.classify(k))
 				ln.asm.Budget.Charge(connEntry)
 				return fl
 			},

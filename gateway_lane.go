@@ -3,6 +3,7 @@ package dpi
 // The second stage: flow records, lanes, panic containment.
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,19 +13,23 @@ import (
 	"repro/internal/reassembly"
 )
 
-// classify runs the header rules over one 5-tuple: first matching rule
-// wins; no rule means scan without attribution.
-func (g *Gateway) classify(t FiveTuple) (Verdict, int) {
+// classify runs the header rules over one 5-tuple and returns the index of
+// the first that matches, or -1: no rule means scan without attribution.
+func (g *Gateway) classify(t FiveTuple) int {
 	for i := range g.cfg.Rules {
 		if g.cfg.Rules[i].Header.Matches(t) {
-			v := g.cfg.Rules[i].Verdict
-			if v == VerdictNone {
-				v = VerdictAlert
-			}
-			return v, i
+			return i
 		}
 	}
-	return VerdictNone, -1
+	return -1
+}
+
+// verdict is what rule idx decides: no rule (-1) scans, one naming none alerts.
+func (g *Gateway) verdict(idx int) Verdict {
+	if idx < 0 {
+		return VerdictNone
+	}
+	return max(g.cfg.Rules[idx].Verdict, VerdictAlert) // VerdictNone < VerdictAlert < the rest
 }
 
 // notifyVerdict counts a rule decision on the lane that made it and
@@ -48,42 +53,45 @@ func (ln *gwLane) notifyVerdict(t FiveTuple, v Verdict, idx int) {
 	}
 }
 
-// gwFlow is one live connection's whole gateway-side state in one flat
-// record: the scanner registers, the reassembly stream and the verdict, all
-// by value. An established flow is its flow-table entry, which holds this
-// record by value, and nothing else — no scanner object, no closure, no
-// match buffer, and no held log unless its segments (or its FIN)
-// arrive ahead of a gap. Each field states a fact the record holds nowhere
-// else; a connection that has ended has no record at all, only a husk
-// (flowEnd). The lane that owns the flow's packets scans into its own
-// scratch (gwLane.matches) and emits with the record's fields. What
+// gwFlow is one live connection's whole gateway-side state in one flat 32 B
+// record without a pointer: the scanner registers, the reassembly cursor and
+// its class's number on the lane. An established flow is its 64 B flow-table
+// entry, one cache line, and nothing else — no scanner object, no closure, no
+// match buffer, and no held log unless its segments (or its FIN) arrive ahead
+// of a gap. Each field states a fact the record holds nowhere else; a
+// connection that has ended has no record at all, only a husk (flowEnd). What
 // identifies the flow — its tuple, its lane, its gateway — is not repeated
 // here; the lane passes it in. The record sits in its lane's flow table and
 // every method runs on whichever goroutine owns that table at the time — the
 // lane, or the control plane while the lanes are quiesced — so a gwFlow is
 // single-goroutine.
 type gwFlow struct {
-	// gen is the ruleset generation this flow is pinned to, taken at open
-	// and held until the flow boundary (FIN/RST/eviction/quarantine/
-	// close): every byte of the connection scans against one automaton,
-	// whatever reloads happen mid-flow. Non-nil exactly while the record
-	// holds a live connection's registers; nil when unpinned (drop/pass
-	// verdict flows, a record released at its boundary). A SYN reviving a
-	// husk pins the then-current generation: it is a new connection.
-	gen *gwGeneration
-	// regs is the connection's scanner registers, reset at open for gen's
-	// automaton and written only over it: gen is the one record of which
-	// automaton they belong to. Meaningful only while gen is non-nil.
+	// regs is the connection's scanner registers, reset at open for its
+	// class's generation and written only over its automaton: the class is
+	// the one record of which. Meaningful only while it pins a generation.
 	regs core.Regs
 	// asm reorders the connection's segments and nothing more: how it
 	// ends is the lane's to decide and the table's to remember (a husk, or
-	// no entry). Its config is the gateway's, which every call passes in;
-	// a new record's zero cursor is empty.
-	asm     reassembly.Cursor
-	ruleIdx int32 // index into cfg.Rules; -1 when no rule matched
-	verdict Verdict
-	// notified: the connection's verdict event has been reported.
-	notified bool
+	// no entry). Its config, which keeps its held log, is the lane's, which
+	// every call passes in; a new record's zero cursor is empty.
+	asm reassembly.Cursor
+	// class numbers the flow's gwClass on its lane from open to the flow
+	// boundary (FIN/RST/eviction/quarantine/close), 0 once released; its
+	// top bit, notifiedBit, says the verdict event has been reported.
+	class uint32
+}
+
+const notifiedBit = 1 << 31
+
+// gwClass is a (generation, rule) pair a lane's live flows are on, and how
+// many. gen pins their ruleset generation from open to their boundary, so a
+// connection scans against one automaton whatever reloads happen mid-flow
+// (nil for a drop or pass verdict); rule indexes cfg.Rules, -1 for none. A
+// class whose flows reach 0 is cleared, pinning no matcher, and reused.
+type gwClass struct {
+	gen   *gwGeneration
+	rule  int32
+	flows int32
 }
 
 // flowEnd is how a packet left its connection. Ended by FIN or by a
@@ -147,39 +155,63 @@ type gwLane struct {
 	// match buffers pin is bounded by lanes × worst segment, never by flows.
 	matches []ac.Match
 	form    []byte // the scratch a held piece folds into, for reassembly to copy
+	// classes holds the lane's flow classes: class number k is classes[k-1].
+	classes []gwClass
 }
 
-// open starts a connection on the record: it pins the current ruleset
-// generation and resets the scanner registers for that generation's
-// automaton — the one place either happens, always together — and counts
-// the connection on ln, the flow's lane. It runs in the table's New, on a
-// fresh record, for a new tuple or a SYN reviving a husk, and only while
-// that packet is in flight, so cur cannot move underneath it — see
-// gwGeneration.flows.
-func (fl *gwFlow) open(ln *gwLane) {
-	gen := ln.g.cur.Load()
-	gen.flows.Add(1)
-	fl.gen = gen
-	ln.n[cEngFlowsOpened].Add(1)
-	fl.regs.Reset()
+// open starts a connection on the record in its class on ln, the flow's
+// lane, for the rule at index rule (-1 for none). A scanned connection pins
+// the current generation and resets the registers for its automaton — the
+// one place either happens, always together. open runs in the table's New,
+// for a new tuple or a SYN reviving a husk, while that packet is in flight,
+// so cur cannot move underneath it (see gwGeneration.flows).
+func (fl *gwFlow) open(ln *gwLane, rule int) {
+	var gen *gwGeneration
+	if v := ln.g.verdict(rule); v == VerdictNone || v == VerdictAlert {
+		gen = ln.g.cur.Load()
+		gen.flows.Add(1)
+		ln.n[cEngFlowsOpened].Add(1)
+		fl.regs.Reset()
+	}
+	fl.class = ln.join(gen, int32(rule))
 }
+
+// join adds a flow to the lane's class (gen, rule) and returns its number.
+func (ln *gwLane) join(gen *gwGeneration, rule int32) uint32 {
+	i := slices.IndexFunc(ln.classes, func(c gwClass) bool { return c.flows > 0 && c.gen == gen && c.rule == rule })
+	if i < 0 {
+		if i = slices.Index(ln.classes, gwClass{}); i < 0 {
+			i, ln.classes = len(ln.classes), append(ln.classes, gwClass{})
+		}
+		ln.classes[i] = gwClass{gen: gen, rule: rule}
+	}
+	ln.classes[i].flows++
+	return uint32(i + 1)
+}
+
+// classOf returns the class of fl, a live record of the lane.
+func (ln *gwLane) classOf(fl *gwFlow) *gwClass { return &ln.classes[fl.class&^notifiedBit-1] }
 
 // release ends whatever the record holds at a flow boundary, and is the
-// flow-table eviction callback: the generation pin drops — when it was the
-// last pin of a non-current generation, that generation is retired here, on
-// the goroutine that ended the flow, so retirement needs no background
-// sweeper — and buffered out-of-order bytes return to the budget of ln, the
-// flow's lane, charged to its abandoned bucket: they were
-// ingested but their flow is going away, so they will never be scanned.
-// Every boundary reaches it through the table — Settle after a FIN,
-// Remove after an RST, eviction, Close — except a quarantine, which
-// releases the poisoned record under its own recover first; it is
+// flow-table eviction callback: the record leaves its class, and its pin
+// drops — when it was the last pin of a non-current generation, that
+// generation is retired here, on the goroutine that ended the flow, so
+// retirement needs no background sweeper — and buffered out-of-order bytes
+// return to the budget of ln, the flow's lane, charged to its abandoned
+// bucket: they were ingested but their flow is going away, so they will
+// never be scanned. Every boundary reaches it through the table — Settle
+// after a FIN, Remove after an RST, eviction, Close — except a quarantine,
+// which releases the poisoned record under its own recover first; it is
 // idempotent, so settling that record hands it here again with nothing
 // left to count.
 func (fl *gwFlow) release(ln *gwLane) {
-	if gen := fl.gen; gen != nil {
-		fl.gen = nil
-		if gen.flows.Add(-1) == 0 {
+	if fl.class&^notifiedBit != 0 {
+		c := ln.classOf(fl)
+		gen := c.gen
+		if fl.class, c.flows = 0, c.flows-1; c.flows == 0 {
+			*c = gwClass{}
+		}
+		if gen != nil && gen.flows.Add(-1) == 0 {
 			ln.g.maybeRetire(gen)
 		}
 	}
@@ -205,17 +237,6 @@ func (ln *gwLane) emitMatches(gen *gwGeneration, p *seqPacket, idx int, ms []ac.
 	}
 }
 
-// scan runs n in-order stream bytes through the flow's registers into the
-// lane's scratch and emits what they completed: data is the bytes, or the
-// fold of them reassembly held (see ingest).
-func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, data []byte, n int) {
-	ln.matches = fl.gen.m.machine.Resume(&fl.regs, data, n, ln.matches[:0])
-	ln.n[cEngStreamBytes].Add(uint64(n))
-	if len(ln.matches) > 0 {
-		ln.emitMatches(fl.gen, p, int(fl.ruleIdx), ln.matches)
-	}
-}
-
 // ingest processes one segment of a live connection on the lane that owns
 // it, and reports how the packet left the connection: open, or ended by FIN
 // or RST — which the lane applies to the table once Do returns, the table
@@ -226,9 +247,11 @@ func (fl *gwFlow) scan(ln *gwLane, p *seqPacket, data []byte, n int) {
 // user callback) panics mid-packet, none of that packet's bytes are
 // committed and the quarantine path charges them in one place.
 func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
-	if !fl.notified {
-		fl.notified = true
-		ln.notifyVerdict(p.tuple, fl.verdict, int(fl.ruleIdx))
+	c := *ln.classOf(fl)
+	v := ln.g.verdict(int(c.rule))
+	if fl.class&notifiedBit == 0 {
+		fl.class |= notifiedBit
+		ln.notifyVerdict(p.tuple, v, int(c.rule))
 	}
 	// RST tears the connection down whatever its verdict — a dropped or
 	// passed flow must not pin a table slot after the endpoints abort it.
@@ -239,7 +262,7 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 		ln.n[cAbandonedBytes].Add(uint64(len(p.payload)))
 		return flowReset
 	}
-	switch fl.verdict {
+	switch v {
 	case VerdictDrop:
 		ln.n[cDroppedBytes].Add(uint64(len(p.payload)))
 		return flowOpen
@@ -259,9 +282,10 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 		rf |= reassembly.SYN
 	}
 	// A held piece is scanned as it is held, on the flow's own automaton,
-	// and keeps only what a later scan of it could still change; scan
-	// resumes it from the true registers when its hole fills.
-	m := fl.gen.m.machine
+	// and keeps only what a later scan of it could still change; delivery
+	// resumes it from the true registers when its hole fills: data is n
+	// stream bytes, or the fold of them reassembly held.
+	m := c.gen.m.machine
 	fold := reassembly.Fold{Prefix: core.FoldPrefix, Encode: func(piece []byte) []byte {
 		ln.form, ln.matches = m.Fold(ln.form[:0], piece, ln.matches[:0])
 		return ln.form
@@ -269,7 +293,11 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	res := fl.asm.Segment(&ln.asm, p.seq32, p.payload, rf, tick, &fold,
 		func(data []byte, n, skipped int) {
 			fl.regs.SkipAhead(skipped)
-			fl.scan(ln, &p, data, n)
+			ln.matches = m.Resume(&fl.regs, data, n, ln.matches[:0])
+			ln.n[cEngStreamBytes].Add(uint64(n))
+			if len(ln.matches) > 0 {
+				ln.emitMatches(c.gen, &p, int(c.rule), ln.matches)
+			}
 		})
 	ln.n[cReassembledBytes].Add(uint64(res.Delivered))
 	ln.n[cScannedBytes].Add(uint64(res.Delivered))
@@ -309,7 +337,7 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 // payload + held before − held now; the bytes still held land in the
 // abandoned bucket via the release.
 func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (end flowEnd) {
-	held := fl.asm.HeldBytes()
+	held := fl.asm.HeldBytes(&ln.asm)
 	defer func() {
 		if recover() == nil {
 			return
@@ -320,7 +348,7 @@ func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (end flowEnd) {
 		ln.n[cPanics].Add(1)
 		ln.n[cQuarantinedFlows].Add(1)
 		ln.n[cQuarantinedPackets].Add(1)
-		if delta := len(p.payload) + held - fl.asm.HeldBytes(); delta > 0 {
+		if delta := len(p.payload) + held - fl.asm.HeldBytes(&ln.asm); delta > 0 {
 			ln.n[cQuarantinedBytes].Add(uint64(delta))
 		}
 		// The flow is already poisoned; if releasing it panics too, give up
@@ -456,7 +484,8 @@ func (ln *gwLane) charge() int { return ln.asm.Budget.Cost() + ln.table.Stats().
 // streamPacket's recover to charge: it costs exactly this datagram.
 func (ln *gwLane) datagram(p *seqPacket) {
 	ln.n[cBatchPackets].Add(1)
-	v, idx := ln.g.classify(p.tuple)
+	idx := ln.g.classify(p.tuple)
+	v := ln.g.verdict(idx)
 	ln.notifyVerdict(p.tuple, v, idx)
 	n := uint64(len(p.payload))
 	switch v {

@@ -320,7 +320,11 @@ func loseAndSkip(t *testing.T, gw *Gateway, w *traffic.FlowWorkload, segBytes in
 	}
 	gw.Flush()
 	cost, held := 0, 0
-	gw.rangeFlows(func(_ FiveTuple, fl *gwFlow) { cost, held = cost+fl.asm.HeldCost(), held+fl.asm.HeldBytes() })
+	gw.eachLane(func(ln *gwLane) {
+		ln.table.Range(func(_ FiveTuple, fl *gwFlow) {
+			cost, held = cost+fl.asm.HeldCost(&ln.asm), held+fl.asm.HeldBytes(&ln.asm)
+		})
+	})
 	if held == 0 || cost >= held {
 		t.Fatalf("the stalled flows hold %d stream bytes at a cost of %d: nothing folded", held, cost)
 	}

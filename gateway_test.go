@@ -54,21 +54,48 @@ func (g *Gateway) rangeFlows(fn func(FiveTuple, *gwFlow)) {
 	g.eachLane(func(ln *gwLane) { ln.table.Range(fn) })
 }
 
-// auditGenerationPins checks the generation refcounts exactly, in one
-// quiesced walk of every lane table: each live generation's flows count
-// equals the records pinned to it, and no record is pinned to a generation
-// that has left the live list.
+// rangePins runs fn on every live flow record with the generation its class
+// pins (nil for none), as rangeFlows does: the one way a test reads a pin.
+func (g *Gateway) rangePins(fn func(FiveTuple, *gwFlow, *gwGeneration)) {
+	g.eachLane(func(ln *gwLane) {
+		ln.table.Range(func(k FiveTuple, fl *gwFlow) {
+			var gen *gwGeneration
+			if fl.class&^notifiedBit != 0 {
+				gen = ln.classOf(fl).gen
+			}
+			fn(k, fl, gen)
+		})
+	})
+}
+
+// auditGenerationPins checks the class and generation refcounts exactly, in
+// one quiesced walk of every lane table: each lane's class counts equal the
+// records on each class, a class no record is on is cleared, each live
+// generation's flows count equals the records pinned to it, and no record is
+// pinned to a generation that has left the live list.
 func (g *Gateway) auditGenerationPins(t testing.TB) {
 	t.Helper()
 	g.quiesce()
 	defer g.resume()
 	pinned := map[*gwGeneration]int64{}
-	for _, ln := range g.lanes {
-		ln.table.Range(func(_ FiveTuple, fl *gwFlow) {
-			if fl.gen != nil {
-				pinned[fl.gen]++
+	for i, ln := range g.lanes {
+		on := make([]int32, len(ln.classes))
+		ln.table.Range(func(k FiveTuple, fl *gwFlow) {
+			c := int(fl.class &^ notifiedBit)
+			if c == 0 || c > len(ln.classes) {
+				t.Errorf("lane %d: flow %v has class %d of %d", i, k, c, len(ln.classes))
+				return
+			}
+			on[c-1]++
+			if gen := ln.classes[c-1].gen; gen != nil {
+				pinned[gen]++
 			}
 		})
+		for c, cl := range ln.classes {
+			if cl.flows != on[c] || cl.flows == 0 && cl != (gwClass{}) {
+				t.Errorf("lane %d: class %d %+v counts %d flows, %d records are on it", i, c+1, cl, cl.flows, on[c])
+			}
+		}
 	}
 	g.genMu.Lock()
 	defer g.genMu.Unlock()

@@ -27,8 +27,8 @@
 // allocated as the set first needs one and never moved, so the *F a callback
 // receives stays valid for the flow's life; the LRU links and index
 // slots are 32-bit entry numbers, and the entries no key holds are zeroed on
-// one free list threaded through the link field. With the gateway's 48 B
-// record a connection's entry is 80 B, a husk's 32 B. An index is a
+// one free list threaded through the link field. The gateway's connection
+// entry is 64 B, one cache line, and a husk's 32 B. An index is a
 // power-of-two array of entry numbers probed linearly — one 4-byte slot per
 // entry at up to 3/4 load — with Robin Hood insertion and deletion by
 // backward shift, so probe runs stay short and need no tombstones. It hashes
@@ -51,6 +51,7 @@ package flowtable
 import (
 	"encoding/binary"
 	"hash/maphash"
+	"reflect"
 	"sync"
 	"unsafe"
 
@@ -125,12 +126,12 @@ type Table[F any] struct {
 
 // A slab chunk is one chunkBytes allocation, a malloc size class, holding as
 // many entries as fit beside the 8 B header the allocator prefixes to a
-// pointerful object that size, up to chunkMax: 51 of the gateway's 80 B
-// connection entries (4 088 B) or 127 of its 32 B husk entries (4 064 B). A
-// set's unused space is the rest of its newest chunk, at most 4 KiB.
+// pointerful object that size, up to chunkMax: a pointer-free entry has the
+// whole chunk, 64 of the gateway's 64 B connection entries or 128 of its
+// 32 B husk entries. A set's unused space is the rest of its newest chunk.
 const (
 	chunkBytes = 4096
-	chunkBits  = 7
+	chunkBits  = 8
 	chunkMax   = 1<<chunkBits - 1
 )
 
@@ -190,11 +191,29 @@ func New[F any](cfg Config[F]) *Table[F] {
 }
 
 func newSet[R any]() set[R] {
+	header := 8 // the allocator's, on a chunk it scans (only R can hold a pointer)
+	if pointerFree(reflect.TypeFor[R]()) {
+		header = 0
+	}
 	return set[R]{
 		seed:     maphash.MakeSeed(),
 		slots:    make([]ref, 8),
-		perChunk: max(1, min(chunkMax, (chunkBytes-8)/int(unsafe.Sizeof(entry[R]{})))),
+		perChunk: max(1, min(chunkMax, (chunkBytes-header)/int(unsafe.Sizeof(entry[R]{})))),
 	}
+}
+
+// pointerFree reports whether a t holds nothing the collector scans, so the
+// allocator gives it no header.
+func pointerFree(t reflect.Type) bool {
+	if t.Kind() == reflect.Array {
+		return pointerFree(t.Elem())
+	}
+	for i := 0; t.Kind() == reflect.Struct && i < t.NumField(); i++ {
+		if !pointerFree(t.Field(i).Type) {
+			return false
+		}
+	}
+	return t.Kind() <= reflect.Complex128 || t.Kind() == reflect.Struct
 }
 
 // at returns entry r, which must not be 0.

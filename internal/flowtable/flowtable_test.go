@@ -194,20 +194,30 @@ func TestCloseEvictsEverything(t *testing.T) {
 // TestEntryFootprint pins what a flow costs the table: one slab entry holding
 // a 28 B header — key, last-activity stamp and the two LRU links, all 32-bit,
 // no lock — and the record by value, plus its index slot, a 4-byte entry
-// number. With the gateway's record (48 B, gated by TestFlowRecordFootprint)
-// a connection's entry is 80 B; a husk's holds a one-byte mark and is 32 B.
-// A slab chunk of either fills the 4 096 B size class to within one entry,
-// counting the 8 B header Go puts on a pointerful object that size: 51
-// connection entries, or 127 husk entries — as many as a slot number holds.
+// number. With a record shaped like the gateway's (32 B and no pointer,
+// gated by TestFlowRecordFootprint) a connection's entry is 64 B, one cache
+// line; a husk's holds a one-byte mark and is 32 B. A slab chunk fills the
+// 4 096 B size class to within one entry: exactly, for entries the collector
+// does not scan, which the allocator gives no header — 64 connection entries
+// or 128 husk entries — and beside the 8 B header Go puts on a pointerful
+// object that size otherwise, 51 entries of a 48 B record holding a pointer.
 func TestEntryFootprint(t *testing.T) {
 	if off := unsafe.Offsetof(entry[uint8]{}.rec); off != 28 {
 		t.Fatalf("entry header is %d B, want 28", off)
 	}
-	type record struct { // the gateway's record: 48 B, holding pointers
+	type record struct { // the gateway's record: registers, cursor, class
+		regs   struct{ pos, state uint64 }
+		cursor [3]uint32
+		class  uint32
+	}
+	type pointerful struct {
 		p *byte
 		_ [5]uint64
 	}
-	if size := unsafe.Sizeof(entry[record]{}); size != 80 {
+	if size := unsafe.Sizeof(entry[record]{}); size != 64 {
+		t.Fatalf("entry of a 32 B record is %d B, want 64", size)
+	}
+	if size := unsafe.Sizeof(entry[pointerful]{}); size != 80 {
 		t.Fatalf("entry of a 48 B record is %d B, want 80", size)
 	}
 	if size := unsafe.Sizeof(entry[uint8]{}); size != 32 {
@@ -216,10 +226,18 @@ func TestEntryFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(ref(0)); size != 4 {
 		t.Fatalf("an index slot is %d B, want 4", size)
 	}
-	conns, husks := newSet[record](), newSet[uint8]()
-	if conns.perChunk != 51 || husks.perChunk != chunkMax {
-		t.Fatalf("chunks of %d connection and %d husk entries, want 51 and %d", conns.perChunk, husks.perChunk, chunkMax)
+	conns, husks, pointers := newSet[record](), newSet[uint8](), newSet[pointerful]()
+	if conns.perChunk != 64 || husks.perChunk != 128 || pointers.perChunk != 51 {
+		t.Fatalf("chunks of %d connection, %d husk and %d pointerful entries, want 64, 128 and 51",
+			conns.perChunk, husks.perChunk, pointers.perChunk)
 	}
+	if !pointerFree(reflect.TypeFor[entry[record]]()) || pointerFree(reflect.TypeFor[entry[pointerful]]()) {
+		t.Fatal("pointerFree misjudged an entry")
+	}
+	var mu sync.Mutex
+	r := conns.add(&mu, tuple(0), record{}, 0)
+	off := uintptr(unsafe.Pointer(conns.at(r))) % 64
+	t.Logf("a connection chunk starts %d B past a 64 B boundary; each entry fills one cache line: %v", off, off == 0)
 }
 
 // TestEntryBytesAndEvictOldest: EntryBytes gives each kind's entry size, and
@@ -227,7 +245,7 @@ func TestEntryFootprint(t *testing.T) {
 // owner's — takes husks oldest first, then the oldest connection other than
 // the one it must keep, and reports when nothing is left to take.
 func TestEntryBytesAndEvictOldest(t *testing.T) {
-	type record struct { // the gateway's record: 48 B, holding pointers
+	type record struct { // a 48 B record holding a pointer
 		p *byte
 		_ [5]uint64
 	}

@@ -165,6 +165,38 @@ type Config struct {
 	// segment before the stream skips to the first buffered byte;
 	// 0 disables skipping (a gap then stalls until eviction).
 	GapTimeout uint64
+	logs       *logStore // its cursors' held logs, made when the first is held
+}
+
+// logStore keeps held logs under the handles cursors store in place of a
+// pointer: heads[h] is h's log (heads[0]: none), free the handles given back.
+type logStore struct {
+	heads []*logHead
+	free  []uint32
+}
+
+// log returns c's held log, or nil.
+func (cfg *Config) log(c *Cursor) *logHead {
+	if c.log == 0 {
+		return nil
+	}
+	return cfg.logs.heads[c.log]
+}
+
+// setLog makes h c's held log; a nil h frees c's handle, and its FIN with it.
+func (cfg *Config) setLog(c *Cursor, h *logHead) {
+	if cfg.logs == nil {
+		cfg.logs = &logStore{heads: make([]*logHead, 1)}
+	}
+	s := cfg.logs
+	if n := len(s.free); c.log == 0 && n > 0 {
+		c.log, s.free = s.free[n-1], s.free[:n-1]
+	} else if c.log == 0 {
+		c.log, s.heads = uint32(len(s.heads)), append(s.heads, nil)
+	}
+	if s.heads[c.log] = h; h == nil {
+		s.free, c.log, c.finSeen = append(s.free, c.log), 0, false
+	}
 }
 
 func (c *Config) maxFlowBytes() int {
@@ -208,18 +240,18 @@ type Result struct {
 }
 
 // Cursor reassembles one flow direction, less its configuration: a plain
-// 16 B value a flow record can embed, whose methods take the Config every
-// cursor of a table shares, so no flow stores even a pointer to it. The
-// cursor proper is the sequence number of the next in-order byte; everything
-// only out-of-order delivery needs — the held runs, their byte count, the
-// gap timer and a FIN seen ahead of a gap — sits in one log that the first
-// byte (or FIN) the cursor has to hold allocates and Release drops. A
-// cursor whose segments arrive in order therefore owns no memory beyond
-// itself. The zero value is an empty cursor: the first segment (or SYN)
-// establishes its sequence base. Every call on one cursor must pass the same
-// Config, unchanged; bytes a previous connection left held must be Released
-// before the cursor is zeroed for the next, or the budget never sees them
-// again.
+// 12 B value without a pointer that a flow record can embed, whose methods
+// take the Config every cursor of a table shares. The cursor proper is the
+// sequence number of the next in-order byte; everything only out-of-order
+// delivery needs — the held runs, their byte count, the gap timer and a FIN
+// seen ahead of a gap — sits in one log, which the Config keeps under the
+// cursor's handle, that the first byte (or FIN) the cursor has to hold
+// allocates and Release drops. A cursor whose segments arrive in order
+// therefore owns no memory beyond itself. The zero value is an empty
+// cursor: the first segment (or SYN) establishes its sequence base. Every
+// call on one cursor must pass the same Config, unchanged; bytes a previous
+// connection left held must be Released before the cursor is zeroed for the
+// next, or the budget and the store never see them again.
 //
 // A FIN is remembered only when it is ahead of a gap. One whose payload
 // starts at or behind the delivery point completes the stream within its own
@@ -230,9 +262,9 @@ type Result struct {
 // FIN is a Duplicate), so a straggler can never re-deliver committed bytes.
 type Cursor struct {
 	started bool
-	finSeen bool   // a FIN ahead of a gap is waiting in log.fin
+	finSeen bool   // a FIN ahead of a gap is waiting in the log's fin
 	next    uint32 // seq of the next in-order byte
-	log     *logHead
+	log     uint32 // the held log's handle in the Config's store; 0 for none
 }
 
 // Stream is a Cursor that owns its Config, for callers without a flow record
@@ -312,8 +344,11 @@ func putRun(b []byte, gap uint32, n, size int) int {
 	return k + binary.PutUvarint(b[k:], uint64(size))
 }
 
-// NewStream returns an empty stream with its own copy of cfg.
-func NewStream(cfg Config) *Stream { return &Stream{cfg: cfg} }
+// NewStream returns an empty stream with its own copy of cfg and log store.
+func NewStream(cfg Config) *Stream {
+	cfg.logs = nil
+	return &Stream{cfg: cfg}
+}
 
 // Segment is Cursor.Segment under the stream's own config, holding every
 // piece whole, so each chunk delivered is stream bytes.
@@ -328,33 +363,33 @@ func (s *Stream) Release() int { return s.Cursor.Release(&s.cfg) }
 
 // HeldBytes returns the stream bytes currently held out of order, folded or
 // not.
-func (c *Cursor) HeldBytes() int {
-	if c.log == nil {
-		return 0
+func (c *Cursor) HeldBytes(cfg *Config) int {
+	if h := cfg.log(c); h != nil {
+		return int(h.held)
 	}
-	return int(c.log.held)
+	return 0
 }
 
 // HeldCost returns what the held log is charged against the caps: its
 // capacity, header included.
-func (c *Cursor) HeldCost() int {
-	if c.log == nil {
-		return 0
+func (c *Cursor) HeldCost(cfg *Config) int {
+	if h := cfg.log(c); h != nil {
+		return int(h.size)
 	}
-	return int(c.log.size)
+	return 0
 }
 
 // Release frees the held log, returning it to cfg's budget, and reports how
 // many stream bytes it discarded so the caller can account them (a
 // byte-conservation ledger must not lose eviction-released bytes). Call it
 // when the flow is evicted or reset mid-gap; it is idempotent. No FIN seen
-// ahead of the gap survives it.
+// ahead of the gap, nor the cursor's handle, survives it.
 func (c *Cursor) Release(cfg *Config) int {
-	h := c.log
+	h := cfg.log(c)
 	if h == nil {
 		return 0
 	}
-	c.log, c.finSeen = nil, false
+	cfg.setLog(c, nil)
 	cfg.Budget.release(int(h.held), int(h.size))
 	return int(h.held)
 }
@@ -390,12 +425,12 @@ func (c *Cursor) Segment(cfg *Config, seq uint32, payload []byte, flags Flags, t
 	// be: the stream cannot end without it.
 	finNow := flags&FIN != 0 && !c.finSeen && off <= 0
 	if flags&FIN != 0 && !c.finSeen && off > 0 {
-		if c.log == nil {
-			c.log = newLog(nil, make([]byte, headSize))
+		if c.log == 0 {
+			cfg.setLog(c, newLog(nil, make([]byte, headSize)))
 			cfg.Budget.release(0, -headSize)
 		}
 		c.finSeen = true
-		c.log.fin = dataSeq + uint32(len(payload))
+		cfg.log(c).fin = dataSeq + uint32(len(payload))
 	}
 	data := payload
 	// Bytes before the delivery point are already committed.
@@ -415,7 +450,7 @@ func (c *Cursor) Segment(cfg *Config, seq uint32, payload []byte, flags Flags, t
 		// the delivery point (deliver now, and drain the held run it
 		// reaches, which ends where the next piece starts) or held.
 		var buf [2]run
-		for _, p := range c.uncovered(cfg.Policy == LastWins, off, data, buf[:0], &r) {
+		for _, p := range c.uncovered(cfg.log(c), cfg.Policy == LastWins, off, data, buf[:0], &r) {
 			if pOff := c.ahead(p.seq); pOff > 0 {
 				c.addPiece(cfg, fold, pOff, p.body, &r)
 				continue
@@ -443,7 +478,7 @@ func (c *Cursor) ahead(seq uint32) int64 { return int64(int32(seq - c.next)) }
 // Each run leaves the log and the books before deliver sees it, so a caller
 // that recovers from a panic in deliver sees a consistent stream.
 func (c *Cursor) drain(cfg *Config, deliver func([]byte, int, int), r *Result, skippedBefore int) {
-	h := c.log
+	h := cfg.log(c)
 	for f := (run{}); h.next(&f) && c.ahead(f.seq) <= 0; {
 		h.head, h.base = uint32(f.end), f.seq+uint32(f.n)
 		h.held -= uint32(f.n)
@@ -459,7 +494,7 @@ func (c *Cursor) drain(cfg *Config, deliver func([]byte, int, int), r *Result, s
 // or a FIN that arrived ahead of a gap has had every byte before it
 // delivered (or skipped past).
 func (c *Cursor) checkFinished(cfg *Config, r *Result, finNow bool) {
-	if finNow || c.finSeen && c.ahead(c.log.fin) <= 0 {
+	if finNow || c.finSeen && c.ahead(cfg.log(c).fin) <= 0 {
 		r.Abandoned += c.Release(cfg) // anything held beyond the FIN is bogus
 		r.Event = EventFinished
 	}
@@ -471,7 +506,7 @@ func (c *Cursor) checkFinished(cfg *Config, r *Result, finNow bool) {
 // waiting and re-armed after every skip for the next gap. A cursor left
 // holding nothing and no FIN frees its log, returning its capacity.
 func (c *Cursor) checkGap(cfg *Config, tick uint64, deliver func([]byte, int, int), r *Result) {
-	h := c.log
+	h := cfg.log(c)
 	if h == nil { // nothing held, or the stream just completed
 		return
 	}
@@ -484,7 +519,7 @@ func (c *Cursor) checkGap(cfg *Config, tick uint64, deliver func([]byte, int, in
 		r.Skipped += skipped
 		c.drain(cfg, deliver, r, skipped)
 		c.checkFinished(cfg, r, false)
-		if c.log == nil {
+		if c.log == 0 {
 			return
 		}
 		held = h.head != h.end
@@ -497,20 +532,20 @@ func (c *Cursor) checkGap(cfg *Config, tick uint64, deliver func([]byte, int, in
 	case c.finSeen:
 		h.gapSince = 0
 	default:
-		c.log = nil
+		cfg.setLog(c, nil)
 		cfg.Budget.release(0, int(h.size))
 	}
 }
 
 // uncovered appends to pieces the parts of data, off bytes past the
-// delivery point, that no held run covers, counting the covered bytes as
+// delivery point, that no run of log h covers, counting the covered bytes as
 // Duplicate: under FirstWins the held bytes arrived first; with overwrite
 // (LastWins) data's bytes replace them in place, Buffered too. One pass
 // splits data only at the runs it overlaps; an arrival past everything
 // held is one piece, found without reading the log.
-func (c *Cursor) uncovered(overwrite bool, off int64, data []byte, pieces []run, r *Result) []run {
+func (c *Cursor) uncovered(h *logHead, overwrite bool, off int64, data []byte, pieces []run, r *Result) []run {
 	at, end := off, off+int64(len(data))
-	for f := (run{}); c.log != nil && c.ahead(c.log.tail) > off && c.log.next(&f); {
+	for f := (run{}); h != nil && c.ahead(h.tail) > off && h.next(&f); {
 		lo := c.ahead(f.seq)
 		hi := lo + int64(f.n)
 		if hi <= at {
@@ -536,11 +571,10 @@ func (c *Cursor) uncovered(overwrite bool, off int64, data []byte, pieces []run,
 	return pieces
 }
 
-// place finds where a run off bytes past the delivery point goes: at pos,
-// its gap counted from seq from, before the run nx if more. The first run
-// counts from the delivery point; one past every run reads none of them.
-func (c *Cursor) place(off int64) (pos int, from uint32, nx run, more bool) {
-	h := c.log
+// place finds where in log h a run off bytes past the delivery point goes:
+// at pos, its gap counted from seq from, before the run nx if more. The first
+// run counts from the delivery point; one past every run reads none of them.
+func (c *Cursor) place(h *logHead, off int64) (pos int, from uint32, nx run, more bool) {
 	if h == nil {
 		return headSize, c.next, run{}, false
 	}
@@ -564,7 +598,7 @@ func (c *Cursor) place(off int64) (pos int, from uint32, nx run, more bool) {
 // themselves further out than everything already held.
 func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Result) {
 	if c.finSeen { // bytes at or past the FIN cannot be part of this connection
-		keep := max(min(c.ahead(c.log.fin)-off, int64(len(data))), 0)
+		keep := max(min(c.ahead(cfg.log(c).fin)-off, int64(len(data))), 0)
 		r.Duplicate += len(data) - int(keep)
 		data = data[:keep]
 	}
@@ -583,13 +617,14 @@ func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Re
 	for {
 		// The log's bytes in use, the run's header, and the next run's gap
 		// recounted from its end.
-		p, from, nx, more := c.place(off)
+		h := cfg.log(c)
+		p, from, nx, more := c.place(h, off)
 		pos, k, was, now, used = p, putRun(hdr[:], seq-from, len(data), len(form)), 0, 0, headSize
-		if c.log != nil {
-			used += int(c.log.end - c.log.head)
+		if h != nil {
+			used += int(h.end - h.head)
 		}
 		if more {
-			_, was = binary.Uvarint(c.log.bytes()[nx.at:])
+			_, was = binary.Uvarint(h.bytes()[nx.at:])
 			now = binary.PutUvarint(gap[:], uint64(nx.seq-seq-uint32(len(data))))
 		}
 		if need = used + k + len(form) + now - was; need <= limit {
@@ -615,11 +650,12 @@ func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Re
 	// Room: past the last run, or else in a new allocation — never over
 	// drained runs, whose bytes a caller may still hold — charged its bytes
 	// first, then the rest of its size class if that fits too.
-	if h := c.log; h == nil || int(h.end)+need-used > int(h.size) {
+	h := cfg.log(c)
+	if h == nil || int(h.end)+need-used > int(h.size) {
 		if h != nil { // the runs move down to the header, and pos with them
 			pos -= int(h.head) - headSize
 		}
-		if !cfg.Budget.reserve(len(data), need-c.HeldCost()) {
+		if !cfg.Budget.reserve(len(data), need-c.HeldCost(cfg)) {
 			r.Dropped += len(data)
 			return
 		}
@@ -629,11 +665,11 @@ func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Re
 		if cap(b) > limit || !cfg.Budget.reserve(0, cap(b)-need) {
 			b = b[:need:need]
 		}
-		c.log = newLog(h, b)
+		h = newLog(h, b)
+		cfg.setLog(c, h)
 	} else {
 		cfg.Budget.reserve(len(data), 0)
 	}
-	h := c.log
 	if pos == int(h.head) {
 		h.base = c.next
 	}
@@ -653,7 +689,7 @@ func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Re
 // lose their tail, a fold is cut back to its prefix if that frees enough,
 // and what cannot be cut goes whole.
 func (c *Cursor) evictLast(cfg *Config, fold *Fold, trim int, r *Result) {
-	h, last := c.log, run{}
+	h, last := cfg.log(c), run{}
 	for h.next(&last) {
 	}
 	keep := 0

@@ -96,7 +96,7 @@ func TestOutOfOrderAcrossWrap(t *testing.T) {
 	at := func(off int) uint32 { return isn + 1 + uint32(off) }
 	s := NewStream(Config{})
 	feed(t, s, isn, "", SYN, 0)
-	if _, _, r := feed(t, s, at(len(stream)), "", FIN, 1); r.Event != EventNone || s.log == nil {
+	if _, _, r := feed(t, s, at(len(stream)), "", FIN, 1); r.Event != EventNone || s.log == 0 {
 		t.Fatalf("a FIN ahead of the gap: %+v", r)
 	}
 	for _, p := range []struct {
@@ -112,7 +112,7 @@ func TestOutOfOrderAcrossWrap(t *testing.T) {
 		t.Fatalf("head delivered %q, %+v, held %d", out, r, s.HeldBytes())
 	}
 	out, _, r = feed(t, s, at(10), stream[10:12], 0, 4)
-	if out != stream[10:] || r.Event != EventFinished || s.log != nil {
+	if out != stream[10:] || r.Event != EventFinished || s.log != 0 {
 		t.Fatalf("last hole delivered %q, %+v", out, r)
 	}
 }
@@ -133,7 +133,7 @@ func TestFinAheadIsOutOfOrderState(t *testing.T) {
 		s := NewStream(Config{})
 		feed(t, s, 100, "", SYN, 0)
 		feed(t, s, 101, "abc", 0, 0)
-		if r := tc.last(s); r.Event != EventFinished || s.log != nil {
+		if r := tc.last(s); r.Event != EventFinished || s.log != 0 {
 			t.Fatalf("in-order FIN %s: %+v, out-of-order state %v", tc.name, r, s.log)
 		}
 	}
@@ -142,7 +142,7 @@ func TestFinAheadIsOutOfOrderState(t *testing.T) {
 	s := NewStream(Config{Budget: b})
 	feed(t, s, 100, "", SYN, 0)
 	// A pure FIN after a 10-byte gap.
-	if out, _, r := feed(t, s, 111, "", FIN, 1); out != "" || r.Event != EventNone || s.log == nil || s.HeldBytes() != 0 {
+	if out, _, r := feed(t, s, 111, "", FIN, 1); out != "" || r.Event != EventNone || s.log == 0 || s.HeldBytes() != 0 {
 		t.Fatalf("pure FIN ahead: %q %+v, out-of-order state %v", out, r, s.log)
 	}
 	// Bytes past the FIN cannot be part of the connection.
@@ -156,7 +156,7 @@ func TestFinAheadIsOutOfOrderState(t *testing.T) {
 		t.Fatalf("part of the gap: %q %+v", out, r)
 	}
 	out, _, r := feed(t, s, 105, "4567", 0, 5)
-	if out != "456789" || r.Event != EventFinished || s.log != nil || b.Used() != 0 {
+	if out != "456789" || r.Event != EventFinished || s.log != 0 || b.Used() != 0 {
 		t.Fatalf("gap filled: %q %+v, out-of-order state %v, budget %d", out, r, s.log, b.Used())
 	}
 
@@ -166,7 +166,7 @@ func TestFinAheadIsOutOfOrderState(t *testing.T) {
 	feed(t, s, 100, "", SYN, 0)
 	feed(t, s, 111, "", FIN, 1)
 	feed(t, s, 105, "held", 0, 2)
-	if n := s.Release(); n != 4 || s.log != nil || s.finSeen || s.HeldBytes() != 0 || b.Used() != 0 {
+	if n := s.Release(); n != 4 || s.log != 0 || s.finSeen || s.HeldBytes() != 0 || b.Used() != 0 {
 		t.Fatalf("Release returned %d and left state %v (FIN %v), budget %d", n, s.log, s.finSeen, b.Used())
 	}
 }
@@ -206,10 +206,10 @@ func TestOutOfOrderArrivalAllocations(t *testing.T) {
 					want = 3*k + 3*101
 				}
 				resident := 0
-				for _, h := range heldRuns(c) {
+				for _, h := range heldRuns(s) {
 					resident += len(h.body)
 				}
-				if headers := logUsed(c) - headSize - resident; resident != want || headers > 4*(k+101) || s.HeldCost() < logUsed(c) {
+				if headers := logUsed(s) - headSize - resident; resident != want || headers > 4*(k+101) || s.HeldCost() < logUsed(s) {
 					t.Fatalf("%v, fold %v, %d held: %d resident bytes (want %d) and %d of run headers in a log of %d",
 						pol, fold != nil, k, resident, want, headers, s.HeldCost())
 				}
@@ -218,6 +218,84 @@ func TestOutOfOrderArrivalAllocations(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLogStoreHandles: cursors that share a Config keep their held logs in
+// its store, each under its own handle. Release zeroes a cursor's handle and
+// returns the slot, which the next cursor to hold something reuses — never a
+// handle a cursor still holds, so every cursor delivers its own bytes when
+// its hole fills; and each Stream keeps a store of its own, even when made
+// from a Config whose cursors already hold logs.
+func TestLogStoreHandles(t *testing.T) {
+	cfg := &Config{Budget: NewBudget(1 << 20)}
+	var got []byte
+	deliver := func(data []byte, _, _ int) { got = append(got, data...) }
+	hold := func(c *Cursor, i int) { // a one-byte hole at seq 1, then the cursor's own bytes
+		c.Segment(cfg, 0, nil, SYN, 0, nil, deliver)
+		c.Segment(cfg, 2, []byte(fmt.Sprint("held by ", i)), 0, 0, nil, deliver)
+	}
+	live := make([]Cursor, 8)
+	held := map[uint32]bool{}
+	for i := range live {
+		hold(&live[i], i)
+		if h := live[i].log; h == 0 || held[h] {
+			t.Fatalf("cursor %d holds handle %d, which another cursor holds", i, h)
+		}
+		held[live[i].log] = true
+	}
+	freed := map[uint32]bool{}
+	for i := 1; i < len(live); i += 2 {
+		h := live[i].log
+		if n := live[i].Release(cfg); n != len(fmt.Sprint("held by ", i)) || live[i].log != 0 || cfg.logs.heads[h] != nil {
+			t.Fatalf("Release of cursor %d returned %d, left it handle %d and its slot %p", i, n, live[i].log, cfg.logs.heads[h])
+		}
+		if !slices.Contains(cfg.logs.free, h) {
+			t.Fatalf("handle %d is not on the free list %v", h, cfg.logs.free)
+		}
+		delete(held, h)
+		freed[h] = true
+	}
+	next := make([]Cursor, 6)
+	for i := range next {
+		hold(&next[i], 100+i)
+		if h := next[i].log; held[h] || i < len(freed) && !freed[h] {
+			t.Fatalf("new cursor %d took handle %d: one still held, or not a freed one", i, h)
+		}
+		held[next[i].log] = true
+	}
+	if len(cfg.logs.heads) != 1+len(live)+len(next)-len(freed) || len(cfg.logs.free) != 0 {
+		t.Fatalf("%d slots and %d free for %d logs held", len(cfg.logs.heads), len(cfg.logs.free), len(live)+len(next)-len(freed))
+	}
+	for i, c := range append(live, next...) {
+		if c.log == 0 {
+			continue
+		}
+		got = got[:0]
+		c.Segment(cfg, 1, []byte("!"), 0, 0, nil, deliver)
+		who := i
+		if i >= len(live) {
+			who = 100 + i - len(live)
+		}
+		if want := fmt.Sprint("!held by ", who); string(got) != want || c.log != 0 {
+			t.Fatalf("cursor %d delivered %q, want %q, and kept handle %d", i, got, want, c.log)
+		}
+	}
+	if cfg.Budget.Cost() != 0 || len(cfg.logs.free) != len(cfg.logs.heads)-1 {
+		t.Fatalf("after every hole filled: %d B charged, %d of %d handles free", cfg.Budget.Cost(), len(cfg.logs.free), len(cfg.logs.heads)-1)
+	}
+
+	s1, s2 := NewStream(*cfg), NewStream(*cfg)
+	for _, s := range []*Stream{s1, s2} {
+		if s.cfg.logs != nil {
+			t.Fatal("a new stream shares its config's store")
+		}
+		feed(t, s, 1, "0", 0, 0)
+		feed(t, s, 5, "held", 0, 0)
+	}
+	if s1.cfg.logs == s2.cfg.logs || s1.log != 1 || s2.log != 1 || s1.HeldBytes() != 4 || s2.HeldBytes() != 4 {
+		t.Fatalf("two streams: stores %p and %p, handles %d and %d, %d and %d bytes held",
+			s1.cfg.logs, s2.cfg.logs, s1.log, s2.log, s1.HeldBytes(), s2.HeldBytes())
 	}
 }
 
@@ -396,7 +474,7 @@ func TestFinCompletesStream(t *testing.T) {
 		t.Fatalf("finished with a hole open: %+v", r)
 	}
 	out, _, r := feed(t, s, 101, "abc", 0, 2)
-	if out != "abcdf" || r.Event != EventFinished || s.log != nil || s.finSeen {
+	if out != "abcdf" || r.Event != EventFinished || s.log != 0 || s.finSeen {
 		t.Fatalf("fin completion: %q %+v, out-of-order state %v", out, r, s.log)
 	}
 	// A retransmission behind the FIN re-delivers nothing.
@@ -434,14 +512,14 @@ func TestInOrderStreamHoldsNothing(t *testing.T) {
 		if !raceEnabled && allocs != 0 {
 			t.Errorf("%v: an in-order Segment allocated %.0f times", pol, allocs)
 		}
-		if s.log != nil {
+		if s.log != 0 {
 			t.Fatalf("%v: an in-order stream holds out-of-order state", pol)
 		}
 		s.Segment(seq+5, payload, 0, 1, deliver)
-		if s.log == nil || s.HeldBytes() != len(payload) {
+		if s.log == 0 || s.HeldBytes() != len(payload) {
 			t.Fatalf("%v: a held segment left no out-of-order state (held %d)", pol, s.HeldBytes())
 		}
-		if n := s.Release(); n != len(payload) || s.log != nil || s.HeldBytes() != 0 {
+		if n := s.Release(); n != len(payload) || s.log != 0 || s.HeldBytes() != 0 {
 			t.Fatalf("%v: Release returned %d and left out-of-order state %v", pol, n, s.log)
 		}
 	}
@@ -479,12 +557,12 @@ func TestFoldedSegments(t *testing.T) {
 	feedFold(s, fold, 21, "wxyz", 0, 1)       // [20,24), which the fold does not shrink
 	// Each run is 3 B of header: [10,20) then has its 5 B form, [20,24) its
 	// bytes.
-	if s.HeldBytes() != 14 || b.Used() != 14 || logUsed(&s.Cursor) != headSize+8+7 || b.Cost() != s.HeldCost() {
-		t.Fatalf("held %d stream bytes in %d B of log, budget used %d at cost %d", s.HeldBytes(), logUsed(&s.Cursor), b.Used(), b.Cost())
+	if s.HeldBytes() != 14 || b.Used() != 14 || logUsed(s) != headSize+8+7 || b.Cost() != s.HeldCost() {
+		t.Fatalf("held %d stream bytes in %d B of log, budget used %d at cost %d", s.HeldBytes(), logUsed(s), b.Used(), b.Cost())
 	}
 	got, r := feedFold(s, fold, 1, "0123456789", 0, 1)
 	want := []folded{{"0123456789", 10, 0}, {"abcd\x0a", 10, 0}, {"wxyz", 4, 0}}
-	if !slices.Equal(got, want) || r.Delivered != 24 || s.log != nil || b.Cost() != 0 {
+	if !slices.Equal(got, want) || r.Delivered != 24 || s.log != 0 || b.Cost() != 0 {
 		t.Fatalf("the hole filled: delivered %q, %+v, budget cost %d", got, r, b.Cost())
 	}
 	// A gap skip landing on a folded segment.
@@ -529,7 +607,7 @@ func TestFoldedSegments(t *testing.T) {
 	s = NewStream(Config{MaxFlowBytes: headSize + 8 + 5})
 	feedFold(s, fold, 0, "", SYN, 0)
 	feedFold(s, fold, 31, "ABCDEFGHIJ", 0, 1)
-	if _, r := feedFold(s, fold, 11, "abcdefghij", 0, 1); r.Buffered != 10 || r.Dropped != 10 || s.HeldBytes() != 10 || len(heldRuns(&s.Cursor)) != 1 {
+	if _, r := feedFold(s, fold, 11, "abcdefghij", 0, 1); r.Buffered != 10 || r.Dropped != 10 || s.HeldBytes() != 10 || len(heldRuns(s)) != 1 {
 		t.Fatalf("dropping the furthest fold whole: %+v, %d held", r, s.HeldBytes())
 	}
 	if n := s.Release(); n != 10 {
@@ -547,17 +625,17 @@ func TestDrainedStreamDropsOutOfOrderState(t *testing.T) {
 	feed(t, s, 0, "", SYN, 0)
 	feed(t, s, 11, "later", 0, 1) // [10,15)
 	feed(t, s, 21, "more", 0, 1)  // [20,24)
-	if out, _, _ := feed(t, s, 1, "0123456789", 0, 2); out != "0123456789later" || s.log == nil {
+	if out, _, _ := feed(t, s, 1, "0123456789", 0, 2); out != "0123456789later" || s.log == 0 {
 		t.Fatalf("a partial drain delivered %q and left out-of-order state %v", out, s.log)
 	}
-	if out, _, _ := feed(t, s, 16, "abcde", 0, 3); out != "abcdemore" || s.log != nil || s.HeldBytes() != 0 {
+	if out, _, _ := feed(t, s, 16, "abcde", 0, 3); out != "abcdemore" || s.log != 0 || s.HeldBytes() != 0 {
 		t.Fatalf("the last hole filled: delivered %q, out-of-order state %v", out, s.log)
 	}
 
 	s = NewStream(Config{GapTimeout: 2})
 	feed(t, s, 0, "", SYN, 0)
 	feed(t, s, 11, "tail", 0, 1)
-	if out, skip, _ := feed(t, s, 11, "tail", 0, 5); out != "tail" || skip != 10 || s.log != nil {
+	if out, skip, _ := feed(t, s, 11, "tail", 0, 5); out != "tail" || skip != 10 || s.log != 0 {
 		t.Fatalf("a gap skip delivered %q after %d bytes and left out-of-order state %v", out, skip, s.log)
 	}
 
@@ -565,10 +643,10 @@ func TestDrainedStreamDropsOutOfOrderState(t *testing.T) {
 	feed(t, s, 100, "", SYN, 0)
 	feed(t, s, 111, "", FIN, 1)   // the stream ends at 10
 	feed(t, s, 105, "held", 0, 1) // [4,8)
-	if out, _, r := feed(t, s, 101, "0123", 0, 2); out != "0123held" || r.Event != EventNone || s.log == nil {
+	if out, _, r := feed(t, s, 101, "0123", 0, 2); out != "0123held" || r.Event != EventNone || s.log == 0 {
 		t.Fatalf("a drain short of the FIN delivered %q, %+v, out-of-order state %v", out, r, s.log)
 	}
-	if _, _, r := feed(t, s, 109, "89", 0, 3); r.Event != EventFinished || s.log != nil {
+	if _, _, r := feed(t, s, 109, "89", 0, 3); r.Event != EventFinished || s.log != 0 {
 		t.Fatalf("the FIN's gap filled: %+v, out-of-order state %v", r, s.log)
 	}
 }
@@ -601,7 +679,7 @@ func TestDrainedLogKeepsDeliveredBytes(t *testing.T) {
 	full := s.HeldCost()
 	check := func(when string, runs, cost int) {
 		t.Helper()
-		if got := len(heldRuns(&s.Cursor)); got != runs || s.HeldCost() != cost || b.Cost() != cost {
+		if got := len(heldRuns(s)); got != runs || s.HeldCost() != cost || b.Cost() != cost {
 			t.Fatalf("%s: %d runs held (want %d) in a log of %d B charged %d, want %d", when, got, runs, s.HeldCost(), b.Cost(), cost)
 		}
 	}
@@ -612,14 +690,14 @@ func TestDrainedLogKeepsDeliveredBytes(t *testing.T) {
 	}
 	check("after a cap eviction", 3, full)
 	// [0,2) fills the first hole: [2,4) drains, [5,9) and [10,12) stay held.
-	if out := hold(1, "xx"); out != "xxAA" || s.log.head == uint32(headSize) {
-		t.Fatalf("hole fill delivered %q, the head at %d", out, s.log.head)
+	if out := hold(1, "xx"); out != "xxAA" || logOf(s).head == uint32(headSize) {
+		t.Fatalf("hole fill delivered %q, the head at %d", out, logOf(s).head)
 	}
 	check("after a hole fills", 2, full)
 	// [20,22) fits only in the drained run's room: the log moves.
 	hold(21, "GG")
-	if s.log.head != uint32(headSize) || s.HeldCost() >= full {
-		t.Fatalf("a log of %d B, its head at %d: it did not move to a smaller one", s.HeldCost(), s.log.head)
+	if logOf(s).head != uint32(headSize) || s.HeldCost() >= full {
+		t.Fatalf("a log of %d B, its head at %d: it did not move to a smaller one", s.HeldCost(), logOf(s).head)
 	}
 	check("after the log moved", 3, s.HeldCost())
 	if s.HeldBytes() != 8 {
@@ -627,7 +705,7 @@ func TestDrainedLogKeepsDeliveredBytes(t *testing.T) {
 	}
 	hold(5, "y")
 	hold(10, "z")
-	if out := hold(13, "12345678"); out != "12345678GG" || s.log != nil || b.Cost() != 0 {
+	if out := hold(13, "12345678"); out != "12345678GG" || s.log != 0 || b.Cost() != 0 {
 		t.Fatalf("the last hole filled: delivered %q, log %v, budget cost %d", out, s.log, b.Cost())
 	}
 	if got := string(bytes.Join(kept, nil)); got != "xxAAyBBBBzCC12345678GG" {
@@ -665,16 +743,16 @@ func TestHeldSegmentsChargedAtCost(t *testing.T) {
 		charge := b.Cost()
 		heap := int64(liveHeap()) - int64(before)
 		runtime.KeepAlive(s)
-		runs, whole := heldRuns(&s.Cursor), 0
+		runs, whole := heldRuns(s), 0
 		for _, h := range runs {
 			if h.n == tc.size {
 				whole++
 			}
 		}
 		name := fmt.Sprintf("%d-byte segments (folded %v)", tc.size, tc.fold != nil)
-		if charge != s.HeldCost() || charge != int(s.log.size) || b.Used() != s.HeldBytes() {
+		if charge != s.HeldCost() || charge != int(logOf(s).size) || b.Used() != s.HeldBytes() {
 			t.Fatalf("%s: budget charged %d and used %d, held %d in %d runs in a log of %d",
-				name, charge, b.Used(), s.HeldBytes(), len(runs), s.log.size)
+				name, charge, b.Used(), s.HeldBytes(), len(runs), logOf(s).size)
 		}
 		// The cap holds this many whole runs, header and all, and the
 		// piece arriving past them is cut to the bytes that still fit.
@@ -715,12 +793,12 @@ func TestHeldLogFootprint(t *testing.T) {
 		for _, k := range order { // [300k+100, 300k+300)
 			s.Cursor.Segment(&s.cfg, uint32(1+300*k+100), bytes.Repeat([]byte{'x'}, 200), 0, 0, fold, func([]byte, int, int) {})
 		}
-		runs := heldRuns(&s.Cursor)
+		runs := heldRuns(s)
 		exact := 9*40 + headSize
 		class := cap(slices.Grow([]byte(nil), exact))
-		if len(runs) != 9 || logUsed(&s.Cursor) != exact || s.HeldCost() > class || b.Cost() != s.HeldCost() {
+		if len(runs) != 9 || logUsed(s) != exact || s.HeldCost() > class || b.Cost() != s.HeldCost() {
 			t.Errorf("order %v: %d runs in %d B of log, %d B charged (%d on the budget), want 9 in %d within a %d B size class",
-				order, len(runs), logUsed(&s.Cursor), s.HeldCost(), b.Cost(), exact, class)
+				order, len(runs), logUsed(s), s.HeldCost(), b.Cost(), exact, class)
 		}
 		for _, h := range runs {
 			if len(h.body) != 36 || h.end-h.at != 40 {
@@ -730,18 +808,28 @@ func TestHeldLogFootprint(t *testing.T) {
 	}
 }
 
-// logUsed is the bytes of c's log its header and held runs take.
-func logUsed(c *Cursor) int {
-	if c.log == nil {
+// HeldBytes is Cursor.HeldBytes under the stream's own config.
+func (s *Stream) HeldBytes() int { return s.Cursor.HeldBytes(&s.cfg) }
+
+// HeldCost is Cursor.HeldCost under the stream's own config.
+func (s *Stream) HeldCost() int { return s.Cursor.HeldCost(&s.cfg) }
+
+// logOf is s's held log, or nil.
+func logOf(s *Stream) *logHead { return s.cfg.log(&s.Cursor) }
+
+// logUsed is the bytes of s's log its header and held runs take.
+func logUsed(s *Stream) int {
+	h := logOf(s)
+	if h == nil {
 		return 0
 	}
-	return headSize + int(c.log.end-c.log.head)
+	return headSize + int(h.end-h.head)
 }
 
-// heldRuns decodes every run c's log holds, in sequence order.
-func heldRuns(c *Cursor) []run {
+// heldRuns decodes every run s's log holds, in sequence order.
+func heldRuns(s *Stream) []run {
 	var runs []run
-	for f := (run{}); c.log.next(&f); {
+	for f := (run{}); logOf(s).next(&f); {
 		runs = append(runs, f)
 	}
 	return runs

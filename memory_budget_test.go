@@ -169,8 +169,8 @@ func (ln *gwLane) laneCharge(t testing.TB) (charge, held int) {
 	held, payload := ln.asm.Budget.Cost()-(st.Live-st.Husks)*ConnEntry, ln.asm.Budget.Used()
 	atCost, stream := 0, 0
 	ln.table.Range(func(_ FiveTuple, fl *gwFlow) {
-		atCost += fl.asm.HeldCost()
-		stream += fl.asm.HeldBytes()
+		atCost += fl.asm.HeldCost(&ln.asm)
+		stream += fl.asm.HeldBytes(&ln.asm)
 	})
 	if held != atCost || payload != stream {
 		t.Fatalf("the account is %d B over %d connections, holding %d stream bytes; the flows hold %d at a cost of %d",
@@ -273,8 +273,13 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 //     than the capacity (48 B for a 33 B log at the worst);
 //   - each index at its worst load, 3/8 full just after doubling, sized
 //     for its set's peak;
-//   - each slab's chunks at its set's peak, kept while the set is not empty;
-//   - the lane's scratch and queue, and the gateway's own structs.
+//   - each slab's chunks at its set's peak, kept while the set is not empty:
+//     4 KiB apiece, which hold no pointer and so as many entries as fit;
+//   - the lane's store of held logs: a handle is an 8 B slot and a 4 B
+//     free-list word, one for each connection that may hold a log, and
+//     append at most doubles either;
+//   - the lane's scratch, queue and flow classes, and the gateway's own
+//     structs.
 func TestHeapWithinBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap growth is not the product's under -race")
@@ -294,7 +299,7 @@ func TestHeapWithinBudget(t *testing.T) {
 	// connection, and the packet may add one more before the lane evicts.
 	peak := func(entry int) int { return (ln.share + 2*ConnEntry) / entry }
 	chunks := func(entry int) int {
-		per := (4096 - 8) / entry
+		per := 4096 / entry
 		return (peak(entry) + per - 1) / per * 4096
 	}
 	index := func(entry int) int {
@@ -315,7 +320,8 @@ func TestHeapWithinBudget(t *testing.T) {
 		gw.eachLane(func(ln *gwLane) {
 			charged, held = ln.laneCharge(t)
 			folded = folded || ln.asm.Budget.Used() > held
-			scratch = cap(ln.matches)*int(unsafe.Sizeof(ac.Match{})) + cap(ln.form)
+			scratch = cap(ln.matches)*int(unsafe.Sizeof(ac.Match{})) + cap(ln.form) +
+				cap(ln.classes)*int(unsafe.Sizeof(gwClass{}))
 		})
 		terms := []struct {
 			name  string
@@ -328,7 +334,8 @@ func TestHeapWithinBudget(t *testing.T) {
 			{"husk index", index(HuskEntry)},
 			{"connection chunks", chunks(ConnEntry)},
 			{"husk chunks", chunks(HuskEntry)},
-			{"scratch, queue, gateway", scratch + fixed},
+			{"held-log store", 48 + 2*(peak(ConnEntry)+1)*8 + 2*peak(ConnEntry)*4},
+			{"scratch, queue, classes, gateway", scratch + fixed},
 		}
 		ceiling := 0
 		for _, term := range terms {
@@ -339,7 +346,7 @@ func TestHeapWithinBudget(t *testing.T) {
 		}
 		if heap > ceiling {
 			for _, term := range terms {
-				t.Logf("  %-28s %8d B", term.name, term.bytes)
+				t.Logf("  %-32s %8d B", term.name, term.bytes)
 			}
 			t.Fatalf("%s: live heap %d B over its %d B ceiling (charged %d B)", phase, heap, ceiling, charged)
 		}

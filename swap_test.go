@@ -217,14 +217,14 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 		}
 	}
 	swept := 0
-	gw.rangeFlows(func(k FiveTuple, fl *gwFlow) {
+	gw.rangePins(func(k FiveTuple, _ *gwFlow, gen *gwGeneration) {
 		swept++
 		want, ok := wantGen[k]
 		if !ok {
 			t.Errorf("unexpected flow %v in table", k)
 			return
 		}
-		if fl.gen == nil || fl.gen.id != want {
+		if gen == nil || gen.id != want {
 			t.Errorf("flow %v pinned to wrong generation (want %d)", k, want)
 		}
 	})
@@ -317,17 +317,21 @@ func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	records := func() []gwFlow {
+	type pinned struct {
+		gwFlow
+		gen *gwGeneration
+	}
+	records := func() []pinned {
 		t.Helper()
-		var got []gwFlow
-		gw.rangeFlows(func(k FiveTuple, fl *gwFlow) {
+		var got []pinned
+		gw.rangePins(func(k FiveTuple, fl *gwFlow, gen *gwGeneration) {
 			if k == tup {
-				got = append(got, *fl)
+				got = append(got, pinned{*fl, gen})
 			}
 		})
 		return got
 	}
-	record := func() gwFlow {
+	record := func() pinned {
 		t.Helper()
 		got := records()
 		if len(got) != 1 {
@@ -684,6 +688,88 @@ func TestSwapRetiredGenerationLeavesNoSlot(t *testing.T) {
 	}
 	if !collected.Load() {
 		t.Fatal("the retired fourth generation's Matcher survived ten collections")
+	}
+}
+
+// TestSwapStormLeavesNoLiveClass: a lane keeps the (generation, rule) pair
+// of its flows once, as a class counted per flow. Waves of connections that
+// a header rule alerts on, one drops and none matches open between swaps,
+// each wave ending after the next has opened, so every lane holds flows of
+// two generations and three rules at once. At every step each lane's class
+// counts equal the records on each class; once every flow has ended — by
+// FIN, or RST for the dropped ones, which a FIN does not end — no lane has a
+// live class, and none pins a matcher: every generation but the current has
+// retired, and the freed classes were reused rather than grown.
+func TestSwapStormLeavesNoLiveClass(t *testing.T) {
+	rules := NewRuleset()
+	rules.MustAdd("sig", []byte("needle"))
+	compile := func() *Matcher {
+		m, err := Compile(rules, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	var matches atomic.Uint64
+	gw := testGateway(t, compile(), GatewayConfig{
+		EngineShards: 2, StreamWorkers: 2,
+		Rules: []VerdictRule{
+			{ID: 1, Name: "alert", Header: HeaderRule{Proto: ProtoTCP, DstPorts: PortRange{Lo: 80, Hi: 80}}, Verdict: VerdictAlert},
+			{ID: 2, Name: "drop", Header: HeaderRule{Proto: ProtoTCP, DstPorts: PortRange{Lo: 81, Hi: 81}}, Verdict: VerdictDrop},
+		},
+	}, func(FlowMatch) { matches.Add(1) })
+	defer gw.Close()
+	const waves, perWave = 12, 30
+	tuple := func(w, i int) FiveTuple { // port 80 alerts, 81 drops, 82 matches no rule
+		tup := footprintTuple(w*perWave + i)
+		tup.DstPort = uint16(80 + i%3)
+		return tup
+	}
+	send := func(w int, seq uint32, flags func(i int) TCPFlags, payload string) {
+		t.Helper()
+		for i := range perWave {
+			if err := gw.Ingest(GatewayPacket{Tuple: tuple(w, i), Seq: seq, Flags: FlagSeq | flags(i), Payload: []byte(payload)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gw.Flush()
+		gw.auditGenerationPins(t)
+	}
+	end := func(w int) {
+		send(w, 11, func(i int) TCPFlags {
+			if i%3 == 1 {
+				return FlagRST
+			}
+			return FlagFIN
+		}, "")
+	}
+	for w := range waves {
+		send(w, 0, func(int) TCPFlags { return FlagSYN }, "")
+		send(w, 1, func(int) TCPFlags { return 0 }, "..needle..")
+		if err := gw.SwapRules(compile()); err != nil {
+			t.Fatal(err)
+		}
+		if w > 0 {
+			end(w - 1)
+		}
+	}
+	end(waves - 1)
+	gw.eachLane(func(ln *gwLane) {
+		if len(ln.classes) > 6 {
+			t.Errorf("a lane grew %d classes for at most two generations of three rules", len(ln.classes))
+		}
+		for k, c := range ln.classes {
+			if c != (gwClass{}) {
+				t.Errorf("class %d is live with every flow ended: %+v", k+1, c)
+			}
+		}
+	})
+	st := gw.Stats()
+	if st.GenerationsLive != 1 || st.GenerationsRetired != waves || st.FlowsLive != st.FlowHusks || !st.Ledger().Balanced() {
+		t.Fatalf("after the storm: %+v", st)
+	}
+	if want := uint64(waves * perWave * 2 / 3); matches.Load() != want || st.VerdictDrops != waves*perWave/3 {
+		t.Fatalf("%d matches (want %d, from the scanned flows) and %d drops", matches.Load(), want, st.VerdictDrops)
 	}
 }
 
