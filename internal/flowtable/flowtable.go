@@ -51,7 +51,6 @@ package flowtable
 import (
 	"encoding/binary"
 	"hash/maphash"
-	"reflect"
 	"sync"
 	"unsafe"
 
@@ -125,10 +124,11 @@ type Table[F any] struct {
 }
 
 // A slab chunk is one chunkBytes allocation, a malloc size class, holding as
-// many entries as fit beside the 8 B header the allocator prefixes to a
-// pointerful object that size, up to chunkMax: a pointer-free entry has the
-// whole chunk, 64 of the gateway's 64 B connection entries or 128 of its
-// 32 B husk entries. A set's unused space is the rest of its newest chunk.
+// many entries as fit, up to chunkMax: 64 of the gateway's 64 B connection
+// entries or 128 of its 32 B husk entries. Both are pointer-free, so the
+// allocator prefixes no header; a pointerful entry's chunk still leaves room
+// for its 8 B header unless its entries fill all chunkBytes. A set's unused
+// space is the rest of its newest chunk.
 const (
 	chunkBytes = 4096
 	chunkBits  = 8
@@ -191,29 +191,11 @@ func New[F any](cfg Config[F]) *Table[F] {
 }
 
 func newSet[R any]() set[R] {
-	header := 8 // the allocator's, on a chunk it scans (only R can hold a pointer)
-	if pointerFree(reflect.TypeFor[R]()) {
-		header = 0
-	}
 	return set[R]{
 		seed:     maphash.MakeSeed(),
 		slots:    make([]ref, 8),
-		perChunk: max(1, min(chunkMax, (chunkBytes-header)/int(unsafe.Sizeof(entry[R]{})))),
+		perChunk: max(1, min(chunkMax, chunkBytes/int(unsafe.Sizeof(entry[R]{})))),
 	}
-}
-
-// pointerFree reports whether a t holds nothing the collector scans, so the
-// allocator gives it no header.
-func pointerFree(t reflect.Type) bool {
-	if t.Kind() == reflect.Array {
-		return pointerFree(t.Elem())
-	}
-	for i := 0; t.Kind() == reflect.Struct && i < t.NumField(); i++ {
-		if !pointerFree(t.Field(i).Type) {
-			return false
-		}
-	}
-	return t.Kind() <= reflect.Complex128 || t.Kind() == reflect.Struct
 }
 
 // at returns entry r, which must not be 0.

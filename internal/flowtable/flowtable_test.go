@@ -197,10 +197,9 @@ func TestCloseEvictsEverything(t *testing.T) {
 // number. With a record shaped like the gateway's (32 B and no pointer,
 // gated by TestFlowRecordFootprint) a connection's entry is 64 B, one cache
 // line; a husk's holds a one-byte mark and is 32 B. A slab chunk fills the
-// 4 096 B size class to within one entry: exactly, for entries the collector
-// does not scan, which the allocator gives no header — 64 connection entries
-// or 128 husk entries — and beside the 8 B header Go puts on a pointerful
-// object that size otherwise, 51 entries of a 48 B record holding a pointer.
+// 4 096 B size class to within one entry: 64 connection entries, 128 husk
+// entries, or 51 entries of a 48 B record holding a pointer, which leave
+// room for the 8 B header Go puts on a pointerful object that size.
 func TestEntryFootprint(t *testing.T) {
 	if off := unsafe.Offsetof(entry[uint8]{}.rec); off != 28 {
 		t.Fatalf("entry header is %d B, want 28", off)
@@ -230,9 +229,6 @@ func TestEntryFootprint(t *testing.T) {
 	if conns.perChunk != 64 || husks.perChunk != 128 || pointers.perChunk != 51 {
 		t.Fatalf("chunks of %d connection, %d husk and %d pointerful entries, want 64, 128 and 51",
 			conns.perChunk, husks.perChunk, pointers.perChunk)
-	}
-	if !pointerFree(reflect.TypeFor[entry[record]]()) || pointerFree(reflect.TypeFor[entry[pointerful]]()) {
-		t.Fatal("pointerFree misjudged an entry")
 	}
 	var mu sync.Mutex
 	r := conns.add(&mu, tuple(0), record{}, 0)

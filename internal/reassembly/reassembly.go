@@ -150,7 +150,9 @@ func (b *Budget) release(n, cost int) {
 	}
 }
 
-// Config parameterizes a Stream, or every Cursor that shares it.
+// Config parameterizes a Stream, or every Cursor that shares it. Once a
+// cursor holds a log through it, a Config must not be copied: it keeps the
+// store the cursors' handles index (NewStream clears a copy's).
 type Config struct {
 	// Policy is the overlap policy for undelivered bytes.
 	Policy Policy
@@ -170,9 +172,13 @@ type Config struct {
 
 // logStore keeps held logs under the handles cursors store in place of a
 // pointer: heads[h] is h's log (heads[0]: none), free the handles given back.
+// Both start in the store's own arrays, sized for one cursor, so a Stream's
+// store is one allocation.
 type logStore struct {
 	heads []*logHead
 	free  []uint32
+	head0 [2]*logHead
+	free0 [1]uint32
 }
 
 // log returns c's held log, or nil.
@@ -186,7 +192,8 @@ func (cfg *Config) log(c *Cursor) *logHead {
 // setLog makes h c's held log; a nil h frees c's handle, and its FIN with it.
 func (cfg *Config) setLog(c *Cursor, h *logHead) {
 	if cfg.logs == nil {
-		cfg.logs = &logStore{heads: make([]*logHead, 1)}
+		cfg.logs = new(logStore)
+		cfg.logs.heads, cfg.logs.free = cfg.logs.head0[:1], cfg.logs.free0[:0]
 	}
 	s := cfg.logs
 	if n := len(s.free); c.log == 0 && n > 0 {
@@ -249,7 +256,9 @@ type Result struct {
 // allocates and Release drops. A cursor whose segments arrive in order
 // therefore owns no memory beyond itself. The zero value is an empty
 // cursor: the first segment (or SYN) establishes its sequence base. Every
-// call on one cursor must pass the same Config, unchanged; bytes a previous
+// call on one cursor must pass the same *Config, by address, its exported
+// fields unchanged: a copy of it would not find the cursor's handle in its
+// store, or would find another cursor's log there. Bytes a previous
 // connection left held must be Released before the cursor is zeroed for the
 // next, or the budget and the store never see them again.
 //

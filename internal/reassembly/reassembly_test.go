@@ -226,7 +226,8 @@ func TestOutOfOrderArrivalAllocations(t *testing.T) {
 // returns the slot, which the next cursor to hold something reuses — never a
 // handle a cursor still holds, so every cursor delivers its own bytes when
 // its hole fills; and each Stream keeps a store of its own, even when made
-// from a Config whose cursors already hold logs.
+// from a Config whose cursors already hold logs, that costs it one
+// allocation.
 func TestLogStoreHandles(t *testing.T) {
 	cfg := &Config{Budget: NewBudget(1 << 20)}
 	var got []byte
@@ -296,6 +297,15 @@ func TestLogStoreHandles(t *testing.T) {
 	if s1.cfg.logs == s2.cfg.logs || s1.log != 1 || s2.log != 1 || s1.HeldBytes() != 4 || s2.HeldBytes() != 4 {
 		t.Fatalf("two streams: stores %p and %p, handles %d and %d, %d and %d bytes held",
 			s1.cfg.logs, s2.cfg.logs, s1.log, s2.log, s1.HeldBytes(), s2.HeldBytes())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s := NewStream(Config{})
+		s.Segment(0, nil, SYN, 0, func([]byte, int) {})
+		s.Segment(2, []byte("held"), 0, 0, func([]byte, int) {})
+		s.Release()
+	})
+	if !raceEnabled && allocs > 3 {
+		t.Fatalf("a stream that holds once allocates %v objects, want at most 3: itself, its store and its log", allocs)
 	}
 }
 

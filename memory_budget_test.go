@@ -275,9 +275,9 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 //     for its set's peak;
 //   - each slab's chunks at its set's peak, kept while the set is not empty:
 //     4 KiB apiece, which hold no pointer and so as many entries as fit;
-//   - the lane's store of held logs: a handle is an 8 B slot and a 4 B
-//     free-list word, one for each connection that may hold a log, and
-//     append at most doubles either;
+//   - the lane's store of held logs: its 80 B struct, and a handle is an
+//     8 B slot and a 4 B free-list word, one for each connection that may
+//     hold a log, and append at most doubles either;
 //   - the lane's scratch, queue and flow classes, and the gateway's own
 //     structs.
 func TestHeapWithinBudget(t *testing.T) {
@@ -334,7 +334,7 @@ func TestHeapWithinBudget(t *testing.T) {
 			{"husk index", index(HuskEntry)},
 			{"connection chunks", chunks(ConnEntry)},
 			{"husk chunks", chunks(HuskEntry)},
-			{"held-log store", 48 + 2*(peak(ConnEntry)+1)*8 + 2*peak(ConnEntry)*4},
+			{"held-log store", 80 + 2*(peak(ConnEntry)+1)*8 + 2*peak(ConnEntry)*4},
 			{"scratch, queue, classes, gateway", scratch + fixed},
 		}
 		ceiling := 0
