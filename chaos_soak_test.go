@@ -509,7 +509,7 @@ func TestChaosSoakPanicQuarantine(t *testing.T) {
 // soakDatagramEmitPanic is the stateless half of
 // TestChaosSoakPanicQuarantine: a panicking emit on one datagram must cost
 // exactly that datagram. Eight matching datagrams are pinned to one lane (one
-// lane per shard, every tuple on the victim's shard); emit panics on the
+// lane per shard, every tuple hashed to the victim's lane); emit panics on the
 // first of them, and the seven behind it on the same lane must still emit
 // their FindAll matches, with the victim's payload — and nothing else — in
 // the quarantine bucket.
@@ -520,7 +520,7 @@ func soakDatagramEmitPanic(t *testing.T, m *dpi.Matcher, set *ruleset.Set, shard
 		tup := dpi.FiveTuple{SrcIP: dpi.IPv4(10, 0, 0, 9), DstIP: dpi.IPv4(10, 0, 1, 1),
 			SrcPort: port, DstPort: 53, Proto: dpi.ProtoUDP}
 		if len(feed) > 0 && tup.Hash64()%uint64(shards) != feed[0].Tuple.Hash64()%uint64(shards) {
-			continue // not the victim's shard
+			continue // not the victim's lane (one lane per shard)
 		}
 		payload := append([]byte("query "), set.Patterns[len(feed)].Data...)
 		feed = append(feed, dpi.GatewayPacket{Tuple: tup, Payload: payload})
@@ -813,14 +813,14 @@ func TestChaosSoakWatchdogStall(t *testing.T) {
 			for {
 				h := gw.Health()
 				if !h.Healthy {
-					// One shard, one lane: whatever the protocol, the
-					// wedge is on shard 0's lane 0.
+					// One lane: whatever the protocol, the wedge is on
+					// lane 0.
 					stalled := false
 					for _, l := range h.BusyLanes {
-						stalled = stalled || (l.Stalled && l.Shard == 0 && l.Lane == 0)
+						stalled = stalled || (l.Stalled && l.Lane == 0)
 					}
 					if !stalled {
-						t.Fatalf("unhealthy without a stalled lane 0 on shard 0: %+v", h)
+						t.Fatalf("unhealthy without a stalled lane 0: %+v", h)
 					}
 					break
 				}
@@ -890,12 +890,9 @@ func TestChaosSoakWedgedLaneSparesNeighbours(t *testing.T) {
 			if len(m.FindAll(w.Streams[0])) == 0 || len(m.FindAll(w.Streams[1])) == 0 {
 				t.Fatal("a flow carries no match; soak is vacuous")
 			}
-			// Admission pins a tuple to shard h%M, lane (h/M)%K; move B off
-			// A's queue.
-			queue := func(tup dpi.FiveTuple) [2]uint64 {
-				h := tup.Hash64()
-				return [2]uint64{h % tc.shards, (h / tc.shards) % tc.lanes}
-			}
+			// Admission pins a tuple to lane h % lanes; move B off A's
+			// queue.
+			queue := func(tup dpi.FiveTuple) uint64 { return tup.Hash64() % (tc.shards * tc.lanes) }
 			tupA, tupB := w.Tuples[0], w.Tuples[1]
 			for queue(tupB) == queue(tupA) {
 				tupB.SrcPort++

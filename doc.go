@@ -64,12 +64,12 @@
 //     on the caller's goroutine and sends the packet straight to the
 //     bounded queue of the lane it pins to, whose fullness is the
 //     backpressure contract. The scan back-end is replicated like the
-//     paper's block arrays: GatewayConfig.EngineShards spins up M
-//     shards of K lanes over the one compiled automaton and pins every
-//     flow and stateless packet to a lane by tuple hash — each lane one
-//     state block (gate, queue, flow table, counters) sharing nothing hot
-//     with its neighbours, sharding invisible in results and accounting,
-//     observable through ShardStats. There is one kind of lane: it scans
+//     paper's block arrays: EngineShards × StreamWorkers lanes over the
+//     one compiled automaton, every flow and stateless packet pinned to
+//     lane h % lanes by its tuple hash h — each lane one state block
+//     (gate, queue, flow table, counters) sharing nothing hot with its
+//     neighbours, the lane count invisible in results and accounting,
+//     observable through LaneStats. There is one kind of lane: it scans
 //     a non-TCP packet whole, in place, under a per-packet verdict, and demultiplexes a TCP
 //     packet through its own 5-tuple flow table into per-flow scanner
 //     state, so one tuple's packets — segments or datagrams — are always
@@ -116,11 +116,11 @@
 //     Committed corpora under testdata/pcap/ carry their own ground
 //     truth (internal/capture/corpus) and gate CI end to end.
 //   - Observability: Gateway.Metrics() renders every counter the
-//     pipeline already keeps — gateway totals, per-shard engine stats,
+//     pipeline already keeps — gateway totals, per-lane counters,
 //     flow-table occupancy and evictions, reassembly buffer pressure,
 //     per-rule verdict and match counts — in the Prometheus text
 //     exposition format (internal/metrics, dependency-free). It is an
-//     http.Handler; mount it at /metrics. A scrape sums the lanes'
+//     http.Handler; mount it at /metrics. A scrape reads the lanes'
 //     counter blocks and never touches the packet hot path.
 //     OPERATIONS.md documents every series.
 //

@@ -1,7 +1,6 @@
 package dpi
 
 import (
-	"fmt"
 	"go/format"
 	"os"
 	"regexp"
@@ -84,20 +83,10 @@ func TestDocsRelativeLinksResolve(t *testing.T) {
 	}
 }
 
-// TestDocsNamedTestsExist cross-checks ARCHITECTURE.md's enforcement
-// table: every Test/Fuzz function it names must exist somewhere in the
-// repository's _test.go files, so the table cannot refer to tests that
-// were renamed or removed.
-func TestDocsNamedTestsExist(t *testing.T) {
-	raw, err := os.ReadFile("ARCHITECTURE.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	named := regexp.MustCompile("`((?:Test|Fuzz)[A-Za-z0-9_]+)`").FindAllStringSubmatch(string(raw), -1)
-	if len(named) == 0 {
-		t.Fatal("ARCHITECTURE.md names no tests (regex or docs drift)")
-	}
-
+// definedTests returns the name of every Test and Fuzz function declared in
+// the repository's _test.go files.
+func definedTests(t *testing.T) map[string]bool {
+	t.Helper()
 	defined := make(map[string]bool)
 	var walk func(dir string)
 	walk = func(dir string) {
@@ -122,15 +111,109 @@ func TestDocsNamedTestsExist(t *testing.T) {
 		}
 	}
 	walk(".")
+	if !defined["TestDocsNamedTestsExist"] {
+		t.Fatalf("self-check failed: the walker did not see docs_test.go (%d tests found)", len(defined))
+	}
+	return defined
+}
 
+// TestDocsNamedTestsExist cross-checks ARCHITECTURE.md's enforcement
+// table: every Test/Fuzz function it names must exist somewhere in the
+// repository's _test.go files, so the table cannot refer to tests that
+// were renamed or removed.
+func TestDocsNamedTestsExist(t *testing.T) {
+	raw, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile("`((?:Test|Fuzz)[A-Za-z0-9_]+)`").FindAllStringSubmatch(string(raw), -1)
+	if len(named) == 0 {
+		t.Fatal("ARCHITECTURE.md names no tests (regex or docs drift)")
+	}
+	defined := definedTests(t)
 	for _, m := range named {
 		if !defined[m[1]] {
 			t.Errorf("ARCHITECTURE.md names %s, which is not defined in any _test.go file", m[1])
 		}
 	}
-	if !defined["TestDocsNamedTestsExist"] {
-		t.Error(fmt.Sprintf("self-check failed: walker did not see this file (%d tests found)", len(defined)))
+}
+
+// TestDocsCIRunPatternsMatchTests reads every `-run '<re>'` in the CI
+// workflow but '^$' and requires each of its alternatives to match some
+// Test or Fuzz function defined in the repository, so a renamed test
+// cannot silently drop out of a race stress or a footprint gate. An
+// alternative of the form Prefix(a|b|…)Suffix is expanded one level,
+// textually, into Prefix a Suffix, Prefix b Suffix, … first.
+func TestDocsCIRunPatternsMatchTests(t *testing.T) {
+	raw, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defined := definedTests(t)
+	patterns := regexp.MustCompile(`-run '([^']*)'`).FindAllStringSubmatch(string(raw), -1)
+	checked := 0
+	for _, p := range patterns {
+		if p[1] == "^$" {
+			continue
+		}
+		for _, alt := range expandRunPattern(p[1]) {
+			checked++
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("ci.yml -run '%s': alternative %q does not compile: %v", p[1], alt, err)
+				continue
+			}
+			found := false
+			for name := range defined {
+				if found = re.MatchString(name); found {
+					break
+				}
+			}
+			if !found {
+				t.Errorf("ci.yml -run '%s': %q matches no Test or Fuzz function in the repository", p[1], alt)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("ci.yml has no -run pattern to check (regex or workflow drift)")
+	}
+}
+
+// expandRunPattern splits a -run regexp into its top-level alternatives and
+// expands the one parenthesised alternation an alternative may hold.
+func expandRunPattern(re string) []string {
+	var out []string
+	for _, alt := range splitTopLevel(re) {
+		lo, hi := strings.IndexByte(alt, '('), strings.LastIndexByte(alt, ')')
+		if lo < 0 || hi < lo {
+			out = append(out, alt)
+			continue
+		}
+		for _, inner := range splitTopLevel(alt[lo+1 : hi]) {
+			out = append(out, alt[:lo]+inner+alt[hi+1:])
+		}
+	}
+	return out
+}
+
+// splitTopLevel splits re at every '|' outside parentheses.
+func splitTopLevel(re string) []string {
+	var parts []string
+	depth, start := 0, 0
+	for i, c := range re {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case '|':
+			if depth == 0 {
+				parts = append(parts, re[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(parts, re[start:])
 }
 
 // TestDocsQuotedDpibenchFlagsExist checks every flag the runbook quotes on

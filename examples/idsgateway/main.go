@@ -12,13 +12,13 @@
 // when those segments arrive shuffled — are still caught because each flow
 // is reassembled into its scanner's byte stream.
 //
-// The scan back-end is sharded (GatewayConfig.EngineShards): the gateway
-// replicates the engine over the one compiled automaton and pins each
-// connection to a replica by tuple hash, just as the paper's device
-// replicates fixed string-matching blocks and fans partitioned traffic
-// across them. Sharding is invisible in the results — per-flow order and
-// every detection are preserved — and the per-shard fan-out is reported
-// at the end.
+// The scan back-end is replicated into lanes (GatewayConfig.EngineShards ×
+// StreamWorkers): the gateway runs one engine per lane over the one compiled
+// automaton and pins each connection to a lane by tuple hash, just as the
+// paper's device replicates fixed string-matching blocks and fans
+// partitioned traffic across them. The lane count is invisible in the
+// results — per-flow order and every detection are preserved — and the
+// per-lane fan-out is reported at the end.
 //
 //	go run ./examples/idsgateway
 package main
@@ -88,8 +88,9 @@ func main() {
 
 	// The software gateway: bounded hash-pinned per-flow lanes over a
 	// 5-tuple flow table, TCP reassembly ahead of each flow's scanner —
-	// and two engine shards, each with its own lanes and counters, splitting
-	// the connection load by tuple hash, under a 4 MiB memory budget.
+	// and EngineShards: 2, twice the lanes, each with its own flow table and
+	// counters, splitting the connection load by tuple hash, under a 4 MiB
+	// memory budget.
 	var mu sync.Mutex
 	byTuple := map[dpi.FiveTuple][]dpi.FlowMatch{}
 	gw, err := dpi.NewGateway(matcher, dpi.GatewayConfig{
@@ -118,9 +119,9 @@ func main() {
 		st.Packets, st.Bytes/1024, st.ReassembledBytes/1024, st.OutOfOrderSegs, st.DuplicateBytes/1024)
 	fmt.Printf("  verdicts: %d alert / %d pass / %d drop flows (%d KB dropped unscanned); %d matches; %d flows finished via FIN\n",
 		st.VerdictAlerts, st.VerdictPasses, st.VerdictDrops, st.DroppedBytes/1024, st.Matches, st.FlowsFinished)
-	for i, ss := range gw.ShardStats() {
-		fmt.Printf("  engine shard %d/%d: %d flows opened, %d KB streamed through per-flow scanners\n",
-			i+1, st.EngineShards, ss.FlowsOpened, ss.StreamBytes/1024)
+	for i, ls := range gw.LaneStats() {
+		fmt.Printf("  lane %d: %d flows opened, %d KB reassembled into per-flow scanners\n",
+			i, ls.FlowsOpened, ls.ReassembledBytes/1024)
 	}
 
 	// Ground truth: the matcher is exhaustive, reassembly restores every

@@ -1,5 +1,5 @@
 // Sensor: the complete capture-to-verdict edge in one binary. Committed
-// pcap corpora replay through a sharded gateway — classic libpcap parsing,
+// pcap corpora replay through a multi-lane gateway — classic libpcap parsing,
 // Ethernet/IPv4/TCP translation, per-flow reassembly, header-rule
 // verdicts, pattern scanning — while a real HTTP /metrics endpoint serves
 // the Prometheus-format counters and the binary scrapes itself over TCP
@@ -66,7 +66,7 @@ type report struct {
 
 func main() {
 	glob := flag.String("pcap", "testdata/pcap/*.pcap", "glob of capture files to replay")
-	shards := flag.Int("shards", 2, "engine shards behind the gateway")
+	shards := flag.Int("shards", 2, "GatewayConfig.EngineShards: multiplies the gateway's lanes")
 	backend := flag.String("backend", dpi.BackendAuto, "scan backend (see Config.Backend)")
 	listen := flag.String("listen", "127.0.0.1:0", "address for the /metrics endpoint")
 	jsonOut := flag.Bool("json", false, "emit a JSON report instead of text")
@@ -198,8 +198,8 @@ func main() {
 			s.VerdictAlerts, s.VerdictDrops, s.VerdictPasses, s.DroppedBytes)
 		fmt.Printf("reassembly: %d bytes in stream order, %d out-of-order segs, %d duplicate bytes\n",
 			s.ReassembledBytes, s.OutOfOrderSegs, s.DuplicateBytes)
-		for i, es := range gw.ShardStats() {
-			fmt.Printf("shard %d: %d stream bytes, %d batch packets\n", i, es.StreamBytes, es.BatchPkts)
+		for i, ls := range gw.LaneStats() {
+			fmt.Printf("lane %d: %d reassembled bytes, %d batch packets\n", i, ls.ReassembledBytes, ls.BatchPackets)
 		}
 		fmt.Printf("metrics: scraped %s: %d samples, valid=%v\n", metricsURL, samples, rep.MetricsValid)
 		if rep.Interrupted {

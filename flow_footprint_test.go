@@ -340,11 +340,7 @@ func TestGatewaySynReopenRacesEviction(t *testing.T) {
 	if st.FlowsEvicted == 0 {
 		t.Fatal("no flow was evicted; the table was not under pressure")
 	}
-	var opened uint64
-	for _, ss := range gw.ShardStats() {
-		opened += ss.FlowsOpened
-	}
-	if opened < conns {
-		t.Fatalf("engines opened %d flows for %d connections", opened, conns)
+	if st.FlowsOpened < conns {
+		t.Fatalf("lanes opened %d flows for %d connections", st.FlowsOpened, conns)
 	}
 }

@@ -15,19 +15,17 @@ package dpi
 //
 // The scan back-end replicates like the hardware does: the paper's device
 // reaches its throughput by instantiating many identical string matching
-// blocks and fanning partitioned traffic across them (§IV.B), and
-// GatewayConfig.EngineShards is the software analogue — M shards of K lanes
-// each over the one immutable compiled automaton, with every flow and
-// stateless packet pinned to a lane by the tuple hash. A shard is no object,
-// only the index of K consecutive lanes. A lane owns everything its packets
+// blocks and fanning partitioned traffic across them (§IV.B), and the lane
+// is the software analogue: EngineShards × StreamWorkers lanes over the one
+// immutable compiled automaton, with every flow and stateless packet pinned
+// to lane h % lanes by its tuple hash h. A lane owns everything its packets
 // touch — its admission gate, its queue, its own single-writer flow table
 // (as each of the paper's engines owns the registers of the packet it
 // holds), its share of the memory budget and its counter block. Beyond its
 // lane a packet writes only the ingest sequence number and a generation's
 // pin count when its connection opens or ends. Every read surface (Stats,
-// ShardStats, Health, the Flush barrier) is one walk over the lanes.
-// Sharding is invisible in results and accounting; ShardStats exposes the
-// per-replica fan-out.
+// LaneStats, Health, the Flush barrier) is one walk over the lanes. The lane
+// count is invisible in results and accounting; LaneStats exposes the fan-out.
 //
 // Two stages sit between a lane and the scanner, completing the NIDS model:
 //
@@ -54,7 +52,7 @@ package dpi
 // capture files replay back-to-back with flows continuing across file
 // boundaries. Downstream, the observability edge (metrics.go,
 // internal/metrics) renders the gateway's accounting (gateway_stats.go) —
-// GatewayStats, the flow-table snapshot, per-shard EngineStats and the
+// GatewayStats, the flow-table snapshot, each lane's own counters and the
 // per-rule counters — as a Prometheus text exposition via Gateway.Metrics.
 // Both seams are read-only over state the pipeline already maintains: the
 // hot path has no capture- or metrics-specific branches, and the per-rule
@@ -249,31 +247,23 @@ func (p OverloadPolicy) String() string {
 // GatewayConfig sizes the ingest pipeline. The zero value selects sensible
 // defaults throughout.
 type GatewayConfig struct {
-	// EngineShards replicates the scan back-end: the gateway spins up this
-	// many independent shards over the one shared compiled automaton and
-	// pins every flow (and every stateless packet) to a shard by tuple
-	// hash — the software analogue of the paper's replicated string
-	// matching blocks fed by partitioned traffic. Each shard owns its own
-	// lanes and counters, so shards share nothing hot; on a NUMA machine
-	// run one shard per node. All
-	// ordering and accounting guarantees are per-gateway, unchanged:
-	// per-flow packet order holds because a flow's shard and lane are both
-	// functions of its tuple hash, nothing is dropped, and Flush drains
-	// every shard. Default 1 (exactly the pre-sharding gateway).
+	// EngineShards multiplies the lane count: the gateway runs EngineShards ×
+	// StreamWorkers lanes over the one shared compiled automaton — the
+	// software analogue of the paper's replicated string matching blocks
+	// fed by partitioned traffic. Default 1.
 	EngineShards int
-	// QueueDepth bounds the queued packets per engine shard, split evenly
-	// across its lanes: each lane queues ceil(QueueDepth/StreamWorkers), so
-	// a shard holds at most QueueDepth rounded up to a multiple of
-	// StreamWorkers, and nothing else queues. A full lane queue blocks
-	// Ingest of the tuples pinned to it, which is the gateway's
-	// backpressure. Default 256.
+	// QueueDepth bounds the queued packets, split evenly across the lanes:
+	// each lane queues ceil(QueueDepth/lanes), so the gateway holds at most
+	// QueueDepth rounded up to a multiple of the lane count, and nothing
+	// else queues. A full lane queue blocks Ingest of the tuples pinned to
+	// it, which is the gateway's backpressure. Default 256.
 	QueueDepth int
-	// StreamWorkers is the number of scan lanes per engine shard — the
-	// shard's goroutines, all of them. Every tuple (TCP flow or stateless
-	// sender) is pinned to one lane of its shard by hash, so per-tuple
-	// packet order (and therefore cross-packet matching) is preserved while
-	// distinct tuples scan in parallel. Default GOMAXPROCS — one lane per
-	// available core.
+	// StreamWorkers is the lane count before EngineShards multiplies it: the
+	// gateway's goroutines, all of them, are its EngineShards × StreamWorkers
+	// lanes. Every tuple (TCP flow or stateless sender) is pinned to one lane,
+	// its hash modulo the lane count, so per-tuple packet order (and
+	// therefore cross-packet matching) is preserved while distinct tuples
+	// scan in parallel. Default GOMAXPROCS — one lane per available core.
 	StreamWorkers int
 	// MemoryBudget caps, in bytes, what flows are charged. Every lane owns the
 	// flows pinned to it and a share of ceil(MemoryBudget/lanes), lanes being
@@ -378,27 +368,25 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	return c
 }
 
-// Gateway is a two-stage ingestion front-end over one or more engine
-// shards: admission, on the caller's goroutine, sends each packet straight
-// to the bounded lane queue its tuple hash pins it to. A lane runs a TCP
-// packet through its own 5-tuple flow table (header-rule verdict and TCP
-// reassembly ahead of the flow's scanner registers) and scans a stateless
-// packet whole, from start-of-packet registers, under a per-packet verdict.
+// Gateway is a two-stage ingestion front-end over EngineShards ×
+// StreamWorkers lanes: admission, on the caller's goroutine, sends each
+// packet straight to the bounded lane queue its tuple hash pins it to. A
+// lane runs a TCP packet through its own 5-tuple flow table (header-rule
+// verdict and TCP reassembly ahead of the flow's scanner registers) and
+// scans a stateless packet whole, from start-of-packet registers, under a
+// per-packet verdict.
 //
-//	Ingest ─▶ admission ─▶ lane[(h%M)·K + (h/M)%K] ─┬─ TCP ──▶ verdict ─▶ reassembly ─▶ per-flow scan
-//	           (hash)                               └─ other ▶ verdict ─▶ per-packet scan
+//	Ingest ─▶ admission ─▶ lane[h % lanes] ─┬─ TCP ──▶ verdict ─▶ reassembly ─▶ per-flow scan
+//	           (hash)                       └─ other ▶ verdict ─▶ per-packet scan
 //
-// With EngineShards=1 (the default) this collapses to the single-shard
-// pipeline. Ingest and TryIngest may be called from multiple
-// goroutines; emit and OnVerdict are invoked concurrently (from the lanes)
-// and must be safe for concurrent use. Close drains the pipeline and evicts
-// every flow.
+// Ingest and TryIngest may be called from multiple goroutines; emit and
+// OnVerdict are invoked concurrently (from the lanes) and must be safe for
+// concurrent use. Close drains the pipeline and evicts every flow.
 type Gateway struct {
 	cfg  GatewayConfig
 	emit func(FlowMatch)
 
-	// lanes are EngineShards × StreamWorkers, shard by shard: lane i belongs
-	// to shard i / StreamWorkers.
+	// lanes are EngineShards × StreamWorkers; a tuple's is laneOf's.
 	lanes []*gwLane
 
 	// closed is guarded by the lanes' admission gates: Ingest reads it
@@ -458,8 +446,8 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 	for i := range g.lanes {
 		ln := &gwLane{
 			g: g,
-			// QueueDepth split across the shard's lanes, rounded up.
-			q:     make(chan seqPacket, (cfg.QueueDepth+cfg.StreamWorkers-1)/cfg.StreamWorkers),
+			// QueueDepth split across the lanes, rounded up.
+			q:     make(chan seqPacket, (cfg.QueueDepth+lanes-1)/lanes),
 			rules: make([]gwRuleCounters, len(cfg.Rules)),
 			share: share,
 			asm: reassembly.Config{

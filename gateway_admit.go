@@ -15,6 +15,12 @@ type seqPacket struct {
 	flags   TCPFlags
 }
 
+// laneOf is the lane a tuple's packets ride: its hash modulo the lane count,
+// one rule for every protocol.
+func (g *Gateway) laneOf(t FiveTuple) *gwLane {
+	return g.lanes[t.Hash64()%uint64(len(g.lanes))]
+}
+
 // Ingest queues one packet. Under OverloadPolicy Block (the default) it
 // blocks when the pipeline is saturated — the backpressure contract: a
 // caller reading from a NIC or file cannot outrun the scan stages by more
@@ -40,15 +46,8 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 	if tcp && pkt.Flags&FlagSeq == 0 {
 		return false, fmt.Errorf("%w: TCP packet without FlagSeq", ErrBadPacket)
 	}
-	// The tuple hash pins the packet to its shard, h%M, and to one of that
-	// shard's K lanes, (h/M)%K — one routing rule for every protocol.
-	// Dividing out the shard index decorrelates the lane choice from the
-	// shard choice when their counts share factors; with one shard it
-	// reduces to h%K.
 	pol := g.cfg.OverloadPolicy
-	h := pkt.Tuple.Hash64()
-	m, k := uint64(g.cfg.EngineShards), uint64(g.cfg.StreamWorkers)
-	ln := g.lanes[(h%m)*k+(h/m)%k]
+	ln := g.laneOf(pkt.Tuple)
 	ln.gate.RLock()
 	defer ln.gate.RUnlock()
 	if g.closed {

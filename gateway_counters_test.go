@@ -11,34 +11,75 @@ import (
 	"testing"
 )
 
-// stampShard writes distinct values into every counter slot and per-rule
-// counter of both lanes of shard s, on an idle gateway with two lanes per
-// shard. The two lanes of a shard sum to stampSum(s, slot) for a slot, and
-// to stampRuleSums(s, rule) for a rule's counters.
-func stampShard(t *testing.T, gw *Gateway, s int) {
+// stampLane writes distinct values into every counter slot and per-rule
+// counter of lane l of an idle 2 × 2 gateway: stampValue(l, slot) and
+// stampRule(l, rule). Lanes 2s and 2s+1 split between them what one shard
+// of the per-shard golden held, so stamping all four lanes leaves every
+// gateway total in testdata/metrics/stamped.prom where it was.
+func stampLane(t *testing.T, gw *Gateway, l int) {
 	t.Helper()
-	if gw.cfg.StreamWorkers != 2 {
-		t.Fatalf("stampShard wants 2 lanes per shard, the gateway has %d", gw.cfg.StreamWorkers)
+	if len(gw.lanes) != 4 {
+		t.Fatalf("stampLane wants a 2 × 2 gateway, this one has %d lanes", len(gw.lanes))
 	}
-	a, b := gw.lanes[2*s], gw.lanes[2*s+1]
-	for i := range a.n {
-		part := uint64(10_007 + 101*i + 53*s)
-		a.n[i].Store(stampSum(s, gwCounter(i)) - part)
-		b.n[i].Store(part)
+	ln := gw.lanes[l]
+	for i := range ln.n {
+		ln.n[i].Store(stampValue(l, gwCounter(i)))
 	}
-	for r := range a.rules {
-		flows, matches := stampRuleSums(s, r)
-		a.rules[r].flows.Store(flows - uint64(601+r))
-		b.rules[r].flows.Store(uint64(601 + r))
-		a.rules[r].matches.Store(matches - uint64(701+r))
-		b.rules[r].matches.Store(uint64(701 + r))
+	for r := range ln.rules {
+		flows, matches := stampRule(l, r)
+		ln.rules[r].flows.Store(flows)
+		ln.rules[r].matches.Store(matches)
 	}
 }
 
-func stampSum(s int, c gwCounter) uint64 { return uint64(1_000_003 + 7_919*int(c) + 104_729*s) }
+// stampValue is what stampLane writes into slot c of lane l: an odd lane
+// holds a part, the even lane below it the rest of its pair's sum.
+func stampValue(l int, c gwCounter) uint64 {
+	s := l / 2
+	part := uint64(10_007 + 101*int(c) + 53*s)
+	if l%2 == 1 {
+		return part
+	}
+	return uint64(1_000_003+7_919*int(c)+104_729*s) - part
+}
 
-func stampRuleSums(s, r int) (flows, matches uint64) {
-	return uint64(50_021 + 1_013*r + 211*s), uint64(70_001 + 1_019*r + 223*s)
+// stampRule is what stampLane writes into rule r's counters on lane l,
+// split the same way.
+func stampRule(l, r int) (flows, matches uint64) {
+	if l%2 == 1 {
+		return uint64(601 + r), uint64(701 + r)
+	}
+	s := l / 2
+	return uint64(50_021+1_013*r+211*s) - uint64(601+r), uint64(70_001+1_019*r+223*s) - uint64(701+r)
+}
+
+// requireLaneSums checks a drained gateway's lanes against its totals: every
+// field of Stats but the gateway-wide ones is the sum of that field over
+// LaneStats, and each lane's own ledger balances — a bucket charged on
+// another lane than the one that took the bytes fails here.
+func requireLaneSums(t *testing.T, gw *Gateway, when string) {
+	t.Helper()
+	st, lanes := gw.Stats(), gw.LaneStats()
+	sum := GatewayStats{Packets: st.Packets, Generation: st.Generation, RulesetSwaps: st.RulesetSwaps,
+		GenerationsInstalled: st.GenerationsInstalled, GenerationsRetired: st.GenerationsRetired, GenerationsLive: st.GenerationsLive}
+	sv := reflect.ValueOf(&sum).Elem()
+	for l, ls := range lanes {
+		if lg := ls.Ledger(); !lg.Balanced() {
+			t.Fatalf("%s: lane %d's ledger does not balance: %+v", when, l, lg)
+		}
+		lv := reflect.ValueOf(ls)
+		for i := range lv.NumField() {
+			switch f := sv.Field(i); f.Kind() {
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + lv.Field(i).Uint())
+			case reflect.Int:
+				f.SetInt(f.Int() + lv.Field(i).Int())
+			}
+		}
+	}
+	if sum != st {
+		t.Fatalf("%s: Stats is not the sum of its lanes\nStats %+v\nsum   %+v", when, st, sum)
+	}
 }
 
 // scrape renders one exposition of gw.
@@ -53,28 +94,27 @@ func scrape(t *testing.T, gw *Gateway) string {
 
 // TestGatewayCountersSurfacedExactlyOnce pins the counter table's contract
 // on a 2 × 2 gateway: every slot declared in gwCounter reaches exactly one
-// public field — a GatewayStats field (summed over every lane) or an
-// EngineStats field of the owning shard (summed over its lanes) — none
-// dropped, none mapped twice (GatewayStats.FlowsEvicted is the sum of the
-// three eviction-reason slots, which Metrics labels apart), and exactly one
-// /metrics sample. It writes distinct values into both lanes of shard 1 of
-// an idle gateway and looks for each slot's two-lane sum by reflection and in
-// the exposition, so a slot added without a row, a row read from the wrong
-// slot, or a shard summed over only some of its lanes fails here. The same
-// values must then survive a ruleset swap and the old generation's
-// retirement untouched: the counters belong to the lanes, there is no
-// retired baseline to fold them into.
+// GatewayStats field — none dropped, none mapped twice (FlowsEvicted is the
+// sum of the three eviction-reason slots, which Metrics labels apart) — the
+// same field in Stats and in the lane's LaneStats element, and exactly one
+// /metrics sample. It writes distinct values into one lane of an idle
+// gateway and looks for each by reflection and in the exposition, so a slot
+// added without a row, a row read from the wrong slot, or a lane read from
+// another lane's block fails here. The same values must then survive a
+// ruleset swap and the old generation's retirement untouched: the counters
+// belong to the lanes, there is no retired baseline to fold them into.
 func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
 	m, _ := gatewayMatcher(t, 60)
 	gw := testGateway(t, m, GatewayConfig{EngineShards: 2, StreamWorkers: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
 	defer gw.Close()
 
-	const shard = 1
-	stampShard(t, gw, shard)
-	sum := func(c gwCounter) uint64 { return stampSum(shard, c) }
+	const lane = 2
+	stampLane(t, gw, lane)
+	val := func(c gwCounter) uint64 { return stampValue(lane, c) }
 
-	seen := map[uint64][]string{}
-	collect := func(prefix string, v reflect.Value) {
+	fields := func(s GatewayStats) map[uint64][]string {
+		seen := map[uint64][]string{}
+		v := reflect.ValueOf(s)
 		for i := 0; i < v.NumField(); i++ {
 			var n uint64
 			switch f := v.Field(i); f.Kind() {
@@ -83,33 +123,51 @@ func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
 			case reflect.Int:
 				n = uint64(f.Int())
 			default:
-				t.Fatalf("%s%s: unexpected field kind %s", prefix, v.Type().Field(i).Name, f.Kind())
+				t.Fatalf("GatewayStats.%s: unexpected field kind %s", v.Type().Field(i).Name, f.Kind())
 			}
-			seen[n] = append(seen[n], prefix+v.Type().Field(i).Name)
+			seen[n] = append(seen[n], v.Type().Field(i).Name)
+		}
+		return seen
+	}
+	lanes := gw.LaneStats()
+	if len(lanes) != 4 {
+		t.Fatalf("LaneStats has %d elements, want one per lane (4)", len(lanes))
+	}
+	for _, snap := range []struct {
+		name string
+		seen map[uint64][]string
+	}{{"Stats", fields(gw.Stats())}, {"LaneStats[2]", fields(lanes[lane])}} {
+		evicted := val(cFlowsEvictedCap) + val(cFlowsEvictedIdle) + val(cFlowsRemoved)
+		if f := snap.seen[evicted]; len(f) != 1 || f[0] != "FlowsEvicted" {
+			t.Errorf("%s: eviction-reason slots sum to %d, surfaced in %v, want exactly FlowsEvicted", snap.name, evicted, f)
+		}
+		for c := range numCounters {
+			if c == cFlowsEvictedCap || c == cFlowsEvictedIdle || c == cFlowsRemoved {
+				continue
+			}
+			if f := snap.seen[val(c)]; len(f) != 1 || f[0] != gwCounters[c].field {
+				t.Errorf("%s: counter slot %d (row %q) surfaced in fields %v, want exactly its row's field", snap.name, c, gwCounters[c].field, f)
+			}
 		}
 	}
-	collect("GatewayStats.", reflect.ValueOf(gw.Stats()))
-	collect("ShardStats[1].", reflect.ValueOf(gw.ShardStats()[shard]))
-	evicted := sum(cFlowsEvictedCap) + sum(cFlowsEvictedIdle) + sum(cFlowsRemoved)
-	if fields := seen[evicted]; len(fields) != 1 || fields[0] != "GatewayStats.FlowsEvicted" {
-		t.Errorf("eviction-reason slots sum to %d, surfaced in %v, want exactly FlowsEvicted", evicted, fields)
-	}
-	for c := range numCounters {
-		if c == cFlowsEvictedCap || c == cFlowsEvictedIdle || c == cFlowsRemoved {
-			continue
-		}
-		if fields := seen[sum(c)]; len(fields) != 1 || !strings.HasSuffix(fields[0], "."+gwCounters[c].field) {
-			t.Errorf("counter slot %d (row %q) surfaced in public fields %v, want exactly its row's field", c, gwCounters[c].field, fields)
+	for l, ls := range lanes {
+		if l != lane && ls != (GatewayStats{}) {
+			t.Errorf("untouched lane %d reports work: %+v", l, ls)
 		}
 	}
 
 	// Every row's value is in exactly one sample: its own family, under its
-	// own label, or shard 1's sample of a per-shard family.
+	// own label, or the stamped lane's sample of a per-lane family, which
+	// samples every lane once.
 	samples := map[uint64][]string{}
+	perLane := map[string]int{}
 	for _, line := range strings.Split(scrape(t, gw), "\n") {
 		name, value, ok := strings.Cut(line, " ")
 		if !ok || strings.HasPrefix(line, "#") {
 			continue
+		}
+		if family, _, found := strings.Cut(name, `{lane="`); found {
+			perLane[family]++
 		}
 		n, err := strconv.ParseUint(value, 10, 64)
 		if err == nil {
@@ -119,29 +177,28 @@ func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
 	for c, r := range gwCounters {
 		want := r.name
 		switch label, value, labelled := strings.Cut(r.kind, "="); {
-		case r.kind == "shard":
-			want += `{shard="1"}`
+		case r.kind == "lane":
+			want += `{lane="2"}`
+			if perLane[r.name] != len(lanes) {
+				t.Errorf("%s has %d lane samples, want one per lane (%d)", r.name, perLane[r.name], len(lanes))
+			}
 		case labelled:
 			want += "{" + label + `="` + value + `"}`
 		}
-		if got := samples[sum(gwCounter(c))]; len(got) != 1 || got[0] != want {
+		if got := samples[val(gwCounter(c))]; len(got) != 1 || got[0] != want {
 			t.Errorf("counter slot %d renders in samples %v, want exactly %s", c, got, want)
 		}
 	}
 
-	if es := gw.ShardStats()[0]; es != (EngineStats{}) {
-		t.Errorf("the untouched shard reports work: %+v", es)
-	}
-	if h := gw.Health(); h.Panics != sum(cPanics) || h.QuarantinedFlows != sum(cQuarantinedFlows) {
-		t.Errorf("Health = %+v, want the shard's panic and quarantine counts %d, %d", h, sum(cPanics), sum(cQuarantinedFlows))
+	if h := gw.Health(); h.Panics != val(cPanics) || h.QuarantinedFlows != val(cQuarantinedFlows) {
+		t.Errorf("Health = %+v, want the lane's panic and quarantine counts %d, %d", h, val(cPanics), val(cQuarantinedFlows))
 	}
 	for r, rs := range gw.RuleStats() {
-		if flows, matches := stampRuleSums(shard, r); rs.Flows != flows || rs.Matches != matches {
+		if flows, matches := stampRule(lane, r); rs.Flows != flows || rs.Matches != matches {
 			t.Errorf("RuleStats[%d] = %+v, want flows %d, matches %d", r, rs, flows, matches)
 		}
 	}
 
-	before := gw.ShardStats()
 	m2, _ := gatewayMatcher(t, 60)
 	if err := gw.SwapRules(m2); err != nil {
 		t.Fatal(err)
@@ -149,8 +206,8 @@ func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
 	if st := gw.Stats(); st.GenerationsRetired != 1 || st.GenerationsLive != 1 {
 		t.Fatalf("idle swap did not retire the old generation: %+v", st)
 	}
-	if after := gw.ShardStats(); !reflect.DeepEqual(after, before) {
-		t.Errorf("ShardStats moved across swap + retirement: %+v then %+v", before, after)
+	if after := gw.LaneStats(); !reflect.DeepEqual(after, lanes) {
+		t.Errorf("LaneStats moved across swap + retirement: %+v then %+v", lanes, after)
 	}
 }
 
@@ -158,9 +215,7 @@ func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
 // 2 × 2 gateway with metricsTestRules() and every lane counter stamped:
 // names, types, help texts, labels and values, compared with
 // testdata/metrics/stamped.prom as a set of lines, so the order of families
-// may change and nothing else. The golden was rendered before
-// dpi_gateway_flow_table_clock, a copy of dpi_gateway_stream_packets_total,
-// was retired; that family's three lines are the one allowed difference.
+// may change and nothing else.
 func TestGatewayMetricsStampedExposition(t *testing.T) {
 	golden, err := os.ReadFile("testdata/metrics/stamped.prom")
 	if err != nil {
@@ -169,8 +224,9 @@ func TestGatewayMetricsStampedExposition(t *testing.T) {
 	gw := testGateway(t, corpusMatcher(t, BackendAuto),
 		GatewayConfig{EngineShards: 2, StreamWorkers: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
 	defer gw.Close()
-	stampShard(t, gw, 0)
-	stampShard(t, gw, 1)
+	for l := range gw.lanes {
+		stampLane(t, gw, l)
+	}
 	// The generation is process-unique; the golden spells it G.
 	gen := strconv.FormatUint(gw.Generation(), 10)
 	out := regexp.MustCompile(`generation="`+gen+`"`).ReplaceAllString(scrape(t, gw), `generation="G"`)
@@ -181,19 +237,7 @@ func TestGatewayMetricsStampedExposition(t *testing.T) {
 		slices.Sort(l)
 		return l
 	}
-	var want []string
-	retired := 0
-	for _, l := range lines(string(golden)) {
-		if strings.Contains(l, "dpi_gateway_flow_table_clock") {
-			retired++
-			continue
-		}
-		want = append(want, l)
-	}
-	if retired != 3 {
-		t.Fatalf("golden holds %d lines of the retired clock family, want its HELP, TYPE and sample", retired)
-	}
-	got := lines(out)
+	want, got := lines(string(golden)), lines(out)
 	for _, l := range got {
 		if _, found := slices.BinarySearch(want, l); !found {
 			t.Errorf("scrape line not in the golden: %s", l)

@@ -79,7 +79,7 @@ func (g *Gateway) SwapRules(m *Matcher) error {
 // optimistically — it is invoked from the last unpin of a generation and
 // from SwapRules after a cutover, and exactly one caller wins: retirement
 // is removal from the live list, under genMu. The counters a retired
-// generation's flows produced stay where they were written — on the shards.
+// generation's flows produced stay where they were written — on the lanes.
 func (g *Gateway) maybeRetire(gen *gwGeneration) {
 	g.genMu.Lock()
 	defer g.genMu.Unlock()

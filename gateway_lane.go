@@ -170,7 +170,7 @@ func (fl *gwFlow) open(ln *gwLane, rule int) {
 	if v := ln.g.verdict(rule); v == VerdictNone || v == VerdictAlert {
 		gen = ln.g.cur.Load()
 		gen.flows.Add(1)
-		ln.n[cEngFlowsOpened].Add(1)
+		ln.n[cFlowsOpened].Add(1)
 		fl.regs.Reset()
 	}
 	fl.class = ln.join(gen, int32(rule))
@@ -294,7 +294,6 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 		func(data []byte, n, skipped int) {
 			fl.regs.SkipAhead(skipped)
 			ln.matches = m.Resume(&fl.regs, data, n, ln.matches[:0])
-			ln.n[cEngStreamBytes].Add(uint64(n))
 			if len(ln.matches) > 0 {
 				ln.emitMatches(c.gen, &p, int(c.rule), ln.matches)
 			}
@@ -500,8 +499,6 @@ func (ln *gwLane) datagram(p *seqPacket) {
 	var r core.Regs
 	r.Reset()
 	ln.matches = gen.m.machine.ScanAppend(&r, p.payload, ln.matches[:0])
-	ln.n[cEngBatchPkts].Add(1)
-	ln.n[cEngBatchBytes].Add(n)
 	if len(ln.matches) > 0 {
 		ln.emitMatches(gen, p, idx, ln.matches)
 	}

@@ -1,7 +1,7 @@
 package dpi
 
 // Accounting and health: the lanes' counter blocks, the one table that maps
-// them to Stats, ShardStats and Metrics, and the lane watchdog.
+// them to Stats, LaneStats and Metrics, and the lane watchdog.
 
 import (
 	"reflect"
@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// GatewayStats is a point-in-time counter snapshot.
+// GatewayStats is a point-in-time counter snapshot: of the whole gateway
+// from Stats, or of one lane from LaneStats.
 type GatewayStats struct {
-	EngineShards  int    // engine replicas behind this gateway
 	Packets       uint64 // packets ingested
 	Bytes         uint64 // payload bytes ingested
 	StreamPackets uint64 // routed through per-flow stream state
@@ -54,6 +54,7 @@ type GatewayStats struct {
 	FlowsLive     int
 	FlowHusks     int // the part of FlowsLive held as husks: connections ended by FIN or quarantine, kept to absorb stragglers
 	FlowsCreated  uint64
+	FlowsOpened   uint64 // connections opened for scanning: new flows and SYN revivals of finished husks, once each
 	FlowsEvicted  uint64 // capacity + idle evictions + RST teardowns
 	FlowsFinished uint64 // completed via FIN (generation pin and buffers released early)
 	FlowsReset    uint64 // torn down by RST
@@ -106,7 +107,7 @@ func (l GatewayLedger) Balanced() bool {
 
 // gwCounter names one slot of a lane's counter block. Every monotone
 // counter the gateway keeps is declared here and given its one row in
-// gwCounters, which is all Stats, ShardStats and Metrics know of it.
+// gwCounters, which is all Stats, LaneStats and Metrics know of it.
 //
 // The slots are ordered by writer, because the block sits right after
 // laneState: admission's four first, on the line it already writes; then
@@ -159,21 +160,20 @@ const (
 	cFlowsEvictedIdle
 	cFlowsRemoved
 
-	cEngBatchPkts
-	cEngBatchBytes
-	cEngFlowsOpened
-	cEngStreamBytes
+	// cFlowsOpened counts connections, which the table's counters do not: a
+	// SYN reviving a finished husk opens one without creating an entry.
+	cFlowsOpened
 
 	numCounters
 )
 
 // gwCounterRow is one counter slot's whole public surface. field names the
-// GatewayStats field the slot adds to (summed over every lane), or the
-// EngineStats field (summed over one shard's lanes); several slots may add
-// to one field. name is the /metrics family the slot renders as, and help
-// its help text, given on a family's first row only: the rows of a labelled
-// family are consecutive. kind is "counter", "gauge", "shard" — a counter
-// sampled once per shard — or the label a row's one sample carries, such as
+// GatewayStats field the slot adds to — summed over every lane in Stats, one
+// lane's own in LaneStats; several slots may add to one field. name is the
+// /metrics family the slot renders as, and help its help text, given on a
+// family's first row only: the rows of a labelled family are consecutive.
+// kind is "counter", "gauge", "lane" — a counter sampled once per lane, from
+// that lane's block — or the label a row's one sample carries, such as
 // "verdict=alert".
 type gwCounterRow struct {
 	field, name, kind, help string
@@ -185,7 +185,7 @@ var gwCounters = [numCounters]gwCounterRow{
 	cShedBytes:    {"ShedBytes", "dpi_gateway_shed_bytes_total", "counter", "Payload bytes of shed packets — the Shed ledger bucket."},
 	cShedNewFlows: {"ShedNewFlows", "dpi_gateway_shed_new_flows_total", "counter", "Shed packets that would have created new flow state (ShedNewFlows)."},
 
-	cPanics:             {"Panics", "dpi_panics_total", "shard", "Panics recovered by containment, per engine shard. Any non-zero value deserves a bug report; a growing one, an alert."},
+	cPanics:             {"Panics", "dpi_panics_total", "lane", "Panics recovered by containment, per lane. Any non-zero value deserves a bug report; a growing one, an alert."},
 	cQuarantinedFlows:   {"QuarantinedFlows", "dpi_gateway_quarantined_flows_total", "counter", "Flows evicted because scanning them panicked."},
 	cQuarantinedPackets: {"QuarantinedPackets", "dpi_gateway_quarantined_packets_total", "counter", "Packets discarded by panic containment (the panicking packet and any stragglers of quarantined flows)."},
 	cQuarantinedBytes:   {"QuarantinedBytes", "dpi_gateway_quarantined_bytes_total", "counter", "Payload bytes discarded by panic containment — the quarantine ledger bucket."},
@@ -195,11 +195,11 @@ var gwCounters = [numCounters]gwCounterRow{
 	cFlowsReset:         {"FlowsReset", "dpi_gateway_flows_reset_total", "counter", "Connections torn down by RST."},
 
 	cStreamPackets:    {"StreamPackets", "dpi_gateway_stream_packets_total", "counter", "Packets routed through per-flow stream state (TCP)."},
-	cBatchPackets:     {"BatchPackets", "dpi_gateway_batch_packets_total", "counter", "Stateless packets a lane took: per-packet verdict, scanned whole (UDP and other IP)."},
+	cBatchPackets:     {"BatchPackets", "dpi_gateway_batch_packets_total", "lane", "Stateless packets a lane took: per-packet verdict, scanned whole (UDP and other IP)."},
 	cMatches:          {"Matches", "dpi_gateway_matches_total", "counter", "FlowMatches emitted."},
 	cScannedBytes:     {"ScannedBytes", "dpi_gateway_scanned_bytes_total", "counter", "Payload bytes delivered to a scanner (stream + stateless) — the Scanned ledger bucket."},
 	cAbandonedBytes:   {"AbandonedBytes", "dpi_gateway_abandoned_bytes_total", "counter", "Ingested bytes released unscanned when their connection went away (RST payloads, buffered bytes freed on RST/FIN/eviction)."},
-	cReassembledBytes: {"ReassembledBytes", "dpi_gateway_reassembled_bytes_total", "counter", "Bytes delivered to scanners in stream order by TCP reassembly."},
+	cReassembledBytes: {"ReassembledBytes", "dpi_gateway_reassembled_bytes_total", "lane", "Bytes delivered to scanners in stream order by TCP reassembly."},
 	cOutOfOrderSegs:   {"OutOfOrderSegs", "dpi_gateway_out_of_order_segments_total", "counter", "Segments that had to be buffered out of order."},
 	cDuplicateBytes:   {"DuplicateBytes", "dpi_gateway_duplicate_bytes_total", "counter", "Retransmitted or overlapping bytes discarded by the overlap policy."},
 	cVerdictAlerts:    {"VerdictAlerts", "dpi_gateway_verdicts_total", "verdict=alert", "Header-rule classifications by action (per TCP connection, per stateless packet)."},
@@ -216,15 +216,12 @@ var gwCounters = [numCounters]gwCounterRow{
 	cFlowsEvictedIdle: {"FlowsEvicted", "dpi_gateway_flows_evicted_total", "reason=idle", ""},
 	cFlowsRemoved:     {"FlowsEvicted", "dpi_gateway_flows_evicted_total", "reason=teardown", ""},
 
-	cEngBatchPkts:   {"BatchPkts", "dpi_engine_batch_packets_total", "shard", "Stateless payloads scanned per engine shard."},
-	cEngBatchBytes:  {"BatchBytes", "dpi_engine_batch_bytes_total", "shard", "Stateless payload bytes scanned per engine shard."},
-	cEngFlowsOpened: {"FlowsOpened", "dpi_engine_flows_opened_total", "shard", "Connections opened on each engine shard: new flows and SYN re-opens."},
-	cEngStreamBytes: {"StreamBytes", "dpi_engine_stream_bytes_total", "shard", "Stream bytes scanned per engine shard."},
+	cFlowsOpened: {"FlowsOpened", "dpi_gateway_flows_opened_total", "lane", "Connections each lane opened for scanning: new flows and SYN revivals of finished husks, once each."},
 }
 
-// addCounters adds every slot of c to the field of v (a GatewayStats or an
-// EngineStats) its row names, if v has that field.
-func addCounters(v reflect.Value, c *[numCounters]uint64) {
+// addCounters adds every slot of c to the field of s its row names.
+func addCounters(s *GatewayStats, c *[numCounters]uint64) {
+	v := reflect.ValueOf(s).Elem()
 	for i, r := range gwCounters {
 		switch f := v.FieldByName(r.field); f.Kind() {
 		case reflect.Uint64:
@@ -241,19 +238,18 @@ type gwRuleCounters struct {
 	matches atomic.Uint64 // matches attributed to this rule
 }
 
-// counterTotals sums the lanes' counter blocks in one walk over every lane:
-// per shard, in shard order, and over the whole gateway.
-func (g *Gateway) counterTotals() (shards [][numCounters]uint64, all [numCounters]uint64) {
-	shards = make([][numCounters]uint64, g.cfg.EngineShards)
+// counterTotals loads the lanes' counter blocks in one walk over every lane:
+// each lane's, in lane order, and their sum over the whole gateway.
+func (g *Gateway) counterTotals() (lanes [][numCounters]uint64, all [numCounters]uint64) {
+	lanes = make([][numCounters]uint64, len(g.lanes))
 	for i, ln := range g.lanes {
-		sh := &shards[i/g.cfg.StreamWorkers]
 		for c := range ln.n {
 			v := ln.n[c].Load()
-			sh[c] += v
+			lanes[i][c] = v
 			all[c] += v
 		}
 	}
-	return shards, all
+	return lanes, all
 }
 
 // Stats returns a counter snapshot. It may be called while the gateway is
@@ -264,7 +260,6 @@ func (g *Gateway) Stats() GatewayStats {
 	// make the live count read high, never negative.
 	retired, installed := g.gensRetired.Load(), g.gensInstall.Load()
 	s := GatewayStats{
-		EngineShards:         g.cfg.EngineShards,
 		Packets:              g.seq.Load(),
 		BufferedBytes:        g.bufferedBytes(),
 		Generation:           g.cur.Load().id,
@@ -273,7 +268,7 @@ func (g *Gateway) Stats() GatewayStats {
 		GenerationsRetired:   retired,
 		GenerationsLive:      int(installed - retired),
 	}
-	addCounters(reflect.ValueOf(&s).Elem(), &c)
+	addCounters(&s, &c)
 	return s
 }
 
@@ -286,27 +281,19 @@ func (g *Gateway) bufferedBytes() (n int) {
 	return n
 }
 
-// EngineStats is a point-in-time snapshot of one gateway shard's scan work,
-// split by how the traffic reached it: stateless datagrams and per-flow
-// streams. Gateway.ShardStats returns one per shard, which is what the
-// dpi_engine_*_total{shard="i"} series on Gateway.Metrics render.
-type EngineStats struct {
-	BatchPkts   uint64 // stateless payloads scanned
-	BatchBytes  uint64 // their payload bytes
-	FlowsOpened uint64 // flows opened, once per connection (a SYN revival included)
-	StreamBytes uint64 // bytes written through flow registers
-}
-
-// ShardStats returns one scan-work snapshot per engine shard, in shard order
-// — how the ingested traffic fanned out across the scan replicas, each the
-// sum of the shard's lanes. The counters belong to the lanes, not to a
-// ruleset generation, so they are monotone across ruleset swaps and
-// generation retirement.
-func (g *Gateway) ShardStats() []EngineStats {
-	shards, _ := g.counterTotals()
-	out := make([]EngineStats, len(shards))
-	for s := range shards {
-		addCounters(reflect.ValueOf(&out[s]).Elem(), &shards[s])
+// LaneStats returns one counter snapshot per lane, in lane order: element i
+// is the lane LaneHealth.Lane and the {lane="i"} samples of Metrics call i.
+// Each holds the counters of that lane's own block and the out-of-order bytes
+// its flows hold; the gateway-wide fields — Packets, RulesetSwaps and the
+// Generation fields — read zero. Every other field of Stats is the sum of its
+// lanes'. The counters belong to the lanes, not to a ruleset generation, so
+// they are monotone across swaps and retirement.
+func (g *Gateway) LaneStats() []GatewayStats {
+	lanes, _ := g.counterTotals()
+	out := make([]GatewayStats, len(lanes))
+	for i := range out {
+		out[i].BufferedBytes = g.lanes[i].asm.Budget.Used()
+		addCounters(&out[i], &lanes[i])
 	}
 	return out
 }
@@ -376,9 +363,8 @@ func (ls *laneState) drain() {
 // (lowered once the vector is done, not per packet) and any Ingest call
 // blocked on its full queue; Age is how long ago it last completed a vector
 // (or, for one that never started, was first handed a packet). Lane is the
-// lane's index within its shard.
+// lane's index, its position in LaneStats.
 type LaneHealth struct {
-	Shard   int           `json:"shard"`
 	Lane    int           `json:"lane"`
 	Depth   int64         `json:"depth"`
 	Age     time.Duration `json:"age_ns"`
@@ -401,12 +387,11 @@ type GatewayHealth struct {
 
 // Health computes the watchdog snapshot on demand — there is no background
 // watchdog goroutine, so detection is deterministic and costs nothing when
-// nobody asks. Every lane currently holding work is reported, in shard and
-// lane order; the stalled ones flip Healthy to false.
+// nobody asks. Every lane currently holding work is reported, in lane order;
+// the stalled ones flip Healthy to false.
 func (g *Gateway) Health() GatewayHealth {
 	now := time.Now().UnixNano()
 	h := GatewayHealth{Healthy: true}
-	k := g.cfg.StreamWorkers
 	for i, ln := range g.lanes {
 		h.Panics += ln.n[cPanics].Load()
 		h.QuarantinedFlows += ln.n[cQuarantinedFlows].Load()
@@ -415,7 +400,7 @@ func (g *Gateway) Health() GatewayHealth {
 			continue
 		}
 		age := time.Duration(now - ln.lastProgress.Load())
-		lh := LaneHealth{Shard: i / k, Lane: i % k, Depth: d, Age: age, Stalled: age > g.cfg.StallThreshold}
+		lh := LaneHealth{Lane: i, Depth: d, Age: age, Stalled: age > g.cfg.StallThreshold}
 		if lh.Stalled {
 			h.Healthy = false
 		}

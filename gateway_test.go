@@ -793,12 +793,11 @@ func TestGatewayFullPathSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestGatewayShardedStreamLaneZeroAlloc extends the steady-state
-// zero-alloc contract to the sharded gateway: with four engine shards, the
-// per-packet lane work — hash computed once, hash-pinned flow-table touch,
-// verdict check, scanner write against the flow's own shard engine —
-// allocates nothing, on every shard. Shard routing must be free: the whole
-// point of EngineShards is multiplying throughput, so the router cannot
-// spend allocations per packet.
+// zero-alloc contract to a gateway of several lanes: with EngineShards: 4,
+// the per-packet lane work — lane placement, hash-pinned flow-table touch,
+// verdict check, scanner write — allocates nothing, on every lane. Placement
+// must be free: the whole point of more lanes is multiplying throughput, so
+// the router cannot spend allocations per packet.
 func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
@@ -809,22 +808,21 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shards = 4
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, EngineShards: shards}, func(FlowMatch) {})
+	const lanes = 4
+	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, EngineShards: lanes}, func(FlowMatch) {})
 	defer gw.Close()
 
-	// One tuple pinned to each shard, so every shard's engine and lane path
-	// is exercised in the measured loop.
-	tuples := make([]FiveTuple, 0, shards)
-	seen := map[uint64]bool{}
-	for p := uint16(40000); len(tuples) < shards; p++ {
+	// One tuple pinned to each lane, so every lane's path is exercised in
+	// the measured loop.
+	tuples := make([]FiveTuple, 0, lanes)
+	seen := map[*gwLane]bool{}
+	for p := uint16(40000); len(tuples) < lanes; p++ {
 		tup := FiveTuple{
 			SrcIP: IPv4(10, 0, 0, 1), DstIP: IPv4(10, 0, 0, 2),
 			SrcPort: p, DstPort: 443, Proto: ProtoTCP,
 		}
-		s := tup.Hash64() % shards
-		if !seen[s] {
-			seen[s] = true
+		if ln := gw.laneOf(tup); !seen[ln] {
+			seen[ln] = true
 			tuples = append(tuples, tup)
 		}
 	}
@@ -832,38 +830,32 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 	var seq uint32 // every flow's next in-order segment
 	lane := func() {
 		for _, tup := range tuples {
-			// The lane admission routes the tuple's packets to: with one
-			// lane per shard, lane h%M.
-			ln := gw.lanes[tup.Hash64()%shards]
-			ln.streamPacket(seqPacket{tuple: tup, payload: payload, seq32: seq, flags: FlagSeq})
+			// The lane admission routes the tuple's packets to.
+			gw.laneOf(tup).streamPacket(seqPacket{tuple: tup, payload: payload, seq32: seq, flags: FlagSeq})
 		}
 		seq += uint32(len(payload))
 	}
-	lane() // warm-up creates one flow per shard
+	lane() // warm-up creates one flow per lane
 	allocs := testing.AllocsPerRun(50, lane)
 	if allocs != 0 {
-		t.Fatalf("sharded stream lanes allocated %.1f times per %d-packet round in steady state", allocs, shards)
+		t.Fatalf("stream lanes allocated %.1f times per %d-packet round in steady state", allocs, lanes)
 	}
-	var opened uint64
-	for _, ss := range gw.ShardStats() {
-		if ss.FlowsOpened != 1 || ss.StreamBytes != 52*uint64(len(payload)) {
-			t.Fatalf("shard opened %d flows and scanned %d bytes, want exactly 1 and every segment's: %+v",
-				ss.FlowsOpened, ss.StreamBytes, gw.ShardStats())
+	for i, ls := range gw.LaneStats() {
+		if ls.FlowsOpened != 1 || ls.ReassembledBytes != 52*uint64(len(payload)) {
+			t.Fatalf("lane %d opened %d flows and reassembled %d bytes, want exactly 1 and every segment's",
+				i, ls.FlowsOpened, ls.ReassembledBytes)
 		}
-		opened += ss.FlowsOpened
-	}
-	if opened != shards {
-		t.Fatalf("%d flows opened across %d shards", opened, shards)
 	}
 }
 
-// TestGatewayShardedConcurrentIngestFlush is the sharded pipeline's race
+// TestGatewayShardedConcurrentIngestFlush is the many-lane pipeline's race
 // and accounting proof (run with -race): several goroutines ingest mixed
-// TCP/UDP traffic into a 4-shard gateway while another hammers Flush and
-// Stats. Every Flush return must be a true all-shards drain barrier
+// TCP/UDP traffic into an 8-lane gateway while another hammers Flush, Stats
+// and LaneStats. Every Flush return must be a true all-lanes drain barrier
 // (scanned == ingested at that instant), nothing may be lost across the
-// shard fan-out, and the total match count must equal the per-payload
-// oracle.
+// lane fan-out, the total match count must equal the per-payload oracle,
+// and at the end Stats must be the sum of its lanes, each lane's ledger
+// balanced.
 func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 	m, set := gatewayMatcher(t, 120)
 	pkts, err := traffic.Generate(set, traffic.Config{
@@ -874,7 +866,7 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 	}
 	c := newCollector()
 	// A small queue keeps every lane (and its backpressure) constantly
-	// active across all four shards.
+	// active.
 	gw := testGateway(t, m, GatewayConfig{
 		EngineShards: 4, QueueDepth: 4, StreamWorkers: 2,
 	}, c.emit)
@@ -914,7 +906,7 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 					pre-(st.StreamPackets+st.BatchPackets), pre)
 				return
 			}
-			gw.ShardStats() // concurrent per-shard reads must be race-clean
+			gw.LaneStats() // concurrent per-lane reads must be race-clean
 		}
 	}()
 	wg.Wait()
@@ -923,9 +915,6 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := gw.Stats()
-	if st.EngineShards != 4 {
-		t.Fatalf("EngineShards = %d", st.EngineShards)
-	}
 	if st.Packets != uint64(len(pkts)) || st.StreamPackets+st.BatchPackets != st.Packets {
 		t.Fatalf("sharded pipeline lost packets: %+v", st)
 	}
@@ -936,21 +925,17 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 	if int(st.Matches) != want {
 		t.Fatalf("matches = %d, oracle %d", st.Matches, want)
 	}
+	requireLaneSums(t, gw, "after Close")
 	// The stateless packets must actually have fanned out: with per-packet
-	// unique tuples and 400 UDP packets, all four shards see batch work.
+	// unique tuples and 400 UDP packets, batch work spreads over the lanes.
 	busy := 0
-	var batchPkts uint64
-	for _, ss := range gw.ShardStats() {
-		batchPkts += ss.BatchPkts
-		if ss.BatchPkts > 0 {
+	for _, ls := range gw.LaneStats() {
+		if ls.BatchPackets > 0 {
 			busy++
 		}
 	}
-	if batchPkts != st.BatchPackets {
-		t.Fatalf("shard batch counters sum to %d, gateway scanned %d", batchPkts, st.BatchPackets)
-	}
 	if busy < 2 {
-		t.Fatalf("stateless traffic landed on %d of 4 shards", busy)
+		t.Fatalf("stateless traffic landed on %d of 8 lanes", busy)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package metrics renders and validates the Prometheus text exposition
 // format (version 0.0.4) with no dependencies — the observability half of
 // the capture-to-verdict edge. The repo's rule is that operational truth
-// lives in counters the pipeline already keeps (GatewayStats, EngineStats,
-// flow-table stats, per-rule counters); this package only formats a
+// lives in counters the pipeline already keeps (GatewayStats per gateway
+// and per lane, flow-table stats, per-rule counters); this package only formats a
 // snapshot of them, so scraping costs one snapshot and one buffer render,
 // and nothing here touches the packet hot path.
 //

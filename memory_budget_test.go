@@ -183,7 +183,8 @@ func (ln *gwLane) laneCharge(t testing.TB) (charge, held int) {
 // connections takes a SYN flood, hole stuffing on the flood's survivors, a
 // FIN wave into husks and a ruleset swap every 150 packets, twice over. At
 // every Flush no lane's charge is over its share by more than the one
-// connection a packet is on, the ledger balances, and every tuple that was
+// connection a packet is on, the ledger balances, on every lane too, and
+// every tuple that was
 // never evicted — one connection opened for it, by its SYN — has matched
 // exactly FindAll over the bytes it delivered: the prefix its registers
 // have scanned while it is open, the whole stream once its FIN made it a
@@ -211,6 +212,7 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 				if !st.Ledger().Balanced() {
 					t.Fatalf("%s: ledger %+v", phase, st.Ledger())
 				}
+				requireLaneSums(t, gw, phase)
 				pos := map[FiveTuple]int{}
 				isHusk := map[FiveTuple]bool{}
 				gw.eachLane(func(ln *gwLane) {

@@ -78,9 +78,9 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 	}
 
 	w.Metric("dpi_backend_info", "gauge",
-		"Scan backend every shard runs (see Config.Backend); value is always 1.")
+		"Scan backend every lane runs (see Config.Backend); value is always 1.")
 	w.Sample(1, metrics.Label{Name: "backend", Value: g.Backend()})
-	gauge("dpi_gateway_engine_shards", "Engine replicas behind this gateway.", float64(g.cfg.EngineShards))
+	gauge("dpi_gateway_lanes", "Scan lanes behind this gateway: EngineShards × StreamWorkers.", float64(len(g.lanes)))
 	counter("dpi_gateway_packets_total", "Packets ingested.", g.seq.Load())
 
 	gauge("dpi_gateway_reassembly_buffered_bytes",
@@ -123,7 +123,7 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 			metrics.Label{Name: "generation", Value: strconv.FormatUint(gi.Generation, 10)})
 	}
 
-	shards, c := g.counterTotals() // the one walk over the lanes' counter blocks
+	lanes, c := g.counterTotals() // the one walk over the lanes' counter blocks
 	for i, r := range gwCounters {
 		if i == 0 || r.name != gwCounters[i-1].name {
 			typ := "counter"
@@ -134,9 +134,9 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 		}
 		label, value, labelled := strings.Cut(r.kind, "=")
 		switch {
-		case r.kind == "shard":
-			for s := range shards {
-				w.Sample(float64(shards[s][i]), metrics.Label{Name: "shard", Value: strconv.Itoa(s)})
+		case r.kind == "lane":
+			for l := range lanes {
+				w.Sample(float64(lanes[l][i]), metrics.Label{Name: "lane", Value: strconv.Itoa(l)})
 			}
 		case labelled:
 			w.Sample(float64(c[i]), metrics.Label{Name: label, Value: value})

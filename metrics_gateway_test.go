@@ -28,7 +28,7 @@ func metricsTestRules() []VerdictRule {
 }
 
 // TestGatewayMetricsSeries replays a corpus and checks the exposition:
-// valid text format, and the gateway, per-shard, flow-table and per-rule
+// valid text format, and the gateway, per-lane, flow-table and per-rule
 // series present with values agreeing with the Stats() snapshot.
 func TestGatewayMetricsSeries(t *testing.T) {
 	c := corpus.HTTPMixed()
@@ -64,13 +64,13 @@ func TestGatewayMetricsSeries(t *testing.T) {
 		fmt.Sprintf("dpi_gateway_verdicts_total{verdict=\"alert\"} %d\n", s.VerdictAlerts),
 		fmt.Sprintf("dpi_gateway_verdicts_total{verdict=\"drop\"} %d\n", s.VerdictDrops),
 		fmt.Sprintf("dpi_gateway_verdicts_total{verdict=\"pass\"} %d\n", s.VerdictPasses),
-		"dpi_gateway_engine_shards 2\n",
+		"dpi_gateway_lanes 4\n",
 		fmt.Sprintf("dpi_backend_info{backend=%q} 1\n", gw.Backend()),
 		"dpi_gateway_flows_evicted_total{reason=\"capacity\"} ",
 		"dpi_gateway_flows_evicted_total{reason=\"idle\"} ",
 		"dpi_gateway_flows_evicted_total{reason=\"teardown\"} ",
-		"dpi_engine_stream_bytes_total{shard=\"0\"} ",
-		"dpi_engine_stream_bytes_total{shard=\"1\"} ",
+		"dpi_gateway_reassembled_bytes_total{lane=\"0\"} ",
+		"dpi_gateway_reassembled_bytes_total{lane=\"3\"} ",
 		"dpi_rule_flows_total{rule_id=\"1\",rule=\"web-alert\",verdict=\"alert\"} ",
 		"dpi_rule_flows_total{rule_id=\"2\",rule=\"icmp-drop\",verdict=\"drop\"} 2\n",
 		"dpi_rule_flows_total{rule_id=\"3\",rule=\"telemetry-pass\",verdict=\"pass\"} 2\n",
@@ -96,10 +96,10 @@ func TestGatewayMetricsSeries(t *testing.T) {
 	}
 }
 
-// TestGatewayMetricsFlowsOpenedPerConnection: dpi_engine_flows_opened_total
+// TestGatewayMetricsFlowsOpenedPerConnection: dpi_gateway_flows_opened_total
 // counts connections, not table entries. Three connections reuse one tuple
 // — each FIN leaves a husk the next SYN revives — so the table creates one
-// flow while the engine opens three, and what is left is one entry, a husk,
+// flow while the lane opens three, and what is left is one entry, a husk,
 // which dpi_gateway_flow_husks reports in a strictly valid exposition.
 func TestGatewayMetricsFlowsOpenedPerConnection(t *testing.T) {
 	m := corpusMatcher(t, BackendAuto)
@@ -119,11 +119,8 @@ func TestGatewayMetricsFlowsOpenedPerConnection(t *testing.T) {
 		}
 	}
 	gw.Flush()
-	if st := gw.Stats(); st.FlowsCreated != 1 || st.FlowsFinished != 3 {
-		t.Fatalf("three connections on one tuple: %+v", st)
-	}
-	if opened := gw.ShardStats()[0].FlowsOpened; opened != 3 {
-		t.Fatalf("EngineStats.FlowsOpened = %d, want one per connection (3)", opened)
+	if st := gw.Stats(); st.FlowsCreated != 1 || st.FlowsFinished != 3 || st.FlowsOpened != 3 {
+		t.Fatalf("three connections on one tuple, want 1 flow created and 3 finished and opened: %+v", st)
 	}
 	var buf bytes.Buffer
 	if _, err := gw.Metrics().WriteTo(&buf); err != nil {
@@ -133,7 +130,7 @@ func TestGatewayMetricsFlowsOpenedPerConnection(t *testing.T) {
 		t.Errorf("scrape invalid: %v", err)
 	}
 	for _, want := range []string{
-		"dpi_engine_flows_opened_total{shard=\"0\"} 3\n",
+		"dpi_gateway_flows_opened_total{lane=\"0\"} 3\n",
 		"dpi_gateway_flows_live 1\n",
 		"dpi_gateway_flow_husks 1\n",
 	} {

@@ -248,7 +248,7 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 				wv, gi, waves[wv].m.Generation(), len(waves[wv].tuples))
 		}
 	}
-	preShard := gw.ShardStats()
+	preLanes := gw.LaneStats()
 
 	// FIN waves 0 and 1: their generations lose the last pin and must
 	// retire — no sweeper, the FIN itself does it.
@@ -271,12 +271,12 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 		t.Fatalf("after FIN drain Generations() = %+v", gens)
 	}
 	gw.auditGenerationPins(t)
-	// Scan-work counters belong to the shard, not the generation: per-shard
+	// Scan-work counters belong to the lane, not the generation: per-lane
 	// stats stay monotone across retirement.
-	for i, es := range gw.ShardStats() {
-		if es.FlowsOpened < preShard[i].FlowsOpened || es.StreamBytes < preShard[i].StreamBytes {
-			t.Fatalf("shard %d stats went backwards across retirement: %+v then %+v",
-				i, preShard[i], es)
+	for i, ls := range gw.LaneStats() {
+		if ls.FlowsOpened < preLanes[i].FlowsOpened || ls.ReassembledBytes < preLanes[i].ReassembledBytes {
+			t.Fatalf("lane %d stats went backwards across retirement: %+v then %+v",
+				i, preLanes[i], ls)
 		}
 	}
 
