@@ -45,7 +45,7 @@ func forkStream(s *Stream, scrap []byte) *Stream {
 // FuzzBakedEquivalence is the compiled-kernel contract under fuzz: for a
 // fuzz-chosen ruleset, payload and operation sequence (chunked writes,
 // mid-stream SkipGap, Reset, fork), the baked Program path, the slice-walking
-// Machine.Next reference path and the uncompressed Aho-Corasick oracle
+// reference path and the uncompressed Aho-Corasick oracle
 // must produce identical match streams — same patterns, same absolute
 // offsets, same order. The first op byte also varies the compile shape
 // (dense-tier budget) so every tier combination is driven.

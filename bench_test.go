@@ -206,14 +206,15 @@ func TestScanAppendSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := pkts[0].Payload
-	sc := m.NewScanner()
-	out := sc.ScanAppend(payload, nil) // warm-up grows the buffer
+	var r core.Regs
+	r.Reset()
+	out := m.ScanAppend(&r, payload, nil) // warm-up grows the buffer
 	if len(out) == 0 {
 		t.Fatal("payload produced no matches; the assertion would be vacuous")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		sc.Reset()
-		out = sc.ScanAppend(payload, out[:0])
+		r.Reset()
+		out = m.ScanAppend(&r, payload, out[:0])
 	})
 	if allocs != 0 {
 		t.Fatalf("ScanAppend allocated %.1f times per packet in steady state", allocs)
@@ -257,8 +258,7 @@ func BenchmarkScanCompressed(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc := m.NewScanner()
-		sc.Scan(payload, func(ac.Match) {})
+		m.FindAll(payload)
 	}
 }
 
@@ -288,13 +288,13 @@ func BenchmarkScanAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 			payload := benchPayload(b, set, 1<<16)
-			sc := m.NewScanner()
+			var r core.Regs
 			var out []ac.Match
 			b.SetBytes(int64(len(payload)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sc.Reset()
-				out = sc.ScanAppend(payload, out[:0])
+				r.Reset()
+				out = m.ScanAppend(&r, payload, out[:0])
 			}
 			b.ReportMetric(float64(len(out)), "matches")
 		})

@@ -105,11 +105,11 @@ const (
 // backend row is measured the same way, the speedup ratios the floors
 // gate are computed between like quantities.
 func measureKernel(m *core.Machine, payload []byte, minTime time.Duration) (float64, int, float64) {
-	sc := m.NewScanner()
+	var r core.Regs
 	var out []ac.Match
 	pass := func() {
-		sc.Reset()
-		out = sc.ScanAppend(payload, out[:0])
+		r.Reset()
+		out = m.ScanAppend(&r, payload, out[:0])
 	}
 	pass() // warm the match buffer so steady state is measured
 

@@ -43,15 +43,15 @@
 //     provably never false negatives: every compile proves the superset
 //     contract structurally (part of core.Machine.Verify) and drops the
 //     stage rather than ship a table that could miss, in which case auto
-//     falls back to the baked kernel alone. The reference backend is the slice-walking
-//     Machine.Next oracle itself. All three are byte-exact equivalent (same
+//     falls back to the baked kernel alone. The reference backend is the
+//     slice-walking oracle itself. All three are byte-exact equivalent (same
 //     states, same history, same match order — fuzz- and property-verified
 //     in register-level lockstep) and inspectable through Matcher.Kernel,
 //     which reports the active backend, kernel layout and the prefilter's
 //     skim/suspect-rate counters. This invariant is load-bearing: ScanAppend
 //     (and every API above it) must behave exactly like the reference
-//     Machine.Next transition on all inputs, including mid-stream resets and
-//     reassembly gap skips.
+//     transition on all inputs, including mid-stream resets and reassembly
+//     gap skips.
 //   - Stream: the one streaming handle, mirroring the hardware's
 //     engines-over-one-memory parallelism — Matcher.NewStream gives each
 //     concurrent flow its own scanner registers (Write, WritePacket, Reset,

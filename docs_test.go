@@ -1,8 +1,13 @@
 package dpi
 
 import (
+	"go/ast"
 	"go/format"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -292,6 +297,138 @@ func TestDocsOperationsListsEverySeries(t *testing.T) {
 	for name := range documented {
 		if !emitted[name] {
 			t.Errorf("OPERATIONS.md documents %s, which the gateway does not emit", name)
+		}
+	}
+}
+
+// docMemberRef is a backticked `Type.Member`, optionally package-qualified
+// and optionally called: `Machine.Verify(trie, payloads)`,
+// `reassembly.Config.Budget`.
+var docMemberRef = regexp.MustCompile("`(?:[a-z][a-z0-9]*\\.)?([A-Za-z_][A-Za-z0-9_]*)\\.([A-Za-z_][A-Za-z0-9_]*)(?:\\([^`]*\\))?`")
+
+// TestDocsNamedMembersExist holds every backticked `Type.Member` in
+// README.md, ARCHITECTURE.md and OPERATIONS.md to the repository's non-test
+// Go: the member must be a method or field declared on that type, or
+// promoted to it from a type it embeds, so a renamed or deleted member
+// cannot linger in the prose. Names whose type is not declared in the
+// repository (a package, a variable) are skipped; bench/ is not read, and
+// types of one name in several packages pool their members.
+func TestDocsNamedMembersExist(t *testing.T) {
+	members := map[string]map[string]bool{} // type name → its declared members
+	embeds := map[string][]string{}         // type name → the types it embeds
+	declare := func(typ, member string) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		members[typ][member] = true
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || d.Name() == "testdata" || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv != nil {
+					declare(baseTypeName(decl.Recv.List[0].Type), decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					typ := ts.Name.Name
+					declare(typ, "")
+					var fields []*ast.Field
+					switch def := ts.Type.(type) {
+					case *ast.StructType:
+						fields = def.Fields.List
+					case *ast.InterfaceType:
+						fields = def.Methods.List
+					}
+					for _, field := range fields {
+						for _, name := range field.Names {
+							declare(typ, name.Name)
+						}
+						if len(field.Names) == 0 { // embedded: named by its type
+							e := baseTypeName(field.Type)
+							declare(typ, e)
+							embeds[typ] = append(embeds[typ], e)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var has func(typ, member string, depth int) bool
+	has = func(typ, member string, depth int) bool {
+		if members[typ][member] {
+			return true
+		}
+		for _, e := range embeds[typ] {
+			if depth < 8 && has(e, member, depth+1) {
+				return true
+			}
+		}
+		return false
+	}
+	checked := 0
+	for _, name := range []string{"README.md", "ARCHITECTURE.md", "OPERATIONS.md"} {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docMemberRef.FindAllStringSubmatch(string(raw), -1) {
+			if members[m[1]] == nil {
+				continue
+			}
+			checked++
+			if !has(m[1], m[2], 0) {
+				t.Errorf("%s names %s, but %s declares no %s", name, m[0], m[1], m[2])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("the docs name no member of a declared type (regex or parser drift)")
+	}
+}
+
+// baseTypeName is the name of the type e spells, through pointers, type
+// arguments and a package qualifier.
+func baseTypeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel.Name
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
 		}
 	}
 }

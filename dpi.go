@@ -430,11 +430,12 @@ func (m *Matcher) Kernel() KernelStats {
 
 // Verify proves the compressed matcher equivalent to the uncompressed
 // Aho-Corasick DFA, rebuilt here from the ruleset because the matcher keeps
-// none: an exhaustive per-transition structural check of the reference
-// interpreter and, on a baked matcher, of the flat kernel's own transition
-// tables, of the output table every backend emits from and of the
-// prefilter's no-false-negative contract, plus a scan-level cross-check of
-// every backend on the provided payloads (may be nil).
+// none: the scan loops production runs — the reference interpreter's and,
+// on a baked matcher, the flat kernel's — each run on every byte from every
+// state and held to the DFA's move and match list, the output table every
+// backend emits from, the prefilter's no-false-negative contract, plus a
+// scan-level cross-check of every backend on the provided payloads (may be
+// nil).
 func (m *Matcher) Verify(payloads [][]byte) error {
 	oracle, err := ac.New(m.rules.set)
 	if err != nil {

@@ -268,14 +268,16 @@ type GatewayConfig struct {
 	// MemoryBudget caps, in bytes, what flows are charged. Every lane owns the
 	// flows pinned to it and a share of ceil(MemoryBudget/lanes), lanes being
 	// EngineShards × StreamWorkers, charged 64 B a connection, 32 B a husk (a
-	// connection ended by FIN or quarantine) and its held out-of-order
-	// segments at what stays resident plus 32 B each: under FirstWins a
-	// segment longer than the ruleset's longest pattern is folded to that
-	// many bytes, its end registers and 8 B per later match (OPERATIONS.md,
-	// "What the budget buys"). A segment that does not fit what the connections
-	// leave drops its bytes furthest ahead; after each packet a lane over
-	// its share evicts its oldest husk, or with none its least-recently-
-	// active connection but the packet's own. Index slots and the slab
+	// connection ended by FIN or quarantine) and each flow's held
+	// out-of-order segments, one log per flow, at its capacity: a 40 B
+	// header, then per segment 3–6 B of varint header and what stays
+	// resident — the segment whole, or under FirstWins its fold: a prefix of
+	// at most D bytes (D the ruleset's longest pattern), 8 B of registers and
+	// 4 B per later match (OPERATIONS.md, "What the budget buys"). The log's
+	// capacity is its allocation's size class. A segment that does not fit
+	// what the connections leave drops its bytes furthest ahead; after each
+	// packet a lane over its share evicts its oldest husk, or with none its
+	// least-recently-active connection but the packet's own. Index slots and the slab
 	// chunks a lane keeps at its peak are outside the share: a default
 	// gateway full of husks holds up to about 43 MiB (OPERATIONS.md, "What
 	// the budget buys"). Default 32 MiB; negative means unlimited.
@@ -418,8 +420,9 @@ type Gateway struct {
 // NewGateway starts a pipelined ingestion front-end scanning with m. emit
 // receives every match and must be safe for concurrent use. The returned
 // Gateway is running; feed it with Ingest, TryIngest or ReplayPcap and
-// Close it to drain. Nil arguments and an IdleTimeout of 2³¹ or more are
-// rejected with a wrapped ErrBadConfig instead of a later panic.
+// Close it to drain. Nil arguments, an IdleTimeout of 2³¹ or more and a
+// lane count (EngineShards × StreamWorkers) of 2³¹ or more are rejected
+// with a wrapped ErrBadConfig instead of a later panic.
 func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: NewGateway with nil Matcher", ErrBadConfig)
@@ -431,6 +434,11 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 		return nil, fmt.Errorf("%w: IdleTimeout %d is not below 2^31", ErrBadConfig, cfg.IdleTimeout)
 	}
 	cfg = cfg.withDefaults()
+	// Each lane's clock steps by the lane count, which a table entry keeps
+	// in 32 bits; the division keeps the product itself from overflowing.
+	if cfg.EngineShards > (1<<31-1)/cfg.StreamWorkers {
+		return nil, fmt.Errorf("%w: %d EngineShards × %d StreamWorkers lanes is not below 2^31", ErrBadConfig, cfg.EngineShards, cfg.StreamWorkers)
+	}
 	g := &Gateway{cfg: cfg, emit: emit}
 	gen0 := &gwGeneration{id: m.Generation(), m: m}
 	g.cur.Store(gen0)

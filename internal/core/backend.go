@@ -4,14 +4,16 @@ package core
 // slice-walking reference interpreter, the baked flat Program, the
 // two-stage approximate-prefilter pipeline — is a function of the shared
 // immutable Machine and one Regs value, the pointer-free register file of a
-// single stream. A flow, a batch worker or a Scanner handle owns nothing
+// single stream. A flow, a batch worker or a stream handle owns nothing
 // but its Regs; which function runs them is the backend the machine
-// resolved when it was built (or the one a Scanner was pinned to), never a
-// per-stream object. Backends are registered in scanBackends so equivalence
-// harnesses (Machine.Verify, the lockstep property tests, the fuzzers) iterate
-// every implementation a machine supports instead of hardcoding pairs; a
-// backend added to the registry and the two dispatch switches below is
-// pulled into the oracle proofs automatically.
+// resolved when it was built, never a per-stream object. Backends are
+// registered in scanBackends so equivalence harnesses (Machine.Verify, the
+// lockstep property tests, the fuzzers) iterate every implementation a
+// machine supports instead of hardcoding pairs; a backend added to the
+// registry and to scanAs's switch is pulled into the oracle proofs
+// automatically. Each interpreter's transition is written once, in its
+// scan loop — scanReference, Program.scanAppend — and the proofs run those
+// loops.
 
 import (
 	"encoding/binary"
@@ -22,10 +24,9 @@ import (
 	"repro/internal/ruleset"
 )
 
-// Backend names accepted by Options.Backend and Machine.NewScannerFor.
-// BackendAuto (or "") resolves to the fastest always-exact default:
-// prefiltered when the lossy stage compiled and passed its superset proof,
-// baked otherwise.
+// Backend names accepted by Options.Backend. BackendAuto (or "") resolves
+// to the fastest always-exact default: prefiltered when the lossy stage
+// compiled and passed its superset proof, baked otherwise.
 const (
 	BackendAuto        = "auto"
 	BackendReference   = "reference"
@@ -33,27 +34,18 @@ const (
 	BackendPrefiltered = "prefiltered"
 )
 
-// Registers is the architectural register file of one scan lane, mirroring
-// the hardware engine (Figure 5): current state, the previous two input
-// characters the default rule compares against, and the absolute stream
-// position. Every backend must expose the same register values after every
-// operation — the register-level lockstep property tests diff snapshots
-// across backends after each op.
-type Registers struct {
-	State  int32
-	H2, H1 int16
-	Pos    int
-}
-
-// Regs is the whole per-stream state of a scan, on every backend: plain
-// data with no pointers, so a stream is forked by copying the value and a
-// million flows cost a million Regs and nothing else. It is the exact
-// machine's register file and nothing more, in the kernels' fused form (see
-// baked.go), and every backend leaves the same value after every call: the
-// prefiltered pipeline's skim lives inside one call, and a suspect-window
-// rebuild at the call's start reads its history bytes from hist. So a Regs
-// advanced by one backend may be continued by any other. The zero value is
-// not a start state: Reset first.
+// Regs is the whole per-stream state of a scan, on every backend — the
+// hardware engine's register file (Figure 5): current state, the previous
+// two input characters the default rule compares against, and the absolute
+// stream position. It is plain data with no pointers, so a stream is forked
+// by copying the value and a million flows cost a million Regs and nothing
+// else. It is the exact machine's register file and nothing more, in the
+// kernels' fused form (see baked.go), and every backend leaves the same
+// value after every call: the prefiltered pipeline's skim lives inside one
+// call, and a suspect-window rebuild at the call's start reads its history
+// bytes from hist. So a Regs advanced by one backend may be continued by
+// any other, and two are compared with ==. The zero value is not a start
+// state: Reset first.
 type Regs struct {
 	// pos is the absolute stream position: bytes consumed plus bytes
 	// skipped since Reset.
@@ -98,6 +90,9 @@ func (r *Regs) invalidate() {
 // Reset.
 func (r *Regs) Pos() int { return r.pos }
 
+// State returns the current automaton state.
+func (r *Regs) State() int32 { return r.state }
+
 // backendKind indexes the registry; it is what a Machine resolves its
 // configured backend name to, once, at build.
 type backendKind uint8
@@ -126,9 +121,9 @@ var scanBackends = [...]backendSpec{
 
 // RegisteredBackends lists every backend name in the registry, registry
 // order, regardless of per-machine availability — the vocabulary
-// Options.Backend and NewScannerFor accept besides BackendAuto. Error
-// messages and flag validation derive from this list so a new backend is
-// never silently missing from them.
+// Options.Backend accepts besides BackendAuto. Error messages and flag
+// validation derive from this list so a new backend is never silently
+// missing from them.
 func RegisteredBackends() []string {
 	names := make([]string, len(scanBackends))
 	for i, spec := range scanBackends {
@@ -167,8 +162,8 @@ func (m *Machine) resolveKind() backendKind {
 	return kindBaked
 }
 
-// DefaultBackend reports the backend ScanAppend and NewScanner run: the
-// machine's configured backend, or what auto resolved to at build.
+// DefaultBackend reports the backend ScanAppend runs: the machine's
+// configured backend, or what auto resolved to at build.
 func (m *Machine) DefaultBackend() string { return scanBackends[m.kind].name }
 
 // ScanAppend consumes data on the stream whose registers are r, appending
@@ -180,6 +175,13 @@ func (m *Machine) DefaultBackend() string { return scanBackends[m.kind].name }
 // shared and immutable; r belongs to one goroutine at a time.
 func (m *Machine) ScanAppend(r *Regs, data []byte, out []ac.Match) []ac.Match {
 	return m.scanAs(m.kind, r, data, out)
+}
+
+// FindAll scans one whole packet and returns its matches.
+func (m *Machine) FindAll(data []byte) []ac.Match {
+	var r Regs
+	r.Reset()
+	return m.ScanAppend(&r, data, nil)
 }
 
 // Depth is D, the longest pattern's length. A scan's state after D bytes is
@@ -336,51 +338,26 @@ func (m *Machine) resumeAs(k backendKind, r *Regs, resident []byte, n int, out [
 	return out
 }
 
-// scanAs is ScanAppend on an explicit backend. The two dispatchers are
-// switches over direct calls, not a table of function values: a Regs on the
-// caller's stack (a batch worker's, a FindAll's) must not be forced to the
-// heap by an indirect call.
+// scanAs is ScanAppend on an explicit backend. It is a switch over direct
+// calls, not a table of function values: a Regs on the caller's stack (a
+// batch worker's, a FindAll's) must not be forced to the heap by an
+// indirect call.
 func (m *Machine) scanAs(k backendKind, r *Regs, data []byte, out []ac.Match) []ac.Match {
 	switch k {
 	case kindPrefiltered:
 		return m.scanPrefiltered(r, data, out)
 	case kindBaked:
-		r.state, r.hist, r.pos, out = m.prog.scanAppend(r.state, r.hist, r.pos, data, out)
+		r.state, r.hist, r.pos, out = m.prog.scanAppend(r.state, r.hist, r.pos, data, out, ac.None)
 		return out
 	}
 	return m.scanReference(r, data, out)
 }
 
-// stepAs consumes one input byte and reports the new state — exactly one
-// transition per byte, the paper's 1 character/cycle property. It does not
-// emit matches; it is the register-machine view used by the ablation
-// harness and the lockstep tests.
-func (m *Machine) stepAs(k backendKind, r *Regs, c byte) int32 {
-	switch k {
-	case kindPrefiltered, kindBaked:
-		r.state, r.hist = m.prog.step(r.state, r.hist, c)
-	default:
-		r.state = m.next(r.state, c, r.hist)
-		r.hist = (r.hist<<histLaneBits | uint32(c)) & histMask
-	}
-	r.pos++
-	return r.state
-}
-
-// registers returns the architectural register snapshot. Exactness is
-// defined on this view: after any operation sequence, all backends report
-// identical Registers.
-func (r *Regs) registers() Registers {
-	h2, h1 := splitHist(r.hist)
-	return Registers{State: r.state, H2: h2, H1: h1, Pos: r.pos}
-}
-
 // scanReference is the slice-walking interpreter over the Machine, kept
-// closest to the paper's hardware description: the oracle shape every
-// other backend is verified against. It inlines the reference transition
-// step, so the oracle transition logic lives in exactly two places:
-// Machine.next and this loop. Any change to the stored-pointer or
-// default-rule step applies to both and to every compiled backend.
+// closest to the paper's hardware description: a binary search of the
+// state's stored row, then the default rule. It is the one reference
+// transition, the oracle-shaped loop every other backend is held to, and
+// verifyTransitions proves it on every (state, byte) against the DFA.
 func (m *Machine) scanReference(r *Regs, data []byte, out []ac.Match) []ac.Match {
 	state, hist, pos := r.state, r.hist, r.pos
 	for _, c := range data {
@@ -397,26 +374,4 @@ func (m *Machine) scanReference(r *Regs, data []byte, out []ac.Match) []ac.Match
 	}
 	r.state, r.hist, r.pos = state, hist, pos
 	return out
-}
-
-// NewScannerFor returns a scanner pinned to the named backend, resolving
-// BackendAuto (and "") like DefaultBackend. It fails when the backend is
-// unknown or unavailable on this machine (e.g. prefiltered on a machine
-// whose configuration did not bake).
-func (m *Machine) NewScannerFor(name string) (*Scanner, error) {
-	if name == "" || name == BackendAuto {
-		name = m.DefaultBackend()
-	}
-	for k, spec := range scanBackends {
-		if spec.name != name {
-			continue
-		}
-		if !spec.available(m) {
-			return nil, fmt.Errorf("core: backend %q unavailable on this machine (available: %v)", name, m.Backends())
-		}
-		s := &Scanner{m: m, kind: backendKind(k)}
-		s.Reset()
-		return s, nil
-	}
-	return nil, fmt.Errorf("core: unknown scan backend %q", name)
 }

@@ -87,9 +87,6 @@ func TestAutoBackendResolution(t *testing.T) {
 			if got := m.DefaultBackend(); got != tc.want {
 				t.Fatalf("auto resolves to %q, want %q", got, tc.want)
 			}
-			if got := m.NewScanner().Backend(); got != tc.want {
-				t.Fatalf("NewScanner runs %q, want %q", got, tc.want)
-			}
 			// Availability follows the compiled artifacts, so this also
 			// proves a reference-pinned build compiled no kernel.
 			if got := m.Backends(); !reflect.DeepEqual(got, tc.backends) {

@@ -1,9 +1,9 @@
 package core
 
 // The baked scan kernel: Build flattens a DTP Machine into a Program, a
-// cache-line-friendly runtime representation that the Scanner hot loop
-// executes. The Machine remains the reference semantics (Machine.Next is
-// the oracle the Program is verified against); the Program must stay
+// cache-line-friendly runtime representation that one hot loop, scanAppend,
+// executes. The Machine remains the reference semantics (scanReference's
+// loop is the interpreter the Program is held to); the Program must stay
 // byte-exact equivalent — same state, same history, same match order — on
 // every input. Once compiled it reads no builder structure: the trie and
 // its fail-tree analysis are gone.
@@ -33,7 +33,8 @@ package core
 //     memory and one index, shared, not copied, read by two interpreters.
 //     rows[s] packs the entry count inline with the offset, so the common
 //     ≤4-entry row costs one descriptor load plus a short linear scan over
-//     adjacent 4-byte entries, where Machine.Next binary-searches the row.
+//     adjacent 4-byte entries, where the reference loop binary-searches the
+//     row.
 //     Promotion to the fast tier (below) rewrites a state's descriptor to
 //     its fast-row number and moves the stored-row descriptor to the
 //     Machine's displaced table, indexed by that number, which the
@@ -97,7 +98,7 @@ const (
 )
 
 // Program is the compiled, flat form of a Machine. It is immutable after
-// Build and safe for concurrent use by any number of Scanners.
+// Build and safe for concurrent use by any number of streams.
 type Program struct {
 	lut    *lookupTable // the Machine's lookup table
 	rows   []uint32     // the Machine's row index: fast row index or count+offset
@@ -126,8 +127,8 @@ func (r *fastRow) move(c byte, d1 *[256]int32, over []int32) int32 {
 	return over[r.rank[c>>6]+uint32(bits.OnesCount64(w&(bit-1)))]
 }
 
-// fuseHist packs the scanner's (h2, h1) register pair into the kernel's
-// fused history register.
+// fuseHist packs an (h2, h1) history pair, HistNone for an unknown byte,
+// into the fused history register.
 func fuseHist(h2, h1 int16) uint32 {
 	l2, l1 := uint32(histUnknownLane), uint32(histUnknownLane)
 	if h2 != HistNone {
@@ -137,19 +138,6 @@ func fuseHist(h2, h1 int16) uint32 {
 		l1 = uint32(h1) & 0xFF
 	}
 	return l2<<histLaneBits | l1
-}
-
-// splitHist is the inverse of fuseHist, run once per ScanAppend call to
-// restore the scanner-visible registers.
-func splitHist(hist uint32) (h2, h1 int16) {
-	h2, h1 = HistNone, HistNone
-	if l := hist >> histLaneBits & histLaneMask; l != histUnknownLane {
-		h2 = int16(l)
-	}
-	if l := hist & histLaneMask; l != histUnknownLane {
-		h1 = int16(l)
-	}
-	return h2, h1
 }
 
 // fastTier is the fast tier as baked before compress's row index exists:
@@ -289,14 +277,19 @@ func pickDense(t *ac.Trie, ft *failTree, budget int) []bool {
 }
 
 // scanAppend is the baked hot loop: one transition per input byte, matches
-// appended to out. It must stay byte-exact equivalent to Machine.Next plus
-// the history/position bookkeeping of Scanner.Step; the property tests and
-// FuzzBakedEquivalence enforce this against both the reference path and
-// the uncompressed-DFA oracle. The default rule is lookupTable.resolve
-// with its four depth-2 compares unrolled, here and in the two loops
-// below: the compiler inlines resolve only as a loop, which costs the
-// kernel measurably.
-func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out []ac.Match) (int32, uint32, int, []ac.Match) {
+// appended to out, until data ends or a byte lands the machine on stop,
+// which returns the registers at that point with the remaining bytes
+// unconsumed (the caller reads the advance off the returned position). The
+// prefiltered backend passes ac.Root, to run a suspect window exactly and
+// hand the stream back to the skimmer at the first start-state boundary,
+// where skimming is sound; every other caller passes ac.None, which no state
+// is. It is the one baked transition: verifyProgram proves it on every
+// (state, byte) against the DFA, and the lockstep property tests and
+// FuzzBakedEquivalence drive it against the reference loop. The default rule
+// is lookupTable.resolve with its four depth-2 compares unrolled: the
+// compiler inlines resolve only as a loop, which costs the kernel
+// measurably.
+func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out []ac.Match, stop int32) (int32, uint32, int, []ac.Match) {
 	// Locals let the compiler keep the arena headers in registers across
 	// the loop instead of reloading them through p on every byte.
 	lut, rows, fast, over, outBits := p.lut, p.rows, p.fast, p.over, p.out.bits
@@ -339,104 +332,7 @@ func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out
 		if outBits[uint32(state)>>6]&(1<<(uint32(state)&63)) != 0 {
 			out = p.out.appendTo(state, pos, out)
 		}
-	}
-	return state, hist, pos, out
-}
-
-// step executes one baked transition — the single-byte form of the
-// scanAppend loop, the Step of the baked and prefiltered backends alike. It
-// takes the transition and shifts the fused history but does not probe
-// outputs; like Scanner.Step it is the pure register-machine view. It must stay byte-exact equivalent to
-// Machine.Next; the lockstep property tests drive it against the reference
-// path after every operation.
-func (p *Program) step(state int32, hist uint32, c byte) (int32, uint32) {
-	ref := p.rows[state]
-	if ref >= rowDense {
-		state = p.fast[ref-rowDense].move(c, &p.lut.d1, p.over)
-	} else {
-		if cnt := ref >> rowCountShift; cnt != 0 {
-			base := ref & rowOffMask
-			for i := uint32(0); i < cnt; i++ {
-				if e := p.stored[base+i]; e.Char() == c {
-					state = e.To()
-					goto stepped
-				}
-			}
-		}
-		if e := p.lut.d3[c]; uint32(e>>32) == hist {
-			state = int32(uint32(e))
-		} else {
-			h1 := hist & histLaneMask
-			d2 := &p.lut.d2[c]
-			switch {
-			case uint32(d2[0]>>32) == h1:
-				state = int32(uint32(d2[0]))
-			case uint32(d2[1]>>32) == h1:
-				state = int32(uint32(d2[1]))
-			case uint32(d2[2]>>32) == h1:
-				state = int32(uint32(d2[2]))
-			case uint32(d2[3]>>32) == h1:
-				state = int32(uint32(d2[3]))
-			default:
-				state = p.lut.d1[c]
-			}
-		}
-	}
-stepped:
-	return state, (hist<<histLaneBits | uint32(c)) & histMask
-}
-
-// scanAppendStopRoot is scanAppend with an early exit: it stops as soon as
-// a consumed byte lands the machine back on the start state, returning the
-// registers at that point (the remaining bytes stay unconsumed — the
-// caller reads the advance off the returned position). The prefiltered
-// backend uses it to run the exact kernel through a suspect window and
-// hand the stream back to the lossy skimmer at the first start-state
-// boundary, where skimming is provably sound. The per-byte body must stay
-// identical to scanAppend's; the equivalence property tests and fuzzers
-// drive both against the oracle.
-func (p *Program) scanAppendStopRoot(state int32, hist uint32, pos int, data []byte, out []ac.Match) (int32, uint32, int, []ac.Match) {
-	lut, rows, fast, over, outBits := p.lut, p.rows, p.fast, p.over, p.out.bits
-	for _, c := range data {
-		ref := rows[state]
-		if ref >= rowDense {
-			state = fast[ref-rowDense].move(c, &lut.d1, over)
-		} else {
-			if cnt := ref >> rowCountShift; cnt != 0 {
-				base := ref & rowOffMask
-				for i := uint32(0); i < cnt; i++ {
-					if e := p.stored[base+i]; e.Char() == c {
-						state = e.To()
-						goto stepped
-					}
-				}
-			}
-			if e := lut.d3[c]; uint32(e>>32) == hist {
-				state = int32(uint32(e))
-			} else {
-				h1 := hist & histLaneMask
-				d2 := &lut.d2[c]
-				switch {
-				case uint32(d2[0]>>32) == h1:
-					state = int32(uint32(d2[0]))
-				case uint32(d2[1]>>32) == h1:
-					state = int32(uint32(d2[1]))
-				case uint32(d2[2]>>32) == h1:
-					state = int32(uint32(d2[2]))
-				case uint32(d2[3]>>32) == h1:
-					state = int32(uint32(d2[3]))
-				default:
-					state = lut.d1[c]
-				}
-			}
-		}
-	stepped:
-		hist = (hist<<histLaneBits | uint32(c)) & histMask
-		pos++
-		if outBits[uint32(state)>>6]&(1<<(uint32(state)&63)) != 0 {
-			out = p.out.appendTo(state, pos, out)
-		}
-		if state == ac.Root {
+		if state == stop {
 			break
 		}
 	}

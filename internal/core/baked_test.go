@@ -51,13 +51,12 @@ func randBakedPayload(rng *rand.Rand, n int) []byte {
 
 // TestBakedEquivalenceProperty drives every registered backend — the
 // reference slice walker, the baked kernel, the prefiltered pipeline — in
-// lockstep over random machines, random payload chunks, interleaved
-// single-byte Steps, mid-stream SkipAhead/Reset and forks (the stream
-// continues on a copy of its Regs value), asserting byte-exact
-// register equivalence (state, h1/h2 history, pos, and the raw Regs
-// value) after every operation,
-// identical match sequences, and — per contiguous visible segment — exact
-// agreement with the uncompressed-DFA oracle.
+// lockstep over random machines, random payload chunks, runs of one-byte
+// scans, mid-stream SkipAhead/Reset and forks (the stream continues on a
+// copy of its Regs value), asserting byte-exact register equivalence
+// (state, fused history and pos: the whole Regs value) after every
+// operation, identical match sequences, and — per contiguous visible
+// segment — exact agreement with the uncompressed-DFA oracle.
 func TestBakedEquivalenceProperty(t *testing.T) {
 	configs := []Options{
 		{},
@@ -94,26 +93,19 @@ func TestBakedEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// driveLockstep runs one randomized op sequence over one scanner per
+// driveLockstep runs one randomized op sequence over one stream's Regs per
 // backend the machine offers, diffing registers and match streams after
-// every op. Backends[0] is always the reference interpreter; the others
-// are held to its behavior, and its matches to oracle's, the uncompressed
-// automaton of the machine's ruleset.
+// every op. The first backend is always the reference interpreter; the
+// others are held to its behavior, and its matches to oracle's, the
+// uncompressed automaton of the machine's ruleset.
 func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 	t.Helper()
-	names := m.Backends()
-	scs := make([]*Scanner, len(names))
-	outs := make([][]ac.Match, len(names))
-	for i, name := range names {
-		sc, err := m.NewScannerFor(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sc.Backend() != name {
-			t.Fatalf("NewScannerFor(%q) built a %q scanner", name, sc.Backend())
-		}
-		scs[i] = sc
+	names, kinds := m.Backends(), kindsOf(m)
+	regs := make([]Regs, len(kinds))
+	for i := range regs {
+		regs[i].Reset()
 	}
+	outs := make([][]ac.Match, len(kinds))
 
 	var seg []byte // bytes of the current contiguous visible segment
 	segStart := 0  // stream position where the segment began
@@ -138,16 +130,11 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 	}
 	checkRegisters := func(op string) {
 		t.Helper()
-		ref := scs[0].Registers()
-		for bi := 1; bi < len(scs); bi++ {
-			if got := scs[bi].Registers(); got != ref {
-				t.Fatalf("%s: %s registers %+v != reference %+v", op, names[bi], got, ref)
-			}
-			// Not just the architectural view: the whole per-stream value is
-			// the same on every backend, so no backend keeps state the
-			// others do not.
-			if scs[bi].r != scs[0].r {
-				t.Fatalf("%s: %s Regs %+v != reference %+v", op, names[bi], scs[bi].r, scs[0].r)
+		for bi := 1; bi < len(regs); bi++ {
+			// The whole per-stream value is the same on every backend, so no
+			// backend keeps state the others do not.
+			if regs[bi] != regs[0] {
+				t.Fatalf("%s: %s Regs %+v != reference %+v", op, names[bi], regs[bi], regs[0])
 			}
 			if len(outs[bi]) != len(outs[0]) {
 				t.Fatalf("%s: %s emitted %d matches, reference %d", op, names[bi], len(outs[bi]), len(outs[0]))
@@ -160,15 +147,14 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 		}
 	}
 
-	// fork continues every stream on a copy of its register value and then
-	// scribbles on the original, each backend's with different bytes: Regs
-	// is plain data, so the copy is the whole stream and shares nothing
-	// with what it was copied from — mid-suspect-window or right after a
-	// gap alike.
+	// fork copies every stream's register value and scribbles on the copy,
+	// each backend's with different bytes: Regs is plain data, so the copy
+	// is the whole stream and the stream shares nothing with it —
+	// mid-suspect-window or right after a gap alike.
 	fork := func() {
-		for bi, sc := range scs {
-			scs[bi] = &Scanner{m: sc.m, kind: sc.kind, r: sc.r}
-			sc.ScanAppend(randBakedPayload(rng, 1+rng.Intn(16)), nil)
+		for bi, k := range kinds {
+			scribbled := regs[bi]
+			m.scanAs(k, &scribbled, randBakedPayload(rng, 1+rng.Intn(16)), nil)
 		}
 		checkRegisters("fork")
 	}
@@ -180,111 +166,50 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 			fork()
 		case 0: // Reset: segment ends, stream position restarts
 			checkSegment()
-			for _, sc := range scs {
-				sc.Reset()
+			for bi := range regs {
+				regs[bi].Reset()
 			}
 			seg, segStart, segMark = seg[:0], 0, len(outs[0])
 			checkRegisters("Reset")
 		case 1: // SkipAhead: segment ends, position advances over unseen bytes
 			checkSegment()
 			n := 1 + rng.Intn(64)
-			for _, sc := range scs {
-				sc.SkipAhead(n)
+			for bi := range regs {
+				regs[bi].SkipAhead(n)
 			}
-			seg, segStart, segMark = seg[:0], scs[0].Pos(), len(outs[0])
+			seg, segStart, segMark = seg[:0], regs[0].Pos(), len(outs[0])
 			checkRegisters("SkipAhead")
 			if rng.Intn(2) == 0 {
 				fork()
 			}
 		case 3: // SkipAhead(n <= 0): documented no-op — no register moves
-			before := scs[0].Registers()
-			for _, sc := range scs {
-				sc.SkipAhead(0)
-				sc.SkipAhead(-1 - rng.Intn(16))
+			before := regs[0]
+			for bi := range regs {
+				regs[bi].SkipAhead(0)
+				regs[bi].SkipAhead(-1 - rng.Intn(16))
 			}
-			if got := scs[0].Registers(); got != before {
-				t.Fatalf("SkipAhead(<=0) moved reference registers %+v -> %+v", before, got)
+			if regs[0] != before {
+				t.Fatalf("SkipAhead(<=0) moved reference registers %+v -> %+v", before, regs[0])
 			}
 			checkRegisters("SkipAhead no-op")
-		case 2: // single-byte Steps (the register-machine view, no outputs)
-			// Steps leave matches unemitted, so the segment oracle no
-			// longer applies: fold the stepped bytes into the *next*
-			// segment boundary by restarting segment accounting after.
-			checkSegment()
+		case 2: // one-byte scans, registers and matches checked after each
 			for _, c := range randBakedPayload(rng, 1+rng.Intn(4)) {
-				for _, sc := range scs {
-					sc.Step(c)
+				seg = append(seg, c)
+				for bi, k := range kinds {
+					outs[bi] = m.scanAs(k, &regs[bi], []byte{c}, outs[bi])
 				}
-				checkRegisters("Step")
+				checkRegisters("one-byte scan")
 			}
-			for _, sc := range scs {
-				sc.Reset()
-			}
-			seg, segStart, segMark = seg[:0], 0, len(outs[0])
-			checkRegisters("Reset after Step")
 		default: // write a chunk (empty chunks included)
 			chunk := randBakedPayload(rng, rng.Intn(80))
 			seg = append(seg, chunk...)
-			for bi, sc := range scs {
-				outs[bi] = sc.ScanAppend(chunk, outs[bi])
+			for bi, k := range kinds {
+				outs[bi] = m.scanAs(k, &regs[bi], chunk, outs[bi])
 			}
 			checkRegisters("ScanAppend")
 		}
 	}
 	checkSegment()
-
-	// Scan must replay exactly the ScanAppend sequence on every backend.
-	payload := randBakedPayload(rng, 200)
-	scanOuts := make([][]ac.Match, len(scs))
-	for bi, sc := range scs {
-		sc.Reset()
-		sc.Scan(payload, func(mt ac.Match) { scanOuts[bi] = append(scanOuts[bi], mt) })
-	}
-	for bi := 1; bi < len(scs); bi++ {
-		if len(scanOuts[bi]) != len(scanOuts[0]) {
-			t.Fatalf("Scan: %s %d matches, reference %d", names[bi], len(scanOuts[bi]), len(scanOuts[0]))
-		}
-		for i := range scanOuts[bi] {
-			if scanOuts[bi][i] != scanOuts[0][i] {
-				t.Fatalf("Scan: match %d %s %+v reference %+v", i, names[bi], scanOuts[bi][i], scanOuts[0][i])
-			}
-		}
-	}
-}
-
-// TestScanEmitReentrancy: an emit callback that reenters the same
-// scanner's Scan must not corrupt the outer replay — the baked path
-// detaches its scratch buffer while iterating it.
-func TestScanEmitReentrancy(t *testing.T) {
-	set := &ruleset.Set{Patterns: []ruleset.Pattern{{ID: 0, Data: []byte("ab")}}}
-	m, err := Build(set, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := m.NewScanner()
-	sc.Scan([]byte("abab"), func(ac.Match) {}) // grow the scratch buffer
-	sc.Reset()
-	var outer []ac.Match
-	depth := 0
-	sc.Scan([]byte("abab"), func(mt ac.Match) {
-		outer = append(outer, mt)
-		if depth == 0 {
-			depth++
-			// The inner scan continues the stream (two more matches the
-			// outer callback also receives) and, crucially, recycles the
-			// scanner's scratch storage.
-			sc.Scan([]byte("abab"), func(ac.Match) {})
-		}
-	})
-	want := []ac.Match{{PatternID: 0, End: 2}, {PatternID: 0, End: 4}}
-	if len(outer) != len(want) {
-		t.Fatalf("outer emit saw %d matches, want %d: %+v", len(outer), len(want), outer)
-	}
-	for i := range want {
-		if outer[i] != want[i] {
-			t.Fatalf("outer match %d = %+v, want %+v (scratch aliasing)", i, outer[i], want[i])
-		}
-	}
 }
 
 // TestProgramStats sanity-checks the layout report against the machine.
@@ -323,15 +248,27 @@ func TestProgramStats(t *testing.T) {
 }
 
 // TestFusedHistoryRoundTrip pins the sentinel encoding: every (h2, h1)
-// register pair survives fuse/split, and unknown lanes can never compare
-// equal to a key built from real bytes.
+// register pair survives fusing, one lane each, a byte shifted in as the
+// scan loops shift it makes the pair (h1, byte), and unknown lanes can
+// never compare equal to a key built from real bytes.
 func TestFusedHistoryRoundTrip(t *testing.T) {
+	lane := func(h int16) uint32 {
+		if h == HistNone {
+			return histUnknownLane
+		}
+		return uint32(h)
+	}
 	vals := []int16{HistNone, 0, 1, 'a', 0xFE, 0xFF}
 	for _, h2 := range vals {
 		for _, h1 := range vals {
-			g2, g1 := splitHist(fuseHist(h2, h1))
-			if g2 != h2 || g1 != h1 {
-				t.Fatalf("fuse/split (%d,%d) -> (%d,%d)", h2, h1, g2, g1)
+			hist := fuseHist(h2, h1)
+			if hist>>histLaneBits != lane(h2) || hist&histLaneMask != lane(h1) {
+				t.Fatalf("fuse (%d,%d) -> lanes %#x, %#x", h2, h1, hist>>histLaneBits, hist&histLaneMask)
+			}
+			for _, c := range []int16{0, 'a', 0xFF} {
+				if got := (hist<<histLaneBits | uint32(c)) & histMask; got != fuseHist(h1, c) {
+					t.Fatalf("shifting %#x into (%d,%d) gives %#x, want (%d,%d)", c, h2, h1, got, h1, c)
+				}
 			}
 		}
 	}

@@ -33,15 +33,14 @@ func TestMachineEmitsCanonicalOrder(t *testing.T) {
 	}
 	ties := 0
 	for _, name := range m.Backends() {
-		sc, err := m.NewScannerFor(name)
+		mk, err := core.Build(set, core.Options{Backend: name})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range pkts {
 			want := trie.FindAll(p.Payload)
 			ac.SortMatches(want)
-			sc.Reset()
-			got := sc.ScanAppend(p.Payload, nil)
+			got := mk.FindAll(p.Payload)
 			if !slices.Equal(got, want) {
 				t.Fatalf("backend %s, packet %d: the scan's own order is not (End, PatternID)", name, p.ID)
 			}

@@ -29,9 +29,8 @@
 // function of the two, and all of them are byte-exact equivalent — same
 // states, histories, positions and match sequences on every input. Three
 // backends ship today. The "reference" backend walks the Machine itself —
-// a binary search over the state's stored row, then the lookup table,
-// Machine.Next — and is kept deliberately close to the paper's hardware
-// description. The "baked" backend runs the Program (see baked.go), a
+// a binary search over the state's stored row, then the lookup table —
+// and is kept deliberately close to the paper's hardware description. The "baked" backend runs the Program (see baked.go), a
 // two-tier fast/compressed format that Build compiles by default; its
 // compressed tier reads the Machine's own stored-pointer arena through the
 // Machine's own row index, and both tiers the Machine's own lookup table —
@@ -42,8 +41,10 @@
 // through the exact baked kernel. The lossy stage admits false positives
 // but provably never false negatives — verifySuperset proves the contract
 // structurally at bake time, in the spirit of verifyTransitions — so even
-// the approximate pipeline stays exactly equivalent. Machine.Verify runs
-// every registered backend against the uncompressed-DFA oracle; the
+// the approximate pipeline stays exactly equivalent. Each interpreter's
+// transition is written once, in its scan loop, and Machine.Verify runs
+// those loops themselves from every state on every byte against the
+// uncompressed-DFA oracle, and every registered backend on payloads; the
 // lockstep property tests and fuzzers enforce register-level equivalence
 // continuously.
 //
@@ -99,15 +100,14 @@ type Options struct {
 	// DefaultDenseStates, negative disables the tier). Tuning only: every
 	// setting scans identically.
 	DenseStates int
-	// Backend selects the scan implementation ScanAppend and NewScanner run:
+	// Backend selects the scan implementation ScanAppend runs:
 	// BackendAuto (or "") picks the fastest always-exact default —
 	// prefiltered when the lossy stage compiles and passes its superset proof,
 	// baked otherwise. BackendReference pins the slice-walking interpreter
 	// (and skips compiling the kernels); BackendBaked and
 	// BackendPrefiltered pin those kernels, and a pinned prefiltered build
 	// fails if the lossy stage cannot be kept. Unknown names are a Build
-	// error listing RegisteredBackends. NewScannerFor overrides it per
-	// scanner.
+	// error listing RegisteredBackends.
 	Backend string
 }
 
@@ -442,21 +442,6 @@ func (m *Machine) StoredAt(s int32, c byte) int32 {
 		return row[lo].To()
 	}
 	return ac.None
-}
-
-// Next performs one hardware-equivalent transition from state s on input c
-// with runtime history (h2, h1): stored pointers first, then the default
-// rule.
-func (m *Machine) Next(s int32, c byte, h2, h1 int16) int32 {
-	return m.next(s, c, fuseHist(h2, h1))
-}
-
-// next is Next on the fused history register.
-func (m *Machine) next(s int32, c byte, hist uint32) int32 {
-	if to := m.StoredAt(s, c); to != ac.None {
-		return to
-	}
-	return m.lut.resolve(c, hist)
 }
 
 // LastMatch flags the last pattern ID of each list in the match memory, in

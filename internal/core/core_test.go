@@ -38,6 +38,18 @@ func mustTrie(t testing.TB, set *ruleset.Set) *ac.Trie {
 	return trie
 }
 
+// kindsOf lists the backends m offers, registry order: the reference
+// interpreter first.
+func kindsOf(m *Machine) []backendKind {
+	var kinds []backendKind
+	for k, spec := range scanBackends {
+		if spec.available(m) {
+			kinds = append(kinds, backendKind(k))
+		}
+	}
+	return kinds
+}
+
 // TestPaperToyExample reproduces Figure 2 exactly: for the state machine of
 // Figure 1 (he, she, his, hers — 10 states), inserting depth-1 defaults
 // leaves an average of 1.1 stored pointers per state (Figure 2A), adding
@@ -176,11 +188,11 @@ func TestScannerResetClearsHistory(t *testing.T) {
 		{ID: 1, Data: []byte("c")},
 	}}
 	m := mustBuild(t, set, Options{})
-	sc := m.NewScanner()
-	var got []ac.Match
-	sc.Scan([]byte("ab"), func(mt ac.Match) { got = append(got, mt) })
-	sc.Reset()
-	sc.Scan([]byte("c"), func(mt ac.Match) { got = append(got, mt) })
+	var r Regs
+	r.Reset()
+	got := m.ScanAppend(&r, []byte("ab"), nil)
+	r.Reset()
+	got = m.ScanAppend(&r, []byte("c"), got)
 	want := []ac.Match{{PatternID: 1, End: 1}} // only "c" in packet 2
 	if !ac.MatchesEqual(got, want) {
 		t.Fatalf("cross-packet matches = %v, want %v", got, want)
@@ -190,10 +202,10 @@ func TestScannerResetClearsHistory(t *testing.T) {
 func TestScannerStreamsAcrossCalls(t *testing.T) {
 	set := &ruleset.Set{Patterns: []ruleset.Pattern{{ID: 0, Data: []byte("abcd")}}}
 	m := mustBuild(t, set, Options{})
-	sc := m.NewScanner()
-	var got []ac.Match
-	sc.Scan([]byte("ab"), func(mt ac.Match) { got = append(got, mt) })
-	sc.Scan([]byte("cd"), func(mt ac.Match) { got = append(got, mt) })
+	var r Regs
+	r.Reset()
+	got := m.ScanAppend(&r, []byte("ab"), nil)
+	got = m.ScanAppend(&r, []byte("cd"), got)
 	if len(got) != 1 || got[0].End != 4 {
 		t.Fatalf("streamed scan = %v, want one match ending at 4", got)
 	}
@@ -202,15 +214,16 @@ func TestScannerStreamsAcrossCalls(t *testing.T) {
 func TestOneTransitionPerByte(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 100, Seed: 13})
 	m := mustBuild(t, set, Options{})
-	sc := m.NewScanner()
 	data := make([]byte, 5000)
 	src := rng.New(5)
 	for i := range data {
 		data[i] = src.Byte()
 	}
-	sc.Scan(data, func(ac.Match) {})
-	if sc.Pos() != len(data) {
-		t.Fatalf("consumed %d positions for %d bytes", sc.Pos(), len(data))
+	var r Regs
+	r.Reset()
+	m.ScanAppend(&r, data, nil)
+	if r.Pos() != len(data) {
+		t.Fatalf("consumed %d positions for %d bytes", r.Pos(), len(data))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ac"
 	"repro/internal/ruleset"
 )
 
@@ -102,6 +103,60 @@ func TestVerifyProgramDetectsCorruption(t *testing.T) {
 	}
 	if err := mustBuild(t, set, Options{}).verifyProgram(mustTrie(t, toySet())); err == nil {
 		t.Error("a kernel was proved against another ruleset's trie")
+	}
+}
+
+// TestVerifyProofsRefuseSharedCorruption: both loop proofs must refuse a
+// corruption of what both interpreters read — the target of one stored
+// pointer in the shared arena, on a state the fast tier does not hold, and
+// the target of one depth-2 default in the shared lookup table, on a slot a
+// compressed state's move takes.
+func TestVerifyProofsRefuseSharedCorruption(t *testing.T) {
+	set := ruleset.MustGenerate(ruleset.GenConfig{N: 400, Seed: 2010})
+	trie := mustTrie(t, set)
+	cases := map[string]func(m *Machine) bool{
+		"stored pointer": func(m *Machine) bool {
+			for _, ref := range m.rows {
+				if ref < rowDense && ref>>rowCountShift != 0 {
+					p := &m.stored[ref&rowOffMask]
+					*p = newPointer(p.Char(), (p.To()+1)%int32(m.NumStates()))
+					return true
+				}
+			}
+			return false
+		},
+		"depth-2 default": func(m *Machine) bool {
+			for s := int32(0); s < int32(m.NumStates()); s++ {
+				if m.rows[s] >= rowDense || trie.Nodes[s].Depth < 2 {
+					continue
+				}
+				hist := fuseHist(staticHistory(trie, s))
+				for c := 0; c < 256; c++ {
+					if m.StoredAt(s, byte(c)) != ac.None || uint32(m.lut.d3[c]>>32) == hist {
+						continue
+					}
+					for i, e := range m.lut.d2[c] {
+						if uint32(e>>32) == hist&histLaneMask {
+							m.lut.d2[c][i] = e&^0xFFFFFFFF | uint64((uint32(e)+1)%uint32(m.NumStates()))
+							return true
+						}
+					}
+				}
+			}
+			return false
+		},
+	}
+	for name, corrupt := range cases {
+		m := mustBuild(t, set, Options{})
+		if !corrupt(m) {
+			t.Fatalf("%s: nothing to corrupt", name)
+		}
+		if err := m.verifyTransitions(trie); err == nil {
+			t.Errorf("%s: verifyTransitions accepted the corrupted machine", name)
+		}
+		if err := m.verifyProgram(trie); err == nil {
+			t.Errorf("%s: verifyProgram accepted the corrupted machine", name)
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ func TestFoldResumeEqualsScan(t *testing.T) {
 						wantM := m.scanAs(k, &want, p, nil)
 						gotM := m.resumeAs(k, &got, form, len(p), nil)
 						if got != want {
-							t.Fatalf("%d-byte piece after stream %d: resumed to %+v, scanned to %+v", len(p), j, got.registers(), want.registers())
+							t.Fatalf("%d-byte piece after stream %d: resumed to %+v, scanned to %+v", len(p), j, got, want)
 						}
 						if !slices.Equal(gotM, wantM) {
 							t.Fatalf("%d-byte piece after stream %d: resumed with matches %v, scanned with %v", len(p), j, gotM, wantM)

@@ -11,8 +11,8 @@ import "sync/atomic"
 // ruleset reload) pins flows to is *this compiled artifact*, not "rules
 // that look the same". Registers carry no reference to a machine, so
 // whoever holds a Regs records the generation of the machine it resets them
-// for — the engine's flow state does, and the hot-reload audit reads it
-// there.
+// for — a gateway connection does, through its lane's class (gwClass), and
+// the hot-reload audit reads it there.
 var generationCounter atomic.Uint64
 
 // nextGeneration issues the next process-unique generation number.

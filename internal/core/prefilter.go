@@ -101,7 +101,7 @@ const (
 
 // Prefilter is the compiled lossy first stage, immutable after
 // CompilePrefilter except for its runtime counters; safe for concurrent
-// use by any number of scanners.
+// use by any number of streams.
 type Prefilter struct {
 	class    [256]uint8 // byte → collapsed class, 0 = not in any prefix
 	nClasses int
@@ -294,7 +294,7 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 }
 
 // PrefilterStats reports the lossy stage's layout and its runtime skim
-// accounting across all scanners sharing the machine.
+// accounting across all streams sharing the machine.
 type PrefilterStats struct {
 	States      int  // collapsed DFA states
 	Classes     int  // collapsed alphabet size (class 0 = non-prefix bytes)
@@ -443,7 +443,7 @@ func (m *Machine) scanPrefiltered(r *Regs, data []byte, out []ac.Match) []ac.Mat
 	for i, n := 0, len(data); i < n; {
 		if state != ac.Root {
 			var pos int
-			state, hist, pos, out = prog.scanAppendStopRoot(state, hist, base+i, data[i:], out)
+			state, hist, pos, out = prog.scanAppend(state, hist, base+i, data[i:], out, ac.Root)
 			exact += uint64(pos - base - i)
 			i = pos - base
 			continue
@@ -457,7 +457,7 @@ func (m *Machine) scanPrefiltered(r *Regs, data []byte, out []ac.Match) []ac.Mat
 		}
 		s := max(i-prefK, start)
 		exact += uint64(i - s)
-		state, hist, _, out = prog.scanAppend(ac.Root, histAt(entry, data[:s]), base+s, data[s:i], out)
+		state, hist, _, out = prog.scanAppend(ac.Root, histAt(entry, data[:s]), base+s, data[s:i], out, ac.None)
 	}
 	r.state, r.hist, r.pos = state, hist, base+len(data)
 	if skimmed != 0 {

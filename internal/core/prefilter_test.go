@@ -154,9 +154,8 @@ func TestVerifySupersetDetectsCorruption(t *testing.T) {
 }
 
 // TestPrefilterUnavailableBackendErrors pins the registry contract: a
-// machine without compiled kernels lists only the reference backend, and
-// pinning an unavailable backend is an explicit error, not a silent
-// fallback.
+// machine without compiled kernels lists only the reference backend and
+// runs it (TestBuildRejectsBadOptions refuses an unknown name).
 func TestPrefilterUnavailableBackendErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m, err := Build(randBakedSet(rng), Options{Backend: BackendReference})
@@ -166,12 +165,6 @@ func TestPrefilterUnavailableBackendErrors(t *testing.T) {
 	names := m.Backends()
 	if len(names) != 1 || names[0] != BackendReference {
 		t.Fatalf("reference-pinned machine lists backends %v", names)
-	}
-	if _, err := m.NewScannerFor(BackendPrefiltered); err == nil {
-		t.Fatal("NewScannerFor(prefiltered) succeeded without a prefilter")
-	}
-	if _, err := m.NewScannerFor("warp"); err == nil {
-		t.Fatal("NewScannerFor accepted an unknown backend name")
 	}
 	if m.DefaultBackend() != BackendReference {
 		t.Fatalf("DefaultBackend = %q, want reference", m.DefaultBackend())
@@ -201,9 +194,8 @@ func TestPrefilterStatsAccounting(t *testing.T) {
 	if want := rows * pfStride * 2; st.TableBytes != want {
 		t.Fatalf("TableBytes = %d, want %d", st.TableBytes, want)
 	}
-	sc := m.NewScanner()
-	if sc.Backend() != BackendPrefiltered {
-		t.Fatalf("pinned machine built a %q scanner", sc.Backend())
+	if m.DefaultBackend() != BackendPrefiltered {
+		t.Fatalf("pinned machine runs %q", m.DefaultBackend())
 	}
 	// Clean traffic (bytes outside the pattern alphabet) must be fully
 	// skimmed; attack-dense traffic must drive the exact kernel.
@@ -211,13 +203,12 @@ func TestPrefilterStatsAccounting(t *testing.T) {
 	for i := range clean {
 		clean[i] = 0xF0 | byte(i&3)
 	}
-	sc.ScanAppend(clean, nil)
+	m.FindAll(clean)
 	st = pf.Stats()
 	if st.SkimmedBytes < uint64(len(clean)) {
 		t.Fatalf("SkimmedBytes = %d after %d clean bytes", st.SkimmedBytes, len(clean))
 	}
-	sc.Reset()
-	sc.ScanAppend(randBakedPayload(rng, 4096), nil)
+	m.FindAll(randBakedPayload(rng, 4096))
 	st = pf.Stats()
 	if st.ExactBytes == 0 || st.SuspectWindows == 0 {
 		t.Fatalf("attack traffic left no exact work: %+v", st)
@@ -288,20 +279,15 @@ func TestPrefilterTailRingBoundary(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			pre, err := m.NewScannerFor(BackendPrefiltered)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := m.NewScannerFor(BackendReference)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var pre, ref Regs
+			pre.Reset()
+			ref.Reset()
 			var pOut, rOut []ac.Match
 			for i, o := range sc.ops {
 				switch o.kind {
 				case "write":
-					pOut = pre.ScanAppend([]byte(o.chunk), pOut)
-					rOut = ref.ScanAppend([]byte(o.chunk), rOut)
+					pOut = m.scanAs(kindPrefiltered, &pre, []byte(o.chunk), pOut)
+					rOut = m.scanAs(kindReference, &ref, []byte(o.chunk), rOut)
 				case "reset":
 					pre.Reset()
 					ref.Reset()
@@ -309,8 +295,8 @@ func TestPrefilterTailRingBoundary(t *testing.T) {
 					pre.SkipAhead(o.n)
 					ref.SkipAhead(o.n)
 				}
-				if pre.r != ref.r {
-					t.Fatalf("op %d (%s): prefiltered registers %+v, reference %+v", i, o.kind, pre.r, ref.r)
+				if pre != ref {
+					t.Fatalf("op %d (%s): prefiltered registers %+v, reference %+v", i, o.kind, pre, ref)
 				}
 				if len(pOut) != len(rOut) {
 					t.Fatalf("op %d (%s): prefiltered %d matches, reference %d", i, o.kind, len(pOut), len(rOut))

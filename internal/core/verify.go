@@ -13,14 +13,17 @@ import (
 // Verify proves the machine against t, a trie built from the same ruleset
 // independently of the machine, and runs it on payloads (each one packet;
 // may be nil). It runs every part that applies to the machine: the
-// reference interpreter's every (state, byte) against the DFA
-// (verifyTransitions), the baked kernel's own step the same way
-// (verifyProgram), the match memory against the output chains
-// (verifyOutputs), the prefilter's no-false-negative contract
-// (verifySuperset), and every backend's scan of the payloads against the
-// DFA's (verifyScan), and its fold of them (verifyFold).
+// reference scan loop on every (state, byte) against the DFA
+// (verifyTransitions), the baked scan loop the same way (verifyProgram) —
+// the loops production runs, not copies of their step — the match memory
+// against the output chains (verifyOutputs), the prefilter's
+// no-false-negative contract (verifySuperset), and every backend's scan of
+// the payloads against the DFA's (verifyScan), and its fold of them
+// (verifyFold).
 func (m *Machine) Verify(t *ac.Trie, payloads [][]byte) error {
-	parts := []func(*ac.Trie) error{m.verifyTransitions, m.verifyOutputs}
+	// The match memory first: the loop proofs read it to know what a byte
+	// must emit.
+	parts := []func(*ac.Trie) error{m.verifyOutputs, m.verifyTransitions}
 	if m.prog != nil {
 		parts = append(parts, m.verifyProgram)
 	}
@@ -38,10 +41,11 @@ func (m *Machine) Verify(t *ac.Trie, payloads [][]byte) error {
 // verifyTransitions proves structural equivalence between the compressed
 // machine and the full move-function DFA of t: for every state s and every
 // character c, the hardware transition (stored pointer if present,
-// otherwise the default rule under s's statically known history) must equal
-// the DFA's move target. Combined with the depth ≤ 1 feasibility argument
-// (see the package comment) this implies the two machines accept identical
-// transition sequences on all inputs. That argument needs every default to
+// otherwise the default rule under s's statically known history), taken by
+// the reference scan loop itself on the one-byte input c (proveLoop), must
+// equal the DFA's move target. Combined with the depth ≤ 1 feasibility
+// argument (see the package comment) this implies the two machines accept
+// identical transition sequences on all inputs. That argument needs every default to
 // be the state its row and key spell — row c's depth-1 default the state
 // labeled c, a depth-2 default the path Prev·c, a depth-3 default
 // Prev2·Prev1·c — which the walk first checks row by row, reading the
@@ -77,31 +81,16 @@ func (m *Machine) verifyTransitions(t *ac.Trie) error {
 			}
 		}
 	}
-	var firstErr error
-	t.ForEachMoveRow(func(s int32, row []int32) {
-		if firstErr != nil {
-			return
-		}
-		h2, h1 := staticHistory(t, s)
-		for c := 0; c < 256; c++ {
-			got := m.Next(s, byte(c), h2, h1)
-			if got != row[c] {
-				firstErr = fmt.Errorf(
-					"core: state %d (depth %d) char %#02x: compressed machine gives %d, DFA gives %d",
-					s, t.Nodes[s].Depth, c, got, row[c])
-				return
-			}
-		}
-	})
-	return firstErr
+	return m.proveLoop(t, kindReference)
 }
 
 // verifyProgram proves the baked kernel's transition tables — fast rows,
 // compressed-row descriptors and the d1/d2/d3 lookup, read in the kernel's
-// own encoding by the kernel's own step — against t's full move-function
-// DFA: from every state, under its static history, every byte must step to
-// the DFA's target. verifyTransitions proves the same of the reference
-// interpreter; this is the proof of what production scans with. It first
+// own encoding by the kernel's own scan loop — against t's full
+// move-function DFA: from every state, under its static history, every
+// byte must step to the DFA's target (proveLoop). verifyTransitions proves
+// the same of the reference loop; this is the proof of what production
+// scans with, the prefiltered backend's suspect windows included. It first
 // checks the structure the step relies on without testing: the kernel reads
 // the machine's own lookup table, row index and arena; every promoted state has its own
 // fast row, and one displaced descriptor per fast row; the stored-row
@@ -175,18 +164,32 @@ func (m *Machine) verifyProgram(t *ac.Trie) error {
 	if overrides != len(p.over) {
 		return fmt.Errorf("core: fast rows mark %d overrides, %d are stored", overrides, len(p.over))
 	}
+	return m.proveLoop(t, kindBaked)
+}
 
+// proveLoop runs backend k's scan loop on the one-byte input c from every
+// state s of t, its registers holding s and s's static history, and holds
+// what the loop leaves to t's full move-function DFA: the registers at the
+// DFA's target with c shifted into the history and the position at 1, and
+// exactly the target's match list emitted, ending at 1.
+func (m *Machine) proveLoop(t *ac.Trie, k backendKind) error {
 	var firstErr error
+	var got, want []ac.Match
 	t.ForEachMoveRow(func(s int32, row []int32) {
 		if firstErr != nil {
 			return
 		}
 		hist := fuseHist(staticHistory(t, s))
 		for c := 0; c < 256; c++ {
-			if got, _ := p.step(s, hist, byte(c)); got != row[c] {
+			r, in := Regs{state: s, hist: hist}, [1]byte{byte(c)}
+			got = m.scanAs(k, &r, in[:], got[:0])
+			if want = want[:0]; m.out.has(row[c]) {
+				want = m.out.appendTo(row[c], 1, want)
+			}
+			if r != (Regs{pos: 1, state: row[c], hist: (hist<<histLaneBits | uint32(c)) & histMask}) || !slices.Equal(got, want) {
 				firstErr = fmt.Errorf(
-					"core: state %d (depth %d) char %#02x: baked kernel gives %d, DFA gives %d",
-					s, t.Nodes[s].Depth, c, got, row[c])
+					"core: state %d (depth %d) char %#02x: the %s loop steps to %+v with %d matches, the DFA to state %d with %d",
+					s, t.Nodes[s].Depth, c, scanBackends[k].name, r, len(got), row[c], len(want))
 				return
 			}
 		}
@@ -257,18 +260,17 @@ func (m *Machine) verifyOutputs(t *ac.Trie) error {
 // pulled into this proof automatically. It then proves the fold on the
 // same backends (verifyFold).
 func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
-	backends := m.Backends()
 	for i, p := range payloads {
 		want := t.FindAll(p)
-		for _, name := range backends {
-			sc, err := m.NewScannerFor(name)
-			if err != nil {
-				return fmt.Errorf("core: payload %d: backend %s: %w", i, name, err)
+		for k, spec := range scanBackends {
+			if !spec.available(m) {
+				continue
 			}
-			got := sc.ScanAppend(p, nil)
-			if !ac.MatchesEqual(got, want) {
+			var r Regs
+			r.Reset()
+			if got := m.scanAs(backendKind(k), &r, p, nil); !ac.MatchesEqual(got, want) {
 				return fmt.Errorf("core: payload %d (%d bytes): backend %s found %d matches, DFA %d",
-					i, len(p), name, len(got), len(want))
+					i, len(p), spec.name, len(got), len(want))
 			}
 		}
 	}
@@ -324,7 +326,7 @@ func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
 				gotM := m.resumeAs(kind, &got, form, len(p), nil)
 				if got != want || !slices.Equal(gotM, wantM) {
 					return fmt.Errorf("core: backend %s: piece %d (%d bytes) folded and resumed after piece %d ends in %+v with %d matches, scanned whole in %+v with %d",
-						spec.name, i, len(p), j, got.registers(), len(gotM), want.registers(), len(wantM))
+						spec.name, i, len(p), j, got, len(gotM), want, len(wantM))
 				}
 			}
 		}

@@ -99,14 +99,15 @@ func (c *Context) Adversarial(n, payloadBytes int) ([]AdversarialRow, error) {
 	pc.FindAll(payload)
 
 	// The paper's machine takes exactly one transition per character by
-	// construction; assert it anyway via the scanner position accounting.
+	// construction; assert it anyway via the registers' position accounting.
 	m, err := core.Build(set, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	sc := m.NewScanner()
-	sc.Scan(payload, func(ac.Match) {})
-	oursSteps := float64(sc.Pos()) / float64(len(payload))
+	var r core.Regs
+	r.Reset()
+	m.ScanAppend(&r, payload, nil)
+	oursSteps := float64(r.Pos()) / float64(len(payload))
 
 	rows := []AdversarialRow{
 		{"Our method (move function + DTP)", oursSteps, 1 / oursSteps},

@@ -351,7 +351,8 @@ func TestEngineMatchesSoftwareMachine(t *testing.T) {
 	img := mustPack(t, set, core.Options{})
 	m := img.Machine
 	e := NewEngine(img)
-	sc := m.NewScanner()
+	var r core.Regs
+	r.Reset()
 
 	src := rng.New(99)
 	data := make([]byte, 4000)
@@ -364,7 +365,8 @@ func TestEngineMatchesSoftwareMachine(t *testing.T) {
 	}
 	for i, c := range data {
 		res := e.Step(c)
-		state := sc.Step(c)
+		m.ScanAppend(&r, data[i:i+1], nil)
+		state := r.State()
 		if res.Loc != img.Loc[state] {
 			t.Fatalf("byte %d: engine at %+v, software at state %d (%+v)",
 				i, res.Loc, state, img.Loc[state])

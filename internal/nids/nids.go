@@ -15,7 +15,6 @@ package nids
 import (
 	"fmt"
 
-	"repro/internal/ac"
 	"repro/internal/core"
 	"repro/internal/ruleset"
 )
@@ -267,8 +266,7 @@ func (e *Engine) Inspect(packetID int, hdr FiveTuple, payload []byte) []Alert {
 	}
 	// One matching pass over the payload, shared by every rule.
 	satisfied := make([]int, len(e.rules)) // bitmask of satisfied contents
-	sc := e.machine.NewScanner()
-	sc.Scan(payload, func(m ac.Match) {
+	for _, m := range e.machine.FindAll(payload) {
 		start := m.End - len(e.set.Patterns[m.PatternID].Data)
 		for _, ref := range e.refs[m.PatternID] {
 			if !candidate[ref.rule] {
@@ -278,7 +276,7 @@ func (e *Engine) Inspect(packetID int, hdr FiveTuple, payload []byte) []Alert {
 				satisfied[ref.rule] |= 1 << uint(ref.idx)
 			}
 		}
-	})
+	}
 	var alerts []Alert
 	for i, r := range e.rules {
 		if !candidate[i] {

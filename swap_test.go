@@ -808,6 +808,17 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := NewGateway(mA, GatewayConfig{}, nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil emit: %v, want ErrBadConfig", err)
 	}
+	// A lane count of 2³¹ or more, the product overflowing or not, is
+	// refused before a lane is allocated.
+	for _, cfg := range []GatewayConfig{
+		{EngineShards: 1 << 62, StreamWorkers: 4},
+		{EngineShards: 1 << 16, StreamWorkers: 1 << 15},
+		{EngineShards: 1, StreamWorkers: 1 << 31},
+	} {
+		if _, err := NewGateway(mA, cfg, func(FlowMatch) {}); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%d × %d lanes: %v, want ErrBadConfig", cfg.EngineShards, cfg.StreamWorkers, err)
+		}
+	}
 
 	gw, err := NewGateway(mA, GatewayConfig{}, func(FlowMatch) {})
 	if err != nil {
