@@ -515,21 +515,21 @@ func TestChaosSoakPanicQuarantine(t *testing.T) {
 // the quarantine bucket.
 func soakDatagramEmitPanic(t *testing.T, m *dpi.Matcher, set *ruleset.Set, shards int) {
 	t.Helper()
-	var feed []dpi.GatewayPacket // feed[0] is the victim
+	var victim dpi.GatewayPacket // feed[0], chosen once the gateway places tuples
+	c := newSoakCollector()
+	emit := chaos.PanicOnce(c.emit, func(fm dpi.FlowMatch) bool { return fm.Tuple == victim.Tuple })
+	gw := soakGateway(t, m, dpi.GatewayConfig{EngineShards: shards, StreamWorkers: 1}, emit)
+	var feed []dpi.GatewayPacket
 	for port := uint16(5000); len(feed) < 8; port++ {
 		tup := dpi.FiveTuple{SrcIP: dpi.IPv4(10, 0, 0, 9), DstIP: dpi.IPv4(10, 0, 1, 1),
 			SrcPort: port, DstPort: 53, Proto: dpi.ProtoUDP}
-		if len(feed) > 0 && tup.Hash64()%uint64(shards) != feed[0].Tuple.Hash64()%uint64(shards) {
-			continue // not the victim's lane (one lane per shard)
+		if len(feed) > 0 && gw.LaneIndex(tup) != gw.LaneIndex(feed[0].Tuple) {
+			continue // not the victim's lane
 		}
 		payload := append([]byte("query "), set.Patterns[len(feed)].Data...)
 		feed = append(feed, dpi.GatewayPacket{Tuple: tup, Payload: payload})
 	}
-	victim := feed[0]
-
-	c := newSoakCollector()
-	emit := chaos.PanicOnce(c.emit, func(fm dpi.FlowMatch) bool { return fm.Tuple == victim.Tuple })
-	gw := soakGateway(t, m, dpi.GatewayConfig{EngineShards: shards, StreamWorkers: 1}, emit)
+	victim = feed[0]
 	for _, p := range feed {
 		if err := gw.Ingest(p); err != nil {
 			t.Fatal(err)
@@ -890,13 +890,7 @@ func TestChaosSoakWedgedLaneSparesNeighbours(t *testing.T) {
 			if len(m.FindAll(w.Streams[0])) == 0 || len(m.FindAll(w.Streams[1])) == 0 {
 				t.Fatal("a flow carries no match; soak is vacuous")
 			}
-			// Admission pins a tuple to lane h % lanes; move B off A's
-			// queue.
-			queue := func(tup dpi.FiveTuple) uint64 { return tup.Hash64() % (tc.shards * tc.lanes) }
-			tupA, tupB := w.Tuples[0], w.Tuples[1]
-			for queue(tupB) == queue(tupA) {
-				tupB.SrcPort++
-			}
+			tupA := w.Tuples[0]
 			var segs [2][][]byte
 			for _, p := range w.Packets {
 				segs[p.FlowID] = append(segs[p.FlowID], p.Payload)
@@ -917,6 +911,11 @@ func TestChaosSoakWedgedLaneSparesNeighbours(t *testing.T) {
 				EngineShards: int(tc.shards), StreamWorkers: int(tc.lanes), QueueDepth: 4,
 				OverloadPolicy: dpi.ShedPackets, IngestDeadline: -1, GapTimeout: 1,
 			}, emit)
+			// Move B off A's lane, as admission places them.
+			tupB := w.Tuples[1]
+			for gw.LaneIndex(tupB) == gw.LaneIndex(tupA) {
+				tupB.SrcPort++
+			}
 			var sq dpi.Sequencer
 			// A failing assertion must not leave Close waiting on the wedge.
 			var releaseOnce sync.Once

@@ -23,7 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
+	"testing"
 	"time"
 
 	"repro/internal/ac"
@@ -115,10 +115,7 @@ func measureKernel(m *core.Machine, payload []byte, minTime time.Duration) (floa
 
 	const windows = 4
 	window := minTime / windows
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 	best := 0.0
-	totalPasses := 0
 	for w := 0; w < windows; w++ {
 		start := time.Now()
 		passes := 0
@@ -127,13 +124,14 @@ func measureKernel(m *core.Machine, payload []byte, minTime time.Duration) (floa
 			passes++
 		}
 		elapsed := time.Since(start).Seconds()
-		totalPasses += passes
 		if gbps := float64(passes) * float64(len(payload)) * 8 / elapsed / 1e9; gbps > best {
 			best = gbps
 		}
 	}
-	runtime.ReadMemStats(&ms1)
-	allocs := float64(ms1.Mallocs-ms0.Mallocs) / float64(totalPasses)
+	// Counted outside the timed windows. AllocsPerRun runs at GOMAXPROCS 1
+	// and reports the whole-number mean, so the runtime's own stray
+	// allocations do not read as a fraction of one per pass.
+	allocs := testing.AllocsPerRun(100, pass)
 	return best, len(out), allocs
 }
 

@@ -180,6 +180,23 @@ type VerdictRule struct {
 	Verdict Verdict
 }
 
+// check refuses a rule the gateway cannot honour: a verdict past
+// VerdictPass would be reported as none while its matches say alert, a
+// prefix longer than 32 bits or a port range with Lo above Hi matches
+// nothing, and a negative prefix length matches everything.
+func (r VerdictRule) check() error {
+	h := r.Header
+	switch {
+	case r.Verdict > VerdictPass:
+		return fmt.Errorf("verdict %d is not one of none, alert, drop, pass", r.Verdict)
+	case h.SrcNet.Bits < 0 || h.SrcNet.Bits > 32 || h.DstNet.Bits < 0 || h.DstNet.Bits > 32:
+		return fmt.Errorf("prefix lengths /%d and /%d must lie in 0–32", h.SrcNet.Bits, h.DstNet.Bits)
+	case h.SrcPorts.Lo > h.SrcPorts.Hi || h.DstPorts.Lo > h.DstPorts.Hi:
+		return fmt.Errorf("port ranges %d:%d and %d:%d must have Lo ≤ Hi", h.SrcPorts.Lo, h.SrcPorts.Hi, h.DstPorts.Lo, h.DstPorts.Hi)
+	}
+	return nil
+}
+
 // FlowVerdict reports one classification decision: for stream (TCP) flows
 // it fires once per connection on the first packet, before any match from
 // that flow; for stateless packets it fires per packet. Only decisions
@@ -422,7 +439,10 @@ type Gateway struct {
 // Gateway is running; feed it with Ingest, TryIngest or ReplayPcap and
 // Close it to drain. Nil arguments, an IdleTimeout of 2³¹ or more and a
 // lane count (EngineShards × StreamWorkers) of 2³¹ or more are rejected
-// with a wrapped ErrBadConfig instead of a later panic.
+// with a wrapped ErrBadConfig instead of a later panic, and so is a rule
+// with a Verdict past VerdictPass, a prefix length outside 0–32 or a port
+// range with Lo above Hi instead of one that is misreported or silently
+// matches nothing.
 func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: NewGateway with nil Matcher", ErrBadConfig)
@@ -432,6 +452,11 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 	}
 	if int64(cfg.IdleTimeout) >= 1<<31 {
 		return nil, fmt.Errorf("%w: IdleTimeout %d is not below 2^31", ErrBadConfig, cfg.IdleTimeout)
+	}
+	for _, r := range cfg.Rules {
+		if err := r.check(); err != nil {
+			return nil, fmt.Errorf("%w: rule %d (%s): %v", ErrBadConfig, r.ID, r.Name, err)
+		}
 	}
 	cfg = cfg.withDefaults()
 	// Each lane's clock steps by the lane count, which a table entry keeps

@@ -5,7 +5,7 @@
 // pointer-free bytes, one register file per stream, as each of the paper's
 // hardware engines holds one (§IV.B) — which dpi.Stream and the gateway's
 // flow record hold bare and scan with core.Machine.ScanAppend. The package
-// goes when ROADMAP items 3 and 4 retire bench/pipeline.go.
+// goes when ROADMAP items 2 and 3 retire bench/pipeline.go.
 package engine
 
 import (

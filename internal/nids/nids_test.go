@@ -1,32 +1,27 @@
 package nids
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestPrefixContains(t *testing.T) {
 	cases := []struct {
-		prefix string
+		prefix Prefix
 		ip     uint32
 		want   bool
 	}{
-		{"10.0.0.0/8", IPv4(10, 1, 2, 3), true},
-		{"10.0.0.0/8", IPv4(11, 0, 0, 1), false},
-		{"192.168.1.0/24", IPv4(192, 168, 1, 255), true},
-		{"192.168.1.0/24", IPv4(192, 168, 2, 0), false},
-		{"1.2.3.4/32", IPv4(1, 2, 3, 4), true},
-		{"1.2.3.4/32", IPv4(1, 2, 3, 5), false},
-		{"any", IPv4(8, 8, 8, 8), true},
+		{Prefix{Addr: IPv4(10, 0, 0, 0), Bits: 8}, IPv4(10, 1, 2, 3), true},
+		{Prefix{Addr: IPv4(10, 0, 0, 0), Bits: 8}, IPv4(11, 0, 0, 1), false},
+		{Prefix{Addr: IPv4(192, 168, 1, 0), Bits: 24}, IPv4(192, 168, 1, 255), true},
+		{Prefix{Addr: IPv4(192, 168, 1, 0), Bits: 24}, IPv4(192, 168, 2, 0), false},
+		{Prefix{Addr: IPv4(1, 2, 3, 4), Bits: 32}, IPv4(1, 2, 3, 4), true},
+		{Prefix{Addr: IPv4(1, 2, 3, 4), Bits: 32}, IPv4(1, 2, 3, 5), false},
+		{AnyPrefix, IPv4(8, 8, 8, 8), true},
 	}
 	for _, tc := range cases {
-		p, err := parsePrefix(tc.prefix)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.prefix, err)
-		}
-		if got := p.Contains(tc.ip); got != tc.want {
-			t.Errorf("%s.Contains(%#x) = %v, want %v", tc.prefix, tc.ip, got, tc.want)
+		if got := tc.prefix.Contains(tc.ip); got != tc.want {
+			t.Errorf("%+v.Contains(%#x) = %v, want %v", tc.prefix, tc.ip, got, tc.want)
 		}
 	}
 }
@@ -68,187 +63,6 @@ func TestHeaderRuleMatches(t *testing.T) {
 	bad.DstPort = 81
 	if h.Matches(bad) {
 		t.Error("wrong port accepted")
-	}
-}
-
-func TestContentLocationSemantics(t *testing.T) {
-	// "abc" within the 5-byte window [4, 9): allowed starts are 4, 5, 6.
-	c := Content{Data: []byte("abc"), Offset: 4, Depth: 5}
-	for start, want := range map[int]bool{3: false, 4: true, 5: true, 6: true, 7: false} {
-		if got := c.allows(start); got != want {
-			t.Errorf("allows(%d) = %v, want %v", start, got, want)
-		}
-	}
-	unbounded := Content{Data: []byte("abc"), Offset: 2}
-	if unbounded.allows(1) || !unbounded.allows(2) || !unbounded.allows(1000) {
-		t.Error("offset-only constraint wrong")
-	}
-}
-
-func testRules(t *testing.T) []Rule {
-	t.Helper()
-	src := `
-# web attacks
-alert tcp any any -> 10.0.0.0/8 80 (msg:"phf"; content:"/cgi-bin/phf";)
-alert udp any any -> any 1434 (msg:"slammer"; content:"|04 01 01 01 01|"; offset:0; depth:5;)
-alert tcp any any -> any 80:88 (msg:"two-part"; content:"GET "; offset:0; depth:4; content:"../../";)
-`
-	rules, err := ParseRules(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rules
-}
-
-func TestParseRules(t *testing.T) {
-	rules := testRules(t)
-	if len(rules) != 3 {
-		t.Fatalf("rules = %d", len(rules))
-	}
-	if rules[0].Name != "phf" || rules[0].Header.Proto != ProtoTCP {
-		t.Fatalf("rule 0 = %+v", rules[0])
-	}
-	if rules[1].Contents[0].Depth != 5 || rules[1].Contents[0].Offset != 0 {
-		t.Fatalf("slammer content constraint = %+v", rules[1].Contents[0])
-	}
-	if len(rules[2].Contents) != 2 {
-		t.Fatalf("two-part rule has %d contents", len(rules[2].Contents))
-	}
-	if rules[2].Header.DstPorts != (PortRange{Lo: 80, Hi: 88}) {
-		t.Fatalf("port range = %+v", rules[2].Header.DstPorts)
-	}
-}
-
-func TestParseRuleErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"alert tcp any any -> any 80", // no options
-		"drop tcp any any -> any 80 (content:\"x\";)",              // action
-		"alert tcp any any any 80 (content:\"x\";)",                // missing ->
-		"alert xxx any any -> any 80 (content:\"x\";)",             // proto
-		"alert tcp 1.2.3/8 any -> any 80 (content:\"x\";)",         // bad ip
-		"alert tcp any 99999 -> any 80 (content:\"x\";)",           // bad port
-		"alert tcp any 90:80 -> any 80 (content:\"x\";)",           // inverted range
-		"alert tcp any any -> any 80 (msg:\"no content\";)",        // no content
-		"alert tcp any any -> any 80 (offset:3; content:\"x\";)",   // offset first
-		"alert tcp any any -> any 80 (content:\"x\"; offset:-1;)",  // negative
-		"alert tcp any any -> any 80 (content:\"|zz|\";)",          // bad hex
-		"alert tcp any any -> any 80 (content:\"x\"; nonsense:1;)", // unknown opt
-		"alert tcp any any -> any 80 (msg:\"unterminated; content:\"x\";)",
-	}
-	for _, line := range bad {
-		if _, err := ParseRule(line); err == nil {
-			t.Errorf("accepted %q", line)
-		}
-	}
-}
-
-func TestEngineDeduplicatesContents(t *testing.T) {
-	rules := []Rule{
-		{ID: 0, Name: "a", Contents: []Content{{Data: []byte("shared")}}},
-		{ID: 1, Name: "b", Contents: []Content{{Data: []byte("shared")}, {Data: []byte("extra")}}},
-	}
-	e, err := NewEngine(rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.NumPatterns() != 2 {
-		t.Fatalf("patterns = %d, want 2 (shared deduplicated)", e.NumPatterns())
-	}
-}
-
-func TestEngineInspect(t *testing.T) {
-	rules := testRules(t)
-	e, err := NewEngine(rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	web := FiveTuple{SrcIP: IPv4(1, 2, 3, 4), DstIP: IPv4(10, 0, 0, 5), SrcPort: 40000, DstPort: 80, Proto: ProtoTCP}
-
-	// phf rule fires on matching header + payload.
-	alerts := e.Inspect(0, web, []byte("GET /cgi-bin/phf HTTP/1.0"))
-	if len(alerts) != 1 || alerts[0].RuleName != "phf" {
-		t.Fatalf("alerts = %+v", alerts)
-	}
-
-	// Same payload to a destination outside 10/8: header gate blocks it.
-	outside := web
-	outside.DstIP = IPv4(11, 0, 0, 5)
-	if alerts := e.Inspect(1, outside, []byte("GET /cgi-bin/phf HTTP/1.0")); len(alerts) != 0 {
-		t.Fatalf("header gate failed: %+v", alerts)
-	}
-
-	// Two-part rule: both contents must match, with GET at offset 0.
-	payload := []byte("GET /a/../../etc/passwd HTTP/1.0")
-	alerts = e.Inspect(2, web, payload)
-	names := map[string]bool{}
-	for _, a := range alerts {
-		names[a.RuleName] = true
-	}
-	if !names["two-part"] {
-		t.Fatalf("two-part rule did not fire: %+v", alerts)
-	}
-	// "GET " not at the start → the offset/depth constraint must block it.
-	shifted := append([]byte("xx"), payload...)
-	alerts = e.Inspect(3, web, shifted)
-	for _, a := range alerts {
-		if a.RuleName == "two-part" {
-			t.Fatalf("two-part fired despite GET at offset 2: %+v", alerts)
-		}
-	}
-
-	// Slammer: UDP/1434, preamble byte must be at offset 0 exactly.
-	slam := FiveTuple{SrcIP: IPv4(9, 9, 9, 9), DstIP: IPv4(10, 1, 1, 1), SrcPort: 1025, DstPort: 1434, Proto: ProtoUDP}
-	body := []byte{0x04, 0x01, 0x01, 0x01, 0x01, 0x99}
-	if alerts := e.Inspect(4, slam, body); len(alerts) != 1 || alerts[0].RuleName != "slammer" {
-		t.Fatalf("slammer alerts = %+v", alerts)
-	}
-	late := append([]byte{0x00}, body...)
-	if alerts := e.Inspect(5, slam, late); len(alerts) != 0 {
-		t.Fatalf("slammer fired at offset 1: %+v", alerts)
-	}
-}
-
-func TestEngineAlertOncePerRule(t *testing.T) {
-	rules := []Rule{{ID: 7, Name: "x", Contents: []Content{{Data: []byte("dup")}}}}
-	e, err := NewEngine(rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alerts := e.Inspect(0, FiveTuple{}, []byte("dup dup dup dup"))
-	if len(alerts) != 1 {
-		t.Fatalf("alerts = %d, want 1 (deduplicated per packet)", len(alerts))
-	}
-	if alerts[0].RuleID != 7 {
-		t.Fatalf("rule ID = %d", alerts[0].RuleID)
-	}
-}
-
-func TestEngineValidation(t *testing.T) {
-	if _, err := NewEngine(nil); err == nil {
-		t.Error("empty rules accepted")
-	}
-	if _, err := NewEngine([]Rule{{ID: 0}}); err == nil {
-		t.Error("rule without contents accepted")
-	}
-	if _, err := NewEngine([]Rule{
-		{ID: 0, Contents: []Content{{Data: []byte("a")}}},
-		{ID: 0, Contents: []Content{{Data: []byte("b")}}},
-	}); err == nil {
-		t.Error("duplicate IDs accepted")
-	}
-	if _, err := NewEngine([]Rule{{ID: 0, Contents: []Content{{Data: []byte("a"), Offset: -1}}}}); err == nil {
-		t.Error("negative offset accepted")
-	}
-	if _, err := NewEngine([]Rule{{ID: 0, Contents: []Content{{Data: []byte("abc"), Depth: 2}}}}); err == nil {
-		t.Error("depth below content length accepted")
-	}
-	big := Rule{ID: 0}
-	for i := 0; i < 33; i++ {
-		big.Contents = append(big.Contents, Content{Data: []byte{byte(i), byte(i + 1)}})
-	}
-	if _, err := NewEngine([]Rule{big}); err == nil {
-		t.Error("33 contents accepted")
 	}
 }
 

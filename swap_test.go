@@ -819,6 +819,21 @@ func TestSentinelErrors(t *testing.T) {
 			t.Fatalf("%d × %d lanes: %v, want ErrBadConfig", cfg.EngineShards, cfg.StreamWorkers, err)
 		}
 	}
+	// A rule that could only be misreported or never match is refused
+	// before a lane is made: a verdict past VerdictPass, a prefix length
+	// outside 0–32, a port range with Lo above Hi.
+	for _, r := range []VerdictRule{
+		{ID: 1, Name: "verdict-7", Verdict: Verdict(7)},
+		{ID: 2, Name: "src-/33", Header: HeaderRule{SrcNet: Prefix{Bits: 33}}},
+		{ID: 3, Name: "dst-/-1", Header: HeaderRule{DstNet: Prefix{Bits: -1}}},
+		{ID: 4, Name: "sport-90:80", Header: HeaderRule{SrcPorts: PortRange{Lo: 90, Hi: 80}}},
+		{ID: 5, Name: "dport-90:80", Header: HeaderRule{DstPorts: PortRange{Lo: 90, Hi: 80}}},
+	} {
+		cfg := GatewayConfig{Rules: []VerdictRule{{ID: 9, Name: "fine", Verdict: VerdictAlert}, r}}
+		if _, err := NewGateway(mA, cfg, func(FlowMatch) {}); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("rule %s: %v, want ErrBadConfig", r.Name, err)
+		}
+	}
 
 	gw, err := NewGateway(mA, GatewayConfig{}, func(FlowMatch) {})
 	if err != nil {
