@@ -12,8 +12,11 @@ package dpi
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ac"
 	"repro/internal/core"
@@ -243,6 +246,40 @@ func BenchmarkCompile634(b *testing.B)  { benchmarkCompile(b, 634) }
 func BenchmarkCompile1204(b *testing.B) { benchmarkCompile(b, 1204) }
 func BenchmarkCompile2588(b *testing.B) { benchmarkCompile(b, 2588) }
 func BenchmarkCompile6275(b *testing.B) { benchmarkCompile(b, 6275) }
+
+// BenchmarkReload634 times the cycle a start or a SwapRules deploy pays —
+// Compile, NewGateway, Close — at 634 strings, with a collection between
+// cycles and outside the timer, and reports the fastest cycle as
+// fastest_ns/cycle: the quantity go run ./bench gates as setup_s, recorded
+// here per commit where the bench does not run.
+func BenchmarkReload634(b *testing.B) {
+	rules, err := GenerateSnortLike(634, 2010)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := GatewayConfig{EngineShards: 1, StreamWorkers: 2, OverloadPolicy: Block}
+	fastest := time.Duration(math.MaxInt64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		start := time.Now()
+		m, err := Compile(rules, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gw, err := NewGateway(m, cfg, func(FlowMatch) {})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := gw.Close(); err != nil {
+			b.Fatal(err)
+		}
+		fastest = min(fastest, time.Since(start))
+	}
+	b.ReportMetric(float64(fastest.Nanoseconds()), "fastest_ns/cycle")
+}
 
 func BenchmarkScanCompressed(b *testing.B) {
 	ctx := sharedBenchCtx(b)

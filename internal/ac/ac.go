@@ -14,8 +14,10 @@
 // A Trie is scaffolding: package core compresses one into a Machine and lets
 // it go, and a verifier or drawing that needs the uncompressed automaton
 // later is handed another built from the ruleset. It is laid out
-// flat all the same — a table of 32-byte nodes and two arenas, goto edges
-// and own outputs, no allocation per state, reached through Trie.Edges and
+// flat all the same — a table of 32-byte nodes and an arena of own outputs,
+// no allocation per state. A state's goto edges lead to its children, which
+// breadth-first numbering makes consecutive (Trie.Children), and each is
+// labelled with its target's Char; its own outputs are read through
 // Trie.Out. A pattern's length is the depth of the state that outputs it.
 // New builds one in two phases, which a caller may run itself: Layout, the
 // states and arenas, then Link, the fail and output links.
@@ -33,27 +35,19 @@ const Root int32 = 0
 // None marks an absent state reference.
 const None int32 = -1
 
-// Edge is a goto transition: consuming Char moves to state To, one level
-// deeper in the trie.
-type Edge struct {
-	Char byte
-	To   int32
-}
-
 // Node is one state of the automaton: 32 pointer-free bytes. Its goto
-// transitions and its own outputs live in two trie-wide arenas, both laid
-// out in state order, and are read through Trie.Edges and Trie.Out; the
-// node carries only their counts and where they start. The full move
-// function is derived via the fail chain.
+// transitions lead to its children, read through Trie.Children, and its own
+// outputs live in a trie-wide arena laid out in state order, read through
+// Trie.Out; the node carries only their counts and where they start. The
+// full move function is derived via the fail chain.
 type Node struct {
 	Parent  int32
 	Fail    int32
 	OutLink int32 // nearest fail-ancestor with its own outputs, or None
 	Depth   int32
-	// edgeOff and outOff locate the state's slices of Trie.edges and
-	// Trie.outs. They are layout — the prefix sums of the counts — never
-	// data.
-	edgeOff  uint32
+	// first is the state's first child and outOff locates its slice of
+	// Trie.outs. They are layout, never data.
+	first    uint32
 	outOff   uint32
 	NumEdges uint16 // goto transitions out of this state
 	NumOut   uint16 // patterns ending exactly at this state
@@ -61,16 +55,13 @@ type Node struct {
 }
 
 // Trie is the Aho-Corasick automaton for a pattern set: the node table and
-// two flat arenas, however many states there are.
+// one flat arena, however many states there are.
 type Trie struct {
 	Nodes []Node
-	// edges holds every state's goto transitions, state 0's first, each
-	// state's sorted by character. outs holds every state's own pattern ID
-	// the same way — a state ends at most one pattern, as two ending on one
-	// state would have the same content. IDs are the (possibly sparse)
-	// ruleset IDs.
-	edges []Edge
-	outs  []int32
+	// outs holds every state's own pattern ID, state 0's first — a state
+	// ends at most one pattern, as two ending on one state would have the
+	// same content. IDs are the (possibly sparse) ruleset IDs.
+	outs []int32
 }
 
 // Match reports one pattern occurrence. End is the byte offset one past the
@@ -80,11 +71,12 @@ type Match struct {
 	End       int
 }
 
-// Edges returns the goto transitions out of state s, sorted by character.
-// The slice aliases the trie's arena: read-only.
-func (t *Trie) Edges(s int32) []Edge {
+// Children returns the targets of state s's goto transitions, the states
+// lo … hi-1: breadth-first numbering makes them consecutive and puts them
+// in character order, and the transition into v consumes Nodes[v].Char.
+func (t *Trie) Children(s int32) (lo, hi int32) {
 	nd := &t.Nodes[s]
-	return t.edges[nd.edgeOff : nd.edgeOff+uint32(nd.NumEdges)]
+	return int32(nd.first), int32(nd.first) + int32(nd.NumEdges)
 }
 
 // Out returns the IDs of the patterns ending exactly at state s (not those
@@ -115,8 +107,8 @@ func New(set *ruleset.Set) (*Trie, error) {
 // run of one index array in input order, split stably by their next byte,
 // so its children are made in character order and numbered as reached. A
 // state's parent and fail parent have lower numbers, each depth is one
-// range, a state's children are consecutive, edge k leads to state k+1, and
-// the numbering depends on the patterns' contents, not their order.
+// range, a state's children are consecutive, and the numbering depends on
+// the patterns' contents, not their order.
 func Layout(set *ruleset.Set) (*Trie, error) {
 	if set.Len() == 0 {
 		return nil, fmt.Errorf("ac: empty pattern set")
@@ -139,58 +131,69 @@ func Layout(set *ruleset.Set) (*Trie, error) {
 		seenID[w] |= bit
 		ceiling += len(p.Data)
 	}
+	// The sort keys are read from one flat copy of the pattern bytes:
+	// pattern i is flat[at[i]:at[i+1]].
 	pats := set.Patterns
-	t := &Trie{Nodes: make([]Node, 1, ceiling), outs: make([]int32, 0, len(pats))}
-	runs, spare := make([]int32, len(pats)), make([]int32, len(pats))
-	for i := range runs {
-		runs[i] = int32(i)
+	nodes, outs := make([]Node, 1, ceiling), make([]int32, 0, len(pats))
+	flat, idx := make([]byte, 0, ceiling-1), make([]int32, 3*len(pats)+1)
+	runs, spare, at := idx[:len(pats)], idx[len(pats):2*len(pats)], idx[2*len(pats):]
+	for i, p := range pats {
+		runs[i], at[i] = int32(i), int32(len(flat))
+		flat = append(flat, p.Data...)
 	}
-	// Until a state is reached its edgeOff and outOff bound its run of
-	// pattern indices; then they become its arena offsets.
-	t.Nodes[Root] = Node{Parent: None, OutLink: None, outOff: uint32(len(pats))}
-	for s := int32(0); int(s) < len(t.Nodes); s++ {
-		nd := &t.Nodes[s]
-		run, depth := runs[nd.edgeOff:nd.outOff], nd.Depth
-		lo := nd.edgeOff
-		nd.edgeOff, nd.outOff = uint32(len(t.Nodes)-1), uint32(len(t.outs))
+	at[len(pats)] = int32(len(flat))
+	// Until a state is reached its first and outOff bound its run of
+	// pattern indices; then they become its first child and arena offset.
+	nodes[Root] = Node{Parent: None, OutLink: None, outOff: uint32(len(pats))}
+	for s := int32(0); int(s) < len(nodes); s++ {
+		nd := &nodes[s]
+		lo, hi, depth := nd.first, nd.outOff, nd.Depth
+		nd.first, nd.outOff = uint32(len(nodes)), uint32(len(outs))
+		if hi-lo == 1 {
+			// One pattern's own path: it ends here or has one child, and
+			// there is nothing to sort.
+			if i := runs[lo]; at[i]+depth == at[i+1] {
+				outs = append(outs, int32(pats[i].ID))
+				nd.NumOut = 1
+			} else {
+				nodes = append(nodes, Node{Parent: s, OutLink: None, Depth: depth + 1, Char: flat[at[i]+depth], first: lo, outOff: hi})
+				nd.NumEdges = 1
+			}
+			continue
+		}
 		// A pattern as long as the state is deep sorts first and ends here;
 		// a second one has the same bytes.
-		sortByByte(pats, run, spare[lo:lo+uint32(len(run))], depth)
-		if len(run) > 0 && len(pats[run[0]].Data) == int(depth) {
-			if len(run) > 1 && len(pats[run[1]].Data) == int(depth) {
-				a, b := pats[run[0]], pats[run[1]]
+		run := runs[lo:hi]
+		sortByByte(flat, at, run, spare[lo:hi], depth)
+		if i := run[0]; at[i]+depth == at[i+1] {
+			if j := run[1]; at[j]+depth == at[j+1] {
+				a, b := pats[i], pats[j]
 				return nil, fmt.Errorf("ac: patterns %d and %d have the same content %q", a.ID, b.ID, a.Data)
 			}
-			t.outs = append(t.outs, int32(pats[run[0]].ID))
+			outs = append(outs, int32(pats[i].ID))
 			nd.NumOut = 1
 			run, lo = run[1:], lo+1
 		}
 		for k := 0; k < len(run); {
-			c, from := pats[run[k]].Data[depth], k
-			for k < len(run) && pats[run[k]].Data[depth] == c {
+			c, from := flat[at[run[k]]+depth], k
+			for k < len(run) && flat[at[run[k]]+depth] == c {
 				k++
 			}
-			t.Nodes = t.Nodes[:len(t.Nodes)+1]
-			ch := &t.Nodes[len(t.Nodes)-1]
-			ch.Parent, ch.OutLink, ch.Depth, ch.Char = s, None, depth+1, c
-			ch.edgeOff, ch.outOff = lo+uint32(from), lo+uint32(k)
+			nodes = append(nodes, Node{Parent: s, OutLink: None, Depth: depth + 1, Char: c, first: lo + uint32(from), outOff: lo + uint32(k)})
 			nd.NumEdges++
 		}
 	}
-	t.edges = make([]Edge, len(t.Nodes)-1)
-	for k := range t.edges {
-		t.edges[k] = Edge{Char: t.Nodes[k+1].Char, To: int32(k + 1)}
-	}
-	return t, nil
+	return &Trie{Nodes: nodes, outs: outs}, nil
 }
 
 // sortByByte orders run, indices of patterns at least depth long, stably by
 // their byte at depth, those that end there first: a counting sort through
-// spare, as long as run, or an insertion sort when run is narrow.
-func sortByByte(pats []ruleset.Pattern, run, spare []int32, depth int32) {
+// spare, as long as run, or an insertion sort when run is narrow. Pattern i
+// is flat[at[i]:at[i+1]].
+func sortByByte(flat []byte, at, run, spare []int32, depth int32) {
 	key := func(i int32) int {
-		if d := pats[i].Data; int(depth) < len(d) {
-			return int(d[depth]) + 1
+		if k := at[i] + depth; k < at[i+1] {
+			return int(flat[k]) + 1
 		}
 		return 0
 	}
@@ -205,35 +208,34 @@ func sortByByte(pats []ruleset.Pattern, run, spare []int32, depth int32) {
 		}
 		return
 	}
-	var at [258]int32
+	var n [258]int32
 	for _, i := range run {
-		at[key(i)+1]++
+		n[key(i)+1]++
 	}
-	for k := 1; k < len(at); k++ {
-		at[k] += at[k-1]
+	for k := 1; k < len(n); k++ {
+		n[k] += n[k-1]
 	}
 	for _, i := range run {
 		k := key(i)
-		spare[at[k]] = i
-		at[k]++
+		spare[n[k]] = i
+		n[k]++
 	}
 	copy(run, spare)
 }
 
 // edgeTo returns the goto target of (s, c), or None.
 func (t *Trie) edgeTo(s int32, c byte) int32 {
-	edges := t.Edges(s)
-	lo, hi := 0, len(edges)
-	for lo < hi {
+	lo, end := t.Children(s)
+	for hi := end; lo < hi; {
 		mid := (lo + hi) / 2
-		if edges[mid].Char < c {
+		if t.Nodes[mid].Char < c {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(edges) && edges[lo].Char == c {
-		return edges[lo].To
+	if lo < end && t.Nodes[lo].Char == c {
+		return lo
 	}
 	return None
 }
@@ -250,8 +252,9 @@ func (t *Trie) Link() {
 	for c := range rootGoto {
 		rootGoto[c] = None
 	}
-	for _, e := range t.Edges(Root) {
-		rootGoto[e.Char] = e.To
+	lo, hi := t.Children(Root)
+	for v := lo; v < hi; v++ {
+		rootGoto[t.Nodes[v].Char] = v
 	}
 	for v := int32(1); v < int32(len(t.Nodes)); v++ {
 		nd := &t.Nodes[v]
@@ -260,9 +263,9 @@ func (t *Trie) Link() {
 		w := rootGoto[nd.Char]
 	chain:
 		for f := t.Nodes[nd.Parent].Fail; f != Root; f = t.Nodes[f].Fail {
-			for _, e := range t.Edges(f) {
-				if e.Char == nd.Char {
-					w = e.To
+			for u, end := t.Children(f); u < end; u++ {
+				if t.Nodes[u].Char == nd.Char {
+					w = u
 					break chain
 				}
 			}
@@ -367,8 +370,8 @@ func (t *Trie) ForEachMoveRow(fn func(s int32, row []int32)) {
 	for c := 0; c < 256; c++ {
 		rootRow[c] = Root
 	}
-	for _, e := range t.Edges(Root) {
-		rootRow[e.Char] = e.To
+	for v, end := t.Children(Root); v < end; v++ {
+		rootRow[t.Nodes[v].Char] = v
 	}
 	fn(Root, rootRow)
 
@@ -391,8 +394,8 @@ func (t *Trie) ForEachMoveRow(fn func(s int32, row []int32)) {
 	derive := func(parentRow []int32, s int32) []int32 {
 		row := getRow()
 		copy(row, parentRow)
-		for _, e := range t.Edges(s) {
-			row[e.Char] = e.To
+		for v, end := t.Children(s); v < end; v++ {
+			row[t.Nodes[v].Char] = v
 		}
 		return row
 	}

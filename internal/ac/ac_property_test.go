@@ -204,27 +204,26 @@ func TestArenaLayout(t *testing.T) {
 			if s > 0 && nd.Depth < tr.Nodes[s-1].Depth {
 				t.Fatalf("seed %d: state %d has depth %d, state %d before it %d", seed, s, nd.Depth, s-1, tr.Nodes[s-1].Depth)
 			}
-			if nd.edgeOff != edges || nd.outOff != outs {
-				t.Fatalf("seed %d: state %d's slices start at (%d, %d), the states before it end at (%d, %d)",
-					seed, s, nd.edgeOff, nd.outOff, edges, outs)
+			// The children of the states before s are states 1 … edges.
+			if nd.first != edges+1 || nd.outOff != outs {
+				t.Fatalf("seed %d: state %d's children and outputs start at (%d, %d), the states before it end at (%d, %d)",
+					seed, s, nd.first, nd.outOff, edges+1, outs)
 			}
-			es := tr.Edges(s)
-			for j, e := range es {
-				if j > 0 && es[j-1].Char >= e.Char {
-					t.Fatalf("seed %d: state %d edges not strictly sorted: %v", seed, s, es)
+			lo, hi := tr.Children(s)
+			for v := lo; v < hi; v++ {
+				if v > lo && tr.Nodes[v-1].Char >= tr.Nodes[v].Char {
+					t.Fatalf("seed %d: state %d's children %d and %d are not in character order", seed, s, v-1, v)
 				}
-				if to := &tr.Nodes[e.To]; to.Parent != s || to.Char != e.Char {
-					t.Fatalf("seed %d: state %d edge %q leads to %d, a child of %d on %q",
-						seed, s, e.Char, e.To, to.Parent, to.Char)
+				if tr.Nodes[v].Parent != s {
+					t.Fatalf("seed %d: state %d's child %d is a child of %d", seed, s, v, tr.Nodes[v].Parent)
 				}
 			}
-			edges += uint32(len(es))
+			edges += uint32(hi - lo)
 			outs += uint32(len(tr.Out(s)))
 		}
-		if int(edges) != len(tr.edges) || int(outs) != len(tr.outs) ||
-			len(tr.edges) != cap(tr.edges) || len(tr.outs) != cap(tr.outs) {
-			t.Fatalf("seed %d: arenas hold %d/%d edges and %d/%d outputs, the states account for %d and %d",
-				seed, len(tr.edges), cap(tr.edges), len(tr.outs), cap(tr.outs), edges, outs)
+		if int(outs) != len(tr.outs) || len(tr.outs) != cap(tr.outs) {
+			t.Fatalf("seed %d: the arena holds %d/%d outputs, the states account for %d",
+				seed, len(tr.outs), cap(tr.outs), outs)
 		}
 		if edges != uint32(tr.NumStates()-1) {
 			t.Fatalf("seed %d: %d edges for %d states", seed, edges, tr.NumStates())
@@ -234,7 +233,7 @@ func TestArenaLayout(t *testing.T) {
 
 // TestLinkWritesOnlyLinks: Layout leaves every fail link at the start state
 // and no output link, and Link then writes those two fields and nothing
-// else — no other node field and neither arena. Package core relies on it
+// else — no other node field and not the output arena. Package core relies on it
 // to read the rest of a laid-out trie on a second goroutine while Link
 // runs.
 func TestLinkWritesOnlyLinks(t *testing.T) {
@@ -243,7 +242,7 @@ func TestLinkWritesOnlyLinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		laid, edges, outs := slices.Clone(tr.Nodes), slices.Clone(tr.edges), slices.Clone(tr.outs)
+		laid, outs := slices.Clone(tr.Nodes), slices.Clone(tr.outs)
 		for s, nd := range laid {
 			if nd.Fail != Root || nd.OutLink != None {
 				t.Fatalf("seed %d: laid-out state %d has fail %d and output link %d", seed, s, nd.Fail, nd.OutLink)
@@ -263,8 +262,8 @@ func TestLinkWritesOnlyLinks(t *testing.T) {
 		if linked == 0 {
 			t.Fatalf("seed %d: Link linked no state", seed)
 		}
-		if !slices.Equal(tr.edges, edges) || !slices.Equal(tr.outs, outs) {
-			t.Fatalf("seed %d: Link changed an arena", seed)
+		if !slices.Equal(tr.outs, outs) {
+			t.Fatalf("seed %d: Link changed the output arena", seed)
 		}
 	}
 }

@@ -38,8 +38,8 @@ func TestToyTrieShape(t *testing.T) {
 		t.Fatalf("states = %d, want 10", tr.NumStates())
 	}
 	// Root has exactly two goto edges: h and s.
-	if got := len(tr.Edges(Root)); got != 2 {
-		t.Fatalf("root edges = %d, want 2", got)
+	if lo, hi := tr.Children(Root); hi-lo != 2 {
+		t.Fatalf("root edges = %d, want 2", hi-lo)
 	}
 }
 

@@ -204,10 +204,10 @@ func bakeFastTier(t *ac.Trie, ft *failTree, d1 *[256]int32, denseStates int) fas
 			}
 		}
 		for i := len(chain) - 1; i >= 0; i-- {
-			for _, e := range t.Edges(chain[i]) {
-				if e.To != d1[e.Char] {
-					row.bits[e.Char>>6] |= 1 << (e.Char & 63)
-					scratch[e.Char] = e.To
+			for v, end := t.Children(chain[i]); v < end; v++ {
+				if c := t.Nodes[v].Char; v != d1[c] {
+					row.bits[c>>6] |= 1 << (c & 63)
+					scratch[c] = v
 				}
 			}
 		}

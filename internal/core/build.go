@@ -30,10 +30,12 @@ package core
 //     its difference from the depth-1 default row; see bakeFastTier.
 //
 // The defaults are chosen into, and resolved from, the kernel's own packed
-// lookup table (selectDefaults, misses). Build runs ac.Trie.Link and this
-// chain on the caller's goroutine and the rest beside it on a second one:
-// the prefilter and its proof beside Link, then the match memory and the
-// fast rows beside compress, whose row index compile installs them in.
+// lookup table (selectDefaults, misses). Build runs ac.Trie.Link, this
+// chain and, after compress, the fold's window filter and its proof on the
+// caller's goroutine, whose core wrote the trie. A second goroutine runs
+// beside them the prefilter and its proof, which read only what Link leaves
+// alone, then the match memory once Link is done, then the fast rows once
+// the fail tree is, which compile installs in compress's row index.
 
 import (
 	"cmp"
@@ -307,13 +309,13 @@ func compress(t *ac.Trie, ft *failTree, d defaults, st *BuildStats) ([]Pointer, 
 		nd := &t.Nodes[s]
 		w := int64(ft.sub[s])
 		length := int(rows[nd.Fail])
-		for _, e := range t.Edges(s) {
-			own := uint8(1<<1 | 1<<2 | full) // no default is as deep as e.To
+		for v, end := t.Children(s); v < end; v++ {
+			own := uint8(1<<1 | 1<<2 | full) // no default is as deep as v
 			if nd.Depth < 3 {
-				own = d.misses(e.Char, fuseHist(staticHistory(t, s)), e.To)
+				own = d.misses(t.Nodes[v].Char, fuseHist(staticHistory(t, s)), v)
 			}
-			inherited := miss[t.Nodes[e.To].Fail]
-			miss[e.To] = own
+			inherited := miss[t.Nodes[v].Fail]
+			miss[v] = own
 			for d := 1; d <= 3; d++ {
 				total[d] += w*int64(own>>d&1) - w*int64(inherited>>d&1)
 			}
@@ -341,17 +343,18 @@ func compress(t *ac.Trie, ft *failTree, d defaults, st *BuildStats) ([]Pointer, 
 			inherited = rowOf(stored, rows[t.Nodes[s].Fail])
 		}
 		row, used := rowOf(stored, rows[s]), 0
-		for _, e := range t.Edges(s) {
-			for len(inherited) > 0 && inherited[0].Char() < e.Char {
+		for v, end := t.Children(s); v < end; v++ {
+			c := t.Nodes[v].Char
+			for len(inherited) > 0 && inherited[0].Char() < c {
 				row[used] = inherited[0]
 				used++
 				inherited = inherited[1:]
 			}
-			if len(inherited) > 0 && inherited[0].Char() == e.Char {
+			if len(inherited) > 0 && inherited[0].Char() == c {
 				inherited = inherited[1:]
 			}
-			if miss[e.To]&full != 0 {
-				row[used] = newPointer(e.Char, e.To)
+			if miss[v]&full != 0 {
+				row[used] = newPointer(c, v)
 				used++
 			}
 		}

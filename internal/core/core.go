@@ -308,9 +308,10 @@ type Machine struct {
 }
 
 // Build compresses the move-function DFA for set under opts. A second
-// goroutine (newSideStages) works beside the compression chain and sends
-// its results on an unbuffered channel, which every return after it starts
-// receives from first: no goroutine outlives Build.
+// goroutine (newSideStages) works beside the compression chain, which tells
+// it when Link is done and hands it the fail tree, and sends its results on
+// an unbuffered channel, which every return after it starts receives from
+// first: no goroutine outlives Build.
 func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -320,14 +321,20 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{backend: opts.Backend, generation: nextGeneration(), depth: int(trie.Nodes[deepest(trie)].Depth)}
-	handoff, side := make(chan *failTree, 1), make(chan sideStages)
-	go func() { side <- newSideStages(set, trie, opts, &m.lut.d1, handoff) }()
+	linked, handoff, side := make(chan struct{}), make(chan *failTree, 1), make(chan sideStages)
+	go func() { side <- newSideStages(trie, opts, &m.lut.d1, linked, handoff) }()
 	trie.Link()
+	close(linked)
 	ft := newFailTree(trie)
 	d := defaults{&m.lut, unsafe.Slice(&m.lut.d2[0][0], len(m.lut.d2)*d2PerChar)}
 	selectDefaults(trie, ft, d, &m.Stats)
 	handoff <- ft
 	m.stored, m.rows, err = compress(trie, ft, d, &m.Stats)
+	if err == nil {
+		if m.windows = newWindowFilter(set, trie); m.windows.prove(trie) != nil {
+			m.windows = windowFilter{} // never used unproved
+		}
+	}
 	stages := <-side
 	if err != nil {
 		return nil, err
@@ -338,25 +345,23 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	return m, nil
 }
 
-// sideStages is what Build's second goroutine derives: the match memory,
-// the proved window filter and, unless the reference interpreter is pinned,
-// the fast tier and the lossy prefilter — nil when it does not fit its
-// packed entry format or verifySuperset refused it, with refused saying
-// which.
+// sideStages is what Build's second goroutine derives: the match memory
+// and, unless the reference interpreter is pinned, the fast tier and the
+// lossy prefilter — nil when it does not fit its packed entry format or
+// verifySuperset refused it, with refused saying which.
 type sideStages struct {
 	out     outputTable
-	windows windowFilter
 	pre     *Prefilter
 	refused error
 	tier    fastTier
 }
 
-// newSideStages runs beside Link the prefilter, the window filter and their
-// proofs, which read only what Link leaves alone, then, once handoff brings
-// the fail tree — sent after Link and selectDefaults, so the links and d1
-// are final — beside compress the match memory and the fast tier. It writes
-// nothing the main goroutine reads.
-func newSideStages(set *ruleset.Set, t *ac.Trie, opts Options, d1 *[256]int32, handoff <-chan *failTree) (ss sideStages) {
+// newSideStages runs beside Link the prefilter and its proof, which read
+// only what Link leaves alone; once linked is closed, after Link, the match
+// memory, which reads the output links; and once handoff brings the fail
+// tree — sent after selectDefaults, so d1 is final too — the fast tier. It
+// writes nothing the main goroutine reads.
+func newSideStages(t *ac.Trie, opts Options, d1 *[256]int32, linked <-chan struct{}, handoff <-chan *failTree) (ss sideStages) {
 	baked := opts.Backend != BackendReference
 	if baked {
 		if ss.pre = CompilePrefilter(t); ss.pre == nil {
@@ -365,11 +370,9 @@ func newSideStages(set *ruleset.Set, t *ac.Trie, opts Options, d1 *[256]int32, h
 			ss.pre = nil
 		}
 	}
-	if ss.windows = newWindowFilter(set, t); ss.windows.prove(t) != nil {
-		ss.windows = windowFilter{} // never used unproved
-	}
-	ft := <-handoff
+	<-linked
 	ss.out = newOutputTable(t)
+	ft := <-handoff
 	if baked {
 		ss.tier = bakeFastTier(t, ft, d1, opts.DenseStates)
 	}
@@ -383,7 +386,6 @@ func newSideStages(set *ruleset.Set, t *ac.Trie, opts Options, d1 *[256]int32, h
 // prefiltered backend turns a discarded or uncompilable stage into a Build
 // error.
 func (m *Machine) compileBackends(stages sideStages) error {
-	m.windows = stages.windows
 	if m.out = stages.out; m.backend == BackendReference {
 		return nil
 	}

@@ -51,12 +51,13 @@ func (m *Machine) WriteDot(w io.Writer, t *ac.Trie, opts DotOptions) error {
 	}
 	// Trie skeleton (dotted when the goto edge was compressed away).
 	for s := int32(0); s < int32(n); s++ {
-		for _, e := range t.Edges(s) {
-			if m.StoredAt(s, e.Char) == e.To {
+		for v, end := t.Children(s); v < end; v++ {
+			c := t.Nodes[v].Char
+			if m.StoredAt(s, c) == v {
 				continue // drawn below as a stored pointer
 			}
 			fmt.Fprintf(&sb, "  s%d -> s%d [style=dotted, label=\"%s\"];\n",
-				s, e.To, printableChar(e.Char))
+				s, v, printableChar(c))
 		}
 	}
 	// Stored pointers.

@@ -137,10 +137,14 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	// distinct bytes exceed the class budget each partition folds onto its
 	// own share, split proportionally.
 	var first, deep [256]bool
-	prefixStates := 0 // trie states of depth 1..K
+	prefixStates, inner := 0, 0 // trie states of depth 1..K, and of depth 1..K-1
 	for s := 1; s < n && t.Nodes[s].Depth <= prefK; s++ {
+		nd := &t.Nodes[s]
 		prefixStates++
-		if nd := &t.Nodes[s]; nd.Depth == 1 {
+		if nd.Depth < prefK {
+			inner++
+		}
+		if nd.Depth == 1 {
 			first[nd.Char] = true
 		} else {
 			deep[nd.Char] = true
@@ -185,32 +189,36 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	pf.nClasses = 1 + fc + dc
 	nc := pf.nClasses
 
-	// Collapsed goto trie over the truncated accept strings, its class rows
-	// in one flat arena: node v's row is next[v*nc:][:nc]. Every node but the
-	// start is the collapsed form of a distinct trie path of depth 1..K, so
-	// there are at most prefixStates+1 of them, and the arena is sized to
-	// that once.
+	// Collapsed goto trie over the truncated accept strings. Every node but
+	// the start is the collapsed form of a distinct trie path of depth 1..K,
+	// so there are at most prefixStates+1 of them. A node of depth K has no
+	// child, is accept and so suspect, is never stepped from and no node's
+	// fail: it has no class row. The others have theirs in one flat arena,
+	// 0 where the node has no child — no goto leads to the start state —
+	// node v's at next[nodes[v].at:][:nc], sized to inner+1 rows once.
 	type pnode struct {
 		fail    int32
 		row     int32 // stored row, -1 while unnumbered or never stepped from
+		at      int32 // where the class row starts in next, -1 at depth K
 		accept  bool
 		suspect bool
 	}
-	next := make([]int32, (prefixStates+1)*nc)
-	for i := range next {
-		next[i] = ac.None
-	}
+	next := make([]int32, (inner+1)*nc)
 	nodes := make([]pnode, 1, prefixStates+1)
+	laid := int32(1) // class rows laid out, the start state's first
 	insert := func(classes []uint8) {
-		cur := 0
-		for _, c := range classes {
-			nxt := next[cur*nc+int(c)]
-			if nxt == ac.None {
-				nxt = int32(len(nodes))
-				nodes = append(nodes, pnode{row: -1})
-				next[cur*nc+int(c)] = nxt
+		cur := int32(0)
+		for j, c := range classes {
+			slot := &next[nodes[cur].at+int32(c)]
+			if *slot == 0 {
+				nd := pnode{row: -1, at: -1}
+				if j < prefK-1 {
+					nd.at, laid = laid*int32(nc), laid+1
+				}
+				*slot = int32(len(nodes))
+				nodes = append(nodes, nd)
 			}
-			cur = int(nxt)
+			cur = *slot
 		}
 		if !nodes[cur].accept {
 			nodes[cur].accept = true
@@ -237,22 +245,22 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	// missing transitions — a node's fail is shallower, so its row is
 	// already resolved when the node is reached.
 	queue := make([]int32, 0, len(nodes))
-	for c, v := range next[:nc] {
-		if v == ac.None {
-			next[c] = 0
-			continue
+	for _, v := range next[:nc] {
+		if v != 0 {
+			queue = append(queue, v)
 		}
-		nodes[v].fail = 0
-		queue = append(queue, v)
 	}
 	nodes[0].suspect = nodes[0].accept
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
 		nu := &nodes[u]
 		nu.suspect = nu.accept || nodes[nu.fail].suspect
-		row, failRow := next[int(u)*nc:][:nc], next[int(nu.fail)*nc:][:nc]
+		if nu.at < 0 {
+			continue
+		}
+		row, failRow := next[nu.at:][:nc], next[nodes[nu.fail].at:][:nc]
 		for c, v := range row {
-			if v == ac.None {
+			if v == 0 {
 				row[c] = failRow[c]
 				continue
 			}
@@ -270,7 +278,7 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	// empty).
 	order := append(queue[:0], 0)
 	for qi := 0; qi < len(order); qi++ {
-		for _, v := range next[int(order[qi])*nc:][:nc] {
+		for _, v := range next[nodes[order[qi]].at:][:nc] {
 			if nv := &nodes[v]; !nv.suspect && nv.row < 0 {
 				nv.row = int32(len(order))
 				order = append(order, v)
@@ -282,7 +290,7 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	}
 	pf.tab = make([]uint16, len(order)<<pfStrideBits)
 	for r, s := range order {
-		for c, v := range next[int(s)*nc:][:nc] {
+		for c, v := range next[nodes[s].at:][:nc] {
 			e := pfSuspect
 			if !nodes[v].suspect {
 				e = uint16(nodes[v].row)

@@ -60,13 +60,14 @@ func TestPrefilterSupersetProperty(t *testing.T) {
 }
 
 // TestPrefilterReadsNoFailLinks pins the read set Build's concurrency rests
-// on: CompilePrefilter and verifySuperset, and the fold's window filter and
-// its proof, read a trie's Depth, Char, Parent and NumOut only, never the
-// Fail and OutLink that ac.Trie.Link writes while they run. Each set's
-// prefilter is compiled and proved on a trie that is laid out but not
-// linked, again on the same trie while Link runs beside it — under -race
-// any read of a link is reported — and once more after Link: the three must
-// be equal and every proof must pass.
+// on: CompilePrefilter and verifySuperset read a trie's Depth, Char, Parent
+// and NumOut only, never the Fail and OutLink that ac.Trie.Link writes while
+// they run. Each set's prefilter is compiled and proved on a trie that is
+// laid out but not linked, again on the same trie while Link runs beside it
+// — under -race any read of a link is reported — and once more after Link:
+// the three must be equal and every proof must pass. The fold's window
+// filter is built on Build's own goroutine after Link, so the one Build
+// installs must be the one built and proved on the finished trie.
 func TestPrefilterReadsNoFailLinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100311))
 	sets := []*ruleset.Set{ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})}
@@ -85,9 +86,6 @@ func TestPrefilterReadsNoFailLinks(t *testing.T) {
 			}
 			if err := pf.verifySuperset(trie); err != nil {
 				t.Fatalf("set %d, %s: %v", i, stage, err)
-			}
-			if w := newWindowFilter(set, trie); w.prove(trie) != nil {
-				t.Fatalf("set %d, %s: the window filter fails its proof", i, stage)
 			}
 			return pf
 		}
@@ -108,6 +106,18 @@ func TestPrefilterReadsNoFailLinks(t *testing.T) {
 				pf.nClasses != unlinked.nClasses || pf.folded != unlinked.folded || !slices.Equal(pf.tab, unlinked.tab) {
 				t.Fatalf("set %d: the prefilter of the linked trie differs from the laid-out trie's", i)
 			}
+		}
+
+		w := newWindowFilter(set, trie)
+		if err := w.prove(trie); err != nil {
+			t.Fatalf("set %d: %v", i, err)
+		}
+		m, err := Build(set, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.windows.shift != w.shift || !slices.Equal(m.windows.bits, w.bits) {
+			t.Fatalf("set %d: Build installs a window filter other than the finished trie's", i)
 		}
 	}
 }

@@ -217,8 +217,8 @@ func Adversarial(set *ruleset.Set, size int, seed int64) ([]byte, error) {
 func breakerByte(trie *ac.Trie, s int32) byte {
 	var covered [256]bool
 	for cur := s; ; cur = trie.Nodes[cur].Fail {
-		for _, e := range trie.Edges(cur) {
-			covered[e.Char] = true
+		for v, end := trie.Children(cur); v < end; v++ {
+			covered[trie.Nodes[v].Char] = true
 		}
 		if cur == ac.Root {
 			break

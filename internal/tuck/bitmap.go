@@ -76,9 +76,8 @@ type BitmapAC struct {
 
 // BuildBitmap constructs the automaton for set. ac.New numbers states
 // breadth-first, so each node's children already occupy a contiguous block
-// — edge k of the trie's arena leads to state k+1 — which is what makes
-// popcount indexing possible: a node's FirstChild is a running count of
-// the edges before it, plus one.
+// (ac.Trie.Children), which is what makes popcount indexing possible: a
+// node's FirstChild is a running count of the edges before it, plus one.
 func BuildBitmap(set *ruleset.Set) (*BitmapAC, error) {
 	trie, err := ac.New(set)
 	if err != nil {
@@ -91,8 +90,9 @@ func BuildBitmap(set *ruleset.Set) (*BitmapAC, error) {
 		node := &b.Nodes[s]
 		node.FirstChild = next
 		next += int32(src.NumEdges)
-		for _, e := range trie.Edges(int32(s)) {
-			node.Bitmap[e.Char>>6] |= 1 << (uint(e.Char) & 63)
+		for v, end := trie.Children(int32(s)); v < end; v++ {
+			c := trie.Nodes[v].Char
+			node.Bitmap[c>>6] |= 1 << (uint(c) & 63)
 		}
 		node.Fail = src.Fail
 		node.OutLink = src.OutLink

@@ -101,7 +101,7 @@ func BuildPath(set *ruleset.Set) (*PathAC, error) {
 			for {
 				refOf[cur] = Ref{Node: idx, Off: int32(len(pn.Run)), Path: true}
 				pn.Run = append(pn.Run, PathPos{Char: trie.Nodes[cur].Char})
-				child := trie.Edges(cur)[0].To
+				child, _ := trie.Children(cur)
 				if !isPathState(child) {
 					// Child is a branch (or leaf with 0/≥2 edges): close run.
 					if trie.Nodes[child].NumEdges == 0 && child != ac.Root {
@@ -122,16 +122,16 @@ func BuildPath(set *ruleset.Set) (*PathAC, error) {
 		// Branch node (root, leaf, or fan-out state).
 		refOf[s] = Ref{Node: int32(len(p.Branches))}
 		p.Branches = append(p.Branches, BranchNode{})
-		for _, e := range trie.Edges(s) {
-			walk(e.To)
+		for v, end := trie.Children(s); v < end; v++ {
+			walk(v)
 		}
 	}
 	// The walk must start runs at children of branch nodes, so handle the
 	// root first and descend.
 	refOf[ac.Root] = Ref{Node: 0}
 	p.Branches = append(p.Branches, BranchNode{})
-	for _, e := range trie.Edges(ac.Root) {
-		walk(e.To)
+	for v, end := trie.Children(ac.Root); v < end; v++ {
+		walk(v)
 	}
 
 	// Pass 2: fill node contents now that every state has a ref.
@@ -153,7 +153,7 @@ func BuildPath(set *ruleset.Set) (*PathAC, error) {
 			// chain continues into a branch node.
 			pn := &p.Paths[ref.Node]
 			if int(ref.Off) == len(pn.Run)-1 && !pn.Leaf {
-				next := trie.Edges(s)[0].To
+				next, _ := trie.Children(s)
 				pn.Next = refOf[next]
 				pn.NextChar = trie.Nodes[next].Char
 			}
@@ -163,9 +163,10 @@ func BuildPath(set *ruleset.Set) (*PathAC, error) {
 			bn.Out = append([]int32(nil), trie.Out(s)...)
 			bn.OutLink = outLink
 			bn.HasOutL = hasOutL
-			for _, e := range trie.Edges(s) {
-				bn.Bitmap[e.Char>>6] |= 1 << (uint(e.Char) & 63)
-				bn.Children = append(bn.Children, refOf[e.To])
+			for v, end := trie.Children(s); v < end; v++ {
+				c := trie.Nodes[v].Char
+				bn.Bitmap[c>>6] |= 1 << (uint(c) & 63)
+				bn.Children = append(bn.Children, refOf[v])
 			}
 		}
 	}

@@ -101,7 +101,6 @@ func TestMatcherAndGatewayHoldNoTrie(t *testing.T) {
 	banned := map[reflect.Type]bool{
 		reflect.TypeOf(ac.Trie{}): true,
 		reflect.TypeOf(ac.Node{}): true,
-		reflect.TypeOf(ac.Edge{}): true,
 	}
 	seen := map[reflect.Type]bool{}
 	var walk func(ty reflect.Type, path string)
