@@ -44,7 +44,7 @@ func forkStream(s *Stream, scrap []byte) *Stream {
 
 // FuzzBakedEquivalence is the compiled-kernel contract under fuzz: for a
 // fuzz-chosen ruleset, payload and operation sequence (chunked writes,
-// mid-stream SkipGap, Reset, fork), the baked Program path, the slice-walking
+// mid-stream SkipGap, Reset, fork), the baked two-tier loop, the slice-walking
 // reference path and the uncompressed Aho-Corasick oracle
 // must produce identical match streams — same patterns, same absolute
 // offsets, same order. The first op byte also varies the compile shape
@@ -84,19 +84,18 @@ func FuzzBakedEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !baked.Kernel().Baked {
-			t.Fatal("default compile produced no baked kernel")
-		}
-		// Every structural proof, against a trie rebuilt from the ruleset.
-		if err := baked.Verify(nil); err != nil {
-			t.Fatal(err)
-		}
 		ref, err := compile(rules, refCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref.Kernel().Baked {
-			t.Fatal("BackendReference still reports a baked kernel")
+		// The backend picks the loop, not the tables: both compiles bake.
+		if bk, rk := baked.Kernel(), ref.Kernel(); rk.TotalBytes != bk.TotalBytes || rk.DenseStates != bk.DenseStates {
+			t.Fatalf("a reference-pinned compile lays out %d B with %d fast rows, the default %d B with %d",
+				rk.TotalBytes, rk.DenseStates, bk.TotalBytes, bk.DenseStates)
+		}
+		// Every structural proof, against a trie rebuilt from the ruleset.
+		if err := baked.Verify(nil); err != nil {
+			t.Fatal(err)
 		}
 		if err := ref.Verify(nil); err != nil {
 			t.Fatal(err)

@@ -300,7 +300,7 @@ func BenchmarkScanCompressed(b *testing.B) {
 }
 
 // BenchmarkScanAppend measures the hot scan loop on the 634-string set
-// under every registered backend: the baked flat Program (the default scan
+// under every registered backend: the baked two-tier loop (the default scan
 // path), the slice-walking reference path it must stay byte-exact
 // equivalent to, and the two-stage prefiltered pipeline (whose skim loop is
 // tuned for clean traffic; this attack-dense payload is its worst case).

@@ -15,8 +15,8 @@ import (
 	"repro/internal/ruleset"
 )
 
-// buildAllocCeiling bounds core.Build's allocations at 634 strings: 37
-// measured (one of them the fold's window filter), plus three. None of them
+// buildAllocCeiling bounds core.Build's allocations at 634 strings: 36
+// measured (one of them the fold's window filter), plus four. None of them
 // is per trie state, per pattern or per lookup-table row — the trie is a
 // node table and an output arena (a state's children are consecutive, so
 // there is no edge arena), and ac.Layout's scratch is one flat copy of the
@@ -25,7 +25,7 @@ import (
 // breadth-first, so no later pass sorts or queues them again; the defaults
 // are written straight into the machine's packed lookup table, with no
 // per-character lists; and the prefilter's collapsed trie is one class-row
-// arena. What is left is the builder's and kernels' flat tables, a handful
+// arena. What is left is the builder's and the machine's flat tables, a handful
 // each, and the second goroutine Build starts with the channels that tell
 // it Link is done, hand it the fail tree and join it.
 const buildAllocCeiling = 40

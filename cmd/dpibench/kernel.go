@@ -2,8 +2,8 @@ package main
 
 // The -kernel mode measures the raw per-byte scan loop — the
 // BenchmarkScanAppend-class number — across ruleset sizes and across every
-// registered scan backend: the slice-walking reference, the baked flat
-// Program and the two-stage prefiltered pipeline. Every row is pinned to
+// registered scan backend: the slice-walking reference, the baked two-tier
+// loop and the two-stage prefiltered pipeline. Every row is pinned to
 // the uncompressed Aho-Corasick oracle's match count before it is timed, so
 // a kernel can never buy throughput with dropped matches — the prefilter's
 // lossiness in particular must be invisible here.
@@ -222,7 +222,7 @@ func runKernel(ctx context.Context, out io.Writer, jsonPath string, cfg kernelBe
 			case core.BackendBaked:
 				bakedGbps = gbps
 				row.Speedup = gbps / refGbps
-				st := m.Program().Stats()
+				st := m.Layout()
 				row.DenseStates = st.DenseStates
 				row.KernelBytes = st.TotalBytes
 				if n == headlineStrings && profile == "attack" {

@@ -160,15 +160,16 @@ func (r *Ruleset) Write(w io.Writer) error {
 // has no knobs: 4 depth-2 and 1 depth-3 default transition pointers per
 // lookup-table row, the row the hardware holds.
 type Config struct {
-	// Backend selects the scan implementation every stream and gateway lane
-	// built from this matcher runs:
+	// Backend selects the scan loop every stream and gateway lane built from
+	// this matcher runs; every Compile builds the same tables whatever it
+	// names:
 	//
 	//   - BackendAuto (or ""): prefiltered when the lossy stage proves its
 	//     superset contract, baked otherwise — the fastest always-exact
 	//     default.
 	//   - BackendReference: the slice-walking interpreter, closest to the
 	//     paper's hardware description.
-	//   - BackendBaked: the compiled flat kernel.
+	//   - BackendBaked: the two-tier loop over the baked fast rows.
 	//   - BackendPrefiltered: the two-stage pipeline — a lossy
 	//     cache-resident automaton skims clean traffic and only suspect
 	//     byte windows run through the exact baked kernel. False positives
@@ -352,15 +353,11 @@ func (m *Matcher) Stats() CompressionStats {
 	}
 }
 
-// KernelStats reports the memory layout of the compiled flat scan kernel —
-// the software analogue of the accelerator's block-memory fill report:
-// every table the kernel reads while scanning. No trie is listed because
+// KernelStats reports the memory layout of the matcher's scan tables — the
+// software analogue of the accelerator's block-memory fill report: every
+// table the baked loop reads while scanning. No trie is listed because
 // none is held: the matcher keeps the compressed image only.
 type KernelStats struct {
-	// Baked is false only when the matcher was compiled for the reference
-	// interpreter (Backend: reference), which compiles no kernel; the layout
-	// fields are then zero.
-	Baked bool
 	// Backend is the resolved active backend (Matcher.Backend).
 	Backend       string
 	States        int // automaton states
@@ -368,10 +365,8 @@ type KernelStats struct {
 	StoredEntries int // stored-pointer entries of the compressed states
 	DenseBytes    int // the fast tier: 48 B per promoted state plus 4 B per override of the depth-1 default row
 	// StoredBytes is the stored-pointer arena, 4 B a pointer, plus the row
-	// index, 4 B a state. Both are the automaton's own — its one state
-	// memory and the one index both interpreters read it through — which
-	// the kernel reads in place rather than owning copies; the arena holds
-	// every state's row, the promoted states' included.
+	// index, 4 B a state; the arena holds every state's row, the promoted
+	// states' included.
 	StoredBytes int
 	LookupBytes int // the automaton's one lookup table: fixed d1/d2/d3 rows
 	OutputBytes int // output bitsets, rank tables and flattened pattern-ID lists
@@ -395,25 +390,22 @@ type KernelStats struct {
 	AccelPairBytes int
 }
 
-// Kernel summarizes the compiled scan kernels backing this matcher: the
-// baked flat layout and, when compiled, the lossy prefilter stage with its
-// runtime skim accounting.
+// Kernel summarizes the scan tables backing this matcher: the machine's
+// layout and, when compiled, the lossy prefilter stage with its runtime
+// skim accounting.
 func (m *Matcher) Kernel() KernelStats {
-	ks := KernelStats{Backend: m.Backend()}
-	p := m.machine.Program()
-	if p == nil {
-		return ks
+	st := m.machine.Layout()
+	ks := KernelStats{
+		Backend:       m.Backend(),
+		States:        st.States,
+		DenseStates:   st.DenseStates,
+		StoredEntries: st.StoredEntries,
+		DenseBytes:    st.DenseBytes,
+		StoredBytes:   st.StoredBytes,
+		LookupBytes:   st.LookupBytes,
+		OutputBytes:   st.OutputBytes,
+		TotalBytes:    st.TotalBytes,
 	}
-	st := p.Stats()
-	ks.Baked = true
-	ks.States = st.States
-	ks.DenseStates = st.DenseStates
-	ks.StoredEntries = st.StoredEntries
-	ks.DenseBytes = st.DenseBytes
-	ks.StoredBytes = st.StoredBytes
-	ks.LookupBytes = st.LookupBytes
-	ks.OutputBytes = st.OutputBytes
-	ks.TotalBytes = st.TotalBytes
 	if pf := m.machine.Prefilter(); pf != nil {
 		pst := pf.Stats()
 		ks.PrefilterStates = pst.States
@@ -421,9 +413,7 @@ func (m *Matcher) Kernel() KernelStats {
 		ks.SkimmedBytes = pst.SkimmedBytes
 		ks.ExactBytes = pst.ExactBytes
 		ks.SuspectWindows = pst.SuspectWindows
-	}
-	if ks.SkimmedBytes > 0 {
-		ks.SuspectRate = float64(ks.SuspectWindows) / float64(ks.SkimmedBytes)
+		ks.SuspectRate = pst.SuspectRate
 	}
 	return ks
 }

@@ -12,8 +12,8 @@
 // when those segments arrive shuffled — are still caught because each flow
 // is reassembled into its scanner's byte stream.
 //
-// The scan back-end is replicated into lanes (GatewayConfig.EngineShards ×
-// StreamWorkers): the gateway runs one engine per lane over the one compiled
+// The scan back-end is replicated into lanes (GatewayConfig.StreamWorkers):
+// the gateway runs one engine per lane over the one compiled
 // automaton and pins each connection to a lane by tuple hash, just as the
 // paper's device replicates fixed string-matching blocks and fans
 // partitioned traffic across them. The lane count is invisible in the
@@ -26,6 +26,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"runtime"
 	"sync"
 
 	dpi "repro"
@@ -88,13 +89,12 @@ func main() {
 
 	// The software gateway: bounded hash-pinned per-flow lanes over a
 	// 5-tuple flow table, TCP reassembly ahead of each flow's scanner —
-	// and EngineShards: 2, twice the lanes, each with its own flow table and
-	// counters, splitting the connection load by tuple hash, under a 4 MiB
-	// memory budget.
+	// two lanes a core, each with its own flow table and counters, splitting
+	// the connection load by tuple hash, under a 4 MiB memory budget.
 	var mu sync.Mutex
 	byTuple := map[dpi.FiveTuple][]dpi.FlowMatch{}
 	gw, err := dpi.NewGateway(matcher, dpi.GatewayConfig{
-		MemoryBudget: 4 << 20, EngineShards: 2, Rules: vrules,
+		MemoryBudget: 4 << 20, StreamWorkers: 2 * runtime.GOMAXPROCS(0), Rules: vrules,
 	}, func(fm dpi.FlowMatch) {
 		mu.Lock()
 		byTuple[fm.Tuple] = append(byTuple[fm.Tuple], fm)

@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"syscall"
@@ -52,7 +53,7 @@ type fileReport struct {
 
 type report struct {
 	Backend        string       `json:"backend"`
-	Shards         int          `json:"shards"`
+	Lanes          int          `json:"lanes"`
 	Files          []fileReport `json:"files"`
 	TotalMatches   uint64       `json:"total_matches"`
 	OracleOK       bool         `json:"oracle_ok"` // every known corpus reproduced its oracle
@@ -66,7 +67,7 @@ type report struct {
 
 func main() {
 	glob := flag.String("pcap", "testdata/pcap/*.pcap", "glob of capture files to replay")
-	shards := flag.Int("shards", 2, "GatewayConfig.EngineShards: multiplies the gateway's lanes")
+	lanes := flag.Int("lanes", 2*runtime.GOMAXPROCS(0), "GatewayConfig.StreamWorkers: the gateway's scan lanes")
 	backend := flag.String("backend", dpi.BackendAuto, "scan backend (see Config.Backend)")
 	listen := flag.String("listen", "127.0.0.1:0", "address for the /metrics endpoint")
 	jsonOut := flag.Bool("json", false, "emit a JSON report instead of text")
@@ -98,7 +99,7 @@ func main() {
 	}
 	var matchCount atomic.Uint64
 	gw, err := dpi.NewGateway(matcher, dpi.GatewayConfig{
-		EngineShards: *shards,
+		StreamWorkers: *lanes,
 		Rules: []dpi.VerdictRule{
 			{ID: 1, Name: "web-alert", Header: dpi.HeaderRule{Proto: dpi.ProtoTCP, DstPorts: dpi.PortRange{Lo: 80, Hi: 443}}, Verdict: dpi.VerdictAlert},
 			{ID: 2, Name: "icmp-drop", Header: dpi.HeaderRule{Proto: dpi.ProtoICMP}, Verdict: dpi.VerdictDrop},
@@ -123,7 +124,7 @@ func main() {
 	defer srv.Close()
 	metricsURL := fmt.Sprintf("http://%s/metrics", ln.Addr())
 
-	rep := report{Backend: gw.Backend(), Shards: *shards, OracleOK: true}
+	rep := report{Backend: gw.Backend(), Lanes: len(gw.LaneStats()), OracleOK: true}
 	for _, path := range files {
 		if ctx.Err() != nil {
 			rep.Interrupted = true
@@ -185,7 +186,7 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		fmt.Printf("sensor: backend=%s shards=%d\n", rep.Backend, rep.Shards)
+		fmt.Printf("sensor: backend=%s lanes=%d\n", rep.Backend, rep.Lanes)
 		for _, fr := range rep.Files {
 			oracle := "no oracle (unknown capture)"
 			if fr.OracleOK != nil {

@@ -267,7 +267,9 @@ type GatewayConfig struct {
 	// EngineShards multiplies the lane count: the gateway runs EngineShards ×
 	// StreamWorkers lanes over the one shared compiled automaton — the
 	// software analogue of the paper's replicated string matching blocks
-	// fed by partitioned traffic. Default 1.
+	// fed by partitioned traffic. Default 1. Set StreamWorkers instead: of
+	// the programs, only the bench/ harness still sets this, until it moves
+	// to StreamWorkers and the field goes (ROADMAP item 3).
 	EngineShards int
 	// QueueDepth bounds the queued packets, split evenly across the lanes:
 	// each lane queues ceil(QueueDepth/lanes), so the gateway holds at most

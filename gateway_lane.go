@@ -119,7 +119,9 @@ var connEntry, huskEntry = flowtable.EntryBytes[gwFlow]()
 // laneState, counters and its goroutine's working set, the tuple's flow
 // (table entry, record, registers) included. A packet is accounted on its
 // lane's block alone, so lanes share no written cache line on the packet
-// path beyond Gateway.seq. The pad keeps the read-mostly header off the
+// path beyond Gateway.seq and, on the prefiltered backend, the prefilter's
+// runtime counters, which every scan adds to once and which sit on a line
+// clear of the tables a scan reads (core.Prefilter). The pad keeps the read-mostly header off the
 // lines written per packet; the order of n's slots keeps admission's writes
 // and the lane's apart (see gwCounter).
 type gwLane struct {

@@ -1,7 +1,7 @@
 package core
 
-// The program/registers split: every way of executing the DTP machine — the
-// slice-walking reference interpreter, the baked flat Program, the
+// The machine/registers split: every way of executing the DTP machine — the
+// slice-walking reference interpreter, the baked two-tier loop, the
 // two-stage approximate-prefilter pipeline — is a function of the shared
 // immutable Machine and one Regs value, the pointer-free register file of a
 // single stream. A flow, a batch worker or a stream handle owns nothing
@@ -10,18 +10,18 @@ package core
 // registered in scanBackends so equivalence harnesses (Machine.Verify, the
 // lockstep property tests, the fuzzers) iterate every implementation a
 // machine supports instead of hardcoding pairs; a backend added to the
-// registry and to scanAs's switch is pulled into the oracle proofs
-// automatically. Each interpreter's transition is written once, in its
-// scan loop — scanReference, Program.scanAppend — and the proofs run those
+// registry, to kinds and to scanAs's switch is pulled into the oracle
+// proofs automatically. Each interpreter's transition is written once, in its
+// scan loop — scanReference, Machine.scanAppend — and the proofs run those
 // loops.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/ac"
-	"repro/internal/ruleset"
 )
 
 // Backend names accepted by Options.Backend. BackendAuto (or "") resolves
@@ -103,44 +103,36 @@ const (
 	kindPrefiltered
 )
 
-// backendSpec is one registry entry: a name and an availability predicate
-// (some backends need compiled artifacts the machine may lack).
-type backendSpec struct {
-	name      string
-	available func(*Machine) bool
+// scanBackends is the backend registry, each backend's name indexed by
+// backendKind and ordered reference-first so verification sweeps always
+// include the oracle-shaped interpreter.
+var scanBackends = [...]string{
+	kindReference:   BackendReference,
+	kindBaked:       BackendBaked,
+	kindPrefiltered: BackendPrefiltered,
 }
 
-// scanBackends is the backend registry, indexed by backendKind and ordered
-// reference-first so verification sweeps always include the oracle-shaped
-// interpreter.
-var scanBackends = [...]backendSpec{
-	kindReference:   {BackendReference, func(*Machine) bool { return true }},
-	kindBaked:       {BackendBaked, func(m *Machine) bool { return m.prog != nil }},
-	kindPrefiltered: {BackendPrefiltered, func(m *Machine) bool { return m.prog != nil && m.pre != nil }},
-}
+// RegisteredBackends lists every backend name, registry order, whatever a
+// machine supports — the vocabulary Options.Backend accepts besides
+// BackendAuto, from which error messages and flag validation derive.
+func RegisteredBackends() []string { return slices.Clone(scanBackends[:]) }
 
-// RegisteredBackends lists every backend name in the registry, registry
-// order, regardless of per-machine availability — the vocabulary
-// Options.Backend accepts besides BackendAuto. Error messages and flag
-// validation derive from this list so a new backend is never silently
-// missing from them.
-func RegisteredBackends() []string {
-	names := make([]string, len(scanBackends))
-	for i, spec := range scanBackends {
-		names[i] = spec.name
+// kinds lists the backends this machine supports, registry order: every
+// build bakes, so only prefiltered, which needs a kept prefilter, can be
+// missing. Machine.Verify and the lockstep tests iterate this list.
+func (m *Machine) kinds() []backendKind {
+	if m.pre == nil {
+		return []backendKind{kindReference, kindBaked}
 	}
-	return names
+	return []backendKind{kindReference, kindBaked, kindPrefiltered}
 }
 
 // Backends lists the backend names available on this machine, registry
-// order (reference first). Every listed backend is byte-exact equivalent;
-// Machine.Verify and the lockstep tests iterate exactly this list.
+// order (reference first). Every listed backend is byte-exact equivalent.
 func (m *Machine) Backends() []string {
 	var names []string
-	for _, spec := range scanBackends {
-		if spec.available(m) {
-			names = append(names, spec.name)
-		}
+	for _, k := range m.kinds() {
+		names = append(names, scanBackends[k])
 	}
 	return names
 }
@@ -148,13 +140,11 @@ func (m *Machine) Backends() []string {
 // resolveKind maps the configured backend name to a registry kind: the
 // pinned backend, or the auto resolution — prefiltered when the lossy stage
 // compiled and proved its superset contract, baked otherwise.
-// compileBackends stores the result in m.kind once the kernels are in
-// place.
+// compileBackends stores the result in m.kind once the prefilter's fate is
+// known.
 func (m *Machine) resolveKind() backendKind {
-	for k, spec := range scanBackends {
-		if spec.name == m.backend {
-			return backendKind(k)
-		}
+	if k := slices.Index(scanBackends[:], m.backend); k >= 0 {
+		return backendKind(k)
 	}
 	if m.pre != nil {
 		return kindPrefiltered
@@ -164,7 +154,7 @@ func (m *Machine) resolveKind() backendKind {
 
 // DefaultBackend reports the backend ScanAppend runs: the machine's
 // configured backend, or what auto resolved to at build.
-func (m *Machine) DefaultBackend() string { return scanBackends[m.kind].name }
+func (m *Machine) DefaultBackend() string { return scanBackends[m.kind] }
 
 // ScanAppend consumes data on the stream whose registers are r, appending
 // every match to out in canonical (End, PatternID) order — ends ascend with
@@ -200,21 +190,22 @@ type windowFilter struct {
 	shift uint8 // 32 − log₂ of the bit count
 }
 
-// newWindowFilter sizes a filter from t, whose states of depth ≥ 3, the
-// last in breadth-first order, each end a 3-byte pattern substring, and
-// fills it from set's patterns.
-func newWindowFilter(set *ruleset.Set, t *ac.Trie) windowFilter {
-	deep := t.NumStates()
-	for s := 0; s < t.NumStates() && t.Nodes[s].Depth < 3; s++ {
-		deep--
+// newWindowFilter fills a filter from t's states of depth ≥ 3, the last in
+// breadth-first order: each ends a 3-byte pattern substring, read off Char
+// and Parent, and each such substring ends one of them — a pattern's window
+// ending at byte i ends the state of its first i bytes.
+func newWindowFilter(t *ac.Trie) windowFilter {
+	first := 0
+	for first < t.NumStates() && t.Nodes[first].Depth < 3 {
+		first++
 	}
-	n := max(bits.Len(uint(max(deep, 1)-1)), 6)
+	n := max(bits.Len(uint(max(t.NumStates()-first, 1)-1)), 6)
 	f := windowFilter{bits: make([]uint64, 1<<n/64), shift: uint8(32 - n)}
-	for _, p := range set.Patterns {
-		for i := 3; i <= len(p.Data); i++ {
-			w, bit := f.slot(p.Data[i-3], p.Data[i-2], p.Data[i-1])
-			f.bits[w] |= bit
-		}
+	for s := first; s < t.NumStates(); s++ {
+		nd := &t.Nodes[s]
+		p := &t.Nodes[nd.Parent]
+		w, bit := f.slot(t.Nodes[p.Parent].Char, p.Char, nd.Char)
+		f.bits[w] |= bit
 	}
 	return f
 }
@@ -233,6 +224,7 @@ func (f *windowFilter) absent(a, b, c byte) bool {
 
 // prove checks that every state of t of depth ≥ 3 has its last three
 // characters, read off Char and Parent, in f; the zero filter holds none.
+// Only Machine.Verify runs it, against a trie of its own.
 func (f *windowFilter) prove(t *ac.Trie) error {
 	for s := 0; f.bits != nil && s < t.NumStates(); s++ {
 		if nd := &t.Nodes[s]; nd.Depth >= 3 {
@@ -347,7 +339,7 @@ func (m *Machine) scanAs(k backendKind, r *Regs, data []byte, out []ac.Match) []
 	case kindPrefiltered:
 		return m.scanPrefiltered(r, data, out)
 	case kindBaked:
-		r.state, r.hist, r.pos, out = m.prog.scanAppend(r.state, r.hist, r.pos, data, out, ac.None)
+		r.state, r.hist, r.pos, out = m.scanAppend(r.state, r.hist, r.pos, data, out)
 		return out
 	}
 	return m.scanReference(r, data, out)

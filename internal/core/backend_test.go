@@ -58,7 +58,7 @@ func TestAutoBackendResolution(t *testing.T) {
 		for i := range m.pre.tab {
 			m.pre.tab[i] &^= pfSuspect
 		}
-		if err := m.verifySuperset(trie); err == nil {
+		if err := m.pre.verifySuperset(trie); err == nil {
 			t.Fatal("verifySuperset accepted a table with no suspect flags")
 		}
 		m.pre = nil
@@ -75,7 +75,7 @@ func TestAutoBackendResolution(t *testing.T) {
 	}{
 		{"built", Options{}, nil, BackendPrefiltered, all},
 		{"prefilter-rejected", Options{}, rejectPrefilter, BackendBaked, all[:2]},
-		{"reference-pinned", Options{Backend: BackendReference}, nil, BackendReference, all[:1]},
+		{"reference-pinned", Options{Backend: BackendReference}, nil, BackendReference, all},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
@@ -87,8 +87,8 @@ func TestAutoBackendResolution(t *testing.T) {
 			if got := m.DefaultBackend(); got != tc.want {
 				t.Fatalf("auto resolves to %q, want %q", got, tc.want)
 			}
-			// Availability follows the compiled artifacts, so this also
-			// proves a reference-pinned build compiled no kernel.
+			// Availability follows the compiled stages: every build bakes,
+			// and only a refused prefilter takes its backend away.
 			if got := m.Backends(); !reflect.DeepEqual(got, tc.backends) {
 				t.Fatalf("Backends() = %v, want %v", got, tc.backends)
 			}

@@ -1,12 +1,12 @@
 package core
 
-// The baked scan kernel: Build flattens a DTP Machine into a Program, a
-// cache-line-friendly runtime representation that one hot loop, scanAppend,
-// executes. The Machine remains the reference semantics (scanReference's
-// loop is the interpreter the Program is held to); the Program must stay
+// The baked scan kernel: Build bakes every Machine's fast tier — a
+// precomputed whole move row for the most-visited states — beside the
+// compressed tables, and one hot loop, Machine.scanAppend, runs the two
+// tiers. scanReference's loop is the interpreter the baked loop is held to:
 // byte-exact equivalent — same state, same history, same match order — on
-// every input. Once compiled it reads no builder structure: the trie and
-// its fail-tree analysis are gone.
+// every input. Once baked the machine reads no builder structure: the trie
+// and its fail-tree analysis are gone.
 //
 // Layout, mirroring the hardware's fixed-width single-access RAMs:
 //
@@ -28,9 +28,9 @@ package core
 //     bytes. Both interpreters keep the history in this form.
 //
 //   - Stored pointers stay where compress put them, in the paper's word:
-//     stored is the Machine's own arena of 4-byte Pointers (character and
-//     24-bit target), and rows is the Machine's own row index — one state
-//     memory and one index, shared, not copied, read by two interpreters.
+//     stored is the arena of 4-byte Pointers (character and 24-bit
+//     target), and rows is the row index — one state memory and one index,
+//     read by both interpreters.
 //     rows[s] packs the entry count inline with the offset, so the common
 //     ≤4-entry row costs one descriptor load plus a short linear scan over
 //     adjacent 4-byte entries, where the reference loop binary-searches the
@@ -40,8 +40,8 @@ package core
 //     Machine's displaced table, indexed by that number, which the
 //     reference interpreter reads and the kernel never does.
 //
-//   - The match memory is the Machine's too (outputTable), shared the same
-//     way: a bitset probe, and on a hit the state's complete ID list.
+//   - The match memory (outputTable) is read by both the same way: a
+//     bitset probe, and on a hit the state's complete ID list.
 //
 //   - Two-tier fast path: the start state, every depth-1 state, and the
 //     most popular remaining states (by the same popularity tally that
@@ -97,20 +97,9 @@ const (
 	DefaultDenseStates = 384
 )
 
-// Program is the compiled, flat form of a Machine. It is immutable after
-// Build and safe for concurrent use by any number of streams.
-type Program struct {
-	lut    *lookupTable // the Machine's lookup table
-	rows   []uint32     // the Machine's row index: fast row index or count+offset
-	stored []Pointer    // the Machine's arena, rows sorted by char
-	fast   []fastRow    // one per promoted state
-	over   []int32      // every fast row's overrides of d1, back to back
-	out    *outputTable // the Machine's match memory
-}
-
 // fastRow is a promoted state's whole move row, as its difference from the
 // depth-1 default row: bit c of bits is set iff the state's move on byte c
-// is not d1[c], and rank[w] is the index in Program.over of the override
+// is not d1[c], and rank[w] is the index in Machine.over of the override
 // for the lowest set bit of word w — the row's overrides sit there in byte
 // order, so a set bit's override is rank plus the set bits below it.
 type fastRow struct {
@@ -141,8 +130,8 @@ func fuseHist(h2, h1 int16) uint32 {
 }
 
 // fastTier is the fast tier as baked before compress's row index exists:
-// the promoted states in order, which compile turns into displaced, one
-// fast row each, and the rows' overrides.
+// the promoted states in order, which compileBackends turns into displaced,
+// one fast row each, and the rows' overrides.
 type fastTier struct {
 	states []uint32
 	rows   []fastRow
@@ -224,20 +213,6 @@ func bakeFastTier(t *ac.Trie, ft *failTree, d1 *[256]int32, denseStates int) fas
 	return tier
 }
 
-// compile bakes m into a Program over m's own lookup table, arena, row
-// index and match memory, installing tier in the row index: a promoted
-// state's descriptor becomes its fast-row number, and the one it held
-// takes the state's place in tier.states, which becomes displaced. Build
-// bakes every machine unless Options.Backend pins BackendReference.
-func compile(m *Machine, tier fastTier) *Program {
-	for i, s := range tier.states {
-		tier.states[i] = m.rows[s]
-		m.rows[s] = rowDense | uint32(i)
-	}
-	m.displaced = tier.states
-	return &Program{lut: &m.lut, rows: m.rows, stored: m.stored, fast: tier.rows, over: tier.over, out: &m.out}
-}
-
 // pickDense selects the states promoted to the fast tier: the start state,
 // then depth-1 states, then everything else, most popular first within a
 // tier with ties to the lower state number, until the budget
@@ -277,22 +252,17 @@ func pickDense(t *ac.Trie, ft *failTree, budget int) []bool {
 }
 
 // scanAppend is the baked hot loop: one transition per input byte, matches
-// appended to out, until data ends or a byte lands the machine on stop,
-// which returns the registers at that point with the remaining bytes
-// unconsumed (the caller reads the advance off the returned position). The
-// prefiltered backend passes ac.Root, to run a suspect window exactly and
-// hand the stream back to the skimmer at the first start-state boundary,
-// where skimming is sound; every other caller passes ac.None, which no state
-// is. It is the one baked transition: verifyProgram proves it on every
-// (state, byte) against the DFA, and the lockstep property tests and
-// FuzzBakedEquivalence drive it against the reference loop. The default rule
-// is lookupTable.resolve with its four depth-2 compares unrolled: the
-// compiler inlines resolve only as a loop, which costs the kernel
-// measurably.
-func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out []ac.Match, stop int32) (int32, uint32, int, []ac.Match) {
+// appended to out, until data ends. It is the one baked transition:
+// verifyProgram proves it on every (state, byte) against the DFA, and the
+// lockstep property tests and FuzzBakedEquivalence drive it against the
+// reference loop. The prefiltered backend runs its suspect windows through
+// it too, exactChunk bytes at a time. The default rule is lookupTable.resolve with
+// its four depth-2 compares unrolled: the compiler inlines resolve only as a
+// loop, which costs the kernel measurably.
+func (m *Machine) scanAppend(state int32, hist uint32, pos int, data []byte, out []ac.Match) (int32, uint32, int, []ac.Match) {
 	// Locals let the compiler keep the arena headers in registers across
-	// the loop instead of reloading them through p on every byte.
-	lut, rows, fast, over, outBits := p.lut, p.rows, p.fast, p.over, p.out.bits
+	// the loop instead of reloading them through m on every byte.
+	lut, rows, stored, fast, over, outBits := &m.lut, m.rows, m.stored, m.fast, m.over, m.out.bits
 	for _, c := range data {
 		ref := rows[state]
 		if ref >= rowDense {
@@ -301,7 +271,7 @@ func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out
 			if cnt := ref >> rowCountShift; cnt != 0 {
 				base := ref & rowOffMask
 				for i := uint32(0); i < cnt; i++ {
-					if e := p.stored[base+i]; e.Char() == c {
+					if e := stored[base+i]; e.Char() == c {
 						state = e.To()
 						goto stepped
 					}
@@ -330,45 +300,40 @@ func (p *Program) scanAppend(state int32, hist uint32, pos int, data []byte, out
 		hist = (hist<<histLaneBits | uint32(c)) & histMask
 		pos++
 		if outBits[uint32(state)>>6]&(1<<(uint32(state)&63)) != 0 {
-			out = p.out.appendTo(state, pos, out)
-		}
-		if state == stop {
-			break
+			out = m.out.appendTo(state, pos, out)
 		}
 	}
 	return state, hist, pos, out
 }
 
-// ProgramStats reports the memory layout of one compiled program, the
+// LayoutStats reports the memory layout of one machine's scan tables, the
 // software analogue of the hwsim block-memory fill statistics: every byte
-// the kernel can touch while scanning.
-type ProgramStats struct {
+// the baked loop can touch while scanning.
+type LayoutStats struct {
 	States        int // automaton states
 	DenseStates   int // states promoted to fast rows
 	StoredEntries int // stored-pointer entries of the compressed states
 	DenseBytes    int // fast tier: DenseStates × 48 B of bitmap rows plus 4 B per override
 	// StoredBytes is the stored-pointer arena, 4 B a pointer, plus the row
-	// index, 4 B a state. Both are the Machine's, shared, not second copies,
-	// and the arena holds every state's row: those of promoted states, which
-	// the kernel never reads, included. (The displaced descriptors of those
-	// rows, which the kernel never reads either, are not counted.)
+	// index, 4 B a state. The arena holds every state's row, the promoted
+	// states' included; their displaced descriptors are not counted.
 	StoredBytes int
-	LookupBytes int // the Machine's lookup table: d1/d2/d3 fixed rows
+	LookupBytes int // the lookup table: d1/d2/d3 fixed rows
 	OutputBytes int // output bitset, rank table and flattened pattern-ID lists
 	TotalBytes  int
 }
 
-// Stats summarizes the program's memory layout.
-func (p *Program) Stats() ProgramStats {
-	st := ProgramStats{
-		States:      len(p.rows),
-		DenseStates: len(p.fast),
-		DenseBytes:  len(p.fast)*int(unsafe.Sizeof(fastRow{})) + len(p.over)*4,
-		StoredBytes: len(p.stored)*int(unsafe.Sizeof(Pointer(0))) + len(p.rows)*4,
-		LookupBytes: int(unsafe.Sizeof(*p.lut)),
-		OutputBytes: len(p.out.bits)*8 + len(p.out.rank)*4 + len(p.out.off)*4 + len(p.out.ids)*4,
+// Layout summarizes the machine's scan tables.
+func (m *Machine) Layout() LayoutStats {
+	st := LayoutStats{
+		States:      len(m.rows),
+		DenseStates: len(m.fast),
+		DenseBytes:  len(m.fast)*int(unsafe.Sizeof(fastRow{})) + len(m.over)*4,
+		StoredBytes: len(m.stored)*int(unsafe.Sizeof(Pointer(0))) + len(m.rows)*4,
+		LookupBytes: int(unsafe.Sizeof(m.lut)),
+		OutputBytes: len(m.out.bits)*8 + len(m.out.rank)*4 + len(m.out.off)*4 + len(m.out.ids)*4,
 	}
-	for _, ref := range p.rows {
+	for _, ref := range m.rows {
 		if ref < rowDense {
 			st.StoredEntries += int(ref >> rowCountShift)
 		}

@@ -78,9 +78,6 @@ func TestBakedEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if m.prog == nil {
-					t.Fatalf("trial %d: configuration unexpectedly not baked", trial)
-				}
 				if m.pre == nil {
 					t.Fatalf("trial %d: prefilter unexpectedly unavailable", trial)
 				}
@@ -100,7 +97,7 @@ func TestBakedEquivalenceProperty(t *testing.T) {
 // uncompressed automaton of the machine's ruleset.
 func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 	t.Helper()
-	names, kinds := m.Backends(), kindsOf(m)
+	names, kinds := m.Backends(), m.kinds()
 	regs := make([]Regs, len(kinds))
 	for i := range regs {
 		regs[i].Reset()
@@ -212,15 +209,15 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 	checkSegment()
 }
 
-// TestProgramStats sanity-checks the layout report against the machine.
-func TestProgramStats(t *testing.T) {
+// TestLayoutStats sanity-checks the layout report against the machine.
+func TestLayoutStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	set := randBakedSet(rng)
 	m, err := Build(set, Options{DenseStates: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := m.prog.Stats()
+	st := m.Layout()
 	if st.States != m.NumStates() {
 		t.Fatalf("States = %d, machine has %d", st.States, m.NumStates())
 	}

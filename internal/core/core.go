@@ -23,22 +23,22 @@
 // DFA while storing >96% fewer pointers — and, unlike fail-pointer schemes,
 // one input character is consumed every cycle regardless of input.
 //
-// Execution is split into the immutable program — this Machine and what it
-// compiles to — and one small register value per stream (Regs, see
-// backend.go): every way of running the machine is a registered backend, a
-// function of the two, and all of them are byte-exact equivalent — same
-// states, histories, positions and match sequences on every input. Three
-// backends ship today. The "reference" backend walks the Machine itself —
-// a binary search over the state's stored row, then the lookup table —
-// and is kept deliberately close to the paper's hardware description. The "baked" backend runs the Program (see baked.go), a
-// two-tier fast/compressed format that Build compiles by default; its
-// compressed tier reads the Machine's own stored-pointer arena through the
-// Machine's own row index, and both tiers the Machine's own lookup table —
-// one lookup table and one state memory, two interpreters — and both
-// emit from the Machine's one flattened output table (outputTable). The
-// "prefiltered" backend (see prefilter.go) is a two-stage pipeline: a tiny
-// lossy automaton skims clean traffic and only suspect byte windows run
-// through the exact baked kernel. The lossy stage admits false positives
+// Execution is split into the immutable Machine and one small register
+// value per stream (Regs, see backend.go): every way of running the machine
+// is a registered backend, a function of the two, and all of them are
+// byte-exact equivalent — same states, histories, positions and match
+// sequences on every input. Three backends ship today. The "reference"
+// backend walks the compressed tables — a binary search over the state's
+// stored row, then the lookup table — and is kept deliberately close to the
+// paper's hardware description. The "baked" backend (see baked.go) adds the
+// fast tier Build bakes into every machine, whole move rows for the
+// most-visited states; its compressed tier reads the same stored-pointer
+// arena through the same row index, and both tiers the same lookup table —
+// one lookup table and one state memory, two interpreters — and both emit
+// from the one flattened output table (outputTable). The "prefiltered"
+// backend (see prefilter.go) is a two-stage pipeline: a tiny lossy
+// automaton skims clean traffic and only suspect byte windows run through
+// the exact baked loop. The lossy stage admits false positives
 // but provably never false negatives — verifySuperset proves the contract
 // structurally at bake time, in the spirit of verifyTransitions — so even
 // the approximate pipeline stays exactly equivalent. Each interpreter's
@@ -69,8 +69,8 @@
 // field (TestSparseBuildMatchesDenseOracle, FuzzBuildEquivalence).
 //
 // Nor does the result keep the trie: what stays in memory is the paper's
-// lookup table, state memory and match memory (outputTable), and the
-// kernels' tables. Build — the one way a Machine comes to exist — derives
+// lookup table, state memory and match memory (outputTable), the fast tier
+// and the prefilter. Build — the one way a Machine comes to exist — derives
 // them from the trie, proves the prefilter's superset contract on it and
 // lets it go; the lookup table is selected straight into its packed words,
 // so no other form of it is made. What needs the uncompressed automaton
@@ -100,12 +100,12 @@ type Options struct {
 	// DefaultDenseStates, negative disables the tier). Tuning only: every
 	// setting scans identically.
 	DenseStates int
-	// Backend selects the scan implementation ScanAppend runs:
-	// BackendAuto (or "") picks the fastest always-exact default —
-	// prefiltered when the lossy stage compiles and passes its superset proof,
-	// baked otherwise. BackendReference pins the slice-walking interpreter
-	// (and skips compiling the kernels); BackendBaked and
-	// BackendPrefiltered pin those kernels, and a pinned prefiltered build
+	// Backend selects the scan loop ScanAppend runs; every build bakes
+	// the same tables whatever it names. BackendAuto (or "") picks the
+	// fastest always-exact default — prefiltered when the lossy stage
+	// compiles and passes its superset proof, baked otherwise.
+	// BackendReference pins the slice-walking interpreter; BackendBaked and
+	// BackendPrefiltered pin those loops, and a pinned prefiltered build
 	// fails if the lossy stage cannot be kept. Unknown names are a Build
 	// error listing RegisteredBackends.
 	Backend string
@@ -116,14 +116,8 @@ type Options struct {
 // dpi.Config.Validate delegates here, and Build runs it first, so options
 // that pass Validate cannot fail Build's option check later.
 func (o Options) Validate() error {
-	switch o.Backend {
-	case "", BackendAuto:
+	if o.Backend == "" || o.Backend == BackendAuto || slices.Contains(scanBackends[:], o.Backend) {
 		return nil
-	}
-	for _, name := range RegisteredBackends() {
-		if o.Backend == name {
-			return nil
-		}
 	}
 	return fmt.Errorf("core: unknown backend %q (want %s)",
 		o.Backend, strings.Join(append([]string{BackendAuto}, RegisteredBackends()...), "|"))
@@ -269,36 +263,38 @@ type Machine struct {
 	// stored is the state memory: every state's kept pointers back to back
 	// in state order, each state's sorted by character. rows is its one row
 	// index, one descriptor per state (see rowDense): the count and offset
-	// of the state's row, or — once the baked Program has promoted the state
-	// to its fast tier — its fast-row number, with the stored-row descriptor
-	// it displaced kept at that number in displaced. The Program reads
-	// stored and rows themselves, not copies; the reference interpreter reads
-	// a row through StoredRow or StoredAt, fast tier or not.
+	// of the state's row, or — for a state promoted to the fast tier — its
+	// fast-row number, with the stored-row descriptor it displaced kept at
+	// that number in displaced. The baked loop reads both; the reference
+	// interpreter reads a row through StoredRow or StoredAt, fast tier or
+	// not.
 	stored    []Pointer
 	rows      []uint32
 	displaced []uint32
-	// out is the match memory, shared with the baked Program like stored.
+	// fast is the fast tier, one row per promoted state, and over every fast
+	// row's overrides of the depth-1 default row, back to back (see
+	// fastRow): what the baked loop reads beside the compressed tables.
+	fast []fastRow
+	over []int32
+	// out is the match memory, read by every interpreter.
 	out   outputTable
 	Stats BuildStats
 	// depth is the longest pattern's length, D: see Depth. It is kept
 	// here, not in Stats, which the build fingerprint pins.
 	depth int
 	// windows ends fold prefixes (see Fold); zero, so every prefix is D
-	// bytes, when unproved or hand-assembled.
+	// bytes, on a hand-assembled machine.
 	windows windowFilter
 
-	// prog is the baked scan kernel, nil only when the configured backend
-	// is reference or the machine was hand-assembled.
-	prog *Program
-	// pre is the lossy prefilter stage, compiled (and superset-verified)
-	// alongside prog; nil whenever prog is nil, the collapsed machine
-	// does not fit the packed entry format or verifySuperset refused it.
-	// The prefiltered backend needs both.
+	// pre is the lossy prefilter stage, compiled and superset-verified
+	// beside the compression; nil when the collapsed machine does not fit
+	// the packed entry format or verifySuperset refused it. The
+	// prefiltered backend needs it.
 	pre *Prefilter
 	// backend is the configured Options.Backend; empty (auto) on
-	// hand-assembled machines. kind is what it resolved to once the kernels
-	// were compiled — the backend ScanAppend runs; the zero value is the
-	// reference interpreter, which every machine supports.
+	// hand-assembled machines. kind is what it resolved to once the
+	// prefilter's fate was known — the backend ScanAppend runs; the zero
+	// value is the reference interpreter, which every machine supports.
 	backend string
 	kind    backendKind
 	// generation is the process-unique compile generation stamped by Build
@@ -331,9 +327,7 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	handoff <- ft
 	m.stored, m.rows, err = compress(trie, ft, d, &m.Stats)
 	if err == nil {
-		if m.windows = newWindowFilter(set, trie); m.windows.prove(trie) != nil {
-			m.windows = windowFilter{} // never used unproved
-		}
+		m.windows = newWindowFilter(trie)
 	}
 	stages := <-side
 	if err != nil {
@@ -345,10 +339,8 @@ func Build(set *ruleset.Set, opts Options) (*Machine, error) {
 	return m, nil
 }
 
-// sideStages is what Build's second goroutine derives: the match memory
-// and, unless the reference interpreter is pinned, the fast tier and the
-// lossy prefilter — nil when it does not fit its packed entry format or
-// verifySuperset refused it, with refused saying which.
+// sideStages is what Build's second goroutine derives: the match memory,
+// the fast tier and the lossy prefilter, nil when refused (refused says why).
 type sideStages struct {
 	out     outputTable
 	pre     *Prefilter
@@ -362,44 +354,35 @@ type sideStages struct {
 // tree — sent after selectDefaults, so d1 is final too — the fast tier. It
 // writes nothing the main goroutine reads.
 func newSideStages(t *ac.Trie, opts Options, d1 *[256]int32, linked <-chan struct{}, handoff <-chan *failTree) (ss sideStages) {
-	baked := opts.Backend != BackendReference
-	if baked {
-		if ss.pre = CompilePrefilter(t); ss.pre == nil {
-			ss.refused = fmt.Errorf("core: the prefilter does not fit its packed entry format")
-		} else if ss.refused = ss.pre.verifySuperset(t); ss.refused != nil {
-			ss.pre = nil
-		}
+	if ss.pre = CompilePrefilter(t); ss.pre == nil {
+		ss.refused = fmt.Errorf("core: the prefilter does not fit its packed entry format")
+	} else if ss.refused = ss.pre.verifySuperset(t); ss.refused != nil {
+		ss.pre = nil
 	}
 	<-linked
 	ss.out = newOutputTable(t)
-	ft := <-handoff
-	if baked {
-		ss.tier = bakeFastTier(t, ft, d1, opts.DenseStates)
-	}
+	ss.tier = bakeFastTier(t, <-handoff, d1, opts.DenseStates)
 	return ss
 }
 
-// compileBackends installs the match memory and bakes the kernels the
-// configured backend needs: the flat Program and, on top of it, the lossy
-// prefilter stage of stages, which is nil unless it passed verifySuperset —
-// a prefilter that could miss is discarded, never silently used. A pinned
-// prefiltered backend turns a discarded or uncompilable stage into a Build
-// error.
+// compileBackends installs what the second goroutine derived — a promoted
+// state's descriptor becomes its fast-row number, the one it held moves to
+// displaced — and resolves the configured backend. A refused prefilter is
+// dropped, never used, and a pinned prefiltered backend turns that into a
+// Build error.
 func (m *Machine) compileBackends(stages sideStages) error {
-	if m.out = stages.out; m.backend == BackendReference {
-		return nil
+	tier := stages.tier
+	for i, s := range tier.states {
+		tier.states[i] = m.rows[s]
+		m.rows[s] = rowDense | uint32(i)
 	}
-	m.prog = compile(m, stages.tier)
+	m.out, m.displaced, m.fast, m.over = stages.out, tier.states, tier.rows, tier.over
 	if m.pre = stages.pre; m.pre == nil && m.backend == BackendPrefiltered {
 		return fmt.Errorf("core: Backend %q pinned: %w", m.backend, stages.refused)
 	}
 	m.kind = m.resolveKind()
 	return nil
 }
-
-// Program returns the machine's baked scan kernel, or nil when the machine
-// runs on the slice-walking reference path.
-func (m *Machine) Program() *Program { return m.prog }
 
 // Prefilter returns the machine's lossy first-stage automaton, or nil when
 // the prefiltered backend is unavailable.

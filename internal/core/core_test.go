@@ -38,18 +38,6 @@ func mustTrie(t testing.TB, set *ruleset.Set) *ac.Trie {
 	return trie
 }
 
-// kindsOf lists the backends m offers, registry order: the reference
-// interpreter first.
-func kindsOf(m *Machine) []backendKind {
-	var kinds []backendKind
-	for k, spec := range scanBackends {
-		if spec.available(m) {
-			kinds = append(kinds, backendKind(k))
-		}
-	}
-	return kinds
-}
-
 // TestPaperToyExample reproduces Figure 2 exactly: for the state machine of
 // Figure 1 (he, she, his, hers — 10 states), inserting depth-1 defaults
 // leaves an average of 1.1 stored pointers per state (Figure 2A), adding

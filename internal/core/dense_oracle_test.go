@@ -292,18 +292,16 @@ func densePromoted(t *ac.Trie, pop []int64, budget int) []bool {
 	return promoted
 }
 
-// denseCompile lays out the Program with every promoted state's 256-entry
+// denseCompile lays out m's fast tier with every promoted state's 256-entry
 // move row filled by Trie.Move, one fail-chain walk per (state, character)
 // — the fast row is then wherever that row differs from d1, overrides in
-// byte order. The lookup table, match memory, arena and row index are the
-// dense machine's own, and promotion moves a state's stored-row descriptor
-// to displaced.
-func denseCompile(m *Machine, t *ac.Trie, pop []int64, budget int) *Program {
+// byte order — and promotion moves a state's stored-row descriptor to
+// displaced.
+func denseCompile(m *Machine, t *ac.Trie, pop []int64, budget int) {
 	n := t.NumStates()
 	promoted := densePromoted(t, pop, budget)
-	p := &Program{lut: &m.lut, rows: m.rows, stored: m.stored, out: &m.out}
-	p.fast = []fastRow{}
-	p.over = []int32{}
+	m.fast = []fastRow{}
+	m.over = []int32{}
 	var fastStates []int32
 	for s := 0; s < n; s++ {
 		if promoted[s] {
@@ -315,8 +313,8 @@ func denseCompile(m *Machine, t *ac.Trie, pop []int64, budget int) *Program {
 		return cmp.Compare(t.Nodes[a].Depth, t.Nodes[b].Depth)
 	})
 	for _, s := range fastStates {
-		m.displaced = append(m.displaced, p.rows[s])
-		p.rows[s] = rowDense | uint32(len(p.fast))
+		m.displaced = append(m.displaced, m.rows[s])
+		m.rows[s] = rowDense | uint32(len(m.fast))
 		var dense [256]int32
 		for c := range dense {
 			dense[c] = t.Move(s, byte(c))
@@ -324,16 +322,15 @@ func denseCompile(m *Machine, t *ac.Trie, pop []int64, budget int) *Program {
 		var row fastRow
 		for c, to := range dense {
 			if c%64 == 0 {
-				row.rank[c/64] = uint32(len(p.over))
+				row.rank[c/64] = uint32(len(m.over))
 			}
 			if to != m.lut.d1[c] {
 				row.bits[c/64] |= 1 << (c % 64)
-				p.over = append(p.over, to)
+				m.over = append(m.over, to)
 			}
 		}
-		p.fast = append(p.fast, row)
+		m.fast = append(m.fast, row)
 	}
-	return p
 }
 
 // checkSparseAgainstDense builds set both ways with the fast tier budgeted
@@ -390,8 +387,8 @@ func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, dense int) {
 	if !reflect.DeepEqual(pickDense(trie, ft, dense), densePromoted(trie, pop, dense)) {
 		t.Fatalf("dense %d: dense-tier promotion differs", dense)
 	}
-	if wantProg := denseCompile(want, trie, pop, dense); !reflect.DeepEqual(m.prog, wantProg) {
-		t.Fatalf("dense %d: Program differs from the dense layout", dense)
+	if denseCompile(want, trie, pop, dense); !reflect.DeepEqual(m.fast, want.fast) || !reflect.DeepEqual(m.over, want.over) {
+		t.Fatalf("dense %d: the fast tier differs from the dense layout", dense)
 	}
 	if !slices.Equal(m.rows, want.rows) || !slices.Equal(m.displaced, want.displaced) {
 		t.Fatalf("dense %d: the row index or the displaced descriptors differ from the dense layout's", dense)
@@ -603,16 +600,16 @@ func TestCompilePromotedWideState(t *testing.T) {
 	if err := m.Verify(trie, nil); err != nil {
 		t.Fatal(err)
 	}
-	desc := m.prog.rows[wide]
+	desc := m.rows[wide]
 	if desc < rowDense {
 		t.Fatalf("the depth-1 state is read through descriptor %#x, not a fast row", desc)
 	}
-	row := &m.prog.fast[desc-rowDense]
+	row := &m.fast[desc-rowDense]
 	if got := row.rank[3] + uint32(bits.OnesCount64(row.bits[3])) - row.rank[0]; got != 256 {
 		t.Fatalf("the depth-1 state's fast row holds %d overrides, want 256", got)
 	}
 	for x := 0; x < 256; x++ {
-		if got, want := row.move(byte(x), &m.prog.lut.d1, m.prog.over), trie.Move(wide, byte(x)); got != want {
+		if got, want := row.move(byte(x), &m.lut.d1, m.over), trie.Move(wide, byte(x)); got != want {
 			t.Fatalf("byte %#02x steps to %d, the DFA to %d", x, got, want)
 		}
 	}
@@ -623,7 +620,7 @@ func TestCompilePromotedWideState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if csr.Program() == nil || csr.rows[wide] != 256<<rowCountShift|csr.rows[wide]&rowOffMask {
+	if csr.rows[wide] != 256<<rowCountShift|csr.rows[wide]&rowOffMask {
 		t.Fatalf("the compressed 256-pointer state is described by %#x (backend %q)", csr.rows[wide], csr.DefaultBackend())
 	}
 	if err := csr.verifyProgram(trie); err != nil {

@@ -39,11 +39,11 @@ func TestVerifyProgramDetectsCorruption(t *testing.T) {
 	trie := mustTrie(t, set)
 	// wideRow finds a fast row holding two different overrides in one
 	// bitmap word, and that word.
-	wideRow := func(p *Program) (*fastRow, int) {
-		for i := range p.fast {
-			r := &p.fast[i]
+	wideRow := func(m *Machine) (*fastRow, int) {
+		for i := range m.fast {
+			r := &m.fast[i]
 			for w, word := range r.bits {
-				if bits.OnesCount64(word) >= 2 && p.over[r.rank[w]] != p.over[r.rank[w]+1] {
+				if bits.OnesCount64(word) >= 2 && m.over[r.rank[w]] != m.over[r.rank[w]+1] {
 					return r, w
 				}
 			}
@@ -51,40 +51,40 @@ func TestVerifyProgramDetectsCorruption(t *testing.T) {
 		t.Fatal("no fast row overrides two bytes of one word differently")
 		return nil, 0
 	}
-	cases := map[string]func(p *Program){
-		"cleared bit": func(p *Program) {
-			r, w := wideRow(p)
+	cases := map[string]func(m *Machine){
+		"cleared bit": func(m *Machine) {
+			r, w := wideRow(m)
 			r.bits[w] &= r.bits[w] - 1
 		},
-		"spurious bit": func(p *Program) {
-			r, w := wideRow(p)
+		"spurious bit": func(m *Machine) {
+			r, w := wideRow(m)
 			r.bits[w] |= 1 << bits.TrailingZeros64(^r.bits[w])
 		},
-		"swapped overrides": func(p *Program) {
-			r, w := wideRow(p)
+		"swapped overrides": func(m *Machine) {
+			r, w := wideRow(m)
 			at := r.rank[w]
-			p.over[at], p.over[at+1] = p.over[at+1], p.over[at]
+			m.over[at], m.over[at+1] = m.over[at+1], m.over[at]
 		},
-		"bumped rank": func(p *Program) {
-			r, w := wideRow(p)
+		"bumped rank": func(m *Machine) {
+			r, w := wideRow(m)
 			r.rank[w]++
 		},
-		"default as override": func(p *Program) {
-			r, w := wideRow(p)
-			p.over[r.rank[w]] = p.lut.d1[w<<6|bits.TrailingZeros64(r.bits[w])]
+		"default as override": func(m *Machine) {
+			r, w := wideRow(m)
+			m.over[r.rank[w]] = m.lut.d1[w<<6|bits.TrailingZeros64(r.bits[w])]
 		},
-		"shared fast row": func(p *Program) {
-			for s, ref := range p.rows {
+		"shared fast row": func(m *Machine) {
+			for s, ref := range m.rows {
 				if ref > rowDense {
-					p.rows[s]--
+					m.rows[s]--
 					return
 				}
 			}
 		},
-		"descriptor count": func(p *Program) {
-			for s, ref := range p.rows {
+		"descriptor count": func(m *Machine) {
+			for s, ref := range m.rows {
 				if ref < rowDense && ref>>rowCountShift != 0 {
-					p.rows[s] -= 1 << rowCountShift
+					m.rows[s] -= 1 << rowCountShift
 					return
 				}
 			}
@@ -96,7 +96,7 @@ func TestVerifyProgramDetectsCorruption(t *testing.T) {
 		if err := m.verifyProgram(trie); err != nil {
 			t.Fatal(err)
 		}
-		corrupt(m.prog)
+		corrupt(m)
 		if err := m.verifyProgram(trie); err == nil {
 			t.Errorf("%s: corrupted kernel tables accepted", name)
 		}
@@ -104,6 +104,33 @@ func TestVerifyProgramDetectsCorruption(t *testing.T) {
 	if err := mustBuild(t, set, Options{}).verifyProgram(mustTrie(t, toySet())); err == nil {
 		t.Error("a kernel was proved against another ruleset's trie")
 	}
+}
+
+// TestVerifyProvesEveryBuildsBakedLoop: every build bakes, whatever backend
+// it pins, so Verify proves the baked loop of a reference-pinned machine too
+// and refuses one whose fast tier has one bitmap bit cleared.
+func TestVerifyProvesEveryBuildsBakedLoop(t *testing.T) {
+	set := ruleset.MustGenerate(ruleset.GenConfig{N: 300, Seed: 81})
+	trie := mustTrie(t, set)
+	m := mustBuild(t, set, Options{Backend: BackendReference})
+	if err := m.Verify(trie, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.fast {
+		if r := &m.fast[i]; r.bits != [4]uint64{} {
+			for w := range r.bits {
+				if r.bits[w] != 0 {
+					r.bits[w] &= r.bits[w] - 1
+					break
+				}
+			}
+			if err := m.Verify(trie, nil); err == nil {
+				t.Fatalf("Verify accepted a reference-pinned machine with fast row %d corrupted", i)
+			}
+			return
+		}
+	}
+	t.Fatal("no fast row overrides the depth-1 default row")
 }
 
 // TestVerifyProofsRefuseSharedCorruption: both loop proofs must refuse a
@@ -203,7 +230,6 @@ func TestFastRowWordEdges(t *testing.T) {
 		if dense < 0 {
 			continue
 		}
-		p := m.prog
 		a := m.LookupRow('a').D1
 		ba := trie.Move(m.LookupRow('b').D1, 'a')
 		for _, tc := range []struct {
@@ -213,14 +239,14 @@ func TestFastRowWordEdges(t *testing.T) {
 			{a, [4]uint64{1 | 1<<63, 1 | 1<<63, 1 | 1<<63, 1 | 1<<63}},
 			{ba, [4]uint64{1 | 1<<63, 3 | 1<<63, 1 | 1<<63, 1 | 1<<63}},
 		} {
-			ref := p.rows[tc.state]
+			ref := m.rows[tc.state]
 			if ref < rowDense {
 				if tc.state == a || dense == states {
 					t.Fatalf("dense=%d: state %d is not read through a fast row", dense, tc.state)
 				}
 				continue
 			}
-			if got := p.fast[ref-rowDense].bits; got != tc.bits {
+			if got := m.fast[ref-rowDense].bits; got != tc.bits {
 				t.Fatalf("dense=%d: state %d's bitmap is %#x, want %#x", dense, tc.state, got, tc.bits)
 			}
 		}

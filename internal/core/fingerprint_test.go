@@ -108,9 +108,9 @@ func TestConcurrentCompilesMatchFingerprint(t *testing.T) {
 }
 
 // TestBuildLeavesNoGoroutine: Build joins its second goroutine on every
-// return — after a successful build, after a reference-pinned one, whose
-// goroutine skips the prefilter and the fast tier and still waits for the
-// fail tree and builds the match memory, and after a pinned prefiltered
+// return — after a successful build, after a reference-pinned one, which
+// builds every stage as the default does and only resolves another loop,
+// and after a pinned prefiltered
 // build whose prefilter is refused once the goroutine has started. Build
 // hands the goroutine the fail tree on a buffered channel before compress,
 // so a compress error — the fitsWord refusal, too large a machine to build

@@ -192,16 +192,46 @@ func TestFoldedFormFootprint(t *testing.T) {
 // does not support it.
 func kindOf(t *testing.T, m *Machine, name string) backendKind {
 	t.Helper()
-	for k, spec := range scanBackends {
-		if spec.name == name {
-			if !spec.available(m) {
-				t.Fatalf("backend %s is not available on this machine", name)
-			}
-			return backendKind(k)
+	for _, k := range m.kinds() {
+		if scanBackends[k] == name {
+			return k
 		}
 	}
-	t.Fatalf("unknown backend %s", name)
+	t.Fatalf("backend %s is not available on this machine", name)
 	return 0
+}
+
+// TestWindowFilterFillsFromTheTrie: Build fills the window filter from the
+// trie's states of depth ≥ 3, each state's last three characters; that must
+// set exactly the bits of every 3-byte window of every pattern, the fill it
+// replaced, kept here as the oracle — at three of the paper's sizes and on
+// random sets.
+func TestWindowFilterFillsFromTheTrie(t *testing.T) {
+	sets := []*ruleset.Set{}
+	for _, n := range []int{634, 1204, 6275} {
+		sets = append(sets, ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010}))
+	}
+	rng := rand.New(rand.NewSource(54))
+	for range 12 {
+		sets = append(sets, randBakedSet(rng))
+	}
+	for i, set := range sets {
+		trie := mustTrie(t, set)
+		got := newWindowFilter(trie)
+		want := windowFilter{bits: make([]uint64, len(got.bits)), shift: got.shift}
+		for _, p := range set.Patterns {
+			for j := 3; j <= len(p.Data); j++ {
+				w, bit := want.slot(p.Data[j-3], p.Data[j-2], p.Data[j-1])
+				want.bits[w] |= bit
+			}
+		}
+		if !slices.Equal(got.bits, want.bits) {
+			t.Fatalf("set %d (%d patterns): the trie fills the window filter other than the patterns' windows do", i, set.Len())
+		}
+		if m := mustBuild(t, set, Options{}); m.windows.shift != got.shift || !slices.Equal(m.windows.bits, got.bits) {
+			t.Fatalf("set %d: Build installs a window filter other than the trie's", i)
+		}
+	}
 }
 
 // TestVerifyFoldDetectsAWrongDepth: the fold's premise is proved, not
@@ -222,8 +252,8 @@ func TestVerifyFoldDetectsAWrongDepth(t *testing.T) {
 // TestVerifyFoldDetectsAMissingFactor: the window filter is proved, not
 // assumed. With the bit of a 3-byte window from the middle of the longest
 // pattern cleared, a piece that opens one byte into that pattern ends its
-// prefix at the window and resumes without the pattern's match; Build's
-// proof and Verify's both refuse the filter. With the bit restored, both
+// prefix at the window and resumes without the pattern's match; the
+// filter's proof and Verify both refuse it. With the bit restored, both
 // pass.
 func TestVerifyFoldDetectsAMissingFactor(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})
@@ -251,7 +281,7 @@ func TestVerifyFoldDetectsAMissingFactor(t *testing.T) {
 		t.Fatal("a fold through a missing window resumed correctly: the negative case is vacuous")
 	}
 	if err := m.windows.prove(trie); err == nil {
-		t.Error("Build's proof kept a window filter missing a pattern's substring")
+		t.Error("the filter's proof kept a window filter missing a pattern's substring")
 	}
 	if err := m.verifyFold(trie, nil); err == nil {
 		t.Error("Verify proved a window filter missing a pattern's substring")

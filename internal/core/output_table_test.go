@@ -40,9 +40,9 @@ func TestOutputTableProperty(t *testing.T) {
 	}
 }
 
-// TestReferenceBackendEmitsFromOutputTable: a reference-pinned machine has
-// no Program and, since the trie left the Machine, no output chains to walk
-// either — it emits from the same flattened table the kernels read. That
+// TestReferenceBackendEmitsFromOutputTable: a reference-pinned machine has,
+// since the trie left the Machine, no output chains to walk — it emits from
+// the same flattened table the baked loop reads. That
 // table is proved against an independently built trie, and the interpreter
 // reading it is held to that trie's matches segment by segment.
 func TestReferenceBackendEmitsFromOutputTable(t *testing.T) {
@@ -53,8 +53,8 @@ func TestReferenceBackendEmitsFromOutputTable(t *testing.T) {
 	}
 	for _, set := range sets {
 		m, trie := mustBuild(t, set, Options{Backend: BackendReference}), mustTrie(t, set)
-		if m.prog != nil || len(m.Backends()) != 1 {
-			t.Fatalf("a reference-pinned build offers %v", m.Backends())
+		if got := m.DefaultBackend(); got != BackendReference {
+			t.Fatalf("a reference-pinned build runs %q", got)
 		}
 		if err := m.verifyOutputs(trie); err != nil {
 			t.Fatal(err)
@@ -111,19 +111,18 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 		if slices.Equal(want, chain) {
 			t.Fatal("the chain is already in canonical order: the case proves nothing")
 		}
-		for _, k := range kindsOf(m) {
+		for _, k := range m.kinds() {
 			var r Regs
 			r.Reset()
 			if got := m.scanAs(k, &r, payload, nil); !slices.Equal(got, want) {
-				t.Fatalf("%+v: backend %s emits %v, want %v", opts, scanBackends[k].name, got, want)
+				t.Fatalf("%+v: backend %s emits %v, want %v", opts, scanBackends[k], got, want)
 			}
 		}
 	}
 }
 
 // TestVerifyOutputsDetectsCorruption: the proof must be able to fail — on
-// the one table, whichever backend the machine was built for, and on a
-// kernel that reads some other table. The ID-word targets are picked by
+// the one table, whichever backend the machine was built for. The ID-word targets are picked by
 // content, not position: multi is the first word without the last flag, so
 // it and the next word are one list of two or more IDs (the toy's she
 // {0, 1}), and last is the first word that ends a list. Every case must
@@ -167,10 +166,5 @@ func TestVerifyOutputsDetectsCorruption(t *testing.T) {
 	m := mustBuild(t, toySet(), Options{})
 	if err := m.verifyOutputs(mustTrie(t, setOf([][]byte{[]byte("he")}, false))); err == nil {
 		t.Error("an output table was proved against another ruleset's trie")
-	}
-	own := m.out
-	m.prog.out = &own
-	if err := m.verifyOutputs(trie); err == nil {
-		t.Error("a kernel emitting from its own copy of the table was accepted")
 	}
 }

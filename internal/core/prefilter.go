@@ -1,7 +1,7 @@
 package core
 
 // The two-stage approximate prefilter: a tiny lossy automaton skims clean
-// traffic and hands only suspect byte windows to the exact baked kernel.
+// traffic and hands only suspect byte windows to the exact baked loop.
 // The lossy machine may raise false alarms but provably never misses — the
 // superset contract below — so the pipeline stays byte-exact equivalent to
 // the reference machine while touching most clean bytes with a single
@@ -21,8 +21,8 @@ package core
 // accept set closed over fail links — are flagged suspect.
 //
 // Stored rows. The runtime never steps from a suspect state: the first
-// suspect entry hands the stream to the exact kernel, and skimming resumes
-// at the start state. So only the states the skim loop can stand in — the
+// suspect entry hands the stream to the exact loop, and skimming resumes
+// from row 0. So only the states the skim loop can stand in — the
 // start state and the non-suspect states reachable from it through
 // non-suspect entries — get a row, numbered breadth-first from row 0. A
 // suspect entry is the bare flag in bit 15 of its uint16, which the skim
@@ -42,9 +42,10 @@ package core
 // FuzzPrefilterEquivalence fuzzer check the runtime pipeline end to end.
 //
 // Suspect-window rebuild. When suspect fires at stream index a, the exact
-// kernel restarts from the start state at r = max(a−K+1, skim start) —
-// clamped so previously exact-scanned bytes are never rescanned, which
-// would double-emit — seeded with the true history bytes r−2, r−1. A skim
+// loop restarts from the start state at r = a−K+1 — or, when that would
+// rescan exact-scanned bytes and re-emit their matches, continues from the
+// registers the exact loop left — seeded with the true history bytes r−2,
+// r−1. A skim
 // segment never outlives the ScanAppend call that began it, so those bytes
 // are in the chunk or, across the call boundary, in the history register
 // the call was entered with. The rescanned machine's state path is always
@@ -56,12 +57,16 @@ package core
 // the true longest-suffix state, the DTP restart is sandwiched between
 // that DFA restart and the true machine (defaults only ever jump *deeper*
 // along true suffixes), and two identical register files stay identical
-// forever after. The pipeline then stays exact until the machine returns
-// to the start state, where skimming is sound again. A call that ends
-// mid-skim runs the same rebuild through its last byte — by the superset
-// contract the true depth there is below K and no match ends in the
-// window — so every call leaves exact registers, and the next one skims
-// if they stand at the start state and runs the exact kernel otherwise.
+// forever after. A call that ends mid-skim runs the same rebuild through
+// its last byte — by the superset contract the true depth there is below K
+// and no match ends in the window — so every call leaves exact registers.
+//
+// Resuming. The baked loop is exact from any state, so the pipeline runs
+// it exactChunk bytes at a time until a slice ends on a state of depth
+// d < K whose path lies in the chunk. No later path starts before that
+// path does, so from there on the machine runs as one started at the start
+// state d bytes back would, and skimming from row 0 there is sound; a
+// suspect among those d bytes sends the stream back to the exact loop.
 
 import (
 	"fmt"
@@ -103,26 +108,34 @@ const (
 // CompilePrefilter except for its runtime counters; safe for concurrent
 // use by any number of streams.
 type Prefilter struct {
-	class    [256]uint8 // byte → collapsed class, 0 = not in any prefix
+	class [256]uint8 // byte → collapsed class, 0 = not in any prefix
+	tab   []uint16   // rows × pfStride (row-strided): target row, or pfSuspect
+	// shallow[k] is the number of exact states of depth ≤ k: state s has
+	// depth ≤ k iff s < shallow[k], as states are numbered breadth-first.
+	shallow  [prefK]int32
 	nClasses int
-	tab      []uint16 // rows × pfStride (row-strided): target row, or pfSuspect
-	states   int      // collapsed DFA states, stored rows or not
-	accepts  int      // accept strings inserted
+	states   int // collapsed DFA states, stored rows or not
+	accepts  int // accept strings inserted
 	folded   bool
 
-	// Runtime counters, accumulated once per ScanAppend chunk.
+	// Runtime counters, added to once per ScanAppend call by every stream,
+	// padded a cache line clear of the tables every call reads and of the
+	// next object, so an Add invalidates no line another lane reads.
+	_              [64]byte
 	skimmedBytes   atomic.Uint64
 	exactBytes     atomic.Uint64
 	suspectWindows atomic.Uint64
+	_              [64]byte
 }
 
 // CompilePrefilter builds the lossy first stage from the trie t. It returns
 // nil when the stored rows do not fit the packed entry format (row numbers
 // share a uint16 with the suspect flag), in which case the prefiltered
-// backend is simply unavailable. Build compiles it automatically alongside
-// the baked Program and proves verifySuperset before keeping it — while
+// backend is simply unavailable. Build compiles it beside the compression
+// and proves verifySuperset before keeping it — while
 // ac.Trie.Link runs: it reads t's Depth, Char, Parent and NumOut only, of
-// the states of depth ≤ K, which come first in breadth-first order.
+// the states of depth ≤ K, which come first in breadth-first order, and the
+// Depth of the first deeper one.
 func CompilePrefilter(t *ac.Trie) *Prefilter {
 	n := t.NumStates()
 
@@ -149,6 +162,13 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 		} else {
 			deep[nd.Char] = true
 		}
+	}
+	at := int32(1)
+	for k := range pf.shallow {
+		for at < int32(n) && int(t.Nodes[at].Depth) <= k {
+			at++
+		}
+		pf.shallow[k] = at
 	}
 	nFirst, nDeep := 0, 0
 	for b := 0; b < 256; b++ {
@@ -311,7 +331,7 @@ type PrefilterStats struct {
 	Folded      bool // distinct prefix bytes exceeded the class budget
 
 	SkimmedBytes   uint64 // bytes cleared by the lossy machine alone
-	ExactBytes     uint64 // bytes run through the exact kernel (incl. rescans)
+	ExactBytes     uint64 // bytes run through the exact loop (incl. rescans)
 	SuspectWindows uint64 // skim→exact handoffs
 	// SuspectRate is SuspectWindows per skimmed byte — the false-alarm
 	// density on the traffic actually seen (0 when nothing was skimmed).
@@ -336,9 +356,6 @@ func (pf *Prefilter) Stats() PrefilterStats {
 	return st
 }
 
-// verifySuperset proves the machine's prefilter: see Prefilter.verifySuperset.
-func (m *Machine) verifySuperset(t *ac.Trie) error { return m.pre.verifySuperset(t) }
-
 // verifySuperset proves the prefilter admits no false negatives, in the
 // spirit of verifyTransitions: for every state of t, the machine's trie, that
 // terminates an accept window — depth exactly prefK, or a shallower state where a
@@ -350,14 +367,12 @@ func (m *Machine) verifySuperset(t *ac.Trie) error { return m.pre.verifySuperset
 // file comment); the scan-level property tests and fuzzer check that
 // empirically. It also checks the compact table's structural invariant:
 // a suspect entry is the bare flag, and every other entry addresses a
-// stored row. The proof reads the prefilter and t only, so Build runs it
-// before the machine holds the stage, and while ac.Trie.Link runs: of t it
-// reads Depth, Char, Parent and NumOut only, of the depth ≤ K states.
+// stored row; and that shallow counts t's states of each depth below K,
+// which a resumed skim steps back by. The proof reads the prefilter and t
+// only, so Build runs it before the machine holds the stage, and while
+// ac.Trie.Link runs: of t it reads Depth, Char, Parent and NumOut only, of
+// the depth ≤ K states and the Depth of the first deeper one.
 func (pf *Prefilter) verifySuperset(t *ac.Trie) error {
-	if pf == nil {
-		return fmt.Errorf("core: no prefilter compiled for this machine")
-	}
-
 	rows := len(pf.tab) >> pfStrideBits
 	for i, e := range pf.tab {
 		if e&pfSuspect != 0 && e != pfSuspect {
@@ -365,6 +380,12 @@ func (pf *Prefilter) verifySuperset(t *ac.Trie) error {
 		}
 		if e&pfSuspect == 0 && int(e) >= rows {
 			return fmt.Errorf("core: prefilter entry %d addresses row %d of %d stored", i, e, rows)
+		}
+	}
+
+	for k, at := range pf.shallow {
+		if at < 1 || int(at) > t.NumStates() || int(t.Nodes[at-1].Depth) > k || int(at) < t.NumStates() && int(t.Nodes[at].Depth) <= k {
+			return fmt.Errorf("core: the prefilter counts %d states of depth ≤ %d, the trie does not", at, k)
 		}
 	}
 
@@ -396,11 +417,17 @@ func (pf *Prefilter) verifySuperset(t *ac.Trie) error {
 }
 
 // The prefiltered backend is the two-stage pipeline: skim with the lossy
-// machine while the exact machine is provably at the start state, drop to
-// the exact baked kernel through suspect windows, return to skimming at the
-// next start-state boundary. A skim lives inside one call, which enters and
-// leaves with exact registers, so the pipeline keeps no per-stream state of
-// its own: Regs are the same on every backend.
+// machine while the exact machine is provably below depth K, drop to the
+// exact baked loop through suspect windows, return to skimming at the first
+// exactChunk boundary that finds the machine shallow again. A skim lives
+// inside one call, which enters and leaves with exact registers, so the
+// pipeline keeps no per-stream state of its own: Regs are the same on
+// every backend.
+
+// exactChunk is how many bytes the exact phase runs through the baked loop
+// before it looks at the state again. Any length is exact; it trades bytes
+// scanned exactly past a window's end against a call per slice.
+const exactChunk = 2
 
 // skimChunk advances the lossy machine from row 0 over data[i:] until a
 // suspect entry fires or the chunk ends, returning the next unconsumed
@@ -425,6 +452,14 @@ func (pf *Prefilter) skimChunk(data []byte, i int) (int, bool) {
 	return i, false
 }
 
+// depth is exact state s's depth, or prefK when it is deeper.
+func (pf *Prefilter) depth(s int32) (d int) {
+	for d < prefK && s >= pf.shallow[d] {
+		d++
+	}
+	return d
+}
+
 // histAt is the fused history register at the end of seen, for a stream
 // whose history before seen's first byte was entry.
 func histAt(entry uint32, seen []byte) uint32 {
@@ -434,38 +469,40 @@ func histAt(entry uint32, seen []byte) uint32 {
 	return entry
 }
 
-// scanPrefiltered runs the pipeline over one chunk. Each skim segment ends
-// in a rebuild — at the suspect byte, or at the chunk's end: the exact
-// kernel restarts from the start state at s = max(end−prefK, segment start)
-// — the clamp keeps previously exact-scanned bytes from being re-emitted —
-// with the true history bytes s−2, s−1, from the chunk or the registers the
-// call was entered with, and scans through the segment's last byte. Per the
-// soundness argument in the file comment this emits exactly the true
-// matches ending at that byte and leaves the registers equal to the true
-// machine's.
+// scanPrefiltered runs the pipeline over one chunk. From i, the first byte
+// not yet scanned, it skims from d bytes back when the state has depth
+// d < K and those bytes are in the chunk; otherwise, or when the skim flags
+// a suspect before i, the exact loop runs exactChunk bytes on. A skim ends
+// in a rebuild through its last byte, j−1: from the start state at
+// s = j−prefK with the true history, or, when s is not past i, from the
+// registers at i (see the file comment).
 func (m *Machine) scanPrefiltered(r *Regs, data []byte, out []ac.Match) []ac.Match {
-	pf, prog := m.pre, m.prog
+	pf := m.pre
 	base, entry := r.pos, r.hist
 	state, hist := r.state, r.hist
 	var skimmed, exact, suspects uint64
 	for i, n := 0, len(data); i < n; {
-		if state != ac.Root {
-			var pos int
-			state, hist, pos, out = prog.scanAppend(state, hist, base+i, data[i:], out, ac.Root)
-			exact += uint64(pos - base - i)
-			i = pos - base
+		j, hit := i, false
+		if d := pf.depth(state); d < prefK && d <= i {
+			j, hit = pf.skimChunk(data, i-d)
+		}
+		if j <= i {
+			end := min(i+exactChunk, n)
+			state, hist, _, out = m.scanAppend(state, hist, base+i, data[i:end], out)
+			exact += uint64(end - i)
+			i = end
 			continue
 		}
-		start := i
-		var hit bool
-		i, hit = pf.skimChunk(data, i)
-		skimmed += uint64(i - start)
+		skimmed += uint64(j - i)
 		if hit {
 			suspects++
 		}
-		s := max(i-prefK, start)
-		exact += uint64(i - s)
-		state, hist, _, out = prog.scanAppend(ac.Root, histAt(entry, data[:s]), base+s, data[s:i], out, ac.None)
+		if s := j - prefK; s > i {
+			state, hist, i = ac.Root, histAt(entry, data[:s]), s
+		}
+		exact += uint64(j - i)
+		state, hist, _, out = m.scanAppend(state, hist, base+i, data[i:j], out)
+		i = j
 	}
 	r.state, r.hist, r.pos = state, hist, base+len(data)
 	if skimmed != 0 {

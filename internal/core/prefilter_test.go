@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ac"
 	"repro/internal/ruleset"
@@ -30,7 +32,7 @@ func TestPrefilterSupersetProperty(t *testing.T) {
 			t.Fatalf("trial %d: prefilter unavailable", trial)
 		}
 		trie := mustTrie(t, set)
-		if err := m.verifySuperset(trie); err != nil {
+		if err := m.pre.verifySuperset(trie); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		payload := randBakedPayload(rng, 256+rng.Intn(1024))
@@ -102,13 +104,13 @@ func TestPrefilterReadsNoFailLinks(t *testing.T) {
 		}
 		after := compile("linked")
 		for _, pf := range []*Prefilter{beside, after} {
-			if pf.class != unlinked.class || pf.states != unlinked.states || pf.accepts != unlinked.accepts ||
+			if pf.class != unlinked.class || pf.shallow != unlinked.shallow || pf.states != unlinked.states || pf.accepts != unlinked.accepts ||
 				pf.nClasses != unlinked.nClasses || pf.folded != unlinked.folded || !slices.Equal(pf.tab, unlinked.tab) {
 				t.Fatalf("set %d: the prefilter of the linked trie differs from the laid-out trie's", i)
 			}
 		}
 
-		w := newWindowFilter(set, trie)
+		w := newWindowFilter(trie)
 		if err := w.prove(trie); err != nil {
 			t.Fatalf("set %d: %v", i, err)
 		}
@@ -138,7 +140,7 @@ func TestVerifySupersetDetectsCorruption(t *testing.T) {
 		t.Fatal("prefilter unavailable")
 	}
 	trie := mustTrie(t, set)
-	if err := m.verifySuperset(trie); err != nil {
+	if err := m.pre.verifySuperset(trie); err != nil {
 		t.Fatalf("pristine table rejected: %v", err)
 	}
 	saved := make([]uint16, len(m.pre.tab))
@@ -146,38 +148,55 @@ func TestVerifySupersetDetectsCorruption(t *testing.T) {
 	for i := range m.pre.tab {
 		m.pre.tab[i] &^= pfSuspect
 	}
-	if err := m.verifySuperset(trie); err == nil {
+	if err := m.pre.verifySuperset(trie); err == nil {
 		t.Fatal("verifySuperset accepted a table with no suspect flags")
 	}
 	copy(m.pre.tab, saved)
-	if err := m.verifySuperset(trie); err != nil {
+	if err := m.pre.verifySuperset(trie); err != nil {
 		t.Fatalf("restored table rejected: %v", err)
 	}
 	// A non-suspect entry one past the last stored row would send the skim
 	// loop out of the table.
 	rows := len(m.pre.tab) >> pfStrideBits
 	m.pre.tab[int(m.pre.class['a'])] = uint16(rows)
-	if err := m.verifySuperset(trie); err == nil {
+	if err := m.pre.verifySuperset(trie); err == nil {
 		t.Fatal("verifySuperset accepted an entry addressing a row past the table")
 	}
 	copy(m.pre.tab, saved)
+	// A depth bound one state off would let a skim resume from a byte the
+	// state's path does not start at.
+	for k := range m.pre.shallow {
+		for _, delta := range []int32{-1, 1} {
+			m.pre.shallow[k] += delta
+			if err := m.pre.verifySuperset(trie); err == nil {
+				t.Errorf("verifySuperset accepted %d states of depth ≤ %d", m.pre.shallow[k], k)
+			}
+			m.pre.shallow[k] -= delta
+		}
+	}
 }
 
 // TestPrefilterUnavailableBackendErrors pins the registry contract: a
-// machine without compiled kernels lists only the reference backend and
-// runs it (TestBuildRejectsBadOptions refuses an unknown name).
+// machine whose prefilter does not fit lists the reference and baked
+// backends, auto runs baked and a pinned prefiltered build is an error
+// (TestBuildRejectsBadOptions refuses an unknown name).
 func TestPrefilterUnavailableBackendErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m, err := Build(randBakedSet(rng), Options{Backend: BackendReference})
+	saved := pfMaxRows
+	pfMaxRows = 0 // no prefilter fits
+	t.Cleanup(func() { pfMaxRows = saved })
+	set := randBakedSet(rand.New(rand.NewSource(7)))
+	m, err := Build(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := m.Backends()
-	if len(names) != 1 || names[0] != BackendReference {
-		t.Fatalf("reference-pinned machine lists backends %v", names)
+	if names := m.Backends(); !slices.Equal(names, []string{BackendReference, BackendBaked}) {
+		t.Fatalf("a machine without a prefilter lists backends %v", names)
 	}
-	if m.DefaultBackend() != BackendReference {
-		t.Fatalf("DefaultBackend = %q, want reference", m.DefaultBackend())
+	if m.DefaultBackend() != BackendBaked {
+		t.Fatalf("DefaultBackend = %q, want baked", m.DefaultBackend())
+	}
+	if _, err := Build(set, Options{Backend: BackendPrefiltered}); err == nil {
+		t.Fatal("a pinned prefiltered build without a prefilter succeeded")
 	}
 }
 
@@ -397,5 +416,102 @@ func TestPrefilterStoresOnlySteppedRows(t *testing.T) {
 			t.Errorf("%d strings: table takes %d B, want %d rows × %d B", n, got, rows, pfStride*2)
 		}
 		t.Logf("%d strings: %d rows stored of %d collapsed states, %d B", n, rows, len(states), pf.Stats().TableBytes)
+	}
+}
+
+// TestPrefilterExactPhaseChunks: once a suspect window leaves the machine
+// deep, the pipeline runs the baked loop exactChunk bytes at a time and
+// skims again from the first chunk that ends shallow. The window opens a
+// long pattern whose bytes keep the machine deep until a byte no pattern
+// contains drops it to the start state: at every offset of the first chunk
+// and of the second, so once exactly on a chunk's last byte — and, in one
+// case, never within the packet. Each must leave the registers and matches
+// of the baked loop run straight through, and the counters must show
+// exactly the chunks the return leaves to run exactly, the rest skimmed.
+// Then chunks end on a depth-1 and a depth-2 state whose path a suspect
+// completes: the skim must resume from the path's first byte, and the
+// rebuild continue from the exact registers rather than reach back.
+func TestPrefilterExactPhaseChunks(t *testing.T) {
+	long := []byte("abc")
+	for c := byte('!'); len(long) < 2*exactChunk+8; c++ {
+		if c < 'a' || c > 'c' {
+			long = append(long, c)
+		}
+	}
+	set := setOf([][]byte{long, long[:3], long[10:14]}, false)
+	m, trie := mustBuild(t, set, Options{Backend: BackendPrefiltered}), mustTrie(t, set)
+	const clean, lead = 0xF0, 40 // a byte no pattern contains, and the run of it before the window
+	pf := m.Prefilter()
+	run := func(name string, payload []byte, wantExact, wantSkimmed int) {
+		t.Helper()
+		before := pf.Stats()
+		var pre, baked Regs
+		pre.Reset()
+		baked.Reset()
+		got := m.scanAs(kindPrefiltered, &pre, payload, nil)
+		want := m.scanAs(kindBaked, &baked, payload, nil)
+		if pre != baked || !slices.Equal(got, want) {
+			t.Fatalf("%s: prefiltered ends in %+v with %v, baked in %+v with %v", name, pre, got, baked, want)
+		}
+		if !ac.MatchesEqual(got, trie.FindAll(payload)) {
+			t.Fatalf("%s: %v, the DFA finds %v", name, got, trie.FindAll(payload))
+		}
+		after := pf.Stats()
+		exact, skimmed := after.ExactBytes-before.ExactBytes, after.SkimmedBytes-before.SkimmedBytes
+		if int(exact) != wantExact || int(skimmed) != wantSkimmed {
+			t.Fatalf("%s: %d bytes exact and %d skimmed of %d, want %d and %d", name, exact, skimmed, len(payload), wantExact, wantSkimmed)
+		}
+	}
+	pad := func(n int) []byte { return slices.Repeat([]byte{clean}, n) }
+	// The window is the pattern's first prefK bytes: the skim stops on its
+	// last, the rebuild rescans those prefK, and the exact phase starts on
+	// the byte after, k of the pattern's bytes before the drop. The call
+	// ends skimming, so its last prefK bytes are rebuilt exactly too.
+	for k := 0; k < 2*exactChunk; k++ {
+		payload := slices.Concat(pad(lead), long[:prefK+k], pad(3*exactChunk))
+		chunks := (k/exactChunk + 1) * exactChunk
+		run(fmt.Sprintf("return at offset %d", k), payload, 2*prefK+chunks, len(payload)-chunks)
+	}
+	payload := slices.Concat(pad(lead), long)
+	run("no return", payload, len(long), lead+prefK)
+	for d := 1; d < prefK; d++ {
+		// After the window, the clean bytes and then the first d bytes of
+		// the window again that fill the first chunk: it ends at depth d,
+		// the skim resumes on the window's first byte and flags its last,
+		// and the rebuild runs on from the chunk's end. Then one chunk past
+		// the second window and the closing rebuild.
+		payload := slices.Concat(pad(lead), long[:prefK], pad(exactChunk-d), long[:prefK], pad(exactChunk+2*prefK))
+		run(fmt.Sprintf("resume at depth %d", d), payload, prefK+exactChunk+prefK-d+exactChunk+prefK, len(payload)-2*exactChunk)
+	}
+}
+
+// TestPrefilterCountersOwnTheirLine: every stream sharing a machine adds to
+// the prefilter's runtime counters once per call, and every call reads tab,
+// shallow and class, the skim loop class on every byte. A cache line
+// between them keeps one lane's Add from invalidating the lines another
+// lane reads, wherever the allocator places the stage, and a line after
+// them from sharing theirs with the next object.
+func TestPrefilterCountersOwnTheirLine(t *testing.T) {
+	var pf Prefilter
+	first, last := unsafe.Offsetof(pf.skimmedBytes), unsafe.Offsetof(pf.suspectWindows)+unsafe.Sizeof(pf.suspectWindows)
+	for _, read := range []struct {
+		name string
+		end  uintptr
+	}{
+		{"tab", unsafe.Offsetof(pf.tab) + unsafe.Sizeof(pf.tab)},
+		{"class", unsafe.Offsetof(pf.class) + unsafe.Sizeof(pf.class)},
+		{"shallow", unsafe.Offsetof(pf.shallow) + unsafe.Sizeof(pf.shallow)},
+	} {
+		if first < read.end+64 {
+			t.Errorf("the counters start %d B after %s ends, want at least 64", int(first)-int(read.end), read.name)
+		}
+	}
+	for _, c := range []uintptr{unsafe.Offsetof(pf.exactBytes), unsafe.Offsetof(pf.suspectWindows)} {
+		if c < first || c >= last {
+			t.Errorf("a counter at %d lies outside the counters' block [%d, %d)", c, first, last)
+		}
+	}
+	if size := unsafe.Sizeof(pf); size < last+64 {
+		t.Errorf("the stage ends %d B after its counters, want at least 64", size-last)
 	}
 }

@@ -19,7 +19,7 @@ func TestMachineHoldsNoTrie(t *testing.T) {
 			t.Errorf("%s is an %T: the machine must not hold the trie it was built from", path, banned)
 		}
 	}
-	for _, table := range []any{outputTable{}, Program{}, Prefilter{}} {
+	for _, table := range []any{outputTable{}, fastRow{}, Prefilter{}} {
 		if _, ok := reached[reflect.TypeOf(table)]; !ok {
 			t.Fatalf("the walk did not reach the machine's %T", table)
 		}

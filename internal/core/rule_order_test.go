@@ -25,8 +25,8 @@ func reordered(set *ruleset.Set, seed int64) *ruleset.Set {
 }
 
 // requireSameMachine fails unless b is a, part for part: the lookup table,
-// the stored rows and their index, the match memory, the baked program with
-// its fast tier, the prefilter and every BuildStats field. Only the compile
+// the stored rows and their index, the match memory, the fast tier, the
+// prefilter and every BuildStats field. Only the compile
 // generation, an identity and not a decision, is left out.
 func requireSameMachine(t testing.TB, what string, a, b *Machine) {
 	t.Helper()
@@ -39,7 +39,8 @@ func requireSameMachine(t testing.TB, what string, a, b *Machine) {
 		{"row index", a.rows, b.rows},
 		{"displaced descriptors", a.displaced, b.displaced},
 		{"output memory", a.out, b.out},
-		{"baked program", a.prog, b.prog},
+		{"fast rows", a.fast, b.fast},
+		{"fast-row overrides", a.over, b.over},
 		{"prefilter", a.pre, b.pre},
 		{"BuildStats", a.Stats, b.Stats},
 	} {

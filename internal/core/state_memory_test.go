@@ -12,12 +12,12 @@ import (
 // TestStateMemoryLayout pins the state memory to the paper's word and the
 // lookup table to one copy: a stored pointer is one 4-byte word, the Machine
 // keeps one row index and one lookup table — no per-character default lists
-// outlive Build — and the baked kernel reads that table, that index and the
-// arena themselves, and promoting a state to the fast tier moves its
+// outlive Build — and promoting a state to the fast tier moves its
 // stored-row descriptor aside without touching the row compress laid out or
-// the table — a reference-pinned build of the same ruleset, which never
-// bakes, is that layout. A stream's registers are the exact machine's and
-// nothing more: position, state and fused history, 16 B on every backend.
+// the table, which compress and selectDefaults, run here on a trie of the
+// same ruleset, give unbaked. A stream's registers are the exact machine's
+// and nothing more: position, state and fused history, 16 B on every
+// backend.
 func TestStateMemoryLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Pointer(0)); got != 4 {
 		t.Fatalf("a stored pointer takes %d B, want 4", got)
@@ -44,28 +44,25 @@ func TestStateMemoryLayout(t *testing.T) {
 
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})
 	m := mustBuild(t, set, Options{})
-	laid := mustBuild(t, set, Options{Backend: BackendReference})
-	if laid.prog != nil || laid.displaced != nil {
-		t.Fatal("a reference-pinned build baked")
+	trie := mustTrie(t, set)
+	ft := newFailTree(trie)
+	var lut lookupTable
+	d := defaults{&lut, unsafe.Slice(&lut.d2[0][0], len(lut.d2)*d2PerChar)}
+	var st BuildStats
+	selectDefaults(trie, ft, d, &st)
+	stored, rows, err := compress(trie, ft, d, &st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.prog == nil || m.prog.lut != &m.lut || &m.prog.rows[0] != &m.rows[0] || &m.prog.stored[0] != &m.stored[0] {
-		t.Fatal("the kernel does not read the machine's own lookup table, row index and arena")
-	}
-	if m.lut != laid.lut {
+	if m.lut != lut {
 		t.Fatal("baking changed the lookup table")
 	}
-	own, copied := m.prog.lut, m.lut
-	m.prog.lut = &copied
-	if err := m.verifyProgram(mustTrie(t, set)); err == nil {
-		t.Fatal("verifyProgram accepted a kernel reading a copy of the lookup table")
-	}
-	m.prog.lut = own
-	if !slices.Equal(m.stored, laid.stored) {
+	if !slices.Equal(m.stored, stored) {
 		t.Fatal("baking moved the arena")
 	}
 	promoted := 0
 	for s, ref := range m.rows {
-		want := laid.rows[s]
+		want := rows[s]
 		if ref >= rowDense {
 			promoted++
 			ref = m.displaced[ref-rowDense]
@@ -73,13 +70,13 @@ func TestStateMemoryLayout(t *testing.T) {
 		if ref != want {
 			t.Fatalf("state %d's stored row is described by %#x, compress laid out %#x", s, ref, want)
 		}
-		if !slices.Equal(m.StoredRow(int32(s)), laid.StoredRow(int32(s))) {
+		if !slices.Equal(m.StoredRow(int32(s)), rowOf(stored, want)) {
 			t.Fatalf("state %d's stored row reads differently once baked", s)
 		}
 	}
-	if promoted != DefaultDenseStates || len(m.displaced) != promoted || len(m.prog.fast) != promoted {
+	if promoted != DefaultDenseStates || len(m.displaced) != promoted || len(m.fast) != promoted {
 		t.Fatalf("%d promoted states, %d displaced descriptors, %d fast rows; want %d of each",
-			promoted, len(m.displaced), len(m.prog.fast), DefaultDenseStates)
+			promoted, len(m.displaced), len(m.fast), DefaultDenseStates)
 	}
 }
 

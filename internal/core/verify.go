@@ -12,23 +12,18 @@ import (
 
 // Verify proves the machine against t, a trie built from the same ruleset
 // independently of the machine, and runs it on payloads (each one packet;
-// may be nil). It runs every part that applies to the machine: the
-// reference scan loop on every (state, byte) against the DFA
-// (verifyTransitions), the baked scan loop the same way (verifyProgram) —
-// the loops production runs, not copies of their step — the match memory
-// against the output chains (verifyOutputs), the prefilter's
-// no-false-negative contract (verifySuperset), and every backend's scan of
-// the payloads against the DFA's (verifyScan), and its fold of them
-// (verifyFold).
+// may be nil): the reference and the baked scan loop on every (state, byte)
+// against the DFA (verifyTransitions, verifyProgram) — the loops production
+// runs, whatever backend the machine pins — the match memory against the
+// output chains (verifyOutputs), the prefilter's no-false-negative contract
+// (verifySuperset) when it has one, and every backend's scan of the
+// payloads against the DFA's (verifyScan) and its fold of them (verifyFold).
 func (m *Machine) Verify(t *ac.Trie, payloads [][]byte) error {
 	// The match memory first: the loop proofs read it to know what a byte
 	// must emit.
-	parts := []func(*ac.Trie) error{m.verifyOutputs, m.verifyTransitions}
-	if m.prog != nil {
-		parts = append(parts, m.verifyProgram)
-	}
+	parts := []func(*ac.Trie) error{m.verifyOutputs, m.verifyTransitions, m.verifyProgram}
 	if m.pre != nil {
-		parts = append(parts, m.verifySuperset)
+		parts = append(parts, m.pre.verifySuperset)
 	}
 	for _, verify := range parts {
 		if err := verify(t); err != nil {
@@ -84,39 +79,31 @@ func (m *Machine) verifyTransitions(t *ac.Trie) error {
 	return m.proveLoop(t, kindReference)
 }
 
-// verifyProgram proves the baked kernel's transition tables — fast rows,
-// compressed-row descriptors and the d1/d2/d3 lookup, read in the kernel's
-// own encoding by the kernel's own scan loop — against t's full
-// move-function DFA: from every state, under its static history, every
-// byte must step to the DFA's target (proveLoop). verifyTransitions proves
-// the same of the reference loop; this is the proof of what production
-// scans with, the prefiltered backend's suspect windows included. It first
-// checks the structure the step relies on without testing: the kernel reads
-// the machine's own lookup table, row index and arena; every promoted state has its own
-// fast row, and one displaced descriptor per fast row; the stored-row
-// descriptors, promoted states' included, tile the arena in state order,
-// each row sorted by character; a fast row's ranks run on from the row
-// before through its own popcounts to end at len(over); and no override
-// repeats the default it overrides.
+// verifyProgram proves the baked loop's transition tables — fast rows,
+// compressed-row descriptors and the d1/d2/d3 lookup, read in the loop's
+// own encoding by the loop itself — against t's full move-function DFA:
+// from every state, under its static history, every byte must step to the
+// DFA's target (proveLoop). verifyTransitions proves the same of the
+// reference loop; this is the proof of what production scans with, the
+// prefiltered backend's suspect windows included. It first checks the
+// structure the step relies on without testing: every promoted state has
+// its own fast row, and one displaced descriptor per fast row; the
+// stored-row descriptors, promoted states' included, tile the arena in
+// state order, each row sorted by character; a fast row's ranks run on
+// from the row before through its own popcounts to end at len(over); and
+// no override repeats the default it overrides.
 func (m *Machine) verifyProgram(t *ac.Trie) error {
-	p := m.prog
-	if p == nil {
-		return fmt.Errorf("core: no baked kernel compiled for this machine")
-	}
 	n := t.NumStates()
-	if len(p.rows) != n {
-		return fmt.Errorf("core: kernel has %d row descriptors for %d states", len(p.rows), n)
+	if len(m.rows) != n {
+		return fmt.Errorf("core: the machine has %d row descriptors for %d states", len(m.rows), n)
 	}
-	if p.lut != &m.lut || &p.rows[0] != &m.rows[0] || len(p.stored) != len(m.stored) || (len(p.stored) > 0 && &p.stored[0] != &m.stored[0]) {
-		return fmt.Errorf("core: the kernel reads a lookup table, row index or arena that is not the machine's")
-	}
-	if len(m.displaced) != len(p.fast) {
-		return fmt.Errorf("core: %d displaced descriptors for %d fast rows", len(m.displaced), len(p.fast))
+	if len(m.displaced) != len(m.fast) {
+		return fmt.Errorf("core: %d displaced descriptors for %d fast rows", len(m.displaced), len(m.fast))
 	}
 	fastRows := 0
-	owned := make([]bool, len(p.fast))
+	owned := make([]bool, len(m.fast))
 	at := uint32(0) // where the next state's stored row must begin
-	for s, ref := range p.rows {
+	for s, ref := range m.rows {
 		if ref >= rowDense {
 			i := int(ref - rowDense)
 			if i >= len(owned) || owned[i] {
@@ -141,28 +128,28 @@ func (m *Machine) verifyProgram(t *ac.Trie) error {
 	if int(at) != len(m.stored) {
 		return fmt.Errorf("core: the rows cover %d of the arena's %d entries", at, len(m.stored))
 	}
-	if fastRows != len(p.fast) {
-		return fmt.Errorf("core: %d fast rows for %d promoted states", len(p.fast), fastRows)
+	if fastRows != len(m.fast) {
+		return fmt.Errorf("core: %d fast rows for %d promoted states", len(m.fast), fastRows)
 	}
 	overrides := 0
-	for i := range p.fast {
-		row := &p.fast[i]
+	for i := range m.fast {
+		row := &m.fast[i]
 		for w, word := range row.bits {
 			if int(row.rank[w]) != overrides {
 				return fmt.Errorf("core: fast row %d word %d has rank %d, %d overrides precede it", i, w, row.rank[w], overrides)
 			}
-			if overrides += bits.OnesCount64(word); overrides > len(p.over) {
-				return fmt.Errorf("core: fast row %d word %d runs past the %d overrides stored", i, w, len(p.over))
+			if overrides += bits.OnesCount64(word); overrides > len(m.over) {
+				return fmt.Errorf("core: fast row %d word %d runs past the %d overrides stored", i, w, len(m.over))
 			}
 			for at := int(row.rank[w]); word != 0; word, at = word&(word-1), at+1 {
-				if c := w<<6 | bits.TrailingZeros64(word); p.over[at] == p.lut.d1[c] {
-					return fmt.Errorf("core: fast row %d overrides char %#02x with the default %d", i, c, p.lut.d1[c])
+				if c := w<<6 | bits.TrailingZeros64(word); m.over[at] == m.lut.d1[c] {
+					return fmt.Errorf("core: fast row %d overrides char %#02x with the default %d", i, c, m.lut.d1[c])
 				}
 			}
 		}
 	}
-	if overrides != len(p.over) {
-		return fmt.Errorf("core: fast rows mark %d overrides, %d are stored", overrides, len(p.over))
+	if overrides != len(m.over) {
+		return fmt.Errorf("core: fast rows mark %d overrides, %d are stored", overrides, len(m.over))
 	}
 	return m.proveLoop(t, kindBaked)
 }
@@ -189,7 +176,7 @@ func (m *Machine) proveLoop(t *ac.Trie, k backendKind) error {
 			if r != (Regs{pos: 1, state: row[c], hist: (hist<<histLaneBits | uint32(c)) & histMask}) || !slices.Equal(got, want) {
 				firstErr = fmt.Errorf(
 					"core: state %d (depth %d) char %#02x: the %s loop steps to %+v with %d matches, the DFA to state %d with %d",
-					s, t.Nodes[s].Depth, c, scanBackends[k].name, r, len(got), row[c], len(want))
+					s, t.Nodes[s].Depth, c, scanBackends[k], r, len(got), row[c], len(want))
 				return
 			}
 		}
@@ -207,9 +194,6 @@ func (m *Machine) proveLoop(t *ac.Trie, k backendKind) error {
 // no rank to look up.
 func (m *Machine) verifyOutputs(t *ac.Trie) error {
 	p := &m.out
-	if m.prog != nil && m.prog.out != p {
-		return fmt.Errorf("core: the baked kernel emits from a table that is not the machine's match memory")
-	}
 	var got, want []ac.Match
 	rank := 0
 	for s := int32(0); s < int32(t.NumStates()); s++ {
@@ -262,15 +246,12 @@ func (m *Machine) verifyOutputs(t *ac.Trie) error {
 func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
 	for i, p := range payloads {
 		want := t.FindAll(p)
-		for k, spec := range scanBackends {
-			if !spec.available(m) {
-				continue
-			}
+		for _, k := range m.kinds() {
 			var r Regs
 			r.Reset()
-			if got := m.scanAs(backendKind(k), &r, p, nil); !ac.MatchesEqual(got, want) {
+			if got := m.scanAs(k, &r, p, nil); !ac.MatchesEqual(got, want) {
 				return fmt.Errorf("core: payload %d (%d bytes): backend %s found %d matches, DFA %d",
-					i, len(p), spec.name, len(got), len(want))
+					i, len(p), scanBackends[k], len(got), len(want))
 			}
 		}
 	}
@@ -307,11 +288,7 @@ func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
 			pieces, c = append(pieces, longest[:d-2], append(slices.Clone(longest[d-2:]), byte(c))), 256 // which ends the loop
 		}
 	}
-	for k, spec := range scanBackends {
-		if !spec.available(m) {
-			continue
-		}
-		kind := backendKind(k)
+	for _, kind := range m.kinds() {
 		for i, p := range pieces {
 			form, _ := m.foldAs(kind, nil, p, nil, math.MaxInt)
 			if form == nil || len(form) == len(p) { // one as long as its piece would read as the piece
@@ -326,7 +303,7 @@ func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
 				gotM := m.resumeAs(kind, &got, form, len(p), nil)
 				if got != want || !slices.Equal(gotM, wantM) {
 					return fmt.Errorf("core: backend %s: piece %d (%d bytes) folded and resumed after piece %d ends in %+v with %d matches, scanned whole in %+v with %d",
-						spec.name, i, len(p), j, got, len(gotM), want, len(wantM))
+						scanBackends[kind], i, len(p), j, got, len(gotM), want, len(wantM))
 				}
 			}
 		}

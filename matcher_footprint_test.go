@@ -13,8 +13,8 @@ import (
 // What one compiled generation may hold live — the largest term of every
 // workload's heap_live_mb, paid once per generation in flight during a hot
 // reload — at three of the paper's ruleset sizes. At 634 strings, the
-// benchmark's, it is 136 288 B in 15 objects: the state memory the Machine
-// and the kernel share — 7 449 stored pointers of 4 B (30 KB) and its one
+// benchmark's, it is 137 328 B in 15 objects: the state memory both loops
+// read — 7 449 stored pointers of 4 B (30 KB) and its one
 // row index, a 4-byte descriptor per state (30 KB) — the fast tier (23 KB:
 // 384 bitmap rows and their 1 257 overrides, plus the 1.5 KB of stored-row
 // descriptors promotion displaced), the prefilter table (19 KB: a row for
@@ -30,7 +30,7 @@ import (
 // buys" quotes the measured figures; these are the gates, at +5 %.
 var matcherFootprints = []struct {
 	strings       int
-	bytesPerState float64 // measured 18.43, 15.16, 15.88
+	bytesPerState float64 // measured 18.57, 15.31, 16.12
 	objects       int64   // measured 15, 15, 15
 }{
 	{634, 19.35, 16},
@@ -126,7 +126,7 @@ func TestMatcherAndGatewayHoldNoTrie(t *testing.T) {
 	}
 	walk(reflect.TypeOf(Matcher{}), "Matcher")
 	walk(reflect.TypeOf(Gateway{}), "Gateway")
-	for _, reached := range []any{core.Machine{}, core.Program{}, gwGeneration{}, gwFlow{}, gwLane{}} {
+	for _, reached := range []any{core.Machine{}, gwGeneration{}, gwFlow{}, gwLane{}} {
 		if !seen[reflect.TypeOf(reached)] {
 			t.Errorf("the walk did not reach %T", reached)
 		}
