@@ -1,6 +1,7 @@
 package dpi
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ac"
@@ -66,17 +67,7 @@ func FuzzBakedEquivalence(f *testing.F) {
 		if rules == nil {
 			t.Skip("no patterns")
 		}
-		shape := byte(0)
-		if len(ops) > 0 {
-			shape = ops[0]
-		}
-		cfg := core.Options{}
-		switch shape % 3 {
-		case 1:
-			cfg.DenseStates = -1 // compressed tier only
-		case 2:
-			cfg.DenseStates = 6 // tiny dense tier, most states on CSR
-		}
+		shape, cfg := fuzzShape(ops, "")
 		refCfg := cfg
 		refCfg.Backend = BackendReference
 
@@ -100,89 +91,107 @@ func FuzzBakedEquivalence(f *testing.F) {
 		if err := ref.Verify(nil); err != nil {
 			t.Fatal(err)
 		}
-		trie, err := ac.New(rules.InternalSet())
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		var bOut, rOut []Match
-		bf := baked.NewStream(func(m Match) { bOut = append(bOut, m) })
-		rf := ref.NewStream(func(m Match) { rOut = append(rOut, m) })
-
-		var seg []byte // contiguous bytes both flows have seen since the last gap
-		segStart := 0  // flow position where the segment began
-		segMark := 0   // len(bOut) when the segment began
-		checkSegment := func() {
-			t.Helper()
-			// The trie emits same-End matches in output-chain order; Stream
-			// guarantees canonical (End, PatternID) order.
-			want := trie.FindAll(seg)
-			ac.SortMatches(want)
-			got := bOut[segMark:]
-			if len(got) != len(want) {
-				t.Fatalf("segment at %d: baked found %d matches, oracle %d (shape %#x)",
-					segStart, len(got), len(want), shape)
-			}
-			for i, w := range want {
-				end := w.End + segStart
-				start := end - len(rules.Content(int(w.PatternID)))
-				if got[i].PatternID != int(w.PatternID) || got[i].End != end || got[i].Start != start {
-					t.Fatalf("segment at %d: match %d = %+v, oracle id=%d [%d,%d)",
-						segStart, i, got[i], w.PatternID, start, end)
-				}
-			}
-		}
-		checkAgainstRef := func(op string) {
-			t.Helper()
-			if bf.Consumed() != rf.Consumed() {
-				t.Fatalf("%s: baked consumed %d, reference %d", op, bf.Consumed(), rf.Consumed())
-			}
-			if len(bOut) != len(rOut) {
-				t.Fatalf("%s: baked emitted %d matches, reference %d", op, len(bOut), len(rOut))
-			}
-			for i := range bOut {
-				if bOut[i] != rOut[i] {
-					t.Fatalf("%s: match %d baked %+v reference %+v", op, i, bOut[i], rOut[i])
-				}
-			}
-		}
-
-		off := 0 // cycling read offset into payload
-		for _, op := range ops {
-			switch op % 8 {
-			case 0: // Reset: flow restarts at position zero
-				checkSegment()
-				bf.Reset()
-				rf.Reset()
-				seg, segStart, segMark = seg[:0], 0, len(bOut)
-			case 1: // SkipGap: unseen bytes, absolute offsets preserved
-				checkSegment()
-				n := int(op>>3) + 1
-				bf.SkipGap(n)
-				rf.SkipGap(n)
-				seg, segStart, segMark = seg[:0], bf.Consumed(), len(bOut)
-			case 4: // fork: both streams continue on copies of their registers
-				bf, rf = forkStream(bf, payload), forkStream(rf, patBlob)
-			default: // write a chunk of the payload (cycling, possibly empty)
-				n := int(op >> 2)
-				if len(payload) == 0 {
-					n = 0
-				}
-				chunk := make([]byte, 0, n)
-				for len(chunk) < n {
-					take := len(payload) - off
-					if take > n-len(chunk) {
-						take = n - len(chunk)
-					}
-					chunk = append(chunk, payload[off:off+take]...)
-					off = (off + take) % len(payload)
-				}
-				seg = append(seg, chunk...)
-				bf.Write(chunk)
-				rf.Write(chunk)
-			}
-			checkAgainstRef("op")
-		}
-		checkSegment()
+		streamsAgree(t, "baked", baked, ref, rules, shape, patBlob, payload, ops)
 	})
+}
+
+// fuzzShape is the compile shape the first op byte picks, on backend: the
+// default dense tier, the compressed tier only, or a tiny dense tier with
+// most states on CSR, so every tier combination is driven.
+func fuzzShape(ops []byte, backend string) (shape byte, cfg core.Options) {
+	if len(ops) > 0 {
+		shape = ops[0]
+	}
+	cfg.Backend = backend
+	switch shape % 3 {
+	case 1:
+		cfg.DenseStates = -1 // compressed tier only
+	case 2:
+		cfg.DenseStates = 6 // tiny dense tier, most states on CSR
+	}
+	return shape, cfg
+}
+
+// streamsAgree drives a stream of m, named name, beside one of ref, the
+// reference-pinned compile of the same rules, through the fuzz operation
+// sequence ops over payload — chunked writes, mid-stream SkipGap, Reset,
+// fork — and requires the two to agree after every operation, in consumed
+// bytes and match stream, and every gap-free segment to match exactly what
+// the uncompressed Aho-Corasick oracle finds in it, at absolute offsets.
+func streamsAgree(t *testing.T, name string, m, ref *Matcher, rules *Ruleset, shape byte, patBlob, payload, ops []byte) {
+	t.Helper()
+	trie, err := ac.New(rules.InternalSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mOut, rOut []Match
+	mf := m.NewStream(func(mt Match) { mOut = append(mOut, mt) })
+	rf := ref.NewStream(func(mt Match) { rOut = append(rOut, mt) })
+
+	var seg []byte // contiguous bytes both flows have seen since the last gap
+	segStart := 0  // flow position where the segment began
+	segMark := 0   // len(mOut) when the segment began
+	checkSegment := func() {
+		t.Helper()
+		// The trie emits same-End matches in output-chain order; Stream
+		// guarantees canonical (End, PatternID) order.
+		want := trie.FindAll(seg)
+		ac.SortMatches(want)
+		got := mOut[segMark:]
+		if len(got) != len(want) {
+			t.Fatalf("segment at %d: %s found %d matches, oracle %d (shape %#x)",
+				segStart, name, len(got), len(want), shape)
+		}
+		for i, w := range want {
+			end := w.End + segStart
+			start := end - len(rules.Content(int(w.PatternID)))
+			if got[i].PatternID != int(w.PatternID) || got[i].End != end || got[i].Start != start {
+				t.Fatalf("segment at %d: match %d = %+v, oracle id=%d [%d,%d)",
+					segStart, i, got[i], w.PatternID, start, end)
+			}
+		}
+	}
+
+	off := 0 // cycling read offset into payload
+	for _, op := range ops {
+		switch op % 8 {
+		case 0: // Reset: flow restarts at position zero
+			checkSegment()
+			mf.Reset()
+			rf.Reset()
+			seg, segStart, segMark = seg[:0], 0, len(mOut)
+		case 1: // SkipGap: unseen bytes, absolute offsets preserved
+			checkSegment()
+			n := int(op>>3) + 1
+			mf.SkipGap(n)
+			rf.SkipGap(n)
+			seg, segStart, segMark = seg[:0], mf.Consumed(), len(mOut)
+		case 4: // fork: both streams continue on copies of their registers
+			mf, rf = forkStream(mf, payload), forkStream(rf, patBlob)
+		default: // write a chunk of the payload (cycling, possibly empty)
+			n := int(op >> 2)
+			if len(payload) == 0 {
+				n = 0
+			}
+			chunk := make([]byte, 0, n)
+			for len(chunk) < n {
+				take := len(payload) - off
+				if take > n-len(chunk) {
+					take = n - len(chunk)
+				}
+				chunk = append(chunk, payload[off:off+take]...)
+				off = (off + take) % len(payload)
+			}
+			seg = append(seg, chunk...)
+			mf.Write(chunk)
+			rf.Write(chunk)
+		}
+		if mf.Consumed() != rf.Consumed() {
+			t.Fatalf("op: %s consumed %d, reference %d", name, mf.Consumed(), rf.Consumed())
+		}
+		if !slices.Equal(mOut, rOut) {
+			t.Fatalf("op: %s emitted %d matches, reference %d\n%s %+v\nreference %+v", name, len(mOut), len(rOut), name, mOut, rOut)
+		}
+	}
+	checkSegment()
 }

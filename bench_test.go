@@ -187,6 +187,20 @@ func benchPayload(b *testing.B, set *ruleset.Set, n int) []byte {
 	return pkts[0].Payload
 }
 
+// benchMachine builds the shared context's 634-string set with opts.
+func benchMachine(b *testing.B, opts core.Options) (*core.Machine, *ruleset.Set) {
+	b.Helper()
+	set, err := sharedBenchCtx(b).SetOf(634)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := core.Build(set, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, set
+}
+
 // TestScanAppendSteadyStateZeroAlloc locks in the baked kernel's hot-path
 // contract: once the caller's match buffer has grown, ScanAppend performs
 // zero allocations per packet — matches included.
@@ -282,15 +296,7 @@ func BenchmarkReload634(b *testing.B) {
 }
 
 func BenchmarkScanCompressed(b *testing.B) {
-	ctx := sharedBenchCtx(b)
-	set, err := ctx.SetOf(634)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := core.Build(set, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m, set := benchMachine(b, core.Options{})
 	payload := benchPayload(b, set, 1<<16)
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
@@ -306,11 +312,6 @@ func BenchmarkScanCompressed(b *testing.B) {
 // tuned for clean traffic; this attack-dense payload is its worst case).
 // The matches metric pins all sub-benchmarks to the same output.
 func BenchmarkScanAppend(b *testing.B) {
-	ctx := sharedBenchCtx(b)
-	set, err := ctx.SetOf(634)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		opts core.Options
@@ -320,10 +321,7 @@ func BenchmarkScanAppend(b *testing.B) {
 		{"prefiltered", core.Options{Backend: core.BackendPrefiltered}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			m, err := core.Build(set, tc.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
+			m, set := benchMachine(b, tc.opts)
 			payload := benchPayload(b, set, 1<<16)
 			var r core.Regs
 			var out []ac.Match
@@ -339,11 +337,7 @@ func BenchmarkScanAppend(b *testing.B) {
 }
 
 func BenchmarkScanGotoFail(b *testing.B) {
-	ctx := sharedBenchCtx(b)
-	set, err := ctx.SetOf(634)
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, set := benchMachine(b, core.Options{})
 	trie, err := ac.New(set)
 	if err != nil {
 		b.Fatal(err)
@@ -358,11 +352,7 @@ func BenchmarkScanGotoFail(b *testing.B) {
 }
 
 func BenchmarkScanBitmap13(b *testing.B) {
-	ctx := sharedBenchCtx(b)
-	set, err := ctx.SetOf(634)
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, set := benchMachine(b, core.Options{})
 	bm, err := tuck.BuildBitmap(set)
 	if err != nil {
 		b.Fatal(err)
@@ -376,15 +366,7 @@ func BenchmarkScanBitmap13(b *testing.B) {
 }
 
 func BenchmarkHardwareEngineStep(b *testing.B) {
-	ctx := sharedBenchCtx(b)
-	set, err := ctx.SetOf(634)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := core.Build(set, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m, set := benchMachine(b, core.Options{})
 	img, err := hwsim.Pack(m)
 	if err != nil {
 		b.Fatal(err)
@@ -402,15 +384,7 @@ func BenchmarkHardwareEngineStep(b *testing.B) {
 }
 
 func BenchmarkHardwareBlockScan(b *testing.B) {
-	ctx := sharedBenchCtx(b)
-	set, err := ctx.SetOf(634)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := core.Build(set, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m, set := benchMachine(b, core.Options{})
 	img, err := hwsim.Pack(m)
 	if err != nil {
 		b.Fatal(err)
@@ -434,15 +408,7 @@ func BenchmarkHardwareBlockScan(b *testing.B) {
 }
 
 func BenchmarkPack634(b *testing.B) {
-	ctx := sharedBenchCtx(b)
-	set, err := ctx.SetOf(634)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := core.Build(set, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m, _ := benchMachine(b, core.Options{})
 	b.ResetTimer()
 	var words int
 	for i := 0; i < b.N; i++ {
@@ -456,15 +422,7 @@ func BenchmarkPack634(b *testing.B) {
 }
 
 func BenchmarkMIFExport(b *testing.B) {
-	ctx := sharedBenchCtx(b)
-	set, err := ctx.SetOf(634)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := core.Build(set, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m, _ := benchMachine(b, core.Options{})
 	img, err := hwsim.Pack(m)
 	if err != nil {
 		b.Fatal(err)

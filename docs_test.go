@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -88,11 +89,12 @@ func TestDocsRelativeLinksResolve(t *testing.T) {
 	}
 }
 
-// definedTests returns the name of every Test and Fuzz function declared in
-// the repository's _test.go files.
-func definedTests(t *testing.T) map[string]bool {
+// definedTests maps the name of every Test and Fuzz function declared in
+// the repository's _test.go files to the directories that declare it, each
+// spelled as a package argument to go test ("." or "./internal/core").
+func definedTests(t *testing.T) map[string][]string {
 	t.Helper()
-	defined := make(map[string]bool)
+	defined := make(map[string][]string)
 	var walk func(dir string)
 	walk = func(dir string) {
 		entries, err := os.ReadDir(dir)
@@ -110,13 +112,13 @@ func definedTests(t *testing.T) map[string]bool {
 					t.Fatal(err)
 				}
 				for _, d := range regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)[A-Za-z0-9_]+)\(`).FindAllSubmatch(src, -1) {
-					defined[string(d[1])] = true
+					defined[string(d[1])] = append(defined[string(d[1])], dir)
 				}
 			}
 		}
 	}
 	walk(".")
-	if !defined["TestDocsNamedTestsExist"] {
+	if defined["TestDocsNamedTestsExist"] == nil {
 		t.Fatalf("self-check failed: the walker did not see docs_test.go (%d tests found)", len(defined))
 	}
 	return defined
@@ -137,50 +139,69 @@ func TestDocsNamedTestsExist(t *testing.T) {
 	}
 	defined := definedTests(t)
 	for _, m := range named {
-		if !defined[m[1]] {
+		if defined[m[1]] == nil {
 			t.Errorf("ARCHITECTURE.md names %s, which is not defined in any _test.go file", m[1])
 		}
 	}
 }
 
-// TestDocsCIRunPatternsMatchTests reads every `-run '<re>'` in the CI
-// workflow but '^$' and requires each of its alternatives to match some
-// Test or Fuzz function defined in the repository, so a renamed test
-// cannot silently drop out of a race stress or a footprint gate. An
-// alternative of the form Prefix(a|b|…)Suffix is expanded one level,
-// textually, into Prefix a Suffix, Prefix b Suffix, … first.
+// TestDocsCIRunPatternsMatchTests reads every `-run '<re>'` but '^$' in the
+// CI workflows, the per-change ci.yml and the nightly fuzz-long.yml, and
+// requires each of its alternatives to match some Test or Fuzz function
+// defined in the repository, so a renamed test cannot silently drop out of
+// a race stress, a footprint gate or the nightly soak sweep. An alternative
+// of the form Prefix(a|b|…)Suffix is expanded one level, textually, into
+// Prefix a Suffix, Prefix b Suffix, … first. Every `fuzzer:` entry of the
+// workflows' fuzz matrices must name a Fuzz function of its `pkg` (the
+// root package when it gives none), so a renamed fuzzer cannot either.
 func TestDocsCIRunPatternsMatchTests(t *testing.T) {
-	raw, err := os.ReadFile(".github/workflows/ci.yml")
-	if err != nil {
-		t.Fatal(err)
-	}
 	defined := definedTests(t)
-	patterns := regexp.MustCompile(`-run '([^']*)'`).FindAllStringSubmatch(string(raw), -1)
-	checked := 0
-	for _, p := range patterns {
-		if p[1] == "^$" {
-			continue
+	fuzzEntry := regexp.MustCompile(`(?m)^\s*- fuzzer: (\S+)\n((?:\s+[a-z]+: .*\n)*)`)
+	pkgField := regexp.MustCompile(`pkg: (\S+)`)
+	for _, workflow := range []string{".github/workflows/ci.yml", ".github/workflows/fuzz-long.yml"} {
+		raw, err := os.ReadFile(workflow)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, alt := range expandRunPattern(p[1]) {
-			checked++
-			re, err := regexp.Compile(alt)
-			if err != nil {
-				t.Errorf("ci.yml -run '%s': alternative %q does not compile: %v", p[1], alt, err)
+		checked := 0
+		for _, p := range regexp.MustCompile(`-run '([^']*)'`).FindAllStringSubmatch(string(raw), -1) {
+			if p[1] == "^$" {
 				continue
 			}
-			found := false
-			for name := range defined {
-				if found = re.MatchString(name); found {
-					break
+			for _, alt := range expandRunPattern(p[1]) {
+				checked++
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s -run '%s': alternative %q does not compile: %v", workflow, p[1], alt, err)
+					continue
+				}
+				found := false
+				for name := range defined {
+					if found = re.MatchString(name); found {
+						break
+					}
+				}
+				if !found {
+					t.Errorf("%s -run '%s': %q matches no Test or Fuzz function in the repository", workflow, p[1], alt)
 				}
 			}
-			if !found {
-				t.Errorf("ci.yml -run '%s': %q matches no Test or Fuzz function in the repository", p[1], alt)
+		}
+		if checked == 0 {
+			t.Fatalf("%s has no -run pattern to check (regex or workflow drift)", workflow)
+		}
+		fuzzers := fuzzEntry.FindAllStringSubmatch(string(raw), -1)
+		for _, f := range fuzzers {
+			pkg := "."
+			if m := pkgField.FindStringSubmatch(f[2]); m != nil {
+				pkg = m[1]
+			}
+			if !strings.HasPrefix(f[1], "Fuzz") || !slices.Contains(defined[f[1]], pkg) {
+				t.Errorf("%s fuzzes %s in %s, which declares no such Fuzz function", workflow, f[1], pkg)
 			}
 		}
-	}
-	if checked == 0 {
-		t.Fatal("ci.yml has no -run pattern to check (regex or workflow drift)")
+		if len(fuzzers) == 0 {
+			t.Fatalf("%s has no fuzzer: matrix entry to check (regex or workflow drift)", workflow)
+		}
 	}
 }
 
@@ -281,9 +302,8 @@ func TestDocsOperationsListsEverySeries(t *testing.T) {
 		documented[m[1]] = true
 	}
 
-	m, _ := gatewayMatcher(t, 60)
-	gw := testGateway(t, m, GatewayConfig{EngineShards: 2, StreamWorkers: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
-	defer gw.Close()
+	m := testMatcher(t, snortLike(60, 77, BackendAuto))
+	gw := testGateway(t, m, 2, GatewayConfig{StreamWorkers: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
 	emitted := map[string]bool{}
 	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(scrape(t, gw), -1) {
 		emitted[m[1]] = true

@@ -107,15 +107,7 @@ func TestCompileBadConfigFails(t *testing.T) {
 }
 
 func TestStatsShape(t *testing.T) {
-	rs, err := GenerateSnortLike(500, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Compile(rs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
+	st := testMatcher(t, snortLike(500, 7, BackendAuto)).Stats()
 	if st.Reduction < 0.9 {
 		t.Fatalf("reduction %.3f < 0.9", st.Reduction)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -33,8 +32,7 @@ func liveHeap() uint64 {
 
 // ConnEntry and HuskEntry are what one connection and one husk charge their
 // lane's share of MemoryBudget: their flow-table entries, as
-// TestFlowRecordFootprint checks on a gateway's own table. Exported for the
-// external test package.
+// TestFlowRecordFootprint checks on a gateway's own table.
 const ConnEntry, HuskEntry = 64, 32
 
 // footprintTuple is the i-th of a family of distinct TCP tuples.
@@ -69,18 +67,10 @@ func heapPerFlow(t *testing.T, m *Matcher, n int, payload []byte) float64 {
 func heapPerConnection(t *testing.T, m *Matcher, n int, packets func(FiveTuple) []GatewayPacket) (float64, GatewayStats) {
 	t.Helper()
 	var matches atomic.Uint64
-	gw, err := NewGateway(m, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) { matches.Add(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) { matches.Add(1) })
 	before := liveHeap()
 	for i := 0; i < n; i++ {
-		for _, p := range packets(footprintTuple(i)) {
-			if err := gw.Ingest(p); err != nil {
-				t.Fatal(err)
-			}
-		}
+		ingestWorkload(t, gw, 1, packets(footprintTuple(i))...)
 	}
 	gw.Flush()
 	after := liveHeap()
@@ -140,7 +130,7 @@ func TestFlowRecordFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap growth is not the product's under -race")
 	}
-	m, _ := gatewayMatcher(t, 200)
+	m := testMatcher(t, snortLike(200, 77, BackendAuto))
 	payload := bytes.Repeat([]byte("x"), 64)
 	if per := heapPerFlow(t, m, 4096, payload); per > flowHeapCeiling {
 		t.Fatalf("an established flow holds %.0f B of heap, want <= %d", per, flowHeapCeiling)
@@ -160,7 +150,7 @@ func TestHuskFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap growth is not the product's under -race")
 	}
-	m, _ := gatewayMatcher(t, 200)
+	m := testMatcher(t, snortLike(200, 77, BackendAuto))
 	payload := bytes.Repeat([]byte("x"), 64)
 	const n = 60000
 	per, st := heapPerConnection(t, m, n, func(tup FiveTuple) []GatewayPacket {
@@ -188,12 +178,7 @@ func TestGatewayMatchDenseFlowsHoldNoBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap growth is not the product's under -race")
 	}
-	rules := NewRuleset()
-	rules.MustAdd("every-byte", []byte("a"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("a"))
 	payload := bytes.Repeat([]byte("a"), 512)
 	if per := heapPerFlow(t, m, 2048, payload); per > flowHeapCeiling {
 		t.Fatalf("a flow that once carried an all-match segment holds %.0f B of heap idle, want <= %d",
@@ -213,18 +198,9 @@ func TestGatewayConnectionCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
 	}
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("attack-signature"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("attack-signature"))
 	var matches atomic.Uint64
-	gw, err := NewGateway(m, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) { matches.Add(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) { matches.Add(1) })
 	payload := append(bytes.Repeat([]byte("x"), 600), "attack-signature"...)
 	connection := func(tup FiveTuple) {
 		for _, p := range []GatewayPacket{
@@ -272,41 +248,31 @@ func TestGatewayConnectionCycleAllocs(t *testing.T) {
 // every quiesced walk finds the generation refcount equal to the records
 // that hold a pin. Run with -race.
 func TestGatewaySynReopenRacesEviction(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("needle"))
 	var matches atomic.Uint64
-	gw := testGateway(t, m, GatewayConfig{
-		EngineShards: 2, StreamWorkers: 2, QueueDepth: 8,
+	gw := testGateway(t, m, 2, GatewayConfig{
+		StreamWorkers: 2, QueueDepth: 8,
 		MemoryBudget: 6 * ConnEntry, IdleTimeout: 16,
 	}, func(FlowMatch) { matches.Add(1) })
 
+	// Feeder f's k-th packet is pkts[k*feeders+f], the share ingestWorkload
+	// hands it: its own tuples' connections, cycle after cycle.
 	const feeders, tuplesEach, cycles = 4, 6, 60
-	var wg sync.WaitGroup
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			for c := 0; c < cycles; c++ {
-				for i := 0; i < tuplesEach; i++ {
-					tup := footprintTuple(f*tuplesEach + i)
-					seq := uint32(c * 1000)
-					for _, p := range []GatewayPacket{
-						{Tuple: tup, Seq: seq, Flags: FlagSeq | FlagSYN},
-						{Tuple: tup, Seq: seq + 1, Flags: FlagSeq, Payload: []byte("..needle..")},
-						{Tuple: tup, Seq: seq + 11, Flags: FlagSeq | FlagFIN},
-					} {
-						if err := gw.Ingest(p); err != nil {
-							t.Error(err)
-							return
-						}
-					}
+	var pkts []GatewayPacket
+	for c := 0; c < cycles; c++ {
+		for i := 0; i < tuplesEach; i++ {
+			seq := uint32(c * 1000)
+			for _, p := range []GatewayPacket{
+				{Seq: seq, Flags: FlagSeq | FlagSYN},
+				{Seq: seq + 1, Flags: FlagSeq, Payload: []byte("..needle..")},
+				{Seq: seq + 11, Flags: FlagSeq | FlagFIN},
+			} {
+				for f := 0; f < feeders; f++ {
+					p.Tuple = footprintTuple(f*tuplesEach + i)
+					pkts = append(pkts, p)
 				}
 			}
-		}(f)
+		}
 	}
 	stop := make(chan struct{})
 	swept := make(chan struct{})
@@ -323,12 +289,12 @@ func TestGatewaySynReopenRacesEviction(t *testing.T) {
 			gw.Stats()
 		}
 	}()
-	wg.Wait()
-	close(stop)
+	func() {
+		defer close(stop)
+		ingestWorkload(t, gw, feeders, pkts...)
+	}()
 	<-swept
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 	st := gw.Stats()
 	const conns = feeders * tuplesEach * cycles
 	if got := matches.Load(); got != conns || st.Matches != conns {

@@ -5,6 +5,7 @@ package dpi
 // one-lane gateway whose table is small enough that every rule fires.
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -18,24 +19,16 @@ import (
 // eviction would go unseen — an evasion handed to whoever can open and close
 // connections.
 func TestGatewayCapacityEvictsHusksFirst(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("needle"))
 	c := newCollector()
 	// Room for the live flow, two husks and one more connection: each
 	// finished connection fits while it is open, and the fourth, which stays
 	// open, costs one husk.
 	const budget = 2*ConnEntry + 2*HuskEntry
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, MemoryBudget: budget}, c.emit)
-	defer gw.Close()
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1, MemoryBudget: budget}, c.emit)
 	send := func(tup FiveTuple, seq uint32, flags TCPFlags, payload string) {
 		t.Helper()
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)})
 	}
 	live := footprintTuple(0)
 	send(live, 100, FlagSYN, "")
@@ -52,7 +45,7 @@ func TestGatewayCapacityEvictsHusksFirst(t *testing.T) {
 	send(live, 106, 0, "dle..")             // the second half
 	gw.Flush()
 	st := gw.Stats()
-	if got := c.byTuple[live]; len(got) != 1 {
+	if got := c.matches(live); len(got) != 1 {
 		t.Fatalf("the live flow's straddling signature: %d matches, want 1 (it was evicted mid-stream)", len(got))
 	}
 	if st.FlowsEvicted != 1 || st.FlowsLive != 4 || st.FlowHusks != 2 || !st.Ledger().Balanced() {
@@ -76,26 +69,19 @@ func TestGatewayCapacityEvictsHusksFirst(t *testing.T) {
 // of its connections' delivered bytes, in turn) and the ledger must agree
 // with it. Every seed moves with -soak.seed.
 func TestFlowLifecycleModel(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("needle", []byte("needle"))
-	rules.MustAdd("led", []byte("led"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("needle", "led"))
 	// Four connections and a husk: a fifth connection, or a second husk
 	// beside four, is over.
 	const tuples, budget, idle, steps = 6, 4*ConnEntry + HuskEntry, 8, 1500
-	rng := rand.New(rand.NewSource(SoakSeed(8101)))
+	rng := rand.New(rand.NewSource(soakSeed(8101)))
 	var armed atomic.Bool
 	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, MemoryBudget: budget, IdleTimeout: idle}, func(fm FlowMatch) {
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1, MemoryBudget: budget, IdleTimeout: idle}, func(fm FlowMatch) {
 		if armed.CompareAndSwap(true, false) {
 			panic("injected emit panic")
 		}
 		c.emit(fm)
 	})
-	defer gw.Close()
 
 	type state uint8
 	const (
@@ -324,10 +310,8 @@ func TestFlowLifecycleModel(t *testing.T) {
 		}
 
 		armed.Store(arm)
-		if err := gw.Ingest(GatewayPacket{Tuple: tup[i], Seq: seq, Flags: flags, Payload: p}); err != nil {
-			t.Fatal(err)
-		}
-		gw.Flush()
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup[i], Seq: seq, Flags: flags, Payload: p})
+		checkpoint(t, gw, fmt.Sprintf("step %d", step))
 		if armed.Load() {
 			t.Fatalf("step %d: the armed panic never fired", step)
 		}
@@ -349,13 +333,10 @@ func TestFlowLifecycleModel(t *testing.T) {
 		if got != want {
 			t.Fatalf("step %d (tuple %d, flags %#x, %d B): gateway\n%+v\nmodel\n%+v", step, i, flags, len(p), got, want)
 		}
-		if !st.Ledger().Balanced() {
-			t.Fatalf("step %d: ledger %+v", step, st.Ledger())
-		}
 		for j := range ts {
-			if !sameMatchSeq(c.byTuple[tup[j]], ts[j].want) {
+			if got := c.matches(tup[j]); !sameMatches(got, ts[j].want) {
 				t.Fatalf("step %d: tuple %d has %d matches, model %d (or offsets differ)",
-					step, j, len(c.byTuple[tup[j]]), len(ts[j].want))
+					step, j, len(got), len(ts[j].want))
 			}
 		}
 	}

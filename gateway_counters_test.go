@@ -53,35 +53,6 @@ func stampRule(l, r int) (flows, matches uint64) {
 	return uint64(50_021+1_013*r+211*s) - uint64(601+r), uint64(70_001+1_019*r+223*s) - uint64(701+r)
 }
 
-// requireLaneSums checks a drained gateway's lanes against its totals: every
-// field of Stats but the gateway-wide ones is the sum of that field over
-// LaneStats, and each lane's own ledger balances — a bucket charged on
-// another lane than the one that took the bytes fails here.
-func requireLaneSums(t *testing.T, gw *Gateway, when string) {
-	t.Helper()
-	st, lanes := gw.Stats(), gw.LaneStats()
-	sum := GatewayStats{Packets: st.Packets, Generation: st.Generation, RulesetSwaps: st.RulesetSwaps,
-		GenerationsInstalled: st.GenerationsInstalled, GenerationsRetired: st.GenerationsRetired, GenerationsLive: st.GenerationsLive}
-	sv := reflect.ValueOf(&sum).Elem()
-	for l, ls := range lanes {
-		if lg := ls.Ledger(); !lg.Balanced() {
-			t.Fatalf("%s: lane %d's ledger does not balance: %+v", when, l, lg)
-		}
-		lv := reflect.ValueOf(ls)
-		for i := range lv.NumField() {
-			switch f := sv.Field(i); f.Kind() {
-			case reflect.Uint64:
-				f.SetUint(f.Uint() + lv.Field(i).Uint())
-			case reflect.Int:
-				f.SetInt(f.Int() + lv.Field(i).Int())
-			}
-		}
-	}
-	if sum != st {
-		t.Fatalf("%s: Stats is not the sum of its lanes\nStats %+v\nsum   %+v", when, st, sum)
-	}
-}
-
 // scrape renders one exposition of gw.
 func scrape(t *testing.T, gw *Gateway) string {
 	t.Helper()
@@ -104,9 +75,8 @@ func scrape(t *testing.T, gw *Gateway) string {
 // ruleset swap and the old generation's retirement untouched: the counters
 // belong to the lanes, there is no retired baseline to fold them into.
 func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
-	m, _ := gatewayMatcher(t, 60)
-	gw := testGateway(t, m, GatewayConfig{EngineShards: 2, StreamWorkers: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
-	defer gw.Close()
+	m := testMatcher(t, snortLike(60, 77, BackendAuto))
+	gw := testGateway(t, m, 2, GatewayConfig{StreamWorkers: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
 
 	const lane = 2
 	stampLane(t, gw, lane)
@@ -199,7 +169,7 @@ func TestGatewayCountersSurfacedExactlyOnce(t *testing.T) {
 		}
 	}
 
-	m2, _ := gatewayMatcher(t, 60)
+	m2 := compileRules(t, snortLike(60, 77, BackendAuto))
 	if err := gw.SwapRules(m2); err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +191,8 @@ func TestGatewayMetricsStampedExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := testGateway(t, corpusMatcher(t, BackendAuto),
-		GatewayConfig{EngineShards: 2, StreamWorkers: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
-	defer gw.Close()
+	gw := testGateway(t, testMatcher(t, corpusRules(BackendAuto)), 2,
+		GatewayConfig{StreamWorkers: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
 	for l := range gw.lanes {
 		stampLane(t, gw, l)
 	}

@@ -19,33 +19,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// fmCollector keeps whole FlowMatches (the plain collector in
-// gateway_test.go keeps only the embedded Match), for verdict/rule
-// attribution checks.
-type fmCollector struct {
-	mu      sync.Mutex
-	byTuple map[FiveTuple][]FlowMatch
-}
-
-func newFMCollector() *fmCollector {
-	return &fmCollector{byTuple: map[FiveTuple][]FlowMatch{}}
-}
-
-func (c *fmCollector) emit(fm FlowMatch) {
-	c.mu.Lock()
-	c.byTuple[fm.Tuple] = append(c.byTuple[fm.Tuple], fm)
-	c.mu.Unlock()
-}
-
-// matches projects the embedded Matches for oracle comparison.
-func (c *fmCollector) matches(t FiveTuple) []Match {
-	ms := make([]Match, len(c.byTuple[t]))
-	for i, fm := range c.byTuple[t] {
-		ms[i] = fm.Match
-	}
-	return ms
-}
-
 // TestTrafficFlagValuesAlign pins the bit-for-bit agreement between
 // traffic's flag constants and the gateway's TCPFlags: every sequenced
 // workload consumer converts with a raw dpi.TCPFlags(p.Flags) cast, which
@@ -65,20 +38,6 @@ func TestTrafficFlagValuesAlign(t *testing.T) {
 	for _, p := range pairs {
 		if byte(p.gateway) != p.traffic {
 			t.Errorf("%s: dpi bit %#x != traffic bit %#x", p.name, byte(p.gateway), p.traffic)
-		}
-	}
-}
-
-// ingestWorkload feeds a traffic.FlowWorkload through the gateway,
-// carrying the sequenced TCP fields when present.
-func ingestWorkload(t testing.TB, gw *Gateway, w *traffic.FlowWorkload) {
-	t.Helper()
-	for _, p := range w.Packets {
-		err := gw.Ingest(GatewayPacket{
-			Tuple: p.Tuple, Seq: p.TCPSeq, Flags: TCPFlags(p.Flags), Payload: p.Payload,
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -111,7 +70,7 @@ func TestGatewayReassemblyPermutationProperty(t *testing.T) {
 }
 
 func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards int) {
-	m, set := gatewayMatcherBackend(t, 250, backend)
+	m := testMatcher(t, snortLike(250, 77, backend))
 	if got := m.Backend(); got != backend {
 		t.Fatalf("matcher resolved backend %q, want pinned %q", got, backend)
 	}
@@ -142,22 +101,18 @@ func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards
 		{2, 1, FirstWins, folding, traffic.Uniform, true},
 	}
 	for trial, tc := range cases {
-		w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
+		w := flowWorkload(t, m, traffic.FlowConfig{
 			Flows: flows, SegmentsPerFlow: 7, SegmentBytes: tc.segBytes, Seed: int64(100 + trial),
 			CrossDensity: 1.5, AttackDensity: 1, Profile: tc.profile,
 			Sequenced: true, ReorderWindow: tc.window, RetransmitDensity: tc.retrans,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if w.CrossPlants() == 0 {
 			t.Fatal("no cross-packet plants; property is vacuous")
 		}
-		c := newFMCollector()
+		c := newCollector()
 		var vmu sync.Mutex
 		verdicts := map[FiveTuple]FlowVerdict{}
-		gw := testGateway(t, m, GatewayConfig{
-			EngineShards:  engineShards,
+		gw := testGateway(t, m, engineShards, GatewayConfig{
 			StreamWorkers: 3, OverlapPolicy: tc.pol, Rules: rules,
 			OnVerdict: func(fv FlowVerdict) {
 				vmu.Lock()
@@ -175,38 +130,33 @@ func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards
 			}
 			lost = loseAndSkip(t, gw, w, tc.segBytes, scanned[0], scanned[len(scanned)/2])
 		} else {
-			ingestWorkload(t, gw, w)
+			ingestWorkload(t, gw, 1, w.Packets...)
 		}
-		if err := gw.Close(); err != nil {
-			t.Fatal(err)
-		}
-
+		// A verdict-gated flow (drop or pass) must never reach a scanner;
+		// a flow that lost a segment matches FindAll on each side of the
+		// hole, the far side at its stream offset.
+		o := newOracle(c)
 		gated := 0
 		for f, tuple := range w.Tuples {
-			got := c.byTuple[tuple]
-			if tuple.SrcPort >= 1024 && tuple.SrcPort <= 1029 {
-				// Drop or pass verdict: the flow must never reach a scanner.
-				if len(got) != 0 {
-					t.Fatalf("trial %d: verdict-gated flow %d produced %d matches", trial, f, len(got))
-				}
+			switch hole, skipped := lost[f]; {
+			case tuple.SrcPort >= 1024 && tuple.SrcPort <= 1029:
+				o.deliver(m, tuple, nil, 0)
 				gated++
-				continue
+			case skipped:
+				o.deliver(m, tuple, w.Streams[f][:hole[0]], 0)
+				o.deliver(m, tuple, w.Streams[f][hole[1]:], hole[1])
+			default:
+				o.deliver(m, tuple, w.Streams[f], 0)
 			}
-			want := m.FindAll(w.Streams[f])
-			hole, skipped := lost[f]
-			if skipped {
-				want = m.FindAll(w.Streams[f][:hole[0]])
-				for _, mt := range m.FindAll(w.Streams[f][hole[1]:]) {
-					mt.Start, mt.End = mt.Start+hole[1], mt.End+hole[1]
-					want = append(want, mt)
-				}
-			}
-			if !sameMatchSeq(c.matches(tuple), want) {
-				t.Fatalf("trial %d (window=%d retrans=%.1f %v): flow %d diverged from oracle: got %d matches, want %d\ngot  %+v\nwant %+v",
-					trial, tc.window, tc.retrans, tc.pol, f, len(got), len(want), got, want)
-			}
+		}
+		when := fmt.Sprintf("trial %d (window=%d retrans=%.1f %v)", trial, tc.window, tc.retrans, tc.pol)
+		checkpoint(t, gw, when+", drained", o)
+		closeCheckpoint(t, gw)
+		checkpoint(t, gw, when+", after Close", o)
+
+		for f, tuple := range w.Tuples {
 			reported := map[[2]int]bool{}
-			for _, mt := range got {
+			for _, mt := range c.matches(tuple) {
 				if mt.RuleID != 3 || mt.Verdict != VerdictAlert {
 					t.Fatalf("trial %d flow %d: match attribution %+v, want rule 3 alert", trial, f, mt)
 				}
@@ -215,8 +165,11 @@ func testGatewayReassemblyPermutation(t *testing.T, backend string, engineShards
 				}
 				reported[[2]int{mt.PatternID, mt.End}] = true
 			}
+			if _, skipped := lost[f]; skipped || tuple.SrcPort >= 1024 && tuple.SrcPort <= 1029 {
+				continue
+			}
 			for _, pl := range w.Planted[f] {
-				if !reported[[2]int{int(pl.PatternID), pl.End}] && !skipped {
+				if !reported[[2]int{int(pl.PatternID), pl.End}] {
 					t.Fatalf("trial %d flow %d: planted pattern %d ending at %d (cross=%v) unreported",
 						trial, f, pl.PatternID, pl.End, pl.CrossPacket)
 				}
@@ -299,6 +252,7 @@ func loseAndSkip(t *testing.T, gw *Gateway, w *traffic.FlowWorkload, segBytes in
 	for _, f := range flows {
 		lost[f] = [2]int{segBytes, 2 * segBytes}
 	}
+	var kept, resent []traffic.FlowPacket
 	for _, p := range w.Packets {
 		if _, lose := lost[p.FlowID]; lose && p.Seq == 1 {
 			if !bytes.Equal(p.Payload, w.Streams[p.FlowID][segBytes:2*segBytes]) {
@@ -309,11 +263,10 @@ func loseAndSkip(t *testing.T, gw *Gateway, w *traffic.FlowWorkload, segBytes in
 		if p.Last {
 			last[p.FlowID] = p
 		}
-		if err := gw.Ingest(GatewayPacket{Tuple: p.Tuple, Seq: p.TCPSeq, Flags: TCPFlags(p.Flags), Payload: p.Payload}); err != nil {
-			t.Fatal(err)
-		}
+		kept = append(kept, p)
 	}
-	gw.Flush()
+	ingestWorkload(t, gw, 1, kept...)
+	checkpoint(t, gw, "with the lossy flows stalled")
 	cost, held := 0, 0
 	gw.eachLane(func(ln *gwLane) {
 		ln.table.Range(func(_ FiveTuple, fl *gwFlow) {
@@ -326,12 +279,10 @@ func loseAndSkip(t *testing.T, gw *Gateway, w *traffic.FlowWorkload, segBytes in
 	timeout := GatewayConfig{}.withDefaults().GapTimeout
 	for range timeout + 1 {
 		for _, f := range flows {
-			p := last[f]
-			if err := gw.Ingest(GatewayPacket{Tuple: p.Tuple, Seq: p.TCPSeq, Flags: TCPFlags(p.Flags), Payload: p.Payload}); err != nil {
-				t.Fatal(err)
-			}
+			resent = append(resent, last[f])
 		}
 	}
+	ingestWorkload(t, gw, 1, resent...)
 	return lost
 }
 
@@ -340,21 +291,14 @@ func loseAndSkip(t *testing.T, gw *Gateway, w *traffic.FlowWorkload, segBytes in
 // first copy of an undelivered range says "needle", the second says
 // garbage — FirstWins alerts, LastWins does not (and vice versa).
 func TestGatewayRetransmitConflictPolicies(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("needle"))
 	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
-	run := func(pol OverlapPolicy, first, second string) []Match {
+	run := func(pol OverlapPolicy, first, second string) []FlowMatch {
 		c := newCollector()
-		gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, OverlapPolicy: pol}, c.emit)
+		gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1, OverlapPolicy: pol}, c.emit)
 		ingest := func(seq uint32, payload string, flags TCPFlags) {
 			t.Helper()
-			if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)}); err != nil {
-				t.Fatal(err)
-			}
+			ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)})
 		}
 		ingest(1000, "", FlagSYN) // data base 1001
 		// Range [6,12) sent twice with different bytes while [0,6) is
@@ -362,10 +306,8 @@ func TestGatewayRetransmitConflictPolicies(t *testing.T) {
 		ingest(1007, first, 0)
 		ingest(1007, second, 0)
 		ingest(1001, "AAAAAA", 0)
-		if err := gw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return c.byTuple[tup]
+		closeCheckpoint(t, gw)
+		return c.matches(tup)
 	}
 	if got := run(FirstWins, "needle", "nXXdle"); len(got) != 1 || got[0].End != 12 {
 		t.Fatalf("FirstWins with good first copy: %+v, want one match ending at 12", got)
@@ -385,20 +327,13 @@ func TestGatewayRetransmitConflictPolicies(t *testing.T) {
 // gap timeout, then scanning resumes at the first buffered byte with
 // absolute offsets — and no match may span the unseen bytes.
 func TestGatewayGapSkipResumption(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("needle"))
 	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, GapTimeout: 2}, c.emit)
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1, GapTimeout: 2}, c.emit)
 	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	ingest := func(seq uint32, payload string, flags TCPFlags) {
 		t.Helper()
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)})
 	}
 	// Stream plan (base 1): [0,4)="xnee" delivered; [4,7) lost forever;
 	// [7,11)="dle." buffered. If the skip failed to invalidate scanner
@@ -412,10 +347,8 @@ func TestGatewayGapSkipResumption(t *testing.T) {
 	ingest(8, "dle.", 0)
 	// Post-skip in-order traffic: the real signature, fully after the gap.
 	ingest(12, "..needle", FlagFIN)
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := c.byTuple[tup]
+	closeCheckpoint(t, gw)
+	got := c.matches(tup)
 	if len(got) != 1 {
 		t.Fatalf("matches = %+v, want exactly the post-gap needle", got)
 	}
@@ -444,12 +377,7 @@ func TestGatewayGapSkipResumption(t *testing.T) {
 // and all fit; under a cap too small for that, the fold is cut back to its
 // prefix and the rest is shed, the needle with it.
 func TestGatewayBufferCapPressure(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("needle"))
 	for _, tc := range []struct {
 		pol            OverlapPolicy
 		capBytes       int
@@ -461,31 +389,23 @@ func TestGatewayBufferCapPressure(t *testing.T) {
 		{FirstWins, 40 + 4 + 2, 126, 2, false}, // a folded run's header: the form is under 128 B
 	} {
 		c := newCollector()
-		gw := testGateway(t, m, GatewayConfig{
+		gw := testGateway(t, m, 1, GatewayConfig{
 			StreamWorkers: 1, MaxFlowBuffer: tc.capBytes, GapTimeout: -1, OverlapPolicy: tc.pol,
 		}, c.emit)
 		tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 0, Flags: FlagSYN | FlagSeq}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: 0, Flags: FlagSYN | FlagSeq})
 		payload := make([]byte, 128)
 		copy(payload, "..needle..")
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 1 + 8, Flags: FlagSeq, Payload: payload}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: 1 + 8, Flags: FlagSeq, Payload: payload})
 		gw.Flush()
 		if st := gw.Stats(); st.ReassemblyDrops != uint64(tc.dropped) || st.BufferedBytes != tc.held {
 			t.Fatalf("%v, cap %d: ReassemblyDrops = %d and BufferedBytes = %d, want %d shed and %d held",
 				tc.pol, tc.capBytes, st.ReassemblyDrops, st.BufferedBytes, tc.dropped, tc.held)
 		}
 		// Fill the hole: what survived scans.
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 1, Flags: FlagSeq, Payload: []byte("12345678")}); err != nil {
-			t.Fatal(err)
-		}
-		if err := gw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got := c.byTuple[tup]
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: 1, Flags: FlagSeq, Payload: []byte("12345678")})
+		closeCheckpoint(t, gw)
+		got := c.matches(tup)
 		if tc.wantNeedleAt16 && (len(got) != 1 || got[0].End != 16) || !tc.wantNeedleAt16 && len(got) != 0 {
 			t.Fatalf("%v, cap %d: matches = %+v, want the needle ending at 16: %v", tc.pol, tc.capBytes, got, tc.wantNeedleAt16)
 		}
@@ -505,36 +425,24 @@ func TestGatewayBufferCapPressure(t *testing.T) {
 // runs of wrong bytes are overwritten in place by one retransmission that
 // spans them both, and the flow matches the retransmitted bytes.
 func TestGatewayHeldLogRewritesStayExact(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("needle", []byte("needle"))
-	rules.MustAdd("haystack", []byte("haystack"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("needle", "haystack"))
 	stream := []byte(strings.Repeat("..needle..haystack..", 10))
 	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	run := func(pol OverlapPolicy, capBytes int, sends ...[2]int) (*collector, GatewayStats) {
 		t.Helper()
 		c := newCollector()
-		gw := testGateway(t, m, GatewayConfig{
+		gw := testGateway(t, m, 1, GatewayConfig{
 			StreamWorkers: 1, MaxFlowBuffer: capBytes, GapTimeout: -1, OverlapPolicy: pol,
 		}, c.emit)
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 0, Flags: FlagSYN | FlagSeq}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: 0, Flags: FlagSYN | FlagSeq})
 		for _, s := range sends {
 			fl := FlagSeq
 			if s[1] == len(stream) {
 				fl |= FlagFIN
 			}
-			if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: 1 + uint32(s[0]), Flags: fl, Payload: stream[s[0]:s[1]]}); err != nil {
-				t.Fatal(err)
-			}
+			ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: 1 + uint32(s[0]), Flags: fl, Payload: stream[s[0]:s[1]]})
 		}
-		if err := gw.Close(); err != nil {
-			t.Fatal(err)
-		}
+		closeCheckpoint(t, gw)
 		return c, gw.Stats()
 	}
 	want := m.FindAll(stream)
@@ -543,7 +451,7 @@ func TestGatewayHeldLogRewritesStayExact(t *testing.T) {
 	sawCut := false
 	for capBytes := 40; capBytes <= 200; capBytes++ {
 		c, st := run(FirstWins, capBytes, [2]int{80, 200}, [2]int{40, 80}, [2]int{0, 40}, [2]int{40, 80}, [2]int{80, 200})
-		if got := c.byTuple[tup]; !sameMatchSeq(got, want) || st.FlowsFinished != 1 || st.BufferedBytes != 0 || !st.Ledger().Balanced() {
+		if got := c.matches(tup); !sameMatches(got, want) || st.FlowsFinished != 1 || st.BufferedBytes != 0 || !st.Ledger().Balanced() {
 			t.Fatalf("first-wins, cap %d: %d matches, FindAll %d; %+v", capBytes, len(got), len(want), st)
 		}
 		sawCut = sawCut || st.ReassemblyDrops == uint64(cutBack)
@@ -555,7 +463,7 @@ func TestGatewayHeldLogRewritesStayExact(t *testing.T) {
 	stale := slices.Clone(stream)
 	copy(stale[40:80], strings.Repeat("X", 40))
 	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, GapTimeout: -1, OverlapPolicy: LastWins}, c.emit)
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1, GapTimeout: -1, OverlapPolicy: LastWins}, c.emit)
 	for _, p := range []GatewayPacket{
 		{Seq: 0, Flags: FlagSYN},
 		{Seq: 1 + 40, Payload: stale[40:60]},
@@ -565,14 +473,10 @@ func TestGatewayHeldLogRewritesStayExact(t *testing.T) {
 		{Seq: 1 + 80, Payload: stream[80:], Flags: FlagFIN},
 	} {
 		p.Tuple, p.Flags = tup, p.Flags|FlagSeq
-		if err := gw.Ingest(p); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, p)
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.byTuple[tup]; !sameMatchSeq(got, want) {
+	closeCheckpoint(t, gw)
+	if got := c.matches(tup); !sameMatches(got, want) {
 		t.Fatalf("last-wins across two runs: %d matches, FindAll of the retransmitted stream %d", len(got), len(want))
 	}
 }
@@ -582,43 +486,21 @@ func TestGatewayHeldLogRewritesStayExact(t *testing.T) {
 // held segments — from several goroutines; eviction mid-gap must release
 // every buffered byte back to the lane's budget (run with -race).
 func TestGatewayEvictionMidGapRace(t *testing.T) {
-	m, set := gatewayMatcher(t, 120)
-	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
+	m := testMatcher(t, snortLike(120, 77, BackendAuto))
+	w := flowWorkload(t, m, traffic.FlowConfig{
 		Flows: 300, SegmentsPerFlow: 4, SegmentBytes: 64, Seed: 33,
 		CrossDensity: 0.5, Profile: traffic.Zeroish,
 		Sequenced: true, ReorderWindow: 2, RetransmitDensity: 0.3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := testGateway(t, m, GatewayConfig{
+	gw := testGateway(t, m, 1, GatewayConfig{
 		MemoryBudget: 4 << 10, StreamWorkers: 4, GapTimeout: -1,
 	}, func(FlowMatch) {})
-	var wg sync.WaitGroup
-	const ingesters = 2
-	for gi := 0; gi < ingesters; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			for i := gi; i < len(w.Packets); i += ingesters {
-				p := w.Packets[i]
-				if p.Seq == 1 && p.FlowID%3 == 0 && !p.Retransmit {
-					continue // permanent hole: these flows stall mid-gap
-				}
-				err := gw.Ingest(GatewayPacket{
-					Tuple: p.Tuple, Seq: p.TCPSeq, Flags: TCPFlags(p.Flags), Payload: p.Payload,
-				})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(gi)
-	}
-	wg.Wait()
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Two ingesters; a permanent hole stalls every third flow mid-gap.
+	pkts := slices.DeleteFunc(w.Packets, func(p traffic.FlowPacket) bool {
+		return p.Seq == 1 && p.FlowID%3 == 0 && !p.Retransmit
+	})
+	ingestWorkload(t, gw, 2, pkts...)
+	closeCheckpoint(t, gw)
 	st := gw.Stats()
 	if st.BufferedBytes != 0 {
 		t.Fatalf("eviction mid-gap leaked %d buffered bytes", st.BufferedBytes)
@@ -635,32 +517,25 @@ func TestGatewayEvictionMidGapRace(t *testing.T) {
 // retires scanner state but leaves a husk that absorbs stragglers, and a
 // SYN on a closed tuple starts a clean connection.
 func TestGatewayLifecycleFlags(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("needle"))
 	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, c.emit)
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1}, c.emit)
 	tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	ingest := func(seq uint32, payload string, flags TCPFlags) {
 		t.Helper()
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)})
 	}
 	// Half-feed the signature and hold bytes ahead of a gap, then RST: the
 	// completion must not match.
 	ingest(0, "", FlagSYN)
 	ingest(1, "nee", 0)
 	ingest(10, "held", 0) // waits on the gap at [4,10)
-	gw.Flush()
+	checkpoint(t, gw, "before RST")
 	if st := gw.Stats(); st.FlowsLive != 1 || st.BufferedBytes != 4 {
 		t.Fatalf("before RST: %+v", st)
 	}
 	ingest(4, "", FlagRST)
-	gw.Flush()
+	checkpoint(t, gw, "after RST")
 	// The reassembler never sees the RST: the table's Remove hands the
 	// record to release, which drops its pin and books its held bytes as
 	// abandoned.
@@ -668,13 +543,12 @@ func TestGatewayLifecycleFlags(t *testing.T) {
 	if st.FlowsReset != 1 || st.FlowsLive != 0 || st.BufferedBytes != 0 || st.AbandonedBytes != 4 || !st.Ledger().Balanced() {
 		t.Fatalf("RST teardown: %+v", st)
 	}
-	gw.auditGenerationPins(t)
 	// Same tuple again: a fresh connection completes the pattern cleanly.
 	ingest(100, "", FlagSYN)
 	ingest(101, "dle", 0) // would complete the pre-RST "nee" if state leaked
 	ingest(104, "needle", FlagFIN)
-	gw.Flush()
-	if got := c.byTuple[tup]; len(got) != 1 || got[0].Start != 3 || got[0].End != 9 {
+	checkpoint(t, gw, "after FIN")
+	if got := c.matches(tup); len(got) != 1 || got[0].Start != 3 || got[0].End != 9 {
 		t.Fatalf("post-RST matches = %+v, want only the intact needle at [3,9)", got)
 	}
 	st = gw.Stats()
@@ -687,21 +561,19 @@ func TestGatewayLifecycleFlags(t *testing.T) {
 	// Stragglers hit the husk and are discarded, not rescanned.
 	before := gw.Stats().Matches
 	ingest(104, "needle", FlagFIN)
-	gw.Flush()
+	checkpoint(t, gw, "after a straggler")
 	if after := gw.Stats(); after.Matches != before || after.DuplicateBytes == 0 {
 		t.Fatalf("straggler after FIN rescanned: %+v", after)
 	}
 	// A new SYN reopens the tuple as a clean connection, offsets from 0.
 	ingest(500, "", FlagSYN)
 	ingest(501, "needle", FlagFIN)
-	gw.Flush()
-	got := c.byTuple[tup]
+	checkpoint(t, gw, "after the reopened connection")
+	got := c.matches(tup)
 	if len(got) != 2 || got[1].Start != 0 || got[1].End != 6 {
 		t.Fatalf("SYN reopen matches = %+v, want a second needle at [0,6)", got)
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 }
 
 // TestGatewayLifecycleAcrossVerdictsAndReopen: RST tears down a
@@ -709,12 +581,7 @@ func TestGatewayLifecycleFlags(t *testing.T) {
 // reopening a FIN-closed tuple is a new connection with its own OnVerdict
 // event.
 func TestGatewayLifecycleAcrossVerdictsAndReopen(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("needle"))
 	vrules := []VerdictRule{
 		{ID: 1, Name: "drop-9", Verdict: VerdictDrop,
 			Header: HeaderRule{Proto: ProtoTCP, SrcPorts: PortRange{Lo: 9, Hi: 9}}},
@@ -723,7 +590,7 @@ func TestGatewayLifecycleAcrossVerdictsAndReopen(t *testing.T) {
 	}
 	var vmu sync.Mutex
 	var events []FlowVerdict
-	gw := testGateway(t, m, GatewayConfig{
+	gw := testGateway(t, m, 1, GatewayConfig{
 		StreamWorkers: 1, Rules: vrules,
 		OnVerdict: func(fv FlowVerdict) {
 			vmu.Lock()
@@ -735,9 +602,7 @@ func TestGatewayLifecycleAcrossVerdictsAndReopen(t *testing.T) {
 	alerted := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
 	ingest := func(tup FiveTuple, seq uint32, payload string, flags TCPFlags) {
 		t.Helper()
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)})
 	}
 	// Dropped flow: data then RST — the entry must leave the table.
 	ingest(dropped, 0, "", FlagSYN)
@@ -772,21 +637,14 @@ func TestGatewayLifecycleAcrossVerdictsAndReopen(t *testing.T) {
 	if st := gw.Stats(); st.VerdictAlerts != 2 || st.FlowsFinished != 2 {
 		t.Fatalf("reopen accounting: %+v", st)
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 }
 
 // TestGatewayVerdictsBatchPath: stateless (UDP) packets are classified per
 // packet — drop/pass traffic never reaches the engine, alert matches carry
 // the rule attribution, and OnVerdict fires per packet.
 func TestGatewayVerdictsBatchPath(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("needle"))
 	vrules := []VerdictRule{
 		{ID: 7, Name: "drop-dns", Verdict: VerdictDrop,
 			Header: HeaderRule{Proto: ProtoUDP, DstPorts: PortRange{Lo: 53, Hi: 53}}},
@@ -795,10 +653,10 @@ func TestGatewayVerdictsBatchPath(t *testing.T) {
 		{ID: 9, Name: "alert-rest", Verdict: VerdictAlert,
 			Header: HeaderRule{Proto: ProtoUDP}},
 	}
-	c := newFMCollector()
+	c := newCollector()
 	var vmu sync.Mutex
 	verdictCount := map[Verdict]int{}
-	gw := testGateway(t, m, GatewayConfig{
+	gw := testGateway(t, m, 1, GatewayConfig{
 		StreamWorkers: 2, Rules: vrules,
 		OnVerdict: func(fv FlowVerdict) {
 			vmu.Lock()
@@ -813,14 +671,10 @@ func TestGatewayVerdictsBatchPath(t *testing.T) {
 	const per = 5
 	for i := 0; i < per; i++ {
 		for _, port := range []uint16{53, 123, 4444} {
-			if err := gw.Ingest(GatewayPacket{Tuple: mk(port, i), Payload: payload}); err != nil {
-				t.Fatal(err)
-			}
+			ingestWorkload(t, gw, 1, GatewayPacket{Tuple: mk(port, i), Payload: payload})
 		}
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 	st := gw.Stats()
 	if st.VerdictDrops != per || st.VerdictPasses != per || st.VerdictAlerts != per {
 		t.Fatalf("per-packet verdict counters: %+v", st)
@@ -832,13 +686,13 @@ func TestGatewayVerdictsBatchPath(t *testing.T) {
 		t.Fatalf("matches = %d, want one per alert packet", st.Matches)
 	}
 	for i := 0; i < per; i++ {
-		if got := c.byTuple[mk(53, i)]; len(got) != 0 {
+		if got := c.matches(mk(53, i)); len(got) != 0 {
 			t.Fatalf("dropped packet scanned: %+v", got)
 		}
-		if got := c.byTuple[mk(123, i)]; len(got) != 0 {
+		if got := c.matches(mk(123, i)); len(got) != 0 {
 			t.Fatalf("passed packet scanned: %+v", got)
 		}
-		got := c.byTuple[mk(4444, i)]
+		got := c.matches(mk(4444, i))
 		if len(got) != 1 || got[0].RuleID != 9 || got[0].Verdict != VerdictAlert {
 			t.Fatalf("alert packet attribution: %+v", got)
 		}
@@ -855,54 +709,35 @@ func TestGatewayVerdictsBatchPath(t *testing.T) {
 // ingest concurrently — no deadlock, no packets counted but unscanned at
 // the moment Flush returns once ingestion stops.
 func TestGatewayFlushSerializesWithIngest(t *testing.T) {
-	m, set := gatewayMatcher(t, 80)
-	pkts, err := traffic.Generate(set, traffic.Config{Packets: 300, Bytes: 100, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := testGateway(t, m, GatewayConfig{QueueDepth: 2, StreamWorkers: 1}, func(FlowMatch) {})
-	var wg sync.WaitGroup
-	var sq Sequencer
-	const ingesters = 3
-	for gi := 0; gi < ingesters; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			for i := gi; i < len(pkts); i += ingesters {
-				tup := FiveTuple{SrcIP: uint32(i), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
-				if i%3 == 0 {
-					tup.Proto = ProtoTCP
-				}
-				if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup, Payload: pkts[i].Payload})); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(gi)
-	}
-	// Hammer Flush while the ingesters run: every packet counted before a
+	m := testMatcher(t, snortLike(80, 77, BackendAuto))
+	pkts := mixedTraffic(t, m, traffic.Config{Packets: 300, Bytes: 100, Seed: 5})
+	gw := testGateway(t, m, 1, GatewayConfig{QueueDepth: 2, StreamWorkers: 1}, func(FlowMatch) {})
+	// Hammer Flush while three ingesters run: every packet counted before a
 	// Flush begins must be scanned by its return (Flush holds out new
 	// Ingests while it drains; packets admitted after it releases the lock
 	// may be counted-but-unscanned by the time Stats is read, so the
 	// assertion is against the pre-flush count).
-	for i := 0; i < 50; i++ {
-		pre := gw.Stats().Packets
-		gw.Flush()
-		st := gw.Stats()
-		if st.StreamPackets+st.BatchPackets < pre {
-			t.Fatalf("Flush returned with %d of the %d pre-flush packets unscanned",
-				pre-(st.StreamPackets+st.BatchPackets), pre)
+	hammered := make(chan struct{})
+	go func() {
+		defer close(hammered)
+		for i := 0; i < 50; i++ {
+			pre := gw.Stats().Packets
+			gw.Flush()
+			if st := gw.Stats(); st.StreamPackets+st.BatchPackets < pre {
+				t.Errorf("Flush returned with %d of the %d pre-flush packets unscanned",
+					pre-(st.StreamPackets+st.BatchPackets), pre)
+				return
+			}
 		}
-	}
-	wg.Wait()
+	}()
+	ingestWorkload(t, gw, 3, pkts...)
+	<-hammered
 	gw.Flush()
 	st := gw.Stats()
 	if st.Packets != uint64(len(pkts)) || st.StreamPackets+st.BatchPackets != st.Packets {
 		t.Fatalf("final accounting: %+v", st)
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 }
 
 // FuzzReassemblyEquivalence: any segmentation, permutation and duplicate
@@ -958,7 +793,8 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 		if len(stream) == 0 || len(stream) > 2048 {
 			t.Skip()
 		}
-		m := fuzzMatcher(t)
+		// A small overlap-heavy ruleset.
+		m := testMatcher(t, literal("ab", "abc", "bcd", "needle", "eedl", "zz", "haystack"))
 		// Segmentation driven by cuts; permutation and duplicates by an
 		// LCG seeded from order.
 		type span struct{ at, n int }
@@ -999,14 +835,12 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 		isn := uint32(order >> 32) // any base, wraparound included
 		tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: ProtoTCP}
 		c := newCollector()
-		gw := testGateway(t, m, GatewayConfig{
+		gw := testGateway(t, m, 1, GatewayConfig{
 			StreamWorkers: 1, OverlapPolicy: pol, GapTimeout: -1,
 		}, c.emit)
 		// The SYN announces the base up front, so any data permutation is
 		// reassemblable.
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: isn, Flags: FlagSYN | FlagSeq}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: isn, Flags: FlagSYN | FlagSeq})
 		send := func(s span) {
 			fl := FlagSeq
 			if s.at+s.n == len(stream) && (s.n == 0) == pureFin {
@@ -1025,12 +859,10 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 				send(segs[next(len(segs))])
 			}
 		}
-		if err := gw.Close(); err != nil {
-			t.Fatal(err)
-		}
+		closeCheckpoint(t, gw)
 		want := m.FindAll(stream)
-		got := c.byTuple[tup]
-		if !sameMatchSeq(got, want) {
+		got := c.matches(tup)
+		if !sameMatches(got, want) {
 			t.Fatalf("%d segs, policy %v: gateway %d matches, oracle %d\ngot  %+v\nwant %+v",
 				len(segs), pol, len(got), len(want), got, want)
 		}
@@ -1038,25 +870,4 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 			t.Fatalf("%d bytes buffered after Close, %d connections finished (want 1)", st.BufferedBytes, st.FlowsFinished)
 		}
 	})
-}
-
-var (
-	fuzzMatcherOnce sync.Once
-	fuzzMatcherVal  *Matcher
-	fuzzMatcherErr  error
-)
-
-// fuzzMatcher compiles a small overlap-heavy ruleset once for the fuzzer.
-func fuzzMatcher(t *testing.T) *Matcher {
-	fuzzMatcherOnce.Do(func() {
-		rs := NewRuleset()
-		for _, p := range []string{"ab", "abc", "bcd", "needle", "eedl", "zz", "haystack"} {
-			rs.MustAdd(p, []byte(p))
-		}
-		fuzzMatcherVal, fuzzMatcherErr = Compile(rs, Config{})
-	})
-	if fuzzMatcherErr != nil {
-		t.Fatal(fuzzMatcherErr)
-	}
-	return fuzzMatcherVal
 }

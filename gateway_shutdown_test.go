@@ -23,15 +23,12 @@ import (
 // observes either admission or the closed error, never a third state; and
 // the final drained snapshot still balances the byte ledger.
 func TestGatewayShutdownUnderConcurrentLoad(t *testing.T) {
-	m, set := gatewayMatcher(t, 120)
-	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
+	m := testMatcher(t, snortLike(120, 77, BackendAuto))
+	w := flowWorkload(t, m, traffic.FlowConfig{
 		Flows: 12, SegmentsPerFlow: 8, SegmentBytes: 120, Seed: 77,
 		CrossDensity: 1, AttackDensity: 1, Profile: traffic.Textual,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := testGateway(t, m, GatewayConfig{EngineShards: 2, StreamWorkers: 2}, func(FlowMatch) {})
+	gw := testGateway(t, m, 2, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) {})
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -124,11 +121,9 @@ func TestGatewayShutdownUnderConcurrentLoad(t *testing.T) {
 // don't interleave with each other destructively, and Flush after Close
 // remains legal (it observes an empty pipeline).
 func TestGatewayFlushIdempotent(t *testing.T) {
-	m, _ := gatewayMatcher(t, 60)
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
-	if err := gw.Ingest(GatewayPacket{Tuple: FiveTuple{Proto: ProtoUDP}, Payload: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, snortLike(60, 77, BackendAuto))
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
+	ingestWorkload(t, gw, 1, GatewayPacket{Tuple: FiveTuple{Proto: ProtoUDP}, Payload: []byte("x")})
 	gw.Flush()
 	gw.Flush() // double-Flush: a no-op on a drained pipeline
 	var wg sync.WaitGroup
@@ -137,9 +132,7 @@ func TestGatewayFlushIdempotent(t *testing.T) {
 		go func() { defer wg.Done(); gw.Flush() }()
 	}
 	wg.Wait()
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 	gw.Flush() // Flush after Close: still legal, still returns
 	if err := gw.Close(); err != nil {
 		t.Fatal("second Close errored:", err)
@@ -151,7 +144,7 @@ func TestGatewayFlushIdempotent(t *testing.T) {
 // and the lanes and no second kind of scanner, and all of them gone after
 // Close, which makes this the standing goroutine-leak check.
 func TestGatewayStageCensus(t *testing.T) {
-	m, _ := gatewayMatcher(t, 60)
+	m := testMatcher(t, snortLike(60, 77, BackendAuto))
 	// settled samples the goroutine count until it holds still (bounded),
 	// riding out goroutines — this gateway's after Close, an earlier test's
 	// before the baseline — that have signalled completion but not exited.
@@ -168,19 +161,15 @@ func TestGatewayStageCensus(t *testing.T) {
 		return n
 	}
 	base := settled()
-	gw := testGateway(t, m, GatewayConfig{EngineShards: 2, StreamWorkers: 3}, func(FlowMatch) {})
+	gw := testGateway(t, m, 2, GatewayConfig{StreamWorkers: 3}, func(FlowMatch) {})
 	if got := runtime.NumGoroutine() - base; got != 2*3 {
 		t.Fatalf("gateway started %d goroutines, want EngineShards × StreamWorkers = 6", got)
 	}
 	var sq Sequencer
 	for _, proto := range []uint8{ProtoTCP, ProtoUDP} {
-		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: FiveTuple{Proto: proto}, Payload: []byte("x")})); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, sq.Seq(GatewayPacket{Tuple: FiveTuple{Proto: proto}, Payload: []byte("x")}))
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 	if got := settled(); got != base {
 		t.Fatalf("%d goroutines after Close, %d before the gateway started", got, base)
 	}

@@ -16,155 +16,31 @@ import (
 
 	"repro/internal/capture/corpus"
 	"repro/internal/core"
-	"repro/internal/ruleset"
 	"repro/internal/traffic"
 )
 
-// collector gathers FlowMatches keyed by tuple; emit is called from
-// several pipeline goroutines, so it locks.
-type collector struct {
-	mu      sync.Mutex
-	byTuple map[FiveTuple][]Match
-}
-
-func newCollector() *collector {
-	return &collector{byTuple: map[FiveTuple][]Match{}}
-}
-
-func (c *collector) emit(fm FlowMatch) {
-	c.mu.Lock()
-	c.byTuple[fm.Tuple] = append(c.byTuple[fm.Tuple], fm.Match)
-	c.mu.Unlock()
-}
-
-// testGateway starts a gateway over m, failing the test if the constructor
-// rejects its arguments.
-func testGateway(t testing.TB, m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) *Gateway {
-	t.Helper()
-	gw, err := NewGateway(m, cfg, emit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gw
-}
-
-// rangeFlows runs fn on every live flow record, lane table by lane table,
-// with the pipeline quiesced — the tests' audit of what the lanes hold.
-func (g *Gateway) rangeFlows(fn func(FiveTuple, *gwFlow)) {
-	g.eachLane(func(ln *gwLane) { ln.table.Range(fn) })
-}
-
-// rangePins runs fn on every live flow record with the generation its class
-// pins (nil for none), as rangeFlows does: the one way a test reads a pin.
-func (g *Gateway) rangePins(fn func(FiveTuple, *gwFlow, *gwGeneration)) {
-	g.eachLane(func(ln *gwLane) {
-		ln.table.Range(func(k FiveTuple, fl *gwFlow) {
-			var gen *gwGeneration
-			if fl.class&^notifiedBit != 0 {
-				gen = ln.classOf(fl).gen
-			}
-			fn(k, fl, gen)
-		})
-	})
-}
-
-// auditGenerationPins checks the class and generation refcounts exactly, in
-// one quiesced walk of every lane table: each lane's class counts equal the
-// records on each class, a class no record is on is cleared, each live
-// generation's flows count equals the records pinned to it, and no record is
-// pinned to a generation that has left the live list.
-func (g *Gateway) auditGenerationPins(t testing.TB) {
-	t.Helper()
-	g.quiesce()
-	defer g.resume()
-	pinned := map[*gwGeneration]int64{}
-	for i, ln := range g.lanes {
-		on := make([]int32, len(ln.classes))
-		ln.table.Range(func(k FiveTuple, fl *gwFlow) {
-			c := int(fl.class &^ notifiedBit)
-			if c == 0 || c > len(ln.classes) {
-				t.Errorf("lane %d: flow %v has class %d of %d", i, k, c, len(ln.classes))
-				return
-			}
-			on[c-1]++
-			if gen := ln.classes[c-1].gen; gen != nil {
-				pinned[gen]++
-			}
-		})
-		for c, cl := range ln.classes {
-			if cl.flows != on[c] || cl.flows == 0 && cl != (gwClass{}) {
-				t.Errorf("lane %d: class %d %+v counts %d flows, %d records are on it", i, c+1, cl, cl.flows, on[c])
-			}
-		}
-	}
-	g.genMu.Lock()
-	defer g.genMu.Unlock()
-	for _, gen := range g.gens {
-		if n := gen.flows.Load(); n != pinned[gen] {
-			t.Errorf("generation %d counts %d pinned flows, %d records hold it", gen.id, n, pinned[gen])
-		}
-		delete(pinned, gen)
-	}
-	for gen, n := range pinned {
-		t.Errorf("%d records pinned to generation %d, which is not live", n, gen.id)
-	}
-}
-
-// gatewayMatcher compiles a mid-size matcher and returns its internal
-// pattern-set view for the traffic generators.
-func gatewayMatcher(t testing.TB, strings int) (*Matcher, *ruleset.Set) {
-	return gatewayMatcherBackend(t, strings, BackendAuto)
-}
-
-func gatewayMatcherBackend(t testing.TB, strings int, backend string) (*Matcher, *ruleset.Set) {
-	t.Helper()
-	rules, err := GenerateSnortLike(strings, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Compile(rules, Config{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, rules.InternalSet()
-}
-
-// sameMatchSeq compares got against want ignoring PacketID (the oracle
-// scans whole streams, the gateway attributes segments).
-func sameMatchSeq(got, want []Match) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i].PatternID != want[i].PatternID || got[i].Start != want[i].Start || got[i].End != want[i].End {
-			return false
-		}
-	}
-	return true
-}
-
 func TestGatewayDemuxMatchesPerFlowOracle(t *testing.T) {
-	m, set := gatewayMatcher(t, 300)
-	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
+	m := testMatcher(t, snortLike(300, 77, BackendAuto))
+	w := flowWorkload(t, m, traffic.FlowConfig{
 		Flows: 40, SegmentsPerFlow: 6, SegmentBytes: 150, Seed: 11,
 		CrossDensity: 2, AttackDensity: 1, Profile: traffic.Textual,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if w.CrossPlants() == 0 {
 		t.Fatal("workload has no cross-packet plants; test is vacuous")
 	}
 	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 3}, c.emit)
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 3}, c.emit)
 	var sq Sequencer
 	for _, p := range w.Packets {
-		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload})); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}))
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
+	o := newOracle(c)
+	for f, tuple := range w.Tuples {
+		o.deliver(m, tuple, w.Streams[f], 0)
+	}
+	matched := closeCheckpoint(t, gw, o)
+	if matched == 0 {
+		t.Fatal("no matches at all; test is vacuous")
 	}
 
 	// (flow, seq) -> global ingest sequence number, for PacketID checks.
@@ -174,15 +50,8 @@ func TestGatewayDemuxMatchesPerFlowOracle(t *testing.T) {
 	}
 
 	segBytes := 150
-	matched := 0
 	for f, tuple := range w.Tuples {
-		want := m.FindAll(w.Streams[f])
-		got := c.byTuple[tuple]
-		if !sameMatchSeq(got, want) {
-			t.Fatalf("flow %d: gateway reported %d matches, oracle %d (or order differs)\ngot  %+v\nwant %+v",
-				f, len(got), len(want), got, want)
-		}
-		matched += len(got)
+		got := c.matches(tuple)
 		// Every match must be attributed to the ingest sequence number of
 		// the segment holding its final byte.
 		for _, mt := range got {
@@ -205,9 +74,6 @@ func TestGatewayDemuxMatchesPerFlowOracle(t *testing.T) {
 			}
 		}
 	}
-	if matched == 0 {
-		t.Fatal("no matches at all; test is vacuous")
-	}
 	st := gw.Stats()
 	if st.Packets != uint64(len(w.Packets)) || st.StreamPackets != st.Packets || st.BatchPackets != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -221,22 +87,19 @@ func TestGatewayDemuxMatchesPerFlowOracle(t *testing.T) {
 }
 
 func TestGatewayMixedProtocolRouting(t *testing.T) {
-	m, set := gatewayMatcher(t, 200)
-	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
+	m := testMatcher(t, snortLike(200, 77, BackendAuto))
+	w := flowWorkload(t, m, traffic.FlowConfig{
 		Flows: 10, SegmentsPerFlow: 4, SegmentBytes: 120, Seed: 3,
 		CrossDensity: 1, Profile: traffic.Uniform,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dgrams, err := traffic.Generate(set, traffic.Config{
+	dgrams, err := traffic.Generate(m.rules.set, traffic.Config{
 		Packets: 30, Bytes: 300, Seed: 4, AttackDensity: 1.5, Profile: traffic.Textual,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2}, c.emit)
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 2}, c.emit)
 
 	// Interleave: a datagram between stream segments; record each
 	// datagram's ingest seq and distinct UDP tuple.
@@ -253,9 +116,7 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 	seq := 0
 	send := func(tup FiveTuple, data []byte, to *[]dgram) {
 		t.Helper()
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Payload: data}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Payload: data})
 		*to = append(*to, dgram{tuple: tup, seq: seq, data: data})
 		seq++
 	}
@@ -269,52 +130,30 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 			send(one, dgrams[di].Payload, &train)
 			di++
 		}
-		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload})); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}))
 		seq++
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Stream side still matches the oracle exactly.
+	// The stream side still matches the oracle exactly, and each datagram
+	// behaves as an independent packet: FindAll of its payload, under its
+	// own tuple and, in ingest order, under the shared one.
+	o := newOracle(c)
 	for f, tuple := range w.Tuples {
-		if !sameMatchSeq(c.byTuple[tuple], m.FindAll(w.Streams[f])) {
-			t.Fatalf("flow %d diverged from oracle with mixed traffic", f)
-		}
+		o.deliver(m, tuple, w.Streams[f], 0)
 	}
-	// Each datagram behaves as an independent packet: FindAll of its
-	// payload, attributed to its own tuple and ingest seq.
-	for _, d := range sent {
-		want := m.FindAll(d.data)
-		got := c.byTuple[d.tuple]
-		if !sameMatchSeq(got, want) {
-			t.Fatalf("datagram %v: got %d matches, want %d", d.tuple, len(got), len(want))
-		}
-		for _, mt := range got {
+	for _, d := range append(sent, train...) {
+		o.deliver(m, d.tuple, d.data, 0)
+	}
+	closeCheckpoint(t, gw, o)
+	// Each datagram's matches are attributed to its own ingest seq.
+	at := map[FiveTuple]int{}
+	for _, d := range append(sent, train...) {
+		n := len(m.FindAll(d.data))
+		for _, mt := range c.matches(d.tuple)[at[d.tuple]:][:n] {
 			if mt.PacketID != d.seq {
-				t.Fatalf("datagram match %+v: PacketID %d, want %d", mt, mt.PacketID, d.seq)
+				t.Fatalf("datagram %v match %+v: PacketID %d, want %d", d.tuple, mt, mt.PacketID, d.seq)
 			}
 		}
-	}
-	// One tuple's datagrams: each still an independent packet, and the
-	// sequence of all their matches is in ingest order.
-	got := c.byTuple[one]
-	for _, d := range train {
-		want := m.FindAll(d.data)
-		if len(got) < len(want) || !sameMatchSeq(got[:len(want)], want) {
-			t.Fatalf("one-tuple datagram seq %d: matches out of ingest order or wrong", d.seq)
-		}
-		for _, mt := range got[:len(want)] {
-			if mt.PacketID != d.seq {
-				t.Fatalf("one-tuple match %+v: PacketID %d, want %d", mt, mt.PacketID, d.seq)
-			}
-		}
-		got = got[len(want):]
-	}
-	if len(got) != 0 {
-		t.Fatalf("one-tuple datagrams emitted %d matches past the oracle", len(got))
+		at[d.tuple] += n
 	}
 	st := gw.Stats()
 	if st.BatchPackets != uint64(len(sent)+len(train)) || st.StreamPackets != uint64(len(w.Packets)) {
@@ -326,34 +165,26 @@ func TestGatewayMixedProtocolRouting(t *testing.T) {
 // flows through a budget of 256 connections must stay bounded by eviction
 // the whole way through. They never end, so the table holds no husks.
 func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
-	m, set := gatewayMatcher(t, 120)
+	m := testMatcher(t, snortLike(120, 77, BackendAuto))
 	const maxFlows, lanes = 256, 4
-	w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
+	w := flowWorkload(t, m, traffic.FlowConfig{
 		Flows: 10000, SegmentsPerFlow: 2, SegmentBytes: 48, Seed: 21,
 		CrossDensity: 0.1, Profile: traffic.Zeroish,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var matches atomic64
-	gw := testGateway(t, m, GatewayConfig{
+	gw := testGateway(t, m, 1, GatewayConfig{
 		MemoryBudget: maxFlows * ConnEntry, StreamWorkers: lanes,
-	}, func(FlowMatch) { matches.add(1) })
+	}, func(FlowMatch) {})
 	peak := 0
 	var sq Sequencer
 	for i, p := range w.Packets {
-		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload})); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}))
 		if i%512 == 0 {
 			if live := gw.Stats().FlowsLive; live > peak {
 				peak = live
 			}
 		}
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 	st := gw.Stats()
 	if live := st.FlowsLive; live != 0 {
 		t.Fatalf("%d flows live after Close", live)
@@ -380,55 +211,40 @@ func TestGatewayChurnKeepsLiveFlowsBounded(t *testing.T) {
 // scaled per lane), and the table's entries may pass the budget by no more
 // than one connection a lane.
 func TestGatewayChurnAtCapacity(t *testing.T) {
-	m, set := gatewayMatcher(t, 120)
+	m := testMatcher(t, snortLike(120, 77, BackendAuto))
 	const waves, perWave, windows = 8, 64, 30
 	const budget = 3 * perWave * ConnEntry
-	var pkts []GatewayPacket
-	tuples := make([]FiveTuple, waves*perWave)
-	want := make([][]Match, waves*perWave)
-	total := 0
+	var pkts []traffic.FlowPacket
+	streams := map[FiveTuple][]byte{} // each connection's stream, by tuple
 	for wv := 0; wv < waves; wv++ {
-		w, err := traffic.GenerateFlows(set, traffic.FlowConfig{
+		w := flowWorkload(t, m, traffic.FlowConfig{
 			Flows: perWave, SegmentsPerFlow: 3, SegmentBytes: 64, Seed: int64(400 + wv),
 			CrossDensity: 0.5, AttackDensity: 0.5, Profile: traffic.Zeroish, Sequenced: true,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for f, stream := range w.Streams {
-			c := wv*perWave + f
-			tuples[c], want[c] = footprintTuple(c), m.FindAll(stream)
-			total += len(want[c])
+			streams[footprintTuple(wv*perWave+f)] = stream
 		}
 		for _, p := range w.Packets {
-			pkts = append(pkts, GatewayPacket{
-				Tuple: tuples[wv*perWave+p.FlowID], Seq: p.TCPSeq, Flags: TCPFlags(p.Flags), Payload: p.Payload,
-			})
+			p.Tuple = footprintTuple(wv*perWave + p.FlowID)
+			pkts = append(pkts, p)
 		}
-	}
-	if total == 0 {
-		t.Fatal("no matches in the workload; test is vacuous")
 	}
 	for _, shape := range []struct{ shards, workers int }{{1, 2}, {2, 2}} {
 		lanes := shape.shards * shape.workers
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			c := newCollector()
-			gw := testGateway(t, m, GatewayConfig{
-				EngineShards: shape.shards, StreamWorkers: shape.workers, MemoryBudget: budget,
+			gw := testGateway(t, m, shape.shards, GatewayConfig{
+				StreamWorkers: shape.workers, MemoryBudget: budget,
 			}, c.emit)
-			defer gw.Close()
+			// Every window, each connection matches its stream's FindAll.
+			o := newOracle(c)
+			for tup, stream := range streams {
+				o.deliver(m, tup, stream, 0)
+			}
 			for win := 0; win < windows; win++ {
-				for _, p := range pkts {
-					if err := gw.Ingest(p); err != nil {
-						t.Fatal(err)
-					}
-				}
-				gw.Flush()
-				for i, tup := range tuples {
-					if got := c.byTuple[tup]; !sameMatchSeq(got, want[i]) {
-						t.Fatalf("window %d connection %d: %d matches, oracle %d (or order/offsets differ)",
-							win, i, len(got), len(want[i]))
-					}
+				ingestWorkload(t, gw, 1, pkts...)
+				if checkpoint(t, gw, fmt.Sprintf("window %d", win), o) == 0 {
+					t.Fatal("no matches in the workload; test is vacuous")
 				}
 				clear(c.byTuple)
 				st := gw.Stats()
@@ -438,34 +254,21 @@ func TestGatewayChurnAtCapacity(t *testing.T) {
 				}
 			}
 			st := gw.Stats()
-			if st.FlowsEvicted == 0 || st.FlowsFinished != uint64(windows*len(tuples)) {
+			if st.FlowsEvicted == 0 || st.FlowsFinished != uint64(windows*len(streams)) {
 				t.Fatalf("churn stats = %+v", st)
 			}
 		})
 	}
 }
 
-type atomic64 struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-func (a *atomic64) add(d uint64) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
-
 // TestGatewayEvictedFlowRestartsClean pins the matcher-level consequence
 // of eviction: scanner state does not survive an evict/recreate cycle, so
 // a pattern split around the eviction is (correctly) not matched, while an
 // undisturbed split is.
 func TestGatewayEvictedFlowRestartsClean(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("split", []byte("abcdef"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := newCollector()
 	// One lane and a one-connection budget make eviction order deterministic.
-	gw := testGateway(t, m, GatewayConfig{
+	gw := testGateway(t, testMatcher(t, literal("abcdef")), 1, GatewayConfig{
 		MemoryBudget: ConnEntry, StreamWorkers: 1,
 	}, c.emit)
 	a := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 80, Proto: ProtoTCP}
@@ -473,19 +276,15 @@ func TestGatewayEvictedFlowRestartsClean(t *testing.T) {
 	var sq Sequencer
 	ingest := func(tup FiveTuple, s string) {
 		t.Helper()
-		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup, Payload: []byte(s)})); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, sq.Seq(GatewayPacket{Tuple: tup, Payload: []byte(s)}))
 	}
 	ingest(a, "abc")
 	ingest(b, "zz")  // evicts a's half-fed flow
 	ingest(a, "def") // recreated: must NOT complete the split match
 	ingest(a, "abc")
 	ingest(a, "def") // undisturbed split across packets: must match
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := c.byTuple[a]
+	closeCheckpoint(t, gw)
+	got := c.matches(a)
 	if len(got) != 1 {
 		t.Fatalf("matches on recreated flow = %+v, want exactly the undisturbed split", got)
 	}
@@ -498,40 +297,34 @@ func TestGatewayEvictedFlowRestartsClean(t *testing.T) {
 	}
 }
 
-func TestGatewayBackpressureLosesNothing(t *testing.T) {
-	m, set := gatewayMatcher(t, 100)
-	pkts, err := traffic.Generate(set, traffic.Config{
-		Packets: 400, Bytes: 200, Seed: 5, AttackDensity: 1,
-	})
+// mixedTraffic generates cfg's packets over m's patterns and gives each a
+// tuple of its own: every third a one-segment TCP connection, the rest UDP
+// datagrams, so a feed of them takes both pipeline paths.
+func mixedTraffic(t *testing.T, m *Matcher, cfg traffic.Config) []GatewayPacket {
+	t.Helper()
+	pkts, err := traffic.Generate(m.rules.set, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newCollector()
-	// A tiny queue forces constant backpressure stalls.
-	gw := testGateway(t, m, GatewayConfig{QueueDepth: 2, StreamWorkers: 1}, c.emit)
-	var wg sync.WaitGroup
 	var sq Sequencer
-	const ingesters = 4
-	for gi := 0; gi < ingesters; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			for i := gi; i < len(pkts); i += ingesters {
-				tup := FiveTuple{SrcIP: uint32(i), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
-				if i%3 == 0 {
-					tup.Proto = ProtoTCP // mix both pipeline paths
-				}
-				if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup, Payload: pkts[i].Payload})); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(gi)
+	mixed := make([]GatewayPacket, len(pkts))
+	for i, p := range pkts {
+		tup := FiveTuple{SrcIP: uint32(i), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
+		if i%3 == 0 {
+			tup.Proto = ProtoTCP
+		}
+		mixed[i] = sq.Seq(GatewayPacket{Tuple: tup, Payload: p.Payload})
 	}
-	wg.Wait()
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return mixed
+}
+
+func TestGatewayBackpressureLosesNothing(t *testing.T) {
+	m := testMatcher(t, snortLike(100, 77, BackendAuto))
+	pkts := mixedTraffic(t, m, traffic.Config{Packets: 400, Bytes: 200, Seed: 5, AttackDensity: 1})
+	// A tiny queue forces constant backpressure stalls on four ingesters.
+	gw := testGateway(t, m, 1, GatewayConfig{QueueDepth: 2, StreamWorkers: 1}, func(FlowMatch) {})
+	ingestWorkload(t, gw, 4, pkts...)
+	closeCheckpoint(t, gw)
 	st := gw.Stats()
 	if st.Packets != uint64(len(pkts)) {
 		t.Fatalf("ingested %d, want %d", st.Packets, len(pkts))
@@ -551,11 +344,9 @@ func TestGatewayBackpressureLosesNothing(t *testing.T) {
 }
 
 func TestGatewayClosedBehaviour(t *testing.T) {
-	m, _ := gatewayMatcher(t, 60)
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, snortLike(60, 77, BackendAuto))
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
+	closeCheckpoint(t, gw)
 	if err := gw.Close(); err != nil {
 		t.Fatal("second Close errored:", err)
 	}
@@ -571,19 +362,10 @@ func TestGatewayClosedBehaviour(t *testing.T) {
 // packets as UDP or ICMP, with no flags, are admitted and scanned, and a
 // capture replay, which numbers every TCP segment, has nothing refused.
 func TestTryIngestRejectsUnsequencedTCP(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("p", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newCollector()
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, c.emit)
-	defer gw.Close()
+	m := testMatcher(t, literal("needle"))
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	tcp := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: ProtoTCP}
-	if err := gw.Ingest(GatewayPacket{Tuple: tcp, Seq: 100, Flags: FlagSeq, Payload: []byte("a needle")}); err != nil {
-		t.Fatal(err)
-	}
+	ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tcp, Seq: 100, Flags: FlagSeq, Payload: []byte("a needle")})
 	gw.Flush()
 	before := gw.Stats()
 	for _, p := range []GatewayPacket{
@@ -618,7 +400,7 @@ func TestTryIngestRejectsUnsequencedTCP(t *testing.T) {
 	}
 
 	for _, cp := range corpus.All() {
-		rg := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
+		rg := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 		rs, err := rg.ReplayPcap(bytes.NewReader(cp.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: replay refused a packet: %v", cp.Name, err)
@@ -627,30 +409,18 @@ func TestTryIngestRejectsUnsequencedTCP(t *testing.T) {
 		if got := rg.Stats().Packets; rs.Ingested != rs.TCPSegments+rs.UDPPackets+rs.OtherIPPackets || got != rs.Ingested {
 			t.Fatalf("%s: replay ingested %d, the gateway counted %d: %+v", cp.Name, rs.Ingested, got, rs)
 		}
-		if err := rg.Close(); err != nil {
-			t.Fatal(err)
-		}
+		closeCheckpoint(t, rg)
 	}
 }
 
 func TestGatewayIdleEviction(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("p", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := testGateway(t, m, GatewayConfig{IdleTimeout: 8, StreamWorkers: 1}, func(FlowMatch) {})
+	gw := testGateway(t, testMatcher(t, literal("needle")), 1, GatewayConfig{IdleTimeout: 8, StreamWorkers: 1}, func(FlowMatch) {})
 	a := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: ProtoTCP}
 	var sq Sequencer
-	if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: a, Payload: []byte("x")})); err != nil {
-		t.Fatal(err)
-	}
+	ingestWorkload(t, gw, 1, sq.Seq(GatewayPacket{Tuple: a, Payload: []byte("x")}))
 	for i := 0; i < 20; i++ {
 		b := FiveTuple{SrcIP: 7, DstIP: 8, SrcPort: uint16(i), DstPort: 2, Proto: ProtoTCP}
-		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: b, Payload: []byte("y")})); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, sq.Seq(GatewayPacket{Tuple: b, Payload: []byte("y")}))
 	}
 	gw.Flush()
 	gw.EvictIdleFlows()
@@ -661,9 +431,7 @@ func TestGatewayIdleEviction(t *testing.T) {
 	if st.FlowsEvicted == 0 {
 		t.Fatalf("idle flow never evicted: %+v", st)
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 }
 
 // TestGatewayRejectsWideIdleTimeout: a flow-table entry keeps only the low
@@ -674,15 +442,13 @@ func TestGatewayRejectsWideIdleTimeout(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("IdleTimeout cannot reach 2^31 with a 32-bit int")
 	}
-	m, _ := gatewayMatcher(t, 40)
+	m := testMatcher(t, snortLike(40, 77, BackendAuto))
 	wide := int(int64(1) << 31)
 	if _, err := NewGateway(m, GatewayConfig{IdleTimeout: wide, StreamWorkers: 1}, func(FlowMatch) {}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("IdleTimeout 2^31: %v, want ErrBadConfig", err)
 	}
-	gw := testGateway(t, m, GatewayConfig{IdleTimeout: wide - 1, StreamWorkers: 1}, func(FlowMatch) {})
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	gw := testGateway(t, m, 1, GatewayConfig{IdleTimeout: wide - 1, StreamWorkers: 1}, func(FlowMatch) {})
+	closeCheckpoint(t, gw)
 }
 
 func ExampleGateway() {
@@ -719,14 +485,7 @@ func TestGatewayStreamLaneSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
 	}
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("attack-signature"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
-	defer gw.Close()
+	gw := testGateway(t, testMatcher(t, literal("attack-signature")), 1, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 
 	tuple := FiveTuple{
 		SrcIP: IPv4(10, 0, 0, 1), DstIP: IPv4(10, 0, 0, 2),
@@ -758,14 +517,7 @@ func TestGatewayFullPathSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
 	}
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("attack-signature"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
-	defer gw.Close()
+	gw := testGateway(t, testMatcher(t, literal("attack-signature")), 1, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 
 	payload := bytes.Repeat([]byte("x"), 1200)
 	tcp := GatewayPacket{Payload: payload, Flags: FlagSeq, Tuple: FiveTuple{
@@ -802,15 +554,8 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
 	}
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("attack-signature"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const lanes = 4
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, EngineShards: lanes}, func(FlowMatch) {})
-	defer gw.Close()
+	gw := testGateway(t, testMatcher(t, literal("attack-signature")), lanes, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 
 	// One tuple pinned to each lane, so every lane's path is exercised in
 	// the measured loop.
@@ -857,38 +602,11 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 // and at the end Stats must be the sum of its lanes, each lane's ledger
 // balanced.
 func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
-	m, set := gatewayMatcher(t, 120)
-	pkts, err := traffic.Generate(set, traffic.Config{
-		Packets: 600, Bytes: 160, Seed: 9, AttackDensity: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newCollector()
+	m := testMatcher(t, snortLike(120, 77, BackendAuto))
+	pkts := mixedTraffic(t, m, traffic.Config{Packets: 600, Bytes: 160, Seed: 9, AttackDensity: 1})
 	// A small queue keeps every lane (and its backpressure) constantly
 	// active.
-	gw := testGateway(t, m, GatewayConfig{
-		EngineShards: 4, QueueDepth: 4, StreamWorkers: 2,
-	}, c.emit)
-	var wg sync.WaitGroup
-	var sq Sequencer
-	const ingesters = 4
-	for gi := 0; gi < ingesters; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			for i := gi; i < len(pkts); i += ingesters {
-				tup := FiveTuple{SrcIP: uint32(i), DstIP: 9, SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
-				if i%3 == 0 {
-					tup.Proto = ProtoTCP
-				}
-				if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup, Payload: pkts[i].Payload})); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(gi)
-	}
+	gw := testGateway(t, m, 4, GatewayConfig{QueueDepth: 4, StreamWorkers: 2}, func(FlowMatch) {})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -909,11 +627,9 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 			gw.LaneStats() // concurrent per-lane reads must be race-clean
 		}
 	}()
-	wg.Wait()
+	ingestWorkload(t, gw, 4, pkts...)
 	<-done
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 	st := gw.Stats()
 	if st.Packets != uint64(len(pkts)) || st.StreamPackets+st.BatchPackets != st.Packets {
 		t.Fatalf("sharded pipeline lost packets: %+v", st)
@@ -925,7 +641,6 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 	if int(st.Matches) != want {
 		t.Fatalf("matches = %d, oracle %d", st.Matches, want)
 	}
-	requireLaneSums(t, gw, "after Close")
 	// The stateless packets must actually have fanned out: with per-packet
 	// unique tuples and 400 UDP packets, batch work spreads over the lanes.
 	busy := 0
@@ -945,32 +660,19 @@ func TestGatewayShardedConcurrentIngestFlush(t *testing.T) {
 // eviction reclaims it like any entry, after which the tuple is inspected
 // again.
 func TestGatewayQuarantineHusk(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("p", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var armed atomic.Bool
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, IdleTimeout: 4}, func(FlowMatch) {
+	gw := testGateway(t, testMatcher(t, literal("needle")), 1, GatewayConfig{StreamWorkers: 1, IdleTimeout: 4}, func(FlowMatch) {
 		if armed.CompareAndSwap(true, false) {
 			panic("injected scan-path panic")
 		}
 	})
-	defer gw.Close()
 	victim := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 2, Proto: ProtoTCP}
 	var sq Sequencer
 	step := func(flags TCPFlags, payload string) GatewayStats {
 		t.Helper()
-		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: victim, Flags: flags, Payload: []byte(payload)})); err != nil {
-			t.Fatal(err)
-		}
-		gw.Flush()
-		st := gw.Stats()
-		if l := st.Ledger(); !l.Balanced() {
-			t.Fatalf("ledger after %q: %+v", payload, l)
-		}
-		return st
+		ingestWorkload(t, gw, 1, sq.Seq(GatewayPacket{Tuple: victim, Flags: flags, Payload: []byte(payload)}))
+		checkpoint(t, gw, fmt.Sprintf("after %q", payload))
+		return gw.Stats()
 	}
 
 	armed.Store(true)
@@ -996,9 +698,7 @@ func TestGatewayQuarantineHusk(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ { // age the husk past IdleTimeout
 		other := FiveTuple{SrcIP: 7, DstIP: 8, SrcPort: uint16(i), DstPort: 2, Proto: ProtoTCP}
-		if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: other, Payload: []byte("y")})); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, sq.Seq(GatewayPacket{Tuple: other, Payload: []byte("y")}))
 	}
 	gw.Flush()
 	gw.EvictIdleFlows()
@@ -1015,33 +715,17 @@ func TestGatewayQuarantineHusk(t *testing.T) {
 // comes back down, so the swap's drain barrier passes; and the same lane
 // scans the sender's next datagram with the swapped-in, healthy generation.
 func TestGatewayDatagramScanPanicContained(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("p", []byte("needle"))
-	good, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisoned := *good
+	poisoned := *testMatcher(t, literal("needle"))
 	poisoned.machine = &core.Machine{} // no state memory: the first stored-row lookup is out of range
-	healthy, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	healthy := compileRules(t, literal("needle"))
 	c := newCollector()
-	gw := testGateway(t, &poisoned, GatewayConfig{StreamWorkers: 1}, c.emit)
-	defer gw.Close()
+	gw := testGateway(t, &poisoned, 1, GatewayConfig{StreamWorkers: 1}, c.emit)
 	sender := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 1, DstPort: 53, Proto: ProtoUDP}
 	step := func(payload string) GatewayStats {
 		t.Helper()
-		if err := gw.Ingest(GatewayPacket{Tuple: sender, Payload: []byte(payload)}); err != nil {
-			t.Fatal(err)
-		}
-		gw.Flush()
-		st := gw.Stats()
-		if l := st.Ledger(); !l.Balanced() {
-			t.Fatalf("ledger after %q: %+v", payload, l)
-		}
-		return st
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: sender, Payload: []byte(payload)})
+		checkpoint(t, gw, fmt.Sprintf("after %q", payload))
+		return gw.Stats()
 	}
 
 	st := step("a needle")
@@ -1059,7 +743,7 @@ func TestGatewayDatagramScanPanicContained(t *testing.T) {
 	if st.Panics != 1 || st.QuarantinedBytes != 8 || st.ScannedBytes != 7 || st.Matches != 1 || st.BatchPackets != 2 {
 		t.Fatalf("the lane did not scan the next datagram: %+v", st)
 	}
-	if got, want := c.byTuple[sender], healthy.FindAll([]byte("needle!")); !sameMatchSeq(got, want) {
+	if got, want := c.matches(sender), healthy.FindAll([]byte("needle!")); !sameMatches(got, want) {
 		t.Fatalf("post-containment datagram: got %+v, want %+v", got, want)
 	}
 }

@@ -8,6 +8,7 @@ package dpi
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/ac"
@@ -36,15 +37,8 @@ func internalSet(t *testing.T, r *Ruleset) *ruleset.Set {
 func TestPipelineEndToEnd(t *testing.T) {
 	// Generate → compile → scan, and agree with (a) the goto/fail
 	// reference, (b) the bitmap baseline on identical traffic.
-	rules, err := GenerateSnortLike(1204, 2010)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matcher, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := internalSet(t, rules)
+	matcher := testMatcher(t, snortLike(1204, 2010, BackendAuto))
+	set := internalSet(t, matcher.rules)
 	pkts, err := traffic.Generate(set, traffic.Config{
 		Packets:       16,
 		Bytes:         1200,
@@ -85,14 +79,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 func TestPipelineMatchOffsetsExact(t *testing.T) {
 	// Every reported [Start, End) must contain exactly the pattern bytes.
-	rules, err := GenerateSnortLike(400, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matcher, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	matcher := testMatcher(t, snortLike(400, 77, BackendAuto))
+	rules := matcher.rules
 	set := internalSet(t, rules)
 	pkts, err := traffic.Generate(set, traffic.Config{
 		Packets: 10, Bytes: 900, Seed: 7, AttackDensity: 2,
@@ -117,15 +105,8 @@ func TestPipelineMatchOffsetsExact(t *testing.T) {
 
 func TestPipelineDeterministicAcrossRuns(t *testing.T) {
 	build := func() ([]Match, CompressionStats) {
-		rules, err := GenerateSnortLike(500, 4242)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := Compile(rules, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := append([]byte("xx "), rules.Content(123)...)
+		m := compileRules(t, snortLike(500, 4242, BackendAuto))
+		payload := append([]byte("xx "), m.rules.Content(123)...)
 		return m.FindAll(payload), m.Stats()
 	}
 	m1, s1 := build()
@@ -133,12 +114,7 @@ func TestPipelineDeterministicAcrossRuns(t *testing.T) {
 	if s1 != s2 {
 		t.Fatalf("stats differ across identical builds:\n%+v\n%+v", s1, s2)
 	}
-	if len(m1) != len(m2) {
-		t.Fatalf("matches differ: %d vs %d", len(m1), len(m2))
-	}
-	for i := range m1 {
-		if m1[i] != m2[i] {
-			t.Fatalf("match %d differs: %+v vs %+v", i, m1[i], m2[i])
-		}
+	if !slices.Equal(m1, m2) {
+		t.Fatalf("matches differ across identical builds:\n%+v\n%+v", m1, m2)
 	}
 }

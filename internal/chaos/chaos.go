@@ -27,7 +27,6 @@ package chaos
 import (
 	"sync/atomic"
 
-	dpi "repro"
 	"repro/internal/rng"
 	"repro/internal/traffic"
 )
@@ -70,7 +69,7 @@ func (in *Injector) Storm(pkts []traffic.FlowPacket, cfg StormConfig) []traffic.
 	out := make([]emission, 0, len(pkts)+len(pkts)/2)
 	for i, p := range pkts {
 		out = append(out, emission{p: p, at: i})
-		if cfg.DupFactor > 0 && p.Flags&byte(dpi.FlagSYN) == 0 {
+		if cfg.DupFactor > 0 && p.Flags&traffic.FlagSYN == 0 {
 			for f := cfg.DupFactor; f > 0; f-- {
 				if !in.src.Bool(min64(f, 1)) {
 					continue
@@ -92,13 +91,13 @@ func (in *Injector) Storm(pkts []traffic.FlowPacket, cfg StormConfig) []traffic.
 		// already emit at or after their original, which is after the SYN.
 		synAt := map[int]int{}
 		for i, p := range pkts {
-			if p.Flags&byte(dpi.FlagSYN) != 0 {
+			if p.Flags&traffic.FlagSYN != 0 {
 				synAt[p.FlowID] = i
 			}
 		}
 		for idx := range out {
 			e := &out[idx]
-			if e.p.Retransmit || e.p.Flags&byte(dpi.FlagSYN) != 0 {
+			if e.p.Retransmit || e.p.Flags&traffic.FlagSYN != 0 {
 				continue
 			}
 			lo := e.at - cfg.ReorderSpan
@@ -169,15 +168,16 @@ func (in *Injector) Mangle(pcap []byte, n int) [][]byte {
 	return out
 }
 
-// PanicOnce wraps a gateway emit callback so that the first match
-// satisfying trigger panics — exactly once, however many lanes race past
-// it — and every other match forwards untouched. The panic fires on the
-// lane that produced the match, for a flow's matches and a stateless
-// packet's alike: the same stack a scanner bug would blow up on, which is
-// what the gateway's containment must survive.
-func PanicOnce(emit func(dpi.FlowMatch), trigger func(dpi.FlowMatch) bool) func(dpi.FlowMatch) {
+// PanicOnce wraps a callback (the gateway's emit, whose argument M is a
+// match) so that the first call satisfying trigger panics — exactly once,
+// however many lanes race past it — and every other call forwards
+// untouched. The panic fires on the lane that produced the match, for a
+// flow's matches and a stateless packet's alike: the same stack a scanner
+// bug would blow up on, which is what the gateway's containment must
+// survive.
+func PanicOnce[M any](emit func(M), trigger func(M) bool) func(M) {
 	var fired atomic.Bool
-	return func(m dpi.FlowMatch) {
+	return func(m M) {
 		if trigger(m) && fired.CompareAndSwap(false, true) {
 			panic("chaos: injected scan-path panic")
 		}
@@ -185,14 +185,14 @@ func PanicOnce(emit func(dpi.FlowMatch), trigger func(dpi.FlowMatch) bool) func(
 	}
 }
 
-// StallOnce wraps a gateway emit callback so that the first match
+// StallOnce wraps a callback, as PanicOnce does, so that the first call
 // satisfying trigger blocks until release is closed — a wedged downstream
 // consumer holding a pipeline lane hostage, the situation the stall
 // watchdog exists to expose. Matches after the stall (and all matches once
 // released) forward untouched.
-func StallOnce(emit func(dpi.FlowMatch), trigger func(dpi.FlowMatch) bool, release <-chan struct{}) func(dpi.FlowMatch) {
+func StallOnce[M any](emit func(M), trigger func(M) bool, release <-chan struct{}) func(M) {
 	var fired atomic.Bool
-	return func(m dpi.FlowMatch) {
+	return func(m M) {
 		if trigger(m) && fired.CompareAndSwap(false, true) {
 			<-release
 		}

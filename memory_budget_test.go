@@ -16,21 +16,10 @@ import (
 	"repro/internal/ac"
 )
 
-// budgetRules compiles the flood's ruleset afresh: every swap installs a
-// new compile of the same rules, so every generation finds what FindAll on
-// the first one finds.
-func budgetRules(t testing.TB) *Matcher {
-	t.Helper()
-	rules := NewRuleset()
-	rules.MustAdd("needle", []byte("needle"))
-	rules.MustAdd("haystack", []byte("haystack"))
-	rules.MustAdd("attack", []byte("attack"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
+// floodRules is the flood's ruleset. Every swap installs a new compile of
+// it (compileRules), so every generation finds what FindAll on the first
+// one finds.
+var floodRules = literal("needle", "haystack", "attack")
 
 // budgetStreamLen is each connection's stream length: 96 bytes, then three
 // 64-byte segments the reordering phase holds.
@@ -93,7 +82,7 @@ func (f *budgetFlood) send(phase string, i, off int, data []byte, flags TCPFlags
 	}
 	f.sent++
 	if f.sent%150 == 0 {
-		if err := f.gw.SwapRules(budgetRules(f.t)); err != nil {
+		if err := f.gw.SwapRules(compileRules(f.t, floodRules)); err != nil {
 			f.t.Fatal(err)
 		}
 	}
@@ -193,26 +182,20 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 	for _, shape := range []struct{ shards, workers int }{{1, 1}, {2, 2}} {
 		t.Run(fmt.Sprintf("lanes=%d", shape.shards*shape.workers), func(t *testing.T) {
 			const conns = 200
-			m := budgetRules(t)
+			m := compileRules(t, floodRules)
 			var mu sync.Mutex
 			opened := map[FiveTuple]int{}
 			c := newCollector()
-			gw := testGateway(t, m, GatewayConfig{
-				EngineShards: shape.shards, StreamWorkers: shape.workers, GapTimeout: -1,
+			gw := testGateway(t, m, shape.shards, GatewayConfig{
+				StreamWorkers: shape.workers, GapTimeout: -1,
 				MemoryBudget: conns * ConnEntry,
 				Rules:        []VerdictRule{{ID: 1, Name: "all", Verdict: VerdictAlert}},
 				// A verdict per connection: a tuple opened once was never evicted.
 				OnVerdict: func(v FlowVerdict) { mu.Lock(); opened[v.Tuple]++; mu.Unlock() },
 			}, c.emit)
-			defer gw.Close()
-			f := newBudgetFlood(t, SoakSeed(4040), conns)
+			f := newBudgetFlood(t, soakSeed(4040), conns)
 			checked, husks := 0, 0
 			check := func(phase string) {
-				st := gw.Stats()
-				if !st.Ledger().Balanced() {
-					t.Fatalf("%s: ledger %+v", phase, st.Ledger())
-				}
-				requireLaneSums(t, gw, phase)
 				pos := map[FiveTuple]int{}
 				isHusk := map[FiveTuple]bool{}
 				gw.eachLane(func(ln *gwLane) {
@@ -226,8 +209,8 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 						}
 					}
 				})
+				o := newOracle(c)
 				mu.Lock()
-				defer mu.Unlock()
 				for i, tup := range f.tuples {
 					s := f.streams[i]
 					p, open := pos[tup]
@@ -240,11 +223,10 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 						husks++
 					}
 					checked++
-					if got, want := c.byTuple[tup], m.FindAll(delivered); !sameMatchSeq(got, want) {
-						t.Fatalf("%s: tuple %v has %d matches over its %d delivered bytes, FindAll %d",
-							phase, tup, len(got), len(delivered), len(want))
-					}
+					o.deliver(m, tup, delivered, 0)
 				}
+				mu.Unlock()
+				checkpoint(t, gw, phase, o)
 			}
 			f.run(gw, check)
 			st := gw.Stats()
@@ -253,9 +235,7 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 				st.RulesetSwaps == 0 || checked == 0 || husks == 0 {
 				t.Fatal("the flood never evicted, held, dropped, swapped or left a survivor; the soak is vacuous")
 			}
-			if err := gw.Close(); err != nil {
-				t.Fatal(err)
-			}
+			closeCheckpoint(t, gw)
 			if st := gw.Stats(); st.BufferedBytes != 0 || !st.Ledger().Balanced() {
 				t.Fatalf("after Close: %+v", st)
 			}
@@ -287,15 +267,14 @@ func TestHeapWithinBudget(t *testing.T) {
 		t.Skip("heap growth is not the product's under -race")
 	}
 	const conns = 200
-	f := newBudgetFlood(t, SoakSeed(4040), conns)
+	f := newBudgetFlood(t, soakSeed(4040), conns)
 	before := liveHeap()
-	m := budgetRules(t)
+	m := compileRules(t, floodRules)
 	image := int(liveHeap() - before)
 	var matches atomic.Uint64
-	gw := testGateway(t, m, GatewayConfig{
+	gw := testGateway(t, m, 1, GatewayConfig{
 		StreamWorkers: 1, GapTimeout: -1, MemoryBudget: conns * ConnEntry,
 	}, func(FlowMatch) { matches.Add(1) })
-	defer gw.Close()
 	ln := gw.lanes[0]
 	// A set's peak: the charge before a packet is at most share + one
 	// connection, and the packet may add one more before the lane evicts.
@@ -365,18 +344,14 @@ func TestHeapWithinBudget(t *testing.T) {
 // evicting husks. Held bytes may take what the lane's connections leave;
 // husks, which cost nothing to lose, give way to them.
 func TestHeldBytesPushOutHusks(t *testing.T) {
-	m := budgetRules(t)
 	c := newCollector()
 	const budget = 4096
 	// LastWins holds the segment below whole, so it needs the room of its
 	// 200 bytes; folded, it would fit beside the husks.
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1, GapTimeout: -1, MemoryBudget: budget, OverlapPolicy: LastWins}, c.emit)
-	defer gw.Close()
+	gw := testGateway(t, testMatcher(t, floodRules), 1, GatewayConfig{StreamWorkers: 1, GapTimeout: -1, MemoryBudget: budget, OverlapPolicy: LastWins}, c.emit)
 	send := func(tup FiveTuple, seq uint32, flags TCPFlags, payload string) {
 		t.Helper()
-		if err := gw.Ingest(GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup, Seq: seq, Flags: flags | FlagSeq, Payload: []byte(payload)})
 	}
 	live := footprintTuple(0)
 	send(live, 100, FlagSYN, "")
@@ -399,7 +374,7 @@ func TestHeldBytesPushOutHusks(t *testing.T) {
 	}
 	send(live, 106, 0, "dle.")
 	gw.Flush()
-	if got := c.byTuple[live]; len(got) != 1 || !gw.Stats().Ledger().Balanced() {
+	if got := c.matches(live); len(got) != 1 || !gw.Stats().Ledger().Balanced() {
 		t.Fatalf("the live flow's straddling signature: %d matches, want 1", len(got))
 	}
 }

@@ -36,19 +36,15 @@ func TestGatewayMetricsSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := corpusMatcher(t, BackendAuto)
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, EngineShards: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
-	defer gw.Close()
+	m := testMatcher(t, corpusRules(BackendAuto))
+	gw := testGateway(t, m, 2, GatewayConfig{StreamWorkers: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
 	if _, err := gw.ReplayPcap(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
 	gw.Flush()
 
-	var buf bytes.Buffer
-	if _, err := gw.Metrics().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	exp := buf.Bytes()
+	out := scrape(t, gw)
+	exp := []byte(out)
 	if n, err := metrics.Validate(exp); err != nil {
 		t.Fatalf("invalid exposition: %v\n%s", err, exp)
 	} else if n == 0 {
@@ -56,7 +52,6 @@ func TestGatewayMetricsSeries(t *testing.T) {
 	}
 
 	s := gw.Stats()
-	out := string(exp)
 	for _, want := range []string{
 		fmt.Sprintf("dpi_gateway_packets_total %d\n", s.Packets),
 		fmt.Sprintf("dpi_gateway_payload_bytes_total %d\n", s.Bytes),
@@ -102,31 +97,23 @@ func TestGatewayMetricsSeries(t *testing.T) {
 // flow while the lane opens three, and what is left is one entry, a husk,
 // which dpi_gateway_flow_husks reports in a strictly valid exposition.
 func TestGatewayMetricsFlowsOpenedPerConnection(t *testing.T) {
-	m := corpusMatcher(t, BackendAuto)
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
-	defer gw.Close()
+	m := testMatcher(t, corpusRules(BackendAuto))
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	tup := FiveTuple{SrcIP: IPv4(10, 0, 0, 1), DstIP: IPv4(10, 0, 0, 2), SrcPort: 40000, DstPort: 80, Proto: ProtoTCP}
 	for conn := uint32(0); conn < 3; conn++ {
 		isn := conn * 5000
-		for _, p := range []GatewayPacket{
+		ingestWorkload(t, gw, 1, []GatewayPacket{
 			{Tuple: tup, Seq: isn, Flags: FlagSeq | FlagSYN},
 			{Tuple: tup, Seq: isn + 1, Flags: FlagSeq, Payload: []byte("GET / HTTP/1.1")},
 			{Tuple: tup, Seq: isn + 15, Flags: FlagSeq | FlagFIN},
-		} {
-			if err := gw.Ingest(p); err != nil {
-				t.Fatal(err)
-			}
-		}
+		}...)
 	}
-	gw.Flush()
+	checkpoint(t, gw, "after three connections")
 	if st := gw.Stats(); st.FlowsCreated != 1 || st.FlowsFinished != 3 || st.FlowsOpened != 3 {
 		t.Fatalf("three connections on one tuple, want 1 flow created and 3 finished and opened: %+v", st)
 	}
-	var buf bytes.Buffer
-	if _, err := gw.Metrics().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := metrics.Validate(buf.Bytes()); err != nil {
+	out := scrape(t, gw)
+	if _, err := metrics.Validate([]byte(out)); err != nil {
 		t.Errorf("scrape invalid: %v", err)
 	}
 	for _, want := range []string{
@@ -134,7 +121,7 @@ func TestGatewayMetricsFlowsOpenedPerConnection(t *testing.T) {
 		"dpi_gateway_flows_live 1\n",
 		"dpi_gateway_flow_husks 1\n",
 	} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
@@ -143,9 +130,8 @@ func TestGatewayMetricsFlowsOpenedPerConnection(t *testing.T) {
 // TestGatewayMetricsHTTP mounts the handler and checks the scrape
 // response shape: Content-Type, validity, method restriction.
 func TestGatewayMetricsHTTP(t *testing.T) {
-	m := corpusMatcher(t, BackendAuto)
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
-	defer gw.Close()
+	m := testMatcher(t, corpusRules(BackendAuto))
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 
 	srv := httptest.NewServer(gw.Metrics())
 	defer srv.Close()
@@ -176,8 +162,8 @@ func TestGatewayMetricsHTTP(t *testing.T) {
 // snapshot path (run under -race in CI). Every concurrent scrape must be
 // a well-formed exposition.
 func TestGatewayMetricsScrapeUnderLoad(t *testing.T) {
-	m := corpusMatcher(t, BackendAuto)
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, EngineShards: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
+	m := testMatcher(t, corpusRules(BackendAuto))
+	gw := testGateway(t, m, 2, GatewayConfig{StreamWorkers: 2, Rules: metricsTestRules()}, func(FlowMatch) {})
 	gm := gw.Metrics()
 
 	corpora := [][]byte{corpus.HTTPMixed().Bytes(), corpus.EvasionWrap().Bytes()}
@@ -223,8 +209,7 @@ func TestGatewayMetricsScrapeUnderLoad(t *testing.T) {
 	feedWg.Wait()
 	close(done)
 	scrapeWg.Wait()
-	gw.Flush()
-	gw.Close()
+	closeCheckpoint(t, gw)
 
 	// One final post-drain scrape must still be valid and show the traffic.
 	var buf bytes.Buffer

@@ -11,6 +11,7 @@ package dpi
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -21,18 +22,13 @@ import (
 	"repro/internal/core"
 )
 
-// corpusMatcher compiles the corpus ruleset with the given backend.
-func corpusMatcher(t *testing.T, backend string) *Matcher {
-	t.Helper()
-	rs := NewRuleset()
+// corpusRules is the corpus ruleset on backend.
+func corpusRules(backend string) ruleSpec {
+	rs := ruleSpec{backend: backend}
 	for _, r := range corpus.Rules() {
-		rs.MustAdd(r.Name, []byte(r.Content))
+		rs.lit = append(rs.lit, r.Content)
 	}
-	m, err := Compile(rs, Config{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return rs
 }
 
 // matchKey identifies one match for multiset comparison. PacketID is
@@ -78,32 +74,59 @@ func TestCommittedCorporaMatch(t *testing.T) {
 	}
 }
 
+// replayCounts replays the pcap files raws, in turn, into one fresh
+// gateway over m with shards engine shards and two lanes each, closes it,
+// and returns the multiset of matches it emitted and the last replay's
+// stats.
+func replayCounts(t *testing.T, m *Matcher, shards int, raws ...[]byte) (map[matchKey]int, ReplayStats) {
+	t.Helper()
+	var mu sync.Mutex
+	got := map[matchKey]int{}
+	gw := testGateway(t, m, shards, GatewayConfig{StreamWorkers: 2}, func(fm FlowMatch) {
+		mu.Lock()
+		got[matchKey{fm.Tuple, fm.PatternID, fm.Start, fm.End}]++
+		mu.Unlock()
+	})
+	var rs ReplayStats
+	for _, raw := range raws {
+		var err error
+		if rs, err = gw.ReplayPcap(bytes.NewReader(raw)); err != nil {
+			t.Fatalf("shards=%d: replay: %v", shards, err)
+		}
+	}
+	closeCheckpoint(t, gw)
+	return got, rs
+}
+
+// requireCounts fails t unless got and want are the same multiset of
+// matches.
+func requireCounts(t *testing.T, label string, got, want map[matchKey]int) {
+	t.Helper()
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("%s: match %+v: got %d, oracle %d", label, k, got[k], n)
+		}
+	}
+	for k, n := range got {
+		if want[k] == 0 {
+			t.Errorf("%s: unexpected match %+v ×%d", label, k, n)
+		}
+	}
+}
+
 // TestPcapScenarioOracle replays each committed corpus through gateways
 // with 1, 2 and 4 engine shards and requires the emitted match multiset to
 // equal the FindAll oracle over the corpus truth exactly.
 func TestPcapScenarioOracle(t *testing.T) {
 	for _, c := range corpus.All() {
-		m := corpusMatcher(t, BackendAuto)
+		m := testMatcher(t, corpusRules(BackendAuto))
 		want := oracleCounts(m, c)
 		raw, err := os.ReadFile(filepath.Join("testdata", "pcap", c.File))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 2, 4} {
-			var mu sync.Mutex
-			got := map[matchKey]int{}
-			gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, EngineShards: shards}, func(fm FlowMatch) {
-				mu.Lock()
-				got[matchKey{fm.Tuple, fm.PatternID, fm.Start, fm.End}]++
-				mu.Unlock()
-			})
-			rs, err := gw.ReplayPcap(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatalf("%s/shards=%d: replay: %v", c.Name, shards, err)
-			}
-			gw.Flush()
-			gw.Close()
-
+			got, rs := replayCounts(t, m, shards, raw)
 			if rs.Frames != c.Stats.Frames || rs.TCPSegments != c.Stats.TCPSegments ||
 				rs.UDPPackets != c.Stats.UDPPackets || rs.OtherIPPackets != c.Stats.OtherIP ||
 				rs.NonIP != c.Stats.NonIP || rs.Fragments != c.Stats.Fragments ||
@@ -115,17 +138,7 @@ func TestPcapScenarioOracle(t *testing.T) {
 			if rs.Ingested != rs.TCPSegments+rs.UDPPackets+rs.OtherIPPackets {
 				t.Errorf("%s/shards=%d: Ingested %d != delivered sum", c.Name, shards, rs.Ingested)
 			}
-
-			for k, n := range want {
-				if got[k] != n {
-					t.Errorf("%s/shards=%d: match %+v: got %d, oracle %d", c.Name, shards, k, got[k], n)
-				}
-			}
-			for k, n := range got {
-				if want[k] == 0 {
-					t.Errorf("%s/shards=%d: unexpected match %+v ×%d", c.Name, shards, k, n)
-				}
-			}
+			requireCounts(t, fmt.Sprintf("%s/shards=%d", c.Name, shards), got, want)
 		}
 	}
 }
@@ -141,30 +154,9 @@ func TestPcapScenarioOracleAllBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, backend := range core.RegisteredBackends() {
-		m := corpusMatcher(t, backend)
-		want := oracleCounts(m, c)
-		var mu sync.Mutex
-		got := map[matchKey]int{}
-		gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, EngineShards: 2}, func(fm FlowMatch) {
-			mu.Lock()
-			got[matchKey{fm.Tuple, fm.PatternID, fm.Start, fm.End}]++
-			mu.Unlock()
-		})
-		if _, err := gw.ReplayPcap(bytes.NewReader(raw)); err != nil {
-			t.Fatalf("%s: replay: %v", backend, err)
-		}
-		gw.Flush()
-		gw.Close()
-		for k, n := range want {
-			if got[k] != n {
-				t.Errorf("%s: match %+v: got %d, oracle %d", backend, k, got[k], n)
-			}
-		}
-		for k := range got {
-			if want[k] == 0 {
-				t.Errorf("%s: unexpected match %+v", backend, k)
-			}
-		}
+		m := testMatcher(t, corpusRules(backend))
+		got, _ := replayCounts(t, m, 2, raw)
+		requireCounts(t, backend, got, oracleCounts(m, c))
 	}
 }
 
@@ -175,8 +167,7 @@ func TestPcapScenarioOracleAllBackends(t *testing.T) {
 // the file boundary as if the capture had never rotated.
 func TestPcapReplayAcrossFileBoundary(t *testing.T) {
 	c := corpus.EvasionWrap()
-	m := corpusMatcher(t, BackendAuto)
-	want := oracleCounts(m, c)
+	m := testMatcher(t, corpusRules(BackendAuto))
 
 	// Split mid-sequence: the corpus interleaves its flows across the whole
 	// record list precisely so any midpoint cuts through live flows.
@@ -185,33 +176,8 @@ func TestPcapReplayAcrossFileBoundary(t *testing.T) {
 		sub := &corpus.Corpus{Writer: c.Writer, Records: recs}
 		return sub.Bytes()
 	}
-	fileA, fileB := part(c.Records[:half]), part(c.Records[half:])
-
-	var mu sync.Mutex
-	got := map[matchKey]int{}
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 2, EngineShards: 2}, func(fm FlowMatch) {
-		mu.Lock()
-		got[matchKey{fm.Tuple, fm.PatternID, fm.Start, fm.End}]++
-		mu.Unlock()
-	})
-	for _, raw := range [][]byte{fileA, fileB} {
-		if _, err := gw.ReplayPcap(bytes.NewReader(raw)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gw.Flush()
-	gw.Close()
-
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("match %+v: got %d, oracle %d", k, got[k], n)
-		}
-	}
-	for k := range got {
-		if want[k] == 0 {
-			t.Errorf("unexpected match %+v", k)
-		}
-	}
+	got, _ := replayCounts(t, m, 2, part(c.Records[:half]), part(c.Records[half:]))
+	requireCounts(t, "two files", got, oracleCounts(m, c))
 }
 
 // TestPcapReplayTruncatedFile: a capture cut mid-record reports
@@ -220,9 +186,8 @@ func TestPcapReplayAcrossFileBoundary(t *testing.T) {
 func TestPcapReplayTruncatedFile(t *testing.T) {
 	c := corpus.HTTPMixed()
 	raw := c.Bytes()
-	m := corpusMatcher(t, BackendAuto)
-	gw := testGateway(t, m, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
-	defer gw.Close()
+	m := testMatcher(t, corpusRules(BackendAuto))
+	gw := testGateway(t, m, 1, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 
 	rs, err := gw.ReplayPcap(bytes.NewReader(raw[:len(raw)-7]))
 	if !errors.Is(err, io.ErrUnexpectedEOF) {

@@ -1,11 +1,6 @@
 package dpi
 
-import (
-	"testing"
-
-	"repro/internal/ac"
-	"repro/internal/core"
-)
+import "testing"
 
 // FuzzPrefilterEquivalence is the two-stage pipeline's contract under fuzz:
 // for a fuzz-chosen ruleset, payload and operation sequence (chunked
@@ -57,17 +52,7 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 		if rules == nil {
 			t.Skip("no patterns")
 		}
-		shape := byte(0)
-		if len(ops) > 0 {
-			shape = ops[0]
-		}
-		cfg := core.Options{Backend: BackendPrefiltered}
-		switch shape % 3 {
-		case 1:
-			cfg.DenseStates = -1 // compressed tier only
-		case 2:
-			cfg.DenseStates = 6 // tiny dense tier, most states on CSR
-		}
+		shape, cfg := fuzzShape(ops, BackendPrefiltered)
 		pre, err := compile(rules, cfg)
 		if err != nil {
 			// A fuzz-shaped ruleset outside the baked row format cannot pin
@@ -83,87 +68,6 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trie, err := ac.New(rules.InternalSet())
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		var pOut, rOut []Match
-		pf := pre.NewStream(func(m Match) { pOut = append(pOut, m) })
-		rf := ref.NewStream(func(m Match) { rOut = append(rOut, m) })
-
-		var seg []byte // contiguous bytes both flows have seen since the last gap
-		segStart := 0  // flow position where the segment began
-		segMark := 0   // len(pOut) when the segment began
-		checkSegment := func() {
-			t.Helper()
-			want := trie.FindAll(seg)
-			ac.SortMatches(want)
-			got := pOut[segMark:]
-			if len(got) != len(want) {
-				t.Fatalf("segment at %d: prefiltered found %d matches, oracle %d (shape %#x)",
-					segStart, len(got), len(want), shape)
-			}
-			for i, w := range want {
-				end := w.End + segStart
-				start := end - len(rules.Content(int(w.PatternID)))
-				if got[i].PatternID != int(w.PatternID) || got[i].End != end || got[i].Start != start {
-					t.Fatalf("segment at %d: match %d = %+v, oracle id=%d [%d,%d)",
-						segStart, i, got[i], w.PatternID, start, end)
-				}
-			}
-		}
-		checkAgainstRef := func(op string) {
-			t.Helper()
-			if pf.Consumed() != rf.Consumed() {
-				t.Fatalf("%s: prefiltered consumed %d, reference %d", op, pf.Consumed(), rf.Consumed())
-			}
-			if len(pOut) != len(rOut) {
-				t.Fatalf("%s: prefiltered emitted %d matches, reference %d", op, len(pOut), len(rOut))
-			}
-			for i := range pOut {
-				if pOut[i] != rOut[i] {
-					t.Fatalf("%s: match %d prefiltered %+v reference %+v", op, i, pOut[i], rOut[i])
-				}
-			}
-		}
-
-		off := 0 // cycling read offset into payload
-		for _, op := range ops {
-			switch op % 8 {
-			case 0: // Reset: flow restarts at position zero
-				checkSegment()
-				pf.Reset()
-				rf.Reset()
-				seg, segStart, segMark = seg[:0], 0, len(pOut)
-			case 1: // SkipGap: unseen bytes, absolute offsets preserved
-				checkSegment()
-				n := int(op>>3) + 1
-				pf.SkipGap(n)
-				rf.SkipGap(n)
-				seg, segStart, segMark = seg[:0], pf.Consumed(), len(pOut)
-			case 4: // fork: both streams continue on copies of their registers
-				pf, rf = forkStream(pf, payload), forkStream(rf, patBlob)
-			default: // write a chunk of the payload (cycling, possibly empty)
-				n := int(op >> 2)
-				if len(payload) == 0 {
-					n = 0
-				}
-				chunk := make([]byte, 0, n)
-				for len(chunk) < n {
-					take := len(payload) - off
-					if take > n-len(chunk) {
-						take = n - len(chunk)
-					}
-					chunk = append(chunk, payload[off:off+take]...)
-					off = (off + take) % len(payload)
-				}
-				seg = append(seg, chunk...)
-				pf.Write(chunk)
-				rf.Write(chunk)
-			}
-			checkAgainstRef("op")
-		}
-		checkSegment()
+		streamsAgree(t, "prefiltered", pre, ref, rules, shape, patBlob, payload, ops)
 	})
 }

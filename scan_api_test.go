@@ -7,25 +7,19 @@ package dpi
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/traffic"
 )
 
-// workloadMatcher compiles a 500-string ruleset and builds a deterministic
-// attack-laden workload against it.
-func workloadMatcher(t testing.TB) (*Matcher, [][]byte) {
+// scanWorkload builds a deterministic attack-laden workload against a
+// 500-string ruleset and returns its matcher and payloads.
+func scanWorkload(t testing.TB) (*Matcher, [][]byte) {
 	t.Helper()
-	rules, err := GenerateSnortLike(500, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts, err := traffic.Generate(rules.InternalSet(), traffic.Config{
+	m := testMatcher(t, snortLike(500, 23, BackendAuto))
+	pkts, err := traffic.Generate(m.rules.set, traffic.Config{
 		Packets: 24, Bytes: 1200, Seed: 17, AttackDensity: 2, Profile: traffic.Textual,
 	})
 	if err != nil {
@@ -38,13 +32,24 @@ func workloadMatcher(t testing.TB) (*Matcher, [][]byte) {
 	return m, payloads
 }
 
+// unevenChunks cuts p where a stream's writes would cross scanner-state
+// boundaries: the chunk at offset off is 1 + (off*mul+salt)%mod bytes.
+func unevenChunks(p []byte, mul, salt, mod int) [][]byte {
+	var chunks [][]byte
+	for off := 0; off < len(p); {
+		n := min(1+(off*mul+salt)%mod, len(p)-off)
+		chunks, off = append(chunks, p[off:off+n]), off+n
+	}
+	return chunks
+}
+
 // TestEngineConcurrentFlows is the shared-immutable-automaton proof, in the
 // paper's sense of "engine" — a register set reading the one state memory:
 // one Stream per goroutine, all over one Matcher, each fed in
 // uneven chunks and each equal to FindAll of its own payload. Under -race
 // any write to the automaton from the scan path fails here.
 func TestEngineConcurrentFlows(t *testing.T) {
-	m, payloads := workloadMatcher(t)
+	m, payloads := scanWorkload(t)
 	var wg sync.WaitGroup
 	errs := make(chan string, len(payloads))
 	for pid, payload := range payloads {
@@ -53,32 +58,18 @@ func TestEngineConcurrentFlows(t *testing.T) {
 			defer wg.Done()
 			var got []Match
 			f := m.NewStream(func(mt Match) { got = append(got, mt) })
-			// Deliver in uneven chunks to cross scanner-state boundaries.
-			for off := 0; off < len(payload); {
-				n := 1 + (off*7+pid)%97
-				if off+n > len(payload) {
-					n = len(payload) - off
-				}
-				if _, err := f.Write(payload[off : off+n]); err != nil {
+			for _, chunk := range unevenChunks(payload, 7, pid, 97) {
+				if _, err := f.Write(chunk); err != nil {
 					errs <- err.Error()
 					return
 				}
-				off += n
 			}
 			if f.Consumed() != len(payload) {
 				errs <- fmt.Sprintf("flow %d consumed %d of %d", pid, f.Consumed(), len(payload))
 				return
 			}
-			want := m.FindAll(payload)
-			if len(got) != len(want) {
-				errs <- fmt.Sprintf("flow %d found %d matches, FindAll %d", pid, len(got), len(want))
-				return
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					errs <- fmt.Sprintf("flow %d match %d = %+v, want %+v", pid, i, got[i], want[i])
-					return
-				}
+			if want := m.FindAll(payload); !slices.Equal(got, want) {
+				errs <- fmt.Sprintf("flow %d found %d matches, FindAll %d\ngot  %+v\nwant %+v", pid, len(got), len(want), got, want)
 			}
 		}(pid, payload)
 	}
@@ -93,7 +84,7 @@ func TestEngineConcurrentFlows(t *testing.T) {
 // End, ties by ascending PatternID, which nothing sorts into place: it is
 // the machine's own emission order — and Scan and Stream emit exactly it.
 func TestScanStreamOrderEquivalence(t *testing.T) {
-	m, payloads := workloadMatcher(t)
+	m, payloads := scanWorkload(t)
 	for pid, payload := range payloads {
 		want := m.FindAll(payload)
 		for i := 1; i < len(want); i++ {
@@ -104,32 +95,17 @@ func TestScanStreamOrderEquivalence(t *testing.T) {
 
 		var scanned []Match
 		m.Scan(payload, func(mt Match) { scanned = append(scanned, mt) })
-		if len(scanned) != len(want) {
-			t.Fatalf("packet %d: Scan emitted %d matches, FindAll %d", pid, len(scanned), len(want))
-		}
-		for i := range scanned {
-			if scanned[i] != want[i] {
-				t.Fatalf("packet %d: Scan match %d = %+v, FindAll %+v", pid, i, scanned[i], want[i])
-			}
+		if !slices.Equal(scanned, want) {
+			t.Fatalf("packet %d: Scan emitted %d matches, FindAll %d\ngot  %+v\nwant %+v", pid, len(scanned), len(want), scanned, want)
 		}
 
 		var streamed []Match
 		s := m.NewStream(func(mt Match) { streamed = append(streamed, mt) })
-		for off := 0; off < len(payload); {
-			n := 1 + (off*13+pid)%61
-			if off+n > len(payload) {
-				n = len(payload) - off
-			}
-			s.Write(payload[off : off+n])
-			off += n
+		for _, chunk := range unevenChunks(payload, 13, pid, 61) {
+			s.Write(chunk)
 		}
-		if len(streamed) != len(want) {
-			t.Fatalf("packet %d: Stream emitted %d matches, FindAll %d", pid, len(streamed), len(want))
-		}
-		for i := range streamed {
-			if streamed[i] != want[i] {
-				t.Fatalf("packet %d: Stream match %d = %+v, FindAll %+v", pid, i, streamed[i], want[i])
-			}
+		if !slices.Equal(streamed, want) {
+			t.Fatalf("packet %d: Stream emitted %d matches, FindAll %d\ngot  %+v\nwant %+v", pid, len(streamed), len(want), streamed, want)
 		}
 	}
 }
@@ -146,15 +122,8 @@ func TestScanAPIEquivalenceProperty(t *testing.T) {
 		trial := trial
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			seed := int64(1000 + 37*trial)
-			rules, err := GenerateSnortLike(80+40*trial, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := Compile(rules, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkts, err := traffic.Generate(rules.InternalSet(), traffic.Config{
+			m := testMatcher(t, snortLike(80+40*trial, seed, BackendAuto))
+			pkts, err := traffic.Generate(m.rules.set, traffic.Config{
 				Packets: 10, Bytes: 300 + 50*trial, Seed: seed,
 				AttackDensity: 1.5, Profile: profiles[trial%len(profiles)],
 			})
@@ -181,25 +150,15 @@ func TestScanAPIEquivalenceProperty(t *testing.T) {
 			var flowed []Match
 			f := m.NewStream(func(mt Match) { flowed = append(flowed, mt) })
 			for pid, p := range payloads {
-				for off := 0; off < len(p); {
-					n := 1 + (off*11+pid+trial)%73
-					if off+n > len(p) {
-						n = len(p) - off
-					}
-					if _, err := f.WritePacket(p[off:off+n], pid); err != nil {
+				for _, chunk := range unevenChunks(p, 11, pid+trial, 73) {
+					if _, err := f.WritePacket(chunk, pid); err != nil {
 						t.Fatal(err)
 					}
-					off += n
 				}
 				f.Reset()
 			}
-			if len(flowed) != len(want) {
-				t.Fatalf("Stream.WritePacket: %d matches, oracle %d", len(flowed), len(want))
-			}
-			for i := range flowed {
-				if flowed[i] != want[i] {
-					t.Fatalf("Stream.WritePacket: match %d = %+v, oracle %+v", i, flowed[i], want[i])
-				}
+			if !slices.Equal(flowed, want) {
+				t.Fatalf("Stream.WritePacket: %d matches, oracle %d\ngot  %+v\nwant %+v", len(flowed), len(want), flowed, want)
 			}
 		})
 	}

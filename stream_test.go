@@ -3,17 +3,11 @@ package dpi
 import (
 	"io"
 	"slices"
-	"sync"
 	"testing"
 )
 
 func TestStreamFindsMatchAcrossChunkBoundary(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("split-me", []byte("abcdef"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("abcdef"))
 	var got []Match
 	s := m.NewStream(func(mt Match) { got = append(got, mt) })
 	var w io.Writer = s // compile-time io.Writer check
@@ -31,36 +25,20 @@ func TestStreamFindsMatchAcrossChunkBoundary(t *testing.T) {
 }
 
 func TestStreamByteAtATime(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("p", []byte("needle"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("needle"))
 	var got []Match
 	s := m.NewStream(func(mt Match) { got = append(got, mt) })
 	payload := []byte("hay needle hay needle")
 	for _, b := range payload {
 		s.Write([]byte{b})
 	}
-	if len(got) != 2 {
-		t.Fatalf("matches = %v", got)
-	}
-	ref := m.FindAll(payload)
-	for i := range got {
-		if got[i] != ref[i] {
-			t.Fatalf("streamed match %d = %+v, batch %+v", i, got[i], ref[i])
-		}
+	if ref := m.FindAll(payload); len(got) != 2 || !slices.Equal(got, ref) {
+		t.Fatalf("streamed matches %v, batch %v; want the two needles", got, ref)
 	}
 }
 
 func TestStreamResetSplitsPackets(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("p", []byte("xyz"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("xyz"))
 	var got []Match
 	s := m.NewStream(func(mt Match) { got = append(got, mt) })
 	s.Write([]byte("xy"))
@@ -83,12 +61,7 @@ func TestStreamResetSplitsPackets(t *testing.T) {
 // offsets absolute in the true byte stream, and a Reset after it restarts
 // them at zero.
 func TestStreamSkipGapAndReset(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("p", []byte("xyz"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("xyz"))
 	var got []Match
 	s := m.NewStream(func(mt Match) { got = append(got, mt) })
 	s.Write([]byte("xy"))
@@ -114,14 +87,8 @@ func TestStreamSkipGapAndReset(t *testing.T) {
 // outer Write then finishes replaying its own — the match buffer the outer
 // replay iterates must not be the one the inner Write recycles.
 func TestStreamReentrantEmit(t *testing.T) {
-	rules := NewRuleset()
-	ab := rules.MustAdd("ab", []byte("ab"))
-	cd := rules.MustAdd("cd", []byte("cd"))
-	ef := rules.MustAdd("ef", []byte("ef"))
-	m, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMatcher(t, literal("ab", "cd", "ef"))
+	ab, cd, ef := 0, 1, 2 // pattern IDs, in the order added
 	var got []Match
 	var s *Stream
 	reenter := true
@@ -150,38 +117,12 @@ func TestStreamReentrantEmit(t *testing.T) {
 	}
 }
 
-// chunkFuzzMatcher compiles FuzzStreamChunkEquivalence's matcher once: a ruleset
-// mixing pathological hand-picked patterns (overlapping suffixes, shared
-// prefixes, binary bytes, length-1) with a generated Snort-like tail.
-var chunkFuzzMatcher struct {
-	once sync.Once
-	m    *Matcher
-	err  error
-}
-
-func getChunkFuzzMatcher(t testing.TB) *Matcher {
-	chunkFuzzMatcher.once.Do(func() {
-		rules, err := GenerateSnortLike(120, 2010)
-		if err != nil {
-			chunkFuzzMatcher.err = err
-			return
-		}
-		for _, p := range [][]byte{
-			[]byte("he"), []byte("she"), []byte("his"), []byte("hers"),
-			[]byte("a"), []byte("ab"), []byte("abc"), []byte("bc"),
-			{0x00}, {0x00, 0x01}, {0xff, 0x00, 0xff},
-		} {
-			// Generated contents can collide with the handcrafted ones;
-			// duplicates are simply skipped.
-			rules.Add("hand", p)
-		}
-		chunkFuzzMatcher.m, chunkFuzzMatcher.err = Compile(rules, Config{})
-	})
-	if chunkFuzzMatcher.err != nil {
-		t.Fatal(chunkFuzzMatcher.err)
-	}
-	return chunkFuzzMatcher.m
-}
+// chunkFuzzRules is FuzzStreamChunkEquivalence's ruleset: pathological
+// hand-picked patterns (overlapping suffixes, shared prefixes, binary bytes,
+// length-1) mixed into a generated Snort-like set.
+var chunkFuzzRules = ruleSpec{n: 120, seed: 2010, lit: []string{
+	"he", "she", "his", "hers", "a", "ab", "abc", "bc", "\x00", "\x00\x01", "\xff\x00\xff",
+}}
 
 // FuzzStreamChunkEquivalence is the FindAll-equivalence contract under
 // fuzz: any payload delivered through a Stream in arbitrary chunks (empty
@@ -194,7 +135,7 @@ func FuzzStreamChunkEquivalence(f *testing.F) {
 	f.Add([]byte("no matches at all here"), []byte{200})
 	f.Add([]byte{}, []byte{5})
 	f.Fuzz(func(t *testing.T, payload []byte, cuts []byte) {
-		m := getChunkFuzzMatcher(t)
+		m := testMatcher(t, chunkFuzzRules)
 		want := m.FindAll(payload)
 		var got []Match
 		s := m.NewStream(func(mt Match) { got = append(got, mt) })
@@ -215,14 +156,9 @@ func FuzzStreamChunkEquivalence(f *testing.F) {
 		if s.Consumed() != len(payload) {
 			t.Fatalf("consumed %d of %d", s.Consumed(), len(payload))
 		}
-		if len(got) != len(want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("stream emitted %d matches, FindAll %d\ncuts %v\ngot  %+v\nwant %+v",
 				len(got), len(want), cuts, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("match %d = %+v, FindAll %+v (cuts %v)", i, got[i], want[i], cuts)
-			}
 		}
 	})
 }

@@ -8,8 +8,8 @@ package dpi
 // errors, and the swap-equivalence fuzzer.
 
 import (
+	"bytes"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -24,17 +24,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/traffic"
 )
-
-// soakSeed is the fault-injection harness's one knob: every soak and swap
-// test (here and in chaos_soak_test.go) writes its ruleset, workload and
-// injector seeds as SoakSeed(constant), so a plain run uses the constants
-// and `go test -run 'TestChaosSoak|TestSwap' . -args -soak.seed=N` replays
-// the whole harness at another seed.
-var soakSeed = flag.Int64("soak.seed", 0, "base added to every soak/swap test's ruleset, workload and injector seeds")
-
-// SoakSeed returns k offset by -soak.seed. Exported for the external test
-// package, which is compiled into the same test binary.
-func SoakSeed(k int64) int64 { return *soakSeed + k }
 
 // swapWave is one ruleset generation's share of an oracle run: the
 // matcher flows born in this wave must stay pinned to, and the flows
@@ -54,21 +43,11 @@ type swapWave struct {
 // collide in the flow table.
 func buildSwapWave(t *testing.T, wave, strings int, backend string, seed int64) swapWave {
 	t.Helper()
-	rules, err := GenerateSnortLike(strings, 1000*int64(wave)+seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Compile(rules, Config{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := traffic.GenerateFlows(rules.InternalSet(), traffic.FlowConfig{
+	m := compileRules(t, snortLike(strings, 1000*int64(wave)+seed, backend))
+	w := flowWorkload(t, m, traffic.FlowConfig{
 		Flows: 8, SegmentsPerFlow: 5, SegmentBytes: 130, Seed: seed + int64(wave),
 		CrossDensity: 2, AttackDensity: 1, Profile: traffic.Textual,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sw := swapWave{m: m, streams: w.Streams, pkts: make([][]GatewayPacket, len(w.Tuples))}
 	for f := range w.Tuples {
 		sw.tuples = append(sw.tuples, FiveTuple{
@@ -95,7 +74,7 @@ func TestSwapGenerationOracle(t *testing.T) {
 	for bi, backend := range core.RegisteredBackends() {
 		for si, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", backend, shards), func(t *testing.T) {
-				testSwapGenerationOracle(t, backend, shards, SoakSeed(int64(31+7*bi+si)))
+				testSwapGenerationOracle(t, backend, shards, soakSeed(int64(31+7*bi+si)))
 			})
 		}
 	}
@@ -118,8 +97,7 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 	}
 
 	c := newCollector()
-	gw := testGateway(t, waves[0].m,
-		GatewayConfig{EngineShards: shards, StreamWorkers: 2}, c.emit)
+	gw := testGateway(t, waves[0].m, shards, GatewayConfig{StreamWorkers: 2}, c.emit)
 	if got := gw.Generation(); got != waves[0].m.Generation() {
 		t.Fatalf("initial generation %d, matcher has %d", got, waves[0].m.Generation())
 	}
@@ -135,9 +113,7 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 	var sq Sequencer
 	send := func(p GatewayPacket) {
 		t.Helper()
-		if err := gw.Ingest(sq.Seq(p)); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, sq.Seq(p))
 	}
 	drainSome := func(upTo int, fraction float64) {
 		for wv := 0; wv <= upTo; wv++ {
@@ -189,27 +165,20 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 			break
 		}
 	}
-	gw.Flush()
-
 	// Pinning oracle: every flow's full match stream equals FindAll of its
-	// whole stream against its birth-generation matcher.
-	total := 0
-	for wv, sw := range waves {
+	// whole stream against its birth-generation matcher; and each
+	// generation's refcount equals the records that hold it.
+	o := newOracle(c)
+	for _, sw := range waves {
 		for f, tup := range sw.tuples {
-			want := sw.m.FindAll(sw.streams[f])
-			if got := c.byTuple[tup]; !sameMatchSeq(got, want) {
-				t.Fatalf("wave %d flow %d: %d matches vs pinned-matcher oracle %d (or order/offsets differ)",
-					wv, f, len(got), len(want))
-			}
-			total += len(want)
+			o.deliver(sw.m, tup, sw.streams[f], 0)
 		}
 	}
-	if total == 0 {
+	if checkpoint(t, gw, "after the interleaved drain", o) == 0 {
 		t.Fatal("no matches across any wave; test is vacuous")
 	}
 
-	// Every live flow is pinned to exactly its birth generation, and each
-	// generation's refcount equals the records that hold it.
+	// Every live flow is pinned to exactly its birth generation.
 	wantGen := map[FiveTuple]uint64{}
 	for wv, sw := range waves {
 		for _, tup := range sw.tuples {
@@ -231,7 +200,6 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 	if swept == 0 {
 		t.Fatal("flow-table sweep saw no flows")
 	}
-	gw.auditGenerationPins(t)
 
 	st := gw.Stats()
 	if st.GenerationsInstalled != 3 || st.RulesetSwaps != 2 ||
@@ -257,7 +225,7 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 			send(GatewayPacket{Tuple: tup, Flags: FlagFIN})
 		}
 	}
-	gw.Flush()
+	checkpoint(t, gw, "after the FIN drain", o)
 	st = gw.Stats()
 	if st.GenerationsRetired != st.GenerationsInstalled-1 {
 		t.Fatalf("after FIN drain: retired %d, installed %d (want installed-1)",
@@ -270,7 +238,6 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 	if len(gens) != 1 || !gens[0].Current || gens[0].Flows != int64(len(waves[2].tuples)) {
 		t.Fatalf("after FIN drain Generations() = %+v", gens)
 	}
-	gw.auditGenerationPins(t)
 	// Scan-work counters belong to the lane, not the generation: per-lane
 	// stats stay monotone across retirement.
 	for i, ls := range gw.LaneStats() {
@@ -280,12 +247,7 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 		}
 	}
 
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if l := gw.Stats().Ledger(); !l.Balanced() {
-		t.Fatalf("ledger unbalanced after close: %+v", l)
-	}
+	closeCheckpoint(t, gw, o)
 }
 
 // TestSynReopenPinsCurrentGeneration: a flow's registers carry no record of
@@ -296,26 +258,14 @@ func testSwapGenerationOracle(t *testing.T, backend string, shards int, seed int
 // one the husk's last connection ran on, starting from a zero stream
 // position; the old generation, unpinned, has retired.
 func TestSynReopenPinsCurrentGeneration(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("needle"))
-	mA, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mB, err := Compile(rules, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mA, mB := testMatcher(t, literal("needle")), compileRules(t, literal("needle"))
 	var matches atomic.Uint64
-	gw := testGateway(t, mA, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) { matches.Add(1) })
-	defer gw.Close()
+	gw := testGateway(t, mA, 1, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) { matches.Add(1) })
 	tup := footprintTuple(0)
 	send := func(p GatewayPacket) {
 		t.Helper()
 		p.Tuple = tup
-		if err := gw.Ingest(p); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, p)
 	}
 	type pinned struct {
 		gwFlow
@@ -346,7 +296,7 @@ func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 		t.Fatalf("before FIN: pinned %v, registers at %d", fl.gen != nil, fl.regs.Pos())
 	}
 	send(GatewayPacket{Seq: 111, Flags: FlagSeq | FlagFIN})
-	gw.Flush()
+	checkpoint(t, gw, "after FIN")
 	if got, st := records(), gw.Stats(); len(got) != 0 || st.FlowHusks != 1 || st.FlowsLive != 1 {
 		t.Fatalf("after FIN: %d records, %d husks of %d entries; want the husk alone", len(got), st.FlowHusks, st.FlowsLive)
 	}
@@ -354,7 +304,7 @@ func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	send(GatewayPacket{Seq: 5000, Flags: FlagSeq | FlagSYN})
-	gw.Flush()
+	checkpoint(t, gw, "after the reopening SYN")
 	fl := record()
 	if fl.gen == nil || fl.gen != gw.cur.Load() || fl.gen.id != mB.Generation() {
 		t.Fatalf("the re-opened connection is not pinned to the current generation %d", mB.Generation())
@@ -362,12 +312,11 @@ func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 	if fl.regs.Pos() != 0 {
 		t.Fatalf("the re-opened connection's registers are at %d, want 0", fl.regs.Pos())
 	}
-	gw.auditGenerationPins(t)
 	if st := gw.Stats(); st.GenerationsLive != 1 || st.GenerationsRetired != 1 {
 		t.Fatalf("%d generations live, %d retired; want the husk's old one retired", st.GenerationsLive, st.GenerationsRetired)
 	}
 	send(GatewayPacket{Seq: 5001, Flags: FlagSeq, Payload: []byte("needle")})
-	gw.Flush()
+	checkpoint(t, gw, "after the second connection's needle")
 	if got := matches.Load(); got != 2 {
 		t.Fatalf("%d matches over two connections, want 2", got)
 	}
@@ -379,10 +328,9 @@ func TestSynReopenPinsCurrentGeneration(t *testing.T) {
 // swap (a datagram carries no pin; it scans with the generation current
 // when its lane dequeued it, and the swap waits every lane out).
 func TestSwapBurstCutover(t *testing.T) {
-	mA, setA := gatewayMatcher(t, 150)
-	mB, _ := gatewayMatcher(t, 180)
-	dgrams, err := traffic.Generate(setA, traffic.Config{
-		Packets: 12, Bytes: 200, Seed: SoakSeed(9), AttackDensity: 2, Profile: traffic.Textual,
+	mA, mB := testMatcher(t, snortLike(150, 77, BackendAuto)), compileRules(t, snortLike(180, 77, BackendAuto))
+	dgrams, err := traffic.Generate(mA.rules.set, traffic.Config{
+		Packets: 12, Bytes: 200, Seed: soakSeed(9), AttackDensity: 2, Profile: traffic.Textual,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -392,12 +340,10 @@ func TestSwapBurstCutover(t *testing.T) {
 			SrcPort: uint16(50000 + i), DstPort: 53, Proto: ProtoUDP}
 	}
 	c := newCollector()
-	gw := testGateway(t, mA, GatewayConfig{StreamWorkers: 2, EngineShards: 2}, c.emit)
+	gw := testGateway(t, mA, 2, GatewayConfig{StreamWorkers: 2}, c.emit)
 	half := len(dgrams) / 2
 	for i, d := range dgrams[:half] {
-		if err := gw.Ingest(GatewayPacket{Tuple: tup(i), Payload: d.Payload}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup(i), Payload: d.Payload})
 	}
 	if err := gw.SwapRules(mB); err != nil {
 		t.Fatal(err)
@@ -405,32 +351,28 @@ func TestSwapBurstCutover(t *testing.T) {
 	for i, d := range dgrams[half:] {
 		// Reuse the pre-swap tuples: stateless packets must not inherit
 		// any pin from earlier traffic on the same tuple.
-		if err := gw.Ingest(GatewayPacket{Tuple: tup(i), Payload: d.Payload}); err != nil {
-			t.Fatal(err)
-		}
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tup(i), Payload: d.Payload})
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 	for i, d := range dgrams[:half] {
-		pre := make([]Match, 0, 4)
-		for _, m := range c.byTuple[tup(i)] {
+		pre := make([]FlowMatch, 0, 4)
+		for _, m := range c.matches(tup(i)) {
 			if m.PacketID == i { // pre-swap datagram i was ingest seq i
 				pre = append(pre, m)
 			}
 		}
-		if want := mA.FindAll(d.Payload); !sameMatchSeq(pre, want) {
+		if want := mA.FindAll(d.Payload); !sameMatches(pre, want) {
 			t.Fatalf("pre-swap datagram %d: %d matches, old-matcher oracle %d", i, len(pre), len(want))
 		}
 	}
 	for i, d := range dgrams[half:] {
-		post := make([]Match, 0, 4)
-		for _, m := range c.byTuple[tup(i)] {
+		post := make([]FlowMatch, 0, 4)
+		for _, m := range c.matches(tup(i)) {
 			if m.PacketID == half+i {
 				post = append(post, m)
 			}
 		}
-		if want := mB.FindAll(d.Payload); !sameMatchSeq(post, want) {
+		if want := mB.FindAll(d.Payload); !sameMatches(post, want) {
 			t.Fatalf("post-swap datagram %d: %d matches, new-matcher oracle %d", i, len(post), len(want))
 		}
 	}
@@ -444,54 +386,29 @@ func TestSwapBurstCutover(t *testing.T) {
 func TestSwapUnderConcurrentLoad(t *testing.T) {
 	const gens = 5
 	matchers := make([]*Matcher, gens)
-	var rules0 *Ruleset
-	for i := range matchers {
-		rules, err := GenerateSnortLike(80+10*i, SoakSeed(int64(400+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := Compile(rules, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		matchers[i] = m
-		if i == 0 {
-			rules0 = rules
-		}
+	for i := range matchers { // compiled in swap order, so generations ascend
+		matchers[i] = compileRules(t, snortLike(80+10*i, soakSeed(int64(400+i)), BackendAuto))
 	}
-	w, err := traffic.GenerateFlows(rules0.InternalSet(), traffic.FlowConfig{
-		Flows: 30, SegmentsPerFlow: 6, SegmentBytes: 120, Seed: SoakSeed(21),
+	w := flowWorkload(t, matchers[0], traffic.FlowConfig{
+		Flows: 30, SegmentsPerFlow: 6, SegmentBytes: 120, Seed: soakSeed(21),
 		CrossDensity: 1, AttackDensity: 1, Profile: traffic.Uniform,
 	})
-	if err != nil {
-		t.Fatal(err)
+
+	// The ingest feed: the full stream workload plus UDP noise.
+	var feed []GatewayPacket
+	var sq Sequencer
+	for i, p := range w.Packets {
+		feed = append(feed, sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload}))
+		if i%7 == 0 {
+			u := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: uint16(i), DstPort: 53, Proto: ProtoUDP}
+			feed = append(feed, GatewayPacket{Tuple: u, Payload: p.Payload})
+		}
 	}
 
-	gw := testGateway(t, matchers[0],
-		GatewayConfig{EngineShards: 2, StreamWorkers: 2}, func(FlowMatch) {})
+	gw := testGateway(t, matchers[0], 2, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) {})
 	gm := gw.Metrics()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-
-	wg.Add(1)
-	go func() { // ingester: the full stream workload plus UDP noise
-		defer wg.Done()
-		defer close(done)
-		var sq Sequencer
-		for i, p := range w.Packets {
-			if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: p.Tuple, Payload: p.Payload})); err != nil {
-				t.Error(err)
-				return
-			}
-			if i%7 == 0 {
-				u := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: uint16(i), DstPort: 53, Proto: ProtoUDP}
-				if err := gw.Ingest(GatewayPacket{Tuple: u, Payload: p.Payload}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}
-	}()
 	wg.Add(1)
 	go func() { // swapper: install every later generation in order
 		defer wg.Done()
@@ -527,20 +444,22 @@ func TestSwapUnderConcurrentLoad(t *testing.T) {
 			gw.Flush()
 		}
 	}()
+	func() { // ingester: this goroutine, until the feed ends
+		defer close(done)
+		ingestWorkload(t, gw, 1, feed...)
+	}()
 	wg.Wait()
 
 	// A final scrape must still be well-formed exposition text.
-	var buf = &writerTo{}
-	if _, err := gm.WriteTo(buf); err != nil {
+	var buf bytes.Buffer
+	if _, err := gm.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := metrics.Validate(buf.b); err != nil {
+	if _, err := metrics.Validate(buf.Bytes()); err != nil {
 		t.Fatalf("metrics exposition invalid after swap storm: %v", err)
 	}
 
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 	st := gw.Stats()
 	if st.RulesetSwaps != gens-1 || st.GenerationsInstalled != gens {
 		t.Fatalf("swap accounting: %d swaps, %d installed", st.RulesetSwaps, st.GenerationsInstalled)
@@ -549,9 +468,6 @@ func TestSwapUnderConcurrentLoad(t *testing.T) {
 	if st.GenerationsRetired != st.GenerationsInstalled-1 || st.GenerationsLive != 1 {
 		t.Fatalf("retirement after close: retired %d installed %d live %d",
 			st.GenerationsRetired, st.GenerationsInstalled, st.GenerationsLive)
-	}
-	if l := st.Ledger(); !l.Balanced() {
-		t.Fatalf("ledger unbalanced after swap storm: %+v", l)
 	}
 }
 
@@ -564,20 +480,14 @@ func TestSwapUnderConcurrentLoad(t *testing.T) {
 // the swap — not two images.
 func TestSwapRetiredGenerationIsCollected(t *testing.T) {
 	const flows = 256
-	rules, err := GenerateSnortLike(634, SoakSeed(2010))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rules := snortLike(634, soakSeed(2010), BackendAuto)
 	var collected atomic.Bool
 	// The first generation is compiled where the test's own frame cannot
 	// keep it reachable.
 	open := func() *Gateway {
-		a, err := Compile(rules, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := compileRules(t, rules)
 		runtime.SetFinalizer(a, func(*Matcher) { collected.Store(true) })
-		return testGateway(t, a, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) {})
+		return testGateway(t, a, 1, GatewayConfig{StreamWorkers: 2}, func(FlowMatch) {})
 	}
 	gw := open()
 
@@ -585,20 +495,15 @@ func TestSwapRetiredGenerationIsCollected(t *testing.T) {
 	send := func(flags TCPFlags, seq uint32, payload []byte) {
 		t.Helper()
 		for i := 0; i < flows; i++ {
-			if err := gw.Ingest(GatewayPacket{Tuple: footprintTuple(i), Seq: seq, Flags: FlagSeq | flags, Payload: payload}); err != nil {
-				t.Fatal(err)
-			}
+			ingestWorkload(t, gw, 1, GatewayPacket{Tuple: footprintTuple(i), Seq: seq, Flags: FlagSeq | flags, Payload: payload})
 		}
-		gw.Flush()
+		checkpoint(t, gw, fmt.Sprintf("after flags %#x", flags))
 	}
 	send(FlagSYN, 1000, nil)
 	send(0, 1001, payload)
 	oneImage := liveHeap() // and the flow table, which keeps its entries as husks after FIN
 
-	b, err := Compile(rules, Config{}) // same rules, so the same size: a new generation all the same
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := compileRules(t, rules) // same rules, so the same size: a new generation all the same
 	if err := gw.SwapRules(b); err != nil {
 		t.Fatal(err)
 	}
@@ -642,27 +547,19 @@ func TestSwapRetiredGenerationIsCollected(t *testing.T) {
 // list that only shifted its tail left the fourth reachable, its matcher
 // never collected.
 func TestSwapRetiredGenerationLeavesNoSlot(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("needle"))
 	var collected atomic.Bool
 	compile := func(watch bool) *Matcher {
-		m, err := Compile(rules, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := compileRules(t, literal("needle"))
 		if watch {
 			runtime.SetFinalizer(m, func(*Matcher) { collected.Store(true) })
 		}
 		return m
 	}
-	gw := testGateway(t, compile(false), GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
-	defer gw.Close()
+	gw := testGateway(t, compile(false), 1, GatewayConfig{StreamWorkers: 1}, func(FlowMatch) {})
 	send := func(i int, flags TCPFlags) {
 		t.Helper()
-		if err := gw.Ingest(GatewayPacket{Tuple: footprintTuple(i), Seq: 1, Flags: FlagSeq | flags}); err != nil {
-			t.Fatal(err)
-		}
-		gw.Flush()
+		ingestWorkload(t, gw, 1, GatewayPacket{Tuple: footprintTuple(i), Seq: 1, Flags: FlagSeq | flags})
+		checkpoint(t, gw, fmt.Sprintf("after flags %#x on tuple %d", flags, i))
 	}
 	swap := func(watch bool) {
 		t.Helper()
@@ -701,24 +598,14 @@ func TestSwapRetiredGenerationLeavesNoSlot(t *testing.T) {
 // live class, and none pins a matcher: every generation but the current has
 // retired, and the freed classes were reused rather than grown.
 func TestSwapStormLeavesNoLiveClass(t *testing.T) {
-	rules := NewRuleset()
-	rules.MustAdd("sig", []byte("needle"))
-	compile := func() *Matcher {
-		m, err := Compile(rules, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
 	var matches atomic.Uint64
-	gw := testGateway(t, compile(), GatewayConfig{
-		EngineShards: 2, StreamWorkers: 2,
+	gw := testGateway(t, compileRules(t, literal("needle")), 2, GatewayConfig{
+		StreamWorkers: 2,
 		Rules: []VerdictRule{
 			{ID: 1, Name: "alert", Header: HeaderRule{Proto: ProtoTCP, DstPorts: PortRange{Lo: 80, Hi: 80}}, Verdict: VerdictAlert},
 			{ID: 2, Name: "drop", Header: HeaderRule{Proto: ProtoTCP, DstPorts: PortRange{Lo: 81, Hi: 81}}, Verdict: VerdictDrop},
 		},
 	}, func(FlowMatch) { matches.Add(1) })
-	defer gw.Close()
 	const waves, perWave = 12, 30
 	tuple := func(w, i int) FiveTuple { // port 80 alerts, 81 drops, 82 matches no rule
 		tup := footprintTuple(w*perWave + i)
@@ -728,12 +615,9 @@ func TestSwapStormLeavesNoLiveClass(t *testing.T) {
 	send := func(w int, seq uint32, flags func(i int) TCPFlags, payload string) {
 		t.Helper()
 		for i := range perWave {
-			if err := gw.Ingest(GatewayPacket{Tuple: tuple(w, i), Seq: seq, Flags: FlagSeq | flags(i), Payload: []byte(payload)}); err != nil {
-				t.Fatal(err)
-			}
+			ingestWorkload(t, gw, 1, GatewayPacket{Tuple: tuple(w, i), Seq: seq, Flags: FlagSeq | flags(i), Payload: []byte(payload)})
 		}
-		gw.Flush()
-		gw.auditGenerationPins(t)
+		checkpoint(t, gw, fmt.Sprintf("wave %d at seq %d", w, seq))
 	}
 	end := func(w int) {
 		send(w, 11, func(i int) TCPFlags {
@@ -746,7 +630,7 @@ func TestSwapStormLeavesNoLiveClass(t *testing.T) {
 	for w := range waves {
 		send(w, 0, func(int) TCPFlags { return FlagSYN }, "")
 		send(w, 1, func(int) TCPFlags { return 0 }, "..needle..")
-		if err := gw.SwapRules(compile()); err != nil {
+		if err := gw.SwapRules(compileRules(t, literal("needle"))); err != nil {
 			t.Fatal(err)
 		}
 		if w > 0 {
@@ -773,10 +657,6 @@ func TestSwapStormLeavesNoLiveClass(t *testing.T) {
 	}
 }
 
-type writerTo struct{ b []byte }
-
-func (w *writerTo) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
-
 // TestSentinelErrors pins the v1 error seam: every constructor and
 // control-plane rejection is classifiable with errors.Is against the
 // exported sentinels, including through Compile and Config.Validate.
@@ -800,8 +680,7 @@ func TestSentinelErrors(t *testing.T) {
 		t.Fatalf("nil ruleset: %v, want ErrBadConfig", err)
 	}
 
-	mA, _ := gatewayMatcher(t, 40)
-	mB, _ := gatewayMatcher(t, 40)
+	mA, mB := testMatcher(t, snortLike(40, 77, BackendAuto)), compileRules(t, snortLike(40, 77, BackendAuto))
 	if _, err := NewGateway(nil, GatewayConfig{}, func(FlowMatch) {}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil matcher: %v, want ErrBadConfig", err)
 	}
@@ -835,10 +714,7 @@ func TestSentinelErrors(t *testing.T) {
 		}
 	}
 
-	gw, err := NewGateway(mA, GatewayConfig{}, func(FlowMatch) {})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := testGateway(t, mA, 1, GatewayConfig{}, func(FlowMatch) {})
 	if err := gw.SwapRules(nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("SwapRules(nil): %v, want ErrBadConfig", err)
 	}
@@ -851,9 +727,7 @@ func TestSentinelErrors(t *testing.T) {
 	if err := gw.SwapRules(mA); !errors.Is(err, ErrStaleGeneration) {
 		t.Fatalf("swap to an older compile: %v, want ErrStaleGeneration", err)
 	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeCheckpoint(t, gw)
 	if err := gw.Ingest(GatewayPacket{Tuple: FiveTuple{Proto: ProtoUDP}, Payload: []byte("x")}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Ingest after Close: %v, want ErrClosed", err)
 	}
@@ -890,8 +764,7 @@ func FuzzSwapEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		c := newCollector()
-		gw := testGateway(t, mA,
-			GatewayConfig{EngineShards: 2, StreamWorkers: 2}, c.emit)
+		gw := testGateway(t, mA, 2, GatewayConfig{StreamWorkers: 2}, c.emit)
 
 		const nflows = 3
 		tup := func(i int) FiveTuple {
@@ -931,9 +804,7 @@ func FuzzSwapEquivalence(f *testing.F) {
 				if pinned[fi] == nil {
 					pinned[fi] = cur
 				}
-				if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup(fi), Payload: p})); err != nil {
-					t.Fatal(err)
-				}
+				ingestWorkload(t, gw, 1, sq.Seq(GatewayPacket{Tuple: tup(fi), Payload: p}))
 				streams[fi] = append(streams[fi], p...)
 			case 3: // the one hot swap
 				if !swapped {
@@ -944,37 +815,26 @@ func FuzzSwapEquivalence(f *testing.F) {
 					cur = mB
 				}
 			case 4:
-				gw.Flush()
+				checkpoint(t, gw, "at a flush")
 			case 5: // FIN flow op>>3 % nflows
 				fi := int(op>>3) % nflows
 				if pinned[fi] == nil || finned[fi] {
 					break
 				}
-				if err := gw.Ingest(sq.Seq(GatewayPacket{Tuple: tup(fi), Flags: FlagFIN})); err != nil {
-					t.Fatal(err)
-				}
+				ingestWorkload(t, gw, 1, sq.Seq(GatewayPacket{Tuple: tup(fi), Flags: FlagFIN}))
 				finned[fi] = true
 			}
 		}
-		if err := gw.Close(); err != nil {
-			t.Fatal(err)
-		}
+		closeCheckpoint(t, gw)
+		o := newOracle(c)
 		for fi := range streams {
-			if pinned[fi] == nil {
-				continue
-			}
-			want := pinned[fi].FindAll(streams[fi])
-			if got := c.byTuple[tup(fi)]; !sameMatchSeq(got, want) {
-				t.Fatalf("flow %d: %d matches, pinned-matcher oracle %d (swapped=%v)",
-					fi, len(got), len(want), swapped)
+			if pinned[fi] != nil {
+				o.deliver(pinned[fi], tup(fi), streams[fi], 0)
 			}
 		}
-		st := gw.Stats()
-		if st.GenerationsRetired != st.GenerationsInstalled-1 {
+		checkpoint(t, gw, fmt.Sprintf("after Close (swapped=%v)", swapped), o)
+		if st := gw.Stats(); st.GenerationsRetired != st.GenerationsInstalled-1 {
 			t.Fatalf("retirement: %d retired of %d installed", st.GenerationsRetired, st.GenerationsInstalled)
-		}
-		if l := st.Ledger(); !l.Balanced() {
-			t.Fatalf("ledger unbalanced: %+v", l)
 		}
 	})
 }
