@@ -359,13 +359,16 @@ func (m *Matcher) Stats() CompressionStats {
 // none is held: the matcher keeps the compressed image only.
 type KernelStats struct {
 	// Backend is the resolved active backend (Matcher.Backend).
-	Backend       string
-	States        int // automaton states
-	DenseStates   int // states promoted to fast rows (precomputed whole move rows)
-	StoredEntries int // stored-pointer entries of the compressed states
+	Backend     string
+	States      int // automaton states
+	DenseStates int // states promoted to fast rows (precomputed whole move rows)
+	// StoredEntries counts every pointer the compressed states keep, the
+	// one a one-pointer row keeps in its row descriptor included.
+	StoredEntries int
 	DenseBytes    int // the fast tier: 48 B per promoted state plus 4 B per override of the depth-1 default row
-	// StoredBytes is the stored-pointer arena, 4 B a pointer, plus the row
-	// index, 4 B a state; the arena holds every state's row, the promoted
+	// StoredBytes is the row index, 4 B a state, plus the stored-pointer
+	// arena, 4 B a pointer. A one-pointer row costs only its descriptor,
+	// which is that pointer; the arena holds every longer row, the promoted
 	// states' included.
 	StoredBytes int
 	LookupBytes int // the automaton's one lookup table: fixed d1/d2/d3 rows

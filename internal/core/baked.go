@@ -28,13 +28,16 @@ package core
 //     bytes. Both interpreters keep the history in this form.
 //
 //   - Stored pointers stay where compress put them, in the paper's word:
-//     stored is the arena of 4-byte Pointers (character and 24-bit
-//     target), and rows is the row index — one state memory and one index,
-//     read by both interpreters.
-//     rows[s] packs the entry count inline with the offset, so the common
-//     ≤4-entry row costs one descriptor load plus a short linear scan over
-//     adjacent 4-byte entries, where the reference loop binary-searches the
-//     row.
+//     rows is the row index, one 4-byte descriptor per state, and stored
+//     the arena of 4-byte Pointers (character and 22-bit target) — one
+//     state memory and one index, read by both interpreters. Most rows
+//     hold one pointer (6 193 of 7 396 states at 634 strings), and such a
+//     row is its descriptor: the Pointer itself, tagged rowInline, so the
+//     state's stored-pointer test is the descriptor load and one compare,
+//     with no arena word at all. A longer row's descriptor packs its entry
+//     count with its arena offset, so the common ≤4-entry row costs one
+//     descriptor load plus a short linear scan over adjacent 4-byte
+//     entries, where the reference loop binary-searches the row.
 //     Promotion to the fast tier (below) rewrites a state's descriptor to
 //     its fast-row number and moves the stored-row descriptor to the
 //     Machine's displaced table, indexed by that number, which the
@@ -84,11 +87,14 @@ const (
 	emptyD3Key = uint64(histMask) << 32
 
 	// Row descriptor packing: bit 31 selects the fast tier (low 31 bits =
-	// fast row index); otherwise bits 22-30 hold the stored-entry count —
-	// nine bits, as a row holds at most one pointer per byte value, 256 —
-	// and bits 0-21 the offset into the arena.
+	// fast row index); otherwise bit 30, rowInline, marks a row of one
+	// pointer, and the descriptor is that Pointer (character in bits 22-29,
+	// target in bits 0-21); otherwise bits 21-29 hold the row's entry count
+	// — nine bits, as a row holds at most one pointer per byte value, 256
+	// — and bits 0-20 its offset into the arena.
 	rowDense      = uint32(1) << 31
-	rowCountShift = 22
+	rowInline     = uint32(1) << 30
+	rowCountShift = 21
 	rowOffMask    = 1<<rowCountShift - 1
 
 	// DefaultDenseStates is the fast-tier budget when Options.DenseStates
@@ -268,10 +274,15 @@ func (m *Machine) scanAppend(state int32, hist uint32, pos int, data []byte, out
 		if ref >= rowDense {
 			state = fast[ref-rowDense].move(c, &lut.d1, over)
 		} else {
-			if cnt := ref >> rowCountShift; cnt != 0 {
-				base := ref & rowOffMask
-				for i := uint32(0); i < cnt; i++ {
-					if e := stored[base+i]; e.Char() == c {
+			key := pointerKey(c)
+			if ref>>pointerToBits == key {
+				state = Pointer(ref).To()
+				goto stepped
+			}
+			if ref < rowInline {
+				base, end := ref&rowOffMask, ref&rowOffMask+ref>>rowCountShift
+				for i := base; i < end; i++ {
+					if e := stored[i]; uint32(e)>>pointerToBits == key {
 						state = e.To()
 						goto stepped
 					}
@@ -310,13 +321,16 @@ func (m *Machine) scanAppend(state int32, hist uint32, pos int, data []byte, out
 // software analogue of the hwsim block-memory fill statistics: every byte
 // the baked loop can touch while scanning.
 type LayoutStats struct {
-	States        int // automaton states
-	DenseStates   int // states promoted to fast rows
-	StoredEntries int // stored-pointer entries of the compressed states
+	States      int // automaton states
+	DenseStates int // states promoted to fast rows
+	// StoredEntries counts every pointer the compressed states keep, the
+	// one a one-pointer row keeps in its descriptor included.
+	StoredEntries int
 	DenseBytes    int // fast tier: DenseStates × 48 B of bitmap rows plus 4 B per override
-	// StoredBytes is the stored-pointer arena, 4 B a pointer, plus the row
-	// index, 4 B a state. The arena holds every state's row, the promoted
-	// states' included; their displaced descriptors are not counted.
+	// StoredBytes is the row index, 4 B a state, plus the stored-pointer
+	// arena, 4 B a pointer. A one-pointer row costs only its descriptor;
+	// the arena holds every longer row, the promoted states' included, and
+	// their displaced descriptors are not counted.
 	StoredBytes int
 	LookupBytes int // the lookup table: d1/d2/d3 fixed rows
 	OutputBytes int // output bitset, rank table and flattened pattern-ID lists
@@ -333,9 +347,9 @@ func (m *Machine) Layout() LayoutStats {
 		LookupBytes: int(unsafe.Sizeof(m.lut)),
 		OutputBytes: len(m.out.bits)*8 + len(m.out.rank)*4 + len(m.out.off)*4 + len(m.out.ids)*4,
 	}
-	for _, ref := range m.rows {
+	for s, ref := range m.rows {
 		if ref < rowDense {
-			st.StoredEntries += int(ref >> rowCountShift)
+			st.StoredEntries += len(rowOf(m.stored, &m.rows[s]))
 		}
 	}
 	st.TotalBytes = st.DenseBytes + st.StoredBytes + st.LookupBytes + st.OutputBytes

@@ -270,15 +270,15 @@ func (d defaults) misses(c byte, hist uint32, to int32) (m uint8) {
 	return m
 }
 
-// fitsWord reports whether a machine of states states storing entries
-// pointers fits the packed state memory: a Pointer names its target in 24
-// bits, and a row descriptor its row's offset in 22.
+// fitsWord reports whether a machine of states states whose arena holds
+// entries pointers fits the packed state memory: a Pointer names its target
+// in 22 bits, and a row descriptor its row's arena offset in 21.
 func fitsWord(states int, entries int64) error {
 	if states > maxStates {
 		return fmt.Errorf("core: the automaton has %d states, a stored pointer addresses %d", states, maxStates)
 	}
 	if entries > rowOffMask {
-		return fmt.Errorf("core: the automaton stores %d pointers, a row descriptor addresses %d", entries, rowOffMask)
+		return fmt.Errorf("core: the automaton's arena holds %d pointers, a row descriptor addresses %d", entries, rowOffMask)
 	}
 	return nil
 }
@@ -286,9 +286,9 @@ func fitsWord(states int, entries int64) error {
 // compress keeps, at every state, only the transitions the default rule of
 // d cannot reproduce, and tallies the progressive d1 / d1+d2 / d1+d2+d3
 // pointer counts for Table II into st. It returns the state memory — the
-// rows in one arena in state order, sized by the tally — and its row
-// index, one descriptor per state. It fails when the machine is beyond
-// what fitsWord allows.
+// rows of two or more pointers in one arena in state order, exactly sized —
+// and its row index, one descriptor per state, a one-pointer row's being
+// that pointer. It fails when the machine is beyond what fitsWord allows.
 func compress(t *ac.Trie, ft *failTree, d defaults, st *BuildStats) ([]Pointer, []uint32, error) {
 	n := t.NumStates()
 
@@ -304,7 +304,7 @@ func compress(t *ac.Trie, ft *failTree, d defaults, st *BuildStats) ([]Pointer, 
 	miss := make([]uint8, n)
 	rows := make([]uint32, n) // row s's length until the offsets are laid
 	var total [4]int64
-	maxStored := 0
+	maxStored, ones := 0, int64(0)
 	for s := range int32(n) {
 		nd := &t.Nodes[s]
 		w := int64(ft.sub[s])
@@ -323,26 +323,37 @@ func compress(t *ac.Trie, ft *failTree, d defaults, st *BuildStats) ([]Pointer, 
 		}
 		rows[s] = uint32(length)
 		maxStored = max(maxStored, length)
+		if length == 1 {
+			ones++
+		}
 	}
-	if err := fitsWord(n, total[3]); err != nil {
+	// A one-pointer row takes no arena space, so the arena holds the rest.
+	if err := fitsWord(n, total[3]-ones); err != nil {
 		return nil, nil, err
 	}
-	at := uint32(0)
-	for s, length := range rows {
-		rows[s] = length<<rowCountShift | at
-		at += length
-	}
 
-	// In state order, so fail parents first, merge the fail parent's row
-	// with the state's own edges; both are sorted by character. The start
-	// state has no fail parent to inherit from.
-	stored := make([]Pointer, total[3])
+	// In state order, so fail parents first, lay out the state's row — a
+	// one-pointer row in its own descriptor, which the Pointer written
+	// there tags rowInline, any other at the arena's next offset — and
+	// merge the fail parent's row, laid out already, with the state's own
+	// edges into it; both are sorted by character. The start state has no
+	// fail parent to inherit from.
+	stored := make([]Pointer, total[3]-ones)
+	at := uint32(0)
 	for s := range int32(n) {
+		var row []Pointer
+		if length := rows[s]; length == 1 {
+			row = inlineRow(&rows[s])
+		} else {
+			rows[s] = length<<rowCountShift | at
+			row = stored[at : at+length : at+length]
+			at += length
+		}
 		var inherited []Pointer
 		if s != ac.Root {
-			inherited = rowOf(stored, rows[t.Nodes[s].Fail])
+			inherited = rowOf(stored, &rows[t.Nodes[s].Fail])
 		}
-		row, used := rowOf(stored, rows[s]), 0
+		used := 0
 		for v, end := t.Children(s); v < end; v++ {
 			c := t.Nodes[v].Char
 			for len(inherited) > 0 && inherited[0].Char() < c {

@@ -211,19 +211,27 @@ func (m *Machine) LookupRow(c byte) LookupRow {
 
 // Pointer is a transition pointer still stored at a state after
 // compression, in one word as the paper's state memory holds one: the
-// character it is taken on in the top 8 bits, the target state in the low
-// 24. Pointers compare by character first, so a row sorted by character is
-// sorted by value.
+// character it is taken on in bits 22-29, the target state in the low 22,
+// and bit 30 set — rowInline, so a pointer is also the row descriptor of a
+// row that holds only it (see rowOf). Pointers compare by character first,
+// so a row sorted by character is sorted by value.
 type Pointer uint32
 
 const (
-	pointerToBits = 24
+	pointerToBits = 22
 	// maxStates is the most states a machine can have: a stored pointer
 	// names its target in pointerToBits.
 	maxStates = 1 << pointerToBits
 )
 
-func newPointer(c byte, to int32) Pointer { return Pointer(c)<<pointerToBits | Pointer(to) }
+func newPointer(c byte, to int32) Pointer {
+	return Pointer(rowInline | uint32(c)<<pointerToBits | uint32(to))
+}
+
+// pointerKey is what a pointer taken on c holds above its target: the
+// scan loop's whole test of a stored pointer, arena entry or descriptor, is
+// word>>pointerToBits == pointerKey(c).
+func pointerKey(c byte) uint32 { return rowInline>>pointerToBits | uint32(c) }
 
 // Char is the input character the pointer is taken on.
 func (p Pointer) Char() byte { return byte(p >> pointerToBits) }
@@ -260,10 +268,11 @@ type BuildStats struct {
 type Machine struct {
 	// lut is the lookup table, read in place by both interpreters.
 	lut lookupTable
-	// stored is the state memory: every state's kept pointers back to back
-	// in state order, each state's sorted by character. rows is its one row
-	// index, one descriptor per state (see rowDense): the count and offset
-	// of the state's row, or — for a state promoted to the fast tier — its
+	// stored is the state memory's arena: the kept pointers of every row
+	// of two or more back to back in state order, each row sorted by
+	// character. rows is its one row index, one descriptor per state (see
+	// rowDense): a one-pointer row's pointer itself, the count and offset
+	// of a longer row, or — for a state promoted to the fast tier — its
 	// fast-row number, with the stored-row descriptor it displaced kept at
 	// that number in displaced. The baked loop reads both; the reference
 	// interpreter reads a row through StoredRow or StoredAt, fast tier or
@@ -390,24 +399,32 @@ func (m *Machine) Prefilter() *Prefilter { return m.pre }
 
 // storedRef returns state s's stored-row descriptor, looking through a
 // fast-row number to the descriptor the promotion displaced.
-func (m *Machine) storedRef(s int32) uint32 {
-	ref := m.rows[s]
-	if ref >= rowDense {
-		ref = m.displaced[ref-rowDense]
+func (m *Machine) storedRef(s int32) *uint32 {
+	ref := &m.rows[s]
+	if *ref >= rowDense {
+		ref = &m.displaced[*ref-rowDense]
 	}
 	return ref
 }
 
 // StoredRow returns the pointers kept at state s, sorted by character. The
-// slice aliases the machine's state memory: read-only.
+// slice aliases the machine's state memory — the arena, or a one-pointer
+// row's descriptor — so it allocates nothing: read-only.
 func (m *Machine) StoredRow(s int32) []Pointer { return rowOf(m.stored, m.storedRef(s)) }
 
-// rowOf is the row of arena stored that descriptor ref describes.
-func rowOf(stored []Pointer, ref uint32) []Pointer {
-	lo := ref & rowOffMask
-	hi := lo + ref>>rowCountShift
+// rowOf is the row that the stored-row descriptor at ref describes: the
+// descriptor itself when it is one pointer, else its slice of arena stored.
+func rowOf(stored []Pointer, ref *uint32) []Pointer {
+	if *ref >= rowInline {
+		return inlineRow(ref)
+	}
+	lo := *ref & rowOffMask
+	hi := lo + *ref>>rowCountShift
 	return stored[lo:hi:hi]
 }
+
+// inlineRow is the one-pointer row that the descriptor at ref holds.
+func inlineRow(ref *uint32) []Pointer { return unsafe.Slice((*Pointer)(ref), 1) }
 
 // StoredAt returns the stored transition target of (s, c), or ac.None: a
 // binary search of the state's row, as the reference interpreter takes one

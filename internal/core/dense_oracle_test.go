@@ -123,15 +123,23 @@ func denseOutputs(t *ac.Trie) outputTable {
 }
 
 // setStoredRows makes rows — one list per state — the machine's state
-// memory: the lists packed and back to back in state order, and the row
-// index saying where each begins and how long it is.
+// memory: a list of one packed into its own descriptor, tagged rowInline,
+// the others packed and back to back in state order in the arena, with the
+// descriptor saying where each begins and how long it is.
 func (m *Machine) setStoredRows(rows [][]transition) {
+	pack := func(tr transition) Pointer {
+		return Pointer(rowInline | uint32(tr.Char)<<pointerToBits | uint32(tr.To))
+	}
 	m.stored = []Pointer{}
 	m.rows = make([]uint32, len(rows))
 	for s, row := range rows {
+		if len(row) == 1 {
+			m.rows[s] = uint32(pack(row[0]))
+			continue
+		}
 		m.rows[s] = uint32(len(row))<<rowCountShift | uint32(len(m.stored))
 		for _, tr := range row {
-			m.stored = append(m.stored, Pointer(tr.Char)<<24|Pointer(tr.To))
+			m.stored = append(m.stored, pack(tr))
 		}
 	}
 }
@@ -374,7 +382,7 @@ func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, dense int) {
 			t.Fatalf("dense %d: state %d's list can grow into its neighbour's (len %d, cap %d)",
 				dense, s, len(row), cap(row))
 		}
-		if got, want := m.storedRef(s), want.storedRef(s); got != want {
+		if got, want := *m.storedRef(s), *want.storedRef(s); got != want {
 			t.Fatalf("dense %d: state %d's stored row is described by %#x, the dense sweep's by %#x", dense, s, got, want)
 		}
 	}

@@ -83,12 +83,12 @@ func TestVerifyProgramDetectsCorruption(t *testing.T) {
 		},
 		"descriptor count": func(m *Machine) {
 			for s, ref := range m.rows {
-				if ref < rowDense && ref>>rowCountShift != 0 {
+				if ref < rowInline && ref>>rowCountShift != 0 {
 					m.rows[s] -= 1 << rowCountShift
 					return
 				}
 			}
-			t.Fatal("no compressed state stores a pointer")
+			t.Fatal("no compressed state keeps an arena row")
 		},
 	}
 	for name, corrupt := range cases {
@@ -134,23 +134,67 @@ func TestVerifyProvesEveryBuildsBakedLoop(t *testing.T) {
 }
 
 // TestVerifyProofsRefuseSharedCorruption: both loop proofs must refuse a
-// corruption of what both interpreters read — the target of one stored
-// pointer in the shared arena, on a state the fast tier does not hold, and
-// the target of one depth-2 default in the shared lookup table, on a slot a
-// compressed state's move takes.
+// corruption of what both interpreters read, on a state the fast tier does
+// not hold — the target of one pointer in the shared arena, the length of
+// one arena row, the character and the target of one pointer a one-pointer
+// row keeps in its descriptor — and the target of one depth-2 default in
+// the shared lookup table, on a slot a compressed state's move takes.
 func TestVerifyProofsRefuseSharedCorruption(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 400, Seed: 2010})
 	trie := mustTrie(t, set)
-	cases := map[string]func(m *Machine) bool{
-		"stored pointer": func(m *Machine) bool {
-			for _, ref := range m.rows {
-				if ref < rowDense && ref>>rowCountShift != 0 {
-					p := &m.stored[ref&rowOffMask]
-					*p = newPointer(p.Char(), (p.To()+1)%int32(m.NumStates()))
-					return true
-				}
+	// arenaRow and inlineRow find the descriptor of a compressed state's
+	// arena row and of its one-pointer row.
+	arenaRow := func(m *Machine) *uint32 {
+		for s, ref := range m.rows {
+			if ref < rowInline && ref>>rowCountShift != 0 {
+				return &m.rows[s]
 			}
-			return false
+		}
+		return nil
+	}
+	inlineRow := func(m *Machine) *uint32 {
+		for s, ref := range m.rows {
+			if ref >= rowInline && ref < rowDense {
+				return &m.rows[s]
+			}
+		}
+		return nil
+	}
+	cases := map[string]func(m *Machine) bool{
+		"arena pointer target": func(m *Machine) bool {
+			ref := arenaRow(m)
+			if ref == nil {
+				return false
+			}
+			p := &m.stored[*ref&rowOffMask]
+			*p = newPointer(p.Char(), (p.To()+1)%int32(m.NumStates()))
+			return true
+		},
+		"arena row length": func(m *Machine) bool {
+			ref := arenaRow(m)
+			if ref == nil {
+				return false
+			}
+			*ref -= 1 << rowCountShift
+			return true
+		},
+		"inline pointer character": func(m *Machine) bool {
+			ref := inlineRow(m)
+			if ref == nil {
+				return false
+			}
+			p := Pointer(*ref)
+			*ref = uint32(newPointer(p.Char()^1, p.To()))
+			return true
+		},
+		"inline pointer target": func(m *Machine) bool {
+			ref := inlineRow(m)
+			if ref == nil {
+				return false
+			}
+			p := Pointer(*ref)
+			*ref = uint32(newPointer(p.Char(), (p.To()+1)%int32(m.NumStates())))
+			return true
 		},
 		"depth-2 default": func(m *Machine) bool {
 			for s := int32(0); s < int32(m.NumStates()); s++ {
@@ -183,6 +227,55 @@ func TestVerifyProofsRefuseSharedCorruption(t *testing.T) {
 		}
 		if err := m.verifyProgram(trie); err == nil {
 			t.Errorf("%s: verifyProgram accepted the corrupted machine", name)
+		}
+	}
+}
+
+// TestVerifyRefusesOutOfRangeTargets: a target far past the last state, in
+// any table a scan loop follows — an arena pointer, a one-pointer row's
+// descriptor, a fast-row override, a d1, d2 or d3 default — is an error
+// from Verify and from both loop proofs on their own, never an index past
+// the end of a table inside one of their loops.
+func TestVerifyRefusesOutOfRangeTargets(t *testing.T) {
+	set := ruleset.MustGenerate(ruleset.GenConfig{N: 200, Seed: 2010})
+	trie := mustTrie(t, set)
+	const far = maxStates - 1
+	aim := func(e uint64) uint64 { return e&^0xFFFFFFFF | far }
+	cases := map[string]func(m *Machine){
+		"arena pointer": func(m *Machine) { m.stored[0] = newPointer(m.stored[0].Char(), far) },
+		"inline pointer": func(m *Machine) {
+			for s, ref := range m.rows {
+				if ref >= rowInline && ref < rowDense {
+					m.rows[s] = uint32(newPointer(Pointer(ref).Char(), far))
+					return
+				}
+			}
+			t.Fatal("no compressed state keeps a one-pointer row")
+		},
+		"fast-row override": func(m *Machine) { m.over[0] = far },
+		"depth-1 default":   func(m *Machine) { m.lut.d1['e'] = far },
+		"depth-2 default":   func(m *Machine) { m.lut.d2['e'][0] = aim(m.lut.d2['e'][0]) },
+		"depth-3 default":   func(m *Machine) { m.lut.d3['e'] = aim(m.lut.d3['e']) },
+	}
+	proofs := map[string]func(m *Machine) error{
+		"Verify":            func(m *Machine) error { return m.Verify(trie, nil) },
+		"verifyTransitions": func(m *Machine) error { return m.verifyTransitions(trie) },
+		"verifyProgram":     func(m *Machine) error { return m.verifyProgram(trie) },
+	}
+	for name, corrupt := range cases {
+		for proof, run := range proofs {
+			m := mustBuild(t, set, Options{})
+			corrupt(m)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: %s panicked: %v", name, proof, r)
+					}
+				}()
+				if err := run(m); err == nil {
+					t.Errorf("%s: %s accepted a target of state %d in a %d-state machine", name, proof, far, m.NumStates())
+				}
+			}()
 		}
 	}
 }

@@ -10,14 +10,16 @@ import (
 )
 
 // TestStateMemoryLayout pins the state memory to the paper's word and the
-// lookup table to one copy: a stored pointer is one 4-byte word, the Machine
-// keeps one row index and one lookup table — no per-character default lists
-// outlive Build — and promoting a state to the fast tier moves its
-// stored-row descriptor aside without touching the row compress laid out or
-// the table, which compress and selectDefaults, run here on a trie of the
-// same ruleset, give unbaked. A stream's registers are the exact machine's
-// and nothing more: position, state and fused history, 16 B on every
-// backend.
+// lookup table to one copy: a stored pointer is one 4-byte word, a row of
+// one pointer is its own descriptor and has no arena entry, the arena holds
+// exactly the longer rows, the Machine keeps one row index and one lookup
+// table — no per-character default lists outlive Build — and promoting a
+// state to the fast tier moves its stored-row descriptor aside without
+// touching the row compress laid out or the table, which compress and
+// selectDefaults, run here on a trie of the same ruleset, give unbaked;
+// reading a row allocates nothing, as it aliases the state memory. A
+// stream's registers are the exact machine's and nothing more: position,
+// state and fused history, 16 B on every backend.
 func TestStateMemoryLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Pointer(0)); got != 4 {
 		t.Fatalf("a stored pointer takes %d B, want 4", got)
@@ -60,7 +62,7 @@ func TestStateMemoryLayout(t *testing.T) {
 	if !slices.Equal(m.stored, stored) {
 		t.Fatal("baking moved the arena")
 	}
-	promoted := 0
+	promoted, ones, arena := 0, 0, 0
 	for s, ref := range m.rows {
 		want := rows[s]
 		if ref >= rowDense {
@@ -70,9 +72,29 @@ func TestStateMemoryLayout(t *testing.T) {
 		if ref != want {
 			t.Fatalf("state %d's stored row is described by %#x, compress laid out %#x", s, ref, want)
 		}
-		if !slices.Equal(m.StoredRow(int32(s)), rowOf(stored, want)) {
+		row := m.StoredRow(int32(s))
+		if !slices.Equal(row, rowOf(stored, &want)) {
 			t.Fatalf("state %d's stored row reads differently once baked", s)
 		}
+		if len(row) != 1 {
+			arena += len(row)
+			continue
+		}
+		if ones++; ref < rowInline || ref >= rowDense || Pointer(ref) != row[0] {
+			t.Fatalf("state %d's one pointer %#x is described by %#x, not kept in its descriptor", s, row[0], ref)
+		}
+	}
+	if len(m.stored) != arena {
+		t.Fatalf("the arena holds %d pointers, the rows of two or more %d: a one-pointer row has an arena entry", len(m.stored), arena)
+	}
+	t.Logf("%d of %d states keep one pointer, in their descriptors; the arena holds %d", ones, len(m.rows), arena)
+	read := 0
+	if allocs := testing.AllocsPerRun(10, func() {
+		for s := range m.rows {
+			read += len(m.StoredRow(int32(s)))
+		}
+	}); allocs != 0 {
+		t.Fatalf("reading every stored row allocates %v times: a row read must alias the state memory", allocs)
 	}
 	if promoted != DefaultDenseStates || len(m.displaced) != promoted || len(m.fast) != promoted {
 		t.Fatalf("%d promoted states, %d displaced descriptors, %d fast rows; want %d of each",
@@ -80,12 +102,13 @@ func TestStateMemoryLayout(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsMachineBeyondWord: a machine whose states a 24-bit target
-// cannot name, or whose arena a 22-bit row offset cannot reach, is a Build
+// TestBuildRejectsMachineBeyondWord: a machine whose states a 22-bit target
+// cannot name, or whose arena a 21-bit row offset cannot reach, is a Build
 // error (which Compile wraps in ErrBadConfig), not a silently truncated
 // pointer. Building one takes gigabytes, so the bound is tested where
-// compress applies it, and the paper's largest ruleset is shown to sit
-// more than 20× inside it.
+// compress applies it, at both limits; the descriptor of the longest row
+// at the last offset stays clear of the inline tag; and the paper's
+// largest ruleset is shown to sit at least 10× inside both limits.
 func TestBuildRejectsMachineBeyondWord(t *testing.T) {
 	for _, tc := range []struct {
 		states  int
@@ -97,11 +120,14 @@ func TestBuildRejectsMachineBeyondWord(t *testing.T) {
 		{1, rowOffMask + 1, false},
 	} {
 		if err := fitsWord(tc.states, tc.entries); (err == nil) != tc.fits {
-			t.Errorf("%d states storing %d pointers: fitsWord says %v, want fits=%v", tc.states, tc.entries, err, tc.fits)
+			t.Errorf("%d states whose arena holds %d pointers: fitsWord says %v, want fits=%v", tc.states, tc.entries, err, tc.fits)
 		}
 	}
+	if last := uint32(256)<<rowCountShift | rowOffMask; last >= rowInline || last>>rowCountShift != 256 || last&rowOffMask != rowOffMask {
+		t.Fatalf("a 256-pointer row at offset %d is described by %#x, which does not read back", rowOffMask, last)
+	}
 	m := mustBuild(t, ruleset.MustGenerate(ruleset.GenConfig{N: 6275, Seed: 2010}), Options{})
-	if states, entries := m.NumStates(), len(m.stored); 20*states > maxStates || 20*entries > rowOffMask {
-		t.Fatalf("at 6 275 strings the machine has %d states and %d stored pointers: within 20× of the word's range", states, entries)
+	if states, entries := m.NumStates(), len(m.stored); 10*states > maxStates || 10*entries > rowOffMask {
+		t.Fatalf("at 6 275 strings the machine has %d states and an arena of %d pointers: within 10× of the word's range", states, entries)
 	}
 }

@@ -52,6 +52,9 @@ func (m *Machine) verifyTransitions(t *ac.Trie) error {
 	if t.NumStates() != m.NumStates() {
 		return fmt.Errorf("core: the oracle trie has %d states, the machine %d: not the same ruleset", t.NumStates(), m.NumStates())
 	}
+	if err := m.verifyRanges(); err != nil {
+		return err
+	}
 	spells := func(s int32, path ...byte) bool {
 		at := ac.Root
 		for _, c := range path {
@@ -79,19 +82,63 @@ func (m *Machine) verifyTransitions(t *ac.Trie) error {
 	return m.proveLoop(t, kindReference)
 }
 
+// verifyRanges checks, before any loop reads the tables, that every index
+// they follow lands inside the machine: each fast-row number has a fast row
+// and a displaced descriptor, each arena row lies inside the arena, and
+// every target — of a stored pointer, in the arena or in a descriptor, of a
+// fast-row override, and of a d1, d2 or d3 default — is a state the machine
+// has. Either loop would index past a table on an out-of-range target.
+func (m *Machine) verifyRanges() error {
+	n := uint32(len(m.rows))
+	for s, ref := range m.rows {
+		if ref >= rowDense && (int(ref-rowDense) >= len(m.fast) || int(ref-rowDense) >= len(m.displaced)) {
+			return fmt.Errorf("core: state %d reads fast row %d of %d (%d displaced descriptors)", s, ref-rowDense, len(m.fast), len(m.displaced))
+		}
+		if ref := *m.storedRef(int32(s)); ref < rowInline && int(ref&rowOffMask+ref>>rowCountShift) > len(m.stored) {
+			return fmt.Errorf("core: state %d's descriptor reads %d entries at %d of the arena's %d", s, ref>>rowCountShift, ref&rowOffMask, len(m.stored))
+		}
+		for _, p := range m.StoredRow(int32(s)) {
+			if uint32(p.To()) >= n {
+				return fmt.Errorf("core: state %d stores a pointer on %#02x to state %d of %d", s, p.Char(), p.To(), n)
+			}
+		}
+	}
+	for i, to := range m.over {
+		if uint32(to) >= n {
+			return fmt.Errorf("core: fast-row override %d leads to state %d of %d", i, to, n)
+		}
+	}
+	l := &m.lut
+	for c := range 256 {
+		if uint32(l.d1[c]) >= n {
+			return fmt.Errorf("core: lookup row %#02x has depth-1 default %d of %d states", c, l.d1[c], n)
+		}
+		for j, e := range l.d2[c] {
+			if uint32(e) >= n {
+				return fmt.Errorf("core: lookup row %#02x has depth-2 default %d to state %d of %d", c, j, uint32(e), n)
+			}
+		}
+		if uint32(l.d3[c]) >= n {
+			return fmt.Errorf("core: lookup row %#02x has depth-3 default %d of %d states", c, uint32(l.d3[c]), n)
+		}
+	}
+	return nil
+}
+
 // verifyProgram proves the baked loop's transition tables — fast rows,
 // compressed-row descriptors and the d1/d2/d3 lookup, read in the loop's
 // own encoding by the loop itself — against t's full move-function DFA:
 // from every state, under its static history, every byte must step to the
 // DFA's target (proveLoop). verifyTransitions proves the same of the
 // reference loop; this is the proof of what production scans with, the
-// prefiltered backend's suspect windows included. It first checks the
-// structure the step relies on without testing: every promoted state has
-// its own fast row, and one displaced descriptor per fast row; the
-// stored-row descriptors, promoted states' included, tile the arena in
-// state order, each row sorted by character; a fast row's ranks run on
-// from the row before through its own popcounts to end at len(over); and
-// no override repeats the default it overrides.
+// prefiltered backend's suspect windows included. It first checks that
+// every index lands in its table (verifyRanges) and the structure the step
+// relies on without testing: every promoted state has its own fast row,
+// and one displaced descriptor per fast row; the arena rows, promoted
+// states' included, tile the arena in state order, each row sorted by
+// character; a fast row's ranks run on from the row before through its own
+// popcounts to end at len(over); and no override repeats the default it
+// overrides.
 func (m *Machine) verifyProgram(t *ac.Trie) error {
 	n := t.NumStates()
 	if len(m.rows) != n {
@@ -100,30 +147,33 @@ func (m *Machine) verifyProgram(t *ac.Trie) error {
 	if len(m.displaced) != len(m.fast) {
 		return fmt.Errorf("core: %d displaced descriptors for %d fast rows", len(m.displaced), len(m.fast))
 	}
+	if err := m.verifyRanges(); err != nil {
+		return err
+	}
 	fastRows := 0
 	owned := make([]bool, len(m.fast))
-	at := uint32(0) // where the next state's stored row must begin
+	at := uint32(0) // where the next arena row must begin
 	for s, ref := range m.rows {
 		if ref >= rowDense {
-			i := int(ref - rowDense)
-			if i >= len(owned) || owned[i] {
-				return fmt.Errorf("core: state %d reads fast row %d of %d, which is not its own", s, i, len(owned))
+			i := ref - rowDense
+			if owned[i] {
+				return fmt.Errorf("core: state %d reads fast row %d, which is not its own", s, i)
 			}
 			owned[i] = true
 			fastRows++
 		}
-		ref = m.storedRef(int32(s))
-		if off, cnt := ref&rowOffMask, ref>>rowCountShift; off != at || int(off+cnt) > len(m.stored) {
-			return fmt.Errorf("core: state %d's descriptor reads %d entries at %d, its row begins at %d of %d",
-				s, cnt, off, at, len(m.stored))
-		}
 		row := m.StoredRow(int32(s))
+		if ref := *m.storedRef(int32(s)); ref < rowInline {
+			if off := ref & rowOffMask; off != at {
+				return fmt.Errorf("core: state %d's arena row begins at %d, the row before it ends at %d", s, off, at)
+			}
+			at += uint32(len(row))
+		}
 		for i := 1; i < len(row); i++ {
 			if row[i-1].Char() >= row[i].Char() {
 				return fmt.Errorf("core: state %d's stored row is not sorted by character at entry %d", s, i)
 			}
 		}
-		at += uint32(len(row))
 	}
 	if int(at) != len(m.stored) {
 		return fmt.Errorf("core: the rows cover %d of the arena's %d entries", at, len(m.stored))
