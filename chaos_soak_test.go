@@ -115,7 +115,7 @@ func TestChaosSoakShedPacketsDeliveredOracle(t *testing.T) {
 			emit := chaos.StallOnce(c.emit, func(FlowMatch) bool { return true }, release)
 			gw := testGateway(t, m, shards, GatewayConfig{
 				StreamWorkers: 1, QueueDepth: 4,
-				OverloadPolicy: ShedPackets, IngestDeadline: -1, GapTimeout: 1,
+				OverloadPolicy: ShedPackets, GapTimeout: 1,
 			}, emit)
 
 			// Replay the in-order feed, recording admission per packet. A
@@ -222,7 +222,7 @@ func TestChaosSoakShedNewFlows(t *testing.T) {
 			emit := chaos.StallOnce(c.emit, func(fm FlowMatch) bool { return fm.Tuple == trigTuple }, release)
 			gw := testGateway(t, m, shards, GatewayConfig{
 				StreamWorkers: 1, QueueDepth: 4,
-				OverloadPolicy: ShedNewFlows, IngestDeadline: -1,
+				OverloadPolicy: ShedNewFlows,
 			}, emit)
 			o := newOracle(c)
 			for f, tuple := range w.Tuples {
@@ -671,7 +671,7 @@ func TestChaosSoakWedgedLaneSparesNeighbours(t *testing.T) {
 			}, release)
 			gw := testGateway(t, m, tc.shards, GatewayConfig{
 				StreamWorkers: tc.lanes, QueueDepth: 4,
-				OverloadPolicy: ShedPackets, IngestDeadline: -1, GapTimeout: 1,
+				OverloadPolicy: ShedPackets, GapTimeout: 1,
 			}, emit)
 			// Move B off A's lane, as admission places them.
 			tupB := w.Tuples[1]

@@ -225,8 +225,8 @@ type FlowMatch struct {
 	RuleID  int
 }
 
-// OverloadPolicy selects what Ingest does when the pipeline is saturated
-// and the packet's lane queue cannot accept it within the ingest deadline.
+// OverloadPolicy selects what Ingest does when the pipeline is saturated:
+// the packet's lane queue is full, the one overload signal there is.
 // Whatever the policy, the exactness contract holds over the bytes actually
 // delivered to scanning, and every byte not delivered is explicitly
 // accounted (see GatewayStats.Ledger): never silently wrong, never wedged.
@@ -237,16 +237,18 @@ const (
 	// for queue space, nothing is ever shed, and results are byte-identical
 	// to an unloaded run.
 	Block OverloadPolicy = iota
-	// ShedPackets drops the packet that cannot be queued within
-	// IngestDeadline. A shed TCP segment is a reassembly hole: the flow
-	// holds what follows until GapTimeout skips the hole, invalidating the
-	// scanner across the unseen bytes, so no match can span a shed packet
-	// and matches over delivered bytes stay oracle-exact.
+	// ShedPackets drops, at once, the packet that meets a full lane queue:
+	// nothing waits and nothing is allocated. A shed TCP segment is a
+	// reassembly hole: the flow holds what follows until GapTimeout skips
+	// the hole, invalidating the scanner across the unseen bytes, so no
+	// match can span a shed packet and matches over delivered bytes stay
+	// oracle-exact.
 	ShedPackets
 	// ShedNewFlows sheds only packets that would create new flow state
-	// (unknown TCP tuples and stateless packets); packets of established
-	// TCP flows still block, protecting connections already under
-	// inspection — the classic IDS answer to a SYN-flood style overload.
+	// (unknown TCP tuples and stateless packets), at once as ShedPackets
+	// does; packets of established TCP flows still block, protecting
+	// connections already under inspection — the classic IDS answer to a
+	// SYN-flood style overload.
 	ShedNewFlows
 )
 
@@ -333,11 +335,6 @@ type GatewayConfig struct {
 	// queue is full: Block (default, pure backpressure), ShedPackets, or
 	// ShedNewFlows. See the OverloadPolicy constants.
 	OverloadPolicy OverloadPolicy
-	// IngestDeadline bounds how long a shedding policy waits for queue
-	// space before shedding the packet. 0 selects 1ms; negative sheds
-	// immediately on a full queue. Ignored under Block, which waits
-	// indefinitely.
-	IngestDeadline time.Duration
 	// StallThreshold is the lane-watchdog trigger: a lane with queued or
 	// in-flight work whose last progress is older than this is reported
 	// stalled by Health (and /healthz turns 503). Default 5s.
@@ -376,12 +373,6 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	}
 	if c.GapTimeout < 0 {
 		c.GapTimeout = 0 // disabled
-	}
-	if c.IngestDeadline == 0 {
-		c.IngestDeadline = time.Millisecond
-	}
-	if c.IngestDeadline < 0 {
-		c.IngestDeadline = 0 // shed immediately on a full queue
 	}
 	if c.StallThreshold <= 0 {
 		c.StallThreshold = 5 * time.Second
@@ -424,8 +415,7 @@ type Gateway struct {
 	cur         atomic.Pointer[gwGeneration]
 	genMu       sync.Mutex
 	gens        []*gwGeneration
-	swaps       atomic.Uint64
-	gensInstall atomic.Uint64
+	swaps       atomic.Uint64 // generations installed beyond the first
 	gensRetired atomic.Uint64
 
 	workerWg sync.WaitGroup
@@ -444,7 +434,8 @@ type Gateway struct {
 // with a wrapped ErrBadConfig instead of a later panic, and so is a rule
 // with a Verdict past VerdictPass, a prefix length outside 0–32 or a port
 // range with Lo above Hi instead of one that is misreported or silently
-// matches nothing.
+// matches nothing, and an OverloadPolicy or OverlapPolicy that names none
+// of its constants instead of one that acts unlike its name.
 func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: NewGateway with nil Matcher", ErrBadConfig)
@@ -454,6 +445,12 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 	}
 	if int64(cfg.IdleTimeout) >= 1<<31 {
 		return nil, fmt.Errorf("%w: IdleTimeout %d is not below 2^31", ErrBadConfig, cfg.IdleTimeout)
+	}
+	if cfg.OverloadPolicy > ShedNewFlows {
+		return nil, fmt.Errorf("%w: OverloadPolicy %d is not one of block, shed_packets, shed_new_flows", ErrBadConfig, cfg.OverloadPolicy)
+	}
+	if cfg.OverlapPolicy != FirstWins && cfg.OverlapPolicy != LastWins {
+		return nil, fmt.Errorf("%w: OverlapPolicy %d is not one of first-wins, last-wins", ErrBadConfig, cfg.OverlapPolicy)
 	}
 	for _, r := range cfg.Rules {
 		if err := r.check(); err != nil {
@@ -470,7 +467,6 @@ func NewGateway(m *Matcher, cfg GatewayConfig, emit func(FlowMatch)) (*Gateway, 
 	gen0 := &gwGeneration{id: m.Generation(), m: m}
 	g.cur.Store(gen0)
 	g.gens = []*gwGeneration{gen0}
-	g.gensInstall.Store(1)
 	lanes := cfg.EngineShards * cfg.StreamWorkers
 	// An unlimited budget is still kept, so Stats can report what is held.
 	share := math.MaxInt

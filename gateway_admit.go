@@ -90,16 +90,7 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 			return true, nil
 		}
 	}
-	// Then wait out the deadline.
-	if d := g.cfg.IngestDeadline; d > 0 {
-		t := time.NewTimer(d)
-		select {
-		case ln.q <- p:
-			t.Stop()
-			return true, nil
-		case <-t.C:
-		}
-	}
+	// Every other packet meeting a full queue is shed at once.
 	ln.depth.Add(-1)
 	ln.n[cShedPackets].Add(1)
 	ln.n[cShedBytes].Add(uint64(len(p.payload)))

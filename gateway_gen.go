@@ -69,7 +69,6 @@ func (g *Gateway) SwapRules(m *Matcher) error {
 	g.genMu.Unlock()
 	g.cur.Store(gen)
 	g.swaps.Add(1)
-	g.gensInstall.Add(1)
 	g.maybeRetire(old)
 	return nil
 }

@@ -257,13 +257,15 @@ func (g *Gateway) counterTotals() (lanes [][numCounters]uint64, all [numCounters
 func (g *Gateway) Stats() GatewayStats {
 	_, c := g.counterTotals()
 	// Retired is read first, so a swap landing between the two loads can only
-	// make the live count read high, never negative.
-	retired, installed := g.gensRetired.Load(), g.gensInstall.Load()
+	// make the live count read high, never negative. Every generation past
+	// the first came in by a swap.
+	retired, swaps := g.gensRetired.Load(), g.swaps.Load()
+	installed := swaps + 1
 	s := GatewayStats{
 		Packets:              g.seq.Load(),
 		BufferedBytes:        g.bufferedBytes(),
 		Generation:           g.cur.Load().id,
-		RulesetSwaps:         g.swaps.Load(),
+		RulesetSwaps:         swaps,
 		GenerationsInstalled: installed,
 		GenerationsRetired:   retired,
 		GenerationsLive:      int(installed - retired),

@@ -10,9 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/capture/corpus"
 	"repro/internal/core"
@@ -340,6 +342,90 @@ func TestGatewayBackpressureLosesNothing(t *testing.T) {
 	}
 	if int(st.Matches) != want {
 		t.Fatalf("matches = %d, oracle %d", st.Matches, want)
+	}
+}
+
+// TestGatewayShedsAtOnceOnAFullLane: a full lane queue is the one overload
+// signal. At the default GatewayConfig, with one lane wedged in emit and its
+// queue full, ShedPackets sheds a packet — and ShedNewFlows a packet of a
+// new tuple — at once, allocating nothing, and the exposition names the
+// policy in force.
+func TestGatewayShedsAtOnceOnAFullLane(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	for _, pol := range []OverloadPolicy{ShedPackets, ShedNewFlows} {
+		t.Run(pol.String(), func(t *testing.T) {
+			release, wedged := make(chan struct{}), make(chan struct{})
+			var wedgeOnce, releaseOnce sync.Once
+			gw := testGateway(t, testMatcher(t, literal("attack-signature")), 1, GatewayConfig{OverloadPolicy: pol}, func(FlowMatch) {
+				wedgeOnce.Do(func() { close(wedged) })
+				<-release
+			})
+			// A failing assertion must not leave Close waiting on the wedge.
+			unwedge := func() { releaseOnce.Do(func() { close(release) }) }
+			defer unwedge()
+
+			udp := FiveTuple{SrcIP: IPv4(10, 0, 0, 1), DstIP: IPv4(10, 0, 0, 2), SrcPort: 5353, DstPort: 53, Proto: ProtoUDP}
+			if err := gw.Ingest(GatewayPacket{Tuple: udp, Payload: []byte("attack-signature")}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-wedged:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the lane never emitted the planted match")
+			}
+			// Stateless packets fill the wedged lane's queue: both policies
+			// admit them while it has room and shed the first that finds none.
+			ln := gw.laneOf(udp)
+			queued := 0
+			for ; ; queued++ {
+				admitted, err := gw.TryIngest(GatewayPacket{Tuple: udp, Payload: []byte("x")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !admitted {
+					break
+				}
+			}
+			if queued != cap(ln.q) {
+				t.Fatalf("%d packets queued before the first shed, want the lane's %d", queued, cap(ln.q))
+			}
+
+			// A TCP segment of a tuple the lane has never seen.
+			tcp := FiveTuple{SrcIP: IPv4(10, 0, 0, 3), DstIP: IPv4(10, 0, 0, 2), SrcPort: 40000, DstPort: 80, Proto: ProtoTCP}
+			for gw.laneOf(tcp) != ln {
+				tcp.SrcPort++
+			}
+			seg := GatewayPacket{Tuple: tcp, Flags: FlagSeq, Payload: make([]byte, 100)}
+			sheds := uint64(0)
+			allocs := testing.AllocsPerRun(100, func() {
+				if admitted, err := gw.TryIngest(seg); err != nil || admitted {
+					t.Fatalf("segment %d on a full lane: admitted %v, err %v", sheds, admitted, err)
+				}
+				sheds++
+			})
+			if allocs != 0 {
+				t.Fatalf("a shed allocated %.1f times", allocs)
+			}
+			st := gw.Stats()
+			wantNew := uint64(0)
+			if pol == ShedNewFlows {
+				wantNew = sheds + 1
+			}
+			if st.ShedPackets != sheds+1 || st.ShedBytes != 1+100*sheds || st.ShedNewFlows != wantNew {
+				t.Fatalf("after %d sheds of the segment and one of the filler: %+v", sheds, st)
+			}
+			var buf bytes.Buffer
+			if _, err := gw.Metrics().WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if want := `dpi_gateway_overload_policy_info{policy="` + pol.String() + `"} 1`; !strings.Contains(buf.String(), want) {
+				t.Fatalf("exposition lacks %s", want)
+			}
+			unwedge()
+			checkpoint(t, gw, "after the wedge is released")
+		})
 	}
 }
 

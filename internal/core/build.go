@@ -31,11 +31,12 @@ package core
 //
 // The defaults are chosen into, and resolved from, the kernel's own packed
 // lookup table (selectDefaults, misses). Build runs ac.Trie.Link, this
-// chain and, after compress, the fold's window filter and its proof on the
-// caller's goroutine, whose core wrote the trie. A second goroutine runs
-// beside them the prefilter and its proof, which read only what Link leaves
-// alone, then the match memory once Link is done, then the fast rows once
-// the fail tree is, which compile installs in compress's row index.
+// chain and, after compress, the fill of the fold's window filter on the
+// caller's goroutine, whose core wrote the trie; only Machine.Verify proves
+// the filter. A second goroutine runs beside them the prefilter and its
+// proof, which read only what Link leaves alone, then the match memory once
+// Link is done, then the fast rows once the fail tree is, which compile
+// installs in compress's row index.
 
 import (
 	"cmp"

@@ -1,14 +1,10 @@
-package core_test
-
-// An external test package: internal/traffic reaches core through
-// internal/nids, so the attack workload cannot be imported from inside it.
+package core
 
 import (
 	"slices"
 	"testing"
 
 	"repro/internal/ac"
-	"repro/internal/core"
 	"repro/internal/ruleset"
 	"repro/internal/traffic"
 )
@@ -19,24 +15,15 @@ import (
 // matches sorted. Nothing downstream of one machine sorts.
 func TestMachineEmitsCanonicalOrder(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})
-	m, err := core.Build(set, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trie, err := ac.New(set)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustBuild(t, set, Options{})
+	trie := mustTrie(t, set)
 	pkts, err := traffic.Generate(set, traffic.Config{Packets: 100, Bytes: 1460, Seed: 2010, AttackDensity: 60, Profile: traffic.Textual})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ties := 0
 	for _, name := range m.Backends() {
-		mk, err := core.Build(set, core.Options{Backend: name})
-		if err != nil {
-			t.Fatal(err)
-		}
+		mk := mustBuild(t, set, Options{Backend: name})
 		for _, p := range pkts {
 			want := trie.FindAll(p.Payload)
 			ac.SortMatches(want)

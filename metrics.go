@@ -111,9 +111,10 @@ func (gm *GatewayMetrics) render(w *metrics.Writer) {
 	// alerts on.
 	gauge("dpi_ruleset_generation",
 		"Installed ruleset generation new flows and stateless packets scan with.", float64(g.Generation()))
-	counter("dpi_ruleset_swaps_total", "Successful SwapRules hot reloads.", g.swaps.Load())
+	swaps := g.swaps.Load()
+	counter("dpi_ruleset_swaps_total", "Successful SwapRules hot reloads.", swaps)
 	counter("dpi_ruleset_generations_installed_total",
-		"Ruleset generations ever installed (the initial one included).", g.gensInstall.Load())
+		"Ruleset generations ever installed (the initial one included).", swaps+1)
 	counter("dpi_ruleset_generations_retired_total",
 		"Old ruleset generations fully drained and retired.", g.gensRetired.Load())
 	w.Metric("dpi_flows_by_generation", "gauge",

@@ -714,6 +714,19 @@ func TestSentinelErrors(t *testing.T) {
 		}
 	}
 
+	// A policy value past the named constants is refused, not run as some
+	// other policy under a name it does not have.
+	for _, cfg := range []GatewayConfig{
+		{OverloadPolicy: ShedNewFlows + 1},
+		{OverloadPolicy: 255},
+		{OverlapPolicy: LastWins + 1},
+		{OverlapPolicy: -1},
+	} {
+		if _, err := NewGateway(mA, cfg, func(FlowMatch) {}); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("overload policy %d, overlap policy %d: %v, want ErrBadConfig", cfg.OverloadPolicy, cfg.OverlapPolicy, err)
+		}
+	}
+
 	gw := testGateway(t, mA, 1, GatewayConfig{}, func(FlowMatch) {})
 	if err := gw.SwapRules(nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("SwapRules(nil): %v, want ErrBadConfig", err)
