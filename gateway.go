@@ -291,11 +291,13 @@ type GatewayConfig struct {
 	// EngineShards × StreamWorkers, charged 64 B a connection, 32 B a husk (a
 	// connection ended by FIN or quarantine) and each flow's held
 	// out-of-order segments, one log per flow, at its capacity: a 40 B
-	// header, then per segment 3–6 B of varint header and what stays
-	// resident — the segment whole, or under FirstWins its fold: a prefix of
-	// at most D bytes (D the ruleset's longest pattern), 8 B of registers and
-	// 4 B per later match (OPERATIONS.md, "What the budget buys"). The log's
-	// capacity is its allocation's size class. A segment that does not fit
+	// header, then per run 3–6 B of varint header and what stays resident —
+	// the segment whole, or under FirstWins the fold of the touching
+	// segments a run joins: a prefix of at most D bytes (D the ruleset's
+	// longest pattern), 2–5 B per later match, a 1–3 B tail and 8 B of
+	// registers — at most one run per 64 B of MaxFlowBuffer (OPERATIONS.md,
+	// "What the budget buys"). The log's capacity is its allocation's size
+	// class. A segment that does not fit
 	// what the connections leave drops its bytes furthest ahead; after each
 	// packet a lane over its share evicts its oldest husk, or with none its
 	// least-recently-active connection but the packet's own. Index slots and the slab
@@ -319,8 +321,9 @@ type GatewayConfig struct {
 	// buffer. Default FirstWins.
 	OverlapPolicy OverlapPolicy
 	// MaxFlowBuffer caps one flow's buffered out-of-order bytes, charged as
-	// MemoryBudget charges them; under pressure the bytes furthest from the
-	// delivery point are dropped first. Default 256 KiB.
+	// MemoryBudget charges them, and the runs it holds at one per 64 B;
+	// under pressure the bytes furthest from the delivery point are dropped
+	// first. Default 256 KiB.
 	MaxFlowBuffer int
 	// GapTimeout is how many stream packets (through the gateway, on the
 	// flow's lane's clock — the same unit and skew as IdleTimeout) a flow

@@ -284,13 +284,18 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 		rf |= reassembly.SYN
 	}
 	// A held piece is scanned as it is held, on the flow's own automaton,
-	// and keeps only what a later scan of it could still change; delivery
-	// resumes it from the true registers when its hole fills: data is n
-	// stream bytes, or the fold of them reassembly held.
+	// and keeps only what a later scan of it could still change; touching
+	// held pieces join into one such form; delivery resumes it from the true
+	// registers when its hole fills: data is n stream bytes, or the fold of
+	// them reassembly held.
 	m := c.gen.m.machine
 	fold := reassembly.Fold{Prefix: core.FoldPrefix, Encode: func(piece []byte) []byte {
 		ln.form, ln.matches = m.Fold(ln.form[:0], piece, ln.matches[:0])
 		return ln.form
+	}, Join: func(left []byte, n int, right []byte, nr int) reassembly.Seam {
+		var s core.Seam
+		s, ln.form, ln.matches = m.Join(ln.form, left, n, right, nr, ln.matches)
+		return reassembly.Seam(s)
 	}}
 	res := fl.asm.Segment(&ln.asm, p.seq32, p.payload, rf, tick, &fold,
 		func(data []byte, n, skipped int) {

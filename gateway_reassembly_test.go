@@ -373,8 +373,8 @@ func TestGatewayGapSkipResumption(t *testing.T) {
 // near their start. Held whole (LastWins), a cap of a 40 B log header, a
 // 5 B run header and 64 bytes keeps the first 64 and the needle. Folded
 // (FirstWins), they cost 14 B — the 2-byte prefix before the last byte of
-// "..n", a window no pattern contains, the registers and one 4 B match —
-// and all fit; under a cap too small for that, the fold is cut back to its
+// "..n", a window no pattern contains, one 2 B match, a 1 B tail and the
+// registers — and all fit; under a cap too small for that, the fold is cut back to its
 // prefix and the rest is shed, the needle with it.
 func TestGatewayBufferCapPressure(t *testing.T) {
 	m := testMatcher(t, literal("needle"))
@@ -415,12 +415,13 @@ func TestGatewayBufferCapPressure(t *testing.T) {
 	}
 }
 
-// TestGatewayHeldLogRewritesStayExact: the two ways a held log is rewritten
+// TestGatewayHeldLogRewritesStayExact: the ways a held log is rewritten
 // under a live flow scan exactly as the stream. Under FirstWins, the tail
 // of three segments is held folded and, at every cap from the bare log
-// header up, the nearer segment's arrival cuts it back to its prefix, drops
-// it or drops the arrival; retransmitting both once the head has arrived
-// refills whatever went, and the flow matches FindAll over the stream. Some
+// header up, the nearer segment's arrival, which touches it, joins it, cuts
+// it back to its prefix, drops it or drops the arrival; retransmitting both
+// once the head has arrived refills whatever went, and the flow matches
+// FindAll over the stream. Some
 // cap cuts the tail back to exactly its prefix. Under LastWins, two held
 // runs of wrong bytes are overwritten in place by one retransmission that
 // spans them both, and the flow matches the retransmitted bytes.
@@ -744,52 +745,72 @@ func TestGatewayFlushSerializesWithIngest(t *testing.T) {
 // schedule of a byte stream must scan identically to the in-order FindAll
 // oracle — the fuzz form of the acceptance property. pureFin sends the FIN as
 // a segment of its own, with no payload, permuted like the others — so it may
-// arrive ahead of every gap.
+// arrive ahead of every gap. maxFlowBuffer, when not 0, is the flow's cap:
+// held bytes it sheds are sent again, every segment in order, once the
+// schedule is done, so the stream still scans whole.
 func FuzzReassemblyEquivalence(f *testing.F) {
-	f.Add([]byte("the needle in the haystack, and abc bcd zz"), []byte{5, 16, 3}, uint64(0x9E3779B97F4A7C15), false, false)
-	f.Add([]byte("needleneedleneedle"), []byte{1, 2, 3}, uint64(42), true, false)
-	f.Add([]byte("zzabczz"), []byte{1}, uint64(0xFFFFFFFF00000001), false, false)
+	f.Add([]byte("the needle in the haystack, and abc bcd zz"), []byte{5, 16, 3}, uint64(0x9E3779B97F4A7C15), false, false, uint16(0))
+	f.Add([]byte("needleneedleneedle"), []byte{1, 2, 3}, uint64(42), true, false, uint16(0))
+	f.Add([]byte("zzabczz"), []byte{1}, uint64(0xFFFFFFFF00000001), false, false, uint16(0))
 	// The pure FIN arrives first, ahead of the whole stream.
-	f.Add([]byte("the needle in the haystack"), []byte{7, 9}, uint64(0x000100000000000A), false, true)
+	f.Add([]byte("the needle in the haystack"), []byte{7, 9}, uint64(0x000100000000000A), false, true, uint16(0))
 	// ISN 0xFFFFFFF4: the first segment sent, [10,16), straddles 2^32 and is
 	// held, and so is [16,20) past the wrap.
-	f.Add([]byte("zzneedlezzabczzhaystackzz"), []byte{5, 3}, uint64(0xFFFFFFF400000001), false, false)
+	f.Add([]byte("zzneedlezzabczzhaystackzz"), []byte{5, 3}, uint64(0xFFFFFFF400000001), false, false, uint16(0))
 	// Three 40-byte segments: the last is sent first and held folded. Its
 	// prefix ends 3 bytes in, after "abh", a window no pattern contains,
 	// so the haystack starting at its third byte straddles the fold point:
 	// the fold's own scan finds it and stores it, and "ab" is rescanned.
 	f.Add([]byte("0123456789012345678901234567890123456789"+
 		"xxxxxneedlexxxxxxxxxxxxxxxxxxxxhaystack."+
-		"abhaystack...................zz........."), []byte{39}, uint64(0x7FFFFFF000000001), false, false)
+		"abhaystack...................zz........."), []byte{39}, uint64(0x7FFFFFF000000001), false, false, uint16(0))
 	// The same order, with a needle across the held segment's start: its
 	// prefix, "le.", is rescanned from the registers the in-order bytes
 	// before it left, and ends the needle.
 	f.Add([]byte("0123456789012345678901234567890123456789"+
 		"....................................nee"+
-		"dle.haystack..........................z."), []byte{39}, uint64(0x7FFFFFF000000001), false, false)
+		"dle.haystack..........................z."), []byte{39}, uint64(0x7FFFFFF000000001), false, false, uint16(0))
 	// Five 24-byte segments, the first sent last: the other four are held
-	// folded, and three of them open inside a pattern — "tack" of a
-	// haystack, "edle" of a needle, "ystack" of another haystack — so each
-	// prefix runs through windows that are pattern substrings but no
-	// pattern's prefix, and ends after the first window that is neither.
-	// Resumed, each prefix ends the pattern its predecessor began.
+	// folded and join as they touch, and three of them open inside a
+	// pattern — "tack" of a haystack, "edle" of a needle, "ystack" of
+	// another haystack — so each prefix runs through windows that are
+	// pattern substrings but no pattern's prefix, and ends after the first
+	// window that is neither. Rescanned from the registers of the run it
+	// joins, or resumed, each prefix ends the pattern its predecessor began.
 	f.Add([]byte("0123456789012345678.hays"+"tack..................ne"+"edle..................ha"+
-		"ystack....needle.......z"+"z.........zz............"), []byte{23}, uint64(0x000001000000000E), false, false)
+		"ystack....needle.......z"+"z.........zz............"), []byte{23}, uint64(0x000001000000000E), false, false, uint16(0))
 	// The same, with the third segment retransmitted while it is held
 	// folded: the first copy wins.
 	f.Add([]byte("0123456789012345678.hays"+"tack..................ne"+"edle..................ha"+
-		"ystack....needle.......z"+"z.........zz............"), []byte{23}, uint64(0x0000010000000010), false, false)
-	// Five 12-byte segments: [12,24) and [48,58) are held, then [24,36) and
-	// [36,48) land in the middle of the flow's held log, each between two
-	// held runs, and "haystack" and "bcd" straddle the runs' edges. [12,24)
+		"ystack....needle.......z"+"z.........zz............"), []byte{23}, uint64(0x0000010000000010), false, false, uint16(0))
+	// Five 12-byte segments: [12,24) and [48,58) are held, then [24,36)
+	// joins [12,24) and [36,48) fills the hole before [48,58) exactly, all
+	// of them joining, and "haystack" and "bcd" straddle the seams. [12,24)
 	// is retransmitted while it is held.
-	f.Add([]byte("the needle and the haystack, zz abc bcd; a haystack needle"), []byte{11}, uint64(0x1b), false, false)
+	f.Add([]byte("the needle and the haystack, zz abc bcd; a haystack needle"), []byte{11}, uint64(0x1b), false, false, uint16(0))
 	// The same under LastWins: the retransmission rewrites its run in place.
-	f.Add([]byte("the needle and the haystack, zz abc bcd; a haystack needle"), []byte{11}, uint64(0x1b), true, false)
-	// [24,36) and [12,24) are held, [0,12) drains the log empty and frees it,
-	// then [48,58) opens a new one, which [36,48) drains.
-	f.Add([]byte("the needle and the haystack, zz abc bcd; a haystack needle"), []byte{11}, uint64(7), false, false)
-	f.Fuzz(func(t *testing.T, stream []byte, cuts []byte, order uint64, lastWins, pureFin bool) {
+	f.Add([]byte("the needle and the haystack, zz abc bcd; a haystack needle"), []byte{11}, uint64(0x1b), true, false, uint16(0))
+	// [24,36) is held and [12,24) joins it, [0,12) drains the log empty and
+	// frees it, then [48,58) opens a new one, which [36,48) drains.
+	f.Add([]byte("the needle and the haystack, zz abc bcd; a haystack needle"), []byte{11}, uint64(7), false, false, uint16(0))
+	// Five 20-byte segments (the last 19), where patterns straddle every
+	// edge. Join on the left: [20,40) is held, then [40,60) joins it.
+	joins := []byte("..needle..haystack..needle....haystack..zz..abc.bcd..needle....haystack.needle..zz.abcd..haystack..")
+	f.Add(joins, []byte{19}, uint64(0x1e), false, false, uint16(0))
+	// Join on the right: [60,80) is held, then [40,60) joins it.
+	f.Add(joins, []byte{19}, uint64(1), false, false, uint16(0))
+	// An exact three-way fill: [40,60) and [80,99) are held, [20,40) joins
+	// the first on the right, and [60,80) fills the hole between the two.
+	f.Add(joins, []byte{19}, uint64(0x12), false, false, uint16(0))
+	// Under a 70-byte cap the segments arrive last first, each joining the
+	// run it precedes, and a joined run is cut back to its prefix to make
+	// room for the next.
+	f.Add(joins, []byte{19}, uint64(0x10), false, false, uint16(70))
+	// Under LastWins and a 70-byte cap, held segments are cut short, a
+	// retransmission holds a cut segment's rest as a second whole run, and
+	// the next one overwrites both runs in one call.
+	f.Add(joins, []byte{19}, uint64(0x278), true, false, uint16(70))
+	f.Fuzz(func(t *testing.T, stream []byte, cuts []byte, order uint64, lastWins, pureFin bool, maxFlowBuffer uint16) {
 		if len(stream) == 0 || len(stream) > 2048 {
 			t.Skip()
 		}
@@ -836,7 +857,7 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 		tup := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: ProtoTCP}
 		c := newCollector()
 		gw := testGateway(t, m, 1, GatewayConfig{
-			StreamWorkers: 1, OverlapPolicy: pol, GapTimeout: -1,
+			StreamWorkers: 1, OverlapPolicy: pol, GapTimeout: -1, MaxFlowBuffer: int(maxFlowBuffer),
 		}, c.emit)
 		// The SYN announces the base up front, so any data permutation is
 		// reassemblable.
@@ -858,6 +879,9 @@ func FuzzReassemblyEquivalence(f *testing.F) {
 			if next(4) == 0 { // exact-copy retransmission of a random segment
 				send(segs[next(len(segs))])
 			}
+		}
+		for i := 0; maxFlowBuffer != 0 && i < len(segs); i++ {
+			send(segs[i])
 		}
 		closeCheckpoint(t, gw)
 		want := m.FindAll(stream)

@@ -237,15 +237,18 @@ func (f *windowFilter) prove(t *ac.Trie) error {
 	return nil
 }
 
-// The resident form of a folded piece, after its prefix: each later match
-// as one word, its end within the piece in the low foldEndBits and its
-// pattern ID above them, then the state the piece ends in and its history
-// with the prefix's length above it; every word 4 bytes little-endian.
+// The resident form of a folded piece, after its prefix of p bytes: each
+// later match as uvarint(end − the previous match's end, the first's counted
+// from p) and uvarint(pattern ID); then the stream bytes after the last
+// match (or after the prefix, with none), a uvarint written back to front so
+// it reads from its end; then the registers the piece's scan ended in, the
+// state and the history with p above it, each word 4 bytes little-endian. A
+// join reads the tail and the registers from the form's end, so it extends a
+// form without decoding its match list.
 const (
-	foldRegs    = 8
-	foldMatch   = 4
-	foldEndBits = 19
-	foldLenBits = 32 - 2*histLaneBits
+	foldRegs     = 8
+	foldMaxPiece = 1 << 19 // a piece this long or longer is held whole
+	foldLenBits  = 32 - 2*histLaneBits
 )
 
 // deepest is t's deepest state, the end of its longest pattern: the last
@@ -276,32 +279,85 @@ func FoldPrefix(form []byte) int {
 
 // foldAs is Fold on an explicit backend, keeping forms shorter than limit.
 func (m *Machine) foldAs(k backendKind, dst, piece []byte, scratch []ac.Match, limit int) ([]byte, []ac.Match) {
-	p := m.depth
-	for j := 0; j+2 < p && j+3 <= len(piece); j++ {
-		if m.windows.absent(piece[j], piece[j+1], piece[j+2]) {
-			p = j + 2 // which ends the loop
-		}
-	}
-	if m.depth == 0 || p >= len(piece) || p >= 1<<foldLenBits || len(piece) >= 1<<foldEndBits || p+foldRegs >= limit {
+	p := m.foldPoint(piece, nil)
+	if m.depth == 0 || p >= len(piece) || p >= 1<<foldLenBits || len(piece) >= foldMaxPiece || p+1+foldRegs >= limit {
 		return dst, scratch
 	}
 	var r Regs
 	r.Reset()
 	scratch = m.scanAs(k, &r, piece, scratch[:0])
-	later := scratch
-	for len(later) > 0 && later[0].End <= p { // the prefix's matches: Resume rescans them
-		later = later[1:]
-	}
-	if p+foldMatch*len(later)+foldRegs >= limit {
+	form, last := appendLater(append(dst, piece[:p]...), scratch, p, p)
+	if form = seal(form, &r, p, last); len(form)-len(dst) >= limit {
 		return dst, scratch
 	}
-	le := binary.LittleEndian
-	dst = append(dst, piece[:p]...)
-	for _, mt := range later {
-		dst = le.AppendUint32(dst, uint32(mt.End)|uint32(mt.PatternID)<<foldEndBits)
+	return form, scratch
+}
+
+// foldPoint is where a fold of the bytes a then b ends its prefix: D, or
+// j+2 for the first 3-byte window at j that no pattern contains.
+func (m *Machine) foldPoint(a, b []byte) int {
+	at := func(i int) byte {
+		if i < len(a) {
+			return a[i]
+		}
+		return b[i-len(a)]
 	}
+	p, n := m.depth, len(a)+len(b)
+	for j := 0; j+2 < p && j+3 <= n; j++ {
+		if m.windows.absent(at(j), at(j+1), at(j+2)) {
+			p = j + 2 // which ends the loop
+		}
+	}
+	return p
+}
+
+// appendLater appends to dst each match of ms ending past p, its end counted
+// from the one before it, the first from last, and returns the last end.
+func appendLater(dst []byte, ms []ac.Match, p, last int) ([]byte, int) {
+	for _, mt := range ms {
+		if mt.End > p {
+			dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(mt.End-last)), uint64(mt.PatternID))
+			last = mt.End
+		}
+	}
+	return dst, last
+}
+
+// seal ends a form whose prefix is p bytes and whose last match ends at last:
+// the bytes r's scan went on past it, written back to front, then r's
+// registers with p.
+func seal(dst []byte, r *Regs, p, last int) []byte {
+	var v [binary.MaxVarintLen64]byte
+	for i := binary.PutUvarint(v[:], uint64(r.pos-last)); i > 0; i-- {
+		dst = append(dst, v[i-1])
+	}
+	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(r.state))
-	return le.AppendUint32(dst, r.hist|uint32(p)<<(32-foldLenBits)), scratch
+	return le.AppendUint32(dst, r.hist|uint32(p)<<(32-foldLenBits))
+}
+
+// foldEnd is a form read from its end: its prefix's length, where its match
+// list ends, how many stream bytes follow its last match, and its registers.
+type foldEnd struct {
+	p, list, tail int
+	state         int32
+	hist          uint32
+}
+
+// readEnd reads form's end.
+func readEnd(form []byte) foldEnd {
+	le := binary.LittleEndian
+	regs, e := form[len(form)-foldRegs:], foldEnd{p: FoldPrefix(form), list: len(form) - foldRegs}
+	for shift := 0; ; shift += 7 {
+		e.list--
+		c := form[e.list]
+		e.tail |= int(c&0x7f) << shift
+		if c < 0x80 {
+			break
+		}
+	}
+	e.state, e.hist = int32(le.Uint32(regs)), le.Uint32(regs[4:])&histMask
+	return e
 }
 
 // Resume continues the stream at r over a piece of n bytes held as resident:
@@ -319,15 +375,103 @@ func (m *Machine) resumeAs(k backendKind, r *Regs, resident []byte, n int, out [
 	if len(resident) == n {
 		return m.scanAs(k, r, resident, out)
 	}
-	p, start, regs := FoldPrefix(resident), r.pos, resident[len(resident)-foldRegs:]
-	out = m.scanAs(k, r, resident[:p], out)
-	le := binary.LittleEndian
-	r.state, r.hist, r.pos = int32(le.Uint32(regs)), le.Uint32(regs[4:])&histMask, start+n
-	for b := resident[p : len(resident)-foldRegs]; len(b) > 0; b = b[foldMatch:] {
-		w := le.Uint32(b)
-		out = append(out, ac.Match{PatternID: int32(w >> foldEndBits), End: start + int(w&(1<<foldEndBits-1))})
+	e, start := readEnd(resident), r.pos
+	out = m.scanAs(k, r, resident[:e.p], out)
+	end := start + e.p
+	for b := resident[e.p:e.list]; len(b) > 0; {
+		d, i := binary.Uvarint(b)
+		id, j := binary.Uvarint(b[i:])
+		end, b = end+int(d), b[i+j:]
+		out = append(out, ac.Match{PatternID: int32(id), End: end})
 	}
+	r.state, r.hist, r.pos = e.state, e.hist, start+n
 	return out
+}
+
+// A Seam is how Join makes two touching residents one form: the left's
+// first Keep bytes, then Mid, then the right's bytes [Skip, Cut), then End.
+// The zero Seam keeps them apart.
+type Seam struct {
+	Keep, Skip, Cut int
+	Mid, End        []byte
+}
+
+// Join is Fold's form of two touching pieces as one, made from what is held
+// of them: left, n stream bytes, then right, nr, each a Fold form on this
+// machine or the piece itself. Past a fold's prefix a scan no longer depends
+// on where it started, so a folded left's registers are those of the stream
+// at the seam: the right is scanned on from them, a folded right only its
+// prefix, its later matches and registers kept. A left held whole is scanned
+// from its bytes. The form is told as a Seam over the two residents, so a
+// caller rewrites them where they lie: a folded left keeps all but its end,
+// a folded right with later matches all but its first end and its last
+// word, and Mid and End hold only what the rescans found. Join returns the
+// zero Seam where Fold would keep the joined piece whole. buf is Mid's and
+// End's storage and scratch the scans' match buffer, both returned for
+// reuse.
+func (m *Machine) Join(buf, left []byte, n int, right []byte, nr int, scratch []ac.Match) (Seam, []byte, []ac.Match) {
+	return m.joinAs(m.kind, buf, left, n, right, nr, scratch)
+}
+
+// joinAs is Join on an explicit backend.
+func (m *Machine) joinAs(k backendKind, buf, left []byte, n int, right []byte, nr int, scratch []ac.Match) (Seam, []byte, []ac.Match) {
+	if m.depth == 0 || n+nr >= foldMaxPiece {
+		return Seam{}, buf, scratch
+	}
+	rb, pr := right, len(right) // what of the right is bytes: all of it, or its prefix
+	if len(right) < nr {
+		pr = FoldPrefix(right)
+		rb = right[:pr]
+	}
+	var s Seam
+	var r Regs // the scan at the seam, its position counted from the left's start
+	var p, last int
+	buf = buf[:0]
+	if len(left) < n {
+		e := readEnd(left)
+		p, last, s.Keep = e.p, n-e.tail, e.list
+		r = Regs{pos: n, state: e.state, hist: e.hist}
+	} else {
+		// The right's prefix ends after the first window no pattern
+		// contains, so the joined prefix ends there at the latest.
+		if p = m.foldPoint(left, rb); len(right) < nr && pr < m.depth {
+			p = min(p, n+pr)
+		}
+		if p >= n+nr || p >= 1<<foldLenBits {
+			return Seam{}, buf, scratch
+		}
+		r.Reset()
+		scratch = m.scanAs(k, &r, left, scratch[:0])
+		s.Keep = min(p, n)
+		buf, last = appendLater(append(buf, rb[:max(p-n, 0)]...), scratch, p, p)
+	}
+	scratch = m.scanAs(k, &r, rb, scratch[:0])
+	buf, last = appendLater(buf, scratch, p, last)
+	e := foldEnd{list: pr} // a right held whole keeps no match of its own
+	if len(right) < nr {
+		e = readEnd(right)
+	}
+	var mid int
+	if e.list > pr {
+		// The right's later matches stay where they are but for the first's
+		// end, now counted from the joined list's last, and its tail and
+		// state word stay too: only the history word takes the new prefix.
+		d, i := binary.Uvarint(right[pr:])
+		buf = binary.AppendUvarint(buf, uint64(n+pr+int(d)-last))
+		mid, s.Skip, s.Cut = len(buf), pr+i, len(right)-4
+		buf = binary.LittleEndian.AppendUint32(buf, e.hist|uint32(p)<<(32-foldLenBits))
+	} else {
+		if len(right) < nr {
+			r.state, r.hist, r.pos = e.state, e.hist, n+nr
+		}
+		buf = seal(buf, &r, p, last)
+		mid, s.Skip, s.Cut = len(buf), len(right), len(right)
+	}
+	s.Mid, s.End = buf[:mid], buf[mid:]
+	if s.Keep+len(buf)+s.Cut-s.Skip >= n+nr {
+		return Seam{}, buf, scratch
+	}
+	return s, buf, scratch
 }
 
 // scanAs is ScanAppend on an explicit backend. It is a switch over direct

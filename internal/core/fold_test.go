@@ -1,12 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/ac"
 	"repro/internal/ruleset"
 )
 
@@ -31,46 +33,9 @@ import (
 // a piece of 2¹⁹ bytes whole.
 func TestFoldResumeEqualsScan(t *testing.T) {
 	for _, n := range []int{634, 6275} {
-		set := ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010})
-		m := mustBuild(t, set, Options{})
-		longest := longestPattern(set)
-		d := m.Depth()
-		if d != len(longest) {
-			t.Fatalf("%d strings: Depth is %d, the longest pattern has %d bytes", n, d, len(longest))
-		}
-		rng := rand.New(rand.NewSource(int64(n)))
-		noise := func(k int) []byte {
-			b := make([]byte, k)
-			rng.Read(b)
-			return b
-		}
-		ascii := func(k int) []byte {
-			b := make([]byte, k)
-			for i := range b {
-				b[i] = byte(' ' + rng.Intn(95))
-			}
-			return b
-		}
-		befores := [][]byte{nil, noise(3 * d), longest[:d-1], longest[:d/2]}
-		pieces := [][]byte{noise(d), noise(d + 1), ascii(d), ascii(4 * d), longest, append(slices.Clone(longest[d/2:]), noise(2*d)...)}
-		for at := 0; at <= d; at++ { // the longest pattern at [at, at+d): ends at D when at == 0
-			pieces = append(pieces, slices.Concat(noise(at), longest, noise(d)))
-		}
-		type opened struct{ before, piece []byte }
-		var middles []opened
-		absent := -1 // a byte ending a window no pattern contains after the longest pattern's last two
-		for c := 255; c >= 0; c-- {
-			if m.windows.absent(longest[d-2], longest[d-1], byte(c)) {
-				absent = c
-			}
-		}
-		if absent < 0 {
-			t.Fatalf("%d strings: every window after the longest pattern's last two bytes is in the filter", n)
-		}
-		for i := 1; i < d; i++ {
-			middles = append(middles, opened{longest[:i], slices.Concat(longest[i:], ascii(d))},
-				opened{longest[:i], slices.Concat(longest[i:], []byte{byte(absent)}, ascii(d))})
-		}
+		m, fp := newFoldPieces(t, n)
+		longest, d, noise := fp.longest, fp.d, fp.noise
+		befores, pieces, middles := fp.befores, fp.pieces, fp.middles
 		for _, name := range RegisteredBackends() {
 			t.Run(fmt.Sprintf("%d/%s", n, name), func(t *testing.T) {
 				k := kindOf(t, m, name)
@@ -114,8 +79,8 @@ func TestFoldResumeEqualsScan(t *testing.T) {
 				if total := len(pieces) + len(middles); folded < total-2 {
 					t.Fatalf("only %d of %d pieces proved", folded, total)
 				}
-				if form, _ := m.foldAs(k, nil, noise(1<<foldEndBits), nil, math.MaxInt); form != nil {
-					t.Fatalf("a piece of 2^19 bytes folds to %d bytes: its ends do not fit a match word", len(form))
+				if form, _ := m.foldAs(k, nil, noise(foldMaxPiece), nil, math.MaxInt); form != nil {
+					t.Fatalf("a piece of 2^19 bytes folds to %d bytes: a run that long is held whole", len(form))
 				}
 			})
 		}
@@ -148,6 +113,161 @@ func longestPattern(set *ruleset.Set) []byte {
 		}
 	}
 	return longest
+}
+
+// foldPieces are TestFoldResumeEqualsScan's streams and pieces at one
+// ruleset size: befores, the streams a piece follows; pieces, each proved
+// after every before; middles, each piece opening part-way through the
+// longest pattern after the stream of the bytes before it.
+type foldPieces struct {
+	longest []byte
+	d       int
+	rng     *rand.Rand
+	befores [][]byte
+	pieces  [][]byte
+	middles []opened
+}
+
+// opened is a piece that opens part-way through a pattern, after the stream
+// of that pattern's first bytes.
+type opened struct{ before, piece []byte }
+
+func (fp *foldPieces) noise(k int) []byte {
+	b := make([]byte, k)
+	fp.rng.Read(b)
+	return b
+}
+
+func (fp *foldPieces) ascii(k int) []byte {
+	b := make([]byte, k)
+	for i := range b {
+		b[i] = byte(' ' + fp.rng.Intn(95))
+	}
+	return b
+}
+
+// newFoldPieces builds the machine of the 2010-seeded ruleset of n strings
+// and the pieces: random noise of D and D+1 bytes, ASCII noise of D and 4·D,
+// the longest pattern alone and from its middle on, and the longest pattern
+// at every offset from the piece's start to D and past it; befores end in
+// the start state, on random bytes, or part-way through that same pattern;
+// middles open with each suffix of the longest pattern, followed by ASCII
+// noise, or by a byte that makes a window no pattern contains with the
+// pattern's last two.
+func newFoldPieces(t *testing.T, n int) (*Machine, *foldPieces) {
+	t.Helper()
+	set := ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010})
+	m := mustBuild(t, set, Options{})
+	longest := longestPattern(set)
+	d := m.Depth()
+	if d != len(longest) {
+		t.Fatalf("%d strings: Depth is %d, the longest pattern has %d bytes", n, d, len(longest))
+	}
+	fp := &foldPieces{longest: longest, d: d, rng: rand.New(rand.NewSource(int64(n)))}
+	fp.befores = [][]byte{nil, fp.noise(3 * d), longest[:d-1], longest[:d/2]}
+	fp.pieces = [][]byte{fp.noise(d), fp.noise(d + 1), fp.ascii(d), fp.ascii(4 * d), longest, append(slices.Clone(longest[d/2:]), fp.noise(2*d)...)}
+	for at := 0; at <= d; at++ { // the longest pattern at [at, at+d): ends at D when at == 0
+		fp.pieces = append(fp.pieces, slices.Concat(fp.noise(at), longest, fp.noise(d)))
+	}
+	absent := -1 // a byte ending a window no pattern contains after the longest pattern's last two
+	for c := 255; c >= 0; c-- {
+		if m.windows.absent(longest[d-2], longest[d-1], byte(c)) {
+			absent = c
+		}
+	}
+	if absent < 0 {
+		t.Fatalf("%d strings: every window after the longest pattern's last two bytes is in the filter", n)
+	}
+	for i := 1; i < d; i++ {
+		fp.middles = append(fp.middles, opened{longest[:i], slices.Concat(longest[i:], fp.ascii(d))},
+			opened{longest[:i], slices.Concat(longest[i:], []byte{byte(absent)}, fp.ascii(d))})
+	}
+	return m, fp
+}
+
+// TestFoldJoinEqualsFold: at the paper's ruleset sizes, on every registered
+// backend, two touching pieces — each held as its fold where Fold keeps one,
+// and whole — join into exactly Fold's form of the two as one piece, or into
+// none where Fold keeps that whole, and the joined form resumes after each
+// of TestFoldResumeEqualsScan's befores as a scan of both pieces does. The
+// pairs are that test's pieces before and after each of its six fixed ones,
+// so both arrival orders are joined, and the longest pattern split at every
+// byte between a folded left, after noise, and its middle piece, so the
+// pattern straddles the seam and only the rescan of the right's prefix from
+// the left's registers finds it. Corrupting the left's stored registers
+// there fails the join proof Verify runs. Under -race only the 634-string
+// set runs; CI's footprint step runs both plain.
+func TestFoldJoinEqualsFold(t *testing.T) {
+	for _, n := range []int{634, 6275} {
+		if raceEnabled && n != 634 {
+			continue
+		}
+		m, fp := newFoldPieces(t, n)
+		type pair struct{ l, r []byte }
+		var pairs []pair
+		for _, a := range fp.pieces[:6] {
+			for _, b := range fp.pieces {
+				pairs = append(pairs, pair{a, b}, pair{b, a})
+			}
+		}
+		for _, o := range fp.middles {
+			pairs = append(pairs, pair{slices.Concat(fp.noise(2*fp.d), o.before), o.piece})
+		}
+		for _, name := range RegisteredBackends() {
+			t.Run(fmt.Sprintf("%d/%s", n, name), func(t *testing.T) {
+				k := kindOf(t, m, name)
+				befores := make([]Regs, len(fp.befores))
+				for i, b := range fp.befores {
+					befores[i].Reset()
+					m.scanAs(k, &befores[i], b, nil)
+				}
+				held := func(p []byte) [][]byte {
+					if form, _ := m.foldAs(k, nil, p, nil, len(p)); form != nil {
+						return [][]byte{p, form}
+					}
+					return [][]byte{p}
+				}
+				joined, refused := 0, 0
+				for _, pr := range pairs {
+					for _, lf := range held(pr.l) {
+						for _, rf := range held(pr.r) {
+							if err := m.proveJoin(k, pr.l, pr.r, lf, rf, befores); err != nil {
+								t.Fatal(err)
+							}
+							if s, _, _ := m.joinAs(k, nil, lf, len(pr.l), rf, len(pr.r), nil); s.Keep != 0 {
+								joined++
+							}
+						}
+					}
+				}
+				if joined < len(pairs) {
+					t.Fatalf("only %d joins of %d pairs made a form", joined, len(pairs))
+				}
+				// Corrupt the left's registers where the pattern straddles
+				// the seam: the start state and no history.
+				for _, o := range fp.middles {
+					l := slices.Concat(fp.noise(2*fp.d), o.before)
+					lf, rf := held(l), held(o.piece)
+					if len(lf) < 2 {
+						continue
+					}
+					bad, le := slices.Clone(lf[1]), binary.LittleEndian
+					regs := bad[len(bad)-foldRegs:]
+					le.PutUint32(regs, uint32(ac.Root))
+					le.PutUint32(regs[4:], le.Uint32(regs[4:])&^histMask|histUnknown)
+					for _, r := range rf {
+						if m.proveJoin(k, l, o.piece, bad, r, befores) == nil {
+							continue
+						}
+						refused++
+					}
+				}
+				if refused == 0 {
+					t.Fatal("no join from a left with corrupted registers failed the proof")
+				}
+			})
+		}
+	}
 }
 
 // TestFoldedFormFootprint: the fold keeps little of what a rescan cannot

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -308,17 +309,22 @@ func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
 	return m.verifyFold(t, payloads)
 }
 
-// verifyFold proves Fold and Resume on every backend the machine supports.
-// Depth must be t's longest pattern and the window filter must pass Build's
-// proof: the premises of the fold. Then each piece — every payload, t's
-// longest pattern spelled twice over, from its second and middle byte on,
-// less its last byte, and its last two bytes before a window no pattern
-// contains, so a pattern straddles or ends the prefix or opens the piece
-// part-way through — is folded, and resumed from the registers each piece's
-// own scan ends in: that must leave exactly the registers, and append
-// exactly the matches, that scanning the piece on from there does. Forms
-// are kept here even where Fold would keep the piece whole, so every piece
-// with a fold point is proved.
+// verifyFold proves Fold, Resume and Join on every backend the machine
+// supports. Depth must be t's longest pattern and the window filter must
+// pass Build's proof: the premises of the fold. Then each piece — every
+// payload, t's longest pattern spelled twice over, from its second and
+// middle byte on, less its last byte, and its last two bytes before a
+// window no pattern contains, so a pattern straddles or ends the prefix or
+// opens the piece part-way through — is folded, and resumed from the
+// registers each piece's own scan ends in: that must leave exactly the
+// registers, and append exactly the matches, that scanning the piece on
+// from there does. Forms are kept here even where Fold would keep the piece
+// whole, so every piece with a fold point is proved. Then pieces are joined,
+// each held whole and, where Fold keeps one, as its form — each payload
+// before and after each of the pattern's pieces, those among themselves,
+// and each payload before the next: the join must be byte for byte Fold's
+// form of the two pieces as one, or refused where Fold keeps that whole,
+// and must resume as it does after each of the pattern's pieces.
 func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
 	s := deepest(t)
 	if d := int(t.Nodes[s].Depth); m.depth != d {
@@ -339,24 +345,86 @@ func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
 		}
 	}
 	for _, kind := range m.kinds() {
+		befores := make([]Regs, len(pieces)) // where each piece's own scan ends
+		for j, q := range pieces {
+			befores[j].Reset()
+			m.scanAs(kind, &befores[j], q, nil)
+		}
+		held := make([][][]byte, len(pieces)) // each piece whole, then its form if Fold keeps one
 		for i, p := range pieces {
+			held[i] = [][]byte{p}
+			if form, _ := m.foldAs(kind, nil, p, nil, len(p)); form != nil {
+				held[i] = append(held[i], form)
+			}
 			form, _ := m.foldAs(kind, nil, p, nil, math.MaxInt)
 			if form == nil || len(form) == len(p) { // one as long as its piece would read as the piece
 				continue
 			}
-			for j, q := range pieces {
-				var from Regs
-				from.Reset()
-				m.scanAs(kind, &from, q, nil)
-				want, got := from, from
-				wantM := m.scanAs(kind, &want, p, nil)
-				gotM := m.resumeAs(kind, &got, form, len(p), nil)
-				if got != want || !slices.Equal(gotM, wantM) {
-					return fmt.Errorf("core: backend %s: piece %d (%d bytes) folded and resumed after piece %d ends in %+v with %d matches, scanned whole in %+v with %d",
-						scanBackends[kind], i, len(p), j, got, len(gotM), want, len(wantM))
+			if err := m.proveResume(kind, p, form, befores); err != nil {
+				return fmt.Errorf("core: backend %s: piece %d %w", scanBackends[kind], i, err)
+			}
+		}
+		var pairs [][2]int
+		for i := range pieces {
+			for j := len(payloads); j < len(pieces); j++ {
+				pairs = append(pairs, [2]int{i, j}, [2]int{j, i})
+			}
+		}
+		for i := 1; i < len(payloads); i++ {
+			pairs = append(pairs, [2]int{i - 1, i})
+		}
+		for _, pr := range pairs {
+			for _, lf := range held[pr[0]] {
+				for _, rf := range held[pr[1]] {
+					if err := m.proveJoin(kind, pieces[pr[0]], pieces[pr[1]], lf, rf, befores[len(payloads):]); err != nil {
+						return fmt.Errorf("core: backend %s: piece %d joined to piece %d %w", scanBackends[kind], pr[0], pr[1], err)
+					}
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// proveResume checks that piece, held as form, resumes after each of befores
+// to the registers and matches a scan of the piece from there gives.
+func (m *Machine) proveResume(k backendKind, piece, form []byte, befores []Regs) error {
+	for j, from := range befores {
+		want, got := from, from
+		wantM := m.scanAs(k, &want, piece, nil)
+		gotM := m.resumeAs(k, &got, form, len(piece), nil)
+		if got != want || !slices.Equal(gotM, wantM) {
+			return fmt.Errorf("(%d bytes, held in %d) resumed after piece %d ends in %+v with %d matches, scanned whole in %+v with %d",
+				len(piece), len(form), j, got, len(gotM), want, len(wantM))
+		}
+	}
+	return nil
+}
+
+// proveJoin checks that l and r, held as lf and rf (each a Fold form or the
+// piece itself), join into exactly Fold's form of l then r, or into none
+// where Fold keeps that whole, and that the joined form resumes after each
+// of befores as the two pieces scan.
+func (m *Machine) proveJoin(k backendKind, l, r, lf, rf []byte, befores []Regs) error {
+	whole := slices.Concat(l, r)
+	want, _ := m.foldAs(k, nil, whole, nil, len(whole))
+	s, _, _ := m.joinAs(k, nil, lf, len(l), rf, len(r), nil)
+	got := s.joined(lf, rf)
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("(%d and %d bytes, held in %d and %d) join into %d bytes, Fold of both folds them into %d",
+			len(l), len(r), len(lf), len(rf), len(got), len(want))
+	}
+	if got == nil {
+		return nil
+	}
+	return m.proveResume(k, whole, got, befores)
+}
+
+// joined is the form s tells over the residents left and right; nil for the
+// zero Seam.
+func (s Seam) joined(left, right []byte) []byte {
+	if s.Keep == 0 {
+		return nil
+	}
+	return slices.Concat(left[:s.Keep], s.Mid, right[s.Skip:s.Cut], s.End)
 }

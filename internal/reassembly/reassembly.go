@@ -29,9 +29,12 @@
 // still needs of it: a prefix of at most D bytes (D the longest pattern) to
 // rescan from the stream's true registers, the registers its own scan ended
 // in and the matches past the prefix, handed back unread but for the
-// prefix's length. So a reordering path costs a few bytes a held run, not
-// its payload. Caps and budgets charge the log's capacity; the byte ledger
-// (Result, HeldBytes, Budget.Used) counts stream bytes, folded or not.
+// prefix's length. Held pieces that touch a folded run join it, through the
+// Fold's Join, into one run rewritten where it lies, so a hole's worth of
+// reordered segments is one run. So a reordering path costs a few bytes a
+// hole, not its payload. Caps and budgets charge the log's capacity; the
+// byte ledger (Result, HeldBytes, Budget.Used) counts stream bytes, folded
+// or not.
 //
 // Three policies keep a hostile or lossy feed from wedging the scanner:
 //
@@ -40,11 +43,12 @@
 //     default) and LastWins lets the retransmission overwrite them.
 //     Bytes already delivered to the scanner are immutable under either
 //     policy — delivery is the commit point.
-//   - Buffer caps: MaxFlowBytes bounds one flow's held log and Budget the
-//     sum across flows, both at capacity. Under pressure the bytes furthest
-//     from the delivery point are dropped first (they are the least likely
-//     to become deliverable soon) — a folded run is cut back to its prefix
-//     or dropped whole; a drop becomes a gap handled like loss.
+//   - Buffer caps: MaxFlowBytes bounds one flow's held log, and its runs at
+//     one per 64 B, and Budget the sum across flows, both at capacity. Under
+//     pressure the bytes furthest from the delivery point are dropped first
+//     (they are the least likely to become deliverable soon) — a folded run
+//     is cut back to its prefix or dropped whole; a drop becomes a gap
+//     handled like loss.
 //   - Gap timeout: when delivery has been stalled on a missing segment for
 //     GapTimeout ticks, the stream skips to the first buffered byte. The
 //     caller is told how many bytes were skipped so it can invalidate
@@ -157,8 +161,8 @@ type Config struct {
 	// Policy is the overlap policy for undelivered bytes.
 	Policy Policy
 	// MaxFlowBytes caps one stream's held log at its capacity, header
-	// included; <= 0 selects 256 KiB, and a stream holds at most 2 GiB
-	// whatever it says.
+	// included, and its runs at one per 64 B of it; <= 0 selects 256 KiB,
+	// and a stream holds at most 2 GiB whatever it says.
 	MaxFlowBytes int
 	// Budget, when non-nil, additionally caps the held logs' capacity across
 	// all streams sharing it.
@@ -213,19 +217,39 @@ func (c *Config) maxFlowBytes() int {
 	return min(c.MaxFlowBytes, math.MaxInt32)
 }
 
+// maxRuns bounds the runs one stream holds, and so the runs an arrival's
+// walk of the log decodes: one per 64 B of MaxFlowBytes, a cap under 1 KiB
+// counting as 1 KiB — 4 096 at the default.
+func (c *Config) maxRuns() uint32 { return uint32(max(c.maxFlowBytes(), 1<<10) / 64) }
+
 // Fold is how a caller holds a piece in less than its bytes. A cursor given
 // one offers every piece it holds to Encode, under FirstWins — under
 // LastWins held bytes may still be overwritten, so they stay whole. Encode
 // returns the piece's resident form, shorter than the piece and beginning
 // with a prefix of it, or an empty one to hold the piece whole; the cursor
 // copies it into its log, so it may be the caller's scratch. Prefix reports
-// the prefix's length: the cursor reads a form through it alone, hands the
-// form back to deliver with the piece's length when the piece drains, and
-// under pressure cuts it back to its prefix or drops it whole. Every call
-// on a cursor must fold the same way, or not at all.
+// the prefix's length: the cursor hands a form back to deliver with the
+// piece's length when the piece drains, and under pressure cuts it back to
+// its prefix or drops it whole. Join makes two touching held runs one: given
+// what each holds (a form or the bytes) and its stream bytes, the left's
+// first, it returns the form Encode would give both as one piece, told as a
+// Seam over the two, or the zero Seam to keep them apart. A cursor offers it
+// a left held whole only when that is the piece it just held, and rewrites
+// the two runs where they lie, so a join costs what the Seam adds, not the
+// runs' length. Every call on a cursor must fold the same way, or not at
+// all.
 type Fold struct {
 	Prefix func(form []byte) int
 	Encode func(piece []byte) []byte
+	Join   func(left []byte, n int, right []byte, m int) Seam
+}
+
+// A Seam is how Fold.Join makes two touching runs one form: the left's
+// first Keep bytes, then Mid, then the right's bytes [Skip, Cut), then End.
+// Mid and End may be the caller's scratch. The zero Seam keeps them apart.
+type Seam struct {
+	Keep, Skip, Cut int
+	Mid, End        []byte
 }
 
 // Result accounts one Segment call, in payload bytes. Every payload byte of
@@ -296,6 +320,7 @@ type logHead struct {
 	held            uint32 // stream bytes the runs stand for
 	base            uint32 // seq the first run's gap counts from
 	tail            uint32 // seq one past the last run, while there is one
+	runs            uint32 // how many runs lie between head and end
 	head, end, size uint32
 }
 
@@ -342,6 +367,58 @@ func (h *logHead) next(r *run) bool {
 	size, j := binary.Uvarint(b[at+i+k:])
 	i, end := at+i+k+j, at+i+k+j+int(size)
 	*r = run{seq: from + uint32(gap), n: int(n), body: b[i:end:end], at: at, end: end}
+	return true
+}
+
+// runAt decodes the run whose header is at log[at:]; its seq reads as its
+// gap, the previous run's end not being known there.
+func (h *logHead) runAt(at int) run {
+	r := run{end: at}
+	h.next(&r)
+	return r
+}
+
+// splice writes parts over the log's bytes [at, at+old), moving what
+// follows; the log must have the room. No part may lie in the log.
+func (h *logHead) splice(at, old int, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	b := h.bytes()
+	if n != old {
+		copy(b[at+n:], b[at+old:h.end])
+	}
+	for _, p := range parts {
+		at += copy(b[at:], p)
+	}
+	h.end = uint32(int(h.end) + n - old)
+}
+
+// merge makes the run at at and the run after it, which it touches, one,
+// rewritten where they lie, when fold joins them and the log has the room
+// for every step of the rewrite; it reports whether it did.
+func (h *logHead) merge(fold *Fold, at int) bool {
+	a := h.runAt(at)
+	b := h.runAt(a.end)
+	s := fold.Join(a.body, a.n, b.body, b.n)
+	if s.Keep == 0 {
+		return false
+	}
+	gap, _ := binary.Uvarint(h.bytes()[at:])
+	var hdr [3 * binary.MaxVarintLen32]byte
+	k := putRun(hdr[:], uint32(gap), a.n+b.n, s.Keep+len(s.Mid)+s.Cut-s.Skip+len(s.End))
+	aBody, bBody := a.end-len(a.body), b.end-len(b.body)
+	// Last first, so each splice leaves the earlier offsets where they were.
+	end := len(s.End) - (len(b.body) - s.Cut)
+	mid := end + len(s.Mid) - (bBody + s.Skip - aBody - s.Keep)
+	if int(h.end)+max(end, mid, mid+k-(aBody-at)) > int(h.size) {
+		return false
+	}
+	h.splice(bBody+s.Cut, len(b.body)-s.Cut, s.End)
+	h.splice(aBody+s.Keep, bBody+s.Skip-aBody-s.Keep, s.Mid)
+	h.splice(at, aBody-at, hdr[:k])
+	h.runs--
 	return true
 }
 
@@ -491,6 +568,7 @@ func (c *Cursor) drain(cfg *Config, deliver func([]byte, int, int), r *Result, s
 	for f := (run{}); h.next(&f) && c.ahead(f.seq) <= 0; {
 		h.head, h.base = uint32(f.end), f.seq+uint32(f.n)
 		h.held -= uint32(f.n)
+		h.runs--
 		cfg.Budget.release(f.n, 0)
 		deliver(f.body, f.n, skippedBefore)
 		skippedBefore = 0
@@ -581,28 +659,31 @@ func (c *Cursor) uncovered(h *logHead, overwrite bool, off int64, data []byte, p
 }
 
 // place finds where in log h a run off bytes past the delivery point goes:
-// at pos, its gap counted from seq from, before the run nx if more. The first
-// run counts from the delivery point; one past every run reads none of them.
-func (c *Cursor) place(h *logHead, off int64) (pos int, from uint32, nx run, more bool) {
+// at pos, its gap counted from seq from, after the run at prev (-1: none
+// read) and before the run nx if more. The first run counts from the
+// delivery point; one past every run reads none of them, unless it touches
+// the last and touch asks for that run.
+func (c *Cursor) place(h *logHead, off int64, touch bool) (pos, prev int, from uint32, nx run, more bool) {
 	if h == nil {
-		return headSize, c.next, run{}, false
+		return headSize, -1, c.next, run{}, false
 	}
-	if h.head != h.end && c.ahead(h.tail) <= off {
-		return int(h.end), h.tail, run{}, false
+	if t := c.ahead(h.tail); h.head != h.end && (t < off || t == off && !touch) {
+		return int(h.end), -1, h.tail, run{}, false
 	}
-	pos, from = int(h.head), c.next
+	pos, prev, from = int(h.head), -1, c.next
 	for f := (run{}); h.next(&f); {
 		if c.ahead(f.seq) > off {
-			return pos, from, f, true
+			return pos, prev, from, f, true
 		}
-		pos, from = f.end, f.seq+uint32(f.n)
+		pos, prev, from = f.end, f.at, f.seq+uint32(f.n)
 	}
-	return pos, from, run{}, false
+	return pos, prev, from, run{}, false
 }
 
 // addPiece inserts one non-overlapping piece, off bytes past the delivery
-// point, as a held run — folded, when fold takes it — within the per-flow
-// cap and the shared budget. Under pressure the held bytes furthest from
+// point, as a held run — folded, when fold takes it, and made one with the
+// runs it touches, when fold joins them — within the per-flow cap, the
+// run cap and the shared budget. Under pressure the held bytes furthest from
 // the delivery point are evicted first — but never to admit bytes that are
 // themselves further out than everything already held.
 func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Result) {
@@ -615,20 +696,25 @@ func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Re
 		return
 	}
 	form := data // what holding the piece keeps: its bytes, or its fold
-	if fold != nil && cfg.Policy == FirstWins {
+	folding := fold != nil && cfg.Policy == FirstWins
+	if folding {
 		if f := fold.Encode(data); len(f) > 0 {
 			form = f
 		}
 	}
 	seq, limit := c.next+uint32(off), cfg.maxFlowBytes()
 	var hdr, gap [3 * binary.MaxVarintLen32]byte
-	var pos, k, was, now, used, need int
+	var pos, prev, k, was, now, used, need int
+	var left, right, more bool
 	for {
 		// The log's bytes in use, the run's header, and the next run's gap
 		// recounted from its end.
 		h := cfg.log(c)
-		p, from, nx, more := c.place(h, off)
-		pos, k, was, now, used = p, putRun(hdr[:], seq-from, len(data), len(form)), 0, 0, headSize
+		var from uint32
+		var nx run
+		pos, prev, from, nx, more = c.place(h, off, folding)
+		left, right = folding && prev >= 0 && from == seq, folding && more && nx.seq == seq+uint32(len(data))
+		k, was, now, used = putRun(hdr[:], seq-from, len(data), len(form)), 0, 0, headSize
 		if h != nil {
 			used += int(h.end - h.head)
 		}
@@ -663,6 +749,7 @@ func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Re
 	if h == nil || int(h.end)+need-used > int(h.size) {
 		if h != nil { // the runs move down to the header, and pos with them
 			pos -= int(h.head) - headSize
+			prev -= int(h.head) - headSize
 		}
 		if !cfg.Budget.reserve(len(data), need-c.HeldCost(cfg)) {
 			r.Dropped += len(data)
@@ -685,13 +772,29 @@ func (c *Cursor) addPiece(cfg *Config, fold *Fold, off int64, data []byte, r *Re
 	if pos == int(h.end) {
 		h.tail = seq + uint32(len(data))
 	}
-	b, n := h.bytes(), k+len(form)+now
-	copy(b[pos+n:], b[pos+was:h.end]) // what follows moves up
-	h.end += uint32(n - was)
-	copy(b[pos+copy(b[pos:], hdr[:k]):], form)
-	copy(b[pos+k+len(form):], gap[:now])
+	h.splice(pos, was, hdr[:k], form, gap[:now])
 	h.held += uint32(len(data))
+	h.runs++
 	r.Buffered += len(data)
+	// The piece joins the run it follows when that is folded — a run held
+	// whole is rescanned only as the piece just held — then whatever holds
+	// it now joins the run it precedes.
+	if left {
+		if l := h.runAt(prev); len(l.body) < l.n && h.merge(fold, prev) {
+			pos = prev
+		}
+	}
+	if right {
+		h.merge(fold, pos)
+	}
+	if h.runs > cfg.maxRuns() {
+		// One run too many, so the piece joined none: the furthest goes, the
+		// piece itself when it is.
+		if !more {
+			r.Buffered -= len(data)
+		}
+		c.evictLast(cfg, fold, math.MaxInt, r)
+	}
 }
 
 // evictLast frees at least trim bytes of the log from its last run: bytes
@@ -713,6 +816,8 @@ func (c *Cursor) evictLast(cfg *Config, fold *Fold, trim int, r *Result) {
 	if keep > 0 { // a header no longer than before, then the kept bytes
 		at := last.at + putRun(b[last.at:], uint32(gap), keep, keep)
 		h.end, h.tail = uint32(at+copy(b[at:], last.body[:keep])), last.seq+uint32(keep)
+	} else {
+		h.runs--
 	}
 	h.held -= uint32(last.n - keep)
 	cfg.Budget.release(last.n-keep, 0)

@@ -192,8 +192,9 @@ func TestOutOfOrderArrivalAllocations(t *testing.T) {
 				for j := 1; j <= k; j++ { // [1000j, 1000j+10)
 					c.Segment(&s.cfg, uint32(1+1000*j), held, 0, 0, fold, deliver)
 				}
-				// Arrivals land at 15..19 mod 20, between and around the held runs.
-				off := 15
+				// Arrivals land at 14..18 mod 20, between and around the held
+				// runs, touching none.
+				off := 14
 				allocs := testing.AllocsPerRun(100, func() {
 					c.Segment(&s.cfg, uint32(1+off), arrival, 0, 0, fold, deliver)
 					off += 20
@@ -564,20 +565,20 @@ func TestFoldedSegments(t *testing.T) {
 	s := NewStream(Config{Budget: b, GapTimeout: 2})
 	feedFold(s, fold, 0, "", SYN, 0)
 	feedFold(s, fold, 11, "abcdefghij", 0, 1) // [10,20), folded
-	feedFold(s, fold, 21, "wxyz", 0, 1)       // [20,24), which the fold does not shrink
-	// Each run is 3 B of header: [10,20) then has its 5 B form, [20,24) its
+	feedFold(s, fold, 22, "wxyz", 0, 1)       // [21,25), which the fold does not shrink
+	// Each run is 3 B of header: [10,20) then has its 5 B form, [21,25) its
 	// bytes.
 	if s.HeldBytes() != 14 || b.Used() != 14 || logUsed(s) != headSize+8+7 || b.Cost() != s.HeldCost() {
 		t.Fatalf("held %d stream bytes in %d B of log, budget used %d at cost %d", s.HeldBytes(), logUsed(s), b.Used(), b.Cost())
 	}
-	got, r := feedFold(s, fold, 1, "0123456789", 0, 1)
-	want := []folded{{"0123456789", 10, 0}, {"abcd\x0a", 10, 0}, {"wxyz", 4, 0}}
-	if !slices.Equal(got, want) || r.Delivered != 24 || s.log != 0 || b.Cost() != 0 {
+	got, r := feedFold(s, fold, 1, "0123456789abcdefghij!", 0, 1) // both holes, [0,10) and [20,21)
+	want := []folded{{"0123456789", 10, 0}, {"abcd\x0a", 10, 0}, {"!", 1, 0}, {"wxyz", 4, 0}}
+	if !slices.Equal(got, want) || r.Delivered != 25 || s.log != 0 || b.Cost() != 0 {
 		t.Fatalf("the hole filled: delivered %q, %+v, budget cost %d", got, r, b.Cost())
 	}
 	// A gap skip landing on a folded segment.
-	feedFold(s, fold, 31, "0123456789", 0, 3) // [30,40) behind a 6-byte gap
-	if got, r := feedFold(s, fold, 31, "0123456789", 0, 5); !slices.Equal(got, []folded{{"0123\x0a", 10, 6}}) || r.Skipped != 6 {
+	feedFold(s, fold, 32, "0123456789", 0, 3) // [31,41) behind a 6-byte gap
+	if got, r := feedFold(s, fold, 32, "0123456789", 0, 5); !slices.Equal(got, []folded{{"0123\x0a", 10, 6}}) || r.Skipped != 6 {
 		t.Fatalf("the gap skip delivered %q, %+v", got, r)
 	}
 
@@ -728,9 +729,11 @@ func TestDrainedLogKeepsDeliveredBytes(t *testing.T) {
 // log's capacity, header included — against both MaxFlowBytes and the
 // budget, so the segments it can hold, and the heap they take, stay
 // proportional to the cap however small they are. A run costs its resident
-// bytes and a header of a few bytes. Folded, 512-byte segments are held as
-// their 17-byte forms: the cap holds 23 times as many, more stream bytes
-// than the cap itself.
+// bytes and a header of a few bytes, and a flow holds at most one run per
+// 64 B of the cap: 1- and 8-byte segments stop at exactly 4 096 runs, where
+// the cap's bytes would hold 65 526 and 23 827 of them. Folded, 512-byte
+// segments are held as their 17-byte forms, 4 096 of them too: eight times
+// the cap in stream bytes.
 func TestHeldSegmentsChargedAtCost(t *testing.T) {
 	const maxFlowBytes = 256 << 10
 	for _, tc := range []struct {
@@ -774,9 +777,13 @@ func TestHeldSegmentsChargedAtCost(t *testing.T) {
 				t.Errorf("%s: %d stream bytes held under a %d B cap: the folds did not shrink the charge", name, s.HeldBytes(), maxFlowBytes)
 			}
 		}
-		if most := (maxFlowBytes - headSize) / each; whole > most || len(runs) > whole+1 || charge > maxFlowBytes {
+		maxRuns := maxFlowBytes / 64
+		if most := min((maxFlowBytes-headSize)/each, maxRuns); whole > most || len(runs) > min(whole+1, maxRuns) || charge > maxFlowBytes {
 			t.Errorf("%s: %d held (%d whole) at cost %d, the cap allows %d whole at %d",
 				name, len(runs), whole, charge, most, maxFlowBytes)
+		}
+		if capped := (maxFlowBytes-headSize)/each > maxRuns; capped && len(runs) != maxRuns {
+			t.Errorf("%s: %d held, want the run cap's %d", name, len(runs), maxRuns)
 		}
 		t.Logf("%s: %d held (%d stream bytes) in a log of %d B, %d B of heap", name, len(runs), s.HeldBytes(), charge, heap)
 		if !raceEnabled && heap > 3*int64(charge)/2 {
@@ -789,11 +796,50 @@ func TestHeldSegmentsChargedAtCost(t *testing.T) {
 	}
 }
 
+// TestRunCapGivesUpFurthest: a flow holds at most one run per 64 B of its
+// cap, 64 under 4 KiB. Of 192 1-byte pieces, each behind a 1-byte hole, it
+// keeps the 64 nearest whatever their order: sent ascending, each piece past
+// the cap is dropped itself; sent descending, each nearer piece costs the
+// furthest held run. Either way what goes is Dropped, every byte sent is
+// held or dropped, and the run count the log keeps is the runs it holds.
+func TestRunCapGivesUpFurthest(t *testing.T) {
+	const runs = 64
+	for _, desc := range []bool{false, true} {
+		s := NewStream(Config{MaxFlowBytes: runs * 64})
+		feed(t, s, 0, "", SYN, 0)
+		buffered, dropped := 0, 0
+		for i := range 3 * runs {
+			k := i
+			if desc {
+				k = 3*runs - 1 - i
+			}
+			r := s.Segment(uint32(1+2*k+1), []byte{'x'}, 0, 0, func([]byte, int) {})
+			buffered, dropped = buffered+r.Buffered, dropped+r.Dropped
+			if r.Buffered > 1 || r.Dropped > 1 || r.Buffered+r.Dropped == 0 { // held, dropped, or held for one dropped
+				t.Fatalf("descending %v, piece %d: %+v", desc, k, r)
+			}
+		}
+		held := heldRuns(s)
+		if want := map[bool]int{false: runs, true: 3 * runs}[desc]; len(held) != runs || int(logOf(s).runs) != runs ||
+			s.HeldBytes()+dropped != 3*runs || dropped != 2*runs || buffered != want {
+			t.Fatalf("descending %v: %d runs held (counted %d), %d buffered and %d dropped, %d held",
+				desc, len(held), logOf(s).runs, buffered, dropped, s.HeldBytes())
+		}
+		for i, f := range held {
+			if f.seq != uint32(1+2*i+1) {
+				t.Fatalf("descending %v: run %d holds seq %d, want the nearest runs kept", desc, i, f.seq)
+			}
+		}
+	}
+}
+
 // TestHeldLogFootprint: a flow holding nine 200-byte runs folded to 36 B
 // forms, each behind a 100-byte hole, costs 40 B a run — a byte of gap, two
 // of length, one of form length — and the log's header, in one allocation
 // of that size class, whatever order the runs arrived in: no descriptor,
-// no allocation per form, no doubling slack.
+// no allocation per form, no doubling slack. Nine such pieces that touch,
+// in the same three orders, join into one run of 1 800 stream bytes held as
+// one 36 B form: 40 B and the header.
 func TestHeldLogFootprint(t *testing.T) {
 	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8}, {8, 7, 6, 5, 4, 3, 2, 1, 0}, {4, 0, 8, 2, 6, 1, 7, 3, 5}} {
 		b := NewBudget(1 << 20)
@@ -814,6 +860,18 @@ func TestHeldLogFootprint(t *testing.T) {
 			if len(h.body) != 36 || h.end-h.at != 40 {
 				t.Fatalf("order %v: a run of %d B holds a %d B form", order, h.end-h.at, len(h.body))
 			}
+		}
+
+		b = NewBudget(1 << 20)
+		s = NewStream(Config{Budget: b})
+		s.Cursor.Segment(&s.cfg, 0, nil, SYN, 0, fold, func([]byte, int, int) {})
+		for _, k := range order { // [200k+100, 200k+300)
+			s.Cursor.Segment(&s.cfg, uint32(1+200*k+100), bytes.Repeat([]byte{'x'}, 200), 0, 0, fold, func([]byte, int, int) {})
+		}
+		runs = heldRuns(s)
+		if len(runs) != 1 || runs[0].n != 1800 || len(runs[0].body) != 36 || logUsed(s) != headSize+40 || logOf(s).runs != 1 || b.Cost() != s.HeldCost() {
+			t.Errorf("order %v, touching: %d runs (counted %d) in %d B of log, want one of 1 800 bytes in %d; %d B charged (%d on the budget)",
+				order, len(runs), logOf(s).runs, logUsed(s), headSize+40, s.HeldCost(), b.Cost())
 		}
 	}
 }
@@ -849,21 +907,43 @@ func heldRuns(s *Stream) []run {
 // at most keep bytes — and one byte standing for the rest, its length mod
 // 256, written to a scratch buffer it reuses, as a scanner's fold keeps a
 // prefix of its own length and a summary. It holds whole a piece its form
-// would not shrink.
+// would not shrink, and joins two pieces into the form of both, read from
+// what is held of them: a folded left's prefix, or a whole left and what is
+// bytes of the right.
 func toyFold(keep int) *Fold {
 	var scratch []byte
+	form := func(known []byte, n int) []byte { // the form of n bytes that begin with known
+		p := min(keep, len(known))
+		if i := bytes.IndexByte(known[:p], '|'); i >= 0 {
+			p = i + 1
+		}
+		if p+1 >= n {
+			return nil
+		}
+		scratch = append(append(scratch[:0], known[:p]...), byte(n))
+		return scratch
+	}
 	return &Fold{
 		Prefix: func(form []byte) int { return len(form) - 1 },
-		Encode: func(piece []byte) []byte {
-			p := min(keep, len(piece))
-			if i := bytes.IndexByte(piece[:p], '|'); i >= 0 {
-				p = i + 1
+		Encode: func(piece []byte) []byte { return form(piece, len(piece)) },
+		Join: func(left []byte, n int, right []byte, m int) Seam {
+			s := Seam{Skip: len(right), Cut: len(right)} // nothing of the right stays
+			if len(left) < n {
+				// A folded left's prefix is the joined one's.
+				s.Keep, s.Mid = len(left)-1, append(scratch[:0], byte(n+m))
+				return s
 			}
-			if p+1 >= len(piece) {
-				return nil
+			known := right
+			if len(right) < m {
+				known = right[:len(right)-1]
 			}
-			scratch = append(append(scratch[:0], piece[:p]...), byte(len(piece)))
-			return scratch
+			f := form(slices.Concat(left, known), n+m)
+			if f == nil {
+				return Seam{}
+			}
+			s.Keep = min(len(f)-1, len(left))
+			s.Mid = f[s.Keep:]
+			return s
 		},
 	}
 }

@@ -30,8 +30,9 @@ const budgetStreamLen = 96 + 3*64
 // leaves room for held bytes, then one over 1.2 × conns, which overflows it.
 // Each round is a SYN flood of connections that never close on their own;
 // a reordering of the survivors' later segments, sent last first behind a
-// hole — 64 B each, held folded to a prefix of a few bytes, the registers
-// and 4 B a later match; hole stuffing on the survivors; and a FIN wave that ends every
+// hole — 64 B each, held folded and joined into one run: a prefix of a few
+// bytes, a few bytes a later match, a tail and the registers; hole stuffing
+// on the survivors; and a FIN wave that ends every
 // tuple of the round in a husk, with a ruleset swap every 150 packets across
 // all four. check runs after every Flush. Tuple i is footprintTuple(i), and
 // every stream is generated up front, so a run allocates nothing the
