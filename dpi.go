@@ -195,11 +195,7 @@ const (
 // resolution against the registered backends. Every failure wraps
 // ErrBadConfig.
 func (c Config) Validate() error {
-	return validate(core.Options{Backend: c.Backend})
-}
-
-func validate(opts core.Options) error {
-	if err := opts.Validate(); err != nil {
+	if err := (core.Options{Backend: c.Backend}).Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	return nil
@@ -236,19 +232,13 @@ type Matcher struct {
 // Config.Validate). Every successful Compile stamps the matcher with a
 // fresh generation (Matcher.Generation).
 func Compile(r *Ruleset, cfg Config) (*Matcher, error) {
-	return compile(r, core.Options{Backend: cfg.Backend})
-}
-
-// compile is Compile on the builder's options, which also budget the
-// kernel's fast tier: the property tests drive every tier shape through it.
-func compile(r *Ruleset, opts core.Options) (*Matcher, error) {
-	if err := validate(opts); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if r == nil || r.Len() == 0 {
 		return nil, fmt.Errorf("%w: cannot compile an empty ruleset", ErrBadConfig)
 	}
-	machine, err := core.Build(r.set, opts)
+	machine, err := core.Build(r.set, core.Options{Backend: cfg.Backend})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
@@ -423,9 +413,9 @@ func (m *Matcher) Kernel() KernelStats {
 
 // Verify proves the compressed matcher equivalent to the uncompressed
 // Aho-Corasick DFA, rebuilt here from the ruleset because the matcher keeps
-// none: the scan loops production runs — the reference interpreter's and,
-// on a baked matcher, the flat kernel's — each run on every byte from every
-// state and held to the DFA's move and match list, the output table every
+// none: the scan loops production runs — the reference interpreter's and
+// the baked kernel's, which every matcher has — each run on every byte from
+// every state and held to the DFA's move and match list, the output table every
 // backend emits from, the prefilter's no-false-negative contract, plus a
 // scan-level cross-check of every backend on the provided payloads (may be
 // nil).

@@ -406,7 +406,9 @@ type Seam struct {
 // caller rewrites them where they lie: a folded left keeps all but its end,
 // a folded right with later matches all but its first end and its last
 // word, and Mid and End hold only what the rescans found. Join returns the
-// zero Seam where Fold would keep the joined piece whole. buf is Mid's and
+// zero Seam where Fold would keep the joined piece whole. The left is at
+// least a byte (n ≥ 1), as every held run is: a Seam keeps some of it, and
+// Keep 0 is the zero Seam's. buf is Mid's and
 // End's storage and scratch the scans' match buffer, both returned for
 // reuse.
 func (m *Machine) Join(buf, left []byte, n int, right []byte, nr int, scratch []ac.Match) (Seam, []byte, []ac.Match) {

@@ -92,7 +92,8 @@ func TestAutoBackendResolution(t *testing.T) {
 			if got := m.Backends(); !reflect.DeepEqual(got, tc.backends) {
 				t.Fatalf("Backends() = %v, want %v", got, tc.backends)
 			}
-			driveLockstep(t, m, trie, rng)
+			payload, ops := lockstepInput(rng)
+			driveLockstep(t, m, trie, payload, ops)
 		})
 	}
 }

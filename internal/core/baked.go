@@ -97,10 +97,10 @@ const (
 	rowCountShift = 21
 	rowOffMask    = 1<<rowCountShift - 1
 
-	// DefaultDenseStates is the fast-tier budget when Options.DenseStates
+	// defaultDenseStates is the fast-tier budget when Options.denseStates
 	// is 0: at 634 strings the start state, all 73 depth-1 states and the
 	// 310 most popular deeper ones, ≈23 KB of bitmap rows and overrides.
-	DefaultDenseStates = 384
+	defaultDenseStates = 384
 )
 
 // fastRow is a promoted state's whole move row, as its difference from the
@@ -222,7 +222,7 @@ func bakeFastTier(t *ac.Trie, ft *failTree, d1 *[256]int32, denseStates int) fas
 // pickDense selects the states promoted to the fast tier: the start state,
 // then depth-1 states, then everything else, most popular first within a
 // tier with ties to the lower state number, until the budget
-// — Options.DenseStates, defaulting to DefaultDenseStates, negative to
+// — Options.denseStates, defaulting to defaultDenseStates, negative to
 // disable the tier — is exhausted. The lower number is the shallower state
 // and, at one depth, the lexicographically first path, which depends only
 // on the rule set. Machines small enough to fit entirely become a pure flat
@@ -231,7 +231,7 @@ func pickDense(t *ac.Trie, ft *failTree, budget int) []bool {
 	n := t.NumStates()
 	promoted := make([]bool, n)
 	if budget == 0 {
-		budget = DefaultDenseStates
+		budget = defaultDenseStates
 	}
 	if budget < 0 {
 		return promoted
@@ -260,7 +260,7 @@ func pickDense(t *ac.Trie, ft *failTree, budget int) []bool {
 // scanAppend is the baked hot loop: one transition per input byte, matches
 // appended to out, until data ends. It is the one baked transition:
 // verifyProgram proves it on every (state, byte) against the DFA, and the
-// lockstep property tests and FuzzBakedEquivalence drive it against the
+// lockstep property tests and FuzzBackendEquivalence drive it against the
 // reference loop. The prefiltered backend runs its suspect windows through
 // it too, exactChunk bytes at a time. The default rule is lookupTable.resolve with
 // its four depth-2 compares unrolled: the compiler inlines resolve only as a

@@ -51,22 +51,18 @@ func randBakedPayload(rng *rand.Rand, n int) []byte {
 
 // TestBakedEquivalenceProperty drives every registered backend — the
 // reference slice walker, the baked kernel, the prefiltered pipeline — in
-// lockstep over random machines, random payload chunks, runs of one-byte
-// scans, mid-stream SkipAhead/Reset and forks (the stream continues on a
-// copy of its Regs value), asserting byte-exact register equivalence
-// (state, fused history and pos: the whole Regs value) after every
-// operation, identical match sequences, and — per contiguous visible
-// segment — exact agreement with the uncompressed-DFA oracle.
+// lockstep (driveLockstep) over random machines at every fast-tier shape,
+// on random payloads and op sequences.
 func TestBakedEquivalenceProperty(t *testing.T) {
 	configs := []Options{
 		{},
-		{DenseStates: 1},       // the start state alone on the fast tier
-		{DenseStates: 2},       // the start state and one depth-1 state
-		{DenseStates: 8},       // the depth-1 tier cut short
-		{DenseStates: 32},      // depth-1 states and the most popular deeper ones
-		{DenseStates: -1},      // compressed tier only
-		{DenseStates: 3},       // nearly everything on the CSR path
-		{DenseStates: 1 << 20}, // pure flat DFA
+		{denseStates: 1},       // the start state alone on the fast tier
+		{denseStates: 2},       // the start state and one depth-1 state
+		{denseStates: 8},       // the depth-1 tier cut short
+		{denseStates: 32},      // depth-1 states and the most popular deeper ones
+		{denseStates: -1},      // compressed tier only
+		{denseStates: 3},       // nearly everything on the CSR path
+		{denseStates: 1 << 20}, // pure flat DFA
 	}
 	for ci, opts := range configs {
 		opts := opts
@@ -84,18 +80,75 @@ func TestBakedEquivalenceProperty(t *testing.T) {
 				if got, want := m.Backends(), RegisteredBackends(); len(got) != len(want) {
 					t.Fatalf("trial %d: machine offers backends %v, registry has %v", trial, got, want)
 				}
-				driveLockstep(t, m, mustTrie(t, set), rng)
+				payload, ops := lockstepInput(rng)
+				driveLockstep(t, m, mustTrie(t, set), payload, ops)
 			}
 		})
 	}
 }
 
-// driveLockstep runs one randomized op sequence over one stream's Regs per
-// backend the machine offers, diffing registers and match streams after
-// every op. The first backend is always the reference interpreter; the
-// others are held to its behavior, and its matches to oracle's, the
-// uncompressed automaton of the machine's ruleset.
-func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
+// lockstepInput draws a payload and an op sequence for driveLockstep from
+// rng.
+func lockstepInput(rng *rand.Rand) (payload, ops []byte) {
+	ops = make([]byte, 3+rng.Intn(24))
+	rng.Read(ops)
+	return randBakedPayload(rng, 256), ops
+}
+
+// FuzzBackendEquivalence is the backends' contract under fuzz: on a
+// fuzz-chosen ruleset, payload and op sequence, the machine passes Verify
+// with the payload, lays out the tables a reference-pinned build does, and
+// runs reference, baked and prefiltered in lockstep (driveLockstep). The
+// ruleset is up to 8 distinct patterns, each a length byte (1–12 bytes)
+// then its content; the first op byte also picks the fast tier's budget —
+// the default, none, or 6 rows with most states compressed — so every tier
+// combination is driven. Its seeds are its corpus in testdata/fuzz.
+func FuzzBackendEquivalence(f *testing.F) {
+	f.Fuzz(func(t *testing.T, patBlob, payload, ops []byte) {
+		var patterns [][]byte
+		for len(patBlob) > 1 {
+			l := min(int(patBlob[0])%12+1, len(patBlob)-1)
+			patterns, patBlob = append(patterns, patBlob[1:1+l]), patBlob[1+l:]
+		}
+		set := setOf(patterns, false)
+		if set.Patterns = set.Patterns[:min(set.Len(), 8)]; set.Len() == 0 {
+			t.Skip("no patterns")
+		}
+		var opts Options
+		if len(ops) > 0 {
+			opts.denseStates = []int{0, -1, 6}[ops[0]%3]
+		}
+		m, trie := mustBuild(t, set, opts), mustTrie(t, set)
+		if got := m.Backends(); len(got) != len(scanBackends) {
+			t.Fatalf("the machine offers backends %v, the registry has %v", got, RegisteredBackends())
+		}
+		// The backend picks the loop, not the tables: a pinned build bakes too.
+		opts.Backend = BackendReference
+		if ref := mustBuild(t, set, opts); ref.Layout() != m.Layout() {
+			t.Fatalf("a reference-pinned build lays out %+v, the default %+v", ref.Layout(), m.Layout())
+		}
+		if err := m.Verify(trie, [][]byte{payload}); err != nil {
+			t.Fatal(err)
+		}
+		driveLockstep(t, m, trie, payload, ops)
+	})
+}
+
+// driveLockstep runs the op sequence ops over one stream's Regs per backend
+// the machine offers, diffing registers and match streams after every op.
+// The first backend is always the reference interpreter; the others are
+// held to its behavior, and its matches to oracle's, the uncompressed
+// automaton of the machine's ruleset. An op's low three bits pick it:
+//
+//   - 0: Reset.
+//   - 1: SkipAhead(op>>3+1), after checking that SkipAhead(0) and
+//     SkipAhead(−(op>>3+1)) move no register.
+//   - 4: fork — every stream's register value is copied and the copy fed
+//     scrap, so a stream that shared anything with its copy would diverge.
+//   - anything else: the next op>>2 bytes of payload, cycling, scanned as
+//     one chunk, or a byte at a time with registers compared after each
+//     when it is at most 4 bytes.
+func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, payload, ops []byte) {
 	t.Helper()
 	names, kinds := m.Backends(), m.kinds()
 	regs := make([]Regs, len(kinds))
@@ -143,24 +196,17 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 			}
 		}
 	}
-
-	// fork copies every stream's register value and scribbles on the copy,
-	// each backend's with different bytes: Regs is plain data, so the copy
-	// is the whole stream and the stream shares nothing with it —
-	// mid-suspect-window or right after a gap alike.
-	fork := func() {
+	scan := func(op string, data []byte) {
+		t.Helper()
 		for bi, k := range kinds {
-			scribbled := regs[bi]
-			m.scanAs(k, &scribbled, randBakedPayload(rng, 1+rng.Intn(16)), nil)
+			outs[bi] = m.scanAs(k, &regs[bi], data, outs[bi])
 		}
-		checkRegisters("fork")
+		checkRegisters(op)
 	}
 
-	ops := 3 + rng.Intn(12)
-	for i := 0; i < ops; i++ {
-		switch rng.Intn(10) {
-		case 4:
-			fork()
+	off := 0 // cycling read offset into payload
+	for _, op := range ops {
+		switch op % 8 {
 		case 0: // Reset: segment ends, stream position restarts
 			checkSegment()
 			for bi := range regs {
@@ -169,41 +215,41 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 			seg, segStart, segMark = seg[:0], 0, len(outs[0])
 			checkRegisters("Reset")
 		case 1: // SkipAhead: segment ends, position advances over unseen bytes
-			checkSegment()
-			n := 1 + rng.Intn(64)
-			for bi := range regs {
-				regs[bi].SkipAhead(n)
-			}
-			seg, segStart, segMark = seg[:0], regs[0].Pos(), len(outs[0])
-			checkRegisters("SkipAhead")
-			if rng.Intn(2) == 0 {
-				fork()
-			}
-		case 3: // SkipAhead(n <= 0): documented no-op — no register moves
+			n := int(op>>3) + 1
 			before := regs[0]
 			for bi := range regs {
-				regs[bi].SkipAhead(0)
-				regs[bi].SkipAhead(-1 - rng.Intn(16))
+				regs[bi].SkipAhead(0) // n <= 0 is a documented no-op
+				regs[bi].SkipAhead(-n)
 			}
 			if regs[0] != before {
 				t.Fatalf("SkipAhead(<=0) moved reference registers %+v -> %+v", before, regs[0])
 			}
 			checkRegisters("SkipAhead no-op")
-		case 2: // one-byte scans, registers and matches checked after each
-			for _, c := range randBakedPayload(rng, 1+rng.Intn(4)) {
-				seg = append(seg, c)
-				for bi, k := range kinds {
-					outs[bi] = m.scanAs(k, &regs[bi], []byte{c}, outs[bi])
-				}
-				checkRegisters("one-byte scan")
+			checkSegment()
+			for bi := range regs {
+				regs[bi].SkipAhead(n)
 			}
-		default: // write a chunk (empty chunks included)
-			chunk := randBakedPayload(rng, rng.Intn(80))
-			seg = append(seg, chunk...)
+			seg, segStart, segMark = seg[:0], regs[0].Pos(), len(outs[0])
+			checkRegisters("SkipAhead")
+		case 4: // fork: each backend's copy is fed a different scrap
 			for bi, k := range kinds {
-				outs[bi] = m.scanAs(k, &regs[bi], chunk, outs[bi])
+				scribbled := regs[bi]
+				m.scanAs(k, &scribbled, payload[min(bi, len(payload)):], nil)
 			}
-			checkRegisters("ScanAppend")
+			checkRegisters("fork")
+		default: // a chunk of payload, possibly empty
+			var chunk []byte
+			for ; len(payload) > 0 && len(chunk) < int(op>>2); off = (off + 1) % len(payload) {
+				chunk = append(chunk, payload[off])
+			}
+			seg = append(seg, chunk...)
+			if len(chunk) == 0 || len(chunk) > 4 {
+				scan("chunk", chunk)
+				continue
+			}
+			for i := range chunk {
+				scan("one-byte scan", chunk[i:i+1])
+			}
 		}
 	}
 	checkSegment()
@@ -213,7 +259,7 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, rng *rand.Rand) {
 func TestLayoutStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	set := randBakedSet(rng)
-	m, err := Build(set, Options{DenseStates: 8})
+	m, err := Build(set, Options{denseStates: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,12 +94,6 @@ import (
 // paper's and has no knobs: 4 depth-2 and 1 depth-3 defaults per
 // lookup-table row (CompressionStats runs the depth-2 ablation).
 type Options struct {
-	// DenseStates budgets the baked kernel's fast tier: how many states
-	// have their whole move row precomputed, as a bitmap over the depth-1
-	// default row plus the targets that differ from it (0 =
-	// DefaultDenseStates, negative disables the tier). Tuning only: every
-	// setting scans identically.
-	DenseStates int
 	// Backend selects the scan loop ScanAppend runs; every build bakes
 	// the same tables whatever it names. BackendAuto (or "") picks the
 	// fastest always-exact default — prefiltered when the lossy stage
@@ -109,6 +103,12 @@ type Options struct {
 	// fails if the lossy stage cannot be kept. Unknown names are a Build
 	// error listing RegisteredBackends.
 	Backend string
+	// denseStates budgets the baked kernel's fast tier: how many states
+	// have their whole move row precomputed, as a bitmap over the depth-1
+	// default row plus the targets that differ from it (0 =
+	// defaultDenseStates, negative disables the tier). Only this package's
+	// tests vary it: every setting scans identically.
+	denseStates int
 }
 
 // Validate reports whether the options are buildable: the backend name
@@ -370,7 +370,7 @@ func newSideStages(t *ac.Trie, opts Options, d1 *[256]int32, linked <-chan struc
 	}
 	<-linked
 	ss.out = newOutputTable(t)
-	ss.tier = bakeFastTier(t, <-handoff, d1, opts.DenseStates)
+	ss.tier = bakeFastTier(t, <-handoff, d1, opts.denseStates)
 	return ss
 }
 

@@ -262,7 +262,7 @@ func densePromoted(t *ac.Trie, pop []int64, budget int) []bool {
 	n := t.NumStates()
 	promoted := make([]bool, n)
 	if budget == 0 {
-		budget = DefaultDenseStates
+		budget = defaultDenseStates
 	}
 	if budget < 0 {
 		return promoted
@@ -346,7 +346,7 @@ func denseCompile(m *Machine, t *ac.Trie, pop []int64, budget int) {
 // machine, field for field, then proves it against the full DFA.
 func checkSparseAgainstDense(t testing.TB, set *ruleset.Set, dense int) {
 	t.Helper()
-	m, err := Build(set, Options{DenseStates: dense})
+	m, err := Build(set, Options{denseStates: dense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func FuzzBuildEquivalence(f *testing.F) {
 		}
 		dense := []int{-1, 0, 16, 1 << 20}[int(knobs[1]>>2)%4]
 		checkSparseAgainstDense(t, set, dense)
-		opts := Options{DenseStates: dense}
+		opts := Options{denseStates: dense}
 		requireSameMachine(t, "reversed", mustBuild(t, set, opts), mustBuild(t, reordered(set, -1), opts))
 	})
 }
@@ -604,7 +604,8 @@ func TestCompilePromotedWideState(t *testing.T) {
 	if got := m.DefaultBackend(); got != BackendPrefiltered {
 		t.Fatalf("auto resolves to %q, want %q", got, BackendPrefiltered)
 	}
-	driveLockstep(t, m, trie, rand.New(rand.NewSource(140)))
+	payload, ops := lockstepInput(rand.New(rand.NewSource(140)))
+	driveLockstep(t, m, trie, payload, ops)
 	if err := m.Verify(trie, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +625,7 @@ func TestCompilePromotedWideState(t *testing.T) {
 
 	// With the dense tier off the same state is compressed, and its
 	// descriptor counts the whole row.
-	csr, err := Build(setOf(patterns, false), Options{DenseStates: -1})
+	csr, err := Build(setOf(patterns, false), Options{denseStates: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,5 +635,6 @@ func TestCompilePromotedWideState(t *testing.T) {
 	if err := csr.verifyProgram(trie); err != nil {
 		t.Fatal(err)
 	}
-	driveLockstep(t, csr, trie, rand.New(rand.NewSource(141)))
+	payload, ops = lockstepInput(rand.New(rand.NewSource(141)))
+	driveLockstep(t, csr, trie, payload, ops)
 }

@@ -14,14 +14,14 @@ import (
 // step agrees with the full DFA on every (state, byte), whatever share of
 // the states the fast tier holds. The random machines of
 // FuzzBuildEquivalence, TestSparseBuildMatchesDenseOracle and
-// FuzzBakedEquivalence are held to the same proof where they are built.
+// FuzzBackendEquivalence are held to the same proof where they are built.
 func TestVerifyProgramProperty(t *testing.T) {
 	for _, n := range []int{634, 1204, 6275} {
 		set := ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 2010})
 		trie := mustTrie(t, set)
 		for _, dense := range []int{-1, 0, 16, 1 << 30} {
 			t.Run(fmt.Sprintf("%d/dense=%d", n, dense), func(t *testing.T) {
-				m := mustBuild(t, set, Options{DenseStates: dense})
+				m := mustBuild(t, set, Options{denseStates: dense})
 				if err := m.verifyProgram(trie); err != nil {
 					t.Fatal(err)
 				}
@@ -309,7 +309,7 @@ func TestFastRowWordEdges(t *testing.T) {
 
 	states := 1 + set.CharCount()
 	for _, dense := range []int{-1, 16, states} {
-		m, trie := mustBuild(t, set, Options{DenseStates: dense}), mustTrie(t, set)
+		m, trie := mustBuild(t, set, Options{denseStates: dense}), mustTrie(t, set)
 		if err := m.verifyProgram(trie); err != nil {
 			t.Fatalf("dense=%d: %v", dense, err)
 		}
@@ -318,7 +318,8 @@ func TestFastRowWordEdges(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(dense)))
 		for trial := 0; trial < 20; trial++ {
-			driveLockstep(t, m, trie, rng)
+			_, ops := lockstepInput(rng) // the edge bytes, not random ones
+			driveLockstep(t, m, trie, payload, ops)
 		}
 		if dense < 0 {
 			continue

@@ -17,7 +17,7 @@ import (
 // slots. Each distinct list is stored once, so there is one list per
 // pattern: the one its own state heads. The random machines of
 // FuzzBuildEquivalence, TestSparseBuildMatchesDenseOracle and
-// FuzzBakedEquivalence are held to the same proof where they are built, and
+// FuzzBackendEquivalence are held to the same proof where they are built, and
 // the dense oracle lays out equal lists by content, not by chain.
 func TestOutputTableProperty(t *testing.T) {
 	for _, n := range []int{634, 1204, 6275} {
@@ -70,7 +70,8 @@ func TestReferenceBackendEmitsFromOutputTable(t *testing.T) {
 				t.Fatalf("state %d outputs %v, the trie's chain sorted %v", s, got, want)
 			}
 		}
-		driveLockstep(t, m, trie, rng)
+		payload, ops := lockstepInput(rng)
+		driveLockstep(t, m, trie, payload, ops)
 		if err := m.verifyScan(trie, [][]byte{randBakedPayload(rng, 2048)}); err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 	abcd, bcd, cd, d := int32(set.Patterns[0].ID), int32(set.Patterns[1].ID), int32(set.Patterns[2].ID), int32(set.Patterns[3].ID)
 	trie := mustTrie(t, set)
 
-	for _, opts := range []Options{{}, {DenseStates: -1}, {DenseStates: 2}, {Backend: BackendReference}} {
+	for _, opts := range []Options{{}, {denseStates: -1}, {denseStates: 2}, {Backend: BackendReference}} {
 		m := mustBuild(t, set, opts)
 		if err := m.verifyOutputs(trie); err != nil {
 			t.Fatalf("%+v: %v", opts, err)

@@ -38,8 +38,8 @@ package core
 // (2) no match ends — a pattern ending while depth < K has length < K, is
 // inserted as an accept string itself, and fires suspect the same way.
 // verifySuperset checks the accept-string walk structurally at bake time
-// (in the spirit of verifyTransitions); the property test and the
-// FuzzPrefilterEquivalence fuzzer check the runtime pipeline end to end.
+// (in the spirit of verifyTransitions); the property test and
+// FuzzBackendEquivalence check the runtime pipeline in lockstep.
 //
 // Suspect-window rebuild. When suspect fires at stream index a, the exact
 // loop restarts from the start state at r = a−K+1 — or, when that would

@@ -255,8 +255,8 @@ func TestPrefilterStatsAccounting(t *testing.T) {
 // chunk comes from the registers the call was entered with — with 1-byte
 // chunks, every rebuild reads its history there. Each scenario drives the
 // prefiltered backend against the reference interpreter in lockstep on the
-// raw register values; the fuzz seeds in FuzzPrefilterEquivalence cover the
-// same shapes end to end through the public API.
+// raw register values; the seeds of FuzzBackendEquivalence cover the same
+// shapes with every backend in lockstep.
 func TestPrefilterTailRingBoundary(t *testing.T) {
 	set := &ruleset.Set{Patterns: []ruleset.Pattern{{ID: 0, Data: []byte("vwxyz")}}}
 	m, err := Build(set, Options{Backend: BackendPrefiltered})

@@ -96,9 +96,9 @@ func TestStateMemoryLayout(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("reading every stored row allocates %v times: a row read must alias the state memory", allocs)
 	}
-	if promoted != DefaultDenseStates || len(m.displaced) != promoted || len(m.fast) != promoted {
+	if promoted != defaultDenseStates || len(m.displaced) != promoted || len(m.fast) != promoted {
 		t.Fatalf("%d promoted states, %d displaced descriptors, %d fast rows; want %d of each",
-			promoted, len(m.displaced), len(m.fast), DefaultDenseStates)
+			promoted, len(m.displaced), len(m.fast), defaultDenseStates)
 	}
 }
 

@@ -311,20 +311,21 @@ func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
 
 // verifyFold proves Fold, Resume and Join on every backend the machine
 // supports. Depth must be t's longest pattern and the window filter must
-// pass Build's proof: the premises of the fold. Then each piece — every
-// payload, t's longest pattern spelled twice over, from its second and
-// middle byte on, less its last byte, and its last two bytes before a
-// window no pattern contains, so a pattern straddles or ends the prefix or
-// opens the piece part-way through — is folded, and resumed from the
-// registers each piece's own scan ends in: that must leave exactly the
+// pass its proof (windowFilter.prove): the premises of the fold. Then each
+// piece — every payload, t's longest pattern spelled twice over, from its
+// second and middle byte on, less its last byte, and its last two bytes
+// before a window no pattern contains, so a pattern straddles or ends the
+// prefix or opens the piece part-way through — is folded, and resumed from
+// the registers each piece's own scan ends in: that must leave exactly the
 // registers, and append exactly the matches, that scanning the piece on
 // from there does. Forms are kept here even where Fold would keep the piece
 // whole, so every piece with a fold point is proved. Then pieces are joined,
 // each held whole and, where Fold keeps one, as its form — each payload
 // before and after each of the pattern's pieces, those among themselves,
-// and each payload before the next: the join must be byte for byte Fold's
-// form of the two pieces as one, or refused where Fold keeps that whole,
-// and must resume as it does after each of the pattern's pieces.
+// and each payload before the next, wherever the left is at least a byte,
+// as Join asks: the join must be byte for byte Fold's form of the two
+// pieces as one, or refused where Fold keeps that whole, and must resume as
+// it does after each of the pattern's pieces.
 func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
 	s := deepest(t)
 	if d := int(t.Nodes[s].Depth); m.depth != d {
@@ -374,6 +375,9 @@ func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
 			pairs = append(pairs, [2]int{i - 1, i})
 		}
 		for _, pr := range pairs {
+			if len(pieces[pr[0]]) == 0 {
+				continue // Join's left is at least a byte
+			}
 			for _, lf := range held[pr[0]] {
 				for _, rf := range held[pr[1]] {
 					if err := m.proveJoin(kind, pieces[pr[0]], pieces[pr[1]], lf, rf, befores[len(payloads):]); err != nil {

@@ -27,22 +27,6 @@ import (
 type Engine struct {
 	m       *core.Machine
 	workers int
-
-	batches     atomic.Uint64
-	batchPkts   atomic.Uint64
-	batchBytes  atomic.Uint64
-	flowsOpened atomic.Uint64
-	streamBytes atomic.Uint64
-}
-
-// Stats is a point-in-time snapshot of one engine's work, split by the two
-// usage shapes.
-type Stats struct {
-	Batches     uint64 // ScanPacketsInto calls
-	BatchPkts   uint64 // payloads scanned across those batches
-	BatchBytes  uint64 // payload bytes scanned in batch mode
-	FlowsOpened uint64 // flows opened (Engine.Flow)
-	StreamBytes uint64 // bytes written through flows (gap skips excluded)
 }
 
 // New builds an engine over g's one machine with the given worker-pool size
@@ -58,18 +42,6 @@ func New(g *core.Grouped, workers int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{m: g.Machines[0], workers: workers}
-}
-
-// Stats returns this engine's work counters. Counters are monotone but
-// mutually unsynchronized, like every stats surface in the pipeline.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Batches:     e.batches.Load(),
-		BatchPkts:   e.batchPkts.Load(),
-		BatchBytes:  e.batchBytes.Load(),
-		FlowsOpened: e.flowsOpened.Load(),
-		StreamBytes: e.streamBytes.Load(),
-	}
 }
 
 // scanPacket scans one payload from start-of-packet registers into buf (a
@@ -107,13 +79,6 @@ func (e *Engine) ScanPacketsInto(payloads [][]byte, results [][]ac.Match) [][]ac
 	if len(payloads) == 0 {
 		return results
 	}
-	e.batches.Add(1)
-	e.batchPkts.Add(uint64(len(payloads)))
-	var nbytes uint64
-	for _, p := range payloads {
-		nbytes += uint64(len(p))
-	}
-	e.batchBytes.Add(nbytes)
 	if workers := min(e.workers, len(payloads)); workers > 1 {
 		// The goroutine fan-out lives in its own function so its closure does
 		// not capture this function's parameters: a captured `results` would
@@ -160,10 +125,8 @@ type Flow struct {
 	buf []ac.Match
 }
 
-// Flow opens a fresh stream positioned at start-of-packet, counted once in
-// Stats.FlowsOpened.
+// Flow opens a fresh stream positioned at start-of-packet.
 func (e *Engine) Flow() *Flow {
-	e.flowsOpened.Add(1)
 	f := &Flow{e: e}
 	f.r.Reset()
 	return f
@@ -175,7 +138,6 @@ func (e *Engine) Flow() *Flow {
 // caller must consume (or copy) it before writing again.
 func (f *Flow) Write(p []byte) []ac.Match {
 	f.buf = f.e.m.ScanAppend(&f.r, p, ac.RecycleMatches(f.buf))
-	f.e.streamBytes.Add(uint64(len(p)))
 	return f.buf
 }
 

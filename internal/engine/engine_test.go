@@ -164,40 +164,6 @@ func TestFlowSkipGap(t *testing.T) {
 	}
 }
 
-// TestStatsCounters pins the per-engine work accounting a sharded
-// front-end reads per replica: batch calls/packets/bytes from
-// ScanPacketsInto, flow checkouts and streamed bytes from the Flow API, and
-// independence between two engines over the same automaton.
-func TestStatsCounters(t *testing.T) {
-	g := buildGrouped(t, 100)
-	e := New(g, 2)
-	other := New(g, 2) // a sibling shard: its counters must stay untouched
-
-	payloads := [][]byte{[]byte("abcd"), []byte("efghij"), nil}
-	e.ScanPacketsInto(payloads, nil)
-	e.ScanPacketsInto(payloads[:1], nil)
-
-	f := e.Flow()
-	f.Write([]byte("hello"))
-	f.Write([]byte("wo"))
-	f.SkipGap(100) // unseen bytes: not streamed through the scanner
-	f.Close()
-
-	st := e.Stats()
-	want := Stats{Batches: 2, BatchPkts: 4, BatchBytes: 14, FlowsOpened: 1, StreamBytes: 7}
-	if st != want {
-		t.Fatalf("Stats = %+v, want %+v", st, want)
-	}
-	if o := other.Stats(); o != (Stats{}) {
-		t.Fatalf("sibling engine counters moved: %+v", o)
-	}
-	// An empty batch is a no-op, not a counted batch.
-	e.ScanPacketsInto(nil, nil)
-	if st := e.Stats(); st.Batches != 2 {
-		t.Fatalf("empty batch counted: %+v", st)
-	}
-}
-
 // TestScanPacketsIntoSteadyStateZeroAlloc locks in the batch scan's
 // contract: with a single worker (no goroutine fan-out) and a reused
 // results buffer, a match-free burst costs zero allocations per batch.

@@ -749,6 +749,29 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
+// fuzzRulesFrom derives a small ruleset from a fuzz blob: each pattern is
+// a length byte (1-12 bytes) followed by its content, up to 8 patterns,
+// duplicates skipped. Returns nil when the blob yields no usable pattern.
+func fuzzRulesFrom(blob []byte) *Ruleset {
+	rules := NewRuleset()
+	for len(blob) > 0 && rules.Len() < 8 {
+		l := int(blob[0])%12 + 1
+		blob = blob[1:]
+		if l > len(blob) {
+			l = len(blob)
+		}
+		if l == 0 {
+			break
+		}
+		rules.Add("", blob[:l]) // duplicate contents just error; ignore
+		blob = blob[l:]
+	}
+	if rules.Len() == 0 {
+		return nil
+	}
+	return rules
+}
+
 // FuzzSwapEquivalence drives a small gateway through a fuzz-chosen
 // interleaving of per-flow writes, one hot swap, FINs and flushes, and
 // requires every flow's match stream to equal FindAll of its concatenated
