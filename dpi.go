@@ -355,7 +355,7 @@ type KernelStats struct {
 	// StoredEntries counts every pointer the compressed states keep, the
 	// one a one-pointer row keeps in its row descriptor included.
 	StoredEntries int
-	DenseBytes    int // the fast tier: 48 B per promoted state plus 4 B per override of the depth-1 default row
+	DenseBytes    int // the fast tier: 40 B per promoted state plus 4 B per override of the depth-1 default row
 	// StoredBytes is the row index, 4 B a state, plus the stored-pointer
 	// arena, 4 B a pointer. A one-pointer row costs only its descriptor,
 	// which is that pointer; the arena holds every longer row, the promoted

@@ -55,8 +55,10 @@ func TestAutoBackendResolution(t *testing.T) {
 	// rejectPrefilter does what compileBackends does when verifySuperset
 	// refuses a table: the stage is dropped, never used.
 	rejectPrefilter := func(t *testing.T, m *Machine, trie *ac.Trie) *Machine {
-		for i := range m.pre.tab {
-			m.pre.tab[i] &^= pfSuspect
+		for i, e := range m.pre.tab {
+			if e == pfSuspect {
+				m.pre.tab[i] = 0
+			}
 		}
 		if err := m.pre.verifySuperset(trie); err == nil {
 			t.Fatal("verifySuperset accepted a table with no suspect flags")

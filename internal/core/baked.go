@@ -14,11 +14,11 @@ package core
 //     arrays read in place by both interpreters. d1 is a plain [256]int32
 //     with the start-state fallback pre-resolved into the row, so the
 //     depth-1 default is one indexed load with no comparison at all. d2
-//     packs each row's 4 depth-2 defaults as uint64 words,
-//     preceding-character key in the high half and target state in the low
-//     half, so the hardware's comparator block is one load plus one
-//     32-bit compare per slot. d3 is one packed word per character keyed
-//     on both history characters at once.
+//     packs each row's 4 depth-2 defaults as 4-byte slots, key<<22 |
+//     target — the preceding character above the 22-bit target a Pointer
+//     names — so a row's four slots are 16 B and the hardware's comparator
+//     block is one load, a shift and a compare per slot. d3 is one packed
+//     word per character keyed on both history characters at once.
 //
 //   - The per-byte history pair (h2, h1) fuses into a single register of
 //     two 9-bit lanes: hist = h2<<9 | h1. A lane holds 0x000-0x0FF for a
@@ -57,10 +57,11 @@ package core
 //     strings, 13 at most), so the row is not 256 targets but a 256-bit
 //     bitmap of where it differs plus its slice of one shared override
 //     array, the bitmap index the Tuck baseline (internal/tuck) uses: a
-//     clear bit steps to d1[c], a set bit to the override at the word's
-//     rank plus a popcount. Most traffic sits in these near-root states,
-//     so the common byte is two dependent loads — descriptor, bitmap word —
-//     and d1, into a tier small enough (48 B a row) to stay cache-resident.
+//     clear bit steps to d1[c], a set bit to the override at the row's
+//     base plus the word's byte-wide count of the overrides below it plus a
+//     popcount. Most traffic sits in these near-root states, so the common
+//     byte is two dependent loads — descriptor, bitmap word — and d1, into
+//     a tier small enough (40 B a row) to stay cache-resident.
 
 import (
 	"math/bits"
@@ -83,7 +84,7 @@ const (
 	// Empty d2/d3 slots carry keys no runtime history can produce: a lane
 	// is at most histUnknownLane, so 0x1FF (and the all-lanes-0x1FF d3 key)
 	// never compares equal.
-	emptyD2Key = uint64(histLaneMask) << 32
+	emptyD2Key = uint32(histLaneMask) << pointerToBits
 	emptyD3Key = uint64(histMask) << 32
 
 	// Row descriptor packing: bit 31 selects the fast tier (low 31 bits =
@@ -99,18 +100,21 @@ const (
 
 	// defaultDenseStates is the fast-tier budget when Options.denseStates
 	// is 0: at 634 strings the start state, all 73 depth-1 states and the
-	// 310 most popular deeper ones, ≈23 KB of bitmap rows and overrides.
+	// 310 most popular deeper ones, ≈20 KB of bitmap rows and overrides.
 	defaultDenseStates = 384
 )
 
 // fastRow is a promoted state's whole move row, as its difference from the
 // depth-1 default row: bit c of bits is set iff the state's move on byte c
-// is not d1[c], and rank[w] is the index in Machine.over of the override
-// for the lowest set bit of word w — the row's overrides sit there in byte
-// order, so a set bit's override is rank plus the set bits below it.
+// is not d1[c]. The row's overrides sit in Machine.over from base on, in
+// byte order, and cum[w] counts those of the words below w: at most 192,
+// which a byte holds even for a row overriding all 256 bytes. A set bit's
+// override is base plus cum plus the set bits below it in its word. A row
+// is 40 B.
 type fastRow struct {
 	bits [4]uint64
-	rank [4]uint32
+	base uint32
+	cum  [4]uint8
 }
 
 // move is the row's transition on c.
@@ -119,7 +123,7 @@ func (r *fastRow) move(c byte, d1 *[256]int32, over []int32) int32 {
 	if w&bit == 0 {
 		return d1[c]
 	}
-	return over[r.rank[c>>6]+uint32(bits.OnesCount64(w&(bit-1)))]
+	return over[r.base+uint32(r.cum[c>>6])+uint32(bits.OnesCount64(w&(bit-1)))]
 }
 
 // fuseHist packs an (h2, h1) history pair, HistNone for an unknown byte,
@@ -188,7 +192,7 @@ func bakeFastTier(t *ac.Trie, ft *failTree, d1 *[256]int32, denseStates int) fas
 				i, _ := slices.BinarySearch(tier.states, uint32(a))
 				base := &tier.rows[i]
 				row.bits = base.bits
-				at := base.rank[0]
+				at := base.base
 				for w, word := range base.bits {
 					for ; word != 0; word &= word - 1 {
 						scratch[w<<6|bits.TrailingZeros64(word)] = over[at]
@@ -206,8 +210,9 @@ func bakeFastTier(t *ac.Trie, ft *failTree, d1 *[256]int32, denseStates int) fas
 				}
 			}
 		}
+		row.base = uint32(len(over))
 		for w, word := range row.bits {
-			row.rank[w] = uint32(len(over))
+			row.cum[w] = uint8(uint32(len(over)) - row.base)
 			for ; word != 0; word &= word - 1 {
 				over = append(over, scratch[w<<6|bits.TrailingZeros64(word)])
 			}
@@ -294,14 +299,14 @@ func (m *Machine) scanAppend(state int32, hist uint32, pos int, data []byte, out
 				h1 := hist & histLaneMask
 				d2 := &lut.d2[c]
 				switch {
-				case uint32(d2[0]>>32) == h1:
-					state = int32(uint32(d2[0]))
-				case uint32(d2[1]>>32) == h1:
-					state = int32(uint32(d2[1]))
-				case uint32(d2[2]>>32) == h1:
-					state = int32(uint32(d2[2]))
-				case uint32(d2[3]>>32) == h1:
-					state = int32(uint32(d2[3]))
+				case d2[0]>>pointerToBits == h1:
+					state = d2To(d2[0])
+				case d2[1]>>pointerToBits == h1:
+					state = d2To(d2[1])
+				case d2[2]>>pointerToBits == h1:
+					state = d2To(d2[2])
+				case d2[3]>>pointerToBits == h1:
+					state = d2To(d2[3])
 				default:
 					state = lut.d1[c]
 				}
@@ -326,7 +331,7 @@ type LayoutStats struct {
 	// StoredEntries counts every pointer the compressed states keep, the
 	// one a one-pointer row keeps in its descriptor included.
 	StoredEntries int
-	DenseBytes    int // fast tier: DenseStates × 48 B of bitmap rows plus 4 B per override
+	DenseBytes    int // fast tier: DenseStates × 40 B of bitmap rows plus 4 B per override
 	// StoredBytes is the row index, 4 B a state, plus the stored-pointer
 	// arena, 4 B a pointer. A one-pointer row costs only its descriptor;
 	// the arena holds every longer row, the promoted states' included, and

@@ -143,11 +143,11 @@ func (ft *failTree) top(lo, hi int32, k int) []int32 {
 // kernel ships; a wider scratch only for CompressionStats' ablation.
 type defaults struct {
 	lut *lookupTable
-	d2  []uint64
+	d2  []uint32
 }
 
 // row is the depth-2 slots of row c.
-func (d defaults) row(c byte) []uint64 {
+func (d defaults) row(c byte) []uint32 {
 	k := len(d.d2) / len(d.lut.d1)
 	return d.d2[int(c)*k:][:k]
 }
@@ -177,26 +177,28 @@ func selectDefaults(t *ac.Trie, ft *failTree, d defaults, st *BuildStats) {
 	}
 	for ; s < n && t.Nodes[s].Depth == 2; s++ {
 		nd := &t.Nodes[s]
-		if ft.place(d.row(nd.Char), uint64(t.Nodes[nd.Parent].Char)<<32|uint64(s), emptyD2Key) {
+		if place(ft, d.row(nd.Char), uint32(t.Nodes[nd.Parent].Char)<<pointerToBits|uint32(s), emptyD2Key) {
 			st.D2Count++
 		}
 	}
 	for ; s < n && t.Nodes[s].Depth == 3; s++ {
 		nd, p1 := &t.Nodes[s], &t.Nodes[t.Nodes[s].Parent]
 		key := uint64(t.Nodes[p1.Parent].Char)<<histLaneBits | uint64(p1.Char)
-		if ft.place(l.d3[nd.Char:][:1], key<<32|uint64(s), emptyD3Key) {
+		if place(ft, l.d3[nd.Char:][:1], key<<32|uint64(s), emptyD3Key) {
 			st.D3Count++
 		}
 	}
 }
 
-// place puts the packed default e into row — defaults best-ranked first,
-// empty slots last — if it ranks among them, each displaced default moving
-// one slot down and the last falling off. It reports whether an empty slot
-// was taken.
-func (ft *failTree) place(row []uint64, e, empty uint64) bool {
+// place puts the packed default e — a depth-2 slot or a depth-3 word, its
+// target in the low 22 bits either way — into row, defaults best-ranked
+// first, empty slots last, if it ranks among them, each displaced default
+// moving one slot down and the last falling off. It reports whether an
+// empty slot was taken.
+func place[E uint32 | uint64](ft *failTree, row []E, e, empty E) bool {
+	to := func(e E) int32 { return int32(uint32(e) & (maxStates - 1)) }
 	for j := range row {
-		if row[j] == empty || ft.rank(int32(uint32(e)), int32(uint32(row[j]))) < 0 {
+		if row[j] == empty || ft.rank(to(e), to(row[j])) < 0 {
 			if row[j], e = e, row[j]; e == empty {
 				return true
 			}
@@ -220,7 +222,7 @@ func CompressionStats(set *ruleset.Set, d2 int) (BuildStats, error) {
 		return st, err
 	}
 	ft := newFailTree(trie)
-	d := defaults{new(lookupTable), make([]uint64, 256*d2)}
+	d := defaults{new(lookupTable), make([]uint32, 256*d2)}
 	selectDefaults(trie, ft, d, &st)
 	_, _, err = compress(trie, ft, d, &st)
 	return st, err
@@ -254,8 +256,8 @@ func (d defaults) misses(c byte, hist uint32, to int32) (m uint8) {
 		m |= 1 << 1
 	}
 	for _, e := range d.row(c) {
-		if uint32(e>>32) == hist&histLaneMask {
-			r = int32(uint32(e))
+		if e>>pointerToBits == hist&histLaneMask {
+			r = d2To(e)
 			break
 		}
 	}

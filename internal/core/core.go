@@ -162,15 +162,18 @@ const HistNone int16 = -1
 // lookupTable is the paper's 256-row lookup table, the one copy both
 // interpreters read (see baked.go for the encoding). d1 is the depth-1
 // default with the start-state fallback pre-resolved into the row; d2
-// packs a row's depth-2 defaults as preceding-character key in the high
-// half and target state in the low half, most popular first; d3 is one
-// word keyed on both history characters at once. Empty slots carry keys
-// no history can produce.
+// packs each of a row's depth-2 defaults into one 4-byte slot,
+// preceding-character key above the 22-bit target state a Pointer names
+// its target in, most popular first; d3 is one word keyed on both history
+// characters at once. Empty slots carry keys no history can produce.
 type lookupTable struct {
 	d1 [256]int32
-	d2 [256][d2PerChar]uint64
+	d2 [256][d2PerChar]uint32
 	d3 [256]uint64
 }
+
+// d2To is the target state of a packed depth-2 slot.
+func d2To(e uint32) int32 { return int32(e & (maxStates - 1)) }
 
 // resolve is the default rule on input character c under the fused history
 // hist: the depth-3 default when both history characters match its key,
@@ -182,8 +185,8 @@ func (l *lookupTable) resolve(c byte, hist uint32) int32 {
 	}
 	h1 := hist & histLaneMask
 	for _, e := range &l.d2[c] {
-		if uint32(e>>32) == h1 {
-			return int32(uint32(e))
+		if e>>pointerToBits == h1 {
+			return d2To(e)
 		}
 	}
 	return l.d1[c]
@@ -198,8 +201,8 @@ func (m *Machine) LookupRow(c byte) LookupRow {
 		row.D1 = s
 	}
 	for _, e := range l.d2[c] {
-		if key := uint32(e >> 32); key <= 0xFF {
-			row.D2 = append(row.D2, D2Entry{Prev: byte(key), State: int32(uint32(e))})
+		if key := e >> pointerToBits; key <= 0xFF {
+			row.D2 = append(row.D2, D2Entry{Prev: byte(key), State: d2To(e)})
 		}
 	}
 	if e := l.d3[c]; e != emptyD3Key {

@@ -52,7 +52,7 @@ func denseLookupTable(rows *[256]LookupRow) (l lookupTable) {
 			l.d2[c][j] = emptyD2Key
 			if j < len(rows[c].D2) {
 				e := rows[c].D2[j]
-				l.d2[c][j] = uint64(e.Prev)<<32 | uint64(uint32(e.State))
+				l.d2[c][j] = uint32(e.Prev)<<pointerToBits | uint32(e.State)
 			}
 		}
 		l.d3[c] = emptyD3Key
@@ -327,10 +327,10 @@ func denseCompile(m *Machine, t *ac.Trie, pop []int64, budget int) {
 		for c := range dense {
 			dense[c] = t.Move(s, byte(c))
 		}
-		var row fastRow
+		row := fastRow{base: uint32(len(m.over))}
 		for c, to := range dense {
 			if c%64 == 0 {
-				row.rank[c/64] = uint32(len(m.over))
+				row.cum[c/64] = uint8(uint32(len(m.over)) - row.base)
 			}
 			if to != m.lut.d1[c] {
 				row.bits[c/64] |= 1 << (c % 64)
@@ -614,7 +614,7 @@ func TestCompilePromotedWideState(t *testing.T) {
 		t.Fatalf("the depth-1 state is read through descriptor %#x, not a fast row", desc)
 	}
 	row := &m.fast[desc-rowDense]
-	if got := row.rank[3] + uint32(bits.OnesCount64(row.bits[3])) - row.rank[0]; got != 256 {
+	if got := int(row.cum[3]) + bits.OnesCount64(row.bits[3]); got != 256 {
 		t.Fatalf("the depth-1 state's fast row holds %d overrides, want 256", got)
 	}
 	for x := 0; x < 256; x++ {

@@ -30,48 +30,71 @@ func TestVerifyProgramProperty(t *testing.T) {
 	}
 }
 
-// TestVerifyProgramDetectsCorruption: the proof must be able to fail. The
-// ruleset has more states than the fast tier holds, so both kinds of row
-// are there to corrupt. The oracle is a trie of the ruleset the machine
-// never saw, and one of another ruleset is refused.
+// TestVerifyProgramDetectsCorruption: the proof must be able to fail, and
+// Verify with it, without panicking. The ruleset has more states than the
+// fast tier holds, so both kinds of row are there to corrupt. A fast row's
+// cum bytes are range-checked, and a depth-2 slot's key read back through
+// LookupRow, before either loop runs, so verifyTransitions must refuse
+// those cases too. The oracle is a trie of the ruleset the machine never
+// saw, and one of another ruleset is refused.
 func TestVerifyProgramDetectsCorruption(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 300, Seed: 81})
 	trie := mustTrie(t, set)
 	// wideRow finds a fast row holding two different overrides in one
-	// bitmap word, and that word.
-	wideRow := func(m *Machine) (*fastRow, int) {
+	// bitmap word, that word, and where the word's overrides start.
+	wideRow := func(m *Machine) (*fastRow, int, uint32) {
 		for i := range m.fast {
 			r := &m.fast[i]
 			for w, word := range r.bits {
-				if bits.OnesCount64(word) >= 2 && m.over[r.rank[w]] != m.over[r.rank[w]+1] {
-					return r, w
+				at := r.base + uint32(r.cum[w])
+				if bits.OnesCount64(word) >= 2 && m.over[at] != m.over[at+1] {
+					return r, w, at
 				}
 			}
 		}
 		t.Fatal("no fast row overrides two bytes of one word differently")
-		return nil, 0
+		return nil, 0, 0
 	}
 	cases := map[string]func(m *Machine){
 		"cleared bit": func(m *Machine) {
-			r, w := wideRow(m)
+			r, w, _ := wideRow(m)
 			r.bits[w] &= r.bits[w] - 1
 		},
 		"spurious bit": func(m *Machine) {
-			r, w := wideRow(m)
+			r, w, _ := wideRow(m)
 			r.bits[w] |= 1 << bits.TrailingZeros64(^r.bits[w])
 		},
 		"swapped overrides": func(m *Machine) {
-			r, w := wideRow(m)
-			at := r.rank[w]
+			_, _, at := wideRow(m)
 			m.over[at], m.over[at+1] = m.over[at+1], m.over[at]
 		},
-		"bumped rank": func(m *Machine) {
-			r, w := wideRow(m)
-			r.rank[w]++
+		"bumped base": func(m *Machine) {
+			r, _, _ := wideRow(m)
+			r.base++
+		},
+		// In the last row that overrides a byte of word 3: its last
+		// override, moved one on, is the next row's first.
+		"cum off by one in word 3": func(m *Machine) {
+			for i := len(m.fast) - 1; i >= 0; i-- {
+				if r := &m.fast[i]; r.bits[3] != 0 {
+					r.cum[3]++
+					return
+				}
+			}
+			t.Fatal("no fast row overrides a byte of word 3")
 		},
 		"default as override": func(m *Machine) {
-			r, w := wideRow(m)
-			m.over[r.rank[w]] = m.lut.d1[w<<6|bits.TrailingZeros64(r.bits[w])]
+			r, w, at := wideRow(m)
+			m.over[at] = m.lut.d1[w<<6|bits.TrailingZeros64(r.bits[w])]
+		},
+		// A slot a compressed state's move takes, its key one byte off:
+		// the state falls through to d1.
+		"depth-2 key": func(m *Machine) {
+			slot := d2SlotTaken(m, trie)
+			if slot == nil {
+				t.Fatal("no compressed state's move takes a depth-2 default")
+			}
+			*slot ^= 1 << pointerToBits
 		},
 		"shared fast row": func(m *Machine) {
 			for s, ref := range m.rows {
@@ -91,14 +114,29 @@ func TestVerifyProgramDetectsCorruption(t *testing.T) {
 			t.Fatal("no compressed state keeps an arena row")
 		},
 	}
+	proofs := map[string]func(m *Machine) error{
+		"Verify":            func(m *Machine) error { return m.Verify(trie, nil) },
+		"verifyTransitions": func(m *Machine) error { return m.verifyTransitions(trie) },
+		"verifyProgram":     func(m *Machine) error { return m.verifyProgram(trie) },
+	}
+	everyProof := map[string]bool{"cum off by one in word 3": true, "depth-2 key": true}
 	for name, corrupt := range cases {
 		m := mustBuild(t, set, Options{})
-		if err := m.verifyProgram(trie); err != nil {
+		if err := m.Verify(trie, nil); err != nil {
 			t.Fatal(err)
 		}
 		corrupt(m)
-		if err := m.verifyProgram(trie); err == nil {
-			t.Errorf("%s: corrupted kernel tables accepted", name)
+		for proof, run := range proofs {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: %s panicked: %v", name, proof, r)
+					}
+				}()
+				if err := run(m); err == nil && (proof != "verifyTransitions" || everyProof[name]) {
+					t.Errorf("%s: %s accepted the corrupted kernel tables", name, proof)
+				}
+			}()
 		}
 	}
 	if err := mustBuild(t, set, Options{}).verifyProgram(mustTrie(t, toySet())); err == nil {
@@ -197,24 +235,12 @@ func TestVerifyProofsRefuseSharedCorruption(t *testing.T) {
 			return true
 		},
 		"depth-2 default": func(m *Machine) bool {
-			for s := int32(0); s < int32(m.NumStates()); s++ {
-				if m.rows[s] >= rowDense || trie.Nodes[s].Depth < 2 {
-					continue
-				}
-				hist := fuseHist(staticHistory(trie, s))
-				for c := 0; c < 256; c++ {
-					if m.StoredAt(s, byte(c)) != ac.None || uint32(m.lut.d3[c]>>32) == hist {
-						continue
-					}
-					for i, e := range m.lut.d2[c] {
-						if uint32(e>>32) == hist&histLaneMask {
-							m.lut.d2[c][i] = e&^0xFFFFFFFF | uint64((uint32(e)+1)%uint32(m.NumStates()))
-							return true
-						}
-					}
-				}
+			slot := d2SlotTaken(m, trie)
+			if slot == nil {
+				return false
 			}
-			return false
+			*slot = *slot&^(maxStates-1) | uint32(d2To(*slot)+1)%uint32(m.NumStates())
+			return true
 		},
 	}
 	for name, corrupt := range cases {
@@ -240,7 +266,6 @@ func TestVerifyRefusesOutOfRangeTargets(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 200, Seed: 2010})
 	trie := mustTrie(t, set)
 	const far = maxStates - 1
-	aim := func(e uint64) uint64 { return e&^0xFFFFFFFF | far }
 	cases := map[string]func(m *Machine){
 		"arena pointer": func(m *Machine) { m.stored[0] = newPointer(m.stored[0].Char(), far) },
 		"inline pointer": func(m *Machine) {
@@ -254,8 +279,8 @@ func TestVerifyRefusesOutOfRangeTargets(t *testing.T) {
 		},
 		"fast-row override": func(m *Machine) { m.over[0] = far },
 		"depth-1 default":   func(m *Machine) { m.lut.d1['e'] = far },
-		"depth-2 default":   func(m *Machine) { m.lut.d2['e'][0] = aim(m.lut.d2['e'][0]) },
-		"depth-3 default":   func(m *Machine) { m.lut.d3['e'] = aim(m.lut.d3['e']) },
+		"depth-2 default":   func(m *Machine) { m.lut.d2['e'][0] |= far },
+		"depth-3 default":   func(m *Machine) { m.lut.d3['e'] = m.lut.d3['e']&^0xFFFFFFFF | far },
 	}
 	proofs := map[string]func(m *Machine) error{
 		"Verify":            func(m *Machine) error { return m.Verify(trie, nil) },
@@ -278,6 +303,29 @@ func TestVerifyRefusesOutOfRangeTargets(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// d2SlotTaken finds a depth-2 slot the move of a state the fast tier does
+// not hold takes: on a byte the state stores no pointer for and the
+// depth-3 default does not match its static history.
+func d2SlotTaken(m *Machine, trie *ac.Trie) *uint32 {
+	for s := int32(0); s < int32(m.NumStates()); s++ {
+		if m.rows[s] >= rowDense || trie.Nodes[s].Depth < 2 {
+			continue
+		}
+		hist := fuseHist(staticHistory(trie, s))
+		for c := 0; c < 256; c++ {
+			if m.StoredAt(s, byte(c)) != ac.None || uint32(m.lut.d3[c]>>32) == hist {
+				continue
+			}
+			for i, e := range m.lut.d2[c] {
+				if e>>pointerToBits == hist&histLaneMask {
+					return &m.lut.d2[c][i]
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestFastRowWordEdges is the hand-made case for the bitmap arithmetic: the

@@ -24,9 +24,11 @@ package core
 // suspect entry hands the stream to the exact loop, and skimming resumes
 // from row 0. So only the states the skim loop can stand in — the
 // start state and the non-suspect states reachable from it through
-// non-suspect entries — get a row, numbered breadth-first from row 0. A
-// suspect entry is the bare flag in bit 15 of its uint16, which the skim
-// loop tests for free; any other entry is its target's row number.
+// non-suspect entries — get a row, numbered breadth-first from row 0. An
+// entry is one byte, so a stored row of pfStride entries is one 64 B cache
+// line: a suspect entry is the byte's one reserved value, pfSuspect, which
+// the skim loop tests for free; any other entry is its target's row
+// number.
 //
 // Superset contract (no false negatives). Start both machines at a stream
 // position where the exact machine is at the start state. While no suspect
@@ -75,9 +77,11 @@ import (
 	"repro/internal/ac"
 )
 
-// pfMaxRows is how many rows the table can address beside the suspect flag.
-// A variable only so that a test can make every prefilter too large.
-var pfMaxRows = 1 << 15
+// pfMaxRows is how many rows a one-byte entry can address beside the
+// suspect flag: 0 … 254. The most any ruleset size the paper tries steps
+// from is 207. A variable only so that a test can make every prefilter too
+// large.
+var pfMaxRows = int(pfSuspect)
 
 const (
 	// prefK is the prefilter window depth: the lossy machine proves "the
@@ -89,7 +93,7 @@ const (
 	// pfSuspect is a transition entry whose target state ends with an
 	// accept string; any other entry is its target's row number, below
 	// pfMaxRows.
-	pfSuspect = uint16(1) << 15
+	pfSuspect = uint8(0xFF)
 
 	// pfMaxClasses bounds the collapsed alphabet (class 0 = byte absent
 	// from all pattern prefixes). Rulesets with more distinct prefix bytes
@@ -109,7 +113,7 @@ const (
 // use by any number of streams.
 type Prefilter struct {
 	class [256]uint8 // byte → collapsed class, 0 = not in any prefix
-	tab   []uint16   // rows × pfStride (row-strided): target row, or pfSuspect
+	tab   []uint8    // rows × pfStride (row-strided): target row, or pfSuspect
 	// shallow[k] is the number of exact states of depth ≤ k: state s has
 	// depth ≤ k iff s < shallow[k], as states are numbered breadth-first.
 	shallow  [prefK]int32
@@ -129,13 +133,13 @@ type Prefilter struct {
 }
 
 // CompilePrefilter builds the lossy first stage from the trie t. It returns
-// nil when the stored rows do not fit the packed entry format (row numbers
-// share a uint16 with the suspect flag), in which case the prefiltered
-// backend is simply unavailable. Build compiles it beside the compression
-// and proves verifySuperset before keeping it — while
-// ac.Trie.Link runs: it reads t's Depth, Char, Parent and NumOut only, of
-// the states of depth ≤ K, which come first in breadth-first order, and the
-// Depth of the first deeper one.
+// nil when the stored rows do not fit the packed entry format — a row
+// number shares a byte with the suspect flag, so at most pfMaxRows rows —
+// in which case the prefiltered backend is simply unavailable. Build
+// compiles it beside the compression and proves verifySuperset before
+// keeping it — while ac.Trie.Link runs: it reads t's Depth, Char, Parent
+// and NumOut only, of the states of depth ≤ K, which come first in
+// breadth-first order, and the Depth of the first deeper one.
 func CompilePrefilter(t *ac.Trie) *Prefilter {
 	n := t.NumStates()
 
@@ -308,12 +312,12 @@ func CompilePrefilter(t *ac.Trie) *Prefilter {
 	if len(order) > pfMaxRows {
 		return nil
 	}
-	pf.tab = make([]uint16, len(order)<<pfStrideBits)
+	pf.tab = make([]uint8, len(order)<<pfStrideBits)
 	for r, s := range order {
 		for c, v := range next[nodes[s].at:][:nc] {
 			e := pfSuspect
 			if !nodes[v].suspect {
-				e = uint16(nodes[v].row)
+				e = uint8(nodes[v].row)
 			}
 			pf.tab[r<<pfStrideBits|c] = e
 		}
@@ -344,7 +348,7 @@ func (pf *Prefilter) Stats() PrefilterStats {
 		States:         pf.states,
 		Classes:        pf.nClasses,
 		AcceptPaths:    pf.accepts,
-		TableBytes:     len(pf.tab) * 2,
+		TableBytes:     len(pf.tab),
 		Folded:         pf.folded,
 		SkimmedBytes:   pf.skimmedBytes.Load(),
 		ExactBytes:     pf.exactBytes.Load(),
@@ -366,19 +370,16 @@ func (pf *Prefilter) Stats() PrefilterStats {
 // closure over fail links, this extends to every runtime position (see the
 // file comment); the scan-level property tests and fuzzer check that
 // empirically. It also checks the compact table's structural invariant:
-// a suspect entry is the bare flag, and every other entry addresses a
-// stored row; and that shallow counts t's states of each depth below K,
-// which a resumed skim steps back by. The proof reads the prefilter and t
-// only, so Build runs it before the machine holds the stage, and while
-// ac.Trie.Link runs: of t it reads Depth, Char, Parent and NumOut only, of
-// the depth ≤ K states and the Depth of the first deeper one.
+// every entry that is not the suspect flag addresses a stored row; and
+// that shallow counts t's states of each depth below K, which a resumed
+// skim steps back by. The proof reads the prefilter and t only, so Build
+// runs it before the machine holds the stage, and while ac.Trie.Link
+// runs: of t it reads Depth, Char, Parent and NumOut only, of the depth ≤ K
+// states and the Depth of the first deeper one.
 func (pf *Prefilter) verifySuperset(t *ac.Trie) error {
 	rows := len(pf.tab) >> pfStrideBits
 	for i, e := range pf.tab {
-		if e&pfSuspect != 0 && e != pfSuspect {
-			return fmt.Errorf("core: prefilter entry %d is suspect but carries row %d", i, e&^pfSuspect)
-		}
-		if e&pfSuspect == 0 && int(e) >= rows {
+		if e != pfSuspect && int(e) >= rows {
 			return fmt.Errorf("core: prefilter entry %d addresses row %d of %d stored", i, e, rows)
 		}
 	}
@@ -400,14 +401,14 @@ func (pf *Prefilter) verifySuperset(t *ac.Trie) error {
 			path[j] = t.Nodes[cur].Char
 			cur = t.Nodes[cur].Parent
 		}
-		st, e := 0, uint16(0)
+		st, e := 0, uint8(0)
 		for _, c := range path[:d] {
-			if e = pf.tab[st<<pfStrideBits|int(pf.class[c])]; e&pfSuspect != 0 {
+			if e = pf.tab[st<<pfStrideBits|int(pf.class[c])]; e == pfSuspect {
 				break
 			}
 			st = int(e)
 		}
-		if e&pfSuspect == 0 {
+		if e != pfSuspect {
 			return fmt.Errorf(
 				"core: prefilter false negative: exact state %d (depth %d, window %q) not flagged suspect",
 				s, d, path[:d])
@@ -444,7 +445,7 @@ func (pf *Prefilter) skimChunk(data []byte, i int) (int, bool) {
 	for n := len(data); i < n; {
 		e := tab[st<<pfStrideBits|uint32(class[data[i]])]
 		i++
-		if e&pfSuspect != 0 {
+		if e == pfSuspect {
 			return i, true
 		}
 		st = uint32(e)

@@ -43,7 +43,7 @@ func TestPrefilterSupersetProperty(t *testing.T) {
 		st, exact := 0, ac.Root
 		for i, c := range payload {
 			e := pf.tab[st<<pfStrideBits|int(pf.class[c])]
-			if e&pfSuspect != 0 {
+			if e == pfSuspect {
 				firstSuspect = i + 1
 				break
 			}
@@ -143,10 +143,11 @@ func TestVerifySupersetDetectsCorruption(t *testing.T) {
 	if err := m.pre.verifySuperset(trie); err != nil {
 		t.Fatalf("pristine table rejected: %v", err)
 	}
-	saved := make([]uint16, len(m.pre.tab))
-	copy(saved, m.pre.tab)
-	for i := range m.pre.tab {
-		m.pre.tab[i] &^= pfSuspect
+	saved := slices.Clone(m.pre.tab)
+	for i, e := range m.pre.tab {
+		if e == pfSuspect {
+			m.pre.tab[i] = 0
+		}
 	}
 	if err := m.pre.verifySuperset(trie); err == nil {
 		t.Fatal("verifySuperset accepted a table with no suspect flags")
@@ -158,7 +159,7 @@ func TestVerifySupersetDetectsCorruption(t *testing.T) {
 	// A non-suspect entry one past the last stored row would send the skim
 	// loop out of the table.
 	rows := len(m.pre.tab) >> pfStrideBits
-	m.pre.tab[int(m.pre.class['a'])] = uint16(rows)
+	m.pre.tab[int(m.pre.class['a'])] = uint8(rows)
 	if err := m.pre.verifySuperset(trie); err == nil {
 		t.Fatal("verifySuperset accepted an entry addressing a row past the table")
 	}
@@ -220,7 +221,7 @@ func TestPrefilterStatsAccounting(t *testing.T) {
 	if st.AcceptPaths <= 0 {
 		t.Fatalf("AcceptPaths = %d", st.AcceptPaths)
 	}
-	if want := rows * pfStride * 2; st.TableBytes != want {
+	if want := rows * 64; st.TableBytes != want {
 		t.Fatalf("TableBytes = %d, want %d", st.TableBytes, want)
 	}
 	if m.DefaultBackend() != BackendPrefiltered {
@@ -366,7 +367,7 @@ func TestPrefilterStoresOnlySteppedRows(t *testing.T) {
 		queue := []int{0}
 		for qi := 0; qi < len(queue); qi++ {
 			for _, e := range pf.tab[queue[qi]<<pfStrideBits:][:pf.nClasses] {
-				if e&pfSuspect == 0 && !reached[e] {
+				if e != pfSuspect && !reached[e] {
 					reached[e] = true
 					queue = append(queue, int(e))
 				}
@@ -412,8 +413,8 @@ func TestPrefilterStoresOnlySteppedRows(t *testing.T) {
 			t.Errorf("%d strings: %d rows stored for %d of %d collapsed states free of accept strings (builder counted %d)",
 				n, rows, clean, len(states), pf.states)
 		}
-		if got, want := pf.Stats().TableBytes, rows*pfStride*2; got != want {
-			t.Errorf("%d strings: table takes %d B, want %d rows × %d B", n, got, rows, pfStride*2)
+		if got, want := pf.Stats().TableBytes, rows*64; got != want {
+			t.Errorf("%d strings: table takes %d B, want %d rows × 64 B, a cache line each", n, got, rows)
 		}
 		t.Logf("%d strings: %d rows stored of %d collapsed states, %d B", n, rows, len(states), pf.Stats().TableBytes)
 	}

@@ -17,12 +17,29 @@ import (
 // state to the fast tier moves its stored-row descriptor aside without
 // touching the row compress laid out or the table, which compress and
 // selectDefaults, run here on a trie of the same ruleset, give unbaked;
-// reading a row allocates nothing, as it aliases the state memory. A
-// stream's registers are the exact machine's and nothing more: position,
-// state and fused history, 16 B on every backend.
+// reading a row allocates nothing, as it aliases the state memory. Every
+// kernel table is as wide as what it addresses: a fast row is 40 B, the
+// lookup table 7 168 B with a 4-byte depth-2 slot, and a prefilter entry
+// one byte, so a stored prefilter row is one 64 B cache line. A stream's
+// registers are the exact machine's and nothing more: position, state and
+// fused history, 16 B on every backend.
 func TestStateMemoryLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Pointer(0)); got != 4 {
 		t.Fatalf("a stored pointer takes %d B, want 4", got)
+	}
+	var pf Prefilter
+	for _, tc := range []struct {
+		table      string
+		got, bytes uintptr
+	}{
+		{"a fast row", unsafe.Sizeof(fastRow{}), 40},
+		{"the lookup table", unsafe.Sizeof(lookupTable{}), 7168},
+		{"a depth-2 slot", unsafe.Sizeof(lookupTable{}.d2[0][0]), 4},
+		{"a stored prefilter row", pfStride * unsafe.Sizeof(pf.tab[0]), 64},
+	} {
+		if tc.got != tc.bytes {
+			t.Fatalf("%s takes %d B, want %d", tc.table, tc.got, tc.bytes)
+		}
 	}
 	if got := unsafe.Sizeof(Regs{}); got != 16 {
 		t.Fatalf("a stream's registers take %d B, want 16", got)

@@ -85,10 +85,13 @@ func (m *Machine) verifyTransitions(t *ac.Trie) error {
 
 // verifyRanges checks, before any loop reads the tables, that every index
 // they follow lands inside the machine: each fast-row number has a fast row
-// and a displaced descriptor, each arena row lies inside the arena, and
-// every target — of a stored pointer, in the arena or in a descriptor, of a
-// fast-row override, and of a d1, d2 or d3 default — is a state the machine
-// has. Either loop would index past a table on an out-of-range target.
+// and a displaced descriptor, each arena row lies inside the arena, each
+// fast row's overrides lie in over — its base runs on from the row before,
+// its cum from 0 through its own words' popcounts, and the last row ends at
+// len(over) — and every target — of a stored pointer, in the arena or in a
+// descriptor, of a fast-row override, and of a d1, d2 or d3 default — is a
+// state the machine has. Either loop would index past a table on an
+// out-of-range target.
 func (m *Machine) verifyRanges() error {
 	n := uint32(len(m.rows))
 	for s, ref := range m.rows {
@@ -104,6 +107,24 @@ func (m *Machine) verifyRanges() error {
 			}
 		}
 	}
+	overrides := 0
+	for i := range m.fast {
+		row := &m.fast[i]
+		if int(row.base) != overrides {
+			return fmt.Errorf("core: fast row %d's overrides start at %d, %d precede it", i, row.base, overrides)
+		}
+		for w, word := range row.bits {
+			if own := overrides - int(row.base); int(row.cum[w]) != own {
+				return fmt.Errorf("core: fast row %d word %d counts %d of the row's overrides below it, %d are", i, w, row.cum[w], own)
+			}
+			if overrides += bits.OnesCount64(word); overrides > len(m.over) {
+				return fmt.Errorf("core: fast row %d word %d runs past the %d overrides stored", i, w, len(m.over))
+			}
+		}
+	}
+	if overrides != len(m.over) {
+		return fmt.Errorf("core: fast rows mark %d overrides, %d are stored", overrides, len(m.over))
+	}
 	for i, to := range m.over {
 		if uint32(to) >= n {
 			return fmt.Errorf("core: fast-row override %d leads to state %d of %d", i, to, n)
@@ -115,8 +136,8 @@ func (m *Machine) verifyRanges() error {
 			return fmt.Errorf("core: lookup row %#02x has depth-1 default %d of %d states", c, l.d1[c], n)
 		}
 		for j, e := range l.d2[c] {
-			if uint32(e) >= n {
-				return fmt.Errorf("core: lookup row %#02x has depth-2 default %d to state %d of %d", c, j, uint32(e), n)
+			if uint32(d2To(e)) >= n {
+				return fmt.Errorf("core: lookup row %#02x has depth-2 default %d to state %d of %d", c, j, d2To(e), n)
 			}
 		}
 		if uint32(l.d3[c]) >= n {
@@ -137,9 +158,7 @@ func (m *Machine) verifyRanges() error {
 // relies on without testing: every promoted state has its own fast row,
 // and one displaced descriptor per fast row; the arena rows, promoted
 // states' included, tile the arena in state order, each row sorted by
-// character; a fast row's ranks run on from the row before through its own
-// popcounts to end at len(over); and no override repeats the default it
-// overrides.
+// character; and no override repeats the default it overrides.
 func (m *Machine) verifyProgram(t *ac.Trie) error {
 	n := t.NumStates()
 	if len(m.rows) != n {
@@ -182,25 +201,16 @@ func (m *Machine) verifyProgram(t *ac.Trie) error {
 	if fastRows != len(m.fast) {
 		return fmt.Errorf("core: %d fast rows for %d promoted states", len(m.fast), fastRows)
 	}
-	overrides := 0
 	for i := range m.fast {
 		row := &m.fast[i]
+		at := int(row.base)
 		for w, word := range row.bits {
-			if int(row.rank[w]) != overrides {
-				return fmt.Errorf("core: fast row %d word %d has rank %d, %d overrides precede it", i, w, row.rank[w], overrides)
-			}
-			if overrides += bits.OnesCount64(word); overrides > len(m.over) {
-				return fmt.Errorf("core: fast row %d word %d runs past the %d overrides stored", i, w, len(m.over))
-			}
-			for at := int(row.rank[w]); word != 0; word, at = word&(word-1), at+1 {
+			for ; word != 0; word, at = word&(word-1), at+1 {
 				if c := w<<6 | bits.TrailingZeros64(word); m.over[at] == m.lut.d1[c] {
 					return fmt.Errorf("core: fast row %d overrides char %#02x with the default %d", i, c, m.lut.d1[c])
 				}
 			}
 		}
-	}
-	if overrides != len(m.over) {
-		return fmt.Errorf("core: fast rows mark %d overrides, %d are stored", overrides, len(m.over))
 	}
 	return m.proveLoop(t, kindBaked)
 }

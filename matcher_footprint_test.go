@@ -13,16 +13,16 @@ import (
 // What one compiled generation may hold live — the largest term of every
 // workload's heap_live_mb, paid once per generation in flight during a hot
 // reload — at three of the paper's ruleset sizes. At 634 strings, the
-// benchmark's, it is 109 936 B in 15 objects: the state memory both loops
+// benchmark's, it is 93 648 B in 15 objects: the state memory both loops
 // read — its one row index, a 4-byte descriptor per state (30 KB), which
 // for the 6 193 states that keep one pointer is that pointer, and the
 // arena of the longer rows, 1 256 stored pointers of 4 B (5 KB) — the fast
-// tier (23 KB: 384 bitmap rows and their 1 257 overrides, plus the 1.5 KB
-// of stored-row descriptors promotion displaced), the prefilter table (19 KB: a row for
-// each of the 155 states the skim loop steps from, of 480 collapsed
-// states), the one lookup table both interpreters read (11 KB, inside the
-// Machine's own object) and the output table, each distinct match list
-// stored once. No trie and no per-character default lists: Build lets its
+// tier (20 KB: 384 bitmap rows of 40 B and their 1 257 overrides, plus the
+// 1.5 KB of stored-row descriptors promotion displaced), the prefilter
+// table (10 KB: a 64 B row of one-byte entries for each of the 155 states
+// the skim loop steps from, of 480 collapsed states), the one lookup table
+// both interpreters read (7 KB, 4-byte depth-2 slots, inside the Machine's
+// own object) and the output table, each distinct match list stored once. No trie and no per-character default lists: Build lets its
 // scaffolding go. The gate is per automaton state, because that is how a
 // regression would arrive — a structure with an entry per state, 4 B of it
 // a quarter of the budget — and because at 6 275 strings it is megabytes;
@@ -31,17 +31,17 @@ import (
 // buys" quotes the measured figures; these are the gates, at +5 %.
 var matcherFootprints = []struct {
 	strings       int
-	bytesPerState float64 // measured 14.86, 12.17, 14.20
+	bytesPerState float64 // measured 12.66, 10.75, 13.93
 	objects       int64   // measured 15, 15, 15
 }{
-	{634, 15.61, 16},
-	{1204, 12.78, 16},
-	{6275, 14.91, 16},
+	{634, 13.29, 16},
+	{1204, 11.29, 16},
+	{6275, 14.63, 16},
 }
 
 // kernelTablesCeiling is a 256 KiB L2 slice: everything the production
 // kernel reads while scanning — Kernel().TotalBytes plus the prefilter's
-// table, 97 692 B measured at the benchmark's 634 strings and 154 924 B at
+// table, 80 604 B measured at the benchmark's 634 strings and 134 508 B at
 // 1 204 — has to fit in it together, at both sizes.
 const kernelTablesCeiling = 256 << 10
 
