@@ -70,13 +70,7 @@ func TestBakedEquivalenceProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + ci)))
 			for trial := 0; trial < 20; trial++ {
 				set := randBakedSet(rng)
-				m, err := Build(set, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m.pre == nil {
-					t.Fatalf("trial %d: prefilter unexpectedly unavailable", trial)
-				}
+				m := mustBuild(t, set, opts)
 				if got, want := m.Backends(), RegisteredBackends(); len(got) != len(want) {
 					t.Fatalf("trial %d: machine offers backends %v, registry has %v", trial, got, want)
 				}
@@ -178,6 +172,7 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, payload, ops []byt
 			}
 		}
 	}
+	checked := 0 // matches already compared: a stream's matches are only appended
 	checkRegisters := func(op string) {
 		t.Helper()
 		for bi := 1; bi < len(regs); bi++ {
@@ -189,12 +184,13 @@ func driveLockstep(t *testing.T, m *Machine, oracle *ac.Trie, payload, ops []byt
 			if len(outs[bi]) != len(outs[0]) {
 				t.Fatalf("%s: %s emitted %d matches, reference %d", op, names[bi], len(outs[bi]), len(outs[0]))
 			}
-			for i := range outs[bi] {
+			for i := checked; i < len(outs[bi]); i++ {
 				if outs[bi][i] != outs[0][i] {
 					t.Fatalf("%s: match %d %s %+v reference %+v", op, i, names[bi], outs[bi][i], outs[0][i])
 				}
 			}
 		}
+		checked = len(outs[0])
 	}
 	scan := func(op string, data []byte) {
 		t.Helper()

@@ -122,27 +122,23 @@ func TestToyDefaultsContents(t *testing.T) {
 	}
 }
 
+// TestVerifyTransitionsToy: the toy machine passes every proof;
+// the corruption table's toy rows show each can refuse it.
 func TestVerifyTransitionsToy(t *testing.T) {
-	m := mustBuild(t, toySet(), Options{})
-	if err := m.verifyTransitions(mustTrie(t, toySet())); err != nil {
+	if err := mustBuild(t, toySet(), Options{}).Verify(mustTrie(t, toySet()), nil); err != nil {
 		t.Fatal(err)
-	}
-	// A default keyed on a history its state does not spell is refused,
-	// even where no static history reaches it: row s's depth-3 default
-	// "his" re-keyed to "xy".
-	m.lut.d3['s'] = (uint64('x')<<histLaneBits|uint64('y'))<<32 | m.lut.d3['s']&0xFFFFFFFF
-	if err := m.verifyTransitions(mustTrie(t, toySet())); err == nil {
-		t.Fatal("verifyTransitions accepted a depth-3 default keyed off its path")
 	}
 }
 
 func TestVerifyTransitionsSynthetic(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 400, Seed: 11})
-	if err := mustBuild(t, set, Options{}).verifyTransitions(mustTrie(t, set)); err != nil {
+	if err := mustBuild(t, set, Options{}).Verify(mustTrie(t, set), nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestScanMatchesDFA: every backend's scan and fold of payloads with
+// genuine patterns embedded, through Verify.
 func TestScanMatchesDFA(t *testing.T) {
 	set := ruleset.MustGenerate(ruleset.GenConfig{N: 300, Seed: 12})
 	m := mustBuild(t, set, Options{})
@@ -162,7 +158,7 @@ func TestScanMatchesDFA(t *testing.T) {
 		}
 		payloads[i] = p
 	}
-	if err := m.verifyScan(mustTrie(t, set), payloads); err != nil {
+	if err := m.Verify(mustTrie(t, set), payloads); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -421,38 +417,36 @@ func TestMaxStoredPerStateTracked(t *testing.T) {
 	}
 }
 
-// Property: compressed machine ≡ DFA ≡ oracle on random small instances.
-func TestQuickEquivalence(t *testing.T) {
-	f := func(seed int64, nData uint16) bool {
-		src := rng.New(seed)
-		set := &ruleset.Set{}
-		seen := map[string]bool{}
-		for len(set.Patterns) < 10 {
-			l := 1 + src.Intn(7)
-			d := make([]byte, l)
-			for i := range d {
-				d[i] = byte('a' + src.Intn(3)) // dense alphabet: many defaults fire
-			}
-			if seen[string(d)] {
-				continue
-			}
+// quickSet draws n distinct patterns of 1 to maxLen bytes over the first
+// letters letters: a dense alphabet, so many defaults fire.
+func quickSet(src *rng.Source, n, maxLen, letters int) *ruleset.Set {
+	set := &ruleset.Set{}
+	seen := map[string]bool{}
+	for len(set.Patterns) < n {
+		d := make([]byte, 1+src.Intn(maxLen))
+		for i := range d {
+			d[i] = byte('a' + src.Intn(letters))
+		}
+		if !seen[string(d)] {
 			seen[string(d)] = true
 			set.Patterns = append(set.Patterns, ruleset.Pattern{ID: len(set.Patterns), Data: d})
 		}
-		m, err := Build(set, Options{})
-		if err != nil {
-			return false
-		}
-		if m.verifyTransitions(mustTrie(t, set)) != nil {
-			return false
-		}
+	}
+	return set
+}
+
+// Property: the compressed machine ≡ the DFA on random small instances,
+// and on a random payload over their alphabet.
+func TestQuickEquivalence(t *testing.T) {
+	f := func(seed int64, nData uint16) bool {
+		src := rng.New(seed)
+		set := quickSet(src, 10, 7, 3)
 		data := make([]byte, 1+int(nData)%400)
 		for i := range data {
 			data[i] = byte('a' + src.Intn(3))
 		}
-		got := m.FindAll(data)
-		want := ac.NewOracle(set).FindAll(data)
-		return ac.MatchesEqual(got, want)
+		m, err := Build(set, Options{})
+		return err == nil && m.Verify(mustTrie(t, set), [][]byte{data}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -460,37 +454,12 @@ func TestQuickEquivalence(t *testing.T) {
 }
 
 // Property: every stored pointer is a true DFA transition (no invented
-// transitions).
+// transitions) — the loop proofs take each one, on its state and byte.
 func TestQuickStoredPointersAreDFAMoves(t *testing.T) {
 	f := func(seed int64) bool {
-		src := rng.New(seed)
-		set := &ruleset.Set{}
-		seen := map[string]bool{}
-		for len(set.Patterns) < 6 {
-			l := 1 + src.Intn(6)
-			d := make([]byte, l)
-			for i := range d {
-				d[i] = byte('a' + src.Intn(4))
-			}
-			if seen[string(d)] {
-				continue
-			}
-			seen[string(d)] = true
-			set.Patterns = append(set.Patterns, ruleset.Pattern{ID: len(set.Patterns), Data: d})
-		}
+		set := quickSet(rng.New(seed), 6, 6, 4)
 		m, err := Build(set, Options{})
-		if err != nil {
-			return false
-		}
-		trie := mustTrie(t, set)
-		for s := int32(0); s < int32(m.NumStates()); s++ {
-			for _, tr := range m.StoredRow(s) {
-				if trie.Move(s, tr.Char()) != tr.To() {
-					return false
-				}
-			}
-		}
-		return true
+		return err == nil && m.Verify(mustTrie(t, set), nil) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -632,7 +632,7 @@ func TestCompilePromotedWideState(t *testing.T) {
 	if csr.rows[wide] != 256<<rowCountShift|csr.rows[wide]&rowOffMask {
 		t.Fatalf("the compressed 256-pointer state is described by %#x (backend %q)", csr.rows[wide], csr.DefaultBackend())
 	}
-	if err := csr.verifyProgram(trie); err != nil {
+	if err := csr.Verify(trie, nil); err != nil {
 		t.Fatal(err)
 	}
 	payload, ops = lockstepInput(rand.New(rand.NewSource(141)))

@@ -353,65 +353,3 @@ func TestWindowFilterFillsFromTheTrie(t *testing.T) {
 		}
 	}
 }
-
-// TestVerifyFoldDetectsAWrongDepth: the fold's premise is proved, not
-// assumed: a machine that would fold a byte early fails Verify.
-func TestVerifyFoldDetectsAWrongDepth(t *testing.T) {
-	set := ruleset.MustGenerate(ruleset.GenConfig{N: 120, Seed: 7})
-	m := mustBuild(t, set, Options{})
-	trie := mustTrie(t, set)
-	if err := m.verifyFold(trie, nil); err != nil {
-		t.Fatal(err)
-	}
-	m.depth--
-	if err := m.verifyFold(trie, nil); err == nil {
-		t.Fatal("Verify proved a fold one byte short of the longest pattern")
-	}
-}
-
-// TestVerifyFoldDetectsAMissingFactor: the window filter is proved, not
-// assumed. With the bit of a 3-byte window from the middle of the longest
-// pattern cleared, a piece that opens one byte into that pattern ends its
-// prefix at the window and resumes without the pattern's match; the
-// filter's proof and Verify both refuse it. With the bit restored, both
-// pass.
-func TestVerifyFoldDetectsAMissingFactor(t *testing.T) {
-	set := ruleset.MustGenerate(ruleset.GenConfig{N: 634, Seed: 2010})
-	m := mustBuild(t, set, Options{})
-	trie := mustTrie(t, set)
-	if m.windows.bits == nil {
-		t.Fatal("Build kept no window filter")
-	}
-	longest := longestPattern(set)
-	mid := longest[len(longest)/2:]
-	w, bit := m.windows.slot(mid[0], mid[1], mid[2])
-	m.windows.bits[w] &^= bit
-
-	piece := slices.Concat(longest[1:], longest[:8])
-	var want, got Regs
-	want.Reset()
-	m.ScanAppend(&want, longest[:1], nil)
-	got = want
-	wantM := m.ScanAppend(&want, piece, nil)
-	form, _ := m.Fold(nil, piece, nil)
-	if form == nil || FoldPrefix(form) >= len(longest)/2+3 {
-		t.Fatalf("the piece kept a %d-byte prefix past the cleared window", FoldPrefix(form))
-	}
-	if gotM := m.Resume(&got, form, len(piece), nil); slices.Equal(gotM, wantM) {
-		t.Fatal("a fold through a missing window resumed correctly: the negative case is vacuous")
-	}
-	if err := m.windows.prove(trie); err == nil {
-		t.Error("the filter's proof kept a window filter missing a pattern's substring")
-	}
-	if err := m.verifyFold(trie, nil); err == nil {
-		t.Error("Verify proved a window filter missing a pattern's substring")
-	}
-
-	m.windows.bits[w] |= bit
-	if err := m.windows.prove(trie); err != nil {
-		t.Error(err)
-	}
-	if err := m.verifyFold(trie, nil); err != nil {
-		t.Error(err)
-	}
-}

@@ -42,9 +42,10 @@ func TestOutputTableProperty(t *testing.T) {
 
 // TestReferenceBackendEmitsFromOutputTable: a reference-pinned machine has,
 // since the trie left the Machine, no output chains to walk — it emits from
-// the same flattened table the baked loop reads. That
-// table is proved against an independently built trie, and the interpreter
-// reading it is held to that trie's matches segment by segment.
+// the same flattened table the baked loop reads. Verify proves that table
+// against an independently built trie and every loop's matches against the
+// trie's, and the interpreter reading it is held to that trie's matches
+// segment by segment.
 func TestReferenceBackendEmitsFromOutputTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	sets := []*ruleset.Set{toySet(), ruleset.MustGenerate(ruleset.GenConfig{N: 300, Seed: 81})}
@@ -56,23 +57,9 @@ func TestReferenceBackendEmitsFromOutputTable(t *testing.T) {
 		if got := m.DefaultBackend(); got != BackendReference {
 			t.Fatalf("a reference-pinned build runs %q", got)
 		}
-		if err := m.verifyOutputs(trie); err != nil {
-			t.Fatal(err)
-		}
-		for s := int32(0); s < int32(m.NumStates()); s++ {
-			want := trie.AppendOutputs(s, 7, nil)
-			ac.SortMatches(want)
-			var got []ac.Match
-			if m.out.has(s) {
-				got = m.out.appendTo(s, 7, nil)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("state %d outputs %v, the trie's chain sorted %v", s, got, want)
-			}
-		}
 		payload, ops := lockstepInput(rng)
 		driveLockstep(t, m, trie, payload, ops)
-		if err := m.verifyScan(trie, [][]byte{randBakedPayload(rng, 2048)}); err != nil {
+		if err := m.Verify(trie, [][]byte{randBakedPayload(rng, 2048)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,10 +76,7 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 
 	for _, opts := range []Options{{}, {denseStates: -1}, {denseStates: 2}, {Backend: BackendReference}} {
 		m := mustBuild(t, set, opts)
-		if err := m.verifyOutputs(trie); err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		if err := m.verifyTransitions(trie); err != nil {
+		if err := m.Verify(trie, nil); err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
 		// The trie walks own output first, then each fail-ancestor's, so the
@@ -119,53 +103,5 @@ func TestOutputTableNestedSuffixes(t *testing.T) {
 				t.Fatalf("%+v: backend %s emits %v, want %v", opts, scanBackends[k], got, want)
 			}
 		}
-	}
-}
-
-// TestVerifyOutputsDetectsCorruption: the proof must be able to fail — on
-// the one table, whichever backend the machine was built for. The ID-word targets are picked by
-// content, not position: multi is the first word without the last flag, so
-// it and the next word are one list of two or more IDs (the toy's she
-// {0, 1}), and last is the first word that ends a list. Every case must
-// change a word, or its rejection would prove nothing.
-func TestVerifyOutputsDetectsCorruption(t *testing.T) {
-	trie := mustTrie(t, toySet())
-	ids := mustBuild(t, toySet(), Options{}).out.ids
-	multi := slices.IndexFunc(ids, func(id uint32) bool { return id&LastMatch == 0 })
-	last := slices.IndexFunc(ids, func(id uint32) bool { return id&LastMatch != 0 })
-	if multi < 0 {
-		t.Fatalf("the toy's output table %x holds no list of two IDs", ids)
-	}
-	cases := map[string]func(m *Machine){
-		"swapped IDs":       func(m *Machine) { m.out.ids[multi], m.out.ids[multi+1] = m.out.ids[multi+1], m.out.ids[multi] },
-		"clear bit":         func(m *Machine) { m.out.bits[0] &= m.out.bits[0] - 1 },
-		"stray bit":         func(m *Machine) { m.out.bits[0] |= 1 },
-		"prefix count":      func(m *Machine) { m.out.rank[0]++ },
-		"shifted slot":      func(m *Machine) { m.out.off[1]++ },
-		"trailing slot":     func(m *Machine) { m.out.off = append(m.out.off, m.out.off[len(m.out.off)-1]) },
-		"missing last flag": func(m *Machine) { m.out.ids[last] &^= LastMatch },
-		"extra last flag":   func(m *Machine) { m.out.ids[multi] |= LastMatch },
-		"another's list":    func(m *Machine) { m.out.off[1] = m.out.off[0] },
-	}
-	words := func(o *outputTable) string { return fmt.Sprint(o.bits, o.rank, o.off, o.ids) }
-	for _, backend := range []string{BackendAuto, BackendReference} {
-		for name, corrupt := range cases {
-			m := mustBuild(t, toySet(), Options{Backend: backend})
-			if err := m.verifyOutputs(trie); err != nil {
-				t.Fatal(err)
-			}
-			before := words(&m.out)
-			corrupt(m)
-			if words(&m.out) == before {
-				t.Fatalf("%s, %s: the corruption changed no word", backend, name)
-			}
-			if err := m.verifyOutputs(trie); err == nil {
-				t.Errorf("%s, %s: corrupted output table accepted", backend, name)
-			}
-		}
-	}
-	m := mustBuild(t, toySet(), Options{})
-	if err := m.verifyOutputs(mustTrie(t, setOf([][]byte{[]byte("he")}, false))); err == nil {
-		t.Error("an output table was proved against another ruleset's trie")
 	}
 }

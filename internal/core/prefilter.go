@@ -72,6 +72,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/ac"
@@ -361,29 +362,24 @@ func (pf *Prefilter) Stats() PrefilterStats {
 }
 
 // verifySuperset proves the prefilter admits no false negatives, in the
-// spirit of verifyTransitions: for every state of t, the machine's trie, that
-// terminates an accept window — depth exactly prefK, or a shallower state where a
-// whole pattern ends — walking the collapsed form of its path from row 0
-// must hit a suspect entry at or before its last byte. The walk stops at
-// the first suspect entry, as the skim loop does. Combined
-// with the longest-suffix property of the collapsed DFA and the suspect
-// closure over fail links, this extends to every runtime position (see the
-// file comment); the scan-level property tests and fuzzer check that
-// empirically. It also checks the compact table's structural invariant:
-// every entry that is not the suspect flag addresses a stored row; and
-// that shallow counts t's states of each depth below K, which a resumed
-// skim steps back by. The proof reads the prefilter and t only, so Build
-// runs it before the machine holds the stage, and while ac.Trie.Link
-// runs: of t it reads Depth, Char, Parent and NumOut only, of the depth ≤ K
-// states and the Depth of the first deeper one.
+// spirit of verifyTransitions: for every state of t, the machine's trie,
+// that terminates an accept window — depth exactly prefK, or a shallower
+// state where a whole pattern ends — walking the collapsed form of its path
+// from row 0 must hit a suspect entry at or before its last byte. The walk
+// stops at the first suspect entry, as the skim loop does. Combined with
+// the longest-suffix property of the collapsed DFA and the suspect closure
+// over fail links, this extends to every runtime position (see the file
+// comment); the scan-level property tests and fuzzer check that
+// empirically. It also checks the table's indexes (verifyEntries) and that
+// shallow counts t's states of each depth below K, which a resumed skim
+// steps back by; a nil stage has none. The proof reads the prefilter and t
+// only, so Build runs it before the machine holds the stage, and while
+// ac.Trie.Link runs: of t it reads Depth, Char, Parent and NumOut only, of
+// the depth ≤ K states and the Depth of the first deeper one.
 func (pf *Prefilter) verifySuperset(t *ac.Trie) error {
-	rows := len(pf.tab) >> pfStrideBits
-	for i, e := range pf.tab {
-		if e != pfSuspect && int(e) >= rows {
-			return fmt.Errorf("core: prefilter entry %d addresses row %d of %d stored", i, e, rows)
-		}
+	if err := pf.verifyEntries(); err != nil || pf == nil {
+		return err
 	}
-
 	for k, at := range pf.shallow {
 		if at < 1 || int(at) > t.NumStates() || int(t.Nodes[at-1].Depth) > k || int(at) < t.NumStates() && int(t.Nodes[at].Depth) <= k {
 			return fmt.Errorf("core: the prefilter counts %d states of depth ≤ %d, the trie does not", at, k)
@@ -413,6 +409,23 @@ func (pf *Prefilter) verifySuperset(t *ac.Trie) error {
 				"core: prefilter false negative: exact state %d (depth %d, window %q) not flagged suspect",
 				s, d, path[:d])
 		}
+	}
+	return nil
+}
+
+// verifyEntries checks that every index the skim loop follows lands in the
+// table: each class in a row's stride, each entry that is not the suspect
+// flag on a stored row; a nil stage has none.
+func (pf *Prefilter) verifyEntries() error {
+	if pf == nil {
+		return nil
+	}
+	if c := slices.IndexFunc(pf.class[:], func(k uint8) bool { return k >= pfStride }); c >= 0 {
+		return fmt.Errorf("core: prefilter byte %#02x is in class %d, past a row's %d", c, pf.class[c], pfStride)
+	}
+	rows := len(pf.tab) >> pfStrideBits
+	if i := slices.IndexFunc(pf.tab, func(e uint8) bool { return e != pfSuspect && int(e) >= rows }); i >= 0 {
+		return fmt.Errorf("core: prefilter entry %d addresses row %d of %d stored", i, pf.tab[i], rows)
 	}
 	return nil
 }

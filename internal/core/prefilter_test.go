@@ -12,51 +12,20 @@ import (
 )
 
 // TestPrefilterSupersetProperty is the runtime form of the no-false-
-// negative contract: over random rulesets and random payloads, run the
-// lossy machine alone from the start of the payload up to the first suspect
-// entry — where the runtime hands off to the exact kernel, and past which
-// the table holds no row to step from. Until then the exact machine must
-// stay below depth prefK, and no exact match may end before it: a match the
-// skimmer would sail past is a false negative. The structural
-// verifySuperset proof is checked alongside.
+// negative contract: over random rulesets and random payloads, every
+// machine keeps its prefilter and passes Verify, which proves the superset
+// contract on the table and runs the prefiltered pipeline on the payload
+// against the DFA, so a match the skimmer sailed past fails it.
 func TestPrefilterSupersetProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100308))
 	for trial := 0; trial < 40; trial++ {
 		set := randBakedSet(rng)
-		m, err := Build(set, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf := m.pre
-		if pf == nil {
+		m := mustBuild(t, set, Options{})
+		if m.pre == nil {
 			t.Fatalf("trial %d: prefilter unavailable", trial)
 		}
-		trie := mustTrie(t, set)
-		if err := m.pre.verifySuperset(trie); err != nil {
+		if err := m.Verify(mustTrie(t, set), [][]byte{randBakedPayload(rng, 256+rng.Intn(1024))}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
-		}
-		payload := randBakedPayload(rng, 256+rng.Intn(1024))
-
-		// firstSuspect is the position (bytes consumed) of the first suspect
-		// entry, len(payload)+1 if none fires.
-		firstSuspect := len(payload) + 1
-		st, exact := 0, ac.Root
-		for i, c := range payload {
-			e := pf.tab[st<<pfStrideBits|int(pf.class[c])]
-			if e == pfSuspect {
-				firstSuspect = i + 1
-				break
-			}
-			st, exact = int(e), trie.Move(exact, c)
-			if d := trie.Nodes[exact].Depth; d >= prefK {
-				t.Fatalf("trial %d: exact machine at depth %d after %d clean bytes", trial, d, i+1)
-			}
-		}
-		for _, mt := range trie.FindAll(payload) {
-			if mt.End < firstSuspect {
-				t.Fatalf("trial %d: match %+v ends before first suspect position %d: false negative",
-					trial, mt, firstSuspect)
-			}
 		}
 	}
 }
@@ -120,59 +89,6 @@ func TestPrefilterReadsNoFailLinks(t *testing.T) {
 		}
 		if m.windows.shift != w.shift || !slices.Equal(m.windows.bits, w.bits) {
 			t.Fatalf("set %d: Build installs a window filter other than the finished trie's", i)
-		}
-	}
-}
-
-// TestVerifySupersetDetectsCorruption proves the bake-time check actually
-// rejects a prefilter that could miss: erase the suspect flags from a
-// compiled table and verifySuperset must fail.
-func TestVerifySupersetDetectsCorruption(t *testing.T) {
-	set := &ruleset.Set{Patterns: []ruleset.Pattern{
-		{ID: 0, Data: []byte("abc")},
-		{ID: 1, Data: []byte("xy")},
-	}}
-	m, err := Build(set, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.pre == nil {
-		t.Fatal("prefilter unavailable")
-	}
-	trie := mustTrie(t, set)
-	if err := m.pre.verifySuperset(trie); err != nil {
-		t.Fatalf("pristine table rejected: %v", err)
-	}
-	saved := slices.Clone(m.pre.tab)
-	for i, e := range m.pre.tab {
-		if e == pfSuspect {
-			m.pre.tab[i] = 0
-		}
-	}
-	if err := m.pre.verifySuperset(trie); err == nil {
-		t.Fatal("verifySuperset accepted a table with no suspect flags")
-	}
-	copy(m.pre.tab, saved)
-	if err := m.pre.verifySuperset(trie); err != nil {
-		t.Fatalf("restored table rejected: %v", err)
-	}
-	// A non-suspect entry one past the last stored row would send the skim
-	// loop out of the table.
-	rows := len(m.pre.tab) >> pfStrideBits
-	m.pre.tab[int(m.pre.class['a'])] = uint8(rows)
-	if err := m.pre.verifySuperset(trie); err == nil {
-		t.Fatal("verifySuperset accepted an entry addressing a row past the table")
-	}
-	copy(m.pre.tab, saved)
-	// A depth bound one state off would let a skim resume from a byte the
-	// state's path does not start at.
-	for k := range m.pre.shallow {
-		for _, delta := range []int32{-1, 1} {
-			m.pre.shallow[k] += delta
-			if err := m.pre.verifySuperset(trie); err == nil {
-				t.Errorf("verifySuperset accepted %d states of depth ≤ %d", m.pre.shallow[k], k)
-			}
-			m.pre.shallow[k] -= delta
 		}
 	}
 }

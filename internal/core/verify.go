@@ -13,25 +13,32 @@ import (
 
 // Verify proves the machine against t, a trie built from the same ruleset
 // independently of the machine, and runs it on payloads (each one packet;
-// may be nil): the reference and the baked scan loop on every (state, byte)
-// against the DFA (verifyTransitions, verifyProgram) — the loops production
-// runs, whatever backend the machine pins — the match memory against the
-// output chains (verifyOutputs), the prefilter's no-false-negative contract
-// (verifySuperset) when it has one, and every backend's scan of the
-// payloads against the DFA's (verifyScan) and its fold of them (verifyFold).
+// may be nil): every part of verifyParts in order — the match memory, the
+// reference and baked scan loops on every (state, byte), the prefilter's
+// superset contract, and every backend's scan and fold of the payloads.
 func (m *Machine) Verify(t *ac.Trie, payloads [][]byte) error {
-	// The match memory first: the loop proofs read it to know what a byte
-	// must emit.
-	parts := []func(*ac.Trie) error{m.verifyOutputs, m.verifyTransitions, m.verifyProgram}
-	if m.pre != nil {
-		parts = append(parts, m.pre.verifySuperset)
-	}
-	for _, verify := range parts {
-		if err := verify(t); err != nil {
+	for _, part := range verifyParts {
+		if err := part.prove(m, t, payloads); err != nil {
 			return err
 		}
 	}
-	return m.verifyScan(t, payloads)
+	return nil
+}
+
+// verifyParts are Verify's proofs, in the order it runs them: the match
+// memory first, as the loop proofs read it to know what a byte must emit.
+// Each also runs alone: it checks every index it follows first, the parts
+// that run a scan loop through verifyRanges.
+var verifyParts = []struct {
+	name  string
+	prove func(m *Machine, t *ac.Trie, payloads [][]byte) error
+}{
+	{"verifyOutputs", func(m *Machine, t *ac.Trie, _ [][]byte) error { return m.verifyOutputs(t) }},
+	{"verifyTransitions", func(m *Machine, t *ac.Trie, _ [][]byte) error { return m.verifyTransitions(t) }},
+	{"verifyProgram", func(m *Machine, t *ac.Trie, _ [][]byte) error { return m.verifyProgram(t) }},
+	{"verifySuperset", func(m *Machine, t *ac.Trie, _ [][]byte) error { return m.pre.verifySuperset(t) }},
+	{"verifyScan", (*Machine).verifyScan},
+	{"verifyFold", (*Machine).verifyFold},
 }
 
 // verifyTransitions proves structural equivalence between the compressed
@@ -50,10 +57,7 @@ func (m *Machine) Verify(t *ac.Trie, payloads [][]byte) error {
 // The walk covers |states| × 256 transitions; for the full 6,275-string
 // machine that is ≈28M checks, a few seconds of CPU.
 func (m *Machine) verifyTransitions(t *ac.Trie) error {
-	if t.NumStates() != m.NumStates() {
-		return fmt.Errorf("core: the oracle trie has %d states, the machine %d: not the same ruleset", t.NumStates(), m.NumStates())
-	}
-	if err := m.verifyRanges(); err != nil {
+	if err := m.verifyRanges(t); err != nil {
 		return err
 	}
 	spells := func(s int32, path ...byte) bool {
@@ -84,19 +88,25 @@ func (m *Machine) verifyTransitions(t *ac.Trie) error {
 }
 
 // verifyRanges checks, before any loop reads the tables, that every index
-// they follow lands inside the machine: each fast-row number has a fast row
-// and a displaced descriptor, each arena row lies inside the arena, each
-// fast row's overrides lie in over — its base runs on from the row before,
-// its cum from 0 through its own words' popcounts, and the last row ends at
-// len(over) — and every target — of a stored pointer, in the arena or in a
+// they follow lands inside the machine, so a proof errs where a loop would
+// panic: the tables have a row descriptor and an output bit for each of t's
+// states and a displaced descriptor for each fast row, each fast-row number
+// has a fast row, each arena row lies inside the arena, each fast row's
+// overrides lie in over — its base runs on from the row before, its cum
+// from 0 through its own words' popcounts, and the last row ends at
+// len(over) — every target — of a stored pointer, in the arena or in a
 // descriptor, of a fast-row override, and of a d1, d2 or d3 default — is a
-// state the machine has. Either loop would index past a table on an
-// out-of-range target.
-func (m *Machine) verifyRanges() error {
-	n := uint32(len(m.rows))
+// state the machine has, every output state's slot and list lie in the
+// match memory, and every prefilter entry in its table (verifyEntries).
+func (m *Machine) verifyRanges(t *ac.Trie) error {
+	n, o := uint32(len(m.rows)), &m.out
+	if int(n) != t.NumStates() || len(m.displaced) != len(m.fast) || len(o.bits) != (t.NumStates()+63)>>6 || len(o.rank) != len(o.bits) {
+		return fmt.Errorf("core: %d row descriptors, %d displaced for %d fast rows and %d output words for the trie's %d states: not the same ruleset",
+			n, len(m.displaced), len(m.fast), len(o.bits), t.NumStates())
+	}
 	for s, ref := range m.rows {
-		if ref >= rowDense && (int(ref-rowDense) >= len(m.fast) || int(ref-rowDense) >= len(m.displaced)) {
-			return fmt.Errorf("core: state %d reads fast row %d of %d (%d displaced descriptors)", s, ref-rowDense, len(m.fast), len(m.displaced))
+		if ref >= rowDense && int(ref-rowDense) >= len(m.fast) {
+			return fmt.Errorf("core: state %d reads fast row %d of %d", s, ref-rowDense, len(m.fast))
 		}
 		if ref := *m.storedRef(int32(s)); ref < rowInline && int(ref&rowOffMask+ref>>rowCountShift) > len(m.stored) {
 			return fmt.Errorf("core: state %d's descriptor reads %d entries at %d of the arena's %d", s, ref>>rowCountShift, ref&rowOffMask, len(m.stored))
@@ -144,7 +154,15 @@ func (m *Machine) verifyRanges() error {
 			return fmt.Errorf("core: lookup row %#02x has depth-3 default %d of %d states", c, uint32(l.d3[c]), n)
 		}
 	}
-	return nil
+	for w, word := range o.bits {
+		if int(o.rank[w])+bits.OnesCount64(word) > len(o.off) {
+			return fmt.Errorf("core: output word %d ranks states past the %d slots", w, len(o.off))
+		}
+	}
+	if i := slices.IndexFunc(o.off, func(at uint32) bool { return int(at) >= len(o.ids) }); i >= 0 {
+		return fmt.Errorf("core: output slot %d starts at %d of %d IDs", i, o.off[i], len(o.ids))
+	}
+	return m.pre.verifyEntries()
 }
 
 // verifyProgram proves the baked loop's transition tables — fast rows,
@@ -155,19 +173,12 @@ func (m *Machine) verifyRanges() error {
 // reference loop; this is the proof of what production scans with, the
 // prefiltered backend's suspect windows included. It first checks that
 // every index lands in its table (verifyRanges) and the structure the step
-// relies on without testing: every promoted state has its own fast row,
-// and one displaced descriptor per fast row; the arena rows, promoted
-// states' included, tile the arena in state order, each row sorted by
-// character; and no override repeats the default it overrides.
+// relies on without testing: every promoted state has its own fast row;
+// the arena rows, promoted states' included, tile the arena in state
+// order, each row sorted by character; and no override repeats the default
+// it overrides.
 func (m *Machine) verifyProgram(t *ac.Trie) error {
-	n := t.NumStates()
-	if len(m.rows) != n {
-		return fmt.Errorf("core: the machine has %d row descriptors for %d states", len(m.rows), n)
-	}
-	if len(m.displaced) != len(m.fast) {
-		return fmt.Errorf("core: %d displaced descriptors for %d fast rows", len(m.displaced), len(m.fast))
-	}
-	if err := m.verifyRanges(); err != nil {
+	if err := m.verifyRanges(t); err != nil {
 		return err
 	}
 	fastRows := 0
@@ -302,9 +313,11 @@ func (m *Machine) verifyOutputs(t *ac.Trie) error {
 // machine supports (Backends: reference, baked, prefiltered, …) is run
 // against the oracle, so a layout bug in one kernel cannot hide behind
 // another implementation's semantics. A backend added to the registry is
-// pulled into this proof automatically. It then proves the fold on the
-// same backends (verifyFold).
+// pulled into this proof automatically.
 func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
+	if err := m.verifyRanges(t); err != nil {
+		return err
+	}
 	for i, p := range payloads {
 		want := t.FindAll(p)
 		for _, k := range m.kinds() {
@@ -316,7 +329,7 @@ func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
 			}
 		}
 	}
-	return m.verifyFold(t, payloads)
+	return nil
 }
 
 // verifyFold proves Fold, Resume and Join on every backend the machine
@@ -337,6 +350,9 @@ func (m *Machine) verifyScan(t *ac.Trie, payloads [][]byte) error {
 // pieces as one, or refused where Fold keeps that whole, and must resume as
 // it does after each of the pattern's pieces.
 func (m *Machine) verifyFold(t *ac.Trie, payloads [][]byte) error {
+	if err := m.verifyRanges(t); err != nil {
+		return err
+	}
 	s := deepest(t)
 	if d := int(t.Nodes[s].Depth); m.depth != d {
 		return fmt.Errorf("core: the machine folds after %d bytes, its longest pattern has %d", m.depth, d)

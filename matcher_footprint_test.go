@@ -1,9 +1,11 @@
 package dpi
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/ac"
@@ -48,9 +50,9 @@ const kernelTablesCeiling = 256 << 10
 // TestMatcherFootprint compiles each ruleset and charges the Matcher with
 // everything the heap gained: bytes, and objects — a compiled automaton is
 // a handful of flat arenas, and a count that grows with the state count
-// means a per-state allocation has come back. Each size is compiled three
-// times and the least gain kept: an allocation of the runtime's own that
-// lands between the two heap reads only ever adds.
+// means a per-state allocation has come back. Each size is compiled five
+// times, every gain logged and the least kept: an allocation of the
+// runtime's own that lands between the two heap reads only ever adds.
 func TestMatcherFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap measurements are not meaningful under the race detector")
@@ -62,7 +64,8 @@ func TestMatcherFootprint(t *testing.T) {
 		}
 		var m *Matcher
 		bytes, objects := int64(math.MaxInt64), int64(math.MaxInt64)
-		for range 3 {
+		var gains []string
+		for range 5 {
 			var before, after runtime.MemStats
 			liveHeap()
 			runtime.ReadMemStats(&before)
@@ -71,14 +74,15 @@ func TestMatcherFootprint(t *testing.T) {
 			}
 			liveHeap()
 			runtime.ReadMemStats(&after)
-			bytes = min(bytes, int64(after.HeapAlloc)-int64(before.HeapAlloc))
-			objects = min(objects, int64(after.HeapObjects)-int64(before.HeapObjects))
+			b, o := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(after.HeapObjects)-int64(before.HeapObjects)
+			bytes, objects = min(bytes, b), min(objects, o)
+			gains = append(gains, fmt.Sprintf("%d B in %d", b, o))
 			runtime.KeepAlive(m)
 		}
 		states := m.Stats().States
 		tables := m.Kernel().TotalBytes + m.Kernel().PrefilterBytes
-		t.Logf("Compile at %d strings holds %d B in %d objects: %.2f B for each of %d states (kernel tables %d B)",
-			tc.strings, bytes, objects, float64(bytes)/float64(states), states, tables)
+		t.Logf("Compile at %d strings holds %d B in %d objects, the least of %s: %.2f B for each of %d states (kernel tables %d B)",
+			tc.strings, bytes, objects, strings.Join(gains, ", "), float64(bytes)/float64(states), states, tables)
 		if tc.strings <= 1204 && tables > kernelTablesCeiling {
 			t.Errorf("the kernel's tables take %d B at %d strings, more than an L2 slice (%d)", tables, tc.strings, kernelTablesCeiling)
 		}
