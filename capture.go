@@ -2,9 +2,10 @@ package dpi
 
 // The capture seam: ReplayPcap is where recorded traffic (classic libpcap
 // files, read by internal/capture) enters the gateway pipeline. The
-// translator turns each captured Ethernet/IPv4 frame into the gateway's
-// packet model — 5-tuple, raw TCP sequence number, SYN/FIN/RST flags —
-// and the gateway treats the result exactly like live v2-framed traffic:
+// translator turns each captured Ethernet/IPv4 frame into the one packet
+// model, nids.Packet — 5-tuple, raw TCP sequence number, FlagSeq plus
+// SYN/FIN/RST in the one flag word — which is a GatewayPacket, so the
+// packet is ingested as it comes and treated exactly like live traffic:
 // TCP segments route through reassembly (sequence wraparound, overlaps
 // and mid-stream pickup included), UDP and other IP protocols are scanned
 // per packet on the same lanes. Frames the translator cannot deliver (non-IPv4,
@@ -82,23 +83,7 @@ func (g *Gateway) ReplayPcap(r io.Reader) (ReplayStats, error) {
 		if err != nil {
 			return replayStats(src.Stats(), ingested), err
 		}
-		// Explicit flag translation, mirroring the gateway's own stance on
-		// the reassembly flags: the bit values coincide by design, but the
-		// seam must not silently depend on that.
-		var fl TCPFlags
-		if pkt.Flags&capture.FlagSeq != 0 {
-			fl |= FlagSeq
-		}
-		if pkt.Flags&capture.FlagFIN != 0 {
-			fl |= FlagFIN
-		}
-		if pkt.Flags&capture.FlagSYN != 0 {
-			fl |= FlagSYN
-		}
-		if pkt.Flags&capture.FlagRST != 0 {
-			fl |= FlagRST
-		}
-		if err := g.Ingest(GatewayPacket{Tuple: pkt.Tuple, Seq: pkt.Seq, Flags: fl, Payload: pkt.Payload}); err != nil {
+		if err := g.Ingest(pkt); err != nil {
 			return replayStats(src.Stats(), ingested), err
 		}
 		ingested++

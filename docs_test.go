@@ -328,14 +328,14 @@ var docMemberRef = regexp.MustCompile("`(?:[a-z][a-z0-9]*\\.)?([A-Za-z_][A-Za-z0
 
 // TestDocsNamedMembersExist holds every backticked `Type.Member` in
 // README.md, ARCHITECTURE.md and OPERATIONS.md to the repository's non-test
-// Go: the member must be a method or field declared on that type, or
-// promoted to it from a type it embeds, so a renamed or deleted member
-// cannot linger in the prose. Names whose type is not declared in the
-// repository (a package, a variable) are skipped; bench/ is not read, and
-// types of one name in several packages pool their members.
+// Go: the member must be a method or field declared on that type, on the
+// type it aliases, or promoted to it from a type it embeds, so a renamed or
+// deleted member cannot linger in the prose. Names whose type is not
+// declared in the repository (a package, a variable) are skipped; bench/ is
+// not read, and types of one name in several packages pool their members.
 func TestDocsNamedMembersExist(t *testing.T) {
 	members := map[string]map[string]bool{} // type name → its declared members
-	embeds := map[string][]string{}         // type name → the types it embeds
+	embeds := map[string][]string{}         // type name → the types it embeds or aliases
 	declare := func(typ, member string) {
 		if members[typ] == nil {
 			members[typ] = map[string]bool{}
@@ -374,6 +374,9 @@ func TestDocsNamedMembersExist(t *testing.T) {
 					}
 					typ := ts.Name.Name
 					declare(typ, "")
+					if e := baseTypeName(ts.Type); ts.Assign.IsValid() && e != typ {
+						embeds[typ] = append(embeds[typ], e) // an alias has its target's members
+					}
 					var fields []*ast.Field
 					switch def := ts.Type.(type) {
 					case *ast.StructType:

@@ -105,7 +105,7 @@ func main() {
 	}
 	for _, p := range w.Packets {
 		err := gw.Ingest(dpi.GatewayPacket{
-			Tuple: p.Tuple, Seq: p.TCPSeq, Flags: dpi.TCPFlags(p.Flags), Payload: p.Payload,
+			Tuple: p.Tuple, Seq: p.TCPSeq, Flags: p.Flags, Payload: p.Payload,
 		})
 		if err != nil {
 			log.Fatal(err)

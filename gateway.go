@@ -104,16 +104,16 @@ const (
 // TCPFlags carries the TCP control bits the gateway acts on, plus FlagSeq,
 // which marks the Seq field as meaningful and is required on every TCP
 // packet: the gateway places a segment's bytes by its sequence number
-// alone.
-type TCPFlags uint8
+// alone. It is the one flag word from capture to the lane (nids.TCPFlags).
+type TCPFlags = nids.TCPFlags
 
 const (
-	FlagFIN TCPFlags = 1 << 0 // connection finished after this segment
-	FlagSYN TCPFlags = 1 << 1 // connection start; Seq is the ISN
-	FlagRST TCPFlags = 1 << 2 // abort: tear the flow down immediately
+	FlagFIN = nids.FlagFIN // connection finished after this segment
+	FlagSYN = nids.FlagSYN // connection start; Seq is the ISN
+	FlagRST = nids.FlagRST // abort: tear the flow down immediately
 	// FlagSeq marks Seq as valid. Required on every TCP packet; TryIngest
 	// refuses one without it (ErrBadPacket).
-	FlagSeq TCPFlags = 1 << 7
+	FlagSeq = nids.FlagSeq
 )
 
 // OverlapPolicy selects which bytes win when TCP segments overlap in the
@@ -128,18 +128,13 @@ const (
 	LastWins = reassembly.LastWins
 )
 
-// GatewayPacket is one ingested packet: a payload tagged with its flow's
-// 5-tuple and, for TCP segments, the sequence number and control flags
-// driving reassembly and connection lifecycle. The Gateway takes ownership
-// of Payload; callers that reuse buffers must copy first.
-type GatewayPacket struct {
-	Tuple FiveTuple
-	// Seq is the TCP sequence number of Payload[0] (of the SYN itself on a
-	// SYN segment), vouched for by FlagSeq. Ignored for other protocols.
-	Seq     uint32
-	Flags   TCPFlags
-	Payload []byte
-}
+// GatewayPacket is one ingested packet (nids.Packet): a payload tagged
+// with its flow's 5-tuple and, for TCP segments, the sequence number of
+// Payload[0] (of the SYN itself on a SYN segment, vouched for by FlagSeq)
+// and the control flags driving reassembly and connection lifecycle. The
+// Gateway takes ownership of Payload; callers that reuse buffers must copy
+// first.
+type GatewayPacket = nids.Packet
 
 // Verdict is the action a header rule attaches to a flow or packet.
 type Verdict uint8
@@ -367,9 +362,6 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	}
 	if c.IdleTimeout < 0 {
 		c.IdleTimeout = 0 // disabled
-	}
-	if c.MaxFlowBuffer <= 0 {
-		c.MaxFlowBuffer = 256 << 10
 	}
 	if c.GapTimeout == 0 {
 		c.GapTimeout = 4096

@@ -7,12 +7,11 @@ import (
 	"time"
 )
 
+// seqPacket is an admitted packet on its lane's queue: the packet and its
+// gateway-wide ingest number, the PacketID its matches carry.
 type seqPacket struct {
-	tuple   FiveTuple
-	payload []byte
-	seq     int // global ingest sequence number (PacketID attribution)
-	seq32   uint32
-	flags   TCPFlags
+	GatewayPacket
+	id int
 }
 
 // laneOf is the lane a tuple's packets ride: its hash modulo the lane count,
@@ -53,9 +52,9 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 	if g.closed {
 		return false, fmt.Errorf("%w: Ingest", ErrClosed)
 	}
-	seq := g.seq.Add(1) - 1
+	id := g.seq.Add(1) - 1
 	ln.n[cBytes].Add(uint64(len(pkt.Payload)))
-	p := seqPacket{tuple: pkt.Tuple, payload: pkt.Payload, seq: int(seq), seq32: pkt.Seq, flags: pkt.Flags}
+	p := seqPacket{pkt, int(id)}
 	// The lane's depth is raised across the (possibly blocking) send: a
 	// concurrent Flush cannot declare the lane drained while this packet
 	// may still slip in (TryIngest holds the gate shared, Flush takes it
@@ -93,7 +92,7 @@ func (g *Gateway) TryIngest(pkt GatewayPacket) (admitted bool, err error) {
 	// Every other packet meeting a full queue is shed at once.
 	ln.depth.Add(-1)
 	ln.n[cShedPackets].Add(1)
-	ln.n[cShedBytes].Add(uint64(len(p.payload)))
+	ln.n[cShedBytes].Add(uint64(len(pkt.Payload)))
 	if newFlow {
 		ln.n[cShedNewFlows].Add(1)
 	}

@@ -235,7 +235,7 @@ func (ln *gwLane) emitMatches(gen *gwGeneration, p *seqPacket, idx int, ms []ac.
 			ln.rules[idx].matches.Add(1)
 		}
 		ln.n[cMatches].Add(1)
-		ln.g.emit(FlowMatch{Tuple: p.tuple, Match: gen.m.convert(am, p.seq), Verdict: v, RuleID: rid})
+		ln.g.emit(FlowMatch{Tuple: p.Tuple, Match: gen.m.convert(am, p.id), Verdict: v, RuleID: rid})
 	}
 }
 
@@ -253,35 +253,24 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	v := ln.g.verdict(int(c.rule))
 	if fl.class&notifiedBit == 0 {
 		fl.class |= notifiedBit
-		ln.notifyVerdict(p.tuple, v, int(c.rule))
+		ln.notifyVerdict(p.Tuple, v, int(c.rule))
 	}
 	// RST tears the connection down whatever its verdict — a dropped or
 	// passed flow must not pin a table slot after the endpoints abort it.
 	// An RST's own payload is never scanned: abandoned, like the buffered
 	// bytes the table's Remove hands to release.
-	if p.flags&FlagRST != 0 {
+	if p.Flags&FlagRST != 0 {
 		ln.n[cFlowsReset].Add(1)
-		ln.n[cAbandonedBytes].Add(uint64(len(p.payload)))
+		ln.n[cAbandonedBytes].Add(uint64(len(p.Payload)))
 		return flowReset
 	}
 	switch v {
 	case VerdictDrop:
-		ln.n[cDroppedBytes].Add(uint64(len(p.payload)))
+		ln.n[cDroppedBytes].Add(uint64(len(p.Payload)))
 		return flowOpen
 	case VerdictPass:
-		ln.n[cPassedBytes].Add(uint64(len(p.payload)))
+		ln.n[cPassedBytes].Add(uint64(len(p.Payload)))
 		return flowOpen
-	}
-	// Explicit flag translation: the gateway and reassembly bit values
-	// happen to coincide, but relying on that would let a renumbering in
-	// either package silently misroute FIN/SYN. The reassembler has no RST:
-	// tearing a connection down is the table's, above.
-	var rf reassembly.Flags
-	if p.flags&FlagFIN != 0 {
-		rf |= reassembly.FIN
-	}
-	if p.flags&FlagSYN != 0 {
-		rf |= reassembly.SYN
 	}
 	// A held piece is scanned as it is held, on the flow's own automaton,
 	// and keeps only what a later scan of it could still change; touching
@@ -292,12 +281,11 @@ func (fl *gwFlow) ingest(ln *gwLane, p seqPacket, tick uint64) flowEnd {
 	fold := reassembly.Fold{Prefix: core.FoldPrefix, Encode: func(piece []byte) []byte {
 		ln.form, ln.matches = m.Fold(ln.form[:0], piece, ln.matches[:0])
 		return ln.form
-	}, Join: func(left []byte, n int, right []byte, nr int) reassembly.Seam {
-		var s core.Seam
+	}, Join: func(left []byte, n int, right []byte, nr int) (s reassembly.Seam) {
 		s, ln.form, ln.matches = m.Join(ln.form, left, n, right, nr, ln.matches)
-		return reassembly.Seam(s)
+		return s
 	}}
-	res := fl.asm.Segment(&ln.asm, p.seq32, p.payload, rf, tick, &fold,
+	res := fl.asm.Segment(&ln.asm, p.Seq, p.Payload, p.Flags, tick, &fold,
 		func(data []byte, n, skipped int) {
 			fl.regs.SkipAhead(skipped)
 			ln.matches = m.Resume(&fl.regs, data, n, ln.matches[:0])
@@ -354,7 +342,7 @@ func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (end flowEnd) {
 		ln.n[cPanics].Add(1)
 		ln.n[cQuarantinedFlows].Add(1)
 		ln.n[cQuarantinedPackets].Add(1)
-		if delta := len(p.payload) + held - fl.asm.HeldBytes(&ln.asm); delta > 0 {
+		if delta := len(p.Payload) + held - fl.asm.HeldBytes(&ln.asm); delta > 0 {
 			ln.n[cQuarantinedBytes].Add(uint64(delta))
 		}
 		// The flow is already poisoned; if releasing it panics too, give up
@@ -370,16 +358,16 @@ func (fl *gwFlow) contain(ln *gwLane, p seqPacket, tick uint64) (end flowEnd) {
 // anything else is discarded, as a duplicate or, on a quarantined husk (a
 // SYN included), as quarantined traffic.
 func (ln *gwLane) straggler(p *seqPacket, mark uint8) flowtable.Action {
-	n := uint64(len(p.payload))
+	n := uint64(len(p.Payload))
 	switch {
-	case p.flags&FlagRST != 0:
+	case p.Flags&FlagRST != 0:
 		ln.n[cAbandonedBytes].Add(n)
 		return flowtable.Remove
 	case flowEnd(mark) == flowQuarantined:
 		ln.n[cQuarantinedPackets].Add(1)
 		ln.n[cQuarantinedBytes].Add(n)
 		return flowtable.Keep
-	case p.flags&FlagSYN != 0:
+	case p.Flags&FlagSYN != 0:
 		return flowtable.Revive
 	}
 	ln.n[cDuplicateBytes].Add(n)
@@ -445,17 +433,17 @@ func (ln *gwLane) streamPacket(p seqPacket) {
 			ln.n[cPanics].Add(1)
 			if !committed {
 				ln.n[cQuarantinedPackets].Add(1)
-				ln.n[cQuarantinedBytes].Add(uint64(len(p.payload)))
+				ln.n[cQuarantinedBytes].Add(uint64(len(p.Payload)))
 			}
 		}
 	}()
-	if p.tuple.Proto != ProtoTCP {
+	if p.Tuple.Proto != ProtoTCP {
 		ln.datagram(&p)
 		return
 	}
 	ln.n[cStreamPackets].Add(1)
 	end := flowOpen
-	ln.table.Do(p.tuple, func(fl *gwFlow) {
+	ln.table.Do(p.Tuple, func(fl *gwFlow) {
 		// The reassembly gap clock is the lane table's, which Do has just
 		// advanced for this packet: stream packets through the gateway, the
 		// same logical clock IdleTimeout runs on.
@@ -464,14 +452,14 @@ func (ln *gwLane) streamPacket(p seqPacket) {
 	committed = true
 	switch end {
 	case flowFinished, flowQuarantined:
-		ln.table.Settle(p.tuple, uint8(end))
+		ln.table.Settle(p.Tuple, uint8(end))
 	case flowReset:
-		ln.table.Remove(p.tuple)
+		ln.table.Remove(p.Tuple)
 	}
 	// Over its share the lane evicts husks first — held bytes only take what
 	// connections leave — then connections but the packet's own, which may
 	// leave it over by that one entry.
-	for ln.charge() > ln.share && ln.table.EvictOldest(p.tuple) {
+	for ln.charge() > ln.share && ln.table.EvictOldest(p.Tuple) {
 	}
 }
 
@@ -490,10 +478,10 @@ func (ln *gwLane) charge() int { return ln.asm.Budget.Cost() + ln.table.Stats().
 // streamPacket's recover to charge: it costs exactly this datagram.
 func (ln *gwLane) datagram(p *seqPacket) {
 	ln.n[cBatchPackets].Add(1)
-	idx := ln.g.classify(p.tuple)
+	idx := ln.g.classify(p.Tuple)
 	v := ln.g.verdict(idx)
-	ln.notifyVerdict(p.tuple, v, idx)
-	n := uint64(len(p.payload))
+	ln.notifyVerdict(p.Tuple, v, idx)
+	n := uint64(len(p.Payload))
 	switch v {
 	case VerdictDrop:
 		ln.n[cDroppedBytes].Add(n)
@@ -505,7 +493,7 @@ func (ln *gwLane) datagram(p *seqPacket) {
 	gen := ln.g.cur.Load()
 	var r core.Regs
 	r.Reset()
-	ln.matches = gen.m.machine.ScanAppend(&r, p.payload, ln.matches[:0])
+	ln.matches = gen.m.machine.ScanAppend(&r, p.Payload, ln.matches[:0])
 	if len(ln.matches) > 0 {
 		ln.emitMatches(gen, p, idx, ln.matches)
 	}

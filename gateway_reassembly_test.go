@@ -19,29 +19,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestTrafficFlagValuesAlign pins the bit-for-bit agreement between
-// traffic's flag constants and the gateway's TCPFlags: every sequenced
-// workload consumer converts with a raw dpi.TCPFlags(p.Flags) cast, which
-// compiles regardless of the values — this test is what breaks if either
-// side renumbers.
-func TestTrafficFlagValuesAlign(t *testing.T) {
-	pairs := []struct {
-		name    string
-		gateway TCPFlags
-		traffic byte
-	}{
-		{"FIN", FlagFIN, traffic.FlagFIN},
-		{"SYN", FlagSYN, traffic.FlagSYN},
-		{"RST", FlagRST, traffic.FlagRST},
-		{"Seq", FlagSeq, traffic.FlagSeq},
-	}
-	for _, p := range pairs {
-		if byte(p.gateway) != p.traffic {
-			t.Errorf("%s: dpi bit %#x != traffic bit %#x", p.name, byte(p.gateway), p.traffic)
-		}
-	}
-}
-
 // TestGatewayReassemblyPermutationProperty is the acceptance property:
 // across engine shard counts, reorder windows, retransmit densities and
 // both overlap policies, every flow's gateway matches equal the in-order

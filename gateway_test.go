@@ -578,11 +578,11 @@ func TestGatewayStreamLaneSteadyStateZeroAlloc(t *testing.T) {
 		SrcPort: 40000, DstPort: 443, Proto: ProtoTCP,
 	}
 	payload := bytes.Repeat([]byte("x"), 1200)
-	p := seqPacket{tuple: tuple, payload: payload, flags: FlagSeq}
+	p := seqPacket{GatewayPacket: GatewayPacket{Tuple: tuple, Flags: FlagSeq, Payload: payload}}
 	ln := gw.lanes[0] // idle: nothing is ever ingested
 	lane := func() {
 		ln.streamPacket(p)
-		p.seq32 += uint32(len(payload)) // the next in-order segment
+		p.Seq += uint32(len(payload)) // the next in-order segment
 	}
 	lane() // warm-up creates the flow's record
 	allocs := testing.AllocsPerRun(50, lane)
@@ -662,7 +662,7 @@ func TestGatewayShardedStreamLaneZeroAlloc(t *testing.T) {
 	lane := func() {
 		for _, tup := range tuples {
 			// The lane admission routes the tuple's packets to.
-			gw.laneOf(tup).streamPacket(seqPacket{tuple: tup, payload: payload, seq32: seq, flags: FlagSeq})
+			gw.laneOf(tup).streamPacket(seqPacket{GatewayPacket: GatewayPacket{Tuple: tup, Seq: seq, Flags: FlagSeq, Payload: payload}})
 		}
 		seq += uint32(len(payload))
 	}

@@ -211,7 +211,7 @@ func ingestWorkload[P GatewayPacket | traffic.FlowPacket](t testing.TB, gw *Gate
 			case GatewayPacket:
 				p = q
 			case traffic.FlowPacket:
-				p = GatewayPacket{Tuple: q.Tuple, Seq: q.TCPSeq, Flags: TCPFlags(q.Flags), Payload: q.Payload}
+				p = GatewayPacket{Tuple: q.Tuple, Seq: q.TCPSeq, Flags: q.Flags, Payload: q.Payload}
 			}
 			if err := gw.Ingest(p); err != nil {
 				t.Error(err)

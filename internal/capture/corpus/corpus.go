@@ -252,7 +252,7 @@ func (f *tcpFlow) syn() {
 // flow's last. The segment's sequence number is ISN+1+from — raw TCP
 // numbering, wrapping naturally in uint32.
 func (f *tcpFlow) seg(stream []byte, from, to int, fin bool, opt capture.FrameOptions) {
-	var flags byte
+	var flags nids.TCPFlags
 	if fin {
 		flags |= capture.FlagFIN
 	}

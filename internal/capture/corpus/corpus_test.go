@@ -75,14 +75,7 @@ func TestCorpusTruthReassembly(t *testing.T) {
 					d.asm.Release()
 					continue
 				}
-				var fl reassembly.Flags
-				if pkt.Flags&capture.FlagFIN != 0 {
-					fl |= reassembly.FIN
-				}
-				if pkt.Flags&capture.FlagSYN != 0 {
-					fl |= reassembly.SYN
-				}
-				d.asm.Segment(pkt.Seq, pkt.Payload, fl, 0, func(chunk []byte, skipped int) {
+				d.asm.Segment(pkt.Seq, pkt.Payload, pkt.Flags, 0, func(chunk []byte, skipped int) {
 					if skipped != 0 {
 						t.Errorf("flow %v: unexpected gap skip of %d bytes", pkt.Tuple, skipped)
 					}

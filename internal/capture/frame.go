@@ -29,9 +29,9 @@ type FrameOptions struct {
 const ethMinFrame = 60 // minimum Ethernet frame length, FCS excluded
 
 // TCPFrame builds Ethernet+IPv4+TCP carrying payload. flags takes the
-// capture package's flag bits (FlagSYN/FlagFIN/FlagRST; FlagSeq is
-// implied — every TCP segment carries its sequence number on the wire).
-func TCPFrame(t nids.FiveTuple, seq uint32, flags byte, payload []byte, opt FrameOptions) []byte {
+// SYN/FIN/RST bits; FlagSeq is implied — every TCP segment carries its
+// sequence number on the wire.
+func TCPFrame(t nids.FiveTuple, seq uint32, flags nids.TCPFlags, payload []byte, opt FrameOptions) []byte {
 	tcp := make([]byte, 20+len(payload))
 	be16(tcp[0:], t.SrcPort)
 	be16(tcp[2:], t.DstPort)

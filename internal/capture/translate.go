@@ -7,30 +7,20 @@ import (
 	"repro/internal/nids"
 )
 
-// TCP control-flag bits for Packet.Flags. The values mirror the gateway's
-// TCPFlags (and internal/traffic's), so a feed can pass them through; the
-// gateway still translates explicitly rather than relying on the
-// coincidence.
+// TCP control-flag bits for Packet.Flags: the one flag word, nids.TCPFlags.
 const (
-	FlagFIN byte = 1 << 0
-	FlagSYN byte = 1 << 1
-	FlagRST byte = 1 << 2
-	FlagSeq byte = 1 << 7 // Seq is meaningful: route through TCP reassembly
+	FlagFIN = nids.FlagFIN
+	FlagSYN = nids.FlagSYN
+	FlagRST = nids.FlagRST
+	FlagSeq = nids.FlagSeq // Seq is meaningful: route through TCP reassembly
 )
 
-// Packet is one translated, scannable packet in the gateway's model. For
-// TCP segments, Seq is the raw TCP sequence number of Payload[0] (of the
-// SYN itself on a SYN segment — exactly the gateway's contract) and Flags
-// carries FlagSeq plus any SYN/FIN/RST bits. For UDP and other IP
-// protocols, Seq and Flags are zero and the packet takes the stateless
-// batch path. Payload is a copy; it never aliases the capture buffer, so
-// handing it to a Gateway (which takes ownership) is safe.
-type Packet struct {
-	Tuple   nids.FiveTuple
-	Seq     uint32
-	Flags   byte
-	Payload []byte
-}
+// Packet is one translated, scannable packet in the sensor's one packet
+// model (nids.Packet). For TCP segments, Flags carries FlagSeq plus any
+// SYN/FIN/RST bits; for UDP and other IP protocols, Seq and Flags are
+// zero. Payload is a copy; it never aliases the capture buffer, so handing
+// it to a Gateway (which takes ownership) is safe.
+type Packet = nids.Packet
 
 // TranslateStats counts every frame by its fate. Frames is the total;
 // TCPSegments+UDPPackets+OtherIP is what was delivered; the remaining
@@ -242,7 +232,7 @@ func (t *Translator) udp(tuple nids.FiveTuple, b []byte, truncated bool) (Packet
 // deliver finalizes a scannable packet: the payload is copied out of the
 // capture buffer (the gateway takes ownership of what it ingests) and the
 // delivery counters advance.
-func (t *Translator) deliver(tuple nids.FiveTuple, seq uint32, flags byte, payload []byte, truncated bool) Packet {
+func (t *Translator) deliver(tuple nids.FiveTuple, seq uint32, flags nids.TCPFlags, payload []byte, truncated bool) Packet {
 	if truncated {
 		t.stats.Truncated++
 	}

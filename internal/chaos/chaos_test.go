@@ -57,7 +57,7 @@ func TestStormInvariants(t *testing.T) {
 	var originals, dups int
 	seenSYN := map[int]bool{}
 	for _, p := range out {
-		if p.Flags&byte(dpi.FlagSYN) != 0 {
+		if p.Flags&dpi.FlagSYN != 0 {
 			seenSYN[p.FlowID] = true
 		} else if !seenSYN[p.FlowID] {
 			t.Fatalf("flow %d packet (seq %d) emitted before its SYN", p.FlowID, p.Seq)

@@ -22,6 +22,7 @@ import (
 	"slices"
 
 	"repro/internal/ac"
+	"repro/internal/reassembly"
 )
 
 // Backend names accepted by Options.Backend. BackendAuto (or "") resolves
@@ -388,44 +389,35 @@ func (m *Machine) resumeAs(k backendKind, r *Regs, resident []byte, n int, out [
 	return out
 }
 
-// A Seam is how Join makes two touching residents one form: the left's
-// first Keep bytes, then Mid, then the right's bytes [Skip, Cut), then End.
-// The zero Seam keeps them apart.
-type Seam struct {
-	Keep, Skip, Cut int
-	Mid, End        []byte
-}
-
 // Join is Fold's form of two touching pieces as one, made from what is held
 // of them: left, n stream bytes, then right, nr, each a Fold form on this
 // machine or the piece itself. Past a fold's prefix a scan no longer depends
 // on where it started, so a folded left's registers are those of the stream
 // at the seam: the right is scanned on from them, a folded right only its
 // prefix, its later matches and registers kept. A left held whole is scanned
-// from its bytes. The form is told as a Seam over the two residents, so a
-// caller rewrites them where they lie: a folded left keeps all but its end,
-// a folded right with later matches all but its first end and its last
-// word, and Mid and End hold only what the rescans found. Join returns the
-// zero Seam where Fold would keep the joined piece whole. The left is at
-// least a byte (n ≥ 1), as every held run is: a Seam keeps some of it, and
-// Keep 0 is the zero Seam's. buf is Mid's and
-// End's storage and scratch the scans' match buffer, both returned for
-// reuse.
-func (m *Machine) Join(buf, left []byte, n int, right []byte, nr int, scratch []ac.Match) (Seam, []byte, []ac.Match) {
+// from its bytes. The form is told as a reassembly.Seam over the two
+// residents, so a caller rewrites them where they lie: a folded left keeps
+// all but its end, a folded right with later matches all but its first end
+// and its last word, and Mid and End hold only what the rescans found. Join
+// returns the zero Seam where Fold would keep the joined piece whole. The
+// left is at least a byte (n ≥ 1), as every held run is: a Seam keeps some
+// of it, and Keep 0 is the zero Seam's. buf is Mid's and End's storage and
+// scratch the scans' match buffer, both returned for reuse.
+func (m *Machine) Join(buf, left []byte, n int, right []byte, nr int, scratch []ac.Match) (reassembly.Seam, []byte, []ac.Match) {
 	return m.joinAs(m.kind, buf, left, n, right, nr, scratch)
 }
 
 // joinAs is Join on an explicit backend.
-func (m *Machine) joinAs(k backendKind, buf, left []byte, n int, right []byte, nr int, scratch []ac.Match) (Seam, []byte, []ac.Match) {
+func (m *Machine) joinAs(k backendKind, buf, left []byte, n int, right []byte, nr int, scratch []ac.Match) (reassembly.Seam, []byte, []ac.Match) {
 	if m.depth == 0 || n+nr >= foldMaxPiece {
-		return Seam{}, buf, scratch
+		return reassembly.Seam{}, buf, scratch
 	}
 	rb, pr := right, len(right) // what of the right is bytes: all of it, or its prefix
 	if len(right) < nr {
 		pr = FoldPrefix(right)
 		rb = right[:pr]
 	}
-	var s Seam
+	var s reassembly.Seam
 	var r Regs // the scan at the seam, its position counted from the left's start
 	var p, last int
 	buf = buf[:0]
@@ -440,7 +432,7 @@ func (m *Machine) joinAs(k backendKind, buf, left []byte, n int, right []byte, n
 			p = min(p, n+pr)
 		}
 		if p >= n+nr || p >= 1<<foldLenBits {
-			return Seam{}, buf, scratch
+			return reassembly.Seam{}, buf, scratch
 		}
 		r.Reset()
 		scratch = m.scanAs(k, &r, left, scratch[:0])
@@ -471,7 +463,7 @@ func (m *Machine) joinAs(k backendKind, buf, left []byte, n int, right []byte, n
 	}
 	s.Mid, s.End = buf[:mid], buf[mid:]
 	if s.Keep+len(buf)+s.Cut-s.Skip >= n+nr {
-		return Seam{}, buf, scratch
+		return reassembly.Seam{}, buf, scratch
 	}
 	return s, buf, scratch
 }

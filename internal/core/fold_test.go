@@ -196,7 +196,7 @@ func newFoldPieces(t *testing.T, n int) (*Machine, *foldPieces) {
 // pattern straddles the seam and only the rescan of the right's prefix from
 // the left's registers finds it. Corrupting the left's stored registers
 // there fails the join proof Verify runs. Under -race only the 634-string
-// set runs; CI's footprint step runs both plain.
+// set runs; CI's plain test step runs both.
 func TestFoldJoinEqualsFold(t *testing.T) {
 	for _, n := range []int{634, 6275} {
 		if raceEnabled && n != 634 {

@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"repro/internal/ac"
+	"repro/internal/reassembly"
 )
 
 // Verify proves the machine against t, a trie built from the same ruleset
@@ -439,7 +440,7 @@ func (m *Machine) proveJoin(k backendKind, l, r, lf, rf []byte, befores []Regs) 
 	whole := slices.Concat(l, r)
 	want, _ := m.foldAs(k, nil, whole, nil, len(whole))
 	s, _, _ := m.joinAs(k, nil, lf, len(l), rf, len(r), nil)
-	got := s.joined(lf, rf)
+	got := joined(s, lf, rf)
 	if !bytes.Equal(got, want) {
 		return fmt.Errorf("(%d and %d bytes, held in %d and %d) join into %d bytes, Fold of both folds them into %d",
 			len(l), len(r), len(lf), len(rf), len(got), len(want))
@@ -452,7 +453,7 @@ func (m *Machine) proveJoin(k backendKind, l, r, lf, rf []byte, befores []Regs) 
 
 // joined is the form s tells over the residents left and right; nil for the
 // zero Seam.
-func (s Seam) joined(left, right []byte) []byte {
+func joined(s reassembly.Seam, left, right []byte) []byte {
 	if s.Keep == 0 {
 		return nil
 	}

@@ -173,24 +173,15 @@ func (c *Context) Table2One(cfg Table2Config) (Table2Row, error) {
 		// Reduction vs the ungrouped original, as the paper reports it.
 		ReductionPct: 100 * (1 - float64(gs.StoredPointers)/float64(single.Stats.OriginalPointers)),
 	}
-	mem := 0
-	for _, m := range grouped.Machines {
-		img, err := hwsim.Pack(m)
-		if err != nil {
-			return Table2Row{}, err
-		}
-		if img.Stats.StateWords > cfg.Device.StateWordsPerBlock {
-			return Table2Row{}, fmt.Errorf("experiments: %d-string group overflows a %s block (%d > %d words)",
-				cfg.N, cfg.Device.Name, img.Stats.StateWords, cfg.Device.StateWordsPerBlock)
-		}
-		mem += img.Stats.TotalBytesPaper
-	}
-	row.MemoryBytes = mem
-	tput, err := cfg.Device.AggregateThroughputBps(cfg.Groups)
+	// The device packs each group, refuses one that overflows a block, and
+	// reports the paper-metric memory and the modelled rate.
+	acc, err := hwsim.NewAccelerator(cfg.Device, grouped)
 	if err != nil {
 		return Table2Row{}, err
 	}
-	row.SpeedGbps = tput / 1e9
+	st := acc.Stats()
+	row.MemoryBytes = st.TotalBytes
+	row.SpeedGbps = st.ThroughputBps / 1e9
 	return row, nil
 }
 

@@ -7,9 +7,12 @@
 // locations."
 //
 // The package provides the 5-tuple (FiveTuple, whose Hash64 pins a flow
-// to its gateway lane) and the header classifier (HeaderRule over Prefix
-// and PortRange). The content half is the Ruleset the Matcher compiles and
-// scans: the gateway's VerdictRule classifies a flow's header with a
+// to its gateway lane), the header classifier (HeaderRule over Prefix
+// and PortRange) and the packet a rule classifies (Packet, with its
+// TCPFlags): capture, the traffic generators, the gateway and reassembly
+// all read this one declaration, so a flag means the same bit from the
+// wire to the lane. The content half is the Ruleset the Matcher compiles
+// and scans: the gateway's VerdictRule classifies a flow's header with a
 // HeaderRule and scans its reassembled stream with the Matcher, so a
 // content split across segments is still found.
 package nids
@@ -65,6 +68,32 @@ func (t FiveTuple) String() string {
 
 func ipString(ip uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+}
+
+// TCPFlags carries the TCP control bits a sensor acts on, plus FlagSeq,
+// which marks a packet's Seq as meaningful.
+type TCPFlags uint8
+
+const (
+	FlagFIN TCPFlags = 1 << 0 // connection finished after this segment
+	FlagSYN TCPFlags = 1 << 1 // connection start; Seq is the ISN
+	FlagRST TCPFlags = 1 << 2 // abort: tear the flow down immediately
+	FlagSeq TCPFlags = 1 << 7 // Seq is valid: place the bytes by it
+)
+
+// Packet is one packet in the sensor's model: a payload tagged with its
+// flow's 5-tuple and, for TCP segments, the sequence number and control
+// flags that drive reassembly and the connection's lifecycle.
+//
+// Seq is the TCP sequence number of Payload[0], or of the SYN itself on a
+// SYN segment; FlagSeq marks it as valid. Both Seq and Flags are ignored
+// for protocols other than TCP. Whoever receives a Packet owns its
+// Payload: a sender that reuses buffers must copy first.
+type Packet struct {
+	Tuple   FiveTuple
+	Seq     uint32
+	Flags   TCPFlags
+	Payload []byte
 }
 
 // Prefix is an IPv4 CIDR prefix. Bits==0 matches any address.

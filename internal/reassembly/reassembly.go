@@ -65,6 +65,8 @@ import (
 	"slices"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/nids"
 )
 
 // Policy selects which bytes win when segments overlap in the undelivered
@@ -88,14 +90,15 @@ func (p Policy) String() string {
 	return "first-wins"
 }
 
-// Flags carries the TCP control bits that place bytes in sequence space: a
-// SYN occupies one sequence number ahead of its payload, and a FIN marks
-// where the stream ends.
-type Flags uint8
+// Flags is the packet's flag word (nids.TCPFlags). Reassembly reads the
+// two bits that place bytes in sequence space: a SYN occupies one sequence
+// number ahead of its payload, and a FIN marks where the stream ends. It
+// ignores the rest; tearing a connection down on RST is the caller's.
+type Flags = nids.TCPFlags
 
 const (
-	FIN Flags = 1 << 0
-	SYN Flags = 1 << 1
+	FIN = nids.FlagFIN
+	SYN = nids.FlagSYN
 )
 
 // Event reports what a Segment call completed.

@@ -1000,7 +1000,7 @@ func TestPermutationEquivalence(t *testing.T) {
 		s.Segment(isn, nil, SYN, 0, deliver)
 		var finished bool
 		for i, e := range emit {
-			f := Flags(0)
+			var f Flags
 			if e.last {
 				f = FIN
 			}

@@ -14,13 +14,13 @@ import (
 	"repro/internal/ruleset"
 )
 
-// TCP control-flag bits for FlowPacket.Flags. The values mirror the
-// gateway's TCPFlags so a feed can pass them through unchanged.
+// TCP control-flag bits for FlowPacket.Flags: the one flag word,
+// nids.TCPFlags, so a feed passes them through unchanged.
 const (
-	FlagFIN byte = 1 << 0
-	FlagSYN byte = 1 << 1
-	FlagRST byte = 1 << 2
-	FlagSeq byte = 1 << 7 // TCPSeq is meaningful: reassemble by sequence
+	FlagFIN = nids.FlagFIN
+	FlagSYN = nids.FlagSYN
+	FlagRST = nids.FlagRST
+	FlagSeq = nids.FlagSeq // TCPSeq is meaningful: reassemble by sequence
 )
 
 // FlowPacket is one segment of one flow, tagged for demultiplexing.
@@ -35,7 +35,7 @@ type FlowPacket struct {
 	// segment), and Flags carries FlagSeq plus SYN on the first segment and
 	// FIN on the last.
 	TCPSeq uint32
-	Flags  byte
+	Flags  nids.TCPFlags
 	// Retransmit marks a duplicate emission of an earlier segment (exact
 	// byte copy), so consumers can separate originals from retransmissions.
 	Retransmit bool
