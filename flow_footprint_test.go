@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/flowtable"
 	"repro/internal/reassembly"
 )
 
@@ -31,8 +32,9 @@ func liveHeap() uint64 {
 }
 
 // ConnEntry and HuskEntry are what one connection and one husk charge their
-// lane's share of MemoryBudget: their flow-table entries, as
-// TestFlowRecordFootprint checks on a gateway's own table.
+// lane's share of MemoryBudget: a connection's flow-table entry, and the most
+// a husk costs its table (flowtable.HuskCharge), as TestFlowRecordFootprint
+// checks on a gateway's own table.
 const ConnEntry, HuskEntry = 64, 32
 
 // footprintTuple is the i-th of a family of distinct TCP tuples.
@@ -122,7 +124,12 @@ func TestFlowRecordFootprint(t *testing.T) {
 	assertPointerFree(t, reflect.TypeOf(gwFlow{}), "gwFlow")
 	t.Logf("core.Regs %d B, reassembly.Cursor %d B, gwFlow %d B",
 		unsafe.Sizeof(core.Regs{}), unsafe.Sizeof(reassembly.Cursor{}), unsafe.Sizeof(gwFlow{}))
-	// What a lane charges its share for the entries of its own table.
+	// What a lane charges its share for the entries of its own table: a
+	// connection its 64 B entry, a husk its 20 B ring entry with its index
+	// slot and its share of the ring's holes (flowtable.HuskCharge).
+	if _, husk := flowtable.EntryBytes[gwFlow](); husk != 20 {
+		t.Errorf("a husk's ring entry is %d B, want 20", husk)
+	}
 	if connEntry != ConnEntry || huskEntry != HuskEntry {
 		t.Errorf("a connection is charged %d B and a husk %d B, want %d and %d", connEntry, huskEntry, ConnEntry, HuskEntry)
 	}
@@ -138,14 +145,14 @@ func TestFlowRecordFootprint(t *testing.T) {
 }
 
 // huskHeapCeiling is what a finished connection may cost the heap: its husk,
-// a 32 B slab entry holding the tuple, the table header and a one-byte mark,
-// and its 4-byte slot in the husk index, which sits between 3/8 and 3/4 full
-// (5–11 B), with headroom.
-const huskHeapCeiling = 45
+// a 20 B ring entry holding the packed tuple, a one-byte mark and the stamp,
+// and its 4-byte slot in the table's index, which sits between 3/8 and 3/4
+// full (5–11 B): 29 B measured, with headroom.
+const huskHeapCeiling = 33
 
 // TestHuskFootprint: a connection that ended by FIN keeps no record — no
 // registers, no reassembly cursor, no ruleset pin — only its husk, so it
-// costs the heap a 32 B entry and an index slot, not a live flow's 73 B.
+// costs the heap a 20 B ring entry and an index slot, not a live flow's 75 B.
 func TestHuskFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap growth is not the product's under -race")
@@ -189,9 +196,9 @@ func TestGatewayMatchDenseFlowsHoldNoBuffers(t *testing.T) {
 // TestGatewayConnectionCycleAllocs: a connection revived by SYN on the
 // husk its predecessor left — the steady state of a busy port pair — runs
 // SYN → data → FIN without allocating: the table builds the record in the
-// entry the last FIN freed, and the husk it settles into is the one the SYN
-// freed. A tuple never seen before allocates at most one object — a slab
-// chunk, once every 64 connections or 128 husks — plus the table index's
+// entry the last FIN freed, and its husk goes back into the ring chunk the
+// SYN emptied. A tuple never seen before allocates at most one object — a slab
+// chunk, once every 64 connections or 204 husks — plus the table index's
 // growth amortised over the connections that caused it (AllocsPerRun
 // reports whole allocations per run, so a fraction below one rounds away).
 func TestGatewayConnectionCycleAllocs(t *testing.T) {

@@ -284,7 +284,8 @@ type GatewayConfig struct {
 	// MemoryBudget caps, in bytes, what flows are charged. Every lane owns the
 	// flows pinned to it and a share of ceil(MemoryBudget/lanes), lanes being
 	// EngineShards × StreamWorkers, charged 64 B a connection, 32 B a husk (a
-	// connection ended by FIN or quarantine) and each flow's held
+	// connection ended by FIN or quarantine: its 20 B entry, its index slot
+	// and its share of the husk ring's holes) and each flow's held
 	// out-of-order segments, one log per flow, at its capacity: a 40 B
 	// header, then per run 3–6 B of varint header and what stays resident —
 	// the segment whole, or under FirstWins the fold of the touching
@@ -295,10 +296,11 @@ type GatewayConfig struct {
 	// class. A segment that does not fit
 	// what the connections leave drops its bytes furthest ahead; after each
 	// packet a lane over its share evicts its oldest husk, or with none its
-	// least-recently-active connection but the packet's own. Index slots and the slab
-	// chunks a lane keeps at its peak are outside the share: a default
-	// gateway full of husks holds up to about 43 MiB (OPERATIONS.md, "What
-	// the budget buys"). Default 32 MiB; negative means unlimited.
+	// least-recently-active connection but the packet's own. A connection's
+	// index slot and the slab chunks and index a lane keeps at its peak are
+	// outside the share; a husk's are inside, so a default gateway full of
+	// husks holds up to its 32 MiB (OPERATIONS.md, "What the budget buys").
+	// Default 32 MiB; negative means unlimited.
 	MemoryBudget int
 	// IdleTimeout evicts a flow after this many stream packets pass through
 	// the gateway without it seeing one (a logical clock, deterministic and

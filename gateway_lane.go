@@ -110,9 +110,11 @@ const (
 	flowReset
 )
 
-// connEntry and huskEntry are what one connection and one husk occupy in a
-// lane's table, as the lane charges them to its share.
-var connEntry, huskEntry = flowtable.EntryBytes[gwFlow]()
+// connEntry is what one connection occupies in a lane's table and huskEntry
+// the most one husk costs it, as the lane charges them to its share.
+var connEntry, _ = flowtable.EntryBytes[gwFlow]()
+
+const huskEntry = flowtable.HuskCharge
 
 // gwLane is one scan lane — the software string matching engine — and the
 // one owner of everything its packets touch: admission gate, queue,

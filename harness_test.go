@@ -243,7 +243,8 @@ func ingestWorkload[P GatewayPacket | traffic.FlowPacket](t testing.TB, gw *Gate
 // every lane's to balance with Stats the sum of LaneStats
 // (requireLaneSums), each lane's class counts and each live generation's
 // flow count to equal the records that hold them (auditGenerationPins),
-// and, given the test's oracle, every followed flow to have matched
+// each lane's flow table to pass its own Audit (index, LRU list, husk
+// ring and counts), and, given the test's oracle, every followed flow to have matched
 // exactly FindAll over the bytes it delivered; it returns that oracle's
 // match count. A drained point is one with no feeder or flusher running:
 // a lane that is still being fed reads short of its ledger.
@@ -255,6 +256,11 @@ func checkpoint(t testing.TB, gw *Gateway, when string, o ...*oracle) (matched i
 	}
 	requireLaneSums(t, gw, when)
 	gw.auditGenerationPins(t)
+	gw.eachLane(func(ln *gwLane) {
+		if err := ln.table.Audit(); err != nil {
+			t.Fatalf("%s: a lane's flow table: %v", when, err)
+		}
+	})
 	for _, o := range o {
 		matched += o.check(t, when)
 	}

@@ -138,12 +138,18 @@ func TestVerifyTransitionsSynthetic(t *testing.T) {
 }
 
 // TestScanMatchesDFA: every backend's scan and fold of payloads with
-// genuine patterns embedded, through Verify.
+// genuine patterns embedded, through Verify. Verify proves the machine
+// exhaustively too, which TestVerifyProgramProperty does at 634 strings, and
+// joins every pair of payloads, so under -race a 60-string machine and 8
+// payloads stand in for the 300-string one and 25.
 func TestScanMatchesDFA(t *testing.T) {
-	set := ruleset.MustGenerate(ruleset.GenConfig{N: 300, Seed: 12})
+	n, payloads := 300, make([][]byte, 25)
+	if raceEnabled {
+		n, payloads = 60, payloads[:8]
+	}
+	set := ruleset.MustGenerate(ruleset.GenConfig{N: n, Seed: 12})
 	m := mustBuild(t, set, Options{})
 	src := rng.New(34)
-	payloads := make([][]byte, 25)
 	for i := range payloads {
 		p := make([]byte, 100+src.Intn(900))
 		for j := range p {

@@ -15,10 +15,15 @@ import (
 // negative contract: over random rulesets and random payloads, every
 // machine keeps its prefilter and passes Verify, which proves the superset
 // contract on the table and runs the prefiltered pipeline on the payload
-// against the DFA, so a match the skimmer sailed past fails it.
+// against the DFA, so a match the skimmer sailed past fails it. Under -race
+// the first 8 of the 40 machines are proved.
 func TestPrefilterSupersetProperty(t *testing.T) {
+	trials := 40
+	if raceEnabled {
+		trials = 8
+	}
 	rng := rand.New(rand.NewSource(20100308))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		set := randBakedSet(rng)
 		m := mustBuild(t, set, Options{})
 		if m.pre == nil {

@@ -15,30 +15,43 @@
 // goroutine to another across a synchronisation point (the gateway's control
 // plane walks the lane tables while the lanes are drained). Has is the one
 // method any goroutine may call at any time; the owner pays for it with a
-// mutex around index writes and slab growth only — once per flow boundary,
-// never per packet.
+// mutex around index writes, chunk-directory changes and ring compaction
+// only — once per flow boundary or husk a straggler keeps, never for a
+// packet of a live connection.
 //
-// An entry is a 28 B header (key, last-activity stamp, LRU links) and a
-// record: a connection's is the flow state F by value, a husk's — a
-// connection that ended (Settle), kept so its stragglers are recognised — a
-// one-byte mark. Each kind has its own set: a slab of entries, an index and
-// an LRU list on one clock, so a connection's packet probes one index and
-// only a miss probes the husks'. A slab is a directory of fixed-size chunks,
-// allocated as the set first needs one and never moved, so the *F a callback
-// receives stays valid for the flow's life; the LRU links and index
-// slots are 32-bit entry numbers, and the entries no key holds are zeroed on
-// one free list threaded through the link field. The gateway's connection
-// entry is 64 B, one cache line, and a husk's 32 B. An index is a
-// power-of-two array of entry numbers probed linearly — one 4-byte slot per
-// entry at up to 3/4 load — with Robin Hood insertion and deletion by
-// backward shift, so probe runs stay short and need no tombstones. It hashes
-// the tuple with hash/maphash under a seed drawn per table, never with
-// nids.FiveTuple.Hash64: the gateway pins tuples to lanes by Hash64, so
-// every tuple in one lane's table shares Hash64's low bits, and that hash is
-// unseeded — anyone who can choose tuples could line them up on one probe
-// run and make each lookup a walk of the table, an algorithmic-complexity
-// attack on the sensor itself. An index grows and, like a Go map, never
-// shrinks; a slab gives chunks back only when its set empties.
+// A table holds two kinds of entry. A connection's is a 28 B header (key,
+// last-activity stamp, LRU links) and the flow state F by value, in a slab: a
+// directory of fixed-size chunks, allocated as the slab first needs one and
+// never moved, so the *F a callback receives stays valid for the flow's life.
+// The LRU links are 32-bit entry numbers, and the entries no key holds are
+// zeroed on one free list threaded through the link field; the gateway's
+// connection entry is 64 B, one cache line. A husk — a connection that ended
+// (Settle), kept so its stragglers are recognised — needs no links: every
+// husk is stamped with the clock when it is added, so husks live in a ring in
+// the order they settled, which is age order, and each is a 20 B entry: the
+// tuple's 13 bytes packed as the index hashes them, its one-byte mark and its
+// 32-bit stamp. Settle appends at the ring's tail, and capacity and idle
+// eviction take its head. A straggler that keeps a husk moves it to the tail,
+// and a revive or a removal takes it out; each leaves a zeroed hole. The
+// head skips holes and gives back every chunk it passes, an emptied ring
+// keeps only its first chunk, and once holes outnumber one in 16 live husks
+// the ring compacts in place, so its slack stays bounded whatever the
+// traffic; a husk costs its owner at most HuskCharge. Compaction moves a
+// bounded stretch of the ring at a time, one step per hole made while it is
+// under way, so it never holds the mutex Has takes for more than one step.
+//
+// Both kinds share one index: a power-of-two array of 4-byte entry numbers
+// probed linearly — one slot per entry at up to 3/4 load — with Robin Hood
+// insertion and deletion by backward shift, so probe runs stay short and
+// need no tombstones, and a settle or a revive rewrites its key's one slot in
+// place. It hashes the tuple with hash/maphash under a seed drawn per table,
+// never with nids.FiveTuple.Hash64: the gateway pins tuples to lanes by
+// Hash64, so every tuple in one lane's table shares Hash64's low bits, and
+// that hash is unseeded — anyone who can choose tuples could line them up on
+// one probe run and make each lookup a walk of the table, an
+// algorithmic-complexity attack on the sensor itself. The index grows and,
+// like a Go map, never shrinks; the slab gives chunks back only when it
+// empties.
 //
 // Time is a logical clock: every Do advances it by Config.Tick, so "idle for
 // N ticks" means "N ticks' worth of packets crossed the table since this flow
@@ -50,7 +63,9 @@ package flowtable
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/maphash"
+	"reflect"
 	"sync"
 	"unsafe"
 
@@ -75,8 +90,8 @@ type Config[F any] struct {
 	Evict func(Key, F)
 	// MaxFlows caps entries of both kinds; 0 means unlimited. An insert past
 	// the cap evicts as EvictOldest does, sparing the entry just touched. An
-	// owner that caps the entries' bytes instead (EntryBytes) leaves it 0 and
-	// calls EvictOldest itself.
+	// owner that caps the entries' bytes instead (EntryBytes, HuskCharge)
+	// leaves it 0 and calls EvictOldest itself.
 	MaxFlows int
 	// IdleTicks evicts entries untouched for more than this many logical
 	// clock ticks, oldest first whatever their kind; 0 disables idle
@@ -99,8 +114,8 @@ type Stats struct {
 	Removed     uint64 // Remove calls and actions (connection teardown)
 }
 
-// Action is what Do does with a husk a packet reached, as the owner's husk
-// callback decides from its mark.
+// Action is what Do does with a husk a packet reached, as the owner's
+// straggler callback decides from its mark.
 type Action uint8
 
 const (
@@ -109,74 +124,120 @@ const (
 	Remove               // take it out of the table, counted as Removed
 )
 
+// HuskCharge is the most one husk costs its table's heap, the unused ends of
+// the ring's first and last chunks and one hole apart: its 20 B entry, its
+// 4-byte index slot at the index's lowest load — 3/8 full, just after a
+// doubling — and its share of the ring's holes, at most one per holeShare
+// husks and one per compactStep positions, rounded up. An owner that caps its
+// table's bytes charges each husk this.
+const HuskCharge = 32
+
 // Table is a single-writer 5-tuple → flow map with LRU and idle eviction.
 type Table[F any] struct {
 	cfg Config[F]
 
-	// mu orders the owner's index and chunk-directory writes against Has.
-	// The owner probes the indexes and relinks the LRU lists without it: it
-	// is the only writer.
-	mu    sync.Mutex
-	conns set[F]
-	husks set[uint8] // the record is the mark Settle was given
+	// mu orders the owner's writes to what Has reads — the index, both chunk
+	// directories and, while the ring compacts, the husks it moves — against
+	// Has. The owner reads them and relinks the LRU list without it: it is
+	// the only writer.
+	mu   sync.Mutex
+	seed maphash.Seed
+	// slots is the index of both kinds: a power-of-two array, probed linearly
+	// from a key's home slot, no more than 3/4 full; 0 marks an empty slot.
+	slots []ref
+	conns slab[F]
+	husks ring
 	clock uint64
-	n     Stats // the counters; Live and Husks are the sets' sizes
+	n     Stats // the counters; Live and Husks are the kinds' sizes
 }
 
-// A slab chunk is one chunkBytes allocation, a malloc size class, holding as
-// many entries as fit, up to chunkMax: 64 of the gateway's 64 B connection
-// entries or 128 of its 32 B husk entries. Both are pointer-free, so the
-// allocator prefixes no header; a pointerful entry's chunk still leaves room
-// for its 8 B header unless its entries fill all chunkBytes. A set's unused
-// space is the rest of its newest chunk.
+// A chunk is one chunkBytes allocation, a malloc size class, holding as many
+// entries as fit: up to chunkMax of a connection slab's — 64 of the gateway's
+// 64 B entries — and ringPer husks. Both gateway entries are pointer-free, so
+// the allocator prefixes no header; a pointerful connection entry's chunk
+// still leaves room for its 8 B header unless its entries fill all
+// chunkBytes.
 const (
 	chunkBytes = 4096
 	chunkBits  = 8
 	chunkMax   = 1<<chunkBits - 1
+	ringPer    = chunkBytes / int(unsafe.Sizeof(husk{})) // 204, 4 080 B
+	// holeShare bounds the ring's holes: once they outnumber one in
+	// holeShare live husks, the ring compacts.
+	holeShare = 16
+	// compactStep bounds one step of compaction, and so how long it holds
+	// the mutex Has takes: a step crosses at most this many ring positions,
+	// moving the husks among them. While a compaction is under way each new hole brings
+	// one more step, so its holes grow by at most one per compactStep
+	// positions of the ring's span before it ends.
+	compactStep = 512
 )
 
-// ref names an entry of a set: its chunk's number shifted up by chunkBits,
-// above its slot in the chunk plus one, so it splits with a shift and a mask
-// and is never 0 — the zero ref is no entry, and marks an empty index slot
-// and a list's end.
+// ref names an entry. A connection's is its chunk's number shifted up by
+// chunkBits, above its slot in the chunk plus one, so it splits with a shift
+// and a mask; a husk's is huskBit above the low 31 bits of its ring position.
+// Neither is 0: the zero ref is no entry, and marks an empty index slot and a
+// list's end.
 type ref = uint32
 
-// entry is one connection or husk: a 28 B header and the record.
-type entry[R any] struct {
+const huskBit ref = 1 << 31
+
+// entry is one connection: a 28 B header and the record.
+type entry[F any] struct {
 	key Key
 	// last is the clock's low 32 bits at the entry's last Do. An age is
 	// uint32(clock) − last, exact below 2³² ticks: idle eviction keeps every
 	// age compared under IdleTicks + Tick, which New holds below that.
 	last uint32
-	// prev and next link the set's LRU list; a free entry's next links the
+	// prev and next link the slab's LRU list; a free entry's next links the
 	// free list.
 	prev, next ref
-	rec        R
+	rec        F
 }
 
-// set is one kind of entry: a slab, an index into it and an intrusive LRU
-// list through it.
-type set[R any] struct {
-	seed maphash.Seed
-	// slots is the index: a power-of-two array, probed linearly from a key's
-	// home slot, no more than 3/4 full; 0 marks an empty slot.
-	slots []ref
-	// chunks is the slab, a directory of chunks of perChunk entries: entry r
-	// lives in chunk r>>chunkBits at slot r&chunkMax − 1. A chunk is
-	// allocated when the free list runs dry and never moves, so a *R stays
-	// valid while its entry is live.
-	chunks     [][]entry[R]
+// slab holds the connections: a directory of chunks of perChunk entries —
+// entry r lives in chunk r>>chunkBits at slot r&chunkMax − 1 — and an
+// intrusive LRU list through them. A chunk is allocated when the free list
+// runs dry and never moves, so a *F stays valid while its entry is live.
+type slab[F any] struct {
+	chunks     [][]entry[F]
 	perChunk   int
 	head, tail ref // most and least recently active
 	// free lists the entries no key holds, zeroed: the ones vacated by a
-	// settle, revive or eviction, and the unused rest of the newest chunk.
+	// settle or an eviction, and the unused rest of the newest chunk.
 	free ref
 	n    int
 }
 
+// husk is one finished connection: its tuple packed as the index hashes it,
+// the mark Settle gave it, and last, as a connection's. A hole is the zero
+// husk, live false.
+type husk struct {
+	key  [13]byte
+	mark uint8
+	live bool
+	last uint32
+}
+
+type ringChunk [ringPer]husk
+
+// ring holds the husks in stamp order. Positions count appends modulo 2³²:
+// chunks[0] begins at position base, head is the oldest husk's (tail when
+// the ring is empty), tail the next append's, and the positions in between
+// that hold no husk are holes. The head never rests on a hole, and it lies
+// in chunks[0]. fill and scan are compaction's cursors, head ≤ fill ≤ scan ≤
+// tail: the positions from fill to scan are holes, and the next step moves
+// the husks from scan on down to fill; both rest at the head between
+// compactions.
+type ring struct {
+	chunks                       []*ringChunk
+	base, head, tail, fill, scan uint32
+	n                            int
+}
+
 // New builds a table. Config.New and Config.Evict are required, and
-// IdleTicks and Tick must be below 2³¹. It allocates no slab: the first
-// entry of each kind does.
+// IdleTicks and Tick must be below 2³¹. It allocates no chunk: the first
+// connection allocates the slab's, the first Settle the ring's.
 func New[F any](cfg Config[F]) *Table[F] {
 	if cfg.New == nil || cfg.Evict == nil {
 		panic("flowtable: Config.New and Config.Evict are required")
@@ -187,68 +248,90 @@ func New[F any](cfg Config[F]) *Table[F] {
 	if cfg.Tick == 0 {
 		cfg.Tick = 1
 	}
-	return &Table[F]{cfg: cfg, conns: newSet[F](), husks: newSet[uint8]()}
-}
-
-func newSet[R any]() set[R] {
-	return set[R]{
-		seed:     maphash.MakeSeed(),
-		slots:    make([]ref, 8),
-		perChunk: max(1, min(chunkMax, chunkBytes/int(unsafe.Sizeof(entry[R]{})))),
+	return &Table[F]{
+		cfg:   cfg,
+		seed:  maphash.MakeSeed(),
+		slots: make([]ref, 8),
+		conns: slab[F]{perChunk: max(1, min(chunkMax, chunkBytes/int(unsafe.Sizeof(entry[F]{}))))},
 	}
 }
 
-// at returns entry r, which must not be 0.
-func (s *set[R]) at(r ref) *entry[R] {
-	return &s.chunks[r>>chunkBits][r&chunkMax-1]
-}
-
-// home is key's first probe slot: the seeded hash of the tuple's 13 bytes.
-func (s *set[R]) home(key Key) int {
-	var b [13]byte
+// pack writes key's 13 bytes to b, as the index hashes them and a husk keeps
+// them. Both are pointers so that neither the tuple nor the bytes are copied
+// whole: a 16-byte load of a tuple just stored field by field stalls on
+// store forwarding, which BenchmarkDoHit showed as a third of a lookup.
+func pack(b *[13]byte, key *Key) {
 	binary.LittleEndian.PutUint32(b[0:], key.SrcIP)
 	binary.LittleEndian.PutUint32(b[4:], key.DstIP)
 	binary.LittleEndian.PutUint16(b[8:], key.SrcPort)
 	binary.LittleEndian.PutUint16(b[10:], key.DstPort)
 	b[12] = key.Proto
-	return int(maphash.Bytes(s.seed, b[:]) & uint64(len(s.slots)-1))
 }
 
-// slot returns key's slot: the one holding its entry, or the empty slot that
-// ends its probe run.
-func (s *set[R]) slot(key Key) int {
-	mask := len(s.slots) - 1
-	i := s.home(key)
-	for r := s.slots[i]; r != 0 && s.at(r).key != key; r = s.slots[i] {
+// unpack is pack's inverse.
+func unpack(b [13]byte) Key {
+	return Key{
+		SrcIP: binary.LittleEndian.Uint32(b[0:]), DstIP: binary.LittleEndian.Uint32(b[4:]),
+		SrcPort: binary.LittleEndian.Uint16(b[8:]), DstPort: binary.LittleEndian.Uint16(b[10:]),
+		Proto: b[12],
+	}
+}
+
+// home is the first probe slot of the tuple packed as b: its seeded hash.
+func (t *Table[F]) home(b *[13]byte) int {
+	return int(maphash.Bytes(t.seed, b[:]) & uint64(len(t.slots)-1))
+}
+
+// homeOf is entry r's home slot.
+func (t *Table[F]) homeOf(r ref) int {
+	if r&huskBit != 0 {
+		return t.home(&t.husks.at(r).key)
+	}
+	var b [13]byte
+	pack(&b, &t.conns.at(r).key)
+	return t.home(&b)
+}
+
+// lookup returns the slot holding key's entry, of either kind, and the
+// entry; or, when key is absent, the empty slot that ends its probe run and
+// 0.
+func (t *Table[F]) lookup(key Key) (int, ref) {
+	var b [13]byte
+	pack(&b, &key)
+	mask := len(t.slots) - 1
+	for i := t.home(&b); ; i = (i + 1) & mask {
+		r := t.slots[i]
+		if r == 0 || r&huskBit == 0 && t.conns.at(r).key == key || r&huskBit != 0 && t.husks.at(r).key == b {
+			return i, r
+		}
+	}
+}
+
+// slotOf returns the slot holding entry r.
+func (t *Table[F]) slotOf(r ref) int {
+	mask := len(t.slots) - 1
+	i := t.homeOf(r)
+	for t.slots[i] != r {
 		i = (i + 1) & mask
 	}
 	return i
 }
 
-// find returns key's entry, or 0: slot's walk, returning what it stops at.
-func (s *set[R]) find(key Key) ref {
-	mask := len(s.slots) - 1
-	for i := s.home(key); ; i = (i + 1) & mask {
-		if r := s.slots[i]; r == 0 || s.at(r).key == key {
-			return r
-		}
-	}
-}
-
-// index adds entry r, doubling the index first when r would take it past 3/4
-// full. The caller holds the table's mu.
-func (s *set[R]) index(r ref) {
-	if 4*(s.n+1) > 3*len(s.slots) {
-		old := s.slots
-		s.slots = make([]ref, 2*len(old))
+// index adds entry r, already counted in Len, doubling the index first when
+// r takes it past 3/4 full.
+func (t *Table[F]) index(r ref) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if 4*t.Len() > 3*len(t.slots) {
+		old := t.slots
+		t.slots = make([]ref, 2*len(old))
 		for _, o := range old {
 			if o != 0 {
-				s.place(o)
+				t.place(o)
 			}
 		}
 	}
-	s.place(r)
-	s.n++
+	t.place(r)
 }
 
 // place inserts r Robin Hood style: walking from r's home, r takes the slot
@@ -257,47 +340,54 @@ func (s *set[R]) index(r ref) {
 // which keeps the longest one short — with 6 144 random keys in 8 192 slots,
 // at most 27 slots in a thousand trials, where plain linear probing reached
 // 204 — and lets deletion shift a run back one slot at a time.
-func (s *set[R]) place(r ref) {
-	mask := len(s.slots) - 1
-	i := s.home(s.at(r).key)
-	for d := 0; s.slots[i] != 0; i, d = (i+1)&mask, d+1 {
-		if rd := (i - s.home(s.at(s.slots[i]).key)) & mask; rd < d {
-			s.slots[i], r = r, s.slots[i]
+func (t *Table[F]) place(r ref) {
+	mask := len(t.slots) - 1
+	i := t.homeOf(r)
+	for d := 0; t.slots[i] != 0; i, d = (i+1)&mask, d+1 {
+		if rd := (i - t.homeOf(t.slots[i])) & mask; rd < d {
+			t.slots[i], r = r, t.slots[i]
 			d = rd
 		}
 	}
-	s.slots[i] = r
+	t.slots[i] = r
 }
 
 // unindex empties r's slot and shifts the rest of its probe run back over
 // the hole, up to an empty slot or an entry already in its home, so no
-// tombstone is left behind. The caller holds the table's mu.
-func (s *set[R]) unindex(r ref) {
-	mask := len(s.slots) - 1
-	i := s.slot(s.at(r).key)
-	for j := (i + 1) & mask; s.slots[j] != 0 && s.home(s.at(s.slots[j]).key) != j; i, j = j, (j+1)&mask {
-		s.slots[i] = s.slots[j]
+// tombstone is left behind.
+func (t *Table[F]) unindex(r ref) {
+	t.mu.Lock()
+	mask := len(t.slots) - 1
+	i := t.slotOf(r)
+	for j := (i + 1) & mask; t.slots[j] != 0 && t.homeOf(t.slots[j]) != j; i, j = j, (j+1)&mask {
+		t.slots[i] = t.slots[j]
 	}
-	s.slots[i] = 0
-	s.n--
+	t.slots[i] = 0
+	t.mu.Unlock()
 }
 
-// remove takes r out of the index, under mu, and releases it.
-func (s *set[R]) remove(mu *sync.Mutex, r ref) {
-	mu.Lock()
-	s.unindex(r)
-	mu.Unlock()
-	s.release(mu, r)
+// rewrite points slot i, which holds an entry of key, at r: a key changing
+// kind, or a husk moving in the ring, keeps its one slot.
+func (t *Table[F]) rewrite(i int, r ref) {
+	t.mu.Lock()
+	t.slots[i] = r
+	t.mu.Unlock()
+}
+
+// at returns connection r, which must not be 0.
+func (s *slab[F]) at(r ref) *entry[F] {
+	return &s.chunks[r>>chunkBits][r&chunkMax-1]
 }
 
 // add takes an entry off the free list for key and rec, stamps it with clock
-// reading now and puts it at the front of the list; the caller indexes it.
-// When the free list is empty add first allocates a chunk, under mu, since
-// Has reads the chunk directory, and lists the chunk's entries in order.
-func (s *set[R]) add(mu *sync.Mutex, key Key, rec R, now uint64) ref {
+// reading now, puts it at the front of the list and counts it; the caller
+// indexes it. When the free list is empty add first allocates a chunk, under
+// mu, since Has reads the chunk directory, and lists the chunk's entries in
+// order.
+func (s *slab[F]) add(mu *sync.Mutex, key Key, rec F, now uint64) ref {
 	if s.free == 0 {
 		mu.Lock()
-		s.chunks = append(s.chunks, make([]entry[R], s.perChunk))
+		s.chunks = append(s.chunks, make([]entry[F], s.perChunk))
 		mu.Unlock()
 		s.list(len(s.chunks) - 1)
 	}
@@ -306,18 +396,20 @@ func (s *set[R]) add(mu *sync.Mutex, key Key, rec R, now uint64) ref {
 	s.free = e.next
 	e.key, e.last, e.rec = key, uint32(now), rec
 	s.pushFront(r, e)
+	s.n++
 	return r
 }
 
 // release unlinks r, which has left the index, zeroes it so it pins nothing
-// its record referenced, and puts it on the free list. When r was the set's
+// its record referenced, and puts it on the free list. When r was the slab's
 // last entry the slab gives back every chunk but the first, under mu, so a
 // burst of flows that has ended does not keep its peak slab.
-func (s *set[R]) release(mu *sync.Mutex, r ref) {
+func (s *slab[F]) release(mu *sync.Mutex, r ref) {
 	e := s.at(r)
 	s.unlink(e)
-	*e = entry[R]{next: s.free}
+	*e = entry[F]{next: s.free}
 	s.free = r
+	s.n--
 	if s.n == 0 && len(s.chunks) > 1 {
 		mu.Lock()
 		clear(s.chunks[1:])
@@ -329,7 +421,7 @@ func (s *set[R]) release(mu *sync.Mutex, r ref) {
 }
 
 // list puts chunk c's entries, all free, on the free list in order.
-func (s *set[R]) list(c int) {
+func (s *slab[F]) list(c int) {
 	base := ref(c) << chunkBits
 	for i := s.perChunk; i > 0; i-- {
 		s.chunks[c][i-1].next, s.free = s.free, base|ref(i)
@@ -337,7 +429,7 @@ func (s *set[R]) list(c int) {
 }
 
 // touch stamps r with clock reading now and moves it to the list's front.
-func (s *set[R]) touch(r ref, now uint64) {
+func (s *slab[F]) touch(r ref, now uint64) {
 	e := s.at(r)
 	e.last = uint32(now)
 	if s.head != r {
@@ -346,45 +438,177 @@ func (s *set[R]) touch(r ref, now uint64) {
 	}
 }
 
-// age is how many ticks entry r has been idle at clock reading now.
-func (s *set[R]) age(r ref, now uint64) uint32 { return uint32(now) - s.at(r).last }
+func (s *slab[F]) pushFront(r ref, e *entry[F]) {
+	e.prev, e.next = 0, s.head
+	if s.head != 0 {
+		s.at(s.head).prev = r
+	} else {
+		s.tail = r
+	}
+	s.head = r
+}
+
+func (s *slab[F]) unlink(e *entry[F]) {
+	if e.prev != 0 {
+		s.at(e.prev).next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next != 0 {
+		s.at(e.next).prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+	e.prev, e.next = 0, 0
+}
+
+// ref is the ref of the husk at position p.
+func (q *ring) ref(p uint32) ref { return p | huskBit }
+
+// pos returns the husk at position p, which must lie in the chunks.
+func (q *ring) pos(p uint32) *husk {
+	off := int(p - q.base)
+	return &q.chunks[off/ringPer][off%ringPer]
+}
+
+// at returns husk r: position base plus r's distance from base modulo 2³¹,
+// which is the ring's span at most.
+func (q *ring) at(r ref) *husk { return q.pos(q.base + (r-q.base)&^huskBit) }
+
+// push appends h at the tail and counts it, first allocating a chunk, under
+// mu, when the last is full; the caller indexes it.
+func (q *ring) push(mu *sync.Mutex, h husk) ref {
+	if int(q.tail-q.base) == len(q.chunks)*ringPer {
+		mu.Lock()
+		q.chunks = append(q.chunks, new(ringChunk))
+		mu.Unlock()
+	}
+	*q.pos(q.tail) = h
+	q.tail++
+	q.n++
+	return q.ref(q.tail - 1)
+}
+
+// vacate zeroes husk r, which has left the index, and restores the ring's
+// bounds: an emptied ring rewinds to its first chunk and gives back the
+// rest; otherwise the head passes holes, giving back every chunk it leaves,
+// and once holes outnumber one in holeShare husks compaction takes a step —
+// more only when holes outrun maxHoles.
+func (t *Table[F]) vacate(r ref) {
+	q := &t.husks
+	*q.at(r) = husk{}
+	q.n--
+	if q.n == 0 {
+		t.mu.Lock()
+		clear(q.chunks[1:])
+		q.chunks = q.chunks[:1]
+		t.mu.Unlock()
+		q.head, q.tail, q.fill, q.scan = q.base, q.base, q.base, q.base
+		return
+	}
+	for !q.pos(q.head).live {
+		q.head++
+	}
+	if q.fill-q.base < q.head-q.base { // the head passed the holes at fill
+		q.fill, q.scan = q.head, q.head
+	}
+	if c := int(q.head-q.base) / ringPer; c > 0 {
+		t.mu.Lock()
+		kept := copy(q.chunks, q.chunks[c:])
+		clear(q.chunks[kept:])
+		q.chunks = q.chunks[:kept]
+		q.base += uint32(c * ringPer)
+		t.mu.Unlock()
+	}
+	if q.holes()*holeShare > q.n {
+		t.compact()
+		for q.holes() > q.maxHoles() {
+			t.compact()
+		}
+	}
+}
+
+// holes counts the ring's holes.
+func (q *ring) holes() int { return int(q.tail-q.head) - q.n }
+
+// maxHoles is the most holes the ring keeps: one per holeShare husks, plus
+// one per compactStep positions of its span and one more for a compaction
+// under way.
+func (q *ring) maxHoles() int { return q.n/holeShare + int(q.tail-q.head)/compactStep + 1 }
+
+// compact takes one step of closing the ring's holes in place: across up to
+// compactStep positions from scan, each husk moves down to fill and its
+// index slot is rewritten. The step that reaches the tail moves the tail
+// back to fill, gives back the chunks past it and rests the cursors at the
+// head. A step holds mu, since Has reads the husks it moves, for at most
+// compactStep probes, whatever the ring's size.
+func (t *Table[F]) compact() {
+	q := &t.husks
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := 0; i < compactStep && q.scan != q.tail; i, q.scan = i+1, q.scan+1 {
+		h := q.pos(q.scan)
+		if !h.live {
+			continue
+		}
+		if q.scan != q.fill {
+			t.slots[t.slotOf(q.ref(q.scan))] = q.ref(q.fill)
+			*q.pos(q.fill), *h = *h, husk{}
+		}
+		q.fill++
+	}
+	if q.scan == q.tail {
+		q.tail = q.fill
+		kept := (int(q.tail-q.base) + ringPer - 1) / ringPer
+		clear(q.chunks[kept:])
+		q.chunks = q.chunks[:kept]
+		q.fill, q.scan = q.head, q.head
+	}
+}
 
 // Do runs fn on key's connection, creating it if the key is absent, and
-// reports whether this call created it; on a husk it runs husk with the mark
-// instead and does what that returns (a nil husk keeps). It advances the
-// clock, moves the entry it touched to its list's front and runs eviction
-// (capacity, then a bounded idle check) before fn. fn and husk may read
-// Clock — this call's tick — and must not otherwise call back into the
-// table. The record fn receives stays put until it settles or is evicted.
-func (t *Table[F]) Do(key Key, fn func(*F), husk func(mark uint8) Action) (created bool) {
+// reports whether this call created it; on a husk it runs straggler with the
+// mark instead and does what that returns (a nil straggler keeps). It
+// advances the clock, moves the entry it touched to its kind's youngest end
+// and runs eviction (capacity, then a bounded idle check) before fn. fn and
+// straggler may read Clock — this call's tick — and must not otherwise call
+// back into the table. The record fn receives stays put until it settles or
+// is evicted.
+func (t *Table[F]) Do(key Key, fn func(*F), straggler func(mark uint8) Action) (created bool) {
 	t.clock += t.cfg.Tick
-	r := t.conns.find(key)
-	if r != 0 {
-		t.conns.touch(r, t.clock)
-	} else if k := t.husks.find(key); k == 0 {
+	i, r := t.lookup(key)
+	switch {
+	case r == 0:
 		r = t.conns.add(&t.mu, key, t.cfg.New(key), t.clock)
-		t.mu.Lock()
-		t.conns.index(r)
-		t.mu.Unlock()
+		t.index(r)
 		t.n.Created++
 		created = true
-	} else {
+	case r&huskBit == 0:
+		t.conns.touch(r, t.clock)
+	default:
+		k := r
+		r = 0
 		act := Keep
-		if husk != nil {
-			act = husk(t.husks.at(k).rec)
+		if straggler != nil {
+			act = straggler(t.husks.at(k).mark)
 		}
 		switch act {
 		case Revive:
 			r = t.conns.add(&t.mu, key, t.cfg.New(key), t.clock)
-			t.mu.Lock()
-			t.husks.unindex(k)
-			t.conns.index(r)
-			t.mu.Unlock()
-			t.husks.release(&t.mu, k)
+			t.rewrite(i, r)
+			t.vacate(k)
 		case Remove:
 			t.dropHusk(k, &t.n.Removed)
 		default:
-			t.husks.touch(k, t.clock)
+			h := t.husks.at(k)
+			if k == t.husks.ref(t.husks.tail-1) { // already the youngest
+				h.last = uint32(t.clock)
+				break
+			}
+			moved := *h
+			moved.last = uint32(t.clock)
+			t.rewrite(i, t.husks.push(&t.mu, moved))
+			t.vacate(k)
 		}
 	}
 	for t.cfg.MaxFlows > 0 && t.Len() > t.cfg.MaxFlows && t.EvictOldest(key) {
@@ -409,20 +633,19 @@ func (t *Table[F]) DoHashed(key Key, _ uint64, fn func(F)) (created bool) {
 }
 
 // Settle turns key's connection into a husk carrying mark, reporting whether
-// key was a connection, right after the Do that ended it: the husk heads its
-// list stamped with this tick, keeping both lists in age order, and the
-// record goes to Evict. Settling is not an eviction: Live is unchanged.
+// key was a connection, right after the Do that ended it: the husk joins the
+// ring's tail stamped with this tick, keeping both kinds in age order, and
+// the record goes to Evict. Settling is not an eviction: Live is unchanged.
 func (t *Table[F]) Settle(key Key, mark uint8) bool {
-	r := t.conns.find(key)
-	if r == 0 {
+	i, r := t.lookup(key)
+	if r == 0 || r&huskBit != 0 {
 		return false
 	}
-	k := t.husks.add(&t.mu, key, mark, t.clock)
+	h := husk{mark: mark, live: true, last: uint32(t.clock)}
+	pack(&h.key, &key)
+	k := t.husks.push(&t.mu, h)
 	rec := t.conns.at(r).rec
-	t.mu.Lock()
-	t.conns.unindex(r)
-	t.husks.index(k)
-	t.mu.Unlock()
+	t.rewrite(i, k)
 	t.conns.release(&t.mu, r)
 	t.cfg.Evict(key, rec)
 	return true
@@ -435,9 +658,9 @@ func (t *Table[F]) Settle(key Key, mark uint8) bool {
 // packets that would create new state.
 func (t *Table[F]) Has(key Key) bool {
 	t.mu.Lock()
-	ok := t.conns.find(key) != 0 || t.husks.find(key) != 0
+	_, r := t.lookup(key)
 	t.mu.Unlock()
-	return ok
+	return r != 0
 }
 
 // drop takes connection r out of the table, counts it under reason and
@@ -445,7 +668,8 @@ func (t *Table[F]) Has(key Key) bool {
 func (t *Table[F]) drop(r ref, reason *uint64) {
 	e := t.conns.at(r)
 	key, rec := e.key, e.rec
-	t.conns.remove(&t.mu, r)
+	t.unindex(r)
+	t.conns.release(&t.mu, r)
 	*reason++
 	t.cfg.Evict(key, rec)
 }
@@ -453,7 +677,8 @@ func (t *Table[F]) drop(r ref, reason *uint64) {
 // dropHusk takes husk k out of the table and counts it under reason. Its
 // record went to Evict when it settled.
 func (t *Table[F]) dropHusk(k ref, reason *uint64) {
-	t.husks.remove(&t.mu, k)
+	t.unindex(k)
+	t.vacate(k)
 	*reason++
 }
 
@@ -462,8 +687,8 @@ func (t *Table[F]) dropHusk(k ref, reason *uint64) {
 // reports whether it evicted: a lost husk costs nothing unless a straggler
 // comes, a lost connection its scan state mid-stream.
 func (t *Table[F]) EvictOldest(keep Key) bool {
-	if k := t.husks.tail; k != 0 {
-		t.dropHusk(k, &t.n.EvictedCap)
+	if t.husks.n > 0 {
+		t.dropHusk(t.husks.ref(t.husks.head), &t.n.EvictedCap)
 		return true
 	}
 	if c := t.conns.tail; c != 0 && t.conns.at(c).key != keep {
@@ -476,15 +701,17 @@ func (t *Table[F]) EvictOldest(keep Key) bool {
 // dropIdle evicts the least recently active entry of either kind if it has
 // idled past IdleTicks, and reports whether it did.
 func (t *Table[F]) dropIdle() bool {
-	c, k := t.conns.tail, t.husks.tail
-	idle := uint32(t.cfg.IdleTicks)
-	switch {
-	case k != 0 && (c == 0 || t.husks.age(k, t.clock) > t.conns.age(c, t.clock)):
-		if t.husks.age(k, t.clock) > idle {
-			t.dropHusk(k, &t.n.EvictedIdle)
+	c, now, idle := t.conns.tail, uint32(t.clock), uint32(t.cfg.IdleTicks)
+	if t.husks.n > 0 {
+		if age := now - t.husks.pos(t.husks.head).last; c == 0 || age > now-t.conns.at(c).last {
+			if age <= idle {
+				return false
+			}
+			t.dropHusk(t.husks.ref(t.husks.head), &t.n.EvictedIdle)
 			return true
 		}
-	case c != 0 && t.conns.age(c, t.clock) > idle:
+	}
+	if c != 0 && now-t.conns.at(c).last > idle {
 		t.drop(c, &t.n.EvictedIdle)
 		return true
 	}
@@ -495,15 +722,16 @@ func (t *Table[F]) dropIdle() bool {
 // was present. The gateway uses it for TCP lifecycle teardown (an RST aborts
 // the connection).
 func (t *Table[F]) Remove(key Key) bool {
-	if r := t.conns.find(key); r != 0 {
+	_, r := t.lookup(key)
+	switch {
+	case r == 0:
+		return false
+	case r&huskBit != 0:
+		t.dropHusk(r, &t.n.Removed)
+	default:
 		t.drop(r, &t.n.Removed)
-		return true
 	}
-	if k := t.husks.find(key); k != 0 {
-		t.dropHusk(k, &t.n.Removed)
-		return true
-	}
-	return false
+	return true
 }
 
 // EvictIdle exhaustively evicts every entry idle for more than the
@@ -537,18 +765,19 @@ func (t *Table[F]) Close() {
 	for t.conns.tail != 0 {
 		t.drop(t.conns.tail, &uncounted)
 	}
-	for t.husks.tail != 0 {
-		t.dropHusk(t.husks.tail, &uncounted)
+	for t.husks.n > 0 {
+		t.dropHusk(t.husks.ref(t.husks.head), &uncounted)
 	}
 }
 
 // Len returns the number of entries, connections and husks.
 func (t *Table[F]) Len() int { return t.conns.n + t.husks.n }
 
-// EntryBytes returns what one connection of a Table[F] and one husk occupy
-// in their slabs; their index slots and each slab's unused rest are apart.
-func EntryBytes[F any]() (conn, husk int) {
-	return int(unsafe.Sizeof(entry[F]{})), int(unsafe.Sizeof(entry[uint8]{}))
+// EntryBytes returns what one connection of a Table[F] occupies in its slab
+// and one husk in the ring; their index slots, the ring's holes and the
+// unused rest of each chunk are apart (HuskCharge counts them for a husk).
+func EntryBytes[F any]() (int, int) {
+	return int(unsafe.Sizeof(entry[F]{})), int(unsafe.Sizeof(husk{}))
 }
 
 // Clock returns the logical clock: Config.Tick times the Do calls so far. A
@@ -564,26 +793,130 @@ func (t *Table[F]) Stats() Stats {
 	return s
 }
 
-func (s *set[R]) pushFront(r ref, e *entry[R]) {
-	e.prev, e.next = 0, s.head
-	if s.head != 0 {
-		s.at(s.head).prev = r
-	} else {
-		s.tail = r
+// Audit checks the table's structure and returns what it finds broken
+// first, or nil: the index holds exactly the live entries of both kinds,
+// each where a lookup of its key stops, with every probe run sorted by home
+// slot; the connections' LRU list runs both ways through Len − Husks
+// entries, and every other slab entry is zeroed on the free list; the ring
+// holds Husks husks from its head to its tail in stamp order (while ages are
+// below 2³², as idle eviction keeps them), none between compaction's
+// cursors, its holes are zeroed and within their bound, and nothing outside
+// its span is left in its chunks. Like
+// Range, it is the owner's to call.
+func (t *Table[F]) Audit() error {
+	if len(t.slots)&(len(t.slots)-1) != 0 || 4*t.Len() > 3*len(t.slots) {
+		return fmt.Errorf("an index of %d slots holds %d entries", len(t.slots), t.Len())
 	}
-	s.head = r
-}
-
-func (s *set[R]) unlink(e *entry[R]) {
-	if e.prev != 0 {
-		s.at(e.prev).next = e.next
-	} else {
-		s.head = e.next
+	q := &t.husks
+	if int(q.tail-q.base) > len(q.chunks)*ringPer || q.head-q.base > q.fill-q.base || q.fill-q.base > q.scan-q.base ||
+		q.scan-q.base > q.tail-q.base || q.n > 0 && int(q.head-q.base) >= ringPer {
+		return fmt.Errorf("a ring from %d to %d, compacting from %d to %d, starts at %d in %d chunks",
+			q.head, q.tail, q.scan, q.fill, q.base, len(q.chunks))
 	}
-	if e.next != 0 {
-		s.at(e.next).prev = e.prev
-	} else {
-		s.tail = e.prev
+	span := int(q.tail - q.head)
+	room := len(t.conns.chunks) * t.conns.perChunk
+	inSlab := func(r ref) bool {
+		c, s := int(r>>chunkBits), int(r&chunkMax)
+		return r&huskBit == 0 && c < len(t.conns.chunks) && s > 0 && s <= t.conns.perChunk
 	}
-	e.prev, e.next = 0, 0
+	mask := len(t.slots) - 1
+	var conns, husks int
+	for i, r := range t.slots {
+		switch {
+		case r == 0:
+		case r&huskBit != 0:
+			if int((r-q.head)&^huskBit) >= span || !q.at(r).live {
+				return fmt.Errorf("index slot %d names ring position %d, a hole", i, r&^huskBit)
+			}
+			husks++
+		case !inSlab(r):
+			return fmt.Errorf("index slot %d names connection %d, outside the slab", i, r)
+		default:
+			conns++
+		}
+	}
+	if conns != t.conns.n || husks != q.n {
+		return fmt.Errorf("the index holds %d connections and %d husks, the table counts %d and %d", conns, husks, t.conns.n, q.n)
+	}
+	dist := func(i int) int { // how far slot i's entry sits from its home, -1 when it is empty
+		if t.slots[i] == 0 {
+			return -1
+		}
+		return (i - t.homeOf(t.slots[i])) & mask
+	}
+	for i, d := 0, dist(0); i < len(t.slots); i++ {
+		dn := dist((i + 1) & mask)
+		if d >= 0 && dn > d+1 {
+			return fmt.Errorf("index slot %d is %d from its home after slot %d at %d: the run is not sorted by home", (i+1)&mask, dn, i, d)
+		}
+		d = dn
+	}
+	n, prev := 0, ref(0)
+	for r := t.conns.head; r != 0; r = t.conns.at(r).next {
+		if !inSlab(r) || n == room {
+			return fmt.Errorf("the LRU list leaves the slab or loops at %d, %d entries in", r, n)
+		}
+		e := t.conns.at(r)
+		if e.prev != prev {
+			return fmt.Errorf("connection %d links back to %d, not %d", r, e.prev, prev)
+		}
+		if _, got := t.lookup(e.key); got != r {
+			return fmt.Errorf("connection %d (%v): a lookup finds %d", r, e.key, got)
+		}
+		n, prev = n+1, r
+	}
+	if t.conns.tail != prev || n != t.conns.n {
+		return fmt.Errorf("the LRU list runs through %d connections to %d; the tail is %d and the slab counts %d", n, prev, t.conns.tail, t.conns.n)
+	}
+	free := 0
+	for r := t.conns.free; r != 0; r = t.conns.at(r).next {
+		if !inSlab(r) || free == room {
+			return fmt.Errorf("the free list leaves the slab or loops at %d", r)
+		}
+		e := *t.conns.at(r)
+		e.next = 0
+		if !reflect.ValueOf(e).IsZero() {
+			return fmt.Errorf("free connection entry %d is not zeroed", r)
+		}
+		free++
+	}
+	if free+n != room {
+		return fmt.Errorf("%d chunks hold %d connections and %d free entries: %d lost", len(t.conns.chunks), n, free, room-free-n)
+	}
+	live, now := 0, uint32(t.clock)
+	var older *husk
+	for off := 0; off < len(q.chunks)*ringPer; off++ {
+		p := q.base + uint32(off)
+		h := q.pos(p)
+		if in := int(p-q.head) < span; !in || !h.live {
+			switch {
+			case *h != (husk{}):
+				return fmt.Errorf("ring position %d holds neither a husk of the ring nor zeros", p)
+			case in && p == q.head:
+				return fmt.Errorf("the ring's head %d is a hole", p)
+			}
+			continue
+		}
+		if p-q.fill < q.scan-q.fill {
+			return fmt.Errorf("ring position %d holds a husk between compaction's cursors %d and %d", p, q.fill, q.scan)
+		}
+		if older != nil && now-h.last > now-older.last && (t.cfg.IdleTicks > 0 || t.clock < 1<<32) {
+			return fmt.Errorf("the husk at ring position %d is stamped %d, after one stamped %d", p, h.last, older.last)
+		}
+		if _, got := t.lookup(unpack(h.key)); got != q.ref(p) {
+			return fmt.Errorf("husk at ring position %d (%v): a lookup finds %d", p, unpack(h.key), got)
+		}
+		older = h
+		live++
+	}
+	if live != q.n {
+		return fmt.Errorf("the ring holds %d husks, the table counts %d", live, q.n)
+	}
+	if holes := span - live; holes > q.maxHoles() {
+		return fmt.Errorf("the ring holds %d holes beside %d husks in %d positions, over %d", holes, live, span, q.maxHoles())
+	}
+	if q.n == 0 && len(q.chunks) > 1 {
+		return fmt.Errorf("an empty ring keeps %d chunks", len(q.chunks))
+	}
+	return nil
 }

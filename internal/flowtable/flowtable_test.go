@@ -7,12 +7,13 @@ package flowtable
 // Hash64 collision flood. Run with -race (CI does).
 
 import (
+	"encoding/binary"
 	"fmt"
-	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/nids"
@@ -191,14 +192,16 @@ func TestCloseEvictsEverything(t *testing.T) {
 	}
 }
 
-// TestEntryFootprint pins what a flow costs the table: one slab entry holding
-// a 28 B header — key, last-activity stamp and the two LRU links, all 32-bit,
-// no lock — and the record by value, plus its index slot, a 4-byte entry
-// number. With a record shaped like the gateway's (32 B and no pointer,
-// gated by TestFlowRecordFootprint) a connection's entry is 64 B, one cache
-// line; a husk's holds a one-byte mark and is 32 B. A slab chunk fills the
-// 4 096 B size class to within one entry: 64 connection entries, 128 husk
-// entries, or 51 entries of a 48 B record holding a pointer, which leave
+// TestEntryFootprint pins what a flow costs the table. A connection is one
+// slab entry holding a 28 B header — key, last-activity stamp and the two LRU
+// links, all 32-bit, no lock — and the record by value, plus its index slot,
+// a 4-byte entry number. With a record shaped like the gateway's (32 B and
+// no pointer, gated by TestFlowRecordFootprint) a connection's entry is 64 B,
+// one cache line. A husk is a 20 B ring entry — the packed tuple, the mark, a
+// live flag and the stamp, no links — and HuskCharge covers it, its index
+// slot at the index's lowest load and its share of the ring's holes. A chunk
+// fills the 4 096 B size class to within one entry: 64 connection entries,
+// 204 husks, or 51 entries of a 48 B record holding a pointer, which leave
 // room for the 8 B header Go puts on a pointerful object that size.
 func TestEntryFootprint(t *testing.T) {
 	if off := unsafe.Offsetof(entry[uint8]{}.rec); off != 28 {
@@ -219,20 +222,32 @@ func TestEntryFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(entry[pointerful]{}); size != 80 {
 		t.Fatalf("entry of a 48 B record is %d B, want 80", size)
 	}
-	if size := unsafe.Sizeof(entry[uint8]{}); size != 32 {
-		t.Fatalf("husk entry is %d B, want 32", size)
+	huskSize := unsafe.Sizeof(husk{})
+	if huskSize != 20 {
+		t.Fatalf("husk entry is %d B, want 20", huskSize)
 	}
 	if size := unsafe.Sizeof(ref(0)); size != 4 {
 		t.Fatalf("an index slot is %d B, want 4", size)
 	}
-	conns, husks, pointers := newSet[record](), newSet[uint8](), newSet[pointerful]()
-	if conns.perChunk != 64 || husks.perChunk != 128 || pointers.perChunk != 51 {
-		t.Fatalf("chunks of %d connection, %d husk and %d pointerful entries, want 64, 128 and 51",
-			conns.perChunk, husks.perChunk, pointers.perChunk)
+	conns := New(Config[record]{New: func(Key) record { return record{} }, Evict: func(Key, record) {}})
+	pointers := New(Config[pointerful]{New: func(Key) pointerful { return pointerful{} }, Evict: func(Key, pointerful) {}})
+	if conns.conns.perChunk != 64 || ringPer != 204 || pointers.conns.perChunk != 51 {
+		t.Fatalf("chunks of %d connection, %d husk and %d pointerful entries, want 64, 204 and 51",
+			conns.conns.perChunk, ringPer, pointers.conns.perChunk)
 	}
-	var mu sync.Mutex
-	r := conns.add(&mu, tuple(0), record{}, 0)
-	off := uintptr(unsafe.Pointer(conns.at(r))) % 64
+	if size := unsafe.Sizeof(ringChunk{}); size > chunkBytes {
+		t.Fatalf("a ring chunk is %d B, over the %d B size class", size, chunkBytes)
+	}
+	// A husk's charge: its entry, its slot in an index 3/8 full, and its
+	// share of maxHoles — one hole's entry per holeShare husks and one per
+	// compactStep positions of a span of at most 9/8 positions a husk.
+	floor := float64(huskSize) + 4/(3.0/8) + float64(huskSize)*(1.0/holeShare+9.0/8/compactStep)
+	if HuskCharge < floor {
+		t.Fatalf("a husk is charged %d B, under the %.2f B it may cost", HuskCharge, floor)
+	}
+	t.Logf("a husk may cost %.2f B, charged %d B", floor, HuskCharge)
+	conns.Do(tuple(0), func(*record) {}, nil)
+	off := uintptr(unsafe.Pointer(conns.conns.at(conns.conns.head))) % 64
 	t.Logf("a connection chunk starts %d B past a 64 B boundary; each entry fills one cache line: %v", off, off == 0)
 }
 
@@ -251,8 +266,8 @@ func TestEntryBytesAndEvictOldest(t *testing.T) {
 	}
 	tb.Settle(tuple(0), 1)
 	tb.Settle(tuple(1), 1)
-	if conn, husk := EntryBytes[record](); conn != 80 || husk != 32 {
-		t.Fatalf("a connection occupies %d B and a husk %d B, want 80 and 32", conn, husk)
+	if conn, husk := EntryBytes[record](); conn != 80 || husk != 20 {
+		t.Fatalf("a connection occupies %d B and a husk %d B, want 80 and 20", conn, husk)
 	}
 	for i, want := range []Key{tuple(0), tuple(1), tuple(2)} { // husks, then the older connection
 		if !tb.EvictOldest(tuple(3)) || tb.Has(want) {
@@ -302,6 +317,67 @@ func BenchmarkDoChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tb.Do(tuple(i%8192), func(**fakeFlow) {}, nil)
+	}
+}
+
+// BenchmarkKeepStragglers: stragglers reach random husks of 100 000, with
+// idle eviction off, and each is kept — the costliest husk traffic for a
+// ring, where every Keep moves a husk to the tail, leaves a hole, and brings
+// the next compaction step nearer. "alone" reports the longest single Keep
+// (max-do-µs), which bounds how long the owner held the lock; in "has",
+// another goroutine asks Has for random husks meanwhile and reports the
+// longest call it saw (max-has-µs), lock waits and scheduling included.
+func BenchmarkKeepStragglers(b *testing.B) {
+	const husks = 100000
+	for _, readers := range []bool{false, true} {
+		b.Run(map[bool]string{false: "alone", true: "has"}[readers], func(b *testing.B) {
+			tb := New(Config[valueFlow]{New: func(k Key) valueFlow { return valueFlow{key: k} }, Evict: func(Key, valueFlow) {}})
+			nop := func(*valueFlow) {}
+			keep := func(uint8) Action { return Keep }
+			for i := 0; i < husks; i++ {
+				tb.Do(tuple(i), nop, nil)
+				tb.Settle(tuple(i), 1)
+			}
+			stop, longest := make(chan struct{}), make(chan time.Duration)
+			if readers {
+				go func() {
+					var most time.Duration
+					for rnd := uint64(3); ; {
+						select {
+						case <-stop:
+							longest <- most
+							return
+						default:
+						}
+						rnd = rnd*6364136223846793005 + 1442695040888963407
+						start := time.Now()
+						tb.Has(tuple(int(rnd>>33) % husks))
+						most = max(most, time.Since(start))
+					}
+				}()
+			}
+			var most time.Duration
+			rnd := uint64(7)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rnd = rnd*6364136223846793005 + 1442695040888963407
+				k := tuple(int(rnd>>33) % husks)
+				if readers {
+					tb.Do(k, nop, keep)
+					continue
+				}
+				start := time.Now()
+				tb.Do(k, nop, keep)
+				most = max(most, time.Since(start))
+			}
+			b.StopTimer()
+			if readers {
+				close(stop)
+				b.ReportMetric(float64(<-longest)/1e3, "max-has-µs")
+			} else {
+				b.ReportMetric(float64(most)/1e3, "max-do-µs")
+			}
+		})
 	}
 }
 
@@ -602,122 +678,186 @@ type valueFlow struct {
 	n   int // Do calls on this incarnation of the flow
 }
 
-// probeLen returns the longest probe run in a set's index: how many slots a
-// lookup of the worst-placed key reads. wrapped reports whether some run
+// probeLen returns the longest probe run in a table's index: how many slots
+// a lookup of the worst-placed key reads. wrapped reports whether some run
 // crosses the end of the array.
-func probeLen[R any](s *set[R]) (longest int, wrapped bool) {
-	mask := len(s.slots) - 1
-	for i, r := range s.slots {
+func probeLen[F any](tb *Table[F]) (longest int, wrapped bool) {
+	mask := len(tb.slots) - 1
+	for i, r := range tb.slots {
 		if r == 0 {
 			continue
 		}
-		h := s.home(s.at(r).key)
+		h := tb.homeOf(r)
 		longest = max(longest, (i-h)&mask+1)
 		wrapped = wrapped || h > i
 	}
 	return longest, wrapped
 }
 
-// checkIndex fails unless a set's index holds exactly its n entries, each
-// where a lookup of its key finds it, with every probe run sorted by home
-// slot: an entry sits at most one slot further from its home than the entry
-// before it.
-func checkIndex[R any](t *testing.T, s *set[R]) {
+// audit fails t unless tb passes its own Audit.
+func audit[F any](t *testing.T, tb *Table[F], when string) {
 	t.Helper()
-	if len(s.slots)&(len(s.slots)-1) != 0 || 4*s.n > 3*len(s.slots) {
-		t.Fatalf("index of %d slots holding %d entries", len(s.slots), s.n)
-	}
-	mask := len(s.slots) - 1
-	n := 0
-	for i, r := range s.slots {
-		if r == 0 {
-			continue
-		}
-		n++
-		e := s.at(r)
-		if j := s.slot(e.key); j != i {
-			t.Fatalf("%v sits in slot %d, a lookup stops at %d", e.key, i, j)
-		}
-		if next := s.slots[(i+1)&mask]; next != 0 {
-			if d, dn := (i-s.home(e.key))&mask, (i+1-s.home(s.at(next).key))&mask; dn > d+1 {
-				t.Fatalf("slot %d is %d from its home after slot %d at %d: run not sorted by home", i+1, dn, i, d)
-			}
-		}
-	}
-	if n != s.n {
-		t.Fatalf("index holds %d entries, set counts %d", n, s.n)
-	}
-}
-
-// checkSlab fails unless every entry of a set's slab is either one of its n
-// indexed entries or on its free list, zeroed but for the free-list link: a
-// freed slot pins nothing its record referenced.
-func checkSlab[R any](t *testing.T, s *set[R]) {
-	t.Helper()
-	free := 0
-	for r := s.free; r != 0; r = s.at(r).next {
-		free++
-		e := *s.at(r)
-		e.next = 0
-		if !reflect.ValueOf(e).IsZero() {
-			t.Fatalf("free entry %d holds %+v", r, e)
-		}
-		if free > len(s.chunks)*s.perChunk {
-			t.Fatal("free list loops")
-		}
-	}
-	if free+s.n != len(s.chunks)*s.perChunk {
-		t.Fatalf("%d chunks hold %d indexed and %d free entries: %d lost",
-			len(s.chunks), s.n, free, len(s.chunks)*s.perChunk-free-s.n)
+	if err := tb.Audit(); err != nil {
+		t.Fatalf("%s: %v", when, err)
 	}
 }
 
 // TestIndexMatchesModel drives random Do, Settle, Remove, EvictIdle and
 // capacity eviction — Do reaching husks among them, whose callback keeps,
 // revives or removes them — through tables of several shapes: one that grows
-// from 8 slots to hundreds, one held at its cap, one under idle eviction, and
-// a tiny one under heavy removal whose keys half share the last slot as their
+// from 8 slots to hundreds, one held at its cap, one under idle eviction, a
+// tiny one under heavy removal whose keys half share the last slot as their
 // home, so probe runs wrap around the end of the array and backward-shift
-// deletion does too. The model is one Go map and one age-ordered list of
-// keys, each entry tagged connection or husk, and it evicts as the table
-// promises: the oldest entry of either kind when idle, the oldest husk —
-// and only without one, the oldest connection but the one just touched —
-// over the cap. After every step both LRU lists equal the model's order,
-// kind and marks, Has over the whole key universe, Len, Stats, Range
-// (connections only, with their records) and every record Evict received
-// agree with it, both indexes hold exactly their entries, and every slab
-// entry is either indexed or zeroed on the free list.
+// deletion does too, and two whose stragglers mostly keep their husks, so the
+// ring fills with holes and compacts — in the larger, under idle eviction,
+// across more ring positions than one step of compaction crosses. The model is one Go map and one
+// age-ordered list of keys, each entry tagged connection or husk, and it
+// evicts as the table promises: the oldest entry of either kind when idle,
+// the oldest husk — and only without one, the oldest connection but the one
+// just touched — over the cap. After every step the connections' LRU list
+// and the husks' ring equal the model's order, kind and marks, Has over the
+// whole key universe, Len, Stats, Range (connections only, with their
+// records) and every record Evict received agree with it, and the table
+// passes its Audit.
 func TestIndexMatchesModel(t *testing.T) {
-	for _, tc := range []modelCase{
-		{"growth", 300, 0, 0, 10, 10, 1500, false},
-		{"capacity", 160, 60, 0, 5, 30, 1500, false},
-		{"idle", 160, 0, 120, 5, 30, 1500, false},
-		{"tiny-heavy-removal", 12, 5, 0, 45, 20, 3000, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) { checkModel(t, tc, 1) })
+	for _, tc := range modelCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			tb, run := runModel(t, tc.input())
+			ranWhole(t, tc, tb, run)
+		})
 	}
 }
 
-// modelCase is one table shape checkModel drives.
+// ranWhole fails t unless a run of case tc exercised what the case is
+// for: the index grew, or wrapped in a tiny table; the eviction the case
+// configures fired; some connection settled, some husk revived and some
+// was removed by its straggler callback; and a straggler-heavy case
+// compacted the ring.
+func ranWhole(t *testing.T, tc modelCase, tb *Table[valueFlow], run modelRun) {
+	t.Helper()
+	st := tb.Stats()
+	if tc.maxFlows == 0 && tc.idle == 0 && len(tb.slots) < 256 {
+		t.Fatalf("the index only grew to %d slots", len(tb.slots))
+	}
+	if tc.wrap && (len(tb.slots) != 8 || !run.wrapped || st.Removed < 300) {
+		t.Fatalf("tiny table never wrapped under removal: %d slots, wrapped %v, %+v", len(tb.slots), run.wrapped, st)
+	}
+	if tc.maxFlows > 0 && st.EvictedCap == 0 || tc.idle > 0 && st.EvictedIdle == 0 {
+		t.Fatalf("the eviction under test never ran: %+v", st)
+	}
+	if run.husked == 0 || run.revived == 0 || run.removed == 0 {
+		t.Fatalf("no settle, revive or husk removal: %+v", run)
+	}
+	if tc.stragglers && run.compacted == 0 {
+		t.Fatalf("the ring never compacted: %+v", run)
+	}
+	if tc.keys > compactStep && run.midway == 0 {
+		t.Fatalf("no compaction took more than one step: %+v", run)
+	}
+}
+
+// FuzzTableModel drives the model of TestIndexMatchesModel with a table
+// shape — key universe, MaxFlows, IdleTicks, Tick, the shares of Remove and
+// Settle, wrapping homes and the ring's first position — and a run of steps,
+// each a key, an operation, a straggler action and a mark, all read from the
+// input (modelCase.input is the format). The seeds are the model test's
+// cases cut to 60 steps: the test runs them whole.
+func FuzzTableModel(f *testing.F) {
+	for _, tc := range modelCases() {
+		tc.steps = min(tc.steps, 60)
+		f.Add(tc.input())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runModel(t, data)
+	})
+}
+
+// modelCases are TestIndexMatchesModel's shapes and FuzzTableModel's seeds.
+func modelCases() []modelCase {
+	return []modelCase{
+		{name: "growth", keys: 300, remove: 10, settle: 10, steps: 1500},
+		{name: "capacity", keys: 160, maxFlows: 60, remove: 5, settle: 30, steps: 1500},
+		{name: "idle", keys: 160, idle: 120, remove: 5, settle: 30, steps: 1500},
+		{name: "tiny-heavy-removal", keys: 12, maxFlows: 5, remove: 45, settle: 20, steps: 3000, wrap: true},
+		{name: "stragglers", keys: 200, remove: 1, settle: 40, steps: 3000, stragglers: true},
+		{name: "long-ring", keys: 800, idle: 1200, remove: 1, settle: 50, steps: 2000, stragglers: true},
+	}
+}
+
+// modelCase is one table shape runModel drives.
 type modelCase struct {
-	name     string
-	keys     int
-	maxFlows int
-	idle     uint64
-	remove   int // in 100: share of steps that Remove
-	settle   int // in 100: share of steps whose Do ends the connection
-	steps    int
-	wrap     bool // every other key's home is the index's last slot
+	name       string
+	keys       int
+	maxFlows   int
+	idle       uint64 // IdleTicks in Ticks
+	remove     int    // in 100: share of steps that Remove
+	settle     int    // in 100: share of steps whose Do ends the connection
+	steps      int
+	wrap       bool   // every other key's home is the index's last slot
+	stragglers bool   // the husk callback keeps 15 husks in 16
+	tick       uint64 // Config.Tick; 0 selects 1
+	ringAt     uint32 // the ring's first position, as after that many appends
 }
 
-// checkModel is TestIndexMatchesModel's run of one table shape, its clock
-// advancing tick per Do.
-func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
-	rnd := uint64(len(tc.name))
-	next := func(n int) int {
-		rnd = rnd*6364136223846793005 + 1442695040888963407
-		return int(rnd>>33) % n
+const (
+	modelHeader = 17 // keys−1, MaxFlows, idle, Tick, remove, settle, wrap, ring start
+	modelStep   = 5  // key, operation, action, mark
+	// modelSteps caps a run, so a fuzzed input grown long stays quick.
+	modelSteps = 3000
+)
+
+// input is the case as runModel reads it: the header, then steps of a
+// generator seeded by the case's name.
+func (tc modelCase) input() []byte {
+	b := make([]byte, modelHeader, modelHeader+modelStep*tc.steps)
+	binary.LittleEndian.PutUint16(b[0:], uint16(tc.keys-1))
+	binary.LittleEndian.PutUint16(b[2:], uint16(tc.maxFlows))
+	binary.LittleEndian.PutUint16(b[4:], uint16(tc.idle))
+	binary.LittleEndian.PutUint32(b[6:], uint32(tc.tick))
+	b[10], b[11] = byte(tc.remove), byte(tc.settle)
+	if tc.wrap {
+		b[12] = 1
 	}
+	binary.LittleEndian.PutUint32(b[13:], tc.ringAt)
+	rnd := uint64(len(tc.name))
+	for range tc.steps * modelStep {
+		rnd = rnd*6364136223846793005 + 1442695040888963407
+		b = append(b, byte(rnd>>33))
+	}
+	if tc.stragglers {
+		for i := modelHeader + 3; i < len(b); i += modelStep {
+			if b[i-1]%16 != 0 {
+				b[i] = 0 // Keep
+			}
+		}
+	}
+	return b
+}
+
+// modelRun is what a runModel run exercised.
+type modelRun struct {
+	husked, revived, removed, compacted int
+	midway                              int // steps that left a compaction under way
+	wrapped                             bool
+	reach                               uint32 // the furthest ring position past the first appended
+}
+
+// runModel drives a table and its model through the shape and the first
+// modelSteps steps data holds, checking them against each other after every
+// step; data shorter than the header runs nothing.
+func runModel(t *testing.T, data []byte) (*Table[valueFlow], modelRun) {
+	if len(data) < modelHeader {
+		return nil, modelRun{}
+	}
+	keys := 1 + int(binary.LittleEndian.Uint16(data[0:]))%2048
+	maxFlows := int(binary.LittleEndian.Uint16(data[2:])) % 512
+	tick := uint64(binary.LittleEndian.Uint32(data[6:]) & (1<<31 - 1))
+	if tick == 0 {
+		tick = 1
+	}
+	idle := min(uint64(binary.LittleEndian.Uint16(data[4:]))*tick, 1<<31-1)
+	remove, settle, wrap := int(data[10])%101, int(data[11])%101, data[12]&1 != 0
+	ringAt := binary.LittleEndian.Uint32(data[13:])
 	type modelEntry struct {
 		n    int   // Do calls on the connection's record
 		mark uint8 // 0 for a connection
@@ -729,13 +869,12 @@ func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
 	}
 	model := map[Key]*modelEntry{}
 	var (
-		order            []Key // oldest first
-		clock            uint64
-		want             Stats
-		wantEv, gotEv    []evicted
-		step             int
-		wrapped, husked  bool
-		revived, removed int
+		order         []Key // oldest first
+		clock         uint64
+		want          Stats
+		wantEv, gotEv []evicted
+		step          int
+		run           modelRun
 	)
 	tb := New(Config[valueFlow]{
 		New: func(k Key) valueFlow { return valueFlow{key: k} },
@@ -745,10 +884,12 @@ func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
 			}
 			gotEv = append(gotEv, evicted{k, f.n})
 		},
-		MaxFlows:  tc.maxFlows,
-		IdleTicks: tc.idle,
+		MaxFlows:  maxFlows,
+		IdleTicks: idle,
 		Tick:      tick,
 	})
+	q := &tb.husks
+	q.base, q.head, q.tail, q.fill, q.scan = ringAt, ringAt, ringAt, ringAt, ringAt
 	touch := func(k Key) {
 		order = slices.DeleteFunc(order, func(o Key) bool { return o == k })
 		order = append(order, k)
@@ -766,22 +907,26 @@ func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
 		*reason++
 	}
 	dropIdle := func() bool {
-		if len(order) == 0 || clock-model[order[0]].last <= tc.idle {
+		if len(order) == 0 || clock-model[order[0]].last <= idle {
 			return false
 		}
 		drop(order[0], &want.EvictedIdle)
 		return true
 	}
-	universe := make([]Key, 0, tc.keys)
-	for i := 0; len(universe) < tc.keys; i++ {
-		if k := tuple(i); !tc.wrap || (tb.conns.home(k) == len(tb.conns.slots)-1) == (len(universe)%2 == 0) {
+	universe := make([]Key, 0, keys)
+	for i := 0; len(universe) < keys; i++ {
+		k := tuple(i)
+		var b [13]byte
+		if pack(&b, &k); !wrap || (tb.home(&b) == len(tb.slots)-1) == (len(universe)%2 == 0) {
 			universe = append(universe, k)
 		}
 	}
-	for step = 1; step <= tc.steps; step++ {
-		k := universe[next(len(universe))]
-		switch op := next(100); {
-		case op < tc.remove:
+	for step = 1; step <= modelSteps && modelHeader+step*modelStep <= len(data); step++ {
+		s := data[modelHeader+(step-1)*modelStep:]
+		k := universe[int(binary.LittleEndian.Uint16(s))%len(universe)]
+		tail := tb.husks.tail
+		switch op := int(s[2]) % 100; {
+		case op < remove:
 			_, live := model[k]
 			if got := tb.Remove(k); got != live {
 				t.Fatalf("step %d: Remove(%v) = %v, model present %v", step, k, got, live)
@@ -789,17 +934,17 @@ func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
 			if live {
 				drop(k, &want.Removed)
 			}
-		case op < tc.remove+2:
+		case op < remove+2:
 			n := tb.EvictIdle()
 			wantN := 0
-			for tc.idle > 0 && dropIdle() {
+			for idle > 0 && dropIdle() {
 				wantN++
 			}
 			if n != wantN {
 				t.Fatalf("step %d: EvictIdle = %d, model %d", step, n, wantN)
 			}
 		default:
-			act := []Action{Keep, Keep, Revive, Remove}[next(4)]
+			act := []Action{Keep, Keep, Revive, Remove}[s[3]%4]
 			var ran, asked bool
 			created := tb.Do(k, func(f *valueFlow) {
 				if f.key != k {
@@ -830,15 +975,15 @@ func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
 			case husk && act == Revive:
 				m.mark = 0
 				want.Husks--
-				revived++
+				run.revived++
 			case husk && act == Remove:
 				drop(k, &want.Removed)
-				removed++
+				run.removed++
 			}
 			if model[k] != nil {
 				touch(k)
 			}
-			for tc.maxFlows > 0 && want.Live > tc.maxFlows {
+			for maxFlows > 0 && want.Live > maxFlows {
 				oldest := order[0]
 				for _, o := range order {
 					if model[o].mark != 0 {
@@ -851,7 +996,7 @@ func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
 				}
 				drop(oldest, &want.EvictedCap)
 			}
-			for i := 0; i < 2 && tc.idle > 0 && dropIdle(); i++ {
+			for i := 0; i < 2 && idle > 0 && dropIdle(); i++ {
 			}
 			if ran != conn {
 				t.Fatalf("step %d: Do(%v) ran fn %v, model touched a connection %v", step, k, ran, conn)
@@ -859,8 +1004,8 @@ func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
 			if conn {
 				m.n++
 			}
-			if op < tc.remove+2+tc.settle {
-				mark := uint8(1 + next(2))
+			if op < remove+2+settle {
+				mark := 1 + s[4]%2
 				settled := tb.Settle(k, mark)
 				if m := model[k]; settled != (m != nil && m.mark == 0) {
 					t.Fatalf("step %d: Settle(%v) = %v, model has %+v", step, k, settled, m)
@@ -870,7 +1015,7 @@ func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
 					*m = modelEntry{mark: mark}
 					touch(k)
 					want.Husks++
-					husked = true
+					run.husked++
 				}
 			}
 		}
@@ -878,18 +1023,22 @@ func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
 			t.Fatalf("step %d: Evict received %v, model %v", step, gotEv, wantEv)
 		}
 		gotEv, wantEv = gotEv[:0], wantEv[:0]
-		checkIndex(t, &tb.conns)
-		checkIndex(t, &tb.husks)
-		checkSlab(t, &tb.conns)
-		checkSlab(t, &tb.husks)
-		_, wc := probeLen(&tb.conns)
-		_, wh := probeLen(&tb.husks)
-		wrapped = wrapped || wc || wh
+		audit(t, tb, fmt.Sprintf("step %d", step))
+		// The tail moves back when the ring compacts, or when it empties and
+		// rewinds to its first chunk, which a step may follow with one Settle.
+		if q := &tb.husks; int32(q.tail-tail) < 0 && q.tail-q.base > 1 {
+			run.compacted++
+		} else if q.fill != q.scan {
+			run.midway++
+		}
+		run.reach = max(run.reach, tb.husks.tail-ringAt)
+		_, w := probeLen(tb)
+		run.wrapped = run.wrapped || w
 		if st := tb.Stats(); st != want || tb.Len() != len(model) {
 			t.Fatalf("step %d: stats %+v, Len %d; model %+v, %d entries", step, st, tb.Len(), want, len(model))
 		}
-		// Each list, walked from its tail, is the model's order of
-		// that kind.
+		// The LRU list walked from its tail and the ring from its head are
+		// the model's order of each kind.
 		var conns, husks []Key
 		for _, o := range order {
 			if model[o].mark == 0 {
@@ -906,14 +1055,18 @@ func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
 			}
 		}
 		i = 0
-		for r := tb.husks.tail; r != 0; r, i = tb.husks.at(r).prev, i+1 {
-			e := tb.husks.at(r)
-			if i >= len(husks) || e.key != husks[i] || e.last != uint32(model[e.key].last) || e.rec != model[e.key].mark {
-				t.Fatalf("step %d: husk %d from the tail is %v (last %d, mark %d), model order %v", step, i, e.key, e.last, e.rec, husks)
+		for p := tb.husks.head; p != tb.husks.tail; p++ {
+			h := tb.husks.pos(p)
+			if !h.live {
+				continue
 			}
+			if k := unpack(h.key); i >= len(husks) || k != husks[i] || h.last != uint32(model[k].last) || h.mark != model[k].mark {
+				t.Fatalf("step %d: husk %d from the head is %v (last %d, mark %d), model order %v", step, i, k, h.last, h.mark, husks)
+			}
+			i++
 		}
 		if tb.conns.n != len(conns) || tb.husks.n != len(husks) {
-			t.Fatalf("step %d: sets hold %d connections, %d husks; model %d, %d", step, tb.conns.n, tb.husks.n, len(conns), len(husks))
+			t.Fatalf("step %d: the table holds %d connections, %d husks; model %d, %d", step, tb.conns.n, tb.husks.n, len(conns), len(husks))
 		}
 		for _, k := range universe {
 			if _, live := model[k]; tb.Has(k) != live {
@@ -931,23 +1084,8 @@ func checkModel(t *testing.T, tc modelCase, tick uint64) *Table[valueFlow] {
 			t.Fatalf("step %d: Range saw %d connections, model has %d", step, seen, len(conns))
 		}
 	}
-	st := tb.Stats()
-	t.Logf("%d + %d slots, %+v, %d revived, %d husks removed by Do, probe runs wrapped: %v",
-		len(tb.conns.slots), len(tb.husks.slots), st, revived, removed, wrapped)
-	if tc.maxFlows == 0 && tc.idle == 0 && len(tb.conns.slots) < 256 {
-		t.Fatalf("connection index only grew to %d slots", len(tb.conns.slots))
-	}
-	if tc.wrap && (len(tb.conns.slots) != 8 || len(tb.husks.slots) != 8 || !wrapped || st.Removed < 300) {
-		t.Fatalf("tiny table never wrapped under removal: %d + %d slots, wrapped %v, %+v",
-			len(tb.conns.slots), len(tb.husks.slots), wrapped, st)
-	}
-	if tc.maxFlows > 0 && st.EvictedCap == 0 || tc.idle > 0 && st.EvictedIdle == 0 {
-		t.Fatalf("the eviction under test never ran: %+v", st)
-	}
-	if !husked || revived == 0 || removed == 0 {
-		t.Fatalf("no settle, revive or husk removal: %d revived, %d removed", revived, removed)
-	}
-	return tb
+	t.Logf("%d slots, %d ring chunks, %+v, %+v", len(tb.slots), len(tb.husks.chunks), tb.Stats(), run)
+	return tb, run
 }
 
 // TestIndexResistsHash64Collisions: the gateway pins tuples to lanes by
@@ -968,9 +1106,9 @@ func TestIndexResistsHash64Collisions(t *testing.T) {
 			tb.Do(k, func(*valueFlow) {}, nil)
 		}
 	}
-	checkIndex(t, &tb.conns)
-	longest, _ := probeLen(&tb.conns)
-	t.Logf("%d colliding flows in %d slots: longest probe run %d", flows, len(tb.conns.slots), longest)
+	audit(t, tb, "after the flood")
+	longest, _ := probeLen(tb)
+	t.Logf("%d colliding flows in %d slots: longest probe run %d", flows, len(tb.slots), longest)
 	if longest > 32 {
 		t.Fatalf("longest probe run is %d slots, want <= 32", longest)
 	}
@@ -1004,8 +1142,9 @@ func TestDoHashedReachesDoRecord(t *testing.T) {
 // connection by age, and every entry's stamp — holds over many wraps.
 func TestIdleEvictionAcrossClockWrap(t *testing.T) {
 	const tick = 1<<25 + 3
-	tc := modelCase{"clock-wrap", 160, 0, 60 * tick, 5, 30, 3000, false}
-	tb := checkModel(t, tc, tick)
+	tc := modelCase{name: "clock-wrap", keys: 160, idle: 60, tick: tick, remove: 5, settle: 30, steps: 3000}
+	tb, run := runModel(t, tc.input())
+	ranWhole(t, tc, tb, run)
 	if wraps := tb.Clock() >> 32; wraps < 10 {
 		t.Fatalf("the clock crossed 2^32 only %d times", wraps)
 	}
@@ -1070,7 +1209,7 @@ func TestSlabGrowsLazily(t *testing.T) {
 	}
 	for i := 1; i < 3*per; i++ {
 		tb.Remove(tuple(i))
-		checkSlab(t, &tb.conns)
+		audit(t, tb, fmt.Sprintf("after removing tuple %d", i))
 	}
 	if c, _ := chunks(); c != 3 {
 		t.Fatalf("a set with a connection left gave back chunks: %d left", c)
@@ -1079,10 +1218,9 @@ func TestSlabGrowsLazily(t *testing.T) {
 	if c, h := chunks(); c != 1 || h != 1 || tb.Len() != 2 {
 		t.Fatalf("an emptied set kept %d chunks (husks %d, %d entries), want 1", c, h, tb.Len())
 	}
-	checkSlab(t, &tb.conns)
+	audit(t, tb, "after the slab emptied")
 	tb.Do(tuple(0), nop, func(uint8) Action { return Revive })
-	checkSlab(t, &tb.husks)
-	checkSlab(t, &tb.conns)
+	audit(t, tb, "after a revive")
 }
 
 // TestHasFromAnotherGoroutineAcrossGrowth: the owner grows both sets through
@@ -1132,8 +1270,258 @@ func TestHasFromAnotherGoroutineAcrossGrowth(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if c, h := len(tb.conns.chunks), len(tb.husks.chunks); c < 6 || h < 6 || len(tb.conns.slots) < 1024 || len(tb.husks.slots) < 1024 {
-		t.Fatalf("the sets grew to %d + %d chunks and %d + %d slots: not across growth",
-			c, h, len(tb.conns.slots), len(tb.husks.slots))
+	if c, h := len(tb.conns.chunks), len(tb.husks.chunks); c < 6 || h < 3 || len(tb.slots) < 2048 {
+		t.Fatalf("the table grew to %d + %d chunks and %d slots: not across growth", c, h, len(tb.slots))
+	}
+}
+
+// TestAuditRefusesCorruption: Audit passes a table holding connections,
+// husks and a hole in the ring, and refuses each corruption of it — a
+// dropped LRU link, two ring entries out of stamp order, an index slot
+// naming a hole and a husk count off by one — with an error, not a panic.
+func TestAuditRefusesCorruption(t *testing.T) {
+	nop := func(*valueFlow) {}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(tb *Table[valueFlow])
+	}{
+		{"dropped LRU link", func(tb *Table[valueFlow]) {
+			tb.conns.at(tb.conns.at(tb.conns.head).next).prev = 0
+		}},
+		{"ring entries out of stamp order", func(tb *Table[valueFlow]) {
+			a, b := tb.husks.pos(tb.husks.head), tb.husks.pos(tb.husks.head+1)
+			a.last, b.last = b.last, a.last
+		}},
+		{"index slot naming a hole", func(tb *Table[valueFlow]) {
+			q := &tb.husks
+			hole := q.head
+			for q.pos(hole).live {
+				hole++
+			}
+			tb.slots[tb.slotOf(q.ref(q.head))] = q.ref(hole)
+		}},
+		{"husk count off by one", func(tb *Table[valueFlow]) { tb.husks.n++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := New(Config[valueFlow]{
+				New:   func(k Key) valueFlow { return valueFlow{key: k} },
+				Evict: func(Key, valueFlow) {}, IdleTicks: 1 << 20,
+			})
+			for i := 0; i < 40; i++ {
+				tb.Do(tuple(i), nop, nil)
+			}
+			for i := 0; i < 40; i += 2 { // 20 husks, each stamped a tick after the last
+				tb.Do(tuple(i), nop, nil)
+				tb.Settle(tuple(i), 1)
+			}
+			tb.Remove(tuple(10)) // a hole in the ring, one in 19 husks
+			audit(t, tb, "before the corruption")
+			if holes := int(tb.husks.tail-tb.husks.head) - tb.husks.n; holes != 1 {
+				t.Fatalf("the ring holds %d holes, want 1", holes)
+			}
+			tc.corrupt(tb)
+			err := tb.Audit()
+			if err == nil {
+				t.Fatal("Audit passed the corrupted table")
+			}
+			t.Log(err)
+		})
+	}
+}
+
+// ringBound fails t unless the ring spans at most its husks and maxHoles —
+// one hole per holeShare husks, one per compactStep positions and one more —
+// in no more chunks than that span needs and one more for the unused ends.
+func ringBound(t *testing.T, q *ring, when string) {
+	t.Helper()
+	span := int(q.tail - q.head)
+	if span > q.n+q.n/holeShare+span/compactStep+1 || len(q.chunks) > (span+ringPer-1)/ringPer+1 {
+		t.Fatalf("%s: the ring spans %d positions in %d chunks for %d husks", when, span, len(q.chunks), q.n)
+	}
+}
+
+// TestRingBoundUnderStragglerFlood: with idle eviction off nothing but
+// compaction reclaims a hole behind the head. A flood of stragglers on one
+// husk, each after another connection has settled — so each keeps a husk
+// that is no longer the youngest, moving it to the tail and leaving a hole,
+// as every later packet of a quarantined flow does — must keep the ring
+// within its bound throughout, by compacting it again and again.
+func TestRingBoundUnderStragglerFlood(t *testing.T) {
+	tb := New(Config[valueFlow]{New: func(k Key) valueFlow { return valueFlow{key: k} }, Evict: func(Key, valueFlow) {}})
+	nop := func(*valueFlow) {}
+	keep := func(uint8) Action { return Keep }
+	const husks, stragglers = 1000, 100000
+	for i := 0; i < husks; i++ {
+		tb.Do(tuple(i), nop, nil)
+		tb.Settle(tuple(i), 1)
+	}
+	compactions := 0
+	for i := 0; i < stragglers; i++ {
+		tb.Do(tuple(husks+i), nop, nil)
+		tb.Settle(tuple(husks+i), 1)
+		tail := tb.husks.tail
+		tb.Do(tuple(husks/2), nop, keep)
+		if int32(tb.husks.tail-tail) < 0 {
+			compactions++
+		}
+		ringBound(t, &tb.husks, fmt.Sprintf("straggler %d", i))
+		if i%10000 == 0 {
+			audit(t, tb, fmt.Sprintf("straggler %d", i))
+		}
+	}
+	// A compaction closes at most maxHoles holes, and the flood made one a
+	// straggler.
+	if tb.husks.n != husks+stragglers || compactions < stragglers/tb.husks.maxHoles() {
+		t.Fatalf("%d husks left after the flood, %d compactions", tb.husks.n, compactions)
+	}
+	t.Logf("%d compactions, %d husks in %d chunks", compactions, tb.husks.n, len(tb.husks.chunks))
+}
+
+// TestHeadPassesAPausedCompaction: a compaction pauses between steps with
+// holes from fill to scan, and stays paused while new husks outnumber the
+// holes holeShare to one; evicting the oldest husks then takes the head past
+// fill, and the cursors follow it. The table passes its Audit after every
+// operation.
+func TestHeadPassesAPausedCompaction(t *testing.T) {
+	tb := New(Config[valueFlow]{New: func(k Key) valueFlow { return valueFlow{key: k} }, Evict: func(Key, valueFlow) {}})
+	settle := func(i int) {
+		tb.Do(tuple(i), func(*valueFlow) {}, nil)
+		tb.Settle(tuple(i), 1)
+	}
+	for i := 0; i < 2000; i++ {
+		settle(i)
+	}
+	q := &tb.husks
+	removed := 0
+	for ; q.fill == q.scan; removed++ { // one run of holes, until a step pauses in it
+		tb.Remove(tuple(1000 + removed))
+		audit(t, tb, fmt.Sprintf("removal %d", removed))
+	}
+	if q.fill-q.base != 1000 {
+		t.Fatalf("after %d removals the compaction paused at %d, want 1000", removed, q.fill-q.base)
+	}
+	for i := 2000; i < 5000; i++ {
+		settle(i)
+	}
+	for i := 0; i < 1000; i++ {
+		tb.EvictOldest(Key{})
+		audit(t, tb, fmt.Sprintf("eviction %d", i))
+	}
+	if want := uint32(1000 + removed); q.head != want || q.fill != q.head || q.scan != q.head || q.holes() != 0 {
+		t.Fatalf("head %d (want %d), cursors %d and %d, %d holes", q.head, want, q.fill, q.scan, q.holes())
+	}
+}
+
+// TestRingGivesBackChunks: a ring of 100 chunks of husks drained to a tenth
+// gives back all but what the tenth needs, whether the drain takes the
+// oldest husks — the head passing chunks — or every husk but one in ten,
+// leaving holes the ring compacts.
+func TestRingGivesBackChunks(t *testing.T) {
+	const husks = 100 * ringPer
+	for _, drain := range []string{"oldest first", "nine in ten"} {
+		t.Run(drain, func(t *testing.T) {
+			tb := New(Config[valueFlow]{New: func(k Key) valueFlow { return valueFlow{key: k} }, Evict: func(Key, valueFlow) {}})
+			for i := 0; i < husks; i++ {
+				tb.Do(tuple(i), func(*valueFlow) {}, nil)
+				tb.Settle(tuple(i), 1)
+			}
+			if c := len(tb.husks.chunks); c != 100 {
+				t.Fatalf("%d husks in %d chunks, want 100", husks, c)
+			}
+			for i := 0; i < husks; i++ {
+				if drain == "oldest first" && i < husks*9/10 {
+					tb.EvictOldest(Key{})
+				} else if drain == "nine in ten" && i%10 != 0 {
+					tb.Remove(tuple(i))
+				}
+				ringBound(t, &tb.husks, fmt.Sprintf("step %d", i))
+			}
+			audit(t, tb, "after the drain")
+			if tb.husks.n != husks/10 || len(tb.husks.chunks) > 12 {
+				t.Fatalf("%d husks left in %d chunks, want %d in at most 12", tb.husks.n, len(tb.husks.chunks), husks/10)
+			}
+			t.Logf("%d husks left in %d chunks", tb.husks.n, len(tb.husks.chunks))
+		})
+	}
+}
+
+// TestRingAcrossPositionWrap: ring positions count appends modulo 2³² and a
+// husk's ref keeps their low 31 bits, so refs repeat every 2³¹ appends and
+// positions every 2³². A ring starting just short of either wrap, under the
+// model with stragglers, capacity and idle eviction and a clock that wraps
+// too, keeps every ref, stamp and order exact across it.
+func TestRingAcrossPositionWrap(t *testing.T) {
+	for _, at := range []uint32{1<<31 - 300, 1<<32 - 300} {
+		t.Run(fmt.Sprintf("from %d", at), func(t *testing.T) {
+			tc := modelCase{name: "ring-wrap", keys: 200, maxFlows: 40, idle: 150, tick: 1<<25 + 3,
+				remove: 2, settle: 40, steps: 3000, stragglers: true, ringAt: at}
+			tb, run := runModel(t, tc.input())
+			ranWhole(t, tc, tb, run)
+			if run.reach <= 300 || run.compacted == 0 || tb.Clock()>>32 < 10 {
+				t.Fatalf("the ring reached %d past its start, compacted %d times, the clock wrapped %d times: not across the wrap",
+					run.reach, run.compacted, tb.Clock()>>32)
+			}
+		})
+	}
+}
+
+// TestHasFromAnotherGoroutineDuringCompaction: while the owner floods its
+// husks with stragglers, so the ring compacts over and over and moves husks
+// and their index slots under the lock Has takes, and cycles some of them
+// through a revive and a new settle, readers ask Has for every husk — each
+// always present as a husk or a connection — and for a key never inserted.
+func TestHasFromAnotherGoroutineDuringCompaction(t *testing.T) {
+	tb := New(Config[valueFlow]{New: func(k Key) valueFlow { return valueFlow{key: k} }, Evict: func(Key, valueFlow) {}})
+	nop := func(*valueFlow) {}
+	const husks = 600
+	for i := 0; i < husks; i++ {
+		tb.Do(tuple(i), nop, nil)
+		tb.Settle(tuple(i), 1)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(rnd uint64) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rnd = rnd*6364136223846793005 + 1442695040888963407
+				if i := int(rnd>>33) % husks; !tb.Has(tuple(i)) {
+					t.Errorf("Has missed tuple %d", i)
+					return
+				}
+				if tb.Has(tuple(1 << 21)) {
+					t.Error("Has found a tuple never inserted")
+					return
+				}
+			}
+		}(uint64(g))
+	}
+	compactions := 0
+	rnd := uint64(7)
+	for i := 0; i < 30000; i++ {
+		rnd = rnd*6364136223846793005 + 1442695040888963407
+		k := tuple(int(rnd>>33) % husks)
+		tail := tb.husks.tail
+		if i%3 == 0 {
+			tb.Do(k, nop, func(uint8) Action { return Revive })
+			tb.Settle(k, 1)
+		} else {
+			tb.Do(k, nop, func(uint8) Action { return Keep })
+		}
+		if int32(tb.husks.tail-tail) < 0 {
+			compactions++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	audit(t, tb, "after the flood")
+	if compactions < 100 || tb.husks.n != husks {
+		t.Fatalf("%d compactions, %d husks: the owner did not compact under the readers", compactions, tb.husks.n)
 	}
 }

@@ -41,9 +41,9 @@ func TestFreedSlotHoldsNoRecord(t *testing.T) {
 			k := tuple(0)
 			var wp weak.Pointer[record]
 			tb.Do(k, func(f **record) { wp = weak.Make(*f) }, nil)
-			slot := tb.conns.find(k)
+			_, slot := tb.lookup(k)
 			tc.end(tb, k)
-			if tb.conns.find(k) != 0 {
+			if _, r := tb.lookup(k); r&huskBit == 0 && r != 0 {
 				t.Fatal("the connection is still in the table")
 			}
 			onFree := false
@@ -58,7 +58,7 @@ func TestFreedSlotHoldsNoRecord(t *testing.T) {
 			if wp.Value() != nil {
 				t.Fatal("the departed record is still reachable from the table")
 			}
-			checkSlab(t, &tb.conns)
+			audit(t, tb, "after the record left")
 		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"unsafe"
 
 	"repro/internal/ac"
+	"repro/internal/flowtable"
 )
 
 // floodRules is the flood's ruleset. Every swap installs a new compile of
@@ -254,10 +255,13 @@ func TestChaosSoakMemoryBudget(t *testing.T) {
 //   - the held logs once more: a log's capacity is its allocation's size
 //     class, unless a cap clipped it, and a size class rounds up by less
 //     than the capacity (48 B for a 33 B log at the worst);
-//   - each index at its worst load, 3/8 full just after doubling, sized
-//     for its set's peak;
-//   - each slab's chunks at its set's peak, kept while the set is not empty:
-//     4 KiB apiece, which hold no pointer and so as many entries as fit;
+//   - the index at its worst load, 3/8 full just after doubling, sized
+//     for the most entries the share holds: all of them husks;
+//   - the connection slab's chunks at its peak, kept while it is not
+//     empty, and the husk ring's at its peak: its husks and at most one
+//     hole per 16 of them in chunks of 204, and one chunk more for the
+//     unused ends; 4 KiB apiece, which hold no pointer and so as many
+//     entries as fit;
 //   - the lane's store of held logs: its 80 B struct, and a handle is an
 //     8 B slot and a 4 B free-list word, one for each connection that may
 //     hold a log, and append at most doubles either;
@@ -280,17 +284,15 @@ func TestHeapWithinBudget(t *testing.T) {
 	// A set's peak: the charge before a packet is at most share + one
 	// connection, and the packet may add one more before the lane evicts.
 	peak := func(entry int) int { return (ln.share + 2*ConnEntry) / entry }
-	chunks := func(entry int) int {
-		per := 4096 / entry
-		return (peak(entry) + per - 1) / per * 4096
+	connChunks := (peak(ConnEntry) + 63) / 64 * 4096
+	_, huskBytes := flowtable.EntryBytes[gwFlow]()
+	span, perRing := peak(HuskEntry)+peak(HuskEntry)/16, 4096/huskBytes
+	ringChunks := ((span+perRing-1)/perRing + 1) * 4096
+	slots := 8
+	for 4*peak(HuskEntry) > 3*slots {
+		slots *= 2
 	}
-	index := func(entry int) int {
-		slots := 8
-		for 4*peak(entry) > 3*slots {
-			slots *= 2
-		}
-		return 2 * slots * 4 // 3/8 full: the doubling just happened
-	}
+	index := 2 * slots * 4 // 3/8 full: the doubling just happened
 	fixed := int(unsafe.Sizeof(Gateway{})) + int(unsafe.Sizeof(gwLane{})) + int(unsafe.Sizeof(*ln.table)) +
 		cap(ln.q)*int(unsafe.Sizeof(seqPacket{})) + int(unsafe.Sizeof(gwGeneration{}))
 	worst, worstPhase := 0.0, ""
@@ -312,10 +314,9 @@ func TestHeapWithinBudget(t *testing.T) {
 			{"image × live generations", image * st.GenerationsLive},
 			{"charged share", ln.share + ConnEntry},
 			{"held logs' size classes", held}, // Σ capacity, as laneCharge checks
-			{"connection index", index(ConnEntry)},
-			{"husk index", index(HuskEntry)},
-			{"connection chunks", chunks(ConnEntry)},
-			{"husk chunks", chunks(HuskEntry)},
+			{"index", index},
+			{"connection chunks", connChunks},
+			{"husk ring", ringChunks},
 			{"held-log store", 80 + 2*(peak(ConnEntry)+1)*8 + 2*peak(ConnEntry)*4},
 			{"scratch, queue, classes, gateway", scratch + fixed},
 		}
